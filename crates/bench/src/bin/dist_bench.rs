@@ -232,7 +232,6 @@ fn run_distributed(
     input: &str,
     mid_job: impl FnOnce(u64) + Send,
 ) -> (Duration, Vec<sidr_mapreduce::TaskEvent>) {
-    let file = ScincFile::open(input).expect("dataset opens");
     let opts = ExecOptions {
         validate_annotations: true,
         filter_pushdown: false,
@@ -243,8 +242,8 @@ fn run_distributed(
     let out = InMemoryOutput::<sidr_coords::Coord, f64>::new();
     let started = Instant::now();
     let result = thread::scope(|s| {
-        let runner = s
-            .spawn(|| run_spec_with_executor(&file, spec, &run_opts(), &out, &pool, None, &remote));
+        let runner =
+            s.spawn(|| run_spec_with_executor(spec, &run_opts(), &out, &pool, None, &remote));
         let mid =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mid_job(remote.job_id())));
         if mid.is_err() {

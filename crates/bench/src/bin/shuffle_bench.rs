@@ -24,98 +24,17 @@
 //!
 //! Emits `results/BENCH_shuffle.json` (override with `--out`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
 
+use sidr_bench::{AllocScope, CountingAlloc};
 use sidr_mapreduce::{MapOutputFile, MergeIter};
-
-// ---------------------------------------------------------------
-// Counting allocator: total bytes allocated + live-byte high water.
-// ---------------------------------------------------------------
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn on_alloc(size: usize) {
-        ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
-        let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn on_dealloc(size: usize) {
-        LIVE.fetch_sub(size, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: caller upholds GlobalAlloc::alloc's contract; we
-        // forward the layout to the system allocator unchanged.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            Self::on_alloc(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: caller guarantees `ptr` came from this allocator
-        // with this layout; `alloc` delegates to System, so System
-        // owns the block.
-        unsafe { System.dealloc(ptr, layout) };
-        Self::on_dealloc(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: same delegation as alloc/dealloc — the caller's
-        // realloc contract transfers directly to System.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            Self::on_dealloc(layout.size());
-            Self::on_alloc(new_size);
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocation counters over one measured region.
-struct AllocScope {
-    allocated_before: u64,
-    live_before: usize,
-}
-
-impl AllocScope {
-    fn start() -> Self {
-        // Reset the high-water mark to the current live level so the
-        // reported peak is the region's own contribution.
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-        AllocScope {
-            allocated_before: ALLOCATED.load(Ordering::Relaxed),
-            live_before: LIVE.load(Ordering::Relaxed),
-        }
-    }
-
-    /// `(bytes allocated, peak live bytes above the region's start)`.
-    fn finish(self) -> (u64, u64) {
-        let allocated = ALLOCATED.load(Ordering::Relaxed) - self.allocated_before;
-        let peak = PEAK
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.live_before) as u64;
-        (allocated, peak)
-    }
-}
 
 // ---------------------------------------------------------------
 // Baseline: the seed's merge, verbatim.
@@ -255,7 +174,7 @@ fn measure<F: Fn() -> Digest>(run: F, reps: usize, total_records: u64) -> (PathR
     let digest = run(); // warm-up, and the digest for equivalence
     let scope = AllocScope::start();
     let check = run();
-    let (bytes_allocated, peak_live_bytes) = scope.finish();
+    let (bytes_allocated, _calls, peak_live_bytes) = scope.finish();
     assert_eq!(digest, check, "merge is deterministic");
     let mut best = f64::INFINITY;
     for _ in 0..reps {

@@ -201,7 +201,6 @@ fn run_gated(
     for w in workers {
         w.set_fetch_delay(Duration::from_secs(600));
     }
-    let file = ScincFile::open(input).expect("dataset opens");
     let opts = ExecOptions {
         validate_annotations: true,
         filter_pushdown: false,
@@ -213,8 +212,8 @@ fn run_gated(
     let started = Instant::now();
     let mut peak = PeakSample::default();
     let result = thread::scope(|s| {
-        let runner = s
-            .spawn(|| run_spec_with_executor(&file, spec, &run_opts(), &out, &pool, None, &remote));
+        let runner =
+            s.spawn(|| run_spec_with_executor(spec, &run_opts(), &out, &pool, None, &remote));
         let job = remote.job_id();
         let mid = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let committed =

@@ -17,7 +17,6 @@ use sidr_mapreduce::sync::thread;
 use sidr_mapreduce::{
     run_job_shared, DefaultPlan, FaultPlan, FnMapper, FnReducer, InMemoryOutput, InputSplit,
     JobConfig, MapTaskId, ModuloPartitioner, RetryPolicy, RoutingPlan, SliceRecordSource, SlotPool,
-    SpeculationPolicy,
 };
 
 static CHAOS: TestLock<()> = TestLock::new(());
@@ -284,80 +283,4 @@ fn dropped_tier_move_notify_is_caught_as_lost_wakeup() {
         },
     );
     report.assert_finds(FindingKind::LostWakeup);
-}
-
-/// 1:1 dependencies: reducer i <- map i, inverted scheduling.
-struct PairPlan;
-
-impl RoutingPlan<u64> for PairPlan {
-    fn num_reducers(&self) -> usize {
-        2
-    }
-    fn partition(&self, key: &u64) -> usize {
-        (*key as usize) % 2
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(vec![reducer])
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
-}
-
-/// Skipping the pre-put commit claim (the epoch check guarding the
-/// shuffle against racing publishers) lets a losing speculative twin
-/// publish *after* the winner committed, restamping the partition with
-/// an epoch no commit will ever acknowledge. Over volatile data that
-/// is a half-put entry recovery treats as committed: the dependent
-/// reducer fetches Stale forever, pumped only by the safety-net tick.
-/// The explorer must catch it (LostWakeup, StepLimit, Deadlock or a
-/// wrong-output panic) — proving the speculation scenario has teeth.
-#[test]
-fn dropped_speculation_claim_is_caught() {
-    let _serial = CHAOS.lock().unwrap();
-    let _armed = chaos::arm(Mutation::DropSpeculationClaim);
-    let report = Explorer::new("mutation:drop-speculation-claim")
-        .step_limit(15_000)
-        .max_failures(2)
-        .run(
-            Strategy::Random {
-                schedules: 120,
-                seed: 0x0BAD_0005,
-            },
-            || {
-                let pool = SlotPool::new(2, 2).unwrap();
-                let splits = unit_splits(2);
-                let mapper = FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| {
-                    emit(*k, 100 + *k);
-                });
-                let reducer = FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                    emit(vs.iter().sum())
-                });
-                let output = InMemoryOutput::new();
-                let config = JobConfig {
-                    speculation: SpeculationPolicy::force([0]),
-                    volatile_intermediate: true,
-                    ..Default::default()
-                };
-                run_job_shared(
-                    &splits,
-                    &diagonal_source,
-                    &mapper,
-                    None,
-                    &reducer,
-                    &PairPlan,
-                    &output,
-                    &config,
-                    &pool,
-                    None,
-                )
-                .unwrap();
-                assert_eq!(output.sorted_records(), vec![(0, 100), (1, 101)]);
-            },
-        );
-    assert!(
-        !report.failures.is_empty(),
-        "mutated speculation claim explored {} schedules without a finding",
-        report.schedules
-    );
 }

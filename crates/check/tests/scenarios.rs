@@ -286,8 +286,8 @@ fn two_jobs_contending_for_last_slot_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 5: speculative race — winner commit vs loser teardown vs
-// reducer fetch, over volatile intermediate data.
+// Scenario 5: speculative race — winner commit vs loser commit vs
+// reducer bind, over volatile intermediate data.
 // ---------------------------------------------------------------------------
 
 /// 1:1 dependencies: reducer i <- map i, inverted scheduling.
@@ -311,11 +311,12 @@ impl RoutingPlan<u64> for PairPlan {
 /// Map 0 is force-speculated (the only trigger under the virtual
 /// scheduler — wall clocks are meaningless here), so explored
 /// schedules include the twin launching, either racer claiming the
-/// commit first, the loser tearing down mid-put, and the dependent
-/// reducer fetching at every point in between — over *volatile*
-/// intermediate data, where a half-put entry that recovery treats as
-/// committed would strand the reducer. Output equality proves the
-/// winner's data (and only it) was reduced; the oracle proves the
+/// commit first, the loser inserting its own generation into the
+/// in-process executor's table before or after the winner's, and the
+/// dependent reducer binding and consuming at every point in between
+/// — over *volatile* intermediate data, where consuming anything but
+/// the committed generation would strand the reducer. Output equality
+/// proves the winner's data (and only it) was reduced; the oracle proves the
 /// attempt-stamped protocol, including the at-most-one-extra-attempt
 /// rule (R6), held on every schedule.
 fn speculation_scenario() {

@@ -5,7 +5,9 @@
 //! knowledge — structural mapping, `partition+` routing, operator
 //! reduction, count-annotation validation — lives here in `sidr-core`;
 //! the worker crate only moves CRC-framed SMOF byte buffers between
-//! processes. Map attempts produce their per-reducer partitions as
+//! processes. The attempt bodies themselves are the engine's
+//! (`run_map_attempt` / `run_reduce_attempt`), the same ones the
+//! in-process executor runs. Map attempts produce their per-reducer partitions as
 //! *encoded* SMOF buffers (the exact on-disk/on-wire spill format —
 //! v3 fixed-width for ⟨coord, f64⟩ records), and reduce attempts
 //! merge the buffers a worker fetched from the holders **in place**
@@ -14,17 +16,17 @@
 //! output — is byte-identical to a single-process run.
 
 use std::path::Path;
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
+use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{
-    Counters, FaultKind, FaultPlan, GroupBatch, MapOutputBuilder, MapTaskId, Mapper, MergeIter,
-    MrError, RoutingPlan, Smof3View,
+    run_map_attempt, run_reduce_attempt, Counters, FaultPlan, MapOutputBuilder, MapTaskId,
+    MergeSource, MrError, RoutingPlan,
 };
 use sidr_scifile::{DataType, Element, ScincFile};
 
+use crate::framework::pushdown_threshold;
 use crate::operators::{Operator, OperatorReducer};
 use crate::plan::{SidrPlan, SidrPlanner};
 use crate::source::{ScincRecordSource, StructuralMapper};
@@ -52,13 +54,9 @@ pub struct ExecOptions {
 /// ([`SpecExecutor::run_reduce`]'s `emit` callback).
 pub type GroupSink<'a> = dyn FnMut(&[(Coord, f64)]) -> crate::Result<()> + 'a;
 
-/// Records per [`GroupBatch`] fill after the first group is out —
-/// mirrors the in-process runtime's batch size.
-const REDUCE_BATCH_RECORDS: usize = 4096;
-
 /// What one map attempt produced: per-reducer partitions as encoded
-/// SMOF buffers (only non-empty partitions appear, mirroring the
-/// in-process shuffle store's absence-means-empty convention).
+/// SMOF buffers (only non-empty partitions appear: absence means the
+/// map produced nothing for that reducer).
 #[derive(Clone, Debug)]
 pub struct MapAttemptOutput {
     pub partitions: Vec<(usize, Vec<u8>)>,
@@ -87,12 +85,8 @@ impl SpecExecutor {
         let file = ScincFile::open(input)?;
         let query = spec.query()?;
         let dtype = file.metadata().variable(&query.variable)?.dtype;
-        let pushdown = match (opts.filter_pushdown, query.operator) {
-            (true, Operator::Filter { threshold }) => Some(threshold),
-            _ => None,
-        };
         let mut mapper = StructuralMapper::for_query(&query);
-        if let Some(threshold) = pushdown {
+        if let Some(threshold) = pushdown_threshold(opts.filter_pushdown, &query) {
             mapper = mapper.push_down_filter(threshold);
         }
         let plan = SidrPlanner::new(&query, spec.num_reducers)
@@ -141,72 +135,37 @@ impl SpecExecutor {
             .splits
             .get(task)
             .ok_or_else(|| MrError::BadConfig(format!("map {task} out of range")))?;
-        let fault = self.opts.fault_plan.map_fault(task, attempt);
-        match fault {
-            Some(FaultKind::Straggle { delay_ms }) => {
-                std::thread::sleep(Duration::from_millis(delay_ms));
-            }
-            Some(FaultKind::Fail) => {
-                return Err(MrError::Source(format!(
-                    "injected failure: map {task} attempt {attempt}"
-                ))
-                .into());
-            }
-            _ => {}
-        }
-        let source_err_after = match fault {
-            Some(FaultKind::SourceError { after_records }) => Some(after_records),
-            _ => None,
-        };
-        let mut source = ScincRecordSource::<E>::open(&self.file, &self.variable, split)?;
-        let mut builder = MapOutputBuilder::new(self.spec.num_reducers);
-        let mut records_in = 0u64;
-        let mut records_out = 0u64;
-        let mut push_err: Option<MrError> = None;
-        use sidr_mapreduce::RecordSource;
-        while let Some((k, v)) = source.next_record()? {
-            if source_err_after.is_some_and(|after| records_in >= after) {
-                return Err(MrError::Source(format!(
-                    "injected transient I/O error: map {task} attempt {attempt} \
-                     after {records_in} records"
-                ))
-                .into());
-            }
-            records_in += 1;
-            self.mapper.map(&k, &v, &mut |k2, v2| {
-                if push_err.is_some() {
-                    return;
-                }
-                // The inherent `SidrPlan::partition` accessor shadows
-                // the trait method; route through the trait.
-                let reducer = RoutingPlan::partition(&self.plan, &k2);
-                if let Err(e) = builder.push(reducer, k2, v2) {
-                    push_err = Some(e);
-                }
-                records_out += 1;
-            });
-            if let Some(e) = push_err {
-                return Err(e.into());
-            }
-        }
         let combiner = self.operator.combiner();
         // Per-attempt scratch counters: the attempt's tallies travel
         // back in the reply, not through process-global state.
         let counters = Counters::default();
-        let partitions = builder
-            .finish(
-                combiner
-                    .as_ref()
-                    .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
-                &counters,
-            )?
-            .into_iter()
-            .map(|(reducer, f)| encode_map_output(&f).map(|bytes| (reducer, bytes)))
-            .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
+        let partitions = run_map_attempt(
+            task,
+            attempt,
+            self.opts.fault_plan.map_fault(task, attempt),
+            || ScincRecordSource::<E>::open(&self.file, &self.variable, split),
+            &self.mapper,
+            combiner
+                .as_ref()
+                .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
+            &self.plan,
+            MapOutputBuilder::new(self.spec.num_reducers),
+            &counters,
+            // A worker cannot see the coordinator's cancel or race
+            // state; an injected straggle sleeps its full delay here.
+            &|delay| {
+                std::thread::sleep(delay);
+                true
+            },
+        )?
+        .into_iter()
+        .map(|(reducer, f)| encode_map_output(&f).map(|bytes| (reducer, bytes)))
+        .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
+        let tally = counters.snapshot();
         Ok(MapAttemptOutput {
             partitions,
-            records_in,
-            records_out,
+            records_in: tally.map_records_in,
+            records_out: tally.map_records_out,
         })
     }
 
@@ -236,71 +195,38 @@ impl SpecExecutor {
         if reducer >= self.spec.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")).into());
         }
-        let mut merge: MergeIter<Coord, f64> = MergeIter::new();
-        let mut raw_total = 0u64;
-        for bytes in partitions {
-            if bytes.is_empty() {
-                continue;
-            }
-            // v3 buffers merge zero-copy: the cursor borrows records
-            // straight out of the fetched bytes. v2 buffers (older
-            // peers, variable-width types) decode the classic way.
-            match Smof3View::<Coord, f64>::parse(std::sync::Arc::clone(bytes))? {
-                Some(view) => {
-                    raw_total += view.raw_count();
-                    merge.push_frame(view);
-                }
-                None => {
-                    let f = decode_map_output::<Coord, f64>(bytes)?;
-                    raw_total += f.raw_count;
-                    merge.push_file(std::sync::Arc::new(f));
-                }
-            }
-        }
+        // An empty buffer means that map produced nothing here.
+        let inputs = partitions
+            .iter()
+            .filter(|bytes| !bytes.is_empty())
+            .map(|bytes| MergeSource::from_encoded(std::sync::Arc::clone(bytes)))
+            .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
         let expected = expected_raw.or_else(|| {
             self.opts
                 .validate_annotations
                 .then(|| self.plan.expected_raw_count(reducer))
                 .flatten()
         });
-        if let Some(expected) = expected {
-            if raw_total != expected {
-                return Err(MrError::AnnotationMismatch {
-                    reducer,
-                    expected,
-                    actual: raw_total,
-                }
-                .into());
-            }
+        // `emit` still sees one group at a time — the worker protocol
+        // frames groups individually. Its error type is this crate's;
+        // park it across the engine-typed attempt body.
+        let mut sink_err = None;
+        let emitted = run_reduce_attempt(
+            reducer,
+            inputs,
+            expected,
+            &OperatorReducer { op: self.operator },
+            &mut |group| {
+                emit(group).map_err(|e| {
+                    let detail = e.to_string();
+                    sink_err = Some(e);
+                    MrError::Output(detail)
+                })
+            },
+        );
+        match sink_err {
+            Some(e) => Err(e),
+            None => Ok(emitted?),
         }
-        // Batched handoff, like the in-process runtime: the first
-        // batch is one group (the worker streams it back immediately,
-        // keeping early-result latency), later batches drain the merge
-        // in cache-sized chunks. `emit` still sees one group at a time
-        // — the worker protocol frames groups individually.
-        let reducer_fn = OperatorReducer { op: self.operator };
-        let mut group: Vec<(Coord, f64)> = Vec::new();
-        let mut batch: GroupBatch<Coord, f64> = GroupBatch::new();
-        let mut emitted = 0u64;
-        let mut first = true;
-        use sidr_mapreduce::Reducer;
-        loop {
-            let budget = if first { 1 } else { REDUCE_BATCH_RECORDS };
-            if merge.fill_batch(&mut batch, budget) == 0 {
-                break;
-            }
-            first = false;
-            for (key, values) in batch.groups() {
-                group.clear();
-                reducer_fn.reduce(key, values, &mut |v3| {
-                    group.push((key.clone(), v3));
-                    emitted += 1;
-                });
-                if !group.is_empty() {
-                    emit(&group)?;
-                }
-            }
-        }
-        Ok(emitted)
     }
 }

@@ -11,9 +11,10 @@ use std::time::Duration;
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
-    run_job, run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, Executor,
-    FaultPlan, InMemoryOutput, InputSplit, JobConfig, JobResult, OutputCollector, ProgressProbe,
-    RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
+    run_job, run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
+    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobResult, OutputCollector,
+    ProgressProbe, RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator,
+    TaskExecutor,
 };
 use sidr_scifile::{DataType, Element, ScincFile};
 
@@ -175,10 +176,7 @@ fn run_typed<E: Element>(
     opts: &RunOptions,
 ) -> Result<QueryOutcome> {
     let splits = generate_splits(file, query, opts.mode, opts.split_bytes)?;
-    let pushdown = match (opts.filter_pushdown, query.operator) {
-        (true, crate::operators::Operator::Filter { threshold }) => Some(threshold),
-        _ => None,
-    };
+    let pushdown = pushdown_threshold(opts.filter_pushdown, query);
     let mut mapper = StructuralMapper::for_query(query);
     if let Some(threshold) = pushdown {
         mapper = mapper.push_down_filter(threshold);
@@ -313,7 +311,14 @@ pub fn run_spec_on_pool(
     pool: &SlotPool,
     cancel: Option<&CancelToken>,
 ) -> Result<JobResult> {
-    dispatch_spec(file, spec, opts, output, pool, cancel, Executor::Local)
+    let query = spec.query()?;
+    let var = file.metadata().variable(&query.variable)?;
+    match var.dtype {
+        DataType::I32 => run_spec_in_process::<i32>(file, spec, &query, opts, output, pool, cancel),
+        DataType::I64 => run_spec_in_process::<i64>(file, spec, &query, opts, output, pool, cancel),
+        DataType::F32 => run_spec_in_process::<f32>(file, spec, &query, opts, output, pool, cancel),
+        DataType::F64 => run_spec_in_process::<f64>(file, spec, &query, opts, output, pool, cancel),
+    }
 }
 
 /// Executes a serialized job submission with its task attempts
@@ -329,7 +334,6 @@ pub fn run_spec_on_pool(
 /// the dependency set `I_ℓ` (§6), never by re-fetching a persisted
 /// file.
 pub fn run_spec_with_executor(
-    file: &ScincFile,
     spec: &JobSpec,
     opts: &SpecRunOptions,
     output: &dyn OutputCollector<Coord, f64>,
@@ -337,65 +341,36 @@ pub fn run_spec_with_executor(
     cancel: Option<&CancelToken>,
     executor: &dyn TaskExecutor<Coord, f64>,
 ) -> Result<JobResult> {
-    dispatch_spec(
-        file,
-        spec,
-        opts,
+    let query = spec.query()?;
+    let (plan, mut config) = spec_plan_and_config(spec, &query, opts)?;
+    config.volatile_intermediate = true;
+    Ok(run_job_with_executor(
+        &spec.splits,
+        &plan as &dyn RoutingPlan<Coord>,
         output,
+        &config,
         pool,
         cancel,
-        Executor::Remote(executor),
-    )
+        executor,
+    )?)
 }
 
-fn dispatch_spec(
-    file: &ScincFile,
-    spec: &JobSpec,
-    opts: &SpecRunOptions,
-    output: &dyn OutputCollector<Coord, f64>,
-    pool: &SlotPool,
-    cancel: Option<&CancelToken>,
-    executor: Executor<'_, Coord, f64>,
-) -> Result<JobResult> {
-    let query = spec.query()?;
-    let var = file.metadata().variable(&query.variable)?;
-    match var.dtype {
-        DataType::I32 => {
-            run_spec_typed::<i32>(file, spec, &query, opts, output, pool, cancel, executor)
-        }
-        DataType::I64 => {
-            run_spec_typed::<i64>(file, spec, &query, opts, output, pool, cancel, executor)
-        }
-        DataType::F32 => {
-            run_spec_typed::<f32>(file, spec, &query, opts, output, pool, cancel, executor)
-        }
-        DataType::F64 => {
-            run_spec_typed::<f64>(file, spec, &query, opts, output, pool, cancel, executor)
-        }
+/// The filter threshold to push below the shuffle, when push-down is
+/// asked for and the operator is a filter.
+pub(crate) fn pushdown_threshold(filter_pushdown: bool, query: &StructuralQuery) -> Option<f64> {
+    match (filter_pushdown, query.operator) {
+        (true, crate::operators::Operator::Filter { threshold }) => Some(threshold),
+        _ => None,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_spec_typed<E: Element>(
-    file: &ScincFile,
+/// The plan and engine configuration a spec run uses, in-process or
+/// on a fleet.
+fn spec_plan_and_config(
     spec: &JobSpec,
     query: &StructuralQuery,
     opts: &SpecRunOptions,
-    output: &dyn OutputCollector<Coord, f64>,
-    pool: &SlotPool,
-    cancel: Option<&CancelToken>,
-    executor: Executor<'_, Coord, f64>,
-) -> Result<JobResult> {
-    let pushdown = match (opts.filter_pushdown, query.operator) {
-        (true, crate::operators::Operator::Filter { threshold }) => Some(threshold),
-        _ => None,
-    };
-    let mut mapper = StructuralMapper::for_query(query);
-    if let Some(threshold) = pushdown {
-        mapper = mapper.push_down_filter(threshold);
-    }
-    let reducer = OperatorReducer { op: query.operator };
-    let combiner = query.operator.combiner();
+) -> Result<(crate::plan::SidrPlan, JobConfig)> {
     // The planner re-derives the geometry the spec promised; the
     // admission pre-flight (`sidr_analyze::analyze_spec`) has already
     // proven the stored tables against it, so the cheap structural
@@ -406,34 +381,56 @@ fn run_spec_typed<E: Element>(
     }
     let plan = planner.build(&spec.splits)?;
     let config = JobConfig {
-        validate_annotations: opts.validate_annotations && pushdown.is_none(),
+        // Push-down breaks the geometric raw-count expectation.
+        validate_annotations: opts.validate_annotations
+            && pushdown_threshold(opts.filter_pushdown, query).is_none(),
         map_think: opts.map_think,
         reduce_think: opts.reduce_think,
         fault_plan: opts.fault_plan.clone(),
         retry: opts.retry,
         speculation: opts.speculation.clone(),
         progress: opts.progress.clone(),
-        // Fleet-held map output is gone when its worker is: model it
-        // as the engine's volatile-intermediate mode so reduce-side
-        // losses recover by re-executing `I_ℓ` (§6).
-        volatile_intermediate: matches!(executor, Executor::Remote(_)),
         ..Default::default()
     };
+    Ok((plan, config))
+}
+
+fn run_spec_in_process<E: Element>(
+    file: &ScincFile,
+    spec: &JobSpec,
+    query: &StructuralQuery,
+    opts: &SpecRunOptions,
+    output: &dyn OutputCollector<Coord, f64>,
+    pool: &SlotPool,
+    cancel: Option<&CancelToken>,
+) -> Result<JobResult> {
+    let mut mapper = StructuralMapper::for_query(query);
+    if let Some(threshold) = pushdown_threshold(opts.filter_pushdown, query) {
+        mapper = mapper.push_down_filter(threshold);
+    }
+    let reducer = OperatorReducer { op: query.operator };
+    let combiner = query.operator.combiner();
+    let (plan, config) = spec_plan_and_config(spec, query, opts)?;
+    let plan = &plan as &dyn RoutingPlan<Coord>;
     let source_factory = scinc_source_factory::<E>(file, &query.variable);
-    Ok(run_job_with_executor(
-        &spec.splits,
+    let executor = InProcessExecutor::new(
         &source_factory,
         &mapper,
         combiner
             .as_ref()
             .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
         &reducer,
-        &plan as &dyn RoutingPlan<Coord>,
+        plan,
+        &config,
+    )?;
+    Ok(run_job_with_executor(
+        &spec.splits,
+        plan,
         output,
         &config,
         pool,
         cancel,
-        executor,
+        &executor,
     )?)
 }
 

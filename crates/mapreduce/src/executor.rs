@@ -1,29 +1,49 @@
 //! The task-execution seam: where a claimed task attempt actually
-//! runs.
+//! runs, where its committed output lives, and how a reducer gets it.
 //!
-//! The scheduler half of the runtime — slot accounting, eligibility,
-//! dependency barriers, retry budgets, recovery re-enqueueing — is the
-//! same whether attempts execute in-process or on a fleet of worker
-//! processes. [`Executor`] is the seam between the two: `Local` runs
-//! the attempt inside the scheduling process exactly as before, while
-//! `Remote` hands it to a [`TaskExecutor`] implementation (the
-//! coordinator side of a worker fleet) and interprets its outcome in
-//! the same fault vocabulary the local path uses. `run_job_shared` and
-//! the epoch-stamped shuffle semantics are unchanged in both modes.
+//! The scheduler ([`crate::runtime`]) — slot accounting, eligibility,
+//! dependency barriers, retry budgets, first-commit-wins, recovery
+//! re-enqueueing — knows none of that: it hands every attempt to a
+//! [`TaskExecutor`] and interprets the outcome in one fault
+//! vocabulary. Two executors exist. [`InProcessExecutor`] runs
+//! attempts inside the scheduling process and keeps each committed
+//! map generation in a table keyed by `(map, attempt)`; the serving
+//! layer's fleet coordinator dispatches them to `sidr-worker`
+//! processes. Both run the same attempt bodies, [`run_map_attempt`]
+//! and [`run_reduce_attempt`].
 //!
-//! Worker death surfaces here as [`RemoteReduceError::SourcesLost`]: a
-//! reduce whose source partitions vanished with a worker re-enqueues
-//! exactly those maps — the dependency-scoped (`I_ℓ`) recovery of §6,
-//! generalized from lost in-process shuffle files to lost processes.
+//! Payload representation is chosen where the bytes are consumed:
+//! typed and resident (`Arc<MapOutputFile>`) inside one process,
+//! CRC-framed SMOF bytes in a [`PartitionStore`] only when a partition
+//! crosses a disk ([`JobConfig::spill_dir`]) or a socket (the fleet).
+//!
+//! A lost generation — a dead worker, a consumed volatile partition, a
+//! failed CRC — surfaces as [`RemoteReduceError::SourcesLost`]: the
+//! scheduler re-enqueues exactly those maps, the dependency-scoped
+//! (`I_ℓ`) recovery of §6.
+
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::counters::Counters;
 use crate::error::MrError;
+use crate::fault::{Fault, FaultKind, FaultPlan, FaultTarget};
+use crate::plan::RoutingPlan;
+use crate::runtime::JobConfig;
+use crate::shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
+use crate::shuffle_file::encode_map_output;
 use crate::split::{InputSplit, MapTaskId};
-use crate::task::{MrKey, MrValue};
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Mutex;
+use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
+use crate::tier::{PartitionStore, TierConfig};
+use crate::wire::WireFormat;
 use crate::Result;
 
-/// One source partition of a remotely executed reduce: which map
-/// attempt's committed output the executing worker must fetch.
+/// One source partition of a reduce attempt: which map attempt's
+/// committed output the executor must fetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReduceSource {
     pub map: MapTaskId,
@@ -32,90 +52,527 @@ pub struct ReduceSource {
     pub epoch: u32,
 }
 
-/// How a remote reduce attempt failed, in the scheduler's fault
-/// vocabulary.
+/// How a reduce attempt failed, in the scheduler's fault vocabulary.
 #[derive(Debug)]
 pub enum RemoteReduceError {
-    /// Source partitions were lost with a dead worker *before the
+    /// Source partitions were lost — with a dead worker, to a failed
+    /// CRC, or consumed by an earlier volatile fetch — *before the
     /// attempt consumed anything*. The scheduler re-enqueues exactly
-    /// these maps and retries the same attempt once they recommit —
-    /// no retry budget is charged, mirroring the local CRC-detected
-    /// corruption path.
+    /// these maps and retries the same attempt once they recommit; no
+    /// retry budget is charged.
     SourcesLost(Vec<MapTaskId>),
     /// The attempt failed after its copy phase (its fetches are gone
     /// under volatile intermediate data). Charged against the retry
     /// budget; under volatile intermediate data the scheduler
-    /// re-executes the whole dependency set, mirroring the local
-    /// post-barrier failure path.
+    /// re-executes the whole dependency set.
     AttemptFailed(String),
     /// Unrecoverable: fail the job with this error.
     Fatal(MrError),
 }
 
-/// The remote half of the seam: dispatches one task attempt to a
-/// worker and relays its outcome. Implemented by the serving layer's
-/// fleet coordinator; the engine never sees sockets or placement.
+/// Sink for the key groups a reduce attempt streams out of its merge:
+/// called once per non-empty group, in key order, over one reused
+/// buffer. The sink may take the records out of the buffer (`append`);
+/// whatever it leaves is discarded.
+pub type GroupEmit<'a, K, V> = dyn FnMut(&mut Vec<(K, V)>) -> Result<()> + 'a;
+
+/// Runs task attempts for the scheduler and holds their committed
+/// output. The engine never sees sockets, placement or payload
+/// representation.
 pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
-    /// Runs one map attempt to *committed output held by a worker*.
-    /// On `Ok` the scheduler marks the map `Done` at `attempt`; the
-    /// implementation records which worker holds the partitions.
-    /// Errors are charged against the map's retry budget exactly like
-    /// local source/task failures.
+    /// Runs one map attempt to *committed output held by the
+    /// executor* under the generation `(task, attempt)`. On `Ok` the
+    /// scheduler decides first-commit-wins and, for the winner, marks
+    /// the map `Done` at `attempt`; a loser's generation is simply
+    /// never bound. Errors are charged against the map's retry budget.
+    /// `speculative` marks a twin racing a running straggler: a fleet
+    /// places it on a different worker than the primary.
+    ///
+    /// `pause` is the only way an attempt may wait (an injected
+    /// straggle): it sleeps up to the given duration and returns
+    /// `false` the moment the job is cancelled, has failed, or the
+    /// attempt has lost its race — the attempt then returns
+    /// [`MrError::Cancelled`].
     fn execute_map(
         &self,
         task: MapTaskId,
         attempt: u32,
+        speculative: bool,
         split: &InputSplit,
         counters: &Counters,
+        pause: &dyn Fn(Duration) -> bool,
     ) -> Result<()>;
 
-    /// Runs one *speculative* map attempt — a twin racing a running
-    /// straggler. The default just delegates to [`execute_map`]; a
-    /// fleet coordinator overrides it to place the twin on a
-    /// different worker than the straggling primary (racing on the
-    /// same machine that is already slow defeats the point).
-    ///
-    /// [`execute_map`]: TaskExecutor::execute_map
-    fn execute_map_speculative(
-        &self,
-        task: MapTaskId,
-        attempt: u32,
-        split: &InputSplit,
-        counters: &Counters,
-    ) -> Result<()> {
-        self.execute_map(task, attempt, split, counters)
-    }
-
-    /// Runs one reduce attempt on a worker: the worker fetches the
-    /// `sources` partitions from their holders (over TCP, CRC-framed),
-    /// merges, reduces, and streams each key group back; `emit` is
-    /// called once per group, in key order, and the total emitted
-    /// record count is returned. `expected_raw` carries the plan's
-    /// §3.2.1 annotation expectation when validation is on.
+    /// Runs one reduce attempt: fetch the `sources` generations, merge
+    /// them in the given order (the plan's fetch order — the equal-key
+    /// tie-break), reduce, and hand each key group's records to `emit`
+    /// as the group leaves the merge; returns the emitted record
+    /// count. `expected_raw` carries the plan's §3.2.1 annotation
+    /// expectation when validation is on.
     fn execute_reduce(
         &self,
         reducer: usize,
         attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-        emit: &mut dyn FnMut(Vec<(K2, V3)>) -> Result<()>,
+        counters: &Counters,
+        emit: &mut GroupEmit<'_, K2, V3>,
     ) -> std::result::Result<u64, RemoteReduceError>;
 }
 
-/// Which side of the seam a job's attempts run on.
-pub enum Executor<'a, K2: MrKey, V3: MrValue> {
-    /// In-process execution (the classic path, byte-for-byte).
-    Local,
-    /// Dispatch to a worker fleet through a [`TaskExecutor`].
-    Remote(&'a dyn TaskExecutor<K2, V3>),
+/// The map attempt body: fault → read → map → partition →
+/// [`MapOutputBuilder::finish`]. Returns the non-empty partitions
+/// `(reducer, file)`; `counters` receives the record tallies.
+///
+/// `fault` is the injected fault for exactly this (task, attempt): a
+/// straggler waits through `pause` (see [`TaskExecutor::execute_map`]),
+/// a failure dies before any work, a source fault turns the record
+/// stream into a transient I/O error mid-read. `open` runs only after
+/// those, so a failed attempt never opens its split.
+#[allow(clippy::too_many_arguments)]
+pub fn run_map_attempt<S, K2, V2>(
+    task: MapTaskId,
+    attempt: u32,
+    fault: Option<FaultKind>,
+    open: impl FnOnce() -> Result<S>,
+    mapper: &dyn Mapper<InKey = S::Key, InValue = S::Value, OutKey = K2, OutValue = V2>,
+    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
+    plan: &dyn RoutingPlan<K2>,
+    mut builder: MapOutputBuilder<K2, V2>,
+    counters: &Counters,
+    pause: &dyn Fn(Duration) -> bool,
+) -> Result<Vec<(usize, MapOutputFile<K2, V2>)>>
+where
+    S: RecordSource,
+    K2: MrKey,
+    V2: MrValue,
+{
+    match fault {
+        Some(FaultKind::Straggle { delay_ms }) if !pause(Duration::from_millis(delay_ms)) => {
+            return Err(MrError::Cancelled);
+        }
+        Some(FaultKind::Fail) => {
+            return Err(MrError::Source(format!(
+                "injected failure: map {task} attempt {attempt}"
+            )));
+        }
+        _ => {}
+    }
+    let source_err_after = match fault {
+        Some(FaultKind::SourceError { after_records }) => Some(after_records),
+        _ => None,
+    };
+    let mut source = open()?;
+    let mut records_in = 0u64;
+    let mut records_out = 0u64;
+    // The emit callback cannot return errors; park the first one.
+    let mut push_err: Option<MrError> = None;
+    while let Some((k, v)) = source.next_record()? {
+        if source_err_after.is_some_and(|after| records_in >= after) {
+            return Err(MrError::Source(format!(
+                "injected transient I/O error: map {task} attempt {attempt} \
+                 after {records_in} records"
+            )));
+        }
+        records_in += 1;
+        mapper.map(&k, &v, &mut |k2, v2| {
+            if push_err.is_some() {
+                return;
+            }
+            let reducer = plan.partition(&k2);
+            if let Err(e) = builder.push(reducer, k2, v2) {
+                push_err = Some(e);
+            }
+            records_out += 1;
+        });
+        if let Some(e) = push_err {
+            return Err(e);
+        }
+    }
+    Counters::add(&counters.map_records_in, records_in);
+    Counters::add(&counters.map_records_out, records_out);
+    builder.finish(combiner, counters)
 }
 
-// Manual impls: `derive` would demand `K2: Copy`/`V3: Copy`, but the
-// variants hold at most a shared reference.
-impl<K2: MrKey, V3: MrValue> Clone for Executor<'_, K2, V3> {
-    fn clone(&self) -> Self {
-        *self
+/// Records handed through the merge per [`GroupBatch`] fill once the
+/// first group is out: big enough to amortize heap bookkeeping, small
+/// enough that a batch of ⟨coord, f64⟩ stays cache-resident.
+const REDUCE_BATCH_RECORDS: usize = 4096;
+
+/// The reduce attempt body: open a merge cursor per input **in the
+/// given order** (the plan's fetch order breaks ties between equal
+/// keys, which is what keeps output byte-identical wherever the
+/// attempt runs) → §3.2.1 annotation tally → batched merge → reduce
+/// fn → `emit` (see [`GroupEmit`]). Returns the emitted record count.
+///
+/// The first batch is a single group, so the §3.4 early-result clock
+/// starts as soon as the merge can produce anything; after that,
+/// batches amortize the per-group heap bookkeeping. No whole-keyspace
+/// `Vec<(K, Vec<V>)>` is ever materialized.
+pub fn run_reduce_attempt<K, V, V3>(
+    reducer: usize,
+    inputs: Vec<MergeSource<K, V>>,
+    expected_raw: Option<u64>,
+    reducer_fn: &dyn Reducer<Key = K, InValue = V, OutValue = V3>,
+    emit: &mut GroupEmit<'_, K, V3>,
+) -> Result<u64>
+where
+    K: MrKey,
+    V: MrValue,
+    V3: MrValue,
+{
+    let mut merge: MergeIter<K, V> = MergeIter::new();
+    let mut actual = 0u64;
+    for input in inputs {
+        actual += input.raw_count();
+        merge.push(input);
+    }
+    // Starting with less input than the geometry promises would
+    // produce "an answer based on insufficient input" (§3.2.1
+    // approach 2).
+    if let Some(expected) = expected_raw {
+        if actual != expected {
+            return Err(MrError::AnnotationMismatch {
+                reducer,
+                expected,
+                actual,
+            });
+        }
+    }
+    let mut emitted = 0u64;
+    let mut first_group = true;
+    let mut batch: GroupBatch<K, V> = GroupBatch::new();
+    let mut group: Vec<(K, V3)> = Vec::new();
+    loop {
+        let budget = if first_group { 1 } else { REDUCE_BATCH_RECORDS };
+        if merge.fill_batch(&mut batch, budget) == 0 {
+            break;
+        }
+        first_group = false;
+        for (key, values) in batch.groups() {
+            reducer_fn.reduce(key, values, &mut |v3| group.push((key.clone(), v3)));
+            if !group.is_empty() {
+                emitted += group.len() as u64;
+                emit(&mut group)?;
+                group.clear();
+            }
+        }
+    }
+    let merged = merge.records_consumed();
+    let m = crate::metrics::runtime();
+    m.merge_records.add(merged);
+    m.merge_bytes
+        .add(merged.saturating_mul(std::mem::size_of::<(K, V)>() as u64));
+    Ok(emitted)
+}
+
+/// Process-wide job sequence: namespaces each in-process job's spill
+/// files and scratch directories (two concurrent jobs on one
+/// [`SlotPool`](crate::runtime::SlotPool), or handed the same
+/// `spill_dir`, must never share filenames).
+static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A [`TierConfig::budget_bytes`] no partition fits under, so every
+/// insert goes straight to the disk tier: `spill_dir`'s meaning.
+const SPILL_EVERYTHING: u64 = 1;
+
+/// Where one committed partition of a generation lives.
+enum Partition<K, V> {
+    /// Typed and resident: handed to reducers by `Arc`.
+    Resident(Arc<MapOutputFile<K, V>>),
+    /// CRC-framed SMOF bytes in the executor's [`PartitionStore`].
+    Spilled,
+    /// Consumed by a volatile fetch, or damaged: lost, *not* empty.
+    Gone,
+}
+
+/// One committed map generation's partitions by reducer; a reducer
+/// with no entry got nothing from this map.
+type Generation<K, V> = HashMap<usize, Partition<K, V>>;
+
+/// The in-process executor: attempts run on the scheduler's own
+/// worker threads, and committed map output stays in this process.
+///
+/// Generations are keyed by `(map, attempt)`, so a speculative loser
+/// or a superseded re-execution can never overwrite what a reducer was
+/// promised — it just sits unbound until the job ends. One executor
+/// serves one job; dropping it sweeps everything the job still holds,
+/// in memory and on disk, however the job ended.
+pub struct InProcessExecutor<'a, K1, V1, K2, V2, V3, SF>
+where
+    K1: MrKey,
+    V1: MrValue,
+    K2: MrKey,
+    V2: MrValue,
+    V3: MrValue,
+{
+    source_factory: &'a SF,
+    mapper: &'a dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
+    combiner: Option<&'a dyn Combiner<Key = K2, Value = V2>>,
+    reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
+    plan: &'a dyn RoutingPlan<K2>,
+    config: &'a JobConfig,
+    /// Process-unique id namespacing this job's spill files and
+    /// scratch runs.
+    job: u64,
+    /// Committed generations, `(map, attempt)` → partitions.
+    table: Mutex<HashMap<(MapTaskId, u32), Generation<K2, V2>>>,
+    /// The disk tier, present iff `config.spill_dir` is.
+    store: Option<PartitionStore>,
+    /// Where map-side sort-buffer runs spill (set iff
+    /// `config.map_spill_records` is), and whether that directory is a
+    /// per-job scratch directory this executor created and sweeps.
+    map_spill_dir: Option<(PathBuf, bool)>,
+}
+
+impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, K1, V1, K2, V2, V3, SF>
+where
+    K1: MrKey,
+    V1: MrValue,
+    K2: MrKey,
+    V2: MrValue,
+    V3: MrValue,
+{
+    /// * `source_factory` — opens the RecordReader for a split,
+    /// * `mapper` / `combiner` / `reducer` — the user functions,
+    /// * `plan` — the partition function,
+    /// * `config` — fault script, `spill_dir`, `map_spill_records`,
+    ///   `volatile_intermediate`.
+    pub fn new(
+        source_factory: &'a SF,
+        mapper: &'a dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
+        combiner: Option<&'a dyn Combiner<Key = K2, Value = V2>>,
+        reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
+        plan: &'a dyn RoutingPlan<K2>,
+        config: &'a JobConfig,
+    ) -> Result<Self> {
+        let job = (u64::from(std::process::id()) << 32) | JOB_SEQ.fetch_add(1, Ordering::Relaxed);
+        let make_dir = |dir: &PathBuf| {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| MrError::BadConfig(format!("spill dir {}: {e}", dir.display())))
+        };
+        let store = match &config.spill_dir {
+            None => None,
+            Some(dir) => {
+                make_dir(dir)?;
+                let store = PartitionStore::on_disk(
+                    TierConfig {
+                        budget_bytes: SPILL_EVERYTHING,
+                        ..TierConfig::default()
+                    },
+                    dir,
+                );
+                store.prepare_job(job, on_disk_faults(&config.fault_plan), &[]);
+                Some(store)
+            }
+        };
+        let map_spill_dir = match (config.map_spill_records, &config.spill_dir) {
+            (None, _) => None,
+            (Some(_), Some(dir)) => Some((dir.clone(), false)),
+            (Some(_), None) => Some((
+                std::env::temp_dir()
+                    .join("sidr-map-spill")
+                    .join(format!("job{job:016x}")),
+                true,
+            )),
+        };
+        if let Some((dir, _)) = &map_spill_dir {
+            make_dir(dir)?;
+        }
+        Ok(InProcessExecutor {
+            source_factory,
+            mapper,
+            combiner,
+            reducer,
+            plan,
+            config,
+            job,
+            table: Mutex::new(HashMap::new()),
+            store,
+            map_spill_dir,
+        })
+    }
+
+    /// Map generations currently held, bound or not.
+    pub fn held_generations(&self) -> usize {
+        self.table.lock().len()
+    }
+
+    /// The job is over: drops every generation still held and deletes
+    /// the job's spill files and scratch runs. Runs on drop.
+    pub fn finish(&self) {
+        self.table.lock().clear();
+        if let Some(store) = &self.store {
+            store.remove_job(self.job);
+        }
+        // Failed attempts may have left runs behind in the scratch
+        // directory this job owns; sweep all of it.
+        if let Some((dir, true)) = &self.map_spill_dir {
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 }
 
-impl<K2: MrKey, V3: MrValue> Copy for Executor<'_, K2, V3> {}
+impl<K1, V1, K2, V2, V3, SF> Drop for InProcessExecutor<'_, K1, V1, K2, V2, V3, SF>
+where
+    K1: MrKey,
+    V1: MrValue,
+    K2: MrKey,
+    V2: MrValue,
+    V3: MrValue,
+{
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
+/// The job's post-commit output faults as the disk tier scripts them:
+/// the spilled copy is damaged right after its write commits, so the
+/// CRC genuinely fails when a fetch reads it back.
+fn on_disk_faults(plan: &FaultPlan) -> FaultPlan {
+    let faults = plan.faults.iter().filter_map(|f| {
+        let kind = match (f.target, f.kind) {
+            (FaultTarget::Map(_), FaultKind::CorruptOutput) => FaultKind::SpillReadCorrupt,
+            (FaultTarget::Map(_), FaultKind::TruncateOutput) => FaultKind::SpillReadTruncate,
+            _ => return None,
+        };
+        Some(Fault { kind, ..*f })
+    });
+    FaultPlan {
+        seed: plan.seed,
+        faults: faults.collect(),
+    }
+}
+
+impl<K1, V1, K2, V2, V3, SF, S> TaskExecutor<K2, V3>
+    for InProcessExecutor<'_, K1, V1, K2, V2, V3, SF>
+where
+    K1: MrKey,
+    V1: MrValue,
+    K2: MrKey + WireFormat,
+    V2: MrValue + WireFormat,
+    V3: MrValue,
+    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
+    S: RecordSource<Key = K1, Value = V1>,
+{
+    fn execute_map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        _speculative: bool,
+        split: &InputSplit,
+        counters: &Counters,
+        pause: &dyn Fn(Duration) -> bool,
+    ) -> Result<()> {
+        let fault = self.config.fault_plan.map_fault(task, attempt);
+        let mut builder = MapOutputBuilder::new(self.plan.num_reducers());
+        if let (Some(limit), Some((dir, _))) = (self.config.map_spill_records, &self.map_spill_dir)
+        {
+            builder = builder.with_spill(limit, dir.clone(), task);
+        }
+        let files = run_map_attempt(
+            task,
+            attempt,
+            fault,
+            || (self.source_factory)(task, split),
+            self.mapper,
+            self.combiner,
+            self.plan,
+            builder,
+            counters,
+            pause,
+        )?;
+        // Post-commit damage: the attempt "succeeds", the loss is
+        // found only when a reduce fetches. On disk the tier damages
+        // the file and its CRC fails; a typed resident payload has no
+        // CRC to fail, so the damaged partition is recorded as gone.
+        let damaged = matches!(
+            fault,
+            Some(FaultKind::CorruptOutput | FaultKind::TruncateOutput)
+        );
+        let mut generation = Generation::new();
+        for (reducer, file) in files {
+            let partition = match &self.store {
+                Some(store) => {
+                    let bytes = Arc::new(encode_map_output(&file)?);
+                    store.insert((self.job, task, reducer, attempt), bytes);
+                    Partition::Spilled
+                }
+                None if damaged => Partition::Gone,
+                None => Partition::Resident(Arc::new(file)),
+            };
+            generation.insert(reducer, partition);
+        }
+        self.table.lock().insert((task, attempt), generation);
+        Ok(())
+    }
+
+    fn execute_reduce(
+        &self,
+        reducer: usize,
+        _attempt: u32,
+        sources: &[ReduceSource],
+        expected_raw: Option<u64>,
+        counters: &Counters,
+        emit: &mut GroupEmit<'_, K2, V3>,
+    ) -> std::result::Result<u64, RemoteReduceError> {
+        let mut inputs = Vec::with_capacity(sources.len());
+        let mut lost = Vec::new();
+        {
+            // One critical section (disk reads included — `spill_dir`
+            // is not the fast path): either every source is present
+            // and, under volatile data, consumed together, or nothing
+            // is touched and the lost maps are reported.
+            let mut table = self.table.lock();
+            for s in sources {
+                let Some(generation) = table.get_mut(&(s.map, s.epoch)) else {
+                    lost.push(s.map);
+                    continue;
+                };
+                let Some(partition) = generation.get_mut(&reducer) else {
+                    continue; // this map produced nothing for this reducer
+                };
+                match partition {
+                    Partition::Resident(file) => inputs.push(MergeSource::File(Arc::clone(file))),
+                    Partition::Gone => lost.push(s.map),
+                    Partition::Spilled => {
+                        let store = self.store.as_ref().expect("spilled implies a store");
+                        match store.get(&(self.job, s.map, reducer, s.epoch)) {
+                            Ok(Some(bytes)) => inputs.push(
+                                MergeSource::from_encoded(bytes)
+                                    .map_err(RemoteReduceError::Fatal)?,
+                            ),
+                            // The CRC rejected the replica (the store
+                            // has already discarded it).
+                            Ok(None) | Err(MrError::CorruptShuffle { .. }) => {
+                                *partition = Partition::Gone;
+                                lost.push(s.map);
+                            }
+                            Err(e) => return Err(RemoteReduceError::Fatal(e)),
+                        }
+                    }
+                }
+            }
+            if !lost.is_empty() {
+                return Err(RemoteReduceError::SourcesLost(lost));
+            }
+            if self.config.volatile_intermediate {
+                for s in sources {
+                    let partition = table
+                        .get_mut(&(s.map, s.epoch))
+                        .and_then(|generation| generation.get_mut(&reducer));
+                    if let Some(partition) = partition {
+                        if let (Partition::Spilled, Some(store)) = (&*partition, &self.store) {
+                            store.remove(&(self.job, s.map, reducer, s.epoch));
+                        }
+                        *partition = Partition::Gone;
+                    }
+                }
+            }
+        }
+        let records: usize = inputs.iter().map(MergeSource::len).sum();
+        Counters::add(&counters.shuffled_records, records as u64);
+        run_reduce_attempt(reducer, inputs, expected_raw, self.reducer, emit)
+            .map_err(RemoteReduceError::Fatal)
+    }
+}

@@ -12,14 +12,17 @@
 //!   modulo-of-the-binary-representation default whose skew pathology
 //!   §4.3 demonstrates,
 //! * **Shuffle** ([`shuffle`]) — per-(map, reducer) output files with
-//!   count annotations (§3.2.1) and per-fetch connection accounting
-//!   (Table 3),
+//!   count annotations (§3.2.1) and the streaming sort-merge,
+//! * **Task execution** ([`executor`]) — the seam the scheduler hands
+//!   attempts through: the shared map/reduce attempt bodies, the
+//!   in-process executor, and the trait a worker fleet implements,
 //! * **Barrier & scheduling policy** ([`plan`]) — the global MapReduce
 //!   barrier, or per-reducer dependency barriers with SIDR's inverted
 //!   reduce-first scheduling (§3.2–3.3),
-//! * **A threaded runtime** ([`runtime`]) — slot-limited map/reduce
-//!   worker pools, overlapped copy phase, task timelines ([`timeline`])
-//!   and counters ([`counters`]).
+//! * **A threaded scheduler** ([`runtime`]) — slot-limited map/reduce
+//!   worker pools, barriers, retries, speculation and recovery, with
+//!   per-dispatch connection accounting (Table 3), task timelines
+//!   ([`timeline`]) and counters ([`counters`]).
 //!
 //! The SIDR-specific planner (partition+, dependency derivation,
 //! keyblock prioritization) lives in the `sidr-core` crate and plugs in
@@ -48,7 +51,10 @@ pub mod wire;
 
 pub use counters::{Counters, CountersSnapshot};
 pub use error::MrError;
-pub use executor::{Executor, ReduceSource, RemoteReduceError, TaskExecutor};
+pub use executor::{
+    run_map_attempt, run_reduce_attempt, InProcessExecutor, ReduceSource, RemoteReduceError,
+    TaskExecutor,
+};
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
@@ -58,8 +64,7 @@ pub use runtime::{
     Semaphore, SlotOccupancy, SlotPool, WakerRegistration,
 };
 pub use shuffle::{
-    merge_files, CorruptionMode, GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter,
-    ShuffleStore, SpillCodec,
+    merge_files, GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource,
 };
 pub use smof3::Smof3View;
 pub use speculation::{ProgressProbe, SpeculationPolicy};

@@ -1,6 +1,12 @@
-//! The threaded job runtime: slot-limited Map/Reduce worker pools,
-//! barrier policies, inverted scheduling, fault injection and
+//! The job scheduler: slot-limited Map/Reduce worker pools, barrier
+//! policies, inverted scheduling, retry budgets, speculation and
 //! dependency-based recovery.
+//!
+//! This module decides *when* an attempt runs and what its outcome
+//! means; running it — and holding what it produced — is the
+//! [`TaskExecutor`]'s job. [`run_job_with_executor`] is the one
+//! scheduler entry point; [`run_job`] and [`run_job_shared`] hand it
+//! an [`InProcessExecutor`] over the caller's user functions.
 //!
 //! Slots are owned by a [`SlotPool`] — the cluster-wide map and reduce
 //! capacity (Hadoop's per-TaskTracker slots, §4: 4 map + 3 reduce per
@@ -8,11 +14,11 @@
 //! [`run_job_shared`] runs a job against a pool *shared with other
 //! concurrently running jobs* (the serving path), so the whole
 //! cluster's slot budget is enforced across jobs rather than per job.
-//! Reduce tasks occupy a slot from the start of their copy phase,
-//! fetching map outputs as the maps finish — the overlap stock Hadoop
-//! already has — and begin their merge + reduce only when their
-//! barrier is met: *all* maps under the global barrier, or exactly
-//! their dependency set `I_ℓ` under a SIDR plan (§3.2, Fig. 4).
+//! Reduce tasks occupy a slot from the moment they are launched —
+//! which, under inverted scheduling, is what makes their maps
+//! eligible — and are dispatched only when their barrier is met:
+//! *all* maps under the global barrier, or exactly their dependency
+//! set `I_ℓ` under a SIDR plan (§3.2, Fig. 4).
 //!
 //! Jobs are cancellable via a [`CancelToken`]: workers observe the
 //! token at every blocking point and abandon the job with
@@ -27,14 +33,10 @@ use std::time::{Duration, Instant};
 
 use crate::counters::{Counters, CountersSnapshot};
 use crate::error::MrError;
-use crate::executor::{Executor, ReduceSource, RemoteReduceError};
+use crate::executor::{InProcessExecutor, ReduceSource, RemoteReduceError, TaskExecutor};
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
 use crate::output::OutputCollector;
 use crate::plan::RoutingPlan;
-use crate::shuffle::{
-    CorruptionMode, Fetched, GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, ShuffleStore,
-};
-use crate::smof3::Smof3View;
 use crate::speculation::{ProgressProbe, SpeculationPolicy};
 use crate::split::{InputSplit, MapTaskId};
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
@@ -68,9 +70,10 @@ pub struct JobConfig {
     pub map_think: Duration,
     /// Artificial per-Reduce-task cost (examples/teaching only).
     pub reduce_think: Duration,
-    /// When set, map output is spilled to annotated on-disk files
-    /// (the SMOF format of [`crate::shuffle_file`]) in this directory
-    /// instead of staying resident — Hadoop's actual shuffle path.
+    /// When set, every map-output partition lands on disk as a
+    /// CRC-framed SMOF file (the format of [`crate::shuffle_file`])
+    /// under this directory instead of staying resident — Hadoop's
+    /// actual shuffle path; damage is found by the CRC at fetch.
     pub spill_dir: Option<std::path::PathBuf>,
     /// Map-side sort-buffer limit in records: buffers exceeding it
     /// are sorted and spilled as runs, merged at task end (Hadoop's
@@ -81,8 +84,8 @@ pub struct JobConfig {
     pub map_spill_records: Option<usize>,
     /// Speculative execution: race a second attempt of a map whose
     /// elapsed time exceeds a quantile of its committed cohort; first
-    /// commit wins, the loser's output is never published. Disabled by
-    /// default.
+    /// commit wins, the loser's output is never bound to a reducer.
+    /// Disabled by default.
     pub speculation: SpeculationPolicy,
     /// Live progress/projection channel to the serving layer's
     /// deadline watchdog; the watchdog's boost request makes the
@@ -108,11 +111,6 @@ impl Default for JobConfig {
         }
     }
 }
-
-/// Process-wide job sequence, used to namespace per-job scratch
-/// directories (two concurrent jobs on one [`SlotPool`] must never
-/// share spill filenames).
-static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
 
 // The safety-net re-check interval for blocked workers lives on
 // [`RetryPolicy::wait_tick_ms`] (default 25 ms, `SIDR_WAIT_TICK_MS`
@@ -497,19 +495,19 @@ struct State {
     /// Failed attempts per map, charged against the retry budget.
     map_failures: Vec<u32>,
     /// Attempt id of the most recently *committed* output generation,
-    /// meaningful only while `maps[m] == Done`. Reducers fetch exactly
-    /// this epoch from the shuffle store: consuming a different
-    /// attempt's data — possible between a re-execution's `put` and
-    /// its `Done` — would orphan a partition no recovery rebuilds.
+    /// meaningful only while `maps[m] == Done`. Reduce dispatches bind
+    /// exactly this epoch: the executor holds every attempt's output
+    /// under its own generation, and only the committed one is ever
+    /// named to a reducer.
     map_commit_epoch: Vec<u32>,
     /// Maps re-enqueued by recovery (lost or corrupt output), stamped
     /// with the re-enqueue instant so the recovery-latency histogram
     /// can observe re-enqueue → recommit.
     recovering: HashMap<MapTaskId, Instant>,
-    /// First-commit-wins claim per map: the attempt id that owns (or
-    /// will own) the right to publish this generation's output.
-    /// `None` = unclaimed. Taken *before* the shuffle `put`, so a
-    /// racing loser never publishes at all.
+    /// First-commit-wins claim per map: the attempt id whose output
+    /// becomes this generation's commit. `None` = unclaimed. Taken
+    /// when an attempt's execution returns; a racing loser's output
+    /// stays in the executor, unbound, until the job ends.
     map_claim: Vec<Option<u32>>,
     /// Attempts below this floor can never claim: recovery re-enqueues
     /// raise it past every attempt of the dead generation, so a
@@ -596,12 +594,11 @@ impl State {
     }
 }
 
-struct Shared<'j, K2: MrKey, V2: MrValue> {
+struct Shared<'j, K2: MrKey> {
     /// `Arc`'d (with `cv`) so cancel tokens can hold a [`PairWaker`]
     /// over the pair while the job runs.
     state: Arc<Mutex<State>>,
     cv: Arc<Condvar>,
-    shuffle: ShuffleStore<K2, V2>,
     counters: Counters,
     timeline: Timeline,
     error: Mutex<Option<MrError>>,
@@ -613,13 +610,9 @@ struct Shared<'j, K2: MrKey, V2: MrValue> {
     /// Safety-net re-check interval for this job's blocking points
     /// (from [`RetryPolicy::wait_tick`]).
     wait_tick: Duration,
-    /// Where map-side sort-buffer runs spill (set iff
-    /// `config.map_spill_records` is): the configured spill dir, or a
-    /// job-id-namespaced scratch directory under the system temp dir.
-    map_spill_dir: Option<std::path::PathBuf>,
 }
 
-impl<K2: MrKey, V2: MrValue> Shared<'_, K2, V2> {
+impl<K2: MrKey> Shared<'_, K2> {
     fn fail(&self, err: MrError) {
         let mut slot = self.error.lock();
         if slot.is_none() {
@@ -729,10 +722,10 @@ where
     )
 }
 
-/// Runs one MapReduce job over a [`SlotPool`] that may be shared with
-/// other jobs running concurrently on other threads — the serving
-/// path. `config.map_slots` / `config.reduce_slots` are ignored here:
-/// the pool owns the cluster's slot budget, and at most
+/// Runs one MapReduce job in-process over a [`SlotPool`] that may be
+/// shared with other jobs running concurrently on other threads — the
+/// serving path. `config.map_slots` / `config.reduce_slots` are
+/// ignored here: the pool owns the cluster's slot budget, and at most
 /// `pool.map_slots()` Map tasks and `pool.reduce_slots()` Reduce tasks
 /// run at once *across all sharing jobs*.
 ///
@@ -760,51 +753,25 @@ where
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,
 {
-    run_job_with_executor(
-        splits,
-        source_factory,
-        mapper,
-        combiner,
-        reducer,
-        plan,
-        output,
-        config,
-        pool,
-        cancel,
-        Executor::Local,
-    )
+    let executor = InProcessExecutor::new(source_factory, mapper, combiner, reducer, plan, config)?;
+    run_job_with_executor(splits, plan, output, config, pool, cancel, &executor)
 }
 
-/// [`run_job_shared`] with an explicit [`Executor`] choosing where
-/// task attempts run. `Executor::Local` is byte-for-byte the classic
-/// in-process path; `Executor::Remote` dispatches every map and reduce
-/// attempt through a [`crate::executor::TaskExecutor`] (the worker
-/// fleet), while this process keeps the scheduler: eligibility,
-/// inverted scheduling, barriers, slots, retry budgets and
-/// dependency-scoped recovery.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_with_executor<K1, V1, K2, V2, V3, SF, S>(
+/// The scheduler entry point: runs one job's attempts through
+/// `executor` — in-process or a worker fleet — while this function
+/// keeps everything above the payload: eligibility, inverted
+/// scheduling, barriers, slots, retry budgets, first-commit-wins and
+/// dependency-scoped recovery. The executor outlives the call: what
+/// it still holds when the job ends is its owner's to drop.
+pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
     splits: &[InputSplit],
-    source_factory: &SF,
-    mapper: &dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
-    reducer: &dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
     plan: &dyn RoutingPlan<K2>,
     output: &dyn OutputCollector<K2, V3>,
     config: &JobConfig,
     pool: &SlotPool,
     cancel: Option<&CancelToken>,
-    executor: Executor<'_, K2, V3>,
-) -> Result<JobResult>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey + crate::wire::WireFormat,
-    V2: MrValue + crate::wire::WireFormat,
-    V3: MrValue,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
+    executor: &dyn TaskExecutor<K2, V3>,
+) -> Result<JobResult> {
     if splits.is_empty() {
         return Err(MrError::BadConfig("no input splits".into()));
     }
@@ -862,25 +829,6 @@ where
         }
     }
 
-    // A process-unique job id namespaces this job's scratch space:
-    // concurrent jobs sharing one pool (the serving path) must never
-    // collide on map-spill run filenames.
-    let job_id = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
-    let (map_spill_dir, scratch_spill_dir) = match (config.map_spill_records, &config.spill_dir) {
-        (None, _) => (None, None),
-        (Some(_), Some(dir)) => (Some(dir.clone()), None),
-        (Some(_), None) => {
-            let dir = std::env::temp_dir()
-                .join("sidr-map-spill")
-                .join(format!("job{job_id:06}-{}", std::process::id()));
-            (Some(dir.clone()), Some(dir))
-        }
-    };
-    if let Some(dir) = &map_spill_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| MrError::BadConfig(format!("map spill dir {}: {e}", dir.display())))?;
-    }
-
     let shared = Shared {
         state: Arc::new(Mutex::new(State {
             maps,
@@ -901,17 +849,6 @@ where
             failed: false,
         })),
         cv: Arc::new(Condvar::new()),
-        shuffle: match &config.spill_dir {
-            None => ShuffleStore::new(config.volatile_intermediate),
-            Some(dir) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| MrError::BadConfig(format!("spill dir {}: {e}", dir.display())))?;
-                ShuffleStore::with_spill(
-                    config.volatile_intermediate,
-                    crate::shuffle::SpillCodec::smof(dir.clone()),
-                )
-            }
-        },
         counters: Counters::default(),
         timeline: Timeline::new(),
         error: Mutex::new(None),
@@ -921,7 +858,6 @@ where
         cancel,
         num_maps,
         wait_tick: config.retry.wait_tick(),
-        map_spill_dir,
     };
     {
         let skipped = shared
@@ -963,10 +899,10 @@ where
     let reduce_workers = pool.reduce_slots().min(num_reducers);
     crate::sync::thread::scope(|scope| {
         for _ in 0..map_workers {
-            scope.spawn(|| map_worker(&shared, splits, source_factory, mapper, combiner, executor));
+            scope.spawn(|| map_worker(&shared, splits, executor));
         }
         for _ in 0..reduce_workers {
-            scope.spawn(|| reduce_worker(&shared, &reduce_order, reducer, output, executor));
+            scope.spawn(|| reduce_worker(&shared, &reduce_order, output, executor));
         }
         // The time-based speculation monitor is meaningless under the
         // virtual scheduler (no wall clock); there the deterministic
@@ -976,12 +912,6 @@ where
             scope.spawn(|| speculation_monitor(&shared, num_reducers));
         }
     });
-
-    // The job owns its default run-spill scratch dir; failed attempts
-    // may have left runs behind, so sweep the whole directory.
-    if let Some(dir) = &scratch_spill_dir {
-        std::fs::remove_dir_all(dir).ok();
-    }
 
     if let Some(err) = shared.error.lock().take() {
         return Err(err);
@@ -1017,22 +947,11 @@ where
     })
 }
 
-fn map_worker<K1, V1, K2, V2, V3, SF, S>(
-    shared: &Shared<'_, K2, V2>,
+fn map_worker<K2: MrKey, V3: MrValue>(
+    shared: &Shared<'_, K2>,
     splits: &[InputSplit],
-    source_factory: &SF,
-    mapper: &dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
-    executor: Executor<'_, K2, V3>,
-) where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey + crate::wire::WireFormat,
-    V2: MrValue + crate::wire::WireFormat,
-    V3: MrValue,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
+    executor: &dyn TaskExecutor<K2, V3>,
+) {
     loop {
         let (task, attempt, speculative) = {
             let mut st = shared.state.lock();
@@ -1120,39 +1039,32 @@ fn map_worker<K1, V1, K2, V2, V3, SF, S>(
             shared.state.lock().map_start_logged[task] = true;
             shared.cv.notify_all();
         }
-        let map_result = match executor {
-            Executor::Local => run_map_task(
-                shared,
-                task,
-                attempt,
-                &splits[task],
-                source_factory,
-                mapper,
-                combiner,
-            ),
-            // Remote: the worker runs the attempt and keeps the
-            // committed partitions (each racer's output on its own
-            // worker — no shared store to collide in); the
-            // scheduler's claim + bookkeeping below decide the race.
-            Executor::Remote(exec) => if speculative {
-                exec.execute_map_speculative(task, attempt, &splits[task], &shared.counters)
-            } else {
-                exec.execute_map(task, attempt, &splits[task], &shared.counters)
-            }
-            .map(|()| MapRun::Committed),
+        // The executor runs the attempt and keeps its output under
+        // the generation (task, attempt) — each racer's under its own;
+        // the claim + bookkeeping below decide the race. An attempt
+        // waits only through `pause`: a straggler whose race is
+        // already lost, or whose job is cancelled, unblocks within a
+        // notification instead of waiting out its delay.
+        let pause = |dur: Duration| {
+            shared.sleep_interruptible(dur, &|st| st.failed || st.race_lost(task, attempt))
         };
-        match map_result {
-            Ok(MapRun::Committed) => {
+        match executor.execute_map(
+            task,
+            attempt,
+            speculative,
+            &splits[task],
+            &shared.counters,
+            &pause,
+        ) {
+            Ok(()) => {
                 if !shared.config.map_think.is_zero() {
                     // Interruptible, proceed regardless: committing
                     // after a cancelled think is harmless and the
                     // claim-loop head observes the cancel next.
                     shared.sleep_interruptible(shared.config.map_think, &|_| false);
                 }
-                // The authoritative first-commit-wins decision. The
-                // local path already claimed before its `put` (this
-                // re-check is idempotent); the remote path decides
-                // here. Losing is only possible in a race.
+                // The first-commit-wins decision. Losing is only
+                // possible in a race.
                 let won = {
                     let mut st = shared.state.lock();
                     let won = st.try_claim_commit(task, attempt);
@@ -1195,26 +1107,11 @@ fn map_worker<K1, V1, K2, V2, V3, SF, S>(
                     shared.cv.notify_all();
                 }
             }
-            Ok(MapRun::LostRace) => {
-                {
-                    let mut st = shared.state.lock();
-                    st.map_running_attempts[task] = st.map_running_attempts[task].saturating_sub(1);
-                }
-                lose_race(shared, task, attempt);
-            }
-            Ok(MapRun::Aborted) => {
-                // Job cancelled or failed mid-attempt.
-                {
-                    let mut st = shared.state.lock();
-                    st.map_running_attempts[task] = st.map_running_attempts[task].saturating_sub(1);
-                }
-                shared.observe_cancel();
-                return;
-            }
             Err(e) => {
-                // An attempt that died *after* its race was decided is
-                // a loser, not a failure: no budget charge, no
-                // re-enqueue (the winner's commit stands).
+                // An attempt that died — or abandoned its pause —
+                // *after* its race was decided is a loser, not a
+                // failure: no budget charge, no re-enqueue (the
+                // winner's commit stands).
                 let lost = {
                     let mut st = shared.state.lock();
                     st.map_running_attempts[task] = st.map_running_attempts[task].saturating_sub(1);
@@ -1223,6 +1120,11 @@ fn map_worker<K1, V1, K2, V2, V3, SF, S>(
                 if lost {
                     lose_race(shared, task, attempt);
                     continue;
+                }
+                if matches!(e, MrError::Cancelled) {
+                    // Job cancelled or failed mid-attempt.
+                    shared.observe_cancel();
+                    return;
                 }
                 // Transient failures (source I/O, injected faults)
                 // are charged against the retry budget and the task
@@ -1235,11 +1137,6 @@ fn map_worker<K1, V1, K2, V2, V3, SF, S>(
                     .record_attempt(TaskKind::MapFailed, task, attempt);
                 let failures = {
                     let mut st = shared.state.lock();
-                    // A failed claim holder releases its claim or the
-                    // task could never commit.
-                    if st.map_claim[task] == Some(attempt) {
-                        st.map_claim[task] = None;
-                    }
                     st.map_failures[task] += 1;
                     st.map_failures[task]
                 };
@@ -1288,23 +1185,11 @@ fn map_worker<K1, V1, K2, V2, V3, SF, S>(
     }
 }
 
-/// How one map attempt ended, beyond plain failure.
-enum MapRun {
-    /// Work complete and (locally) output published under a held
-    /// claim; the remote path claims afterwards instead.
-    Committed,
-    /// The racing twin decided the generation first; this attempt
-    /// published nothing and its work is discarded.
-    LostRace,
-    /// The job was cancelled or failed while the attempt ran.
-    Aborted,
-}
-
 /// Records one attempt losing its first-commit-wins race: a
 /// `MapSpeculationLost` timeline event for either racer plus the
 /// wasted-work metric, then a notify so anything watching the race
 /// re-checks.
-fn lose_race<K2: MrKey, V2: MrValue>(shared: &Shared<'_, K2, V2>, task: MapTaskId, attempt: u32) {
+fn lose_race<K2: MrKey>(shared: &Shared<'_, K2>, task: MapTaskId, attempt: u32) {
     shared
         .timeline
         .record_attempt(TaskKind::MapSpeculationLost, task, attempt);
@@ -1316,10 +1201,7 @@ fn lose_race<K2: MrKey, V2: MrValue>(shared: &Shared<'_, K2, V2>, task: MapTaskI
 /// maps (the deterministic test hook) first, then the monitor's
 /// queue. A grant is only valid against a map still running exactly
 /// one unclaimed attempt — anything else is stale and dropped.
-fn claim_speculative<K2: MrKey, V2: MrValue>(
-    st: &mut State,
-    shared: &Shared<'_, K2, V2>,
-) -> Option<MapTaskId> {
+fn claim_speculative<K2: MrKey>(st: &mut State, shared: &Shared<'_, K2>) -> Option<MapTaskId> {
     fn valid(st: &State, m: MapTaskId) -> bool {
         st.maps[m] == MapStatus::Running
             && st.map_claim[m].is_none()
@@ -1340,135 +1222,12 @@ fn claim_speculative<K2: MrKey, V2: MrValue>(
     None
 }
 
-fn run_map_task<K1, V1, K2, V2, SF, S>(
-    shared: &Shared<'_, K2, V2>,
-    task: MapTaskId,
-    attempt: u32,
-    split: &InputSplit,
-    source_factory: &SF,
-    mapper: &dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
-) -> Result<MapRun>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey + crate::wire::WireFormat,
-    V2: MrValue + crate::wire::WireFormat,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
-    // Injected faults for exactly this (task, attempt): a straggler
-    // delays, a failure dies before any work, a source fault flips
-    // the record stream into a transient I/O error mid-read.
-    let fault = shared.config.fault_plan.map_fault(task, attempt);
-    match fault {
-        // Interruptible: a straggler whose race is already lost — or
-        // whose job is cancelled — must unblock within a notification,
-        // not wait out the injected delay. A fully-slept straggler
-        // falls through to the normal map path below.
-        Some(FaultKind::Straggle { delay_ms })
-            if !shared.sleep_interruptible(Duration::from_millis(delay_ms), &|st| {
-                st.failed || st.race_lost(task, attempt)
-            }) =>
-        {
-            let lost = shared.state.lock().race_lost(task, attempt);
-            return Ok(if lost {
-                MapRun::LostRace
-            } else {
-                MapRun::Aborted
-            });
-        }
-        Some(FaultKind::Fail) => {
-            return Err(MrError::Source(format!(
-                "injected failure: map {task} attempt {attempt}"
-            )));
-        }
-        _ => {}
-    }
-    let source_err_after = match fault {
-        Some(FaultKind::SourceError { after_records }) => Some(after_records),
-        _ => None,
-    };
-    let mut source = source_factory(task, split)?;
-    let mut builder = MapOutputBuilder::new(shared.plan.num_reducers());
-    if let Some(limit) = shared.config.map_spill_records {
-        let dir = shared
-            .map_spill_dir
-            .clone()
-            .expect("map_spill_dir is set whenever map_spill_records is");
-        builder = builder.with_spill(limit, dir, task);
-    }
-    let mut records_in = 0u64;
-    let mut records_out = 0u64;
-    // The emit callback cannot return errors; park the first one.
-    let mut push_err: Option<MrError> = None;
-    while let Some((k, v)) = source.next_record()? {
-        if source_err_after.is_some_and(|after| records_in >= after) {
-            return Err(MrError::Source(format!(
-                "injected transient I/O error: map {task} attempt {attempt} \
-                 after {records_in} records"
-            )));
-        }
-        records_in += 1;
-        mapper.map(&k, &v, &mut |k2, v2| {
-            if push_err.is_some() {
-                return;
-            }
-            let reducer = shared.plan.partition(&k2);
-            if let Err(e) = builder.push(reducer, k2, v2) {
-                push_err = Some(e);
-            }
-            records_out += 1;
-        });
-        if let Some(e) = push_err {
-            return Err(e);
-        }
-    }
-    Counters::add(&shared.counters.map_records_in, records_in);
-    Counters::add(&shared.counters.map_records_out, records_out);
-    // First-commit-wins, decided *before* anything is published: a
-    // racing loser that put after the winner committed would overwrite
-    // the committed shuffle entries at an epoch no commit will ever
-    // stamp — a half-put partition recovery treats as committed and
-    // reducers wait on forever. `DropSpeculationClaim` re-introduces
-    // exactly that bug for the checker's mutation test (the
-    // authoritative claim re-check in the worker still runs, so the
-    // mutated loser publishes but never marks Done).
-    if !chaos::on(Mutation::DropSpeculationClaim)
-        && !shared.state.lock().try_claim_commit(task, attempt)
-    {
-        return Ok(MapRun::LostRace);
-    }
-    for (reducer, file) in builder.finish(combiner, &shared.counters)? {
-        shared.shuffle.put(task, reducer, attempt, file)?;
-    }
-    // Post-commit corruption: the attempt "succeeds", but its files
-    // are damaged after commit — discovered only when a reduce
-    // fetches and the integrity check fails, which is what drives the
-    // CRC-detection → dependency-scoped re-execution path.
-    match fault {
-        Some(FaultKind::CorruptOutput) => {
-            shared.shuffle.corrupt_map(task, CorruptionMode::BitFlip)?;
-        }
-        Some(FaultKind::TruncateOutput) => {
-            shared.shuffle.corrupt_map(task, CorruptionMode::Truncate)?;
-        }
-        _ => {}
-    }
-    Ok(MapRun::Committed)
-}
-
-fn reduce_worker<K2, V2, V3>(
-    shared: &Shared<'_, K2, V2>,
+fn reduce_worker<K2: MrKey, V3: MrValue>(
+    shared: &Shared<'_, K2>,
     reduce_order: &[usize],
-    reducer_fn: &dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
     output: &dyn OutputCollector<K2, V3>,
-    executor: Executor<'_, K2, V3>,
-) where
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
+    executor: &dyn TaskExecutor<K2, V3>,
+) {
     loop {
         {
             let st = shared.state.lock();
@@ -1531,11 +1290,7 @@ fn reduce_worker<K2, V2, V3>(
 
         let started = Instant::now();
         shared.timeline.record(TaskKind::ReduceStart, r);
-        let reduce_result = match executor {
-            Executor::Local => run_reduce_task(shared, r, reducer_fn, output),
-            Executor::Remote(exec) => run_reduce_task_remote(shared, r, exec, output),
-        };
-        if let Err(e) = reduce_result {
+        if let Err(e) = run_reduce_task(shared, r, executor, output) {
             shared.fail(e);
             return;
         }
@@ -1549,344 +1304,28 @@ fn reduce_worker<K2, V2, V3>(
     }
 }
 
-/// Copy-phase fetch slot: outer `None` = not fetched yet, inner
-/// `None` = the map produced no output for this reducer.
-type FetchSlot<K, V> = Option<Option<ShuffleInput<K, V>>>;
-
-/// A fetched non-empty partition, however the store surfaced it:
-/// decoded records, or a zero-copy v3 frame the merge cursors borrow
-/// from directly.
-enum ShuffleInput<K, V> {
-    File(Arc<MapOutputFile<K, V>>),
-    Frame(Smof3View<K, V>),
-}
-
-// Manual impl: both variants clone by reference count, so no
-// `K: Clone`/`V: Clone` bound is needed (derive would add one).
-impl<K, V> Clone for ShuffleInput<K, V> {
-    fn clone(&self) -> Self {
-        match self {
-            ShuffleInput::File(f) => ShuffleInput::File(Arc::clone(f)),
-            ShuffleInput::Frame(v) => ShuffleInput::Frame(v.clone()),
-        }
-    }
-}
-
-/// Records handed through the merge per [`GroupBatch`] fill once the
-/// first group is out: big enough to amortize heap bookkeeping, small
-/// enough that a batch of ⟨coord, f64⟩ stays cache-resident.
-const REDUCE_BATCH_RECORDS: usize = 4096;
-
-fn run_reduce_task<K2, V2, V3>(
-    shared: &Shared<'_, K2, V2>,
-    r: usize,
-    reducer_fn: &dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
-    output: &dyn OutputCollector<K2, V3>,
-) -> Result<()>
-where
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
-    let sources: Vec<MapTaskId> = match shared.plan.fetch_sources(r) {
-        Some(deps) => deps,
-        None => (0..shared.num_maps).collect(),
-    };
-    let mut attempt: u32 = 0;
-    loop {
-        // Injected reduce stragglers delay the attempt up front
-        // (interruptibly — a cancelled job must not wait one out).
-        if let Some(FaultKind::Straggle { delay_ms }) =
-            shared.config.fault_plan.reduce_fault(r, attempt)
-        {
-            if !shared.sleep_interruptible(Duration::from_millis(delay_ms), &|st| st.failed) {
-                shared.observe_cancel();
-                return Ok(());
-            }
-        }
-        // Copy phase: fetch from whichever source completes next —
-        // not in source order — and pre-open its merge cursor as soon
-        // as every earlier source's cursor is open too. The reducer
-        // holds its slot through the copy anyway (§3.2), so no byte
-        // waits for the barrier, while the merge's file order (which
-        // breaks ties between equal keys) stays the plan's
-        // deterministic fetch order.
-        let mut merge: MergeIter<K2, V2> = MergeIter::new();
-        // (source map, raw ⟨k,v⟩ annotation) per non-empty input, for
-        // the §3.2.1 annotation tally and the volatile-recovery `I_ℓ`
-        // list; the records themselves live in the merge's cursors.
-        let mut inputs: Vec<(MapTaskId, u64)> = Vec::new();
-        // Per-source fetch outcome: None = not fetched yet,
-        // Some(None) = map produced nothing for this reducer.
-        let mut fetched: Vec<FetchSlot<K2, V2>> = vec![None; sources.len()];
-        // Oldest commit epoch an upcoming fetch of source `i` may
-        // accept. Bumped when a fetch finds a *newer* attempt's data
-        // in the store: that attempt's `put` landed but its `Done` has
-        // not, so the source is not ready again until the state's
-        // commit epoch catches up — consuming the fresh data on the
-        // strength of the old observation would orphan the partition
-        // (recovery treats the in-flight re-execution as already
-        // rebuilding it and re-enqueues nothing).
-        let mut min_epoch: Vec<u32> = vec![0; sources.len()];
-        let mut opened = 0;
-        let mut remaining = sources.len();
-        let copy_start = Instant::now();
-        let mut copy_wait = Duration::ZERO;
-        while remaining > 0 {
-            let ready: Vec<(usize, u32)> = {
-                let mut st = shared.state.lock();
-                let mut ticked = false;
-                loop {
-                    if st.failed {
-                        return Ok(()); // another task already reported
-                    }
-                    if shared.cancel_requested() {
-                        drop(st);
-                        shared.observe_cancel();
-                        return Ok(());
-                    }
-                    let mut ready = Vec::new();
-                    for (i, slot) in fetched.iter().enumerate() {
-                        if slot.is_some() {
-                            continue;
-                        }
-                        match st.maps[sources[i]] {
-                            MapStatus::Done => {
-                                let epoch = st.map_commit_epoch[sources[i]];
-                                if epoch >= min_epoch[i] {
-                                    ready.push((i, epoch));
-                                }
-                            }
-                            MapStatus::Skipped => {
-                                return Err(MrError::BadConfig(format!(
-                                    "reduce {r} depends on skipped map {}",
-                                    sources[i]
-                                )));
-                            }
-                            _ => {}
-                        }
-                    }
-                    if !ready.is_empty() {
-                        if ticked {
-                            crate::metrics::runtime().tick_wakeups.inc();
-                        }
-                        break ready;
-                    }
-                    let parked = Instant::now();
-                    ticked = shared.cv.wait_for(&mut st, shared.wait_tick).timed_out();
-                    copy_wait += parked.elapsed();
-                }
-            };
-            for (i, epoch) in ready {
-                match shared.shuffle.fetch(sources[i], r, epoch, &shared.counters) {
-                    Ok(Fetched::File(file)) => {
-                        fetched[i] = Some(Some(ShuffleInput::File(file)));
-                        remaining -= 1;
-                    }
-                    Ok(Fetched::Frame(view)) => {
-                        fetched[i] = Some(Some(ShuffleInput::Frame(view)));
-                        remaining -= 1;
-                    }
-                    Ok(Fetched::Empty) => {
-                        fetched[i] = Some(None);
-                        remaining -= 1;
-                    }
-                    Ok(Fetched::Stale { store_epoch }) => {
-                        // A re-execution's output landed between our
-                        // commit observation and this fetch. Leave the
-                        // slot unfetched and wait for that attempt's
-                        // commit; its `Done` transition notifies.
-                        min_epoch[i] = store_epoch;
-                    }
-                    Err(MrError::CorruptShuffle { .. }) => {
-                        // CRC caught a damaged map output at copy
-                        // time. Dependency-scoped recovery: re-enqueue
-                        // *only* that map; this reduce keeps
-                        // condvar-waiting in the copy phase for the
-                        // new attempt instead of failing the job. The
-                        // damaged replicas stay put — other reducers
-                        // must discover the corruption on their own
-                        // (map, reducer) entries, never observe an
-                        // evicted entry as "map produced nothing" —
-                        // and the re-executed attempt's `put` replaces
-                        // them all.
-                        let m = sources[i];
-                        Counters::add(&shared.counters.corrupt_fetches, 1);
-                        let mut st = shared.state.lock();
-                        st.reenqueue_for_recovery(m, &shared.counters);
-                        drop(st);
-                        shared.cv.notify_all();
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            while let Some(slot) = fetched.get(opened).and_then(|s| s.as_ref()) {
-                if let Some(input) = slot {
-                    let raw = match input {
-                        ShuffleInput::File(f) => {
-                            merge.push_file(Arc::clone(f));
-                            f.raw_count
-                        }
-                        ShuffleInput::Frame(v) => {
-                            merge.push_frame(v.clone());
-                            v.raw_count()
-                        }
-                    };
-                    inputs.push((sources[opened], raw));
-                }
-                opened += 1;
-            }
-        }
-        shared
-            .timeline
-            .record_attempt(TaskKind::ReduceBarrierMet, r, attempt);
-        let m = crate::metrics::runtime();
-        m.barrier_wait_seconds
-            .observe_duration(copy_start.elapsed());
-        m.copy_wait_seconds.observe_duration(copy_wait);
-
-        // §3.2.1 approach 2: tally the raw ⟨k,v⟩ annotation before
-        // processing; starting with less input than the geometry
-        // promises would produce "an answer based on insufficient
-        // input".
-        if shared.config.validate_annotations {
-            if let Some(expected) = shared.plan.expected_raw_count(r) {
-                let actual: u64 = inputs.iter().map(|(_, raw)| *raw).sum();
-                if actual != expected {
-                    return Err(MrError::AnnotationMismatch {
-                        reducer: r,
-                        expected,
-                        actual,
-                    });
-                }
-            }
-        }
-
-        // Injected reduce failure: the attempt dies after the barrier
-        // (the worst spot — every fetch already paid for).
-        if matches!(
-            shared.config.fault_plan.reduce_fault(r, attempt),
-            Some(FaultKind::Fail) | Some(FaultKind::SourceError { .. })
-        ) {
-            Counters::add(&shared.counters.reduce_failures, 1);
-            shared
-                .timeline
-                .record_attempt(TaskKind::ReduceFailed, r, attempt);
-            if attempt + 1 >= shared.config.retry.max_task_attempts {
-                return Err(MrError::TaskFailed {
-                    task: format!("reduce {r}"),
-                    cause: format!("injected failure ({} attempts exhausted)", attempt + 1),
-                });
-            }
-            if shared.config.volatile_intermediate && !chaos::on(Mutation::SkipRecoveryRewait) {
-                // The fetched files were consumed; re-execute exactly
-                // the maps whose data this reduce lost — its `I_ℓ` —
-                // (§6: "re-execute subsets of Map tasks in the event
-                // of a Reduce task failure in place of persisting all
-                // intermediate data").
-                let lost: Vec<MapTaskId> = inputs.iter().map(|(m, _)| *m).collect();
-                let mut st = shared.state.lock();
-                for m in &lost {
-                    st.reenqueue_for_recovery(*m, &shared.counters);
-                }
-                drop(st);
-                shared.cv.notify_all();
-            }
-            crate::metrics::runtime().task_retries_reduce.inc();
-            if !shared
-                .sleep_interruptible(shared.config.retry.backoff(attempt + 1), &|st| st.failed)
-            {
-                shared.observe_cancel();
-                return Ok(());
-            }
-            attempt += 1;
-            continue;
-        }
-
-        // Streaming merge + reduce, batched: groups leave the k-way
-        // merge in cache-sized [`GroupBatch`]es, and each group's
-        // output reaches the collector (`stream_group`) while later
-        // groups are still merging. The first batch is a single group
-        // so the §3.4 early-result clock starts as soon as the merge
-        // can produce anything; after that, batches amortize the
-        // per-group heap bookkeeping. No whole-keyspace
-        // `Vec<(K, Vec<V>)>` is ever materialized; the final `commit`
-        // keeps §2.3's atomic committal.
-        let mut out: Vec<(K2, V3)> = Vec::new();
-        let mut emitted = 0u64;
-        let mut first_group = true;
-        let mut batch: GroupBatch<K2, V2> = GroupBatch::new();
-        loop {
-            let budget = if first_group { 1 } else { REDUCE_BATCH_RECORDS };
-            if merge.fill_batch(&mut batch, budget) == 0 {
-                break;
-            }
-            for (key, values) in batch.groups() {
-                let group_start = out.len();
-                reducer_fn.reduce(key, values, &mut |v3| {
-                    out.push((key.clone(), v3));
-                    emitted += 1;
-                });
-                if out.len() > group_start {
-                    output
-                        .stream_group(r, &out[group_start..])
-                        .map_err(|e| MrError::Output(e.to_string()))?;
-                    if first_group {
-                        shared
-                            .timeline
-                            .record_attempt(TaskKind::ReduceFirstGroup, r, attempt);
-                        first_group = false;
-                    }
-                }
-            }
-        }
-        shared
-            .timeline
-            .record_attempt(TaskKind::ReduceMergeDone, r, attempt);
-        let merged = merge.records_consumed();
-        m.merge_records.add(merged);
-        m.merge_bytes
-            .add(merged.saturating_mul(std::mem::size_of::<(K2, V2)>() as u64));
-        Counters::add(&shared.counters.reduce_records_out, emitted);
-        if !shared.config.reduce_think.is_zero() {
-            shared.sleep_interruptible(shared.config.reduce_think, &|_| false);
-        }
-        output
-            .commit(r, out)
-            .map_err(|e| MrError::Output(e.to_string()))?;
-        shared
-            .timeline
-            .record_attempt(TaskKind::ReduceEnd, r, attempt);
-        return Ok(());
-    }
-}
-
-/// The remote counterpart of [`run_reduce_task`]: the scheduler only
-/// waits for *readiness* — every source map `Done` at an acceptable
-/// commit epoch — and then hands the attempt to the executor, which
-/// has a worker fetch the partitions from their holders directly (no
-/// bytes move through this process) and stream key groups back.
+/// The reduce driver: the scheduler only waits for *readiness* —
+/// every source map `Done` at an acceptable commit epoch — and then
+/// hands the attempt to the executor, naming the generations to fetch;
+/// how the bytes reach the merge (an `Arc`, a disk read, a peer
+/// socket) never passes through here. Key groups stream back through
+/// the collector as they leave the merge.
 ///
-/// Fault mapping mirrors the local path exactly:
-/// * a holder dying *before* the attempt consumed anything
-///   ([`RemoteReduceError::SourcesLost`]) re-enqueues exactly the lost
-///   maps and retries the same attempt, like a CRC-detected corrupt
-///   fetch — no retry budget charged;
+/// Fault mapping:
+/// * sources lost *before* the attempt consumed anything
+///   ([`RemoteReduceError::SourcesLost`] — a dead holder, a failed
+///   CRC) re-enqueue exactly the lost maps and retry the same attempt;
+///   no retry budget charged;
 /// * an attempt dying *after* its copy phase
-///   ([`RemoteReduceError::AttemptFailed`]) is charged against the
-///   budget and, under volatile intermediate data, re-executes its
-///   whole dependency set, like a post-barrier injected failure.
-fn run_reduce_task_remote<K2, V2, V3>(
-    shared: &Shared<'_, K2, V2>,
+///   ([`RemoteReduceError::AttemptFailed`]), or failed by injection
+///   once its barrier is met, is charged against the budget and, under
+///   volatile intermediate data, re-executes its whole dependency set.
+fn run_reduce_task<K2: MrKey, V3: MrValue>(
+    shared: &Shared<'_, K2>,
     r: usize,
-    exec: &dyn crate::executor::TaskExecutor<K2, V3>,
+    exec: &dyn TaskExecutor<K2, V3>,
     output: &dyn OutputCollector<K2, V3>,
-) -> Result<()>
-where
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
+) -> Result<()> {
     let sources: Vec<MapTaskId> = match shared.plan.fetch_sources(r) {
         Some(deps) => deps,
         None => (0..shared.num_maps).collect(),
@@ -1897,8 +1336,8 @@ where
     // a *fresh* recommit instead of re-fetching a dead epoch.
     let mut min_epoch: Vec<u32> = vec![0; sources.len()];
     loop {
-        // Injected reduce stragglers delay the attempt up front,
-        // coordinator-side, exactly like the local path.
+        // Injected reduce stragglers delay the attempt up front
+        // (interruptibly — a cancelled job must not wait one out).
         if let Some(FaultKind::Straggle { delay_ms }) =
             shared.config.fault_plan.reduce_fault(r, attempt)
         {
@@ -1959,56 +1398,37 @@ where
             .observe_duration(copy_start.elapsed());
         m.copy_wait_seconds.observe_duration(copy_wait);
 
-        // Coordinator-side injected reduce failure, at the same point
-        // in the attempt's life as the local post-barrier injection.
-        if matches!(
-            shared.config.fault_plan.reduce_fault(r, attempt),
-            Some(FaultKind::Fail) | Some(FaultKind::SourceError { .. })
-        ) {
-            Counters::add(&shared.counters.reduce_failures, 1);
-            shared
-                .timeline
-                .record_attempt(TaskKind::ReduceFailed, r, attempt);
-            if attempt + 1 >= shared.config.retry.max_task_attempts {
-                return Err(MrError::TaskFailed {
-                    task: format!("reduce {r}"),
-                    cause: format!("injected failure ({} attempts exhausted)", attempt + 1),
-                });
-            }
-            if shared.config.volatile_intermediate {
-                reenqueue_sources(shared, &sources, &epochs, &mut min_epoch);
-            }
-            crate::metrics::runtime().task_retries_reduce.inc();
-            if !shared
-                .sleep_interruptible(shared.config.retry.backoff(attempt + 1), &|st| st.failed)
-            {
-                shared.observe_cancel();
-                return Ok(());
-            }
-            attempt += 1;
-            continue;
-        }
-
-        let srcs: Vec<ReduceSource> = sources
-            .iter()
-            .zip(&epochs)
-            .map(|(&map, &epoch)| ReduceSource { map, epoch })
-            .collect();
-        let expected_raw = if shared.config.validate_annotations {
-            shared.plan.expected_raw_count(r)
-        } else {
-            None
-        };
-
-        // Stream groups to the collector as the worker sends them,
+        // Stream groups to the collector as they leave the merge,
         // accumulating for the final atomic commit (§2.3).
         let mut out: Vec<(K2, V3)> = Vec::new();
         let mut first_group = true;
-        let result = {
-            let mut emit = |records: Vec<(K2, V3)>| -> Result<()> {
+        let result = if matches!(
+            shared.config.fault_plan.reduce_fault(r, attempt),
+            Some(FaultKind::Fail) | Some(FaultKind::SourceError { .. })
+        ) {
+            // Injected reduce failure: the attempt dies once its
+            // barrier is met, before anything is dispatched.
+            Err(RemoteReduceError::AttemptFailed("injected failure".into()))
+        } else {
+            let srcs: Vec<ReduceSource> = sources
+                .iter()
+                .zip(&epochs)
+                .map(|(&map, &epoch)| ReduceSource { map, epoch })
+                .collect();
+            // One contact per bound (map, reducer) pair, empty
+            // partitions included — Hadoop "requires that every Reduce
+            // task contact every completed Map task" (§4.6): Table 3's
+            // connections.
+            Counters::add(&shared.counters.shuffle_connections, srcs.len() as u64);
+            let expected_raw = if shared.config.validate_annotations {
+                shared.plan.expected_raw_count(r)
+            } else {
+                None
+            };
+            let mut emit = |records: &mut Vec<(K2, V3)>| -> Result<()> {
                 if !records.is_empty() {
                     output
-                        .stream_group(r, &records)
+                        .stream_group(r, records)
                         .map_err(|e| MrError::Output(e.to_string()))?;
                     if first_group {
                         shared
@@ -2016,11 +1436,11 @@ where
                             .record_attempt(TaskKind::ReduceFirstGroup, r, attempt);
                         first_group = false;
                     }
-                    out.extend(records);
+                    out.append(records);
                 }
                 Ok(())
             };
-            exec.execute_reduce(r, attempt, &srcs, expected_raw, &mut emit)
+            exec.execute_reduce(r, attempt, &srcs, expected_raw, &shared.counters, &mut emit)
         };
         match result {
             Ok(emitted) => {
@@ -2041,8 +1461,8 @@ where
             }
             Err(RemoteReduceError::SourcesLost(lost)) => {
                 // Nothing was consumed: re-enqueue exactly the maps
-                // that died with their holder (their `I_ℓ` share) and
-                // retry the same attempt once they recommit.
+                // whose output is gone (their `I_ℓ` share) and retry
+                // the same attempt once they recommit.
                 Counters::add(&shared.counters.corrupt_fetches, 1);
                 {
                     let mut st = shared.state.lock();
@@ -2101,10 +1521,6 @@ where
     }
 }
 
-/// Re-enqueues every source whose bound generation is still current
-/// (epoch-guarded, like the `SourcesLost` arm) and advances
-/// `min_epoch` past the consumed generation so the retry binds fresh
-/// commits only.
 /// The speculation monitor: wakes every `check_interval_ms`, compares
 /// each running map's elapsed time against the committed cohort's
 /// quantile × slowdown, and grants speculative twins for the
@@ -2118,7 +1534,7 @@ where
 /// meaningless on the virtual scheduler, where the deterministic
 /// `force_maps` hook is the only speculation source.
 #[cfg(not(check))]
-fn speculation_monitor<K2: MrKey, V2: MrValue>(shared: &Shared<'_, K2, V2>, num_reducers: usize) {
+fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
     let policy = &shared.config.speculation;
     let interval = Duration::from_millis(policy.check_interval_ms.max(1));
     // Static blocking weight per map: how many reducers' dependency
@@ -2216,15 +1632,24 @@ fn speculation_monitor<K2: MrKey, V2: MrValue>(shared: &Shared<'_, K2, V2>, num_
     }
 }
 
-fn reenqueue_sources<K2: MrKey, V2: MrValue>(
-    shared: &Shared<'_, K2, V2>,
+/// Re-enqueues every source whose bound generation is still current
+/// (epoch-guarded, like the `SourcesLost` arm) and advances
+/// `min_epoch` past the consumed generation so the retry binds fresh
+/// commits only.
+fn reenqueue_sources<K2: MrKey>(
+    shared: &Shared<'_, K2>,
     sources: &[MapTaskId],
     epochs: &[u32],
     min_epoch: &mut [u32],
 ) {
     let mut st = shared.state.lock();
     for (i, &m) in sources.iter().enumerate() {
-        if st.maps[m] == MapStatus::Done && st.map_commit_epoch[m] == epochs[i] {
+        // Mutation hook: forgetting the re-enqueue leaves the retry
+        // waiting for a recommit nobody will produce.
+        if !chaos::on(Mutation::SkipRecoveryRewait)
+            && st.maps[m] == MapStatus::Done
+            && st.map_commit_epoch[m] == epochs[i]
+        {
             st.reenqueue_for_recovery(m, &shared.counters);
         }
         min_epoch[i] = epochs[i] + 1;

@@ -1,4 +1,4 @@
-//! Shuffle: map-output files, fetch accounting, and sort-merge.
+//! Shuffle payloads: map-output files, their builder, and sort-merge.
 //!
 //! Each Map task leaves one output file per reducer it produced data
 //! for. A file's header carries the §3.2.1 *annotation*: "how many
@@ -7,11 +7,14 @@
 //! the file — the cross-check SIDR uses to validate that starting
 //! early never consumes insufficient input.
 //!
-//! Fetches are counted: every (map, reducer) contact is one network
-//! connection, the quantity Table 3 reports.
+//! Where a committed file lives and how a reducer gets it is not
+//! decided here: that is behind the [`TaskExecutor`] seam (typed and
+//! resident inside one process, CRC-framed SMOF bytes in a
+//! [`PartitionStore`] once a partition crosses a disk or a socket).
+//!
+//! [`TaskExecutor`]: crate::executor::TaskExecutor
+//! [`PartitionStore`]: crate::tier::PartitionStore
 
-use crate::sync::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::counters::Counters;
@@ -36,479 +39,6 @@ impl<K, V> Default for MapOutputFile<K, V> {
             records: Vec::new(),
             raw_count: 0,
         }
-    }
-}
-
-/// One stored map-output file: resident or spilled to disk.
-enum Stored<K, V> {
-    Memory(Arc<MapOutputFile<K, V>>),
-    Spilled {
-        path: std::path::PathBuf,
-        /// Header fields cached so annotation tallies never re-read.
-        raw_count: u64,
-        records: u64,
-    },
-    /// A resident replica whose integrity check fails (fault
-    /// injection for the in-memory store: the moral equivalent of a
-    /// spilled file with a bad CRC). Fetching it errors with
-    /// [`crate::error::MrError::CorruptShuffle`].
-    Corrupt {
-        raw_count: u64,
-        records: u64,
-    },
-}
-
-/// How [`ShuffleStore::corrupt_map`] damages a map's committed
-/// output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CorruptionMode {
-    /// Flip payload bytes (spilled files) or poison the resident
-    /// replica's checksum (memory files).
-    BitFlip,
-    /// Cut the file short mid-payload. Indistinguishable from
-    /// `BitFlip` for resident replicas.
-    Truncate,
-}
-
-/// What a [`ShuffleStore::fetch`] found. Distinguishing `Empty` from
-/// `Stale` is what makes consume-on-fetch recovery sound: an absent
-/// file whose epoch matched really is "this map produced nothing for
-/// this reducer", while data from a *different* map attempt must never
-/// be consumed by a reducer that only waited for an older commit.
-#[derive(Debug)]
-pub enum Fetched<K, V> {
-    /// The file, at the requested epoch (consumed if the store is
-    /// volatile).
-    File(Arc<MapOutputFile<K, V>>),
-    /// A spilled v3 file, at the requested epoch, as a zero-copy
-    /// view: the bytes were read into one shared buffer and validated
-    /// once; no record was decoded. Merge cursors borrow straight out
-    /// of it.
-    Frame(Smof3View<K, V>),
-    /// The map committed the requested epoch but produced nothing for
-    /// this reducer.
-    Empty,
-    /// The store holds a different attempt's output. Nothing was
-    /// consumed; the caller must re-wait for the commit of
-    /// `store_epoch` (or newer) and fetch again.
-    Stale { store_epoch: u32 },
-}
-
-/// The TaskTracker-served map-output files: held in memory by default,
-/// or written to a spill directory in the on-disk format of
-/// [`crate::shuffle_file`] (the header-annotated files of §3.2.1).
-///
-/// `fetch` optionally *consumes* the file, modeling the §6 future-work
-/// regime where intermediate data is not persisted and a failed
-/// Reduce task forces re-execution of the Map tasks it depended on.
-///
-/// Every entry is stamped with the *epoch* (map attempt id) that
-/// produced it, and `fetch` only consumes an epoch the caller
-/// explicitly observed committed. Without the stamp, a doomed reduce
-/// attempt that raced a map re-execution could eat the fresh attempt's
-/// partition between its `put` and its `Done` transition — and since
-/// recovery treats an in-flight re-execution as "already being
-/// rebuilt", nobody would ever restore the consumed data.
-/// Store key → (producing epoch, file): epoch first so a fetch can
-/// reject another attempt's data before touching the payload.
-type StoredFiles<K, V> = HashMap<(MapTaskId, usize), (u32, Stored<K, V>)>;
-
-/// The store's mutable state: the files plus the resident-byte tally
-/// the budgeted mode ranks demotions by.
-struct Table<K, V> {
-    files: StoredFiles<K, V>,
-    /// Approximate bytes held by `Stored::Memory` entries.
-    resident: u64,
-    /// High-water mark of `resident`.
-    peak_resident: u64,
-    /// Memory entries in arrival order — the demotion queue. May
-    /// hold stale keys (consumed or already demoted); they are
-    /// skipped when popped.
-    fifo: std::collections::VecDeque<(MapTaskId, usize)>,
-}
-
-/// How a store with a codec uses its disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SpillMode {
-    /// Every put goes straight to disk (the pre-budget behavior).
-    Always,
-    /// Puts stay in memory; once resident bytes exceed the budget,
-    /// the oldest memory entries are demoted to disk.
-    Budget(u64),
-}
-
-pub struct ShuffleStore<K, V> {
-    table: Mutex<Table<K, V>>,
-    /// Signalled when new files arrive (fetchers waiting on slow maps).
-    arrival: Condvar,
-    /// Whether fetches remove files from the store.
-    consume_on_fetch: bool,
-    /// Spill codec, present when the store is disk-backed.
-    spill: Option<SpillCodec<K, V>>,
-    mode: SpillMode,
-}
-
-/// Zero-copy spill loader: `Ok(Some(view))` when the file uses the v3
-/// fixed-width layout, `Ok(None)` to fall back to the owning reader.
-pub type ReadViewFn<K, V> = fn(&std::path::Path) -> crate::Result<Option<Smof3View<K, V>>>;
-
-/// Monomorphized writers/readers for the spill path, so the store (and
-/// the runtime above it) needs no `WireFormat` bounds of its own.
-pub struct SpillCodec<K, V> {
-    pub dir: std::path::PathBuf,
-    pub write: fn(&std::path::Path, &MapOutputFile<K, V>) -> crate::Result<()>,
-    pub read: fn(&std::path::Path) -> crate::Result<MapOutputFile<K, V>>,
-    pub read_view: ReadViewFn<K, V>,
-}
-
-impl<K, V> SpillCodec<K, V>
-where
-    K: MrKey + crate::wire::WireFormat,
-    V: MrValue + crate::wire::WireFormat,
-{
-    /// The standard codec: `shuffle_file`'s SMOF format under `dir`.
-    pub fn smof(dir: impl Into<std::path::PathBuf>) -> Self {
-        SpillCodec {
-            dir: dir.into(),
-            write: |path, file| crate::shuffle_file::write_map_output(path, file),
-            read: |path| crate::shuffle_file::read_map_output(path),
-            read_view: |path| {
-                let bytes = std::fs::read(path).map_err(|e| {
-                    crate::error::MrError::Source(format!("shuffle spill I/O: {e}"))
-                })?;
-                Smof3View::parse(Arc::new(bytes))
-            },
-        }
-    }
-}
-
-impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
-    fn build(consume_on_fetch: bool, spill: Option<SpillCodec<K, V>>, mode: SpillMode) -> Self {
-        ShuffleStore {
-            table: Mutex::new(Table {
-                files: HashMap::new(),
-                resident: 0,
-                peak_resident: 0,
-                fifo: std::collections::VecDeque::new(),
-            }),
-            arrival: Condvar::new(),
-            consume_on_fetch,
-            spill,
-            mode,
-        }
-    }
-
-    pub fn new(consume_on_fetch: bool) -> Self {
-        ShuffleStore::build(consume_on_fetch, None, SpillMode::Always)
-    }
-
-    /// A disk-backed store spilling through `codec`.
-    pub fn with_spill(consume_on_fetch: bool, codec: SpillCodec<K, V>) -> Self {
-        ShuffleStore::build(consume_on_fetch, Some(codec), SpillMode::Always)
-    }
-
-    /// A budgeted store: puts stay resident until approximate memory
-    /// bytes exceed `budget_bytes`, then the oldest entries are
-    /// demoted through `codec` — fetch semantics (epoch stamping,
-    /// `Stale`/`Empty`, consume-on-fetch) are identical either tier.
-    /// A budget of 0 demotes every put, degenerating to
-    /// [`with_spill`](Self::with_spill).
-    pub fn with_spill_budget(
-        consume_on_fetch: bool,
-        codec: SpillCodec<K, V>,
-        budget_bytes: u64,
-    ) -> Self {
-        ShuffleStore::build(
-            consume_on_fetch,
-            Some(codec),
-            SpillMode::Budget(budget_bytes),
-        )
-    }
-
-    /// Approximate resident bytes of one memory file (fixed-width
-    /// record assumption, which holds for the engine's coordinate
-    /// keys and scalar values).
-    fn approx_bytes(file: &MapOutputFile<K, V>) -> u64 {
-        (file.records.len() * std::mem::size_of::<(K, V)>()) as u64
-    }
-
-    /// Current approximate resident bytes (memory-tier entries).
-    pub fn resident_bytes(&self) -> u64 {
-        self.table.lock().resident
-    }
-
-    /// High-water mark of [`resident_bytes`](Self::resident_bytes).
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.table.lock().peak_resident
-    }
-
-    /// Stores (or replaces, on re-execution) one map-output file,
-    /// stamped with the attempt that produced it.
-    pub fn put(
-        &self,
-        map: MapTaskId,
-        reducer: usize,
-        epoch: u32,
-        file: MapOutputFile<K, V>,
-    ) -> crate::Result<()> {
-        let to_memory = self.spill.is_none() || matches!(self.mode, SpillMode::Budget(b) if b > 0);
-        let stored = if to_memory {
-            Stored::Memory(Arc::new(file))
-        } else {
-            let codec = self.spill.as_ref().expect("checked above");
-            let path = codec.dir.join(format!("map{map:06}-r{reducer:05}.smof"));
-            (codec.write)(&path, &file)?;
-            Stored::Spilled {
-                path,
-                raw_count: file.raw_count,
-                records: file.records.len() as u64,
-            }
-        };
-        let mut table = self.table.lock();
-        if let Some((_, old)) = table.files.remove(&(map, reducer)) {
-            Self::retire(&mut table, &old, self.consume_on_fetch);
-        }
-        if let Stored::Memory(f) = &stored {
-            table.resident += Self::approx_bytes(f);
-            table.peak_resident = table.peak_resident.max(table.resident);
-            if self.spill.is_some() {
-                table.fifo.push_back((map, reducer));
-            }
-        }
-        table.files.insert((map, reducer), (epoch, stored));
-        if let SpillMode::Budget(budget) = self.mode {
-            self.demote_until_under(&mut table, budget)?;
-        }
-        self.arrival.notify_all();
-        Ok(())
-    }
-
-    /// Fixes the resident tally for an entry leaving the table; a
-    /// volatile store also deletes a spilled entry's file.
-    fn retire(table: &mut Table<K, V>, stored: &Stored<K, V>, delete_spill: bool) {
-        match stored {
-            Stored::Memory(f) => {
-                table.resident = table.resident.saturating_sub(Self::approx_bytes(f));
-            }
-            Stored::Spilled { path, .. } if delete_spill => {
-                std::fs::remove_file(path).ok();
-            }
-            _ => {}
-        }
-    }
-
-    /// Demotes oldest memory entries through the codec until the
-    /// resident tally is back under `budget`. Runs on the putting
-    /// thread, under the table lock.
-    fn demote_until_under(&self, table: &mut Table<K, V>, budget: u64) -> crate::Result<()> {
-        let codec = self.spill.as_ref().expect("budget mode implies a codec");
-        while table.resident > budget {
-            let Some(key) = table.fifo.pop_front() else {
-                break;
-            };
-            let Some((_, stored)) = table.files.get(&key) else {
-                continue; // consumed since it was queued
-            };
-            let Stored::Memory(file) = stored else {
-                continue; // already on disk (corrupt counts as gone)
-            };
-            let file = Arc::clone(file);
-            let (map, reducer) = key;
-            let path = codec.dir.join(format!("map{map:06}-r{reducer:05}.smof"));
-            (codec.write)(&path, &file)?;
-            let demoted = Stored::Spilled {
-                path,
-                raw_count: file.raw_count,
-                records: file.records.len() as u64,
-            };
-            if let Some((_, slot)) = table.files.get_mut(&key) {
-                *slot = demoted;
-                table.resident = table.resident.saturating_sub(Self::approx_bytes(&file));
-            }
-        }
-        Ok(())
-    }
-
-    /// Fetches the file `map`'s attempt `epoch` produced for `reducer`,
-    /// counting one connection (contacts happen even when the map
-    /// produced nothing for this reducer — Hadoop "requires that every
-    /// Reduce task contact every completed Map task", §4.6).
-    ///
-    /// An absent entry — or one left over from an *older* attempt,
-    /// which the committed epoch's `put` never replaced because it had
-    /// nothing to write — is [`Fetched::Empty`]. An entry from a
-    /// *newer* attempt is [`Fetched::Stale`] and is left untouched:
-    /// consuming output the caller never waited for is exactly the
-    /// lost-partition race this stamp exists to prevent.
-    pub fn fetch(
-        &self,
-        map: MapTaskId,
-        reducer: usize,
-        epoch: u32,
-        counters: &Counters,
-    ) -> crate::Result<Fetched<K, V>> {
-        Counters::add(&counters.shuffle_connections, 1);
-        let entry = {
-            let mut table = self.table.lock();
-            match table.files.get(&(map, reducer)) {
-                None => None,
-                Some((stored_epoch, _)) if *stored_epoch > epoch => {
-                    return Ok(Fetched::Stale {
-                        store_epoch: *stored_epoch,
-                    });
-                }
-                Some((stored_epoch, _)) if *stored_epoch < epoch => {
-                    return Ok(Fetched::Empty);
-                }
-                Some(_) if self.consume_on_fetch => {
-                    let removed = table
-                        .files
-                        .remove(&(map, reducer))
-                        .map(|(_, stored)| stored);
-                    if let Some(Stored::Memory(f)) = &removed {
-                        // Tally only — a consumed spilled file is
-                        // deleted below, *after* it has been read.
-                        table.resident = table.resident.saturating_sub(Self::approx_bytes(f));
-                    }
-                    removed
-                }
-                Some((_, Stored::Memory(f))) => Some(Stored::Memory(Arc::clone(f))),
-                Some((
-                    _,
-                    Stored::Spilled {
-                        path,
-                        raw_count,
-                        records,
-                    },
-                )) => Some(Stored::Spilled {
-                    path: path.clone(),
-                    raw_count: *raw_count,
-                    records: *records,
-                }),
-                Some((_, Stored::Corrupt { raw_count, records })) => Some(Stored::Corrupt {
-                    raw_count: *raw_count,
-                    records: *records,
-                }),
-            }
-        };
-        let got = match entry {
-            None => return Ok(Fetched::Empty),
-            Some(Stored::Memory(f)) => f,
-            Some(Stored::Corrupt { .. }) => {
-                return Err(crate::error::MrError::CorruptShuffle {
-                    detail: format!("map {map} output for reducer {reducer}: checksum mismatch"),
-                });
-            }
-            Some(Stored::Spilled { path, .. }) => {
-                let codec = self
-                    .spill
-                    .as_ref()
-                    .expect("spilled entries only exist in spilling stores");
-                // v3 spills come back as a validated view over the
-                // raw file bytes — no record decode; v2 spills fall
-                // back to the materializing reader.
-                let fetched = match (codec.read_view)(&path)? {
-                    Some(view) => {
-                        Counters::add(&counters.shuffled_records, view.records() as u64);
-                        Fetched::Frame(view)
-                    }
-                    None => {
-                        let file = (codec.read)(&path)?;
-                        Counters::add(&counters.shuffled_records, file.records.len() as u64);
-                        Fetched::File(Arc::new(file))
-                    }
-                };
-                if self.consume_on_fetch {
-                    // Not persisted: the bytes are gone once consumed.
-                    std::fs::remove_file(&path).ok();
-                }
-                return Ok(fetched);
-            }
-        };
-        Counters::add(&counters.shuffled_records, got.records.len() as u64);
-        Ok(Fetched::File(got))
-    }
-
-    /// The annotation of a stored file without reading its records —
-    /// `(raw ⟨k,v⟩ represented, ⟨k′,v′⟩ records)` (§3.2.1).
-    pub fn annotation(&self, map: MapTaskId, reducer: usize) -> Option<(u64, u64)> {
-        match self.table.lock().files.get(&(map, reducer)) {
-            None => None,
-            Some((_, Stored::Memory(f))) => Some((f.raw_count, f.records.len() as u64)),
-            Some((
-                _,
-                Stored::Spilled {
-                    raw_count, records, ..
-                },
-            ))
-            | Some((_, Stored::Corrupt { raw_count, records })) => Some((*raw_count, *records)),
-        }
-    }
-
-    /// Damages every committed output file of `map` (fault
-    /// injection). Spilled files are tampered with on disk so the
-    /// CRC frame genuinely fails at read time; resident replicas are
-    /// marked corrupt, which `fetch` reports the same way.
-    pub fn corrupt_map(&self, map: MapTaskId, mode: CorruptionMode) -> crate::Result<()> {
-        let table = &mut *self.table.lock();
-        for ((m, _), (_, stored)) in table.files.iter_mut() {
-            if *m != map {
-                continue;
-            }
-            match stored {
-                Stored::Memory(f) => {
-                    table.resident = table.resident.saturating_sub(Self::approx_bytes(f));
-                    *stored = Stored::Corrupt {
-                        raw_count: f.raw_count,
-                        records: f.records.len() as u64,
-                    };
-                }
-                Stored::Spilled { path, .. } => match mode {
-                    CorruptionMode::BitFlip => crate::shuffle_file::corrupt_payload(path)?,
-                    CorruptionMode::Truncate => crate::shuffle_file::truncate_payload(path)?,
-                },
-                Stored::Corrupt { .. } => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Drops every stored output of `map` (spilled bytes included):
-    /// the copy phase calls this when a fetch detects corruption, so
-    /// the re-executed attempt's files are the only replicas left.
-    pub fn evict(&self, map: MapTaskId) {
-        let table = &mut *self.table.lock();
-        let mut freed = 0u64;
-        table.files.retain(|(m, _), (_, stored)| {
-            if *m != map {
-                return true;
-            }
-            match stored {
-                Stored::Spilled { path, .. } => {
-                    std::fs::remove_file(path).ok();
-                }
-                Stored::Memory(f) => freed += Self::approx_bytes(f),
-                Stored::Corrupt { .. } => {}
-            }
-            false
-        });
-        table.resident = table.resident.saturating_sub(freed);
-    }
-
-    /// Whether a file is currently present (recovery logic checks
-    /// before deciding to re-execute a map).
-    pub fn contains(&self, map: MapTaskId, reducer: usize) -> bool {
-        self.table.lock().files.contains_key(&(map, reducer))
-    }
-
-    /// Number of files currently stored.
-    pub fn len(&self) -> usize {
-        self.table.lock().files.len()
-    }
-
-    /// True when the store holds no files.
-    pub fn is_empty(&self) -> bool {
-        self.table.lock().files.is_empty()
     }
 }
 
@@ -741,11 +271,8 @@ fn combine_sorted<K: MrKey, V: MrValue>(
 /// Sources are shared (`Arc`), so the merge borrows records in place;
 /// the only copies made are the values of the *current* group, cloned
 /// (or, for binary frames, decoded) into one reusable buffer
-/// ([`next_group`]). Cursors can be opened incrementally with
-/// [`push_file`] / [`push_frame`] as map outputs arrive during the
-/// copy phase — the reducer holds its slot through the copy anyway
-/// (§3.2), so by the time its barrier is met the merge is ready to
-/// yield its first group immediately.
+/// ([`next_group`]). Cursors are opened one input at a time with
+/// [`push_file`] / [`push_frame`], in the plan's fetch order.
 ///
 /// A cursor reads either a decoded [`MapOutputFile`] or a SMOF v3
 /// [`Smof3View`] frame. Frame cursors never materialize records:
@@ -777,18 +304,46 @@ pub struct MergeIter<K, V> {
 }
 
 /// One merge input: a decoded in-memory file, or a zero-copy v3 frame.
-enum MergeSource<K, V> {
+pub enum MergeSource<K, V> {
     File(Arc<MapOutputFile<K, V>>),
     Frame(Smof3View<K, V>),
 }
 
 impl<K, V> MergeSource<K, V> {
+    /// Records in this input.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         match self {
             MergeSource::File(f) => f.records.len(),
             MergeSource::Frame(v) => v.records(),
         }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The §3.2.1 annotation: raw ⟨k,v⟩ pairs this input represents.
+    pub fn raw_count(&self) -> u64 {
+        match self {
+            MergeSource::File(f) => f.raw_count,
+            MergeSource::Frame(v) => v.raw_count(),
+        }
+    }
+
+    /// Opens one encoded SMOF partition as a merge input: v3 buffers
+    /// become zero-copy frames (the cursor borrows records straight
+    /// out of `bytes`), v2 buffers (variable-width types) decode the
+    /// classic way.
+    pub fn from_encoded(bytes: Arc<Vec<u8>>) -> crate::Result<Self>
+    where
+        K: MrKey + crate::wire::WireFormat,
+        V: MrValue + crate::wire::WireFormat,
+    {
+        Ok(match Smof3View::parse(Arc::clone(&bytes))? {
+            Some(view) => MergeSource::Frame(view),
+            None => MergeSource::File(Arc::new(crate::shuffle_file::decode_map_output(&bytes)?)),
+        })
     }
 }
 
@@ -846,6 +401,15 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         );
         let empty = view.is_empty();
         self.push_source(MergeSource::Frame(view), empty);
+    }
+
+    /// Opens a cursor on one more input of either kind (see
+    /// [`MergeIter::push_file`] for the ordering contract).
+    pub fn push(&mut self, source: MergeSource<K, V>) {
+        match source {
+            MergeSource::File(file) => self.push_file(file),
+            MergeSource::Frame(view) => self.push_frame(view),
+        }
     }
 
     fn push_source(&mut self, source: MergeSource<K, V>, empty: bool) {
@@ -1201,172 +765,6 @@ mod tests {
         let files = b.finish(None, &counters).unwrap();
         assert_eq!(files.len(), 1);
         assert_eq!(files[0].0, 1);
-    }
-
-    #[test]
-    fn fetch_counts_connections_even_when_empty() {
-        let counters = Counters::default();
-        let store = ShuffleStore::<u64, u64>::new(false);
-        store
-            .put(
-                0,
-                0,
-                0,
-                MapOutputFile {
-                    records: vec![(1, 1)],
-                    raw_count: 1,
-                },
-            )
-            .unwrap();
-        assert!(matches!(
-            store.fetch(0, 0, 0, &counters).unwrap(),
-            Fetched::File(_)
-        ));
-        assert!(matches!(
-            store.fetch(5, 0, 0, &counters).unwrap(), // empty fetch
-            Fetched::Empty
-        ));
-        assert_eq!(counters.snapshot().shuffle_connections, 2);
-        assert_eq!(counters.snapshot().shuffled_records, 1);
-    }
-
-    #[test]
-    fn budgeted_store_demotes_oldest_and_fetch_is_tier_transparent() {
-        let counters = Counters::default();
-        let dir = std::env::temp_dir().join(format!(
-            "sidr-shuffle-budget-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Two (u64, u64) records ≈ 32 approximate bytes per file: a
-        // 40-byte budget holds one file resident but not two.
-        let store =
-            ShuffleStore::<u64, u64>::with_spill_budget(false, SpillCodec::smof(dir.clone()), 40);
-        let file = |k: u64| MapOutputFile {
-            records: vec![(k, k), (k + 1, k)],
-            raw_count: 2,
-        };
-        store.put(0, 0, 0, file(1)).unwrap();
-        let one = store.resident_bytes();
-        assert!(one > 0, "under budget, the put stays resident");
-        store.put(1, 0, 0, file(10)).unwrap();
-        assert_eq!(
-            store.resident_bytes(),
-            one,
-            "over budget, the oldest file demotes to disk"
-        );
-        assert_eq!(store.peak_resident_bytes(), 2 * one);
-
-        // Fetch is tier-transparent: the demoted file reads back the
-        // records that went in, the resident one is served as-is.
-        match store.fetch(0, 0, 0, &counters).unwrap() {
-            Fetched::Frame(view) => {
-                assert_eq!(view.records(), 2);
-                assert_eq!(view.key_at(0), 1);
-                assert_eq!(view.key_at(1), 2);
-            }
-            Fetched::File(f) => assert_eq!(f.records, vec![(1, 1), (2, 1)]),
-            _ => panic!("demoted file must fetch as File or Frame"),
-        }
-        match store.fetch(1, 0, 0, &counters).unwrap() {
-            Fetched::File(f) => assert_eq!(f.records, vec![(10, 10), (11, 10)]),
-            _ => panic!("resident file must fetch as File"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn zero_budget_degenerates_to_always_spill() {
-        let dir = std::env::temp_dir().join(format!(
-            "sidr-shuffle-budget0-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store =
-            ShuffleStore::<u64, u64>::with_spill_budget(false, SpillCodec::smof(dir.clone()), 0);
-        store
-            .put(
-                0,
-                0,
-                0,
-                MapOutputFile {
-                    records: vec![(3, 4)],
-                    raw_count: 1,
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            store.resident_bytes(),
-            0,
-            "budget 0 writes straight to disk"
-        );
-        assert!(store.contains(0, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn consume_on_fetch_removes_files() {
-        let counters = Counters::default();
-        let store = ShuffleStore::<u64, u64>::new(true);
-        store
-            .put(
-                0,
-                0,
-                0,
-                MapOutputFile {
-                    records: vec![(1, 1)],
-                    raw_count: 1,
-                },
-            )
-            .unwrap();
-        assert!(matches!(
-            store.fetch(0, 0, 0, &counters).unwrap(),
-            Fetched::File(_)
-        ));
-        assert!(!store.contains(0, 0));
-        assert!(matches!(
-            store.fetch(0, 0, 0, &counters).unwrap(),
-            Fetched::Empty
-        ));
-    }
-
-    #[test]
-    fn stale_epoch_is_reported_and_never_consumed() {
-        let counters = Counters::default();
-        let store = ShuffleStore::<u64, u64>::new(true);
-        // A re-executed attempt replaced the entry with epoch 1...
-        store
-            .put(
-                0,
-                0,
-                1,
-                MapOutputFile {
-                    records: vec![(1, 1)],
-                    raw_count: 1,
-                },
-            )
-            .unwrap();
-        // ...so a reducer still holding attempt 0's commit observation
-        // must be told to re-wait, and the fresh data must stay put.
-        assert!(matches!(
-            store.fetch(0, 0, 0, &counters).unwrap(),
-            Fetched::Stale { store_epoch: 1 }
-        ));
-        assert!(store.contains(0, 0));
-        // An *older* leftover reads as empty (the requested commit
-        // simply wrote nothing for this reducer) and is not consumed.
-        assert!(matches!(
-            store.fetch(0, 0, 2, &counters).unwrap(),
-            Fetched::Empty
-        ));
-        assert!(store.contains(0, 0));
-        assert!(matches!(
-            store.fetch(0, 0, 1, &counters).unwrap(),
-            Fetched::File(_)
-        ));
-        assert!(!store.contains(0, 0));
     }
 
     #[test]

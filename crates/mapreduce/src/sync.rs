@@ -1,8 +1,8 @@
 //! The runtime's synchronization facade.
 //!
 //! Every Mutex/Condvar/atomic/thread primitive the engine's concurrency
-//! core uses ([`runtime`](crate::runtime), [`shuffle`](crate::shuffle))
-//! is imported from here instead of `parking_lot` / `std` directly. In
+//! core uses ([`runtime`](crate::runtime), [`executor`](crate::executor),
+//! [`tier`](crate::tier)) is imported from here instead of `parking_lot` / `std` directly. In
 //! a normal build the re-exports *are* those types — zero overhead. In
 //! a checker build (`RUSTFLAGS='--cfg check'`) they are the
 //! [`sidr_check::sync`] virtual primitives, so the production code runs
@@ -68,14 +68,10 @@ pub mod chaos {
         /// The map worker holds the state lock across the slot
         /// acquire, whose abort callback also locks state.
         HoldStateAcrossAcquire,
-        /// Volatile recovery skips re-enqueueing the lost map outputs,
-        /// so a recovering reducer waits for data nobody will rebuild.
+        /// Volatile recovery skips re-enqueueing the consumed map
+        /// outputs, so a recovering reducer waits for a recommit
+        /// nobody will produce.
         SkipRecoveryRewait,
-        /// A speculative map attempt skips the pre-publish commit
-        /// claim: the racing loser puts its shuffle output *after* the
-        /// winner committed, overwriting the committed entries at a
-        /// newer epoch that no commit will ever match.
-        DropSpeculationClaim,
         /// The spill mover installs the on-disk tier without
         /// `notify_all`: fetchers blocked on a `Moving` partition are
         /// never woken and progress only via the timed-wait safety
@@ -100,7 +96,6 @@ pub mod chaos {
             Mutation::DropMapDoneNotify => 2,
             Mutation::HoldStateAcrossAcquire => 3,
             Mutation::SkipRecoveryRewait => 4,
-            Mutation::DropSpeculationClaim => 5,
             Mutation::DropTierMoveNotify => 6,
         }
     }

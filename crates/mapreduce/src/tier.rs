@@ -42,8 +42,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Store key: `(job, map, reducer, epoch)`. The epoch is the map
-/// attempt that produced the bytes, exactly as in the engine's
-/// shuffle store — fetches name the attempt they observed committed.
+/// attempt that produced the bytes — fetches name the attempt the
+/// scheduler observed committed.
 pub type PartKey = (u64, usize, usize, u32);
 
 /// Where the bytes of one partition live.

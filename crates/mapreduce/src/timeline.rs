@@ -39,7 +39,7 @@ pub enum TaskKind {
     /// re-execution.
     MapSpeculated,
     /// A map attempt (either racer) lost the first-commit-wins race;
-    /// its output was never published.
+    /// its output is never bound to a reducer.
     MapSpeculationLost,
     /// Reserved: a speculative twin was granted for a running reduce.
     /// The engine currently races maps only (see DESIGN.md), but the

@@ -34,7 +34,7 @@ use sidr_coords::Coord;
 use sidr_core::exec::ExecOptions;
 use sidr_core::spec::JobSpec;
 use sidr_dfs::{DfsConfig, FileId, NameNode, NodeId};
-use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
+use sidr_mapreduce::executor::{GroupEmit, ReduceSource, RemoteReduceError, TaskExecutor};
 use sidr_mapreduce::{Counters, InputSplit, MapTaskId, MrError};
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
@@ -782,19 +782,22 @@ impl RemoteJob<'_> {
     }
 }
 
-impl RemoteJob<'_> {
-    /// Shared body of map dispatch. A speculative twin demotes the
-    /// worker currently running the primary attempt to the *back* of
-    /// the locality-ranked candidate list: racing on the machine that
-    /// is already slow defeats the point, but it stays a legal last
-    /// resort when it is the only live worker.
-    fn dispatch_map(
+impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
+    /// A speculative twin demotes the worker currently running the
+    /// primary attempt to the *back* of the locality-ranked candidate
+    /// list: racing on the machine that is already slow defeats the
+    /// point, but it stays a legal last resort when it is the only
+    /// live worker.
+    fn execute_map(
         &self,
         task: MapTaskId,
         attempt: u32,
+        speculative: bool,
         split: &InputSplit,
         counters: &Counters,
-        speculative: bool,
+        // The attempt runs on a worker, which cannot see the
+        // scheduler's cancel or race state.
+        _pause: &dyn Fn(Duration) -> bool,
     ) -> sidr_mapreduce::Result<()> {
         {
             let mut splits = self.splits.lock().unwrap();
@@ -884,28 +887,6 @@ impl RemoteJob<'_> {
             "map {task}: every candidate worker died during dispatch"
         )))
     }
-}
-
-impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
-    fn execute_map(
-        &self,
-        task: MapTaskId,
-        attempt: u32,
-        split: &InputSplit,
-        counters: &Counters,
-    ) -> sidr_mapreduce::Result<()> {
-        self.dispatch_map(task, attempt, split, counters, false)
-    }
-
-    fn execute_map_speculative(
-        &self,
-        task: MapTaskId,
-        attempt: u32,
-        split: &InputSplit,
-        counters: &Counters,
-    ) -> sidr_mapreduce::Result<()> {
-        self.dispatch_map(task, attempt, split, counters, true)
-    }
 
     fn execute_reduce(
         &self,
@@ -913,7 +894,8 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-        emit: &mut dyn FnMut(Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()>,
+        _counters: &Counters,
+        emit: &mut GroupEmit<'_, Coord, f64>,
     ) -> Result<u64, RemoteReduceError> {
         // Resolve each source's holder. A generation with no live
         // holder is already lost — report it without burning a
@@ -1038,7 +1020,7 @@ enum ReduceOutcome {
 fn run_reduce_on(
     addr: &str,
     req: &WorkerRequest,
-    emit: &mut dyn FnMut(Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()>,
+    emit: &mut GroupEmit<'_, Coord, f64>,
 ) -> ReduceOutcome {
     let mut conn = match WorkerConn::dial(addr, None) {
         Ok(c) => c,
@@ -1052,9 +1034,9 @@ fn run_reduce_on(
     loop {
         match conn.recv() {
             Ok(WorkerResponse::Fetched { .. }) => copied = true,
-            Ok(WorkerResponse::Group { records }) => {
+            Ok(WorkerResponse::Group { mut records }) => {
                 streamed = true;
-                if let Err(e) = emit(records) {
+                if let Err(e) = emit(&mut records) {
                     // Output-side failure is the coordinator's own.
                     return ReduceOutcome::Fatal(e);
                 }

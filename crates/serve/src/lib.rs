@@ -4,8 +4,8 @@
 //! The paper's runtime contributions compose into a long-running
 //! service here:
 //!
-//! * **one shared slot pool** (§3.3): every admitted job executes via
-//!   `run_job_shared` on one cluster-wide [`SlotPool`](sidr_mapreduce::SlotPool), so map/reduce
+//! * **one shared slot pool** (§3.3): every admitted job is scheduled by
+//!   `run_job_with_executor` on one cluster-wide [`SlotPool`](sidr_mapreduce::SlotPool), so map/reduce
 //!   capacity is bounded across tenants, with inverted scheduling
 //!   intact — in-flight reduces, not idle ones, gate map eligibility;
 //! * **admission pre-flight**: submissions are `sidr-analyze`d before

@@ -2,7 +2,8 @@
 //! queries with streaming early results.
 //!
 //! One process owns one cluster-wide [`SlotPool`]; every admitted job
-//! executes on it concurrently via `run_job_shared`, so the §3.3
+//! is scheduled on it concurrently by `run_job_with_executor` (attempts
+//! run in-process, or on the fleet when one is configured), so the §3.3
 //! slot-class bounds hold *across* jobs, not per job. Admission runs
 //! the `sidr-analyze` pre-flight on each submitted [`JobSpec`] before
 //! anything is scheduled — a plan that would hang or answer wrongly
@@ -756,7 +757,6 @@ fn run_admitted_job(
                 match fleet.prepare_job(&spec, &input, &exec_opts) {
                     Ok(remote) => {
                         let r = run_spec_with_executor(
-                            &file,
                             &spec,
                             &opts,
                             &out,

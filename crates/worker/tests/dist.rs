@@ -120,11 +120,16 @@ fn keyblock_commits(out: &InMemoryOutput<Coord, f64>) -> Keyblocks {
 
 /// Runs the spec on the local in-process engine (the reference).
 fn run_local(spec: &JobSpec, input: &str) -> Keyblocks {
+    run_local_counted(spec, input).1
+}
+
+/// [`run_local`], with the engine's result (counters, timeline).
+fn run_local_counted(spec: &JobSpec, input: &str) -> (JobResult, Keyblocks) {
     let file = ScincFile::open(input).unwrap();
     let pool = SlotPool::new(4, 2).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
-    run_spec_on_pool(&file, spec, &run_opts(), &out, &pool, None).unwrap();
-    keyblock_commits(&out)
+    let result = run_spec_on_pool(&file, spec, &run_opts(), &out, &pool, None).unwrap();
+    (result, keyblock_commits(&out))
 }
 
 /// Runs the spec against an already-connected fleet, with `mid_job`
@@ -160,13 +165,11 @@ fn run_distributed_with(
     ropts: &SpecRunOptions,
     mid_job: impl FnOnce(u64) + Send,
 ) -> (JobResult, Keyblocks) {
-    let file = ScincFile::open(input).unwrap();
     let remote = fleet.prepare_job(spec, input, &opts).expect("prepare");
     let pool = SlotPool::new(4, spec.num_reducers).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = thread::scope(|s| {
-        let runner =
-            s.spawn(|| run_spec_with_executor(&file, spec, ropts, &out, &pool, None, &remote));
+        let runner = s.spawn(|| run_spec_with_executor(spec, ropts, &out, &pool, None, &remote));
         let mid =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mid_job(remote.job_id())));
         if mid.is_err() {
@@ -226,7 +229,7 @@ fn pick_victim(workers: &[Worker], job: u64) -> (usize, Vec<usize>) {
 #[test]
 fn fleet_output_is_byte_identical_to_single_process() {
     let (spec, input) = fig08_scale_fixture("fig08");
-    let expected = run_local(&spec, &input);
+    let (local, expected) = run_local_counted(&spec, &input);
 
     let workers = spawn_workers(3);
     let fleet = fleet_of(&workers);
@@ -244,6 +247,14 @@ fn fleet_output_is_byte_identical_to_single_process() {
     assert!(
         reexecuted_maps(&result.events).is_empty(),
         "clean run must not re-execute maps"
+    );
+    // Table 3's number is the plan's, not the placement's: one
+    // connection per (map in I_ℓ, reducer), wherever attempts ran.
+    let deps: usize = spec.reduce_deps.iter().map(Vec::len).sum();
+    assert_eq!(local.counters.shuffle_connections, deps as u64);
+    assert_eq!(
+        result.counters.shuffle_connections, local.counters.shuffle_connections,
+        "a fleet job must report the single-process run's connections"
     );
     // Every map attempt landed on the fleet, none ran in-process.
     let map_attempts: u64 = workers.iter().map(|w| w.stat().map_attempts).sum();

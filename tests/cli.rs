@@ -18,15 +18,17 @@ fn run(cmd: &mut Command) -> (bool, String) {
     (out.status.success(), text)
 }
 
-fn temp_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sidr-cli-test-{}", std::process::id()));
+/// A directory of the calling test's own: tests run on parallel
+/// threads of one process and each removes its directory when done.
+fn temp_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sidr-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn full_cli_flow() {
-    let dir = temp_dir();
+    let dir = temp_dir("flow");
     let data = dir.join("t.scinc");
 
     // generate
@@ -107,7 +109,7 @@ fn simulate_prints_paper_scale_summary() {
 
 #[test]
 fn bad_inputs_fail_cleanly() {
-    let dir = temp_dir();
+    let dir = temp_dir("bad-inputs");
     // Unknown command.
     let (ok, text) = run(sidr().args(["frobnicate"]));
     assert!(!ok);
