@@ -2,9 +2,7 @@
 //! every reduce task pays (§2.3: "merge all their data into a sorted
 //! list").
 //!
-//! Three benchmark groups:
-//! * `shuffle_merge/materialize` — the compatibility wrapper
-//!   [`merge_files`], which still builds the whole `Vec<(K, Vec<V>)>`;
+//! Two benchmark groups:
 //! * `shuffle_merge/legacy` — the seed's flatten-clone-stable-sort
 //!   merge, reimplemented here as the baseline;
 //! * `shuffle_merge/streaming` — the heap-based [`MergeIter`] the
@@ -13,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 
-use sidr_mapreduce::{merge_files, MapOutputFile, MergeIter};
+use sidr_mapreduce::{MapOutputFile, MergeIter};
 
 /// Builds `files` sorted map-output files of `per_file` keyed records,
 /// with keys interleaved across files (the shuffle's worst case).
@@ -55,16 +53,6 @@ fn bench_merge(c: &mut Criterion) {
         let input = make_files(files, per_file);
         let total = (files * per_file) as u64;
         group.throughput(Throughput::Elements(total));
-        group.bench_function(
-            BenchmarkId::new("materialize", format!("{files}files")),
-            |b| {
-                b.iter(|| {
-                    let merged = merge_files(&input);
-                    assert_eq!(merged.len(), files * per_file);
-                    merged
-                })
-            },
-        );
         group.bench_function(BenchmarkId::new("legacy", format!("{files}files")), |b| {
             b.iter(|| {
                 let merged = legacy_merge(&input);

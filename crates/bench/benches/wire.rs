@@ -7,16 +7,14 @@
 //!   as a JSON `Response::Keyblock` frame;
 //! * `wire/keyblock_binary` — the negotiated path:
 //!   [`binframe::encode_keyblock`] into one packed buffer;
-//! * `wire/ingest_v2` — decode a SMOF v2 partition into owned records
-//!   and merge;
-//! * `wire/ingest_v3` — validate a [`Smof3View`] over the same bytes
-//!   and merge straight out of them.
+//! * `wire/ingest` — validate a [`Smof3View`] over a SMOF partition's
+//!   bytes and merge straight out of them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output, encode_map_output_v2};
+use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{MapOutputFile, MergeIter, Smof3View};
 use sidr_serve::binframe;
 use sidr_serve::{frame, Response};
@@ -69,24 +67,11 @@ fn partition(n: usize) -> MapOutputFile<Coord, f64> {
 fn bench_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     let n = 40_000usize;
-    let file = partition(n);
-    let v2 = encode_map_output_v2(&file).unwrap();
-    let v3 = Arc::new(encode_map_output(&file).unwrap());
+    let bytes = Arc::new(encode_map_output(&partition(n)).unwrap());
     group.throughput(Throughput::Elements(n as u64));
-    group.bench_function(BenchmarkId::new("ingest_v2", n), |b| {
+    group.bench_function(BenchmarkId::new("ingest", n), |b| {
         b.iter(|| {
-            let decoded: MapOutputFile<Coord, f64> = decode_map_output(&v2).unwrap();
-            let mut merge = MergeIter::with_files([Arc::new(decoded)]);
-            let mut records = 0u64;
-            while let Some((_, vs)) = merge.next_group() {
-                records += vs.len() as u64;
-            }
-            records
-        });
-    });
-    group.bench_function(BenchmarkId::new("ingest_v3", n), |b| {
-        b.iter(|| {
-            let view = Smof3View::<Coord, f64>::parse(Arc::clone(&v3))
+            let view = Smof3View::<Coord, f64>::parse(Arc::clone(&bytes))
                 .unwrap()
                 .unwrap();
             let mut merge: MergeIter<Coord, f64> = MergeIter::new();

@@ -1,7 +1,7 @@
 //! `shuffle-bench`: macro-benchmark of the reduce-side shuffle merge.
 //!
 //! Compares the legacy flatten-clone-stable-sort merge (the seed's
-//! `merge_files`, kept here verbatim as the baseline) against the
+//! merge, kept here verbatim as the baseline) against the
 //! streaming k-way [`MergeIter`] pipeline the engine now runs, on
 //! inputs shaped like the paper workloads:
 //!

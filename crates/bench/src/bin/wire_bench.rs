@@ -4,11 +4,10 @@
 //! Figure 8 weekly-averages scale:
 //!
 //! * **shuffle ingest** — one reducer's partitions, bytes-in to
-//!   groups-out: the v2 path (decode every record into an owned
-//!   `MapOutputFile`, then merge) against the v3 path (validate a
-//!   [`Smof3View`] over the fetched bytes and merge straight out of
-//!   them). Reports records/sec/core and the bytes-in-to-first-group
-//!   latency — the front half of time-to-first-keyblock.
+//!   groups-out: validate a [`Smof3View`] over each fetched SMOF
+//!   buffer and merge straight out of the bytes. Reports
+//!   records/sec/core and the bytes-in-to-first-group latency — the
+//!   front half of time-to-first-keyblock.
 //! * **frame encode** — a committed keyblock, records-in to
 //!   frame-bytes-out: the JSON `Response::Keyblock` serialization
 //!   against [`binframe::encode_keyblock`]. Reports per-frame
@@ -32,7 +31,7 @@ use serde::Serialize;
 
 use sidr_bench::{AllocScope, CountingAlloc};
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output, encode_map_output_v2};
+use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{MapOutputFile, MergeIter, Smof3View};
 use sidr_serve::binframe;
 use sidr_serve::{frame, Response};
@@ -95,25 +94,15 @@ fn drain(mut merge: MergeIter<Coord, f64>, first_group_ms: &mut f64, t0: Instant
     d
 }
 
-/// v2 ingest: decode every partition into owned records, then merge.
-fn consume_v2(partitions: &[Vec<u8>], first_group_ms: &mut f64) -> Digest {
-    let t0 = Instant::now();
-    let files: Vec<Arc<MapOutputFile<Coord, f64>>> = partitions
-        .iter()
-        .map(|bytes| Arc::new(decode_map_output(bytes).expect("bench bytes are valid")))
-        .collect();
-    drain(MergeIter::with_files(files), first_group_ms, t0)
-}
-
-/// v3 ingest: validate a view over each partition's bytes and merge
-/// the records in place — no per-record decode, no copy.
-fn consume_v3(partitions: &[Arc<Vec<u8>>], first_group_ms: &mut f64) -> Digest {
+/// Ingest: validate a view over each partition's bytes and merge the
+/// records in place — no per-record decode, no copy.
+fn consume(partitions: &[Arc<Vec<u8>>], first_group_ms: &mut f64) -> Digest {
     let t0 = Instant::now();
     let mut merge: MergeIter<Coord, f64> = MergeIter::new();
     for bytes in partitions {
         let view = Smof3View::<Coord, f64>::parse(Arc::clone(bytes))
             .expect("bench bytes are valid")
-            .expect("uniform-rank coords encode as v3");
+            .expect("parse never yields None");
         merge.push_frame(view);
     }
     drain(merge, first_group_ms, t0)
@@ -139,10 +128,7 @@ struct MergeSection {
     total_records: u64,
     input_bytes: u64,
     reps: usize,
-    v2_decode: IngestReport,
-    v3_frames: IngestReport,
-    throughput_speedup: f64,
-    first_group_speedup: f64,
+    frames: IngestReport,
 }
 
 #[derive(Serialize)]
@@ -184,7 +170,7 @@ fn measure_ingest<F: FnMut(&mut f64) -> Digest>(
     mut run: F,
     reps: usize,
     total_records: u64,
-) -> (IngestReport, Digest) {
+) -> IngestReport {
     let mut first = f64::NAN;
     let digest = run(&mut first); // warm-up + reference digest
     let scope = AllocScope::start();
@@ -201,16 +187,13 @@ fn measure_ingest<F: FnMut(&mut f64) -> Digest>(
         best = best.min(dt);
         best_first = best_first.min(first);
     }
-    (
-        IngestReport {
-            elapsed_ms: best * 1e3,
-            records_per_sec_per_core: total_records as f64 / best,
-            first_group_ms: best_first,
-            bytes_allocated,
-            peak_live_bytes,
-        },
-        digest,
-    )
+    IngestReport {
+        elapsed_ms: best * 1e3,
+        records_per_sec_per_core: total_records as f64 / best,
+        first_group_ms: best_first,
+        bytes_allocated,
+        peak_live_bytes,
+    }
 }
 
 /// One keyblock's worth of reduced records.
@@ -304,41 +287,27 @@ fn main() -> ExitCode {
 
     let sources = make_files(files, keys, 4);
     let total: u64 = sources.iter().map(|f| f.records.len() as u64).sum();
-    let v2_bytes: Vec<Vec<u8>> = sources
-        .iter()
-        .map(|f| encode_map_output_v2(f).expect("encodes"))
-        .collect();
-    let v3_bytes: Vec<Arc<Vec<u8>>> = sources
+    let partitions: Vec<Arc<Vec<u8>>> = sources
         .iter()
         .map(|f| Arc::new(encode_map_output(f).expect("encodes")))
         .collect();
-    let input_bytes: u64 = v3_bytes.iter().map(|b| b.len() as u64).sum();
+    let input_bytes: u64 = partitions.iter().map(|b| b.len() as u64).sum();
 
-    let (v2, v2_digest) = measure_ingest(|first| consume_v2(&v2_bytes, first), reps, total);
-    let (v3, v3_digest) = measure_ingest(|first| consume_v3(&v3_bytes, first), reps, total);
-    assert_eq!(v2_digest, v3_digest, "both ingests deliver the same groups");
     let merge = MergeSection {
         name: "fig08-scale",
         files,
         total_records: total,
         input_bytes,
         reps,
-        throughput_speedup: v3.records_per_sec_per_core / v2.records_per_sec_per_core,
-        first_group_speedup: v2.first_group_ms / v3.first_group_ms,
-        v2_decode: v2,
-        v3_frames: v3,
+        frames: measure_ingest(|first| consume(&partitions, first), reps, total),
     };
     println!(
-        "{:>12}: {} files, {} records | v2 {:>10.0} rec/s/core, first group {:>7.3} ms | \
-         v3 {:>10.0} rec/s/core, first group {:>7.3} ms | {:.2}x throughput",
+        "{:>12}: {} files, {} records | {:>10.0} rec/s/core, first group {:>7.3} ms",
         merge.name,
         files,
         total,
-        merge.v2_decode.records_per_sec_per_core,
-        merge.v2_decode.first_group_ms,
-        merge.v3_frames.records_per_sec_per_core,
-        merge.v3_frames.first_group_ms,
-        merge.throughput_speedup,
+        merge.frames.records_per_sec_per_core,
+        merge.frames.first_group_ms,
     );
 
     // fig08's 18.2M-pair shuffle over 22 keyblocks ≈ 827k records per
@@ -396,8 +365,7 @@ fn main() -> ExitCode {
     };
 
     let report = BenchReport {
-        bench: "wire path: v2 decode-merge vs v3 frame-merge; JSON vs binary keyblock encode"
-            .into(),
+        bench: "wire path: SMOF frame-merge ingest; JSON vs binary keyblock encode".into(),
         tiny,
         merge,
         frame_encode,

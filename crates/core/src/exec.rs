@@ -7,11 +7,11 @@
 //! the worker crate only moves CRC-framed SMOF byte buffers between
 //! processes. The attempt bodies themselves are the engine's
 //! (`run_map_attempt` / `run_reduce_attempt`), the same ones the
-//! in-process executor runs. Map attempts produce their per-reducer partitions as
-//! *encoded* SMOF buffers (the exact on-disk/on-wire spill format —
-//! v3 fixed-width for ⟨coord, f64⟩ records), and reduce attempts
+//! in-process executor runs. Map attempts produce their per-reducer
+//! partitions as *encoded* SMOF buffers (the one on-disk/on-wire
+//! format — v3, fixed-width ⟨coord, f64⟩ records), and reduce attempts
 //! merge the buffers a worker fetched from the holders **in place**
-//! (v3 frames are borrowed, not decoded), in the plan's fetch order
+//! (frames are borrowed, not decoded), in the plan's fetch order
 //! so the merge's equal-key tie-break — and therefore the streamed
 //! output — is byte-identical to a single-process run.
 
@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{
-    run_map_attempt, run_reduce_attempt, Counters, FaultPlan, MapOutputBuilder, MapTaskId,
-    MergeSource, MrError, RoutingPlan,
+    run_map_attempt, run_reduce_attempt, Counters, FaultPlan, MapTaskId, MergeSource, MrError,
+    RoutingPlan,
 };
 use sidr_scifile::{DataType, Element, ScincFile};
 
@@ -149,7 +149,6 @@ impl SpecExecutor {
                 .as_ref()
                 .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
             &self.plan,
-            MapOutputBuilder::new(self.spec.num_reducers),
             &counters,
             // A worker cannot see the coordinator's cancel or race
             // state; an injected straggle sleeps its full delay here.

@@ -75,9 +75,6 @@ pub struct RunOptions {
     /// Artificial per-task costs (examples/teaching).
     pub map_think: Duration,
     pub reduce_think: Duration,
-    /// Spill map output to annotated on-disk files (Hadoop's real
-    /// shuffle path) under this directory.
-    pub spill_dir: Option<std::path::PathBuf>,
     /// Push a `Filter` operator's predicate below the shuffle (Query
     /// 2's regime: Reduce tasks "process far less data", §4.1).
     /// Output is unchanged; count-annotation validation is disabled
@@ -105,7 +102,6 @@ impl RunOptions {
             volatile_intermediate: false,
             map_think: Duration::ZERO,
             reduce_think: Duration::ZERO,
-            spill_dir: None,
             filter_pushdown: false,
             skip_preflight: false,
         }
@@ -194,8 +190,6 @@ fn run_typed<E: Element>(
         volatile_intermediate: opts.volatile_intermediate,
         map_think: opts.map_think,
         reduce_think: opts.reduce_think,
-        spill_dir: opts.spill_dir.clone(),
-        map_spill_records: None,
         speculation: SpeculationPolicy::default(),
         progress: None,
     };
@@ -422,7 +416,7 @@ fn run_spec_in_process<E: Element>(
         &reducer,
         plan,
         &config,
-    )?;
+    );
     Ok(run_job_with_executor(
         &spec.splits,
         plan,

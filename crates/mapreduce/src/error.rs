@@ -31,11 +31,6 @@ pub enum MrError {
         expected: u64,
         actual: u64,
     },
-    /// A value was too large for its wire encoding's length prefix
-    /// (e.g. a > 4 GiB string against a `u32` prefix). Surfaced at
-    /// encode time instead of silently truncating the prefix and
-    /// producing bytes the decoder would misread.
-    EncodeOverflow { what: &'static str, len: usize },
     /// Output collection failed.
     Output(String),
     /// The job was cancelled through its `CancelToken` before it
@@ -61,10 +56,6 @@ impl fmt::Display for MrError {
                 f,
                 "reducer {reducer} annotation tally {actual} != expected {expected}: \
                  reduce would start on insufficient input"
-            ),
-            MrError::EncodeOverflow { what, len } => write!(
-                f,
-                "{what} of length {len} exceeds the u32 wire length prefix"
             ),
             MrError::Output(msg) => write!(f, "output error: {msg}"),
             MrError::Cancelled => write!(f, "job cancelled"),

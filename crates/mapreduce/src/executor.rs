@@ -12,10 +12,12 @@
 //! processes. Both run the same attempt bodies, [`run_map_attempt`]
 //! and [`run_reduce_attempt`].
 //!
-//! Payload representation is chosen where the bytes are consumed:
-//! typed and resident (`Arc<MapOutputFile>`) inside one process,
-//! CRC-framed SMOF bytes in a [`PartitionStore`] only when a partition
-//! crosses a disk ([`JobConfig::spill_dir`]) or a socket (the fleet).
+//! Payload representation is chosen where the data is consumed: typed
+//! and resident (`Arc<MapOutputFile>`) inside one process — the
+//! in-process executor has no byte encoding and touches no disk —
+//! and CRC-framed SMOF v3 bytes in a worker's
+//! [`PartitionStore`](crate::tier::PartitionStore) only when a
+//! partition crosses a disk or a socket (the fleet).
 //!
 //! A lost generation — a dead worker, a consumed volatile partition, a
 //! failed CRC — surfaces as [`RemoteReduceError::SourcesLost`]: the
@@ -23,23 +25,18 @@
 //! (`I_ℓ`) recovery of §6.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::counters::Counters;
 use crate::error::MrError;
-use crate::fault::{Fault, FaultKind, FaultPlan, FaultTarget};
+use crate::fault::FaultKind;
 use crate::plan::RoutingPlan;
 use crate::runtime::JobConfig;
 use crate::shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
-use crate::shuffle_file::encode_map_output;
 use crate::split::{InputSplit, MapTaskId};
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
-use crate::tier::{PartitionStore, TierConfig};
-use crate::wire::WireFormat;
 use crate::Result;
 
 /// One source partition of a reduce attempt: which map attempt's
@@ -138,7 +135,6 @@ pub fn run_map_attempt<S, K2, V2>(
     mapper: &dyn Mapper<InKey = S::Key, InValue = S::Value, OutKey = K2, OutValue = V2>,
     combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
     plan: &dyn RoutingPlan<K2>,
-    mut builder: MapOutputBuilder<K2, V2>,
     counters: &Counters,
     pause: &dyn Fn(Duration) -> bool,
 ) -> Result<Vec<(usize, MapOutputFile<K2, V2>)>>
@@ -163,10 +159,9 @@ where
         _ => None,
     };
     let mut source = open()?;
+    let mut builder = MapOutputBuilder::new(plan.num_reducers());
     let mut records_in = 0u64;
     let mut records_out = 0u64;
-    // The emit callback cannot return errors; park the first one.
-    let mut push_err: Option<MrError> = None;
     while let Some((k, v)) = source.next_record()? {
         if source_err_after.is_some_and(|after| records_in >= after) {
             return Err(MrError::Source(format!(
@@ -176,22 +171,14 @@ where
         }
         records_in += 1;
         mapper.map(&k, &v, &mut |k2, v2| {
-            if push_err.is_some() {
-                return;
-            }
             let reducer = plan.partition(&k2);
-            if let Err(e) = builder.push(reducer, k2, v2) {
-                push_err = Some(e);
-            }
+            builder.push(reducer, k2, v2);
             records_out += 1;
         });
-        if let Some(e) = push_err {
-            return Err(e);
-        }
     }
     Counters::add(&counters.map_records_in, records_in);
     Counters::add(&counters.map_records_out, records_out);
-    builder.finish(combiner, counters)
+    Ok(builder.finish(combiner, counters))
 }
 
 /// Records handed through the merge per [`GroupBatch`] fill once the
@@ -266,22 +253,10 @@ where
     Ok(emitted)
 }
 
-/// Process-wide job sequence: namespaces each in-process job's spill
-/// files and scratch directories (two concurrent jobs on one
-/// [`SlotPool`](crate::runtime::SlotPool), or handed the same
-/// `spill_dir`, must never share filenames).
-static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A [`TierConfig::budget_bytes`] no partition fits under, so every
-/// insert goes straight to the disk tier: `spill_dir`'s meaning.
-const SPILL_EVERYTHING: u64 = 1;
-
-/// Where one committed partition of a generation lives.
+/// One committed partition of a generation.
 enum Partition<K, V> {
     /// Typed and resident: handed to reducers by `Arc`.
     Resident(Arc<MapOutputFile<K, V>>),
-    /// CRC-framed SMOF bytes in the executor's [`PartitionStore`].
-    Spilled,
     /// Consumed by a volatile fetch, or damaged: lost, *not* empty.
     Gone,
 }
@@ -296,8 +271,8 @@ type Generation<K, V> = HashMap<usize, Partition<K, V>>;
 /// Generations are keyed by `(map, attempt)`, so a speculative loser
 /// or a superseded re-execution can never overwrite what a reducer was
 /// promised — it just sits unbound until the job ends. One executor
-/// serves one job; dropping it sweeps everything the job still holds,
-/// in memory and on disk, however the job ended.
+/// serves one job; dropping it drops everything the job still holds,
+/// however the job ended.
 pub struct InProcessExecutor<'a, K1, V1, K2, V2, V3, SF>
 where
     K1: MrKey,
@@ -312,17 +287,8 @@ where
     reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
     plan: &'a dyn RoutingPlan<K2>,
     config: &'a JobConfig,
-    /// Process-unique id namespacing this job's spill files and
-    /// scratch runs.
-    job: u64,
     /// Committed generations, `(map, attempt)` → partitions.
     table: Mutex<HashMap<(MapTaskId, u32), Generation<K2, V2>>>,
-    /// The disk tier, present iff `config.spill_dir` is.
-    store: Option<PartitionStore>,
-    /// Where map-side sort-buffer runs spill (set iff
-    /// `config.map_spill_records` is), and whether that directory is a
-    /// per-job scratch directory this executor created and sweeps.
-    map_spill_dir: Option<(PathBuf, bool)>,
 }
 
 impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, K1, V1, K2, V2, V3, SF>
@@ -336,8 +302,7 @@ where
     /// * `source_factory` — opens the RecordReader for a split,
     /// * `mapper` / `combiner` / `reducer` — the user functions,
     /// * `plan` — the partition function,
-    /// * `config` — fault script, `spill_dir`, `map_spill_records`,
-    ///   `volatile_intermediate`.
+    /// * `config` — fault script, `volatile_intermediate`.
     pub fn new(
         source_factory: &'a SF,
         mapper: &'a dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
@@ -345,52 +310,16 @@ where
         reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
         plan: &'a dyn RoutingPlan<K2>,
         config: &'a JobConfig,
-    ) -> Result<Self> {
-        let job = (u64::from(std::process::id()) << 32) | JOB_SEQ.fetch_add(1, Ordering::Relaxed);
-        let make_dir = |dir: &PathBuf| {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| MrError::BadConfig(format!("spill dir {}: {e}", dir.display())))
-        };
-        let store = match &config.spill_dir {
-            None => None,
-            Some(dir) => {
-                make_dir(dir)?;
-                let store = PartitionStore::on_disk(
-                    TierConfig {
-                        budget_bytes: SPILL_EVERYTHING,
-                        ..TierConfig::default()
-                    },
-                    dir,
-                );
-                store.prepare_job(job, on_disk_faults(&config.fault_plan), &[]);
-                Some(store)
-            }
-        };
-        let map_spill_dir = match (config.map_spill_records, &config.spill_dir) {
-            (None, _) => None,
-            (Some(_), Some(dir)) => Some((dir.clone(), false)),
-            (Some(_), None) => Some((
-                std::env::temp_dir()
-                    .join("sidr-map-spill")
-                    .join(format!("job{job:016x}")),
-                true,
-            )),
-        };
-        if let Some((dir, _)) = &map_spill_dir {
-            make_dir(dir)?;
-        }
-        Ok(InProcessExecutor {
+    ) -> Self {
+        InProcessExecutor {
             source_factory,
             mapper,
             combiner,
             reducer,
             plan,
             config,
-            job,
             table: Mutex::new(HashMap::new()),
-            store,
-            map_spill_dir,
-        })
+        }
     }
 
     /// Map generations currently held, bound or not.
@@ -398,49 +327,9 @@ where
         self.table.lock().len()
     }
 
-    /// The job is over: drops every generation still held and deletes
-    /// the job's spill files and scratch runs. Runs on drop.
+    /// The job is over: drops every generation still held.
     pub fn finish(&self) {
         self.table.lock().clear();
-        if let Some(store) = &self.store {
-            store.remove_job(self.job);
-        }
-        // Failed attempts may have left runs behind in the scratch
-        // directory this job owns; sweep all of it.
-        if let Some((dir, true)) = &self.map_spill_dir {
-            std::fs::remove_dir_all(dir).ok();
-        }
-    }
-}
-
-impl<K1, V1, K2, V2, V3, SF> Drop for InProcessExecutor<'_, K1, V1, K2, V2, V3, SF>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// The job's post-commit output faults as the disk tier scripts them:
-/// the spilled copy is damaged right after its write commits, so the
-/// CRC genuinely fails when a fetch reads it back.
-fn on_disk_faults(plan: &FaultPlan) -> FaultPlan {
-    let faults = plan.faults.iter().filter_map(|f| {
-        let kind = match (f.target, f.kind) {
-            (FaultTarget::Map(_), FaultKind::CorruptOutput) => FaultKind::SpillReadCorrupt,
-            (FaultTarget::Map(_), FaultKind::TruncateOutput) => FaultKind::SpillReadTruncate,
-            _ => return None,
-        };
-        Some(Fault { kind, ..*f })
-    });
-    FaultPlan {
-        seed: plan.seed,
-        faults: faults.collect(),
     }
 }
 
@@ -449,8 +338,8 @@ impl<K1, V1, K2, V2, V3, SF, S> TaskExecutor<K2, V3>
 where
     K1: MrKey,
     V1: MrValue,
-    K2: MrKey + WireFormat,
-    V2: MrValue + WireFormat,
+    K2: MrKey,
+    V2: MrValue,
     V3: MrValue,
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,
@@ -465,11 +354,6 @@ where
         pause: &dyn Fn(Duration) -> bool,
     ) -> Result<()> {
         let fault = self.config.fault_plan.map_fault(task, attempt);
-        let mut builder = MapOutputBuilder::new(self.plan.num_reducers());
-        if let (Some(limit), Some((dir, _))) = (self.config.map_spill_records, &self.map_spill_dir)
-        {
-            builder = builder.with_spill(limit, dir.clone(), task);
-        }
         let files = run_map_attempt(
             task,
             attempt,
@@ -478,31 +362,28 @@ where
             self.mapper,
             self.combiner,
             self.plan,
-            builder,
             counters,
             pause,
         )?;
         // Post-commit damage: the attempt "succeeds", the loss is
-        // found only when a reduce fetches. On disk the tier damages
-        // the file and its CRC fails; a typed resident payload has no
-        // CRC to fail, so the damaged partition is recorded as gone.
+        // found only when a reduce fetches. A typed resident payload
+        // has no CRC to fail, so a damaged partition is recorded as
+        // gone.
         let damaged = matches!(
             fault,
             Some(FaultKind::CorruptOutput | FaultKind::TruncateOutput)
         );
-        let mut generation = Generation::new();
-        for (reducer, file) in files {
-            let partition = match &self.store {
-                Some(store) => {
-                    let bytes = Arc::new(encode_map_output(&file)?);
-                    store.insert((self.job, task, reducer, attempt), bytes);
-                    Partition::Spilled
-                }
-                None if damaged => Partition::Gone,
-                None => Partition::Resident(Arc::new(file)),
-            };
-            generation.insert(reducer, partition);
-        }
+        let generation = files
+            .into_iter()
+            .map(|(reducer, file)| {
+                let partition = if damaged {
+                    Partition::Gone
+                } else {
+                    Partition::Resident(Arc::new(file))
+                };
+                (reducer, partition)
+            })
+            .collect();
         self.table.lock().insert((task, attempt), generation);
         Ok(())
     }
@@ -519,38 +400,21 @@ where
         let mut inputs = Vec::with_capacity(sources.len());
         let mut lost = Vec::new();
         {
-            // One critical section (disk reads included — `spill_dir`
-            // is not the fast path): either every source is present
+            // One critical section: either every source is present
             // and, under volatile data, consumed together, or nothing
             // is touched and the lost maps are reported.
             let mut table = self.table.lock();
             for s in sources {
-                let Some(generation) = table.get_mut(&(s.map, s.epoch)) else {
+                let Some(generation) = table.get(&(s.map, s.epoch)) else {
                     lost.push(s.map);
                     continue;
                 };
-                let Some(partition) = generation.get_mut(&reducer) else {
-                    continue; // this map produced nothing for this reducer
-                };
-                match partition {
-                    Partition::Resident(file) => inputs.push(MergeSource::File(Arc::clone(file))),
-                    Partition::Gone => lost.push(s.map),
-                    Partition::Spilled => {
-                        let store = self.store.as_ref().expect("spilled implies a store");
-                        match store.get(&(self.job, s.map, reducer, s.epoch)) {
-                            Ok(Some(bytes)) => inputs.push(
-                                MergeSource::from_encoded(bytes)
-                                    .map_err(RemoteReduceError::Fatal)?,
-                            ),
-                            // The CRC rejected the replica (the store
-                            // has already discarded it).
-                            Ok(None) | Err(MrError::CorruptShuffle { .. }) => {
-                                *partition = Partition::Gone;
-                                lost.push(s.map);
-                            }
-                            Err(e) => return Err(RemoteReduceError::Fatal(e)),
-                        }
+                match generation.get(&reducer) {
+                    None => {} // this map produced nothing for this reducer
+                    Some(Partition::Resident(file)) => {
+                        inputs.push(MergeSource::File(Arc::clone(file)))
                     }
+                    Some(Partition::Gone) => lost.push(s.map),
                 }
             }
             if !lost.is_empty() {
@@ -562,9 +426,6 @@ where
                         .get_mut(&(s.map, s.epoch))
                         .and_then(|generation| generation.get_mut(&reducer));
                     if let Some(partition) = partition {
-                        if let (Partition::Spilled, Some(store)) = (&*partition, &self.store) {
-                            store.remove(&(self.job, s.map, reducer, s.epoch));
-                        }
                         *partition = Partition::Gone;
                     }
                 }

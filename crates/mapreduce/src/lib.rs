@@ -63,9 +63,7 @@ pub use runtime::{
     run_job, run_job_shared, run_job_with_executor, CancelToken, CancelWake, JobConfig, JobResult,
     Semaphore, SlotOccupancy, SlotPool, WakerRegistration,
 };
-pub use shuffle::{
-    merge_files, GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource,
-};
+pub use shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
 pub use smof3::Smof3View;
 pub use speculation::{ProgressProbe, SpeculationPolicy};
 pub use split::{InputSplit, MapTaskId, SplitGenerator};

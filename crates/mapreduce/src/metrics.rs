@@ -30,10 +30,7 @@ pub struct RuntimeMetrics {
     /// Time actually spent blocked waiting for map outputs inside the
     /// copy phase (the rest of the phase is fetching).
     pub copy_wait_seconds: Arc<Histogram>,
-    /// Map-side sort-buffer spill runs written.
-    pub map_spills: Arc<Counter>,
-    /// Records / approximate bytes consumed through `MergeIter`
-    /// (reduce-side k-way merges and map-side run merges alike).
+    /// Records / approximate bytes consumed through `MergeIter`.
     pub merge_records: Arc<Counter>,
     pub merge_bytes: Arc<Counter>,
     /// `sidr_task_retries_total{kind=...}` — task attempts relaunched
@@ -100,11 +97,6 @@ pub fn runtime() -> &'static RuntimeMetrics {
                 "Time blocked waiting for map outputs during the copy phase, seconds",
                 &[],
                 DURATION_BUCKETS,
-            ),
-            map_spills: r.counter(
-                "sidr_map_spills_total",
-                "Map-side sort-buffer spill runs written",
-                &[],
             ),
             merge_records: r.counter(
                 "sidr_merge_records_total",

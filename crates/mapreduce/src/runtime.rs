@@ -70,18 +70,6 @@ pub struct JobConfig {
     pub map_think: Duration,
     /// Artificial per-Reduce-task cost (examples/teaching only).
     pub reduce_think: Duration,
-    /// When set, every map-output partition lands on disk as a
-    /// CRC-framed SMOF file (the format of [`crate::shuffle_file`])
-    /// under this directory instead of staying resident — Hadoop's
-    /// actual shuffle path; damage is found by the CRC at fetch.
-    pub spill_dir: Option<std::path::PathBuf>,
-    /// Map-side sort-buffer limit in records: buffers exceeding it
-    /// are sorted and spilled as runs, merged at task end (Hadoop's
-    /// `io.sort.mb` pipeline). `None` keeps everything in memory.
-    /// Runs land in `spill_dir`, or in a per-job directory under
-    /// `$TMP/sidr-map-spill` — namespaced by job so concurrent jobs
-    /// on one pool never collide on run filenames.
-    pub map_spill_records: Option<usize>,
     /// Speculative execution: race a second attempt of a map whose
     /// elapsed time exceeds a quantile of its committed cohort; first
     /// commit wins, the loser's output is never bound to a reducer.
@@ -104,8 +92,6 @@ impl Default for JobConfig {
             volatile_intermediate: false,
             map_think: Duration::ZERO,
             reduce_think: Duration::ZERO,
-            spill_dir: None,
-            map_spill_records: None,
             speculation: SpeculationPolicy::default(),
             progress: None,
         }
@@ -701,8 +687,8 @@ pub fn run_job<K1, V1, K2, V2, V3, SF, S>(
 where
     K1: MrKey,
     V1: MrValue,
-    K2: MrKey + crate::wire::WireFormat,
-    V2: MrValue + crate::wire::WireFormat,
+    K2: MrKey,
+    V2: MrValue,
     V3: MrValue,
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,
@@ -747,13 +733,13 @@ pub fn run_job_shared<K1, V1, K2, V2, V3, SF, S>(
 where
     K1: MrKey,
     V1: MrValue,
-    K2: MrKey + crate::wire::WireFormat,
-    V2: MrValue + crate::wire::WireFormat,
+    K2: MrKey,
+    V2: MrValue,
     V3: MrValue,
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,
 {
-    let executor = InProcessExecutor::new(source_factory, mapper, combiner, reducer, plan, config)?;
+    let executor = InProcessExecutor::new(source_factory, mapper, combiner, reducer, plan, config);
     run_job_with_executor(splits, plan, output, config, pool, cancel, &executor)
 }
 

@@ -1,16 +1,17 @@
 //! Shuffle payloads: map-output files, their builder, and sort-merge.
 //!
 //! Each Map task leaves one output file per reducer it produced data
-//! for. A file's header carries the §3.2.1 *annotation*: "how many
-//! ⟨k,v⟩ are represented by the set of all ⟨k′,v′⟩ in that file",
-//! which lets a Reduce task tally raw input coverage without parsing
-//! the file — the cross-check SIDR uses to validate that starting
-//! early never consumes insufficient input.
+//! for. A file carries the §3.2.1 *annotation*: "how many ⟨k,v⟩ are
+//! represented by the set of all ⟨k′,v′⟩ in that file", which lets a
+//! Reduce task tally raw input coverage without parsing the file — the
+//! cross-check SIDR uses to validate that starting early never
+//! consumes insufficient input.
 //!
-//! Where a committed file lives and how a reducer gets it is not
-//! decided here: that is behind the [`TaskExecutor`] seam (typed and
-//! resident inside one process, CRC-framed SMOF bytes in a
-//! [`PartitionStore`] once a partition crosses a disk or a socket).
+//! Everything here is typed and in memory: the builder never touches a
+//! disk. Where a committed file lives and how a reducer gets it is
+//! behind the [`TaskExecutor`] seam (typed and resident inside one
+//! process, CRC-framed SMOF v3 bytes in a [`PartitionStore`] once a
+//! partition crosses a disk or a socket); the merge reads either.
 //!
 //! [`TaskExecutor`]: crate::executor::TaskExecutor
 //! [`PartitionStore`]: crate::tier::PartitionStore
@@ -19,7 +20,6 @@ use std::sync::Arc;
 
 use crate::counters::Counters;
 use crate::smof3::Smof3View;
-use crate::split::MapTaskId;
 use crate::task::{MrKey, MrValue};
 
 /// One map-output file: the intermediate pairs a single Map task
@@ -46,175 +46,46 @@ impl<K, V> Default for MapOutputFile<K, V> {
 /// optionally combines, sorts, annotates.
 pub struct MapOutputBuilder<K, V> {
     per_reducer: Vec<Vec<(K, V)>>,
-    buffered: usize,
-    spill: Option<BuilderSpill<K, V>>,
-}
-
-/// Map-side sort-buffer spill configuration (Hadoop's `io.sort.mb`
-/// pipeline, with the buffer limit expressed in records).
-struct BuilderSpill<K, V> {
-    /// Spill once this many records are buffered.
-    threshold: usize,
-    dir: std::path::PathBuf,
-    /// Unique prefix (the map task id) for run-file names.
-    task: MapTaskId,
-    /// Sorted run files written so far, per reducer.
-    runs: Vec<Vec<std::path::PathBuf>>,
-    seq: usize,
-    write: fn(&std::path::Path, &MapOutputFile<K, V>) -> crate::Result<()>,
-    read: fn(&std::path::Path) -> crate::Result<MapOutputFile<K, V>>,
-}
-
-impl<K, V> Drop for BuilderSpill<K, V> {
-    /// Removes any run files still on disk. `finish` deletes runs as
-    /// it merges them, so this only fires for abandoned builders — a
-    /// failed map attempt must not leave stale runs for its retry to
-    /// trip over.
-    fn drop(&mut self) {
-        for path in self.runs.iter().flatten() {
-            std::fs::remove_file(path).ok();
-        }
-    }
 }
 
 impl<K: MrKey, V: MrValue> MapOutputBuilder<K, V> {
     pub fn new(num_reducers: usize) -> Self {
         MapOutputBuilder {
             per_reducer: (0..num_reducers).map(|_| Vec::new()).collect(),
-            buffered: 0,
-            spill: None,
         }
-    }
-
-    /// Enables map-side spilling: when more than `threshold` records
-    /// are buffered, each partition is sorted and written out as a
-    /// run; `finish` merges the runs — Hadoop's sort/spill/merge
-    /// pipeline.
-    pub fn with_spill(mut self, threshold: usize, dir: std::path::PathBuf, task: MapTaskId) -> Self
-    where
-        K: crate::wire::WireFormat,
-        V: crate::wire::WireFormat,
-    {
-        let n = self.per_reducer.len();
-        self.spill = Some(BuilderSpill {
-            threshold: threshold.max(1),
-            dir,
-            task,
-            runs: (0..n).map(|_| Vec::new()).collect(),
-            seq: 0,
-            write: |path, file| crate::shuffle_file::write_map_output(path, file),
-            read: |path| crate::shuffle_file::read_map_output(path),
-        });
-        self
     }
 
     /// Adds one intermediate pair destined for `reducer`.
     #[inline]
-    pub fn push(&mut self, reducer: usize, key: K, value: V) -> crate::Result<()> {
+    pub fn push(&mut self, reducer: usize, key: K, value: V) {
         self.per_reducer[reducer].push((key, value));
-        self.buffered += 1;
-        if let Some(spill) = &self.spill {
-            if self.buffered >= spill.threshold {
-                self.spill_runs()?;
-            }
-        }
-        Ok(())
     }
 
-    /// Writes every non-empty buffer out as a sorted run.
-    fn spill_runs(&mut self) -> crate::Result<()> {
-        let spill = self.spill.as_mut().expect("called only when spilling");
-        for (reducer, records) in self.per_reducer.iter_mut().enumerate() {
-            if records.is_empty() {
-                continue;
-            }
-            records.sort_by(|a, b| a.0.cmp(&b.0));
-            let path = spill.dir.join(format!(
-                "map{:06}-r{reducer:05}-run{:04}.smof",
-                spill.task, spill.seq
-            ));
-            // Runs are written pre-combiner, so each run's annotation
-            // is its own record count; finish sums the run headers.
-            let run_records = std::mem::take(records);
-            let run = MapOutputFile {
-                raw_count: run_records.len() as u64,
-                records: run_records,
-            };
-            (spill.write)(&path, &run)?;
-            spill.runs[reducer].push(path);
-            crate::metrics::runtime().map_spills.inc();
-        }
-        spill.seq += 1;
-        self.buffered = 0;
-        Ok(())
-    }
-
-    /// Finalizes into per-reducer files: sorts by key (merging any
-    /// spilled runs), applies the combiner per key group, and stamps
-    /// the raw-count annotation. Returns `(reducer, file)` for every
-    /// non-empty partition; empty ones produce nothing (Hadoop serves
-    /// an empty response for those; the store models that as absence).
+    /// Finalizes into per-reducer files: sorts by key, applies the
+    /// combiner per key group, and stamps the raw-count annotation.
+    /// Returns `(reducer, file)` for every non-empty partition; empty
+    /// ones produce nothing (Hadoop serves an empty response for
+    /// those; the executor models that as absence).
     pub fn finish(
-        mut self,
+        self,
         combiner: Option<&dyn crate::task::Combiner<Key = K, Value = V>>,
         counters: &Counters,
-    ) -> crate::Result<Vec<(usize, MapOutputFile<K, V>)>> {
-        let spill = self.spill.take();
+    ) -> Vec<(usize, MapOutputFile<K, V>)> {
         let mut out = Vec::new();
         for (reducer, mut records) in self.per_reducer.into_iter().enumerate() {
-            records.sort_by(|a, b| a.0.cmp(&b.0));
-            // The annotation: raw pairs pushed for this reducer — the
-            // in-memory residue plus the sum of the run headers (runs
-            // are written pre-combiner, so the headers are exact).
-            let mut raw = records.len() as u64;
-            // Merge spilled runs back in: each run is sorted, as is
-            // the in-memory residue, so MergeIter streams the records
-            // straight into the final file — one clone per record,
-            // no regroup-then-flatten round trip.
-            if let Some(spill) = &spill {
-                if !spill.runs[reducer].is_empty() {
-                    let mut merge = MergeIter::new();
-                    merge.push_file(Arc::new(MapOutputFile {
-                        raw_count: raw,
-                        records,
-                    }));
-                    for path in &spill.runs[reducer] {
-                        let run = (spill.read)(path)?;
-                        raw += run.raw_count;
-                        merge.push_file(Arc::new(run));
-                        std::fs::remove_file(path).ok();
-                    }
-                    let mut merged = Vec::with_capacity(merge.remaining());
-                    while let Some((k, v)) = merge.next_record() {
-                        merged.push((k.clone(), v.clone()));
-                    }
-                    let m = crate::metrics::runtime();
-                    m.merge_records.add(merge.records_consumed());
-                    m.merge_bytes.add(
-                        merge
-                            .records_consumed()
-                            .saturating_mul(std::mem::size_of::<(K, V)>() as u64),
-                    );
-                    debug_assert_eq!(raw as usize, merged.len(), "run headers sum to the merge");
-                    records = merged;
-                }
-            }
             if records.is_empty() {
                 continue;
             }
+            records.sort_by(|a, b| a.0.cmp(&b.0));
+            // The annotation: raw pairs pushed for this reducer.
+            let raw_count = records.len() as u64;
             if let Some(c) = combiner {
                 records = combine_sorted(records, c);
             }
             Counters::add(&counters.combined_records, records.len() as u64);
-            out.push((
-                reducer,
-                MapOutputFile {
-                    records,
-                    raw_count: raw,
-                },
-            ));
+            out.push((reducer, MapOutputFile { records, raw_count }));
         }
-        Ok(out)
+        out
     }
 }
 
@@ -296,9 +167,6 @@ pub struct MergeIter<K, V> {
     /// The current group's key (owned: for frame sources there is no
     /// decoded record to borrow it from).
     group_key: Option<K>,
-    /// Scratch slot for the decoded record `next_record` hands out
-    /// when the root cursor is a frame.
-    scratch: Option<(K, V)>,
     /// Records consumed so far (for the merge throughput metrics).
     consumed: u64,
 }
@@ -331,19 +199,15 @@ impl<K, V> MergeSource<K, V> {
         }
     }
 
-    /// Opens one encoded SMOF partition as a merge input: v3 buffers
-    /// become zero-copy frames (the cursor borrows records straight
-    /// out of `bytes`), v2 buffers (variable-width types) decode the
-    /// classic way.
+    /// Opens one encoded SMOF partition as a zero-copy frame: the
+    /// cursor borrows records straight out of `bytes`. Anything but a
+    /// sound v3 buffer is [`MrError::CorruptShuffle`](crate::MrError).
     pub fn from_encoded(bytes: Arc<Vec<u8>>) -> crate::Result<Self>
     where
         K: MrKey + crate::wire::WireFormat,
         V: MrValue + crate::wire::WireFormat,
     {
-        Ok(match Smof3View::parse(Arc::clone(&bytes))? {
-            Some(view) => MergeSource::Frame(view),
-            None => MergeSource::File(Arc::new(crate::shuffle_file::decode_map_output(&bytes)?)),
-        })
+        Smof3View::open(bytes).map(MergeSource::Frame)
     }
 }
 
@@ -362,7 +226,6 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             heap: Vec::new(),
             group: Vec::new(),
             group_key: None,
-            scratch: None,
             consumed: 0,
         }
     }
@@ -420,23 +283,6 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             self.heap.push(idx);
             self.sift_up(self.heap.len() - 1);
         }
-    }
-
-    /// Number of records not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.heap
-            .iter()
-            .map(|&f| self.sources[f].len() - self.cursors[f])
-            .sum()
-    }
-
-    /// The smallest unconsumed key, without consuming it (decoded or
-    /// cloned out of its source).
-    pub fn peek_key(&self) -> Option<K> {
-        self.heap.first().map(|&f| match &self.sources[f] {
-            MergeSource::File(file) => file.records[self.cursors[f]].0.clone(),
-            MergeSource::Frame(view) => view.key_at(self.cursors[f]),
-        })
     }
 
     /// `sources[a]`'s cursor sorts before `sources[b]`'s. Frame keys
@@ -514,32 +360,6 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
     /// Records consumed through this iterator so far.
     pub fn records_consumed(&self) -> u64 {
         self.consumed
-    }
-
-    /// The next record in merged order — borrowed from its file, or
-    /// decoded into a scratch slot when it comes from a frame.
-    pub fn next_record(&mut self) -> Option<(&K, &V)> {
-        let &f = self.heap.first()?;
-        let idx = self.cursors[f];
-        self.cursors[f] = idx + 1;
-        self.consumed += 1;
-        self.advance_root();
-        let decoded = match &self.sources[f] {
-            MergeSource::File(_) => None,
-            MergeSource::Frame(view) => Some((view.key_at(idx), view.value_at(idx))),
-        };
-        if let Some(rec) = decoded {
-            self.scratch = Some(rec);
-            let (k, v) = self.scratch.as_ref().expect("just set");
-            return Some((k, v));
-        }
-        match &self.sources[f] {
-            MergeSource::File(file) => {
-                let (k, v) = &file.records[idx];
-                Some((k, v))
-            }
-            MergeSource::Frame(_) => unreachable!("frame records return above"),
-        }
     }
 
     /// Consumes the smallest unconsumed key's whole group: sets
@@ -697,22 +517,6 @@ impl<K, V> GroupBatch<K, V> {
     }
 }
 
-/// K-way merge of key-sorted files into key groups, delivering every
-/// value of a key together — MapReduce guarantee 2 (§2.3).
-///
-/// Compatibility wrapper over [`MergeIter`] that materializes the
-/// whole keyspace. The engine itself streams groups out of
-/// `MergeIter` directly; prefer that unless you genuinely need every
-/// group at once.
-pub fn merge_files<K: MrKey, V: MrValue>(files: &[Arc<MapOutputFile<K, V>>]) -> Vec<(K, Vec<V>)> {
-    let mut merge = MergeIter::with_files(files.iter().map(Arc::clone));
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    while let Some((k, vs)) = merge.next_group() {
-        out.push((k.clone(), vs.to_vec()));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,10 +537,10 @@ mod tests {
     fn builder_partitions_and_sorts() {
         let counters = Counters::default();
         let mut b = MapOutputBuilder::<u64, u64>::new(2);
-        b.push(0, 5, 50).unwrap();
-        b.push(0, 1, 10).unwrap();
-        b.push(1, 2, 20).unwrap();
-        let files = b.finish(None, &counters).unwrap();
+        b.push(0, 5, 50);
+        b.push(0, 1, 10);
+        b.push(1, 2, 20);
+        let files = b.finish(None, &counters);
         assert_eq!(files.len(), 2);
         let f0 = &files.iter().find(|(r, _)| *r == 0).unwrap().1;
         assert_eq!(f0.records, vec![(1, 10), (5, 50)]);
@@ -747,11 +551,11 @@ mod tests {
     fn combiner_folds_but_annotation_keeps_raw_count() {
         let counters = Counters::default();
         let mut b = MapOutputBuilder::<u64, u64>::new(1);
-        b.push(0, 7, 1).unwrap();
-        b.push(0, 7, 2).unwrap();
-        b.push(0, 7, 3).unwrap();
-        b.push(0, 9, 4).unwrap();
-        let files = b.finish(Some(&SumCombiner), &counters).unwrap();
+        b.push(0, 7, 1);
+        b.push(0, 7, 2);
+        b.push(0, 7, 3);
+        b.push(0, 9, 4);
+        let files = b.finish(Some(&SumCombiner), &counters);
         let f = &files[0].1;
         assert_eq!(f.records, vec![(7, 6), (9, 4)]);
         assert_eq!(f.raw_count, 4, "annotation counts raw pairs, not combined");
@@ -761,163 +565,91 @@ mod tests {
     fn empty_partitions_produce_no_file() {
         let counters = Counters::default();
         let mut b = MapOutputBuilder::<u64, u64>::new(3);
-        b.push(1, 1, 1).unwrap();
-        let files = b.finish(None, &counters).unwrap();
+        b.push(1, 1, 1);
+        let files = b.finish(None, &counters);
         assert_eq!(files.len(), 1);
         assert_eq!(files[0].0, 1);
     }
 
-    #[test]
-    fn merge_groups_values_across_files() {
-        let f1 = Arc::new(MapOutputFile {
-            records: vec![(1u64, 10u64), (3, 30)],
-            raw_count: 2,
-        });
-        let f2 = Arc::new(MapOutputFile {
-            records: vec![(1, 11), (2, 20)],
-            raw_count: 2,
-        });
-        let merged = merge_files(&[f1, f2]);
-        assert_eq!(
-            merged,
-            vec![(1, vec![10, 11]), (2, vec![20]), (3, vec![30])]
-        );
+    fn file(records: Vec<(u64, u64)>) -> MapOutputFile<u64, u64> {
+        MapOutputFile {
+            raw_count: records.len() as u64,
+            records,
+        }
+    }
+
+    /// Every remaining key group, in merge order.
+    fn drain(merge: &mut MergeIter<u64, u64>) -> Vec<(u64, Vec<u64>)> {
+        let mut groups = Vec::new();
+        while let Some((k, vs)) = merge.next_group() {
+            groups.push((*k, vs.to_vec()));
+        }
+        groups
     }
 
     #[test]
     fn merge_of_nothing_is_empty() {
-        let merged: Vec<(u64, Vec<u64>)> = merge_files(&[]);
-        assert!(merged.is_empty());
+        assert!(MergeIter::<u64, u64>::new().next_group().is_none());
     }
 
     #[test]
-    fn merge_iter_streams_records_in_file_then_record_order() {
-        let f1 = Arc::new(MapOutputFile {
-            records: vec![(1u64, 10u64), (1, 11), (3, 30)],
-            raw_count: 3,
-        });
-        let f2 = Arc::new(MapOutputFile {
-            records: vec![(1, 12), (2, 20)],
-            raw_count: 2,
-        });
+    fn merge_delivers_equal_keys_in_file_then_record_order() {
+        let f1 = Arc::new(file(vec![(1, 10), (1, 11), (3, 30)]));
+        let f2 = Arc::new(file(vec![(1, 12), (2, 20)]));
         let mut m = MergeIter::with_files([f1, f2]);
-        assert_eq!(m.remaining(), 5);
-        assert_eq!(m.peek_key(), Some(1));
-        let mut flat = Vec::new();
-        while let Some((k, v)) = m.next_record() {
-            flat.push((*k, *v));
-        }
-        // Equal keys deliver in (file order, record order).
-        assert_eq!(flat, vec![(1, 10), (1, 11), (1, 12), (2, 20), (3, 30)]);
-        assert_eq!(m.remaining(), 0);
-    }
-
-    #[test]
-    fn merge_iter_groups_reuse_one_buffer() {
-        let f1 = Arc::new(MapOutputFile {
-            records: vec![(1u64, 10u64), (3, 30)],
-            raw_count: 2,
-        });
-        let f2 = Arc::new(MapOutputFile {
-            records: vec![(1, 11), (2, 20)],
-            raw_count: 2,
-        });
-        let mut m = MergeIter::with_files([f1, f2]);
-        let mut groups = Vec::new();
-        while let Some((k, vs)) = m.next_group() {
-            groups.push((*k, vs.to_vec()));
-        }
         assert_eq!(
-            groups,
-            vec![(1, vec![10, 11]), (2, vec![20]), (3, vec![30])]
+            drain(&mut m),
+            vec![(1, vec![10, 11, 12]), (2, vec![20]), (3, vec![30])]
         );
         assert!(m.next_group().is_none());
+        assert_eq!(m.records_consumed(), 5);
     }
 
     /// Encodes a file and reopens it as a zero-copy v3 frame.
     fn as_frame(f: &MapOutputFile<u64, u64>) -> Smof3View<u64, u64> {
         let bytes = crate::shuffle_file::encode_map_output(f).unwrap();
-        Smof3View::parse(Arc::new(bytes))
-            .unwrap()
-            .expect("u64 keys use v3")
+        Smof3View::open(Arc::new(bytes)).unwrap()
     }
 
     #[test]
     fn frame_cursors_merge_identically_to_file_cursors() {
         let files = vec![
-            MapOutputFile {
-                records: vec![(1u64, 10u64), (1, 11), (3, 30)],
-                raw_count: 3,
-            },
-            MapOutputFile {
-                records: vec![(1, 12), (2, 20)],
-                raw_count: 2,
-            },
-            MapOutputFile {
-                records: Vec::new(),
-                raw_count: 0,
-            },
+            file(vec![(1, 10), (1, 11), (3, 30)]),
+            file(vec![(1, 12), (2, 20)]),
+            file(Vec::new()),
         ];
         let mut by_file = MergeIter::with_files(files.iter().cloned().map(Arc::new));
         let mut by_frame = MergeIter::new();
         for f in &files {
             by_frame.push_frame(as_frame(f));
         }
-        assert_eq!(by_frame.remaining(), by_file.remaining());
-        assert_eq!(by_frame.peek_key(), by_file.peek_key());
-        loop {
-            let a = by_file.next_group().map(|(k, vs)| (*k, vs.to_vec()));
-            let b = by_frame.next_group().map(|(k, vs)| (*k, vs.to_vec()));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        assert_eq!(drain(&mut by_frame), drain(&mut by_file));
     }
 
     #[test]
     fn mixed_file_and_frame_sources_keep_push_order_ties() {
-        let f1 = MapOutputFile {
-            records: vec![(1u64, 10u64), (2, 20)],
-            raw_count: 2,
-        };
-        let f2 = MapOutputFile {
-            records: vec![(1, 11), (2, 21)],
-            raw_count: 2,
-        };
+        let f1 = file(vec![(1, 10), (2, 20)]);
+        let f2 = file(vec![(1, 11), (2, 21)]);
         // File first, frame second: ties must resolve in push order.
         let mut m = MergeIter::new();
         m.push_file(Arc::new(f1.clone()));
         m.push_frame(as_frame(&f2));
-        let mut flat = Vec::new();
-        while let Some((k, v)) = m.next_record() {
-            flat.push((*k, *v));
-        }
-        assert_eq!(flat, vec![(1, 10), (1, 11), (2, 20), (2, 21)]);
+        assert_eq!(drain(&mut m), vec![(1, vec![10, 11]), (2, vec![20, 21])]);
         // And in the opposite push order, the frame's values lead.
         let mut m = MergeIter::new();
         m.push_frame(as_frame(&f2));
         m.push_file(Arc::new(f1));
-        let mut flat = Vec::new();
-        while let Some((k, v)) = m.next_record() {
-            flat.push((*k, *v));
-        }
-        assert_eq!(flat, vec![(1, 11), (1, 10), (2, 21), (2, 20)]);
+        assert_eq!(drain(&mut m), vec![(1, vec![11, 10]), (2, vec![21, 20])]);
     }
 
     #[test]
     fn fill_batch_drains_same_groups_as_next_group() {
         let files: Vec<MapOutputFile<u64, u64>> = (0..4)
-            .map(|f| MapOutputFile {
-                records: (0..50u64).map(|i| (i * 2 + f % 2, i + f)).collect(),
-                raw_count: 50,
-            })
+            .map(|f| file((0..50u64).map(|i| (i * 2 + f % 2, i + f)).collect()))
             .collect();
-        let mut one_by_one = MergeIter::with_files(files.iter().cloned().map(Arc::new));
-        let mut expected = Vec::new();
-        while let Some((k, vs)) = one_by_one.next_group() {
-            expected.push((*k, vs.to_vec()));
-        }
+        let expected = drain(&mut MergeIter::with_files(
+            files.iter().cloned().map(Arc::new),
+        ));
         for min_records in [1, 7, 64, 100_000] {
             let mut merge = MergeIter::new();
             for f in &files {
@@ -926,7 +658,7 @@ mod tests {
             let mut batch = GroupBatch::new();
             let mut got = Vec::new();
             while merge.fill_batch(&mut batch, min_records) > 0 {
-                assert!(batch.records() >= min_records || merge.remaining() == 0);
+                assert!(batch.records() >= min_records || merge.records_consumed() == 200);
                 for (k, vs) in batch.groups() {
                     got.push((*k, vs.to_vec()));
                 }
@@ -938,32 +670,16 @@ mod tests {
 
     #[test]
     fn merge_iter_incremental_push_matches_batch_construction() {
-        let files: Vec<Arc<MapOutputFile<u64, u64>>> = vec![
-            Arc::new(MapOutputFile {
-                records: vec![(2, 1), (4, 2)],
-                raw_count: 2,
-            }),
-            Arc::new(MapOutputFile {
-                records: Vec::new(), // empty file: cursor never opens
-                raw_count: 0,
-            }),
-            Arc::new(MapOutputFile {
-                records: vec![(1, 3), (2, 4)],
-                raw_count: 2,
-            }),
+        let files = [
+            Arc::new(file(vec![(2, 1), (4, 2)])),
+            Arc::new(file(Vec::new())), // empty file: cursor never opens
+            Arc::new(file(vec![(1, 3), (2, 4)])),
         ];
         let mut batch = MergeIter::with_files(files.iter().map(Arc::clone));
         let mut incremental = MergeIter::new();
         for f in &files {
             incremental.push_file(Arc::clone(f));
         }
-        loop {
-            let a = batch.next_record().map(|(k, v)| (*k, *v));
-            let b = incremental.next_record().map(|(k, v)| (*k, *v));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        assert_eq!(drain(&mut incremental), drain(&mut batch));
     }
 }

@@ -1,5 +1,5 @@
-//! On-disk map-output files with the §3.2.1 count annotation in the
-//! header.
+//! The map-output byte format (SMOF) with the §3.2.1 count annotation
+//! in the header.
 //!
 //! "Approach 2 requires the addition of a field to the header for each
 //! Map output file that indicates how many ⟨k,v⟩ are represented by
@@ -8,26 +8,16 @@
 //! contents of the files containing its intermediate data **without
 //! having to read and parse those files**."
 //!
-//! Both layouts share a 24-byte prefix (little-endian) so the
-//! annotation read never depends on the version:
+//! A partition is bytes only where it crosses a disk or a socket — the
+//! worker's [`PartitionStore`](crate::tier::PartitionStore), its spill
+//! files, the fetch frames — and there it has exactly one layout,
+//! version 3 (little-endian):
 //!
 //! ```text
-//! magic    b"SMOF"
-//! version  u32
-//! raw      u64   <- the annotation: raw ⟨k,v⟩ pairs represented
-//! records  u64   <- ⟨k′,v′⟩ records that follow
-//! ```
-//!
-//! Version 2 (variable-width records) continues:
-//!
-//! ```text
-//! crc      u32   <- CRC-32 (IEEE) of the payload bytes
-//! payload  records × (key, value) in WireFormat encoding
-//! ```
-//!
-//! Version 3 (fixed-width records, mmap-friendly) continues:
-//!
-//! ```text
+//! magic      b"SMOF"
+//! version    u32   <- 3; anything else is rejected as corrupt
+//! raw        u64   <- the annotation: raw ⟨k,v⟩ pairs represented
+//! records    u64   <- ⟨k′,v′⟩ records that follow
 //! key_width  u32   <- packed key bytes per record
 //! val_width  u32   <- packed value bytes per record
 //! index_len  u32   <- key-offset index entries
@@ -36,25 +26,23 @@
 //! payload    records × (key bytes ++ value bytes), no framing
 //! ```
 //!
-//! v3 is chosen automatically when both key and value expose a
-//! [`FixedCodec`] and every record packs to
-//! the same widths (fixed-arity coordinate keyspaces always do).
-//! Records then live at `payload_off + i × (key_width + val_width)`,
-//! so a reader can address record `i` — or binary-search the sparse
-//! key-offset index (one entry every [`INDEX_INTERVAL`] records) to
-//! seek a keyrange — without decoding any predecessor. That is what
-//! lets [`Smof3View`](crate::smof3::Smof3View) merge records straight
-//! out of the file bytes.
+//! Keys and values are packed by their [`FixedCodec`] and every record
+//! of a file has the same widths (fixed-arity coordinate keyspaces
+//! always do). Records then live at
+//! `payload_off + i × (key_width + val_width)`, so a reader can address
+//! record `i` — or binary-search the sparse key-offset index (one entry
+//! every [`INDEX_INTERVAL`] records) to seek a keyrange — without
+//! decoding any predecessor. That is what lets
+//! [`Smof3View`](crate::smof3::Smof3View) merge records straight out of
+//! the file bytes.
 //!
-//! Version 2 added the CRC frame: a fetch of a corrupted or truncated
-//! file fails with [`MrError::CorruptShuffle`] *before* any record is
-//! decoded, which is what lets the copy phase trigger re-execution of
-//! the producing map instead of reducing over damaged input
-//! (aggressive checksum validation of intermediate layouts, after
-//! "Only Aggressive Elephants are Fast Elephants").
+//! The CRC frame makes a fetch of a corrupted or truncated file fail
+//! with [`MrError::CorruptShuffle`] *before* any record is decoded,
+//! which is what lets the copy phase trigger re-execution of the
+//! producing map instead of reducing over damaged input (aggressive
+//! checksum validation of intermediate layouts, after "Only Aggressive
+//! Elephants are Fast Elephants").
 
-use std::fs::File;
-use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::MrError;
@@ -64,11 +52,9 @@ use crate::wire::{FixedCodec, WireFormat};
 use crate::Result;
 
 pub(crate) const MAGIC: [u8; 4] = *b"SMOF";
-pub const VERSION_V2: u32 = 2;
 pub const VERSION_V3: u32 = 3;
-/// The version-independent prefix: magic, version, raw, records.
-pub(crate) const PREFIX_LEN: usize = 4 + 4 + 8 + 8;
-const V2_HEADER_LEN: usize = PREFIX_LEN + 4;
+/// The annotation prefix: magic, version, raw, records.
+const PREFIX_LEN: usize = 4 + 4 + 8 + 8;
 pub(crate) const V3_HEADER_LEN: usize = PREFIX_LEN + 4 + 4 + 4 + 4;
 /// One sparse key-offset index entry per this many records (plus one
 /// for record 0). Seeking a keyrange costs one binary search over the
@@ -129,72 +115,32 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
 }
 
 /// Encodes one map-output file into a self-contained SMOF byte buffer
-/// (header + CRC frame + payload) — the exact bytes
-/// [`write_map_output`] puts on disk, and what travels inside a raw
-/// frame when a worker serves a shuffle fetch over TCP. Emits the v3
-/// fixed-width layout when the key/value types support it, v2
-/// otherwise.
+/// (header + CRC frame + index + payload) — the exact bytes a worker's
+/// spill tier puts on disk, and what travels inside a raw frame when a
+/// worker serves a shuffle fetch over TCP. Records of non-uniform
+/// packed width (coords of different rank) cannot share a file: a
+/// typed [`MrError::BadConfig`], never a second layout.
 pub fn encode_map_output<K, V>(file: &MapOutputFile<K, V>) -> Result<Vec<u8>>
 where
     K: MrKey + WireFormat,
     V: MrValue + WireFormat,
 {
-    if let (Some(kc), Some(vc)) = (K::fixed_codec(), V::fixed_codec()) {
-        if let Some(out) = encode_map_output_v3(file, &kc, &vc) {
-            return Ok(out);
-        }
-    }
-    encode_map_output_v2(file)
-}
-
-/// Encodes the v2 (variable-width, per-record `WireFormat`) layout
-/// unconditionally. Kept public as the compatibility encoder: decoders
-/// must keep accepting it, and the v3 property tests cross-check
-/// against it.
-pub fn encode_map_output_v2<K, V>(file: &MapOutputFile<K, V>) -> Result<Vec<u8>>
-where
-    K: MrKey + WireFormat,
-    V: MrValue + WireFormat,
-{
-    let mut payload = Vec::new();
-    for (k, v) in &file.records {
-        k.encode(&mut payload)?;
-        v.encode(&mut payload)?;
-    }
-    let mut out = Vec::with_capacity(V2_HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION_V2.to_le_bytes());
-    out.extend_from_slice(&file.raw_count.to_le_bytes());
-    out.extend_from_slice(&(file.records.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
-
-/// v3 layout, or `None` when this particular file can't use it (mixed
-/// widths across records — e.g. coords of different rank).
-fn encode_map_output_v3<K, V>(
-    file: &MapOutputFile<K, V>,
-    kc: &FixedCodec<K>,
-    vc: &FixedCodec<V>,
-) -> Option<Vec<u8>>
-where
-    K: MrKey,
-    V: MrValue,
-{
+    let (kc, vc) = (K::fixed_codec(), V::fixed_codec());
     let (kw, vw) = match file.records.first() {
         Some((k, v)) => ((kc.width)(k), (vc.width)(v)),
         None => (0, 0),
     };
-    if kw + vw == 0 && !file.records.is_empty() {
-        return None; // zero-width rows can't be addressed by offset
-    }
-    if file
-        .records
-        .iter()
-        .any(|(k, v)| (kc.width)(k) != kw || (vc.width)(v) != vw)
+    // Zero-width rows can't be addressed by offset either.
+    if (kw + vw == 0 && !file.records.is_empty())
+        || file
+            .records
+            .iter()
+            .any(|(k, v)| (kc.width)(k) != kw || (vc.width)(v) != vw)
     {
-        return None;
+        return Err(MrError::BadConfig(format!(
+            "map-output records must share one non-zero packed width \
+             (first record: {kw}-byte key, {vw}-byte value)"
+        )));
     }
     // Index and payload are written contiguously so the CRC covers
     // both in one pass.
@@ -219,105 +165,55 @@ where
     out.extend_from_slice(&index_len.to_le_bytes());
     out.extend_from_slice(&crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
-    Some(out)
+    Ok(out)
 }
 
-/// Decodes a SMOF byte buffer (either version), verifying the CRC
-/// frame before decoding a single record — the fetching side of the
-/// over-TCP shuffle path. Corruption, truncation and trailing bytes
-/// all surface as [`MrError::CorruptShuffle`].
+/// Decodes a SMOF byte buffer, verifying the CRC frame before decoding
+/// a single record. Corruption, truncation, trailing bytes and any
+/// version but 3 all surface as [`MrError::CorruptShuffle`].
 pub fn decode_map_output<K, V>(bytes: &[u8]) -> Result<MapOutputFile<K, V>>
 where
     K: MrKey + WireFormat,
     V: MrValue + WireFormat,
 {
-    let prefix = parse_prefix(bytes)?;
-    match prefix.version {
-        VERSION_V3 => decode_v3(bytes),
-        _ => decode_v2(bytes, &prefix),
-    }
-}
-
-fn decode_v2<K, V>(bytes: &[u8], prefix: &Prefix) -> Result<MapOutputFile<K, V>>
-where
-    K: MrKey + WireFormat,
-    V: MrValue + WireFormat,
-{
-    if bytes.len() < V2_HEADER_LEN {
-        return Err(MrError::CorruptShuffle {
-            detail: "map-output file shorter than header".into(),
-        });
-    }
-    let crc = u32::from_le_bytes(bytes[24..28].try_into().expect("len 4"));
-    let payload = &bytes[V2_HEADER_LEN..];
-    let actual_crc = crc32(payload);
-    if actual_crc != crc {
-        return Err(MrError::CorruptShuffle {
-            detail: format!(
-                "payload CRC {actual_crc:#010x} != header CRC {crc:#010x} ({} payload bytes)",
-                payload.len()
-            ),
-        });
-    }
-    let mut buf = payload;
-    // Cap the pre-allocation: a corrupt count field must not trigger a
-    // huge allocation before decoding fails.
-    let mut records = Vec::with_capacity((prefix.records as usize).min(1 << 20));
-    for _ in 0..prefix.records {
-        let k = K::decode(&mut buf)?;
-        let v = V::decode(&mut buf)?;
-        records.push((k, v));
-    }
-    if !buf.is_empty() {
-        return Err(MrError::CorruptShuffle {
-            detail: format!(
-                "{} trailing bytes after {} records",
-                buf.len(),
-                prefix.records
-            ),
-        });
-    }
-    Ok(MapOutputFile {
-        records,
-        raw_count: prefix.raw,
-    })
-}
-
-fn decode_v3<K, V>(bytes: &[u8]) -> Result<MapOutputFile<K, V>>
-where
-    K: MrKey + WireFormat,
-    V: MrValue + WireFormat,
-{
-    let (Some(kc), Some(vc)) = (K::fixed_codec(), V::fixed_codec()) else {
-        return Err(MrError::CorruptShuffle {
-            detail: "v3 map-output file for a type without a fixed codec".into(),
-        });
-    };
     let meta = parse_v3_meta(bytes)?;
-    let row = meta.key_width + meta.val_width;
-    let payload = &bytes[meta.payload_off..];
-    let mut records = Vec::with_capacity(meta.records.min(1 << 20));
-    for i in 0..meta.records {
-        let off = i * row;
-        records.push((
-            (kc.read)(&payload[off..off + meta.key_width]),
-            (vc.read)(&payload[off + meta.key_width..off + row]),
-        ));
-    }
     Ok(MapOutputFile {
-        records,
+        records: decode_rows(
+            &bytes[meta.payload_off..],
+            &meta,
+            &K::fixed_codec(),
+            &V::fixed_codec(),
+        ),
         raw_count: meta.raw,
     })
 }
 
+/// The one v3 row decoder: every record of a validated `payload`.
+pub(crate) fn decode_rows<K, V>(
+    payload: &[u8],
+    meta: &V3Meta,
+    kc: &FixedCodec<K>,
+    vc: &FixedCodec<V>,
+) -> Vec<(K, V)> {
+    let row = meta.key_width + meta.val_width;
+    (0..meta.records)
+        .map(|i| {
+            let off = i * row;
+            (
+                (kc.read)(&payload[off..off + meta.key_width]),
+                (vc.read)(&payload[off + meta.key_width..off + row]),
+            )
+        })
+        .collect()
+}
+
 pub(crate) struct Prefix {
-    pub version: u32,
     pub raw: u64,
     pub records: u64,
 }
 
-/// Parses the 24-byte version-independent prefix. This is all the
-/// annotation path ever reads.
+/// Parses the 24-byte annotation prefix — all the §3.2.1 tally path
+/// ever reads — rejecting every version but 3.
 pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Prefix> {
     if bytes.len() < PREFIX_LEN {
         return Err(MrError::CorruptShuffle {
@@ -330,13 +226,12 @@ pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Prefix> {
         });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("len 4"));
-    if version != VERSION_V2 && version != VERSION_V3 {
+    if version != VERSION_V3 {
         return Err(MrError::CorruptShuffle {
-            detail: format!("unknown map-output version {version}"),
+            detail: format!("unsupported map-output version {version}"),
         });
     }
     Ok(Prefix {
-        version,
         raw: u64::from_le_bytes(bytes[8..16].try_into().expect("len 8")),
         records: u64::from_le_bytes(bytes[16..24].try_into().expect("len 8")),
     })
@@ -346,6 +241,7 @@ pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Prefix> {
 /// buffer. Produced only after the magic, version, length arithmetic,
 /// CRC, and index invariants have all checked out, so downstream
 /// record addressing can use plain slicing.
+#[derive(Clone, Copy)]
 pub(crate) struct V3Meta {
     pub raw: u64,
     pub records: usize,
@@ -359,9 +255,6 @@ pub(crate) struct V3Meta {
 pub(crate) fn parse_v3_meta(bytes: &[u8]) -> Result<V3Meta> {
     let corrupt = |detail: String| MrError::CorruptShuffle { detail };
     let prefix = parse_prefix(bytes)?;
-    if prefix.version != VERSION_V3 {
-        return Err(corrupt(format!("expected v3, found v{}", prefix.version)));
-    }
     if bytes.len() < V3_HEADER_LEN {
         return Err(corrupt("v3 map-output file shorter than header".into()));
     }
@@ -441,84 +334,22 @@ pub(crate) fn parse_v3_meta(bytes: &[u8]) -> Result<V3Meta> {
 /// reject bit flips and truncation as [`MrError::CorruptShuffle`]
 /// without knowing the key/value types.
 pub fn verify_encoded(bytes: &[u8]) -> Result<()> {
-    let prefix = parse_prefix(bytes)?;
-    match prefix.version {
-        VERSION_V3 => parse_v3_meta(bytes).map(|_| ()),
-        _ => {
-            if bytes.len() < V2_HEADER_LEN {
-                return Err(MrError::CorruptShuffle {
-                    detail: "v2 map-output file shorter than header".into(),
-                });
-            }
-            let crc =
-                u32::from_le_bytes(bytes[PREFIX_LEN..V2_HEADER_LEN].try_into().expect("len 4"));
-            let actual = crc32(&bytes[V2_HEADER_LEN..]);
-            if actual != crc {
-                return Err(MrError::CorruptShuffle {
-                    detail: format!("payload CRC {actual:#010x} != header CRC {crc:#010x}"),
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Writes one map-output file to `path`.
-pub fn write_map_output<K, V>(path: impl AsRef<Path>, file: &MapOutputFile<K, V>) -> Result<()>
-where
-    K: MrKey + WireFormat,
-    V: MrValue + WireFormat,
-{
-    let bytes = encode_map_output(file)?;
-    let mut out = BufWriter::new(File::create(path).map_err(io_err)?);
-    out.write_all(&bytes).map_err(io_err)?;
-    out.flush().map_err(io_err)?;
-    Ok(())
-}
-
-/// Reads *only* the version-independent prefix: `(raw_count,
-/// record_count)` — the annotation tally path that lets a Reduce task
-/// understand its data "at the logical level" without parsing it
-/// (§3.2.1).
-pub fn read_annotation(path: impl AsRef<Path>) -> Result<(u64, u64)> {
-    let mut file = File::open(path).map_err(io_err)?;
-    let mut prefix = [0u8; PREFIX_LEN];
-    file.read_exact(&mut prefix).map_err(io_err)?;
-    let p = parse_prefix(&prefix)?;
-    Ok((p.raw, p.records))
-}
-
-/// Reads a complete map-output file back, verifying the CRC frame
-/// before decoding a single record. Corruption and truncation both
-/// surface as [`MrError::CorruptShuffle`].
-pub fn read_map_output<K, V>(path: impl AsRef<Path>) -> Result<MapOutputFile<K, V>>
-where
-    K: MrKey + WireFormat,
-    V: MrValue + WireFormat,
-{
-    let mut file = File::open(path).map_err(io_err)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(io_err)?;
-    decode_map_output(&bytes)
+    parse_v3_meta(bytes).map(drop)
 }
 
 /// Flips one payload byte in the file at `path` (fault injection: a
 /// silently corrupted intermediate file). Files with no payload get
 /// their stored CRC flipped instead, so the damage is always
-/// CRC-detectable whichever layout version the file uses.
+/// CRC-detectable.
 pub fn corrupt_payload(path: impl AsRef<Path>) -> Result<()> {
+    const CRC_OFF: usize = V3_HEADER_LEN - 4;
     let path = path.as_ref();
     let mut bytes = std::fs::read(path).map_err(io_err)?;
-    let prefix = parse_prefix(&bytes)?;
-    let (header_len, crc_off) = match prefix.version {
-        VERSION_V3 => (V3_HEADER_LEN, 36),
-        _ => (V2_HEADER_LEN, 24),
-    };
-    if bytes.len() > header_len {
+    if bytes.len() > V3_HEADER_LEN {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-    } else if bytes.len() >= header_len {
-        bytes[crc_off] ^= 0xFF; // no payload to flip: damage the stored CRC itself
+    } else if bytes.len() == V3_HEADER_LEN {
+        bytes[CRC_OFF] ^= 0xFF; // no payload to flip: damage the stored CRC itself
     } else {
         return Err(MrError::CorruptShuffle {
             detail: "cannot corrupt a file shorter than its header".into(),
@@ -548,10 +379,17 @@ mod tests {
     use super::*;
     use sidr_coords::Coord;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
+    /// `sample()` encoded into a file of the test's own.
+    fn sample_on_disk(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("sidr-smof-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}", std::process::id()))
+        let path = dir.join(format!("{name}-{}", std::process::id()));
+        std::fs::write(&path, encode_map_output(&sample()).unwrap()).unwrap();
+        path
+    }
+
+    fn decode_file(path: &Path) -> Result<MapOutputFile<Coord, f64>> {
+        decode_map_output(&std::fs::read(path).unwrap())
     }
 
     fn sample() -> MapOutputFile<Coord, f64> {
@@ -562,15 +400,6 @@ mod tests {
                 (Coord::from([1, 0]), 0.0),
             ],
             raw_count: 12, // combiner folded 12 raw pairs into 3
-        }
-    }
-
-    /// Variable-width records (String keys have no fixed codec), so
-    /// these files exercise the v2 path through the public API.
-    fn sample_v2() -> MapOutputFile<String, f64> {
-        MapOutputFile {
-            records: vec![("apsu".to_string(), 1.5), ("tiamat".to_string(), -2.25)],
-            raw_count: 7,
         }
     }
 
@@ -603,124 +432,57 @@ mod tests {
     }
 
     #[test]
-    fn byte_buffer_roundtrip_matches_disk_format() {
-        let path = temp_path("buffer");
-        let f = sample();
-        write_map_output(&path, &f).unwrap();
-        let disk = std::fs::read(&path).unwrap();
-        let encoded = encode_map_output(&f).unwrap();
-        assert_eq!(encoded, disk, "encode must produce the on-disk bytes");
-        let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
-        assert_eq!(back.records, f.records);
-        assert_eq!(back.raw_count, 12);
-        // A flipped byte in the buffer is CRC-caught, same as on disk.
-        let mut bad = encoded.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0xFF;
-        assert!(matches!(
-            decode_map_output::<Coord, f64>(&bad),
-            Err(MrError::CorruptShuffle { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn coord_files_use_v3_and_decode_back() {
+    fn coord_files_encode_as_v3_and_decode_back() {
         let encoded = encode_map_output(&sample()).unwrap();
-        let prefix = parse_prefix(&encoded).unwrap();
-        assert_eq!(prefix.version, VERSION_V3);
         let meta = parse_v3_meta(&encoded).unwrap();
         assert_eq!((meta.key_width, meta.val_width), (16, 8));
-        assert_eq!(meta.records, 3);
+        assert_eq!((meta.raw, meta.records), (12, 3));
         assert_eq!(meta.index_len, 1); // 3 records < INDEX_INTERVAL
         let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
         assert_eq!(back.records, sample().records);
+        assert_eq!(back.raw_count, 12);
     }
 
     #[test]
-    fn v2_encoder_still_accepted_by_decoder() {
-        let f = sample();
-        let encoded = encode_map_output_v2(&f).unwrap();
-        assert_eq!(parse_prefix(&encoded).unwrap().version, VERSION_V2);
-        let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
-        assert_eq!(back.records, f.records);
-        assert_eq!(back.raw_count, f.raw_count);
-    }
-
-    #[test]
-    fn variable_width_types_fall_back_to_v2() {
-        let f = sample_v2();
-        let encoded = encode_map_output(&f).unwrap();
-        assert_eq!(parse_prefix(&encoded).unwrap().version, VERSION_V2);
-        let back: MapOutputFile<String, f64> = decode_map_output(&encoded).unwrap();
-        assert_eq!(back.records, f.records);
-    }
-
-    #[test]
-    fn mixed_rank_coords_fall_back_to_v2() {
+    fn mixed_rank_coords_are_a_typed_encode_error() {
         let f = MapOutputFile {
-            records: vec![(Coord::from([1]), 1.0), (Coord::from([1, 2]), 2.0)],
+            records: vec![(Coord::from([1, 2]), 1.0), (Coord::from([1, 2, 3]), 2.0)],
             raw_count: 2,
         };
-        let encoded = encode_map_output(&f).unwrap();
-        assert_eq!(parse_prefix(&encoded).unwrap().version, VERSION_V2);
-        let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
-        assert_eq!(back.records, f.records);
-    }
-
-    #[test]
-    fn full_roundtrip() {
-        let path = temp_path("roundtrip");
-        let f = sample();
-        write_map_output(&path, &f).unwrap();
-        let back: MapOutputFile<Coord, f64> = read_map_output(&path).unwrap();
-        assert_eq!(back.records, f.records);
-        assert_eq!(back.raw_count, 12);
-        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(encode_map_output(&f), Err(MrError::BadConfig(_))));
     }
 
     #[test]
     fn annotation_read_is_header_only() {
-        let path = temp_path("annotation");
-        write_map_output(&path, &sample()).unwrap();
-        // Cut the file down to the version-independent prefix: the
-        // annotation must still be readable (it never touches the
-        // records, nor even the version-specific header fields).
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..PREFIX_LEN]).unwrap();
-        let (raw, records) = read_annotation(&path).unwrap();
-        assert_eq!((raw, records), (12, 3));
-        // But a full read of the truncated file fails loudly — and as
-        // a corruption, so the copy phase can recover.
+        // Cut the buffer down to the prefix: the annotation must still
+        // be readable (it never touches the records, nor the geometry
+        // fields), while a full decode fails as a corruption, so the
+        // copy phase can recover.
+        let encoded = encode_map_output(&sample()).unwrap();
+        let prefix = parse_prefix(&encoded[..PREFIX_LEN]).unwrap();
+        assert_eq!((prefix.raw, prefix.records), (12, 3));
         assert!(matches!(
-            read_map_output::<Coord, f64>(&path),
+            decode_map_output::<Coord, f64>(&encoded[..PREFIX_LEN]),
             Err(MrError::CorruptShuffle { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn bad_magic_and_version_rejected() {
-        let path = temp_path("magic");
-        write_map_output(&path, &sample()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = encode_map_output(&sample()).unwrap();
         bytes[0] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_annotation(&path).is_err());
+        assert!(parse_prefix(&bytes).is_err());
         bytes[0] = b'S';
         bytes[4] = 9;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_annotation(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
+        assert!(parse_prefix(&bytes).is_err());
     }
 
     #[test]
     fn bit_flip_detected_by_crc() {
-        let path = temp_path("bitflip");
-        write_map_output(&path, &sample()).unwrap();
+        let path = sample_on_disk("bitflip");
         corrupt_payload(&path).unwrap();
         assert!(matches!(
-            read_map_output::<Coord, f64>(&path),
+            decode_file(&path),
             Err(MrError::CorruptShuffle { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -728,11 +490,10 @@ mod tests {
 
     #[test]
     fn truncation_detected_by_crc() {
-        let path = temp_path("truncate");
-        write_map_output(&path, &sample()).unwrap();
+        let path = sample_on_disk("truncate");
         truncate_payload(&path).unwrap();
         assert!(matches!(
-            read_map_output::<Coord, f64>(&path),
+            decode_file(&path),
             Err(MrError::CorruptShuffle { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -740,13 +501,9 @@ mod tests {
 
     #[test]
     fn trailing_garbage_detected() {
-        let path = temp_path("trailing");
-        write_map_output(&path, &sample()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = encode_map_output(&sample()).unwrap();
         bytes.push(0xAB);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_map_output::<Coord, f64>(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
+        assert!(decode_map_output::<Coord, f64>(&bytes).is_err());
     }
 
     #[test]
@@ -758,8 +515,9 @@ mod tests {
         let encoded = encode_map_output(&f).unwrap();
         let meta = parse_v3_meta(&encoded).unwrap();
         assert_eq!(meta.index_len, 3); // records 0, 256, 512
-                                       // Point the second index entry at the wrong record and re-seal
-                                       // the CRC: the key-mismatch check must still reject it.
+
+        // Point the second index entry at the wrong record and re-seal
+        // the CRC: the key-mismatch check must still reject it.
         let mut bad = encoded.clone();
         let entry = meta.key_width + 8;
         let off = meta.index_off + entry + meta.key_width;
@@ -773,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_file_roundtrips_as_v3() {
+    fn empty_file_roundtrips() {
         let f = MapOutputFile::<Coord, f64> {
             records: Vec::new(),
             raw_count: 0,

@@ -347,149 +347,6 @@ fn zero_slots_rejected() {
 }
 
 #[test]
-fn spilled_shuffle_matches_in_memory() {
-    let splits = number_splits(500, 6);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
-
-    let run_with = |spill: Option<std::path::PathBuf>| {
-        let output = InMemoryOutput::new();
-        let result = run_job(
-            &splits,
-            &identity_source,
-            &mapper,
-            None,
-            &reducer,
-            &plan,
-            &output,
-            &JobConfig {
-                spill_dir: spill,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        (output.sorted_records(), result.counters)
-    };
-
-    let dir = std::env::temp_dir().join(format!("sidr-engine-spill-{}", std::process::id()));
-    let (mem_records, mem_counters) = run_with(None);
-    let (disk_records, disk_counters) = run_with(Some(dir.clone()));
-    assert_eq!(mem_records, disk_records);
-    assert_eq!(
-        mem_counters.shuffled_records,
-        disk_counters.shuffled_records
-    );
-    // The spill directory actually held SMOF files during the run.
-    assert!(dir.exists());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn map_side_spill_produces_identical_output() {
-    // A tiny sort buffer forces many spill runs per map task; the
-    // merged result must equal the all-in-memory run, including with
-    // a combiner.
-    let splits = number_splits(3000, 5);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 37, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    struct SumCombiner;
-    impl sidr_mapreduce::Combiner for SumCombiner {
-        type Key = u64;
-        type Value = u64;
-        fn combine(&self, _key: &u64, values: &mut Vec<u64>) {
-            let sum = values.iter().sum();
-            values.clear();
-            values.push(sum);
-        }
-    }
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
-
-    let run_with = |spill: Option<usize>| {
-        let output = InMemoryOutput::new();
-        let dir = std::env::temp_dir().join(format!(
-            "sidr-mapspill-{}-{}",
-            std::process::id(),
-            spill.unwrap_or(0)
-        ));
-        let result = run_job(
-            &splits,
-            &identity_source,
-            &mapper,
-            Some(&SumCombiner),
-            &reducer,
-            &plan,
-            &output,
-            &JobConfig {
-                map_spill_records: spill,
-                spill_dir: spill.map(|_| dir.clone()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        if dir.exists() {
-            // Run files are merged and deleted; only final SMOF files
-            // (from the spilled shuffle store) remain.
-            let leftover_runs = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter(|e| {
-                    e.as_ref()
-                        .unwrap()
-                        .file_name()
-                        .to_string_lossy()
-                        .contains("-run")
-                })
-                .count();
-            assert_eq!(leftover_runs, 0, "spill runs must be cleaned up");
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        (output.sorted_records(), result.counters)
-    };
-
-    let (mem, _) = run_with(None);
-    let (spilled, counters) = run_with(Some(64)); // ~10 spills per map
-    assert_eq!(mem, spilled);
-    // The combiner still folded records despite spilling.
-    assert!(counters.combined_records < counters.map_records_out);
-}
-
-#[test]
-fn spilled_volatile_recovery_reexecutes_and_recovers() {
-    // The §6 regime with a *real* on-disk shuffle: consuming a fetch
-    // deletes the file; the injected failure forces map re-execution
-    // which regenerates it.
-    let n = 5usize;
-    let splits = number_splits(n as u64, n as u64);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = OneToOnePlan { n };
-    let output = InMemoryOutput::new();
-    let dir = std::env::temp_dir().join(format!("sidr-engine-spillvol-{}", std::process::id()));
-    let result = run_job(
-        &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
-        &output,
-        &JobConfig {
-            fault_plan: FaultPlan::fail_reducers_first_attempt([2]),
-            volatile_intermediate: true,
-            spill_dir: Some(dir.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(result.counters.maps_reexecuted, 1);
-    assert_eq!(output.len(), n);
-    // All files were consumed by fetches: nothing persists.
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn reduce_waves_with_few_slots() {
     // 10 reducers over 2 slots: all complete, in waves.
     let splits = number_splits(100, 4);

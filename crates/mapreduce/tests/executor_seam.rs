@@ -1,12 +1,9 @@
 //! The `TaskExecutor` seam, driven directly: the in-process executor
-//! must behave identically whether committed map output stays typed
-//! and resident or lands on disk as CRC-framed SMOF files in a
-//! `PartitionStore` (`JobConfig::spill_dir`) — through commit → fetch,
-//! a lost source, post-commit corruption, volatile consume-then-recover
-//! and a lost speculative twin — and must leave nothing behind, in
-//! its table or on disk, once the job is over, however it ended.
+//! keeps committed map output typed and resident, through commit →
+//! fetch, a lost source, post-commit corruption, volatile
+//! consume-then-recover and a lost speculative twin — and must leave
+//! nothing behind in its table once the job is over, however it ended.
 
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sidr_coords::{Coord, Shape, Slab};
@@ -20,41 +17,13 @@ use sidr_mapreduce::{
 const MAPS: u64 = 4;
 const REDUCERS: usize = 3;
 
-/// Both payload modes: `None` keeps partitions typed and resident,
-/// `Some(dir)` spills every partition under a directory of the test's
-/// own.
-fn modes(test: &str) -> [Option<PathBuf>; 2] {
-    let dir = std::env::temp_dir().join(format!("sidr-seam-{test}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    [None, Some(dir)]
-}
-
-fn base_config(spill_dir: &Option<PathBuf>) -> JobConfig {
+fn base_config() -> JobConfig {
     JobConfig {
-        spill_dir: spill_dir.clone(),
         retry: RetryPolicy {
             backoff_ms: 1,
             ..RetryPolicy::default()
         },
         ..Default::default()
-    }
-}
-
-/// Files (not directories) anywhere under `dir`; 0 when it is absent.
-fn files_under(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .map(|e| e.unwrap().path())
-        .map(|p| if p.is_dir() { files_under(&p) } else { 1 })
-        .sum()
-}
-
-fn assert_nothing_on_disk(spill_dir: &Option<PathBuf>) {
-    if let Some(dir) = spill_dir {
-        assert_eq!(files_under(dir), 0, "spill files left under {dir:?}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -99,8 +68,7 @@ macro_rules! with_executor {
         let $plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
         let config: &JobConfig = $config;
         let $exec =
-            InProcessExecutor::new(&identity_source, &mapper, None, &reducer, &$plan, config)
-                .unwrap();
+            InProcessExecutor::new(&identity_source, &mapper, None, &reducer, &$plan, config);
         $body
     }};
 }
@@ -158,294 +126,252 @@ fn expected(r: u64) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn commit_then_fetch_is_identical_in_both_modes() {
-    for spill_dir in modes("commit-fetch") {
-        let config = base_config(&spill_dir);
-        with_executor!(&config, |exec, _plan| {
-            for m in 0..MAPS as usize {
-                run_map(&exec, m, 0);
-            }
-            assert_eq!(exec.held_generations(), MAPS as usize);
-            if let Some(dir) = &spill_dir {
-                assert_eq!(
-                    files_under(dir),
-                    MAPS as usize * REDUCERS,
-                    "every partition lands on disk"
-                );
-            }
-            for r in 0..REDUCERS {
-                let (records, shuffled) = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
-                assert_eq!(records, expected(r as u64), "{spill_dir:?} reducer {r}");
-                let mine = (0..MAPS * 10).filter(|k| k % 3 == r as u64).count();
-                assert_eq!(shuffled, mine as u64, "{spill_dir:?}");
-            }
-            // Persistent data: a second fetch sees the same bytes.
-            assert_eq!(
-                run_reduce(&exec, 1, &sources(&[0; 4])).unwrap().0,
-                expected(1)
-            );
-            exec.finish();
-            assert_eq!(exec.held_generations(), 0);
-        });
-        assert_nothing_on_disk(&spill_dir);
-    }
+fn commit_then_fetch_delivers_every_partition() {
+    let config = base_config();
+    with_executor!(&config, |exec, _plan| {
+        for m in 0..MAPS as usize {
+            run_map(&exec, m, 0);
+        }
+        assert_eq!(exec.held_generations(), MAPS as usize);
+        for r in 0..REDUCERS {
+            let (records, shuffled) = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
+            assert_eq!(records, expected(r as u64), "reducer {r}");
+            let mine = (0..MAPS * 10).filter(|k| k % 3 == r as u64).count();
+            assert_eq!(shuffled, mine as u64);
+        }
+        // Persistent data: a second fetch sees the same records.
+        assert_eq!(
+            run_reduce(&exec, 1, &sources(&[0; 4])).unwrap().0,
+            expected(1)
+        );
+        exec.finish();
+        assert_eq!(exec.held_generations(), 0);
+    });
 }
 
 #[test]
 fn uncommitted_generation_is_a_lost_source_and_nothing_is_consumed() {
-    for spill_dir in modes("lost-source") {
-        let config = JobConfig {
-            volatile_intermediate: true,
-            ..base_config(&spill_dir)
-        };
-        with_executor!(&config, |exec, _plan| {
-            for m in [0, 1, 3] {
-                run_map(&exec, m, 0);
-            }
-            // Map 2 never committed; map 3 only at attempt 0, not 1.
-            assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0, 0, 0, 1]))), [2, 3]);
-            // The failed bind consumed nothing, even under volatile
-            // data: once the sources exist the same reduce succeeds.
-            run_map(&exec, 2, 0);
-            run_map(&exec, 3, 1);
-            assert_eq!(
-                run_reduce(&exec, 0, &sources(&[0, 0, 0, 1])).unwrap().0,
-                expected(0),
-                "{spill_dir:?}"
-            );
-        });
-        assert_nothing_on_disk(&spill_dir);
-    }
+    let config = JobConfig {
+        volatile_intermediate: true,
+        ..base_config()
+    };
+    with_executor!(&config, |exec, _plan| {
+        for m in [0, 1, 3] {
+            run_map(&exec, m, 0);
+        }
+        // Map 2 never committed; map 3 only at attempt 0, not 1.
+        assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0, 0, 0, 1]))), [2, 3]);
+        // The failed bind consumed nothing, even under volatile
+        // data: once the sources exist the same reduce succeeds.
+        run_map(&exec, 2, 0);
+        run_map(&exec, 3, 1);
+        assert_eq!(
+            run_reduce(&exec, 0, &sources(&[0, 0, 0, 1])).unwrap().0,
+            expected(0)
+        );
+    });
 }
 
 #[test]
 fn post_commit_corruption_surfaces_as_a_lost_source() {
     for kind in [FaultKind::CorruptOutput, FaultKind::TruncateOutput] {
-        for spill_dir in modes("corruption") {
-            let config = JobConfig {
-                fault_plan: FaultPlan::none().with(FaultTarget::Map(1), 0, kind),
-                ..base_config(&spill_dir)
-            };
-            with_executor!(&config, |exec, _plan| {
-                for m in 0..MAPS as usize {
-                    run_map(&exec, m, 0); // map 1 "succeeds" too
-                }
-                // Every reducer finds the damage on its own partition
-                // — by the CRC when it was read back from disk.
-                for r in 0..REDUCERS {
-                    assert_eq!(
-                        lost(run_reduce(&exec, r, &sources(&[0; 4]))),
-                        [1],
-                        "{kind:?} {spill_dir:?} reducer {r}"
-                    );
-                }
-                // The re-executed attempt is clean and is what gets bound.
-                run_map(&exec, 1, 1);
-                for r in 0..REDUCERS {
-                    assert_eq!(
-                        run_reduce(&exec, r, &sources(&[0, 1, 0, 0])).unwrap().0,
-                        expected(r as u64),
-                        "{kind:?} {spill_dir:?} reducer {r}"
-                    );
-                }
-            });
-            assert_nothing_on_disk(&spill_dir);
-        }
+        let config = JobConfig {
+            fault_plan: FaultPlan::none().with(FaultTarget::Map(1), 0, kind),
+            ..base_config()
+        };
+        with_executor!(&config, |exec, _plan| {
+            for m in 0..MAPS as usize {
+                run_map(&exec, m, 0); // map 1 "succeeds" too
+            }
+            // Every reducer finds the damage on its own partition.
+            for r in 0..REDUCERS {
+                assert_eq!(
+                    lost(run_reduce(&exec, r, &sources(&[0; 4]))),
+                    [1],
+                    "{kind:?} reducer {r}"
+                );
+            }
+            // The re-executed attempt is clean and is what gets bound.
+            run_map(&exec, 1, 1);
+            for r in 0..REDUCERS {
+                assert_eq!(
+                    run_reduce(&exec, r, &sources(&[0, 1, 0, 0])).unwrap().0,
+                    expected(r as u64),
+                    "{kind:?} reducer {r}"
+                );
+            }
+        });
     }
 }
 
 #[test]
 fn volatile_fetch_consumes_exactly_the_bound_generation() {
-    for spill_dir in modes("volatile") {
-        let config = JobConfig {
-            volatile_intermediate: true,
-            ..base_config(&spill_dir)
-        };
-        with_executor!(&config, |exec, _plan| {
-            for m in 0..MAPS as usize {
-                run_map(&exec, m, 0);
-            }
-            // A speculative twin of map 2 committed as well: its
-            // generation sits beside attempt 0's, unbound.
-            run_map(&exec, 2, 1);
-            assert_eq!(exec.held_generations(), MAPS as usize + 1);
+    let config = JobConfig {
+        volatile_intermediate: true,
+        ..base_config()
+    };
+    with_executor!(&config, |exec, _plan| {
+        for m in 0..MAPS as usize {
+            run_map(&exec, m, 0);
+        }
+        // A speculative twin of map 2 committed as well: its
+        // generation sits beside attempt 0's, unbound.
+        run_map(&exec, 2, 1);
+        assert_eq!(exec.held_generations(), MAPS as usize + 1);
 
-            assert_eq!(
-                run_reduce(&exec, 0, &sources(&[0; 4])).unwrap().0,
-                expected(0)
-            );
-            // Consumed on fetch: gone, not empty — a re-bind of the
-            // same generations must report them lost, never reduce
-            // over nothing.
-            assert_eq!(
-                lost(run_reduce(&exec, 0, &sources(&[0; 4]))),
-                [0, 1, 2, 3],
-                "{spill_dir:?}"
-            );
-            // Other reducers' partitions of those generations are
-            // untouched, and so is the twin's generation.
-            assert_eq!(
-                run_reduce(&exec, 1, &sources(&[0; 4])).unwrap().0,
-                expected(1)
-            );
-            assert_eq!(
-                lost(run_reduce(&exec, 0, &sources(&[0, 0, 1, 0]))),
-                [0, 1, 3]
-            );
-            // Recovery: exactly the consumed maps re-execute; the
-            // retry binds the fresh epochs.
-            for m in [0, 1, 3] {
-                run_map(&exec, m, 1);
-            }
-            assert_eq!(
-                run_reduce(&exec, 0, &sources(&[1; 4])).unwrap().0,
-                expected(0),
-                "{spill_dir:?}"
-            );
-            if let Some(dir) = &spill_dir {
-                // Consumed partitions are deleted when consumed: what
-                // is left is reducers 1–2 of the fresh generations and
-                // reducer 2 of the old ones.
-                assert_eq!(files_under(dir), 2 * MAPS as usize + MAPS as usize);
-            }
-        });
-        assert_nothing_on_disk(&spill_dir);
-    }
+        assert_eq!(
+            run_reduce(&exec, 0, &sources(&[0; 4])).unwrap().0,
+            expected(0)
+        );
+        // Consumed on fetch: gone, not empty — a re-bind of the
+        // same generations must report them lost, never reduce
+        // over nothing.
+        assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0; 4]))), [0, 1, 2, 3]);
+        // Other reducers' partitions of those generations are
+        // untouched, and so is the twin's generation.
+        assert_eq!(
+            run_reduce(&exec, 1, &sources(&[0; 4])).unwrap().0,
+            expected(1)
+        );
+        assert_eq!(
+            lost(run_reduce(&exec, 0, &sources(&[0, 0, 1, 0]))),
+            [0, 1, 3]
+        );
+        // Recovery: exactly the consumed maps re-execute; the
+        // retry binds the fresh epochs.
+        for m in [0, 1, 3] {
+            run_map(&exec, m, 1);
+        }
+        assert_eq!(
+            run_reduce(&exec, 0, &sources(&[1; 4])).unwrap().0,
+            expected(0)
+        );
+    });
 }
 
 /// Job-level: a job with a speculative race reports one connection per
 /// bound (map, reducer) pair, and a finished job — completed, failed or
-/// cancelled — leaves no table entry and no spill file.
+/// cancelled — leaves no table entry.
 #[test]
 fn jobs_count_connections_and_leave_nothing_behind() {
-    for spill_dir in modes("jobs") {
-        // Completed, with a forced speculative twin of map 1 racing a
-        // straggling primary.
-        let config = JobConfig {
-            fault_plan: FaultPlan::none().with(
-                FaultTarget::Map(1),
-                0,
-                FaultKind::Straggle { delay_ms: 300 },
-            ),
-            speculation: sidr_mapreduce::SpeculationPolicy::force([1]),
-            ..base_config(&spill_dir)
-        };
-        with_executor!(&config, |exec, plan| {
-            let pool = SlotPool::new(4, 3).unwrap();
-            let output = InMemoryOutput::new();
-            let result =
-                run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec)
-                    .unwrap();
-            let mut want: Vec<(u64, u64)> = (0..REDUCERS as u64).flat_map(expected).collect();
-            want.sort_unstable();
-            assert_eq!(output.sorted_records(), want, "{spill_dir:?}");
-            assert_eq!(
-                result.counters.shuffle_connections,
-                MAPS * REDUCERS as u64,
-                "one connection per (map, reducer)"
-            );
-            assert!(exec.held_generations() >= MAPS as usize);
-            exec.finish();
-            assert_eq!(exec.held_generations(), 0);
-        });
-        assert_nothing_on_disk(&spill_dir);
-
-        // Failed: reducer 2 exhausts its budget after every map
-        // committed.
-        let config = JobConfig {
-            fault_plan: FaultPlan::none()
-                .with(FaultTarget::Reduce(2), 0, FaultKind::Fail)
-                .with(FaultTarget::Reduce(2), 1, FaultKind::Fail),
-            retry: RetryPolicy {
-                max_task_attempts: 2,
-                backoff_ms: 1,
-                ..RetryPolicy::default()
-            },
-            ..base_config(&spill_dir)
-        };
-        with_executor!(&config, |exec, plan| {
-            let pool = SlotPool::new(4, 3).unwrap();
-            let output = InMemoryOutput::new();
-            let err = run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec)
-                .unwrap_err();
-            assert!(matches!(err, MrError::TaskFailed { .. }), "{err:?}");
-            assert_eq!(exec.held_generations(), MAPS as usize);
-            exec.finish();
-            assert_eq!(exec.held_generations(), 0);
-        });
-        assert_nothing_on_disk(&spill_dir);
-
-        // Cancelled mid-job, through the entry point that owns its
-        // executor: maps have committed, every reduce is straggling.
-        let straggle = FaultKind::Straggle { delay_ms: 30_000 };
-        let config = JobConfig {
-            fault_plan: (0..REDUCERS).fold(FaultPlan::none(), |plan, r| {
-                plan.with(FaultTarget::Reduce(r), 0, straggle)
-            }),
-            ..base_config(&spill_dir)
-        };
-        let mapper =
-            FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 6, *v));
-        let reducer =
-            FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-        let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
+    // Completed, with a forced speculative twin of map 1 racing a
+    // straggling primary.
+    let config = JobConfig {
+        fault_plan: FaultPlan::none().with(
+            FaultTarget::Map(1),
+            0,
+            FaultKind::Straggle { delay_ms: 300 },
+        ),
+        speculation: sidr_mapreduce::SpeculationPolicy::force([1]),
+        ..base_config()
+    };
+    with_executor!(&config, |exec, plan| {
         let pool = SlotPool::new(4, 3).unwrap();
-        let cancel = CancelToken::new();
         let output = InMemoryOutput::new();
-        let result = std::thread::scope(|s| {
-            let job = s.spawn(|| {
-                sidr_mapreduce::run_job_shared(
-                    &splits(),
-                    &identity_source,
-                    &mapper,
-                    None,
-                    &reducer,
-                    &plan,
-                    &output,
-                    &config,
-                    &pool,
-                    Some(&cancel),
-                )
-            });
-            std::thread::sleep(Duration::from_millis(150));
-            cancel.cancel();
-            job.join().unwrap()
+        let result =
+            run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec).unwrap();
+        let mut want: Vec<(u64, u64)> = (0..REDUCERS as u64).flat_map(expected).collect();
+        want.sort_unstable();
+        assert_eq!(output.sorted_records(), want);
+        assert_eq!(
+            result.counters.shuffle_connections,
+            MAPS * REDUCERS as u64,
+            "one connection per (map, reducer)"
+        );
+        assert!(exec.held_generations() >= MAPS as usize);
+        exec.finish();
+        assert_eq!(exec.held_generations(), 0);
+    });
+
+    // Failed: reducer 2 exhausts its budget after every map
+    // committed.
+    let config = JobConfig {
+        fault_plan: FaultPlan::none()
+            .with(FaultTarget::Reduce(2), 0, FaultKind::Fail)
+            .with(FaultTarget::Reduce(2), 1, FaultKind::Fail),
+        retry: RetryPolicy {
+            max_task_attempts: 2,
+            backoff_ms: 1,
+            ..RetryPolicy::default()
+        },
+        ..base_config()
+    };
+    with_executor!(&config, |exec, plan| {
+        let pool = SlotPool::new(4, 3).unwrap();
+        let output = InMemoryOutput::new();
+        let err = run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec)
+            .unwrap_err();
+        assert!(matches!(err, MrError::TaskFailed { .. }), "{err:?}");
+        assert_eq!(exec.held_generations(), MAPS as usize);
+        exec.finish();
+        assert_eq!(exec.held_generations(), 0);
+    });
+
+    // Cancelled mid-job, through the entry point that owns its
+    // executor: maps have committed, every reduce is straggling.
+    let straggle = FaultKind::Straggle { delay_ms: 30_000 };
+    let config = JobConfig {
+        fault_plan: (0..REDUCERS).fold(FaultPlan::none(), |plan, r| {
+            plan.with(FaultTarget::Reduce(r), 0, straggle)
+        }),
+        ..base_config()
+    };
+    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 6, *v));
+    let reducer =
+        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
+    let pool = SlotPool::new(4, 3).unwrap();
+    let cancel = CancelToken::new();
+    let output = InMemoryOutput::new();
+    let result = std::thread::scope(|s| {
+        let job = s.spawn(|| {
+            sidr_mapreduce::run_job_shared(
+                &splits(),
+                &identity_source,
+                &mapper,
+                None,
+                &reducer,
+                &plan,
+                &output,
+                &config,
+                &pool,
+                Some(&cancel),
+            )
         });
-        assert!(matches!(result, Err(MrError::Cancelled)), "{result:?}");
-        assert_nothing_on_disk(&spill_dir);
-    }
+        std::thread::sleep(Duration::from_millis(150));
+        cancel.cancel();
+        job.join().unwrap()
+    });
+    assert!(matches!(result, Err(MrError::Cancelled)), "{result:?}");
 }
 
 /// A map that produces nothing for some reducer still costs that
-/// reducer a connection, in both modes (§4.6: every Reduce task
-/// contacts every completed Map task).
+/// reducer a connection (§4.6: every Reduce task contacts every
+/// completed Map task).
 #[test]
 fn empty_partitions_still_count_a_connection() {
-    for spill_dir in modes("empty") {
-        // Every key lands on reducer 0: reducers 1 and 2 fetch nothing
-        // but empties.
-        let mapper = FnMapper::new(|_k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(0, *v));
-        let reducer =
-            FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-        let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
-        let output = InMemoryOutput::new();
-        let result = run_job(
-            &splits(),
-            &identity_source,
-            &mapper,
-            None,
-            &reducer,
-            &plan,
-            &output,
-            &base_config(&spill_dir),
-        )
-        .unwrap();
-        assert_eq!(
-            output.sorted_records(),
-            vec![(0, (0..MAPS * 10).sum::<u64>())]
-        );
-        assert_eq!(result.counters.shuffle_connections, MAPS * REDUCERS as u64);
-        assert_eq!(result.counters.shuffled_records, MAPS * 10);
-        assert_nothing_on_disk(&spill_dir);
-    }
+    // Every key lands on reducer 0: reducers 1 and 2 fetch nothing
+    // but empties.
+    let mapper = FnMapper::new(|_k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(0, *v));
+    let reducer =
+        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
+    let output = InMemoryOutput::new();
+    let result = run_job(
+        &splits(),
+        &identity_source,
+        &mapper,
+        None,
+        &reducer,
+        &plan,
+        &output,
+        &base_config(),
+    )
+    .unwrap();
+    assert_eq!(
+        output.sorted_records(),
+        vec![(0, (0..MAPS * 10).sum::<u64>())]
+    );
+    assert_eq!(result.counters.shuffle_connections, MAPS * REDUCERS as u64);
+    assert_eq!(result.counters.shuffled_records, MAPS * 10);
 }

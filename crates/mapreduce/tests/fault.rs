@@ -5,7 +5,6 @@
 //! dependency set `I_ℓ`, and exhausted budgets fail the job with a
 //! typed error instead of wrong answers.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -147,25 +146,6 @@ fn map_fault_matrix_recovers_with_identical_output() {
             | FaultKind::SpillReadTruncate => unreachable!(),
         }
     }
-}
-
-/// Corrupt *on-disk* shuffle files (the spilled path) are caught by
-/// the SMOF CRC at fetch time and recovered by re-executing only the
-/// damaged map.
-#[test]
-fn corrupt_spilled_output_detected_by_crc_and_recovered() {
-    let dir = std::env::temp_dir().join(format!("sidr-fault-crc-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let config = JobConfig {
-        spill_dir: Some(dir.clone()),
-        fault_plan: FaultPlan::none().with(FaultTarget::Map(1), 0, FaultKind::CorruptOutput),
-        ..Default::default()
-    };
-    let (records, result) = run_sums(90, 5, 3, &config);
-    assert_eq!(records, digit_sums(90));
-    assert!(result.counters.corrupt_fetches >= 1);
-    assert_eq!(reexecuted_maps(&result.events), vec![1]);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A fault scripted for every attempt exhausts the budget and the job
@@ -316,33 +296,6 @@ fn failed_reduce_reexecutes_exactly_its_dependency_set() {
     for (k, v) in records {
         assert_eq!(v, 100 + k);
     }
-}
-
-/// Regression (spill-dir collision): two jobs spilling concurrently
-/// under the *default* scratch directory used to share per-map run
-/// filenames keyed only by map task id; both jobs read back whichever
-/// job's runs landed last. Each job now gets a job-namespaced scratch
-/// directory, so concurrent outputs stay correct.
-#[test]
-fn concurrent_spilling_jobs_do_not_collide_in_default_scratch_dir() {
-    let expect = digit_sums(200);
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| {
-                let config = JobConfig {
-                    // Tiny sort buffer vs 25-record splits: every map
-                    // is forced to spill several runs.
-                    map_spill_records: Some(4),
-                    ..Default::default()
-                };
-                let (records, _) = run_sums(200, 8, 4, &config);
-                assert_eq!(records, expect, "concurrent spilling job corrupted");
-                done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-    });
-    assert_eq!(done.load(Ordering::SeqCst), 2);
 }
 
 /// Speculative execution, deterministic direction: a forced twin

@@ -9,7 +9,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use sidr_mapreduce::{merge_files, MapOutputFile, MergeIter};
+use sidr_mapreduce::{GroupBatch, MapOutputFile, MergeIter};
 
 /// The seed implementation `MergeIter` replaced, kept verbatim as the
 /// reference: clone everything, stable-sort the concatenation, group.
@@ -69,27 +69,23 @@ proptest! {
             got.push((*k, vs.to_vec()));
         }
         prop_assert_eq!(&got, &expected);
-
-        // The compatibility wrapper is the same thing materialized.
-        prop_assert_eq!(&merge_files(&files), &expected);
     }
 
-    /// Record-at-a-time streaming (the spill-run merge path) yields
-    /// the flattened legacy order.
+    /// Batched streaming (the reduce attempt's path) delivers the same
+    /// groups whatever the batch budget.
     #[test]
-    fn streaming_records_equal_legacy_flat_order(raw in vec(vec(0u64..12, 0..40), 0..8)) {
+    fn batched_groups_equal_legacy_merge(
+        raw in vec(vec(0u64..12, 0..40), 0..8),
+        min_records in 1usize..64,
+    ) {
         let files = make_files(raw);
-        let expected: Vec<(u64, u32)> = legacy_merge(&files)
-            .into_iter()
-            .flat_map(|(k, vs)| vs.into_iter().map(move |v| (k, v)))
-            .collect();
-
         let mut merge = MergeIter::with_files(files.iter().map(Arc::clone));
-        let mut got = Vec::new();
-        while let Some((k, v)) = merge.next_record() {
-            got.push((*k, *v));
+        let mut batch = GroupBatch::new();
+        let mut got: Vec<(u64, Vec<u32>)> = Vec::new();
+        while merge.fill_batch(&mut batch, min_records) > 0 {
+            got.extend(batch.groups().map(|(k, vs)| (*k, vs.to_vec())));
         }
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(got, legacy_merge(&files));
     }
 
     /// Cursors opened incrementally (the copy-phase overlap path)

@@ -1,9 +1,10 @@
-//! Equivalence properties for the SMOF v3 fixed-width layout: over
-//! random coordinate record sets, the packed-LE encoding and its
-//! key-offset index agree exactly with the v2 variable-width decoder
-//! the format replaced — same records, same raw counts — and the
-//! index-backed [`Smof3View::seek_ge`] matches a linear scan at every
-//! probe. Truncations of v3 bytes always fail with a typed error.
+//! Properties of the SMOF v3 fixed-width layout — the one map-output
+//! byte format: over random coordinate record sets, the packed-LE
+//! encoding round-trips the input records and raw counts through both
+//! decoders, and the index-backed [`Smof3View::seek_ge`] matches a
+//! linear scan at every probe. Truncations of v3 bytes, and every
+//! version but 3 — a well-formed v2 buffer included — always fail
+//! with a typed error at every entry point.
 
 use std::sync::Arc;
 
@@ -12,9 +13,12 @@ use proptest::prelude::*;
 
 use sidr_coords::Coord;
 use sidr_mapreduce::shuffle_file::{
-    decode_map_output, encode_map_output, encode_map_output_v2, INDEX_INTERVAL,
+    decode_map_output, encode_map_output, verify_encoded, INDEX_INTERVAL,
 };
-use sidr_mapreduce::{MapOutputFile, Smof3View, WireFormat};
+use sidr_mapreduce::{
+    FaultPlan, MapOutputFile, MergeSource, MrError, PartitionStore, Smof3View, TierConfig,
+    WireFormat,
+};
 
 /// A sorted coordinate-keyed map output from raw (unsorted) pairs.
 /// Values carry the record's position so reorderings are visible.
@@ -35,19 +39,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The fixed-width v3 encoding round-trips through both decoders
-    /// — the zero-copy view and the compatibility `decode_map_output`
-    /// — and matches what the v2 encoder/decoder pair produces for
-    /// the same records.
+    /// — the zero-copy view and the materializing `decode_map_output`
+    /// — against the input records.
     #[test]
-    fn v3_round_trips_and_matches_the_v2_decoder(raw in vec((0u64..48, 0u64..48), 0..600)) {
+    fn v3_round_trips_through_both_decoders(raw in vec((0u64..48, 0u64..48), 0..600)) {
         let file = make_file(raw);
 
-        // Fixed codecs exist for (Coord, f64) with uniform rank, so
-        // the auto-selecting encoder must emit v3.
         let v3 = encode_map_output(&file).unwrap();
         let view = Smof3View::<Coord, f64>::parse(Arc::new(v3.clone()))
             .unwrap()
-            .expect("uniform-rank coord records encode as v3");
+            .expect("parse never yields None");
         prop_assert_eq!(view.records(), file.records.len());
         prop_assert_eq!(view.raw_count(), file.raw_count);
         for (i, (k, v)) in file.records.iter().enumerate() {
@@ -55,17 +56,9 @@ proptest! {
             prop_assert_eq!(view.value_at(i), *v);
         }
 
-        // The v1-era decoder entry point reads v3 bytes too.
         let via_decode = decode_map_output::<Coord, f64>(&v3).unwrap();
         prop_assert_eq!(&via_decode.records, &file.records);
         prop_assert_eq!(via_decode.raw_count, file.raw_count);
-
-        // Cross-check against the v2 reference pair.
-        let v2 = encode_map_output_v2(&file).unwrap();
-        prop_assert!(v2 != v3, "layouts are distinguishable");
-        let via_v2 = decode_map_output::<Coord, f64>(&v2).unwrap();
-        prop_assert_eq!(&via_v2.records, &file.records);
-        prop_assert_eq!(via_v2.raw_count, file.raw_count);
     }
 
     /// The key-offset index never lies: `seek_ge` equals the linear
@@ -80,7 +73,7 @@ proptest! {
         let bytes = encode_map_output(&file).unwrap();
         let view = Smof3View::<Coord, f64>::parse(Arc::new(bytes))
             .unwrap()
-            .expect("v3 layout");
+            .expect("parse never yields None");
         for (a, b) in probes {
             let key = Coord::from([a, b]);
             let expect = file.records.partition_point(|(k, _)| k < &key);
@@ -111,7 +104,7 @@ fn packed_key_order_matches_coord_order() {
         .map(|i| (i.wrapping_mul(0x9E37_79B9) % 300, i % 257))
         .collect();
     let file = make_file(raw);
-    let codec = Coord::fixed_codec().expect("coords have a fixed codec");
+    let codec = Coord::fixed_codec();
     let bytes = encode_map_output(&file).unwrap();
     let view = Smof3View::<Coord, f64>::parse(Arc::new(bytes))
         .unwrap()
@@ -121,4 +114,91 @@ fn packed_key_order_matches_coord_order() {
         let coord_cmp = file.records[i - 1].0.cmp(&file.records[i].0);
         assert_eq!(byte_cmp, coord_cmp, "at record {i}");
     }
+}
+
+// ---------------------------------------------------------------
+// Rejected inputs: one layout, every other version is corruption.
+// ---------------------------------------------------------------
+
+/// A well-formed SMOF **v2** buffer, written by hand (the encoder is
+/// gone): one ⟨Coord [1, 2], 1.5⟩ record, raw count 5, in the
+/// variable-width layout — rank-prefixed key, CRC over the payload.
+const V2_FIXTURE: [u8; 56] = [
+    b'S', b'M', b'O', b'F', // magic
+    0x02, 0x00, 0x00, 0x00, // version 2
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // raw = 5
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // records = 1
+    0x1F, 0x8B, 0x9D, 0xEF, // CRC-32 of the payload
+    0x02, 0x00, 0x00, 0x00, // key: rank 2
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // key[0] = 1
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // key[1] = 2
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F, // value = 1.5
+];
+
+/// A sound v3 buffer with its version field overwritten.
+fn with_version(version: u32) -> Vec<u8> {
+    let mut bytes = encode_map_output(&make_file(vec![(1, 2), (3, 4)])).unwrap();
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    bytes
+}
+
+fn assert_corrupt<T>(what: &str, result: sidr_mapreduce::Result<T>) {
+    match result {
+        Err(MrError::CorruptShuffle { .. }) => {}
+        Err(other) => panic!("{what}: expected CorruptShuffle, got {other:?}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+#[test]
+fn every_version_but_3_is_corrupt_at_every_entry_point() {
+    let hostile = [
+        ("v2 fixture", V2_FIXTURE.to_vec()),
+        ("version 0", with_version(0)),
+        ("version 2", with_version(2)),
+        ("version 4", with_version(4)),
+        ("short header", with_version(3)[..30].to_vec()),
+    ];
+    for (name, bytes) in hostile {
+        assert_corrupt(name, decode_map_output::<Coord, f64>(&bytes));
+        assert_corrupt(name, verify_encoded(&bytes));
+        let bytes = Arc::new(bytes);
+        assert_corrupt(name, Smof3View::<Coord, f64>::parse(Arc::clone(&bytes)));
+        assert_corrupt(name, MergeSource::<Coord, f64>::from_encoded(bytes));
+    }
+}
+
+/// The worker's read-back path: a spilled copy whose version byte was
+/// flipped on disk — or that was swapped for a well-formed v2 file —
+/// is a corrupt replica, not a second format.
+#[test]
+fn spilled_copy_of_another_version_reads_back_corrupt() {
+    fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        entries
+            .flat_map(|p| if p.is_dir() { files_under(&p) } else { vec![p] })
+            .collect()
+    }
+    let dir = std::env::temp_dir().join(format!("sidr-smof3-version-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = PartitionStore::on_disk(
+        TierConfig {
+            budget_bytes: 1, // every insert goes straight to disk
+            ..TierConfig::default()
+        },
+        &dir,
+    );
+    let mut flipped = with_version(3);
+    flipped[4] = 2;
+    for (map, on_disk) in [flipped, V2_FIXTURE.to_vec()].into_iter().enumerate() {
+        let key = (7, map, 0, 0);
+        store.prepare_job(key.0, FaultPlan::none(), &[1]);
+        store.insert(key, Arc::new(with_version(3)));
+        let spilled = files_under(&dir);
+        assert_eq!(spilled.len(), 1, "{spilled:?}");
+        std::fs::write(&spilled[0], on_disk).unwrap();
+        assert_corrupt("spilled copy", store.get(&key));
+        store.remove_job(key.0);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

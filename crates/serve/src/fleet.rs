@@ -11,7 +11,7 @@
 //! through the coordinator. All connections speak the length-prefixed
 //! JSON frame protocol of [`crate::frame`], opened with the
 //! version/role [`Hello`](crate::frame::Hello) handshake; partition
-//! payloads ride as one raw frame of CRC-framed SMOF v2 bytes after
+//! payloads ride as one raw frame of CRC-framed SMOF (v3) bytes after
 //! their JSON header.
 //!
 //! Worker death is a fault-layer event, not a job-killer: the
@@ -542,7 +542,6 @@ impl Fleet {
                 .into(),
             placement: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(HashMap::new()),
-            splits: Mutex::new(Vec::new()),
         })
     }
 
@@ -728,9 +727,6 @@ pub struct RemoteJob<'f> {
     /// Speculative dispatch reads this to place the twin on a
     /// different worker than the straggler.
     in_flight: Mutex<HashMap<usize, usize>>,
-    /// Split byte ranges, captured at first dispatch for locality
-    /// ranking.
-    splits: Mutex<Vec<(u64, u64)>>,
 }
 
 impl RemoteJob<'_> {
@@ -799,13 +795,6 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         // scheduler's cancel or race state.
         _pause: &dyn Fn(Duration) -> bool,
     ) -> sidr_mapreduce::Result<()> {
-        {
-            let mut splits = self.splits.lock().unwrap();
-            if splits.len() <= task {
-                splits.resize(task + 1, (0, 0));
-            }
-            splits[task] = split.byte_range;
-        }
         let mut candidates = self.ranked_workers(Some(split));
         if speculative {
             if let Some(&busy) = self.in_flight.lock().unwrap().get(&task) {

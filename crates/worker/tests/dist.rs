@@ -778,7 +778,19 @@ fn server_dispatches_to_fleet_and_reports_worker_stats() {
         .unwrap();
     assert_eq!(streamed, 24, "query1-tiny yields one mean per K′ row");
 
-    let stats = handle.stats();
+    // The attempt counts are heartbeat-cached on the coordinator: poll
+    // (≤ 3 s) until the beat after the job's last task has landed.
+    let attempts = |stats: &sidr_serve::ServerStats| {
+        stats.workers.iter().fold((0, 0), |(maps, reduces), w| {
+            (maps + w.map_attempts, reduces + w.reduce_attempts)
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(3);
+    let mut stats = handle.stats();
+    while attempts(&stats) != (12, 4) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(2));
+        stats = handle.stats();
+    }
     assert_eq!(stats.workers.len(), 3, "every worker is reported");
     for w in &stats.workers {
         assert!(w.alive, "worker {} should be alive", w.addr);
@@ -788,10 +800,11 @@ fn server_dispatches_to_fleet_and_reports_worker_stats() {
             w.addr
         );
     }
-    let map_attempts: u64 = stats.workers.iter().map(|w| w.map_attempts).sum();
-    let reduce_attempts: u64 = stats.workers.iter().map(|w| w.reduce_attempts).sum();
-    assert_eq!(map_attempts, 12, "all 12 maps ran on the fleet");
-    assert_eq!(reduce_attempts, 4, "all 4 reduces ran on the fleet");
+    assert_eq!(
+        attempts(&stats),
+        (12, 4),
+        "all 12 maps and all 4 reduces ran on the fleet"
+    );
 
     client.shutdown().ok();
 }
