@@ -5,10 +5,12 @@
 //! * `partition` — §4.5: default hash vs `partition+` over 6.48M pairs,
 //! * `keymap` — the `K → K′` extraction translation (§3 Area 2),
 //! * `scifile_write` — Table 2: dense vs sentinel vs pair output,
-//! * `shuffle_merge` — reduce-side sort/merge of map-output files,
 //! * `deps` — §3.2.1: dependency derivation (store) vs one-keyblock
 //!   recomputation,
 //! * `coords_ops` — geometry primitives underneath everything.
+//!
+//! Anything end to end (merge, wire, serve, fleet, spill) is measured
+//! by `bash benchmark/run.sh`, not here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,8 +37,8 @@ pub fn intermediate_keys(query: &StructuralQuery, n: usize) -> Vec<Coord> {
 
 // ---------------------------------------------------------------
 // Counting allocator: bytes, calls, and the live-byte high water.
-// The one `unsafe` file of the workspace (docs/UNSAFE.md); a bench
-// binary installs it with `#[global_allocator]`.
+// The one `unsafe` file of the workspace (docs/UNSAFE.md);
+// `tests/alloc.rs` installs it with `#[global_allocator]`.
 // ---------------------------------------------------------------
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);

@@ -213,14 +213,6 @@ impl FaultPlan {
 pub struct RetryPolicy {
     pub max_task_attempts: u32,
     pub backoff_ms: u64,
-    /// Safety-net re-check interval for blocked workers, in
-    /// milliseconds. Every blocking point is condvar-notified on
-    /// progress, so this tick only guards against a missed
-    /// notification turning into a hang; a worker that progresses
-    /// *because* the tick fired counts on
-    /// `sidr_mr_tick_wakeups_total`. The `SIDR_WAIT_TICK_MS`
-    /// environment variable overrides it process-wide.
-    pub wait_tick_ms: u64,
 }
 
 fn default_attempts() -> u32 {
@@ -231,16 +223,11 @@ fn default_backoff_ms() -> u64 {
     10
 }
 
-fn default_wait_tick_ms() -> u64 {
-    25
-}
-
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_task_attempts: default_attempts(),
             backoff_ms: default_backoff_ms(),
-            wait_tick_ms: default_wait_tick_ms(),
         }
     }
 }
@@ -252,19 +239,6 @@ impl RetryPolicy {
         let exp = failures.saturating_sub(1).min(20);
         let ms = self.backoff_ms.saturating_mul(1u64 << exp).min(10_000);
         Duration::from_millis(ms)
-    }
-
-    /// The effective safety-net tick: `SIDR_WAIT_TICK_MS` when set to
-    /// a positive integer, else [`wait_tick_ms`](Self::wait_tick_ms),
-    /// clamped to ≥ 1 ms (a zero tick would busy-spin every blocked
-    /// worker).
-    pub fn wait_tick(&self) -> Duration {
-        let ms = std::env::var("SIDR_WAIT_TICK_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(self.wait_tick_ms);
-        Duration::from_millis(ms.max(1))
     }
 }
 
@@ -338,39 +312,11 @@ mod tests {
         let p = RetryPolicy {
             max_task_attempts: 5,
             backoff_ms: 10,
-            ..RetryPolicy::default()
         };
         assert_eq!(p.backoff(1), Duration::from_millis(10));
         assert_eq!(p.backoff(2), Duration::from_millis(20));
         assert_eq!(p.backoff(3), Duration::from_millis(40));
         assert_eq!(p.backoff(60), Duration::from_millis(10_000), "capped");
-    }
-
-    #[test]
-    fn wait_tick_comes_from_policy_and_clamps() {
-        // The env override is process-global, so this test only
-        // exercises the policy-field path (no var set in the suite).
-        if std::env::var_os("SIDR_WAIT_TICK_MS").is_some() {
-            return;
-        }
-        let p = RetryPolicy {
-            wait_tick_ms: 7,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.wait_tick(), Duration::from_millis(7));
-        let zero = RetryPolicy {
-            wait_tick_ms: 0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(
-            zero.wait_tick(),
-            Duration::from_millis(1),
-            "zero tick clamps up instead of busy-spinning"
-        );
-        assert_eq!(
-            RetryPolicy::default().wait_tick(),
-            Duration::from_millis(25)
-        );
     }
 
     #[test]

@@ -98,15 +98,14 @@ impl Default for JobConfig {
     }
 }
 
-// The safety-net re-check interval for blocked workers lives on
-// [`RetryPolicy::wait_tick_ms`] (default 25 ms, `SIDR_WAIT_TICK_MS`
-// overrides): every blocking point is condvar-notified on progress,
-// failure *and* cancellation (see [`CancelToken::cancel`] /
-// `Shared::fail`), so the tick only guards against a missed
-// notification bug turning into a hang. A worker that makes progress
-// only because the tick fired increments `sidr_mr_tick_wakeups_total`
-// — the sidr-check explorer reports the same condition as a
-// `LostWakeup` finding.
+/// The safety-net re-check interval for blocked workers. Every
+/// blocking point is condvar-notified on progress, failure *and*
+/// cancellation (see [`CancelToken::cancel`] / `Shared::fail`), so the
+/// tick only guards against a missed notification bug turning into a
+/// hang. A worker that makes progress only because the tick fired
+/// increments `sidr_mr_tick_wakeups_total` — the sidr-check explorer
+/// reports the same condition as a `LostWakeup` finding.
+const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// A blocking point's wake-up target: the condvar a worker may be
 /// parked on, paired with the mutex that guards its predicate.
@@ -593,9 +592,6 @@ struct Shared<'j, K2: MrKey> {
     pool: &'j SlotPool,
     cancel: Option<&'j CancelToken>,
     num_maps: usize,
-    /// Safety-net re-check interval for this job's blocking points
-    /// (from [`RetryPolicy::wait_tick`]).
-    wait_tick: Duration,
 }
 
 impl<K2: MrKey> Shared<'_, K2> {
@@ -648,8 +644,7 @@ impl<K2: MrKey> Shared<'_, K2> {
             // Bounded by the safety-net tick like every other blocking
             // point; a timeout here is expected (it *is* the sleep),
             // so it never counts as a tick wakeup.
-            self.cv
-                .wait_for(&mut st, (deadline - now).min(self.wait_tick));
+            self.cv.wait_for(&mut st, (deadline - now).min(WAIT_TICK));
         }
     }
 
@@ -843,7 +838,6 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
         pool,
         cancel,
         num_maps,
-        wait_tick: config.retry.wait_tick(),
     };
     {
         let skipped = shared
@@ -981,7 +975,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 // Nothing eligible: either all maps are done/skipped
                 // (reduces still draining) or eligibility will arrive
                 // when a reduce starts / recovery re-enqueues.
-                ticked = shared.cv.wait_for(&mut st, shared.wait_tick).timed_out();
+                ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
             }
         };
         if speculative {
@@ -1007,7 +1001,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
         // (never blocks on a dedicated pool, where workers == slots).
         if !shared.pool.map.acquire(
             &|| shared.cancel_requested() || shared.state.lock().failed,
-            shared.wait_tick,
+            WAIT_TICK,
         ) {
             shared.observe_cancel();
             return;
@@ -1227,7 +1221,7 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
         // in-flight reduces across all jobs must never exceed the pool.
         if !shared.pool.reduce.acquire(
             &|| shared.cancel_requested() || shared.state.lock().failed,
-            shared.wait_tick,
+            WAIT_TICK,
         ) {
             shared.observe_cancel();
             return;
@@ -1372,7 +1366,7 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                     break ready;
                 }
                 let parked = Instant::now();
-                ticked = shared.cv.wait_for(&mut st, shared.wait_tick).timed_out();
+                ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
                 copy_wait += parked.elapsed();
             }
         };
@@ -1562,10 +1556,8 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
         let quantile_ms = policy.cohort_quantile_ms(&cohort, boosted);
 
         let mut granted = false;
-        if let Some(q) = quantile_ms {
-            let threshold = Duration::from_millis(
-                (q as f64 * policy.effective_slowdown(boosted)).ceil() as u64,
-            );
+        if let Some(ms) = policy.straggler_threshold_ms(&cohort, boosted) {
+            let threshold = Duration::from_millis(ms);
             let mut candidates: Vec<(usize, MapTaskId)> = (0..shared.num_maps)
                 .filter(|&m| {
                     st.maps[m] == MapStatus::Running
@@ -1647,8 +1639,6 @@ fn reenqueue_sources<K2: MrKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const WAIT_TICK: Duration = Duration::from_millis(25);
 
     /// A cancel must reach a waiter parked on a semaphore's condvar by
     /// notification — well inside one `WAIT_TICK` — not by waiting for

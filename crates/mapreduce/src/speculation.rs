@@ -63,9 +63,11 @@ pub struct SpeculationPolicy {
     pub check_interval_ms: u64,
     /// Deterministic hook for tests and chaos scenarios: these map
     /// tasks get a speculative twin as soon as they are running, no
-    /// timing involved. The at-most-one-extra-attempt invariant still
-    /// holds. Under the sidr-check virtual scheduler (where wall
-    /// clocks are meaningless) this is the *only* trigger.
+    /// timing involved — a non-empty list switches the cohort trigger
+    /// off, so exactly these maps are raced. The
+    /// at-most-one-extra-attempt invariant still holds. Under the
+    /// sidr-check virtual scheduler (where wall clocks are
+    /// meaningless) this is the *only* trigger.
     pub force_maps: Vec<usize>,
 }
 
@@ -199,6 +201,18 @@ impl SpeculationPolicy {
         let rank =
             ((self.quantile * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
         Some(sorted_ms[rank - 1])
+    }
+
+    /// Elapsed milliseconds past which a running attempt counts as a
+    /// straggler: `slowdown ×` the cohort quantile. `None` while the
+    /// cohort is below its floor, and always when maps are forced —
+    /// those are then the only trigger, whatever the clock says.
+    pub fn straggler_threshold_ms(&self, sorted_ms: &[u64], boosted: bool) -> Option<u64> {
+        if !self.force_maps.is_empty() {
+            return None;
+        }
+        let q = self.cohort_quantile_ms(sorted_ms, boosted)?;
+        Some((q as f64 * self.effective_slowdown(boosted)).ceil() as u64)
     }
 }
 
@@ -342,6 +356,22 @@ mod tests {
         assert_eq!(p.cohort_quantile_ms(&[10], true), Some(10));
         assert_eq!(p.effective_slowdown(true), 1.0);
         assert_eq!(p.effective_slowdown(false), 2.0);
+    }
+
+    #[test]
+    fn forced_policy_never_triggers_on_timing() {
+        // Microsecond maps: the cohort says 1 ms, so under `on()` any
+        // map descheduled for 2 ms is a straggler.
+        let cohort = [1, 1, 1, 1];
+        assert_eq!(
+            SpeculationPolicy::on().straggler_threshold_ms(&cohort, false),
+            Some(2)
+        );
+        // Forcing map 2 leaves no threshold for any other map to
+        // cross, boosted or not.
+        let forced = SpeculationPolicy::force([2]);
+        assert_eq!(forced.straggler_threshold_ms(&cohort, false), None);
+        assert_eq!(forced.straggler_threshold_ms(&cohort, true), None);
     }
 
     #[test]

@@ -204,7 +204,6 @@ fn retry_backoff_cancels_with_sub_tick_latency() {
         retry: RetryPolicy {
             max_task_attempts: 3,
             backoff_ms: 3_000,
-            ..RetryPolicy::default()
         },
         fault_plan: FaultPlan::none().with(FaultTarget::Map(0), 0, FaultKind::Fail),
         ..Default::default()

@@ -292,7 +292,6 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         retry: RetryPolicy {
             max_task_attempts: 2,
             backoff_ms: 1,
-            ..RetryPolicy::default()
         },
         ..base_config()
     };

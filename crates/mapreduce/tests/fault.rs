@@ -155,7 +155,6 @@ fn exhausted_retry_budget_fails_job_with_typed_error() {
     let retry = RetryPolicy {
         max_task_attempts: 2,
         backoff_ms: 1,
-        ..RetryPolicy::default()
     };
     let splits = number_splits(40, 4);
     let (mapper, reducer) = sum_by_mod10();
@@ -203,7 +202,6 @@ fn reduce_exhaustion_fails_job_with_typed_error() {
             retry: RetryPolicy {
                 max_task_attempts: 2,
                 backoff_ms: 1,
-                ..RetryPolicy::default()
             },
             fault_plan: FaultPlan::none()
                 .with(FaultTarget::Reduce(1), 0, FaultKind::Fail)
@@ -457,7 +455,7 @@ proptest! {
         let plan = FaultPlan::random(seed, 6, 4, 3);
         let config = JobConfig {
             fault_plan: plan,
-            retry: RetryPolicy { max_task_attempts: 3, backoff_ms: 1, ..RetryPolicy::default() },
+            retry: RetryPolicy { max_task_attempts: 3, backoff_ms: 1 },
             ..Default::default()
         };
         let (records, result) = run_sums(120, 6, 4, &config);

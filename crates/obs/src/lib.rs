@@ -19,18 +19,13 @@
 //! * **Traces** ([`trace`]) — a minimal [`Span`] model plus a JSONL
 //!   exporter, the wire between the engine's `Timeline` events and
 //!   external trace tooling: one JSON object per line, no framing.
-//!
-//! Instrumentation can be globally disabled ([`set_enabled`]) so the
-//! overhead of the layer itself is measurable: `obs-bench` runs the
-//! same workload instrumented and uninstrumented and records the
-//! delta in `results/BENCH_obs.json`.
 
 pub mod metrics;
 pub mod text;
 pub mod trace;
 
 pub use metrics::{
-    global, set_enabled, Counter, Gauge, Histogram, MetricsRegistry, BYTE_BUCKETS, DURATION_BUCKETS,
+    global, Counter, Gauge, Histogram, MetricsRegistry, BYTE_BUCKETS, DURATION_BUCKETS,
 };
 pub use trace::{write_spans_jsonl, Span};
 

@@ -6,23 +6,8 @@
 //! again returns the existing handle, so per-job code can "register"
 //! freely without leaking series.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide instrumentation switch. On by default; `obs-bench`
-/// turns it off to measure the cost of the layer itself.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables all metric updates process-wide. Reads
-/// (rendering, `get()`) are unaffected.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -36,9 +21,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -63,15 +46,11 @@ impl Gauge {
 
     #[inline]
     pub fn add(&self, n: i64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -137,9 +116,6 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, value: f64) {
-        if !enabled() {
-            return;
-        }
         let idx = self.bounds.partition_point(|&b| b < value);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         let micros = (value.max(0.0) * 1e6).round() as u64;
@@ -467,17 +443,6 @@ mod tests {
         let h = r.histogram("b_seconds", "b", &[], &[1.0]);
         h.observe(1.0); // le="1" is inclusive
         assert_eq!(h.cumulative_buckets(), vec![(1.0, 1), (f64::INFINITY, 1)]);
-    }
-
-    #[test]
-    fn disabled_metrics_do_not_move() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("off_total", "off", &[]);
-        set_enabled(false);
-        c.add(100);
-        set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub mod server;
 pub use binframe::KeyblockBin;
 pub use client::{Client, JobOutcome, ServeError, Ticket};
 pub use fleet::{
-    fleet_metrics, Fleet, FleetConfig, PartitionStatus, RemoteJob, SourceLoc, WorkerConn,
-    WorkerRequest, WorkerResponse, WorkerStat,
+    Fleet, FleetConfig, PartitionStatus, RemoteJob, SourceLoc, WorkerConn, WorkerRequest,
+    WorkerResponse, WorkerStat,
 };
 pub use frame::{
     handshake_accept, handshake_dial, handshake_dial_binary, FrameError, Hello, Role, HELLO_MAGIC,

@@ -161,7 +161,6 @@ fn hostile_retry_and_deadline_specs_are_rejected_at_admission() {
     let no_retries = spec.clone().with_retry(RetryPolicy {
         max_task_attempts: 0,
         backoff_ms: 1,
-        ..RetryPolicy::default()
     });
     match client.submit(&no_retries, &input, SubmitOptions::default()) {
         Err(ServeError::Rejected { diagnostics, .. }) => {
