@@ -50,9 +50,9 @@ pub struct ExecOptions {
     pub fault_plan: FaultPlan,
 }
 
-/// Sink for the key groups a reduce attempt streams out of its merge
-/// ([`SpecExecutor::run_reduce`]'s `emit` callback).
-pub type GroupSink<'a> = dyn FnMut(&[(Coord, f64)]) -> crate::Result<()> + 'a;
+/// [`SpecExecutor::run_reduce`]'s `emit` callback: receives the
+/// attempt's whole keyblock, in key order, once.
+pub type KeyblockSink<'a> = dyn FnMut(&[(Coord, f64)]) -> crate::Result<()> + 'a;
 
 /// What one map attempt produced: per-reducer partitions as encoded
 /// SMOF buffers (only non-empty partitions appear: absence means the
@@ -173,23 +173,25 @@ impl SpecExecutor {
     /// merge ties break by file order, so this order is what keeps
     /// distributed output byte-identical to a single-process run).
     /// An empty buffer means that map produced nothing for this
-    /// reducer. Each key group reaches `emit` as it leaves the merge;
-    /// returns the emitted record count.
+    /// reducer. On success `emit` is called exactly once, with the
+    /// whole keyblock in key order; returns its record count. (A
+    /// callback rather than a return value only because
+    /// `benchmark/src/staged.rs`, frozen, pins this signature.)
     ///
     /// Annotation validation (§3.2.1 approach 2) happens here, against
     /// the decoded buffers' raw counts — a mismatch means the routing
     /// promise itself is broken and must fail the job, so it surfaces
     /// as the typed [`MrError::AnnotationMismatch`].
     /// `expected_raw` is the coordinator's annotation expectation for
-    /// this attempt; when absent (older coordinator, or validation
-    /// off at submit time) the worker falls back to its own
+    /// this attempt; when absent (validation off at submit time, or a
+    /// caller with no coordinator) the worker falls back to its own
     /// plan-derived tally if its options ask for validation.
     pub fn run_reduce(
         &self,
         reducer: usize,
         partitions: &[std::sync::Arc<Vec<u8>>],
         expected_raw: Option<u64>,
-        emit: &mut GroupSink<'_>,
+        emit: &mut KeyblockSink<'_>,
     ) -> crate::Result<u64> {
         if reducer >= self.spec.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")).into());
@@ -206,26 +208,13 @@ impl SpecExecutor {
                 .then(|| self.plan.expected_raw_count(reducer))
                 .flatten()
         });
-        // `emit` still sees one group at a time — the worker protocol
-        // frames groups individually. Its error type is this crate's;
-        // park it across the engine-typed attempt body.
-        let mut sink_err = None;
-        let emitted = run_reduce_attempt(
+        let records = run_reduce_attempt(
             reducer,
             inputs,
             expected,
             &OperatorReducer { op: self.operator },
-            &mut |group| {
-                emit(group).map_err(|e| {
-                    let detail = e.to_string();
-                    sink_err = Some(e);
-                    MrError::Output(detail)
-                })
-            },
-        );
-        match sink_err {
-            Some(e) => Err(e),
-            None => Ok(emitted?),
-        }
+        )?;
+        emit(&records)?;
+        Ok(records.len() as u64)
     }
 }

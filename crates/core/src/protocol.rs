@@ -320,11 +320,6 @@ impl TimelineOracle {
                     // commit stands and `map_failed_last` is whatever
                     // the committed lifecycle left it.
                 }
-                TaskKind::ReduceSpeculated | TaskKind::ReduceSpeculationLost => {
-                    // Reserved vocabulary: the engine races maps only
-                    // (see DESIGN.md). Tolerated so future streams
-                    // stay parseable; nothing to check.
-                }
                 TaskKind::MapRetry => {}
                 TaskKind::ReduceStart => {
                     if m >= nr {
@@ -410,14 +405,14 @@ impl TimelineOracle {
                         st.recovery_allowed[d] = true;
                     }
                 }
-                TaskKind::ReduceFirstGroup | TaskKind::ReduceMergeDone => {
+                TaskKind::ReduceMergeDone => {
                     if m >= nr || st.reduce_barrier_attempt[m] != Some(e.attempt) {
                         return violation(
                             "R2",
                             i,
                             format!(
-                                "{:?} for reducer {m} attempt {} without that attempt's barrier",
-                                e.kind, e.attempt
+                                "ReduceMergeDone for reducer {m} attempt {} without that attempt's barrier",
+                                e.attempt
                             ),
                         );
                     }

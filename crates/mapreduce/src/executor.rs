@@ -67,12 +67,6 @@ pub enum RemoteReduceError {
     Fatal(MrError),
 }
 
-/// Sink for the key groups a reduce attempt streams out of its merge:
-/// called once per non-empty group, in key order, over one reused
-/// buffer. The sink may take the records out of the buffer (`append`);
-/// whatever it leaves is discarded.
-pub type GroupEmit<'a, K, V> = dyn FnMut(&mut Vec<(K, V)>) -> Result<()> + 'a;
-
 /// Runs task attempts for the scheduler and holds their committed
 /// output. The engine never sees sockets, placement or payload
 /// representation.
@@ -102,10 +96,10 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
 
     /// Runs one reduce attempt: fetch the `sources` generations, merge
     /// them in the given order (the plan's fetch order — the equal-key
-    /// tie-break), reduce, and hand each key group's records to `emit`
-    /// as the group leaves the merge; returns the emitted record
-    /// count. `expected_raw` carries the plan's §3.2.1 annotation
-    /// expectation when validation is on.
+    /// tie-break), reduce, and return the attempt's whole keyblock in
+    /// key order — nothing leaves an attempt until it is complete, so
+    /// a failed attempt is always retryable. `expected_raw` carries
+    /// the plan's §3.2.1 annotation expectation when validation is on.
     fn execute_reduce(
         &self,
         reducer: usize,
@@ -113,8 +107,7 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
         counters: &Counters,
-        emit: &mut GroupEmit<'_, K2, V3>,
-    ) -> std::result::Result<u64, RemoteReduceError>;
+    ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError>;
 }
 
 /// The map attempt body: fault → read → map → partition →
@@ -181,28 +174,26 @@ where
     Ok(builder.finish(combiner, counters))
 }
 
-/// Records handed through the merge per [`GroupBatch`] fill once the
-/// first group is out: big enough to amortize heap bookkeeping, small
-/// enough that a batch of ⟨coord, f64⟩ stays cache-resident.
+/// Records handed through the merge per [`GroupBatch`] fill: big
+/// enough to amortize heap bookkeeping, small enough that a batch of
+/// ⟨coord, f64⟩ stays cache-resident.
 const REDUCE_BATCH_RECORDS: usize = 4096;
 
 /// The reduce attempt body: open a merge cursor per input **in the
 /// given order** (the plan's fetch order breaks ties between equal
 /// keys, which is what keeps output byte-identical wherever the
 /// attempt runs) → §3.2.1 annotation tally → batched merge → reduce
-/// fn → `emit` (see [`GroupEmit`]). Returns the emitted record count.
+/// fn. Returns the keyblock: every output record, in key order.
 ///
-/// The first batch is a single group, so the §3.4 early-result clock
-/// starts as soon as the merge can produce anything; after that,
-/// batches amortize the per-group heap bookkeeping. No whole-keyspace
-/// `Vec<(K, Vec<V>)>` is ever materialized.
+/// The merge streams — batches amortize the per-group heap
+/// bookkeeping and no whole-keyspace `Vec<(K, Vec<V>)>` is ever
+/// materialized — but the output is only handed on whole.
 pub fn run_reduce_attempt<K, V, V3>(
     reducer: usize,
     inputs: Vec<MergeSource<K, V>>,
     expected_raw: Option<u64>,
     reducer_fn: &dyn Reducer<Key = K, InValue = V, OutValue = V3>,
-    emit: &mut GroupEmit<'_, K, V3>,
-) -> Result<u64>
+) -> Result<Vec<(K, V3)>>
 where
     K: MrKey,
     V: MrValue,
@@ -226,23 +217,11 @@ where
             });
         }
     }
-    let mut emitted = 0u64;
-    let mut first_group = true;
     let mut batch: GroupBatch<K, V> = GroupBatch::new();
-    let mut group: Vec<(K, V3)> = Vec::new();
-    loop {
-        let budget = if first_group { 1 } else { REDUCE_BATCH_RECORDS };
-        if merge.fill_batch(&mut batch, budget) == 0 {
-            break;
-        }
-        first_group = false;
+    let mut out: Vec<(K, V3)> = Vec::new();
+    while merge.fill_batch(&mut batch, REDUCE_BATCH_RECORDS) != 0 {
         for (key, values) in batch.groups() {
-            reducer_fn.reduce(key, values, &mut |v3| group.push((key.clone(), v3)));
-            if !group.is_empty() {
-                emitted += group.len() as u64;
-                emit(&mut group)?;
-                group.clear();
-            }
+            reducer_fn.reduce(key, values, &mut |v3| out.push((key.clone(), v3)));
         }
     }
     let merged = merge.records_consumed();
@@ -250,7 +229,7 @@ where
     m.merge_records.add(merged);
     m.merge_bytes
         .add(merged.saturating_mul(std::mem::size_of::<(K, V)>() as u64));
-    Ok(emitted)
+    Ok(out)
 }
 
 /// One committed partition of a generation.
@@ -395,8 +374,7 @@ where
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
         counters: &Counters,
-        emit: &mut GroupEmit<'_, K2, V3>,
-    ) -> std::result::Result<u64, RemoteReduceError> {
+    ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError> {
         let mut inputs = Vec::with_capacity(sources.len());
         let mut lost = Vec::new();
         {
@@ -433,7 +411,7 @@ where
         }
         let records: usize = inputs.iter().map(MergeSource::len).sum();
         Counters::add(&counters.shuffled_records, records as u64);
-        run_reduce_attempt(reducer, inputs, expected_raw, self.reducer, emit)
+        run_reduce_attempt(reducer, inputs, expected_raw, self.reducer)
             .map_err(RemoteReduceError::Fatal)
     }
 }

@@ -13,19 +13,6 @@ use crate::Result;
 pub trait OutputCollector<K, V>: Send + Sync {
     /// Commits the complete output of one reducer.
     fn commit(&self, reducer: usize, records: Vec<(K, V)>) -> Result<()>;
-
-    /// Incremental pre-commit delivery: the runtime calls this with
-    /// each key group's output records the moment the streaming merge
-    /// produces them — while later groups are still merging — and
-    /// always follows with one [`commit`] carrying the reducer's
-    /// complete output (atomic committal is unchanged). Collectors
-    /// that can use partial output (progress meters, speculative
-    /// consumers) override this; the default ignores the stream.
-    ///
-    /// [`commit`]: OutputCollector::commit
-    fn stream_group(&self, _reducer: usize, _records: &[(K, V)]) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// Collects output in memory, stamping each commit with its time —

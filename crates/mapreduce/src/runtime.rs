@@ -1288,8 +1288,8 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
 /// every source map `Done` at an acceptable commit epoch — and then
 /// hands the attempt to the executor, naming the generations to fetch;
 /// how the bytes reach the merge (an `Arc`, a disk read, a peer
-/// socket) never passes through here. Key groups stream back through
-/// the collector as they leave the merge.
+/// socket) never passes through here. The attempt returns its whole
+/// keyblock, committed atomically (§2.3).
 ///
 /// Fault mapping:
 /// * sources lost *before* the attempt consumed anything
@@ -1378,10 +1378,6 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
             .observe_duration(copy_start.elapsed());
         m.copy_wait_seconds.observe_duration(copy_wait);
 
-        // Stream groups to the collector as they leave the merge,
-        // accumulating for the final atomic commit (§2.3).
-        let mut out: Vec<(K2, V3)> = Vec::new();
-        let mut first_group = true;
         let result = if matches!(
             shared.config.fault_plan.reduce_fault(r, attempt),
             Some(FaultKind::Fail) | Some(FaultKind::SourceError { .. })
@@ -1405,29 +1401,14 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
             } else {
                 None
             };
-            let mut emit = |records: &mut Vec<(K2, V3)>| -> Result<()> {
-                if !records.is_empty() {
-                    output
-                        .stream_group(r, records)
-                        .map_err(|e| MrError::Output(e.to_string()))?;
-                    if first_group {
-                        shared
-                            .timeline
-                            .record_attempt(TaskKind::ReduceFirstGroup, r, attempt);
-                        first_group = false;
-                    }
-                    out.append(records);
-                }
-                Ok(())
-            };
-            exec.execute_reduce(r, attempt, &srcs, expected_raw, &shared.counters, &mut emit)
+            exec.execute_reduce(r, attempt, &srcs, expected_raw, &shared.counters)
         };
         match result {
-            Ok(emitted) => {
+            Ok(out) => {
                 shared
                     .timeline
                     .record_attempt(TaskKind::ReduceMergeDone, r, attempt);
-                Counters::add(&shared.counters.reduce_records_out, emitted);
+                Counters::add(&shared.counters.reduce_records_out, out.len() as u64);
                 if !shared.config.reduce_think.is_zero() {
                     shared.sleep_interruptible(shared.config.reduce_think, &|_| false);
                 }
@@ -1467,15 +1448,6 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                 shared
                     .timeline
                     .record_attempt(TaskKind::ReduceFailed, r, attempt);
-                if !out.is_empty() {
-                    // Groups already reached the collector: retrying
-                    // would stream duplicates. At-most-once streaming
-                    // makes this fatal.
-                    return Err(MrError::TaskFailed {
-                        task: format!("reduce {r}"),
-                        cause: format!("{cause} (after streaming began; cannot retry atomically)"),
-                    });
-                }
                 if attempt + 1 >= shared.config.retry.max_task_attempts {
                     return Err(MrError::TaskFailed {
                         task: format!("reduce {r}"),

@@ -22,10 +22,6 @@ pub enum TaskKind {
     /// All of the reduce task's fetch sources had completed and been
     /// fetched — its barrier (global or dependency-based) was met.
     ReduceBarrierMet,
-    /// First key group's output left the streaming merge and reached
-    /// the output collector — the reduce pipeline is producing while
-    /// later groups are still merging.
-    ReduceFirstGroup,
     /// The streaming merge consumed its last key group.
     ReduceMergeDone,
     /// Reduce output committed (a correct partial result is now
@@ -41,13 +37,6 @@ pub enum TaskKind {
     /// A map attempt (either racer) lost the first-commit-wins race;
     /// its output is never bound to a reducer.
     MapSpeculationLost,
-    /// Reserved: a speculative twin was granted for a running reduce.
-    /// The engine currently races maps only (see DESIGN.md), but the
-    /// event vocabulary and oracle rules are defined so an
-    /// executor-level reduce race stays checkable.
-    ReduceSpeculated,
-    /// Reserved: a reduce attempt lost a speculation race.
-    ReduceSpeculationLost,
 }
 
 /// One timeline event.
@@ -269,12 +258,7 @@ pub fn spans(events: &[TaskEvent]) -> Vec<sidr_obs::Span> {
                     out.push(sidr_obs::Span::new("reduce", t, s, us(e.at)).with_attempt(e.attempt));
                 }
             }
-            TaskKind::MapRetry
-            | TaskKind::ReduceFirstGroup
-            | TaskKind::ReduceFailed
-            | TaskKind::MapSpeculated
-            | TaskKind::ReduceSpeculated
-            | TaskKind::ReduceSpeculationLost => {}
+            TaskKind::MapRetry | TaskKind::ReduceFailed | TaskKind::MapSpeculated => {}
         }
     }
     out
@@ -391,7 +375,6 @@ mod tests {
             ev(TaskKind::ReduceStart, 1, 0, 1),
             ev(TaskKind::MapEnd, 0, 0, 5),
             ev(TaskKind::ReduceBarrierMet, 1, 0, 6),
-            ev(TaskKind::ReduceFirstGroup, 1, 0, 7),
             ev(TaskKind::ReduceMergeDone, 1, 0, 8),
             ev(TaskKind::ReduceEnd, 1, 0, 9),
             // An unfinished map: no span.

@@ -93,19 +93,14 @@ fn sources(epochs: &[u32]) -> Vec<ReduceSource> {
         .collect()
 }
 
-/// One reduce attempt's streamed groups, flattened, plus the records
-/// its fetches moved.
+/// One reduce attempt's keyblock, plus the records its fetches moved.
 fn run_reduce(
     exec: &dyn TaskExecutor<u64, u64>,
     reducer: usize,
     sources: &[ReduceSource],
 ) -> Result<(Vec<(u64, u64)>, u64), RemoteReduceError> {
     let counters = Counters::default();
-    let mut out = Vec::new();
-    exec.execute_reduce(reducer, 0, sources, None, &counters, &mut |group| {
-        out.append(group);
-        Ok(())
-    })?;
+    let out = exec.execute_reduce(reducer, 0, sources, None, &counters)?;
     Ok((out, counters.snapshot().shuffled_records))
 }
 

@@ -39,7 +39,6 @@ struct Args {
     straggle: Option<String>,
     speculate: bool,
     generate: bool,
-    binary: bool,
     quiet: bool,
     trace: Option<String>,
 }
@@ -62,9 +61,6 @@ fn usage() -> String {
          \x20 --speculate         enable speculative execution; with\n\
          \x20                     --straggle the straggled map is raced\n\
          \x20                     deterministically\n\
-         \x20 --binary            offer to receive keyblocks as packed\n\
-         \x20                     binary frames (falls back to JSON if\n\
-         \x20                     the server declines)\n\
          \x20 --quiet             suppress per-keyblock lines\n\
          \x20 --trace FILE        write the job's task spans as JSONL\n\
          \n\
@@ -104,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
         straggle: None,
         speculate: false,
         generate: false,
-        binary: false,
         quiet: false,
         trace: None,
     };
@@ -130,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
             "--straggle" => args.straggle = Some(it.next().ok_or("--straggle needs MAP:MS")?),
             "--speculate" => args.speculate = true,
             "--generate" => args.generate = true,
-            "--binary" => args.binary = true,
             "--quiet" | "-q" => args.quiet = true,
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a file")?),
             "--help" | "-h" => return Err(String::new()),
@@ -217,15 +211,8 @@ fn write_trace(path: &str, events: &[sidr_mapreduce::TaskEvent]) -> Result<(), S
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let mut client = if args.binary {
-        Client::connect_binary(&args.addr)
-    } else {
-        Client::connect(&args.addr)
-    }
-    .map_err(|e| format!("cannot reach {}: {e}", args.addr))?;
-    if args.binary && !client.is_binary() {
-        eprintln!("sidr-submit: server declined binary frames, using JSON");
-    }
+    let mut client =
+        Client::connect(&args.addr).map_err(|e| format!("cannot reach {}: {e}", args.addr))?;
     match args.command.as_str() {
         "stats" => {
             let s = client.stats().map_err(|e| e.to_string())?;

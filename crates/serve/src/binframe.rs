@@ -1,21 +1,20 @@
-//! Binary keyblock frames: the zero-copy serve path for early results.
+//! Binary keyblock frames: how a keyblock crosses a socket.
 //!
-//! A JSON [`Response::Keyblock`](crate::proto::Response) re-encodes
-//! every coordinate and value as decimal text — at fig. 8 scale that
-//! is the dominant cost between a reduce commit and the bytes leaving
-//! the socket. A `KeyblockBin` frame instead carries the records in
-//! the same packed little-endian layout SMOF v3 uses on disk
-//! (`Coord::write_packed` + `f64::to_le_bytes`), so the server
-//! serializes one keyblock with a single buffer allocation and no
-//! text pass, and a client decodes it without a JSON parser.
+//! A keyblock — one reduce attempt's complete output — is the unit of
+//! an early result, and it travels as exactly one `KeyblockBin` frame
+//! on both hops: worker → coordinator (the raw frame after
+//! `ReduceDone`) and coordinator → client. The frame carries the
+//! records in the same packed little-endian layout SMOF v3 uses on
+//! disk (`Coord::write_packed` + `f64::to_le_bytes`), so the sender
+//! serializes one keyblock with a single buffer allocation and no text
+//! pass, and the receiver decodes it without a JSON parser — at fig. 8
+//! scale a JSON keyblock's decimal text was the dominant cost between
+//! a reduce commit and the bytes leaving the socket.
 //!
 //! Binary frames ride the same length-prefixed transport as JSON
 //! frames ([`crate::frame`]) and are distinguished by their first
 //! payload byte: [`BIN_TAG`] (`0xBB`), which no JSON document starts
-//! with (JSON frames open with `{`, `0x7B`). They are only ever sent
-//! to a peer whose [`Hello`](crate::frame::Hello) offered
-//! `accept_binary` — negotiation lives inside protocol v1, so JSON
-//! peers of either era are untouched.
+//! with (JSON frames open with `{`, `0x7B`).
 //!
 //! Layout (all integers little-endian), after the transport's `u32`
 //! length prefix:
@@ -68,10 +67,12 @@ pub struct KeyblockBin {
 }
 
 /// Encodes one keyblock as a complete binary frame payload, in one
-/// exactly-sized allocation. Fails (so the caller can fall back to
-/// JSON) when the records' coordinates mix ranks — the fixed-width
-/// payload needs one key width, and SIDR keyspaces deliver that, but
-/// the wire never assumes it.
+/// exactly-sized allocation. Fails when the records' coordinates mix
+/// ranks — the fixed-width payload needs one key width; every key of
+/// a keyblock lies in one `K′`, so SIDR keyspaces deliver that, but
+/// the wire never assumes it — or when the frame would exceed
+/// [`MAX_FRAME`](crate::frame::MAX_FRAME), the size bound a keyblock
+/// has on either hop.
 pub fn encode_keyblock(
     job: u64,
     reducer: usize,
@@ -85,11 +86,17 @@ pub fn encode_keyblock(
         ));
     }
     let row = key_width + 8;
-    let n = u32::try_from(records.len()).map_err(|_| FrameError::Oversized {
-        len: u32::MAX,
-        max: crate::frame::MAX_FRAME,
-    })?;
-    let mut out = Vec::with_capacity(BIN_HEADER_LEN + records.len() * row);
+    let max = crate::frame::MAX_FRAME;
+    let len = BIN_HEADER_LEN.saturating_add(records.len().saturating_mul(row));
+    if len > max as usize {
+        return Err(FrameError::Oversized {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            max,
+        });
+    }
+    // The frame fits `MAX_FRAME`, so the record count fits a `u32`.
+    let n = records.len() as u32;
+    let mut out = Vec::with_capacity(len);
     out.push(BIN_TAG);
     out.push(KIND_KEYBLOCK);
     out.extend_from_slice(&[0, 0]);

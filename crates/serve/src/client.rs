@@ -111,9 +111,6 @@ pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
     pending: VecDeque<Response>,
-    /// Negotiated at connect time: whether the server may send
-    /// keyblocks as binary frames on this connection.
-    binary: bool,
 }
 
 impl Client {
@@ -129,31 +126,19 @@ impl Client {
             reader: stream,
             writer,
             pending: VecDeque::new(),
-            binary: false,
         })
     }
 
-    /// Like [`Client::connect`], but offers to receive keyblocks as
-    /// binary frames ([`crate::binframe`]). Whether the server agreed
-    /// is visible via [`Client::is_binary`]; either way the `Response`
-    /// stream this client yields is identical — binary frames are
-    /// decoded back into [`Response::Keyblock`] transparently.
+    /// Alias of [`Client::connect`]. Pinned by `benchmark/src/sut.rs`
+    /// (frozen); ROADMAP item 5b deletes it.
     pub fn connect_binary(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let mut stream = TcpStream::connect(addr)?;
-        let binary = frame::handshake_dial_binary(&mut stream, Role::Client, Role::Coordinator)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let writer = stream.try_clone()?;
-        Ok(Client {
-            reader: stream,
-            writer,
-            pending: VecDeque::new(),
-            binary,
-        })
+        Client::connect(addr)
     }
 
-    /// Did the server agree to send binary keyblock frames?
+    /// Always `true`: every keyblock is a `KeyblockBin` frame. Pinned
+    /// by `benchmark/src/sut.rs` (frozen); ROADMAP item 5b deletes it.
     pub fn is_binary(&self) -> bool {
-        self.binary
+        true
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ServeError> {

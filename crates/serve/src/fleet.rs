@@ -10,9 +10,11 @@
 //! serve shuffle fetches to *each other* — partition bytes never move
 //! through the coordinator. All connections speak the length-prefixed
 //! JSON frame protocol of [`crate::frame`], opened with the
-//! version/role [`Hello`](crate::frame::Hello) handshake; partition
-//! payloads ride as one raw frame of CRC-framed SMOF (v3) bytes after
-//! their JSON header.
+//! version/role [`Hello`](crate::frame::Hello) handshake; the two bulk
+//! payloads ride as one raw frame after their JSON header — a
+//! partition as CRC-framed SMOF (v3) bytes after `Partition`, a
+//! reduce attempt's keyblock as a [`crate::binframe`] `KeyblockBin`
+//! frame after `ReduceDone`.
 //!
 //! Worker death is a fault-layer event, not a job-killer: the
 //! heartbeat monitor marks the worker dead (once per transition —
@@ -34,10 +36,11 @@ use sidr_coords::Coord;
 use sidr_core::exec::ExecOptions;
 use sidr_core::spec::JobSpec;
 use sidr_dfs::{DfsConfig, FileId, NameNode, NodeId};
-use sidr_mapreduce::executor::{GroupEmit, ReduceSource, RemoteReduceError, TaskExecutor};
+use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
 use sidr_mapreduce::{Counters, InputSplit, MapTaskId, MrError};
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
+use crate::binframe;
 use crate::frame::{self, handshake_dial, FrameError, Role};
 
 /// One request on a coordinator→worker (or worker→worker fetch)
@@ -60,8 +63,8 @@ pub enum WorkerRequest {
     /// finishes.
     RunMap { job: u64, task: usize, attempt: u32 },
     /// Runs one reduce attempt: fetch every source partition from its
-    /// holder, release (consume) them, then merge/reduce and stream
-    /// key groups back.
+    /// holder, release (consume) them, then merge/reduce and send the
+    /// keyblock back whole.
     RunReduce {
         job: u64,
         reducer: usize,
@@ -99,9 +102,9 @@ pub struct SourceLoc {
     pub holder: String,
 }
 
-/// Worker replies. A `RunReduce` produces a *stream* on one
-/// connection: `Fetched`, then zero or more `Group`s, then
-/// `ReduceDone` — or `Failed` at any point before the first `Group`.
+/// Worker replies. A `RunReduce` is answered on one connection with
+/// `Fetched`, then `ReduceDone` followed by one raw `KeyblockBin`
+/// frame — or `Failed` in place of either.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum WorkerResponse {
     Pong(WorkerStat),
@@ -123,20 +126,19 @@ pub enum WorkerResponse {
         job: u64,
         reducer: usize,
     },
-    /// One key group of reduce output, in key order.
-    Group {
-        records: Vec<(Coord, f64)>,
-    },
+    /// The attempt succeeded; one raw frame follows, holding its whole
+    /// keyblock (`emitted` records) in the
+    /// [`binframe::encode_keyblock`] layout.
     ReduceDone {
         emitted: u64,
         /// Wall time the copy phase spent fetching, for the
         /// coordinator's shuffle-fetch latency histogram.
         fetch_ms: u64,
     },
-    /// Shuffle-fetch peek result; `present` ⇒ one raw SMOF frame
-    /// follows. `Missing` means the holder no longer has (or never
-    /// committed) that generation — the fetching worker reports it
-    /// lost.
+    /// Shuffle-fetch peek result; [`PartitionStatus::Data`] ⇒ one raw
+    /// SMOF frame follows. `Missing` means the holder no longer has
+    /// (or never committed) that generation — the fetching worker
+    /// reports it lost.
     Partition {
         status: PartitionStatus,
     },
@@ -171,39 +173,26 @@ pub enum PartitionStatus {
 /// [`crate::proto::ServerStats`] for `sidr-submit stats`.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerStat {
-    #[serde(default)]
     pub addr: String,
-    #[serde(default)]
     pub alive: bool,
     /// Milliseconds since the last successful heartbeat.
-    #[serde(default)]
     pub heartbeat_age_ms: u64,
     /// Task attempts currently executing on the worker.
-    #[serde(default)]
     pub tasks_in_flight: u64,
     /// Lifetime attempt counts.
-    #[serde(default)]
     pub map_attempts: u64,
-    #[serde(default)]
     pub reduce_attempts: u64,
     /// Partitions currently held for un-fetched map output.
-    #[serde(default)]
     pub partitions_held: u64,
     /// Memory-pressure summary from the worker's tiered partition
-    /// store (all zero on pre-tier workers — every field defaults, so
-    /// the wire stays compatible in both directions).
-    #[serde(default)]
+    /// store.
     pub resident_bytes: u64,
-    #[serde(default)]
     pub spilled_bytes: u64,
     /// Resident byte budget; 0 means unbounded.
-    #[serde(default)]
     pub budget_bytes: u64,
-    #[serde(default)]
     pub peak_resident_bytes: u64,
     /// Spill writes that failed (disk full): those partitions are
     /// pinned resident, so the budget is no longer enforceable.
-    #[serde(default)]
     pub spill_failures: u64,
 }
 
@@ -672,7 +661,8 @@ impl WorkerConn {
     }
 
     /// Reads one raw (non-JSON) frame: the SMOF payload following a
-    /// [`WorkerResponse::Partition`] header.
+    /// [`WorkerResponse::Partition`] header, or the keyblock following
+    /// [`WorkerResponse::ReduceDone`].
     pub fn recv_raw(&mut self) -> Result<Vec<u8>, FrameError> {
         match frame::read_frame(&mut self.reader)? {
             Some(b) => Ok(b),
@@ -884,8 +874,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
         _counters: &Counters,
-        emit: &mut GroupEmit<'_, Coord, f64>,
-    ) -> Result<u64, RemoteReduceError> {
+    ) -> Result<Vec<(Coord, f64)>, RemoteReduceError> {
         // Resolve each source's holder. A generation with no live
         // holder is already lost — report it without burning a
         // dispatch.
@@ -949,6 +938,8 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             slot.dispatching.fetch_add(1, Ordering::Relaxed);
             let outcome = run_reduce_on(
                 &slot.addr,
+                self.job,
+                reducer,
                 &WorkerRequest::RunReduce {
                     job: self.job,
                     reducer,
@@ -956,16 +947,15 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                     sources: locs.clone(),
                     expected_raw,
                 },
-                emit,
             );
             slot.dispatching.fetch_sub(1, Ordering::Relaxed);
             match outcome {
-                ReduceOutcome::Done { emitted, fetch_ms } => {
+                ReduceOutcome::Done { records, fetch_ms } => {
                     let m = fleet_metrics();
                     m.dispatch_seconds.observe_duration(started.elapsed());
                     m.fetch_seconds
                         .observe(Duration::from_millis(fetch_ms).as_secs_f64());
-                    return Ok(emitted);
+                    return Ok(records);
                 }
                 ReduceOutcome::SourcesLost(maps) => {
                     return Err(RemoteReduceError::SourcesLost(maps));
@@ -977,8 +967,8 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                 // The executing worker died before consuming anything:
                 // its fetches were peeks. Same attempt, next worker.
                 ReduceOutcome::DiedPreCopy => mark_dead(slot),
-                // Died after the copy (inputs consumed) but before any
-                // group reached us: charge the budget, recover I_ℓ.
+                // Died after the copy (inputs consumed) but before its
+                // keyblock reached us: charge the budget, recover I_ℓ.
                 ReduceOutcome::DiedPostCopy => {
                     mark_dead(slot);
                     return Err(RemoteReduceError::AttemptFailed(format!(
@@ -995,7 +985,10 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
 }
 
 enum ReduceOutcome {
-    Done { emitted: u64, fetch_ms: u64 },
+    Done {
+        records: Vec<(Coord, f64)>,
+        fetch_ms: u64,
+    },
     SourcesLost(Vec<MapTaskId>),
     AttemptFailed(String),
     Fatal(MrError),
@@ -1003,14 +996,13 @@ enum ReduceOutcome {
     DiedPostCopy,
 }
 
-/// Drives one streamed `RunReduce` call: `Fetched` → `Group`* →
-/// `ReduceDone`, classifying every failure mode by where the stream
-/// broke.
-fn run_reduce_on(
-    addr: &str,
-    req: &WorkerRequest,
-    emit: &mut GroupEmit<'_, Coord, f64>,
-) -> ReduceOutcome {
+/// Drives one `RunReduce` call — `Fetched`, `ReduceDone`, then the
+/// keyblock as one raw frame — classifying every failure mode by
+/// where the exchange broke. Nothing is returned until the keyblock
+/// has arrived whole and names this `job`, this `reducer` and the
+/// record count `ReduceDone` announced; a frame that fails any of
+/// those (or its CRC) costs the attempt, never a commit.
+fn run_reduce_on(addr: &str, job: u64, reducer: usize, req: &WorkerRequest) -> ReduceOutcome {
     let mut conn = match WorkerConn::dial(addr, None) {
         Ok(c) => c,
         Err(_) => return ReduceOutcome::DiedPreCopy,
@@ -1019,19 +1011,41 @@ fn run_reduce_on(
         return ReduceOutcome::DiedPreCopy;
     }
     let mut copied = false;
-    let mut streamed = false;
+    // Where the connection broke decides recovery: before `Fetched`
+    // the worker's fetches were only peeks.
+    let died = |copied| {
+        if copied {
+            ReduceOutcome::DiedPostCopy
+        } else {
+            ReduceOutcome::DiedPreCopy
+        }
+    };
     loop {
         match conn.recv() {
             Ok(WorkerResponse::Fetched { .. }) => copied = true,
-            Ok(WorkerResponse::Group { mut records }) => {
-                streamed = true;
-                if let Err(e) = emit(&mut records) {
-                    // Output-side failure is the coordinator's own.
-                    return ReduceOutcome::Fatal(e);
-                }
-            }
             Ok(WorkerResponse::ReduceDone { emitted, fetch_ms }) => {
-                return ReduceOutcome::Done { emitted, fetch_ms };
+                let Ok(frame) = conn.recv_raw() else {
+                    return died(copied);
+                };
+                return match binframe::decode_keyblock(&frame) {
+                    Ok(kb)
+                        if (kb.job, kb.reducer, kb.records.len() as u64)
+                            == (job, reducer, emitted) =>
+                    {
+                        ReduceOutcome::Done {
+                            records: kb.records,
+                            fetch_ms,
+                        }
+                    }
+                    Ok(kb) => ReduceOutcome::AttemptFailed(format!(
+                        "keyblock frame names job {} reducer {} with {} records, \
+                         not job {job} reducer {reducer} with {emitted}",
+                        kb.job,
+                        kb.reducer,
+                        kb.records.len()
+                    )),
+                    Err(e) => ReduceOutcome::AttemptFailed(format!("keyblock frame: {e}")),
+                };
             }
             Ok(WorkerResponse::Failed {
                 detail,
@@ -1051,23 +1065,10 @@ fn run_reduce_on(
             }
             Ok(other) => {
                 return ReduceOutcome::AttemptFailed(format!(
-                    "unexpected frame in reduce stream: {other:?}"
+                    "unexpected frame in reply to RunReduce: {other:?}"
                 ));
             }
-            Err(_) => {
-                // Connection broke. Where it broke decides recovery:
-                // groups already streamed cannot be retried atomically.
-                if streamed {
-                    return ReduceOutcome::Fatal(MrError::TaskFailed {
-                        task: "remote reduce".into(),
-                        cause: format!("worker {addr} died mid-stream"),
-                    });
-                }
-                if copied {
-                    return ReduceOutcome::DiedPostCopy;
-                }
-                return ReduceOutcome::DiedPreCopy;
-            }
+            Err(_) => return died(copied),
         }
     }
 }

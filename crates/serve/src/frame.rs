@@ -28,10 +28,10 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// every incompatible message-shape change; the [`Hello`] handshake
 /// compares it so a mismatched pair of builds fails with a typed
 /// [`FrameError::VersionMismatch`] instead of deserialization garbage.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
-/// frame from any legacy request (none of which has a `magic` field).
+/// frame from whatever else a stray dialer might send first.
 pub const HELLO_MAGIC: &str = "sidr";
 
 /// Payload bytes are read in chunks of at most this size into a
@@ -99,93 +99,24 @@ impl std::fmt::Display for Role {
 }
 
 /// The version/role handshake frame. The dialer sends one `Hello`
-/// first; the listener validates it and answers with its own. The
-/// `magic` field doubles as a discriminator: no legacy `Request` ever
-/// carries one, so a coordinator can still serve pre-handshake clients
-/// by falling back to request parsing.
-///
-/// `accept_binary` negotiates the binary keyblock path
-/// ([`crate::binframe`]) inside protocol v1: a dialer that can decode
-/// [`KeyblockBin`](crate::binframe::KeyblockBin) frames sets it, and
-/// the listener echoes it back only if it is willing to send them.
-/// The field is omitted when false and tolerated when absent, so
-/// handshake frames from either era cross-parse — which is why it is
-/// hand-serialized below rather than derived (the derive requires
-/// every named field to be present).
-#[derive(Clone, Debug, PartialEq)]
+/// first; the listener validates it and answers with its own. Every
+/// connection — client, coordinator or worker — opens with one.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Hello {
     pub magic: String,
     pub version: u32,
     pub role: Role,
-    pub accept_binary: bool,
-}
-
-impl Serialize for Hello {
-    fn serialize(&self, s: &mut serde::ser::JsonSer) {
-        s.begin_object();
-        s.field("magic");
-        s.write_string(&self.magic);
-        s.field("version");
-        s.write_u64(u64::from(self.version));
-        s.field("role");
-        self.role.serialize(s);
-        // Omitted when false: the frame stays byte-identical to the
-        // pre-negotiation encoding for JSON-only peers.
-        if self.accept_binary {
-            s.field("accept_binary");
-            s.write_bool(true);
-        }
-        s.end_object();
-    }
-}
-
-impl Deserialize for Hello {
-    fn deserialize(d: &mut serde::de::JsonDe<'_>) -> serde::de::Result<Self> {
-        use serde::de::DeError;
-        let mut magic: Option<String> = None;
-        let mut version: Option<u32> = None;
-        let mut role: Option<Role> = None;
-        let mut accept_binary = false;
-        if d.begin_object()? {
-            loop {
-                let key = d.object_key()?;
-                match key.as_str() {
-                    "magic" => magic = Some(d.parse_string()?),
-                    "version" => version = Some(u32::deserialize(d)?),
-                    "role" => role = Some(Role::deserialize(d)?),
-                    "accept_binary" => accept_binary = d.parse_bool()?,
-                    _ => d.skip_value()?,
-                }
-                if !d.object_continue()? {
-                    break;
-                }
-            }
-        }
-        Ok(Hello {
-            magic: magic.ok_or_else(|| DeError::missing_field("magic", "Hello"))?,
-            version: version.ok_or_else(|| DeError::missing_field("version", "Hello"))?,
-            role: role.ok_or_else(|| DeError::missing_field("role", "Hello"))?,
-            accept_binary,
-        })
-    }
 }
 
 impl Hello {
     /// A handshake frame announcing this endpoint's role at the
-    /// current protocol version (JSON-only responses).
+    /// current protocol version.
     pub fn new(role: Role) -> Self {
         Hello {
             magic: HELLO_MAGIC.to_string(),
             version: PROTOCOL_VERSION,
             role,
-            accept_binary: false,
         }
-    }
-
-    /// Marks this endpoint as able to decode binary keyblock frames.
-    pub fn with_binary(mut self) -> Self {
-        self.accept_binary = true;
-        self
     }
 
     /// Validates a received `Hello` against our version. Role is
@@ -215,28 +146,7 @@ pub fn handshake_dial<S: Read + Write>(
     ours: Role,
     expect_peer: Role,
 ) -> Result<(), FrameError> {
-    handshake_dial_hello(stream, Hello::new(ours), expect_peer).map(|_| ())
-}
-
-/// Like [`handshake_dial`], but offers to receive binary keyblock
-/// frames. Returns whether the listener agreed to send them — `false`
-/// means the connection proceeds all-JSON, exactly as if
-/// [`handshake_dial`] had been used.
-pub fn handshake_dial_binary<S: Read + Write>(
-    stream: &mut S,
-    ours: Role,
-    expect_peer: Role,
-) -> Result<bool, FrameError> {
-    let reply = handshake_dial_hello(stream, Hello::new(ours).with_binary(), expect_peer)?;
-    Ok(reply.accept_binary)
-}
-
-fn handshake_dial_hello<S: Read + Write>(
-    stream: &mut S,
-    ours: Hello,
-    expect_peer: Role,
-) -> Result<Hello, FrameError> {
-    send(stream, &ours)?;
+    send(stream, &Hello::new(ours))?;
     let hello: Hello = match recv(stream)? {
         Some(h) => h,
         None => {
@@ -251,23 +161,18 @@ fn handshake_dial_hello<S: Read + Write>(
             detail: format!("dialed a {} port, expected a {expect_peer}", hello.role),
         });
     }
-    Ok(hello)
+    Ok(())
 }
 
 /// Listener-side handshake completion: validate the dialer's `Hello`
-/// (already read off the stream) and answer with our own role. A
-/// dialer's `accept_binary` offer is echoed back — this listener
-/// implementation can always produce binary keyblocks, so offering is
-/// accepting; a dialer that did not offer is never sent one.
+/// (already read off the stream) and answer with our own role.
 pub fn handshake_accept<W: Write>(
     writer: &mut W,
     theirs: &Hello,
     ours: Role,
 ) -> Result<Role, FrameError> {
     theirs.check()?;
-    let mut reply = Hello::new(ours);
-    reply.accept_binary = theirs.accept_binary;
-    send(writer, &reply)?;
+    send(writer, &Hello::new(ours))?;
     Ok(theirs.role)
 }
 

@@ -16,12 +16,12 @@
 //! * **computational steering** (§3.4): a client-supplied priority
 //!   region reorders the reduce schedule per submission.
 //!
-//! The wire protocol is length-prefixed JSON ([`frame`]); the
-//! submission payload is the same [`JobSpec`](sidr_core::spec::JobSpec)
-//! document `sidr plan --spec` writes and `sidr-lint --spec` verifies.
-//! Clients that offer `accept_binary` in their handshake receive each
-//! keyblock as a packed binary frame instead ([`binframe`]) — same
-//! records, no JSON re-encode on the hot path.
+//! The wire protocol is length-prefixed frames ([`frame`]), JSON for
+//! every message except a keyblock; the submission payload is the same
+//! [`JobSpec`](sidr_core::spec::JobSpec) document `sidr plan --spec`
+//! writes and `sidr-lint --spec` verifies. A keyblock crosses every
+//! socket — worker → coordinator and coordinator → client — as one
+//! packed [`KeyblockBin`] frame ([`binframe`]).
 //!
 //! ```no_run
 //! use sidr_serve::{Client, Server, ServerConfig, SubmitOptions};
@@ -55,8 +55,8 @@ pub use fleet::{
     WorkerResponse, WorkerStat,
 };
 pub use frame::{
-    handshake_accept, handshake_dial, handshake_dial_binary, FrameError, Hello, Role, HELLO_MAGIC,
-    MAX_FRAME, PROTOCOL_VERSION,
+    handshake_accept, handshake_dial, FrameError, Hello, Role, HELLO_MAGIC, MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 pub use proto::{Request, Response, ServerStats, SubmitOptions};
 pub use server::{JobState, Server, ServerConfig, ServerHandle};

@@ -7,13 +7,17 @@
 //! `crates/core/tests/spec_wire.rs`).
 //!
 //! Streaming model: one [`Request::Submit`] yields an
-//! [`Response::Accepted`] (or `Rejected`), then a [`Response::Keyblock`]
-//! frame *per reduce commit, the moment it commits* — §3.4's early,
-//! correct results crossing the wire while the job's remaining maps
-//! are still running — and finally exactly one terminal frame
-//! (`Done`, `Failed` or `Cancelled`). Frames of concurrent jobs on
-//! the same connection interleave; every per-job frame carries its
-//! job id.
+//! [`Response::Accepted`] (or `Rejected`), then a keyblock frame *per
+//! reduce commit, the moment it commits* — §3.4's early, correct
+//! results crossing the wire while the job's remaining maps are still
+//! running — and finally exactly one terminal frame (`Done`, `Failed`
+//! or `Cancelled`). Frames of concurrent jobs on the same connection
+//! interleave; every per-job frame carries its job id.
+//!
+//! A keyblock is the one message that is not JSON on the wire: the
+//! server sends it as a [`KeyblockBin`](crate::binframe::KeyblockBin)
+//! frame and [`Client`](crate::client::Client) decodes it into
+//! [`Response::Keyblock`], which the server itself never serializes.
 
 use serde::{Deserialize, Serialize};
 
@@ -100,7 +104,8 @@ pub enum Response {
         diagnostics: Vec<String>,
     },
     /// One keyblock's complete, final output — sent the moment its
-    /// reduce committed, while the job may still be mapping.
+    /// reduce committed, while the job may still be mapping. The
+    /// decoded form of a `KeyblockBin` frame (see the module docs).
     Keyblock {
         job: u64,
         reducer: usize,

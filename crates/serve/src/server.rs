@@ -11,10 +11,11 @@
 //!
 //! Each job's output path is a [`StreamingOutput`](sidr_core::early::StreamingOutput) in hang-up-tolerant
 //! mode, tee'd into an in-memory sink: every committed keyblock
-//! crosses the wire as a [`Response::Keyblock`] frame the moment its
-//! reduce finishes (§3.4/§5 early correct results), and a client that
-//! disconnects mid-stream mutes the stream without failing the job —
-//! the job completes to its sink and the server's lifetime counters.
+//! crosses the wire as one [`KeyblockBin`](crate::binframe::KeyblockBin)
+//! frame the moment its reduce finishes (§3.4/§5 early correct
+//! results), and a client that disconnects mid-stream mutes the stream
+//! without failing the job — the job completes to its sink and the
+//! server's lifetime counters.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -44,9 +45,10 @@ use crate::metrics::{serve as serve_metrics, ServeMetrics};
 use crate::proto::{Request, Response, ServerStats, SubmitOptions};
 
 /// One message on a connection's outbound channel. JSON responses are
-/// serialized by the writer thread; a binary keyblock arrives already
-/// encoded (one allocation at the forwarder, written as-is), so the
-/// reduce-commit → socket path never runs a JSON encoder.
+/// serialized by the writer thread; a keyblock arrives already encoded
+/// as a `KeyblockBin` frame (one allocation at the forwarder, written
+/// as-is), so the reduce-commit → socket path never runs a JSON
+/// encoder.
 enum Outbound {
     Json(Response),
     BinKeyblock(Vec<u8>),
@@ -358,47 +360,17 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
     };
     let mut read_half = stream;
 
-    // Peek the connection's first frame: handshake-aware peers open
-    // with a [`Hello`] (its `magic` field appears in no legacy
-    // request), older clients open straight with a `Request`. Either
-    // way no frame is lost, and — as everywhere on this socket — a
-    // malformed or hostile opener draws a protocol `Error` frame
-    // before the connection closes, never a silent hang-up.
-    let mut first_request: Option<Request> = None;
-    // Whether this peer's handshake offered (and was granted) binary
-    // keyblock frames. Legacy openers never did.
-    let mut binary = false;
-    match frame::read_frame(&mut read_half) {
-        Ok(Some(payload)) => {
-            let text = match std::str::from_utf8(&payload) {
-                Ok(t) => t,
-                Err(e) => {
-                    send_error_frame(&mut write_half, format!("payload is not UTF-8: {e}"));
-                    return;
-                }
-            };
-            match serde_json::from_str::<Hello>(text) {
-                Ok(hello) if hello.magic == frame::HELLO_MAGIC => {
-                    // Answer the handshake directly (the writer thread
-                    // only speaks `Response`); a version mismatch has
-                    // already been reported by `handshake_accept`'s
-                    // reply being absent, so just close.
-                    if frame::handshake_accept(&mut write_half, &hello, Role::Coordinator).is_err()
-                    {
-                        return;
-                    }
-                    binary = hello.accept_binary;
-                }
-                _ => match serde_json::from_str::<Request>(text) {
-                    Ok(req) => first_request = Some(req),
-                    Err(e) => {
-                        send_error_frame(
-                            &mut write_half,
-                            FrameError::Malformed(e.to_string()).to_string(),
-                        );
-                        return;
-                    }
-                },
+    // The first frame must be a [`Hello`]. As everywhere on this
+    // socket, anything else — garbage, or a well-formed `Request` sent
+    // without a handshake — draws a protocol `Error` frame before the
+    // connection closes, never a silent hang-up.
+    match frame::recv::<Hello>(&mut read_half) {
+        Ok(Some(hello)) => {
+            // Answer the handshake directly (the writer thread only
+            // speaks `Response`). A version or magic mismatch gets no
+            // reply at all: the dialer reads the close as the refusal.
+            if frame::handshake_accept(&mut write_half, &hello, Role::Coordinator).is_err() {
+                return;
             }
         }
         Ok(None) => return,
@@ -415,20 +387,11 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
     let writer_inner = Arc::clone(&inner);
     let writer = thread::spawn(move || write_loop(writer_inner, write_half, rx));
 
-    if let Some(req) = first_request {
-        serve_metrics().frames_in.inc();
-        if !handle_request(&inner, req, &tx, binary) {
-            drop(tx);
-            let _ = writer.join();
-            return;
-        }
-    }
     loop {
         match frame::recv::<Request>(&mut read_half) {
             Ok(Some(req)) => {
                 serve_metrics().frames_in.inc();
-                let proceed = handle_request(&inner, req, &tx, binary);
-                if !proceed {
+                if !handle_request(&inner, req, &tx) {
                     break;
                 }
             }
@@ -454,7 +417,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
 }
 
 /// One-off protocol `Error` frame on a connection whose writer thread
-/// hasn't started (the first-frame peek path).
+/// hasn't started (the handshake).
 fn send_error_frame(stream: &mut TcpStream, message: String) {
     if frame::send(stream, &Response::Error { message }).is_ok() {
         serve_metrics().frames_out.inc();
@@ -463,21 +426,15 @@ fn send_error_frame(stream: &mut TcpStream, message: String) {
 
 /// Serializes responses onto the socket, accounting streamed bytes.
 /// Either flavor leaves in one vectored write (`write_frame`); a
-/// binary keyblock's bytes pass through untouched.
+/// keyblock's bytes pass through untouched.
 fn write_loop(inner: Arc<Inner>, mut stream: TcpStream, rx: Receiver<Outbound>) {
     for out in &rx {
-        let (payload, is_keyblock): (std::borrow::Cow<'_, [u8]>, bool) = match &out {
-            Outbound::Json(resp) => {
-                let text = match serde_json::to_string(resp) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                (
-                    std::borrow::Cow::Owned(text.into_bytes()),
-                    matches!(resp, Response::Keyblock { .. }),
-                )
-            }
-            Outbound::BinKeyblock(bytes) => (std::borrow::Cow::Borrowed(bytes.as_slice()), true),
+        let (payload, is_keyblock) = match out {
+            Outbound::Json(resp) => match serde_json::to_string(&resp) {
+                Ok(text) => (text.into_bytes(), false),
+                Err(_) => continue,
+            },
+            Outbound::BinKeyblock(bytes) => (bytes, true),
         };
         if frame::write_frame(&mut stream, &payload).is_err() {
             // Consumer hung up: keep draining so job threads never
@@ -497,16 +454,15 @@ fn write_loop(inner: Arc<Inner>, mut stream: TcpStream, rx: Receiver<Outbound>) 
 }
 
 /// Dispatches one request; returns false when the connection (or the
-/// whole server) should wind down. `binary` is the connection's
-/// negotiated keyblock encoding.
-fn handle_request(inner: &Arc<Inner>, req: Request, tx: &Sender<Outbound>, binary: bool) -> bool {
+/// whole server) should wind down.
+fn handle_request(inner: &Arc<Inner>, req: Request, tx: &Sender<Outbound>) -> bool {
     match req {
         Request::Submit {
             spec,
             input,
             options,
         } => {
-            admit(inner, spec, input, options, tx, binary);
+            admit(inner, spec, input, options, tx);
             true
         }
         Request::Cancel { job } => {
@@ -552,7 +508,6 @@ fn admit(
     input: String,
     options: SubmitOptions,
     tx: &Sender<Outbound>,
-    binary: bool,
 ) {
     let report = match analyze_spec(&spec, &inner.config.analyze) {
         Ok(r) => r,
@@ -597,7 +552,7 @@ fn admit(
 
     let inner = Arc::clone(inner);
     let tx = tx.clone();
-    thread::spawn(move || run_admitted_job(inner, job, spec, input, options, cancel, tx, binary));
+    thread::spawn(move || run_admitted_job(inner, job, spec, input, options, cancel, tx));
 }
 
 /// One admitted job, end to end: open the input, execute on the
@@ -605,7 +560,6 @@ fn admit(
 /// terminal frame. The streaming collector tolerates hang-ups, so a
 /// vanished client mutes the stream while the job completes to its
 /// sink (and the lifetime counters).
-#[allow(clippy::too_many_arguments)]
 fn run_admitted_job(
     inner: Arc<Inner>,
     job: u64,
@@ -614,7 +568,6 @@ fn run_admitted_job(
     options: SubmitOptions,
     cancel: CancelToken,
     tx: Sender<Outbound>,
-    binary: bool,
 ) {
     inner.set_state(job, JobState::Planning);
     let file = match ScincFile::open(&input) {
@@ -708,7 +661,8 @@ fn run_admitted_job(
     let result = thread::scope(|s| {
         let fwd_inner = Arc::clone(&inner);
         let fwd_tx = tx.clone();
-        let forwarder = s.spawn(move || {
+        let fwd_cancel = cancel.clone();
+        let forwarder = s.spawn(move || -> Result<(), FrameError> {
             let m = serve_metrics();
             let mut first = true;
             for early in early_rx {
@@ -723,26 +677,15 @@ fn run_admitted_job(
                     first = false;
                 }
                 let at_ms = early.at.as_millis() as u64;
-                // Binary peers get the packed frame: encoded once,
-                // here, into its exact-size buffer — the writer and
-                // the socket see only bytes. A keyblock the binary
-                // layout cannot carry (mixed coordinate ranks) falls
-                // back to JSON for that frame alone.
-                if binary {
-                    if let Ok(bin) =
-                        binframe::encode_keyblock(job, early.reducer, at_ms, &early.records)
-                    {
-                        let _ = fwd_tx.send(Outbound::BinKeyblock(bin));
-                        continue;
-                    }
-                }
-                let _ = fwd_tx.send(Outbound::Json(Response::Keyblock {
-                    job,
-                    reducer: early.reducer,
-                    at_ms,
-                    records: early.records,
-                }));
+                // Encoded once, here, into its exact-size buffer —
+                // the writer and the socket see only bytes. A keyblock
+                // the frame cannot carry fails the job: stop the
+                // engine and report why.
+                let bin = binframe::encode_keyblock(job, early.reducer, at_ms, &early.records)
+                    .inspect_err(|_| fwd_cancel.cancel())?;
+                let _ = fwd_tx.send(Outbound::BinKeyblock(bin));
             }
+            Ok(())
         });
         // Same scheduler either way; only where attempts execute
         // differs. In coordinator mode each attempt is dispatched to
@@ -774,8 +717,12 @@ fn run_admitted_job(
         };
         // Close the early-result channel so the forwarder drains out.
         drop(out);
-        let _ = forwarder.join();
-        result
+        match forwarder.join() {
+            Ok(Err(e)) => Err(sidr_core::SidrError::Engine(MrError::Output(format!(
+                "keyblock does not fit a KeyblockBin frame: {e}"
+            )))),
+            _ => result,
+        }
     });
 
     job_finished.store(true, Ordering::SeqCst);

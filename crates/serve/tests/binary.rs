@@ -1,10 +1,10 @@
-//! End-to-end tests for the binary keyblock path: a client that
-//! offers `accept_binary` in its handshake receives every keyblock as
-//! a packed [`binframe`](sidr_serve::binframe) frame, and the decoded
-//! records are identical to what the JSON path delivers for the same
-//! job. Plus adversarial property tests for the `KeyblockBin`
-//! decoder, in the style of `frames.rs`: truncations, bit flips and
-//! hostile geometry yield typed errors, never panics or over-reads.
+//! End-to-end tests for the keyblock wire path: every keyblock
+//! reaches a client as one packed [`binframe`](sidr_serve::binframe)
+//! frame, and the decoded records are identical to the batch answer
+//! for the same job. Plus adversarial property tests for the
+//! `KeyblockBin` decoder, in the style of `frames.rs`: truncations,
+//! bit flips and hostile geometry yield typed errors, never panics or
+//! over-reads.
 
 use std::path::PathBuf;
 use std::thread;
@@ -64,58 +64,43 @@ fn batch_truth(spec: &JobSpec, input: &str) -> Vec<(Coord, f64)> {
         .records
 }
 
-/// The acceptance test for the binary data path: the same job, once
-/// through a JSON client and once through a binary one — identical
-/// streamed records, and both identical to the batch answer.
+/// The acceptance test for the keyblock data path: what `Client`
+/// decodes off the stream is the batch answer.
 #[test]
-fn binary_stream_decodes_identical_to_json() {
+fn streamed_keyblocks_decode_identical_to_batch() {
     let (spec, input) = tiny_fixture("binary-e2e");
     let (addr, handle) = spawn_server(ServerConfig::default());
     let truth = batch_truth(&spec, &input);
 
-    let run = |mut client: Client| -> Vec<(Coord, f64)> {
-        let ticket = client
-            .submit(&spec, &input, SubmitOptions::default())
-            .unwrap();
-        let mut streamed = Vec::new();
-        let outcome = client
-            .stream_job(ticket.job, |_reducer, _at_ms, records| {
-                streamed.extend(records.iter().cloned());
-            })
-            .unwrap();
-        assert!(outcome.completed);
-        assert_eq!(outcome.records, streamed.len() as u64);
-        streamed.sort_by(|a, b| a.0.cmp(&b.0));
-        streamed
-    };
-
-    let json_client = Client::connect(addr).unwrap();
-    assert!(!json_client.is_binary());
-    let via_json = run(json_client);
-
-    let bin_client = Client::connect_binary(addr).unwrap();
-    assert!(bin_client.is_binary(), "server accepts the binary offer");
-    let via_binary = run(bin_client);
-
-    assert_eq!(via_binary, via_json);
-    assert_eq!(via_binary, truth);
+    let mut client = Client::connect(addr).unwrap();
+    let ticket = client
+        .submit(&spec, &input, SubmitOptions::default())
+        .unwrap();
+    let mut streamed = Vec::new();
+    let outcome = client
+        .stream_job(ticket.job, |_reducer, _at_ms, records| {
+            streamed.extend(records.iter().cloned());
+        })
+        .unwrap();
+    assert!(outcome.completed);
+    assert_eq!(outcome.records, streamed.len() as u64);
+    streamed.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(streamed, truth);
     handle.shutdown();
 }
 
-/// Proof at the byte level: on a negotiated connection every keyblock
-/// frame on the wire is binary-tagged (no JSON keyblocks slip
-/// through), and hand-decoding those frames reproduces the batch
-/// answer exactly.
+/// Proof at the byte level: every keyblock frame on the wire is
+/// binary-tagged (the server never serializes a JSON keyblock), one
+/// frame per keyblock, and hand-decoding those frames reproduces the
+/// batch answer exactly.
 #[test]
-fn negotiated_connection_carries_binary_keyblock_frames() {
+fn connection_carries_one_binary_frame_per_keyblock() {
     let (spec, input) = tiny_fixture("binary-wire");
     let (addr, handle) = spawn_server(ServerConfig::default());
     let truth = batch_truth(&spec, &input);
 
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    let accepted =
-        frame::handshake_dial_binary(&mut stream, Role::Client, Role::Coordinator).unwrap();
-    assert!(accepted);
+    frame::handshake_dial(&mut stream, Role::Client, Role::Coordinator).unwrap();
 
     frame::send(
         &mut stream,
@@ -127,7 +112,7 @@ fn negotiated_connection_carries_binary_keyblock_frames() {
     )
     .unwrap();
 
-    let mut binary_frames = 0u32;
+    let mut binary_frames = 0usize;
     let mut records: Vec<(Coord, f64)> = Vec::new();
     let committed;
     loop {
@@ -139,7 +124,7 @@ fn negotiated_connection_carries_binary_keyblock_frames() {
         }
         match frame::decode_json::<Response>(&payload).unwrap() {
             Response::Accepted { .. } => {}
-            Response::Keyblock { .. } => panic!("JSON keyblock on a binary connection"),
+            Response::Keyblock { .. } => panic!("JSON keyblock on the wire"),
             Response::Done { records: total, .. } => {
                 committed = total;
                 break;
@@ -147,45 +132,27 @@ fn negotiated_connection_carries_binary_keyblock_frames() {
             other => panic!("unexpected frame: {other:?}"),
         }
     }
-    assert!(binary_frames > 0, "at least one binary keyblock streamed");
+    assert_eq!(binary_frames, spec.num_reducers, "one frame per keyblock");
     assert_eq!(records.len() as u64, committed);
     records.sort_by(|a, b| a.0.cmp(&b.0));
     assert_eq!(records, truth);
     handle.shutdown();
 }
 
-/// A legacy-shaped client (plain handshake, no binary offer) on the
-/// same server never sees a binary-tagged frame.
+/// The size bound a keyblock has on either hop: an encode that would
+/// exceed `MAX_FRAME` is a typed error before any allocation, so the
+/// sender can fail the attempt (worker) or the job (server) instead of
+/// writing a frame no reader accepts.
 #[test]
-fn plain_handshake_never_receives_binary_frames() {
-    let (spec, input) = tiny_fixture("binary-legacy");
-    let (addr, handle) = spawn_server(ServerConfig::default());
-
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    frame::handshake_dial(&mut stream, Role::Client, Role::Coordinator).unwrap();
-    frame::send(
-        &mut stream,
-        &Request::Submit {
-            spec,
-            input,
-            options: SubmitOptions::default(),
-        },
-    )
-    .unwrap();
-
-    let mut keyblocks = 0u32;
-    loop {
-        let payload = read_frame(&mut stream).unwrap().expect("mid-job EOF");
-        assert!(!is_binary(&payload), "binary frame to a JSON-only peer");
-        match frame::decode_json::<Response>(&payload).unwrap() {
-            Response::Keyblock { .. } => keyblocks += 1,
-            Response::Done { .. } => break,
-            Response::Accepted { .. } => {}
-            other => panic!("unexpected frame: {other:?}"),
-        }
+fn oversized_keyblock_is_a_typed_encode_error() {
+    let row = Coord::from([0u64, 0]).packed_width() + 8;
+    let n = (sidr_serve::MAX_FRAME as usize - BIN_HEADER_LEN) / row + 1;
+    let records = vec![(Coord::from([0u64, 0]), 0.0); n];
+    match encode_keyblock(1, 0, 0, &records) {
+        Err(FrameError::Oversized { max, .. }) => assert_eq!(max, sidr_serve::MAX_FRAME),
+        other => panic!("expected Oversized, got {:?}", other.map(|b| b.len())),
     }
-    assert!(keyblocks > 0);
-    handle.shutdown();
+    assert!(encode_keyblock(1, 0, 0, &records[..n - 1]).is_ok());
 }
 
 fn sample_frame() -> Vec<u8> {

@@ -318,7 +318,6 @@ fn handshake_rejects_version_skew() {
         magic: HELLO_MAGIC.to_string(),
         version: PROTOCOL_VERSION + 1,
         role: Role::Coordinator,
-        accept_binary: false,
     };
     let mut reply = Vec::new();
     send(&mut reply, &future).unwrap();
@@ -358,7 +357,6 @@ fn accept_rejects_bad_magic_without_replying() {
         magic: "http".to_string(),
         version: PROTOCOL_VERSION,
         role: Role::Client,
-        accept_binary: false,
     };
     let mut sink = Vec::new();
     match handshake_accept(&mut sink, &stranger, Role::Coordinator) {

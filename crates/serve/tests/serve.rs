@@ -296,6 +296,22 @@ fn malformed_frames_draw_a_protocol_error() {
     handle.shutdown();
 }
 
+/// The first frame on a connection must be the `Hello`: a well-formed
+/// `Request` sent without one is refused like any other garbage — a
+/// protocol `Error` frame, then a close — and is never executed.
+#[test]
+fn request_without_hello_draws_a_protocol_error() {
+    let (addr, handle) = spawn_server(ServerConfig::default());
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    sidr_serve::frame::send(&mut stream, &sidr_serve::Request::Stats).unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("an error frame");
+    let resp: Response = serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+    assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
+    assert_eq!(read_frame(&mut stream).unwrap(), None);
+    handle.shutdown();
+}
+
 /// Computational steering over the wire (§3.4): a client-supplied
 /// priority region reorders delivery — the keyblock covering the
 /// region's corner streams back first.

@@ -6,8 +6,8 @@
 //!   map attempts read their split and keep the resulting per-reducer
 //!   partitions (encoded CRC-framed SMOF buffers) in memory; reduce
 //!   attempts fetch their source partitions from the workers holding
-//!   them, merge in the plan's fetch order, and stream each key group
-//!   back to the coordinator as it leaves the merge;
+//!   them, merge in the plan's fetch order, and send the keyblock back
+//!   to the coordinator whole, as one `KeyblockBin` frame;
 //! * **serve shuffle fetches** to peer workers over the same
 //!   length-prefixed frame protocol, partition bytes riding as one raw
 //!   frame after their JSON header.
@@ -20,8 +20,7 @@
 //! the re-execution of the `I_ℓ`-scoped maps it held, never the job.
 //!
 //! Every connection must open with the version/role [`Hello`]
-//! handshake; unlike the coordinator (which still speaks to legacy
-//! clients), a worker accepts nothing else.
+//! handshake; a worker accepts nothing else.
 
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
@@ -32,7 +31,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sidr_coords::Coord;
 use sidr_core::exec::SpecExecutor;
 use sidr_core::spec::JobSpec;
 use sidr_core::SidrError;
@@ -42,6 +40,7 @@ use sidr_core::SidrError;
 use sidr_mapreduce::sync::Mutex;
 use sidr_mapreduce::tier::{PartitionStore, TierConfig};
 use sidr_mapreduce::MrError;
+use sidr_serve::binframe;
 use sidr_serve::fleet::{PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Hello, Role};
 use sidr_serve::WorkerStat;
@@ -312,9 +311,8 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     };
     let mut reader = stream;
 
-    // Workers predate nothing: every dialer speaks the handshake, so
-    // anything else on the first frame is a protocol error and the
-    // connection just closes.
+    // Every dialer speaks the handshake, so anything else on the
+    // first frame is a protocol error and the connection just closes.
     let hello: Hello = match frame::recv(&mut reader) {
         Ok(Some(h)) => h,
         _ => return,
@@ -632,10 +630,11 @@ fn release(shared: &Shared, job: u64, reducer: usize, maps: &[(usize, u32)]) {
 ///    side-effect-free, so the retry after recovery starts clean.
 /// 2. **release** — consume every fetched generation at its holder,
 ///    then tell the coordinator the copy is done (`Fetched`).
-/// 3. **merge & stream** — merge in the given source order (the
+/// 3. **merge & reply** — merge in the given source order (the
 ///    plan's fetch order: the equal-key tie-break that keeps output
-///    byte-identical to a single-process run) and stream each key
-///    group the moment it leaves the merge.
+///    byte-identical to a single-process run), then answer
+///    `ReduceDone` followed by the whole keyblock as one raw
+///    `KeyblockBin` frame.
 ///
 /// Returns whether the connection is still usable.
 fn run_reduce(
@@ -816,28 +815,23 @@ fn run_reduce_inner(
         return false;
     }
 
-    // --- merge & stream ---------------------------------------------
-    let mut wire_broken = false;
-    let result = {
-        let mut emit = |records: &[(Coord, f64)]| -> sidr_core::Result<()> {
-            frame::send(
-                writer,
-                &WorkerResponse::Group {
-                    records: records.to_vec(),
-                },
-            )
-            .map_err(|e| {
-                wire_broken = true;
-                SidrError::Engine(MrError::Output(format!("streaming to coordinator: {e}")))
-            })
-        };
-        exec.run_reduce(reducer, &partitions, expected_raw, &mut emit)
-    };
+    // --- merge & reply ----------------------------------------------
+    // A keyblock that cannot be one frame (mixed coordinate ranks, or
+    // past `MAX_FRAME`) will not fit on a retry either: fatal.
+    let mut keyblock = Vec::new();
+    let result = exec.run_reduce(reducer, &partitions, expected_raw, &mut |records| {
+        keyblock = binframe::encode_keyblock(job, reducer, 0, records).map_err(|e| {
+            SidrError::Engine(MrError::BadConfig(format!(
+                "keyblock does not fit one frame: {e}"
+            )))
+        })?;
+        Ok(())
+    });
     match result {
         Ok(emitted) => {
             frame::send(writer, &WorkerResponse::ReduceDone { emitted, fetch_ms }).is_ok()
+                && frame::write_frame(writer, &keyblock).is_ok()
         }
-        Err(_) if wire_broken => false,
         Err(e) => frame::send(
             writer,
             &failed(format!("reduce {reducer}: {e}"), is_fatal(&e)),

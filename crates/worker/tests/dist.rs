@@ -15,13 +15,16 @@ use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOpti
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{
-    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult, SlotPool,
-    SpeculationPolicy, SplitGenerator, TaskKind,
+    reexecuted_maps, Counters, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult,
+    ReduceSource, RemoteReduceError, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
+    TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
+use sidr_serve::binframe::encode_keyblock;
 use sidr_serve::fleet::{PartitionStatus, WorkerConn, WorkerRequest, WorkerResponse};
-use sidr_serve::{Client, Fleet, FleetConfig, Server, ServerConfig, SubmitOptions};
+use sidr_serve::frame::{self, Hello, Role};
+use sidr_serve::{Client, Fleet, FleetConfig, Server, ServerConfig, SubmitOptions, WorkerStat};
 use sidr_worker::{Worker, WorkerOptions};
 
 /// Builds a spec and (once per tag) its dataset from a query.
@@ -374,6 +377,230 @@ fn worker_death_mid_map_reexecutes_only_committed_maps() {
          re-dispatches at its original attempt"
     );
     assert_eq!(got, expected, "output must survive the kill unchanged");
+}
+
+/// Kill a worker that has finished a reduce's copy phase — `Fetched`
+/// sent, inputs consumed — but not yet returned its keyblock. Nothing
+/// leaves an attempt until it is whole, so a death anywhere after
+/// `Fetched` is one path: the attempt is charged to the retry budget,
+/// its dependency set `I_ℓ` re-executes (the fetches were consumed),
+/// and the retry commits the same bytes.
+#[test]
+fn worker_death_after_copy_retries_the_reduce() {
+    let (spec, input) = tiny_fixture("postcopy");
+    let expected = run_local(&spec, &input);
+    let num_maps = spec.splits.len();
+
+    let workers = spawn_workers(3);
+    // Hold every reduce at the gate between its `Fetched` and its
+    // merge until the kill has landed.
+    for w in &workers {
+        w.set_reduce_delay(Duration::from_secs(600));
+    }
+    let fleet = fleet_of(&workers);
+
+    let mut victim_maps: Vec<usize> = Vec::new();
+    let (result, got) = {
+        let workers = &workers;
+        let held_out = &mut victim_maps;
+        run_distributed(
+            workers,
+            &fleet,
+            &spec,
+            &input,
+            exec_opts(FaultPlan::none()),
+            move |job| {
+                // Every reduce is dispatched and every partition has
+                // been consumed by a completed copy phase: all of them
+                // are at the gate.
+                wait_until(|| {
+                    let stats: Vec<WorkerStat> = workers.iter().map(Worker::stat).collect();
+                    committed_total(workers, job) == num_maps
+                        && stats.iter().map(|s| s.reduce_attempts).sum::<u64>()
+                            == spec.num_reducers as u64
+                        && stats.iter().all(|s| s.partitions_held == 0)
+                });
+                // Let the in-flight `Fetched` frames land on the
+                // coordinator: a death before one is the pre-copy path.
+                thread::sleep(Duration::from_millis(50));
+                let (victim, _) = workers
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, w)| w.stat().tasks_in_flight)
+                    .expect("non-empty fleet");
+                assert!(
+                    workers[victim].stat().tasks_in_flight > 0,
+                    "victim must be executing a reduce"
+                );
+                *held_out = workers[victim]
+                    .committed_maps(job)
+                    .into_iter()
+                    .map(|(task, _attempt)| task)
+                    .collect();
+                workers[victim].kill();
+                for w in workers.iter() {
+                    w.set_reduce_delay(Duration::ZERO);
+                }
+            },
+        )
+    };
+
+    assert_eq!(got, expected, "output must survive the kill unchanged");
+    assert!(
+        result.counters.reduce_failures >= 1,
+        "the killed attempt is charged to the reduce's retry budget"
+    );
+    let mut allowed = victim_maps;
+    for e in &result.events {
+        if e.kind == TaskKind::ReduceFailed {
+            allowed.extend(&spec.reduce_deps[e.task]);
+        }
+    }
+    let reexecuted = reexecuted_maps(&result.events);
+    assert!(!reexecuted.is_empty(), "consumed inputs must be rebuilt");
+    assert!(
+        reexecuted.iter().all(|m| allowed.contains(m)),
+        "recovery is scoped to the killed reducers' I_ℓ and the victim's \
+         maps: re-executed {reexecuted:?}, allowed {allowed:?}"
+    );
+}
+
+/// How a scripted worker's keyblock frame departs from the honest one
+/// for the `RunReduce` it answers (all zero/false = honest).
+#[derive(Clone, Copy, Default)]
+struct Tamper {
+    /// Added to the reducer id the frame names.
+    reducer_off: usize,
+    /// Added to the record count `ReduceDone` announces.
+    emitted_off: u64,
+    /// Flip one payload bit after encoding (fails the CRC).
+    flip_bit: bool,
+}
+
+/// A stand-in worker speaking the coordinator ↔ worker protocol from
+/// the far side: it answers every request like a healthy worker, but
+/// runs nothing — maps "commit" instantly and the `n`-th `RunReduce`
+/// is answered `Fetched`, `ReduceDone`, then `records` as one keyblock
+/// frame tampered per `script[n]`. Connections are served one at a
+/// time; the thread ends after the job's `Finish`.
+fn spawn_scripted_worker(
+    records: Vec<(Coord, f64)>,
+    script: Vec<Tamper>,
+) -> (String, thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = thread::spawn(move || {
+        let mut script = script.into_iter();
+        for conn in listener.incoming() {
+            let mut conn = conn.unwrap();
+            let Ok(Some(hello)) = frame::recv::<Hello>(&mut conn) else {
+                continue;
+            };
+            frame::handshake_accept(&mut conn, &hello, Role::Worker).unwrap();
+            while let Ok(Some(req)) = frame::recv::<WorkerRequest>(&mut conn) {
+                let reply = match req {
+                    WorkerRequest::Ping => WorkerResponse::Pong(WorkerStat::default()),
+                    WorkerRequest::Prepare { job, .. } => WorkerResponse::Prepared { job },
+                    WorkerRequest::RunMap { job, task, attempt } => WorkerResponse::MapDone {
+                        job,
+                        task,
+                        attempt,
+                        records_in: 0,
+                        records_out: 0,
+                        partitions: Vec::new(),
+                    },
+                    WorkerRequest::RunReduce { job, reducer, .. } => {
+                        let t = script.next().expect("one script entry per RunReduce");
+                        let mut keyblock =
+                            encode_keyblock(job, reducer + t.reducer_off, 0, &records).unwrap();
+                        if t.flip_bit {
+                            *keyblock.last_mut().unwrap() ^= 0x10;
+                        }
+                        frame::send(&mut conn, &WorkerResponse::Fetched { job, reducer }).unwrap();
+                        frame::send(
+                            &mut conn,
+                            &WorkerResponse::ReduceDone {
+                                emitted: records.len() as u64 + t.emitted_off,
+                                fetch_ms: 0,
+                            },
+                        )
+                        .unwrap();
+                        frame::write_frame(&mut conn, &keyblock).unwrap();
+                        continue;
+                    }
+                    WorkerRequest::Finish { .. } => {
+                        frame::send(&mut conn, &WorkerResponse::Finished).unwrap();
+                        return;
+                    }
+                    other => panic!("scripted worker got {other:?}"),
+                };
+                frame::send(&mut conn, &reply).unwrap();
+            }
+        }
+    });
+    (addr, handle)
+}
+
+/// A reduce attempt's output crosses the worker → coordinator socket
+/// as exactly one `KeyblockBin` frame after `ReduceDone`, and the
+/// coordinator trusts none of it: a frame that fails its CRC, names a
+/// different reducer, or disagrees with the announced record count
+/// costs that attempt (`AttemptFailed` — retryable) and its records
+/// are never returned for commit.
+#[test]
+fn hostile_keyblock_frame_costs_the_attempt_never_a_commit() {
+    let (spec, input) = tiny_fixture("hostile");
+    let records: Vec<(Coord, f64)> = (0..5u64)
+        .map(|i| (Coord::from([i, 0, 0, 0]), i as f64 / 2.0))
+        .collect();
+    let honest = Tamper::default();
+    let hostile = [
+        (
+            "bit-flipped",
+            Tamper {
+                flip_bit: true,
+                ..honest
+            },
+        ),
+        (
+            "wrong-reducer",
+            Tamper {
+                reducer_off: 1,
+                ..honest
+            },
+        ),
+        (
+            "miscounted",
+            Tamper {
+                emitted_off: 1,
+                ..honest
+            },
+        ),
+    ];
+    let script = hostile.iter().map(|(_, t)| *t).chain([honest]).collect();
+    let (addr, worker) = spawn_scripted_worker(records.clone(), script);
+
+    let fleet = Fleet::connect(FleetConfig::new(vec![addr])).expect("fleet connects");
+    let remote = fleet
+        .prepare_job(&spec, &input, &exec_opts(FaultPlan::none()))
+        .expect("prepare");
+    let counters = Counters::default();
+    remote
+        .execute_map(0, 0, false, &spec.splits[0], &counters, &|_| true)
+        .expect("scripted map commits");
+    let sources = [ReduceSource { map: 0, epoch: 0 }];
+    for (attempt, (what, _)) in hostile.iter().enumerate() {
+        match remote.execute_reduce(2, attempt as u32, &sources, None, &counters) {
+            Err(RemoteReduceError::AttemptFailed(_)) => {}
+            other => panic!("{what} frame: expected AttemptFailed, got {other:?}"),
+        }
+    }
+    let committed = remote
+        .execute_reduce(2, hostile.len() as u32, &sources, None, &counters)
+        .expect("the honest frame is accepted");
+    assert_eq!(committed, records);
+    remote.finish();
+    worker.join().expect("scripted worker ran its whole script");
 }
 
 /// Fleet speculation chaos: the straggling map's primary attempt
