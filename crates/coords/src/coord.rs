@@ -39,17 +39,6 @@ impl Coord {
         &self.0
     }
 
-    /// Mutable access to the components (rank cannot change).
-    #[inline]
-    pub fn components_mut(&mut self) -> &mut [u64] {
-        &mut self.0
-    }
-
-    /// Consumes the coordinate, returning its components.
-    pub fn into_components(self) -> Vec<u64> {
-        self.0
-    }
-
     /// Component-wise addition. Errors on rank mismatch.
     pub fn checked_add(&self, other: &Coord) -> Result<Coord> {
         self.same_rank(other)?;

@@ -37,7 +37,7 @@ pub use coord::Coord;
 pub use cover::{exact_cover_defect, first_overlap, overlap_count, CoverDefect};
 pub use error::CoordError;
 pub use extraction::ExtractionShape;
-pub use partition::{choose_skew_shape, ContiguousPartition, KeyblockId, KeyblockSpec};
+pub use partition::{choose_skew_shape, ContiguousPartition, KeyblockId};
 pub use shape::Shape;
 pub use slab::Slab;
 pub use tiling::{PartialPolicy, Tiling};

@@ -45,19 +45,6 @@ pub struct ContiguousPartition {
     remainder: u64,
 }
 
-/// Exported description of a single keyblock: its instance run, the
-/// slabs of `K′` it covers, and its exact key count.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KeyblockSpec {
-    pub id: KeyblockId,
-    /// Row-major skew-shape instance run `[start, end)`.
-    pub instance_range: (u64, u64),
-    /// Minimal slab cover of the block in `K′`.
-    pub cover: Vec<Slab>,
-    /// Exact number of `K′` keys assigned to the block.
-    pub key_count: u64,
-}
-
 impl ContiguousPartition {
     /// Partitions `space` (= `K′ᵀ`) into `num_blocks` keyblocks using
     /// `skew_shape` as the dealing unit. The skew shape is clipped at
@@ -113,12 +100,6 @@ impl ContiguousPartition {
         self.tiling.instance_count()
     }
 
-    /// Maximum instances dealt to any keyblock (blocks differ by at
-    /// most one instance).
-    pub fn max_instances_per_block(&self) -> u64 {
-        self.base_instances + u64::from(self.remainder > 0)
-    }
-
     /// `⌊IntShapes / r⌋`: instances every block receives.
     pub fn base_instances(&self) -> u64 {
         self.base_instances
@@ -136,17 +117,6 @@ impl ContiguousPartition {
             .instance_index_of(k_prime)?
             .expect("Clip policy covers every key");
         Ok(self.keyblock_of_instance(idx))
-    }
-
-    /// Allocation-free hot path of [`ContiguousPartition::keyblock_of_key`]
-    /// for validated keys — the per-pair cost §4.5 benchmarks.
-    #[inline]
-    pub fn keyblock_of_key_fast(&self, k_prime: &Coord) -> KeyblockId {
-        let idx = self
-            .tiling
-            .instance_index_fast(k_prime)
-            .expect("Clip policy covers every in-bounds key");
-        self.keyblock_of_instance(idx)
     }
 
     /// The keyblock owning skew-shape instance `idx`.
@@ -187,23 +157,6 @@ impl ContiguousPartition {
     /// Exact number of `K′` keys in keyblock `id`.
     pub fn block_key_count(&self, id: KeyblockId) -> Result<u64> {
         Ok(self.block_cover(id)?.iter().map(Slab::count).sum())
-    }
-
-    /// Full specs for all keyblocks.
-    pub fn block_specs(&self) -> Result<Vec<KeyblockSpec>> {
-        (0..self.num_blocks)
-            .map(|id| {
-                let instance_range = self.block_run(id);
-                let cover = self.block_cover(id)?;
-                let key_count = cover.iter().map(Slab::count).sum();
-                Ok(KeyblockSpec {
-                    id,
-                    instance_range,
-                    cover,
-                    key_count,
-                })
-            })
-            .collect()
     }
 
     /// Observed skew: `max - min` key count across *non-empty*

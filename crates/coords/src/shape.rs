@@ -134,11 +134,6 @@ impl Shape {
         }
         Shape::new(per_dim)
     }
-
-    /// Consumes the shape, returning its extents.
-    pub fn into_extents(self) -> Vec<u64> {
-        self.0
-    }
 }
 
 impl fmt::Debug for Shape {

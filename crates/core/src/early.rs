@@ -8,19 +8,7 @@
 //! processes portions of the output while the rest of the query is
 //! still running — no re-execution, because SIDR's partial results are
 //! final (§5's contrast with HOP's estimates).
-//!
-//! The serving layer (`sidr-serve`) plugs this into each job's output
-//! path, with two extra needs covered here:
-//!
-//! * **hang-up tolerance** ([`StreamingOutput::tolerate_hangup`]): a
-//!   network client that disconnects mid-query must not abort the job
-//!   — the stream is dropped and the job runs to completion;
-//! * **an output sink** ([`StreamingOutput::with_sink`]): every commit
-//!   is tee'd into a backing collector first, so the job's full output
-//!   survives even when no consumer is listening anymore.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -45,88 +33,38 @@ pub struct EarlyResult {
 pub struct StreamingOutput {
     start: Instant,
     tx: Sender<EarlyResult>,
-    /// When true, a disconnected consumer mutes the stream instead of
-    /// failing the commit (and thereby the whole job).
-    tolerate_hangup: bool,
-    /// Set once a send fails; later commits skip the channel.
-    hung_up: AtomicBool,
-    /// Commits are tee'd here before streaming, so the job's output
-    /// outlives the consumer.
-    sink: Option<Arc<dyn OutputCollector<Coord, f64>>>,
 }
 
-/// Creates a connected (collector, consumer) pair. By default a
-/// dropped consumer fails the next commit (and the job with it);
-/// see [`StreamingOutput::tolerate_hangup`] for the serving behavior.
+/// Creates a connected (collector, consumer) pair. A dropped consumer
+/// fails the next commit (and the job with it).
 pub fn streaming_output() -> (StreamingOutput, Receiver<EarlyResult>) {
     let (tx, rx) = unbounded();
     (
         StreamingOutput {
             start: Instant::now(),
             tx,
-            tolerate_hangup: false,
-            hung_up: AtomicBool::new(false),
-            sink: None,
         },
         rx,
     )
 }
 
-impl StreamingOutput {
-    /// Keeps the job alive when the consumer hangs up: the stream is
-    /// silently dropped and commits keep landing in the sink (if any).
-    pub fn tolerate_hangup(mut self) -> Self {
-        self.tolerate_hangup = true;
-        self
-    }
-
-    /// Tees every commit into `sink` before streaming it. The sink
-    /// sees the commit even after a tolerated hang-up, so the job
-    /// "completes to its output sink".
-    pub fn with_sink(mut self, sink: Arc<dyn OutputCollector<Coord, f64>>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// True once the consumer disconnected and the stream was muted
-    /// (only reachable under [`tolerate_hangup`]).
-    ///
-    /// [`tolerate_hangup`]: StreamingOutput::tolerate_hangup
-    pub fn consumer_hung_up(&self) -> bool {
-        self.hung_up.load(Ordering::SeqCst)
-    }
-}
-
 impl OutputCollector<Coord, f64> for StreamingOutput {
     fn commit(&self, reducer: usize, records: Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()> {
-        if let Some(sink) = &self.sink {
-            sink.commit(reducer, records.clone())?;
-        }
-        if self.hung_up.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let send = self.tx.send(EarlyResult {
-            reducer,
-            at: self.start.elapsed(),
-            records,
-        });
-        match send {
-            Ok(()) => Ok(()),
-            Err(_) if self.tolerate_hangup => {
-                self.hung_up.store(true, Ordering::SeqCst);
-                Ok(())
-            }
-            Err(_) => Err(MrError::Output(
-                "early-result consumer hung up before the job finished".into(),
-            )),
-        }
+        self.tx
+            .send(EarlyResult {
+                reducer,
+                at: self.start.elapsed(),
+                records,
+            })
+            .map_err(|_| {
+                MrError::Output("early-result consumer hung up before the job finished".into())
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidr_mapreduce::InMemoryOutput;
 
     #[test]
     fn results_stream_in_commit_order() {
@@ -143,33 +81,5 @@ mod tests {
         let (out, rx) = streaming_output();
         drop(rx);
         assert!(out.commit(0, vec![]).is_err());
-    }
-
-    #[test]
-    fn tolerated_hangup_keeps_committing_to_the_sink() {
-        let sink = Arc::new(InMemoryOutput::<Coord, f64>::new());
-        let (out, rx) = streaming_output();
-        let out = out.tolerate_hangup().with_sink(Arc::clone(&sink) as _);
-        out.commit(0, vec![(Coord::from([0]), 0.5)]).unwrap();
-        drop(rx);
-        assert!(!out.consumer_hung_up());
-        out.commit(1, vec![(Coord::from([1]), 1.5)]).unwrap();
-        assert!(out.consumer_hung_up());
-        out.commit(2, vec![(Coord::from([2]), 2.5)]).unwrap();
-        // All three commits reached the sink; only the first reached
-        // the (now dropped) stream.
-        assert_eq!(sink.len(), 3);
-    }
-
-    #[test]
-    fn sink_sees_commits_alongside_the_stream() {
-        let sink = Arc::new(InMemoryOutput::<Coord, f64>::new());
-        let (out, rx) = streaming_output();
-        let out = out.with_sink(Arc::clone(&sink) as _);
-        out.commit(0, vec![(Coord::from([3]), 9.0)]).unwrap();
-        drop(out);
-        let streamed: Vec<EarlyResult> = rx.iter().collect();
-        assert_eq!(streamed.len(), 1);
-        assert_eq!(sink.len(), 1);
     }
 }

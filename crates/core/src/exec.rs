@@ -172,8 +172,7 @@ impl SpecExecutor {
     /// their holders, **in the plan's fetch-source order** (equal-key
     /// merge ties break by file order, so this order is what keeps
     /// distributed output byte-identical to a single-process run).
-    /// An empty buffer means that map produced nothing for this
-    /// reducer. On success `emit` is called exactly once, with the
+    /// On success `emit` is called exactly once, with the
     /// whole keyblock in key order; returns its record count. (A
     /// callback rather than a return value only because
     /// `benchmark/src/staged.rs`, frozen, pins this signature.)
@@ -196,10 +195,8 @@ impl SpecExecutor {
         if reducer >= self.spec.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")).into());
         }
-        // An empty buffer means that map produced nothing here.
         let inputs = partitions
             .iter()
-            .filter(|bytes| !bytes.is_empty())
             .map(|bytes| MergeSource::from_encoded(std::sync::Arc::clone(bytes)))
             .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
         let expected = expected_raw.or_else(|| {

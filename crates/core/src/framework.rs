@@ -322,11 +322,13 @@ pub fn run_spec_on_pool(
 /// Scheduling is [`run_spec_on_pool`] unchanged — same plan, same
 /// shared [`SlotPool`], same inverted reduce-first order, same
 /// keyblock-by-keyblock commits through `output`. Only *where* an
-/// attempt's bytes are read and reduced differs. Distributed runs are
-/// always volatile-intermediate: map output lives in worker memory and
-/// dies with the worker, so reduce-side losses recover by re-executing
-/// the dependency set `I_ℓ` (§6), never by re-fetching a persisted
-/// file.
+/// attempt's bytes are read and reduced differs. Map output lives in
+/// worker memory and dies with the worker; the executor reports
+/// exactly the generations that are gone
+/// ([`sidr_mapreduce::RemoteReduceError::SourcesLost`]) and the
+/// scheduler re-executes exactly those maps (§6). A reduce attempt
+/// that merely failed consumed nothing, so the engine's
+/// `volatile_intermediate` whole-`I_ℓ` re-execution is not used here.
 pub fn run_spec_with_executor(
     spec: &JobSpec,
     opts: &SpecRunOptions,
@@ -336,8 +338,7 @@ pub fn run_spec_with_executor(
     executor: &dyn TaskExecutor<Coord, f64>,
 ) -> Result<JobResult> {
     let query = spec.query()?;
-    let (plan, mut config) = spec_plan_and_config(spec, &query, opts)?;
-    config.volatile_intermediate = true;
+    let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
     Ok(run_job_with_executor(
         &spec.splits,
         &plan as &dyn RoutingPlan<Coord>,

@@ -140,11 +140,6 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Pretty seconds.
-pub fn fmt_s(t: f64) -> String {
-    format!("{t:.0} s")
-}
-
 /// A paper-vs-measured comparison line.
 pub fn compare(metric: &str, paper: &str, measured: &str, holds: bool) {
     let mark = if holds { "OK " } else { "!! " };

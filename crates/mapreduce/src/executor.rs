@@ -52,16 +52,18 @@ pub struct ReduceSource {
 /// How a reduce attempt failed, in the scheduler's fault vocabulary.
 #[derive(Debug)]
 pub enum RemoteReduceError {
-    /// Source partitions were lost — with a dead worker, to a failed
-    /// CRC, or consumed by an earlier volatile fetch — *before the
-    /// attempt consumed anything*. The scheduler re-enqueues exactly
-    /// these maps and retries the same attempt once they recommit; no
-    /// retry budget is charged.
+    /// Source partitions are gone — with a dead worker, to a failed
+    /// CRC, consumed by an earlier volatile fetch, or released by a
+    /// fleet attempt whose reply was then rejected — and *this attempt
+    /// consumed nothing*. The scheduler re-enqueues exactly these maps
+    /// and retries the same attempt once they recommit; no retry
+    /// budget is charged.
     SourcesLost(Vec<MapTaskId>),
-    /// The attempt failed after its copy phase (its fetches are gone
-    /// under volatile intermediate data). Charged against the retry
-    /// budget; under volatile intermediate data the scheduler
-    /// re-executes the whole dependency set.
+    /// The attempt failed. Charged against the retry budget. Under
+    /// the in-process engine's volatile intermediate data its fetches
+    /// were consumed, so the scheduler re-executes the whole dependency
+    /// set; a fleet attempt releases nothing before it has replied, so
+    /// its retry simply fetches again.
     AttemptFailed(String),
     /// Unrecoverable: fail the job with this error.
     Fatal(MrError),

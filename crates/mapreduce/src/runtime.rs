@@ -1296,10 +1296,10 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
 ///   ([`RemoteReduceError::SourcesLost`] — a dead holder, a failed
 ///   CRC) re-enqueue exactly the lost maps and retry the same attempt;
 ///   no retry budget charged;
-/// * an attempt dying *after* its copy phase
-///   ([`RemoteReduceError::AttemptFailed`]), or failed by injection
-///   once its barrier is met, is charged against the budget and, under
-///   volatile intermediate data, re-executes its whole dependency set.
+/// * a failed attempt ([`RemoteReduceError::AttemptFailed`], or an
+///   injected failure once its barrier is met) is charged against the
+///   budget and, under volatile intermediate data (in-process only),
+///   re-executes its whole dependency set.
 fn run_reduce_task<K2: MrKey, V3: MrValue>(
     shared: &Shared<'_, K2>,
     r: usize,

@@ -140,19 +140,11 @@ impl SpillBackend for DiskBackend {
 #[derive(Default)]
 pub struct MemBackend {
     files: std::sync::Mutex<HashMap<String, Vec<u8>>>,
-    /// When set, every write fails as if the disk were full.
-    full: std::sync::atomic::AtomicBool,
 }
 
 impl MemBackend {
     pub fn new() -> Self {
         MemBackend::default()
-    }
-
-    /// Makes every subsequent write fail with ENOSPC (`true`) or
-    /// succeed again (`false`).
-    pub fn set_full(&self, full: bool) {
-        self.full.store(full, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Names of the files currently stored (orphan sweeps in tests).
@@ -163,12 +155,6 @@ impl MemBackend {
 
 impl SpillBackend for MemBackend {
     fn write(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-        if self.full.load(std::sync::atomic::Ordering::SeqCst) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::StorageFull,
-                "injected ENOSPC",
-            ));
-        }
         self.files
             .lock()
             .unwrap()
@@ -209,28 +195,19 @@ impl SpillBackend for MemBackend {
 }
 
 /// Store configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TierConfig {
     /// Resident-byte budget; 0 means unbounded (never spill).
     pub budget_bytes: u64,
     /// Operator chaos switch: treat every spill write as ENOSPC
     /// (the worker daemon's `--fail-spills` flag).
     pub fail_all_spills: bool,
-    /// Safety-net re-check interval while waiting out a `Moving`
-    /// partition; the wait is condvar-notified on install, so this
-    /// only guards against a lost wakeup turning into a hang.
-    pub wait_tick: Duration,
 }
 
-impl Default for TierConfig {
-    fn default() -> Self {
-        TierConfig {
-            budget_bytes: 0,
-            fail_all_spills: false,
-            wait_tick: Duration::from_millis(25),
-        }
-    }
-}
+/// Safety-net re-check interval while waiting out a `Moving`
+/// partition; the wait is condvar-notified on install, so this only
+/// guards against a lost wakeup turning into a hang.
+const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// The memory-pressure summary one store reports: what heartbeats
 /// carry to the coordinator.
@@ -495,7 +472,7 @@ impl PartitionStore {
                     // Wait out the in-flight move: racing it could
                     // hand bytes to a fetch→release that then loses
                     // to the mover's install.
-                    let _timed_out = self.moved.wait_for(&mut inner, self.cfg.wait_tick);
+                    let _timed_out = self.moved.wait_for(&mut inner, WAIT_TICK);
                     continue;
                 }
                 Found::Spilled(len) => {
@@ -925,7 +902,6 @@ mod tests {
         let cfg = TierConfig {
             budget_bytes: len,
             fail_all_spills: true,
-            ..TierConfig::default()
         };
         let store = PartitionStore::new(cfg, Arc::clone(&backend) as Arc<dyn SpillBackend>);
         store.insert((1, 0, 0, 0), Arc::clone(&f));

@@ -7,7 +7,7 @@
 //! produced are exactly the coordinates of the slab: `Iᵢ ≡ K_Tᵢ`
 //! (§2.4.1), the equivalence SIDR's Area-1 resolution rests on.
 
-use sidr_coords::{Coord, Shape, Slab};
+use sidr_coords::{Coord, Slab};
 
 use crate::file::ScincFile;
 use crate::value::Element;
@@ -120,15 +120,11 @@ pub fn read_records<E: Element>(
     SlabRecordReader::new(file, variable, slab.clone())?.collect_all()
 }
 
-/// Builds a rank-matched unit shape (helper for point reads).
-pub fn unit_shape(rank: usize) -> Shape {
-    Shape::new(vec![1; rank]).expect("rank >= 1 enforced by callers")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metadata::{DataType, Dimension, Metadata, Variable};
+    use sidr_coords::Shape;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("sidr-reader-tests");

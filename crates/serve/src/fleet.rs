@@ -16,13 +16,26 @@
 //! reduce attempt's keyblock as a [`crate::binframe`] `KeyblockBin`
 //! frame after `ReduceDone`.
 //!
+//! Each fact about the data plane is said once. A partition is *held
+//! or gone*: a map's `MapDone` names the reducers it produced data for,
+//! the coordinator records that next to the holder and names only those
+//! sources in `RunReduce`, so on a worker "present in the store" means
+//! data and "absent" means [`PartitionStatus::Missing`] — there is no
+//! "empty" on the wire. A reduce attempt has *no side effects before
+//! its reply*: it copies, merges, replies, and only then releases its
+//! sources, so a worker that dies anywhere before its keyblock frame
+//! has arrived consumed nothing and the same attempt simply runs on
+//! the next worker.
+//!
 //! Worker death is a fault-layer event, not a job-killer: the
 //! heartbeat monitor marks the worker dead (once per transition —
 //! `sidr_fleet_workers_lost_total`), in-flight attempts on it are
 //! re-dispatched to surviving workers
-//! (`sidr_fleet_tasks_reassigned_total`), and partitions that died
-//! with it surface as [`RemoteReduceError::SourcesLost`] so the engine
-//! re-enqueues exactly the `I_ℓ`-scoped maps it held (§6).
+//! (`sidr_fleet_tasks_reassigned_total`), and partitions that are gone
+//! — died with a worker, failed a read-back CRC, or were released by a
+//! reply the coordinator then rejected — surface as
+//! [`RemoteReduceError::SourcesLost`] so the engine re-executes exactly
+//! those maps (§6), never a whole dependency set.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -59,12 +72,13 @@ pub enum WorkerRequest {
         opts: ExecOptions,
     },
     /// Runs one map attempt; the worker keeps the committed
-    /// partitions until they are fetched (volatile) or the job
+    /// partitions until a reduce that replied releases them or the job
     /// finishes.
     RunMap { job: u64, task: usize, attempt: u32 },
     /// Runs one reduce attempt: fetch every source partition from its
-    /// holder, release (consume) them, then merge/reduce and send the
-    /// keyblock back whole.
+    /// holder, merge/reduce, send the keyblock back whole, and only
+    /// then release the sources. `sources` names non-empty partitions
+    /// only.
     RunReduce {
         job: u64,
         reducer: usize,
@@ -81,9 +95,9 @@ pub enum WorkerRequest {
         reducer: usize,
         epoch: u32,
     },
-    /// Consume (drop) fetched partitions after a successful copy
-    /// phase — the volatile-intermediate contract, made explicit so a
-    /// copy that dies halfway leaves earlier sources intact.
+    /// Drop the partitions a reduce attempt merged, sent *after* its
+    /// keyblock reply: an attempt that dies or fails before replying
+    /// leaves every source intact.
     Release {
         job: u64,
         reducer: usize,
@@ -102,9 +116,8 @@ pub struct SourceLoc {
     pub holder: String,
 }
 
-/// Worker replies. A `RunReduce` is answered on one connection with
-/// `Fetched`, then `ReduceDone` followed by one raw `KeyblockBin`
-/// frame — or `Failed` in place of either.
+/// Worker replies. A `RunReduce` is answered with `ReduceDone`
+/// followed by one raw `KeyblockBin` frame — or `Failed`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum WorkerResponse {
     Pong(WorkerStat),
@@ -120,12 +133,6 @@ pub enum WorkerResponse {
         /// Reducers with a non-empty partition from this attempt.
         partitions: Vec<usize>,
     },
-    /// The reduce's copy phase completed: every source fetched and
-    /// released. From here on the attempt's inputs are consumed.
-    Fetched {
-        job: u64,
-        reducer: usize,
-    },
     /// The attempt succeeded; one raw frame follows, holding its whole
     /// keyblock (`emitted` records) in the
     /// [`binframe::encode_keyblock`] layout.
@@ -136,17 +143,16 @@ pub enum WorkerResponse {
         fetch_ms: u64,
     },
     /// Shuffle-fetch peek result; [`PartitionStatus::Data`] ⇒ one raw
-    /// SMOF frame follows. `Missing` means the holder no longer has
-    /// (or never committed) that generation — the fetching worker
-    /// reports it lost.
+    /// SMOF frame follows. `Missing` means the holder does not have
+    /// that generation — the fetching worker reports it lost.
     Partition {
         status: PartitionStatus,
     },
     Released,
     Finished,
-    /// The request failed. `lost_sources` non-empty means source
-    /// partitions are gone (holder dead or missing) and *nothing was
-    /// consumed*; `fatal` means the job must fail (e.g. annotation
+    /// The request failed; nothing was released. `lost_sources`
+    /// non-empty means source partitions are gone (holder dead or
+    /// missing); `fatal` means the job must fail (e.g. annotation
     /// mismatch), retrying cannot help.
     Failed {
         detail: String,
@@ -158,13 +164,10 @@ pub enum WorkerResponse {
 /// Outcome of a shuffle-fetch peek.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PartitionStatus {
-    /// Data follows as one raw frame.
+    /// Held: data follows as one raw frame.
     Data,
-    /// The map committed this epoch but produced nothing for this
-    /// reducer.
-    Empty,
-    /// This generation is not here (never committed, already
-    /// consumed, or lost with a restart).
+    /// Gone: this generation is not here (released, damaged on disk,
+    /// or lost with a restart).
     Missing,
 }
 
@@ -441,14 +444,6 @@ impl Fleet {
         }
     }
 
-    /// Live workers right now.
-    pub fn live_workers(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .count()
-    }
-
     pub fn size(&self) -> usize {
         self.slots.len()
     }
@@ -492,13 +487,16 @@ impl Fleet {
             input: input.to_string(),
             opts: opts.clone(),
         };
-        let mut prepared = 0;
-        for slot in &self.slots {
+        // A slot is part of this job only if it answered `Prepare`: a
+        // worker skipped as dead here that the heartbeat revives a
+        // moment later never installed the job.
+        let mut prepared = vec![false; self.slots.len()];
+        for (slot, prepared) in self.slots.iter().zip(&mut prepared) {
             if !slot.alive.load(Ordering::SeqCst) {
                 continue;
             }
             match call(&slot.addr, &req, None) {
-                Ok(WorkerResponse::Prepared { .. }) => prepared += 1,
+                Ok(WorkerResponse::Prepared { .. }) => *prepared = true,
                 Ok(WorkerResponse::Failed { detail, .. }) => {
                     return Err(MrError::BadConfig(format!(
                         "worker {} rejected the job: {detail}",
@@ -516,19 +514,14 @@ impl Fleet {
                 Err(_) => mark_dead(slot),
             }
         }
-        if prepared == 0 {
+        if !prepared.contains(&true) {
             return Err(MrError::BadConfig("no live workers to run the job".into()));
         }
         Ok(RemoteJob {
             fleet: self,
             job,
             file,
-            prepared: self
-                .slots
-                .iter()
-                .map(|s| s.alive.load(Ordering::SeqCst))
-                .collect::<Vec<_>>()
-                .into(),
+            prepared: prepared.into(),
             placement: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(HashMap::new()),
         })
@@ -711,12 +704,21 @@ pub struct RemoteJob<'f> {
     /// Which workers were prepared for this job (index-aligned with
     /// the fleet's slots); dispatch never targets the others.
     prepared: Box<[bool]>,
-    /// `(map, epoch)` → fleet slot index of the holder.
-    placement: Mutex<HashMap<(usize, u32), usize>>,
+    /// `(map, epoch)` → where that committed generation is held.
+    placement: Mutex<HashMap<(usize, u32), Held>>,
     /// map → fleet slot currently executing its *primary* attempt.
     /// Speculative dispatch reads this to place the twin on a
     /// different worker than the straggler.
     in_flight: Mutex<HashMap<usize, usize>>,
+}
+
+/// One committed map generation, as its `MapDone` reported it.
+struct Held {
+    /// Fleet slot index of the holder.
+    slot: usize,
+    /// The reducers it holds a partition for: a reducer not listed got
+    /// nothing from this map and is never told to fetch it.
+    reducers: Vec<usize>,
 }
 
 impl RemoteJob<'_> {
@@ -829,6 +831,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                 Ok(WorkerResponse::MapDone {
                     records_in,
                     records_out,
+                    partitions,
                     ..
                 }) => {
                     fleet_metrics()
@@ -836,7 +839,13 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                         .observe_duration(started.elapsed());
                     Counters::add(&counters.map_records_in, records_in);
                     Counters::add(&counters.map_records_out, records_out);
-                    self.placement.lock().unwrap().insert((task, attempt), idx);
+                    self.placement.lock().unwrap().insert(
+                        (task, attempt),
+                        Held {
+                            slot: idx,
+                            reducers: partitions,
+                        },
+                    );
                     return Ok(());
                 }
                 Ok(WorkerResponse::Failed { detail, fatal, .. }) => {
@@ -875,42 +884,38 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         expected_raw: Option<u64>,
         _counters: &Counters,
     ) -> Result<Vec<(Coord, f64)>, RemoteReduceError> {
-        // Resolve each source's holder. A generation with no live
-        // holder is already lost — report it without burning a
-        // dispatch.
-        let (locs, lost) = {
-            let placement = self.placement.lock().unwrap();
-            let mut locs = Vec::with_capacity(sources.len());
-            let mut lost = Vec::new();
-            for s in sources {
-                match placement.get(&(s.map, s.epoch)) {
-                    Some(&idx) if self.fleet.slots[idx].alive.load(Ordering::SeqCst) => {
-                        locs.push(SourceLoc {
-                            map: s.map,
-                            epoch: s.epoch,
-                            holder: self.fleet.slots[idx].addr.clone(),
-                        });
-                    }
-                    _ => lost.push(s.map),
-                }
-            }
-            (locs, lost)
-        };
-        if !lost.is_empty() {
-            return Err(RemoteReduceError::SourcesLost(lost));
-        }
-
-        // Prefer the worker already holding the most source
-        // partitions (shuffle-local dispatch), then the rest.
+        // Resolve each held source's holder — a map that produced
+        // nothing for this reducer is not a source. A generation with
+        // no live holder is already lost: report it without burning a
+        // dispatch. Dispatch prefers the worker already holding the
+        // most source partitions (shuffle-local), then the rest.
+        let mut locs = Vec::with_capacity(sources.len());
+        let mut lost = Vec::new();
         let mut holder_count: HashMap<usize, usize> = HashMap::new();
         {
             let placement = self.placement.lock().unwrap();
             for s in sources {
-                if let Some(&idx) = placement.get(&(s.map, s.epoch)) {
-                    *holder_count.entry(idx).or_default() += 1;
+                match placement.get(&(s.map, s.epoch)) {
+                    Some(held) if !self.fleet.slots[held.slot].alive.load(Ordering::SeqCst) => {
+                        lost.push(s.map)
+                    }
+                    Some(held) if held.reducers.contains(&reducer) => {
+                        locs.push(SourceLoc {
+                            map: s.map,
+                            epoch: s.epoch,
+                            holder: self.fleet.slots[held.slot].addr.clone(),
+                        });
+                        *holder_count.entry(held.slot).or_default() += 1;
+                    }
+                    Some(_) => {}
+                    None => lost.push(s.map),
                 }
             }
         }
+        if !lost.is_empty() {
+            return Err(RemoteReduceError::SourcesLost(lost));
+        }
+
         let mut candidates = self.ranked_workers(None);
         // Pressure outranks shuffle locality: fetching over the wire
         // from an unpressured worker beats making an over-budget one
@@ -950,32 +955,17 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             );
             slot.dispatching.fetch_sub(1, Ordering::Relaxed);
             match outcome {
-                ReduceOutcome::Done { records, fetch_ms } => {
+                Ok(Ok((records, fetch_ms))) => {
                     let m = fleet_metrics();
                     m.dispatch_seconds.observe_duration(started.elapsed());
                     m.fetch_seconds
                         .observe(Duration::from_millis(fetch_ms).as_secs_f64());
                     return Ok(records);
                 }
-                ReduceOutcome::SourcesLost(maps) => {
-                    return Err(RemoteReduceError::SourcesLost(maps));
-                }
-                ReduceOutcome::AttemptFailed(detail) => {
-                    return Err(RemoteReduceError::AttemptFailed(detail));
-                }
-                ReduceOutcome::Fatal(e) => return Err(RemoteReduceError::Fatal(e)),
-                // The executing worker died before consuming anything:
-                // its fetches were peeks. Same attempt, next worker.
-                ReduceOutcome::DiedPreCopy => mark_dead(slot),
-                // Died after the copy (inputs consumed) but before its
-                // keyblock reached us: charge the budget, recover I_ℓ.
-                ReduceOutcome::DiedPostCopy => {
-                    mark_dead(slot);
-                    return Err(RemoteReduceError::AttemptFailed(format!(
-                        "worker {} died after consuming reduce {reducer}'s inputs",
-                        slot.addr
-                    )));
-                }
+                Ok(Err(e)) => return Err(e),
+                // The worker died before its keyblock frame arrived, so
+                // it released nothing: same attempt, next worker.
+                Err(_) => mark_dead(slot),
             }
         }
         Err(RemoteReduceError::AttemptFailed(
@@ -984,91 +974,63 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
     }
 }
 
-enum ReduceOutcome {
-    Done {
-        records: Vec<(Coord, f64)>,
-        fetch_ms: u64,
-    },
-    SourcesLost(Vec<MapTaskId>),
-    AttemptFailed(String),
-    Fatal(MrError),
-    DiedPreCopy,
-    DiedPostCopy,
-}
+/// A reduce attempt's keyblock and its worker-reported copy-phase
+/// wall time (ms), or how the attempt failed.
+type ReduceReply = Result<(Vec<(Coord, f64)>, u64), RemoteReduceError>;
 
-/// Drives one `RunReduce` call — `Fetched`, `ReduceDone`, then the
-/// keyblock as one raw frame — classifying every failure mode by
-/// where the exchange broke. Nothing is returned until the keyblock
-/// has arrived whole and names this `job`, this `reducer` and the
-/// record count `ReduceDone` announced; a frame that fails any of
-/// those (or its CRC) costs the attempt, never a commit.
-fn run_reduce_on(addr: &str, job: u64, reducer: usize, req: &WorkerRequest) -> ReduceOutcome {
-    let mut conn = match WorkerConn::dial(addr, None) {
-        Ok(c) => c,
-        Err(_) => return ReduceOutcome::DiedPreCopy,
-    };
-    if conn.send(req).is_err() {
-        return ReduceOutcome::DiedPreCopy;
-    }
-    let mut copied = false;
-    // Where the connection broke decides recovery: before `Fetched`
-    // the worker's fetches were only peeks.
-    let died = |copied| {
-        if copied {
-            ReduceOutcome::DiedPostCopy
-        } else {
-            ReduceOutcome::DiedPreCopy
+/// Drives one `RunReduce` call — `ReduceDone`, then the keyblock as
+/// one raw frame. Nothing is returned until the keyblock has arrived
+/// whole and names this `job`, this `reducer` and the record count
+/// `ReduceDone` announced; a frame that fails any of those (or its
+/// CRC) costs the attempt, never a commit. The outer `Err` is a
+/// connection that broke before that: the worker died, and a reduce
+/// attempt releases nothing until it has replied.
+fn run_reduce_on(
+    addr: &str,
+    job: u64,
+    reducer: usize,
+    req: &WorkerRequest,
+) -> Result<ReduceReply, FrameError> {
+    let mut conn = WorkerConn::dial(addr, None)?;
+    conn.send(req)?;
+    let (emitted, fetch_ms) = match conn.recv()? {
+        WorkerResponse::ReduceDone { emitted, fetch_ms } => (emitted, fetch_ms),
+        WorkerResponse::Failed {
+            detail,
+            fatal,
+            lost_sources,
+        } => {
+            return Ok(Err(if fatal {
+                RemoteReduceError::Fatal(MrError::TaskFailed {
+                    task: "remote reduce".into(),
+                    cause: detail,
+                })
+            } else if !lost_sources.is_empty() {
+                RemoteReduceError::SourcesLost(lost_sources)
+            } else {
+                RemoteReduceError::AttemptFailed(detail)
+            }));
+        }
+        other => {
+            return Ok(Err(RemoteReduceError::AttemptFailed(format!(
+                "unexpected frame in reply to RunReduce: {other:?}"
+            ))));
         }
     };
-    loop {
-        match conn.recv() {
-            Ok(WorkerResponse::Fetched { .. }) => copied = true,
-            Ok(WorkerResponse::ReduceDone { emitted, fetch_ms }) => {
-                let Ok(frame) = conn.recv_raw() else {
-                    return died(copied);
-                };
-                return match binframe::decode_keyblock(&frame) {
-                    Ok(kb)
-                        if (kb.job, kb.reducer, kb.records.len() as u64)
-                            == (job, reducer, emitted) =>
-                    {
-                        ReduceOutcome::Done {
-                            records: kb.records,
-                            fetch_ms,
-                        }
-                    }
-                    Ok(kb) => ReduceOutcome::AttemptFailed(format!(
-                        "keyblock frame names job {} reducer {} with {} records, \
-                         not job {job} reducer {reducer} with {emitted}",
-                        kb.job,
-                        kb.reducer,
-                        kb.records.len()
-                    )),
-                    Err(e) => ReduceOutcome::AttemptFailed(format!("keyblock frame: {e}")),
-                };
-            }
-            Ok(WorkerResponse::Failed {
-                detail,
-                fatal,
-                lost_sources,
-            }) => {
-                if fatal {
-                    return ReduceOutcome::Fatal(MrError::TaskFailed {
-                        task: "remote reduce".into(),
-                        cause: detail,
-                    });
-                }
-                if !lost_sources.is_empty() {
-                    return ReduceOutcome::SourcesLost(lost_sources);
-                }
-                return ReduceOutcome::AttemptFailed(detail);
-            }
-            Ok(other) => {
-                return ReduceOutcome::AttemptFailed(format!(
-                    "unexpected frame in reply to RunReduce: {other:?}"
-                ));
-            }
-            Err(_) => return died(copied),
+    let frame = conn.recv_raw()?;
+    Ok(match binframe::decode_keyblock(&frame) {
+        Ok(kb) if (kb.job, kb.reducer, kb.records.len() as u64) == (job, reducer, emitted) => {
+            Ok((kb.records, fetch_ms))
         }
-    }
+        Ok(kb) => Err(RemoteReduceError::AttemptFailed(format!(
+            "keyblock frame names job {} reducer {} with {} records, \
+             not job {job} reducer {reducer} with {emitted}",
+            kb.job,
+            kb.reducer,
+            kb.records.len()
+        ))),
+        Err(e) => Err(RemoteReduceError::AttemptFailed(format!(
+            "keyblock frame: {e}"
+        ))),
+    })
 }

@@ -9,13 +9,13 @@
 //! anything is scheduled — a plan that would hang or answer wrongly
 //! is rejected at the door with its diagnostics.
 //!
-//! Each job's output path is a [`StreamingOutput`](sidr_core::early::StreamingOutput) in hang-up-tolerant
-//! mode, tee'd into an in-memory sink: every committed keyblock
-//! crosses the wire as one [`KeyblockBin`](crate::binframe::KeyblockBin)
-//! frame the moment its reduce finishes (§3.4/§5 early correct
-//! results), and a client that disconnects mid-stream mutes the stream
-//! without failing the job — the job completes to its sink and the
-//! server's lifetime counters.
+//! Each job's output path is one collector (`KeyblockStream`): every
+//! committed keyblock is stamped, encoded as one
+//! [`KeyblockBin`](crate::binframe::KeyblockBin) frame and enqueued on
+//! the submitting connection the moment its reduce finishes (§3.4/§5
+//! early correct results). Nothing is retained: a client that
+//! disconnects mid-stream mutes the stream without failing the job —
+//! the job completes into the server's lifetime counters.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -24,18 +24,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sidr_analyze::{analyze_spec, AnalyzeOptions};
 use sidr_coords::Coord;
 use sidr_core::diag::Severity;
-use sidr_core::early::streaming_output;
 use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
 use sidr_core::spec::JobSpec;
-use sidr_mapreduce::{
-    CancelToken, InMemoryOutput, MrError, OutputCollector, ProgressProbe, SlotPool,
-};
+use sidr_mapreduce::{CancelToken, MrError, OutputCollector, ProgressProbe, SlotPool};
 use sidr_scifile::ScincFile;
 
 use crate::binframe;
@@ -46,7 +43,7 @@ use crate::proto::{Request, Response, ServerStats, SubmitOptions};
 
 /// One message on a connection's outbound channel. JSON responses are
 /// serialized by the writer thread; a keyblock arrives already encoded
-/// as a `KeyblockBin` frame (one allocation at the forwarder, written
+/// as a `KeyblockBin` frame (one allocation at commit, written
 /// as-is), so the reduce-commit → socket path never runs a JSON
 /// encoder.
 enum Outbound {
@@ -557,9 +554,8 @@ fn admit(
 
 /// One admitted job, end to end: open the input, execute on the
 /// shared pool streaming each keyblock as it commits, then send the
-/// terminal frame. The streaming collector tolerates hang-ups, so a
-/// vanished client mutes the stream while the job completes to its
-/// sink (and the lifetime counters).
+/// terminal frame. A vanished client mutes the stream; the job still
+/// completes into the lifetime counters.
 fn run_admitted_job(
     inner: Arc<Inner>,
     job: u64,
@@ -603,11 +599,14 @@ fn run_admitted_job(
         progress: probe.clone(),
     };
 
-    let sink = Arc::new(InMemoryOutput::<Coord, f64>::new());
-    let (out, early_rx) = streaming_output();
-    let out = out
-        .tolerate_hangup()
-        .with_sink(Arc::clone(&sink) as Arc<dyn OutputCollector<Coord, f64>>);
+    let out = KeyblockStream {
+        inner: &inner,
+        job,
+        start: Instant::now(),
+        tx: tx.clone(),
+        keyblocks: AtomicU64::new(0),
+        records: AtomicU64::new(0),
+    };
 
     inner.set_state(job, JobState::Running);
 
@@ -658,72 +657,34 @@ fn run_admitted_job(
             }
         });
     }
-    let result = thread::scope(|s| {
-        let fwd_inner = Arc::clone(&inner);
-        let fwd_tx = tx.clone();
-        let fwd_cancel = cancel.clone();
-        let forwarder = s.spawn(move || -> Result<(), FrameError> {
-            let m = serve_metrics();
-            let mut first = true;
-            for early in early_rx {
-                fwd_inner
-                    .keyblocks_committed
-                    .fetch_add(1, Ordering::Relaxed);
-                m.keyblocks.inc();
-                if first {
-                    // `early.at` is measured from job start: the
-                    // paper's time-to-first-result, as served.
-                    m.ttfb_seconds.observe(early.at.as_secs_f64());
-                    first = false;
+    // Same scheduler either way; only where attempts execute differs.
+    // In coordinator mode each attempt is dispatched to the fleet
+    // through the engine's `TaskExecutor` seam.
+    let result = match &inner.fleet {
+        Some(fleet) => {
+            let exec_opts = ExecOptions {
+                validate_annotations: options.validate_annotations,
+                filter_pushdown: options.filter_pushdown,
+                fault_plan: options.fault_plan.clone(),
+            };
+            match fleet.prepare_job(&spec, &input, &exec_opts) {
+                Ok(remote) => {
+                    let r = run_spec_with_executor(
+                        &spec,
+                        &opts,
+                        &out,
+                        &inner.pool,
+                        Some(&cancel),
+                        &remote,
+                    );
+                    remote.finish();
+                    r
                 }
-                let at_ms = early.at.as_millis() as u64;
-                // Encoded once, here, into its exact-size buffer —
-                // the writer and the socket see only bytes. A keyblock
-                // the frame cannot carry fails the job: stop the
-                // engine and report why.
-                let bin = binframe::encode_keyblock(job, early.reducer, at_ms, &early.records)
-                    .inspect_err(|_| fwd_cancel.cancel())?;
-                let _ = fwd_tx.send(Outbound::BinKeyblock(bin));
+                Err(e) => Err(sidr_core::SidrError::Engine(e)),
             }
-            Ok(())
-        });
-        // Same scheduler either way; only where attempts execute
-        // differs. In coordinator mode each attempt is dispatched to
-        // the fleet through the engine's `TaskExecutor` seam.
-        let result = match &inner.fleet {
-            Some(fleet) => {
-                let exec_opts = ExecOptions {
-                    validate_annotations: options.validate_annotations,
-                    filter_pushdown: options.filter_pushdown,
-                    fault_plan: options.fault_plan.clone(),
-                };
-                match fleet.prepare_job(&spec, &input, &exec_opts) {
-                    Ok(remote) => {
-                        let r = run_spec_with_executor(
-                            &spec,
-                            &opts,
-                            &out,
-                            &inner.pool,
-                            Some(&cancel),
-                            &remote,
-                        );
-                        remote.finish();
-                        r
-                    }
-                    Err(e) => Err(sidr_core::SidrError::Engine(e)),
-                }
-            }
-            None => run_spec_on_pool(&file, &spec, &opts, &out, &inner.pool, Some(&cancel)),
-        };
-        // Close the early-result channel so the forwarder drains out.
-        drop(out);
-        match forwarder.join() {
-            Ok(Err(e)) => Err(sidr_core::SidrError::Engine(MrError::Output(format!(
-                "keyblock does not fit a KeyblockBin frame: {e}"
-            )))),
-            _ => result,
         }
-    });
+        None => run_spec_on_pool(&file, &spec, &opts, &out, &inner.pool, Some(&cancel)),
+    };
 
     job_finished.store(true, Ordering::SeqCst);
     match result {
@@ -732,7 +693,7 @@ fn run_admitted_job(
             let _ = tx.send(Outbound::Json(Response::Done {
                 job,
                 keyblocks: spec.num_reducers,
-                records: sink.len() as u64,
+                records: out.records.load(Ordering::Relaxed),
                 events: job_result.events,
             }));
         }
@@ -754,6 +715,45 @@ fn run_admitted_job(
                 error: e.to_string(),
             }));
         }
+    }
+}
+
+/// One job's output path. `commit` stamps the keyblock, encodes its
+/// `KeyblockBin` frame once into an exact-size buffer and enqueues it
+/// on the submitting connection; the records themselves are dropped.
+/// A send to a connection that is gone is ignored — that is the whole
+/// of hang-up tolerance. A keyblock the frame cannot carry fails the
+/// commit and thereby the job, with the reason.
+struct KeyblockStream<'a> {
+    inner: &'a Inner,
+    job: u64,
+    start: Instant,
+    tx: Sender<Outbound>,
+    keyblocks: AtomicU64,
+    records: AtomicU64,
+}
+
+impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
+    fn commit(&self, reducer: usize, records: Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()> {
+        // Measured from job start: the paper's time-to-first-result,
+        // as served.
+        let at = self.start.elapsed();
+        let bin = binframe::encode_keyblock(self.job, reducer, at.as_millis() as u64, &records)
+            .map_err(|e| {
+                MrError::Output(format!("keyblock does not fit a KeyblockBin frame: {e}"))
+            })?;
+        let m = serve_metrics();
+        if self.keyblocks.fetch_add(1, Ordering::Relaxed) == 0 {
+            m.ttfb_seconds.observe(at.as_secs_f64());
+        }
+        m.keyblocks.inc();
+        self.inner
+            .keyblocks_committed
+            .fetch_add(1, Ordering::Relaxed);
+        self.records
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        let _ = self.tx.send(Outbound::BinKeyblock(bin));
+        Ok(())
     }
 }
 

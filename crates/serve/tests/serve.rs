@@ -159,9 +159,9 @@ fn two_concurrent_clients_stream_exact_results_early() {
     handle.shutdown();
 }
 
-/// Satellite 1 end to end: a client that disconnects mid-stream must
-/// not fail the job — the server drops the stream and the job
-/// completes to its sink (visible in the lifetime counters).
+/// A client that disconnects mid-stream must not fail the job: the
+/// server keeps no output, so the stream is simply muted and the job
+/// runs to `Done`, every keyblock counted in the lifetime counters.
 #[test]
 fn client_hangup_does_not_kill_the_job() {
     let (spec, input) = tiny_fixture("hangup");
@@ -200,7 +200,7 @@ fn client_hangup_does_not_kill_the_job() {
         if stats.jobs_done == 1 {
             assert_eq!(stats.jobs_failed, 0);
             // Every keyblock committed even though nobody listened.
-            assert_eq!(stats.keyblocks_committed, 4);
+            assert_eq!(stats.keyblocks_committed, spec.num_reducers as u64);
             break;
         }
         assert!(

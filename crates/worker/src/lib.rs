@@ -13,11 +13,14 @@
 //!   frame after their JSON header.
 //!
 //! All query knowledge lives in `sidr-core`'s [`SpecExecutor`]; this
-//! crate only moves bytes and tracks which map generations it holds.
-//! Intermediate data is *volatile* (§6): a fetched partition is
-//! consumed by the explicit `Release` that ends a reduce's copy phase,
-//! and everything dies with the process — a lost worker costs exactly
-//! the re-execution of the `I_ℓ`-scoped maps it held, never the job.
+//! crate only moves bytes. A partition is *held or gone*: present in
+//! the [`PartitionStore`] means data, absent means `Missing` — the
+//! store already drops a released partition and discards a replica
+//! that fails its read-back CRC, and the coordinator never asks for a
+//! partition a map did not produce. A reduce attempt touches nothing
+//! until it has replied (copy → merge → reply → `Release`), and
+//! everything dies with the process — a lost worker costs exactly the
+//! re-execution of the maps whose bytes it held, never the job.
 //!
 //! Every connection must open with the version/role [`Hello`]
 //! handshake; a worker accepts nothing else.
@@ -46,18 +49,12 @@ use sidr_serve::frame::{self, Hello, Role};
 use sidr_serve::WorkerStat;
 
 /// One prepared job's state on this worker. Partition bytes live in
-/// the process-wide [`PartitionStore`]; this tracks the generations.
+/// the process-wide [`PartitionStore`], which alone decides whether a
+/// partition is held.
 struct JobStore {
     exec: Arc<SpecExecutor>,
-    /// Map generations committed here.
+    /// Map generations committed here (what a kill takes with it).
     committed: HashSet<(usize, u32)>,
-    /// Partitions consumed by a completed copy phase (volatile
-    /// intermediate data): fetching one again reports `Missing`.
-    consumed: HashSet<(usize, usize, u32)>,
-    /// Partitions whose spilled replica failed its read-back CRC:
-    /// the data is gone (not "empty"), so fetches report `Missing`
-    /// and the coordinator re-executes the producing map.
-    lost: HashSet<(usize, usize, u32)>,
 }
 
 /// Resource configuration of one worker process.
@@ -87,11 +84,15 @@ struct Shared {
     reduce_attempts: AtomicU64,
     /// Test knobs: artificial per-source fetch cost and pre-merge
     /// pause, so chaos tests can land a kill deterministically inside
-    /// the copy phase or before any reduce completes. Re-read on
+    /// the copy phase or between a reduce's copy and its merge. Re-read on
     /// every tick of the pause loop, so a large value acts as a gate
     /// a test can hold closed across a kill and then reopen.
     fetch_delay_ms: AtomicU64,
     reduce_delay_ms: AtomicU64,
+    /// Reducers whose attempt has finished copying and is held at the
+    /// pre-merge pause — what a chaos test waits on before killing a
+    /// worker that is provably past its copy phase.
+    held_reduces: Mutex<Vec<usize>>,
 }
 
 impl Shared {
@@ -170,7 +171,6 @@ impl Worker {
         let tier_cfg = TierConfig {
             budget_bytes: options.budget_bytes,
             fail_all_spills: options.fail_spills,
-            ..TierConfig::default()
         };
         let shared = Arc::new(Shared {
             addr: Mutex::new(Some(local)),
@@ -183,6 +183,7 @@ impl Worker {
             reduce_attempts: AtomicU64::new(0),
             fetch_delay_ms: AtomicU64::new(0),
             reduce_delay_ms: AtomicU64::new(0),
+            held_reduces: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
@@ -255,6 +256,12 @@ impl Worker {
         self.shared
             .reduce_delay_ms
             .store(d.as_millis() as u64, Ordering::SeqCst);
+    }
+
+    /// Reducers currently held at the [`Worker::set_reduce_delay`]
+    /// pause: their copy phase is complete, their merge has not begun.
+    pub fn held_reduces(&self) -> Vec<usize> {
+        self.shared.held_reduces.lock().clone()
     }
 
     /// Simulates the process dying: stop accepting, sever every live
@@ -362,8 +369,6 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                                     JobStore {
                                         exec: Arc::new(exec),
                                         committed: HashSet::new(),
-                                        consumed: HashSet::new(),
-                                        lost: HashSet::new(),
                                     },
                                 );
                                 WorkerResponse::Prepared { job }
@@ -400,18 +405,13 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                 reducer,
                 epoch,
             } => {
-                let data = peek_partition(&shared, job, map, reducer, epoch);
-                let status = match &data {
-                    Peek::Data(_) => PartitionStatus::Data,
-                    Peek::Empty => PartitionStatus::Empty,
-                    Peek::Missing => PartitionStatus::Missing,
+                let held = peek_partition(&shared, job, map, reducer, epoch);
+                let status = match held {
+                    Some(_) => PartitionStatus::Data,
+                    None => PartitionStatus::Missing,
                 };
-                let mut ok =
-                    frame::send(&mut writer, &WorkerResponse::Partition { status }).is_ok();
-                if let Peek::Data(bytes) = data {
-                    ok = ok && frame::write_frame(&mut writer, &bytes).is_ok();
-                }
-                ok
+                frame::send(&mut writer, &WorkerResponse::Partition { status }).is_ok()
+                    && held.is_none_or(|bytes| frame::write_frame(&mut writer, &bytes).is_ok())
             }
             WorkerRequest::Release { job, reducer, maps } => {
                 release(&shared, job, reducer, &maps);
@@ -419,8 +419,8 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
             }
             WorkerRequest::Finish { job } => {
                 shared.jobs.lock().remove(&job);
-                // Sweep both tiers: volatile intermediate data leaves
-                // no spill files behind after the job ends.
+                // Sweep both tiers: intermediate data leaves no spill
+                // files behind after the job ends.
                 shared.store.remove_job(job);
                 frame::send(&mut writer, &WorkerResponse::Finished).is_ok()
             }
@@ -511,11 +511,8 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
     match result {
         Ok(out) => {
             let mut partitions = Vec::with_capacity(out.partitions.len());
-            // Insert the bytes before committing the generation:
-            // inserting may spill *other* partitions synchronously
-            // (backpressure on the producing task's own thread), and a
-            // peek must never see a committed generation whose bytes
-            // are not yet in the store.
+            // Inserting may spill *other* partitions synchronously:
+            // backpressure on the producing task's own thread.
             for (reducer, bytes) in out.partitions {
                 partitions.push(reducer);
                 shared
@@ -545,75 +542,29 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
     }
 }
 
-enum Peek {
-    Data(Arc<Vec<u8>>),
-    Empty,
-    Missing,
-}
-
-/// Non-consuming read of one held partition generation. A spilled
-/// replica is read back through the tier and re-validated; a failed
-/// read-back means the generation is *lost* — reported `Missing` so
-/// the coordinator re-executes the producing map, never `Empty`
-/// (which would silently drop its records from the output).
-fn peek_partition(shared: &Shared, job: u64, map: usize, reducer: usize, epoch: u32) -> Peek {
-    {
-        let jobs = shared.jobs.lock();
-        let Some(store) = jobs.get(&job) else {
-            return Peek::Missing;
-        };
-        if store.consumed.contains(&(map, reducer, epoch)) {
-            // Volatile intermediate data: an earlier copy phase
-            // consumed this generation.
-            return Peek::Missing;
-        }
-        if store.lost.contains(&(map, reducer, epoch)) {
-            return Peek::Missing;
-        }
-        if !store.committed.contains(&(map, epoch)) {
-            return Peek::Missing;
-        }
-    }
-    // The jobs lock is dropped here: a spilled partition's read-back
-    // does disk I/O and must not serialize every other request behind
-    // it.
-    match shared.store.get(&(job, map, reducer, epoch)) {
-        Ok(Some(bytes)) => Peek::Data(bytes),
-        Ok(None) => {
-            // Committed but not in the store: the map produced nothing
-            // for this reducer — unless the whole job was finished
-            // between the two locks, in which case it is gone.
-            if shared.jobs.lock().contains_key(&job) {
-                Peek::Empty
-            } else {
-                Peek::Missing
-            }
-        }
-        Err(e) => {
-            // The spilled replica failed its read-back CRC: the bytes
-            // are unrecoverable on this worker. Record the loss so
-            // retries don't re-probe a damaged file.
+/// Non-consuming read of one partition generation: `Some` if held,
+/// `None` if gone. A spilled replica is read back through the tier
+/// and re-validated; one that fails its CRC is discarded by the store,
+/// so this and every later peek reports it gone and the coordinator
+/// re-executes the producing map.
+fn peek_partition(
+    shared: &Shared,
+    job: u64,
+    map: usize,
+    reducer: usize,
+    epoch: u32,
+) -> Option<Arc<Vec<u8>>> {
+    shared
+        .store
+        .get(&(job, map, reducer, epoch))
+        .unwrap_or_else(|e| {
             eprintln!("[worker] partition (job={job} m{map} r{reducer} e{epoch}) lost: {e}");
-            let mut jobs = shared.jobs.lock();
-            if let Some(store) = jobs.get_mut(&job) {
-                store.lost.insert((map, reducer, epoch));
-            }
-            Peek::Missing
-        }
-    }
+            None
+        })
 }
 
-/// Consumes partitions after a successful copy phase.
+/// Drops partitions a reduce attempt has merged and replied with.
 fn release(shared: &Shared, job: u64, reducer: usize, maps: &[(usize, u32)]) {
-    {
-        let mut jobs = shared.jobs.lock();
-        let Some(store) = jobs.get_mut(&job) else {
-            return;
-        };
-        for &(map, epoch) in maps {
-            store.consumed.insert((map, reducer, epoch));
-        }
-    }
     for &(map, epoch) in maps {
         shared.store.remove(&(job, map, reducer, epoch));
         // The map just lost a pending consumer — it ranks colder for
@@ -624,17 +575,17 @@ fn release(shared: &Shared, job: u64, reducer: usize, maps: &[(usize, u32)]) {
 
 /// One reduce attempt, end to end on this worker:
 ///
-/// 1. **copy phase** — peek every source partition from its holder
+/// 1. **copy** — peek every source partition from its holder
 ///    (self-fetches read the local store, peers over TCP). Any miss
-///    aborts with `lost_sources` and *nothing consumed* — peeks are
-///    side-effect-free, so the retry after recovery starts clean.
-/// 2. **release** — consume every fetched generation at its holder,
-///    then tell the coordinator the copy is done (`Fetched`).
-/// 3. **merge & reply** — merge in the given source order (the
-///    plan's fetch order: the equal-key tie-break that keeps output
-///    byte-identical to a single-process run), then answer
-///    `ReduceDone` followed by the whole keyblock as one raw
-///    `KeyblockBin` frame.
+///    aborts with `lost_sources`.
+/// 2. **merge** — in the given source order (the plan's fetch order:
+///    the equal-key tie-break that keeps output byte-identical to a
+///    single-process run).
+/// 3. **reply** — `ReduceDone` followed by the whole keyblock as one
+///    raw `KeyblockBin` frame.
+/// 4. **release** — only now drop the sources at their holders. Peeks
+///    are side-effect-free, so an attempt that dies or fails anywhere
+///    before step 4 has consumed nothing and its retry starts clean.
 ///
 /// Returns whether the connection is still usable.
 fn run_reduce(
@@ -708,7 +659,7 @@ fn run_reduce_inner(
     sources: &[SourceLoc],
     expected_raw: Option<u64>,
 ) -> bool {
-    // --- copy phase -------------------------------------------------
+    // --- copy -------------------------------------------------------
     // Fetched buffers stay in `Arc`s end to end: a self-fetch shares
     // the local store's allocation outright, and v3 buffers are merged
     // in place by `run_reduce` — no partition is copied or re-decoded
@@ -717,7 +668,8 @@ fn run_reduce_inner(
     let mut partitions: Vec<Arc<Vec<u8>>> = Vec::with_capacity(sources.len());
     let mut lost: Vec<usize> = Vec::new();
     // One fetch connection per peer, reused across that peer's
-    // partitions (Table 3's connection accounting, worker-side).
+    // partitions (Table 3's connection accounting, worker-side) and
+    // for the release that follows the reply.
     let mut peers: HashMap<&str, WorkerConn> = HashMap::new();
     for src in sources {
         if !shared.pause(&shared.fetch_delay_ms) {
@@ -725,9 +677,8 @@ fn run_reduce_inner(
         }
         if src.holder == self_addr {
             match peek_partition(shared, job, src.map, reducer, src.epoch) {
-                Peek::Data(bytes) => partitions.push(bytes),
-                Peek::Empty => partitions.push(Arc::new(Vec::new())),
-                Peek::Missing => lost.push(src.map),
+                Some(bytes) => partitions.push(bytes),
+                None => lost.push(src.map),
             }
             continue;
         }
@@ -759,9 +710,6 @@ fn run_reduce_inner(
                 Ok(bytes) => partitions.push(Arc::new(bytes)),
                 Err(_) => lost.push(src.map),
             },
-            Ok(WorkerResponse::Partition {
-                status: PartitionStatus::Empty,
-            }) => partitions.push(Arc::new(Vec::new())),
             _ => lost.push(src.map),
         }
     }
@@ -778,40 +726,12 @@ fn run_reduce_inner(
         )
         .is_ok();
     }
-
-    // --- release: the copy is complete, consume the inputs ----------
-    let mut by_holder: HashMap<&str, Vec<(usize, u32)>> = HashMap::new();
-    for src in sources {
-        by_holder
-            .entry(src.holder.as_str())
-            .or_default()
-            .push((src.map, src.epoch));
-    }
-    for (holder, maps) in by_holder {
-        if holder == self_addr {
-            release(shared, job, reducer, &maps);
-            continue;
-        }
-        let released = peers
-            .get_mut(holder)
-            .map(|conn| {
-                conn.send(&WorkerRequest::Release { job, reducer, maps })
-                    .and_then(|()| conn.recv())
-            })
-            .transpose();
-        // A holder dying *during* release changes nothing: whatever it
-        // still held is gone with it, which is exactly what release
-        // was about to record.
-        let _ = released;
-    }
-    drop(peers);
     let fetch_ms = fetch_started.elapsed().as_millis() as u64;
-    if frame::send(writer, &WorkerResponse::Fetched { job, reducer }).is_err() {
-        return false;
-    }
-    let _ = writer.flush();
 
-    if !shared.pause(&shared.reduce_delay_ms) {
+    shared.held_reduces.lock().push(reducer);
+    let alive = shared.pause(&shared.reduce_delay_ms);
+    shared.held_reduces.lock().retain(|&r| r != reducer);
+    if !alive {
         return false;
     }
 
@@ -827,15 +747,41 @@ fn run_reduce_inner(
         })?;
         Ok(())
     });
-    match result {
-        Ok(emitted) => {
-            frame::send(writer, &WorkerResponse::ReduceDone { emitted, fetch_ms }).is_ok()
-                && frame::write_frame(writer, &keyblock).is_ok()
+    let emitted = match result {
+        Ok(emitted) => emitted,
+        Err(e) => {
+            return frame::send(
+                writer,
+                &failed(format!("reduce {reducer}: {e}"), is_fatal(&e)),
+            )
+            .is_ok()
         }
-        Err(e) => frame::send(
-            writer,
-            &failed(format!("reduce {reducer}: {e}"), is_fatal(&e)),
-        )
-        .is_ok(),
+    };
+    if frame::send(writer, &WorkerResponse::ReduceDone { emitted, fetch_ms }).is_err()
+        || frame::write_frame(writer, &keyblock).is_err()
+    {
+        return false;
     }
+
+    // --- release: the reply is out, drop the inputs -----------------
+    let mut by_holder: HashMap<&str, Vec<(usize, u32)>> = HashMap::new();
+    for src in sources {
+        by_holder
+            .entry(src.holder.as_str())
+            .or_default()
+            .push((src.map, src.epoch));
+    }
+    for (holder, maps) in by_holder {
+        if holder == self_addr {
+            release(shared, job, reducer, &maps);
+        } else if let Some(conn) = peers.get_mut(holder) {
+            // A holder dying *during* release changes nothing: whatever
+            // it still held is gone with it, which is exactly what
+            // release was about to record.
+            let _ = conn
+                .send(&WorkerRequest::Release { job, reducer, maps })
+                .and_then(|()| conn.recv());
+        }
+    }
+    true
 }

@@ -1,10 +1,11 @@
 //! Distributed-execution tests: a loopback 3-worker fleet must
 //! produce output byte-identical to a single-process run, and a
-//! worker killed mid-job must cost exactly the dependency sets
-//! `I_ℓ` (§6) its committed map output participated in — no global
-//! re-execution, no lost or duplicated keyblocks.
+//! worker killed mid-job must cost exactly the maps whose output it
+//! held (§6) — no global or whole-`I_ℓ` re-execution, no lost or
+//! duplicated keyblocks.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -15,16 +16,15 @@ use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOpti
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{
-    reexecuted_maps, Counters, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult,
-    ReduceSource, RemoteReduceError, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
-    TaskKind,
+    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult, SlotPool,
+    SpeculationPolicy, SplitGenerator, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
-use sidr_serve::binframe::encode_keyblock;
+use sidr_serve::binframe::{decode_keyblock, encode_keyblock};
 use sidr_serve::fleet::{PartitionStatus, WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Hello, Role};
-use sidr_serve::{Client, Fleet, FleetConfig, Server, ServerConfig, SubmitOptions, WorkerStat};
+use sidr_serve::{Client, Fleet, FleetConfig, Server, ServerConfig, SubmitOptions};
 use sidr_worker::{Worker, WorkerOptions};
 
 /// Builds a spec and (once per tag) its dataset from a query.
@@ -207,22 +207,16 @@ fn wait_until(mut pred: impl FnMut() -> bool) {
     }
 }
 
-/// The worker holding the most committed maps: the highest-impact
-/// victim for a mid-job kill.
-fn pick_victim(workers: &[Worker], job: u64) -> (usize, Vec<usize>) {
-    let (victim, _) = workers
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, w)| w.committed_maps(job).len())
-        .expect("non-empty fleet");
-    let mut held: Vec<usize> = workers[victim]
+/// The tasks whose committed map output `worker` holds for `job`
+/// (sorted): what a kill takes with it.
+fn held_maps(worker: &Worker, job: u64) -> Vec<usize> {
+    let mut held: Vec<usize> = worker
         .committed_maps(job)
         .into_iter()
         .map(|(task, _attempt)| task)
         .collect();
-    held.sort_unstable();
     held.dedup();
-    (victim, held)
+    held
 }
 
 /// Tentpole e2e at fig08 scale: a 3-worker loopback fleet streams the
@@ -264,23 +258,24 @@ fn fleet_output_is_byte_identical_to_single_process() {
     assert_eq!(map_attempts as usize, spec.splits.len());
 }
 
-/// Kill a worker while every reduce is mid-shuffle-fetch: recovery
-/// must re-execute exactly the maps the victim held — the union of
-/// the pending attempts' dependency sets `I_ℓ` — and the final output
-/// must still match the reference bit-for-bit.
+/// Kill a worker whose reduces have finished copying and are about to
+/// merge. A reduce attempt touches nothing until it has replied, so a
+/// death anywhere before its keyblock frame is one path: the same
+/// attempt runs on the next worker, uncharged, finds the victim's
+/// partitions gone, and recovery re-executes exactly the maps the
+/// victim held for those reducers — every survivor's finished copy is
+/// undisturbed. Output matches the reference bit-for-bit.
 #[test]
-fn worker_death_mid_fetch_reexecutes_exactly_its_maps() {
-    let (spec, input) = tiny_fixture("midfetch");
+fn worker_death_mid_reduce_reexecutes_exactly_its_maps() {
+    let (spec, input) = tiny_fixture("midreduce");
     let expected = run_local(&spec, &input);
-    let num_maps = spec.splits.len();
 
     let workers = spawn_workers(3);
-    // Hold every shuffle fetch at the gate: no reduce can copy a
-    // single source partition until the kill has landed, however slow
-    // the maps run. (The knob is re-read every pause tick, so setting
-    // it back to zero releases the in-flight copy phases.)
+    // Hold every reduce between its copy and its merge until the kill
+    // has landed. (The knob is re-read every pause tick, so setting it
+    // back to zero releases the held attempts.)
     for w in &workers {
-        w.set_fetch_delay(Duration::from_secs(600));
+        w.set_reduce_delay(Duration::from_secs(600));
     }
     let fleet = fleet_of(&workers);
 
@@ -288,6 +283,7 @@ fn worker_death_mid_fetch_reexecutes_exactly_its_maps() {
     let (result, got) = {
         let workers = &workers;
         let lost = &mut lost_maps;
+        let deps = &spec.reduce_deps;
         run_distributed(
             workers,
             &fleet,
@@ -295,16 +291,25 @@ fn worker_death_mid_fetch_reexecutes_exactly_its_maps() {
             &input,
             exec_opts(FaultPlan::none()),
             move |job| {
-                wait_until(|| committed_total(workers, job) == num_maps);
-                // Let the in-flight MapDone replies land on the
-                // coordinator before capturing the victim's holdings.
-                thread::sleep(Duration::from_millis(50));
-                let (victim, held) = pick_victim(workers, job);
-                assert!(!held.is_empty(), "victim must hold map output");
-                *lost = held;
-                workers[victim].kill();
+                // Every reducer has copied all its sources.
+                wait_until(|| {
+                    workers
+                        .iter()
+                        .map(|w| w.held_reduces().len())
+                        .sum::<usize>()
+                        == deps.len()
+                });
+                let victim = workers
+                    .iter()
+                    .max_by_key(|w| w.held_reduces().len())
+                    .expect("non-empty fleet");
+                let merging = victim.held_reduces();
+                *lost = held_maps(victim, job);
+                lost.retain(|m| merging.iter().any(|&r| deps[r].contains(m)));
+                assert!(!lost.is_empty(), "a reduce runs where its sources are");
+                victim.kill();
                 for w in workers.iter() {
-                    w.set_fetch_delay(Duration::ZERO);
+                    w.set_reduce_delay(Duration::ZERO);
                 }
             },
         )
@@ -313,7 +318,11 @@ fn worker_death_mid_fetch_reexecutes_exactly_its_maps() {
     assert_eq!(
         reexecuted_maps(&result.events),
         lost_maps,
-        "recovery must re-execute exactly the victim's maps"
+        "recovery must re-execute exactly the victim's maps its reducers need"
+    );
+    assert_eq!(
+        result.counters.reduce_failures, 0,
+        "a worker dying before its reply costs no retry budget"
     );
     assert_eq!(got, expected, "output must survive the kill unchanged");
 }
@@ -360,9 +369,13 @@ fn worker_death_mid_map_reexecutes_only_committed_maps() {
                 // while the straggling attempt is still in flight.
                 wait_until(|| committed_total(workers, job) >= num_maps - 1);
                 thread::sleep(Duration::from_millis(50));
-                let (victim, held) = pick_victim(workers, job);
-                *lost = held;
-                workers[victim].kill();
+                // The highest-impact victim: the most committed maps.
+                let victim = workers
+                    .iter()
+                    .max_by_key(|w| w.committed_maps(job).len())
+                    .expect("non-empty fleet");
+                *lost = held_maps(victim, job);
+                victim.kill();
                 for w in workers.iter() {
                     w.set_fetch_delay(Duration::ZERO);
                 }
@@ -379,228 +392,216 @@ fn worker_death_mid_map_reexecutes_only_committed_maps() {
     assert_eq!(got, expected, "output must survive the kill unchanged");
 }
 
-/// Kill a worker that has finished a reduce's copy phase — `Fetched`
-/// sent, inputs consumed — but not yet returned its keyblock. Nothing
-/// leaves an attempt until it is whole, so a death anywhere after
-/// `Fetched` is one path: the attempt is charged to the retry budget,
-/// its dependency set `I_ℓ` re-executes (the fetches were consumed),
-/// and the retry commits the same bytes.
-#[test]
-fn worker_death_after_copy_retries_the_reduce() {
-    let (spec, input) = tiny_fixture("postcopy");
-    let expected = run_local(&spec, &input);
-    let num_maps = spec.splits.len();
-
-    let workers = spawn_workers(3);
-    // Hold every reduce at the gate between its `Fetched` and its
-    // merge until the kill has landed.
-    for w in &workers {
-        w.set_reduce_delay(Duration::from_secs(600));
-    }
-    let fleet = fleet_of(&workers);
-
-    let mut victim_maps: Vec<usize> = Vec::new();
-    let (result, got) = {
-        let workers = &workers;
-        let held_out = &mut victim_maps;
-        run_distributed(
-            workers,
-            &fleet,
-            &spec,
-            &input,
-            exec_opts(FaultPlan::none()),
-            move |job| {
-                // Every reduce is dispatched and every partition has
-                // been consumed by a completed copy phase: all of them
-                // are at the gate.
-                wait_until(|| {
-                    let stats: Vec<WorkerStat> = workers.iter().map(Worker::stat).collect();
-                    committed_total(workers, job) == num_maps
-                        && stats.iter().map(|s| s.reduce_attempts).sum::<u64>()
-                            == spec.num_reducers as u64
-                        && stats.iter().all(|s| s.partitions_held == 0)
-                });
-                // Let the in-flight `Fetched` frames land on the
-                // coordinator: a death before one is the pre-copy path.
-                thread::sleep(Duration::from_millis(50));
-                let (victim, _) = workers
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, w)| w.stat().tasks_in_flight)
-                    .expect("non-empty fleet");
-                assert!(
-                    workers[victim].stat().tasks_in_flight > 0,
-                    "victim must be executing a reduce"
-                );
-                *held_out = workers[victim]
-                    .committed_maps(job)
-                    .into_iter()
-                    .map(|(task, _attempt)| task)
-                    .collect();
-                workers[victim].kill();
-                for w in workers.iter() {
-                    w.set_reduce_delay(Duration::ZERO);
-                }
-            },
-        )
-    };
-
-    assert_eq!(got, expected, "output must survive the kill unchanged");
-    assert!(
-        result.counters.reduce_failures >= 1,
-        "the killed attempt is charged to the reduce's retry budget"
-    );
-    let mut allowed = victim_maps;
-    for e in &result.events {
-        if e.kind == TaskKind::ReduceFailed {
-            allowed.extend(&spec.reduce_deps[e.task]);
-        }
-    }
-    let reexecuted = reexecuted_maps(&result.events);
-    assert!(!reexecuted.is_empty(), "consumed inputs must be rebuilt");
-    assert!(
-        reexecuted.iter().all(|m| allowed.contains(m)),
-        "recovery is scoped to the killed reducers' I_ℓ and the victim's \
-         maps: re-executed {reexecuted:?}, allowed {allowed:?}"
-    );
-}
-
-/// How a scripted worker's keyblock frame departs from the honest one
-/// for the `RunReduce` it answers (all zero/false = honest).
-#[derive(Clone, Copy, Default)]
-struct Tamper {
-    /// Added to the reducer id the frame names.
-    reducer_off: usize,
-    /// Added to the record count `ReduceDone` announces.
-    emitted_off: u64,
-    /// Flip one payload bit after encoding (fails the CRC).
-    flip_bit: bool,
-}
-
-/// A stand-in worker speaking the coordinator ↔ worker protocol from
-/// the far side: it answers every request like a healthy worker, but
-/// runs nothing — maps "commit" instantly and the `n`-th `RunReduce`
-/// is answered `Fetched`, `ReduceDone`, then `records` as one keyblock
-/// frame tampered per `script[n]`. Connections are served one at a
-/// time; the thread ends after the job's `Finish`.
-fn spawn_scripted_worker(
-    records: Vec<(Coord, f64)>,
-    script: Vec<Tamper>,
-) -> (String, thread::JoinHandle<()>) {
+/// A man-in-the-middle on the coordinator ↔ worker protocol: relays
+/// every request, on every connection, to the real worker at
+/// `upstream`, and passes each reply through `hook(request, reply,
+/// raw)` before forwarding it — `raw` is the frame that follows a
+/// `ReduceDone` or `Partition { Data }` header. The hook may block (to
+/// force an interleaving) or tamper. A fleet lists the returned
+/// address in place of the worker's.
+fn spawn_proxy(
+    upstream: String,
+    hook: impl Fn(&WorkerRequest, &mut WorkerResponse, Option<&mut Vec<u8>>) + Send + Sync + 'static,
+) -> String {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let handle = thread::spawn(move || {
-        let mut script = script.into_iter();
+    let hook = Arc::new(hook);
+    thread::spawn(move || {
         for conn in listener.incoming() {
-            let mut conn = conn.unwrap();
-            let Ok(Some(hello)) = frame::recv::<Hello>(&mut conn) else {
-                continue;
-            };
-            frame::handshake_accept(&mut conn, &hello, Role::Worker).unwrap();
-            while let Ok(Some(req)) = frame::recv::<WorkerRequest>(&mut conn) {
-                let reply = match req {
-                    WorkerRequest::Ping => WorkerResponse::Pong(WorkerStat::default()),
-                    WorkerRequest::Prepare { job, .. } => WorkerResponse::Prepared { job },
-                    WorkerRequest::RunMap { job, task, attempt } => WorkerResponse::MapDone {
-                        job,
-                        task,
-                        attempt,
-                        records_in: 0,
-                        records_out: 0,
-                        partitions: Vec::new(),
-                    },
-                    WorkerRequest::RunReduce { job, reducer, .. } => {
-                        let t = script.next().expect("one script entry per RunReduce");
-                        let mut keyblock =
-                            encode_keyblock(job, reducer + t.reducer_off, 0, &records).unwrap();
-                        if t.flip_bit {
-                            *keyblock.last_mut().unwrap() ^= 0x10;
-                        }
-                        frame::send(&mut conn, &WorkerResponse::Fetched { job, reducer }).unwrap();
-                        frame::send(
-                            &mut conn,
-                            &WorkerResponse::ReduceDone {
-                                emitted: records.len() as u64 + t.emitted_off,
-                                fetch_ms: 0,
-                            },
-                        )
-                        .unwrap();
-                        frame::write_frame(&mut conn, &keyblock).unwrap();
-                        continue;
+            let (mut conn, upstream, hook) = (conn.unwrap(), upstream.clone(), Arc::clone(&hook));
+            // One relayed connection; ends when either side hangs up.
+            thread::spawn(move || -> Option<()> {
+                let hello = frame::recv::<Hello>(&mut conn).ok()??;
+                let mut up = WorkerConn::dial_as(&upstream, hello.role, None).ok()?;
+                frame::handshake_accept(&mut conn, &hello, Role::Worker).ok()?;
+                while let Ok(Some(req)) = frame::recv::<WorkerRequest>(&mut conn) {
+                    let mut reply = up.send(&req).and_then(|()| up.recv()).ok()?;
+                    let mut raw = match reply {
+                        WorkerResponse::ReduceDone { .. }
+                        | WorkerResponse::Partition {
+                            status: PartitionStatus::Data,
+                        } => up.recv_raw().ok(),
+                        _ => None,
+                    };
+                    hook(&req, &mut reply, raw.as_mut());
+                    frame::send(&mut conn, &reply).ok()?;
+                    if let Some(raw) = raw {
+                        frame::write_frame(&mut conn, &raw).ok()?;
                     }
-                    WorkerRequest::Finish { .. } => {
-                        frame::send(&mut conn, &WorkerResponse::Finished).unwrap();
-                        return;
-                    }
-                    other => panic!("scripted worker got {other:?}"),
-                };
-                frame::send(&mut conn, &reply).unwrap();
-            }
+                }
+                Some(())
+            });
         }
     });
-    (addr, handle)
+    addr
 }
 
 /// A reduce attempt's output crosses the worker → coordinator socket
 /// as exactly one `KeyblockBin` frame after `ReduceDone`, and the
 /// coordinator trusts none of it: a frame that fails its CRC, names a
 /// different reducer, or disagrees with the announced record count
-/// costs that attempt (`AttemptFailed` — retryable) and its records
-/// are never returned for commit.
+/// costs that attempt and is never committed. The honest worker behind
+/// the proxy released its sources once its reply was written, so each
+/// retry finds exactly those partitions gone, exactly their maps
+/// re-execute, and the job commits the honest bytes.
 #[test]
-fn hostile_keyblock_frame_costs_the_attempt_never_a_commit() {
+fn rejected_keyblock_frame_costs_the_attempt_and_exactly_the_released_maps() {
     let (spec, input) = tiny_fixture("hostile");
-    let records: Vec<(Coord, f64)> = (0..5u64)
-        .map(|i| (Coord::from([i, 0, 0, 0]), i as f64 / 2.0))
-        .collect();
-    let honest = Tamper::default();
-    let hostile = [
-        (
-            "bit-flipped",
-            Tamper {
-                flip_bit: true,
-                ..honest
-            },
-        ),
-        (
-            "wrong-reducer",
-            Tamper {
-                reducer_off: 1,
-                ..honest
-            },
-        ),
-        (
-            "miscounted",
-            Tamper {
-                emitted_off: 1,
-                ..honest
-            },
-        ),
-    ];
-    let script = hostile.iter().map(|(_, t)| *t).chain([honest]).collect();
-    let (addr, worker) = spawn_scripted_worker(records.clone(), script);
+    let expected = run_local(&spec, &input);
+    let workers = spawn_workers(1);
 
-    let fleet = Fleet::connect(FleetConfig::new(vec![addr])).expect("fleet connects");
-    let remote = fleet
-        .prepare_job(&spec, &input, &exec_opts(FaultPlan::none()))
-        .expect("prepare");
-    let counters = Counters::default();
-    remote
-        .execute_map(0, 0, false, &spec.splits[0], &counters, &|_| true)
-        .expect("scripted map commits");
-    let sources = [ReduceSource { map: 0, epoch: 0 }];
-    for (attempt, (what, _)) in hostile.iter().enumerate() {
-        match remote.execute_reduce(2, attempt as u32, &sources, None, &counters) {
-            Err(RemoteReduceError::AttemptFailed(_)) => {}
-            other => panic!("{what} frame: expected AttemptFailed, got {other:?}"),
+    // Attempt 0 of reducers 0, 1 and 2 is tampered with, one way each.
+    const TAMPERED: usize = 3;
+    let released: Mutex<Vec<usize>> = Mutex::default();
+    let proxy = spawn_proxy(
+        workers[0].addr().to_string(),
+        move |req, reply, raw| match (req, reply, raw) {
+            (WorkerRequest::Release { reducer, .. }, _, _) => {
+                released.lock().unwrap().push(*reducer)
+            }
+            (
+                WorkerRequest::RunReduce {
+                    reducer,
+                    attempt: 0,
+                    ..
+                },
+                WorkerResponse::ReduceDone { emitted, .. },
+                Some(raw),
+            ) if *reducer < TAMPERED => {
+                // Hold the reply until the worker's release has
+                // landed: the retry must find the sources gone.
+                wait_until(|| released.lock().unwrap().contains(reducer));
+                match reducer {
+                    0 => *raw.last_mut().unwrap() ^= 0x10,
+                    1 => {
+                        let kb = decode_keyblock(raw).unwrap();
+                        *raw = encode_keyblock(kb.job, kb.reducer + 1, 0, &kb.records).unwrap();
+                    }
+                    _ => *emitted += 1,
+                }
+            }
+            _ => {}
+        },
+    );
+
+    let fleet = Fleet::connect(FleetConfig::new(vec![proxy])).expect("fleet connects");
+    let (result, got) = run_distributed(
+        &workers,
+        &fleet,
+        &spec,
+        &input,
+        exec_opts(FaultPlan::none()),
+        |_| {},
+    );
+
+    assert_eq!(got, expected, "only honest keyblocks may commit");
+    assert_eq!(
+        result.counters.reduce_failures, TAMPERED as u64,
+        "each rejected frame costs exactly its attempt"
+    );
+    let mut released_maps = spec.reduce_deps[..TAMPERED].concat();
+    released_maps.sort_unstable();
+    released_maps.dedup();
+    assert_eq!(
+        reexecuted_maps(&result.events),
+        released_maps,
+        "recovery must re-execute exactly the maps whose partitions were released"
+    );
+}
+
+/// Regression: a worker that `prepare_job` skipped as dead and the
+/// heartbeat revived before `prepare_job` returned was marked prepared
+/// without ever receiving `Prepare`, and then failed every `RunMap`
+/// ("job N is not prepared here") against the maps' retry budgets.
+/// Only a worker that answered `Prepare` is part of the job.
+#[test]
+fn worker_revived_during_prepare_is_not_part_of_the_job() {
+    let (spec, input) = tiny_fixture("lateworker");
+    let expected = run_local(&spec, &input);
+    let workers = spawn_workers(1);
+
+    // Slot 0 is down at `Fleet::connect`. It starts while the proxy
+    // holds slot 1's `Prepared` — i.e. after `prepare_job` skipped it —
+    // and the reply goes out only once the heartbeat has revived it.
+    let late_addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap()
+        .to_string();
+    let fleet: Arc<OnceLock<Fleet>> = Arc::default();
+    let late: OnceLock<Worker> = OnceLock::new();
+    let proxy = spawn_proxy(workers[0].addr().to_string(), {
+        let (fleet, late_addr) = (Arc::clone(&fleet), late_addr.clone());
+        move |req, _, _| {
+            if matches!(req, WorkerRequest::Prepare { .. }) {
+                late.get_or_init(|| Worker::spawn(late_addr.as_str()).expect("late worker binds"));
+                let fleet = fleet.get().expect("fleet is connected");
+                wait_until(|| fleet.stats()[0].alive);
+            }
         }
-    }
-    let committed = remote
-        .execute_reduce(2, hostile.len() as u32, &sources, None, &counters)
-        .expect("the honest frame is accepted");
-    assert_eq!(committed, records);
-    remote.finish();
-    worker.join().expect("scripted worker ran its whole script");
+    });
+    let connected = Fleet::connect(FleetConfig::new(vec![late_addr, proxy]));
+    let fleet = fleet.get_or_init(|| connected.expect("fleet connects"));
+
+    let (result, got) = run_distributed(
+        &workers,
+        fleet,
+        &spec,
+        &input,
+        exec_opts(FaultPlan::none()),
+        |_| {},
+    );
+    assert_eq!(got, expected);
+    assert_eq!(
+        result.counters.map_failures, 0,
+        "no attempt may land on the unprepared worker"
+    );
+}
+
+/// Held or gone, when most partitions were never produced: a filter
+/// pushed below the shuffle leaves most `(map, reducer)` pairs of the
+/// dependency matrix without data. The coordinator names only held
+/// partitions as sources, so nothing is reported lost, the output is
+/// byte-identical to the single-process run, and after `Finish` no
+/// worker holds a partition.
+#[test]
+fn pushed_down_filter_leaves_most_partitions_unproduced() {
+    let job = presets::preset("query1-tiny").expect("preset exists");
+    let mut query = job.query.clone();
+    // Values are the linear index: only the top tenth passes.
+    query.operator = Operator::Filter {
+        threshold: query.input_space().count() as f64 * 0.9,
+    };
+    let (spec, input) = fixture("pushdown", &query, &job.splits, job.reducer_counts[0]);
+    let expected = run_local(&spec, &input);
+
+    let workers = spawn_workers(3);
+    let fleet = fleet_of(&workers);
+    let (result, got) = run_distributed_with(
+        &workers,
+        &fleet,
+        &spec,
+        &input,
+        ExecOptions {
+            filter_pushdown: true,
+            ..ExecOptions::default()
+        },
+        &SpecRunOptions {
+            filter_pushdown: true,
+            ..SpecRunOptions::default()
+        },
+        |_| {},
+    );
+
+    assert_eq!(got, expected, "push-down must not change a single byte");
+    // Splits are contiguous in the linear index, so a tenth of the
+    // records surviving means most maps emitted nothing at all.
+    let c = &result.counters;
+    assert!(c.map_records_out > 0 && c.map_records_out * 5 < c.map_records_in);
+    assert!(
+        reexecuted_maps(&result.events).is_empty(),
+        "an unproduced partition is not a lost one"
+    );
+    assert!(workers.iter().all(|w| w.stat().partitions_held == 0));
 }
 
 /// Fleet speculation chaos: the straggling map's primary attempt
@@ -876,11 +877,8 @@ fn corrupt_spill_readback_reexecutes_exactly_the_damaged_maps() {
     let fleet = fleet_of(&workers);
     let (result, got) = run_distributed(&workers, &fleet, &spec, &input, exec_opts(plan), |_| {});
 
-    let mut re = reexecuted_maps(&result.events);
-    re.sort_unstable();
-    re.dedup();
     assert_eq!(
-        re,
+        reexecuted_maps(&result.events),
         damaged.to_vec(),
         "recovery must re-execute exactly the damaged partitions' maps"
     );
