@@ -39,7 +39,6 @@ pub mod lang;
 pub mod operators;
 pub mod output;
 pub mod plan;
-pub mod progress;
 pub mod protocol;
 pub mod query;
 pub mod source;

@@ -237,8 +237,6 @@ mod tests {
         assert_eq!(plan.num_reducers(), 4);
         assert!(plan.invert_scheduling());
         assert!(plan.reduce_deps(0).is_some());
-        // Fetch sources default to deps.
-        assert_eq!(plan.fetch_sources(0), plan.reduce_deps(0));
         // Expected raw counts sum to the mapped portion of the input.
         let total: u64 = (0..4).map(|r| plan.expected_raw_count(r).unwrap()).sum();
         assert_eq!(total, q.intermediate_space().count() * q.fold_in_count());

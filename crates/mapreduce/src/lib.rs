@@ -19,10 +19,14 @@
 //! * **Barrier & scheduling policy** ([`plan`]) — the global MapReduce
 //!   barrier, or per-reducer dependency barriers with SIDR's inverted
 //!   reduce-first scheduling (§3.2–3.3),
-//! * **A threaded scheduler** ([`runtime`]) — slot-limited map/reduce
-//!   worker pools, barriers, retries, speculation and recovery, with
-//!   per-dispatch connection accounting (Table 3), task timelines
-//!   ([`timeline`]) and counters ([`counters`]).
+//! * **The scheduling decisions** ([`schedule`]) — §3.3 eligibility,
+//!   §3.4 launch order and the §3.2 barrier as plain data, shared
+//!   with the `sidr-simcluster` model,
+//! * **A threaded driver** ([`runtime`]) — slot-limited ([`slots`])
+//!   map/reduce worker threads around one schedule, with retries,
+//!   speculation and recovery, per-dispatch connection accounting
+//!   (Table 3), task timelines ([`timeline`]) and counters
+//!   ([`counters`]).
 //!
 //! The SIDR-specific planner (partition+, dependency derivation,
 //! keyblock prioritization) lives in the `sidr-core` crate and plugs in
@@ -38,8 +42,10 @@ pub mod output;
 pub mod partitioner;
 pub mod plan;
 pub mod runtime;
+pub mod schedule;
 pub mod shuffle;
 pub mod shuffle_file;
+pub mod slots;
 pub mod smof3;
 pub mod speculation;
 pub mod split;
@@ -59,11 +65,9 @@ pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
 pub use plan::{DefaultPlan, RoutingPlan};
-pub use runtime::{
-    run_job, run_job_shared, run_job_with_executor, CancelToken, CancelWake, JobConfig, JobResult,
-    Semaphore, SlotOccupancy, SlotPool, WakerRegistration,
-};
+pub use runtime::{run_job, run_job_shared, run_job_with_executor, JobConfig, JobResult};
 pub use shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
+pub use slots::{CancelToken, CancelWake, Semaphore, SlotOccupancy, SlotPool, WakerRegistration};
 pub use smof3::Smof3View;
 pub use speculation::{ProgressProbe, SpeculationPolicy};
 pub use split::{InputSplit, MapTaskId, SplitGenerator};

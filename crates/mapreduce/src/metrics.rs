@@ -9,7 +9,7 @@
 //! occupancy symmetrically. `*_slots_total` is stamped by the most
 //! recently built pool.
 //!
-//! [`SlotPool`]: crate::runtime::SlotPool
+//! [`SlotPool`]: crate::slots::SlotPool
 
 use sidr_obs::{global, Counter, Gauge, Histogram, DURATION_BUCKETS};
 use std::sync::{Arc, OnceLock};

@@ -25,16 +25,11 @@ pub trait RoutingPlan<K: MrKey>: Send + Sync {
     /// Assigns an intermediate key to a keyblock / reducer.
     fn partition(&self, key: &K) -> usize;
 
-    /// The Map tasks reducer `r` depends on (`I_ℓ`), or `None` for
-    /// the global barrier (any Map task may feed any reducer, §2.3.1).
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>>;
-
-    /// The Map tasks reducer `r` fetches from. Defaults to the
-    /// dependency set; `None` means "contact every Map task", which is
+    /// The Map tasks reducer `r` depends on and fetches from (`I_ℓ`),
+    /// or `None` for the global barrier: any Map task may feed any
+    /// reducer (§2.3.1), so it contacts every one of them, which is
     /// what stock Hadoop does (§4.6, Table 3).
-    fn fetch_sources(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        self.reduce_deps(reducer)
-    }
+    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>>;
 
     /// SIDR's inverted scheduling (§3.3): Map tasks become eligible
     /// only once a running Reduce task depends on them.
@@ -101,7 +96,6 @@ mod tests {
         assert_eq!(plan.num_reducers(), 4);
         assert_eq!(plan.partition(&9), 1);
         assert_eq!(plan.reduce_deps(0), None);
-        assert_eq!(plan.fetch_sources(3), None);
         assert!(!plan.invert_scheduling());
         assert_eq!(plan.reduce_order(), vec![0, 1, 2, 3]);
         assert_eq!(plan.expected_raw_count(0), None);

@@ -1,12 +1,15 @@
-//! The job scheduler: slot-limited Map/Reduce worker pools, barrier
-//! policies, inverted scheduling, retry budgets, speculation and
+//! The threaded job driver: slot-limited Map/Reduce worker threads
+//! around one [`Schedule`], plus retry budgets, speculation and
 //! dependency-based recovery.
 //!
-//! This module decides *when* an attempt runs and what its outcome
-//! means; running it — and holding what it produced — is the
-//! [`TaskExecutor`]'s job. [`run_job_with_executor`] is the one
-//! scheduler entry point; [`run_job`] and [`run_job_shared`] hand it
-//! an [`InProcessExecutor`] over the caller's user functions.
+//! *Which* task goes next — eligibility, launch order, barriers
+//! (§3.2–3.4) — is the [`Schedule`]'s decision, made under the state
+//! lock the workers here already hold; this module supplies the
+//! threads, the waiting and what an attempt's outcome means. Running
+//! an attempt — and holding what it produced — is the
+//! [`TaskExecutor`]'s job. [`run_job_with_executor`] is the one entry
+//! point; [`run_job`] and [`run_job_shared`] hand it an
+//! [`InProcessExecutor`] over the caller's user functions.
 //!
 //! Slots are owned by a [`SlotPool`] — the cluster-wide map and reduce
 //! capacity (Hadoop's per-TaskTracker slots, §4: 4 map + 3 reduce per
@@ -24,7 +27,6 @@
 //! token at every blocking point and abandon the job with
 //! [`MrError::Cancelled`].
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::chaos::{self, Mutation};
 use crate::sync::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -37,6 +39,8 @@ use crate::executor::{InProcessExecutor, ReduceSource, RemoteReduceError, TaskEx
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
 use crate::output::OutputCollector;
 use crate::plan::RoutingPlan;
+use crate::schedule::{MapStatus, Schedule};
+use crate::slots::{subscribe_all, CancelToken, CancelWake, PairWaker, SlotGuard, SlotPool};
 use crate::speculation::{ProgressProbe, SpeculationPolicy};
 use crate::split::{InputSplit, MapTaskId};
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
@@ -105,310 +109,7 @@ impl Default for JobConfig {
 /// hang. A worker that makes progress only because the tick fired
 /// increments `sidr_mr_tick_wakeups_total` — the sidr-check explorer
 /// reports the same condition as a `LostWakeup` finding.
-const WAIT_TICK: Duration = Duration::from_millis(25);
-
-/// A blocking point's wake-up target: the condvar a worker may be
-/// parked on, paired with the mutex that guards its predicate.
-///
-/// `wake` takes (and immediately drops) the mutex before notifying.
-/// That closes the lost-wakeup window: a waiter that has already
-/// checked the cancel flag under the lock but not yet entered
-/// `wait()` still holds the lock, so the waker blocks until the
-/// waiter is actually parked — the notification cannot land in the
-/// gap.
-pub trait CancelWake: Send + Sync {
-    /// Wakes the blocking point so it re-checks its cancel predicate.
-    fn wake(&self);
-}
-
-struct PairWaker<T: Send + 'static> {
-    mutex: Arc<Mutex<T>>,
-    cv: Arc<Condvar>,
-}
-
-impl<T: Send + 'static> CancelWake for PairWaker<T> {
-    fn wake(&self) {
-        drop(self.mutex.lock());
-        self.cv.notify_all();
-    }
-}
-
-struct TokenInner {
-    cancelled: AtomicBool,
-    next_id: AtomicU64,
-    wakers: Mutex<Vec<(u64, Arc<dyn CancelWake>)>>,
-}
-
-/// Cooperative cancellation for a running job.
-///
-/// Cloning shares the flag: the serving layer keeps one clone per
-/// `JobHandle` while the runtime's workers poll another. Cancellation
-/// is observed at every blocking point (slot acquisition, eligibility
-/// and barrier waits); each blocking point's condvar is registered as
-/// a waker while the job runs, so [`cancel`](CancelToken::cancel)
-/// wakes parked workers immediately and `run_job_shared` returns
-/// [`MrError::Cancelled`] within notification latency, not within a
-/// poll tick.
-#[derive(Clone)]
-pub struct CancelToken(Arc<TokenInner>);
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken(Arc::new(TokenInner {
-            cancelled: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
-            wakers: Mutex::new(Vec::new()),
-        }))
-    }
-}
-
-impl std::fmt::Debug for CancelToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelToken")
-            .field("cancelled", &self.is_cancelled())
-            .finish()
-    }
-}
-
-impl CancelToken {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation and wakes every registered blocking
-    /// point. Idempotent.
-    pub fn cancel(&self) {
-        self.0.cancelled.store(true, Ordering::SeqCst);
-        let wakers: Vec<Arc<dyn CancelWake>> = self
-            .0
-            .wakers
-            .lock()
-            .iter()
-            .map(|(_, w)| Arc::clone(w))
-            .collect();
-        for w in wakers {
-            w.wake();
-        }
-    }
-
-    pub fn is_cancelled(&self) -> bool {
-        self.0.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// Registers a blocking point to be woken on cancel, returning an
-    /// RAII registration that unsubscribes on drop. If the token is
-    /// already cancelled the waker fires immediately.
-    ///
-    /// Registration is *only* RAII — there is no manual unsubscribe —
-    /// so a worker that exits (or unwinds) between registering and
-    /// parking can never leak its waker slot on a long-lived token.
-    pub fn register(&self, waker: Arc<dyn CancelWake>) -> WakerRegistration {
-        let id = self.0.next_id.fetch_add(1, Ordering::Relaxed);
-        self.0.wakers.lock().push((id, Arc::clone(&waker)));
-        if self.is_cancelled() {
-            waker.wake();
-        }
-        WakerRegistration {
-            token: self.clone(),
-            id,
-        }
-    }
-
-    /// Blocking points currently registered (diagnostic: a quiesced
-    /// token must report 0 or registrations have leaked).
-    pub fn waker_count(&self) -> usize {
-        self.0.wakers.lock().len()
-    }
-}
-
-/// One blocking point's registration on a [`CancelToken`];
-/// unsubscribes on drop (see [`CancelToken::register`]).
-pub struct WakerRegistration {
-    token: CancelToken,
-    id: u64,
-}
-
-impl Drop for WakerRegistration {
-    fn drop(&mut self) {
-        self.token.0.wakers.lock().retain(|(i, _)| *i != self.id);
-    }
-}
-
-/// The waker registrations for one job run, dropped — and thereby
-/// unsubscribed — when the job returns.
-fn subscribe_all(
-    token: Option<&CancelToken>,
-    wakers: impl IntoIterator<Item = Arc<dyn CancelWake>>,
-) -> Vec<WakerRegistration> {
-    match token {
-        None => Vec::new(),
-        Some(t) => wakers.into_iter().map(|w| t.register(w)).collect(),
-    }
-}
-
-/// A counting semaphore over one slot class (map or reduce). The
-/// mutex/condvar pair is `Arc`'d so cancel tokens can hold a
-/// `PairWaker` over it. Public so sidr-check scenarios can drive
-/// acquire/release/wake_all directly; jobs only ever touch it through
-/// a [`SlotPool`].
-pub struct Semaphore {
-    total: usize,
-    busy: Arc<Mutex<usize>>,
-    cv: Arc<Condvar>,
-    /// Occupancy gauge for this slot class (process-global).
-    busy_gauge: Arc<sidr_obs::Gauge>,
-}
-
-impl std::fmt::Debug for Semaphore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Semaphore")
-            .field("total", &self.total)
-            .field("busy", &self.in_use())
-            .finish()
-    }
-}
-
-impl Semaphore {
-    fn new(total: usize, busy_gauge: Arc<sidr_obs::Gauge>) -> Self {
-        Semaphore {
-            total,
-            busy: Arc::new(Mutex::new(0)),
-            cv: Arc::new(Condvar::new()),
-            busy_gauge,
-        }
-    }
-
-    /// Occupies one slot, blocking until one frees. Returns `false`
-    /// without occupying anything if `abort()` turns true first.
-    /// Blocked waiters are condvar-woken on release, on job failure
-    /// and on cancellation; the timed wait (`tick`) is only a safety
-    /// net, and acquiring *because* it fired counts a tick wakeup.
-    pub fn acquire(&self, abort: &dyn Fn() -> bool, tick: Duration) -> bool {
-        let mut busy = self.busy.lock();
-        let mut ticked = false;
-        while *busy >= self.total {
-            if abort() {
-                return false;
-            }
-            ticked = self.cv.wait_for(&mut busy, tick).timed_out();
-        }
-        if ticked {
-            crate::metrics::runtime().tick_wakeups.inc();
-        }
-        *busy += 1;
-        drop(busy);
-        self.busy_gauge.inc();
-        true
-    }
-
-    /// Frees one slot and wakes one waiter.
-    pub fn release(&self) {
-        let mut busy = self.busy.lock();
-        debug_assert!(*busy > 0, "slot released but none occupied");
-        *busy -= 1;
-        drop(busy);
-        self.busy_gauge.dec();
-        if !chaos::on(Mutation::DropSemReleaseNotify) {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Wakes every waiter so it re-checks its abort predicate (used
-    /// when a sharing job fails or is cancelled).
-    pub fn wake_all(&self) {
-        drop(self.busy.lock());
-        self.cv.notify_all();
-    }
-
-    /// A cancel waker parked on this semaphore's condvar.
-    pub fn waker(&self) -> Arc<dyn CancelWake> {
-        Arc::new(PairWaker {
-            mutex: Arc::clone(&self.busy),
-            cv: Arc::clone(&self.cv),
-        })
-    }
-
-    /// Slots currently occupied.
-    pub fn in_use(&self) -> usize {
-        *self.busy.lock()
-    }
-}
-
-/// Occupied slot; releases on drop.
-struct SlotGuard<'p>(&'p Semaphore);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
-/// The cluster-wide slot capacity: `map_slots` concurrent Map tasks
-/// and `reduce_slots` concurrent Reduce tasks, *across every job
-/// sharing the pool*. Wrap it in an `Arc` and pass it to
-/// [`run_job_shared`] from multiple threads to multiplex jobs over one
-/// cluster's worth of slots — the multi-tenant serving configuration.
-#[derive(Debug)]
-pub struct SlotPool {
-    map: Semaphore,
-    reduce: Semaphore,
-}
-
-/// Point-in-time slot usage, for server stats.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotOccupancy {
-    pub map_busy: usize,
-    pub map_total: usize,
-    pub reduce_busy: usize,
-    pub reduce_total: usize,
-}
-
-impl SlotPool {
-    /// Builds a pool; both slot classes must be non-empty.
-    pub fn new(map_slots: usize, reduce_slots: usize) -> Result<Self> {
-        if map_slots == 0 || reduce_slots == 0 {
-            return Err(MrError::BadConfig(
-                "map_slots and reduce_slots must be > 0".into(),
-            ));
-        }
-        let m = crate::metrics::runtime();
-        m.map_slots_total.set(map_slots as i64);
-        m.reduce_slots_total.set(reduce_slots as i64);
-        Ok(SlotPool {
-            map: Semaphore::new(map_slots, Arc::clone(&m.map_slots_busy)),
-            reduce: Semaphore::new(reduce_slots, Arc::clone(&m.reduce_slots_busy)),
-        })
-    }
-
-    pub fn map_slots(&self) -> usize {
-        self.map.total
-    }
-
-    pub fn reduce_slots(&self) -> usize {
-        self.reduce.total
-    }
-
-    pub fn occupancy(&self) -> SlotOccupancy {
-        SlotOccupancy {
-            map_busy: self.map.in_use(),
-            map_total: self.map.total,
-            reduce_busy: self.reduce.in_use(),
-            reduce_total: self.reduce.total,
-        }
-    }
-
-    /// Checker-scenario access to the raw map semaphore.
-    #[cfg(check)]
-    pub fn map_sem(&self) -> &Semaphore {
-        &self.map
-    }
-
-    /// Checker-scenario access to the raw reduce semaphore.
-    #[cfg(check)]
-    pub fn reduce_sem(&self) -> &Semaphore {
-        &self.reduce
-    }
-}
+pub(crate) const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// Outcome of a completed job.
 #[derive(Clone, Debug)]
@@ -459,28 +160,16 @@ impl JobResult {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum MapStatus {
-    /// Not yet eligible (SIDR inverted scheduling: no running reduce
-    /// depends on it yet, §3.3).
-    Ineligible,
-    /// Ready to be claimed by a map worker.
-    Eligible,
-    Running,
-    Done,
-    /// No reduce depends on this map; it never runs.
-    Skipped,
-}
-
 struct State {
-    maps: Vec<MapStatus>,
+    /// Eligibility, launch order and barriers (§3.2–3.4).
+    sched: Schedule,
     /// Attempt id the next launch of each map gets (counts every
     /// execution: first run, retries, recovery re-executions).
     map_attempt: Vec<u32>,
     /// Failed attempts per map, charged against the retry budget.
     map_failures: Vec<u32>,
     /// Attempt id of the most recently *committed* output generation,
-    /// meaningful only while `maps[m] == Done`. Reduce dispatches bind
+    /// meaningful only while map `m` is `Done`. Reduce dispatches bind
     /// exactly this epoch: the executor holds every attempt's output
     /// under its own generation, and only the committed one is ever
     /// named to a reducer.
@@ -520,8 +209,6 @@ struct State {
     /// an idle map worker. Entries go stale harmlessly (re-validated
     /// at claim time).
     spec_queue: VecDeque<MapTaskId>,
-    /// Next position in the plan's reduce launch order.
-    reduce_cursor: usize,
     reduces_done: usize,
     failed: bool,
 }
@@ -532,10 +219,10 @@ impl State {
     /// concurrent reducers may both detect the same lost output.
     /// Returns true when this call performed the re-enqueue.
     fn reenqueue_for_recovery(&mut self, m: MapTaskId, counters: &Counters) -> bool {
-        if self.maps[m] != MapStatus::Done {
+        if self.sched.status(m) != MapStatus::Done {
             return false;
         }
-        self.maps[m] = MapStatus::Eligible;
+        self.sched.reopen(m);
         self.recovering.entry(m).or_insert_with(Instant::now);
         // A fresh generation: it gets its own commit claim and its own
         // speculation budget, and no attempt of the dead generation —
@@ -574,7 +261,7 @@ impl State {
     /// nobody will consume.
     fn race_lost(&self, m: MapTaskId, attempt: u32) -> bool {
         attempt < self.map_claim_floor[m]
-            || self.maps[m] == MapStatus::Done
+            || self.sched.status(m) == MapStatus::Done
             || self.map_claim[m].is_some_and(|a| a != attempt)
     }
 }
@@ -758,61 +445,17 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
     }
     let num_maps = splits.len();
     let num_reducers = plan.num_reducers();
-    let reduce_order = plan.reduce_order();
-    if reduce_order.len() != num_reducers {
-        return Err(MrError::BadConfig(format!(
-            "reduce_order has {} entries for {} reducers",
-            reduce_order.len(),
-            num_reducers
-        )));
-    }
-
-    // Initial map eligibility: everything eligible under classic
-    // scheduling; nothing eligible under inverted scheduling except
-    // that maps no reduce depends on are skipped outright.
-    let mut maps = vec![
-        if plan.invert_scheduling() {
-            MapStatus::Ineligible
-        } else {
-            MapStatus::Eligible
-        };
-        num_maps
-    ];
-    if plan.invert_scheduling() {
-        let mut needed = vec![false; num_maps];
-        let mut any_global = false;
-        for r in 0..num_reducers {
-            match plan.reduce_deps(r) {
-                None => {
-                    any_global = true;
-                    break;
-                }
-                Some(deps) => {
-                    for m in deps {
-                        if m >= num_maps {
-                            return Err(MrError::BadConfig(format!(
-                                "reduce {r} depends on nonexistent map {m}"
-                            )));
-                        }
-                        needed[m] = true;
-                    }
-                }
-            }
-        }
-        if any_global {
-            maps.fill(MapStatus::Ineligible);
-        } else {
-            for (m, &need) in needed.iter().enumerate() {
-                if !need {
-                    maps[m] = MapStatus::Skipped;
-                }
-            }
-        }
-    }
+    let sched = Schedule::new(
+        num_maps,
+        (0..num_reducers).map(|r| plan.reduce_deps(r)).collect(),
+        plan.reduce_order(),
+        plan.invert_scheduling(),
+    )?;
+    let maps_skipped = sched.maps_skipped();
 
     let shared = Shared {
         state: Arc::new(Mutex::new(State {
-            maps,
+            sched,
             map_attempt: vec![0; num_maps],
             map_failures: vec![0; num_maps],
             map_commit_epoch: vec![0; num_maps],
@@ -825,7 +468,6 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
             map_start_logged: vec![false; num_maps],
             map_durations_ms: Vec::new(),
             spec_queue: VecDeque::new(),
-            reduce_cursor: 0,
             reduces_done: 0,
             failed: false,
         })),
@@ -839,16 +481,7 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
         cancel,
         num_maps,
     };
-    {
-        let skipped = shared
-            .state
-            .lock()
-            .maps
-            .iter()
-            .filter(|&&s| s == MapStatus::Skipped)
-            .count();
-        Counters::add(&shared.counters.maps_skipped, skipped as u64);
-    }
+    Counters::add(&shared.counters.maps_skipped, maps_skipped as u64);
 
     // Register this job's blocking points with the cancel token so
     // `cancel()` wakes parked workers immediately (dropped — and
@@ -882,7 +515,7 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
             scope.spawn(|| map_worker(&shared, splits, executor));
         }
         for _ in 0..reduce_workers {
-            scope.spawn(|| reduce_worker(&shared, &reduce_order, output, executor));
+            scope.spawn(|| reduce_worker(&shared, output, executor));
         }
         // The time-based speculation monitor is meaningless under the
         // virtual scheduler (no wall clock); there the deterministic
@@ -945,11 +578,10 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                     shared.observe_cancel();
                     return;
                 }
-                if let Some(i) = st.maps.iter().position(|&s| s == MapStatus::Eligible) {
+                if let Some(i) = st.sched.claim_map(|_| true) {
                     if ticked {
                         crate::metrics::runtime().tick_wakeups.inc();
                     }
-                    st.maps[i] = MapStatus::Running;
                     let attempt = st.map_attempt[i];
                     st.map_attempt[i] += 1;
                     st.map_running_attempts[i] = 1;
@@ -1068,7 +700,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 }
                 let recovered = {
                     let mut st = shared.state.lock();
-                    st.maps[task] = MapStatus::Done;
+                    st.sched.map_done(task);
                     st.map_commit_epoch[task] = attempt;
                     st.map_started[task] = None;
                     st.map_durations_ms
@@ -1149,7 +781,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                     // fail and re-enqueue through this same path.
                     continue;
                 }
-                st.maps[task] = MapStatus::Eligible;
+                st.sched.reopen(task);
                 st.map_speculated[task] = false;
                 st.map_started[task] = None;
                 let next_attempt = st.map_attempt[task];
@@ -1183,7 +815,7 @@ fn lose_race<K2: MrKey>(shared: &Shared<'_, K2>, task: MapTaskId, attempt: u32) 
 /// one unclaimed attempt — anything else is stale and dropped.
 fn claim_speculative<K2: MrKey>(st: &mut State, shared: &Shared<'_, K2>) -> Option<MapTaskId> {
     fn valid(st: &State, m: MapTaskId) -> bool {
-        st.maps[m] == MapStatus::Running
+        st.sched.status(m) == MapStatus::Running
             && st.map_claim[m].is_none()
             && st.map_running_attempts[m] == 1
             && st.map_start_logged[m]
@@ -1204,19 +836,18 @@ fn claim_speculative<K2: MrKey>(st: &mut State, shared: &Shared<'_, K2>) -> Opti
 
 fn reduce_worker<K2: MrKey, V3: MrValue>(
     shared: &Shared<'_, K2>,
-    reduce_order: &[usize],
     output: &dyn OutputCollector<K2, V3>,
     executor: &dyn TaskExecutor<K2, V3>,
 ) {
     loop {
         {
             let st = shared.state.lock();
-            if st.failed || st.reduce_cursor >= reduce_order.len() {
+            if st.failed || !st.sched.reduces_pending() {
                 return;
             }
         }
-        // Occupy a cluster-wide reduce slot *before* claiming from the
-        // launch order: a claimed reduce starts its copy phase and (under
+        // Occupy a cluster-wide reduce slot *before* launching from the
+        // launch order: a launched reduce starts its copy phase and (under
         // inverted scheduling) makes its maps eligible, so the number of
         // in-flight reduces across all jobs must never exceed the pool.
         if !shared.pool.reduce.acquire(
@@ -1229,7 +860,7 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
         let _slot = SlotGuard(&shared.pool.reduce);
         let r = {
             let mut st = shared.state.lock();
-            if st.failed || st.reduce_cursor >= reduce_order.len() {
+            if st.failed {
                 return;
             }
             if shared.cancel_requested() {
@@ -1237,33 +868,12 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
                 shared.observe_cancel();
                 return;
             }
-            let r = reduce_order[st.reduce_cursor];
-            st.reduce_cursor += 1;
-            // SIDR inverted scheduling: starting this reduce makes the
-            // maps it depends on eligible ("whenever a Reduce task is
-            // scheduled … all Map tasks that contribute to the Reduce
-            // task are marked as schedulable", §3.3).
-            if shared.plan.invert_scheduling() {
-                match shared.plan.reduce_deps(r) {
-                    Some(deps) => {
-                        for m in deps {
-                            if st.maps[m] == MapStatus::Ineligible {
-                                st.maps[m] = MapStatus::Eligible;
-                            }
-                        }
-                    }
-                    None => {
-                        // Global-barrier reduce under inverted
-                        // scheduling: everything becomes eligible.
-                        for s in st.maps.iter_mut() {
-                            if *s == MapStatus::Ineligible {
-                                *s = MapStatus::Eligible;
-                            }
-                        }
-                    }
-                }
-            }
+            // Another worker may have launched the last one meanwhile.
+            let Some(r) = st.sched.launch_next_reduce() else {
+                return;
+            };
             drop(st);
+            // The launch may have made maps eligible (§3.3).
             shared.cv.notify_all();
             r
         };
@@ -1306,10 +916,7 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
     exec: &dyn TaskExecutor<K2, V3>,
     output: &dyn OutputCollector<K2, V3>,
 ) -> Result<()> {
-    let sources: Vec<MapTaskId> = match shared.plan.fetch_sources(r) {
-        Some(deps) => deps,
-        None => (0..shared.num_maps).collect(),
-    };
+    let sources: Vec<MapTaskId> = shared.state.lock().sched.sources(r);
     let mut attempt: u32 = 0;
     // Oldest commit epoch a dispatch may bind source `i` at — bumped
     // past any generation known consumed or lost, so a retry waits for
@@ -1342,28 +949,15 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                     shared.observe_cancel();
                     return Ok(());
                 }
-                let mut ready = Vec::with_capacity(sources.len());
-                for (i, &m) in sources.iter().enumerate() {
-                    match st.maps[m] {
-                        MapStatus::Done => {
-                            let epoch = st.map_commit_epoch[m];
-                            if epoch >= min_epoch[i] {
-                                ready.push(epoch);
-                            }
+                if st.sched.barrier_met(r) {
+                    let epochs: Vec<u32> =
+                        sources.iter().map(|&m| st.map_commit_epoch[m]).collect();
+                    if epochs.iter().zip(&min_epoch).all(|(e, min)| e >= min) {
+                        if ticked {
+                            crate::metrics::runtime().tick_wakeups.inc();
                         }
-                        MapStatus::Skipped => {
-                            return Err(MrError::BadConfig(format!(
-                                "reduce {r} depends on skipped map {m}"
-                            )));
-                        }
-                        _ => {}
+                        break epochs;
                     }
-                }
-                if ready.len() == sources.len() {
-                    if ticked {
-                        crate::metrics::runtime().tick_wakeups.inc();
-                    }
-                    break ready;
                 }
                 let parked = Instant::now();
                 ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
@@ -1432,10 +1026,10 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                             continue;
                         }
                         // Guard: only recover the generation we bound.
-                        // A concurrent reducer may already have
-                        // re-enqueued it (not Done) or a re-execution
-                        // may have recommitted (newer epoch).
-                        if st.maps[m] == MapStatus::Done && st.map_commit_epoch[m] == epochs[i] {
+                        // A re-execution may have recommitted (newer
+                        // epoch), or a concurrent reducer already
+                        // re-enqueued it (not Done: a no-op below).
+                        if st.map_commit_epoch[m] == epochs[i] {
                             st.reenqueue_for_recovery(m, &shared.counters);
                         }
                         min_epoch[i] = epochs[i] + 1;
@@ -1489,25 +1083,6 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
 fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
     let policy = &shared.config.speculation;
     let interval = Duration::from_millis(policy.check_interval_ms.max(1));
-    // Static blocking weight per map: how many reducers' dependency
-    // sets contain it (a global-barrier reducer blocks on every map).
-    let mut weight = vec![0usize; shared.num_maps];
-    for r in 0..num_reducers {
-        match shared.plan.reduce_deps(r) {
-            Some(deps) => {
-                for m in deps {
-                    if m < shared.num_maps {
-                        weight[m] += 1;
-                    }
-                }
-            }
-            None => {
-                for w in weight.iter_mut() {
-                    *w += 1;
-                }
-            }
-        }
-    }
     let mut st = shared.state.lock();
     loop {
         if st.failed || st.reduces_done == num_reducers || shared.cancel_requested() {
@@ -1532,13 +1107,13 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
             let threshold = Duration::from_millis(ms);
             let mut candidates: Vec<(usize, MapTaskId)> = (0..shared.num_maps)
                 .filter(|&m| {
-                    st.maps[m] == MapStatus::Running
+                    st.sched.status(m) == MapStatus::Running
                         && !st.map_speculated[m]
                         && st.map_claim[m].is_none()
                         && st.map_running_attempts[m] == 1
                         && st.map_started[m].is_some_and(|t| t.elapsed() >= threshold)
                 })
-                .map(|m| (weight[m], m))
+                .map(|m| (st.sched.blocking_weight(m), m))
                 .collect();
             // Highest blocking weight races first.
             candidates.sort_by(|a, b| b.cmp(a));
@@ -1550,11 +1125,7 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
         }
 
         if let Some(probe) = &shared.config.progress {
-            let maps_done = st
-                .maps
-                .iter()
-                .filter(|s| matches!(s, MapStatus::Done | MapStatus::Skipped))
-                .count();
+            let maps_done = st.sched.maps_finished();
             probe.publish(
                 maps_done as u64,
                 shared.num_maps as u64,
@@ -1596,10 +1167,7 @@ fn reenqueue_sources<K2: MrKey>(
     for (i, &m) in sources.iter().enumerate() {
         // Mutation hook: forgetting the re-enqueue leaves the retry
         // waiting for a recommit nobody will produce.
-        if !chaos::on(Mutation::SkipRecoveryRewait)
-            && st.maps[m] == MapStatus::Done
-            && st.map_commit_epoch[m] == epochs[i]
-        {
+        if !chaos::on(Mutation::SkipRecoveryRewait) && st.map_commit_epoch[m] == epochs[i] {
             st.reenqueue_for_recovery(m, &shared.counters);
         }
         min_epoch[i] = epochs[i] + 1;
@@ -1612,86 +1180,40 @@ fn reenqueue_sources<K2: MrKey>(
 mod tests {
     use super::*;
 
-    /// A cancel must reach a waiter parked on a semaphore's condvar by
-    /// notification — well inside one `WAIT_TICK` — not by waiting for
-    /// the next safety-net poll.
-    #[test]
-    fn cancel_wakes_semaphore_waiter_sub_tick() {
-        let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        assert!(sem.acquire(&|| false, WAIT_TICK)); // occupy the only slot
-        let token = CancelToken::new();
-        let registration = token.register(sem.waker());
-
-        let waiter = {
-            let sem = Arc::clone(&sem);
-            let token = token.clone();
-            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled(), WAIT_TICK))
-        };
-        // Give the waiter ample time to park on the condvar.
-        std::thread::sleep(Duration::from_millis(60));
-        let cancelled_at = Instant::now();
-        token.cancel();
-        let got = waiter.join().unwrap();
-        let latency = cancelled_at.elapsed();
-        assert!(!got, "waiter must abort, not acquire");
-        assert!(
-            latency < Duration::from_millis(10),
-            "cancel→wake took {latency:?}; expected notification latency, \
-             not a poll tick"
-        );
-        drop(registration);
-        assert_eq!(token.waker_count(), 0);
-        sem.release();
-    }
-
-    /// Subscribing to an already-cancelled token fires the waker
-    /// immediately, so a waiter that raced past the flag check still
-    /// gets woken.
-    #[test]
-    fn subscribe_after_cancel_fires_immediately() {
-        let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        assert!(sem.acquire(&|| false, WAIT_TICK));
-        let token = CancelToken::new();
-        token.cancel();
-        let waiter = {
-            let sem = Arc::clone(&sem);
-            let token = token.clone();
-            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled(), WAIT_TICK))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        // The waiter aborts on its own flag check; the subscription
-        // path must still wake, not deadlock, if it happens after.
-        let _registration = token.register(sem.waker());
-        assert!(!waiter.join().unwrap());
-        sem.release();
-    }
-
-    /// A worker that exits — or unwinds — between registering its
-    /// waker and parking must not leak its slot on the token: every
-    /// registration path is RAII, so the token quiesces to zero wakers
-    /// no matter how the registration scope ends.
-    #[test]
-    fn waker_registrations_never_leak_slots() {
-        let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        let token = CancelToken::new();
-        {
-            let _a = token.register(sem.waker());
-            let _b = token.register(sem.waker());
-            assert_eq!(token.waker_count(), 2);
-            // A worker dying between subscribe and wait unwinds
-            // through its registration.
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _c = token.register(sem.waker());
-                assert_eq!(token.waker_count(), 3);
-                panic!("worker died between subscribe and wait");
-            }));
-            assert!(died.is_err());
-            assert_eq!(token.waker_count(), 2, "unwound registration leaked");
+    fn result(events: &[(TaskKind, u64)]) -> JobResult {
+        let at = Duration::from_millis;
+        JobResult {
+            counters: CountersSnapshot::default(),
+            events: (events.iter())
+                .map(|&(kind, ms)| TaskEvent {
+                    kind,
+                    task: 0,
+                    attempt: 0,
+                    at: at(ms),
+                })
+                .collect(),
+            elapsed: Duration::ZERO,
         }
-        assert_eq!(token.waker_count(), 0, "dropped registrations leaked");
-        // Cancelling a quiesced token has nobody stale to wake.
-        token.cancel();
-        assert!(sem.acquire(&|| false, WAIT_TICK));
-        sem.release();
+    }
+
+    #[test]
+    fn first_result_and_fraction() {
+        let ms = Duration::from_millis;
+        let r = result(&[
+            (TaskKind::MapEnd, 1),
+            (TaskKind::ReduceEnd, 2),
+            (TaskKind::MapEnd, 3),
+        ]);
+        assert_eq!(r.first_result(), Some(ms(2)));
+        let frac = r.maps_done_at_first_result().unwrap();
+        assert!((frac - 0.5).abs() < 1e-9, "frac {frac}");
+        assert_eq!(r.completions(TaskKind::MapEnd), vec![ms(1), ms(3)]);
+    }
+
+    #[test]
+    fn empty_job_has_no_result() {
+        let r = result(&[]);
+        assert_eq!(r.first_result(), None);
+        assert_eq!(r.maps_done_at_first_result(), None);
     }
 }

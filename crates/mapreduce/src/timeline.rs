@@ -97,34 +97,6 @@ impl Timeline {
         evs
     }
 
-    /// Completion times of all events of `kind`, sorted.
-    pub fn completions(&self, kind: TaskKind) -> Vec<Duration> {
-        let mut times: Vec<Duration> = self
-            .events
-            .lock()
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.at)
-            .collect();
-        // Events are recorded in near-time order; skip the sort when
-        // the filtered view is already sorted (the common case).
-        if !times.is_sorted() {
-            times.sort_unstable();
-        }
-        times
-    }
-
-    /// Time of the first committed reduce output — the paper's
-    /// "time to first result". Min-scan; no allocation.
-    pub fn first_result(&self) -> Option<Duration> {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| e.kind == TaskKind::ReduceEnd)
-            .map(|e| e.at)
-            .min()
-    }
-
     /// Time of the last committed reduce output — total query time.
     pub fn job_end(&self) -> Option<Duration> {
         self.events
@@ -133,25 +105,6 @@ impl Timeline {
             .filter(|e| e.kind == TaskKind::ReduceEnd)
             .map(|e| e.at)
             .max()
-    }
-
-    /// Fraction of Map tasks complete at the moment the first reduce
-    /// result committed (the paper's "initial results with only 6 % of
-    /// the query completed" metric).
-    pub fn maps_done_at_first_result(&self) -> Option<f64> {
-        let first = self.first_result()?;
-        let (done, total) = self
-            .events
-            .lock()
-            .iter()
-            .filter(|e| e.kind == TaskKind::MapEnd)
-            .fold((0usize, 0usize), |(done, total), e| {
-                (done + usize::from(e.at <= first), total + 1)
-            });
-        if total == 0 {
-            return None;
-        }
-        Some(done as f64 / total as f64)
     }
 }
 
@@ -287,24 +240,6 @@ mod tests {
         assert_eq!(evs.len(), 3);
         assert!(evs.windows(2).all(|w| w[0].at <= w[1].at));
         assert!(evs.iter().all(|e| e.attempt == 0));
-    }
-
-    #[test]
-    fn first_result_and_fraction() {
-        let tl = Timeline::new();
-        tl.record(TaskKind::MapEnd, 0);
-        tl.record(TaskKind::ReduceEnd, 0);
-        tl.record(TaskKind::MapEnd, 1);
-        assert!(tl.first_result().is_some());
-        let frac = tl.maps_done_at_first_result().unwrap();
-        assert!((frac - 0.5).abs() < 1e-9, "frac {frac}");
-    }
-
-    #[test]
-    fn empty_timeline_has_no_result() {
-        let tl = Timeline::new();
-        assert_eq!(tl.first_result(), None);
-        assert_eq!(tl.maps_done_at_first_result(), None);
     }
 
     #[test]

@@ -373,6 +373,75 @@ fn reduce_waves_with_few_slots() {
     assert_eq!(output.len(), 10);
 }
 
+/// Four keyblocks over eight maps, `I_ℓ = {2ℓ, 2ℓ+1}`, keyblock 3
+/// prioritized (§3.4).
+struct SteeredPlan;
+
+impl RoutingPlan<u64> for SteeredPlan {
+    fn num_reducers(&self) -> usize {
+        4
+    }
+    fn partition(&self, key: &u64) -> usize {
+        *key as usize
+    }
+    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
+        Some(vec![2 * reducer, 2 * reducer + 1])
+    }
+    fn invert_scheduling(&self) -> bool {
+        true
+    }
+    fn reduce_order(&self) -> Vec<usize> {
+        vec![3, 0, 1, 2]
+    }
+}
+
+/// Steering must hold when every keyblock's reduce is already in
+/// flight (all four hold a slot, so all eight maps are eligible at
+/// once): the maps run in the order reduce launches made them
+/// eligible, the steered keyblock's `I_ℓ` first — not in index order.
+#[test]
+fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
+    let splits = number_splits(8, 8);
+    let source = |id: MapTaskId, _: &InputSplit| {
+        Ok(SliceRecordSource::new(vec![(id as u64 / 2, id as u64)]))
+    };
+    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
+    let reducer =
+        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let output = InMemoryOutput::new();
+    let result = run_job(
+        &splits,
+        &source,
+        &mapper,
+        None,
+        &reducer,
+        &SteeredPlan,
+        &output,
+        &JobConfig {
+            map_slots: 1, // one map at a time: the start order is the claim order
+            reduce_slots: 4,
+            map_think: Duration::from_millis(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let starts: Vec<usize> = result
+        .events
+        .iter()
+        .filter(|e| e.kind == TaskKind::MapStart)
+        .map(|e| e.task)
+        .collect();
+    assert_eq!(starts.len(), 8);
+    assert!(
+        starts[..2].iter().all(|m| [6, 7].contains(m)),
+        "I_3 = {{6, 7}} must start before any other map: {starts:?}"
+    );
+    assert_eq!(
+        output.sorted_records(),
+        vec![(0, 1), (1, 5), (2, 9), (3, 13)]
+    );
+}
+
 // ---------------------------------------------------------------
 // Shared slot pools and cancellation (the serving substrate)
 // ---------------------------------------------------------------

@@ -22,7 +22,6 @@
 //!
 //! [`Slab`]: sidr_coords::Slab
 
-pub mod cdl;
 pub mod error;
 pub mod format;
 pub mod gen;

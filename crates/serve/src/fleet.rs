@@ -331,7 +331,7 @@ impl FleetConfig {
 pub struct Fleet {
     slots: Vec<Arc<WorkerSlot>>,
     /// Simulated HDFS namespace used for locality-aware map dispatch:
-    /// one datanode per worker, inputs registered per job.
+    /// one datanode per worker, each input path registered once.
     namenode: NameNode,
     job_seq: AtomicU64,
     stop: Arc<AtomicBool>,
@@ -463,9 +463,24 @@ impl Fleet {
             .collect()
     }
 
+    /// The input's entry in the fleet's simulated namespace, which map
+    /// dispatch ranks workers' replica locality by. A path is
+    /// registered once, by the first job to read it — the namenode has
+    /// no remove, so a per-job entry would outlive its job forever.
+    fn register_input(&self, input: &str) -> Result<FileId, MrError> {
+        if let Some(file) = self.namenode.lookup(input) {
+            return Ok(file);
+        }
+        let len = std::fs::metadata(input).map(|m| m.len()).unwrap_or(1 << 20);
+        self.namenode
+            .register_file(input, len.max(1))
+            // A concurrent job over the same input registered it first.
+            .or_else(|e| self.namenode.lookup(input).ok_or(e))
+            .map_err(|e| MrError::BadConfig(format!("register input: {e}")))
+    }
+
     /// Prepares a job on every live worker and returns its remote
-    /// executor. The input path is registered in the fleet's simulated
-    /// namespace so map dispatch can rank workers by replica locality.
+    /// executor.
     pub fn prepare_job(
         &self,
         spec: &JobSpec,
@@ -473,14 +488,7 @@ impl Fleet {
         opts: &ExecOptions,
     ) -> Result<RemoteJob<'_>, MrError> {
         let job = self.job_seq.fetch_add(1, Ordering::Relaxed);
-        let input_len = std::fs::metadata(input).map(|m| m.len()).unwrap_or(1 << 20);
-        // Job-unique registration path: the same input file may be
-        // registered by many jobs, and the namenode rejects duplicate
-        // paths.
-        let file = self
-            .namenode
-            .register_file(&format!("job{job}:{input}"), input_len.max(1))
-            .map_err(|e| MrError::BadConfig(format!("register input: {e}")))?;
+        let file = self.register_input(input)?;
         let req = WorkerRequest::Prepare {
             job,
             spec_json: spec.to_json(),
@@ -1033,4 +1041,32 @@ fn run_reduce_on(
             "keyblock frame: {e}"
         ))),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two jobs over one input leave one namespace entry, not one per
+    /// job.
+    #[test]
+    fn jobs_over_one_input_share_one_registration() {
+        let preset = sidr_analyze::presets::preset("query1-tiny").unwrap();
+        let plan = sidr_core::SidrPlanner::new(&preset.query, preset.reducer_counts[0])
+            .build(&preset.splits)
+            .unwrap();
+        let spec = JobSpec::from_plan(&preset.query, &preset.splits, &plan).unwrap();
+        // Nothing listens on port 1: the fleet's one worker is marked
+        // dead, so each job registers its input and then finds nobody
+        // to run on.
+        let fleet = Fleet::connect(FleetConfig::new(vec!["127.0.0.1:1".into()])).unwrap();
+        for _ in 0..2 {
+            let job = fleet.prepare_job(&spec, "/data/shared.scinc", &ExecOptions::default());
+            assert!(job.is_err(), "no live workers");
+        }
+        assert_eq!(fleet.namenode.lookup("/data/shared.scinc"), Some(FileId(0)));
+        // Ids are dense: the next file being #1 means exactly one so far.
+        let next = fleet.namenode.register_file("/data/other.scinc", 1);
+        assert_eq!(next.unwrap(), FileId(1));
+    }
 }

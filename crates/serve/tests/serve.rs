@@ -314,16 +314,12 @@ fn request_without_hello_draws_a_protocol_error() {
 
 /// Computational steering over the wire (§3.4): a client-supplied
 /// priority region reorders delivery — the keyblock covering the
-/// region's corner streams back first.
+/// region's corner streams back first. It must hold whether keyblocks take
+/// reduce slots one at a time or (4 slots) are all in flight at once,
+/// where only the order their maps are served in can steer.
 #[test]
 fn priority_region_steers_first_delivery() {
     let (spec, input) = tiny_fixture("steer");
-    let (addr, handle) = spawn_server(ServerConfig {
-        map_slots: 1,
-        reduce_slots: 1,
-        ..ServerConfig::default()
-    });
-
     // K′ᵀ is {24,1,1,1} over 4 keyblocks of 6 keys; steer to the
     // *last* block's region so the default order would get it wrong.
     let region = sidr_coords::Slab::new(
@@ -332,26 +328,33 @@ fn priority_region_steers_first_delivery() {
     )
     .unwrap();
 
-    let mut client = Client::connect(addr).unwrap();
-    let ticket = client
-        .submit(
-            &spec,
-            &input,
-            SubmitOptions {
-                priority_region: Some(region),
-                map_think_ms: 5,
-                ..SubmitOptions::default()
-            },
-        )
-        .unwrap();
-    let mut order = Vec::new();
-    client
-        .stream_job(ticket.job, |reducer, _, _| order.push(reducer))
-        .unwrap();
-    assert_eq!(
-        order.first(),
-        Some(&3),
-        "steered keyblock did not stream first: {order:?}"
-    );
-    handle.shutdown();
+    for reduce_slots in [1, 4] {
+        let (addr, handle) = spawn_server(ServerConfig {
+            map_slots: 1,
+            reduce_slots,
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let ticket = client
+            .submit(
+                &spec,
+                &input,
+                SubmitOptions {
+                    priority_region: Some(region.clone()),
+                    map_think_ms: 5,
+                    ..SubmitOptions::default()
+                },
+            )
+            .unwrap();
+        let mut order = Vec::new();
+        client
+            .stream_job(ticket.job, |reducer, _, _| order.push(reducer))
+            .unwrap();
+        assert_eq!(
+            order.first(),
+            Some(&3),
+            "{reduce_slots} reduce slot(s): steered keyblock did not stream first: {order:?}"
+        );
+        handle.shutdown();
+    }
 }

@@ -24,8 +24,8 @@ pub fn to_secs(t: SimTime) -> f64 {
 pub enum Event {
     /// A map task finishes on a node.
     MapEnd { map: usize, node: usize },
-    /// A reduce task finishes on a node.
-    ReduceEnd { reduce: usize, node: usize },
+    /// A reduce task finishes.
+    ReduceEnd { reduce: usize },
 }
 
 /// Deterministic time-ordered queue; ties break by insertion sequence
@@ -49,7 +49,7 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let entry = match event {
             Event::MapEnd { map, node } => EventEntry(0, map, node),
-            Event::ReduceEnd { reduce, node } => EventEntry(1, reduce, node),
+            Event::ReduceEnd { reduce } => EventEntry(1, reduce, 0),
         };
         self.heap.push(Reverse((at, self.seq, entry)));
         self.seq += 1;
@@ -60,18 +60,10 @@ impl EventQueue {
         self.heap.pop().map(|Reverse((at, _, entry))| {
             let event = match entry {
                 EventEntry(0, map, node) => Event::MapEnd { map, node },
-                EventEntry(_, reduce, node) => Event::ReduceEnd { reduce, node },
+                EventEntry(_, reduce, _) => Event::ReduceEnd { reduce },
             };
             (at, event)
         })
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -84,7 +76,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(secs(3.0), Event::MapEnd { map: 3, node: 0 });
         q.push(secs(1.0), Event::MapEnd { map: 1, node: 0 });
-        q.push(secs(2.0), Event::ReduceEnd { reduce: 2, node: 1 });
+        q.push(secs(2.0), Event::ReduceEnd { reduce: 2 });
         let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(order, vec![secs(1.0), secs(2.0), secs(3.0)]);
     }

@@ -9,10 +9,6 @@ pub struct SimClusterConfig {
     pub num_nodes: usize,
     pub map_slots_per_node: usize,
     pub reduce_slots_per_node: usize,
-    /// Hadoop's speculative execution for Map tasks: when slots idle
-    /// with nothing pending, the slowest running map is duplicated and
-    /// the first copy to finish wins.
-    pub speculative_maps: bool,
 }
 
 impl Default for SimClusterConfig {
@@ -21,16 +17,11 @@ impl Default for SimClusterConfig {
             num_nodes: 24,
             map_slots_per_node: 4,
             reduce_slots_per_node: 3,
-            speculative_maps: false,
         }
     }
 }
 
 impl SimClusterConfig {
-    pub fn total_map_slots(&self) -> usize {
-        self.num_nodes * self.map_slots_per_node
-    }
-
     pub fn total_reduce_slots(&self) -> usize {
         self.num_nodes * self.reduce_slots_per_node
     }
@@ -163,7 +154,7 @@ mod tests {
     #[test]
     fn paper_cluster_slot_counts() {
         let c = SimClusterConfig::default();
-        assert_eq!(c.total_map_slots(), 96);
+        assert_eq!(c.num_nodes * c.map_slots_per_node, 96);
         assert_eq!(c.total_reduce_slots(), 72);
     }
 

@@ -1,6 +1,9 @@
 //! The cluster simulation proper.
 
-use std::collections::VecDeque;
+use std::time::Duration;
+
+use sidr_mapreduce::schedule::Schedule;
+use sidr_mapreduce::{TaskEvent, TaskKind};
 
 use crate::event::{secs, to_secs, Event, EventQueue, SimTime};
 use crate::model::{CostModel, SimClusterConfig};
@@ -51,9 +54,45 @@ pub struct SimTrace {
     pub reduce_ready_s: Vec<f64>,
     /// Per-reduce commit.
     pub reduce_end_s: Vec<f64>,
+    events: Vec<TaskEvent>,
 }
 
 impl SimTrace {
+    fn new(n_maps: usize, n_reduces: usize) -> Self {
+        SimTrace {
+            map_end_s: vec![None; n_maps],
+            reduce_start_s: vec![0.0; n_reduces],
+            reduce_ready_s: vec![0.0; n_reduces],
+            reduce_end_s: vec![0.0; n_reduces],
+            events: Vec::new(),
+        }
+    }
+
+    fn record(&mut self, kind: TaskKind, task: usize, now: SimTime) {
+        let at_s = to_secs(now);
+        match kind {
+            TaskKind::MapEnd => self.map_end_s[task] = Some(at_s),
+            TaskKind::ReduceStart => self.reduce_start_s[task] = at_s,
+            TaskKind::ReduceBarrierMet => self.reduce_ready_s[task] = at_s,
+            TaskKind::ReduceEnd => self.reduce_end_s[task] = at_s,
+            _ => {}
+        }
+        self.events.push(TaskEvent {
+            kind,
+            task,
+            attempt: 0,
+            at: Duration::from_micros(now),
+        });
+    }
+
+    /// The run as the engine's timeline would have recorded it
+    /// (`MapStart` / `MapEnd` / `ReduceStart` / `ReduceBarrierMet` /
+    /// `ReduceEnd`, in causal order) — what `sidr_core::TimelineOracle`
+    /// checks.
+    pub fn events(&self) -> Vec<TaskEvent> {
+        self.events.clone()
+    }
+
     /// Job completion time.
     pub fn makespan_s(&self) -> f64 {
         self.reduce_end_s.iter().copied().fold(0.0, f64::max)
@@ -96,268 +135,87 @@ impl SimTrace {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MapState {
-    Ineligible,
-    Eligible,
-    Running,
-    Done,
-}
-
-struct ReduceRun {
-    /// Unfinished dependencies (or unfinished maps, for global).
-    remaining: usize,
-    node: usize,
-    start: SimTime,
-}
-
 /// Runs the simulation to completion.
+///
+/// Every scheduling decision — which reduce launches next, which maps
+/// that makes eligible and in what order, when a barrier is met — is
+/// the engine's own [`Schedule`]; what is modelled here is the cluster
+/// around it: simulated time, per-node slots, data locality (as
+/// `claim_map`'s preference) and task durations from the [`CostModel`].
 pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> SimTrace {
     let n_maps = job.maps.len();
     let n_reduces = job.reduces.len();
     assert!(n_reduces > 0, "job needs at least one reduce");
-    assert_eq!(
-        job.reduce_order.len(),
-        n_reduces,
-        "order must cover reduces"
-    );
+    let mut sched = Schedule::new(
+        n_maps,
+        job.reduces.iter().map(|r| r.deps.clone()).collect(),
+        job.reduce_order.clone(),
+        job.invert_scheduling,
+    )
+    .expect("order must cover reduces, deps must name maps");
 
     let mut queue = EventQueue::new();
-    let mut map_state = vec![
-        if job.invert_scheduling {
-            MapState::Ineligible
-        } else {
-            MapState::Eligible
-        };
-        n_maps
-    ];
-    // Eligible-map queues: per-node locality lists plus a global FIFO,
-    // with lazy deletion — the shape of Hadoop's locality tree (§3.3).
-    let mut node_queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); cluster.num_nodes];
-    let mut global_queue: VecDeque<usize> = VecDeque::new();
     let mut free_map_slots = vec![cluster.map_slots_per_node; cluster.num_nodes];
-    let mut maps_done = 0usize;
-
-    let enqueue_eligible =
-        |m: usize, node_queues: &mut Vec<VecDeque<usize>>, global_queue: &mut VecDeque<usize>| {
-            for &n in &job.maps[m].preferred_nodes {
-                if n < cluster.num_nodes {
-                    node_queues[n].push_back(m);
-                }
-            }
-            global_queue.push_back(m);
-        };
-
-    if !job.invert_scheduling {
-        for m in 0..n_maps {
-            enqueue_eligible(m, &mut node_queues, &mut global_queue);
-        }
-    }
-
-    // Reduce bookkeeping.
-    let mut reduce_cursor = 0usize;
-    let mut running: Vec<Option<ReduceRun>> = (0..n_reduces).map(|_| None).collect();
     let mut free_reduce_slots = cluster.total_reduce_slots();
-    // Speculation bookkeeping: scheduled end per running map and
-    // whether a backup copy is already out.
-    let mut map_sched_end: Vec<Option<SimTime>> = vec![None; n_maps];
-    let mut map_duplicated = vec![false; n_maps];
-    let mut reduce_start = vec![0f64; n_reduces];
-    let mut reduce_ready = vec![0f64; n_reduces];
-    let mut reduce_end = vec![0f64; n_reduces];
-    let mut map_end: Vec<Option<f64>> = vec![None; n_maps];
+    // Launched reduces still short of their barrier; each holds a slot
+    // until its ReduceEnd.
+    let mut waiting: Vec<usize> = Vec::new();
+    let mut trace = SimTrace::new(n_maps, n_reduces);
+    let mut now: SimTime = 0;
 
-    // Launches pending reduces onto free slots, marking dependencies
-    // eligible under inverted scheduling. Returns maps made eligible.
-    macro_rules! launch_reduces {
-        ($now:expr) => {{
-            while free_reduce_slots > 0 && reduce_cursor < n_reduces {
-                let r = job.reduce_order[reduce_cursor];
-                reduce_cursor += 1;
-                free_reduce_slots -= 1;
-                let node = r % cluster.num_nodes;
-                reduce_start[r] = to_secs($now);
-                let remaining = match &job.reduces[r].deps {
-                    Some(deps) => {
-                        if job.invert_scheduling {
-                            for &m in deps {
-                                if map_state[m] == MapState::Ineligible {
-                                    map_state[m] = MapState::Eligible;
-                                    enqueue_eligible(m, &mut node_queues, &mut global_queue);
-                                }
-                            }
-                        }
-                        deps.iter()
-                            .filter(|&&m| map_state[m] != MapState::Done)
-                            .count()
-                    }
-                    None => {
-                        if job.invert_scheduling {
-                            for m in 0..n_maps {
-                                if map_state[m] == MapState::Ineligible {
-                                    map_state[m] = MapState::Eligible;
-                                    enqueue_eligible(m, &mut node_queues, &mut global_queue);
-                                }
-                            }
-                        }
-                        n_maps - maps_done
-                    }
+    loop {
+        // Reduces launch first, onto free slots (§3.3).
+        while free_reduce_slots > 0 {
+            let Some(r) = sched.launch_next_reduce() else {
+                break;
+            };
+            free_reduce_slots -= 1;
+            trace.record(TaskKind::ReduceStart, r, now);
+            waiting.push(r);
+        }
+        waiting.retain(|&r| {
+            if !sched.barrier_met(r) {
+                return true;
+            }
+            trace.record(TaskKind::ReduceBarrierMet, r, now);
+            let dur = model.reduce_duration_s(job.reduces[r].input_bytes, r as u64);
+            queue.push(now + secs(dur), Event::ReduceEnd { reduce: r });
+            false
+        });
+        // Eligible maps onto free slots, node-local first — the
+        // locality-tree walk of §3.3.
+        for (node, free) in free_map_slots.iter_mut().enumerate() {
+            let local = |m: usize| job.maps[m].preferred_nodes.contains(&node);
+            while *free > 0 {
+                let Some(m) = sched.claim_map(local) else {
+                    break;
                 };
-                if remaining == 0 {
-                    reduce_ready[r] = to_secs($now);
-                    let dur = model.reduce_duration_s(job.reduces[r].input_bytes, r as u64);
-                    queue.push($now + secs(dur), Event::ReduceEnd { reduce: r, node });
-                    running[r] = None;
-                    // Slot stays occupied until ReduceEnd.
-                } else {
-                    running[r] = Some(ReduceRun {
-                        remaining,
-                        node,
-                        start: $now,
-                    });
-                }
+                *free -= 1;
+                trace.record(TaskKind::MapStart, m, now);
+                let task = &job.maps[m];
+                let dur =
+                    model.map_duration_s(task.input_bytes, local(m), task.oblivious, m as u64);
+                queue.push(now + secs(dur), Event::MapEnd { map: m, node });
             }
-        }};
-    }
+        }
 
-    // Assigns eligible maps to free slots, locality-first.
-    macro_rules! schedule_maps {
-        ($now:expr) => {{
-            for node in 0..cluster.num_nodes {
-                while free_map_slots[node] > 0 {
-                    // Local candidates first, then the global queue —
-                    // the locality-tree walk of §3.3.
-                    let mut picked = None;
-                    while let Some(&m) = node_queues[node].front() {
-                        if map_state[m] == MapState::Eligible {
-                            picked = Some((m, true));
-                            break;
-                        }
-                        node_queues[node].pop_front();
-                    }
-                    if picked.is_none() {
-                        while let Some(&m) = global_queue.front() {
-                            if map_state[m] == MapState::Eligible {
-                                let local = job.maps[m].preferred_nodes.contains(&node);
-                                picked = Some((m, local));
-                                break;
-                            }
-                            global_queue.pop_front();
-                        }
-                    }
-                    let Some((m, local)) = picked else {
-                        // Nothing pending: Hadoop's speculative
-                        // execution duplicates the slowest running map
-                        // ("first copy to finish wins").
-                        if cluster.speculative_maps {
-                            let candidate = (0..n_maps)
-                                .filter(|&m| {
-                                    map_state[m] == MapState::Running
-                                        && !map_duplicated[m]
-                                        && map_sched_end[m].is_some_and(|e| e > $now)
-                                })
-                                .max_by_key(|&m| map_sched_end[m]);
-                            if let Some(m) = candidate {
-                                map_duplicated[m] = true;
-                                free_map_slots[node] -= 1;
-                                let local = job.maps[m].preferred_nodes.contains(&node);
-                                let dur = model.map_duration_s(
-                                    job.maps[m].input_bytes,
-                                    local,
-                                    job.maps[m].oblivious,
-                                    m as u64 ^ 0x0D0B_1E5C, // fresh straggler roll
-                                );
-                                let end = $now + secs(dur);
-                                // The earlier copy defines completion.
-                                if map_sched_end[m].is_some_and(|e| end < e) {
-                                    map_sched_end[m] = Some(end);
-                                }
-                                queue.push(end, Event::MapEnd { map: m, node });
-                                continue;
-                            }
-                        }
-                        break;
-                    };
-                    map_state[m] = MapState::Running;
-                    free_map_slots[node] -= 1;
-                    let dur = model.map_duration_s(
-                        job.maps[m].input_bytes,
-                        local,
-                        job.maps[m].oblivious,
-                        m as u64,
-                    );
-                    map_sched_end[m] = Some($now + secs(dur));
-                    queue.push($now + secs(dur), Event::MapEnd { map: m, node });
-                }
-            }
-        }};
-    }
-
-    launch_reduces!(0);
-    schedule_maps!(0);
-
-    while let Some((now, event)) = queue.pop() {
+        let Some((at, event)) = queue.pop() else {
+            break;
+        };
+        now = at;
         match event {
             Event::MapEnd { map, node } => {
-                if map_state[map] == MapState::Done {
-                    // The losing speculative copy: just release the
-                    // slot (Hadoop kills it; we let it finish idle).
-                    free_map_slots[node] += 1;
-                    schedule_maps!(now);
-                    continue;
-                }
-                map_state[map] = MapState::Done;
-                maps_done += 1;
-                map_end[map] = Some(to_secs(now));
+                sched.map_done(map);
                 free_map_slots[node] += 1;
-                // Wake reduces waiting on this map.
-                for r in 0..n_reduces {
-                    let hit = match &mut running[r] {
-                        Some(run) => {
-                            let depends = match &job.reduces[r].deps {
-                                Some(deps) => deps.contains(&map),
-                                None => true,
-                            };
-                            if depends {
-                                run.remaining -= 1;
-                                run.remaining == 0
-                            } else {
-                                false
-                            }
-                        }
-                        None => false,
-                    };
-                    if hit {
-                        let run = running[r].take().expect("checked above");
-                        let ready = now.max(run.start);
-                        reduce_ready[r] = to_secs(ready);
-                        let dur = model.reduce_duration_s(job.reduces[r].input_bytes, r as u64);
-                        queue.push(
-                            ready + secs(dur),
-                            Event::ReduceEnd {
-                                reduce: r,
-                                node: run.node,
-                            },
-                        );
-                    }
-                }
-                schedule_maps!(now);
+                trace.record(TaskKind::MapEnd, map, now);
             }
-            Event::ReduceEnd { reduce, node: _ } => {
-                reduce_end[reduce] = to_secs(now);
+            Event::ReduceEnd { reduce } => {
                 free_reduce_slots += 1;
-                launch_reduces!(now);
-                schedule_maps!(now);
+                trace.record(TaskKind::ReduceEnd, reduce, now);
             }
         }
     }
-
-    SimTrace {
-        map_end_s: map_end,
-        reduce_start_s: reduce_start,
-        reduce_ready_s: reduce_ready,
-        reduce_end_s: reduce_end,
-    }
+    trace
 }
 
 #[cfg(test)]
@@ -442,15 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_is_deterministic() {
-        let job = uniform_job(64, 8, false);
-        let a = simulate(&job, &SimClusterConfig::default(), &CostModel::default());
-        let b = simulate(&job, &SimClusterConfig::default(), &CostModel::default());
-        assert_eq!(a.reduce_end_s, b.reduce_end_s);
-        assert_eq!(a.map_end_s, b.map_end_s);
-    }
-
-    #[test]
     fn more_slots_do_not_slow_the_job() {
         let job = uniform_job(64, 8, true);
         let small = SimClusterConfig {
@@ -473,53 +322,6 @@ mod tests {
         });
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
         assert!(trace.map_end_s.last().unwrap().is_none());
-    }
-
-    #[test]
-    fn speculation_beats_stragglers_under_the_global_barrier() {
-        // Heavy stragglers, global barrier: the last map defines the
-        // makespan, so duplicating the slowest map helps; SIDR-style
-        // dependency barriers localize the damage instead.
-        let job = uniform_job(96, 4, true);
-        let straggly = CostModel {
-            jitter_frac: 0.0,
-            task_overhead_s: 0.0,
-            hadoop_remote_penalty: 0.0,
-            straggler_prob: 0.05,
-            straggler_factor: 6.0,
-            ..Default::default()
-        };
-        let plain = simulate(&job, &SimClusterConfig::default(), &straggly);
-        let spec_cluster = SimClusterConfig {
-            speculative_maps: true,
-            ..Default::default()
-        };
-        let speculated = simulate(&job, &spec_cluster, &straggly);
-        assert!(
-            speculated.makespan_s() < 0.9 * plain.makespan_s(),
-            "speculation {} vs plain {}",
-            speculated.makespan_s(),
-            plain.makespan_s()
-        );
-        // Every map still completes exactly once in the trace.
-        assert_eq!(speculated.map_completions().len(), 96);
-    }
-
-    #[test]
-    fn speculation_is_a_noop_without_stragglers() {
-        let job = uniform_job(96, 4, true);
-        let m = model();
-        let plain = simulate(&job, &SimClusterConfig::default(), &m);
-        let speculated = simulate(
-            &job,
-            &SimClusterConfig {
-                speculative_maps: true,
-                ..Default::default()
-            },
-            &m,
-        );
-        // Uniform tasks: duplicates never finish first, makespan holds.
-        assert!((speculated.makespan_s() / plain.makespan_s() - 1.0).abs() < 0.02);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Simulator invariants, property-tested over randomized jobs: causal
-//! ordering (barriers respected), conservation (everything needed
-//! runs), and policy dominance (dependency barriers never finish
-//! later than the global barrier, all else equal).
+//! Simulator invariants, property-tested over randomized jobs: the
+//! engine's timeline protocol (`TimelineOracle`: barriers respected,
+//! everything needed runs), and policy dominance (dependency barriers
+//! never finish later than the global barrier, all else equal).
 
 use proptest::prelude::*;
 
+use sidr_core::TimelineOracle;
 use sidr_simcluster::{simulate, CostModel, SimClusterConfig, SimJob, SimMapTask, SimReduceTask};
 
 /// Random job: 4-60 maps, 1-12 reduces, contiguous dep slices.
@@ -57,45 +58,20 @@ fn model() -> CostModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The simulated run obeys the engine's timeline protocol, by the
+    /// engine's own oracle: every task's lifecycle is well-formed
+    /// (R1), no barrier is met before each map of its `I_ℓ` committed
+    /// (R2), and every reducer commits exactly once (R5) — so every
+    /// needed map ran.
     #[test]
-    fn barriers_are_causal(job in jobs()) {
+    fn traces_satisfy_the_engines_timeline_oracle(job in jobs()) {
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
+        let mut oracle = TimelineOracle::new(job.maps.len(), job.reduces.len());
         for (r, task) in job.reduces.iter().enumerate() {
-            let deps = task.deps.as_ref().expect("generated jobs have deps");
-            // A reduce never becomes ready before its last dependency.
-            for &m in deps {
-                let map_end = trace.map_end_s[m].expect("dep maps must run");
-                prop_assert!(
-                    trace.reduce_ready_s[r] >= map_end - 1e-9,
-                    "reduce {r} ready {} before dep map {m} at {map_end}",
-                    trace.reduce_ready_s[r]
-                );
-            }
-            // End >= ready >= slot start.
-            prop_assert!(trace.reduce_end_s[r] >= trace.reduce_ready_s[r]);
-            prop_assert!(trace.reduce_ready_s[r] >= trace.reduce_start_s[r] - 1e-9);
+            oracle = oracle.with_deps(r, task.deps.clone().expect("generated jobs have deps"));
         }
-    }
-
-    #[test]
-    fn all_needed_maps_run_exactly_when_needed(job in jobs()) {
-        let trace = simulate(&job, &SimClusterConfig::default(), &model());
-        let mut needed = vec![false; job.maps.len()];
-        for task in &job.reduces {
-            for &m in task.deps.as_ref().expect("deps") {
-                needed[m] = true;
-            }
-        }
-        for (m, &need) in needed.iter().enumerate() {
-            if need {
-                prop_assert!(trace.map_end_s[m].is_some(), "needed map {m} never ran");
-            } else if job.invert_scheduling {
-                prop_assert!(
-                    trace.map_end_s[m].is_none(),
-                    "unneeded map {m} ran under inverted scheduling"
-                );
-            }
-        }
+        let verdict = oracle.check_complete(&trace.events());
+        prop_assert!(verdict.is_ok(), "{verdict:?}");
     }
 
     #[test]
