@@ -262,7 +262,6 @@ fn dropped_tier_move_notify_is_caught_as_lost_wakeup() {
             let store = sidr_mapreduce::PartitionStore::new(
                 sidr_mapreduce::TierConfig {
                     budget_bytes: a.len() as u64,
-                    ..Default::default()
                 },
                 std::sync::Arc::clone(&backend) as std::sync::Arc<dyn sidr_mapreduce::SpillBackend>,
             );

@@ -406,7 +406,6 @@ fn spill_tier_scenario() {
     let store = sidr_mapreduce::PartitionStore::new(
         sidr_mapreduce::TierConfig {
             budget_bytes: budget,
-            ..Default::default()
         },
         std::sync::Arc::clone(&backend) as std::sync::Arc<dyn sidr_mapreduce::SpillBackend>,
     );

@@ -199,9 +199,6 @@ impl SpillBackend for MemBackend {
 pub struct TierConfig {
     /// Resident-byte budget; 0 means unbounded (never spill).
     pub budget_bytes: u64,
-    /// Operator chaos switch: treat every spill write as ENOSPC
-    /// (the worker daemon's `--fail-spills` flag).
-    pub fail_all_spills: bool,
 }
 
 /// Safety-net re-check interval while waiting out a `Moving`
@@ -380,7 +377,7 @@ impl PartitionStore {
             .and_then(|plan| plan.map_fault(key.1, key.3));
         let name = spill_name(&key);
         let t0 = Instant::now();
-        let wrote = if self.cfg.fail_all_spills || fault == Some(FaultKind::SpillWriteFail) {
+        let wrote = if fault == Some(FaultKind::SpillWriteFail) {
             Err(std::io::Error::new(
                 std::io::ErrorKind::StorageFull,
                 "injected ENOSPC",
@@ -646,7 +643,7 @@ impl PartitionStore {
             // proceed; fetches of this one wait on `moved`.
             let name = spill_name(&key);
             let t0 = Instant::now();
-            let wrote = if self.cfg.fail_all_spills || fault == Some(FaultKind::SpillWriteFail) {
+            let wrote = if fault == Some(FaultKind::SpillWriteFail) {
                 Err(std::io::Error::new(
                     std::io::ErrorKind::StorageFull,
                     "injected ENOSPC",
@@ -798,10 +795,7 @@ mod tests {
 
     fn mem_store(budget_bytes: u64) -> (PartitionStore, Arc<MemBackend>) {
         let backend = Arc::new(MemBackend::new());
-        let cfg = TierConfig {
-            budget_bytes,
-            ..TierConfig::default()
-        };
+        let cfg = TierConfig { budget_bytes };
         (
             PartitionStore::new(cfg, Arc::clone(&backend) as Arc<dyn SpillBackend>),
             backend,
@@ -892,24 +886,6 @@ mod tests {
         for m in 0..3 {
             assert!(store.get(&(1, m, 0, 0)).unwrap().is_some());
         }
-    }
-
-    #[test]
-    fn fail_all_spills_flag_degrades_gracefully() {
-        let f = frame(64, 3);
-        let len = f.len() as u64;
-        let backend = Arc::new(MemBackend::new());
-        let cfg = TierConfig {
-            budget_bytes: len,
-            fail_all_spills: true,
-        };
-        let store = PartitionStore::new(cfg, Arc::clone(&backend) as Arc<dyn SpillBackend>);
-        store.insert((1, 0, 0, 0), Arc::clone(&f));
-        store.insert((1, 1, 0, 0), frame(64, 5));
-        let p = store.pressure();
-        assert!(p.over_budget());
-        assert!(p.spill_failures >= 1);
-        assert!(store.get(&(1, 1, 0, 0)).unwrap().is_some());
     }
 
     #[test]

@@ -184,7 +184,6 @@ fn spilled_copy_of_another_version_reads_back_corrupt() {
     let store = PartitionStore::on_disk(
         TierConfig {
             budget_bytes: 1, // every insert goes straight to disk
-            ..TierConfig::default()
         },
         &dir,
     );

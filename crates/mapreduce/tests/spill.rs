@@ -40,10 +40,7 @@ fn encoded(raw: &[(u64, u64)], salt: usize) -> Arc<Vec<u8>> {
 fn store_with(parts: &[Arc<Vec<u8>>]) -> (PartitionStore, Arc<MemBackend>, Vec<PartKey>) {
     let backend = Arc::new(MemBackend::new());
     let store = PartitionStore::new(
-        TierConfig {
-            budget_bytes: 1,
-            ..TierConfig::default()
-        },
+        TierConfig { budget_bytes: 1 },
         Arc::clone(&backend) as Arc<dyn sidr_mapreduce::SpillBackend>,
     );
     let counts: Vec<u64> = parts.iter().map(|_| 1).collect();

@@ -38,7 +38,7 @@
 //! those maps (§6), never a whole dependency set.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,6 +58,10 @@ use crate::frame::{self, handshake_dial, FrameError, Role};
 
 /// One request on a coordinator→worker (or worker→worker fetch)
 /// connection.
+// A request is built, written to a socket and dropped — never held in
+// bulk — so `Prepare` carrying its spec inline costs nothing worth a
+// `Box` (which the offline serde shim does not serialize).
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum WorkerRequest {
     /// Liveness probe; answered with [`WorkerResponse::Pong`].
@@ -67,7 +71,7 @@ pub enum WorkerRequest {
     /// mount) and the task-local execution options.
     Prepare {
         job: u64,
-        spec_json: String,
+        spec: JobSpec,
         input: String,
         opts: ExecOptions,
     },
@@ -159,6 +163,39 @@ pub enum WorkerResponse {
         fatal: bool,
         lost_sources: Vec<usize>,
     },
+}
+
+impl WorkerResponse {
+    /// Does one raw frame follow this reply on the wire? The single
+    /// statement of that protocol fact: [`send_reply`] and
+    /// [`WorkerConn::request`] — hence every writer and reader of the
+    /// protocol — ask here.
+    pub fn carries_payload(&self) -> bool {
+        matches!(
+            self,
+            WorkerResponse::ReduceDone { .. }
+                | WorkerResponse::Partition {
+                    status: PartitionStatus::Data
+                }
+        )
+    }
+}
+
+/// Writes one reply: its JSON header, then `payload` as one raw frame
+/// — present exactly when the reply [carries
+/// one](WorkerResponse::carries_payload).
+pub fn send_reply(
+    w: &mut impl Write,
+    reply: &WorkerResponse,
+    payload: Option<&[u8]>,
+) -> Result<(), FrameError> {
+    if reply.carries_payload() != payload.is_some() {
+        return Err(FrameError::Io(format!(
+            "reply {reply:?} and its payload disagree"
+        )));
+    }
+    frame::send(w, reply)?;
+    payload.map_or(Ok(()), |bytes| frame::write_frame(w, bytes))
 }
 
 /// Outcome of a shuffle-fetch peek.
@@ -274,8 +311,6 @@ struct WorkerSlot {
     addr: String,
     alive: AtomicBool,
     last_heartbeat: Mutex<Instant>,
-    /// Coordinator-side count of dispatches currently on the wire.
-    dispatching: AtomicU64,
     /// Cached copy of the worker's last `Pong` self-report.
     last_stat: Mutex<WorkerStat>,
     /// Whether the last `Pong` reported memory pressure — dispatch
@@ -355,7 +390,6 @@ impl Fleet {
                     addr: addr.clone(),
                     alive: AtomicBool::new(false),
                     last_heartbeat: Mutex::new(Instant::now()),
-                    dispatching: AtomicU64::new(0),
                     last_stat: Mutex::new(WorkerStat::default()),
                     pressured: AtomicBool::new(false),
                     heartbeat_gauge: r.gauge(
@@ -395,53 +429,33 @@ impl Fleet {
         };
         // Synchronous first round so jobs submitted immediately after
         // startup see the real liveness picture.
-        fleet.probe_all(config.heartbeat_timeout);
+        for slot in &fleet.slots {
+            probe(slot, config.heartbeat_timeout);
+        }
         let stop = Arc::clone(&fleet.stop);
         let slots = fleet.slots.clone();
-        let every = config.heartbeat_every;
-        let timeout = config.heartbeat_timeout;
+        let (every, timeout) = (config.heartbeat_every, config.heartbeat_timeout);
         let handle = std::thread::Builder::new()
             .name("sidr-fleet-heartbeat".into())
             .spawn(move || {
-                // Stagger the fleet instead of probing every worker in
-                // one burst: each slot gets a deterministic phase
-                // offset inside the period plus an address-derived
-                // jitter, so heartbeats never synchronize — on a large
-                // fleet a burst of simultaneous pings is itself a
-                // load spike on the coordinator's thread and the
-                // network.
-                let n = slots.len().max(1) as u32;
-                let quarter_ms = (every.as_millis() as u64 / 4).max(1);
-                let mut due: Vec<Instant> = slots
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let phase = every * (i as u32) / n;
-                        let jitter = Duration::from_millis(addr_jitter(&s.addr) % quarter_ms);
-                        Instant::now() + phase + jitter
-                    })
-                    .collect();
-                let tick = (every / 8).max(Duration::from_millis(2));
+                // Every worker is probed once per period; in between
+                // the monitor parks, and `shutdown` unparks it.
+                let mut next = Instant::now() + every;
                 while !stop.load(Ordering::SeqCst) {
                     let now = Instant::now();
-                    for (i, slot) in slots.iter().enumerate() {
-                        if now >= due[i] {
-                            probe(slot, timeout);
-                            due[i] = now + every;
-                        }
+                    if now < next {
+                        std::thread::park_timeout(next - now);
+                        continue;
                     }
-                    std::thread::sleep(tick);
+                    next = now + every;
+                    for slot in &slots {
+                        probe(slot, timeout);
+                    }
                 }
             })
             .expect("spawn heartbeat monitor");
         *fleet.monitor.lock().unwrap() = Some(handle);
         Ok(fleet)
-    }
-
-    fn probe_all(&self, timeout: Duration) {
-        for slot in &self.slots {
-            probe(slot, timeout);
-        }
     }
 
     pub fn size(&self) -> usize {
@@ -491,7 +505,7 @@ impl Fleet {
         let file = self.register_input(input)?;
         let req = WorkerRequest::Prepare {
             job,
-            spec_json: spec.to_json(),
+            spec: spec.clone(),
             input: input.to_string(),
             opts: opts.clone(),
         };
@@ -499,46 +513,56 @@ impl Fleet {
         // worker skipped as dead here that the heartbeat revives a
         // moment later never installed the job.
         let mut prepared = vec![false; self.slots.len()];
+        let mut refused = None;
         for (slot, prepared) in self.slots.iter().zip(&mut prepared) {
             if !slot.alive.load(Ordering::SeqCst) {
                 continue;
             }
             match call(&slot.addr, &req, None) {
-                Ok(WorkerResponse::Prepared { .. }) => *prepared = true,
-                Ok(WorkerResponse::Failed { detail, .. }) => {
-                    return Err(MrError::BadConfig(format!(
-                        "worker {} rejected the job: {detail}",
-                        slot.addr
-                    )));
+                Ok((WorkerResponse::Prepared { .. }, _)) => *prepared = true,
+                Ok((WorkerResponse::Failed { detail, .. }, _)) => {
+                    refused = Some(format!("worker {} rejected the job: {detail}", slot.addr));
+                    break;
                 }
-                Ok(other) => {
-                    return Err(MrError::BadConfig(format!(
+                Ok((other, _)) => {
+                    refused = Some(format!(
                         "worker {}: unexpected reply to Prepare: {other:?}",
                         slot.addr
-                    )));
+                    ));
+                    break;
                 }
                 // A worker dying during prepare is not fatal — it is
                 // simply not part of this job.
                 Err(_) => mark_dead(slot),
             }
         }
-        if !prepared.contains(&true) {
-            return Err(MrError::BadConfig("no live workers to run the job".into()));
+        if refused.is_none() && !prepared.contains(&true) {
+            refused = Some("no live workers to run the job".into());
         }
-        Ok(RemoteJob {
+        let remote = RemoteJob {
             fleet: self,
             job,
             file,
             prepared: prepared.into(),
             placement: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(HashMap::new()),
-        })
+        };
+        match refused {
+            // The workers that did answer `Prepared` hold the job's
+            // executor and open input until told otherwise.
+            Some(why) => {
+                remote.finish();
+                Err(MrError::BadConfig(why))
+            }
+            None => Ok(remote),
+        }
     }
 
     /// Stops the heartbeat monitor. Called on drop.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.monitor.lock().unwrap().take() {
+            h.thread().unpark();
             h.join().ok();
         }
     }
@@ -556,22 +580,10 @@ fn mark_dead(slot: &WorkerSlot) {
     }
 }
 
-/// Deterministic per-address jitter seed (FNV-1a) — stable across
-/// restarts so a fleet's heartbeat phases don't reshuffle, distinct
-/// across addresses so they don't collide.
-fn addr_jitter(addr: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in addr.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One liveness probe: dial, handshake, `Ping`, read `Pong`.
 fn probe(slot: &WorkerSlot, timeout: Duration) {
     match call(&slot.addr, &WorkerRequest::Ping, Some(timeout)) {
-        Ok(WorkerResponse::Pong(stat)) => {
+        Ok((WorkerResponse::Pong(stat), _)) => {
             let pressured = stat.pressured();
             slot.resident_gauge.set(stat.resident_bytes as i64);
             slot.spilled_gauge.set(stat.spilled_bytes as i64);
@@ -637,69 +649,47 @@ impl WorkerConn {
             }
             None => TcpStream::connect(addr).map_err(|e| FrameError::Io(e.to_string()))?,
         };
-        let mut conn = WorkerConn {
+        // The handshake reads and writes exact frames, so it runs on
+        // the bare stream; buffering starts after it.
+        handshake_dial(&mut &stream, ours, Role::Worker)?;
+        Ok(WorkerConn {
             reader: BufReader::new(
                 stream
                     .try_clone()
                     .map_err(|e| FrameError::Io(e.to_string()))?,
             ),
             writer: BufWriter::new(stream),
+        })
+    }
+
+    /// One request, its reply, and the raw frame after the reply when
+    /// it [carries one](WorkerResponse::carries_payload) — a partition
+    /// as SMOF bytes after `Partition`, a keyblock after `ReduceDone`.
+    pub fn request(
+        &mut self,
+        req: &WorkerRequest,
+    ) -> Result<(WorkerResponse, Option<Vec<u8>>), FrameError> {
+        let hung_up = || FrameError::Io("worker closed the connection".into());
+        frame::send(&mut self.writer, req)?;
+        let reply: WorkerResponse = frame::recv(&mut self.reader)?.ok_or_else(hung_up)?;
+        let payload = if reply.carries_payload() {
+            Some(frame::read_frame(&mut self.reader)?.ok_or_else(hung_up)?)
+        } else {
+            None
         };
-        let mut duplex = Duplex(&mut conn);
-        handshake_dial(&mut duplex, ours, Role::Worker)?;
-        Ok(conn)
-    }
-
-    pub fn send(&mut self, req: &WorkerRequest) -> Result<(), FrameError> {
-        frame::send(&mut self.writer, req)
-    }
-
-    pub fn recv(&mut self) -> Result<WorkerResponse, FrameError> {
-        match frame::recv::<WorkerResponse>(&mut self.reader)? {
-            Some(r) => Ok(r),
-            None => Err(FrameError::Io("worker closed the connection".into())),
-        }
-    }
-
-    /// Reads one raw (non-JSON) frame: the SMOF payload following a
-    /// [`WorkerResponse::Partition`] header, or the keyblock following
-    /// [`WorkerResponse::ReduceDone`].
-    pub fn recv_raw(&mut self) -> Result<Vec<u8>, FrameError> {
-        match frame::read_frame(&mut self.reader)? {
-            Some(b) => Ok(b),
-            None => Err(FrameError::Io("worker closed the connection".into())),
-        }
+        Ok((reply, payload))
     }
 }
 
-/// Adapter giving the handshake one Read+Write view of the split
-/// buffered halves.
-struct Duplex<'c>(&'c mut WorkerConn);
-
-impl Read for Duplex<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.0.reader.read(buf)
-    }
-}
-
-impl Write for Duplex<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.writer.write(buf)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.0.writer.flush()
-    }
-}
-
-/// One request/one reply convenience call.
+/// The one RPC driver: dial, handshake, one request, its reply (and
+/// payload). Every coordinator → worker exchange is one `call` on a
+/// fresh connection.
 fn call(
     addr: &str,
     req: &WorkerRequest,
     timeout: Option<Duration>,
-) -> Result<WorkerResponse, FrameError> {
-    let mut conn = WorkerConn::dial(addr, timeout)?;
-    conn.send(req)?;
-    conn.recv()
+) -> Result<(WorkerResponse, Option<Vec<u8>>), FrameError> {
+    WorkerConn::dial(addr, timeout)?.request(req)
 }
 
 /// One job's remote executor: implements the engine's
@@ -730,10 +720,6 @@ struct Held {
 }
 
 impl RemoteJob<'_> {
-    pub fn job_id(&self) -> u64 {
-        self.job
-    }
-
     /// Broadcasts `Finish`, dropping the job's state on every worker.
     pub fn finish(&self) {
         for (i, slot) in self.fleet.slots.iter().enumerate() {
@@ -776,6 +762,35 @@ impl RemoteJob<'_> {
         ranked.sort_by_key(|&i| self.fleet.slots[i].pressured.load(Ordering::SeqCst));
         ranked
     }
+
+    /// The one walk over dispatch candidates: `attempt_on` each slot in
+    /// rank order until a worker *answers* — whatever it answers. An
+    /// `Err` is connection-level death: the worker died mid-attempt,
+    /// having committed nothing (map) and released nothing (reduce), so
+    /// it is marked dead and the same attempt moves to the next
+    /// candidate. `None` means no candidate answered.
+    fn dispatch<T>(
+        &self,
+        candidates: Vec<usize>,
+        mut attempt_on: impl FnMut(usize, &str) -> Result<T, FrameError>,
+    ) -> Option<T> {
+        let metrics = fleet_metrics();
+        for (nth, idx) in candidates.into_iter().enumerate() {
+            if nth > 0 {
+                metrics.tasks_reassigned.inc();
+            }
+            let slot = &self.fleet.slots[idx];
+            let started = Instant::now();
+            match attempt_on(idx, &slot.addr) {
+                Ok(reply) => {
+                    metrics.dispatch_seconds.observe_duration(started.elapsed());
+                    return Some(reply);
+                }
+                Err(_) => mark_dead(slot),
+            }
+        }
+        None
+    }
 }
 
 impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
@@ -804,84 +819,63 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                 }
             }
         }
-        if candidates.is_empty() {
-            return Err(MrError::Source("no live workers for map dispatch".into()));
-        }
-        let mut first = true;
-        for idx in candidates {
-            let slot = &self.fleet.slots[idx];
-            if !first {
-                fleet_metrics().tasks_reassigned.inc();
-            }
-            first = false;
-            let started = Instant::now();
-            slot.dispatching.fetch_add(1, Ordering::Relaxed);
+        let req = WorkerRequest::RunMap {
+            job: self.job,
+            task,
+            attempt,
+        };
+        let reply = self.dispatch(candidates, |idx, addr| {
             if !speculative {
                 self.in_flight.lock().unwrap().insert(task, idx);
             }
-            let result = call(
-                &slot.addr,
-                &WorkerRequest::RunMap {
-                    job: self.job,
-                    task,
-                    attempt,
-                },
-                None,
-            );
-            slot.dispatching.fetch_sub(1, Ordering::Relaxed);
+            let reply = call(addr, &req, None);
             if !speculative {
                 let mut in_flight = self.in_flight.lock().unwrap();
                 if in_flight.get(&task) == Some(&idx) {
                     in_flight.remove(&task);
                 }
             }
-            match result {
-                Ok(WorkerResponse::MapDone {
+            reply.map(|(reply, _)| (idx, reply))
+        });
+        match reply {
+            Some((
+                idx,
+                WorkerResponse::MapDone {
                     records_in,
                     records_out,
                     partitions,
                     ..
-                }) => {
-                    fleet_metrics()
-                        .dispatch_seconds
-                        .observe_duration(started.elapsed());
-                    Counters::add(&counters.map_records_in, records_in);
-                    Counters::add(&counters.map_records_out, records_out);
-                    self.placement.lock().unwrap().insert(
-                        (task, attempt),
-                        Held {
-                            slot: idx,
-                            reducers: partitions,
-                        },
-                    );
-                    return Ok(());
-                }
-                Ok(WorkerResponse::Failed { detail, fatal, .. }) => {
-                    // The worker is alive and the attempt itself
-                    // failed (injected fault, bad split): charge the
-                    // retry budget like a local failure.
-                    if fatal {
-                        return Err(MrError::TaskFailed {
-                            task: format!("map {task}"),
-                            cause: detail,
-                        });
-                    }
-                    return Err(MrError::Source(detail));
-                }
-                Ok(other) => {
-                    return Err(MrError::Source(format!(
-                        "unexpected reply to RunMap: {other:?}"
-                    )));
-                }
-                // Connection-level death: the worker died mid-attempt.
-                // Nothing committed; try the next candidate with the
-                // same attempt id.
-                Err(_) => mark_dead(slot),
+                },
+            )) => {
+                Counters::add(&counters.map_records_in, records_in);
+                Counters::add(&counters.map_records_out, records_out);
+                self.placement.lock().unwrap().insert(
+                    (task, attempt),
+                    Held {
+                        slot: idx,
+                        reducers: partitions,
+                    },
+                );
+                Ok(())
             }
+            // The worker is alive and the attempt itself failed
+            // (injected fault, bad split): charge the retry budget
+            // like a local failure.
+            Some((_, WorkerResponse::Failed { detail, fatal, .. })) => Err(if fatal {
+                MrError::TaskFailed {
+                    task: format!("map {task}"),
+                    cause: detail,
+                }
+            } else {
+                MrError::Source(detail)
+            }),
+            Some((_, other)) => Err(MrError::Source(format!(
+                "unexpected reply to RunMap: {other:?}"
+            ))),
+            None => Err(MrError::Source(format!(
+                "map {task}: no live worker answered the dispatch"
+            ))),
         }
-        Err(MrError::Source(format!(
-            "map {task}: every candidate worker died during dispatch"
-        )))
     }
 
     fn execute_reduce(
@@ -934,113 +928,72 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                 std::cmp::Reverse(holder_count.get(i).copied().unwrap_or(0)),
             )
         });
-        if candidates.is_empty() {
-            return Err(RemoteReduceError::AttemptFailed(
-                "no live workers for reduce dispatch".into(),
-            ));
-        }
-
-        let mut first = true;
-        for idx in candidates {
-            let slot = &self.fleet.slots[idx];
-            if !first {
-                fleet_metrics().tasks_reassigned.inc();
-            }
-            first = false;
-            let started = Instant::now();
-            slot.dispatching.fetch_add(1, Ordering::Relaxed);
-            let outcome = run_reduce_on(
-                &slot.addr,
-                self.job,
-                reducer,
-                &WorkerRequest::RunReduce {
-                    job: self.job,
-                    reducer,
-                    attempt,
-                    sources: locs.clone(),
-                    expected_raw,
-                },
-            );
-            slot.dispatching.fetch_sub(1, Ordering::Relaxed);
-            match outcome {
-                Ok(Ok((records, fetch_ms))) => {
-                    let m = fleet_metrics();
-                    m.dispatch_seconds.observe_duration(started.elapsed());
-                    m.fetch_seconds
-                        .observe(Duration::from_millis(fetch_ms).as_secs_f64());
-                    return Ok(records);
+        let req = WorkerRequest::RunReduce {
+            job: self.job,
+            reducer,
+            attempt,
+            sources: locs,
+            expected_raw,
+        };
+        // A reduce attempt releases nothing until it has replied, so a
+        // connection that breaks before the keyblock frame has arrived
+        // whole is the walk's business: same attempt, next worker.
+        let failed = RemoteReduceError::AttemptFailed;
+        let (emitted, fetch_ms, frame) =
+            match self.dispatch(candidates, |_, addr| call(addr, &req, None)) {
+                Some((WorkerResponse::ReduceDone { emitted, fetch_ms }, Some(frame))) => {
+                    (emitted, fetch_ms, frame)
                 }
-                Ok(Err(e)) => return Err(e),
-                // The worker died before its keyblock frame arrived, so
-                // it released nothing: same attempt, next worker.
-                Err(_) => mark_dead(slot),
-            }
+                Some((
+                    WorkerResponse::Failed {
+                        detail,
+                        fatal,
+                        lost_sources,
+                    },
+                    _,
+                )) => {
+                    return Err(if fatal {
+                        RemoteReduceError::Fatal(MrError::TaskFailed {
+                            task: "remote reduce".into(),
+                            cause: detail,
+                        })
+                    } else if !lost_sources.is_empty() {
+                        RemoteReduceError::SourcesLost(lost_sources)
+                    } else {
+                        failed(detail)
+                    });
+                }
+                Some((other, _)) => {
+                    return Err(failed(format!(
+                        "unexpected frame in reply to RunReduce: {other:?}"
+                    )))
+                }
+                None => {
+                    return Err(failed(format!(
+                        "reduce {reducer}: no live worker answered the dispatch"
+                    )))
+                }
+            };
+        // Nothing is committed unless the keyblock names this job, this
+        // reducer and the record count `ReduceDone` announced; a frame
+        // that fails any of those (or its CRC) costs the attempt.
+        let kb = binframe::decode_keyblock(&frame)
+            .map_err(|e| failed(format!("keyblock frame: {e}")))?;
+        if (kb.job, kb.reducer, kb.records.len() as u64) != (self.job, reducer, emitted) {
+            return Err(failed(format!(
+                "keyblock frame names job {} reducer {} with {} records, \
+                 not job {} reducer {reducer} with {emitted}",
+                kb.job,
+                kb.reducer,
+                kb.records.len(),
+                self.job
+            )));
         }
-        Err(RemoteReduceError::AttemptFailed(
-            "every candidate worker died during reduce dispatch".into(),
-        ))
+        fleet_metrics()
+            .fetch_seconds
+            .observe(Duration::from_millis(fetch_ms).as_secs_f64());
+        Ok(kb.records)
     }
-}
-
-/// A reduce attempt's keyblock and its worker-reported copy-phase
-/// wall time (ms), or how the attempt failed.
-type ReduceReply = Result<(Vec<(Coord, f64)>, u64), RemoteReduceError>;
-
-/// Drives one `RunReduce` call — `ReduceDone`, then the keyblock as
-/// one raw frame. Nothing is returned until the keyblock has arrived
-/// whole and names this `job`, this `reducer` and the record count
-/// `ReduceDone` announced; a frame that fails any of those (or its
-/// CRC) costs the attempt, never a commit. The outer `Err` is a
-/// connection that broke before that: the worker died, and a reduce
-/// attempt releases nothing until it has replied.
-fn run_reduce_on(
-    addr: &str,
-    job: u64,
-    reducer: usize,
-    req: &WorkerRequest,
-) -> Result<ReduceReply, FrameError> {
-    let mut conn = WorkerConn::dial(addr, None)?;
-    conn.send(req)?;
-    let (emitted, fetch_ms) = match conn.recv()? {
-        WorkerResponse::ReduceDone { emitted, fetch_ms } => (emitted, fetch_ms),
-        WorkerResponse::Failed {
-            detail,
-            fatal,
-            lost_sources,
-        } => {
-            return Ok(Err(if fatal {
-                RemoteReduceError::Fatal(MrError::TaskFailed {
-                    task: "remote reduce".into(),
-                    cause: detail,
-                })
-            } else if !lost_sources.is_empty() {
-                RemoteReduceError::SourcesLost(lost_sources)
-            } else {
-                RemoteReduceError::AttemptFailed(detail)
-            }));
-        }
-        other => {
-            return Ok(Err(RemoteReduceError::AttemptFailed(format!(
-                "unexpected frame in reply to RunReduce: {other:?}"
-            ))));
-        }
-    };
-    let frame = conn.recv_raw()?;
-    Ok(match binframe::decode_keyblock(&frame) {
-        Ok(kb) if (kb.job, kb.reducer, kb.records.len() as u64) == (job, reducer, emitted) => {
-            Ok((kb.records, fetch_ms))
-        }
-        Ok(kb) => Err(RemoteReduceError::AttemptFailed(format!(
-            "keyblock frame names job {} reducer {} with {} records, \
-             not job {job} reducer {reducer} with {emitted}",
-            kb.job,
-            kb.reducer,
-            kb.records.len()
-        ))),
-        Err(e) => Err(RemoteReduceError::AttemptFailed(format!(
-            "keyblock frame: {e}"
-        ))),
-    })
 }
 
 #[cfg(test)]

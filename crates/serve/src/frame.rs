@@ -28,7 +28,7 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// every incompatible message-shape change; the [`Hello`] handshake
 /// compares it so a mismatched pair of builds fails with a typed
 /// [`FrameError::VersionMismatch`] instead of deserialization garbage.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

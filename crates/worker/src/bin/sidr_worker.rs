@@ -11,9 +11,9 @@
 //! With `--memory-budget` the worker caps resident partition bytes:
 //! past the budget the coldest partitions degrade to a disk spill
 //! tier (read back and re-validated on fetch) instead of growing the
-//! heap without bound. `--fail-spills` is a chaos switch that makes
-//! every spill write fail as if the disk were full, for exercising
-//! the graceful-fallback path in integration tests.
+//! heap without bound. A spill directory that cannot be written (a
+//! full or read-only disk) degrades gracefully: those partitions stay
+//! pinned resident and the worker reports memory pressure.
 
 use std::path::PathBuf;
 
@@ -31,9 +31,7 @@ fn usage() -> ! {
          \x20                           past it the coldest partitions\n\
          \x20                           spill to disk (default unbounded)\n\
          \x20 --spill-dir PATH          spill directory (default: a\n\
-         \x20                           per-process temp directory)\n\
-         \x20 --fail-spills             chaos switch: every spill write\n\
-         \x20                           fails as if the disk were full"
+         \x20                           per-process temp directory)"
     );
     std::process::exit(2);
 }
@@ -75,7 +73,6 @@ fn main() {
                     args.get(i).cloned().unwrap_or_else(|| usage()),
                 ));
             }
-            "--fail-spills" => options.fail_spills = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }

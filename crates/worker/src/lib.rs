@@ -25,7 +25,7 @@
 //! Every connection must open with the version/role [`Hello`]
 //! handshake; a worker accepts nothing else.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -35,7 +35,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sidr_core::exec::SpecExecutor;
-use sidr_core::spec::JobSpec;
 use sidr_core::SidrError;
 // The workspace sync facade (parking_lot in normal builds): a task
 // thread that panics while holding a lock unwinds cleanly instead of
@@ -44,18 +43,11 @@ use sidr_mapreduce::sync::Mutex;
 use sidr_mapreduce::tier::{PartitionStore, TierConfig};
 use sidr_mapreduce::MrError;
 use sidr_serve::binframe;
-use sidr_serve::fleet::{PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse};
+use sidr_serve::fleet::{
+    send_reply, PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
+};
 use sidr_serve::frame::{self, Hello, Role};
 use sidr_serve::WorkerStat;
-
-/// One prepared job's state on this worker. Partition bytes live in
-/// the process-wide [`PartitionStore`], which alone decides whether a
-/// partition is held.
-struct JobStore {
-    exec: Arc<SpecExecutor>,
-    /// Map generations committed here (what a kill takes with it).
-    committed: HashSet<(usize, u32)>,
-}
 
 /// Resource configuration of one worker process.
 #[derive(Clone, Debug, Default)]
@@ -64,14 +56,14 @@ pub struct WorkerOptions {
     pub budget_bytes: u64,
     /// Spill directory; defaults to a per-process temp directory.
     pub spill_dir: Option<PathBuf>,
-    /// Chaos switch: every spill write fails as if the disk were full.
-    pub fail_spills: bool,
 }
 
 /// Shared state of one worker process.
 struct Shared {
     addr: Mutex<Option<SocketAddr>>,
-    jobs: Mutex<HashMap<u64, JobStore>>,
+    /// Prepared jobs' executors. Partition bytes live in `store`,
+    /// which alone decides whether a partition is held.
+    jobs: Mutex<HashMap<u64, Arc<SpecExecutor>>>,
     /// All partition bytes, both tiers, across jobs — the byte budget
     /// is per worker process, not per job.
     store: PartitionStore,
@@ -82,38 +74,9 @@ struct Shared {
     tasks_in_flight: AtomicU64,
     map_attempts: AtomicU64,
     reduce_attempts: AtomicU64,
-    /// Test knobs: artificial per-source fetch cost and pre-merge
-    /// pause, so chaos tests can land a kill deterministically inside
-    /// the copy phase or between a reduce's copy and its merge. Re-read on
-    /// every tick of the pause loop, so a large value acts as a gate
-    /// a test can hold closed across a kill and then reopen.
-    fetch_delay_ms: AtomicU64,
-    reduce_delay_ms: AtomicU64,
-    /// Reducers whose attempt has finished copying and is held at the
-    /// pre-merge pause — what a chaos test waits on before killing a
-    /// worker that is provably past its copy phase.
-    held_reduces: Mutex<Vec<usize>>,
 }
 
 impl Shared {
-    /// Waits out the artificial delay a knob currently asks for,
-    /// re-reading it each tick (a test lowering the knob releases
-    /// in-flight pauses immediately). Returns `false` if the worker
-    /// died while pausing.
-    fn pause(&self, knob: &AtomicU64) -> bool {
-        let started = Instant::now();
-        loop {
-            if self.dead.load(Ordering::SeqCst) {
-                return false;
-            }
-            let delay = Duration::from_millis(knob.load(Ordering::SeqCst));
-            if started.elapsed() >= delay {
-                return true;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-    }
-
     fn stat(&self) -> WorkerStat {
         let pressure = self.store.pressure();
         WorkerStat {
@@ -157,7 +120,7 @@ impl Worker {
     }
 
     /// Binds and starts serving with an explicit resource
-    /// configuration (memory budget, spill directory, chaos knobs).
+    /// configuration (memory budget, spill directory).
     pub fn spawn_with(addr: impl ToSocketAddrs, options: WorkerOptions) -> std::io::Result<Worker> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -170,7 +133,6 @@ impl Worker {
         });
         let tier_cfg = TierConfig {
             budget_bytes: options.budget_bytes,
-            fail_all_spills: options.fail_spills,
         };
         let shared = Arc::new(Shared {
             addr: Mutex::new(Some(local)),
@@ -181,9 +143,6 @@ impl Worker {
             tasks_in_flight: AtomicU64::new(0),
             map_attempts: AtomicU64::new(0),
             reduce_attempts: AtomicU64::new(0),
-            fetch_delay_ms: AtomicU64::new(0),
-            reduce_delay_ms: AtomicU64::new(0),
-            held_reduces: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
@@ -224,44 +183,6 @@ impl Worker {
     /// Point-in-time self-report (what a `Ping` returns).
     pub fn stat(&self) -> WorkerStat {
         self.shared.stat()
-    }
-
-    /// Map generations currently committed on this worker, sorted.
-    /// Chaos tests capture this immediately before [`Worker::kill`]:
-    /// it is the ground truth for which maps the fault layer must
-    /// re-execute.
-    pub fn committed_maps(&self, job: u64) -> Vec<(usize, u32)> {
-        let jobs = self.shared.jobs.lock();
-        let mut v: Vec<(usize, u32)> = jobs
-            .get(&job)
-            .map(|j| j.committed.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
-    /// Artificial per-source-partition fetch cost in a reduce's copy
-    /// phase (test knob: widens the window for a mid-shuffle-fetch
-    /// kill).
-    pub fn set_fetch_delay(&self, d: Duration) {
-        self.shared
-            .fetch_delay_ms
-            .store(d.as_millis() as u64, Ordering::SeqCst);
-    }
-
-    /// Artificial pause between a reduce's copy phase and its merge
-    /// (test knob: holds reduces open so a kill lands before any
-    /// completes).
-    pub fn set_reduce_delay(&self, d: Duration) {
-        self.shared
-            .reduce_delay_ms
-            .store(d.as_millis() as u64, Ordering::SeqCst);
-    }
-
-    /// Reducers currently held at the [`Worker::set_reduce_delay`]
-    /// pause: their copy phase is complete, their merge has not begun.
-    pub fn held_reduces(&self) -> Vec<usize> {
-        self.shared.held_reduces.lock().clone()
     }
 
     /// Simulates the process dying: stop accepting, sever every live
@@ -342,39 +263,32 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
             }
             WorkerRequest::Prepare {
                 job,
-                spec_json,
+                spec,
                 input,
                 opts,
             } => {
-                let resp = match JobSpec::from_json(&spec_json) {
-                    Ok(spec) => {
-                        // Invert `I_ℓ` into per-map pending-consumer
-                        // counts: the tier ranks spill victims coldest
-                        // first, and "cold" is "few reducers still
-                        // waiting on this map's partitions".
-                        let mut pending = vec![0u64; spec.splits.len()];
-                        for deps in &spec.reduce_deps {
-                            for &m in deps {
-                                if let Some(c) = pending.get_mut(m) {
-                                    *c += 1;
-                                }
-                            }
+                // A coordinator that restarted counts its jobs from 1
+                // again: whatever an earlier job of this id left here
+                // (its `Finish` never came) goes first.
+                finish_job(&shared, job);
+                // Invert `I_ℓ` into per-map pending-consumer counts:
+                // the tier ranks spill victims coldest first, and
+                // "cold" is "few reducers still waiting on this map's
+                // partitions".
+                let mut pending = vec![0u64; spec.splits.len()];
+                for deps in &spec.reduce_deps {
+                    for &m in deps {
+                        if let Some(c) = pending.get_mut(m) {
+                            *c += 1;
                         }
-                        let fault_plan = opts.fault_plan.clone();
-                        match SpecExecutor::new(Path::new(&input), spec, opts) {
-                            Ok(exec) => {
-                                shared.store.prepare_job(job, fault_plan, &pending);
-                                shared.jobs.lock().insert(
-                                    job,
-                                    JobStore {
-                                        exec: Arc::new(exec),
-                                        committed: HashSet::new(),
-                                    },
-                                );
-                                WorkerResponse::Prepared { job }
-                            }
-                            Err(e) => failed(format!("prepare job {job}: {e}"), false),
-                        }
+                    }
+                }
+                let fault_plan = opts.fault_plan.clone();
+                let resp = match SpecExecutor::new(Path::new(&input), spec, opts) {
+                    Ok(exec) => {
+                        shared.store.prepare_job(job, fault_plan, &pending);
+                        shared.jobs.lock().insert(job, Arc::new(exec));
+                        WorkerResponse::Prepared { job }
                     }
                     Err(e) => failed(format!("prepare job {job}: {e}"), false),
                 };
@@ -410,18 +324,15 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                     Some(_) => PartitionStatus::Data,
                     None => PartitionStatus::Missing,
                 };
-                frame::send(&mut writer, &WorkerResponse::Partition { status }).is_ok()
-                    && held.is_none_or(|bytes| frame::write_frame(&mut writer, &bytes).is_ok())
+                let bytes = held.as_ref().map(|b| b.as_slice());
+                send_reply(&mut writer, &WorkerResponse::Partition { status }, bytes).is_ok()
             }
             WorkerRequest::Release { job, reducer, maps } => {
                 release(&shared, job, reducer, &maps);
                 frame::send(&mut writer, &WorkerResponse::Released).is_ok()
             }
             WorkerRequest::Finish { job } => {
-                shared.jobs.lock().remove(&job);
-                // Sweep both tiers: intermediate data leaves no spill
-                // files behind after the job ends.
-                shared.store.remove_job(job);
+                finish_job(&shared, job);
                 frame::send(&mut writer, &WorkerResponse::Finished).is_ok()
             }
         };
@@ -430,6 +341,14 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
         }
         let _ = writer.flush();
     }
+}
+
+/// Drops everything this worker holds for `job`: its executor and,
+/// in both tiers, its partitions — intermediate data leaves no spill
+/// files behind after the job ends.
+fn finish_job(shared: &Shared, job: u64) {
+    shared.jobs.lock().remove(&job);
+    shared.store.remove_job(job);
 }
 
 /// Armed count of task attempts that should panic on entry (test
@@ -482,7 +401,7 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
     let exec = {
         let jobs = shared.jobs.lock();
         match jobs.get(&job) {
-            Some(j) => Arc::clone(&j.exec),
+            Some(exec) => Arc::clone(exec),
             None => return failed(format!("job {job} is not prepared here"), false),
         }
     };
@@ -519,16 +438,13 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
                     .store
                     .insert((job, task, reducer, attempt), Arc::new(bytes));
             }
-            let mut jobs = shared.jobs.lock();
-            let Some(store) = jobs.get_mut(&job) else {
+            if !shared.jobs.lock().contains_key(&job) {
                 // Finish raced the map; drop what we just stored.
-                drop(jobs);
                 for &reducer in &partitions {
                     shared.store.remove(&(job, task, reducer, attempt));
                 }
                 return failed(format!("job {job} vanished mid-map"), false);
-            };
-            store.committed.insert((task, attempt));
+            }
             WorkerResponse::MapDone {
                 job,
                 task,
@@ -600,7 +516,7 @@ fn run_reduce(
     let exec = {
         let jobs = shared.jobs.lock();
         match jobs.get(&job) {
-            Some(j) => Arc::clone(&j.exec),
+            Some(exec) => Arc::clone(exec),
             None => {
                 return frame::send(
                     writer,
@@ -672,9 +588,6 @@ fn run_reduce_inner(
     // for the release that follows the reply.
     let mut peers: HashMap<&str, WorkerConn> = HashMap::new();
     for src in sources {
-        if !shared.pause(&shared.fetch_delay_ms) {
-            return false;
-        }
         if src.holder == self_addr {
             match peek_partition(shared, job, src.map, reducer, src.epoch) {
                 Some(bytes) => partitions.push(bytes),
@@ -695,21 +608,13 @@ fn run_reduce_inner(
             }
         }
         let conn = peers.get_mut(src.holder.as_str()).expect("just inserted");
-        let fetched = conn
-            .send(&WorkerRequest::FetchPartition {
-                job,
-                map: src.map,
-                reducer,
-                epoch: src.epoch,
-            })
-            .and_then(|()| conn.recv());
-        match fetched {
-            Ok(WorkerResponse::Partition {
-                status: PartitionStatus::Data,
-            }) => match conn.recv_raw() {
-                Ok(bytes) => partitions.push(Arc::new(bytes)),
-                Err(_) => lost.push(src.map),
-            },
+        match conn.request(&WorkerRequest::FetchPartition {
+            job,
+            map: src.map,
+            reducer,
+            epoch: src.epoch,
+        }) {
+            Ok((WorkerResponse::Partition { .. }, Some(bytes))) => partitions.push(Arc::new(bytes)),
             _ => lost.push(src.map),
         }
     }
@@ -727,13 +632,6 @@ fn run_reduce_inner(
         .is_ok();
     }
     let fetch_ms = fetch_started.elapsed().as_millis() as u64;
-
-    shared.held_reduces.lock().push(reducer);
-    let alive = shared.pause(&shared.reduce_delay_ms);
-    shared.held_reduces.lock().retain(|&r| r != reducer);
-    if !alive {
-        return false;
-    }
 
     // --- merge & reply ----------------------------------------------
     // A keyblock that cannot be one frame (mixed coordinate ranks, or
@@ -757,9 +655,8 @@ fn run_reduce_inner(
             .is_ok()
         }
     };
-    if frame::send(writer, &WorkerResponse::ReduceDone { emitted, fetch_ms }).is_err()
-        || frame::write_frame(writer, &keyblock).is_err()
-    {
+    let done = WorkerResponse::ReduceDone { emitted, fetch_ms };
+    if send_reply(writer, &done, Some(&keyblock)).is_err() {
         return false;
     }
 
@@ -778,9 +675,7 @@ fn run_reduce_inner(
             // A holder dying *during* release changes nothing: whatever
             // it still held is gone with it, which is exactly what
             // release was about to record.
-            let _ = conn
-                .send(&WorkerRequest::Release { job, reducer, maps })
-                .and_then(|()| conn.recv());
+            let _ = conn.request(&WorkerRequest::Release { job, reducer, maps });
         }
     }
     true

@@ -3,9 +3,14 @@
 //! worker killed mid-job must cost exactly the maps whose output it
 //! held (§6) — no global or whole-`I_ℓ` re-execution, no lost or
 //! duplicated keyblocks.
+//!
+//! A fleet fault is a `FaultPlan` entry (what misbehaves) or a script
+//! on the wire (which frame is held or tampered): a scenario that needs
+//! an interleaving puts a proxy in front of every worker ([`Seam`]) and
+//! gates on the frames it sees there; the workers are the plain daemon.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -15,14 +20,15 @@ use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
+use sidr_mapreduce::executor::TaskExecutor;
 use sidr_mapreduce::{
-    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult, SlotPool,
-    SpeculationPolicy, SplitGenerator, TaskKind,
+    reexecuted_maps, Counters, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult,
+    SlotPool, SpeculationPolicy, SplitGenerator, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
 use sidr_serve::binframe::{decode_keyblock, encode_keyblock};
-use sidr_serve::fleet::{PartitionStatus, WorkerConn, WorkerRequest, WorkerResponse};
+use sidr_serve::fleet::{send_reply, WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Hello, Role};
 use sidr_serve::{Client, Fleet, FleetConfig, Server, ServerConfig, SubmitOptions};
 use sidr_worker::{Worker, WorkerOptions};
@@ -86,9 +92,12 @@ fn spawn_workers(n: usize) -> Vec<Worker> {
         .collect()
 }
 
+fn addrs(workers: &[Worker]) -> Vec<String> {
+    workers.iter().map(|w| w.addr().to_string()).collect()
+}
+
 fn fleet_of(workers: &[Worker]) -> Fleet {
-    let addrs = workers.iter().map(|w| w.addr().to_string()).collect();
-    Fleet::connect(FleetConfig::new(addrs)).expect("fleet connects")
+    Fleet::connect(FleetConfig::new(addrs(workers))).expect("fleet connects")
 }
 
 fn exec_opts(fault_plan: FaultPlan) -> ExecOptions {
@@ -140,47 +149,44 @@ fn run_local_counted(spec: &JobSpec, input: &str) -> (JobResult, Keyblocks) {
 ///
 /// Reduce slots cover every keyblock so all reduces dispatch up
 /// front: under inverted scheduling a map only becomes eligible once
-/// a reduce wanting it has started, and the chaos tests gate the copy
-/// phase, so queued-up reduces would never free a slot.
+/// a reduce wanting it has started, and the chaos tests hold reduce
+/// dispatches at the door, so queued-up reduces would never free a
+/// slot.
 ///
-/// If the choreography itself panics, every worker's gates reopen so
-/// the engine run can finish and the panic surfaces as a test failure
-/// instead of deadlocking the scope.
+/// However the choreography ends, `gates` (every gate a script of this
+/// run parks frames at) open with it: the engine run can finish, and a
+/// panic in `mid_job` surfaces as a test failure instead of
+/// deadlocking the scope.
 fn run_distributed(
-    workers: &[Worker],
     fleet: &Fleet,
     spec: &JobSpec,
     input: &str,
-    opts: ExecOptions,
-    mid_job: impl FnOnce(u64) + Send,
+    plan: FaultPlan,
+    gates: &[Gate],
+    mid_job: impl FnOnce() + Send,
 ) -> (JobResult, Keyblocks) {
-    run_distributed_with(workers, fleet, spec, input, opts, &run_opts(), mid_job)
+    let opts = exec_opts(plan);
+    run_distributed_with(fleet, spec, input, opts, &run_opts(), gates, mid_job)
 }
 
-/// [`run_distributed`] with explicit engine-side run options (the
-/// speculation tests need a non-default policy).
+/// [`run_distributed`] with explicit worker- and engine-side options
+/// (push-down; the speculation tests' non-default policy).
 fn run_distributed_with(
-    workers: &[Worker],
     fleet: &Fleet,
     spec: &JobSpec,
     input: &str,
     opts: ExecOptions,
     ropts: &SpecRunOptions,
-    mid_job: impl FnOnce(u64) + Send,
+    gates: &[Gate],
+    mid_job: impl FnOnce() + Send,
 ) -> (JobResult, Keyblocks) {
     let remote = fleet.prepare_job(spec, input, &opts).expect("prepare");
     let pool = SlotPool::new(4, spec.num_reducers).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = thread::scope(|s| {
         let runner = s.spawn(|| run_spec_with_executor(spec, ropts, &out, &pool, None, &remote));
-        let mid =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mid_job(remote.job_id())));
-        if mid.is_err() {
-            for w in workers {
-                w.set_fetch_delay(Duration::ZERO);
-                w.set_reduce_delay(Duration::ZERO);
-            }
-        }
+        let mid = std::panic::catch_unwind(std::panic::AssertUnwindSafe(mid_job));
+        gates.iter().for_each(Gate::open);
         let result = runner.join().expect("runner thread");
         if let Err(panic) = mid {
             std::panic::resume_unwind(panic);
@@ -192,13 +198,8 @@ fn run_distributed_with(
     (result, keyblock_commits(&out))
 }
 
-/// Total maps committed across the fleet for `job`.
-fn committed_total(workers: &[Worker], job: u64) -> usize {
-    workers.iter().map(|w| w.committed_maps(job).len()).sum()
-}
-
-/// Spins until `pred` holds (10 s cap — generous; loopback runs hit
-/// these conditions in tens of milliseconds).
+/// Spins until `pred` — over state the test itself owns — holds
+/// (≤ 10 s; loopback runs get there in tens of milliseconds).
 fn wait_until(mut pred: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !pred() {
@@ -207,16 +208,134 @@ fn wait_until(mut pred: impl FnMut() -> bool) {
     }
 }
 
-/// The tasks whose committed map output `worker` holds for `job`
-/// (sorted): what a kill takes with it.
-fn held_maps(worker: &Worker, job: u64) -> Vec<usize> {
-    let mut held: Vec<usize> = worker
-        .committed_maps(job)
-        .into_iter()
-        .map(|(task, _attempt)| task)
-        .collect();
-    held.dedup();
-    held
+/// A door on the wire: a proxy script parks the frames it holds in
+/// `wait` until the choreography opens it (or ends).
+#[derive(Default)]
+struct Gate(Mutex<bool>, Condvar);
+
+impl Gate {
+    fn wait(&self) {
+        let mut open = self.0.lock().unwrap();
+        while !*open {
+            open = self.1.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        *self.0.lock().unwrap() = true;
+        self.1.notify_all();
+    }
+}
+
+/// One frame crossing a proxy, as the scenario's script sees it.
+enum Crossing<'a> {
+    /// A request not yet forwarded: a script blocking here holds it.
+    Door(&'a WorkerRequest),
+    /// The worker's answer (and the raw frame after it, if any), not
+    /// yet relayed: a script may block, or tamper.
+    Reply(
+        &'a WorkerRequest,
+        &'a mut WorkerResponse,
+        Option<&'a mut Vec<u8>>,
+    ),
+}
+
+/// One logged crossing, `(worker, request, reply)`: no reply yet at the
+/// door, then the worker's own words, before any tampering.
+type Logged = (usize, WorkerRequest, Option<WorkerResponse>);
+
+/// The fleet's wire as a test owns it. With a proxy in front of every
+/// worker the coordinator lists the proxies, so peers dial them too:
+/// every frame of the job — self-fetches included — crosses here, is
+/// logged, and then passes through the scenario's script.
+struct Seam {
+    /// One per worker, for scripts to park frames at.
+    gates: Vec<Gate>,
+    log: Mutex<Vec<Logged>>,
+}
+
+impl Seam {
+    /// What `pick` makes of the crossings so far, in order.
+    fn seen<T>(&self, pick: impl Fn(&Logged) -> Option<T>) -> Vec<T> {
+        self.log.lock().unwrap().iter().filter_map(pick).collect()
+    }
+
+    fn count(&self, wanted: impl Fn(&Logged) -> bool) -> usize {
+        self.seen(|crossing| wanted(crossing).then_some(())).len()
+    }
+
+    /// Placement, read off the wire: `(worker, task, attempt)` of every
+    /// `MapDone` relayed so far — what a kill of that worker takes.
+    fn maps_done(&self) -> Vec<(usize, usize, u32)> {
+        self.seen(|crossing| match crossing {
+            (w, _, Some(WorkerResponse::MapDone { task, attempt, .. })) => {
+                Some((*w, *task, *attempt))
+            }
+            _ => None,
+        })
+    }
+}
+
+/// The worker index occurring most often in `placed`: the
+/// highest-impact victim.
+fn busiest(placed: &[usize]) -> usize {
+    let count = |v: &usize| placed.iter().filter(|w| *w == v).count();
+    *(placed.iter().max_by_key(|w| count(w))).expect("something was placed")
+}
+
+/// A fleet with a man-in-the-middle in front of each of `upstreams`
+/// (worker addresses, listening yet or not): proxy `w` relays every
+/// request on every connection to worker `w`, logging each crossing
+/// and passing it through `script` — at the door, before the worker
+/// sees the request, and with the reply, before the dialer sees that.
+fn proxied_fleet(
+    upstreams: Vec<String>,
+    script: impl Fn(&Seam, usize, Crossing<'_>) + Send + Sync + 'static,
+) -> (Fleet, Arc<Seam>) {
+    let seam = Arc::new(Seam {
+        gates: upstreams.iter().map(|_| Gate::default()).collect(),
+        log: Mutex::default(),
+    });
+    let script = Arc::new(script);
+    let mut proxies = Vec::new();
+    for (w, upstream) in upstreams.into_iter().enumerate() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        proxies.push(listener.local_addr().unwrap().to_string());
+        let (seam, script) = (Arc::clone(&seam), Arc::clone(&script));
+        thread::spawn(move || {
+            for conn in listener.incoming() {
+                let (mut conn, upstream) = (conn.unwrap(), upstream.clone());
+                let (seam, script) = (Arc::clone(&seam), Arc::clone(&script));
+                // One relayed connection; ends when either side hangs up.
+                thread::spawn(move || -> Option<()> {
+                    let hello = frame::recv::<Hello>(&mut conn).ok()??;
+                    let mut up = WorkerConn::dial_as(&upstream, hello.role, None).ok()?;
+                    frame::handshake_accept(&mut conn, &hello, Role::Worker).ok()?;
+                    while let Ok(Some(req)) = frame::recv::<WorkerRequest>(&mut conn) {
+                        seam.log.lock().unwrap().push((w, req.clone(), None));
+                        script(&seam, w, Crossing::Door(&req));
+                        let (mut reply, mut raw) = up.request(&req).ok()?;
+                        let entry = (w, req.clone(), Some(reply.clone()));
+                        seam.log.lock().unwrap().push(entry);
+                        script(&seam, w, Crossing::Reply(&req, &mut reply, raw.as_mut()));
+                        send_reply(&mut conn, &reply, raw.as_deref()).ok()?;
+                    }
+                    Some(())
+                });
+            }
+        });
+    }
+    let fleet = Fleet::connect(FleetConfig::new(proxies)).expect("fleet connects");
+    (fleet, seam)
+}
+
+/// The script most chaos scenarios run: every reduce dispatch waits at
+/// its worker's door, so until the gates open no source is fetched or
+/// released, and a worker killed meanwhile takes its attempts with it.
+fn hold_reduces(seam: &Seam, w: usize, x: Crossing<'_>) {
+    if let Crossing::Door(WorkerRequest::RunReduce { .. }) = x {
+        seam.gates[w].wait();
+    }
 }
 
 /// Tentpole e2e at fig08 scale: a 3-worker loopback fleet streams the
@@ -230,14 +349,7 @@ fn fleet_output_is_byte_identical_to_single_process() {
 
     let workers = spawn_workers(3);
     let fleet = fleet_of(&workers);
-    let (result, got) = run_distributed(
-        &workers,
-        &fleet,
-        &spec,
-        &input,
-        exec_opts(FaultPlan::none()),
-        |_| {},
-    );
+    let (result, got) = run_distributed(&fleet, &spec, &input, FaultPlan::none(), &[], || {});
 
     assert_eq!(got.len(), 11, "one commit per keyblock");
     assert_eq!(got, expected, "streamed keyblocks must match exactly");
@@ -258,62 +370,57 @@ fn fleet_output_is_byte_identical_to_single_process() {
     assert_eq!(map_attempts as usize, spec.splits.len());
 }
 
-/// Kill a worker whose reduces have finished copying and are about to
-/// merge. A reduce attempt touches nothing until it has replied, so a
-/// death anywhere before its keyblock frame is one path: the same
-/// attempt runs on the next worker, uncharged, finds the victim's
-/// partitions gone, and recovery re-executes exactly the maps the
-/// victim held for those reducers — every survivor's finished copy is
-/// undisturbed. Output matches the reference bit-for-bit.
+/// Kill a worker whose reduce attempts are dispatched and unanswered,
+/// once the survivors' reduces have replied. A reduce attempt touches
+/// nothing until it has replied, so a death anywhere before its
+/// keyblock frame is one path: the same attempt runs on the next
+/// worker, uncharged, finds the victim's partitions gone, and recovery
+/// re-executes exactly the maps the victim held for *those* reducers.
+/// Output matches the reference bit-for-bit.
 #[test]
 fn worker_death_mid_reduce_reexecutes_exactly_its_maps() {
     let (spec, input) = tiny_fixture("midreduce");
     let expected = run_local(&spec, &input);
+    let deps = &spec.reduce_deps;
 
     let workers = spawn_workers(3);
-    // Hold every reduce between its copy and its merge until the kill
-    // has landed. (The knob is re-read every pause tick, so setting it
-    // back to zero releases the held attempts.)
-    for w in &workers {
-        w.set_reduce_delay(Duration::from_secs(600));
-    }
-    let fleet = fleet_of(&workers);
+    let (fleet, seam) = proxied_fleet(addrs(&workers), hold_reduces);
+    // `(worker, reducer)` of each reduce dispatch that reached a door,
+    // and how many attempts have answered with a keyblock.
+    let dispatched = || {
+        seam.seen(|crossing| match crossing {
+            (w, WorkerRequest::RunReduce { reducer, .. }, None) => Some((*w, *reducer)),
+            _ => None,
+        })
+    };
+    let replied = || seam.count(|c| matches!(c.2, Some(WorkerResponse::ReduceDone { .. })));
 
     let mut lost_maps: Vec<usize> = Vec::new();
-    let (result, got) = {
-        let workers = &workers;
-        let lost = &mut lost_maps;
-        let deps = &spec.reduce_deps;
-        run_distributed(
-            workers,
-            &fleet,
-            &spec,
-            &input,
-            exec_opts(FaultPlan::none()),
-            move |job| {
-                // Every reducer has copied all its sources.
-                wait_until(|| {
-                    workers
-                        .iter()
-                        .map(|w| w.held_reduces().len())
-                        .sum::<usize>()
-                        == deps.len()
-                });
-                let victim = workers
-                    .iter()
-                    .max_by_key(|w| w.held_reduces().len())
-                    .expect("non-empty fleet");
-                let merging = victim.held_reduces();
-                *lost = held_maps(victim, job);
-                lost.retain(|m| merging.iter().any(|&r| deps[r].contains(m)));
-                assert!(!lost.is_empty(), "a reduce runs where its sources are");
-                victim.kill();
-                for w in workers.iter() {
-                    w.set_reduce_delay(Duration::ZERO);
-                }
-            },
-        )
-    };
+    let clean = FaultPlan::none();
+    let (result, got) = run_distributed(&fleet, &spec, &input, clean, &seam.gates, || {
+        // Every reducer is dispatched, so every map has committed.
+        wait_until(|| dispatched().len() == deps.len());
+        let at_door = dispatched();
+        let victim = busiest(&at_door.iter().map(|d| d.0).collect::<Vec<_>>());
+        let dying: Vec<usize> = (at_door.iter().filter(|d| d.0 == victim).map(|d| d.1)).collect();
+        // The survivors' reduces run to their replies; the victim's
+        // stay at its door.
+        for (w, gate) in seam.gates.iter().enumerate() {
+            if w != victim {
+                gate.open();
+            }
+        }
+        wait_until(|| replied() == deps.len() - dying.len());
+        lost_maps = seam
+            .maps_done()
+            .into_iter()
+            .filter(|&(w, m, _)| w == victim && dying.iter().any(|&r| deps[r].contains(&m)))
+            .map(|(_, m, _)| m)
+            .collect();
+        lost_maps.sort_unstable();
+        assert!(!lost_maps.is_empty(), "a reduce runs where its sources are");
+        workers[victim].kill();
+    });
 
     assert_eq!(
         reexecuted_maps(&result.events),
@@ -327,10 +434,11 @@ fn worker_death_mid_reduce_reexecutes_exactly_its_maps() {
     assert_eq!(got, expected, "output must survive the kill unchanged");
 }
 
-/// Kill a worker while one map attempt is still running somewhere in
-/// the fleet: the straggling attempt is re-dispatched at the same
-/// attempt number (not a recovery re-execution), and only the
-/// victim's *committed* maps are re-executed.
+/// Kill a worker while one map attempt is still in flight somewhere in
+/// the fleet — its dispatch held at a door: the attempt is
+/// re-dispatched at the same attempt number (not a recovery
+/// re-execution), and only the victim's *committed* maps are
+/// re-executed.
 #[test]
 fn worker_death_mid_map_reexecutes_only_committed_maps() {
     let (spec, input) = tiny_fixture("midmap");
@@ -338,50 +446,28 @@ fn worker_death_mid_map_reexecutes_only_committed_maps() {
     let num_maps = spec.splits.len();
     let straggler = num_maps - 1;
 
-    // The last task straggles on its first attempt — the fault script
-    // ships to the workers through ExecOptions, so the delay happens
-    // wherever the attempt lands. Long enough that the kill always
-    // beats the straggler's commit.
-    let plan = FaultPlan::none().with(
-        FaultTarget::Map(straggler),
-        0,
-        FaultKind::Straggle { delay_ms: 3_000 },
-    );
-
     let workers = spawn_workers(3);
-    for w in &workers {
-        w.set_fetch_delay(Duration::from_secs(600));
-    }
-    let fleet = fleet_of(&workers);
+    let (fleet, seam) = proxied_fleet(addrs(&workers), move |seam, w, x| match x {
+        Crossing::Door(WorkerRequest::RunMap { task, .. }) if *task == straggler => {
+            seam.gates[w].wait()
+        }
+        x => hold_reduces(seam, w, x),
+    });
 
     let mut lost_maps: Vec<usize> = Vec::new();
-    let (result, got) = {
-        let workers = &workers;
-        let lost = &mut lost_maps;
-        run_distributed(
-            workers,
-            &fleet,
-            &spec,
-            &input,
-            exec_opts(plan),
-            move |job| {
-                // All maps but the straggler commit, then the kill lands
-                // while the straggling attempt is still in flight.
-                wait_until(|| committed_total(workers, job) >= num_maps - 1);
-                thread::sleep(Duration::from_millis(50));
-                // The highest-impact victim: the most committed maps.
-                let victim = workers
-                    .iter()
-                    .max_by_key(|w| w.committed_maps(job).len())
-                    .expect("non-empty fleet");
-                *lost = held_maps(victim, job);
-                victim.kill();
-                for w in workers.iter() {
-                    w.set_fetch_delay(Duration::ZERO);
-                }
-            },
-        )
-    };
+    let clean = FaultPlan::none();
+    let (result, got) = run_distributed(&fleet, &spec, &input, clean, &seam.gates, || {
+        // All maps but the straggler have committed and the straggler's
+        // dispatch is on the wire: the kill lands mid-attempt.
+        let straggling =
+            |c: &Logged| matches!(c.1, WorkerRequest::RunMap { task, .. } if task == straggler);
+        wait_until(|| seam.maps_done().len() == num_maps - 1 && seam.count(straggling) > 0);
+        let done = seam.maps_done();
+        let victim = busiest(&done.iter().map(|d| d.0).collect::<Vec<_>>());
+        lost_maps = done.iter().filter(|d| d.0 == victim).map(|d| d.1).collect();
+        lost_maps.sort_unstable();
+        workers[victim].kill();
+    });
 
     let reexecuted = reexecuted_maps(&result.events);
     assert_eq!(
@@ -390,50 +476,6 @@ fn worker_death_mid_map_reexecutes_only_committed_maps() {
          re-dispatches at its original attempt"
     );
     assert_eq!(got, expected, "output must survive the kill unchanged");
-}
-
-/// A man-in-the-middle on the coordinator ↔ worker protocol: relays
-/// every request, on every connection, to the real worker at
-/// `upstream`, and passes each reply through `hook(request, reply,
-/// raw)` before forwarding it — `raw` is the frame that follows a
-/// `ReduceDone` or `Partition { Data }` header. The hook may block (to
-/// force an interleaving) or tamper. A fleet lists the returned
-/// address in place of the worker's.
-fn spawn_proxy(
-    upstream: String,
-    hook: impl Fn(&WorkerRequest, &mut WorkerResponse, Option<&mut Vec<u8>>) + Send + Sync + 'static,
-) -> String {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let hook = Arc::new(hook);
-    thread::spawn(move || {
-        for conn in listener.incoming() {
-            let (mut conn, upstream, hook) = (conn.unwrap(), upstream.clone(), Arc::clone(&hook));
-            // One relayed connection; ends when either side hangs up.
-            thread::spawn(move || -> Option<()> {
-                let hello = frame::recv::<Hello>(&mut conn).ok()??;
-                let mut up = WorkerConn::dial_as(&upstream, hello.role, None).ok()?;
-                frame::handshake_accept(&mut conn, &hello, Role::Worker).ok()?;
-                while let Ok(Some(req)) = frame::recv::<WorkerRequest>(&mut conn) {
-                    let mut reply = up.send(&req).and_then(|()| up.recv()).ok()?;
-                    let mut raw = match reply {
-                        WorkerResponse::ReduceDone { .. }
-                        | WorkerResponse::Partition {
-                            status: PartitionStatus::Data,
-                        } => up.recv_raw().ok(),
-                        _ => None,
-                    };
-                    hook(&req, &mut reply, raw.as_mut());
-                    frame::send(&mut conn, &reply).ok()?;
-                    if let Some(raw) = raw {
-                        frame::write_frame(&mut conn, &raw).ok()?;
-                    }
-                }
-                Some(())
-            });
-        }
-    });
-    addr
 }
 
 /// A reduce attempt's output crosses the worker → coordinator socket
@@ -452,47 +494,40 @@ fn rejected_keyblock_frame_costs_the_attempt_and_exactly_the_released_maps() {
 
     // Attempt 0 of reducers 0, 1 and 2 is tampered with, one way each.
     const TAMPERED: usize = 3;
-    let released: Mutex<Vec<usize>> = Mutex::default();
-    let proxy = spawn_proxy(
-        workers[0].addr().to_string(),
-        move |req, reply, raw| match (req, reply, raw) {
-            (WorkerRequest::Release { reducer, .. }, _, _) => {
-                released.lock().unwrap().push(*reducer)
+    let (fleet, _seam) = proxied_fleet(addrs(&workers), |seam, _, x| {
+        let Crossing::Reply(
+            WorkerRequest::RunReduce {
+                reducer,
+                attempt: 0,
+                ..
+            },
+            WorkerResponse::ReduceDone { emitted, .. },
+            Some(raw),
+        ) = x
+        else {
+            return;
+        };
+        if *reducer >= TAMPERED {
+            return;
+        }
+        // Hold the reply until the worker's release has landed: the
+        // retry must find the sources gone.
+        let released = |c: &Logged| {
+            matches!(&c.1, WorkerRequest::Release { reducer: r, .. } if r == reducer)
+                && c.2.is_some()
+        };
+        wait_until(|| seam.count(released) > 0);
+        match reducer {
+            0 => *raw.last_mut().unwrap() ^= 0x10,
+            1 => {
+                let kb = decode_keyblock(raw).unwrap();
+                *raw = encode_keyblock(kb.job, kb.reducer + 1, 0, &kb.records).unwrap();
             }
-            (
-                WorkerRequest::RunReduce {
-                    reducer,
-                    attempt: 0,
-                    ..
-                },
-                WorkerResponse::ReduceDone { emitted, .. },
-                Some(raw),
-            ) if *reducer < TAMPERED => {
-                // Hold the reply until the worker's release has
-                // landed: the retry must find the sources gone.
-                wait_until(|| released.lock().unwrap().contains(reducer));
-                match reducer {
-                    0 => *raw.last_mut().unwrap() ^= 0x10,
-                    1 => {
-                        let kb = decode_keyblock(raw).unwrap();
-                        *raw = encode_keyblock(kb.job, kb.reducer + 1, 0, &kb.records).unwrap();
-                    }
-                    _ => *emitted += 1,
-                }
-            }
-            _ => {}
-        },
-    );
+            _ => *emitted += 1,
+        }
+    });
 
-    let fleet = Fleet::connect(FleetConfig::new(vec![proxy])).expect("fleet connects");
-    let (result, got) = run_distributed(
-        &workers,
-        &fleet,
-        &spec,
-        &input,
-        exec_opts(FaultPlan::none()),
-        |_| {},
-    );
+    let (result, got) = run_distributed(&fleet, &spec, &input, FaultPlan::none(), &[], || {});
 
     assert_eq!(got, expected, "only honest keyblocks may commit");
     assert_eq!(
@@ -520,36 +555,30 @@ fn worker_revived_during_prepare_is_not_part_of_the_job() {
     let expected = run_local(&spec, &input);
     let workers = spawn_workers(1);
 
-    // Slot 0 is down at `Fleet::connect`. It starts while the proxy
-    // holds slot 1's `Prepared` — i.e. after `prepare_job` skipped it —
-    // and the reply goes out only once the heartbeat has revived it.
+    // Slot 0 is down at `Fleet::connect`: nothing listens behind its
+    // proxy. The worker there starts while slot 1's `Prepared` is held
+    // — i.e. after `prepare_job` skipped it — and the reply goes out
+    // only once the heartbeat has revived it.
     let late_addr = std::net::TcpListener::bind("127.0.0.1:0")
         .and_then(|l| l.local_addr())
         .unwrap()
         .to_string();
     let fleet: Arc<OnceLock<Fleet>> = Arc::default();
     let late: OnceLock<Worker> = OnceLock::new();
-    let proxy = spawn_proxy(workers[0].addr().to_string(), {
+    let script = {
         let (fleet, late_addr) = (Arc::clone(&fleet), late_addr.clone());
-        move |req, _, _| {
-            if matches!(req, WorkerRequest::Prepare { .. }) {
+        move |_: &Seam, w, x: Crossing<'_>| {
+            if let (1, Crossing::Reply(WorkerRequest::Prepare { .. }, ..)) = (w, x) {
                 late.get_or_init(|| Worker::spawn(late_addr.as_str()).expect("late worker binds"));
                 let fleet = fleet.get().expect("fleet is connected");
                 wait_until(|| fleet.stats()[0].alive);
             }
         }
-    });
-    let connected = Fleet::connect(FleetConfig::new(vec![late_addr, proxy]));
-    let fleet = fleet.get_or_init(|| connected.expect("fleet connects"));
+    };
+    let (connected, _seam) = proxied_fleet(vec![late_addr, workers[0].addr().to_string()], script);
+    let fleet = fleet.get_or_init(|| connected);
 
-    let (result, got) = run_distributed(
-        &workers,
-        fleet,
-        &spec,
-        &input,
-        exec_opts(FaultPlan::none()),
-        |_| {},
-    );
+    let (result, got) = run_distributed(fleet, &spec, &input, FaultPlan::none(), &[], || {});
     assert_eq!(got, expected);
     assert_eq!(
         result.counters.map_failures, 0,
@@ -577,7 +606,6 @@ fn pushed_down_filter_leaves_most_partitions_unproduced() {
     let workers = spawn_workers(3);
     let fleet = fleet_of(&workers);
     let (result, got) = run_distributed_with(
-        &workers,
         &fleet,
         &spec,
         &input,
@@ -589,7 +617,8 @@ fn pushed_down_filter_leaves_most_partitions_unproduced() {
             filter_pushdown: true,
             ..SpecRunOptions::default()
         },
-        |_| {},
+        &[],
+        || {},
     );
 
     assert_eq!(got, expected, "push-down must not change a single byte");
@@ -625,118 +654,74 @@ fn speculative_twin_runs_on_different_worker_and_wins() {
         FaultKind::Straggle { delay_ms: 2_000 },
     );
     let workers = spawn_workers(3);
-    let fleet = fleet_of(&workers);
+    let (fleet, seam) = proxied_fleet(addrs(&workers), |_, _, _| {});
 
     let ropts = SpecRunOptions {
         speculation: SpeculationPolicy::force([straggler]),
         ..run_opts()
     };
-    // Which worker holds (task, attempt) — queried mid-job, since
-    // `finish()` purges per-job worker state once the run returns.
-    let host_of = |job: u64, attempt: u32| -> Option<usize> {
-        workers
-            .iter()
-            .position(|w| w.committed_maps(job).contains(&(straggler, attempt)))
+    // Which worker answered `MapDone` for the straggler's `attempt`.
+    let host_of = |attempt: u32| {
+        let done = seam.maps_done().into_iter();
+        (done
+            .filter(|d| (d.1, d.2) == (straggler, attempt))
+            .map(|d| d.0))
+        .next()
     };
-    let mut hosts: (Option<usize>, Option<usize>) = (None, None);
-    let (result, got) = {
-        let captured = &mut hosts;
-        let host_of = &host_of;
-        run_distributed_with(
-            &workers,
-            &fleet,
-            &spec,
-            &input,
-            exec_opts(plan),
-            &ropts,
-            move |job| {
-                // Both racers' outputs register fleet-side: the twin
-                // fast, the losing primary once its 2 s straggle
-                // drains.
-                wait_until(|| host_of(job, 0).is_some() && host_of(job, 1).is_some());
-                *captured = (host_of(job, 0), host_of(job, 1));
-            },
-        )
-    };
+    let mut hosts = (0, 0);
+    let opts = exec_opts(plan);
+    let (result, got) = run_distributed_with(&fleet, &spec, &input, opts, &ropts, &[], || {
+        // Both racers' outputs register fleet-side: the twin fast, the
+        // losing primary once its 2 s straggle drains.
+        wait_until(|| host_of(0).is_some() && host_of(1).is_some());
+        hosts = (host_of(0).unwrap(), host_of(1).unwrap());
+    });
 
     assert_eq!(got, expected, "speculative fleet run diverged");
     assert!(
         reexecuted_maps(&result.events).is_empty(),
         "speculation must not register as recovery"
     );
+    let twin_on_timeline = |kind| {
+        let mut events = result.events.iter();
+        events.any(|e| e.kind == kind && e.task == straggler && e.attempt == 1)
+    };
     assert!(
-        result
-            .events
-            .iter()
-            .any(|e| e.kind == TaskKind::MapSpeculated && e.task == straggler && e.attempt == 1),
+        twin_on_timeline(TaskKind::MapSpeculated),
         "no speculative grant on the timeline"
     );
     assert!(
-        result
-            .events
-            .iter()
-            .any(|e| e.kind == TaskKind::MapEnd && e.task == straggler && e.attempt == 1),
+        twin_on_timeline(TaskKind::MapEnd),
         "the twin's commit must win the race"
     );
-    // The winning twin must have been placed on a different worker
-    // than the primary it raced.
-    let (primary_host, twin_host) = hosts;
-    let primary_host = primary_host.expect("primary drained on a worker");
-    let twin_host = twin_host.expect("twin committed on a worker");
     assert_ne!(
-        twin_host, primary_host,
+        hosts.1, hosts.0,
         "speculative dispatch must prefer a worker not already running the primary"
     );
 }
 
-/// Spawns a fleet of budgeted workers, each with its own spill
-/// directory under the test temp root.
-fn spawn_budgeted_workers(
-    n: usize,
-    tag: &str,
-    budget: u64,
-    fail_spills: bool,
-) -> (Vec<Worker>, Vec<PathBuf>) {
-    let dirs: Vec<PathBuf> = (0..n)
-        .map(|i| {
-            std::env::temp_dir().join(format!("sidr-spill-test-{}-{tag}-{i}", std::process::id()))
-        })
-        .collect();
-    let workers = dirs
-        .iter()
-        .map(|d| {
-            Worker::spawn_with(
-                "127.0.0.1:0",
-                WorkerOptions {
-                    budget_bytes: budget,
-                    spill_dir: Some(d.clone()),
-                    fail_spills,
-                },
-            )
-            .expect("bind loopback")
-        })
-        .collect();
-    (workers, dirs)
+/// Spawns workers squeezed to a 1-byte resident budget, each with its
+/// own spill directory under the test temp root.
+fn spawn_budgeted_workers(n: usize, tag: &str) -> (Vec<Worker>, Vec<PathBuf>) {
+    let dir = |i| format!("sidr-spill-test-{}-{tag}-{i}", std::process::id());
+    let dirs: Vec<PathBuf> = (0..n).map(|i| std::env::temp_dir().join(dir(i))).collect();
+    let spawn = |d: &PathBuf| {
+        let options = WorkerOptions {
+            budget_bytes: 1,
+            spill_dir: Some(d.clone()),
+        };
+        Worker::spawn_with("127.0.0.1:0", options).expect("bind loopback")
+    };
+    (dirs.iter().map(spawn).collect(), dirs)
 }
 
 /// Every `.smof` (or stray `.tmp`) file under `dir`, recursively.
 fn spill_files(dir: &Path) -> Vec<PathBuf> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                walk(&p, out);
-            } else {
-                out.push(p);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(dir, &mut out);
-    out
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let under = |p: PathBuf| if p.is_dir() { spill_files(&p) } else { vec![p] };
+    entries.flatten().flat_map(|e| under(e.path())).collect()
 }
 
 /// Tentpole: a fleet squeezed under a 1-byte resident budget spills
@@ -751,32 +736,16 @@ fn budgeted_fleet_spills_everything_and_output_is_identical() {
     let expected = run_local(&spec, &input);
     let num_maps = spec.splits.len();
 
-    let (workers, dirs) = spawn_budgeted_workers(3, "spilled", 1, false);
-    // Gate the copy phase so every committed partition is still held
-    // (and therefore spilled) when we sample the pressure summary.
-    for w in &workers {
-        w.set_fetch_delay(Duration::from_secs(600));
-    }
-    let fleet = fleet_of(&workers);
+    let (workers, dirs) = spawn_budgeted_workers(3, "spilled");
+    // No reduce starts before the sample, so every committed partition
+    // is still held (and therefore spilled) when it is taken.
+    let (fleet, seam) = proxied_fleet(addrs(&workers), hold_reduces);
     let mut spilled_at_peak = 0u64;
-    let (result, got) = {
-        let workers = &workers;
-        let spilled = &mut spilled_at_peak;
-        run_distributed(
-            workers,
-            &fleet,
-            &spec,
-            &input,
-            exec_opts(FaultPlan::none()),
-            move |job| {
-                wait_until(|| committed_total(workers, job) == num_maps);
-                *spilled = workers.iter().map(|w| w.stat().spilled_bytes).sum();
-                for w in workers.iter() {
-                    w.set_fetch_delay(Duration::ZERO);
-                }
-            },
-        )
-    };
+    let clean = FaultPlan::none();
+    let (result, got) = run_distributed(&fleet, &spec, &input, clean, &seam.gates, || {
+        wait_until(|| seam.maps_done().len() == num_maps);
+        spilled_at_peak = workers.iter().map(|w| w.stat().spilled_bytes).sum();
+    });
 
     assert_eq!(got, expected, "spilling must not change a single byte");
     assert!(
@@ -809,40 +778,26 @@ fn budgeted_fleet_spills_everything_and_output_is_identical() {
     }
 }
 
-/// ENOSPC degrades gracefully: with every spill write failing, the
-/// over-budget partitions stay pinned resident (pressure advisory,
-/// not data loss), the job completes byte-identical, and nothing
-/// re-executes.
+/// ENOSPC degrades gracefully: with every spill write failing
+/// (`SpillWriteFail` scripted on every map), the over-budget
+/// partitions stay pinned resident (pressure advisory, not data
+/// loss), the job completes byte-identical, and nothing re-executes.
 #[test]
 fn enospc_spill_failures_stay_resident_and_complete() {
     let (spec, input) = tiny_fixture("enospc");
     let expected = run_local(&spec, &input);
     let num_maps = spec.splits.len();
+    let disk_full = (0..num_maps).fold(FaultPlan::none(), |plan, m| {
+        plan.with(FaultTarget::Map(m), 0, FaultKind::SpillWriteFail)
+    });
 
-    let (workers, _dirs) = spawn_budgeted_workers(3, "enospc", 1, true);
-    for w in &workers {
-        w.set_fetch_delay(Duration::from_secs(600));
-    }
-    let fleet = fleet_of(&workers);
+    let (workers, _dirs) = spawn_budgeted_workers(3, "enospc");
+    let (fleet, seam) = proxied_fleet(addrs(&workers), hold_reduces);
     let mut failures_at_peak = 0u64;
-    let (result, got) = {
-        let workers = &workers;
-        let failures = &mut failures_at_peak;
-        run_distributed(
-            workers,
-            &fleet,
-            &spec,
-            &input,
-            exec_opts(FaultPlan::none()),
-            move |job| {
-                wait_until(|| committed_total(workers, job) == num_maps);
-                *failures = workers.iter().map(|w| w.stat().spill_failures).sum();
-                for w in workers.iter() {
-                    w.set_fetch_delay(Duration::ZERO);
-                }
-            },
-        )
-    };
+    let (result, got) = run_distributed(&fleet, &spec, &input, disk_full, &seam.gates, || {
+        wait_until(|| seam.maps_done().len() == num_maps);
+        failures_at_peak = workers.iter().map(|w| w.stat().spill_failures).sum();
+    });
 
     assert_eq!(got, expected, "a full disk must not change the output");
     assert!(
@@ -873,9 +828,9 @@ fn corrupt_spill_readback_reexecutes_exactly_the_damaged_maps() {
             FaultKind::SpillReadTruncate,
         );
 
-    let (workers, _dirs) = spawn_budgeted_workers(3, "readback", 1, false);
+    let (workers, _dirs) = spawn_budgeted_workers(3, "readback");
     let fleet = fleet_of(&workers);
-    let (result, got) = run_distributed(&workers, &fleet, &spec, &input, exec_opts(plan), |_| {});
+    let (result, got) = run_distributed(&fleet, &spec, &input, plan, &[], || {});
 
     assert_eq!(
         reexecuted_maps(&result.events),
@@ -903,29 +858,25 @@ fn panicked_task_attempt_leaves_worker_serving() {
     let addr = worker.addr().to_string();
 
     let mut conn = WorkerConn::dial(&addr, Some(Duration::from_secs(30))).expect("dial");
-    conn.send(&WorkerRequest::Prepare {
+    let mut ask = |req: WorkerRequest| conn.request(&req).expect("the connection stays up");
+    let prepare = WorkerRequest::Prepare {
         job: PANIC_JOB_ID,
-        spec_json: spec.to_json(),
-        input: input.clone(),
+        spec,
+        input,
         opts: exec_opts(FaultPlan::none()),
-    })
-    .unwrap();
-    assert!(matches!(
-        conn.recv().unwrap(),
-        WorkerResponse::Prepared { .. }
-    ));
+    };
+    assert!(matches!(ask(prepare).0, WorkerResponse::Prepared { .. }));
+    let run_map = |attempt| WorkerRequest::RunMap {
+        job: PANIC_JOB_ID,
+        task: 0,
+        attempt,
+    };
 
     // Arm the hook: the next task attempt panics on entry. The panic
     // is caught at the attempt boundary and reported as a retryable
     // failure — the connection stays up.
     sidr_worker::inject_task_panics(PANIC_JOB_ID, 1);
-    conn.send(&WorkerRequest::RunMap {
-        job: PANIC_JOB_ID,
-        task: 0,
-        attempt: 0,
-    })
-    .unwrap();
-    match conn.recv().unwrap() {
+    match ask(run_map(0)).0 {
         WorkerResponse::Failed { detail, fatal, .. } => {
             assert!(!fatal, "a panicked attempt is retryable, not fatal");
             assert!(
@@ -939,35 +890,83 @@ fn panicked_task_attempt_leaves_worker_serving() {
     // A poisoned std mutex would now wedge every subsequent request;
     // the parking_lot facade just unlocks. Same connection: ping,
     // re-run the map, fetch a partition.
-    conn.send(&WorkerRequest::Ping).unwrap();
-    match conn.recv().unwrap() {
+    match ask(WorkerRequest::Ping).0 {
         WorkerResponse::Pong(stat) => assert!(stat.alive, "worker must report alive"),
         other => panic!("expected Pong, got {other:?}"),
     }
-    conn.send(&WorkerRequest::RunMap {
-        job: PANIC_JOB_ID,
-        task: 0,
-        attempt: 1,
-    })
-    .unwrap();
-    let partitions = match conn.recv().unwrap() {
+    let partitions = match ask(run_map(1)).0 {
         WorkerResponse::MapDone { partitions, .. } => partitions,
         other => panic!("map after the panic must succeed, got {other:?}"),
     };
     let reducer = *partitions.first().expect("map 0 feeds a reducer");
-    conn.send(&WorkerRequest::FetchPartition {
+    let fetch = WorkerRequest::FetchPartition {
         job: PANIC_JOB_ID,
         map: 0,
         reducer,
         epoch: 1,
-    })
-    .unwrap();
-    match conn.recv().unwrap() {
-        WorkerResponse::Partition { status } => assert_eq!(status, PartitionStatus::Data),
-        other => panic!("expected Partition, got {other:?}"),
+    };
+    match ask(fetch) {
+        (WorkerResponse::Partition { .. }, Some(bytes)) => {
+            assert!(!bytes.is_empty(), "fetched partition carries SMOF bytes")
+        }
+        other => panic!("expected Partition and its data, got {other:?}"),
     }
-    let bytes = conn.recv_raw().unwrap();
-    assert!(!bytes.is_empty(), "fetched partition carries SMOF bytes");
+}
+
+/// Regression: one worker refusing `Prepare` fails the job, and those
+/// that had already answered `Prepared` kept its executor, open input
+/// and pending counts forever. They are told `Finish` first.
+#[test]
+fn prepare_refused_by_one_worker_finishes_the_others() {
+    let (spec, input) = tiny_fixture("refused");
+    let workers = spawn_workers(2);
+    let (fleet, seam) = proxied_fleet(addrs(&workers), |_, w, x| {
+        if let (1, Crossing::Reply(WorkerRequest::Prepare { .. }, reply, _)) = (w, x) {
+            *reply = WorkerResponse::Failed {
+                detail: "scripted refusal".into(),
+                fatal: false,
+                lost_sources: Vec::new(),
+            };
+        }
+    });
+
+    let refused = fleet.prepare_job(&spec, &input, &exec_opts(FaultPlan::none()));
+    assert!(refused.is_err(), "one refusal fails the job");
+    let told_worker_0 = seam.seen(|crossing| match crossing {
+        (0, WorkerRequest::Prepare { job, .. }, None) => Some(("Prepare", *job)),
+        (0, WorkerRequest::Finish { job }, None) => Some(("Finish", *job)),
+        _ => None,
+    });
+    assert!(
+        matches!(told_worker_0[..], [("Prepare", a), ("Finish", b)] if a == b),
+        "the prepared worker must be told to let go: {told_worker_0:?}"
+    );
+}
+
+/// Regression: a restarted coordinator counts its jobs from 1 again,
+/// and `Prepare` for an id the worker already knew left the old job's
+/// partitions held until a `Finish` that never comes. It sweeps first.
+#[test]
+fn prepare_sweeps_what_a_vanished_coordinator_left_behind() {
+    let (spec, input) = tiny_fixture("restart");
+    let workers = spawn_workers(1);
+    let opts = exec_opts(FaultPlan::none());
+
+    let first = fleet_of(&workers);
+    let job = first.prepare_job(&spec, &input, &opts).expect("prepare");
+    for (task, split) in spec.splits.iter().enumerate() {
+        job.execute_map(task, 0, false, split, &Counters::default(), &|_| true)
+            .expect("map runs");
+    }
+    assert!(workers[0].stat().partitions_held > 0);
+    // It goes away without `Finish`; its successor reuses the job id.
+    drop(first);
+
+    let second = fleet_of(&workers);
+    let job = second.prepare_job(&spec, &input, &opts).expect("prepare");
+    let held = workers[0].stat().partitions_held;
+    assert_eq!(held, 0, "only the new job's output may be held: none yet");
+    job.finish();
 }
 
 /// The serving path end-to-end: a coordinator configured with
@@ -982,7 +981,7 @@ fn server_dispatches_to_fleet_and_reports_worker_stats() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
-            workers: workers.iter().map(|w| w.addr().to_string()).collect(),
+            workers: addrs(&workers),
             ..ServerConfig::default()
         },
     )
