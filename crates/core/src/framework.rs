@@ -7,8 +7,6 @@
 //! | `SciHadoop` | extraction-aligned     | hash-modulo      | global       | maps first    |
 //! | `Sidr`      | extraction-aligned     | `partition+`     | actual deps  | reduces first |
 
-use std::time::Duration;
-
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
     run_job, run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
@@ -72,19 +70,12 @@ pub struct RunOptions {
     /// Do not persist intermediate data; recover failed reduces by
     /// re-executing dependent maps (§6).
     pub volatile_intermediate: bool,
-    /// Artificial per-task costs (examples/teaching).
-    pub map_think: Duration,
-    pub reduce_think: Duration,
     /// Push a `Filter` operator's predicate below the shuffle (Query
     /// 2's regime: Reduce tasks "process far less data", §4.1).
     /// Output is unchanged; count-annotation validation is disabled
     /// because the geometric tallies no longer apply (§3.2.1 approach
     /// 1 — the dependency barrier — still guarantees correctness).
     pub filter_pushdown: bool,
-    /// Skip the static pre-flight verification the planner runs on
-    /// every SIDR plan (see `sidr_core::verify`). On by default; opt
-    /// out only for throwaway planning loops.
-    pub skip_preflight: bool,
 }
 
 impl RunOptions {
@@ -100,10 +91,7 @@ impl RunOptions {
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
             volatile_intermediate: false,
-            map_think: Duration::ZERO,
-            reduce_think: Duration::ZERO,
             filter_pushdown: false,
-            skip_preflight: false,
         }
     }
 }
@@ -188,8 +176,6 @@ fn run_typed<E: Element>(
         fault_plan: opts.fault_plan.clone(),
         retry: opts.retry,
         volatile_intermediate: opts.volatile_intermediate,
-        map_think: opts.map_think,
-        reduce_think: opts.reduce_think,
         speculation: SpeculationPolicy::default(),
         progress: None,
     };
@@ -218,9 +204,6 @@ fn run_typed<E: Element>(
             let mut planner = SidrPlanner::new(query, opts.num_reducers);
             if let Some(region) = &opts.priority_region {
                 planner = planner.prioritize_region(region.clone());
-            }
-            if opts.skip_preflight {
-                planner = planner.skip_preflight();
             }
             let plan = planner.build(&splits)?;
             let counts = (0..opts.num_reducers)
@@ -267,9 +250,6 @@ pub struct SpecRunOptions {
     /// Push a `Filter` operator's predicate below the shuffle
     /// (disables annotation validation; output unchanged).
     pub filter_pushdown: bool,
-    /// Artificial per-task costs (demos and scheduling tests).
-    pub map_think: Duration,
-    pub reduce_think: Duration,
     /// Chaos hook: deterministic fault script injected into this run
     /// (empty = none). Carried from the submission, not the spec.
     pub fault_plan: FaultPlan,
@@ -280,9 +260,9 @@ pub struct SpecRunOptions {
     /// requested policy and passes it through here.
     pub speculation: SpeculationPolicy,
     /// Coarse progress shared with the caller while the job runs: the
-    /// engine's speculation monitor publishes completion counts and a
-    /// projected remaining time, and the serving layer's deadline
-    /// watchdog can request a boosted speculation trigger through it.
+    /// engine's speculation monitor publishes a projected remaining
+    /// time, and the serving layer's deadline watchdog can request a
+    /// boosted speculation trigger through it.
     pub progress: Option<std::sync::Arc<ProgressProbe>>,
 }
 
@@ -379,8 +359,6 @@ fn spec_plan_and_config(
         // Push-down breaks the geometric raw-count expectation.
         validate_annotations: opts.validate_annotations
             && pushdown_threshold(opts.filter_pushdown, query).is_none(),
-        map_think: opts.map_think,
-        reduce_think: opts.reduce_think,
         fault_plan: opts.fault_plan.clone(),
         retry: opts.retry,
         speculation: opts.speculation.clone(),

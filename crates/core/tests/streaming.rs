@@ -2,14 +2,13 @@
 //! keyblock results *while the query is still executing* (§6).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use sidr_coords::Shape;
 use sidr_core::early::streaming_output;
 use sidr_core::operators::OperatorReducer;
 use sidr_core::source::{scinc_source_factory, StructuralMapper};
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{run_job, JobConfig, SplitGenerator};
+use sidr_mapreduce::{run_job, FaultPlan, JobConfig, SplitGenerator};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
 fn shape(v: &[u64]) -> Shape {
@@ -66,7 +65,7 @@ fn consumer_sees_results_before_the_job_finishes() {
             &collector,
             &JobConfig {
                 map_slots: 1, // serialize maps so results trickle
-                map_think: Duration::from_millis(10),
+                fault_plan: FaultPlan::straggle_maps(0..splits.len(), 10),
                 ..Default::default()
             },
         )

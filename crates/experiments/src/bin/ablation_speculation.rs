@@ -38,8 +38,8 @@ use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{
-    FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult, ProgressProbe, SlotPool,
-    SpeculationPolicy, SplitGenerator, TaskKind,
+    FaultPlan, InMemoryOutput, JobResult, ProgressProbe, SlotPool, SpeculationPolicy,
+    SplitGenerator, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
@@ -204,15 +204,7 @@ fn main() -> ExitCode {
     let spec = JobSpec::from_plan(&w.query, &splits, &plan).expect("spec builds");
     let num_maps = splits.len();
     let straggler = num_maps - 1;
-    let straggle_plan = || {
-        FaultPlan::none().with(
-            FaultTarget::Map(straggler),
-            0,
-            FaultKind::Straggle {
-                delay_ms: w.straggle_ms,
-            },
-        )
-    };
+    let straggle_plan = || FaultPlan::straggle_maps([straggler], w.straggle_ms);
 
     // Fault-free ground truth.
     let baseline = run_once(&file, &spec, &SpecRunOptions::default());

@@ -131,6 +131,15 @@ impl FaultPlan {
         plan
     }
 
+    /// Each listed map's first attempt straggles by `delay_ms` — the
+    /// one way to slow a task, e.g. to keep a job in flight
+    /// (`sidr-submit --straggle`).
+    pub fn straggle_maps(maps: impl IntoIterator<Item = usize>, delay_ms: u64) -> Self {
+        maps.into_iter().fold(FaultPlan::default(), |plan, m| {
+            plan.with(FaultTarget::Map(m), 0, FaultKind::Straggle { delay_ms })
+        })
+    }
+
     /// The fault scripted for map `task`'s `attempt`, if any.
     pub fn map_fault(&self, task: usize, attempt: u32) -> Option<FaultKind> {
         self.faults

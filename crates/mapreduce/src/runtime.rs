@@ -70,10 +70,6 @@ pub struct JobConfig {
     /// failed reduce must then re-execute the Map tasks it fetched
     /// from (§6 future work).
     pub volatile_intermediate: bool,
-    /// Artificial per-Map-task cost (examples/teaching only).
-    pub map_think: Duration,
-    /// Artificial per-Reduce-task cost (examples/teaching only).
-    pub reduce_think: Duration,
     /// Speculative execution: race a second attempt of a map whose
     /// elapsed time exceeds a quantile of its committed cohort; first
     /// commit wins, the loser's output is never bound to a reducer.
@@ -94,8 +90,6 @@ impl Default for JobConfig {
             fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
             volatile_intermediate: false,
-            map_think: Duration::ZERO,
-            reduce_think: Duration::ZERO,
             speculation: SpeculationPolicy::default(),
             progress: None,
         }
@@ -615,9 +609,6 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 .timeline
                 .record_attempt(TaskKind::MapSpeculated, task, attempt);
             crate::metrics::runtime().speculative_launched.inc();
-            if let Some(p) = &shared.config.progress {
-                p.note_speculative_launch();
-            }
         }
 
         // Mutation hook: a widened critical section — holding the
@@ -669,12 +660,6 @@ fn map_worker<K2: MrKey, V3: MrValue>(
             &pause,
         ) {
             Ok(()) => {
-                if !shared.config.map_think.is_zero() {
-                    // Interruptible, proceed regardless: committing
-                    // after a cancelled think is harmless and the
-                    // claim-loop head observes the cancel next.
-                    shared.sleep_interruptible(shared.config.map_think, &|_| false);
-                }
                 // The first-commit-wins decision. Losing is only
                 // possible in a race.
                 let won = {
@@ -1003,9 +988,6 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                     .timeline
                     .record_attempt(TaskKind::ReduceMergeDone, r, attempt);
                 Counters::add(&shared.counters.reduce_records_out, out.len() as u64);
-                if !shared.config.reduce_think.is_zero() {
-                    shared.sleep_interruptible(shared.config.reduce_think, &|_| false);
-                }
                 output
                     .commit(r, out)
                     .map_err(|e| MrError::Output(e.to_string()))?;
@@ -1125,18 +1107,11 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
         }
 
         if let Some(probe) = &shared.config.progress {
-            let maps_done = st.sched.maps_finished();
-            probe.publish(
-                maps_done as u64,
-                shared.num_maps as u64,
-                st.reduces_done as u64,
-                num_reducers as u64,
-            );
             // Projected completion: cohort quantile × remaining task
             // waves per slot class. Crude on purpose — the watchdog
             // only needs "does this threaten the deadline".
             if let Some(q) = quantile_ms {
-                let pending_maps = (shared.num_maps - maps_done) as u64;
+                let pending_maps = (shared.num_maps - st.sched.maps_finished()) as u64;
                 let pending_reduces = (num_reducers - st.reduces_done) as u64;
                 let map_waves = pending_maps.div_ceil(shared.pool.map_slots().max(1) as u64);
                 let reduce_waves =

@@ -229,14 +229,9 @@ impl SpeculationPolicy {
 /// concurrency model.
 #[derive(Debug, Default)]
 pub struct ProgressProbe {
-    maps_done: AtomicU64,
-    maps_total: AtomicU64,
-    reduces_done: AtomicU64,
-    reduces_total: AtomicU64,
     /// `u64::MAX` = no projection published yet.
     projected_remaining_ms: AtomicU64,
     boost: AtomicBool,
-    speculative_launched: AtomicU64,
 }
 
 impl ProgressProbe {
@@ -246,24 +241,10 @@ impl ProgressProbe {
         p
     }
 
-    /// Engine-side: publish task progress and the current projection.
-    pub fn publish(&self, maps_done: u64, maps_total: u64, reduces_done: u64, reduces_total: u64) {
-        self.maps_done.store(maps_done, Ordering::Relaxed);
-        self.maps_total.store(maps_total, Ordering::Relaxed);
-        self.reduces_done.store(reduces_done, Ordering::Relaxed);
-        self.reduces_total.store(reduces_total, Ordering::Relaxed);
-    }
-
     /// Engine-side: publish the projected time to completion.
     pub fn publish_projection(&self, remaining_ms: u64) {
         self.projected_remaining_ms
             .store(remaining_ms, Ordering::Relaxed);
-    }
-
-    /// Engine-side: tally a launched speculative attempt (per-job,
-    /// unlike the process-global metric).
-    pub fn note_speculative_launch(&self) {
-        self.speculative_launched.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Watchdog-side: the engine's projected time to completion, once
@@ -285,21 +266,6 @@ impl ProgressProbe {
     /// Engine-side: has the watchdog requested a boost?
     pub fn boost_requested(&self) -> bool {
         self.boost.load(Ordering::Relaxed)
-    }
-
-    /// (maps done, maps total, reduces done, reduces total).
-    pub fn progress(&self) -> (u64, u64, u64, u64) {
-        (
-            self.maps_done.load(Ordering::Relaxed),
-            self.maps_total.load(Ordering::Relaxed),
-            self.reduces_done.load(Ordering::Relaxed),
-            self.reduces_total.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Speculative attempts this job launched.
-    pub fn speculative_launched(&self) -> u64 {
-        self.speculative_launched.load(Ordering::Relaxed)
     }
 }
 
@@ -389,10 +355,8 @@ mod tests {
     fn probe_projection_and_boost_handshake() {
         let probe = ProgressProbe::new();
         assert_eq!(probe.projected_remaining_ms(), None);
-        probe.publish(3, 8, 1, 4);
         probe.publish_projection(1_500);
         assert_eq!(probe.projected_remaining_ms(), Some(1_500));
-        assert_eq!(probe.progress(), (3, 8, 1, 4));
         assert!(!probe.boost_requested());
         assert!(probe.request_boost(), "first request reports the edge");
         assert!(!probe.request_boost(), "boost is idempotent");

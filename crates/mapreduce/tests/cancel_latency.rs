@@ -60,11 +60,11 @@ fn blocked_job_cancels_with_sub_tick_latency() {
     let (mapper, reducer) = sum_by_mod10();
     let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
 
-    // Job A: one long map (think time) so both the map slot and — via
+    // Job A: one long (straggling) map so both the map slot and — via
     // its reduce's copy phase — the reduce slot stay occupied.
     let splits_a = number_splits(50, 1);
     let config_a = JobConfig {
-        map_think: Duration::from_millis(400),
+        fault_plan: FaultPlan::straggle_maps([0], 400),
         ..Default::default()
     };
     let output_a = InMemoryOutput::new();

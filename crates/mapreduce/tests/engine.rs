@@ -117,7 +117,7 @@ fn global_barrier_orders_all_maps_before_any_reduce_barrier() {
         &plan,
         &output,
         &JobConfig {
-            map_think: Duration::from_millis(2),
+            fault_plan: FaultPlan::straggle_maps(0..splits.len(), 2),
             ..Default::default()
         },
     )
@@ -182,7 +182,7 @@ fn dependency_barrier_lets_reduces_finish_before_all_maps() {
         &JobConfig {
             map_slots: 1, // serialize maps so overlap is observable
             reduce_slots: 2,
-            map_think: Duration::from_millis(5),
+            fault_plan: FaultPlan::straggle_maps(0..n, 5),
             ..Default::default()
         },
     )
@@ -420,7 +420,7 @@ fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
         &JobConfig {
             map_slots: 1, // one map at a time: the start order is the claim order
             reduce_slots: 4,
-            map_think: Duration::from_millis(5),
+            fault_plan: FaultPlan::straggle_maps(0..8, 5),
             ..Default::default()
         },
     )
@@ -455,7 +455,7 @@ fn two_jobs_share_one_slot_pool() {
     let (mapper, reducer) = sum_by_mod10();
     let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
     let config = JobConfig {
-        map_think: Duration::from_millis(5),
+        fault_plan: FaultPlan::straggle_maps(0..splits.len(), 5),
         ..Default::default()
     };
 
@@ -520,7 +520,7 @@ fn cancellation_aborts_a_running_job() {
     let (mapper, reducer) = sum_by_mod10();
     let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
     let config = JobConfig {
-        map_think: Duration::from_millis(20), // 20 maps x 20 ms on one slot
+        fault_plan: FaultPlan::straggle_maps(0..splits.len(), 20), // 20 maps x 20 ms on one slot
         ..Default::default()
     };
     let output = InMemoryOutput::new();

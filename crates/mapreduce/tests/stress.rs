@@ -2,12 +2,10 @@
 //! slot counts, and repeated runs shaking out ordering assumptions in
 //! the runtime's locking.
 
-use std::time::Duration;
-
 use sidr_coords::{Shape, Slab};
 use sidr_mapreduce::{
-    run_job, DefaultPlan, FaultPlan, FnMapper, FnReducer, InMemoryOutput, InputSplit, JobConfig,
-    MapTaskId, ModuloPartitioner, RoutingPlan, SliceRecordSource,
+    run_job, DefaultPlan, FaultKind, FaultPlan, FaultTarget, FnMapper, FnReducer, InMemoryOutput,
+    InputSplit, JobConfig, MapTaskId, ModuloPartitioner, RoutingPlan, SliceRecordSource,
 };
 
 fn number_splits(n: u64, pieces: u64) -> Vec<InputSplit> {
@@ -137,11 +135,14 @@ fn repeated_runs_with_failures_are_stable() {
             &plan,
             &output,
             &JobConfig {
-                fault_plan: FaultPlan::fail_reducers_first_attempt([
-                    (round % n_red as u64) as usize
-                ]),
+                // Every map straggles a little, so reduces start
+                // while maps are still running.
+                fault_plan: FaultPlan::straggle_maps(0..splits.len(), 1).with(
+                    FaultTarget::Reduce((round % n_red as u64) as usize),
+                    0,
+                    FaultKind::Fail,
+                ),
                 volatile_intermediate: true,
-                map_think: Duration::from_micros(200),
                 ..Default::default()
             },
         )

@@ -11,7 +11,6 @@
 //! `sidr-submit`.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use sidr_serve::{Server, ServerConfig};
 
@@ -20,8 +19,6 @@ struct Args {
     map_slots: usize,
     reduce_slots: usize,
     workers: Vec<String>,
-    heartbeat_every_ms: u64,
-    heartbeat_timeout_ms: u64,
 }
 
 fn usage() -> &'static str {
@@ -37,13 +34,7 @@ fn usage() -> &'static str {
      \x20 --reduce-slots N   cluster-wide reduce slots (default 2)\n\
      \x20 --worker ADDR      dispatch task attempts to the sidr-worker\n\
      \x20                    at ADDR (repeatable; with no --worker the\n\
-     \x20                    server executes jobs in-process)\n\
-     \x20 --heartbeat-every-ms N\n\
-     \x20                    fleet heartbeat probe interval (default 200;\n\
-     \x20                    probes are staggered per worker with jitter)\n\
-     \x20 --heartbeat-timeout-ms N\n\
-     \x20                    probe timeout before a worker is declared\n\
-     \x20                    dead (default 500)\n"
+     \x20                    server executes jobs in-process)\n"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -52,8 +43,6 @@ fn parse_args() -> Result<Args, String> {
         map_slots: 4,
         reduce_slots: 2,
         workers: Vec::new(),
-        heartbeat_every_ms: 0,
-        heartbeat_timeout_ms: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -70,14 +59,6 @@ fn parse_args() -> Result<Args, String> {
             "--worker" => args
                 .workers
                 .push(it.next().ok_or("--worker needs an address")?),
-            "--heartbeat-every-ms" => {
-                let n = it.next().ok_or("--heartbeat-every-ms needs a count")?;
-                args.heartbeat_every_ms = n.parse().map_err(|_| format!("bad interval {n:?}"))?;
-            }
-            "--heartbeat-timeout-ms" => {
-                let n = it.next().ok_or("--heartbeat-timeout-ms needs a count")?;
-                args.heartbeat_timeout_ms = n.parse().map_err(|_| format!("bad timeout {n:?}"))?;
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -102,8 +83,6 @@ fn main() -> ExitCode {
         map_slots: args.map_slots,
         reduce_slots: args.reduce_slots,
         workers: args.workers,
-        heartbeat_every: Duration::from_millis(args.heartbeat_every_ms),
-        heartbeat_timeout: Duration::from_millis(args.heartbeat_timeout_ms),
         ..ServerConfig::default()
     };
     let server = match Server::bind(&args.listen, config) {

@@ -22,7 +22,7 @@ use sidr_analyze::presets;
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::spec::JobSpec;
 use sidr_core::{SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{FaultKind, FaultPlan, FaultTarget, SpeculationPolicy};
+use sidr_mapreduce::{FaultPlan, SpeculationPolicy};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_serve::{Client, SubmitOptions};
 
@@ -35,7 +35,6 @@ struct Args {
     reducers: Option<usize>,
     job: Option<u64>,
     priority: Option<String>,
-    map_think_ms: u64,
     straggle: Option<String>,
     speculate: bool,
     generate: bool,
@@ -55,7 +54,6 @@ fn usage() -> String {
          \x20 --reducers N        override the preset's keyblock count\n\
          \x20 --priority C:S      steer: schedule keyblocks covering the\n\
          \x20                     slab corner C shape S first (e.g. 0,0,0,0:8,1,1,1)\n\
-         \x20 --map-think-ms N    artificial per-map cost (demos)\n\
          \x20 --straggle MAP:MS   chaos: delay map MAP's first attempt\n\
          \x20                     by MS milliseconds\n\
          \x20 --speculate         enable speculative execution; with\n\
@@ -96,7 +94,6 @@ fn parse_args() -> Result<Args, String> {
         reducers: None,
         job: None,
         priority: None,
-        map_think_ms: 0,
         straggle: None,
         speculate: false,
         generate: false,
@@ -118,10 +115,6 @@ fn parse_args() -> Result<Args, String> {
                 args.job = Some(n.parse().map_err(|_| format!("bad job id {n:?}"))?);
             }
             "--priority" => args.priority = Some(it.next().ok_or("--priority needs C:S")?),
-            "--map-think-ms" => {
-                let n = it.next().ok_or("--map-think-ms needs a value")?;
-                args.map_think_ms = n.parse().map_err(|_| format!("bad duration {n:?}"))?;
-            }
             "--straggle" => args.straggle = Some(it.next().ok_or("--straggle needs MAP:MS")?),
             "--speculate" => args.speculate = true,
             "--generate" => args.generate = true,
@@ -290,10 +283,7 @@ fn run(args: &Args) -> Result<(), String> {
             if args.generate {
                 ensure_input(&spec, input)?;
             }
-            let mut options = SubmitOptions {
-                map_think_ms: args.map_think_ms,
-                ..SubmitOptions::default()
-            };
+            let mut options = SubmitOptions::default();
             if let Some(p) = &args.priority {
                 options.priority_region = Some(parse_priority(p)?);
             }
@@ -301,11 +291,7 @@ fn run(args: &Args) -> Result<(), String> {
             if let Some(text) = &args.straggle {
                 let (map, delay_ms) = parse_straggle(text)?;
                 straggler = Some(map);
-                options.fault_plan = FaultPlan::none().with(
-                    FaultTarget::Map(map),
-                    0,
-                    FaultKind::Straggle { delay_ms },
-                );
+                options.fault_plan = FaultPlan::straggle_maps([map], delay_ms);
             }
             if args.speculate {
                 // A known straggler is raced deterministically; plain

@@ -326,41 +326,12 @@ struct WorkerSlot {
     spilled_gauge: Arc<Gauge>,
 }
 
-/// Fleet configuration.
-#[derive(Clone, Debug)]
-pub struct FleetConfig {
-    /// Worker advertised addresses (`host:port`).
-    pub workers: Vec<String>,
-    /// Heartbeat probe interval.
-    pub heartbeat_every: Duration,
-    /// Probe connect/read timeout; a worker that cannot answer within
-    /// it is declared dead.
-    pub heartbeat_timeout: Duration,
-}
+/// Heartbeat probe interval: every worker is pinged once per period.
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
-impl FleetConfig {
-    pub fn new(workers: Vec<String>) -> Self {
-        FleetConfig {
-            workers,
-            heartbeat_every: Duration::from_millis(200),
-            heartbeat_timeout: Duration::from_millis(500),
-        }
-    }
-
-    /// Like [`FleetConfig::new`] with an explicit heartbeat cadence
-    /// (the `sidr-serve` CLI flags land here). A zero interval or
-    /// timeout falls back to the defaults rather than busy-spinning.
-    pub fn with_heartbeat(workers: Vec<String>, every: Duration, timeout: Duration) -> Self {
-        let mut cfg = FleetConfig::new(workers);
-        if !every.is_zero() {
-            cfg.heartbeat_every = every;
-        }
-        if !timeout.is_zero() {
-            cfg.heartbeat_timeout = timeout;
-        }
-        cfg
-    }
-}
+/// Connect/read timeout of a probe (and of `Finish`); a worker that
+/// cannot answer within it is declared dead.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The coordinator's handle on its worker fleet.
 pub struct Fleet {
@@ -376,14 +347,14 @@ pub struct Fleet {
 impl Fleet {
     /// Builds the fleet and starts the heartbeat monitor. Workers that
     /// are down at construction are simply marked dead; they join the
-    /// rotation at their first successful probe.
-    pub fn connect(config: FleetConfig) -> Result<Self, MrError> {
-        if config.workers.is_empty() {
+    /// rotation at their first successful probe. `workers` are their
+    /// advertised addresses (`host:port`).
+    pub fn connect(workers: Vec<String>) -> Result<Self, MrError> {
+        if workers.is_empty() {
             return Err(MrError::BadConfig("fleet needs at least one worker".into()));
         }
         let r = global();
-        let slots: Vec<Arc<WorkerSlot>> = config
-            .workers
+        let slots: Vec<Arc<WorkerSlot>> = workers
             .iter()
             .map(|addr| {
                 Arc::new(WorkerSlot {
@@ -430,26 +401,25 @@ impl Fleet {
         // Synchronous first round so jobs submitted immediately after
         // startup see the real liveness picture.
         for slot in &fleet.slots {
-            probe(slot, config.heartbeat_timeout);
+            probe(slot);
         }
         let stop = Arc::clone(&fleet.stop);
         let slots = fleet.slots.clone();
-        let (every, timeout) = (config.heartbeat_every, config.heartbeat_timeout);
         let handle = std::thread::Builder::new()
             .name("sidr-fleet-heartbeat".into())
             .spawn(move || {
                 // Every worker is probed once per period; in between
                 // the monitor parks, and `shutdown` unparks it.
-                let mut next = Instant::now() + every;
+                let mut next = Instant::now() + HEARTBEAT_EVERY;
                 while !stop.load(Ordering::SeqCst) {
                     let now = Instant::now();
                     if now < next {
                         std::thread::park_timeout(next - now);
                         continue;
                     }
-                    next = now + every;
+                    next = now + HEARTBEAT_EVERY;
                     for slot in &slots {
-                        probe(slot, timeout);
+                        probe(slot);
                     }
                 }
             })
@@ -581,8 +551,8 @@ fn mark_dead(slot: &WorkerSlot) {
 }
 
 /// One liveness probe: dial, handshake, `Ping`, read `Pong`.
-fn probe(slot: &WorkerSlot, timeout: Duration) {
-    match call(&slot.addr, &WorkerRequest::Ping, Some(timeout)) {
+fn probe(slot: &WorkerSlot) {
+    match call(&slot.addr, &WorkerRequest::Ping, Some(HEARTBEAT_TIMEOUT)) {
         Ok((WorkerResponse::Pong(stat), _)) => {
             let pressured = stat.pressured();
             slot.resident_gauge.set(stat.resident_bytes as i64);
@@ -720,14 +690,18 @@ struct Held {
 }
 
 impl RemoteJob<'_> {
-    /// Broadcasts `Finish`, dropping the job's state on every worker.
+    /// Broadcasts `Finish`, dropping the job's state on every prepared
+    /// worker — including one currently marked dead: a missed heartbeat
+    /// may only mean slow, and a live worker left unfinished would keep
+    /// the job's executor and partitions. The probe timeout bounds the
+    /// call to one that really is gone.
     pub fn finish(&self) {
-        for (i, slot) in self.fleet.slots.iter().enumerate() {
-            if self.prepared[i] && slot.alive.load(Ordering::SeqCst) {
+        for (slot, &prepared) in self.fleet.slots.iter().zip(self.prepared.iter()) {
+            if prepared {
                 call(
                     &slot.addr,
                     &WorkerRequest::Finish { job: self.job },
-                    Some(Duration::from_millis(500)),
+                    Some(HEARTBEAT_TIMEOUT),
                 )
                 .ok();
             }
@@ -1012,7 +986,7 @@ mod tests {
         // Nothing listens on port 1: the fleet's one worker is marked
         // dead, so each job registers its input and then finds nobody
         // to run on.
-        let fleet = Fleet::connect(FleetConfig::new(vec!["127.0.0.1:1".into()])).unwrap();
+        let fleet = Fleet::connect(vec!["127.0.0.1:1".into()]).unwrap();
         for _ in 0..2 {
             let job = fleet.prepare_job(&spec, "/data/shared.scinc", &ExecOptions::default());
             assert!(job.is_err(), "no live workers");

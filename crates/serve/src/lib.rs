@@ -51,8 +51,8 @@ pub mod server;
 pub use binframe::KeyblockBin;
 pub use client::{Client, JobOutcome, ServeError, Ticket};
 pub use fleet::{
-    Fleet, FleetConfig, PartitionStatus, RemoteJob, SourceLoc, WorkerConn, WorkerRequest,
-    WorkerResponse, WorkerStat,
+    Fleet, PartitionStatus, RemoteJob, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
+    WorkerStat,
 };
 pub use frame::{
     handshake_accept, handshake_dial, FrameError, Hello, Role, HELLO_MAGIC, MAX_FRAME,

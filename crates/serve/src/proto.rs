@@ -38,15 +38,11 @@ pub struct SubmitOptions {
     pub validate_annotations: bool,
     /// Push a `Filter` operator's predicate below the shuffle.
     pub filter_pushdown: bool,
-    /// Artificial per-map-task cost in milliseconds (demos and
-    /// scheduling tests — lets early results visibly precede late
-    /// maps on datasets that would otherwise finish instantly).
-    pub map_think_ms: u64,
-    /// Artificial per-reduce-task cost in milliseconds.
-    pub reduce_think_ms: u64,
     /// Chaos hook: a deterministic fault script injected into the run
     /// (empty plan = none). Lets clients exercise the retry and
-    /// dependency-scoped recovery machinery end to end.
+    /// dependency-scoped recovery machinery end to end, and slow
+    /// chosen maps down (`FaultKind::Straggle`) so a job stays in
+    /// flight.
     pub fault_plan: FaultPlan,
 }
 
@@ -56,8 +52,6 @@ impl Default for SubmitOptions {
             priority_region: None,
             validate_annotations: true,
             filter_pushdown: false,
-            map_think_ms: 0,
-            reduce_think_ms: 0,
             fault_plan: FaultPlan::none(),
         }
     }

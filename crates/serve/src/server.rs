@@ -36,7 +36,7 @@ use sidr_mapreduce::{CancelToken, MrError, OutputCollector, ProgressProbe, SlotP
 use sidr_scifile::ScincFile;
 
 use crate::binframe;
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::Fleet;
 use crate::frame::{self, FrameError, Hello, Role};
 use crate::metrics::{serve as serve_metrics, ServeMetrics};
 use crate::proto::{Request, Response, ServerStats, SubmitOptions};
@@ -75,10 +75,6 @@ pub struct ServerConfig {
     /// execution; non-empty turns the server into a coordinator that
     /// dispatches every task attempt to this fleet.
     pub workers: Vec<String>,
-    /// Fleet heartbeat probe interval (zero = fleet default).
-    pub heartbeat_every: Duration,
-    /// Fleet heartbeat probe timeout (zero = fleet default).
-    pub heartbeat_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -88,8 +84,6 @@ impl Default for ServerConfig {
             reduce_slots: 2,
             analyze: AnalyzeOptions::default(),
             workers: Vec::new(),
-            heartbeat_every: Duration::ZERO,
-            heartbeat_timeout: Duration::ZERO,
         }
     }
 }
@@ -282,16 +276,9 @@ impl Server {
         let fleet = if config.workers.is_empty() {
             None
         } else {
-            Some(
-                Fleet::connect(FleetConfig::with_heartbeat(
-                    config.workers.clone(),
-                    config.heartbeat_every,
-                    config.heartbeat_timeout,
-                ))
-                .map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-                })?,
-            )
+            Some(Fleet::connect(config.workers.clone()).map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+            })?)
         };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -578,8 +565,8 @@ fn run_admitted_job(
         }
     };
 
-    // With speculation enabled the engine's monitor publishes coarse
-    // progress and projected completion through this probe; the
+    // With speculation enabled the engine's monitor publishes its
+    // projected completion through this probe; the
     // deadline watchdog reads it to act *before* the deadline instead
     // of only at it.
     let probe = if spec.speculation.enabled {
@@ -591,8 +578,6 @@ fn run_admitted_job(
         priority_region: options.priority_region.clone(),
         validate_annotations: options.validate_annotations,
         filter_pushdown: options.filter_pushdown,
-        map_think: Duration::from_millis(options.map_think_ms),
-        reduce_think: Duration::from_millis(options.reduce_think_ms),
         fault_plan: options.fault_plan.clone(),
         retry: spec.retry,
         speculation: spec.speculation.clone(),

@@ -63,19 +63,14 @@ fn blown_deadline_degrades_to_typed_terminal_state() {
         ..ServerConfig::default()
     });
 
-    // 12 maps at 50 ms each on one slot can never meet 40 ms.
+    // 12 maps straggling 50 ms each on one slot can never meet 40 ms.
     let spec = spec.with_deadline_ms(40);
     let mut client = Client::connect(addr).unwrap();
-    let ticket = client
-        .submit(
-            &spec,
-            &input,
-            SubmitOptions {
-                map_think_ms: 50,
-                ..SubmitOptions::default()
-            },
-        )
-        .unwrap();
+    let options = SubmitOptions {
+        fault_plan: FaultPlan::straggle_maps(0..12, 50),
+        ..SubmitOptions::default()
+    };
+    let ticket = client.submit(&spec, &input, options).unwrap();
 
     match client.stream_job(ticket.job, |_, _, _| {}) {
         Err(ServeError::DeadlineExceeded { job, deadline_ms }) => {
@@ -117,18 +112,18 @@ fn mid_stream_map_failure_is_invisible_to_the_client() {
     let query = spec.query().unwrap();
     let batch = run_query(&file, &query, &RunOptions::new(FrameworkMode::Sidr, 4)).unwrap();
 
+    // Map 3's first attempt fails while the other maps straggle, so
+    // the retry lands mid-stream.
     let mut client = Client::connect(addr).unwrap();
-    let ticket = client
-        .submit(
-            &spec,
-            &input,
-            SubmitOptions {
-                map_think_ms: 5,
-                fault_plan: FaultPlan::none().with(FaultTarget::Map(3), 0, FaultKind::Fail),
-                ..SubmitOptions::default()
-            },
-        )
-        .unwrap();
+    let options = SubmitOptions {
+        fault_plan: FaultPlan::straggle_maps((0..12).filter(|&m| m != 3), 5).with(
+            FaultTarget::Map(3),
+            0,
+            FaultKind::Fail,
+        ),
+        ..SubmitOptions::default()
+    };
+    let ticket = client.submit(&spec, &input, options).unwrap();
 
     let mut streamed: Vec<(Coord, f64)> = Vec::new();
     let outcome = client

@@ -15,7 +15,7 @@ use sidr_coords::Coord;
 use sidr_core::framework::{run_query, FrameworkMode, RunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::SidrPlanner;
-use sidr_mapreduce::TaskKind;
+use sidr_mapreduce::{FaultPlan, TaskKind};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_serve::frame::{read_frame, write_frame};
 use sidr_serve::{Client, Response, ServeError, Server, ServerConfig, SubmitOptions};
@@ -44,6 +44,15 @@ fn tiny_fixture(tag: &str) -> (JobSpec, String) {
         .unwrap();
     }
     (spec, path.to_string_lossy().into_owned())
+}
+
+/// Submit options that slow the first attempt of every map of `spec`
+/// by `delay_ms`, so a job stays in flight long enough to observe.
+fn straggled(spec: &JobSpec, delay_ms: u64) -> SubmitOptions {
+    SubmitOptions {
+        fault_plan: FaultPlan::straggle_maps(0..spec.splits.len(), delay_ms),
+        ..SubmitOptions::default()
+    }
 }
 
 /// Spins up a server on an ephemeral port; returns its address and a
@@ -87,12 +96,9 @@ fn two_concurrent_clients_stream_exact_results_early() {
                         .submit(
                             &spec,
                             &input,
-                            SubmitOptions {
-                                // Maps trickle so early delivery is
-                                // observable, not raced.
-                                map_think_ms: 10,
-                                ..SubmitOptions::default()
-                            },
+                            // Maps trickle so early delivery is
+                            // observable, not raced.
+                            straggled(&spec, 10),
                         )
                         .unwrap();
                     assert_eq!(ticket.keyblocks, 4);
@@ -173,16 +179,7 @@ fn client_hangup_does_not_kill_the_job() {
 
     {
         let mut client = Client::connect(addr).unwrap();
-        let ticket = client
-            .submit(
-                &spec,
-                &input,
-                SubmitOptions {
-                    map_think_ms: 20,
-                    ..SubmitOptions::default()
-                },
-            )
-            .unwrap();
+        let ticket = client.submit(&spec, &input, straggled(&spec, 20)).unwrap();
         // Read exactly one early result, then vanish.
         let mut got_one = false;
         while !got_one {
@@ -224,16 +221,7 @@ fn cancellation_reaches_the_submitter() {
     });
 
     let mut client = Client::connect(addr).unwrap();
-    let ticket = client
-        .submit(
-            &spec,
-            &input,
-            SubmitOptions {
-                map_think_ms: 50,
-                ..SubmitOptions::default()
-            },
-        )
-        .unwrap();
+    let ticket = client.submit(&spec, &input, straggled(&spec, 50)).unwrap();
 
     // Cancel from a second connection (any connection may cancel).
     let mut other = Client::connect(addr).unwrap();
@@ -341,8 +329,7 @@ fn priority_region_steers_first_delivery() {
                 &input,
                 SubmitOptions {
                     priority_region: Some(region.clone()),
-                    map_think_ms: 5,
-                    ..SubmitOptions::default()
+                    ..straggled(&spec, 5)
                 },
             )
             .unwrap();

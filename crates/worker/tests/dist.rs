@@ -10,6 +10,7 @@
 //! gates on the frames it sees there; the workers are the plain daemon.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -30,7 +31,7 @@ use sidr_scifile::ScincFile;
 use sidr_serve::binframe::{decode_keyblock, encode_keyblock};
 use sidr_serve::fleet::{send_reply, WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Hello, Role};
-use sidr_serve::{Client, Fleet, FleetConfig, Server, ServerConfig, SubmitOptions};
+use sidr_serve::{Client, Fleet, Server, ServerConfig, SubmitOptions};
 use sidr_worker::{Worker, WorkerOptions};
 
 /// Builds a spec and (once per tag) its dataset from a query.
@@ -97,7 +98,7 @@ fn addrs(workers: &[Worker]) -> Vec<String> {
 }
 
 fn fleet_of(workers: &[Worker]) -> Fleet {
-    Fleet::connect(FleetConfig::new(addrs(workers))).expect("fleet connects")
+    Fleet::connect(addrs(workers)).expect("fleet connects")
 }
 
 fn exec_opts(fault_plan: FaultPlan) -> ExecOptions {
@@ -325,7 +326,7 @@ fn proxied_fleet(
             }
         });
     }
-    let fleet = Fleet::connect(FleetConfig::new(proxies)).expect("fleet connects");
+    let fleet = Fleet::connect(proxies).expect("fleet connects");
     (fleet, seam)
 }
 
@@ -967,6 +968,45 @@ fn prepare_sweeps_what_a_vanished_coordinator_left_behind() {
     let held = workers[0].stat().partitions_held;
     assert_eq!(held, 0, "only the new job's output may be held: none yet");
     job.finish();
+}
+
+/// Regression: `finish` skipped a prepared worker that was only marked
+/// dead — it missed heartbeats, it did not crash — so that worker kept
+/// the job's executor and every partition until a restarted coordinator
+/// reused the job id. `Finish` goes to every prepared worker.
+#[test]
+fn finish_reaches_a_worker_marked_dead_by_missed_heartbeats() {
+    let (spec, input) = tiny_fixture("missedbeat");
+    let workers = spawn_workers(1);
+    // Once armed, every `Ping` waits at the door: the worker stays up,
+    // but the coordinator's probes time out.
+    let hold_pings = Arc::new(AtomicBool::new(false));
+    let script = {
+        let hold_pings = Arc::clone(&hold_pings);
+        move |seam: &Seam, w: usize, x: Crossing<'_>| {
+            if matches!(x, Crossing::Door(WorkerRequest::Ping)) && hold_pings.load(Ordering::SeqCst)
+            {
+                seam.gates[w].wait();
+            }
+        }
+    };
+    let (fleet, seam) = proxied_fleet(addrs(&workers), script);
+
+    let job = (fleet.prepare_job(&spec, &input, &exec_opts(FaultPlan::none()))).expect("prepare");
+    for (task, split) in spec.splits.iter().enumerate() {
+        job.execute_map(task, 0, false, split, &Counters::default(), &|_| true)
+            .expect("map runs");
+    }
+    assert!(workers[0].stat().partitions_held > 0);
+    hold_pings.store(true, Ordering::SeqCst);
+    wait_until(|| !fleet.stats()[0].alive);
+    job.finish();
+    seam.gates[0].open();
+    assert_eq!(
+        workers[0].stat().partitions_held,
+        0,
+        "a worker marked dead by missed heartbeats must still be told to finish"
+    );
 }
 
 /// The serving path end-to-end: a coordinator configured with

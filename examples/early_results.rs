@@ -14,9 +14,9 @@
 use std::time::Duration;
 
 use sidr_repro::coords::{Coord, Shape, Slab};
-use sidr_repro::core::framework::RunOptions;
+use sidr_repro::core::framework::{generate_splits, RunOptions};
 use sidr_repro::core::{run_query, FrameworkMode, Operator, StructuralQuery};
-use sidr_repro::mapreduce::TaskKind;
+use sidr_repro::mapreduce::{FaultPlan, TaskKind};
 use sidr_repro::scifile::gen::DatasetSpec;
 
 fn main() {
@@ -49,7 +49,12 @@ fn main() {
     ] {
         let mut opts = RunOptions::new(FrameworkMode::Sidr, 8);
         opts.reduce_slots = 2; // force scheduling waves so order matters
-        opts.map_think = Duration::from_millis(2);
+
+        // Every map straggles a little, so commits spread out in time.
+        let maps = generate_splits(&file, &query, opts.mode, opts.split_bytes)
+            .expect("splits generate")
+            .len();
+        opts.fault_plan = FaultPlan::straggle_maps(0..maps, 2);
         opts.priority_region = priority;
         let outcome = run_query(&file, &query, &opts).expect("query runs");
 

@@ -7,10 +7,9 @@
 //! cargo run --release --example windspeed_median
 //! ```
 
-use std::time::Duration;
-
-use sidr_repro::core::framework::RunOptions;
+use sidr_repro::core::framework::{generate_splits, RunOptions};
 use sidr_repro::core::{run_query, FrameworkMode, StructuralQuery};
+use sidr_repro::mapreduce::FaultPlan;
 use sidr_repro::scifile::gen::DatasetSpec;
 
 fn main() {
@@ -34,8 +33,11 @@ fn main() {
     ] {
         let mut opts = RunOptions::new(mode, 6);
         opts.split_bytes = 1 << 20;
-        // A little artificial task cost so the timeline is visible.
-        opts.map_think = Duration::from_millis(3);
+        // Every map straggles a little, so the timeline is visible.
+        let maps = generate_splits(&file, &query, mode, opts.split_bytes)
+            .expect("splits generate")
+            .len();
+        opts.fault_plan = FaultPlan::straggle_maps(0..maps, 3);
         opts.validate_annotations = mode == FrameworkMode::Sidr;
         let outcome = run_query(&file, &query, &opts).expect("query runs");
 

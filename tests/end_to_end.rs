@@ -8,7 +8,7 @@ use sidr_repro::core::output::DenseSlabOutput;
 use sidr_repro::core::{
     run_query, FrameworkMode, Operator, PartitionPlus, SidrPlanner, StructuralQuery,
 };
-use sidr_repro::mapreduce::TaskKind;
+use sidr_repro::mapreduce::{FaultPlan, TaskKind};
 use sidr_repro::scifile::gen::{DatasetSpec, ValueModel};
 use sidr_repro::scifile::ScincFile;
 
@@ -141,7 +141,10 @@ fn sidr_commits_in_keyblock_order_and_results_are_final() {
         StructuralQuery::new("v", shape(&[48, 6, 6]), shape(&[4, 3, 3]), Operator::Mean).unwrap();
     let mut opts = RunOptions::new(FrameworkMode::Sidr, 4);
     opts.split_bytes = 6 * 6 * 8 * 4;
-    opts.map_think = std::time::Duration::from_millis(2);
+    let maps = generate_splits(&file, &q, opts.mode, opts.split_bytes)
+        .unwrap()
+        .len();
+    opts.fault_plan = FaultPlan::straggle_maps(0..maps, 2);
     let got = run_query(&file, &q, &opts).unwrap();
 
     // Early results: some reduce committed before the last map ended.
