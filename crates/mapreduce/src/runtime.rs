@@ -1,14 +1,16 @@
-//! The threaded job driver: slot-limited Map/Reduce worker threads
-//! around one [`Schedule`], plus retry budgets, speculation and
-//! dependency-based recovery.
+//! The threaded job driver: slot-limited Map/Reduce worker threads,
+//! the speculation monitor and the reduce driver around one
+//! [`Schedule`].
 //!
-//! *Which* task goes next — eligibility, launch order, barriers
-//! (§3.2–3.4) — is the [`Schedule`]'s decision, made under the state
-//! lock the workers here already hold; this module supplies the
-//! threads, the waiting and what an attempt's outcome means. Running
-//! an attempt — and holding what it produced — is the
-//! [`TaskExecutor`]'s job. [`run_job_with_executor`] is the one entry
-//! point; [`run_job`] and [`run_job_shared`] hand it an
+//! Every decision — which task goes next, eligibility, launch order,
+//! barriers (§3.2–3.4), and what an attempt's launch and outcome mean:
+//! attempt ids, first-commit-wins, retry budgets, twins, recovery — is
+//! a [`Schedule`] method, called under the state lock the workers here
+//! already hold. This module supplies the threads, the waiting, the
+//! clock (elapsed times, backoff sleeps, latency stamps) and the
+//! timeline events. Running an attempt — and holding what it produced
+//! — is the [`TaskExecutor`]'s job. [`run_job_with_executor`] is the
+//! one entry point; [`run_job`] and [`run_job_shared`] hand it an
 //! [`InProcessExecutor`] over the caller's user functions.
 //!
 //! Slots are owned by a [`SlotPool`] — the cluster-wide map and reduce
@@ -29,7 +31,7 @@
 
 use crate::sync::chaos::{self, Mutation};
 use crate::sync::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,7 +41,7 @@ use crate::executor::{InProcessExecutor, ReduceSource, RemoteReduceError, TaskEx
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
 use crate::output::OutputCollector;
 use crate::plan::RoutingPlan;
-use crate::schedule::{MapStatus, Schedule};
+use crate::schedule::Schedule;
 use crate::slots::{subscribe_all, CancelToken, CancelWake, PairWaker, SlotGuard, SlotPool};
 use crate::speculation::{ProgressProbe, SpeculationPolicy};
 use crate::split::{InputSplit, MapTaskId};
@@ -155,109 +157,21 @@ impl JobResult {
 }
 
 struct State {
-    /// Eligibility, launch order and barriers (§3.2–3.4).
+    /// Eligibility, launch order, barriers (§3.2–3.4) and every attempt
+    /// decision, one record per map generation.
     sched: Schedule,
-    /// Attempt id the next launch of each map gets (counts every
-    /// execution: first run, retries, recovery re-executions).
-    map_attempt: Vec<u32>,
-    /// Failed attempts per map, charged against the retry budget.
-    map_failures: Vec<u32>,
-    /// Attempt id of the most recently *committed* output generation,
-    /// meaningful only while map `m` is `Done`. Reduce dispatches bind
-    /// exactly this epoch: the executor holds every attempt's output
-    /// under its own generation, and only the committed one is ever
-    /// named to a reducer.
-    map_commit_epoch: Vec<u32>,
-    /// Maps re-enqueued by recovery (lost or corrupt output), stamped
-    /// with the re-enqueue instant so the recovery-latency histogram
-    /// can observe re-enqueue → recommit.
-    recovering: HashMap<MapTaskId, Instant>,
-    /// First-commit-wins claim per map: the attempt id whose output
-    /// becomes this generation's commit. `None` = unclaimed. Taken
-    /// when an attempt's execution returns; a racing loser's output
-    /// stays in the executor, unbound, until the job ends.
-    map_claim: Vec<Option<u32>>,
-    /// Attempts below this floor can never claim: recovery re-enqueues
-    /// raise it past every attempt of the dead generation, so a
-    /// still-straggling old racer cannot commit into the new one.
-    map_claim_floor: Vec<u32>,
-    /// Whether the current generation of each map already got its
-    /// speculative twin (the at-most-one-extra-attempt invariant).
-    map_speculated: Vec<bool>,
-    /// Running attempts per map: 0, 1, or 2 while a race is on.
-    map_running_attempts: Vec<u8>,
-    /// When the generation's primary attempt started running (the
-    /// speculation monitor's elapsed-time reference). Cleared on
-    /// commit and on re-enqueue.
+    /// When each map's current primary attempt was claimed — the
+    /// speculation monitor's elapsed-time reference.
     map_started: Vec<Option<Instant>>,
-    /// Whether the running primary attempt's `MapStart` is on the
-    /// timeline yet. Speculative claims wait for it, so a twin's
-    /// `MapSpeculated` event can never precede its racer's start in
-    /// the recorded stream (the oracle's attempt numbering relies on
-    /// that order).
-    map_start_logged: Vec<bool>,
     /// Committed map durations, milliseconds — the speculation
     /// trigger's cohort.
     map_durations_ms: Vec<u64>,
-    /// Maps the speculation monitor granted a twin, awaiting claim by
-    /// an idle map worker. Entries go stale harmlessly (re-validated
-    /// at claim time).
-    spec_queue: VecDeque<MapTaskId>,
+    /// Maps re-opened by recovery (lost or corrupt output), stamped
+    /// with the re-open instant so the recovery-latency histogram can
+    /// observe re-open → recommit.
+    recovering: HashMap<MapTaskId, Instant>,
     reduces_done: usize,
     failed: bool,
-}
-
-impl State {
-    /// Hands a Done map back to the eligible set for re-execution
-    /// (dependency-scoped recovery). No-op unless the map is Done —
-    /// concurrent reducers may both detect the same lost output.
-    /// Returns true when this call performed the re-enqueue.
-    fn reenqueue_for_recovery(&mut self, m: MapTaskId, counters: &Counters) -> bool {
-        if self.sched.status(m) != MapStatus::Done {
-            return false;
-        }
-        self.sched.reopen(m);
-        self.recovering.entry(m).or_insert_with(Instant::now);
-        // A fresh generation: it gets its own commit claim and its own
-        // speculation budget, and no attempt of the dead generation —
-        // e.g. a speculation loser still straggling — may claim into
-        // it (its epoch would not match what recovery promised).
-        self.map_claim[m] = None;
-        self.map_claim_floor[m] = self.map_attempt[m];
-        self.map_speculated[m] = false;
-        self.map_started[m] = None;
-        Counters::add(&counters.maps_reexecuted, 1);
-        crate::metrics::runtime().maps_recovered.inc();
-        true
-    }
-
-    /// First-commit-wins: claims the right to publish map `m`'s output
-    /// for `attempt`. True when `attempt` holds the claim after the
-    /// call (idempotent for the claim holder); false when another
-    /// attempt claimed first or `attempt` predates the generation
-    /// floor.
-    fn try_claim_commit(&mut self, m: MapTaskId, attempt: u32) -> bool {
-        if attempt < self.map_claim_floor[m] {
-            return false;
-        }
-        match self.map_claim[m] {
-            None => {
-                self.map_claim[m] = Some(attempt);
-                true
-            }
-            Some(a) => a == attempt,
-        }
-    }
-
-    /// Whether `attempt` can no longer win map `m`'s commit race: a
-    /// racer claimed or committed, or recovery started a newer
-    /// generation. A lost attempt aborts instead of finishing work
-    /// nobody will consume.
-    fn race_lost(&self, m: MapTaskId, attempt: u32) -> bool {
-        attempt < self.map_claim_floor[m]
-            || self.sched.status(m) == MapStatus::Done
-            || self.map_claim[m].is_some_and(|a| a != attempt)
-    }
 }
 
 struct Shared<'j, K2: MrKey> {
@@ -272,7 +186,6 @@ struct Shared<'j, K2: MrKey> {
     config: &'j JobConfig,
     pool: &'j SlotPool,
     cancel: Option<&'j CancelToken>,
-    num_maps: usize,
 }
 
 impl<K2: MrKey> Shared<'_, K2> {
@@ -450,18 +363,9 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
     let shared = Shared {
         state: Arc::new(Mutex::new(State {
             sched,
-            map_attempt: vec![0; num_maps],
-            map_failures: vec![0; num_maps],
-            map_commit_epoch: vec![0; num_maps],
-            recovering: HashMap::new(),
-            map_claim: vec![None; num_maps],
-            map_claim_floor: vec![0; num_maps],
-            map_speculated: vec![false; num_maps],
-            map_running_attempts: vec![0; num_maps],
             map_started: vec![None; num_maps],
-            map_start_logged: vec![false; num_maps],
             map_durations_ms: Vec::new(),
-            spec_queue: VecDeque::new(),
+            recovering: HashMap::new(),
             reduces_done: 0,
             failed: false,
         })),
@@ -473,7 +377,6 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
         config,
         pool,
         cancel,
-        num_maps,
     };
     Counters::add(&shared.counters.maps_skipped, maps_skipped as u64);
 
@@ -528,13 +431,11 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
     // runtime map-output tally against the plan's static prediction.
     // Only meaningful when annotation validation is on (filter
     // pushdown voids the geometric tallies) and every map ran exactly
-    // once (skips, recovery re-executions and speculative twins — both
-    // racers tally their records — change the totals).
+    // once (skips, retries, recovery re-executions and speculative
+    // twins — both racers tally their records — change the totals).
     #[cfg(debug_assertions)]
     if shared.config.validate_annotations
-        && counters.maps_skipped == 0
-        && counters.maps_reexecuted == 0
-        && !shared.state.lock().map_speculated.iter().any(|&s| s)
+        && (0..num_maps).all(|m| shared.state.lock().sched.attempts(m) == 1)
     {
         let expected: Option<u64> = (0..num_reducers)
             .map(|r| shared.plan.expected_raw_count(r))
@@ -572,35 +473,29 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                     shared.observe_cancel();
                     return;
                 }
-                if let Some(i) = st.sched.claim_map(|_| true) {
+                // Fresh work first; with none, a speculative twin for a
+                // running straggler (racing must never starve first
+                // attempts of a slot).
+                let spec = &shared.config.speculation;
+                let claim = match st.sched.claim_map(|_| true) {
+                    Some(c) => Some((c, false)),
+                    None if spec.enabled => {
+                        st.sched.claim_twin(&spec.force_maps).map(|c| (c, true))
+                    }
+                    None => None,
+                };
+                if let Some(((m, attempt), speculative)) = claim {
                     if ticked {
                         crate::metrics::runtime().tick_wakeups.inc();
                     }
-                    let attempt = st.map_attempt[i];
-                    st.map_attempt[i] += 1;
-                    st.map_running_attempts[i] = 1;
-                    st.map_started[i] = Some(Instant::now());
-                    st.map_start_logged[i] = false;
-                    break (i, attempt, false);
-                }
-                // No fresh work: claim a speculative twin for a
-                // running straggler (fresh tasks always outrank
-                // speculation — racing must never starve first
-                // attempts of a slot).
-                if shared.config.speculation.enabled {
-                    if let Some(m) = claim_speculative(&mut st, shared) {
-                        if ticked {
-                            crate::metrics::runtime().tick_wakeups.inc();
-                        }
-                        let attempt = st.map_attempt[m];
-                        st.map_attempt[m] += 1;
-                        st.map_running_attempts[m] += 1;
-                        break (m, attempt, true);
+                    if !speculative {
+                        st.map_started[m] = Some(Instant::now());
                     }
+                    break (m, attempt, speculative);
                 }
                 // Nothing eligible: either all maps are done/skipped
                 // (reduces still draining) or eligibility will arrive
-                // when a reduce starts / recovery re-enqueues.
+                // when a reduce starts / recovery re-opens a map.
                 ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
             }
         };
@@ -637,19 +532,18 @@ fn map_worker<K2: MrKey, V3: MrValue>(
             .timeline
             .record_attempt(TaskKind::MapStart, task, attempt);
         if shared.config.speculation.enabled {
-            // Unblock speculative claims waiting on this start being
-            // in the log (see `map_start_logged`).
-            shared.state.lock().map_start_logged[task] = true;
+            // A primary may be raced once its start is in the log.
+            shared.state.lock().sched.note_started(task, attempt);
             shared.cv.notify_all();
         }
         // The executor runs the attempt and keeps its output under
         // the generation (task, attempt) — each racer's under its own;
-        // the claim + bookkeeping below decide the race. An attempt
-        // waits only through `pause`: a straggler whose race is
-        // already lost, or whose job is cancelled, unblocks within a
-        // notification instead of waiting out its delay.
+        // the commit below decides the race. An attempt waits only
+        // through `pause`: a straggler whose race is already lost, or
+        // whose job is cancelled, unblocks within a notification
+        // instead of waiting out its delay.
         let pause = |dur: Duration| {
-            shared.sleep_interruptible(dur, &|st| st.failed || st.race_lost(task, attempt))
+            shared.sleep_interruptible(dur, &|st| st.failed || st.sched.race_lost(task, attempt))
         };
         match executor.execute_map(
             task,
@@ -660,42 +554,30 @@ fn map_worker<K2: MrKey, V3: MrValue>(
             &pause,
         ) {
             Ok(()) => {
-                // The first-commit-wins decision. Losing is only
-                // possible in a race.
-                let won = {
-                    let mut st = shared.state.lock();
-                    let won = st.try_claim_commit(task, attempt);
-                    st.map_running_attempts[task] = st.map_running_attempts[task].saturating_sub(1);
-                    won
-                };
-                if !won {
+                let mut st = shared.state.lock();
+                if !st.sched.commit(task, attempt) {
+                    drop(st);
                     lose_race(shared, task, attempt);
                     continue;
                 }
-                // `MapEnd` strictly precedes the `Done` transition, so
-                // no dependent barrier event can land before it.
+                // `MapEnd` is logged before the lock publishes `Done`,
+                // so no dependent barrier event can land before it.
                 shared
                     .timeline
                     .record_attempt(TaskKind::MapEnd, task, attempt);
-                crate::metrics::runtime()
-                    .map_task_seconds
-                    .observe_duration(started.elapsed());
+                let took = started.elapsed();
+                st.map_durations_ms.push(took.as_millis() as u64);
+                let recovered = st.recovering.remove(&task);
+                drop(st);
+                let metrics = crate::metrics::runtime();
+                metrics.map_task_seconds.observe_duration(took);
                 if speculative {
-                    crate::metrics::runtime().speculative_won.inc();
+                    metrics.speculative_won.inc();
                 }
-                let recovered = {
-                    let mut st = shared.state.lock();
-                    st.sched.map_done(task);
-                    st.map_commit_epoch[task] = attempt;
-                    st.map_started[task] = None;
-                    st.map_durations_ms
-                        .push(started.elapsed().as_millis() as u64);
-                    st.recovering.remove(&task)
-                };
-                if let Some(reenqueued_at) = recovered {
-                    crate::metrics::runtime()
+                if let Some(reopened_at) = recovered {
+                    metrics
                         .recovery_seconds
-                        .observe_duration(reenqueued_at.elapsed());
+                        .observe_duration(reopened_at.elapsed());
                 }
                 // Mutation hook: committing `Done` without the
                 // notify_all leaves barrier-blocked reducers asleep —
@@ -707,17 +589,13 @@ fn map_worker<K2: MrKey, V3: MrValue>(
             Err(e) => {
                 // An attempt that died — or abandoned its pause —
                 // *after* its race was decided is a loser, not a
-                // failure: no budget charge, no re-enqueue (the
-                // winner's commit stands).
-                let lost = {
-                    let mut st = shared.state.lock();
-                    st.map_running_attempts[task] = st.map_running_attempts[task].saturating_sub(1);
-                    st.race_lost(task, attempt)
-                };
-                if lost {
+                // failure: no budget charge, no re-open (the winner's
+                // commit stands).
+                let failed = shared.state.lock().sched.attempt_failed(task, attempt);
+                let Some(failures) = failed else {
                     lose_race(shared, task, attempt);
                     continue;
-                }
+                };
                 if matches!(e, MrError::Cancelled) {
                     // Job cancelled or failed mid-attempt.
                     shared.observe_cancel();
@@ -732,11 +610,6 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 shared
                     .timeline
                     .record_attempt(TaskKind::MapFailed, task, attempt);
-                let failures = {
-                    let mut st = shared.state.lock();
-                    st.map_failures[task] += 1;
-                    st.map_failures[task]
-                };
                 if failures >= shared.config.retry.max_task_attempts {
                     shared.fail(MrError::TaskFailed {
                         task: format!("map {task}"),
@@ -754,28 +627,15 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 if st.failed {
                     return;
                 }
-                if st.race_lost(task, attempt) {
-                    // The racing twin won while this attempt backed
-                    // off: the task is committed, nothing to retry.
-                    drop(st);
-                    shared.cv.notify_all();
-                    continue;
-                }
-                if st.map_running_attempts[task] > 0 {
-                    // A racer is still in flight; it will commit, or
-                    // fail and re-enqueue through this same path.
-                    continue;
-                }
-                st.sched.reopen(task);
-                st.map_speculated[task] = false;
-                st.map_started[task] = None;
-                let next_attempt = st.map_attempt[task];
+                let next_attempt = st.sched.retry(task, attempt);
                 drop(st);
-                Counters::add(&shared.counters.map_retries, 1);
-                crate::metrics::runtime().task_retries_map.inc();
-                shared
-                    .timeline
-                    .record_attempt(TaskKind::MapRetry, task, next_attempt);
+                if let Some(next_attempt) = next_attempt {
+                    Counters::add(&shared.counters.map_retries, 1);
+                    crate::metrics::runtime().task_retries_map.inc();
+                    shared
+                        .timeline
+                        .record_attempt(TaskKind::MapRetry, task, next_attempt);
+                }
                 shared.cv.notify_all();
             }
         }
@@ -792,31 +652,6 @@ fn lose_race<K2: MrKey>(shared: &Shared<'_, K2>, task: MapTaskId, attempt: u32) 
         .record_attempt(TaskKind::MapSpeculationLost, task, attempt);
     crate::metrics::runtime().speculative_wasted.inc();
     shared.cv.notify_all();
-}
-
-/// Pops the next valid speculation grant under the state lock: forced
-/// maps (the deterministic test hook) first, then the monitor's
-/// queue. A grant is only valid against a map still running exactly
-/// one unclaimed attempt — anything else is stale and dropped.
-fn claim_speculative<K2: MrKey>(st: &mut State, shared: &Shared<'_, K2>) -> Option<MapTaskId> {
-    fn valid(st: &State, m: MapTaskId) -> bool {
-        st.sched.status(m) == MapStatus::Running
-            && st.map_claim[m].is_none()
-            && st.map_running_attempts[m] == 1
-            && st.map_start_logged[m]
-    }
-    for &m in &shared.config.speculation.force_maps {
-        if m < shared.num_maps && !st.map_speculated[m] && valid(st, m) {
-            st.map_speculated[m] = true;
-            return Some(m);
-        }
-    }
-    while let Some(m) = st.spec_queue.pop_front() {
-        if valid(st, m) {
-            return Some(m);
-        }
-    }
-    None
 }
 
 fn reduce_worker<K2: MrKey, V3: MrValue>(
@@ -889,7 +724,7 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
 /// Fault mapping:
 /// * sources lost *before* the attempt consumed anything
 ///   ([`RemoteReduceError::SourcesLost`] — a dead holder, a failed
-///   CRC) re-enqueue exactly the lost maps and retry the same attempt;
+///   CRC) re-execute exactly the lost maps and retry the same attempt;
 ///   no retry budget charged;
 /// * a failed attempt ([`RemoteReduceError::AttemptFailed`], or an
 ///   injected failure once its barrier is met) is charged against the
@@ -934,15 +769,11 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                     shared.observe_cancel();
                     return Ok(());
                 }
-                if st.sched.barrier_met(r) {
-                    let epochs: Vec<u32> =
-                        sources.iter().map(|&m| st.map_commit_epoch[m]).collect();
-                    if epochs.iter().zip(&min_epoch).all(|(e, min)| e >= min) {
-                        if ticked {
-                            crate::metrics::runtime().tick_wakeups.inc();
-                        }
-                        break epochs;
+                if let Some(epochs) = st.sched.bound_epochs(r, &min_epoch) {
+                    if ticked {
+                        crate::metrics::runtime().tick_wakeups.inc();
                     }
+                    break epochs;
                 }
                 let parked = Instant::now();
                 ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
@@ -997,27 +828,13 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                 return Ok(());
             }
             Err(RemoteReduceError::SourcesLost(lost)) => {
-                // Nothing was consumed: re-enqueue exactly the maps
+                // Nothing was consumed: re-execute exactly the maps
                 // whose output is gone (their `I_ℓ` share) and retry
                 // the same attempt once they recommit.
                 Counters::add(&shared.counters.corrupt_fetches, 1);
-                {
-                    let mut st = shared.state.lock();
-                    for (i, &m) in sources.iter().enumerate() {
-                        if !lost.contains(&m) {
-                            continue;
-                        }
-                        // Guard: only recover the generation we bound.
-                        // A re-execution may have recommitted (newer
-                        // epoch), or a concurrent reducer already
-                        // re-enqueued it (not Done: a no-op below).
-                        if st.map_commit_epoch[m] == epochs[i] {
-                            st.reenqueue_for_recovery(m, &shared.counters);
-                        }
-                        min_epoch[i] = epochs[i] + 1;
-                    }
-                }
-                shared.cv.notify_all();
+                recover(shared, &sources, &epochs, &mut min_epoch, |m| {
+                    lost.contains(&m)
+                });
             }
             Err(RemoteReduceError::AttemptFailed(cause)) => {
                 Counters::add(&shared.counters.reduce_failures, 1);
@@ -1033,7 +850,7 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
                 if shared.config.volatile_intermediate {
                     // The attempt consumed its fetches before dying:
                     // re-execute the whole dependency set (§6).
-                    reenqueue_sources(shared, &sources, &epochs, &mut min_epoch);
+                    recover(shared, &sources, &epochs, &mut min_epoch, |_| true);
                 }
                 crate::metrics::runtime().task_retries_reduce.inc();
                 if !shared
@@ -1052,8 +869,8 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
 /// The speculation monitor: wakes every `check_interval_ms`, compares
 /// each running map's elapsed time against the committed cohort's
 /// quantile × slowdown, and grants speculative twins for the
-/// stragglers — ordered by dependency-matrix blocking weight, so the
-/// map stalling the most keyblocks races first. Also publishes the
+/// stragglers ([`Schedule::claim_twin`] launches the one stalling the
+/// most keyblocks first). Also publishes the
 /// projected completion the serving layer's proactive deadline
 /// watchdog reads; a boost request from the watchdog drops the
 /// trigger to "slower than the cohort" with a one-commit floor.
@@ -1087,22 +904,12 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
         let mut granted = false;
         if let Some(ms) = policy.straggler_threshold_ms(&cohort, boosted) {
             let threshold = Duration::from_millis(ms);
-            let mut candidates: Vec<(usize, MapTaskId)> = (0..shared.num_maps)
-                .filter(|&m| {
-                    st.sched.status(m) == MapStatus::Running
-                        && !st.map_speculated[m]
-                        && st.map_claim[m].is_none()
-                        && st.map_running_attempts[m] == 1
-                        && st.map_started[m].is_some_and(|t| t.elapsed() >= threshold)
-                })
-                .map(|m| (st.sched.blocking_weight(m), m))
+            let slow: Vec<MapTaskId> = (st.sched.twin_candidates())
+                .filter(|&m| st.map_started[m].is_some_and(|t| t.elapsed() >= threshold))
                 .collect();
-            // Highest blocking weight races first.
-            candidates.sort_by(|a, b| b.cmp(a));
-            for (_, m) in candidates {
-                st.map_speculated[m] = true;
-                st.spec_queue.push_back(m);
-                granted = true;
+            granted = !slow.is_empty();
+            for m in slow {
+                st.sched.grant_twin(m);
             }
         }
 
@@ -1111,7 +918,7 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
             // waves per slot class. Crude on purpose — the watchdog
             // only needs "does this threaten the deadline".
             if let Some(q) = quantile_ms {
-                let pending_maps = (shared.num_maps - st.sched.maps_finished()) as u64;
+                let pending_maps = st.sched.maps_unfinished() as u64;
                 let pending_reduces = (num_reducers - st.reduces_done) as u64;
                 let map_waves = pending_maps.div_ceil(shared.pool.map_slots().max(1) as u64);
                 let reduce_waves =
@@ -1122,28 +929,35 @@ fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) 
 
         if granted {
             // Idle map workers park on this condvar; hand them the
-            // queue without waiting for their safety-net tick.
+            // grants without waiting for their safety-net tick.
             shared.cv.notify_all();
         }
     }
 }
 
-/// Re-enqueues every source whose bound generation is still current
-/// (epoch-guarded, like the `SourcesLost` arm) and advances
-/// `min_epoch` past the consumed generation so the retry binds fresh
-/// commits only.
-fn reenqueue_sources<K2: MrKey>(
+/// Dependency-scoped recovery (§6) for a reduce bound to `sources`
+/// at `epochs`: every `lost` source whose bound generation is still
+/// the committed one is re-opened for re-execution, and `min_epoch`
+/// moves past each lost binding so the retry waits for a fresh commit
+/// instead of re-fetching a dead one.
+fn recover<K2: MrKey>(
     shared: &Shared<'_, K2>,
     sources: &[MapTaskId],
     epochs: &[u32],
     min_epoch: &mut [u32],
+    lost: impl Fn(MapTaskId) -> bool,
 ) {
     let mut st = shared.state.lock();
     for (i, &m) in sources.iter().enumerate() {
-        // Mutation hook: forgetting the re-enqueue leaves the retry
+        if !lost(m) {
+            continue;
+        }
+        // Mutation hook: forgetting the re-open leaves the retry
         // waiting for a recommit nobody will produce.
-        if !chaos::on(Mutation::SkipRecoveryRewait) && st.map_commit_epoch[m] == epochs[i] {
-            st.reenqueue_for_recovery(m, &shared.counters);
+        if !chaos::on(Mutation::SkipRecoveryRewait) && st.sched.recover(m, epochs[i]) {
+            st.recovering.insert(m, Instant::now());
+            Counters::add(&shared.counters.maps_reexecuted, 1);
+            crate::metrics::runtime().maps_recovered.inc();
         }
         min_epoch[i] = epochs[i] + 1;
     }

@@ -5,8 +5,10 @@
 //! execution — re-launching the slowest task and racing the copies,
 //! first commit wins. This module is the policy half: *when* a running
 //! attempt counts as slow, and how a deadline-pressed serving layer
-//! asks for more aggression. The mechanism half (commit claims, loser
-//! teardown, the monitor thread) lives in [`crate::runtime`].
+//! asks for more aggression. The mechanism half is split: commit
+//! claims and each generation's twin state are
+//! [`crate::schedule::Schedule`] decisions; loser teardown and the
+//! monitor thread live in [`crate::runtime`].
 //!
 //! The trigger is cohort-relative, following "Assignment Problems of
 //! Different-Sized Inputs in MapReduce": a running attempt is a

@@ -368,6 +368,41 @@ impl PartitionStore {
     /// the backend. A failed write falls back to pinned-resident (over
     /// budget, with the pressure advisory) — degraded, never lost.
     fn spill_incoming(&self, key: PartKey, bytes: Arc<Vec<u8>>, len: u64) {
+        let spilled = self.write_spill(&key, &bytes);
+        let mut inner = self.inner.lock();
+        inner.clock += 1;
+        let touch = inner.clock;
+        let state = if spilled {
+            inner.spilled += len;
+            let m = tier_metrics();
+            m.spills.inc();
+            m.spill_file_bytes.observe(len as f64);
+            TierState::Spilled
+        } else {
+            inner.resident += len;
+            inner.peak_resident = inner.peak_resident.max(inner.resident);
+            TierState::Resident(bytes)
+        };
+        inner.entries.insert(
+            key,
+            Entry {
+                state,
+                len,
+                touch,
+                pinned: !spilled,
+            },
+        );
+        self.publish(&inner);
+    }
+
+    /// Writes one partition's bytes to the backend under its spill
+    /// name, applying the job's scripted spill fault: an injected
+    /// ENOSPC instead of the write, or damage to the written copy so
+    /// detection at fetch time is a genuine CRC failure, not
+    /// bookkeeping. True when the bytes are on disk; a failure is
+    /// counted and logged here, and the caller keeps the partition
+    /// resident and pinned — degraded, never lost.
+    fn write_spill(&self, key: &PartKey, bytes: &[u8]) -> bool {
         let m = tier_metrics();
         let fault = self
             .inner
@@ -375,7 +410,7 @@ impl PartitionStore {
             .faults
             .get(&key.0)
             .and_then(|plan| plan.map_fault(key.1, key.3));
-        let name = spill_name(&key);
+        let name = spill_name(key);
         let t0 = Instant::now();
         let wrote = if fault == Some(FaultKind::SpillWriteFail) {
             Err(std::io::Error::new(
@@ -383,7 +418,7 @@ impl PartitionStore {
                 "injected ENOSPC",
             ))
         } else {
-            self.backend.write(&name, &bytes)
+            self.backend.write(&name, bytes)
         };
         m.spill_seconds.observe(t0.elapsed().as_secs_f64());
         match wrote {
@@ -393,42 +428,16 @@ impl PartitionStore {
                     Some(FaultKind::SpillReadTruncate) => self.backend.damage(&name, true),
                     _ => {}
                 }
-                let mut inner = self.inner.lock();
-                inner.clock += 1;
-                let touch = inner.clock;
-                inner.entries.insert(
-                    key,
-                    Entry {
-                        state: TierState::Spilled,
-                        len,
-                        touch,
-                        pinned: false,
-                    },
-                );
-                inner.spilled += len;
-                self.publish(&inner);
-                m.spills.inc();
-                m.spill_file_bytes.observe(len as f64);
+                true
             }
             Err(e) => {
-                let mut inner = self.inner.lock();
-                inner.clock += 1;
-                let touch = inner.clock;
-                inner.entries.insert(
-                    key,
-                    Entry {
-                        state: TierState::Resident(bytes),
-                        len,
-                        touch,
-                        pinned: true,
-                    },
-                );
-                inner.resident += len;
-                inner.peak_resident = inner.peak_resident.max(inner.resident);
-                inner.spill_failures += 1;
-                self.publish(&inner);
+                self.inner.lock().spill_failures += 1;
                 m.spill_failures.inc();
+                // The coordinator turns this condition into the
+                // SIDR-I015 advisory from the heartbeat pressure
+                // summary; this is the worker-local trace.
                 eprintln!("spill write failed for {name}: {e}; partition stays resident");
+                false
             }
         }
     }
@@ -633,81 +642,45 @@ impl PartitionStore {
                 }
             };
             let len = entry.len;
-            let fault = inner
-                .faults
-                .get(&key.0)
-                .and_then(|plan| plan.map_fault(key.1, key.3));
             drop(inner);
 
             // Write outside the lock — fetches of *other* partitions
             // proceed; fetches of this one wait on `moved`.
-            let name = spill_name(&key);
-            let t0 = Instant::now();
-            let wrote = if fault == Some(FaultKind::SpillWriteFail) {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::StorageFull,
-                    "injected ENOSPC",
-                ))
-            } else {
-                self.backend.write(&name, &bytes)
+            let spilled = self.write_spill(&key, &bytes);
+            let mut inner = self.inner.lock();
+            let ours = inner
+                .entries
+                .get_mut(&key)
+                .filter(|e| matches!(&e.state, TierState::Moving(b) if Arc::ptr_eq(b, &bytes)));
+            let installed = match ours {
+                Some(e) if spilled => {
+                    e.state = TierState::Spilled;
+                    true
+                }
+                // ENOSPC (real or injected): keep the partition
+                // resident and pinned, move on to other victims.
+                Some(e) => {
+                    e.state = TierState::Resident(bytes);
+                    e.pinned = true;
+                    false
+                }
+                None => false,
             };
-            m.spill_seconds.observe(t0.elapsed().as_secs_f64());
-
-            match wrote {
-                Ok(()) => {
-                    // Scripted read-back faults damage the committed
-                    // copy now, so detection at fetch time is genuine
-                    // CRC failure, not bookkeeping.
-                    match fault {
-                        Some(FaultKind::SpillReadCorrupt) => self.backend.damage(&name, false),
-                        Some(FaultKind::SpillReadTruncate) => self.backend.damage(&name, true),
-                        _ => {}
-                    }
-                    let mut inner = self.inner.lock();
-                    let ours = inner.entries.get(&key).is_some_and(
-                        |e| matches!(&e.state, TierState::Moving(b) if Arc::ptr_eq(b, &bytes)),
-                    );
-                    if ours {
-                        let e = inner.entries.get_mut(&key).expect("checked above");
-                        e.state = TierState::Spilled;
-                        inner.resident = inner.resident.saturating_sub(len);
-                        inner.spilled += len;
-                        self.publish(&inner);
-                        m.spills.inc();
-                        m.spill_file_bytes.observe(len as f64);
-                        drop(inner);
-                        if !chaos::on(chaos::Mutation::DropTierMoveNotify) {
-                            self.moved.notify_all();
-                        }
-                    } else {
-                        // Released (or replaced) while we wrote: the
-                        // consumer won, our file is an orphan.
-                        drop(inner);
-                        self.backend.delete(&name);
-                        self.moved.notify_all();
-                    }
-                }
-                Err(e) => {
-                    // ENOSPC (real or injected): keep the partition
-                    // resident and pinned, raise the advisory, move
-                    // on to other victims.
-                    let mut inner = self.inner.lock();
-                    if let Some(entry) = inner.entries.get_mut(&key) {
-                        if matches!(&entry.state, TierState::Moving(b) if Arc::ptr_eq(b, &bytes)) {
-                            entry.state = TierState::Resident(bytes);
-                            entry.pinned = true;
-                        }
-                    }
-                    inner.spill_failures += 1;
-                    self.publish(&inner);
-                    drop(inner);
-                    m.spill_failures.inc();
-                    // The coordinator turns this condition into the
-                    // SIDR-I015 advisory from the heartbeat pressure
-                    // summary; this is the worker-local trace.
-                    eprintln!("spill write failed for {name}: {e}; partition stays resident");
-                    self.moved.notify_all();
-                }
+            if installed {
+                inner.resident = inner.resident.saturating_sub(len);
+                inner.spilled += len;
+                m.spills.inc();
+                m.spill_file_bytes.observe(len as f64);
+            }
+            self.publish(&inner);
+            drop(inner);
+            if spilled && !installed {
+                // Released (or replaced) while we wrote: the consumer
+                // won, our file is an orphan.
+                self.backend.delete(&spill_name(&key));
+            }
+            if !(installed && chaos::on(chaos::Mutation::DropTierMoveNotify)) {
+                self.moved.notify_all();
             }
         }
     }

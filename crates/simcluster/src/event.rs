@@ -19,11 +19,16 @@ pub fn to_secs(t: SimTime) -> f64 {
     t as f64 / 1e6
 }
 
-/// What can happen in the cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What can happen in the cluster. Its `Ord` only lets the heap hold
+/// it: the unique insertion sequence decides every tie first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
-    /// A map task finishes on a node.
-    MapEnd { map: usize, node: usize },
+    /// A map attempt finishes on a node.
+    MapEnd {
+        map: usize,
+        attempt: u32,
+        node: usize,
+    },
     /// A reduce task finishes.
     ReduceEnd { reduce: usize },
 }
@@ -32,13 +37,9 @@ pub enum Event {
 /// so identical inputs replay identically.
 #[derive(Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(SimTime, u64, EventEntry)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     seq: u64,
 }
-
-/// Wrapper granting `Ord` to events via their field tuple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct EventEntry(u8, usize, usize);
 
 impl EventQueue {
     pub fn new() -> Self {
@@ -47,23 +48,13 @@ impl EventQueue {
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
-        let entry = match event {
-            Event::MapEnd { map, node } => EventEntry(0, map, node),
-            Event::ReduceEnd { reduce } => EventEntry(1, reduce, 0),
-        };
-        self.heap.push(Reverse((at, self.seq, entry)));
+        self.heap.push(Reverse((at, self.seq, event)));
         self.seq += 1;
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|Reverse((at, _, entry))| {
-            let event = match entry {
-                EventEntry(0, map, node) => Event::MapEnd { map, node },
-                EventEntry(_, reduce, _) => Event::ReduceEnd { reduce },
-            };
-            (at, event)
-        })
+        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
     }
 }
 
@@ -71,11 +62,19 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    fn map_end(map: usize) -> Event {
+        Event::MapEnd {
+            map,
+            attempt: 0,
+            node: 0,
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(secs(3.0), Event::MapEnd { map: 3, node: 0 });
-        q.push(secs(1.0), Event::MapEnd { map: 1, node: 0 });
+        q.push(secs(3.0), map_end(3));
+        q.push(secs(1.0), map_end(1));
         q.push(secs(2.0), Event::ReduceEnd { reduce: 2 });
         let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(order, vec![secs(1.0), secs(2.0), secs(3.0)]);
@@ -84,10 +83,10 @@ mod tests {
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(5, Event::MapEnd { map: 10, node: 0 });
-        q.push(5, Event::MapEnd { map: 20, node: 0 });
+        q.push(5, map_end(10));
+        q.push(5, map_end(20));
         let (_, first) = q.pop().unwrap();
-        assert_eq!(first, Event::MapEnd { map: 10, node: 0 });
+        assert_eq!(first, map_end(10));
     }
 
     #[test]

@@ -187,15 +187,15 @@ pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> 
         for (node, free) in free_map_slots.iter_mut().enumerate() {
             let local = |m: usize| job.maps[m].preferred_nodes.contains(&node);
             while *free > 0 {
-                let Some(m) = sched.claim_map(local) else {
+                let Some((map, attempt)) = sched.claim_map(local) else {
                     break;
                 };
                 *free -= 1;
-                trace.record(TaskKind::MapStart, m, now);
-                let task = &job.maps[m];
+                trace.record(TaskKind::MapStart, map, now);
+                let task = &job.maps[map];
                 let dur =
-                    model.map_duration_s(task.input_bytes, local(m), task.oblivious, m as u64);
-                queue.push(now + secs(dur), Event::MapEnd { map: m, node });
+                    model.map_duration_s(task.input_bytes, local(map), task.oblivious, map as u64);
+                queue.push(now + secs(dur), Event::MapEnd { map, attempt, node });
             }
         }
 
@@ -204,8 +204,8 @@ pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> 
         };
         now = at;
         match event {
-            Event::MapEnd { map, node } => {
-                sched.map_done(map);
+            Event::MapEnd { map, attempt, node } => {
+                assert!(sched.commit(map, attempt), "an unraced attempt commits");
                 free_map_slots[node] += 1;
                 trace.record(TaskKind::MapEnd, map, now);
             }

@@ -60,7 +60,7 @@ pub struct WorkerOptions {
 
 /// Shared state of one worker process.
 struct Shared {
-    addr: Mutex<Option<SocketAddr>>,
+    addr: SocketAddr,
     /// Prepared jobs' executors. Partition bytes live in `store`,
     /// which alone decides whether a partition is held.
     jobs: Mutex<HashMap<u64, Arc<SpecExecutor>>>,
@@ -80,12 +80,7 @@ impl Shared {
     fn stat(&self) -> WorkerStat {
         let pressure = self.store.pressure();
         WorkerStat {
-            addr: self
-                .addr
-                .lock()
-                .as_ref()
-                .map(|a| a.to_string())
-                .unwrap_or_default(),
+            addr: self.addr.to_string(),
             alive: !self.dead.load(Ordering::SeqCst),
             heartbeat_age_ms: 0,
             tasks_in_flight: self.tasks_in_flight.load(Ordering::Relaxed),
@@ -135,7 +130,7 @@ impl Worker {
             budget_bytes: options.budget_bytes,
         };
         let shared = Arc::new(Shared {
-            addr: Mutex::new(Some(local)),
+            addr: local,
             jobs: Mutex::new(HashMap::new()),
             store: PartitionStore::on_disk(tier_cfg, spill_dir),
             dead: AtomicBool::new(false),
@@ -526,12 +521,7 @@ fn run_reduce(
             }
         }
     };
-    let self_addr = shared
-        .addr
-        .lock()
-        .as_ref()
-        .map(|a| a.to_string())
-        .unwrap_or_default();
+    let self_addr = shared.addr.to_string();
     shared.tasks_in_flight.fetch_add(1, Ordering::Relaxed);
     shared.reduce_attempts.fetch_add(1, Ordering::Relaxed);
     // Same panic boundary as `run_map`: a panicking attempt must
