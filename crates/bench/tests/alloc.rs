@@ -1,7 +1,8 @@
 //! Allocation invariants of the wire path, observed with the
 //! counting allocator: the binary keyblock encoder makes O(1)
-//! allocator calls per keyblock, and the streaming merge holds
-//! O(sources + one group) live bytes however many records it drains.
+//! allocator calls per keyblock, the streaming merge holds
+//! O(sources + one group) live bytes however many records it drains,
+//! and a SMOF encode is one exactly-sized buffer.
 //!
 //! One `#[test]` on purpose: the counters are process-global, so two
 //! tests on parallel threads would count each other's allocations.
@@ -10,7 +11,7 @@ use std::sync::Arc;
 
 use sidr_bench::{AllocScope, CountingAlloc};
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::encode_map_output;
+use sidr_mapreduce::shuffle_file::{crc32, encode_map_output};
 use sidr_mapreduce::{MapOutputFile, MergeIter, Smof3View};
 use sidr_serve::binframe;
 
@@ -90,4 +91,51 @@ fn wire_path_allocation_invariants() {
         small <= bound && large <= bound,
         "merge peak live bytes {small} / {large} exceed {bound} for {files} sources"
     );
+
+    // (c) One SMOF encode is one exactly-sized buffer: a single
+    // allocator call, and nothing else live beside it at the peak.
+    for n in [0, 3, 1_000, 100_000] {
+        let file = MapOutputFile {
+            records: (0..n).map(|i| (key(i), i as f64)).collect(),
+            raw_count: n as u64,
+        };
+        let scope = AllocScope::start();
+        let encoded = encode_map_output(&file).expect("uniform rank");
+        let (_bytes, calls, peak) = scope.finish();
+        assert_eq!(
+            (calls, peak),
+            (1, encoded.len() as u64),
+            "encode_map_output of {n} records: (allocator calls, peak live bytes)"
+        );
+    }
+    // ... and those bytes are the v3 layout, assembled by hand here.
+    let rows: [(u64, u64, f64); 3] = [(0, 0, 1.5), (1, 7, -2.25), (1, 8, 0.0)];
+    let mut body = Vec::new();
+    // The index: one entry, key (0, 0) at record 0.
+    for word in [0u64, 0, 0] {
+        body.extend_from_slice(&word.to_le_bytes());
+    }
+    // The payload: packed LE key words, then the LE value.
+    for (x, y, v) in rows {
+        body.extend_from_slice(&x.to_le_bytes());
+        body.extend_from_slice(&y.to_le_bytes());
+        body.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut expected = b"SMOF".to_vec();
+    expected.extend_from_slice(&3u32.to_le_bytes()); // version
+    expected.extend_from_slice(&12u64.to_le_bytes()); // raw (§3.2.1 annotation)
+    expected.extend_from_slice(&3u64.to_le_bytes()); // records
+    expected.extend_from_slice(&16u32.to_le_bytes()); // key width: two u64 words
+    expected.extend_from_slice(&8u32.to_le_bytes()); // value width: one f64
+    expected.extend_from_slice(&1u32.to_le_bytes()); // index entries
+    expected.extend_from_slice(&crc32(&body).to_le_bytes());
+    expected.extend_from_slice(&body);
+    let file = MapOutputFile {
+        records: rows
+            .iter()
+            .map(|&(x, y, v)| (Coord::from([x, y]), v))
+            .collect(),
+        raw_count: 12,
+    };
+    assert_eq!(encode_map_output(&file).expect("uniform rank"), expected);
 }

@@ -56,6 +56,8 @@ pub const VERSION_V3: u32 = 3;
 /// The annotation prefix: magic, version, raw, records.
 const PREFIX_LEN: usize = 4 + 4 + 8 + 8;
 pub(crate) const V3_HEADER_LEN: usize = PREFIX_LEN + 4 + 4 + 4 + 4;
+/// Where the header's CRC field (its last four bytes) starts.
+const CRC_OFF: usize = V3_HEADER_LEN - 4;
 /// One sparse key-offset index entry per this many records (plus one
 /// for record 0). Seeking a keyrange costs one binary search over the
 /// index and at most this many direct record probes.
@@ -142,29 +144,31 @@ where
              (first record: {kw}-byte key, {vw}-byte value)"
         )));
     }
-    // Index and payload are written contiguously so the CRC covers
-    // both in one pass.
-    let mut index_len = 0u32;
-    let mut body = Vec::with_capacity(file.records.len() * (kw + vw));
-    for (i, (k, _)) in file.records.iter().enumerate().step_by(INDEX_INTERVAL) {
-        (kc.write)(k, &mut body);
-        body.extend_from_slice(&(i as u64).to_le_bytes());
-        index_len += 1;
-    }
-    for (k, v) in &file.records {
-        (kc.write)(k, &mut body);
-        (vc.write)(v, &mut body);
-    }
-    let mut out = Vec::with_capacity(V3_HEADER_LEN + body.len());
+    // One exactly-sized buffer: the header with its CRC field zeroed,
+    // then index and payload in place (contiguous, so the CRC covers
+    // both in one pass), then the CRC patched in.
+    let index_len = file.records.len().div_ceil(INDEX_INTERVAL);
+    let len = V3_HEADER_LEN + index_len * (kw + 8) + file.records.len() * (kw + vw);
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION_V3.to_le_bytes());
     out.extend_from_slice(&file.raw_count.to_le_bytes());
     out.extend_from_slice(&(file.records.len() as u64).to_le_bytes());
     out.extend_from_slice(&(kw as u32).to_le_bytes());
     out.extend_from_slice(&(vw as u32).to_le_bytes());
-    out.extend_from_slice(&index_len.to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&(index_len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    for (i, (k, _)) in file.records.iter().enumerate().step_by(INDEX_INTERVAL) {
+        (kc.write)(k, &mut out);
+        out.extend_from_slice(&(i as u64).to_le_bytes());
+    }
+    for (k, v) in &file.records {
+        (kc.write)(k, &mut out);
+        (vc.write)(v, &mut out);
+    }
+    debug_assert_eq!(out.len(), len);
+    let crc = crc32(&out[V3_HEADER_LEN..]);
+    out[CRC_OFF..V3_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
 }
 
@@ -342,7 +346,6 @@ pub fn verify_encoded(bytes: &[u8]) -> Result<()> {
 /// their stored CRC flipped instead, so the damage is always
 /// CRC-detectable.
 pub fn corrupt_payload(path: impl AsRef<Path>) -> Result<()> {
-    const CRC_OFF: usize = V3_HEADER_LEN - 4;
     let path = path.as_ref();
     let mut bytes = std::fs::read(path).map_err(io_err)?;
     if bytes.len() > V3_HEADER_LEN {

@@ -116,6 +116,8 @@ pub struct Client {
 impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let mut stream = TcpStream::connect(addr)?;
+        // Requests are whole frames in one write: send them now.
+        stream.set_nodelay(true)?;
         // Version/role handshake before any request: a mismatched
         // build pair (or a worker port dialed by mistake) fails here
         // with a typed reason instead of deserialization garbage.

@@ -38,7 +38,7 @@
 //! those maps (§6), never a whole dependency set.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -183,7 +183,9 @@ impl WorkerResponse {
 
 /// Writes one reply: its JSON header, then `payload` as one raw frame
 /// — present exactly when the reply [carries
-/// one](WorkerResponse::carries_payload).
+/// one](WorkerResponse::carries_payload). Header and payload leave in
+/// one gathered write: as two writes under Nagle, a keyblock smaller
+/// than one segment sat behind the peer's delayed ACK of its header.
 pub fn send_reply(
     w: &mut impl Write,
     reply: &WorkerResponse,
@@ -194,8 +196,11 @@ pub fn send_reply(
             "reply {reply:?} and its payload disagree"
         )));
     }
-    frame::send(w, reply)?;
-    payload.map_or(Ok(()), |bytes| frame::write_frame(w, bytes))
+    let header = frame::to_json(reply)?;
+    match payload {
+        Some(bytes) => frame::write_frames(w, &[header.as_bytes(), bytes]),
+        None => frame::write_frame(w, header.as_bytes()),
+    }
 }
 
 /// Outcome of a shuffle-fetch peek.
@@ -593,7 +598,8 @@ fn probe(slot: &WorkerSlot) {
 /// (which announce [`Role::Worker`] instead).
 pub struct WorkerConn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Unbuffered: every request is one whole-frame write already.
+    writer: TcpStream,
 }
 
 impl WorkerConn {
@@ -619,8 +625,11 @@ impl WorkerConn {
             }
             None => TcpStream::connect(addr).map_err(|e| FrameError::Io(e.to_string()))?,
         };
-        // The handshake reads and writes exact frames, so it runs on
-        // the bare stream; buffering starts after it.
+        // Every message is one write of a whole frame (or reply), so
+        // Nagle only ever delays it — by the peer's delayed ACK.
+        stream.set_nodelay(true).ok();
+        // The handshake reads exact frames, so it runs on the bare
+        // stream; read buffering starts after it.
         handshake_dial(&mut &stream, ours, Role::Worker)?;
         Ok(WorkerConn {
             reader: BufReader::new(
@@ -628,7 +637,7 @@ impl WorkerConn {
                     .try_clone()
                     .map_err(|e| FrameError::Io(e.to_string()))?,
             ),
-            writer: BufWriter::new(stream),
+            writer: stream,
         })
     }
 
@@ -995,5 +1004,71 @@ mod tests {
         // Ids are dense: the next file being #1 means exactly one so far.
         let next = fleet.namenode.register_file("/data/other.scinc", 1);
         assert_eq!(next.unwrap(), FileId(1));
+    }
+
+    /// A writer that counts the calls made into it — on a socket, each
+    /// is one syscall and, under Nagle, one chance to be held back.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every reply — header plus payload, or header alone — is one
+    /// write, and reads back frame by frame unchanged.
+    #[test]
+    fn every_reply_is_one_write() {
+        let keyblock =
+            binframe::encode_keyblock(7, 3, 0, &[(Coord::from([1, 2]), 0.5)]).expect("one rank");
+        let partition = sidr_mapreduce::MapOutputFile {
+            records: vec![(Coord::from([4, 5]), 1.5), (Coord::from([4, 6]), -2.0)],
+            raw_count: 9,
+        };
+        let smof = sidr_mapreduce::shuffle_file::encode_map_output(&partition).expect("one rank");
+        let done = WorkerResponse::ReduceDone {
+            emitted: 1,
+            fetch_ms: 2,
+        };
+        let data = WorkerResponse::Partition {
+            status: PartitionStatus::Data,
+        };
+        let replies = [
+            (done, Some(&keyblock[..])),
+            (data, Some(&smof[..])),
+            (WorkerResponse::Released, None),
+        ];
+        for (reply, payload) in replies {
+            let mut w = CountingWriter::default();
+            send_reply(&mut w, &reply, payload).unwrap();
+            assert_eq!(w.calls, 1, "{reply:?} took {} writes", w.calls);
+            let mut r = &w.bytes[..];
+            let back: WorkerResponse = frame::recv(&mut r).unwrap().unwrap();
+            assert_eq!(format!("{back:?}"), format!("{reply:?}"));
+            let raw = if back.carries_payload() {
+                frame::read_frame(&mut r).unwrap()
+            } else {
+                None
+            };
+            assert_eq!(raw.as_deref(), payload);
+            assert!(r.is_empty(), "{} trailing bytes", r.len());
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! frame boundary. EOF anywhere inside a frame is
 //! [`FrameError::Truncated`].
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -182,6 +182,31 @@ impl std::error::Error for FrameError {}
 /// one vectored write, so prefix and payload leave in a single
 /// syscall with no intermediate copy into a combined buffer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
+    write_frames(w, &[payload])
+}
+
+/// Writes consecutive frames as one gathered write
+/// (`[len, payload, len, payload, …]`): the bytes on the wire are those
+/// of one [`write_frame`] per payload, but a reply and the raw frame
+/// after it leave in one syscall instead of two writes a peer's
+/// delayed ACK can hold apart.
+pub fn write_frames(w: &mut impl Write, payloads: &[&[u8]]) -> Result<(), FrameError> {
+    let prefixes = payloads
+        .iter()
+        .map(|p| length_prefix(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut bufs: Vec<IoSlice<'_>> = prefixes
+        .iter()
+        .zip(payloads)
+        .flat_map(|(len, payload)| [IoSlice::new(len), IoSlice::new(payload)])
+        .collect();
+    write_all_vectored(w, &mut bufs)
+        .and_then(|()| w.flush())
+        .map_err(|e| FrameError::Io(e.to_string()))
+}
+
+/// A payload's `u32` little-endian length prefix, or `Oversized`.
+fn length_prefix(payload: &[u8]) -> Result<[u8; 4], FrameError> {
     let len = u32::try_from(payload.len()).map_err(|_| FrameError::Oversized {
         len: u32::MAX,
         max: MAX_FRAME,
@@ -192,21 +217,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
             max: MAX_FRAME,
         });
     }
-    let prefix = len.to_le_bytes();
-    write_all_vectored(w, &prefix, payload)
-        .and_then(|()| w.flush())
-        .map_err(|e| FrameError::Io(e.to_string()))
+    Ok(len.to_le_bytes())
 }
 
-/// Writes `head` then `tail` completely, preferring gathered writes.
-/// Short writes resume mid-slice; `Ok(0)` from a non-empty request is
-/// reported as `WriteZero`, mirroring `write_all`.
-fn write_all_vectored(w: &mut impl Write, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
-    let mut bufs = [std::io::IoSlice::new(head), std::io::IoSlice::new(tail)];
-    let mut rest = &mut bufs[..];
+/// Writes every slice completely, in order, preferring gathered
+/// writes. Short writes resume mid-slice; `Ok(0)` from a non-empty
+/// request is reported as `WriteZero`, mirroring `write_all`.
+fn write_all_vectored(w: &mut impl Write, mut rest: &mut [IoSlice<'_>]) -> std::io::Result<()> {
     // advance_slices drops leading empty/consumed slices, so the loop
-    // terminates exactly when both slices are fully written.
-    std::io::IoSlice::advance_slices(&mut rest, 0);
+    // terminates exactly when every slice is fully written.
+    IoSlice::advance_slices(&mut rest, 0);
     while !rest.is_empty() {
         match w.write_vectored(rest) {
             Ok(0) => {
@@ -215,7 +235,7 @@ fn write_all_vectored(w: &mut impl Write, head: &[u8], tail: &[u8]) -> std::io::
                     "failed to write whole frame",
                 ))
             }
-            Ok(n) => std::io::IoSlice::advance_slices(&mut rest, n),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -276,8 +296,12 @@ fn read_fill(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
 
 /// Serializes a message and writes it as one frame.
 pub fn send<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
-    let text = serde_json::to_string(msg).map_err(|e| FrameError::Malformed(e.to_string()))?;
-    write_frame(w, text.as_bytes())
+    write_frame(w, to_json(msg)?.as_bytes())
+}
+
+/// A message's frame payload: its JSON text.
+pub fn to_json<T: Serialize>(msg: &T) -> Result<String, FrameError> {
+    serde_json::to_string(msg).map_err(|e| FrameError::Malformed(e.to_string()))
 }
 
 /// Reads one frame and decodes it as `T`. `Ok(None)` on clean EOF.

@@ -326,6 +326,9 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // Each frame leaves in one write; Nagle would only hold a
+            // small one back for the client's delayed ACK.
+            stream.set_nodelay(true).ok();
             let inner = Arc::clone(&self.inner);
             thread::spawn(move || handle_connection(inner, stream));
         }

@@ -26,7 +26,6 @@
 //! handshake; a worker accepts nothing else.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,9 +67,11 @@ struct Shared {
     /// is per worker process, not per job.
     store: PartitionStore,
     dead: AtomicBool,
-    /// Clones of every live connection, so `kill` can sever them
-    /// mid-frame (crash semantics, not graceful drain).
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every live connection by connection id, so `kill` can
+    /// sever them mid-frame (crash semantics, not graceful drain). An
+    /// entry lives exactly as long as its handler, which removes it on
+    /// return.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     tasks_in_flight: AtomicU64,
     map_attempts: AtomicU64,
     reduce_attempts: AtomicU64,
@@ -134,7 +135,7 @@ impl Worker {
             jobs: Mutex::new(HashMap::new()),
             store: PartitionStore::on_disk(tier_cfg, spill_dir),
             dead: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             tasks_in_flight: AtomicU64::new(0),
             map_attempts: AtomicU64::new(0),
             reduce_attempts: AtomicU64::new(0),
@@ -143,21 +144,22 @@ impl Worker {
         let acceptor = thread::Builder::new()
             .name(format!("sidr-worker-{local}"))
             .spawn(move || {
-                for conn in listener.incoming() {
+                for (id, conn) in (0u64..).zip(listener.incoming()) {
                     if accept_shared.dead.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let mut conns = accept_shared.conns.lock();
-                    // Compact closed entries so the list tracks live
-                    // connections, not lifetime history.
-                    conns.retain(|s| s.peer_addr().is_ok());
+                    // Replies are one write each; Nagle would only hold
+                    // a small one back for the peer's delayed ACK.
+                    stream.set_nodelay(true).ok();
                     if let Ok(clone) = stream.try_clone() {
-                        conns.push(clone);
+                        accept_shared.conns.lock().insert(id, clone);
                     }
-                    drop(conns);
                     let handler_shared = Arc::clone(&accept_shared);
-                    thread::spawn(move || handle_connection(handler_shared, stream));
+                    thread::spawn(move || {
+                        handle_connection(&handler_shared, stream);
+                        handler_shared.conns.lock().remove(&id);
+                    });
                 }
                 // Dropping the listener here makes further dials fail
                 // with connection-refused: a dead worker, not a hung
@@ -194,7 +196,7 @@ impl Worker {
         if let Some(h) = self.acceptor.lock().take() {
             let _ = h.join();
         }
-        for s in self.shared.conns.lock().drain(..) {
+        for (_, s) in self.shared.conns.lock().drain() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
         let jobs: Vec<u64> = {
@@ -227,7 +229,7 @@ impl Drop for Worker {
 /// One connection: mandatory `Hello` handshake, then a request loop.
 /// The coordinator opens a fresh connection per dispatch; peers open
 /// one per fetch — either way requests on one connection are serial.
-fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
+fn handle_connection(shared: &Shared, stream: TcpStream) {
     let mut writer = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -265,7 +267,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                 // A coordinator that restarted counts its jobs from 1
                 // again: whatever an earlier job of this id left here
                 // (its `Finish` never came) goes first.
-                finish_job(&shared, job);
+                finish_job(shared, job);
                 // Invert `I_ℓ` into per-map pending-consumer counts:
                 // the tier ranks spill victims coldest first, and
                 // "cold" is "few reducers still waiting on this map's
@@ -290,7 +292,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                 frame::send(&mut writer, &resp).is_ok()
             }
             WorkerRequest::RunMap { job, task, attempt } => {
-                let resp = run_map(&shared, job, task, attempt);
+                let resp = run_map(shared, job, task, attempt);
                 frame::send(&mut writer, &resp).is_ok()
             }
             WorkerRequest::RunReduce {
@@ -300,7 +302,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                 sources,
                 expected_raw,
             } => run_reduce(
-                &shared,
+                shared,
                 &mut writer,
                 job,
                 reducer,
@@ -314,7 +316,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                 reducer,
                 epoch,
             } => {
-                let held = peek_partition(&shared, job, map, reducer, epoch);
+                let held = peek_partition(shared, job, map, reducer, epoch);
                 let status = match held {
                     Some(_) => PartitionStatus::Data,
                     None => PartitionStatus::Missing,
@@ -323,18 +325,17 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
                 send_reply(&mut writer, &WorkerResponse::Partition { status }, bytes).is_ok()
             }
             WorkerRequest::Release { job, reducer, maps } => {
-                release(&shared, job, reducer, &maps);
+                release(shared, job, reducer, &maps);
                 frame::send(&mut writer, &WorkerResponse::Released).is_ok()
             }
             WorkerRequest::Finish { job } => {
-                finish_job(&shared, job);
+                finish_job(shared, job);
                 frame::send(&mut writer, &WorkerResponse::Finished).is_ok()
             }
         };
         if !ok {
             return;
         }
-        let _ = writer.flush();
     }
 }
 
@@ -404,10 +405,10 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
     shared.map_attempts.fetch_add(1, Ordering::Relaxed);
     // Task code is user-extensible and may panic; the catch turns a
     // panicking attempt into a retryable failure instead of killing
-    // the handler thread (whose death would leave the connection's
-    // clone in `conns` holding the socket open — a hung coordinator,
-    // not a failed attempt). The sync facade (parking_lot) guarantees
-    // no lock is poisoned by the unwind.
+    // the handler thread (whose death would skip removing the
+    // connection's clone from `conns`, holding the socket open — a hung
+    // coordinator, not a failed attempt). The sync facade (parking_lot)
+    // guarantees no lock is poisoned by the unwind.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         maybe_panic_in_task(job);
         exec.run_map(task, attempt)
