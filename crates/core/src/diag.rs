@@ -63,8 +63,9 @@ pub mod codes {
     /// healthy task would be "straggling"), or a zero check interval.
     pub const SPECULATION: &str = "SIDR-E013";
     /// Advisory, emitted at run time rather than admission: projected
-    /// completion threatens the deadline, so the serving layer boosted
-    /// the speculation trigger before resorting to cancellation.
+    /// completion threatens the deadline, so the engine's monitor
+    /// boosted the speculation trigger before the deadline abandons
+    /// the job (`sidr_mr_deadline_boosts_total`).
     pub const DEADLINE_PRESSURE: &str = "SIDR-I014";
     /// Advisory, emitted at run time rather than admission: a worker's
     /// resident partition bytes crossed its memory budget (or a spill

@@ -11,8 +11,7 @@ use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
     run_job, run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
     InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobResult, OutputCollector,
-    ProgressProbe, RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator,
-    TaskExecutor,
+    RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
 };
 use sidr_scifile::{DataType, Element, ScincFile};
 
@@ -177,7 +176,7 @@ fn run_typed<E: Element>(
         retry: opts.retry,
         volatile_intermediate: opts.volatile_intermediate,
         speculation: SpeculationPolicy::default(),
-        progress: None,
+        deadline: None,
     };
     let source_factory = scinc_source_factory::<E>(file, &query.variable);
 
@@ -235,9 +234,10 @@ fn run_typed<E: Element>(
 }
 
 /// Options for executing a pre-serialized [`JobSpec`] (the serving
-/// path): the knobs a *submitter* may set, as opposed to the
-/// cluster-owned knobs ([`SlotPool`] size, spill policy) that belong
-/// to the server.
+/// path): the per-submission knobs that are not part of the spec
+/// itself. The job's policy — retry budget, speculation, deadline —
+/// is the spec's; the cluster-owned knobs ([`SlotPool`] size, spill
+/// policy) belong to the server.
 #[derive(Clone, Debug, Default)]
 pub struct SpecRunOptions {
     /// Client-supplied keyblock priority: keyblocks covering this
@@ -253,17 +253,6 @@ pub struct SpecRunOptions {
     /// Chaos hook: deterministic fault script injected into this run
     /// (empty = none). Carried from the submission, not the spec.
     pub fault_plan: FaultPlan,
-    /// Retry budget; admission validates the spec's requested policy
-    /// and passes it through here.
-    pub retry: RetryPolicy,
-    /// Speculative-execution policy; admission validates the spec's
-    /// requested policy and passes it through here.
-    pub speculation: SpeculationPolicy,
-    /// Coarse progress shared with the caller while the job runs: the
-    /// engine's speculation monitor publishes a projected remaining
-    /// time, and the serving layer's deadline watchdog can request a
-    /// boosted speculation trigger through it.
-    pub progress: Option<std::sync::Arc<ProgressProbe>>,
 }
 
 /// Executes a serialized job submission against `file` on a shared
@@ -340,7 +329,8 @@ pub(crate) fn pushdown_threshold(filter_pushdown: bool, query: &StructuralQuery)
 }
 
 /// The plan and engine configuration a spec run uses, in-process or
-/// on a fleet.
+/// on a fleet: the spec's own retry budget, speculation policy and
+/// deadline, whoever the caller is.
 fn spec_plan_and_config(
     spec: &JobSpec,
     query: &StructuralQuery,
@@ -360,9 +350,9 @@ fn spec_plan_and_config(
         validate_annotations: opts.validate_annotations
             && pushdown_threshold(opts.filter_pushdown, query).is_none(),
         fault_plan: opts.fault_plan.clone(),
-        retry: opts.retry,
-        speculation: opts.speculation.clone(),
-        progress: opts.progress.clone(),
+        retry: spec.retry,
+        speculation: spec.speculation.clone(),
+        deadline: spec.deadline_ms.map(std::time::Duration::from_millis),
         ..Default::default()
     };
     Ok((plan, config))

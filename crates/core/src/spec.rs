@@ -45,9 +45,9 @@ pub struct JobSpec {
     /// Expected raw-pair tallies for annotation validation (§3.2.1).
     pub expected_raw: Vec<u64>,
     /// Wall-clock deadline for the whole job, in milliseconds
-    /// (`None` = unbounded). Enforced by the serving layer: a job
-    /// still running at its deadline is cancelled and reported as
-    /// `DeadlineExceeded` instead of retrying forever.
+    /// (`None` = unbounded). Enforced by the engine, from its job
+    /// start: a job still running at its deadline is abandoned with
+    /// `MrError::DeadlineExceeded` instead of retrying forever.
     pub deadline_ms: Option<u64>,
     /// Retry budget and backoff the job's tasks run under — validated
     /// at admission (a zero attempt budget can never run).

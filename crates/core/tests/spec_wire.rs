@@ -1,16 +1,23 @@
 //! The JobSpec wire contract shared by `sidr plan --spec`,
 //! `sidr-lint --spec` and the `sidr-serve` daemon: a spec serialized
 //! to JSON must parse back and re-plan to the *identical* plan, so the
-//! three tools can never drift apart.
+//! three tools can never drift apart — and the policy it carries
+//! (retry budget, speculation, deadline) governs the job on every
+//! entry point, without the caller copying it anywhere.
 
 use sidr_coords::Shape;
 use sidr_core::framework::{
-    run_query, run_spec_on_pool, FrameworkMode, RunOptions, SpecRunOptions,
+    run_query, run_spec_on_pool, run_spec_with_executor, FrameworkMode, RunOptions, SpecRunOptions,
 };
+use sidr_core::operators::OperatorReducer;
+use sidr_core::source::{scinc_source_factory, StructuralMapper};
 use sidr_core::spec::JobSpec;
 use sidr_core::verify::PlanView;
-use sidr_core::{Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{InMemoryOutput, InputSplit, SlotPool, SplitGenerator};
+use sidr_core::{Operator, SidrError, SidrPlanner, StructuralQuery};
+use sidr_mapreduce::{
+    FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig,
+    JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy, SplitGenerator, TaskKind,
+};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
 
@@ -129,4 +136,130 @@ fn spec_execution_matches_batch_run_query() {
     .unwrap();
     assert_eq!(output.sorted_records(), batch.records);
     std::fs::remove_file(&path).ok();
+}
+
+/// A 12-map, 4-keyblock spec and its dataset.
+fn twelve_map_job(tag: &str) -> (ScincFile, JobSpec) {
+    let space = shape(&[48, 6, 4]);
+    let ds = DatasetSpec {
+        variable: "t".into(),
+        dim_names: vec!["d0".into(), "d1".into(), "d2".into()],
+        space: space.clone(),
+        model: ValueModel::LinearIndex,
+        seed: 3,
+    };
+    let dir = std::env::temp_dir().join("sidr-spec-wire-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("policy-{tag}-{}.scinc", std::process::id()));
+    let file = ds.generate::<f64>(&path).unwrap();
+    // The open handle keeps the bytes readable.
+    std::fs::remove_file(&path).unwrap();
+    let q = StructuralQuery::new("t", space, shape(&[4, 3, 2]), Operator::Mean).unwrap();
+    let splits = SplitGenerator::new(q.input_space().clone(), 8)
+        .exact_count(12)
+        .unwrap();
+    let plan = SidrPlanner::new(&q, 4).build(&splits).unwrap();
+    (file, JobSpec::from_plan(&q, &splits, &plan).unwrap())
+}
+
+/// Runs `spec` through both spec entry points with default
+/// `SpecRunOptions` — only the fault script set, nothing of the spec's
+/// policy copied over: `run_spec_on_pool`, then `run_spec_with_executor`
+/// over an in-process executor.
+fn run_both(
+    file: &ScincFile,
+    spec: &JobSpec,
+    fault_plan: FaultPlan,
+) -> [sidr_core::Result<JobResult>; 2] {
+    let opts = SpecRunOptions {
+        fault_plan: fault_plan.clone(),
+        ..SpecRunOptions::default()
+    };
+    let pool = SlotPool::new(4, 4).unwrap();
+    let on_pool = run_spec_on_pool(file, spec, &opts, &InMemoryOutput::new(), &pool, None);
+
+    let query = spec.query().unwrap();
+    let plan = SidrPlanner::new(&query, spec.num_reducers)
+        .build(&spec.splits)
+        .unwrap();
+    let factory = scinc_source_factory::<f64>(file, &query.variable);
+    let mapper = StructuralMapper::for_query(&query);
+    let reducer = OperatorReducer { op: query.operator };
+    let config = JobConfig {
+        fault_plan,
+        ..JobConfig::default()
+    };
+    let executor = InProcessExecutor::new(&factory, &mapper, None, &reducer, &plan, &config);
+    let on_executor =
+        run_spec_with_executor(spec, &opts, &InMemoryOutput::new(), &pool, None, &executor);
+    [on_pool, on_executor]
+}
+
+/// A spec's speculation policy is the job's: forcing a twin for a
+/// straggling map races it, with nothing set on `SpecRunOptions`.
+#[test]
+fn spec_speculation_takes_effect_through_both_entry_points() {
+    let (file, spec) = twelve_map_job("speculation");
+    let straggler = 5;
+    let spec = spec.with_speculation(SpeculationPolicy::force([straggler]));
+    let straggle = FaultPlan::none().with(
+        FaultTarget::Map(straggler),
+        0,
+        FaultKind::Straggle { delay_ms: 2_000 },
+    );
+    for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
+        .into_iter()
+        .zip(run_both(&file, &spec, straggle))
+    {
+        let result = result.unwrap_or_else(|e| panic!("{entry}: {e}"));
+        assert!(
+            (result.events.iter())
+                .any(|e| e.kind == TaskKind::MapSpeculated && e.task == straggler),
+            "{entry}: the spec's speculation policy was ignored"
+        );
+    }
+}
+
+/// A spec's deadline is the job's: 12 maps straggling 50 ms each on 4
+/// slots cannot meet 40 ms, and the engine abandons the job with the
+/// typed error.
+#[test]
+fn spec_deadline_takes_effect_through_both_entry_points() {
+    let (file, spec) = twelve_map_job("deadline");
+    let spec = spec.with_deadline_ms(40);
+    for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
+        .into_iter()
+        .zip(run_both(&file, &spec, FaultPlan::straggle_maps(0..12, 50)))
+    {
+        assert!(
+            matches!(
+                result,
+                Err(SidrError::Engine(MrError::DeadlineExceeded {
+                    deadline_ms: 40
+                }))
+            ),
+            "{entry}: expected DeadlineExceeded, got {result:?}"
+        );
+    }
+}
+
+/// A spec's retry budget is the job's: with one attempt per task, a
+/// single injected map failure fails the job instead of being retried.
+#[test]
+fn spec_retry_budget_takes_effect_through_both_entry_points() {
+    let (file, spec) = twelve_map_job("retry");
+    let spec = spec.with_retry(RetryPolicy {
+        max_task_attempts: 1,
+        backoff_ms: 1,
+    });
+    let fail = FaultPlan::none().with(FaultTarget::Map(0), 0, FaultKind::Fail);
+    for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
+        .into_iter()
+        .zip(run_both(&file, &spec, fail))
+    {
+        assert!(
+            matches!(result, Err(SidrError::Engine(MrError::TaskFailed { .. }))),
+            "{entry}: expected TaskFailed, got {result:?}"
+        );
+    }
 }

@@ -11,10 +11,11 @@
 //!    trigger) — acceptance requires the rescue to cut wall time by
 //!    at least 1.5x;
 //! 2. the wasted-work ratio (losing racers per executed map attempt);
-//! 3. the deadline-hit rate with the *proactive* watchdog: speculation
-//!    configured to never self-trigger, so only a deadline-pressure
-//!    boost (`ProgressProbe::request_boost`, the serving layer's
-//!    SIDR-I014 path) can rescue the run.
+//! 3. the deadline-hit rate under the engine's deadline: speculation
+//!    configured to never self-trigger and the spec carrying
+//!    `deadline_ms`, so only the monitor's deadline-pressure boost
+//!    (SIDR-I014, `sidr_mr_deadline_boosts_total`) can rescue the run
+//!    before the engine abandons it.
 //!
 //! Emits `results/BENCH_speculation.json`:
 //!
@@ -27,9 +28,7 @@
 //! baseline; the report is only healthy when all of them match.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::Serialize;
 
@@ -38,8 +37,8 @@ use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{
-    FaultPlan, InMemoryOutput, JobResult, ProgressProbe, SlotPool, SpeculationPolicy,
-    SplitGenerator, TaskKind,
+    FaultPlan, InMemoryOutput, JobResult, MrError, SlotPool, SpeculationPolicy, SplitGenerator,
+    TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
@@ -113,11 +112,19 @@ struct RunOutput {
     keyblocks: Keyblocks,
 }
 
-fn run_once(file: &ScincFile, spec: &JobSpec, opts: &SpecRunOptions) -> RunOutput {
+fn run_once(
+    file: &ScincFile,
+    spec: &JobSpec,
+    fault_plan: FaultPlan,
+) -> sidr_core::Result<RunOutput> {
     let pool = SlotPool::new(4, 4).expect("pool");
     let out = InMemoryOutput::<Coord, f64>::new();
+    let opts = SpecRunOptions {
+        fault_plan,
+        ..SpecRunOptions::default()
+    };
     let started = Instant::now();
-    let result = run_spec_on_pool(file, spec, opts, &out, &pool, None).expect("run succeeds");
+    let result = run_spec_on_pool(file, spec, &opts, &out, &pool, None)?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let mut keyblocks: Keyblocks = out
         .commits()
@@ -125,11 +132,11 @@ fn run_once(file: &ScincFile, spec: &JobSpec, opts: &SpecRunOptions) -> RunOutpu
         .map(|c| (c.reducer, c.records))
         .collect();
     keyblocks.sort_by_key(|(reducer, _)| *reducer);
-    RunOutput {
+    Ok(RunOutput {
         wall_ms,
         result,
         keyblocks,
-    }
+    })
 }
 
 fn count_events(result: &JobResult, kind: TaskKind) -> u64 {
@@ -163,7 +170,8 @@ struct BenchReport {
     deadline_hits_off: usize,
     deadline_hits_on: usize,
     deadline_hit_rate_on: f64,
-    /// Proactive-watchdog boosts issued across the deadline runs.
+    /// Deadline-pressure boosts across the deadline runs
+    /// (`sidr_mr_deadline_boosts_total`).
     deadline_boosts: u64,
     /// Every run, speculative or not, streamed keyblocks identical to
     /// the fault-free baseline.
@@ -207,7 +215,7 @@ fn main() -> ExitCode {
     let straggle_plan = || FaultPlan::straggle_maps([straggler], w.straggle_ms);
 
     // Fault-free ground truth.
-    let baseline = run_once(&file, &spec, &SpecRunOptions::default());
+    let baseline = run_once(&file, &spec, FaultPlan::none()).expect("baseline runs");
     let mut all_identical = true;
 
     println!("== Speculation ablation: closed loop on the engine ==");
@@ -220,14 +228,7 @@ fn main() -> ExitCode {
     let mut walls_off = Vec::new();
     let mut deadline_hits_off = 0usize;
     for _ in 0..w.runs {
-        let run = run_once(
-            &file,
-            &spec,
-            &SpecRunOptions {
-                fault_plan: straggle_plan(),
-                ..SpecRunOptions::default()
-            },
-        );
+        let run = run_once(&file, &spec, straggle_plan()).expect("straggled run");
         all_identical &= run.keyblocks == baseline.keyblocks;
         deadline_hits_off += usize::from(run.wall_ms <= w.deadline_ms);
         walls_off.push(run.wall_ms);
@@ -238,19 +239,12 @@ fn main() -> ExitCode {
     let mut launched = 0u64;
     let mut lost = 0u64;
     let mut attempts = 0u64;
+    let speculating = spec.clone().with_speculation(SpeculationPolicy {
+        check_interval_ms: 5,
+        ..SpeculationPolicy::on()
+    });
     for _ in 0..w.runs {
-        let run = run_once(
-            &file,
-            &spec,
-            &SpecRunOptions {
-                fault_plan: straggle_plan(),
-                speculation: SpeculationPolicy {
-                    check_interval_ms: 5,
-                    ..SpeculationPolicy::on()
-                },
-                ..SpecRunOptions::default()
-            },
-        );
+        let run = run_once(&file, &speculating, straggle_plan()).expect("speculative run");
         all_identical &= run.keyblocks == baseline.keyblocks;
         launched += count_events(&run.result, TaskKind::MapSpeculated);
         lost += count_events(&run.result, TaskKind::MapSpeculationLost);
@@ -258,55 +252,33 @@ fn main() -> ExitCode {
         walls_on.push(run.wall_ms);
     }
 
-    // ---- Arm 3: deadline pressure with the proactive watchdog. ----
+    // ---- Arm 3: deadline pressure, the engine's boost alone. ----
     // The trigger's slowdown factor is set astronomically high, so the
-    // *only* way a twin launches is the watchdog observing the
-    // engine's completion projection threaten the deadline and
-    // boosting the trigger — the serving layer's SIDR-I014 path.
+    // *only* way a twin launches is the monitor projecting that the
+    // job threatens its deadline and boosting the trigger (SIDR-I014).
+    // A run the boost cannot rescue ends in `DeadlineExceeded`.
+    let pressed = spec
+        .clone()
+        .with_speculation(SpeculationPolicy {
+            slowdown: 1e9,
+            check_interval_ms: 5,
+            ..SpeculationPolicy::on()
+        })
+        .with_deadline_ms(w.deadline_ms);
+    let boosts = &sidr_mapreduce::metrics::runtime().deadline_boosts;
+    let boosts_before = boosts.get();
     let mut deadline_hits_on = 0usize;
-    let mut deadline_boosts = 0u64;
     for _ in 0..w.runs {
-        let probe = Arc::new(ProgressProbe::new());
-        let done = Arc::new(AtomicBool::new(false));
-        let started = Instant::now();
-        let watchdog = {
-            let probe = probe.clone();
-            let done = done.clone();
-            let deadline_ms = w.deadline_ms;
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    if let Some(rem) = probe.projected_remaining_ms() {
-                        let elapsed = started.elapsed().as_millis() as u64;
-                        // 4x safety margin on the projection: boost
-                        // early enough for the rescue to land.
-                        if elapsed.saturating_add(rem.saturating_mul(4)) > deadline_ms {
-                            probe.request_boost();
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            })
-        };
-        let run = run_once(
-            &file,
-            &spec,
-            &SpecRunOptions {
-                fault_plan: straggle_plan(),
-                speculation: SpeculationPolicy {
-                    slowdown: 1e9,
-                    check_interval_ms: 5,
-                    ..SpeculationPolicy::on()
-                },
-                progress: Some(probe.clone()),
-                ..SpecRunOptions::default()
-            },
-        );
-        done.store(true, Ordering::Relaxed);
-        watchdog.join().expect("watchdog thread");
-        all_identical &= run.keyblocks == baseline.keyblocks;
-        deadline_hits_on += usize::from(run.wall_ms <= w.deadline_ms);
-        deadline_boosts += u64::from(probe.boost_requested());
+        match run_once(&file, &pressed, straggle_plan()) {
+            Ok(run) => {
+                all_identical &= run.keyblocks == baseline.keyblocks;
+                deadline_hits_on += 1;
+            }
+            Err(sidr_core::SidrError::Engine(MrError::DeadlineExceeded { .. })) => {}
+            Err(e) => panic!("deadline run failed: {e}"),
+        }
     }
+    let deadline_boosts = boosts.get() - boosts_before;
 
     let wall_ms_off = median(walls_off);
     let wall_ms_on = median(walls_on);
@@ -353,7 +325,7 @@ fn main() -> ExitCode {
     }
     if deadline_hits_on < w.runs {
         eprintln!(
-            "[!!] proactive watchdog missed the deadline in {} of {} runs",
+            "[!!] the deadline boost missed the deadline in {} of {} runs",
             w.runs - deadline_hits_on,
             w.runs
         );

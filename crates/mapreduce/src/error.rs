@@ -36,6 +36,10 @@ pub enum MrError {
     /// The job was cancelled through its `CancelToken` before it
     /// completed (serving path: client cancel or admission revoke).
     Cancelled,
+    /// The job was still running when its `JobConfig::deadline`
+    /// expired; the engine abandoned the remainder. Output already
+    /// committed stays valid.
+    DeadlineExceeded { deadline_ms: u64 },
 }
 
 impl fmt::Display for MrError {
@@ -59,6 +63,9 @@ impl fmt::Display for MrError {
             ),
             MrError::Output(msg) => write!(f, "output error: {msg}"),
             MrError::Cancelled => write!(f, "job cancelled"),
+            MrError::DeadlineExceeded { deadline_ms } => {
+                write!(f, "job deadline of {deadline_ms} ms exceeded")
+            }
         }
     }
 }

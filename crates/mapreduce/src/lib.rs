@@ -69,7 +69,7 @@ pub use runtime::{run_job, run_job_shared, run_job_with_executor, JobConfig, Job
 pub use shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
 pub use slots::{CancelToken, CancelWake, Semaphore, SlotOccupancy, SlotPool, WakerRegistration};
 pub use smof3::Smof3View;
-pub use speculation::{ProgressProbe, SpeculationPolicy};
+pub use speculation::SpeculationPolicy;
 pub use split::{InputSplit, MapTaskId, SplitGenerator};
 pub use task::{
     Combiner, FnMapper, FnReducer, Mapper, MrKey, MrValue, RecordSource, Reducer, SliceRecordSource,

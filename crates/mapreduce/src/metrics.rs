@@ -59,6 +59,10 @@ pub struct RuntimeMetrics {
     /// `sidr_mr_speculative_wasted_total` — attempts (either racer)
     /// that lost a race: work done and thrown away.
     pub speculative_wasted: Arc<Counter>,
+    /// `sidr_mr_deadline_boosts_total` — jobs whose projected finish
+    /// threatened their deadline, so the monitor boosted the
+    /// speculation trigger (`SIDR-I014`).
+    pub deadline_boosts: Arc<Counter>,
 }
 
 /// The engine's metrics, registered on first use.
@@ -147,6 +151,11 @@ pub fn runtime() -> &'static RuntimeMetrics {
             speculative_wasted: r.counter(
                 "sidr_mr_speculative_wasted_total",
                 "Attempts that lost a speculation race (work thrown away)",
+                &[],
+            ),
+            deadline_boosts: r.counter(
+                "sidr_mr_deadline_boosts_total",
+                "Speculation-trigger boosts issued under deadline pressure (SIDR-I014)",
                 &[],
             ),
         }

@@ -43,7 +43,7 @@ use crate::output::OutputCollector;
 use crate::plan::RoutingPlan;
 use crate::schedule::Schedule;
 use crate::slots::{subscribe_all, CancelToken, CancelWake, PairWaker, SlotGuard, SlotPool};
-use crate::speculation::{ProgressProbe, SpeculationPolicy};
+use crate::speculation::SpeculationPolicy;
 use crate::split::{InputSplit, MapTaskId};
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
 use crate::timeline::{TaskEvent, TaskKind, Timeline};
@@ -77,10 +77,12 @@ pub struct JobConfig {
     /// commit wins, the loser's output is never bound to a reducer.
     /// Disabled by default.
     pub speculation: SpeculationPolicy,
-    /// Live progress/projection channel to the serving layer's
-    /// deadline watchdog; the watchdog's boost request makes the
-    /// speculation monitor aggressive before the deadline cancels.
-    pub progress: Option<Arc<ProgressProbe>>,
+    /// Wall-clock budget for the whole job, counted from the engine's
+    /// job start (`None` = unbounded). A job still running when it
+    /// expires fails with [`MrError::DeadlineExceeded`]; before that,
+    /// a speculating job whose projected finish threatens it gets a
+    /// boosted trigger first (`DEADLINE_MARGIN`).
+    pub deadline: Option<Duration>,
 }
 
 impl Default for JobConfig {
@@ -93,10 +95,17 @@ impl Default for JobConfig {
             retry: RetryPolicy::default(),
             volatile_intermediate: false,
             speculation: SpeculationPolicy::default(),
-            progress: None,
+            deadline: None,
         }
     }
 }
+
+/// How early the monitor boosts a deadline job's speculation trigger:
+/// once `elapsed + DEADLINE_MARGIN × projected remaining time` passes
+/// the deadline. 4× is the margin `results/BENCH_speculation.json`
+/// measured rescuing every run.
+#[cfg(not(check))]
+const DEADLINE_MARGIN: u32 = 4;
 
 /// The safety-net re-check interval for blocked workers. Every
 /// blocking point is condvar-notified on progress, failure *and*
@@ -414,12 +423,12 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
         for _ in 0..reduce_workers {
             scope.spawn(|| reduce_worker(&shared, output, executor));
         }
-        // The time-based speculation monitor is meaningless under the
-        // virtual scheduler (no wall clock); there the deterministic
+        // The monitor runs on the wall clock, which is meaningless
+        // under the virtual scheduler; there the deterministic
         // `force_maps` hook in the map workers is the only trigger.
         #[cfg(not(check))]
-        if config.speculation.enabled {
-            scope.spawn(|| speculation_monitor(&shared, num_reducers));
+        if config.speculation.enabled || config.deadline.is_some() {
+            scope.spawn(|| monitor(&shared, num_reducers));
         }
     });
 
@@ -866,72 +875,94 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
     }
 }
 
-/// The speculation monitor: wakes every `check_interval_ms`, compares
-/// each running map's elapsed time against the committed cohort's
-/// quantile × slowdown, and grants speculative twins for the
-/// stragglers ([`Schedule::claim_twin`] launches the one stalling the
-/// most keyblocks first). Also publishes the
-/// projected completion the serving layer's proactive deadline
-/// watchdog reads; a boost request from the watchdog drops the
-/// trigger to "slower than the cohort" with a one-commit floor.
+/// The job monitor, running while speculation is on or a deadline is
+/// set. It parks on the job condvar — woken by the same notifications
+/// as the workers — for at most `check_interval_ms`, and never past the
+/// deadline or the boost point below, then:
+///
+/// * at the deadline, fails the job with [`MrError::DeadlineExceeded`]
+///   (`fail` wakes every parked worker, so the job unwinds by
+///   notification);
+/// * under speculation, grants twins to running maps whose elapsed
+///   time exceeds the committed cohort's quantile × slowdown
+///   ([`Schedule::claim_twin`] launches the one stalling the most
+///   keyblocks first);
+/// * under speculation with a deadline, projects the time left —
+///   cohort quantile × remaining task waves per slot class — and, once
+///   `elapsed + DEADLINE_MARGIN × projection` reaches the deadline,
+///   boosts the trigger for the rest of the job: anything slower than
+///   its cohort is raced (advisory `SIDR-I014`,
+///   `sidr_mr_deadline_boosts_total`).
 ///
 /// Not compiled under `--cfg check`: wall-clock triggers are
 /// meaningless on the virtual scheduler, where the deterministic
 /// `force_maps` hook is the only speculation source.
 #[cfg(not(check))]
-fn speculation_monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
+fn monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
     let policy = &shared.config.speculation;
+    let deadline = shared.config.deadline;
     let interval = Duration::from_millis(policy.check_interval_ms.max(1));
+    let mut boosted = false;
     let mut st = shared.state.lock();
     loop {
         if st.failed || st.reduces_done == num_reducers || shared.cancel_requested() {
             return;
         }
-        shared.cv.wait_for(&mut st, interval);
-        if st.failed || st.reduces_done == num_reducers || shared.cancel_requested() {
+        let elapsed = shared.timeline.elapsed();
+        if let Some(d) = deadline.filter(|&d| elapsed >= d) {
+            drop(st);
+            shared.fail(MrError::DeadlineExceeded {
+                deadline_ms: d.as_millis() as u64,
+            });
             return;
         }
-
-        let boosted = shared
-            .config
-            .progress
-            .as_ref()
-            .is_some_and(|p| p.boost_requested());
-        let mut cohort = st.map_durations_ms.clone();
-        cohort.sort_unstable();
-        let quantile_ms = policy.cohort_quantile_ms(&cohort, boosted);
-
-        let mut granted = false;
-        if let Some(ms) = policy.straggler_threshold_ms(&cohort, boosted) {
-            let threshold = Duration::from_millis(ms);
-            let slow: Vec<MapTaskId> = (st.sched.twin_candidates())
-                .filter(|&m| st.map_started[m].is_some_and(|t| t.elapsed() >= threshold))
-                .collect();
-            granted = !slow.is_empty();
-            for m in slow {
-                st.sched.grant_twin(m);
+        let mut wake = deadline.map_or(interval, |d| interval.min(d - elapsed));
+        if policy.enabled {
+            let mut cohort = st.map_durations_ms.clone();
+            cohort.sort_unstable();
+            if let Some(d) = deadline.filter(|_| !boosted) {
+                if let Some(q) = policy.cohort_quantile_ms(&cohort, false) {
+                    // Crude on purpose: the rule only needs "does the
+                    // rest threaten the deadline".
+                    let waves =
+                        |pending: usize, slots: usize| pending.div_ceil(slots.max(1)) as u64;
+                    let remaining_waves =
+                        waves(st.sched.maps_unfinished(), shared.pool.map_slots())
+                            + waves(num_reducers - st.reduces_done, shared.pool.reduce_slots());
+                    let projection = Duration::from_millis(q.max(1) * remaining_waves);
+                    let boost_at = d.saturating_sub(projection * DEADLINE_MARGIN);
+                    if elapsed < boost_at {
+                        // Wake at the boost point, unless a commit
+                        // changes the projection first.
+                        wake = wake.min(boost_at - elapsed);
+                    } else {
+                        boosted = true;
+                        crate::metrics::runtime().deadline_boosts.inc();
+                        eprintln!(
+                            "[SIDR-I014] job deadline pressure: projected completion exceeds \
+                             deadline_ms={}; speculation trigger boosted",
+                            d.as_millis()
+                        );
+                    }
+                }
+            }
+            if let Some(ms) = policy.straggler_threshold_ms(&cohort, boosted) {
+                let threshold = Duration::from_millis(ms);
+                let slow: Vec<MapTaskId> = (st.sched.twin_candidates())
+                    .filter(|&m| st.map_started[m].is_some_and(|t| t.elapsed() >= threshold))
+                    .collect();
+                if !slow.is_empty() {
+                    for m in slow {
+                        st.sched.grant_twin(m);
+                    }
+                    // Idle map workers park on this condvar; hand them
+                    // the grants without waiting for their safety-net
+                    // tick.
+                    shared.cv.notify_all();
+                }
             }
         }
-
-        if let Some(probe) = &shared.config.progress {
-            // Projected completion: cohort quantile × remaining task
-            // waves per slot class. Crude on purpose — the watchdog
-            // only needs "does this threaten the deadline".
-            if let Some(q) = quantile_ms {
-                let pending_maps = st.sched.maps_unfinished() as u64;
-                let pending_reduces = (num_reducers - st.reduces_done) as u64;
-                let map_waves = pending_maps.div_ceil(shared.pool.map_slots().max(1) as u64);
-                let reduce_waves =
-                    pending_reduces.div_ceil(shared.pool.reduce_slots().max(1) as u64);
-                probe.publish_projection(q.max(1).saturating_mul(map_waves + reduce_waves));
-            }
-        }
-
-        if granted {
-            // Idle map workers park on this condvar; hand them the
-            // grants without waiting for their safety-net tick.
-            shared.cv.notify_all();
-        }
+        shared.cv.wait_for(&mut st, wake);
     }
 }
 

@@ -435,6 +435,7 @@ impl Schedule {
     }
 
     /// Attempts of map `m` launched so far.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn attempts(&self, m: MapTaskId) -> u32 {
         self.maps[m].next_attempt
     }

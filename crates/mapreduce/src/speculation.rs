@@ -4,11 +4,12 @@
 //! long-running Map tasks". Stock Hadoop's defense is speculative
 //! execution — re-launching the slowest task and racing the copies,
 //! first commit wins. This module is the policy half: *when* a running
-//! attempt counts as slow, and how a deadline-pressed serving layer
-//! asks for more aggression. The mechanism half is split: commit
-//! claims and each generation's twin state are
+//! attempt counts as slow, and how much more aggressive it gets once
+//! the job's deadline is threatened (*boosted*). The mechanism half is
+//! split: commit claims and each generation's twin state are
 //! [`crate::schedule::Schedule`] decisions; loser teardown and the
-//! monitor thread live in [`crate::runtime`].
+//! monitor thread — which also decides when to boost — live in
+//! [`crate::runtime`].
 //!
 //! The trigger is cohort-relative, following "Assignment Problems of
 //! Different-Sized Inputs in MapReduce": a running attempt is a
@@ -19,8 +20,6 @@
 //! by an at-most-one-extra-attempt invariant: a task generation gets
 //! one speculative twin, ever; retries and recovery re-executions
 //! start a fresh generation.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn default_quantile() -> f64 {
     0.75
@@ -218,59 +217,6 @@ impl SpeculationPolicy {
     }
 }
 
-/// Live progress shared between a running job and the serving layer's
-/// deadline watchdog — the channel that makes the watchdog *proactive*.
-///
-/// The engine's speculation monitor publishes a completion projection
-/// (cohort quantiles × remaining tasks, divided over the slots);
-/// the watchdog compares it against the time left to `deadline_ms`
-/// and, when the projection threatens the deadline, requests a boost
-/// instead of waiting to cancel: the monitor then speculates
-/// anything slower than its cohort. Plain std atomics on purpose —
-/// this is observability plumbing, not part of the checked
-/// concurrency model.
-#[derive(Debug, Default)]
-pub struct ProgressProbe {
-    /// `u64::MAX` = no projection published yet.
-    projected_remaining_ms: AtomicU64,
-    boost: AtomicBool,
-}
-
-impl ProgressProbe {
-    pub fn new() -> Self {
-        let p = ProgressProbe::default();
-        p.projected_remaining_ms.store(u64::MAX, Ordering::Relaxed);
-        p
-    }
-
-    /// Engine-side: publish the projected time to completion.
-    pub fn publish_projection(&self, remaining_ms: u64) {
-        self.projected_remaining_ms
-            .store(remaining_ms, Ordering::Relaxed);
-    }
-
-    /// Watchdog-side: the engine's projected time to completion, once
-    /// one has been published.
-    pub fn projected_remaining_ms(&self) -> Option<u64> {
-        match self.projected_remaining_ms.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            ms => Some(ms),
-        }
-    }
-
-    /// Watchdog-side: ask the monitor to speculate aggressively.
-    /// Idempotent; returns true the first time (so the caller logs
-    /// its advisory exactly once).
-    pub fn request_boost(&self) -> bool {
-        !self.boost.swap(true, Ordering::Relaxed)
-    }
-
-    /// Engine-side: has the watchdog requested a boost?
-    pub fn boost_requested(&self) -> bool {
-        self.boost.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,17 +297,5 @@ mod tests {
         // Older documents without the field deserialize to defaults.
         let sparse: SpeculationPolicy = serde_json::from_str("{}").unwrap();
         assert_eq!(sparse, SpeculationPolicy::default());
-    }
-
-    #[test]
-    fn probe_projection_and_boost_handshake() {
-        let probe = ProgressProbe::new();
-        assert_eq!(probe.projected_remaining_ms(), None);
-        probe.publish_projection(1_500);
-        assert_eq!(probe.projected_remaining_ms(), Some(1_500));
-        assert!(!probe.boost_requested());
-        assert!(probe.request_boost(), "first request reports the edge");
-        assert!(!probe.request_boost(), "boost is idempotent");
-        assert!(probe.boost_requested());
     }
 }

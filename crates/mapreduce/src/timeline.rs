@@ -73,6 +73,11 @@ impl Timeline {
         }
     }
 
+    /// Time since job start: the clock every event is stamped with.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+
     /// Records an event now (attempt 0).
     pub fn record(&self, kind: TaskKind, task: usize) {
         self.record_attempt(kind, task, 0);
@@ -81,7 +86,7 @@ impl Timeline {
     /// Records an event now, stamped with the task attempt it belongs
     /// to.
     pub fn record_attempt(&self, kind: TaskKind, task: usize, attempt: u32) {
-        let at = self.start.elapsed();
+        let at = self.elapsed();
         self.events.lock().push(TaskEvent {
             kind,
             task,

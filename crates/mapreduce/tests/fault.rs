@@ -71,6 +71,16 @@ fn run_sums(
     reducers: usize,
     config: &JobConfig,
 ) -> (Vec<(u64, u64)>, sidr_mapreduce::JobResult) {
+    try_run_sums(n, pieces, reducers, config).unwrap()
+}
+
+/// [`run_sums`] for a job that may fail.
+fn try_run_sums(
+    n: u64,
+    pieces: u64,
+    reducers: usize,
+    config: &JobConfig,
+) -> sidr_mapreduce::Result<(Vec<(u64, u64)>, sidr_mapreduce::JobResult)> {
     let splits = number_splits(n, pieces);
     let (mapper, reducer) = sum_by_mod10();
     let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, reducers);
@@ -84,9 +94,8 @@ fn run_sums(
         &plan,
         &output,
         config,
-    )
-    .unwrap();
-    (output.sorted_records(), result)
+    )?;
+    Ok((output.sorted_records(), result))
 }
 
 /// The full map-side fault matrix, one kind at a time: every kind
@@ -440,6 +449,82 @@ fn primary_wins_race_and_slow_twin_is_discarded() {
     let oracle = sidr_core::TimelineOracle::new(6, 4);
     if let Err(v) = oracle.check_complete(&result.events) {
         panic!("primary-wins timeline violates the protocol oracle: {v}");
+    }
+}
+
+/// The engine owns the deadline: a job still running when
+/// `JobConfig::deadline` expires fails with the typed
+/// `DeadlineExceeded` — within one wakeup of the deadline, not after
+/// its 3 s straggler — and unwinds by notification: no blocked worker
+/// needed the safety-net tick.
+#[test]
+fn deadline_abandons_straggling_job_by_notification() {
+    let ticks = &sidr_mapreduce::metrics::runtime().tick_wakeups;
+    let ticks_before = ticks.get();
+    let config = JobConfig {
+        fault_plan: FaultPlan::straggle_maps([2], 3_000),
+        deadline: Some(Duration::from_millis(50)),
+        ..Default::default()
+    };
+    let started = Instant::now();
+    let result = try_run_sums(120, 6, 4, &config);
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(result, Err(MrError::DeadlineExceeded { deadline_ms: 50 })),
+        "expected DeadlineExceeded, got {result:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "deadline enforced late: {elapsed:?} for a 50 ms deadline"
+    );
+    assert_eq!(ticks.get(), ticks_before, "a worker needed the tick");
+}
+
+/// Deadline pressure, boost alone: the trigger itself is unreachable
+/// (`slowdown` 1e9), so the straggler is raced only because the monitor
+/// projected the job past its deadline and boosted the trigger. The
+/// boost fires once, its twin wins, and the job makes its deadline
+/// with output identical to a fault-free run.
+#[test]
+fn deadline_boost_alone_rescues_straggler() {
+    let boosts = &sidr_mapreduce::metrics::runtime().deadline_boosts;
+    let boosts_before = boosts.get();
+    // Every other first attempt takes 20 ms, so the cohort projects a
+    // nonzero remainder; map 5's first attempt takes 5 s.
+    let config = JobConfig {
+        fault_plan: FaultPlan::straggle_maps(0..5, 20).with(
+            FaultTarget::Map(5),
+            0,
+            FaultKind::Straggle { delay_ms: 5_000 },
+        ),
+        speculation: SpeculationPolicy {
+            slowdown: 1e9,
+            check_interval_ms: 5,
+            ..SpeculationPolicy::on()
+        },
+        deadline: Some(Duration::from_secs(1)),
+        ..Default::default()
+    };
+    let (records, result) = run_sums(120, 6, 4, &config);
+    assert_eq!(records, digit_sums(120), "boosted run diverged");
+    assert_eq!(boosts.get() - boosts_before, 1, "one boost per job");
+    let grants: Vec<_> = (result.events.iter())
+        .filter(|e| e.kind == TaskKind::MapSpeculated)
+        .map(|e| (e.task, e.attempt))
+        .collect();
+    assert_eq!(
+        grants,
+        vec![(5, 1)],
+        "the boost grants exactly the straggler's twin"
+    );
+    assert!(result
+        .events
+        .iter()
+        .any(|e| e.kind == TaskKind::MapEnd && e.task == 5 && e.attempt == 1));
+    assert!(reexecuted_maps(&result.events).is_empty());
+    let oracle = sidr_core::TimelineOracle::new(6, 4);
+    if let Err(v) = oracle.check_complete(&result.events) {
+        panic!("boosted timeline violates the protocol oracle: {v}");
     }
 }
 

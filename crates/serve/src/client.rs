@@ -34,9 +34,9 @@ pub enum ServeError {
     Protocol(String),
     /// The job reached a terminal `Failed` frame.
     JobFailed(String),
-    /// The job's spec'd deadline expired and the server's watchdog
-    /// cancelled the remainder; keyblocks streamed before the cut-off
-    /// are valid, final results.
+    /// The job's spec'd deadline expired and the engine abandoned the
+    /// remainder; keyblocks streamed before the cut-off are valid,
+    /// final results.
     DeadlineExceeded { job: u64, deadline_ms: u64 },
 }
 

@@ -30,8 +30,8 @@ pub struct ServeMetrics {
     pub jobs_done: Arc<Counter>,
     pub jobs_failed: Arc<Counter>,
     pub jobs_cancelled: Arc<Counter>,
-    /// Jobs cancelled by the deadline watchdog (graceful degradation,
-    /// not failure).
+    /// Jobs the engine abandoned at their deadline (graceful
+    /// degradation, not failure).
     pub jobs_deadline_exceeded: Arc<Counter>,
     /// Submissions the admission pre-flight turned away.
     pub rejections: Arc<Counter>,
@@ -44,10 +44,6 @@ pub struct ServeMetrics {
     /// Job start → first keyblock commit (the paper's
     /// time-to-first-result, as served).
     pub ttfb_seconds: Arc<Histogram>,
-    /// Deadline-pressure boosts: the watchdog saw projected completion
-    /// threaten `deadline_ms` and lowered the speculation trigger
-    /// (`SIDR-I014`) instead of waiting to cancel.
-    pub deadline_boosts: Arc<Counter>,
 }
 
 /// The serving layer's metrics, registered on first use.
@@ -68,7 +64,7 @@ pub fn serve() -> &'static ServeMetrics {
             ),
             jobs_deadline_exceeded: r.counter(
                 "sidr_serve_jobs_deadline_exceeded_total",
-                "Jobs cancelled by the deadline watchdog",
+                "Jobs abandoned at their deadline",
                 &[],
             ),
             rejections: r.counter(
@@ -101,11 +97,6 @@ pub fn serve() -> &'static ServeMetrics {
                 "Job start to first keyblock commit, seconds",
                 &[],
                 TTFB_BUCKETS,
-            ),
-            deadline_boosts: r.counter(
-                "sidr_serve_deadline_boosts_total",
-                "Speculation-trigger boosts issued under deadline pressure (SIDR-I014)",
-                &[],
             ),
         }
     })

@@ -121,8 +121,8 @@ pub enum Response {
     /// Terminal: the job observed its cancel token and stopped.
     Cancelled { job: u64 },
     /// Terminal: the job was still running at its spec'd deadline and
-    /// was cancelled by the server's watchdog. Keyblocks already
-    /// streamed remain valid, final results (§3.4).
+    /// the engine abandoned it. Keyblocks already streamed remain
+    /// valid, final results (§3.4).
     DeadlineExceeded {
         job: u64,
         /// The deadline that expired, milliseconds.
@@ -148,7 +148,7 @@ pub struct ServerStats {
     pub jobs_done: u64,
     pub jobs_failed: u64,
     pub jobs_cancelled: u64,
-    /// Jobs cancelled by the deadline watchdog.
+    /// Jobs abandoned at their spec'd deadline.
     pub jobs_deadline_exceeded: u64,
     /// Map slots in use / total across all jobs.
     pub map_busy: usize,

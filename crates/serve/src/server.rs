@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sidr_analyze::{analyze_spec, AnalyzeOptions};
 use sidr_coords::Coord;
@@ -32,7 +32,7 @@ use sidr_core::diag::Severity;
 use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
 use sidr_core::spec::JobSpec;
-use sidr_mapreduce::{CancelToken, MrError, OutputCollector, ProgressProbe, SlotPool};
+use sidr_mapreduce::{CancelToken, MrError, OutputCollector, SlotPool};
 use sidr_scifile::ScincFile;
 
 use crate::binframe;
@@ -100,8 +100,8 @@ pub enum JobState {
     Done,
     Failed,
     Cancelled,
-    /// Cancelled by the deadline watchdog: the spec's `deadline_ms`
-    /// expired while the job was still running.
+    /// The engine abandoned the job at the spec's `deadline_ms`
+    /// ([`MrError::DeadlineExceeded`]): it was still running.
     DeadlineExceeded,
 }
 
@@ -568,23 +568,11 @@ fn run_admitted_job(
         }
     };
 
-    // With speculation enabled the engine's monitor publishes its
-    // projected completion through this probe; the
-    // deadline watchdog reads it to act *before* the deadline instead
-    // of only at it.
-    let probe = if spec.speculation.enabled {
-        Some(Arc::new(ProgressProbe::new()))
-    } else {
-        None
-    };
     let opts = SpecRunOptions {
         priority_region: options.priority_region.clone(),
         validate_annotations: options.validate_annotations,
         filter_pushdown: options.filter_pushdown,
         fault_plan: options.fault_plan.clone(),
-        retry: spec.retry,
-        speculation: spec.speculation.clone(),
-        progress: probe.clone(),
     };
 
     let out = KeyblockStream {
@@ -598,53 +586,6 @@ fn run_admitted_job(
 
     inner.set_state(job, JobState::Running);
 
-    // Deadline watchdog: a detached ticker that cancels the job if it
-    // is still running when the spec's deadline expires. Graceful
-    // degradation, not failure — keyblocks already streamed stay
-    // valid, final results; only the remainder is abandoned.
-    let deadline_hit = Arc::new(AtomicBool::new(false));
-    let job_finished = Arc::new(AtomicBool::new(false));
-    if let Some(ms) = spec.deadline_ms {
-        let hit = Arc::clone(&deadline_hit);
-        let finished = Arc::clone(&job_finished);
-        let watchdog_cancel = cancel.clone();
-        let watchdog_probe = probe.clone();
-        thread::spawn(move || {
-            let started = std::time::Instant::now();
-            let deadline = started + Duration::from_millis(ms);
-            // Tick instead of one long sleep so the thread retires
-            // promptly once the job ends.
-            while std::time::Instant::now() < deadline {
-                if finished.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Proactive half: when the engine's projection says
-                // the remaining work will not fit inside the deadline,
-                // boost the speculation trigger *now* — stragglers get
-                // raced while there is still time for the twin to win.
-                // Cancellation stays the backstop, not the first move.
-                if let Some(p) = &watchdog_probe {
-                    let elapsed = started.elapsed().as_millis() as u64;
-                    let threatened = p
-                        .projected_remaining_ms()
-                        .is_some_and(|rem| elapsed.saturating_add(rem) > ms);
-                    if threatened && p.request_boost() {
-                        serve_metrics().deadline_boosts.inc();
-                        eprintln!(
-                            "[{}] job deadline pressure: projected completion exceeds \
-                             deadline_ms={ms}; speculation trigger boosted",
-                            sidr_core::diag::codes::DEADLINE_PRESSURE
-                        );
-                    }
-                }
-                thread::sleep(Duration::from_millis(5).min(Duration::from_millis(ms.max(1))));
-            }
-            if !finished.load(Ordering::SeqCst) {
-                hit.store(true, Ordering::SeqCst);
-                watchdog_cancel.cancel();
-            }
-        });
-    }
     // Same scheduler either way; only where attempts execute differs.
     // In coordinator mode each attempt is dispatched to the fleet
     // through the engine's `TaskExecutor` seam.
@@ -674,7 +615,6 @@ fn run_admitted_job(
         None => run_spec_on_pool(&file, &spec, &opts, &out, &inner.pool, Some(&cancel)),
     };
 
-    job_finished.store(true, Ordering::SeqCst);
     match result {
         Ok(job_result) => {
             inner.set_state(job, JobState::Done);
@@ -685,14 +625,14 @@ fn run_admitted_job(
                 events: job_result.events,
             }));
         }
-        Err(e) if is_cancellation(&e) && deadline_hit.load(Ordering::SeqCst) => {
+        Err(sidr_core::SidrError::Engine(MrError::DeadlineExceeded { deadline_ms })) => {
             inner.set_state(job, JobState::DeadlineExceeded);
             let _ = tx.send(Outbound::Json(Response::DeadlineExceeded {
                 job,
-                deadline_ms: spec.deadline_ms.unwrap_or(0),
+                deadline_ms,
             }));
         }
-        Err(e) if is_cancellation(&e) => {
+        Err(sidr_core::SidrError::Engine(MrError::Cancelled)) => {
             inner.set_state(job, JobState::Cancelled);
             let _ = tx.send(Outbound::Json(Response::Cancelled { job }));
         }
@@ -743,10 +683,6 @@ impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
         let _ = self.tx.send(Outbound::BinKeyblock(bin));
         Ok(())
     }
-}
-
-fn is_cancellation(e: &sidr_core::SidrError) -> bool {
-    matches!(e, sidr_core::SidrError::Engine(MrError::Cancelled))
 }
 
 #[cfg(test)]

@@ -171,7 +171,7 @@ fn run_distributed(
 }
 
 /// [`run_distributed`] with explicit worker- and engine-side options
-/// (push-down; the speculation tests' non-default policy).
+/// (push-down).
 fn run_distributed_with(
     fleet: &Fleet,
     spec: &JobSpec,
@@ -657,10 +657,9 @@ fn speculative_twin_runs_on_different_worker_and_wins() {
     let workers = spawn_workers(3);
     let (fleet, seam) = proxied_fleet(addrs(&workers), |_, _, _| {});
 
-    let ropts = SpecRunOptions {
-        speculation: SpeculationPolicy::force([straggler]),
-        ..run_opts()
-    };
+    let racing = spec
+        .clone()
+        .with_speculation(SpeculationPolicy::force([straggler]));
     // Which worker answered `MapDone` for the straggler's `attempt`.
     let host_of = |attempt: u32| {
         let done = seam.maps_done().into_iter();
@@ -671,12 +670,13 @@ fn speculative_twin_runs_on_different_worker_and_wins() {
     };
     let mut hosts = (0, 0);
     let opts = exec_opts(plan);
-    let (result, got) = run_distributed_with(&fleet, &spec, &input, opts, &ropts, &[], || {
-        // Both racers' outputs register fleet-side: the twin fast, the
-        // losing primary once its 2 s straggle drains.
-        wait_until(|| host_of(0).is_some() && host_of(1).is_some());
-        hosts = (host_of(0).unwrap(), host_of(1).unwrap());
-    });
+    let (result, got) =
+        run_distributed_with(&fleet, &racing, &input, opts, &run_opts(), &[], || {
+            // Both racers' outputs register fleet-side: the twin fast, the
+            // losing primary once its 2 s straggle drains.
+            wait_until(|| host_of(0).is_some() && host_of(1).is_some());
+            hosts = (host_of(0).unwrap(), host_of(1).unwrap());
+        });
 
     assert_eq!(got, expected, "speculative fleet run diverged");
     assert!(
