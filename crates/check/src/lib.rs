@@ -3,23 +3,24 @@
 //! A loom-style checker that works in this offline workspace. It has
 //! three layers:
 //!
-//! 1. **[`sync`]** — drop-in Mutex/Condvar/atomic/thread primitives.
-//!    Outside an exploration they behave exactly like the std-backed
-//!    parking_lot shim; inside one, every operation is a yield point of
-//!    a cooperative virtual scheduler. `sidr-mapreduce::sync` re-exports
-//!    these under `--cfg check`, so the *production* runtime code runs
-//!    unmodified under the checker.
+//! 1. **[`sync`]** — drop-in Mutex/Condvar/atomic/thread/clock
+//!    primitives. Outside an exploration they behave exactly like the
+//!    std-backed parking_lot shim; inside one, every operation is a
+//!    yield point of a cooperative virtual scheduler, and time is
+//!    virtual: it advances only when nothing can run. `sidr-mapreduce::sync`
+//!    re-exports these under `--cfg check`, so the *production* runtime
+//!    code runs unmodified under the checker.
 //! 2. **[`Explorer`]** — drives a scenario body through many schedules:
 //!    bounded-exhaustive DFS for small scenarios, seeded-random
 //!    otherwise. Every failure prints a [`ScheduleRef`] (seed or
-//!    decision trace) that replays the exact interleaving.
+//!    decision trace) that replays the exact interleaving and times.
 //! 3. **Findings** — what the scheduler detects along the way:
-//!    * [`Finding::Deadlock`]: every vthread blocked, no timed wait to
-//!      fire.
-//!    * [`Finding::LostWakeup`]: progress happened *only* because a
-//!      timed wait's safety net fired — under the real clock that is
-//!      the 25 ms `WAIT_TICK` silently pumping a stalled job, so it is
-//!      a finding, not a pass.
+//!    * [`Finding::Deadlock`]: every vthread blocked on a mutex or a
+//!      join, no timer pending.
+//!    * [`Finding::LostWakeup`]: nothing can run, no timer is pending,
+//!      and a vthread is parked on a condvar. The runtime's waits have
+//!      no safety tick under `--cfg check`, so a missed notification
+//!      is a hang here — a finding, not a pass.
 //!    * [`Finding::Race`]: two [`sync::RaceCell`] accesses with no
 //!      happens-before edge (vector clocks over lock/unlock,
 //!      notify/wait, acquire/release atomics, spawn/join).

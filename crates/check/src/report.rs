@@ -8,9 +8,8 @@ use std::fmt;
 pub enum BlockInfo {
     /// Waiting to acquire the mutex at this object id.
     Mutex(usize),
-    /// Waiting on the condvar at `cv`, will re-acquire `lock`; `timed`
-    /// waits carry the runtime's safety-net timeout.
-    Condvar { cv: usize, lock: usize, timed: bool },
+    /// Waiting on the condvar at `cv`, will re-acquire `lock`.
+    Condvar { cv: usize, lock: usize },
     /// Waiting for scoped children to finish.
     Join,
 }
@@ -19,33 +18,33 @@ impl fmt::Display for BlockInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BlockInfo::Mutex(m) => write!(f, "mutex #{m:x}"),
-            BlockInfo::Condvar { cv, lock, timed } => {
-                write!(
-                    f,
-                    "condvar #{cv:x} (lock #{lock:x}, {})",
-                    if *timed { "timed" } else { "untimed" }
-                )
-            }
+            BlockInfo::Condvar { cv, lock } => write!(f, "condvar #{cv:x} (lock #{lock:x})"),
             BlockInfo::Join => write!(f, "join"),
         }
     }
 }
 
+fn write_blocked(f: &mut fmt::Formatter<'_>, threads: &BTreeMap<usize, BlockInfo>) -> fmt::Result {
+    for (i, (tid, info)) in threads.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        write!(f, "{sep}t{tid} blocked on {info}")?;
+    }
+    Ok(())
+}
+
 /// A defect observed in one explored schedule.
 #[derive(Clone, Debug)]
 pub enum Finding {
-    /// Every virtual thread is blocked and no timed wait can save them.
-    /// `threads` maps virtual-thread id to what it is blocked on.
+    /// Every virtual thread is blocked on a mutex or a join, and no
+    /// timer is pending. `threads` maps virtual-thread id to what it is
+    /// blocked on.
     Deadlock { threads: BTreeMap<usize, BlockInfo> },
     /// A thread tried to re-acquire a mutex it already holds.
     SelfDeadlock { thread: usize, mutex: usize },
-    /// Progress required firing timed-wait safety nets: nothing else in
-    /// the system could have woken the waiters. Under the real clock
-    /// this is the 25 ms `WAIT_TICK` pumping a stalled job.
-    LostWakeup {
-        tick_wakeups: u32,
-        threads: Vec<usize>,
-    },
+    /// Nothing can run, no timer is pending, and some thread is parked
+    /// on a condvar: the notification it needed never came. Under the
+    /// real clock this is the 25 ms safety tick pumping a stalled job.
+    LostWakeup { threads: BTreeMap<usize, BlockInfo> },
     /// Two accesses to the same `RaceCell` without a happens-before
     /// edge between them.
     Race {
@@ -67,24 +66,14 @@ impl fmt::Display for Finding {
         match self {
             Finding::Deadlock { threads } => {
                 write!(f, "deadlock: ")?;
-                let mut first = true;
-                for (tid, info) in threads {
-                    if !first {
-                        write!(f, ", ")?;
-                    }
-                    first = false;
-                    write!(f, "t{tid} blocked on {info}")?;
-                }
-                Ok(())
+                write_blocked(f, threads)
             }
             Finding::SelfDeadlock { thread, mutex } => {
                 write!(f, "self-deadlock: t{thread} re-locks mutex #{mutex:x} it already holds")
             }
-            Finding::LostWakeup { tick_wakeups, threads } => {
-                write!(
-                    f,
-                    "lost wakeup: {tick_wakeups} tick-driven wakeup(s) were the only way forward (threads {threads:?})"
-                )
+            Finding::LostWakeup { threads } => {
+                write!(f, "lost wakeup, nothing can run and no timer is pending: ")?;
+                write_blocked(f, threads)
             }
             Finding::Race {
                 cell,
@@ -124,7 +113,7 @@ impl Finding {
 pub enum FindingKind {
     /// Deadlock or self-deadlock.
     Deadlock,
-    /// Tick-only progress.
+    /// A condvar waiter nobody will notify.
     LostWakeup,
     /// Happens-before race.
     Race,

@@ -13,6 +13,12 @@
 //! detection possible without any `unsafe`: the *data* always sits
 //! behind real `std::sync` primitives; only the *schedule* is virtual.
 //!
+//! Time is virtual too: a timed wait or a sleep arms a timer in a heap
+//! ordered `(deadline, insertion sequence)`, and the clock advances
+//! only when no vthread can run — then every timer due at the earliest
+//! deadline fires at once and the decider picks among the woken, so a
+//! trace replays its timestamps exactly.
+//!
 //! Teardown protocol: when a fatal finding is recorded the scheduler
 //! sets an `abort` flag and wakes every parked vthread. Blocking entry
 //! points then unwind with a private [`CheckAbort`] payload — unless
@@ -21,8 +27,10 @@
 
 use crate::clock::VClock;
 use crate::report::{BlockInfo, Finding};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar as OsCondvar, Mutex as OsMutex, MutexGuard as OsGuard};
+use std::time::{Duration, Instant};
 
 /// Panic payload used to unwind vthreads during execution teardown.
 /// Never escapes the explorer: it is caught and swallowed there.
@@ -100,6 +108,8 @@ impl Decider {
 enum Status {
     Runnable,
     Blocked(BlockInfo),
+    /// In `thread::sleep`: only its timer wakes it.
+    Sleeping,
     Finished,
 }
 
@@ -109,8 +119,8 @@ struct VThread {
     /// exactly the chosen thread, not the whole herd.
     park: Arc<OsCondvar>,
     clock: VClock,
-    /// Set when the scheduler resumed this thread by firing its timed
-    /// wait instead of a notification.
+    /// Set when the scheduler resumed this thread by firing its timer
+    /// instead of a notification.
     timed_out: bool,
 }
 
@@ -145,9 +155,13 @@ struct SchedState {
     objects: HashMap<usize, ObjState>,
     cells: HashMap<usize, CellState>,
     findings: Vec<Finding>,
-    tick_wakeups: u32,
-    tick_threads: Vec<usize>,
     abort: bool,
+    /// Virtual time zero, and virtual time since it.
+    epoch: Instant,
+    now: Duration,
+    /// Armed timers `(deadline, step armed at, vthread)`, earliest
+    /// first; a vthread has at most one.
+    timers: BinaryHeap<Reverse<(Duration, u64, usize)>>,
 }
 
 /// Handle to one execution's scheduler. Cheap to clone.
@@ -189,10 +203,17 @@ impl Sched {
             objects: HashMap::new(),
             cells: HashMap::new(),
             findings: Vec::new(),
-            tick_wakeups: 0,
-            tick_threads: Vec::new(),
             abort: false,
+            epoch: Instant::now(),
+            now: Duration::ZERO,
+            timers: BinaryHeap::new(),
         })))
+    }
+
+    /// The execution's current virtual instant.
+    pub(crate) fn now(&self) -> Instant {
+        let st = self.lock();
+        st.epoch + st.now
     }
 
     fn lock(&self) -> OsGuard<'_, SchedState> {
@@ -211,9 +232,10 @@ impl Sched {
         taken
     }
 
-    /// Pick the next baton holder and wake it. Fires timed waits when
-    /// nothing is runnable; records a deadlock finding (and aborts) when
-    /// nothing can ever run again.
+    /// Pick the next baton holder and wake it. When nothing is
+    /// runnable, advances virtual time to the earliest timer; when no
+    /// timer is pending either, records a lost wakeup (someone is
+    /// parked on a condvar) or a deadlock, and aborts.
     fn resched(&self, st: &mut SchedState) {
         loop {
             let runnable: Vec<usize> = st
@@ -233,33 +255,15 @@ impl Sched {
                 st.threads[st.current].park.notify_all();
                 return;
             }
-            // No runnable thread: the only legal way forward is a timed
-            // wait's safety net. Firing one is progress for the program
-            // but a finding for us — tick_wakeups is checked at the end.
-            let timed: Vec<usize> = st
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    matches!(
-                        t.status,
-                        Status::Blocked(BlockInfo::Condvar { timed: true, .. })
-                    )
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if !timed.is_empty() {
-                let idx = if timed.len() == 1 {
-                    0
-                } else {
-                    Self::choose(st, timed.len())
-                };
-                let t = timed[idx];
-                st.threads[t].status = Status::Runnable;
-                st.threads[t].timed_out = true;
-                st.tick_wakeups += 1;
-                if !st.tick_threads.contains(&t) {
-                    st.tick_threads.push(t);
+            if let Some(&Reverse((at, _, _))) = st.timers.peek() {
+                st.now = st.now.max(at);
+                while let Some(&Reverse((due, _, t))) = st.timers.peek() {
+                    if due > at {
+                        break;
+                    }
+                    st.timers.pop();
+                    st.threads[t].status = Status::Runnable;
+                    st.threads[t].timed_out = true;
                 }
                 continue;
             }
@@ -271,16 +275,28 @@ impl Sched {
                 st.current = NOBODY;
                 return;
             }
-            let mut blocked = BTreeMap::new();
+            let mut threads = BTreeMap::new();
             for (i, t) in st.threads.iter().enumerate() {
                 if let Status::Blocked(info) = &t.status {
-                    blocked.insert(i, info.clone());
+                    threads.insert(i, info.clone());
                 }
             }
-            st.findings.push(Finding::Deadlock { threads: blocked });
+            let parked = (threads.values()).any(|b| matches!(b, BlockInfo::Condvar { .. }));
+            st.findings.push(if parked {
+                Finding::LostWakeup { threads }
+            } else {
+                Finding::Deadlock { threads }
+            });
             Self::abort_all(st);
             return;
         }
+    }
+
+    /// Arm `me`'s timer to fire `after` from now. Every yield point is
+    /// its own step, so the step count is the insertion sequence.
+    fn arm(st: &mut SchedState, me: usize, after: Duration) {
+        let at = st.now.saturating_add(after);
+        st.timers.push(Reverse((at, st.steps, me)));
     }
 
     /// Set the abort flag and wake every parked vthread so it can
@@ -344,10 +360,20 @@ impl Sched {
 
     // -- yield points -------------------------------------------------------
 
-    /// Pure preemption point (sleep, spawn, pre-op scheduling choice).
+    /// Pure preemption point (spawn, pre-op scheduling choice).
     pub(crate) fn yield_now(&self, me: usize) {
         let Some(st) = self.enter(me) else { return };
         let st = self.switch(st, me);
+        self.leave(st);
+    }
+
+    /// Block for `dur` of virtual time.
+    pub(crate) fn sleep(&self, me: usize, dur: Duration) {
+        let Some(mut st) = self.enter(me) else { return };
+        Self::arm(&mut st, me, dur);
+        st.threads[me].status = Status::Sleeping;
+        let mut st = self.switch(st, me);
+        st.threads[me].timed_out = false;
         self.leave(st);
     }
 
@@ -414,15 +440,15 @@ impl Sched {
         self.leave(st);
     }
 
-    /// Logical condvar wait: releases `lock_addr`, blocks on `cv_addr`,
-    /// re-acquires. Returns true iff resumed by the timed-wait safety
-    /// net rather than a notification.
+    /// Logical condvar wait: releases `lock_addr`, blocks on `cv_addr`
+    /// (for at most `timeout` of virtual time), re-acquires. Returns
+    /// true iff resumed by the timer rather than a notification.
     pub(crate) fn condvar_wait(
         &self,
         me: usize,
         cv_addr: usize,
         lock_addr: usize,
-        timed: bool,
+        timeout: Option<Duration>,
     ) -> bool {
         let Some(mut st) = self.enter(me) else {
             return false;
@@ -441,10 +467,12 @@ impl Sched {
                 t.status = Status::Runnable;
             }
         }
+        if let Some(after) = timeout {
+            Self::arm(&mut st, me, after);
+        }
         st.threads[me].status = Status::Blocked(BlockInfo::Condvar {
             cv: cv_addr,
             lock: lock_addr,
-            timed,
         });
         let mut st = self.switch(st, me);
         if st.abort {
@@ -454,7 +482,7 @@ impl Sched {
         let timed_out = std::mem::take(&mut st.threads[me].timed_out);
         if !timed_out {
             // Happens-before edge from the notifier. A timeout creates
-            // no such edge — hiding races behind tick wakeups would
+            // no such edge — hiding races behind timer wakeups would
             // defeat the detector.
             let cv_clock = st.objects.entry(cv_addr).or_default().clock.clone();
             st.threads[me].clock.join(&cv_clock);
@@ -479,20 +507,20 @@ impl Sched {
             })
             .map(|(i, _)| i)
             .collect();
-        if !waiters.is_empty() {
-            if all {
-                for &w in &waiters {
-                    st.threads[w].status = Status::Runnable;
-                }
-            } else {
-                let idx = if waiters.len() == 1 {
-                    0
-                } else {
-                    Self::choose(&mut st, waiters.len())
-                };
-                st.threads[waiters[idx]].status = Status::Runnable;
+        let woken = match waiters.len() {
+            0 => &[][..],
+            _ if all => &waiters[..],
+            1 => &waiters[..1],
+            n => {
+                let idx = Self::choose(&mut st, n);
+                &waiters[idx..=idx]
             }
+        };
+        for &w in woken {
+            st.threads[w].status = Status::Runnable;
         }
+        // A notified waiter's timer is discarded.
+        st.timers.retain(|Reverse((_, _, t))| !woken.contains(t));
         let st = self.switch(st, me);
         self.leave(st);
     }
@@ -662,15 +690,8 @@ impl Sched {
     /// has really finished (the explorer's scope guarantees this).
     pub(crate) fn take_outcome(&self) -> Outcome {
         let mut st = self.lock();
-        let mut findings = std::mem::take(&mut st.findings);
-        if st.tick_wakeups > 0 {
-            findings.push(Finding::LostWakeup {
-                tick_wakeups: st.tick_wakeups,
-                threads: std::mem::take(&mut st.tick_threads),
-            });
-        }
         Outcome {
-            findings,
+            findings: std::mem::take(&mut st.findings),
             trace: std::mem::take(&mut st.trace),
             steps: st.steps,
         }

@@ -1,16 +1,17 @@
 //! Dual-mode synchronization primitives.
 //!
 //! These types mirror the API surface the runtime actually uses — the
-//! parking_lot-style `Mutex`/`Condvar`, the handful of std atomics, and
-//! `std::thread::{scope, sleep}` — and behave in one of two ways:
+//! parking_lot-style `Mutex`/`Condvar`, the handful of std atomics,
+//! `std::thread::{scope, sleep}` and `Instant::now` — and behave in one
+//! of two ways:
 //!
 //! * **Outside an exploration** (no scheduler bound to the thread) they
-//!   are thin wrappers over `std::sync`, so code built with `--cfg
-//!   check` still runs normally in ordinary tests.
+//!   are thin wrappers over `std`, so code built with `--cfg check`
+//!   still runs normally in ordinary tests.
 //! * **Inside an exploration** every operation is a yield point of the
 //!   virtual scheduler: the data still lives behind real std
 //!   primitives (no `unsafe` anywhere), but blocking, wakeups, and
-//!   timeouts are purely logical and decided by the schedule explorer.
+//!   time are purely logical and decided by the schedule explorer.
 //!
 //! [`RaceCell`] is the instrumentation point for happens-before race
 //! detection: wrap shared state in it inside a scenario and every
@@ -131,13 +132,18 @@ impl Condvar {
         Condvar(std::sync::Condvar::new())
     }
 
-    fn virtual_wait<T>(&self, guard: &mut MutexGuard<'_, T>, c: &sched::Ctx, timed: bool) -> bool {
+    fn virtual_wait<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        c: &sched::Ctx,
+        timeout: Option<Duration>,
+    ) -> bool {
         // Drop the real guard before logically blocking: the next
         // logical lock holder must be able to take the real mutex.
         guard.inner = None;
         let timed_out = c
             .sched
-            .condvar_wait(c.tid, addr_of(self), addr_of(guard.lock), timed);
+            .condvar_wait(c.tid, addr_of(self), addr_of(guard.lock), timeout);
         guard.inner = Some(guard.lock.real_lock());
         timed_out
     }
@@ -146,7 +152,7 @@ impl Condvar {
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         match guard.ctx.clone() {
             Some(c) => {
-                self.virtual_wait(guard, &c, false);
+                self.virtual_wait(guard, &c, None);
             }
             None => {
                 let inner = guard.inner.take().expect("guard present outside wait");
@@ -157,17 +163,15 @@ impl Condvar {
     }
 
     /// Block until notified or `timeout` elapses. Under an exploration
-    /// the duration is ignored: the timeout fires only when *nothing
-    /// else in the system can run*, which is exactly the situation the
-    /// real safety-net tick exists for — and it is counted as a
-    /// lost-wakeup finding.
+    /// the timeout is a virtual timer: it fires once nothing else can
+    /// run and it is the earliest one pending.
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
         match guard.ctx.clone() {
-            Some(c) => WaitTimeoutResult(self.virtual_wait(guard, &c, true)),
+            Some(c) => WaitTimeoutResult(self.virtual_wait(guard, &c, Some(timeout))),
             None => {
                 let inner = guard.inner.take().expect("guard present outside wait");
                 let (inner, result) = self
@@ -345,8 +349,17 @@ impl<T> RaceCell<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Threads
+// Time and threads
 // ---------------------------------------------------------------------------
+
+/// The clock, scheduler-aware.
+pub mod time {
+    /// The current instant: the execution's epoch plus its virtual time
+    /// inside an exploration, `Instant::now()` outside one.
+    pub fn now() -> std::time::Instant {
+        crate::sched::current().map_or_else(std::time::Instant::now, |c| c.sched.now())
+    }
+}
 
 /// Scoped threads and sleeping, scheduler-aware.
 pub mod thread {
@@ -354,11 +367,12 @@ pub mod thread {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
-    /// Under an exploration a sleep is just a preemption point (virtual
-    /// time: the decider chooses who runs while "time passes").
+    /// Under an exploration a sleep blocks on a virtual timer: it ends
+    /// once `dur` of virtual time has passed, which happens only while
+    /// nothing else can run.
     pub fn sleep(dur: Duration) {
         if let Some(c) = sched::current() {
-            c.sched.yield_now(c.tid);
+            c.sched.sleep(c.tid, dur);
         } else {
             std::thread::sleep(dur);
         }

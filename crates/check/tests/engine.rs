@@ -5,7 +5,7 @@
 //! through the runtime's sync facade.
 
 use sidr_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use sidr_check::sync::thread;
+use sidr_check::sync::{thread, time};
 use sidr_check::sync::{Condvar, Mutex, RaceCell};
 use sidr_check::{Explorer, FindingKind, Strategy};
 use std::sync::Arc;
@@ -234,9 +234,9 @@ fn self_deadlock_is_detected() {
 
 #[test]
 fn missed_notify_is_a_lost_wakeup_finding() {
-    // The setter flips the flag but never notifies: the waiter can only
-    // proceed via its timed-wait safety net. The program "works" — the
-    // checker must still flag it.
+    // The setter flips the flag but never notifies: the waiter parks
+    // for good whenever it checked the flag first. The checker must
+    // flag it.
     let report = Explorer::new("missed-notify").run(
         Strategy::Exhaustive {
             max_schedules: 5_000,
@@ -250,7 +250,7 @@ fn missed_notify_is_a_lost_wakeup_finding() {
                         let (m, cv) = &*state;
                         let mut done = m.lock();
                         while !*done {
-                            cv.wait_for(&mut done, Duration::from_millis(25));
+                            cv.wait(&mut done);
                         }
                     });
                 }
@@ -302,6 +302,122 @@ fn correct_notify_has_no_lost_wakeup() {
     );
     report.assert_clean();
     assert!(report.complete);
+}
+
+fn ms(n: u64) -> Duration {
+    Duration::from_millis(n)
+}
+
+#[test]
+fn sleepers_wake_in_deadline_order_on_the_virtual_clock() {
+    let report = Explorer::new("sleepers").run(
+        Strategy::Exhaustive {
+            max_schedules: 1_000,
+        },
+        || {
+            let t0 = time::now();
+            let woke = Mutex::new(Vec::new());
+            thread::scope(|s| {
+                for n in [30, 10] {
+                    let woke = &woke;
+                    s.spawn(move || {
+                        thread::sleep(ms(n));
+                        woke.lock().push((n, time::now() - t0));
+                    });
+                }
+            });
+            assert_eq!(*woke.lock(), vec![(10, ms(10)), (30, ms(30))]);
+            assert_eq!(time::now() - t0, ms(30));
+        },
+    );
+    report.assert_clean();
+    assert!(report.complete);
+}
+
+#[test]
+fn timed_wait_that_fires_is_not_a_finding() {
+    let report = Explorer::new("timeout").run(
+        Strategy::Exhaustive {
+            max_schedules: 1_000,
+        },
+        || {
+            let t0 = time::now();
+            let (m, cv) = (Mutex::new(()), Condvar::new());
+            let mut g = m.lock();
+            assert!(cv.wait_for(&mut g, ms(25)).timed_out());
+            assert_eq!(time::now() - t0, ms(25));
+        },
+    );
+    report.assert_clean();
+    assert!(report.complete);
+}
+
+#[test]
+fn notified_waiter_discards_its_timer() {
+    // The waiter's 20 ms timeout must not outlive the notification at
+    // 5 ms that ended its wait: left armed, it would cut the 30 ms
+    // sleep that follows short.
+    let report = Explorer::new("notified-timer").run(
+        Strategy::Exhaustive {
+            max_schedules: 5_000,
+        },
+        || {
+            let t0 = time::now();
+            let state = (Mutex::new(false), Condvar::new());
+            thread::scope(|s| {
+                s.spawn(|| {
+                    let mut done = state.0.lock();
+                    while !*done {
+                        assert!(!state.1.wait_for(&mut done, ms(20)).timed_out());
+                    }
+                    drop(done);
+                    thread::sleep(ms(30));
+                    assert_eq!(time::now() - t0, ms(35));
+                });
+                s.spawn(|| {
+                    thread::sleep(ms(5));
+                    *state.0.lock() = true;
+                    state.1.notify_all();
+                });
+            });
+        },
+    );
+    report.assert_clean();
+    assert!(report.complete);
+}
+
+#[test]
+fn replaying_a_seed_reproduces_virtual_timestamps() {
+    // Three threads take one lock and sleep while holding it, so when
+    // each finishes depends on the schedule's lock order.
+    let stamps = std::sync::Mutex::new(Vec::new());
+    let body = || {
+        let t0 = time::now();
+        let lock = Mutex::new(());
+        thread::scope(|s| {
+            for n in 1..=3 {
+                let (lock, stamps) = (&lock, &stamps);
+                s.spawn(move || {
+                    let _held = lock.lock();
+                    thread::sleep(ms(n));
+                    stamps.lock().unwrap().push((n, time::now() - t0));
+                });
+            }
+        });
+    };
+    let run = |seed| {
+        Explorer::new("replay-time")
+            .run(Strategy::ReplaySeed(seed), body)
+            .assert_clean();
+        std::mem::take(&mut *stamps.lock().unwrap())
+    };
+    let mut distinct = std::collections::HashSet::new();
+    for seed in 0..8 {
+        let first = run(seed);
+        assert_eq!(run(seed), first, "seed {seed} replayed other timestamps");
+        distinct.insert(first);
+    }
+    assert!(distinct.len() > 1, "every seed chose the same lock order");
 }
 
 #[test]

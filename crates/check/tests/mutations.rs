@@ -3,12 +3,14 @@
 //! catches each with the matching finding. A checker that never fires
 //! on a known-bad runtime is worthless — these are its teeth.
 //!
+//! The engine's waits have no safety tick under `--cfg check`, so a
+//! dropped notification is a hang the explorer sees, not a delay.
+//!
 //! The chaos flag is process-global, so every test serializes on one
 //! lock and arms exactly one mutation for its duration.
 #![cfg(check)]
 
 use std::sync::Mutex as TestLock;
-use std::time::Duration;
 
 use sidr_check::{Explorer, FindingKind, Strategy};
 use sidr_coords::{Shape, Slab};
@@ -20,8 +22,6 @@ use sidr_mapreduce::{
 };
 
 static CHAOS: TestLock<()> = TestLock::new(());
-
-const TICK: Duration = Duration::from_millis(25);
 
 fn unit_splits(n: u64) -> Vec<InputSplit> {
     let space = Shape::new(vec![n]).unwrap();
@@ -71,8 +71,9 @@ fn run_tiny_job(pool: &SlotPool) {
 }
 
 /// A `release` that forgets its `notify_one` leaves the blocked
-/// acquirer with no wake source: the only way forward is the timed
-/// wait's safety net, which the scheduler reports as LostWakeup.
+/// acquirer with no wake source: it stays parked on the semaphore's
+/// condvar with nothing left to run, which the scheduler reports as
+/// LostWakeup.
 #[test]
 fn dropped_release_notify_is_caught_as_lost_wakeup() {
     let _serial = CHAOS.lock().unwrap();
@@ -87,7 +88,7 @@ fn dropped_release_notify_is_caught_as_lost_wakeup() {
             thread::scope(|s| {
                 for _ in 0..2 {
                     s.spawn(|| {
-                        assert!(pool.map_sem().acquire(&|| false, TICK));
+                        assert!(pool.map_sem().acquire(&|| false));
                         pool.map_sem().release();
                     });
                 }
@@ -99,7 +100,7 @@ fn dropped_release_notify_is_caught_as_lost_wakeup() {
 }
 
 /// A map commit that skips `notify_all` strands the reducer parked on
-/// the barrier condvar: tick-only progress, a LostWakeup finding.
+/// the barrier condvar: a LostWakeup finding.
 #[test]
 fn dropped_map_done_notify_is_caught_as_lost_wakeup() {
     let _serial = CHAOS.lock().unwrap();
@@ -161,10 +162,9 @@ impl RoutingPlan<u64> for OverlapPlan {
 }
 
 /// Skipping the volatile-recovery re-enqueue leaves the retrying
-/// reducer waiting for map outputs nobody will rebuild: every
-/// explored schedule gets stuck in tick-pumped re-checks until the
-/// step budget trips. Any finding (LostWakeup, StepLimit, Deadlock or
-/// a failed-output panic) means the checker caught it.
+/// reducer waiting for map outputs nobody will rebuild. Any finding
+/// (LostWakeup, StepLimit, Deadlock or a failed-output panic) means
+/// the checker caught it.
 #[test]
 fn skipped_recovery_rewait_is_caught() {
     let _serial = CHAOS.lock().unwrap();
@@ -224,9 +224,8 @@ fn skipped_recovery_rewait_is_caught() {
 }
 
 /// A spill install that forgets to notify the `moved` condvar leaves
-/// fetchers of the moving partition parked with no wake source — the
-/// safety-net tick is their only progress, which the scheduler
-/// reports as LostWakeup. This is the teeth behind the spill-tier
+/// fetchers of the moving partition parked with no wake source, which
+/// the scheduler reports as LostWakeup. This is the teeth behind the spill-tier
 /// scenario's claim that waiting out `Moving` is properly notified.
 #[test]
 fn dropped_tier_move_notify_is_caught_as_lost_wakeup() {

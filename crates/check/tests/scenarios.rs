@@ -1,8 +1,10 @@
 //! The core concurrency scenarios from the runtime, explored
 //! under the virtual scheduler. These compile only under
 //! `RUSTFLAGS='--cfg check'`, where `sidr-mapreduce::sync` re-exports
-//! the checker's primitives and the *production* SlotPool/CancelToken/
-//! recovery code runs unmodified inside each explored schedule.
+//! the checker's primitives and clock, and the *production*
+//! SlotPool/CancelToken/recovery/monitor code runs unmodified inside
+//! each explored schedule — its waits with no safety tick, its sleeps
+//! and deadlines on virtual time.
 //!
 //! Every scenario body is self-contained (fresh pool, fresh job) and
 //! asserts its own postconditions, so a bad interleaving surfaces as a
@@ -16,17 +18,12 @@ use sidr_check::{Explorer, Strategy};
 use sidr_coords::{Shape, Slab};
 use sidr_core::TimelineOracle;
 use sidr_mapreduce::sync::atomic::{AtomicUsize, Ordering};
-use sidr_mapreduce::sync::thread;
+use sidr_mapreduce::sync::{thread, time};
 use sidr_mapreduce::{
-    run_job_shared, CancelToken, DefaultPlan, FaultPlan, FnMapper, FnReducer, InMemoryOutput,
-    InputSplit, JobConfig, MapTaskId, ModuloPartitioner, RetryPolicy, RoutingPlan,
-    SliceRecordSource, SlotPool, SpeculationPolicy,
+    run_job_shared, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, FnMapper,
+    FnReducer, InMemoryOutput, InputSplit, JobConfig, MapTaskId, ModuloPartitioner, MrError,
+    RetryPolicy, RoutingPlan, SliceRecordSource, SlotPool, SpeculationPolicy, TaskKind,
 };
-
-/// The safety-net tick passed to raw semaphore waits. Under the
-/// virtual scheduler the duration is ignored: the timeout fires only
-/// when nothing else can run, and doing so is a LostWakeup finding.
-const TICK: Duration = Duration::from_millis(25);
 
 /// Splits `0..n` into `n` one-record splits.
 fn unit_splits(n: u64) -> Vec<InputSplit> {
@@ -68,7 +65,7 @@ fn slot_pool_scenario() {
     thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| {
-                if pool.map_sem().acquire(&|| false, TICK) {
+                if pool.map_sem().acquire(&|| false) {
                     let now = held.fetch_add(1, Ordering::SeqCst) + 1;
                     assert!(now <= 2, "{now} concurrent holders of 2 slots");
                     held.fetch_sub(1, Ordering::SeqCst);
@@ -112,11 +109,11 @@ fn cancel_scenario() {
     let reg = token.register(pool.map_sem().waker());
     thread::scope(|s| {
         s.spawn(|| {
-            assert!(pool.map_sem().acquire(&|| false, TICK));
+            assert!(pool.map_sem().acquire(&|| false));
             pool.map_sem().release();
         });
         s.spawn(|| {
-            if pool.map_sem().acquire(&|| token.is_cancelled(), TICK) {
+            if pool.map_sem().acquire(&|| token.is_cancelled()) {
                 pool.map_sem().release();
             }
         });
@@ -308,8 +305,8 @@ impl RoutingPlan<u64> for PairPlan {
     }
 }
 
-/// Map 0 is force-speculated (the only trigger under the virtual
-/// scheduler — wall clocks are meaningless here), so explored
+/// Map 0 is force-speculated (no timing involved; scenario 8 drives the
+/// timed trigger), so explored
 /// schedules include the twin launching, either racer claiming the
 /// commit first, the loser inserting its own generation into the
 /// in-process executor's table before or after the winner's, and the
@@ -454,6 +451,143 @@ fn spill_vs_fetch_vs_release_is_clean() {
                 seed: 0x51D2_0006,
             },
             spill_tier_scenario,
+        )
+        .assert_clean();
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 7: the deadline on virtual time — the monitor fails a job
+// whose straggler would outlive it.
+// ---------------------------------------------------------------------------
+
+fn ms(n: u64) -> Duration {
+    Duration::from_millis(n)
+}
+
+/// Map 0's first attempt straggles 3 s of virtual time under a 50 ms
+/// deadline. On every schedule the monitor must fail the job with
+/// `DeadlineExceeded` exactly when the virtual clock reaches 50 ms, and
+/// the workers — the straggler's sleep included — must unwind by
+/// notification: no further virtual time passes and no slot leaks.
+fn deadline_scenario() {
+    let pool = SlotPool::new(2, 1).unwrap();
+    let splits = unit_splits(3);
+    let mapper =
+        FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, 100 + *k));
+    let reducer =
+        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let output = InMemoryOutput::new();
+    let config = JobConfig {
+        fault_plan: FaultPlan::straggle_maps([0], 3_000),
+        deadline: Some(ms(50)),
+        ..Default::default()
+    };
+    let t0 = time::now();
+    let result = run_job_shared(
+        &splits,
+        &diagonal_source,
+        &mapper,
+        None,
+        &reducer,
+        &DefaultPlan::<u64, _>::new(ModuloPartitioner, 1),
+        &output,
+        &config,
+        &pool,
+        None,
+    );
+    assert!(
+        matches!(result, Err(MrError::DeadlineExceeded { deadline_ms: 50 })),
+        "expected DeadlineExceeded, got {result:?}"
+    );
+    assert_eq!(
+        time::now() - t0,
+        ms(50),
+        "deadline enforced off its instant"
+    );
+    assert_eq!(pool.map_sem().in_use(), 0, "map slots leaked");
+    assert_eq!(pool.reduce_sem().in_use(), 0, "reduce slots leaked");
+}
+
+#[test]
+fn deadline_fails_the_job_at_its_virtual_instant() {
+    Explorer::new("deadline")
+        .run(
+            Strategy::Random {
+                schedules: 250,
+                seed: 0x51D2_0007,
+            },
+            deadline_scenario,
+        )
+        .assert_clean();
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 8: the speculation monitor's quantile trigger on virtual
+// time.
+// ---------------------------------------------------------------------------
+
+/// Map 0's first attempt straggles 1 s, its three peers 10 ms each,
+/// with the default cohort trigger (no forced maps): once three peers
+/// have committed, the monitor sees map 0 past 2 × the cohort's 10 ms
+/// quantile and grants it a twin, which commits and retires the
+/// straggler. On every schedule the output is the fault-free one, the
+/// job ends well before the straggler would have, and the timeline
+/// passes the protocol oracle.
+fn quantile_trigger_scenario() {
+    let pool = SlotPool::new(2, 2).unwrap();
+    let splits = unit_splits(4);
+    let mapper =
+        FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, 100 + *k));
+    let reducer =
+        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let output = InMemoryOutput::new();
+    let config = JobConfig {
+        fault_plan: FaultPlan::straggle_maps(1..4, 10).with(
+            FaultTarget::Map(0),
+            0,
+            FaultKind::Straggle { delay_ms: 1_000 },
+        ),
+        speculation: SpeculationPolicy::on(),
+        ..Default::default()
+    };
+    let t0 = time::now();
+    let result = run_job_shared(
+        &splits,
+        &diagonal_source,
+        &mapper,
+        None,
+        &reducer,
+        &DefaultPlan::<u64, _>::new(ModuloPartitioner, 2),
+        &output,
+        &config,
+        &pool,
+        None,
+    )
+    .unwrap();
+    let took = time::now() - t0;
+    assert!(took < ms(1_000), "the straggler set the pace: {took:?}");
+    assert_eq!(
+        output.sorted_records(),
+        vec![(0, 100), (1, 101), (2, 102), (3, 103)]
+    );
+    assert!(
+        (result.events.iter()).any(|e| e.kind == TaskKind::MapSpeculated && e.task == 0),
+        "the quantile trigger never raced map 0"
+    );
+    if let Err(v) = TimelineOracle::new(4, 2).check_complete(&result.events) {
+        panic!("timeline protocol violation: {v}");
+    }
+}
+
+#[test]
+fn quantile_trigger_races_the_straggler_on_virtual_time() {
+    Explorer::new("quantile-trigger")
+        .run(
+            Strategy::Random {
+                schedules: 250,
+                seed: 0x51D2_0008,
+            },
+            quantile_trigger_scenario,
         )
         .assert_clean();
 }

@@ -30,7 +30,7 @@
 //! [`MrError::Cancelled`].
 
 use crate::sync::chaos::{self, Mutation};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{time, wait_until, Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,17 +104,7 @@ impl Default for JobConfig {
 /// once `elapsed + DEADLINE_MARGIN × projected remaining time` passes
 /// the deadline. 4× is the margin `results/BENCH_speculation.json`
 /// measured rescuing every run.
-#[cfg(not(check))]
 const DEADLINE_MARGIN: u32 = 4;
-
-/// The safety-net re-check interval for blocked workers. Every
-/// blocking point is condvar-notified on progress, failure *and*
-/// cancellation (see [`CancelToken::cancel`] / `Shared::fail`), so the
-/// tick only guards against a missed notification bug turning into a
-/// hang. A worker that makes progress only because the tick fired
-/// increments `sidr_mr_tick_wakeups_total` — the sidr-check explorer
-/// reports the same condition as a `LostWakeup` finding.
-pub(crate) const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// Outcome of a completed job.
 #[derive(Clone, Debug)]
@@ -230,36 +220,17 @@ impl<K2: MrKey> Shared<'_, K2> {
     /// Sleeps `dur`, waking early — and returning false — when the job
     /// is cancelled or `abort(state)` turns true. Parks on the state
     /// condvar, which is registered as a cancel waker and notified by
-    /// `fail()`, so a cancelled straggle/backoff sleep unblocks with
-    /// notification latency instead of waiting out its full delay.
-    #[cfg(not(check))]
+    /// `fail()`, commits and lost races, so a cancelled straggle/backoff
+    /// sleep unblocks with notification latency instead of waiting out
+    /// its full delay.
     fn sleep_interruptible(&self, dur: Duration, abort: &dyn Fn(&State) -> bool) -> bool {
-        let deadline = Instant::now() + dur;
+        let until = time::now() + dur;
         let mut st = self.state.lock();
-        loop {
-            if self.cancel_requested() || abort(&st) {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            // Bounded by the safety-net tick like every other blocking
-            // point; a timeout here is expected (it *is* the sleep),
-            // so it never counts as a tick wakeup.
-            self.cv.wait_for(&mut st, (deadline - now).min(WAIT_TICK));
-        }
-    }
-
-    /// Checker builds: wall clocks are virtual and a timed condvar
-    /// wait that only ever times out would read as a lost wakeup to
-    /// the explorer, so the sleep is a plain virtual yield followed by
-    /// one abort check.
-    #[cfg(check)]
-    fn sleep_interruptible(&self, dur: Duration, abort: &dyn Fn(&State) -> bool) -> bool {
-        crate::sync::thread::sleep(dur);
-        let st = self.state.lock();
-        !(self.cancel_requested() || abort(&st))
+        // Being interrupted is the wait's result; sleeping it out is `None`.
+        wait_until(&self.cv, &mut st, Some(until), |st| {
+            (self.cancel_requested() || abort(st)).then_some(Some(()))
+        })
+        .is_none()
     }
 }
 
@@ -423,10 +394,6 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
         for _ in 0..reduce_workers {
             scope.spawn(|| reduce_worker(&shared, output, executor));
         }
-        // The monitor runs on the wall clock, which is meaningless
-        // under the virtual scheduler; there the deterministic
-        // `force_maps` hook in the map workers is the only trigger.
-        #[cfg(not(check))]
         if config.speculation.enabled || config.deadline.is_some() {
             scope.spawn(|| monitor(&shared, num_reducers));
         }
@@ -469,44 +436,38 @@ fn map_worker<K2: MrKey, V3: MrValue>(
     splits: &[InputSplit],
     executor: &dyn TaskExecutor<K2, V3>,
 ) {
+    let num_reducers = shared.plan.num_reducers();
     loop {
-        let (task, attempt, speculative) = {
-            let mut st = shared.state.lock();
-            let mut ticked = false;
-            loop {
-                if st.failed || st.reduces_done == shared.plan.num_reducers() {
-                    return;
-                }
-                if shared.cancel_requested() {
-                    drop(st);
-                    shared.observe_cancel();
-                    return;
-                }
-                // Fresh work first; with none, a speculative twin for a
-                // running straggler (racing must never starve first
-                // attempts of a slot).
-                let spec = &shared.config.speculation;
-                let claim = match st.sched.claim_map(|_| true) {
-                    Some(c) => Some((c, false)),
-                    None if spec.enabled => {
-                        st.sched.claim_twin(&spec.force_maps).map(|c| (c, true))
-                    }
-                    None => None,
-                };
-                if let Some(((m, attempt), speculative)) = claim {
-                    if ticked {
-                        crate::metrics::runtime().tick_wakeups.inc();
-                    }
-                    if !speculative {
-                        st.map_started[m] = Some(Instant::now());
-                    }
-                    break (m, attempt, speculative);
-                }
-                // Nothing eligible: either all maps are done/skipped
-                // (reduces still draining) or eligibility will arrive
-                // when a reduce starts / recovery re-opens a map.
-                ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
+        let mut st = shared.state.lock();
+        // Nothing eligible means either all maps are done/skipped
+        // (reduces still draining) or eligibility will arrive when a
+        // reduce starts / recovery re-opens a map.
+        let claim = wait_until(&shared.cv, &mut st, None, |st| {
+            if st.failed || st.reduces_done == num_reducers || shared.cancel_requested() {
+                return Some(None);
             }
+            // Fresh work first; with none, a speculative twin for a
+            // running straggler (racing must never starve first
+            // attempts of a slot).
+            let spec = &shared.config.speculation;
+            match st.sched.claim_map(|_| true) {
+                Some((m, attempt)) => {
+                    st.map_started[m] = Some(time::now());
+                    Some(Some(((m, attempt), false)))
+                }
+                None if spec.enabled => {
+                    (st.sched.claim_twin(&spec.force_maps)).map(|c| Some((c, true)))
+                }
+                None => None,
+            }
+        });
+        let finished = st.reduces_done == num_reducers;
+        drop(st);
+        let Some(((task, attempt), speculative)) = claim else {
+            if !finished {
+                shared.observe_cancel();
+            }
+            return;
         };
         if speculative {
             shared
@@ -526,17 +487,14 @@ fn map_worker<K2: MrKey, V3: MrValue>(
         };
         // The task is assigned; now occupy a cluster-wide map slot
         // (never blocks on a dedicated pool, where workers == slots).
-        if !shared.pool.map.acquire(
-            &|| shared.cancel_requested() || shared.state.lock().failed,
-            WAIT_TICK,
-        ) {
+        if !(shared.pool.map).acquire(&|| shared.cancel_requested() || shared.state.lock().failed) {
             shared.observe_cancel();
             return;
         }
         drop(held_state);
         let _slot = SlotGuard(&shared.pool.map);
 
-        let started = Instant::now();
+        let started = time::now();
         shared
             .timeline
             .record_attempt(TaskKind::MapStart, task, attempt);
@@ -574,7 +532,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 shared
                     .timeline
                     .record_attempt(TaskKind::MapEnd, task, attempt);
-                let took = started.elapsed();
+                let took = time::now() - started;
                 st.map_durations_ms.push(took.as_millis() as u64);
                 let recovered = st.recovering.remove(&task);
                 drop(st);
@@ -586,7 +544,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
                 if let Some(reopened_at) = recovered {
                     metrics
                         .recovery_seconds
-                        .observe_duration(reopened_at.elapsed());
+                        .observe_duration(time::now() - reopened_at);
                 }
                 // Mutation hook: committing `Done` without the
                 // notify_all leaves barrier-blocked reducers asleep —
@@ -679,10 +637,9 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
         // launch order: a launched reduce starts its copy phase and (under
         // inverted scheduling) makes its maps eligible, so the number of
         // in-flight reduces across all jobs must never exceed the pool.
-        if !shared.pool.reduce.acquire(
-            &|| shared.cancel_requested() || shared.state.lock().failed,
-            WAIT_TICK,
-        ) {
+        if !(shared.pool.reduce)
+            .acquire(&|| shared.cancel_requested() || shared.state.lock().failed)
+        {
             shared.observe_cancel();
             return;
         }
@@ -707,7 +664,7 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
             r
         };
 
-        let started = Instant::now();
+        let started = time::now();
         shared.timeline.record(TaskKind::ReduceStart, r);
         if let Err(e) = run_reduce_task(shared, r, executor, output) {
             shared.fail(e);
@@ -715,7 +672,7 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
         }
         crate::metrics::runtime()
             .reduce_task_seconds
-            .observe_duration(started.elapsed());
+            .observe_duration(time::now() - started);
         let mut st = shared.state.lock();
         st.reduces_done += 1;
         drop(st);
@@ -764,37 +721,28 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
         }
 
         // Readiness barrier: every source Done at epoch >= min_epoch.
-        let copy_start = Instant::now();
-        let mut copy_wait = Duration::ZERO;
-        let epochs: Vec<u32> = {
-            let mut st = shared.state.lock();
-            let mut ticked = false;
-            loop {
-                if st.failed {
-                    return Ok(()); // another task already reported
-                }
-                if shared.cancel_requested() {
-                    drop(st);
-                    shared.observe_cancel();
-                    return Ok(());
-                }
-                if let Some(epochs) = st.sched.bound_epochs(r, &min_epoch) {
-                    if ticked {
-                        crate::metrics::runtime().tick_wakeups.inc();
-                    }
-                    break epochs;
-                }
-                let parked = Instant::now();
-                ticked = shared.cv.wait_for(&mut st, WAIT_TICK).timed_out();
-                copy_wait += parked.elapsed();
+        let copy_start = time::now();
+        let mut st = shared.state.lock();
+        let parked = time::now();
+        let epochs = wait_until(&shared.cv, &mut st, None, |st| {
+            if st.failed || shared.cancel_requested() {
+                return Some(None);
             }
+            st.sched.bound_epochs(r, &min_epoch).map(Some)
+        });
+        drop(st);
+        let copy_wait = time::now() - parked;
+        let Some(epochs) = epochs else {
+            // Cancelled, or another task already reported.
+            shared.observe_cancel();
+            return Ok(());
         };
         shared
             .timeline
             .record_attempt(TaskKind::ReduceBarrierMet, r, attempt);
         let m = crate::metrics::runtime();
         m.barrier_wait_seconds
-            .observe_duration(copy_start.elapsed());
+            .observe_duration(time::now() - copy_start);
         m.copy_wait_seconds.observe_duration(copy_wait);
 
         let result = if matches!(
@@ -893,11 +841,6 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
 ///   boosts the trigger for the rest of the job: anything slower than
 ///   its cohort is raced (advisory `SIDR-I014`,
 ///   `sidr_mr_deadline_boosts_total`).
-///
-/// Not compiled under `--cfg check`: wall-clock triggers are
-/// meaningless on the virtual scheduler, where the deterministic
-/// `force_maps` hook is the only speculation source.
-#[cfg(not(check))]
 fn monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
     let policy = &shared.config.speculation;
     let deadline = shared.config.deadline;
@@ -948,8 +891,9 @@ fn monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
             }
             if let Some(ms) = policy.straggler_threshold_ms(&cohort, boosted) {
                 let threshold = Duration::from_millis(ms);
+                let now = time::now();
                 let slow: Vec<MapTaskId> = (st.sched.twin_candidates())
-                    .filter(|&m| st.map_started[m].is_some_and(|t| t.elapsed() >= threshold))
+                    .filter(|&m| st.map_started[m].is_some_and(|t| now - t >= threshold))
                     .collect();
                 if !slow.is_empty() {
                     for m in slow {
@@ -986,7 +930,7 @@ fn recover<K2: MrKey>(
         // Mutation hook: forgetting the re-open leaves the retry
         // waiting for a recommit nobody will produce.
         if !chaos::on(Mutation::SkipRecoveryRewait) && st.sched.recover(m, epochs[i]) {
-            st.recovering.insert(m, Instant::now());
+            st.recovering.insert(m, time::now());
             Counters::add(&shared.counters.maps_reexecuted, 1);
             crate::metrics::runtime().maps_recovered.inc();
         }

@@ -5,9 +5,8 @@
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::chaos::{self, Mutation};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{wait_until, Condvar, Mutex};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::error::MrError;
 use crate::Result;
@@ -186,24 +185,23 @@ impl Semaphore {
     /// Occupies one slot, blocking until one frees. Returns `false`
     /// without occupying anything if `abort()` turns true first.
     /// Blocked waiters are condvar-woken on release, on job failure
-    /// and on cancellation; the timed wait (`tick`) is only a safety
-    /// net, and acquiring *because* it fired counts a tick wakeup.
-    pub fn acquire(&self, abort: &dyn Fn() -> bool, tick: Duration) -> bool {
+    /// and on cancellation.
+    pub fn acquire(&self, abort: &dyn Fn() -> bool) -> bool {
         let mut busy = self.busy.lock();
-        let mut ticked = false;
-        while *busy >= self.total {
-            if abort() {
-                return false;
+        let got = wait_until(&self.cv, &mut busy, None, |busy| {
+            if *busy < self.total {
+                *busy += 1;
+                Some(Some(()))
+            } else {
+                abort().then_some(None)
             }
-            ticked = self.cv.wait_for(&mut busy, tick).timed_out();
-        }
-        if ticked {
-            crate::metrics::runtime().tick_wakeups.inc();
-        }
-        *busy += 1;
+        })
+        .is_some();
         drop(busy);
-        self.busy_gauge.inc();
-        true
+        if got {
+            self.busy_gauge.inc();
+        }
+        got
     }
 
     /// Frees one slot and wakes one waiter.
@@ -318,23 +316,22 @@ impl SlotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::WAIT_TICK;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// A cancel must reach a waiter parked on a semaphore's condvar by
-    /// notification — well inside one `WAIT_TICK` — not by waiting for
-    /// the next safety-net poll.
+    /// notification — well inside one 25 ms safety tick — not by
+    /// waiting for the next safety-net poll.
     #[test]
     fn cancel_wakes_semaphore_waiter_sub_tick() {
         let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        assert!(sem.acquire(&|| false, WAIT_TICK)); // occupy the only slot
+        assert!(sem.acquire(&|| false)); // occupy the only slot
         let token = CancelToken::new();
         let registration = token.register(sem.waker());
 
         let waiter = {
             let sem = Arc::clone(&sem);
             let token = token.clone();
-            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled(), WAIT_TICK))
+            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled()))
         };
         // Give the waiter ample time to park on the condvar.
         std::thread::sleep(Duration::from_millis(60));
@@ -359,13 +356,13 @@ mod tests {
     #[test]
     fn subscribe_after_cancel_fires_immediately() {
         let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        assert!(sem.acquire(&|| false, WAIT_TICK));
+        assert!(sem.acquire(&|| false));
         let token = CancelToken::new();
         token.cancel();
         let waiter = {
             let sem = Arc::clone(&sem);
             let token = token.clone();
-            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled(), WAIT_TICK))
+            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled()))
         };
         std::thread::sleep(Duration::from_millis(20));
         // The waiter aborts on its own flag check; the subscription
@@ -400,7 +397,7 @@ mod tests {
         assert_eq!(token.waker_count(), 0, "dropped registrations leaked");
         // Cancelling a quiesced token has nobody stale to wake.
         token.cancel();
-        assert!(sem.acquire(&|| false, WAIT_TICK));
+        assert!(sem.acquire(&|| false));
         sem.release();
     }
 }

@@ -66,9 +66,7 @@ pub struct SpeculationPolicy {
     /// tasks get a speculative twin as soon as they are running, no
     /// timing involved — a non-empty list switches the cohort trigger
     /// off, so exactly these maps are raced. The
-    /// at-most-one-extra-attempt invariant still holds. Under the
-    /// sidr-check virtual scheduler (where wall clocks are
-    /// meaningless) this is the *only* trigger.
+    /// at-most-one-extra-attempt invariant still holds.
     pub force_maps: Vec<usize>,
 }
 

@@ -1,30 +1,91 @@
 //! The runtime's synchronization facade.
 //!
-//! Every Mutex/Condvar/atomic/thread primitive the engine's concurrency
-//! core uses ([`runtime`](crate::runtime), [`executor`](crate::executor),
-//! [`tier`](crate::tier)) is imported from here instead of `parking_lot` / `std` directly. In
-//! a normal build the re-exports *are* those types — zero overhead. In
-//! a checker build (`RUSTFLAGS='--cfg check'`) they are the
-//! [`sidr_check::sync`] virtual primitives, so the production code runs
-//! unmodified under deterministic schedule exploration with
-//! happens-before tracking.
+//! Every Mutex/Condvar/atomic/thread primitive and clock read the
+//! engine's concurrency core uses comes from here, and every blocking
+//! wait is one call to [`wait_until`]. In a normal build the re-exports
+//! *are* `parking_lot` / `std` — zero overhead. In a checker build
+//! (`RUSTFLAGS='--cfg check'`) they are the [`sidr_check::sync`]
+//! virtual primitives and clock, so the production code runs
+//! unmodified under deterministic schedule exploration. This file is
+//! the one place in the engine that knows which build it is in.
 //!
 //! `check` is a rustc `--cfg`, not a cargo feature, deliberately:
 //! feature unification could silently turn the checker on for every
 //! dependent of this crate, whereas a RUSTFLAGS cfg rebuilds the whole
 //! graph explicitly and can never leak into normal builds.
 //!
-//! [`chaos`] is the third face of the facade: seeded mutation hooks
-//! that let the checker's mutation tests re-introduce classic
-//! concurrency bugs (a dropped notify, a widened critical section, a
-//! skipped recovery re-wait) and prove the checker catches each one.
-//! In normal builds every hook is a `const false` the optimizer
-//! deletes.
+//! [`chaos`] holds seeded mutation hooks that let the checker's
+//! mutation tests re-introduce classic concurrency bugs and prove the
+//! checker catches each one; in normal builds every hook is a `const
+//! false` the optimizer deletes.
+
+use std::time::Instant;
 
 #[cfg(not(check))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use parking_lot::{Condvar, Mutex, MutexGuard};
 #[cfg(check)]
-pub use sidr_check::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use sidr_check::sync::{Condvar, Mutex, MutexGuard};
+
+/// The clock: the explorer's virtual one under `--cfg check`.
+pub mod time {
+    #[cfg(check)]
+    pub use sidr_check::sync::time::now;
+    #[cfg(not(check))]
+    pub fn now() -> std::time::Instant {
+        std::time::Instant::now()
+    }
+}
+
+/// How often an untimed wait re-checks in case a notification was
+/// missed. Checker builds have no tick: there a missed notification is
+/// a hang, which the explorer reports.
+#[cfg(not(check))]
+const WAIT_TICK: std::time::Duration = std::time::Duration::from_millis(25);
+
+/// Parks on `cv`, re-evaluating `ready` under the lock on every wakeup:
+/// `Some(Some(r))` returns `Some(r)`; `Some(None)` gives up (a failed or
+/// cancelled job) and returns `None`, as does `until` passing. A result
+/// — not a give-up — reached right after a safety tick rather than a
+/// notification counts in `sidr_mr_tick_wakeups_total`.
+pub fn wait_until<T, R>(
+    cv: &Condvar,
+    guard: &mut MutexGuard<'_, T>,
+    until: Option<Instant>,
+    mut ready: impl FnMut(&mut T) -> Option<Option<R>>,
+) -> Option<R> {
+    let mut ticked = false;
+    loop {
+        if let Some(r) = ready(guard) {
+            if ticked && r.is_some() {
+                crate::metrics::runtime().tick_wakeups.inc();
+            }
+            return r;
+        }
+        ticked = match until {
+            Some(t) => {
+                let now = time::now();
+                if now >= t {
+                    return None;
+                }
+                cv.wait_for(guard, t - now);
+                false
+            }
+            None => wait_tick(cv, guard),
+        };
+    }
+}
+
+/// One untimed wait; true if the tick ended it.
+#[cfg(not(check))]
+fn wait_tick<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) -> bool {
+    cv.wait_for(guard, WAIT_TICK).timed_out()
+}
+
+#[cfg(check)]
+fn wait_tick<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) -> bool {
+    cv.wait(guard);
+    false
+}
 
 /// Atomic types used by the concurrency core. Under `--cfg check`
 /// these are virtual: every access is a scheduler yield point and
@@ -36,14 +97,13 @@ pub mod atomic {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 }
 
-/// Scoped threads and sleeps. Under `--cfg check`, `scope`/`spawn`
-/// create cooperatively scheduled vthreads and `sleep` is just a yield
-/// point (virtual time, no wall-clock delay).
+/// Scoped threads. Under `--cfg check`, `scope`/`spawn` create
+/// cooperatively scheduled vthreads.
 pub mod thread {
     #[cfg(check)]
-    pub use sidr_check::sync::thread::{scope, sleep};
+    pub use sidr_check::sync::thread::scope;
     #[cfg(not(check))]
-    pub use std::thread::{scope, sleep};
+    pub use std::thread::scope;
 }
 
 /// Seeded concurrency-bug injection for checker mutation tests.
@@ -60,7 +120,7 @@ pub mod chaos {
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum Mutation {
         /// `Semaphore::release` forgets its `notify_one`: slot waiters
-        /// make progress only via the timed-wait safety net.
+        /// make progress only via the safety tick.
         DropSemReleaseNotify,
         /// A finished map commits `Done` without `notify_all`: reducers
         /// blocked on the barrier are never woken.
@@ -74,8 +134,7 @@ pub mod chaos {
         SkipRecoveryRewait,
         /// The spill mover installs the on-disk tier without
         /// `notify_all`: fetchers blocked on a `Moving` partition are
-        /// never woken and progress only via the timed-wait safety
-        /// net.
+        /// never woken and progress only via the safety tick.
         DropTierMoveNotify,
     }
 
@@ -86,32 +145,22 @@ pub mod chaos {
         false
     }
 
+    /// The armed mutation's discriminant + 1; 0 = none.
     #[cfg(check)]
     static ARMED: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-    #[cfg(check)]
-    fn code(m: Mutation) -> u8 {
-        match m {
-            Mutation::DropSemReleaseNotify => 1,
-            Mutation::DropMapDoneNotify => 2,
-            Mutation::HoldStateAcrossAcquire => 3,
-            Mutation::SkipRecoveryRewait => 4,
-            Mutation::DropTierMoveNotify => 6,
-        }
-    }
 
     /// Whether `m` is armed.
     #[cfg(check)]
     #[inline]
     pub fn on(m: Mutation) -> bool {
-        ARMED.load(std::sync::atomic::Ordering::Relaxed) == code(m)
+        ARMED.load(std::sync::atomic::Ordering::Relaxed) == m as u8 + 1
     }
 
     /// Arms `m` for the lifetime of the returned guard. The flag is
     /// process-global: tests that arm mutations must serialize.
     #[cfg(check)]
     pub fn arm(m: Mutation) -> Armed {
-        ARMED.store(code(m), std::sync::atomic::Ordering::SeqCst);
+        ARMED.store(m as u8 + 1, std::sync::atomic::Ordering::SeqCst);
         Armed
     }
 

@@ -23,8 +23,8 @@
 //! through the same `I_ℓ`-scoped re-execution path as a dead worker.
 //!
 //! Concurrency: a partition being written out is in the `Moving`
-//! state. Fetches of a moving partition wait on a condvar (with the
-//! safety-net tick) until the move lands rather than racing the
+//! state. Fetches of a moving partition wait on a condvar (through
+//! [`wait_until`]) until the move lands rather than racing the
 //! mover — returning bytes mid-move would let a fetch→release pass
 //! the mover's install and resurrect a consumed partition as an
 //! orphaned spill file. The facade's
@@ -34,12 +34,12 @@
 use crate::error::MrError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::shuffle_file;
-use crate::sync::{chaos, Condvar, Mutex};
+use crate::sync::{chaos, wait_until, Condvar, Mutex};
 use sidr_obs::{global, Counter, Gauge, Histogram, BYTE_BUCKETS, DURATION_BUCKETS};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Store key: `(job, map, reducer, epoch)`. The epoch is the map
 /// attempt that produced the bytes — fetches name the attempt the
@@ -200,11 +200,6 @@ pub struct TierConfig {
     /// Resident-byte budget; 0 means unbounded (never spill).
     pub budget_bytes: u64,
 }
-
-/// Safety-net re-check interval while waiting out a `Moving`
-/// partition; the wait is condvar-notified on install, so this only
-/// guards against a lost wakeup turning into a hang.
-const WAIT_TICK: Duration = Duration::from_millis(25);
 
 /// The memory-pressure summary one store reports: what heartbeats
 /// carry to the coordinator.
@@ -449,74 +444,58 @@ impl PartitionStore {
     /// the key is absent — re-fetches see a consistently lost
     /// partition, and recovery re-executes the producing map.
     pub fn get(&self, key: &PartKey) -> crate::Result<Option<Arc<Vec<u8>>>> {
-        enum Found {
-            Absent,
-            Resident(Arc<Vec<u8>>),
-            Moving,
-            Spilled(u64),
-        }
-        let m = tier_metrics();
-        loop {
-            let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock();
+        // Wait out an in-flight move: racing it could hand bytes to a
+        // fetch→release that then loses to the mover's install.
+        // `Ok` is the answer, `Err` the length of a spilled partition.
+        let found = wait_until(&self.moved, &mut inner, None, |inner| {
             inner.clock += 1;
             let now = inner.clock;
-            let found = match inner.entries.get_mut(key) {
-                None => Found::Absent,
-                Some(e) => {
-                    e.touch = now;
-                    match &e.state {
-                        TierState::Resident(b) => Found::Resident(Arc::clone(b)),
-                        TierState::Moving(_) => Found::Moving,
-                        TierState::Spilled => Found::Spilled(e.len),
-                    }
-                }
+            let Some(e) = inner.entries.get_mut(key) else {
+                return Some(Some(Ok(None)));
             };
-            match found {
-                Found::Absent => return Ok(None),
-                Found::Resident(b) => return Ok(Some(b)),
-                Found::Moving => {
-                    // Wait out the in-flight move: racing it could
-                    // hand bytes to a fetch→release that then loses
-                    // to the mover's install.
-                    let _timed_out = self.moved.wait_for(&mut inner, WAIT_TICK);
-                    continue;
+            e.touch = now;
+            match &e.state {
+                TierState::Resident(b) => Some(Some(Ok(Some(Arc::clone(b))))),
+                TierState::Moving(_) => None,
+                TierState::Spilled => Some(Some(Err(e.len))),
+            }
+        });
+        drop(inner);
+        let len = match found {
+            Some(Err(len)) => len,
+            Some(Ok(bytes)) => return Ok(bytes),
+            None => unreachable!("an untimed wait returns only when ready"),
+        };
+        let name = spill_name(key);
+        let t0 = Instant::now();
+        let read = self
+            .backend
+            .read(&name)
+            .map_err(|e| MrError::Source(format!("spill read-back {name}: {e}")));
+        let verified = read.and_then(|bytes| {
+            shuffle_file::verify_encoded(&bytes)?;
+            Ok(bytes)
+        });
+        tier_metrics()
+            .readback_seconds
+            .observe(t0.elapsed().as_secs_f64());
+        match verified {
+            Ok(bytes) => Ok(Some(Arc::new(bytes))),
+            Err(err) => {
+                // Damaged replica: discard it so the loss is
+                // consistent, then surface corruption.
+                let mut inner = self.inner.lock();
+                if (inner.entries.get(key)).is_some_and(|e| matches!(e.state, TierState::Spilled)) {
+                    inner.entries.remove(key);
+                    inner.spilled = inner.spilled.saturating_sub(len);
+                    self.publish(&inner);
                 }
-                Found::Spilled(len) => {
-                    drop(inner);
-                    let name = spill_name(key);
-                    let t0 = Instant::now();
-                    let read = self
-                        .backend
-                        .read(&name)
-                        .map_err(|e| MrError::Source(format!("spill read-back {name}: {e}")));
-                    let verified = read.and_then(|bytes| {
-                        shuffle_file::verify_encoded(&bytes)?;
-                        Ok(bytes)
-                    });
-                    m.readback_seconds.observe(t0.elapsed().as_secs_f64());
-                    match verified {
-                        Ok(bytes) => return Ok(Some(Arc::new(bytes))),
-                        Err(err) => {
-                            // Damaged replica: discard it so the loss
-                            // is consistent, then surface corruption.
-                            let mut inner = self.inner.lock();
-                            if inner
-                                .entries
-                                .get(key)
-                                .is_some_and(|e| matches!(e.state, TierState::Spilled))
-                            {
-                                inner.entries.remove(key);
-                                inner.spilled = inner.spilled.saturating_sub(len);
-                                self.publish(&inner);
-                            }
-                            drop(inner);
-                            self.backend.delete(&name);
-                            return Err(MrError::CorruptShuffle {
-                                detail: format!("spill read-back {name}: {err}"),
-                            });
-                        }
-                    }
-                }
+                drop(inner);
+                self.backend.delete(&name);
+                Err(MrError::CorruptShuffle {
+                    detail: format!("spill read-back {name}: {err}"),
+                })
             }
         }
     }

@@ -2,6 +2,7 @@
 //! (task completion over time), attempt-stamped so retries and
 //! recovery re-executions are distinguishable in the event stream.
 
+use crate::sync::time::now;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -68,14 +69,14 @@ impl Default for Timeline {
 impl Timeline {
     pub fn new() -> Self {
         Timeline {
-            start: Instant::now(),
+            start: now(),
             events: Mutex::new(Vec::new()),
         }
     }
 
     /// Time since job start: the clock every event is stamped with.
     pub(crate) fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+        now() - self.start
     }
 
     /// Records an event now (attempt 0).

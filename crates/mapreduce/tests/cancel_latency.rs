@@ -1,7 +1,11 @@
 //! Cancellation latency: cancelling a job whose workers are blocked
 //! (here: parked on the shared pool's slot semaphores behind another
-//! job) must unwind by condvar notification — microseconds — not by
-//! the 25 ms `WAIT_TICK` safety-net poll.
+//! job, or sleeping out a straggle or a backoff) must unwind by condvar
+//! notification — microseconds — not by the 25 ms `WAIT_TICK` safety
+//! tick that `sync::wait_until` keeps on untimed waits, nor by waiting
+//! out the sleep. The sleeps have no tick at all: a cancel reaches them
+//! only by notification. Under `--cfg check` the same paths are
+//! explored on virtual time (`sidr-check`'s `deadline` scenario).
 
 use std::time::{Duration, Instant};
 

@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -50,6 +50,7 @@ use sidr_core::exec::ExecOptions;
 use sidr_core::spec::JobSpec;
 use sidr_dfs::{DfsConfig, FileId, NameNode, NodeId};
 use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
+use sidr_mapreduce::sync::Mutex;
 use sidr_mapreduce::{Counters, InputSplit, MapTaskId, MrError};
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
@@ -429,7 +430,7 @@ impl Fleet {
                 }
             })
             .expect("spawn heartbeat monitor");
-        *fleet.monitor.lock().unwrap() = Some(handle);
+        *fleet.monitor.lock() = Some(handle);
         Ok(fleet)
     }
 
@@ -442,11 +443,10 @@ impl Fleet {
         self.slots
             .iter()
             .map(|s| {
-                let mut stat = s.last_stat.lock().unwrap().clone();
+                let mut stat = s.last_stat.lock().clone();
                 stat.addr = s.addr.clone();
                 stat.alive = s.alive.load(Ordering::SeqCst);
-                stat.heartbeat_age_ms =
-                    s.last_heartbeat.lock().unwrap().elapsed().as_millis() as u64;
+                stat.heartbeat_age_ms = s.last_heartbeat.lock().elapsed().as_millis() as u64;
                 stat
             })
             .collect()
@@ -536,7 +536,7 @@ impl Fleet {
     /// Stops the heartbeat monitor. Called on drop.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.monitor.lock().unwrap().take() {
+        if let Some(h) = self.monitor.lock().take() {
             h.thread().unpark();
             h.join().ok();
         }
@@ -578,8 +578,8 @@ fn probe(slot: &WorkerSlot) {
             } else if !pressured {
                 slot.pressured.store(false, Ordering::SeqCst);
             }
-            *slot.last_heartbeat.lock().unwrap() = Instant::now();
-            *slot.last_stat.lock().unwrap() = stat;
+            *slot.last_heartbeat.lock() = Instant::now();
+            *slot.last_stat.lock() = stat;
             slot.heartbeat_gauge.set(0);
             // Rejoin is safe: a restarted worker holds no partitions,
             // so anything it "held" surfaces as Missing and recovers.
@@ -588,7 +588,7 @@ fn probe(slot: &WorkerSlot) {
         Ok(_) | Err(_) => {
             mark_dead(slot);
             slot.heartbeat_gauge
-                .set(slot.last_heartbeat.lock().unwrap().elapsed().as_millis() as i64);
+                .set(slot.last_heartbeat.lock().elapsed().as_millis() as i64);
         }
     }
 }
@@ -795,7 +795,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
     ) -> sidr_mapreduce::Result<()> {
         let mut candidates = self.ranked_workers(Some(split));
         if speculative {
-            if let Some(&busy) = self.in_flight.lock().unwrap().get(&task) {
+            if let Some(&busy) = self.in_flight.lock().get(&task) {
                 if let Some(pos) = candidates.iter().position(|&i| i == busy) {
                     let demoted = candidates.remove(pos);
                     candidates.push(demoted);
@@ -809,11 +809,11 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         };
         let reply = self.dispatch(candidates, |idx, addr| {
             if !speculative {
-                self.in_flight.lock().unwrap().insert(task, idx);
+                self.in_flight.lock().insert(task, idx);
             }
             let reply = call(addr, &req, None);
             if !speculative {
-                let mut in_flight = self.in_flight.lock().unwrap();
+                let mut in_flight = self.in_flight.lock();
                 if in_flight.get(&task) == Some(&idx) {
                     in_flight.remove(&task);
                 }
@@ -832,7 +832,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             )) => {
                 Counters::add(&counters.map_records_in, records_in);
                 Counters::add(&counters.map_records_out, records_out);
-                self.placement.lock().unwrap().insert(
+                self.placement.lock().insert(
                     (task, attempt),
                     Held {
                         slot: idx,
@@ -878,7 +878,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         let mut lost = Vec::new();
         let mut holder_count: HashMap<usize, usize> = HashMap::new();
         {
-            let placement = self.placement.lock().unwrap();
+            let placement = self.placement.lock();
             for s in sources {
                 match placement.get(&(s.map, s.epoch)) {
                     Some(held) if !self.fleet.slots[held.slot].alive.load(Ordering::SeqCst) => {

@@ -22,7 +22,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -32,6 +32,7 @@ use sidr_core::diag::Severity;
 use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
 use sidr_core::spec::JobSpec;
+use sidr_mapreduce::sync::Mutex;
 use sidr_mapreduce::{CancelToken, MrError, OutputCollector, SlotPool};
 use sidr_scifile::ScincFile;
 
@@ -157,7 +158,7 @@ struct Inner {
 
 impl Inner {
     fn set_state(&self, job: u64, state: JobState) {
-        let mut jobs = self.jobs.lock().expect("registry lock");
+        let mut jobs = self.jobs.lock();
         let prev = jobs.get_mut(&job).map(|h| {
             let prev = h.state;
             debug_assert!(
@@ -199,7 +200,7 @@ impl Inner {
     }
 
     fn stats(&self) -> ServerStats {
-        let jobs = self.jobs.lock().expect("registry lock");
+        let jobs = self.jobs.lock();
         let queued = jobs
             .values()
             .filter(|h| matches!(h.state, JobState::Queued | JobState::Planning))
@@ -229,7 +230,7 @@ impl Inner {
 
     /// Cancels every job that has not yet reached a terminal state.
     fn cancel_all(&self) {
-        let jobs = self.jobs.lock().expect("registry lock");
+        let jobs = self.jobs.lock();
         for h in jobs.values() {
             if !h.state.is_terminal() {
                 h.cancel.cancel();
@@ -453,7 +454,7 @@ fn handle_request(inner: &Arc<Inner>, req: Request, tx: &Sender<Outbound>) -> bo
             true
         }
         Request::Cancel { job } => {
-            let jobs = inner.jobs.lock().expect("registry lock");
+            let jobs = inner.jobs.lock();
             match jobs.get(&job) {
                 Some(h) => h.cancel.cancel(),
                 None => {
@@ -523,7 +524,7 @@ fn admit(
 
     let job = inner.next_job.fetch_add(1, Ordering::Relaxed);
     let cancel = CancelToken::new();
-    inner.jobs.lock().expect("registry lock").insert(
+    inner.jobs.lock().insert(
         job,
         JobHandle {
             state: JobState::Queued,

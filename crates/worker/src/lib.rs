@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sidr_core::exec::SpecExecutor;
 use sidr_core::SidrError;
@@ -212,10 +212,12 @@ impl Worker {
         }
     }
 
-    /// Blocks until the worker is killed (daemon mode for the CLI).
+    /// Blocks until the worker is killed (daemon mode for the CLI): joins
+    /// the acceptor, which exits once `kill` has woken it.
     pub fn wait(&self) {
-        while !self.shared.dead.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(50));
+        let acceptor = self.acceptor.lock().take();
+        if let Some(h) = acceptor {
+            let _ = h.join();
         }
     }
 }
@@ -670,4 +672,34 @@ fn run_reduce_inner(
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// `wait` is a join, not a poll: it returns as soon as `kill` has
+    /// stopped the acceptor.
+    #[test]
+    fn wait_returns_promptly_after_kill() {
+        let worker = Arc::new(Worker::spawn("127.0.0.1:0").unwrap());
+        let waiter = {
+            let worker = Arc::clone(&worker);
+            thread::spawn(move || {
+                worker.wait();
+                Instant::now()
+            })
+        };
+        thread::sleep(Duration::from_millis(50));
+        assert!(!waiter.is_finished(), "wait returned before kill");
+        let killed_at = Instant::now();
+        worker.kill();
+        let returned_at = waiter.join().unwrap();
+        let latency = returned_at.saturating_duration_since(killed_at);
+        assert!(
+            latency < Duration::from_millis(100),
+            "wait returned {latency:?} after kill"
+        );
+    }
 }
