@@ -158,12 +158,21 @@ impl Explorer {
             sched: sched.clone(),
             tid: 0,
         }));
-        let result = catch_unwind(AssertUnwindSafe(body));
+        // Detached vthreads are joined when the body ends: one left
+        // parked is a lost wakeup or a deadlock of this schedule.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            body();
+            sched.join_detached(0);
+        }));
         sched::set(None);
         if let Err(payload) = result {
             if payload.downcast_ref::<CheckAbort>().is_none() {
-                sched.record_panic(0, payload_message(&payload));
+                sched.record_panic(0, payload_message(&*payload));
             }
+            sched.abort();
+        }
+        for handle in sched.take_detached() {
+            handle.join().ok();
         }
         sched.take_outcome()
     }

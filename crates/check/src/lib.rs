@@ -67,3 +67,12 @@ pub mod sync;
 
 pub use explore::{check, Explorer, Strategy};
 pub use report::{BlockInfo, FailedSchedule, Finding, FindingKind, Report, ScheduleRef};
+
+/// A draw among `options` alternatives (`0..options`) by the explored
+/// code itself — a scenario's seeded fault plan, say. It comes from the
+/// same decider as the schedule and is recorded with it, so a printed
+/// [`ScheduleRef`] replays the draws along with the interleaving and
+/// its virtual timestamps. Outside an exploration it is always 0.
+pub fn choose(options: usize) -> usize {
+    sched::current().map_or(0, |c| c.sched.draw(options))
+}

@@ -162,6 +162,9 @@ struct SchedState {
     /// Armed timers `(deadline, step armed at, vthread)`, earliest
     /// first; a vthread has at most one.
     timers: BinaryHeap<Reverse<(Duration, u64, usize)>>,
+    /// Detached vthreads and their OS threads, joined when the
+    /// explored body ends.
+    detached: Vec<(usize, std::thread::JoinHandle<()>)>,
 }
 
 /// Handle to one execution's scheduler. Cheap to clone.
@@ -207,7 +210,18 @@ impl Sched {
             epoch: Instant::now(),
             now: Duration::ZERO,
             timers: BinaryHeap::new(),
+            detached: Vec::new(),
         })))
+    }
+
+    /// A decision among `options` alternatives that the explored code
+    /// itself asks for (a seeded fault draw). Recorded like a schedule
+    /// choice, so a seed or a trace replays it.
+    pub(crate) fn draw(&self, options: usize) -> usize {
+        if options < 2 {
+            return 0;
+        }
+        Self::choose(&mut self.lock(), options)
     }
 
     /// The execution's current virtual instant.
@@ -650,6 +664,41 @@ impl Sched {
         if !st.abort {
             self.resched(&mut st);
         }
+    }
+
+    /// Records the OS thread behind detached vthread `tid`, and reaps
+    /// the OS threads of detached vthreads already finished: a long
+    /// execution spawns many short-lived ones.
+    pub(crate) fn add_detached(&self, tid: usize, handle: std::thread::JoinHandle<()>) {
+        let mut st = self.lock();
+        let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut st.detached)
+            .into_iter()
+            .partition(|d| matches!(st.threads[d.0].status, Status::Finished));
+        st.detached = live;
+        st.detached.push((tid, handle));
+        drop(st);
+        for (_, h) in done {
+            h.join().ok();
+        }
+    }
+
+    /// Blocks `me` until every detached vthread — including any spawned
+    /// while waiting — has finished: one still parked when nothing can
+    /// run is a finding like any other hang.
+    pub(crate) fn join_detached(&self, me: usize) {
+        loop {
+            let tids: Vec<usize> = self.lock().detached.iter().map(|d| d.0).collect();
+            self.join_children(me, &tids);
+            let st = self.lock();
+            if (st.detached.iter()).all(|d| matches!(st.threads[d.0].status, Status::Finished)) {
+                return;
+            }
+        }
+    }
+
+    /// The detached OS threads, for the explorer's final real join.
+    pub(crate) fn take_detached(&self) -> Vec<std::thread::JoinHandle<()>> {
+        self.lock().detached.drain(..).map(|d| d.1).collect()
     }
 
     /// Block until all `children` are finished (scope join).

@@ -2,8 +2,8 @@
 //!
 //! These types mirror the API surface the runtime actually uses — the
 //! parking_lot-style `Mutex`/`Condvar`, the handful of std atomics,
-//! `std::thread::{scope, sleep}` and `Instant::now` — and behave in one
-//! of two ways:
+//! `std::thread::{scope, spawn, sleep}` and `Instant::now` — and behave
+//! in one of two ways:
 //!
 //! * **Outside an exploration** (no scheduler bound to the thread) they
 //!   are thin wrappers over `std`, so code built with `--cfg check`
@@ -361,7 +361,7 @@ pub mod time {
     }
 }
 
-/// Scoped threads and sleeping, scheduler-aware.
+/// Scoped and detached threads and sleeping, scheduler-aware.
 pub mod thread {
     use crate::sched::{self, CheckAbort};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -376,6 +376,68 @@ pub mod thread {
         } else {
             std::thread::sleep(dur);
         }
+    }
+
+    /// Runs `f` as a vthread on a fresh OS thread: the baton protocol
+    /// around a child's body, shared by scoped and detached spawns.
+    fn vthread_body(sched: sched::Sched, tid: usize, f: impl FnOnce()) {
+        sched::set(Some(sched::Ctx {
+            sched: sched.clone(),
+            tid,
+        }));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            sched.thread_started(tid);
+            f()
+        }));
+        if let Err(payload) = result {
+            if payload.downcast_ref::<CheckAbort>().is_none() {
+                sched.record_panic(tid, super::payload_message(&*payload));
+            }
+        }
+        sched.finish_thread(tid);
+        sched::set(None);
+    }
+
+    /// Scheduler-aware mirror of [`std::thread::JoinHandle`], for the
+    /// detached threads the fleet spawns: they all return `()`.
+    pub struct JoinHandle<T>(Handle, std::marker::PhantomData<T>);
+
+    enum Handle {
+        Os(std::thread::JoinHandle<()>),
+        Virtual { ctx: sched::Ctx, tid: usize },
+    }
+
+    impl JoinHandle<()> {
+        /// Waits for the thread (logically, under an exploration). A
+        /// vthread's panic is already a finding, so its join is `Ok`.
+        pub fn join(self) -> std::thread::Result<()> {
+            match self.0 {
+                Handle::Os(h) => h.join(),
+                Handle::Virtual { ctx, tid } => {
+                    let me = sched::current().map_or(ctx.tid, |c| c.tid);
+                    ctx.sched.join_children(me, &[tid]);
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// Spawns a detached thread. Under an exploration it is a vthread
+    /// like a scoped child, and the explorer joins it when the body
+    /// ends: a detached thread still parked then is a finding.
+    pub fn spawn(f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+        let handle = match sched::current() {
+            None => Handle::Os(std::thread::spawn(f)),
+            Some(c) => {
+                let tid = c.sched.register_child(c.tid);
+                let sched = c.sched.clone();
+                let os = std::thread::spawn(move || vthread_body(sched, tid, f));
+                c.sched.add_detached(tid, os);
+                c.sched.yield_now(c.tid);
+                Handle::Virtual { ctx: c, tid }
+            }
+        };
+        JoinHandle(handle, std::marker::PhantomData)
     }
 
     /// Scheduler-aware mirror of [`std::thread::Scope`].
@@ -404,23 +466,7 @@ pub mod thread {
                         .unwrap_or_else(|e| e.into_inner())
                         .push(tid);
                     let sched = c.sched.clone();
-                    self.inner.spawn(move || {
-                        sched::set(Some(sched::Ctx {
-                            sched: sched.clone(),
-                            tid,
-                        }));
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            sched.thread_started(tid);
-                            f()
-                        }));
-                        if let Err(payload) = result {
-                            if payload.downcast_ref::<CheckAbort>().is_none() {
-                                sched.record_panic(tid, super::payload_message(&payload));
-                            }
-                        }
-                        sched.finish_thread(tid);
-                        sched::set(None);
-                    });
+                    self.inner.spawn(move || vthread_body(sched, tid, f));
                     // Give the scheduler a chance to run the child
                     // before the parent proceeds.
                     c.sched.yield_now(c.tid);

@@ -153,7 +153,7 @@ impl SpecExecutor {
             // A worker cannot see the coordinator's cancel or race
             // state; an injected straggle sleeps its full delay here.
             &|delay| {
-                std::thread::sleep(delay);
+                sidr_mapreduce::sync::thread::sleep(delay);
                 true
             },
         )?

@@ -37,6 +37,7 @@ use std::collections::VecDeque;
 
 use crate::error::MrError;
 use crate::split::MapTaskId;
+use crate::sync::chaos::{self, Mutation};
 use crate::Result;
 
 /// Where one Map task stands.
@@ -377,7 +378,9 @@ impl Schedule {
             return false;
         }
         g.floor = g.next_attempt;
-        g.running = 0;
+        if !chaos::on(Mutation::RecoveryInheritsRacers) {
+            g.running = 0;
+        }
         self.reopen(m);
         true
     }

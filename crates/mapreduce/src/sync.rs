@@ -97,13 +97,14 @@ pub mod atomic {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 }
 
-/// Scoped threads. Under `--cfg check`, `scope`/`spawn` create
-/// cooperatively scheduled vthreads.
+/// Threads and sleeps. Under `--cfg check`, scoped and detached spawns
+/// create cooperatively scheduled vthreads (a detached one is joined
+/// when the explored body ends) and a sleep waits on virtual time.
 pub mod thread {
     #[cfg(check)]
-    pub use sidr_check::sync::thread::scope;
+    pub use sidr_check::sync::thread::{scope, sleep, spawn, JoinHandle};
     #[cfg(not(check))]
-    pub use std::thread::scope;
+    pub use std::thread::{scope, sleep, spawn, JoinHandle};
 }
 
 /// Seeded concurrency-bug injection for checker mutation tests.
@@ -136,6 +137,14 @@ pub mod chaos {
         /// `notify_all`: fetchers blocked on a `Moving` partition are
         /// never woken and progress only via the safety tick.
         DropTierMoveNotify,
+        /// The fleet's `finish` skips workers marked dead, so a worker
+        /// that only missed heartbeats keeps the job's executor and
+        /// partitions.
+        FinishSkipsDeadWorkers,
+        /// Recovery keeps the dead generation's running count: its
+        /// straggler still out counts as a racer of the new generation,
+        /// so a failed attempt of the new one is never retried.
+        RecoveryInheritsRacers,
     }
 
     /// Whether `m` is armed. Always `false` outside checker builds.

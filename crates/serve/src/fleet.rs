@@ -1,8 +1,10 @@
 //! The coordinator's side of the worker fleet: the coordinator ↔
 //! worker wire protocol, per-worker liveness tracking (heartbeats),
-//! locality-aware dispatch, and the [`RemoteJob`] task executor that
-//! plugs the fleet into the engine's
-//! [`sidr_mapreduce::executor::TaskExecutor`] seam.
+//! dispatch, and the [`RemoteJob`] task executor that plugs the fleet
+//! into the engine's [`sidr_mapreduce::executor::TaskExecutor`] seam.
+//! Every connection goes through the fleet's
+//! [`Transport`], and every thread, wait
+//! and clock read through the `sidr_mapreduce::sync` facade.
 //!
 //! The split of responsibilities mirrors Hadoop 1.0: the coordinator
 //! (JobTracker) keeps planning, admission, the slot pool and every job
@@ -36,10 +38,16 @@
 //! reply the coordinator then rejected — surface as
 //! [`RemoteReduceError::SourcesLost`] so the engine re-executes exactly
 //! those maps (§6), never a whole dependency set.
+//!
+//! A worker that restarts at the same address *rejoins* as a new member
+//! with an empty store, not part of any running job: it answers a task
+//! of such a job with [`WorkerResponse::UnknownJob`], which takes it out
+//! of that job and moves the dispatch on, uncharged. A job that has no
+//! member left to answer enlists the live non-members with a fresh
+//! `Prepare`; what it placed on a rejoined one before reads `Missing`.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -48,14 +56,15 @@ use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_core::exec::ExecOptions;
 use sidr_core::spec::JobSpec;
-use sidr_dfs::{DfsConfig, FileId, NameNode, NodeId};
 use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
-use sidr_mapreduce::sync::Mutex;
+use sidr_mapreduce::sync::chaos::{self, Mutation};
+use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::{Counters, InputSplit, MapTaskId, MrError};
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
 use crate::binframe;
 use crate::frame::{self, handshake_dial, FrameError, Role};
+use crate::transport::{Conn, Transport};
 
 /// One request on a coordinator→worker (or worker→worker fetch)
 /// connection.
@@ -66,11 +75,17 @@ use crate::frame::{self, handshake_dial, FrameError, Role};
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum WorkerRequest {
     /// Liveness probe; answered with [`WorkerResponse::Pong`].
-    Ping,
+    Ping { session: u64 },
     /// Installs a job on the worker: the spec (splits, routing
     /// promises), the input path (shared filesystem, like an HDFS
     /// mount) and the task-local execution options.
+    ///
+    /// `session` (here and on `Ping`) names the coordinator: a worker
+    /// that first hears a new one drops every job of the last, whose
+    /// `Finish` will never come — even if it missed the successor's
+    /// first `Prepare` of a reused job id.
     Prepare {
+        session: u64,
         job: u64,
         spec: JobSpec,
         input: String,
@@ -155,6 +170,11 @@ pub enum WorkerResponse {
     },
     Released,
     Finished,
+    /// A task for a job this worker was never prepared for: it
+    /// restarted since `Prepare` (a rejoined member, empty store).
+    UnknownJob {
+        job: u64,
+    },
     /// The request failed; nothing was released. `lost_sources`
     /// non-empty means source partitions are gone (holder dead or
     /// missing); `fatal` means the job must fail (e.g. annotation
@@ -341,21 +361,30 @@ const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The coordinator's handle on its worker fleet.
 pub struct Fleet {
+    net: Arc<dyn Transport>,
+    /// This coordinator, as its requests name it to workers.
+    session: u64,
     slots: Vec<Arc<WorkerSlot>>,
-    /// Simulated HDFS namespace used for locality-aware map dispatch:
-    /// one datanode per worker, each input path registered once.
-    namenode: NameNode,
     job_seq: AtomicU64,
-    stop: Arc<AtomicBool>,
-    monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The heartbeat monitor's progress: it waits on this between
+    /// rounds for `shutdown`, and a dispatch that found no live worker
+    /// waits on it for the next round.
+    beat: Arc<(Mutex<Beat>, Condvar)>,
+    monitor: Mutex<Option<thread::JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct Beat {
+    rounds: u64,
+    stopped: bool,
 }
 
 impl Fleet {
-    /// Builds the fleet and starts the heartbeat monitor. Workers that
-    /// are down at construction are simply marked dead; they join the
-    /// rotation at their first successful probe. `workers` are their
-    /// advertised addresses (`host:port`).
-    pub fn connect(workers: Vec<String>) -> Result<Self, MrError> {
+    /// Builds the fleet over `net` and starts the heartbeat monitor.
+    /// Workers that are down at construction are simply marked dead;
+    /// they join the rotation at their first successful probe.
+    /// `workers` are their advertised addresses.
+    pub fn connect(net: Arc<dyn Transport>, workers: Vec<String>) -> Result<Self, MrError> {
         if workers.is_empty() {
             return Err(MrError::BadConfig("fleet needs at least one worker".into()));
         }
@@ -366,7 +395,7 @@ impl Fleet {
                 Arc::new(WorkerSlot {
                     addr: addr.clone(),
                     alive: AtomicBool::new(false),
-                    last_heartbeat: Mutex::new(Instant::now()),
+                    last_heartbeat: Mutex::new(time::now()),
                     last_stat: Mutex::new(WorkerStat::default()),
                     pressured: AtomicBool::new(false),
                     heartbeat_gauge: r.gauge(
@@ -387,49 +416,44 @@ impl Fleet {
                 })
             })
             .collect();
-        let namenode = NameNode::new(DfsConfig {
-            num_datanodes: slots.len(),
-            // Small blocks so even tiny CI inputs spread across the
-            // fleet instead of landing on one "datanode".
-            block_size: 64 << 10,
-            replication: 2.min(slots.len()),
-            racks: 1,
-            placement_seed: 0x51D8,
-        })
-        .map_err(|e| MrError::BadConfig(format!("fleet namenode: {e}")))?;
         let fleet = Fleet {
+            net,
+            session: new_session(),
             slots,
-            namenode,
             job_seq: AtomicU64::new(1),
-            stop: Arc::new(AtomicBool::new(false)),
+            beat: Arc::default(),
             monitor: Mutex::new(None),
         };
         // Synchronous first round so jobs submitted immediately after
         // startup see the real liveness picture.
         for slot in &fleet.slots {
-            probe(slot);
+            probe(&*fleet.net, fleet.session, slot);
         }
-        let stop = Arc::clone(&fleet.stop);
+        let (net, session, beat) = (
+            Arc::clone(&fleet.net),
+            fleet.session,
+            Arc::clone(&fleet.beat),
+        );
         let slots = fleet.slots.clone();
-        let handle = std::thread::Builder::new()
-            .name("sidr-fleet-heartbeat".into())
-            .spawn(move || {
-                // Every worker is probed once per period; in between
-                // the monitor parks, and `shutdown` unparks it.
-                let mut next = Instant::now() + HEARTBEAT_EVERY;
-                while !stop.load(Ordering::SeqCst) {
-                    let now = Instant::now();
-                    if now < next {
-                        std::thread::park_timeout(next - now);
-                        continue;
-                    }
-                    next = now + HEARTBEAT_EVERY;
-                    for slot in &slots {
-                        probe(slot);
-                    }
+        // Every worker is probed once per period, start to start (a
+        // round that overran it starts the next at once); in between
+        // the monitor waits for `shutdown`.
+        let handle = thread::spawn(move || {
+            let mut round = time::now();
+            loop {
+                let next = round + HEARTBEAT_EVERY;
+                let stopped = |b: &mut Beat| b.stopped.then_some(Some(()));
+                if wait_until(&beat.1, &mut beat.0.lock(), Some(next), stopped).is_some() {
+                    return;
                 }
-            })
-            .expect("spawn heartbeat monitor");
+                round = time::now();
+                for slot in &slots {
+                    probe(&*net, session, slot);
+                }
+                beat.0.lock().rounds += 1;
+                beat.1.notify_all();
+            }
+        });
         *fleet.monitor.lock() = Some(handle);
         Ok(fleet)
     }
@@ -446,26 +470,10 @@ impl Fleet {
                 let mut stat = s.last_stat.lock().clone();
                 stat.addr = s.addr.clone();
                 stat.alive = s.alive.load(Ordering::SeqCst);
-                stat.heartbeat_age_ms = s.last_heartbeat.lock().elapsed().as_millis() as u64;
+                stat.heartbeat_age_ms = s.heartbeat_age().as_millis() as u64;
                 stat
             })
             .collect()
-    }
-
-    /// The input's entry in the fleet's simulated namespace, which map
-    /// dispatch ranks workers' replica locality by. A path is
-    /// registered once, by the first job to read it — the namenode has
-    /// no remove, so a per-job entry would outlive its job forever.
-    fn register_input(&self, input: &str) -> Result<FileId, MrError> {
-        if let Some(file) = self.namenode.lookup(input) {
-            return Ok(file);
-        }
-        let len = std::fs::metadata(input).map(|m| m.len()).unwrap_or(1 << 20);
-        self.namenode
-            .register_file(input, len.max(1))
-            // A concurrent job over the same input registered it first.
-            .or_else(|e| self.namenode.lookup(input).ok_or(e))
-            .map_err(|e| MrError::BadConfig(format!("register input: {e}")))
     }
 
     /// Prepares a job on every live worker and returns its remote
@@ -477,24 +485,30 @@ impl Fleet {
         opts: &ExecOptions,
     ) -> Result<RemoteJob<'_>, MrError> {
         let job = self.job_seq.fetch_add(1, Ordering::Relaxed);
-        let file = self.register_input(input)?;
         let req = WorkerRequest::Prepare {
+            session: self.session,
             job,
             spec: spec.clone(),
             input: input.to_string(),
             opts: opts.clone(),
         };
+        // Every worker may only *look* dead: give the heartbeat one
+        // round to say otherwise.
+        if !(self.slots.iter()).any(|s| s.alive.load(Ordering::SeqCst)) {
+            self.await_round(self.rounds());
+        }
         // A slot is part of this job only if it answered `Prepare`: a
         // worker skipped as dead here that the heartbeat revives a
         // moment later never installed the job.
-        let mut prepared = vec![false; self.slots.len()];
+        let prepared: Box<[AtomicBool]> =
+            self.slots.iter().map(|_| AtomicBool::new(false)).collect();
         let mut refused = None;
-        for (slot, prepared) in self.slots.iter().zip(&mut prepared) {
+        for (slot, prepared) in self.slots.iter().zip(prepared.iter()) {
             if !slot.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            match call(&slot.addr, &req, None) {
-                Ok((WorkerResponse::Prepared { .. }, _)) => *prepared = true,
+            match call(&*self.net, &slot.addr, &req, None) {
+                Ok((WorkerResponse::Prepared { .. }, _)) => prepared.store(true, Ordering::SeqCst),
                 Ok((WorkerResponse::Failed { detail, .. }, _)) => {
                     refused = Some(format!("worker {} rejected the job: {detail}", slot.addr));
                     break;
@@ -511,17 +525,17 @@ impl Fleet {
                 Err(_) => mark_dead(slot),
             }
         }
-        if refused.is_none() && !prepared.contains(&true) {
-            refused = Some("no live workers to run the job".into());
-        }
         let remote = RemoteJob {
             fleet: self,
             job,
-            file,
-            prepared: prepared.into(),
+            prepare: req,
+            prepared,
             placement: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(HashMap::new()),
         };
+        if refused.is_none() && remote.members().next().is_none() {
+            refused = Some("no live workers to run the job".into());
+        }
         match refused {
             // The workers that did answer `Prepared` hold the job's
             // executor and open input until told otherwise.
@@ -533,11 +547,24 @@ impl Fleet {
         }
     }
 
+    /// Heartbeat rounds completed so far.
+    fn rounds(&self) -> u64 {
+        self.beat.0.lock().rounds
+    }
+
+    /// Waits until heartbeat round `after` has completed, or for as long
+    /// as one round can take.
+    fn await_round(&self, after: u64) {
+        let until = time::now() + HEARTBEAT_EVERY + HEARTBEAT_TIMEOUT * self.slots.len() as u32;
+        let done = |b: &mut Beat| (b.rounds > after || b.stopped).then_some(Some(()));
+        wait_until(&self.beat.1, &mut self.beat.0.lock(), Some(until), done);
+    }
+
     /// Stops the heartbeat monitor. Called on drop.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.beat.0.lock().stopped = true;
+        self.beat.1.notify_all();
         if let Some(h) = self.monitor.lock().take() {
-            h.thread().unpark();
             h.join().ok();
         }
     }
@@ -549,15 +576,32 @@ impl Drop for Fleet {
     }
 }
 
+impl WorkerSlot {
+    fn heartbeat_age(&self) -> Duration {
+        time::now().saturating_duration_since(*self.last_heartbeat.lock())
+    }
+}
+
 fn mark_dead(slot: &WorkerSlot) {
     if slot.alive.swap(false, Ordering::SeqCst) {
         fleet_metrics().workers_lost.inc();
     }
 }
 
+/// A session id no earlier coordinator used: the wall clock, plus a
+/// sequence for coordinators started in one process.
+fn new_session() -> u64 {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    nanos.wrapping_add(SEQ.fetch_add(1, Ordering::Relaxed))
+}
+
 /// One liveness probe: dial, handshake, `Ping`, read `Pong`.
-fn probe(slot: &WorkerSlot) {
-    match call(&slot.addr, &WorkerRequest::Ping, Some(HEARTBEAT_TIMEOUT)) {
+fn probe(net: &dyn Transport, session: u64, slot: &WorkerSlot) {
+    let ping = WorkerRequest::Ping { session };
+    match call(net, &slot.addr, &ping, Some(HEARTBEAT_TIMEOUT)) {
         Ok((WorkerResponse::Pong(stat), _)) => {
             let pressured = stat.pressured();
             slot.resident_gauge.set(stat.resident_bytes as i64);
@@ -578,17 +622,18 @@ fn probe(slot: &WorkerSlot) {
             } else if !pressured {
                 slot.pressured.store(false, Ordering::SeqCst);
             }
-            *slot.last_heartbeat.lock() = Instant::now();
+            *slot.last_heartbeat.lock() = time::now();
             *slot.last_stat.lock() = stat;
             slot.heartbeat_gauge.set(0);
             // Rejoin is safe: a restarted worker holds no partitions,
-            // so anything it "held" surfaces as Missing and recovers.
+            // so anything it "held" surfaces as Missing and recovers,
+            // and it answers running jobs' tasks with `UnknownJob`.
             slot.alive.store(true, Ordering::SeqCst);
         }
         Ok(_) | Err(_) => {
             mark_dead(slot);
             slot.heartbeat_gauge
-                .set(slot.last_heartbeat.lock().elapsed().as_millis() as i64);
+                .set(slot.heartbeat_age().as_millis() as i64);
         }
     }
 }
@@ -597,48 +642,22 @@ fn probe(slot: &WorkerSlot) {
 /// coordinator for dispatch and by workers for peer shuffle fetches
 /// (which announce [`Role::Worker`] instead).
 pub struct WorkerConn {
-    reader: BufReader<TcpStream>,
-    /// Unbuffered: every request is one whole-frame write already.
-    writer: TcpStream,
+    conn: Conn,
 }
 
 impl WorkerConn {
-    /// Dials a worker as the coordinator.
-    pub fn dial(addr: &str, timeout: Option<Duration>) -> Result<Self, FrameError> {
-        Self::dial_as(addr, Role::Coordinator, timeout)
-    }
-
-    /// Dials a worker announcing an explicit role (worker↔worker
-    /// shuffle fetches announce [`Role::Worker`]).
-    pub fn dial_as(addr: &str, ours: Role, timeout: Option<Duration>) -> Result<Self, FrameError> {
-        let stream = match timeout {
-            Some(t) => {
-                let sockaddr = std::net::ToSocketAddrs::to_socket_addrs(addr)
-                    .map_err(|e| FrameError::Io(e.to_string()))?
-                    .next()
-                    .ok_or_else(|| FrameError::Io(format!("cannot resolve {addr}")))?;
-                let s = TcpStream::connect_timeout(&sockaddr, t)
-                    .map_err(|e| FrameError::Io(e.to_string()))?;
-                s.set_read_timeout(Some(t)).ok();
-                s.set_write_timeout(Some(t)).ok();
-                s
-            }
-            None => TcpStream::connect(addr).map_err(|e| FrameError::Io(e.to_string()))?,
-        };
-        // Every message is one write of a whole frame (or reply), so
-        // Nagle only ever delays it — by the peer's delayed ACK.
-        stream.set_nodelay(true).ok();
-        // The handshake reads exact frames, so it runs on the bare
-        // stream; read buffering starts after it.
-        handshake_dial(&mut &stream, ours, Role::Worker)?;
-        Ok(WorkerConn {
-            reader: BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| FrameError::Io(e.to_string()))?,
-            ),
-            writer: stream,
-        })
+    /// Dials a worker over `net`, announcing `ours` in the handshake.
+    pub fn dial(
+        net: &dyn Transport,
+        addr: &str,
+        ours: Role,
+        timeout: Option<Duration>,
+    ) -> Result<Self, FrameError> {
+        let mut conn = net
+            .dial(addr, timeout)
+            .map_err(|e| FrameError::Io(e.to_string()))?;
+        handshake_dial(&mut conn, ours, Role::Worker)?;
+        Ok(WorkerConn { conn })
     }
 
     /// One request, its reply, and the raw frame after the reply when
@@ -649,10 +668,10 @@ impl WorkerConn {
         req: &WorkerRequest,
     ) -> Result<(WorkerResponse, Option<Vec<u8>>), FrameError> {
         let hung_up = || FrameError::Io("worker closed the connection".into());
-        frame::send(&mut self.writer, req)?;
-        let reply: WorkerResponse = frame::recv(&mut self.reader)?.ok_or_else(hung_up)?;
+        frame::send(&mut self.conn, req)?;
+        let reply: WorkerResponse = frame::recv(&mut self.conn)?.ok_or_else(hung_up)?;
         let payload = if reply.carries_payload() {
-            Some(frame::read_frame(&mut self.reader)?.ok_or_else(hung_up)?)
+            Some(frame::read_frame(&mut self.conn)?.ok_or_else(hung_up)?)
         } else {
             None
         };
@@ -664,11 +683,12 @@ impl WorkerConn {
 /// payload). Every coordinator → worker exchange is one `call` on a
 /// fresh connection.
 fn call(
+    net: &dyn Transport,
     addr: &str,
     req: &WorkerRequest,
     timeout: Option<Duration>,
 ) -> Result<(WorkerResponse, Option<Vec<u8>>), FrameError> {
-    WorkerConn::dial(addr, timeout)?.request(req)
+    WorkerConn::dial(net, addr, Role::Coordinator, timeout)?.request(req)
 }
 
 /// One job's remote executor: implements the engine's
@@ -677,10 +697,12 @@ fn call(
 pub struct RemoteJob<'f> {
     fleet: &'f Fleet,
     job: u64,
-    file: FileId,
-    /// Which workers were prepared for this job (index-aligned with
-    /// the fleet's slots); dispatch never targets the others.
-    prepared: Box<[bool]>,
+    /// The job's `Prepare`, for enlisting late members.
+    prepare: WorkerRequest,
+    /// Which workers are members of this job (index-aligned with the
+    /// fleet's slots): they answered `Prepare` and have not since
+    /// rejoined. Dispatch never targets the others.
+    prepared: Box<[AtomicBool]>,
     /// `(map, epoch)` → where that committed generation is held.
     placement: Mutex<HashMap<(usize, u32), Held>>,
     /// map → fleet slot currently executing its *primary* attempt.
@@ -699,109 +721,144 @@ struct Held {
 }
 
 impl RemoteJob<'_> {
+    /// The slots that are members of this job, in slot order.
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.prepared.len()).filter(|&i| self.prepared[i].load(Ordering::SeqCst))
+    }
+
     /// Broadcasts `Finish`, dropping the job's state on every prepared
     /// worker — including one currently marked dead: a missed heartbeat
     /// may only mean slow, and a live worker left unfinished would keep
     /// the job's executor and partitions. The probe timeout bounds the
     /// call to one that really is gone.
     pub fn finish(&self) {
-        for (slot, &prepared) in self.fleet.slots.iter().zip(self.prepared.iter()) {
-            if prepared {
-                call(
-                    &slot.addr,
-                    &WorkerRequest::Finish { job: self.job },
-                    Some(HEARTBEAT_TIMEOUT),
-                )
-                .ok();
+        for i in self.members() {
+            let slot = &self.fleet.slots[i];
+            if chaos::on(Mutation::FinishSkipsDeadWorkers) && !slot.alive.load(Ordering::SeqCst) {
+                continue;
             }
+            let finish = WorkerRequest::Finish { job: self.job };
+            call(
+                &*self.fleet.net,
+                &slot.addr,
+                &finish,
+                Some(HEARTBEAT_TIMEOUT),
+            )
+            .ok();
         }
     }
 
-    /// Workers eligible for this job's dispatch, ranked for `split`:
-    /// replica-local workers first (by local byte count, the
-    /// `nodes_for_range` ranking), then the rest, dead ones filtered.
-    fn ranked_workers(&self, split: Option<&InputSplit>) -> Vec<usize> {
-        let mut ranked: Vec<usize> = Vec::new();
-        if let Some(split) = split {
-            if let Ok(nodes) = self.fleet.namenode.nodes_for_range(
-                self.file,
-                split.byte_range.0,
-                split.byte_range.1,
-            ) {
-                ranked.extend(nodes.into_iter().map(|(NodeId(i), _)| i));
-            }
-        }
-        for i in 0..self.fleet.slots.len() {
-            if !ranked.contains(&i) {
-                ranked.push(i);
-            }
-        }
-        ranked.retain(|&i| self.prepared[i] && self.fleet.slots[i].alive.load(Ordering::SeqCst));
-        // Backpressure: workers reporting memory pressure sink to the
-        // back of the candidate list (stable sort — locality order is
-        // preserved within each group). They stay legal targets: a
-        // pressured worker is slower, not wrong, and may be the only
-        // one left.
-        ranked.sort_by_key(|&i| self.fleet.slots[i].pressured.load(Ordering::SeqCst));
+    /// Workers eligible for this job's dispatch: live members in slot
+    /// order, those reporting memory pressure last (stable sort). A
+    /// pressured worker stays a legal target: it is slower, not wrong,
+    /// and may be the only one left.
+    fn ranked_workers(&self) -> Vec<usize> {
+        let slots = &self.fleet.slots;
+        let mut ranked: Vec<usize> = (self.members())
+            .filter(|&i| slots[i].alive.load(Ordering::SeqCst))
+            .collect();
+        ranked.sort_by_key(|&i| slots[i].pressured.load(Ordering::SeqCst));
         ranked
     }
 
-    /// The one walk over dispatch candidates: `attempt_on` each slot in
-    /// rank order until a worker *answers* — whatever it answers. An
-    /// `Err` is connection-level death: the worker died mid-attempt,
-    /// having committed nothing (map) and released nothing (reduce), so
-    /// it is marked dead and the same attempt moves to the next
-    /// candidate. `None` means no candidate answered.
-    fn dispatch<T>(
-        &self,
-        candidates: Vec<usize>,
-        mut attempt_on: impl FnMut(usize, &str) -> Result<T, FrameError>,
-    ) -> Option<T> {
-        let metrics = fleet_metrics();
-        for (nth, idx) in candidates.into_iter().enumerate() {
-            if nth > 0 {
-                metrics.tasks_reassigned.inc();
+    /// Installs the job on live workers that are not members — they
+    /// looked dead at `Prepare`, or rejoined since — for a dispatch no
+    /// member answered.
+    fn enlist(&self) {
+        for (slot, prepared) in self.fleet.slots.iter().zip(self.prepared.iter()) {
+            if prepared.load(Ordering::SeqCst) || !slot.alive.load(Ordering::SeqCst) {
+                continue;
             }
-            let slot = &self.fleet.slots[idx];
-            let started = Instant::now();
-            match attempt_on(idx, &slot.addr) {
-                Ok(reply) => {
-                    metrics.dispatch_seconds.observe_duration(started.elapsed());
-                    return Some(reply);
+            let reply = call(&*self.fleet.net, &slot.addr, &self.prepare, None);
+            if let Ok((WorkerResponse::Prepared { .. }, _)) = reply {
+                prepared.store(true, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// The one walk over dispatch candidates: `attempt_on` each slot in
+    /// rank order until a worker *answers* — whatever it answers, except
+    /// `UnknownJob`. An `Err` is connection-level death: the worker died
+    /// mid-attempt, having committed nothing (map) and released nothing
+    /// (reduce), so it is marked dead and the same attempt moves to the
+    /// next candidate. `UnknownJob` is a worker that rejoined since
+    /// `Prepare`: it leaves this job and the attempt moves on, uncharged
+    /// either way. When nobody answered, every member may only *look*
+    /// dead (missed beats, a cut connection): the walk waits for the
+    /// next heartbeat round, [enlists](Self::enlist) live non-members
+    /// and goes once more over the candidates ranked then. `None` means
+    /// no candidate answered either time.
+    fn dispatch(
+        &self,
+        candidates: impl Fn() -> Vec<usize>,
+        mut attempt_on: impl FnMut(usize, &str) -> Result<Reply, FrameError>,
+    ) -> Option<(usize, Reply)> {
+        let metrics = fleet_metrics();
+        for walk in 0..2 {
+            let round = self.fleet.rounds();
+            for (nth, idx) in candidates().into_iter().enumerate() {
+                if nth > 0 || walk > 0 {
+                    metrics.tasks_reassigned.inc();
                 }
-                Err(_) => mark_dead(slot),
+                let slot = &self.fleet.slots[idx];
+                let started = time::now();
+                match attempt_on(idx, &slot.addr) {
+                    Ok((WorkerResponse::UnknownJob { .. }, _)) => {
+                        self.prepared[idx].store(false, Ordering::SeqCst);
+                    }
+                    Ok(reply) => {
+                        metrics
+                            .dispatch_seconds
+                            .observe_duration(time::now().saturating_duration_since(started));
+                        return Some((idx, reply));
+                    }
+                    Err(_) => mark_dead(slot),
+                }
+            }
+            if walk == 0 {
+                self.fleet.await_round(round);
+                self.enlist();
             }
         }
         None
     }
 }
 
+/// A reply and the raw frame after it, if any.
+type Reply = (WorkerResponse, Option<Vec<u8>>);
+
 impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
     /// A speculative twin demotes the worker currently running the
-    /// primary attempt to the *back* of the locality-ranked candidate
-    /// list: racing on the machine that is already slow defeats the
-    /// point, but it stays a legal last resort when it is the only
-    /// live worker.
+    /// primary attempt to the *back* of the candidate list: racing on
+    /// the machine that is already slow defeats the point, but it stays
+    /// a legal last resort when it is the only live worker.
     fn execute_map(
         &self,
         task: MapTaskId,
         attempt: u32,
         speculative: bool,
-        split: &InputSplit,
+        // Every worker opens the same input path: no candidate is
+        // closer to a split than another.
+        _split: &InputSplit,
         counters: &Counters,
         // The attempt runs on a worker, which cannot see the
         // scheduler's cancel or race state.
         _pause: &dyn Fn(Duration) -> bool,
     ) -> sidr_mapreduce::Result<()> {
-        let mut candidates = self.ranked_workers(Some(split));
-        if speculative {
-            if let Some(&busy) = self.in_flight.lock().get(&task) {
-                if let Some(pos) = candidates.iter().position(|&i| i == busy) {
-                    let demoted = candidates.remove(pos);
-                    candidates.push(demoted);
+        let candidates = || {
+            let mut ranked = self.ranked_workers();
+            if speculative {
+                // The twin may be here before its primary was dispatched,
+                // which then takes the head of the same ranking.
+                let in_flight = self.in_flight.lock().get(&task).copied();
+                let busy = in_flight.or(ranked.first().copied());
+                if let Some(pos) = busy.and_then(|b| ranked.iter().position(|&i| i == b)) {
+                    let demoted = ranked.remove(pos);
+                    ranked.push(demoted);
                 }
             }
-        }
+            ranked
+        };
         let req = WorkerRequest::RunMap {
             job: self.job,
             task,
@@ -811,16 +868,16 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             if !speculative {
                 self.in_flight.lock().insert(task, idx);
             }
-            let reply = call(addr, &req, None);
+            let reply = call(&*self.fleet.net, addr, &req, None);
             if !speculative {
                 let mut in_flight = self.in_flight.lock();
                 if in_flight.get(&task) == Some(&idx) {
                     in_flight.remove(&task);
                 }
             }
-            reply.map(|(reply, _)| (idx, reply))
+            reply
         });
-        match reply {
+        match reply.map(|(idx, (reply, _))| (idx, reply)) {
             Some((
                 idx,
                 WorkerResponse::MapDone {
@@ -870,20 +927,23 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         _counters: &Counters,
     ) -> Result<Vec<(Coord, f64)>, RemoteReduceError> {
         // Resolve each held source's holder — a map that produced
-        // nothing for this reducer is not a source. A generation with
-        // no live holder is already lost: report it without burning a
-        // dispatch. Dispatch prefers the worker already holding the
-        // most source partitions (shuffle-local), then the rest.
+        // nothing for this reducer is not a source. A generation whose
+        // holder is dead or has rejoined since is already lost: report
+        // it without burning a dispatch. Dispatch prefers the worker
+        // already holding the most source partitions (shuffle-local),
+        // then the rest.
         let mut locs = Vec::with_capacity(sources.len());
         let mut lost = Vec::new();
         let mut holder_count: HashMap<usize, usize> = HashMap::new();
         {
             let placement = self.placement.lock();
+            let gone = |i: usize| {
+                !self.fleet.slots[i].alive.load(Ordering::SeqCst)
+                    || !self.prepared[i].load(Ordering::SeqCst)
+            };
             for s in sources {
                 match placement.get(&(s.map, s.epoch)) {
-                    Some(held) if !self.fleet.slots[held.slot].alive.load(Ordering::SeqCst) => {
-                        lost.push(s.map)
-                    }
+                    Some(held) if gone(held.slot) => lost.push(s.map),
                     Some(held) if held.reducers.contains(&reducer) => {
                         locs.push(SourceLoc {
                             map: s.map,
@@ -901,16 +961,19 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             return Err(RemoteReduceError::SourcesLost(lost));
         }
 
-        let mut candidates = self.ranked_workers(None);
         // Pressure outranks shuffle locality: fetching over the wire
         // from an unpressured worker beats making an over-budget one
         // merge (and page its own partitions back from disk).
-        candidates.sort_by_key(|i| {
-            (
-                self.fleet.slots[*i].pressured.load(Ordering::SeqCst),
-                std::cmp::Reverse(holder_count.get(i).copied().unwrap_or(0)),
-            )
-        });
+        let candidates = || {
+            let mut ranked = self.ranked_workers();
+            ranked.sort_by_key(|i| {
+                (
+                    self.fleet.slots[*i].pressured.load(Ordering::SeqCst),
+                    std::cmp::Reverse(holder_count.get(i).copied().unwrap_or(0)),
+                )
+            });
+            ranked
+        };
         let req = WorkerRequest::RunReduce {
             job: self.job,
             reducer,
@@ -922,8 +985,9 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         // connection that breaks before the keyblock frame has arrived
         // whole is the walk's business: same attempt, next worker.
         let failed = RemoteReduceError::AttemptFailed;
+        let net = &*self.fleet.net;
         let (emitted, fetch_ms, frame) =
-            match self.dispatch(candidates, |_, addr| call(addr, &req, None)) {
+            match (self.dispatch(candidates, |_, addr| call(net, addr, &req, None))).map(|r| r.1) {
                 Some((WorkerResponse::ReduceDone { emitted, fetch_ms }, Some(frame))) => {
                     (emitted, fetch_ms, frame)
                 }
@@ -982,29 +1046,6 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Two jobs over one input leave one namespace entry, not one per
-    /// job.
-    #[test]
-    fn jobs_over_one_input_share_one_registration() {
-        let preset = sidr_analyze::presets::preset("query1-tiny").unwrap();
-        let plan = sidr_core::SidrPlanner::new(&preset.query, preset.reducer_counts[0])
-            .build(&preset.splits)
-            .unwrap();
-        let spec = JobSpec::from_plan(&preset.query, &preset.splits, &plan).unwrap();
-        // Nothing listens on port 1: the fleet's one worker is marked
-        // dead, so each job registers its input and then finds nobody
-        // to run on.
-        let fleet = Fleet::connect(vec!["127.0.0.1:1".into()]).unwrap();
-        for _ in 0..2 {
-            let job = fleet.prepare_job(&spec, "/data/shared.scinc", &ExecOptions::default());
-            assert!(job.is_err(), "no live workers");
-        }
-        assert_eq!(fleet.namenode.lookup("/data/shared.scinc"), Some(FileId(0)));
-        // Ids are dense: the next file being #1 means exactly one so far.
-        let next = fleet.namenode.register_file("/data/other.scinc", 1);
-        assert_eq!(next.unwrap(), FileId(1));
-    }
 
     /// A writer that counts the calls made into it — on a socket, each
     /// is one syscall and, under Nagle, one chance to be held back.

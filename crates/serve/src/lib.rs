@@ -47,6 +47,7 @@ pub mod frame;
 pub mod metrics;
 pub mod proto;
 pub mod server;
+pub mod transport;
 
 pub use binframe::KeyblockBin;
 pub use client::{Client, JobOutcome, ServeError, Ticket};
@@ -60,3 +61,4 @@ pub use frame::{
 };
 pub use proto::{Request, Response, ServerStats, SubmitOptions};
 pub use server::{JobState, Server, ServerConfig, ServerHandle};
+pub use transport::{Mem, Tcp, Transport};

@@ -41,6 +41,7 @@ use crate::fleet::Fleet;
 use crate::frame::{self, FrameError, Hello, Role};
 use crate::metrics::{serve as serve_metrics, ServeMetrics};
 use crate::proto::{Request, Response, ServerStats, SubmitOptions};
+use crate::transport::Tcp;
 
 /// One message on a connection's outbound channel. JSON responses are
 /// serialized by the writer thread; a keyblock arrives already encoded
@@ -277,9 +278,11 @@ impl Server {
         let fleet = if config.workers.is_empty() {
             None
         } else {
-            Some(Fleet::connect(config.workers.clone()).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-            })?)
+            Some(
+                Fleet::connect(Arc::new(Tcp), config.workers.clone()).map_err(|e| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+                })?,
+            )
         };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;

@@ -16,7 +16,9 @@
 //! pinned resident and the worker reports memory pressure.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use sidr_serve::Tcp;
 use sidr_worker::{Worker, WorkerOptions};
 
 fn usage() -> ! {
@@ -79,7 +81,7 @@ fn main() {
         i += 1;
     }
     let listen = listen.unwrap_or_else(|| usage());
-    let worker = match Worker::spawn_with(&listen, options.clone()) {
+    let worker = match Worker::spawn(Arc::new(Tcp), &listen, options.clone()) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("sidr-worker: cannot bind {listen}: {e}");

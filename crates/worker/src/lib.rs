@@ -1,6 +1,6 @@
 //! `sidr-worker` — the worker half of distributed execution.
 //!
-//! A worker is a TCP daemon that does exactly two things:
+//! A worker is a daemon that does exactly two things:
 //!
 //! * **run task attempts** dispatched by a `sidr-serve` coordinator —
 //!   map attempts read their split and keep the resulting per-reducer
@@ -23,22 +23,22 @@
 //! re-execution of the maps whose bytes it held, never the job.
 //!
 //! Every connection must open with the version/role [`Hello`]
-//! handshake; a worker accepts nothing else.
+//! handshake; a worker accepts nothing else. Connections come from the
+//! worker's [`Transport`]: TCP in the daemon, in memory under the
+//! schedule explorer, where killing a worker is its endpoint closing
+//! and every connection to it being cut.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
 
 use sidr_core::exec::SpecExecutor;
 use sidr_core::SidrError;
 // The workspace sync facade (parking_lot in normal builds): a task
 // thread that panics while holding a lock unwinds cleanly instead of
 // poisoning shared state and cascade-killing the daemon.
-use sidr_mapreduce::sync::Mutex;
+use sidr_mapreduce::sync::{thread, time, Mutex};
 use sidr_mapreduce::tier::{PartitionStore, TierConfig};
 use sidr_mapreduce::MrError;
 use sidr_serve::binframe;
@@ -46,6 +46,7 @@ use sidr_serve::fleet::{
     send_reply, PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
 };
 use sidr_serve::frame::{self, Hello, Role};
+use sidr_serve::transport::{Conn, Listener, Transport};
 use sidr_serve::WorkerStat;
 
 /// Resource configuration of one worker process.
@@ -59,19 +60,19 @@ pub struct WorkerOptions {
 
 /// Shared state of one worker process.
 struct Shared {
-    addr: SocketAddr,
+    net: Arc<dyn Transport>,
+    addr: String,
     /// Prepared jobs' executors. Partition bytes live in `store`,
-    /// which alone decides whether a partition is held.
-    jobs: Mutex<HashMap<u64, Arc<SpecExecutor>>>,
+    /// which alone decides whether a partition is held. Ordered, like
+    /// every collection a handler walks: a seed of the fleet search
+    /// replays only if the walk does.
+    jobs: Mutex<BTreeMap<u64, Arc<SpecExecutor>>>,
     /// All partition bytes, both tiers, across jobs — the byte budget
     /// is per worker process, not per job.
     store: PartitionStore,
+    /// The coordinator session whose jobs these are.
+    session: Mutex<u64>,
     dead: AtomicBool,
-    /// A clone of every live connection by connection id, so `kill` can
-    /// sever them mid-frame (crash semantics, not graceful drain). An
-    /// entry lives exactly as long as its handler, which removes it on
-    /// return.
-    conns: Mutex<HashMap<u64, TcpStream>>,
     tasks_in_flight: AtomicU64,
     map_attempts: AtomicU64,
     reduce_attempts: AtomicU64,
@@ -81,7 +82,7 @@ impl Shared {
     fn stat(&self) -> WorkerStat {
         let pressure = self.store.pressure();
         WorkerStat {
-            addr: self.addr.to_string(),
+            addr: self.addr.clone(),
             alive: !self.dead.load(Ordering::SeqCst),
             heartbeat_age_ms: 0,
             tasks_in_flight: self.tasks_in_flight.load(Ordering::Relaxed),
@@ -98,83 +99,61 @@ impl Shared {
 }
 
 /// A running worker: accept loop on a background thread, one handler
-/// thread per connection. [`Worker::kill`] is crash semantics for
-/// chaos tests — the listener closes, live connections are severed
-/// mid-frame and the partition store is wiped, exactly what a dead
-/// process looks like to the rest of the fleet.
+/// thread per connection. [`Worker::kill`] is crash semantics — the
+/// endpoint closes, no request is answered any more and the partition
+/// store is wiped, which is what a dead process looks like to the rest
+/// of the fleet.
 pub struct Worker {
     shared: Arc<Shared>,
-    addr: SocketAddr,
+    listener: Mutex<Option<Arc<dyn Listener>>>,
     acceptor: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl Worker {
-    /// Binds and starts serving with default resources (unbounded
-    /// memory). Use port 0 to let the OS pick.
-    pub fn spawn(addr: impl ToSocketAddrs) -> std::io::Result<Worker> {
-        Worker::spawn_with(addr, WorkerOptions::default())
-    }
-
-    /// Binds and starts serving with an explicit resource
-    /// configuration (memory budget, spill directory).
-    pub fn spawn_with(addr: impl ToSocketAddrs, options: WorkerOptions) -> std::io::Result<Worker> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+    /// Starts serving at `addr` on `net` (TCP: port 0 lets the OS
+    /// pick).
+    pub fn spawn(
+        net: Arc<dyn Transport>,
+        addr: &str,
+        options: WorkerOptions,
+    ) -> std::io::Result<Worker> {
+        let listener = net.listen(addr)?;
+        let local = listener.local_addr();
         let spill_dir = options.spill_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!(
-                "sidr-worker-spill-{}-{}",
-                std::process::id(),
-                local.port()
-            ))
+            let port = local.rsplit(':').next().unwrap_or_default();
+            std::env::temp_dir().join(format!("sidr-worker-spill-{}-{port}", std::process::id()))
         });
         let tier_cfg = TierConfig {
             budget_bytes: options.budget_bytes,
         };
         let shared = Arc::new(Shared {
+            net,
             addr: local,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             store: PartitionStore::on_disk(tier_cfg, spill_dir),
+            session: Mutex::new(0),
             dead: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
             tasks_in_flight: AtomicU64::new(0),
             map_attempts: AtomicU64::new(0),
             reduce_attempts: AtomicU64::new(0),
         });
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = thread::Builder::new()
-            .name(format!("sidr-worker-{local}"))
-            .spawn(move || {
-                for (id, conn) in (0u64..).zip(listener.incoming()) {
-                    if accept_shared.dead.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    // Replies are one write each; Nagle would only hold
-                    // a small one back for the peer's delayed ACK.
-                    stream.set_nodelay(true).ok();
-                    if let Ok(clone) = stream.try_clone() {
-                        accept_shared.conns.lock().insert(id, clone);
-                    }
-                    let handler_shared = Arc::clone(&accept_shared);
-                    thread::spawn(move || {
-                        handle_connection(&handler_shared, stream);
-                        handler_shared.conns.lock().remove(&id);
-                    });
-                }
-                // Dropping the listener here makes further dials fail
-                // with connection-refused: a dead worker, not a hung
-                // one.
-            })?;
+        let (accept_shared, door) = (Arc::clone(&shared), Arc::clone(&listener));
+        let acceptor = thread::spawn(move || {
+            while let Some(conn) = door.accept() {
+                let handler_shared = Arc::clone(&accept_shared);
+                thread::spawn(move || handle_connection(&handler_shared, conn));
+            }
+        });
         Ok(Worker {
             shared,
-            addr: local,
+            listener: Mutex::new(Some(listener)),
             acceptor: Mutex::new(Some(acceptor)),
         })
     }
 
     /// The bound address workers advertise to the fleet.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    pub fn addr(&self) -> &str {
+        &self.shared.addr
     }
 
     /// Point-in-time self-report (what a `Ping` returns).
@@ -182,22 +161,25 @@ impl Worker {
         self.shared.stat()
     }
 
-    /// Simulates the process dying: stop accepting, sever every live
-    /// connection mid-frame, wipe the partition store. The coordinator
-    /// finds out the way it would with a real crash — broken task
-    /// connections and failed heartbeats.
+    /// Jobs currently prepared here.
+    pub fn prepared_jobs(&self) -> usize {
+        self.shared.jobs.lock().len()
+    }
+
+    /// Simulates the process dying: the endpoint closes (dials are
+    /// refused; in memory, every connection to it is cut), no handler
+    /// answers another request, and the partition store is wiped. The
+    /// coordinator finds out the way it would with a real crash —
+    /// broken task connections and failed heartbeats.
     pub fn kill(&self) {
         if self.shared.dead.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the blocking acceptor so it observes the flag and drops
-        // the listener.
-        let _ = TcpStream::connect(self.addr);
+        if let Some(listener) = self.listener.lock().take() {
+            listener.close();
+        }
         if let Some(h) = self.acceptor.lock().take() {
             let _ = h.join();
-        }
-        for (_, s) in self.shared.conns.lock().drain() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
         }
         let jobs: Vec<u64> = {
             let mut jobs = self.shared.jobs.lock();
@@ -213,7 +195,7 @@ impl Worker {
     }
 
     /// Blocks until the worker is killed (daemon mode for the CLI): joins
-    /// the acceptor, which exits once `kill` has woken it.
+    /// the acceptor, which exits once `kill` has closed the endpoint.
     pub fn wait(&self) {
         let acceptor = self.acceptor.lock().take();
         if let Some(h) = acceptor {
@@ -231,44 +213,41 @@ impl Drop for Worker {
 /// One connection: mandatory `Hello` handshake, then a request loop.
 /// The coordinator opens a fresh connection per dispatch; peers open
 /// one per fetch — either way requests on one connection are serial.
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = stream;
-
+/// A dead worker answers nothing: the loop ends at the first request,
+/// or the first reply, after `kill`.
+fn handle_connection(shared: &Shared, mut conn: Conn) {
     // Every dialer speaks the handshake, so anything else on the
     // first frame is a protocol error and the connection just closes.
-    let hello: Hello = match frame::recv(&mut reader) {
+    let hello: Hello = match frame::recv(&mut conn) {
         Ok(Some(h)) => h,
         _ => return,
     };
-    if frame::handshake_accept(&mut writer, &hello, Role::Worker).is_err() {
+    if frame::handshake_accept(&mut conn, &hello, Role::Worker).is_err() {
         return;
     }
-
     loop {
-        let req = match frame::recv::<WorkerRequest>(&mut reader) {
+        let req = match frame::recv::<WorkerRequest>(&mut conn) {
             Ok(Some(r)) => r,
             _ => return,
         };
         if shared.dead.load(Ordering::SeqCst) {
             return;
         }
-        let ok = match req {
-            WorkerRequest::Ping => {
-                frame::send(&mut writer, &WorkerResponse::Pong(shared.stat())).is_ok()
+        let (resp, payload) = match req {
+            WorkerRequest::Ping { session } => {
+                adopt_session(shared, session);
+                (WorkerResponse::Pong(shared.stat()), None)
             }
             WorkerRequest::Prepare {
+                session,
                 job,
                 spec,
                 input,
                 opts,
             } => {
-                // A coordinator that restarted counts its jobs from 1
-                // again: whatever an earlier job of this id left here
-                // (its `Finish` never came) goes first.
+                adopt_session(shared, session);
+                // Within a session a job id is never reused; this only
+                // clears what a refused or half-done `Prepare` left.
                 finish_job(shared, job);
                 // Invert `I_ℓ` into per-map pending-consumer counts:
                 // the tier ranks spill victims coldest first, and
@@ -291,27 +270,21 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     }
                     Err(e) => failed(format!("prepare job {job}: {e}"), false),
                 };
-                frame::send(&mut writer, &resp).is_ok()
+                (resp, None)
             }
             WorkerRequest::RunMap { job, task, attempt } => {
-                let resp = run_map(shared, job, task, attempt);
-                frame::send(&mut writer, &resp).is_ok()
+                (run_map(shared, job, task, attempt), None)
             }
             WorkerRequest::RunReduce {
                 job,
                 reducer,
-                attempt,
+                attempt: _,
                 sources,
                 expected_raw,
-            } => run_reduce(
-                shared,
-                &mut writer,
-                job,
-                reducer,
-                attempt,
-                sources,
-                expected_raw,
-            ),
+            } => match run_reduce(shared, &mut conn, job, reducer, sources, expected_raw) {
+                true => continue,
+                false => return,
+            },
             WorkerRequest::FetchPartition {
                 job,
                 map,
@@ -323,21 +296,46 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     Some(_) => PartitionStatus::Data,
                     None => PartitionStatus::Missing,
                 };
-                let bytes = held.as_ref().map(|b| b.as_slice());
-                send_reply(&mut writer, &WorkerResponse::Partition { status }, bytes).is_ok()
+                (WorkerResponse::Partition { status }, held)
             }
             WorkerRequest::Release { job, reducer, maps } => {
                 release(shared, job, reducer, &maps);
-                frame::send(&mut writer, &WorkerResponse::Released).is_ok()
+                (WorkerResponse::Released, None)
             }
             WorkerRequest::Finish { job } => {
                 finish_job(shared, job);
-                frame::send(&mut writer, &WorkerResponse::Finished).is_ok()
+                (WorkerResponse::Finished, None)
             }
         };
-        if !ok {
+        if !answer(
+            shared,
+            &mut conn,
+            &resp,
+            payload.as_deref().map(Vec::as_slice),
+        ) {
             return;
         }
+    }
+}
+
+/// Writes one reply; false when the connection is unusable — or the
+/// worker is dead, which answers nothing.
+fn answer(shared: &Shared, conn: &mut Conn, resp: &WorkerResponse, payload: Option<&[u8]>) -> bool {
+    !shared.dead.load(Ordering::SeqCst) && send_reply(conn, resp, payload).is_ok()
+}
+
+/// A coordinator that restarted counts its jobs from 1 again, and never
+/// sends `Finish` for its predecessor's: whatever another session left
+/// here goes as soon as the new one is heard from.
+fn adopt_session(shared: &Shared, session: u64) {
+    let mut current = shared.session.lock();
+    if *current == session {
+        return;
+    }
+    *current = session;
+    let jobs: Vec<u64> = shared.jobs.lock().keys().copied().collect();
+    for job in jobs {
+        finish_job(shared, job);
     }
 }
 
@@ -400,17 +398,17 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
         let jobs = shared.jobs.lock();
         match jobs.get(&job) {
             Some(exec) => Arc::clone(exec),
-            None => return failed(format!("job {job} is not prepared here"), false),
+            None => return WorkerResponse::UnknownJob { job },
         }
     };
     shared.tasks_in_flight.fetch_add(1, Ordering::Relaxed);
     shared.map_attempts.fetch_add(1, Ordering::Relaxed);
     // Task code is user-extensible and may panic; the catch turns a
     // panicking attempt into a retryable failure instead of killing
-    // the handler thread (whose death would skip removing the
-    // connection's clone from `conns`, holding the socket open — a hung
-    // coordinator, not a failed attempt). The sync facade (parking_lot)
-    // guarantees no lock is poisoned by the unwind.
+    // the handler thread (whose death would drop the connection
+    // without a reply — a broken connection the coordinator takes for
+    // a dead worker, not a failed attempt). The sync facade
+    // (parking_lot) guarantees no lock is poisoned by the unwind.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         maybe_panic_in_task(job);
         exec.run_map(task, attempt)
@@ -490,8 +488,8 @@ fn release(shared: &Shared, job: u64, reducer: usize, maps: &[(usize, u32)]) {
 /// One reduce attempt, end to end on this worker:
 ///
 /// 1. **copy** — peek every source partition from its holder
-///    (self-fetches read the local store, peers over TCP). Any miss
-///    aborts with `lost_sources`.
+///    (self-fetches read the local store, peers over the wire). Any
+///    miss aborts with `lost_sources`.
 /// 2. **merge** — in the given source order (the plan's fetch order:
 ///    the equal-key tie-break that keeps output byte-identical to a
 ///    single-process run).
@@ -504,10 +502,9 @@ fn release(shared: &Shared, job: u64, reducer: usize, maps: &[(usize, u32)]) {
 /// Returns whether the connection is still usable.
 fn run_reduce(
     shared: &Shared,
-    writer: &mut TcpStream,
+    conn: &mut Conn,
     job: u64,
     reducer: usize,
-    _attempt: u32,
     sources: Vec<SourceLoc>,
     expected_raw: Option<u64>,
 ) -> bool {
@@ -515,16 +512,9 @@ fn run_reduce(
         let jobs = shared.jobs.lock();
         match jobs.get(&job) {
             Some(exec) => Arc::clone(exec),
-            None => {
-                return frame::send(
-                    writer,
-                    &failed(format!("job {job} is not prepared here"), false),
-                )
-                .is_ok()
-            }
+            None => return answer(shared, conn, &WorkerResponse::UnknownJob { job }, None),
         }
     };
-    let self_addr = shared.addr.to_string();
     shared.tasks_in_flight.fetch_add(1, Ordering::Relaxed);
     shared.reduce_attempts.fetch_add(1, Ordering::Relaxed);
     // Same panic boundary as `run_map`: a panicking attempt must
@@ -532,39 +522,24 @@ fn run_reduce(
     // connection.
     let usable = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         maybe_panic_in_task(job);
-        run_reduce_inner(
-            shared,
-            writer,
-            job,
-            reducer,
-            &exec,
-            &self_addr,
-            &sources,
-            expected_raw,
-        )
+        run_reduce_inner(shared, conn, job, reducer, &exec, &sources, expected_raw)
     }));
     shared.tasks_in_flight.fetch_sub(1, Ordering::Relaxed);
-    match usable {
-        Ok(u) => u,
-        Err(_) => frame::send(
-            writer,
-            &failed(
-                format!("reduce {reducer}: task panicked on this worker"),
-                false,
-            ),
-        )
-        .is_ok(),
-    }
+    usable.unwrap_or_else(|_| {
+        let panicked = failed(
+            format!("reduce {reducer}: task panicked on this worker"),
+            false,
+        );
+        answer(shared, conn, &panicked, None)
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_reduce_inner(
     shared: &Shared,
-    writer: &mut TcpStream,
+    conn: &mut Conn,
     job: u64,
     reducer: usize,
     exec: &SpecExecutor,
-    self_addr: &str,
     sources: &[SourceLoc],
     expected_raw: Option<u64>,
 ) -> bool {
@@ -573,7 +548,7 @@ fn run_reduce_inner(
     // the local store's allocation outright, and v3 buffers are merged
     // in place by `run_reduce` — no partition is copied or re-decoded
     // on this path.
-    let fetch_started = Instant::now();
+    let fetch_started = time::now();
     let mut partitions: Vec<Arc<Vec<u8>>> = Vec::with_capacity(sources.len());
     let mut lost: Vec<usize> = Vec::new();
     // One fetch connection per peer, reused across that peer's
@@ -581,7 +556,7 @@ fn run_reduce_inner(
     // for the release that follows the reply.
     let mut peers: HashMap<&str, WorkerConn> = HashMap::new();
     for src in sources {
-        if src.holder == self_addr {
+        if src.holder == shared.addr {
             match peek_partition(shared, job, src.map, reducer, src.epoch) {
                 Some(bytes) => partitions.push(bytes),
                 None => lost.push(src.map),
@@ -589,7 +564,7 @@ fn run_reduce_inner(
             continue;
         }
         if !peers.contains_key(src.holder.as_str()) {
-            match WorkerConn::dial_as(&src.holder, Role::Worker, None) {
+            match WorkerConn::dial(&*shared.net, &src.holder, Role::Worker, None) {
                 Ok(c) => {
                     peers.insert(src.holder.as_str(), c);
                 }
@@ -600,8 +575,8 @@ fn run_reduce_inner(
                 }
             }
         }
-        let conn = peers.get_mut(src.holder.as_str()).expect("just inserted");
-        match conn.request(&WorkerRequest::FetchPartition {
+        let peer = peers.get_mut(src.holder.as_str()).expect("just inserted");
+        match peer.request(&WorkerRequest::FetchPartition {
             job,
             map: src.map,
             reducer,
@@ -614,17 +589,16 @@ fn run_reduce_inner(
     if !lost.is_empty() {
         lost.sort_unstable();
         lost.dedup();
-        return frame::send(
-            writer,
-            &WorkerResponse::Failed {
-                detail: format!("reduce {reducer}: {} source partition(s) lost", lost.len()),
-                fatal: false,
-                lost_sources: lost,
-            },
-        )
-        .is_ok();
+        let failed = WorkerResponse::Failed {
+            detail: format!("reduce {reducer}: {} source partition(s) lost", lost.len()),
+            fatal: false,
+            lost_sources: lost,
+        };
+        return answer(shared, conn, &failed, None);
     }
-    let fetch_ms = fetch_started.elapsed().as_millis() as u64;
+    let fetch_ms = time::now()
+        .saturating_duration_since(fetch_started)
+        .as_millis() as u64;
 
     // --- merge & reply ----------------------------------------------
     // A keyblock that cannot be one frame (mixed coordinate ranks, or
@@ -641,20 +615,17 @@ fn run_reduce_inner(
     let emitted = match result {
         Ok(emitted) => emitted,
         Err(e) => {
-            return frame::send(
-                writer,
-                &failed(format!("reduce {reducer}: {e}"), is_fatal(&e)),
-            )
-            .is_ok()
+            let failed = failed(format!("reduce {reducer}: {e}"), is_fatal(&e));
+            return answer(shared, conn, &failed, None);
         }
     };
     let done = WorkerResponse::ReduceDone { emitted, fetch_ms };
-    if send_reply(writer, &done, Some(&keyblock)).is_err() {
+    if !answer(shared, conn, &done, Some(&keyblock)) {
         return false;
     }
 
     // --- release: the reply is out, drop the inputs -----------------
-    let mut by_holder: HashMap<&str, Vec<(usize, u32)>> = HashMap::new();
+    let mut by_holder: BTreeMap<&str, Vec<(usize, u32)>> = BTreeMap::new();
     for src in sources {
         by_holder
             .entry(src.holder.as_str())
@@ -662,13 +633,13 @@ fn run_reduce_inner(
             .push((src.map, src.epoch));
     }
     for (holder, maps) in by_holder {
-        if holder == self_addr {
+        if holder == shared.addr {
             release(shared, job, reducer, &maps);
-        } else if let Some(conn) = peers.get_mut(holder) {
+        } else if let Some(peer) = peers.get_mut(holder) {
             // A holder dying *during* release changes nothing: whatever
             // it still held is gone with it, which is exactly what
             // release was about to record.
-            let _ = conn.request(&WorkerRequest::Release { job, reducer, maps });
+            let _ = peer.request(&WorkerRequest::Release { job, reducer, maps });
         }
     }
     true
@@ -677,21 +648,23 @@ fn run_reduce_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use sidr_serve::Tcp;
+    use std::time::{Duration, Instant};
 
     /// `wait` is a join, not a poll: it returns as soon as `kill` has
     /// stopped the acceptor.
     #[test]
     fn wait_returns_promptly_after_kill() {
-        let worker = Arc::new(Worker::spawn("127.0.0.1:0").unwrap());
+        let worker = Worker::spawn(Arc::new(Tcp), "127.0.0.1:0", WorkerOptions::default());
+        let worker = Arc::new(worker.unwrap());
         let waiter = {
             let worker = Arc::clone(&worker);
-            thread::spawn(move || {
+            std::thread::spawn(move || {
                 worker.wait();
                 Instant::now()
             })
         };
-        thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
         assert!(!waiter.is_finished(), "wait returned before kill");
         let killed_at = Instant::now();
         worker.kill();

@@ -5,10 +5,13 @@
 //! Its own test binary on purpose: it counts `/proc/self/fd`, which
 //! every test in one process would share.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
-use sidr_worker::Worker;
+use sidr_serve::frame::Role;
+use sidr_serve::Tcp;
+use sidr_worker::{Worker, WorkerOptions};
 
 fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd")
@@ -18,14 +21,14 @@ fn open_fds() -> usize {
 
 #[test]
 fn hung_up_connections_release_their_sockets() {
-    let worker = Worker::spawn("127.0.0.1:0").unwrap();
+    let worker = Worker::spawn(Arc::new(Tcp), "127.0.0.1:0", WorkerOptions::default()).unwrap();
     let addr = worker.addr().to_string();
     let before = open_fds();
     // The heartbeat's pattern: one connection per probe, dropped after
     // its `Pong`.
     for round in 0..200 {
-        let mut conn = WorkerConn::dial(&addr, None).unwrap();
-        let reply = conn.request(&WorkerRequest::Ping).unwrap();
+        let mut conn = WorkerConn::dial(&Tcp, &addr, Role::Coordinator, None).unwrap();
+        let reply = conn.request(&WorkerRequest::Ping { session: 1 }).unwrap();
         assert!(
             matches!(reply, (WorkerResponse::Pong(_), None)),
             "round {round}: {reply:?}"
