@@ -5,32 +5,43 @@
 //! knowledge — structural mapping, `partition+` routing, operator
 //! reduction, count-annotation validation — lives here in `sidr-core`;
 //! the worker crate only moves CRC-framed SMOF byte buffers between
-//! processes. The attempt bodies themselves are the engine's
-//! (`run_map_attempt` / `run_reduce_attempt`), the same ones the
-//! in-process executor runs. Map attempts produce their per-reducer
-//! partitions as *encoded* SMOF buffers (the one on-disk/on-wire
-//! format — v3, fixed-width ⟨coord, f64⟩ records), and reduce attempts
-//! merge the buffers a worker fetched from the holders **in place**
-//! (frames are borrowed, not decoded), in the plan's fetch order
-//! so the merge's equal-key tie-break — and therefore the streamed
-//! output — is byte-identical to a single-process run.
+//! processes. A map attempt is the geometric kernel
+//! ([`crate::geomap`]): its per-reducer partitions come out as
+//! *encoded* SMOF buffers (the one on-disk/on-wire format — v3,
+//! fixed-width ⟨coord, f64⟩ records). Reduce attempts merge the
+//! buffers a worker fetched from the holders **in place** (frames are
+//! borrowed, not decoded), in the plan's fetch order, so the merge's
+//! equal-key tie-break — and therefore the streamed output — is
+//! byte-identical wherever the attempt runs.
+//!
+//! The in-process engine runs spec jobs through the same bodies:
+//! `LocalExecutor` keeps each committed generation as the bytes a
+//! worker's store would hold, so the engine and the fleet share one
+//! data path.
 
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::encode_map_output;
+use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
+use sidr_mapreduce::shuffle_file::damage;
+use sidr_mapreduce::sync::Mutex;
 use sidr_mapreduce::{
-    run_map_attempt, run_reduce_attempt, Counters, FaultPlan, MapTaskId, MergeSource, MrError,
-    RoutingPlan,
+    begin_map_attempt, injected_source_error, run_reduce_attempt, Combiner, Counters, FaultKind,
+    FaultPlan, InputSplit, MapTaskId, MergeSource, MrError, RoutingPlan,
 };
-use sidr_scifile::{DataType, Element, ScincFile};
+use sidr_scifile::{DataType, ScincFile};
 
 use crate::framework::pushdown_threshold;
+use crate::geomap::map_split;
 use crate::operators::{Operator, OperatorReducer};
 use crate::plan::{SidrPlan, SidrPlanner};
-use crate::source::{ScincRecordSource, StructuralMapper};
+use crate::source::StructuralMapper;
 use crate::spec::JobSpec;
+use crate::SidrError;
 
 /// The submitter-controlled knobs a worker needs to execute attempts
 /// faithfully — the serializable subset of
@@ -60,8 +71,12 @@ pub type KeyblockSink<'a> = dyn FnMut(&[(Coord, f64)]) -> crate::Result<()> + 'a
 #[derive(Clone, Debug)]
 pub struct MapAttemptOutput {
     pub partitions: Vec<(usize, Vec<u8>)>,
+    /// Records read from the split.
     pub records_in: u64,
+    /// Intermediate records the map emitted, before any combiner.
     pub records_out: u64,
+    /// Records written to the partitions, after the combiner.
+    pub records_combined: u64,
 }
 
 /// One prepared job on a worker: the opened input, the re-derived
@@ -82,7 +97,15 @@ impl SpecExecutor {
     /// coordinator's `run_spec_on_pool` does (admission has already
     /// verified the spec, so the structural pre-flight is skipped).
     pub fn new(input: &Path, spec: JobSpec, opts: ExecOptions) -> crate::Result<Self> {
-        let file = ScincFile::open(input)?;
+        Self::with_file(ScincFile::open(input)?, spec, opts)
+    }
+
+    /// [`SpecExecutor::new`] over an already open file.
+    pub(crate) fn with_file(
+        file: ScincFile,
+        spec: JobSpec,
+        opts: ExecOptions,
+    ) -> crate::Result<Self> {
         let query = spec.query()?;
         let dtype = file.metadata().variable(&query.variable)?.dtype;
         let mut mapper = StructuralMapper::for_query(&query);
@@ -112,60 +135,52 @@ impl SpecExecutor {
         self.spec.num_reducers
     }
 
-    /// Runs one map attempt: read the split, apply the structural map
-    /// and optional combiner, and encode each non-empty partition as
-    /// a SMOF buffer. Injected map faults for this (task, attempt)
-    /// fire here, on the worker, exactly as they would in-process.
+    /// Runs one map attempt: read the split, map it by geometry, fold
+    /// it through the combiner if the operator has one, and encode each
+    /// non-empty partition as a SMOF buffer. Injected map faults for
+    /// this (task, attempt) fire here, on the worker, exactly as they
+    /// would in-process — except that a worker cannot see the
+    /// coordinator's cancel or race state, so a straggle sleeps its
+    /// full delay.
     pub fn run_map(&self, task: MapTaskId, attempt: u32) -> crate::Result<MapAttemptOutput> {
-        match self.dtype {
-            DataType::I32 => self.run_map_typed::<i32>(task, attempt),
-            DataType::I64 => self.run_map_typed::<i64>(task, attempt),
-            DataType::F32 => self.run_map_typed::<f32>(task, attempt),
-            DataType::F64 => self.run_map_typed::<f64>(task, attempt),
-        }
+        self.map_attempt(task, attempt, &|delay| {
+            sidr_mapreduce::sync::thread::sleep(delay);
+            true
+        })
     }
 
-    fn run_map_typed<E: Element>(
+    /// [`SpecExecutor::run_map`] with the caller's `pause`: an injected
+    /// straggle waits through it and the attempt is
+    /// [`MrError::Cancelled`] when it returns `false`.
+    pub(crate) fn map_attempt(
         &self,
         task: MapTaskId,
         attempt: u32,
+        pause: &dyn Fn(Duration) -> bool,
     ) -> crate::Result<MapAttemptOutput> {
         let split = self
             .spec
             .splits
             .get(task)
             .ok_or_else(|| MrError::BadConfig(format!("map {task} out of range")))?;
+        let fault = self.opts.fault_plan.map_fault(task, attempt);
+        if let Some(after) = begin_map_attempt(task, attempt, fault, pause)? {
+            if split.slab.count() > after {
+                return Err(injected_source_error(task, attempt, after).into());
+            }
+        }
         let combiner = self.operator.combiner();
-        // Per-attempt scratch counters: the attempt's tallies travel
-        // back in the reply, not through process-global state.
-        let counters = Counters::default();
-        let partitions = run_map_attempt(
-            task,
-            attempt,
-            self.opts.fault_plan.map_fault(task, attempt),
-            || ScincRecordSource::<E>::open(&self.file, &self.variable, split),
-            &self.mapper,
-            combiner
-                .as_ref()
-                .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
-            &self.plan,
-            &counters,
-            // A worker cannot see the coordinator's cancel or race
-            // state; an injected straggle sleeps its full delay here.
-            &|delay| {
-                sidr_mapreduce::sync::thread::sleep(delay);
-                true
-            },
-        )?
-        .into_iter()
-        .map(|(reducer, f)| encode_map_output(&f).map(|bytes| (reducer, bytes)))
-        .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
-        let tally = counters.snapshot();
-        Ok(MapAttemptOutput {
-            partitions,
-            records_in: tally.map_records_in,
-            records_out: tally.map_records_out,
-        })
+        let combiner = combiner
+            .as_ref()
+            .map(|c| c as &dyn Combiner<Key = Coord, Value = f64>);
+        let (file, var, slab) = (&self.file, self.variable.as_str(), &split.slab);
+        let (mapper, partition) = (&self.mapper, self.plan.partition());
+        match self.dtype {
+            DataType::I32 => map_split::<i32>(file, var, slab, mapper, partition, combiner),
+            DataType::I64 => map_split::<i64>(file, var, slab, mapper, partition, combiner),
+            DataType::F32 => map_split::<f32>(file, var, slab, mapper, partition, combiner),
+            DataType::F64 => map_split::<f64>(file, var, slab, mapper, partition, combiner),
+        }
     }
 
     /// Runs one reduce attempt over partitions already fetched from
@@ -192,12 +207,9 @@ impl SpecExecutor {
         expected_raw: Option<u64>,
         emit: &mut KeyblockSink<'_>,
     ) -> crate::Result<u64> {
-        if reducer >= self.spec.num_reducers {
-            return Err(MrError::BadConfig(format!("reduce {reducer} out of range")).into());
-        }
         let inputs = partitions
             .iter()
-            .map(|bytes| MergeSource::from_encoded(std::sync::Arc::clone(bytes)))
+            .map(|bytes| MergeSource::from_encoded(Arc::clone(bytes)))
             .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
         let expected = expected_raw.or_else(|| {
             self.opts
@@ -205,13 +217,144 @@ impl SpecExecutor {
                 .then(|| self.plan.expected_raw_count(reducer))
                 .flatten()
         });
-        let records = run_reduce_attempt(
-            reducer,
-            inputs,
-            expected,
-            &OperatorReducer { op: self.operator },
-        )?;
+        let records = self.reduce(reducer, inputs, expected)?;
         emit(&records)?;
         Ok(records.len() as u64)
+    }
+
+    /// The reduce attempt body over opened sources: merge in the given
+    /// order, check the annotation tally against `expected_raw`,
+    /// apply the operator. Returns the keyblock.
+    fn reduce(
+        &self,
+        reducer: usize,
+        inputs: Vec<MergeSource<Coord, f64>>,
+        expected_raw: Option<u64>,
+    ) -> crate::Result<Vec<(Coord, f64)>> {
+        if reducer >= self.spec.num_reducers {
+            return Err(MrError::BadConfig(format!("reduce {reducer} out of range")).into());
+        }
+        Ok(run_reduce_attempt(
+            reducer,
+            inputs,
+            expected_raw,
+            &OperatorReducer { op: self.operator },
+        )?)
+    }
+}
+
+/// One committed map generation: its partitions by reducer, as bytes.
+type Generation = Vec<(usize, Arc<Vec<u8>>)>;
+
+/// The in-process [`TaskExecutor`] of spec jobs: the same attempt
+/// bodies a `sidr-worker` runs, with every committed map generation
+/// held as the encoded partitions a worker's store would hold.
+///
+/// Generations are keyed by `(map, attempt)`, so a speculative loser or
+/// a superseded re-execution never overwrites what a reducer was
+/// promised. A map attempt waits through the engine's `pause`, so a
+/// straggler stays cancellable. An injected `CorruptOutput` or
+/// `TruncateOutput` damages the committed bytes; the reduce that
+/// fetches them fails their CRC and reports exactly that map lost, and
+/// the engine re-executes it (§6). Dropping the executor drops every
+/// generation the job still holds.
+pub(crate) struct LocalExecutor<'a> {
+    exec: &'a SpecExecutor,
+    table: Mutex<HashMap<(MapTaskId, u32), Generation>>,
+}
+
+impl<'a> LocalExecutor<'a> {
+    pub(crate) fn new(exec: &'a SpecExecutor) -> Self {
+        LocalExecutor {
+            exec,
+            table: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
+/// An attempt error in the engine's vocabulary.
+fn engine_error(e: SidrError) -> MrError {
+    match e {
+        SidrError::Engine(e) => e,
+        other => MrError::Source(other.to_string()),
+    }
+}
+
+impl TaskExecutor<Coord, f64> for LocalExecutor<'_> {
+    fn execute_map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        _speculative: bool,
+        _split: &InputSplit,
+        counters: &Counters,
+        pause: &dyn Fn(Duration) -> bool,
+    ) -> sidr_mapreduce::Result<()> {
+        let out = self
+            .exec
+            .map_attempt(task, attempt, pause)
+            .map_err(engine_error)?;
+        Counters::add(&counters.map_records_in, out.records_in);
+        Counters::add(&counters.map_records_out, out.records_out);
+        Counters::add(&counters.combined_records, out.records_combined);
+        // Post-commit damage: the attempt succeeds; the loss is found
+        // when a reduce fetches the bytes.
+        let truncate = match self.exec.opts.fault_plan.map_fault(task, attempt) {
+            Some(FaultKind::CorruptOutput) => Some(false),
+            Some(FaultKind::TruncateOutput) => Some(true),
+            _ => None,
+        };
+        let generation = (out.partitions.into_iter())
+            .map(|(reducer, mut bytes)| {
+                if let Some(truncate) = truncate {
+                    damage(&mut bytes, truncate);
+                }
+                (reducer, Arc::new(bytes))
+            })
+            .collect();
+        self.table.lock().insert((task, attempt), generation);
+        Ok(())
+    }
+
+    fn execute_reduce(
+        &self,
+        reducer: usize,
+        _attempt: u32,
+        sources: &[ReduceSource],
+        expected_raw: Option<u64>,
+        counters: &Counters,
+    ) -> std::result::Result<Vec<(Coord, f64)>, RemoteReduceError> {
+        let mut held = Vec::with_capacity(sources.len());
+        let mut lost = Vec::new();
+        {
+            let table = self.table.lock();
+            for s in sources {
+                match table.get(&(s.map, s.epoch)) {
+                    None => lost.push(s.map),
+                    Some(generation) => held.extend(
+                        (generation.iter())
+                            .filter(|(r, _)| *r == reducer)
+                            .map(|(_, bytes)| (s.map, Arc::clone(bytes))),
+                    ),
+                }
+            }
+        }
+        let mut inputs = Vec::with_capacity(held.len());
+        for (map, bytes) in held {
+            match MergeSource::from_encoded(bytes) {
+                Ok(source) => inputs.push(source),
+                // A failed CRC: the partition is lost, not the job.
+                Err(MrError::CorruptShuffle { .. }) => lost.push(map),
+                Err(e) => return Err(RemoteReduceError::Fatal(e)),
+            }
+        }
+        if !lost.is_empty() {
+            return Err(RemoteReduceError::SourcesLost(lost));
+        }
+        let records: usize = inputs.iter().map(MergeSource::len).sum();
+        Counters::add(&counters.shuffled_records, records as u64);
+        self.exec
+            .reduce(reducer, inputs, expected_raw)
+            .map_err(|e| RemoteReduceError::Fatal(engine_error(e)))
     }
 }

@@ -10,11 +10,12 @@
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
     run_job, run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
-    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobResult, OutputCollector,
-    RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
+    InMemoryOutput, InputSplit, JobConfig, JobResult, OutputCollector, RetryPolicy, RoutingPlan,
+    SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
 };
 use sidr_scifile::{DataType, Element, ScincFile};
 
+use crate::exec::{ExecOptions, LocalExecutor, SpecExecutor};
 use crate::operators::OperatorReducer;
 use crate::plan::SidrPlanner;
 use crate::query::StructuralQuery;
@@ -259,6 +260,11 @@ pub struct SpecRunOptions {
 /// [`SlotPool`], committing every keyblock through `output` the moment
 /// its reduce finishes.
 ///
+/// Attempts run in this process through the bodies a `sidr-worker`
+/// runs ([`SpecExecutor`]): maps by geometry, and every committed
+/// partition kept as the SMOF bytes a worker's store would hold, so
+/// the engine and the fleet share one data path.
+///
 /// This is the multi-tenant serving entry point: the spec's own splits
 /// are used verbatim (the wire contract — what `sidr plan --spec`
 /// exported and `sidr-lint` / the server's admission pre-flight
@@ -274,21 +280,22 @@ pub fn run_spec_on_pool(
     pool: &SlotPool,
     cancel: Option<&CancelToken>,
 ) -> Result<JobResult> {
-    let query = spec.query()?;
-    let var = file.metadata().variable(&query.variable)?;
-    match var.dtype {
-        DataType::I32 => run_spec_in_process::<i32>(file, spec, &query, opts, output, pool, cancel),
-        DataType::I64 => run_spec_in_process::<i64>(file, spec, &query, opts, output, pool, cancel),
-        DataType::F32 => run_spec_in_process::<f32>(file, spec, &query, opts, output, pool, cancel),
-        DataType::F64 => run_spec_in_process::<f64>(file, spec, &query, opts, output, pool, cancel),
-    }
+    let exec_opts = ExecOptions {
+        // The engine hands each reduce the plan's tally when the run
+        // validates; the executor adds no check of its own.
+        validate_annotations: false,
+        filter_pushdown: opts.filter_pushdown,
+        fault_plan: opts.fault_plan.clone(),
+    };
+    let exec = SpecExecutor::with_file(file.try_clone()?, spec.clone(), exec_opts)?;
+    run_spec_with_executor(spec, opts, output, pool, cancel, &LocalExecutor::new(&exec))
 }
 
 /// Executes a serialized job submission with its task attempts
-/// dispatched to a worker fleet through the engine's [`TaskExecutor`]
-/// seam, instead of running in-process.
+/// dispatched through the engine's [`TaskExecutor`] seam: to a worker
+/// fleet, or (from [`run_spec_on_pool`]) to this process.
 ///
-/// Scheduling is [`run_spec_on_pool`] unchanged — same plan, same
+/// Scheduling is the same wherever attempts run — same plan, same
 /// shared [`SlotPool`], same inverted reduce-first order, same
 /// keyblock-by-keyblock commits through `output`. Only *where* an
 /// attempt's bytes are read and reduced differs. Map output lives in
@@ -356,45 +363,6 @@ fn spec_plan_and_config(
         ..Default::default()
     };
     Ok((plan, config))
-}
-
-fn run_spec_in_process<E: Element>(
-    file: &ScincFile,
-    spec: &JobSpec,
-    query: &StructuralQuery,
-    opts: &SpecRunOptions,
-    output: &dyn OutputCollector<Coord, f64>,
-    pool: &SlotPool,
-    cancel: Option<&CancelToken>,
-) -> Result<JobResult> {
-    let mut mapper = StructuralMapper::for_query(query);
-    if let Some(threshold) = pushdown_threshold(opts.filter_pushdown, query) {
-        mapper = mapper.push_down_filter(threshold);
-    }
-    let reducer = OperatorReducer { op: query.operator };
-    let combiner = query.operator.combiner();
-    let (plan, config) = spec_plan_and_config(spec, query, opts)?;
-    let plan = &plan as &dyn RoutingPlan<Coord>;
-    let source_factory = scinc_source_factory::<E>(file, &query.variable);
-    let executor = InProcessExecutor::new(
-        &source_factory,
-        &mapper,
-        combiner
-            .as_ref()
-            .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
-        &reducer,
-        plan,
-        &config,
-    );
-    Ok(run_job_with_executor(
-        &spec.splits,
-        plan,
-        output,
-        &config,
-        pool,
-        cancel,
-        &executor,
-    )?)
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@
 pub mod early;
 pub mod exec;
 pub mod framework;
+pub mod geomap;
 pub mod lang;
 pub mod operators;
 pub mod output;

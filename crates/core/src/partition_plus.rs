@@ -164,10 +164,11 @@ impl PartitionPlus {
 
 impl PartitionPlus {
     /// The allocation- and division-free per-key path (§4.5): compute
-    /// the skew-shape instance index, then map index → keyblock.
+    /// the skew-shape instance index, then map index → keyblock. `key`
+    /// is a `K′` coordinate's components.
     #[inline]
-    fn keyblock_fast(&self, key: &Coord) -> usize {
-        debug_assert_eq!(key.rank(), self.grid.len());
+    pub fn keyblock_of(&self, key: &[u64]) -> usize {
+        debug_assert_eq!(key.len(), self.grid.len());
         let mut idx = 0u64;
         for (dim, &g) in self.grid.iter().enumerate() {
             let j = self.dim_div[dim].div(key[dim]);
@@ -185,7 +186,7 @@ impl PartitionPlus {
 impl Partitioner<Coord> for PartitionPlus {
     fn partition(&self, key: &Coord, num_reducers: usize) -> usize {
         debug_assert_eq!(num_reducers, self.partition.num_blocks());
-        self.keyblock_fast(key)
+        self.keyblock_of(key.components())
     }
 }
 
@@ -289,7 +290,7 @@ mod tests {
             let pp = PartitionPlus::with_skew_bound(space.clone(), r, bound).unwrap();
             for k in space.iter_coords() {
                 assert_eq!(
-                    pp.keyblock_fast(&k),
+                    pp.keyblock_of(k.components()),
                     pp.partition().keyblock_of_key(&k).unwrap(),
                     "key {k} in space {space}"
                 );

@@ -62,17 +62,17 @@ pub fn scinc_source_factory<'f, E: Element>(
 /// Keys in discarded partial instances or stride gaps produce nothing
 /// ("assuming we throw away the data from the 365-th day", §3 Area 3).
 pub struct StructuralMapper {
-    extraction: ExtractionShape,
+    pub(crate) extraction: ExtractionShape,
     /// Corner of the query's input region; record keys are absolute
     /// and must be translated before extraction (§2.1's corner+shape
     /// query inputs).
-    region_corner: Option<Coord>,
+    pub(crate) region_corner: Option<Coord>,
     /// Emit the instance's *corner coordinate* in `K` instead of the
     /// normalized instance index — how a SciHadoop query author
     /// naturally names output positions, and the key pattern
     /// ("coordinates at fixed intervals") whose binary representation
     /// defeats hash-modulo partitioning (§4.3).
-    corner_keys: bool,
+    pub(crate) corner_keys: bool,
     /// Map-side selection push-down: emit only values strictly above
     /// this threshold. Query 2's 3σ filter passes 0.1 % of the data
     /// (§4.1) — pushing the predicate below the shuffle is what makes
@@ -81,7 +81,7 @@ pub struct StructuralMapper {
     /// annotations no longer equal the geometric expectation, so
     /// §3.2.1 approach-2 validation is unavailable (approach 1, the
     /// `I_ℓ` barrier, still guarantees correctness).
-    predicate_gt: Option<f64>,
+    pub(crate) predicate_gt: Option<f64>,
 }
 
 impl StructuralMapper {
@@ -152,11 +152,9 @@ impl Mapper for StructuralMapper {
                 &rel
             }
         };
-        if let Some(k_prime) = self
-            .extraction
-            .map_key(key)
-            .expect("record keys are in-bounds by construction")
-        {
+        // A key beyond the extent of a region cornered at the origin
+        // is outside the region too.
+        if let Ok(Some(k_prime)) = self.extraction.map_key(key) {
             if self.corner_keys {
                 let corner = k_prime
                     .component_mul(self.extraction.stride())

@@ -15,8 +15,9 @@ use sidr_core::spec::JobSpec;
 use sidr_core::verify::PlanView;
 use sidr_core::{Operator, SidrError, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{
-    FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig,
-    JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy, SplitGenerator, TaskKind,
+    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InProcessExecutor,
+    InputSplit, JobConfig, JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy,
+    SplitGenerator, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
@@ -261,5 +262,39 @@ fn spec_retry_budget_takes_effect_through_both_entry_points() {
             matches!(result, Err(SidrError::Engine(MrError::TaskFailed { .. }))),
             "{entry}: expected TaskFailed, got {result:?}"
         );
+    }
+}
+
+/// In-process, a spec job's committed map output is bytes, so an
+/// injected `CorruptOutput` or `TruncateOutput` damages real bytes:
+/// the reduce's CRC check reports exactly that map lost (not a fatal
+/// error), the map runs once more, and the output is bit-identical.
+#[test]
+fn damaged_map_output_is_reexecuted_once_with_identical_output() {
+    let (file, spec) = twelve_map_job("damage");
+    let pool = SlotPool::new(4, 4).unwrap();
+    let run = |fault_plan: FaultPlan| {
+        let opts = SpecRunOptions {
+            fault_plan,
+            ..SpecRunOptions::default()
+        };
+        let output = InMemoryOutput::new();
+        let result = run_spec_on_pool(&file, &spec, &opts, &output, &pool, None).unwrap();
+        let bits: Vec<(sidr_coords::Coord, u64)> = (output.sorted_records().into_iter())
+            .map(|(k, v)| (k, v.to_bits()))
+            .collect();
+        (bits, result)
+    };
+    let (clean, _) = run(FaultPlan::none());
+    let damaged = 7;
+    for kind in [FaultKind::CorruptOutput, FaultKind::TruncateOutput] {
+        let (records, result) = run(FaultPlan::none().with(FaultTarget::Map(damaged), 0, kind));
+        assert_eq!(records, clean, "{kind:?}: output diverged");
+        assert!(result.counters.corrupt_fetches >= 1, "{kind:?}: not caught");
+        assert_eq!(reexecuted_maps(&result.events), vec![damaged], "{kind:?}");
+        let starts = (result.events.iter())
+            .filter(|e| e.kind == TaskKind::MapStart && e.task == damaged)
+            .count();
+        assert_eq!(starts, 2, "{kind:?}: the damaged map ran {starts} times");
     }
 }

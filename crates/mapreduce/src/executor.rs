@@ -138,31 +138,14 @@ where
     K2: MrKey,
     V2: MrValue,
 {
-    match fault {
-        Some(FaultKind::Straggle { delay_ms }) if !pause(Duration::from_millis(delay_ms)) => {
-            return Err(MrError::Cancelled);
-        }
-        Some(FaultKind::Fail) => {
-            return Err(MrError::Source(format!(
-                "injected failure: map {task} attempt {attempt}"
-            )));
-        }
-        _ => {}
-    }
-    let source_err_after = match fault {
-        Some(FaultKind::SourceError { after_records }) => Some(after_records),
-        _ => None,
-    };
+    let source_err_after = begin_map_attempt(task, attempt, fault, pause)?;
     let mut source = open()?;
     let mut builder = MapOutputBuilder::new(plan.num_reducers());
     let mut records_in = 0u64;
     let mut records_out = 0u64;
     while let Some((k, v)) = source.next_record()? {
         if source_err_after.is_some_and(|after| records_in >= after) {
-            return Err(MrError::Source(format!(
-                "injected transient I/O error: map {task} attempt {attempt} \
-                 after {records_in} records"
-            )));
+            return Err(injected_source_error(task, attempt, records_in));
         }
         records_in += 1;
         mapper.map(&k, &v, &mut |k2, v2| {
@@ -174,6 +157,37 @@ where
     Counters::add(&counters.map_records_in, records_in);
     Counters::add(&counters.map_records_out, records_out);
     Ok(builder.finish(combiner, counters))
+}
+
+/// What an injected fault does at the start of a map attempt: a
+/// straggler waits through `pause` (and is [`MrError::Cancelled`] when
+/// the wait is cut short), a failure dies before any work. Returns the
+/// record count after which a source fault turns the read into
+/// [`injected_source_error`]; every other kind acts after the attempt.
+pub fn begin_map_attempt(
+    task: MapTaskId,
+    attempt: u32,
+    fault: Option<FaultKind>,
+    pause: &dyn Fn(Duration) -> bool,
+) -> Result<Option<u64>> {
+    match fault {
+        Some(FaultKind::Straggle { delay_ms }) if !pause(Duration::from_millis(delay_ms)) => {
+            Err(MrError::Cancelled)
+        }
+        Some(FaultKind::Fail) => Err(MrError::Source(format!(
+            "injected failure: map {task} attempt {attempt}"
+        ))),
+        Some(FaultKind::SourceError { after_records }) => Ok(Some(after_records)),
+        _ => Ok(None),
+    }
+}
+
+/// The transient I/O error a `SourceError` fault injects once a map
+/// attempt has read `after` records.
+pub fn injected_source_error(task: MapTaskId, attempt: u32, after: u64) -> MrError {
+    MrError::Source(format!(
+        "injected transient I/O error: map {task} attempt {attempt} after {after} records"
+    ))
 }
 
 /// Records handed through the merge per [`GroupBatch`] fill: big

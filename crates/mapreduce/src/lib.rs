@@ -58,8 +58,8 @@ pub mod wire;
 pub use counters::{Counters, CountersSnapshot};
 pub use error::MrError;
 pub use executor::{
-    run_map_attempt, run_reduce_attempt, InProcessExecutor, ReduceSource, RemoteReduceError,
-    TaskExecutor,
+    begin_map_attempt, injected_source_error, run_map_attempt, run_reduce_attempt,
+    InProcessExecutor, ReduceSource, RemoteReduceError, TaskExecutor,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};

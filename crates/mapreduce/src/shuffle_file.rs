@@ -144,32 +144,62 @@ where
              (first record: {kw}-byte key, {vw}-byte value)"
         )));
     }
-    // One exactly-sized buffer: the header with its CRC field zeroed,
-    // then index and payload in place (contiguous, so the CRC covers
-    // both in one pass), then the CRC patched in.
-    let index_len = file.records.len().div_ceil(INDEX_INTERVAL);
-    let len = V3_HEADER_LEN + index_len * (kw + 8) + file.records.len() * (kw + vw);
+    Ok(write_v3(
+        file.raw_count,
+        file.records.len(),
+        kw,
+        vw,
+        |out| {
+            for (k, v) in &file.records {
+                (kc.write)(k, out);
+                (vc.write)(v, out);
+            }
+        },
+    ))
+}
+
+/// The one SMOF v3 writer: header, sparse key-offset index, payload
+/// and CRC, into one exactly-sized buffer. `rows` appends exactly
+/// `records` rows of `key_width + val_width` bytes each, in key order;
+/// the index is then filled from the written rows' keys and the CRC
+/// patched in, so a caller never lays out anything but its rows.
+///
+/// [`encode_map_output`] and the geometric map kernel of spec jobs
+/// both write through here.
+pub fn write_v3(
+    raw: u64,
+    records: usize,
+    key_width: usize,
+    val_width: usize,
+    rows: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let row = key_width + val_width;
+    let entry = key_width + 8;
+    let index_len = records.div_ceil(INDEX_INTERVAL);
+    let payload_off = V3_HEADER_LEN + index_len * entry;
+    let len = payload_off + records * row;
     let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION_V3.to_le_bytes());
-    out.extend_from_slice(&file.raw_count.to_le_bytes());
-    out.extend_from_slice(&(file.records.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(kw as u32).to_le_bytes());
-    out.extend_from_slice(&(vw as u32).to_le_bytes());
+    out.extend_from_slice(&raw.to_le_bytes());
+    out.extend_from_slice(&(records as u64).to_le_bytes());
+    out.extend_from_slice(&(key_width as u32).to_le_bytes());
+    out.extend_from_slice(&(val_width as u32).to_le_bytes());
     out.extend_from_slice(&(index_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0; 4]);
-    for (i, (k, _)) in file.records.iter().enumerate().step_by(INDEX_INTERVAL) {
-        (kc.write)(k, &mut out);
-        out.extend_from_slice(&(i as u64).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // CRC, patched in below
+    out.resize(payload_off, 0); // the index, filled once the rows exist
+    rows(&mut out);
+    assert_eq!(out.len(), len, "rows must fill exactly {records} records");
+    for e in 0..index_len {
+        let rec = e * INDEX_INTERVAL;
+        let at = V3_HEADER_LEN + e * entry;
+        let key = payload_off + rec * row;
+        out.copy_within(key..key + key_width, at);
+        out[at + key_width..at + entry].copy_from_slice(&(rec as u64).to_le_bytes());
     }
-    for (k, v) in &file.records {
-        (kc.write)(k, &mut out);
-        (vc.write)(v, &mut out);
-    }
-    debug_assert_eq!(out.len(), len);
     let crc = crc32(&out[V3_HEADER_LEN..]);
     out[CRC_OFF..V3_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-    Ok(out)
+    out
 }
 
 /// Decodes a SMOF byte buffer, verifying the CRC frame before decoding
@@ -341,36 +371,25 @@ pub fn verify_encoded(bytes: &[u8]) -> Result<()> {
     parse_v3_meta(bytes).map(drop)
 }
 
-/// Flips one payload byte in the file at `path` (fault injection: a
-/// silently corrupted intermediate file). Files with no payload get
-/// their stored CRC flipped instead, so the damage is always
-/// CRC-detectable.
-pub fn corrupt_payload(path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let mut bytes = std::fs::read(path).map_err(io_err)?;
-    if bytes.len() > V3_HEADER_LEN {
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-    } else if bytes.len() == V3_HEADER_LEN {
-        bytes[CRC_OFF] ^= 0xFF; // no payload to flip: damage the stored CRC itself
-    } else {
-        return Err(MrError::CorruptShuffle {
-            detail: "cannot corrupt a file shorter than its header".into(),
-        });
+/// Fault injection on an encoded buffer: flips its last byte (a
+/// silently corrupted intermediate file) or, with `truncate`, drops it
+/// (a map output cut short by a crashed writer). The last byte is
+/// payload, or the stored CRC when there is no payload, so the CRC
+/// frame catches either damage before a record is decoded.
+pub fn damage(bytes: &mut Vec<u8>, truncate: bool) {
+    if truncate {
+        bytes.pop();
+    } else if let Some(last) = bytes.last_mut() {
+        *last ^= 0xFF;
     }
-    std::fs::write(path, &bytes).map_err(io_err)?;
-    Ok(())
 }
 
-/// Truncates the file at `path` mid-payload (fault injection: a map
-/// output cut short by a crashed writer). Header-only files lose
-/// their last header byte, so the damage is always detectable.
-pub fn truncate_payload(path: impl AsRef<Path>) -> Result<()> {
+/// [`damage`] applied to the file at `path`.
+pub fn damage_file(path: impl AsRef<Path>, truncate: bool) -> Result<()> {
     let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(io_err)?;
-    let keep = bytes.len().saturating_sub(1);
-    std::fs::write(path, &bytes[..keep]).map_err(io_err)?;
-    Ok(())
+    let mut bytes = std::fs::read(path).map_err(io_err)?;
+    damage(&mut bytes, truncate);
+    std::fs::write(path, &bytes).map_err(io_err)
 }
 
 fn io_err(e: std::io::Error) -> MrError {
@@ -483,7 +502,7 @@ mod tests {
     #[test]
     fn bit_flip_detected_by_crc() {
         let path = sample_on_disk("bitflip");
-        corrupt_payload(&path).unwrap();
+        damage_file(&path, false).unwrap();
         assert!(matches!(
             decode_file(&path),
             Err(MrError::CorruptShuffle { .. })
@@ -494,7 +513,7 @@ mod tests {
     #[test]
     fn truncation_detected_by_crc() {
         let path = sample_on_disk("truncate");
-        truncate_payload(&path).unwrap();
+        damage_file(&path, true).unwrap();
         assert!(matches!(
             decode_file(&path),
             Err(MrError::CorruptShuffle { .. })
@@ -543,5 +562,23 @@ mod tests {
         assert_eq!(encoded.len(), V3_HEADER_LEN);
         let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
         assert!(back.records.is_empty());
+    }
+
+    #[test]
+    fn damage_is_caught_with_or_without_a_payload() {
+        let empty = MapOutputFile::<Coord, f64> {
+            records: Vec::new(),
+            raw_count: 0,
+        };
+        for file in [sample(), empty] {
+            for truncate in [false, true] {
+                let mut bytes = encode_map_output(&file).unwrap();
+                damage(&mut bytes, truncate);
+                assert!(matches!(
+                    decode_map_output::<Coord, f64>(&bytes),
+                    Err(MrError::CorruptShuffle { .. })
+                ));
+            }
+        }
     }
 }

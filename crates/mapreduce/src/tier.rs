@@ -127,12 +127,7 @@ impl SpillBackend for DiskBackend {
     }
 
     fn damage(&self, name: &str, truncate: bool) {
-        let path = self.path(name);
-        if truncate {
-            shuffle_file::truncate_payload(&path).ok();
-        } else {
-            shuffle_file::corrupt_payload(&path).ok();
-        }
+        shuffle_file::damage_file(self.path(name), truncate).ok();
     }
 }
 
@@ -185,11 +180,7 @@ impl SpillBackend for MemBackend {
     fn damage(&self, name: &str, truncate: bool) {
         let mut files = self.files.lock().unwrap();
         if let Some(bytes) = files.get_mut(name) {
-            if truncate {
-                bytes.pop();
-            } else if let Some(last) = bytes.last_mut() {
-                *last ^= 0xFF;
-            }
+            shuffle_file::damage(bytes, truncate);
         }
     }
 }

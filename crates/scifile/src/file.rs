@@ -77,6 +77,16 @@ impl ScincFile {
         })
     }
 
+    /// A second handle on the same open file (a duplicated
+    /// descriptor): readable even after the path is gone.
+    pub fn try_clone(&self) -> Result<Self> {
+        Ok(ScincFile {
+            file: self.file.try_clone()?,
+            metadata: self.metadata.clone(),
+            data_start: self.data_start,
+        })
+    }
+
     /// The file's structural metadata.
     pub fn metadata(&self) -> &Metadata {
         &self.metadata

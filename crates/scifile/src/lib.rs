@@ -35,7 +35,7 @@ mod file;
 pub use error::ScifileError;
 pub use file::ScincFile;
 pub use metadata::{DataType, Dimension, Metadata, Variable};
-pub use reader::SlabRecordReader;
+pub use reader::{read_chunks, SlabRecordReader};
 pub use value::{Element, Value};
 
 /// Convenience alias for results in this crate.

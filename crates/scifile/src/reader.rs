@@ -13,14 +13,28 @@ use crate::file::ScincFile;
 use crate::value::Element;
 use crate::Result;
 
-/// Streams `(Coord, E)` records of one slab of one variable, in
-/// row-major order, reading the file in bounded chunks.
+/// The chunks a split is read in, in reading order: at most 64 pieces
+/// cut along the slab's longest dimension (ties go to the leading one),
+/// so memory stays bounded by one chunk.
+///
+/// This is the one definition of a split's *record order*: chunk-major,
+/// each chunk row-major. When the longest dimension is not the leading
+/// one, that is not the slab's global row-major order. MapReduce
+/// correctness does not depend on record order within a Map task
+/// (§2.3), but the order in which equal keys' values reach a reducer
+/// does fix floating-point sums, so [`SlabRecordReader`] and the
+/// geometric map kernel of spec jobs both read through here.
+pub fn read_chunks(slab: &Slab) -> Vec<Slab> {
+    slab.split_along_longest(slab.shape()[0].min(64))
+}
+
+/// Streams `(Coord, E)` records of one slab of one variable, reading
+/// the file in bounded chunks, in [`read_chunks`] order.
 pub struct SlabRecordReader<'f, E: Element> {
     file: &'f ScincFile,
     variable: String,
     slab: Slab,
-    /// Outer-row chunks: the slab is processed one leading-dimension
-    /// row at a time so memory stays bounded by one row.
+    /// [`read_chunks`] of the slab, read one at a time.
     chunks: Vec<Slab>,
     next_chunk: usize,
     current: Vec<E>,
@@ -32,17 +46,7 @@ pub struct SlabRecordReader<'f, E: Element> {
 impl<'f, E: Element> SlabRecordReader<'f, E> {
     /// Opens a reader over `slab` of `variable`.
     pub fn new(file: &'f ScincFile, variable: &str, slab: Slab) -> Result<Self> {
-        // Chunk along the leading dimension to bound memory.
-        let rows = slab.shape()[0];
-        let chunks = slab.split_along_longest(rows.min(64));
-        // split_along_longest may pick a non-leading dim; that is fine
-        // — chunks are disjoint, cover the slab, and are iterated in
-        // order. For row-major *global* order we only need the chunk
-        // list sorted by corner, which split_along_longest guarantees
-        // when splitting the longest dimension. Record order within a
-        // Map task does not affect MapReduce correctness (§2.3), so a
-        // permuted chunk order would still be correct; we sort anyway
-        // so tests can rely on deterministic output.
+        let chunks = read_chunks(&slab);
         Ok(SlabRecordReader {
             file,
             variable: variable.to_string(),
@@ -165,6 +169,26 @@ mod tests {
             })
             .collect();
         assert_eq!(recs, expect);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn record_order_is_chunk_major() {
+        let path = temp_path("chunk-major");
+        let f = make_file(&path);
+        // {2,4}: the longer second dimension is cut in two, so the
+        // reader yields the left {2,2} chunk, then the right one.
+        let slab = Slab::new(Coord::from([0, 0]), Shape::new(vec![2, 4]).unwrap()).unwrap();
+        let chunks = read_chunks(&slab);
+        assert_eq!(chunks.len(), 2);
+        let keys: Vec<Coord> = read_records::<i64>(&f, "v", &slab)
+            .unwrap()
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
+        let expect: Vec<Coord> = chunks.iter().flat_map(Slab::iter_coords).collect();
+        assert_eq!(keys, expect);
+        assert_eq!(keys[2], Coord::from([1, 0]));
         std::fs::remove_file(&path).unwrap();
     }
 
