@@ -128,7 +128,9 @@ fn wire_path_allocation_invariants() {
     expected.extend_from_slice(&16u32.to_le_bytes()); // key width: two u64 words
     expected.extend_from_slice(&8u32.to_le_bytes()); // value width: one f64
     expected.extend_from_slice(&1u32.to_le_bytes()); // index entries
-    expected.extend_from_slice(&crc32(&body).to_le_bytes());
+                                                     // The CRC covers the 36 header bytes so far, then the body.
+    let crc = crc32(&[expected.as_slice(), &body].concat());
+    expected.extend_from_slice(&crc.to_le_bytes());
     expected.extend_from_slice(&body);
     let file = MapOutputFile {
         records: rows

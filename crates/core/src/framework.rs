@@ -1,7 +1,12 @@
 //! The framework facade: run one structural query on a SciNC dataset
 //! under any of the three frameworks the paper compares.
 //!
-//! | mode        | splits                 | partition        | barrier      | scheduling    |
+//! Every mode runs the same data path — the geometric map
+//! ([`crate::geomap`]), SMOF partitions in the engine's one in-process
+//! generation table, the in-place merge — and the modes differ only in
+//! their splits, the route each `K′` key takes and the barrier:
+//!
+//! | mode        | splits                 | route            | barrier      | scheduling    |
 //! |-------------|------------------------|------------------|--------------|---------------|
 //! | `Hadoop`    | naive byte-range-style | hash-modulo      | global       | maps first    |
 //! | `SciHadoop` | extraction-aligned     | hash-modulo      | global       | maps first    |
@@ -9,17 +14,15 @@
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
-    run_job, run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
-    InMemoryOutput, InputSplit, JobConfig, JobResult, OutputCollector, RetryPolicy, RoutingPlan,
-    SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
+    run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
+    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobResult, OutputCollector,
+    RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
 };
-use sidr_scifile::{DataType, Element, ScincFile};
+use sidr_scifile::ScincFile;
 
-use crate::exec::{ExecOptions, LocalExecutor, SpecExecutor};
-use crate::operators::OperatorReducer;
+use crate::exec::{ExecOptions, SpecExecutor};
 use crate::plan::SidrPlanner;
 use crate::query::StructuralQuery;
-use crate::source::{scinc_source_factory, StructuralMapper};
 use crate::spec::JobSpec;
 use crate::{Result, SidrError};
 
@@ -111,19 +114,78 @@ pub struct QueryOutcome {
     pub reducer_key_counts: Vec<u64>,
 }
 
-/// Runs `query` against `file` under the given framework mode.
+/// Runs `query` against `file` under the given framework mode: the
+/// mode's splits and plan, and the query's attempt bodies routed as the
+/// mode routes, on a slot pool of the run's own.
 pub fn run_query(
     file: &ScincFile,
     query: &StructuralQuery,
     opts: &RunOptions,
 ) -> Result<QueryOutcome> {
-    let var = file.metadata().variable(&query.variable)?;
-    match var.dtype {
-        DataType::I32 => run_typed::<i32>(file, query, opts),
-        DataType::I64 => run_typed::<i64>(file, query, opts),
-        DataType::F32 => run_typed::<f32>(file, query, opts),
-        DataType::F64 => run_typed::<f64>(file, query, opts),
-    }
+    let splits = generate_splits(file, query, opts.mode, opts.split_bytes)?;
+    let n = opts.num_reducers;
+    let (plan, reducer_key_counts): (Box<dyn RoutingPlan<Coord>>, Vec<u64>) = match opts.mode {
+        // Hash partitioning has no geometric key counts; weigh
+        // reducers equally.
+        FrameworkMode::Hadoop | FrameworkMode::SciHadoop => (
+            Box::new(DefaultPlan::<Coord, _>::new(CoordHashPartitioner, n)),
+            vec![1u64; n],
+        ),
+        FrameworkMode::Sidr => {
+            let mut planner = SidrPlanner::new(query, n);
+            if let Some(region) = &opts.priority_region {
+                planner = planner.prioritize_region(region.clone());
+            }
+            let plan = planner.build(&splits)?;
+            let counts = (0..n)
+                .map(|r| plan.partition().keyblock_key_count(r))
+                .collect::<Result<Vec<u64>>>()?;
+            (Box::new(plan), counts)
+        }
+    };
+    let config = JobConfig {
+        map_slots: opts.map_slots,
+        reduce_slots: opts.reduce_slots,
+        // Push-down breaks the geometric raw-count expectation.
+        validate_annotations: opts.validate_annotations
+            && pushdown_threshold(opts.filter_pushdown, query).is_none(),
+        fault_plan: opts.fault_plan.clone(),
+        retry: opts.retry,
+        volatile_intermediate: opts.volatile_intermediate,
+        speculation: SpeculationPolicy::default(),
+        deadline: None,
+    };
+    let exec_opts = ExecOptions {
+        filter_pushdown: opts.filter_pushdown,
+        ..ExecOptions::default()
+    };
+    let bodies = SpecExecutor::for_query(
+        file.try_clone()?,
+        query,
+        splits.clone(),
+        n,
+        opts.mode,
+        exec_opts,
+    )?;
+    let executor = InProcessExecutor::with_bodies(bodies, &config);
+    let pool = SlotPool::new(opts.map_slots, opts.reduce_slots)?;
+    let output = InMemoryOutput::<Coord, f64>::new();
+    let result = run_job_with_executor(
+        &splits,
+        plan.as_ref(),
+        &output,
+        &config,
+        &pool,
+        None,
+        &executor,
+    )?;
+    Ok(QueryOutcome {
+        mode: opts.mode,
+        records: output.sorted_records(),
+        result,
+        num_maps: splits.len(),
+        reducer_key_counts,
+    })
 }
 
 /// Generates the splits a mode would use (exposed for planning-only
@@ -154,86 +216,6 @@ pub fn generate_splits(
     Ok(splits)
 }
 
-fn run_typed<E: Element>(
-    file: &ScincFile,
-    query: &StructuralQuery,
-    opts: &RunOptions,
-) -> Result<QueryOutcome> {
-    let splits = generate_splits(file, query, opts.mode, opts.split_bytes)?;
-    let pushdown = pushdown_threshold(opts.filter_pushdown, query);
-    let mut mapper = StructuralMapper::for_query(query);
-    if let Some(threshold) = pushdown {
-        mapper = mapper.push_down_filter(threshold);
-    }
-    let reducer = OperatorReducer { op: query.operator };
-    let combiner = query.operator.combiner();
-    let output = InMemoryOutput::<Coord, f64>::new();
-    let config = JobConfig {
-        map_slots: opts.map_slots,
-        reduce_slots: opts.reduce_slots,
-        // Push-down breaks the geometric raw-count expectation.
-        validate_annotations: opts.validate_annotations && pushdown.is_none(),
-        fault_plan: opts.fault_plan.clone(),
-        retry: opts.retry,
-        volatile_intermediate: opts.volatile_intermediate,
-        speculation: SpeculationPolicy::default(),
-        deadline: None,
-    };
-    let source_factory = scinc_source_factory::<E>(file, &query.variable);
-
-    let (result, reducer_key_counts) = match opts.mode {
-        FrameworkMode::Hadoop | FrameworkMode::SciHadoop => {
-            let plan = DefaultPlan::<Coord, _>::new(CoordHashPartitioner, opts.num_reducers);
-            let r = run_job(
-                &splits,
-                &source_factory,
-                &mapper,
-                combiner
-                    .as_ref()
-                    .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
-                &reducer,
-                &plan,
-                &output,
-                &config,
-            )?;
-            // Hash partitioning has no geometric key counts; weigh
-            // reducers equally.
-            (r, vec![1u64; opts.num_reducers])
-        }
-        FrameworkMode::Sidr => {
-            let mut planner = SidrPlanner::new(query, opts.num_reducers);
-            if let Some(region) = &opts.priority_region {
-                planner = planner.prioritize_region(region.clone());
-            }
-            let plan = planner.build(&splits)?;
-            let counts = (0..opts.num_reducers)
-                .map(|r| plan.partition().keyblock_key_count(r))
-                .collect::<Result<Vec<u64>>>()?;
-            let r = run_job(
-                &splits,
-                &source_factory,
-                &mapper,
-                combiner
-                    .as_ref()
-                    .map(|c| c as &dyn sidr_mapreduce::Combiner<Key = Coord, Value = f64>),
-                &reducer,
-                &plan as &dyn RoutingPlan<Coord>,
-                &output,
-                &config,
-            )?;
-            (r, counts)
-        }
-    };
-
-    Ok(QueryOutcome {
-        mode: opts.mode,
-        records: output.sorted_records(),
-        result,
-        num_maps: splits.len(),
-        reducer_key_counts,
-    })
-}
-
 /// Options for executing a pre-serialized [`JobSpec`] (the serving
 /// path): the per-submission knobs that are not part of the spec
 /// itself. The job's policy — retry budget, speculation, deadline —
@@ -261,9 +243,9 @@ pub struct SpecRunOptions {
 /// its reduce finishes.
 ///
 /// Attempts run in this process through the bodies a `sidr-worker`
-/// runs ([`SpecExecutor`]): maps by geometry, and every committed
-/// partition kept as the SMOF bytes a worker's store would hold, so
-/// the engine and the fleet share one data path.
+/// runs ([`SpecExecutor`]), and the engine's in-process executor keeps
+/// every committed partition as the SMOF bytes a worker's store would
+/// hold, so the engine and the fleet share one data path.
 ///
 /// This is the multi-tenant serving entry point: the spec's own splits
 /// are used verbatim (the wire contract — what `sidr plan --spec`
@@ -280,15 +262,33 @@ pub fn run_spec_on_pool(
     pool: &SlotPool,
     cancel: Option<&CancelToken>,
 ) -> Result<JobResult> {
+    let query = spec.query()?;
+    let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
+    // The engine hands each reduce the plan's tally when the run
+    // validates, and applies the fault script; the bodies add neither.
     let exec_opts = ExecOptions {
-        // The engine hands each reduce the plan's tally when the run
-        // validates; the executor adds no check of its own.
-        validate_annotations: false,
         filter_pushdown: opts.filter_pushdown,
-        fault_plan: opts.fault_plan.clone(),
+        ..ExecOptions::default()
     };
-    let exec = SpecExecutor::with_file(file.try_clone()?, spec.clone(), exec_opts)?;
-    run_spec_with_executor(spec, opts, output, pool, cancel, &LocalExecutor::new(&exec))
+    let (splits, n) = (spec.splits.clone(), spec.num_reducers);
+    let bodies = SpecExecutor::for_query(
+        file.try_clone()?,
+        &query,
+        splits,
+        n,
+        FrameworkMode::Sidr,
+        exec_opts,
+    )?;
+    let executor = InProcessExecutor::with_bodies(bodies, &config);
+    Ok(run_job_with_executor(
+        &spec.splits,
+        &plan,
+        output,
+        &config,
+        pool,
+        cancel,
+        &executor,
+    )?)
 }
 
 /// Executes a serialized job submission with its task attempts

@@ -1,12 +1,16 @@
-//! Map by geometry: a spec job's map attempt, computed from the split's
-//! slab, the extraction tiling and `partition+` instead of record by
+//! Map by geometry: the map attempt of every structural query, in
+//! every framework mode, computed from the split's slab, the extraction
+//! tiling and the mode's partition function instead of record by
 //! record.
 //!
-//! A split *is* its key set `K_Tᵢ` (§2.4.1), `K → K′` is a fixed
-//! extraction (§3 Area 2), and `partition+` deals contiguous runs of a
-//! `K′ᵀ` known before any map runs (§3.1). So where each record of a
-//! map attempt goes — which `K′` key, which reducer, which row of which
-//! partition — follows from geometry; only the values are data.
+//! A split *is* its key set `K_Tᵢ` (§2.4.1) and `K → K′` is a fixed
+//! extraction (§3 Area 2), so which `K′` key each record of a map
+//! attempt feeds follows from geometry; the partition function then
+//! needs only that key (`partition+` deals contiguous runs of a `K′ᵀ`
+//! known before any map runs, §3.1; the stock hash reads its
+//! components). Where each record goes — which key, which reducer,
+//! which row of which partition — is decided per key, and only the
+//! values are data.
 //! [`map_split`]:
 //!
 //! 1. reads the split in [`read_chunks`] order and gives each record
@@ -17,14 +21,16 @@
 //!    outside the query region and push-down filter misses get none;
 //! 2. counting-sorts the values by image index, in place and stably
 //!    (a key's values keep reader order);
-//! 3. computes `partition+` once per image key, not once per record;
+//! 3. routes once per image key, not once per record: `partition+`
+//!    under SIDR, the stock hash-modulo under Hadoop and SciHadoop;
 //! 4. folds each key run through the combiner, if any, and writes each
 //!    reducer's partition through the one SMOF v3 writer
 //!    ([`write_v3`]).
 //!
 //! The bytes are exactly those of the per-record path —
-//! `run_map_attempt` over a [`StructuralMapper`] and `partition+`, then
-//! `encode_map_output` — which `tests/geomap.rs` pins. Transient memory
+//! `run_map_attempt` over a [`StructuralMapper`] and the same partition
+//! function, then `encode_map_output` — which `tests/geomap.rs` pins
+//! for both routes. Transient memory
 //! is 12 bytes per kept record (a `u32` image index and the `f64`
 //! value) and 12 per image key, where the per-record path holds a
 //! `(Coord, f64)` row and a heap-allocated key per record (≈ 56 bytes
@@ -38,7 +44,6 @@ use sidr_mapreduce::{Combiner, MrError};
 use sidr_scifile::{read_chunks, Element, ScincFile};
 
 use crate::exec::MapAttemptOutput;
-use crate::partition_plus::PartitionPlus;
 use crate::source::StructuralMapper;
 
 /// Table entry of a split position that maps to no image key. Any sum
@@ -49,18 +54,21 @@ const NONE: u64 = 1 << 48;
 /// Packed width of an `f64` value.
 const VALUE_WIDTH: usize = 8;
 
-/// Runs the map side of one split: what `mapper` and `partition` make
-/// of the records of `split` (absolute coordinates in `variable`'s
-/// space), as one encoded SMOF v3 partition per non-empty reducer.
+/// Runs the map side of one split: what `mapper` makes of the records
+/// of `split` (absolute coordinates in `variable`'s space), routed to
+/// one of `num_reducers` by `keyblock_of` (a `K′` key's components →
+/// its reducer), as one encoded SMOF v3 partition per non-empty
+/// reducer.
 pub fn map_split<E: Element>(
     file: &ScincFile,
     variable: &str,
     split: &Slab,
     mapper: &StructuralMapper,
-    partition: &PartitionPlus,
+    num_reducers: usize,
+    keyblock_of: impl Fn(&[u64]) -> usize,
     combiner: Option<&dyn Combiner<Key = Coord, Value = f64>>,
 ) -> crate::Result<MapAttemptOutput> {
-    debug_assert!(!mapper.corner_keys, "partition+ routes normalized K' keys");
+    debug_assert!(!mapper.corner_keys, "the kernel routes normalized K' keys");
     let records_in = split.count();
     let mut out = MapAttemptOutput {
         partitions: Vec::new(),
@@ -74,13 +82,13 @@ pub fn map_split<E: Element>(
     let sorted = image.scan::<E>(file, variable, split, mapper.predicate_gt)?;
     out.records_out = sorted.values.len() as u64;
 
-    // partition+ once per image key: each reducer's keys, in key order.
-    let mut raw = vec![0u64; partition.num_reducers()];
-    let mut keys_of: Vec<Vec<u32>> = vec![Vec::new(); partition.num_reducers()];
+    // Route once per image key: each reducer's keys, in key order.
+    let mut raw = vec![0u64; num_reducers];
+    let mut keys_of: Vec<Vec<u32>> = vec![Vec::new(); num_reducers];
     let mut key = image.corner.clone();
     for (i, &count) in sorted.counts.iter().enumerate() {
         if count > 0 {
-            let r = partition.keyblock_of(&key);
+            let r = keyblock_of(&key);
             raw[r] += u64::from(count);
             keys_of[r].push(i as u32);
         }

@@ -3,10 +3,12 @@
 //! For random geometries — rank 1–4, strided and unstrided extractions
 //! with discarded partial instances, a query region off the origin,
 //! filter push-down, every element type, misaligned splits and any
-//! reducer count — `geomap::map_split` must produce exactly the
-//! `(reducer, bytes)` that `run_map_attempt` over a `StructuralMapper`
-//! and `partition+` followed by `encode_map_output` produces, with the
-//! same record tallies and raw-count annotations.
+//! reducer count — and under both routes (SIDR's `partition+` and the
+//! stock hash of Hadoop and SciHadoop), `geomap::map_split` must
+//! produce exactly the `(reducer, bytes)` that `run_map_attempt` over a
+//! `StructuralMapper` and the same partition function followed by
+//! `encode_map_output` produces, with the same record tallies and
+//! raw-count annotations.
 
 use proptest::prelude::*;
 use sidr_coords::{Coord, Shape, Slab};
@@ -14,7 +16,10 @@ use sidr_core::geomap::map_split;
 use sidr_core::source::{ScincRecordSource, StructuralMapper};
 use sidr_core::{Operator, PartitionPlus, StructuralQuery};
 use sidr_mapreduce::shuffle_file::encode_map_output;
-use sidr_mapreduce::{run_map_attempt, Combiner, Counters, DefaultPlan, InputSplit, Smof3View};
+use sidr_mapreduce::{
+    run_map_attempt, Combiner, CoordHashPartitioner, Counters, DefaultPlan, InputSplit,
+    RoutingPlan, Smof3View,
+};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::{Element, ScincFile};
 
@@ -121,7 +126,8 @@ fn query(c: &Case) -> StructuralQuery {
 const LO: f64 = 500.0;
 const HI: f64 = 1500.0;
 
-/// Both map paths over one case; panics with the case on a mismatch.
+/// Both map paths over one case, under both routes; panics with the
+/// case on a mismatch.
 fn check<E: Element>(c: &Case, file: &ScincFile) {
     let query = query(c);
     let mut mapper = StructuralMapper::for_query(&query);
@@ -129,6 +135,31 @@ fn check<E: Element>(c: &Case, file: &ScincFile) {
         mapper = mapper.push_down_filter(-LO + fraction * (HI + LO));
     }
     let partition = PartitionPlus::for_query(&query, c.reducers).unwrap();
+    let n = c.reducers;
+    let sidr = DefaultPlan::new(partition.clone(), n);
+    check_route::<E>(
+        c,
+        file,
+        &mapper,
+        &sidr,
+        &|k| partition.keyblock_of(k),
+        "partition+",
+    );
+    let hash = DefaultPlan::new(CoordHashPartitioner, n);
+    let hash_route = |k: &[u64]| CoordHashPartitioner::keyblock_of(k, n);
+    check_route::<E>(c, file, &mapper, &hash, &hash_route, "hash");
+}
+
+/// Both map paths over one case under one route: `plan` routes the
+/// per-record path, `keyblock_of` the kernel.
+fn check_route<E: Element>(
+    c: &Case,
+    file: &ScincFile,
+    mapper: &StructuralMapper,
+    plan: &dyn RoutingPlan<Coord>,
+    keyblock_of: &dyn Fn(&[u64]) -> usize,
+    route: &str,
+) {
     let combiner = c.operator.combiner();
     let combiner = combiner
         .as_ref()
@@ -140,15 +171,14 @@ fn check<E: Element>(c: &Case, file: &ScincFile) {
     };
 
     let counters = Counters::default();
-    let plan = DefaultPlan::new(partition.clone(), c.reducers);
     let per_record: Vec<(usize, Vec<u8>)> = run_map_attempt(
         0,
         0,
         None,
         || ScincRecordSource::<E>::open(file, "v", &split),
-        &mapper,
+        mapper,
         combiner,
-        &plan,
+        plan,
         &counters,
         &|_| true,
     )
@@ -158,21 +188,33 @@ fn check<E: Element>(c: &Case, file: &ScincFile) {
     .collect();
     let tally = counters.snapshot();
 
-    let kernel = map_split::<E>(file, "v", &split.slab, &mapper, &partition, combiner).unwrap();
-    assert_eq!(kernel.records_in, tally.map_records_in, "records_in: {c:?}");
+    let kernel = map_split::<E>(
+        file,
+        "v",
+        &split.slab,
+        mapper,
+        c.reducers,
+        keyblock_of,
+        combiner,
+    )
+    .unwrap();
+    assert_eq!(
+        kernel.records_in, tally.map_records_in,
+        "{route} records_in: {c:?}"
+    );
     assert_eq!(
         kernel.records_out, tally.map_records_out,
-        "records_out: {c:?}"
+        "{route} records_out: {c:?}"
     );
     assert_eq!(
         kernel.records_combined, tally.combined_records,
-        "combined records: {c:?}"
+        "{route} combined records: {c:?}"
     );
     let reducers = |p: &[(usize, Vec<u8>)]| p.iter().map(|(r, _)| *r).collect::<Vec<_>>();
     assert_eq!(
         reducers(&kernel.partitions),
         reducers(&per_record),
-        "non-empty partitions: {c:?}"
+        "{route} non-empty partitions: {c:?}"
     );
     for ((r, got), (_, want)) in kernel.partitions.iter().zip(&per_record) {
         let raw = |b: &Vec<u8>| {
@@ -181,8 +223,8 @@ fn check<E: Element>(c: &Case, file: &ScincFile) {
                 .expect("a v3 buffer")
                 .raw_count()
         };
-        assert_eq!(raw(got), raw(want), "reducer {r} annotation: {c:?}");
-        assert!(got == want, "reducer {r} bytes differ: {c:?}");
+        assert_eq!(raw(got), raw(want), "{route} reducer {r} annotation: {c:?}");
+        assert!(got == want, "{route} reducer {r} bytes differ: {c:?}");
     }
 }
 

@@ -7,17 +7,19 @@
 //! [`TaskExecutor`] and interprets the outcome in one fault
 //! vocabulary. Two executors exist. [`InProcessExecutor`] runs
 //! attempts inside the scheduling process and keeps each committed
-//! map generation in a table keyed by `(map, attempt)`; the serving
+//! map generation in one table keyed by `(map, attempt)`; the serving
 //! layer's fleet coordinator dispatches them to `sidr-worker`
-//! processes. Both run the same attempt bodies, [`run_map_attempt`]
-//! and [`run_reduce_attempt`].
+//! processes.
 //!
-//! Payload representation is chosen where the data is consumed: typed
-//! and resident (`Arc<MapOutputFile>`) inside one process — the
-//! in-process executor has no byte encoding and touches no disk —
-//! and CRC-framed SMOF v3 bytes in a worker's
-//! [`PartitionStore`](crate::tier::PartitionStore) only when a
-//! partition crosses a disk or a socket (the fleet).
+//! A committed partition is CRC-framed SMOF v3 bytes everywhere: in
+//! the in-process table as in a worker's
+//! [`PartitionStore`](crate::tier::PartitionStore), and a reduce
+//! merges [`Smof3View`]s of those bytes in place
+//! ([`run_reduce_attempt`]). What writes the bytes is a pair of
+//! [`AttemptBodies`]: a generic `run_job` job's per-record
+//! [`run_map_attempt`] followed by [`encode_map_output`], or a spec
+//! job's geometric map (`sidr_core::SpecExecutor`, which a worker runs
+//! too).
 //!
 //! A lost generation — a dead worker, a consumed volatile partition, a
 //! failed CRC — surfaces as [`RemoteReduceError::SourcesLost`]: the
@@ -33,10 +35,13 @@ use crate::error::MrError;
 use crate::fault::FaultKind;
 use crate::plan::RoutingPlan;
 use crate::runtime::JobConfig;
-use crate::shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
+use crate::shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter};
+use crate::shuffle_file::{damage, encode_map_output};
+use crate::smof3::Smof3View;
 use crate::split::{InputSplit, MapTaskId};
 use crate::sync::Mutex;
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
+use crate::wire::WireFormat;
 use crate::Result;
 
 /// One source partition of a reduce attempt: which map attempt's
@@ -195,7 +200,7 @@ pub fn injected_source_error(task: MapTaskId, attempt: u32, after: u64) -> MrErr
 /// ⟨coord, f64⟩ stays cache-resident.
 const REDUCE_BATCH_RECORDS: usize = 4096;
 
-/// The reduce attempt body: open a merge cursor per input **in the
+/// The reduce attempt body: open a merge cursor per input view **in the
 /// given order** (the plan's fetch order breaks ties between equal
 /// keys, which is what keeps output byte-identical wherever the
 /// attempt runs) → §3.2.1 annotation tally → batched merge → reduce
@@ -206,7 +211,7 @@ const REDUCE_BATCH_RECORDS: usize = 4096;
 /// materialized — but the output is only handed on whole.
 pub fn run_reduce_attempt<K, V, V3>(
     reducer: usize,
-    inputs: Vec<MergeSource<K, V>>,
+    inputs: Vec<Smof3View<K, V>>,
     expected_raw: Option<u64>,
     reducer_fn: &dyn Reducer<Key = K, InValue = V, OutValue = V3>,
 ) -> Result<Vec<(K, V3)>>
@@ -219,7 +224,7 @@ where
     let mut actual = 0u64;
     for input in inputs {
         actual += input.raw_count();
-        merge.push(input);
+        merge.push_frame(input);
     }
     // Starting with less input than the geometry promises would
     // produce "an answer based on insufficient input" (§3.2.1
@@ -248,27 +253,47 @@ where
     Ok(out)
 }
 
-/// One committed partition of a generation.
-enum Partition<K, V> {
-    /// Typed and resident: handed to reducers by `Arc`.
-    Resident(Arc<MapOutputFile<K, V>>),
-    /// Consumed by a volatile fetch, or damaged: lost, *not* empty.
-    Gone,
+/// The two attempt bodies an [`InProcessExecutor`] runs: a map attempt
+/// that leaves its partitions as encoded SMOF v3 bytes, and a reduce
+/// attempt over views of those bytes.
+pub trait AttemptBodies: Sync {
+    /// The intermediate key.
+    type Key: MrKey + WireFormat;
+    /// The intermediate value.
+    type Value: MrValue + WireFormat;
+    /// The reduce output value.
+    type Out: MrValue;
+
+    /// Runs map attempt `(task, attempt)` over `split` under its
+    /// injected `fault` (see [`begin_map_attempt`]). Returns the
+    /// non-empty partitions `(reducer, bytes)`; `counters` receives the
+    /// record tallies.
+    fn map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        fault: Option<FaultKind>,
+        split: &InputSplit,
+        counters: &Counters,
+        pause: &dyn Fn(Duration) -> bool,
+    ) -> Result<Vec<(usize, Vec<u8>)>>;
+
+    /// Reduces one keyblock over its sources' views, in fetch order,
+    /// checking the §3.2.1 tally against `expected_raw` when given.
+    fn reduce(
+        &self,
+        reducer: usize,
+        inputs: Vec<Smof3View<Self::Key, Self::Value>>,
+        expected_raw: Option<u64>,
+    ) -> Result<Vec<(Self::Key, Self::Out)>>;
 }
 
-/// One committed map generation's partitions by reducer; a reducer
-/// with no entry got nothing from this map.
-type Generation<K, V> = HashMap<usize, Partition<K, V>>;
-
-/// The in-process executor: attempts run on the scheduler's own
-/// worker threads, and committed map output stays in this process.
-///
-/// Generations are keyed by `(map, attempt)`, so a speculative loser
-/// or a superseded re-execution can never overwrite what a reducer was
-/// promised — it just sits unbound until the job ends. One executor
-/// serves one job; dropping it drops everything the job still holds,
-/// however the job ended.
-pub struct InProcessExecutor<'a, K1, V1, K2, V2, V3, SF>
+/// A generic `run_job` job's attempt bodies: the per-record
+/// [`run_map_attempt`] over its record source, user functions and
+/// partition function, each partition then written by
+/// [`encode_map_output`]; and [`run_reduce_attempt`] with its reduce
+/// function.
+pub struct JobBodies<'a, K1, V1, K2, V2, V3, SF>
 where
     K1: MrKey,
     V1: MrValue,
@@ -281,12 +306,83 @@ where
     combiner: Option<&'a dyn Combiner<Key = K2, Value = V2>>,
     reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
     plan: &'a dyn RoutingPlan<K2>,
-    config: &'a JobConfig,
-    /// Committed generations, `(map, attempt)` → partitions.
-    table: Mutex<HashMap<(MapTaskId, u32), Generation<K2, V2>>>,
 }
 
-impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, K1, V1, K2, V2, V3, SF>
+impl<K1, V1, K2, V2, V3, SF, S> AttemptBodies for JobBodies<'_, K1, V1, K2, V2, V3, SF>
+where
+    K1: MrKey,
+    V1: MrValue,
+    K2: MrKey + WireFormat,
+    V2: MrValue + WireFormat,
+    V3: MrValue,
+    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
+    S: RecordSource<Key = K1, Value = V1>,
+{
+    type Key = K2;
+    type Value = V2;
+    type Out = V3;
+
+    fn map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        fault: Option<FaultKind>,
+        split: &InputSplit,
+        counters: &Counters,
+        pause: &dyn Fn(Duration) -> bool,
+    ) -> Result<Vec<(usize, Vec<u8>)>> {
+        let files = run_map_attempt(
+            task,
+            attempt,
+            fault,
+            || (self.source_factory)(task, split),
+            self.mapper,
+            self.combiner,
+            self.plan,
+            counters,
+            pause,
+        )?;
+        (files.into_iter())
+            .map(|(reducer, file)| Ok((reducer, encode_map_output(&file)?)))
+            .collect()
+    }
+
+    fn reduce(
+        &self,
+        reducer: usize,
+        inputs: Vec<Smof3View<K2, V2>>,
+        expected_raw: Option<u64>,
+    ) -> Result<Vec<(K2, V3)>> {
+        run_reduce_attempt(reducer, inputs, expected_raw, self.reducer)
+    }
+}
+
+/// One committed map generation's partitions by reducer, as SMOF
+/// bytes. `None` marks a partition a volatile fetch consumed: lost,
+/// not empty. A reducer with no entry got nothing from this map.
+type Generation = Vec<(usize, Option<Arc<Vec<u8>>>)>;
+
+/// The in-process executor: attempts run on the scheduler's own
+/// worker threads through a pair of [`AttemptBodies`], and committed
+/// map output stays in this process as the bytes a worker's store
+/// would hold.
+///
+/// Generations are keyed by `(map, attempt)`, so a speculative loser
+/// or a superseded re-execution can never overwrite what a reducer was
+/// promised — it just sits unbound until the job ends. An injected
+/// `CorruptOutput` or `TruncateOutput` damages the committed bytes;
+/// the reduce that fetches them fails their CRC and reports exactly
+/// that map lost. One executor serves one job; dropping it drops
+/// everything the job still holds, however the job ended.
+pub struct InProcessExecutor<'a, B> {
+    bodies: B,
+    /// Fault script and `volatile_intermediate`.
+    config: &'a JobConfig,
+    /// Committed generations, `(map, attempt)` → partitions.
+    table: Mutex<HashMap<(MapTaskId, u32), Generation>>,
+}
+
+impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, JobBodies<'a, K1, V1, K2, V2, V3, SF>>
 where
     K1: MrKey,
     V1: MrValue,
@@ -294,6 +390,7 @@ where
     V2: MrValue,
     V3: MrValue,
 {
+    /// The executor of a generic job:
     /// * `source_factory` — opens the RecordReader for a split,
     /// * `mapper` / `combiner` / `reducer` — the user functions,
     /// * `plan` — the partition function,
@@ -306,12 +403,23 @@ where
         plan: &'a dyn RoutingPlan<K2>,
         config: &'a JobConfig,
     ) -> Self {
-        InProcessExecutor {
+        let bodies = JobBodies {
             source_factory,
             mapper,
             combiner,
             reducer,
             plan,
+        };
+        Self::with_bodies(bodies, config)
+    }
+}
+
+impl<'a, B> InProcessExecutor<'a, B> {
+    /// An executor running `bodies` under `config`'s fault script and
+    /// `volatile_intermediate`.
+    pub fn with_bodies(bodies: B, config: &'a JobConfig) -> Self {
+        InProcessExecutor {
+            bodies,
             config,
             table: Mutex::new(HashMap::new()),
         }
@@ -328,17 +436,7 @@ where
     }
 }
 
-impl<K1, V1, K2, V2, V3, SF, S> TaskExecutor<K2, V3>
-    for InProcessExecutor<'_, K1, V1, K2, V2, V3, SF>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
+impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B> {
     fn execute_map(
         &self,
         task: MapTaskId,
@@ -349,34 +447,20 @@ where
         pause: &dyn Fn(Duration) -> bool,
     ) -> Result<()> {
         let fault = self.config.fault_plan.map_fault(task, attempt);
-        let files = run_map_attempt(
-            task,
-            attempt,
-            fault,
-            || (self.source_factory)(task, split),
-            self.mapper,
-            self.combiner,
-            self.plan,
-            counters,
-            pause,
-        )?;
-        // Post-commit damage: the attempt "succeeds", the loss is
-        // found only when a reduce fetches. A typed resident payload
-        // has no CRC to fail, so a damaged partition is recorded as
-        // gone.
-        let damaged = matches!(
-            fault,
-            Some(FaultKind::CorruptOutput | FaultKind::TruncateOutput)
-        );
-        let generation = files
-            .into_iter()
-            .map(|(reducer, file)| {
-                let partition = if damaged {
-                    Partition::Gone
-                } else {
-                    Partition::Resident(Arc::new(file))
-                };
-                (reducer, partition)
+        let partitions = (self.bodies).map(task, attempt, fault, split, counters, pause)?;
+        // Post-commit damage: the attempt succeeds; the loss is found
+        // when a reduce fetches the bytes.
+        let truncate = match fault {
+            Some(FaultKind::CorruptOutput) => Some(false),
+            Some(FaultKind::TruncateOutput) => Some(true),
+            _ => None,
+        };
+        let generation = (partitions.into_iter())
+            .map(|(reducer, mut bytes)| {
+                if let Some(truncate) = truncate {
+                    damage(&mut bytes, truncate);
+                }
+                (reducer, Some(Arc::new(bytes)))
             })
             .collect();
         self.table.lock().insert((task, attempt), generation);
@@ -390,44 +474,51 @@ where
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
         counters: &Counters,
-    ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError> {
-        let mut inputs = Vec::with_capacity(sources.len());
+    ) -> std::result::Result<Vec<(B::Key, B::Out)>, RemoteReduceError> {
+        // Each source's partition for this reducer, in fetch order;
+        // `None` when its generation is missing or was consumed.
+        let held: Vec<(MapTaskId, Option<Arc<Vec<u8>>>)> = {
+            let table = self.table.lock();
+            (sources.iter())
+                .filter_map(|s| match table.get(&(s.map, s.epoch)) {
+                    None => Some((s.map, None)),
+                    Some(generation) => (generation.iter())
+                        .find(|(r, _)| *r == reducer)
+                        .map(|(_, bytes)| (s.map, bytes.clone())),
+                })
+                .collect()
+        };
+        let mut inputs = Vec::with_capacity(held.len());
         let mut lost = Vec::new();
-        {
-            // One critical section: either every source is present
-            // and, under volatile data, consumed together, or nothing
-            // is touched and the lost maps are reported.
+        for (map, bytes) in held {
+            match bytes.map(Smof3View::open) {
+                Some(Ok(view)) => inputs.push(view),
+                // A failed CRC: the partition is lost, not the job.
+                None | Some(Err(MrError::CorruptShuffle { .. })) => lost.push(map),
+                Some(Err(e)) => return Err(RemoteReduceError::Fatal(e)),
+            }
+        }
+        // Either every source is sound and, under volatile data, they
+        // are consumed together, or nothing is touched and the lost
+        // maps are reported.
+        if !lost.is_empty() {
+            return Err(RemoteReduceError::SourcesLost(lost));
+        }
+        if self.config.volatile_intermediate {
             let mut table = self.table.lock();
             for s in sources {
-                let Some(generation) = table.get(&(s.map, s.epoch)) else {
-                    lost.push(s.map);
-                    continue;
-                };
-                match generation.get(&reducer) {
-                    None => {} // this map produced nothing for this reducer
-                    Some(Partition::Resident(file)) => {
-                        inputs.push(MergeSource::File(Arc::clone(file)))
-                    }
-                    Some(Partition::Gone) => lost.push(s.map),
-                }
-            }
-            if !lost.is_empty() {
-                return Err(RemoteReduceError::SourcesLost(lost));
-            }
-            if self.config.volatile_intermediate {
-                for s in sources {
-                    let partition = table
-                        .get_mut(&(s.map, s.epoch))
-                        .and_then(|generation| generation.get_mut(&reducer));
-                    if let Some(partition) = partition {
-                        *partition = Partition::Gone;
+                let generation = table.get_mut(&(s.map, s.epoch));
+                for (r, bytes) in generation.into_iter().flatten() {
+                    if *r == reducer {
+                        *bytes = None;
                     }
                 }
             }
         }
-        let records: usize = inputs.iter().map(MergeSource::len).sum();
+        let records: usize = inputs.iter().map(Smof3View::records).sum();
         Counters::add(&counters.shuffled_records, records as u64);
-        run_reduce_attempt(reducer, inputs, expected_raw, self.reducer)
+        (self.bodies)
+            .reduce(reducer, inputs, expected_raw)
             .map_err(RemoteReduceError::Fatal)
     }
 }

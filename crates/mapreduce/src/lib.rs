@@ -14,8 +14,9 @@
 //! * **Shuffle** ([`shuffle`]) — per-(map, reducer) output files with
 //!   count annotations (§3.2.1) and the streaming sort-merge,
 //! * **Task execution** ([`executor`]) — the seam the scheduler hands
-//!   attempts through: the shared map/reduce attempt bodies, the
-//!   in-process executor, and the trait a worker fleet implements,
+//!   attempts through: the map/reduce attempt bodies, the in-process
+//!   executor with its one table of SMOF-encoded map generations, and
+//!   the trait a worker fleet implements,
 //! * **Barrier & scheduling policy** ([`plan`]) — the global MapReduce
 //!   barrier, or per-reducer dependency barriers with SIDR's inverted
 //!   reduce-first scheduling (§3.2–3.3),
@@ -58,7 +59,7 @@ pub mod wire;
 pub use counters::{Counters, CountersSnapshot};
 pub use error::MrError;
 pub use executor::{
-    begin_map_attempt, injected_source_error, run_map_attempt, run_reduce_attempt,
+    begin_map_attempt, injected_source_error, run_map_attempt, run_reduce_attempt, AttemptBodies,
     InProcessExecutor, ReduceSource, RemoteReduceError, TaskExecutor,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
@@ -66,7 +67,7 @@ pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
 pub use plan::{DefaultPlan, RoutingPlan};
 pub use runtime::{run_job, run_job_shared, run_job_with_executor, JobConfig, JobResult};
-pub use shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, MergeSource};
+pub use shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter};
 pub use slots::{CancelToken, CancelWake, Semaphore, SlotOccupancy, SlotPool, WakerRegistration};
 pub use smof3::Smof3View;
 pub use speculation::SpeculationPolicy;

@@ -28,18 +28,23 @@ pub trait Partitioner<K>: Send + Sync {
 pub struct CoordHashPartitioner;
 
 impl CoordHashPartitioner {
-    /// Java-style `h = 31·h + c` over the components.
-    pub fn hash_code(key: &Coord) -> u64 {
-        key.components()
-            .iter()
+    /// Java-style `h = 31·h + c` over a key's components.
+    pub fn hash_code(key: &[u64]) -> u64 {
+        key.iter()
             .fold(1u64, |h, &c| h.wrapping_mul(31).wrapping_add(c))
+    }
+
+    /// The keyblock of a key given by its components: the hash modulo
+    /// the reducer count.
+    pub fn keyblock_of(key: &[u64], num_reducers: usize) -> usize {
+        debug_assert!(num_reducers > 0);
+        (Self::hash_code(key) % num_reducers as u64) as usize
     }
 }
 
 impl Partitioner<Coord> for CoordHashPartitioner {
     fn partition(&self, key: &Coord, num_reducers: usize) -> usize {
-        debug_assert!(num_reducers > 0);
-        (Self::hash_code(key) % num_reducers as u64) as usize
+        Self::keyblock_of(key.components(), num_reducers)
     }
 }
 

@@ -47,6 +47,7 @@ use crate::speculation::SpeculationPolicy;
 use crate::split::{InputSplit, MapTaskId};
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
 use crate::timeline::{TaskEvent, TaskKind, Timeline};
+use crate::wire::WireFormat;
 use crate::Result;
 
 /// Runtime configuration.
@@ -256,8 +257,8 @@ pub fn run_job<K1, V1, K2, V2, V3, SF, S>(
 where
     K1: MrKey,
     V1: MrValue,
-    K2: MrKey,
-    V2: MrValue,
+    K2: MrKey + WireFormat,
+    V2: MrValue + WireFormat,
     V3: MrValue,
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,
@@ -302,8 +303,8 @@ pub fn run_job_shared<K1, V1, K2, V2, V3, SF, S>(
 where
     K1: MrKey,
     V1: MrValue,
-    K2: MrKey,
-    V2: MrValue,
+    K2: MrKey + WireFormat,
+    V2: MrValue + WireFormat,
     V3: MrValue,
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,

@@ -7,16 +7,15 @@
 //! cross-check SIDR uses to validate that starting early never
 //! consumes insufficient input.
 //!
-//! Everything here is typed and in memory: the builder never touches a
-//! disk. Where a committed file lives and how a reducer gets it is
-//! behind the [`TaskExecutor`] seam (typed and resident inside one
-//! process, CRC-framed SMOF v3 bytes in a [`PartitionStore`] once a
-//! partition crosses a disk or a socket); the merge reads either.
+//! The builder is typed and in memory; a committed file is CRC-framed
+//! SMOF v3 bytes ([`crate::shuffle_file`]) wherever it lives — the
+//! in-process executor's generation table or a worker's
+//! [`PartitionStore`] — and the merge reads those bytes in place, one
+//! [`Smof3View`] per source. Where a file lives and how a reducer gets
+//! it is behind the [`TaskExecutor`] seam.
 //!
 //! [`TaskExecutor`]: crate::executor::TaskExecutor
 //! [`PartitionStore`]: crate::tier::PartitionStore
-
-use std::sync::Arc;
 
 use crate::counters::Counters;
 use crate::smof3::Smof3View;
@@ -139,23 +138,17 @@ fn combine_sorted<K: MrKey, V: MrValue>(
 /// the whole `Vec<(K, Vec<V>)>` keyspace before the first key group
 /// is available.
 ///
-/// Sources are shared (`Arc`), so the merge borrows records in place;
-/// the only copies made are the values of the *current* group, cloned
-/// (or, for binary frames, decoded) into one reusable buffer
-/// ([`next_group`]). Cursors are opened one input at a time with
-/// [`push_file`] / [`push_frame`], in the plan's fetch order.
-///
-/// A cursor reads either a decoded [`MapOutputFile`] or a SMOF v3
-/// [`Smof3View`] frame. Frame cursors never materialize records:
-/// ordering decisions compare packed key bytes in place (via the
-/// captured [`FixedCodec`](crate::wire::FixedCodec)), and a value is
-/// decoded exactly once, when its group leaves the merge.
+/// Each cursor reads a SMOF v3 [`Smof3View`] in place and never
+/// materializes records: ordering decisions compare packed key bytes
+/// (via the captured [`FixedCodec`](crate::wire::FixedCodec)), and a
+/// value is decoded exactly once, when its group leaves the merge into
+/// one reusable buffer ([`next_group`]). Cursors are opened one input
+/// at a time with [`push_frame`], in the plan's fetch order.
 ///
 /// [`next_group`]: MergeIter::next_group
-/// [`push_file`]: MergeIter::push_file
 /// [`push_frame`]: MergeIter::push_frame
 pub struct MergeIter<K, V> {
-    sources: Vec<MergeSource<K, V>>,
+    sources: Vec<Smof3View<K, V>>,
     /// Per-source position of the next unconsumed record.
     cursors: Vec<usize>,
     /// Min-heap of source indices with records remaining, ordered by
@@ -164,51 +157,11 @@ pub struct MergeIter<K, V> {
     heap: Vec<usize>,
     /// Reusable buffer holding the current group's values.
     group: Vec<V>,
-    /// The current group's key (owned: for frame sources there is no
-    /// decoded record to borrow it from).
+    /// The current group's key (owned: there is no decoded record to
+    /// borrow it from).
     group_key: Option<K>,
     /// Records consumed so far (for the merge throughput metrics).
     consumed: u64,
-}
-
-/// One merge input: a decoded in-memory file, or a zero-copy v3 frame.
-pub enum MergeSource<K, V> {
-    File(Arc<MapOutputFile<K, V>>),
-    Frame(Smof3View<K, V>),
-}
-
-impl<K, V> MergeSource<K, V> {
-    /// Records in this input.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            MergeSource::File(f) => f.records.len(),
-            MergeSource::Frame(v) => v.records(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The §3.2.1 annotation: raw ⟨k,v⟩ pairs this input represents.
-    pub fn raw_count(&self) -> u64 {
-        match self {
-            MergeSource::File(f) => f.raw_count,
-            MergeSource::Frame(v) => v.raw_count(),
-        }
-    }
-
-    /// Opens one encoded SMOF partition as a zero-copy frame: the
-    /// cursor borrows records straight out of `bytes`. Anything but a
-    /// sound v3 buffer is [`MrError::CorruptShuffle`](crate::MrError).
-    pub fn from_encoded(bytes: Arc<Vec<u8>>) -> crate::Result<Self>
-    where
-        K: MrKey + crate::wire::WireFormat,
-        V: MrValue + crate::wire::WireFormat,
-    {
-        Smof3View::open(bytes).map(MergeSource::Frame)
-    }
 }
 
 impl<K: MrKey, V: MrValue> Default for MergeIter<K, V> {
@@ -218,7 +171,7 @@ impl<K: MrKey, V: MrValue> Default for MergeIter<K, V> {
 }
 
 impl<K: MrKey, V: MrValue> MergeIter<K, V> {
-    /// An empty merge; add inputs with [`MergeIter::push_file`].
+    /// An empty merge; add inputs with [`MergeIter::push_frame`].
     pub fn new() -> Self {
         MergeIter {
             sources: Vec::new(),
@@ -230,31 +183,11 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         }
     }
 
-    /// A merge over `files`, in order. The file order is significant:
-    /// it breaks ties between equal keys.
-    pub fn with_files(files: impl IntoIterator<Item = Arc<MapOutputFile<K, V>>>) -> Self {
-        let mut m = Self::new();
-        for f in files {
-            m.push_file(f);
-        }
-        m
-    }
-
-    /// Opens a cursor on one more file. Sources must be pushed in the
-    /// deterministic file order (the plan's fetch order) *before*
-    /// consumption begins; equal keys yield values in push order.
-    pub fn push_file(&mut self, file: Arc<MapOutputFile<K, V>>) {
-        debug_assert!(
-            file.records.windows(2).all(|w| w[0].0 <= w[1].0),
-            "map-output files are key-sorted"
-        );
-        let empty = file.records.is_empty();
-        self.push_source(MergeSource::File(file), empty);
-    }
-
-    /// Opens a cursor on a zero-copy v3 frame. Same ordering contract
-    /// as [`MergeIter::push_file`]; the frame's records are merged
-    /// straight out of the underlying buffer.
+    /// Opens a cursor on one more zero-copy v3 frame. Sources must be
+    /// pushed in the deterministic file order (the plan's fetch order)
+    /// *before* consumption begins; equal keys yield values in push
+    /// order. The frame's records are merged straight out of the
+    /// underlying buffer.
     pub fn push_frame(&mut self, view: Smof3View<K, V>) {
         debug_assert!(
             (1..view.records()).all(|i| {
@@ -262,22 +195,9 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             }),
             "map-output frames are key-sorted"
         );
-        let empty = view.is_empty();
-        self.push_source(MergeSource::Frame(view), empty);
-    }
-
-    /// Opens a cursor on one more input of either kind (see
-    /// [`MergeIter::push_file`] for the ordering contract).
-    pub fn push(&mut self, source: MergeSource<K, V>) {
-        match source {
-            MergeSource::File(file) => self.push_file(file),
-            MergeSource::Frame(view) => self.push_frame(view),
-        }
-    }
-
-    fn push_source(&mut self, source: MergeSource<K, V>, empty: bool) {
         let idx = self.sources.len();
-        self.sources.push(source);
+        let empty = view.is_empty();
+        self.sources.push(view);
         self.cursors.push(0);
         if !empty {
             self.heap.push(idx);
@@ -285,33 +205,13 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         }
     }
 
-    /// `sources[a]`'s cursor sorts before `sources[b]`'s. Frame keys
-    /// compare as packed bytes; mixed pairs compare through the
-    /// frame codec's `cmp_decoded`, which shares the same total order.
+    /// `sources[a]`'s cursor sorts before `sources[b]`'s: packed key
+    /// bytes compare in place, and equal keys break by push order.
     fn less(&self, a: usize, b: usize) -> bool {
-        use std::cmp::Ordering;
-        let ord = match (&self.sources[a], &self.sources[b]) {
-            (MergeSource::File(fa), MergeSource::File(fb)) => fa.records[self.cursors[a]]
-                .0
-                .cmp(&fb.records[self.cursors[b]].0),
-            (MergeSource::Frame(va), MergeSource::Frame(vb)) => {
-                (va.key_codec().cmp)(va.key_bytes(self.cursors[a]), vb.key_bytes(self.cursors[b]))
-            }
-            (MergeSource::File(fa), MergeSource::Frame(vb)) => (vb.key_codec().cmp_decoded)(
-                &fa.records[self.cursors[a]].0,
-                vb.key_bytes(self.cursors[b]),
-            ),
-            (MergeSource::Frame(va), MergeSource::File(fb)) => (va.key_codec().cmp_decoded)(
-                &fb.records[self.cursors[b]].0,
-                va.key_bytes(self.cursors[a]),
-            )
-            .reverse(),
-        };
-        match ord {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => a < b,
-        }
+        let (va, vb) = (&self.sources[a], &self.sources[b]);
+        (va.key_codec().cmp)(va.key_bytes(self.cursors[a]), vb.key_bytes(self.cursors[b]))
+            .then(a.cmp(&b))
+            .is_lt()
     }
 
     fn sift_up(&mut self, mut pos: usize) {
@@ -346,7 +246,7 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
     /// and restores the heap.
     fn advance_root(&mut self) {
         let f = self.heap[0];
-        if self.cursors[f] < self.sources[f].len() {
+        if self.cursors[f] < self.sources[f].records() {
             self.sift_down(0);
         } else {
             let last = self.heap.pop().expect("root exists");
@@ -372,44 +272,24 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             return false;
         };
         let i0 = self.cursors[f0];
-        // The group key, decoded/cloned exactly once per group.
-        let gkey: K = match &self.sources[f0] {
-            MergeSource::File(file) => file.records[i0].0.clone(),
-            MergeSource::Frame(view) => view.key_at(i0),
-        };
+        // The group key, decoded exactly once per group.
+        let gkey: K = self.sources[f0].key_at(i0);
         while let Some(&f) = self.heap.first() {
             let idx = self.cursors[f];
             // Consume the whole run of `gkey` in this source without
             // touching the heap (runs are contiguous in a sorted
-            // source). Frame runs compare packed bytes; nothing but
-            // the matched values is decoded.
-            let end = match &self.sources[f] {
-                MergeSource::File(file) => {
-                    if file.records[idx].0 != gkey {
-                        break;
-                    }
-                    let mut end = idx;
-                    while end < file.records.len() && file.records[end].0 == gkey {
-                        values.push(file.records[end].1.clone());
-                        end += 1;
-                    }
-                    end
-                }
-                MergeSource::Frame(view) => {
-                    let kc = view.key_codec();
-                    if !(kc.cmp_decoded)(&gkey, view.key_bytes(idx)).is_eq() {
-                        break;
-                    }
-                    let mut end = idx;
-                    while end < view.records()
-                        && (kc.cmp_decoded)(&gkey, view.key_bytes(end)).is_eq()
-                    {
-                        values.push(view.value_at(end));
-                        end += 1;
-                    }
-                    end
-                }
-            };
+            // source), comparing packed bytes; nothing but the matched
+            // values is decoded.
+            let view = &self.sources[f];
+            let kc = view.key_codec();
+            if !(kc.cmp_decoded)(&gkey, view.key_bytes(idx)).is_eq() {
+                break;
+            }
+            let mut end = idx;
+            while end < view.records() && (kc.cmp_decoded)(&gkey, view.key_bytes(end)).is_eq() {
+                values.push(view.value_at(end));
+                end += 1;
+            }
             self.consumed += (end - idx) as u64;
             self.cursors[f] = end;
             self.advance_root();
@@ -422,8 +302,8 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
     /// *every* value of that key across all sources, in (source
     /// order, record order) — MapReduce guarantee 2 (§2.3). The
     /// values borrow the iterator's reusable buffer and are valid
-    /// until the next call; only the group's values are cloned (or
-    /// decoded), never the whole keyspace.
+    /// until the next call; only the group's values are decoded, never
+    /// the whole keyspace.
     pub fn next_group(&mut self) -> Option<(&K, &[V])> {
         // Detach the buffer so `gather_group` can borrow self mutably.
         let mut group = std::mem::take(&mut self.group);
@@ -592,11 +472,26 @@ mod tests {
         assert!(MergeIter::<u64, u64>::new().next_group().is_none());
     }
 
+    /// Encodes a file and reopens it as a zero-copy v3 frame.
+    fn as_frame(f: &MapOutputFile<u64, u64>) -> Smof3View<u64, u64> {
+        let bytes = crate::shuffle_file::encode_map_output(f).unwrap();
+        Smof3View::open(std::sync::Arc::new(bytes)).unwrap()
+    }
+
+    /// A merge over `files`' frames, pushed in order.
+    fn merge_of(files: &[MapOutputFile<u64, u64>]) -> MergeIter<u64, u64> {
+        let mut merge = MergeIter::new();
+        for f in files {
+            merge.push_frame(as_frame(f));
+        }
+        merge
+    }
+
     #[test]
     fn merge_delivers_equal_keys_in_file_then_record_order() {
-        let f1 = Arc::new(file(vec![(1, 10), (1, 11), (3, 30)]));
-        let f2 = Arc::new(file(vec![(1, 12), (2, 20)]));
-        let mut m = MergeIter::with_files([f1, f2]);
+        let f1 = file(vec![(1, 10), (1, 11), (3, 30)]);
+        let f2 = file(vec![(1, 12), (2, 20)]);
+        let mut m = merge_of(&[f1, f2]);
         assert_eq!(
             drain(&mut m),
             vec![(1, vec![10, 11, 12]), (2, vec![20]), (3, vec![30])]
@@ -605,40 +500,33 @@ mod tests {
         assert_eq!(m.records_consumed(), 5);
     }
 
-    /// Encodes a file and reopens it as a zero-copy v3 frame.
-    fn as_frame(f: &MapOutputFile<u64, u64>) -> Smof3View<u64, u64> {
-        let bytes = crate::shuffle_file::encode_map_output(f).unwrap();
-        Smof3View::open(Arc::new(bytes)).unwrap()
-    }
-
     #[test]
-    fn frame_cursors_merge_identically_to_file_cursors() {
+    fn frame_merge_equals_stable_sort_of_the_files() {
         let files = vec![
             file(vec![(1, 10), (1, 11), (3, 30)]),
             file(vec![(1, 12), (2, 20)]),
             file(Vec::new()),
         ];
-        let mut by_file = MergeIter::with_files(files.iter().cloned().map(Arc::new));
-        let mut by_frame = MergeIter::new();
-        for f in &files {
-            by_frame.push_frame(as_frame(f));
+        let mut all: Vec<(u64, u64)> = files.iter().flat_map(|f| f.records.clone()).collect();
+        all.sort_by_key(|r| r.0);
+        let mut expected: Vec<(u64, Vec<u64>)> = Vec::new();
+        for (k, v) in all {
+            match expected.last_mut() {
+                Some((lk, vs)) if *lk == k => vs.push(v),
+                _ => expected.push((k, vec![v])),
+            }
         }
-        assert_eq!(drain(&mut by_frame), drain(&mut by_file));
+        assert_eq!(drain(&mut merge_of(&files)), expected);
     }
 
     #[test]
-    fn mixed_file_and_frame_sources_keep_push_order_ties() {
+    fn equal_keys_resolve_in_push_order() {
         let f1 = file(vec![(1, 10), (2, 20)]);
         let f2 = file(vec![(1, 11), (2, 21)]);
-        // File first, frame second: ties must resolve in push order.
-        let mut m = MergeIter::new();
-        m.push_file(Arc::new(f1.clone()));
-        m.push_frame(as_frame(&f2));
+        let mut m = merge_of(&[f1.clone(), f2.clone()]);
         assert_eq!(drain(&mut m), vec![(1, vec![10, 11]), (2, vec![20, 21])]);
-        // And in the opposite push order, the frame's values lead.
-        let mut m = MergeIter::new();
-        m.push_frame(as_frame(&f2));
-        m.push_file(Arc::new(f1));
+        // In the opposite push order, the second file's values lead.
+        let mut m = merge_of(&[f2, f1]);
         assert_eq!(drain(&mut m), vec![(1, vec![11, 10]), (2, vec![21, 20])]);
     }
 
@@ -647,14 +535,9 @@ mod tests {
         let files: Vec<MapOutputFile<u64, u64>> = (0..4)
             .map(|f| file((0..50u64).map(|i| (i * 2 + f % 2, i + f)).collect()))
             .collect();
-        let expected = drain(&mut MergeIter::with_files(
-            files.iter().cloned().map(Arc::new),
-        ));
+        let expected = drain(&mut merge_of(&files));
         for min_records in [1, 7, 64, 100_000] {
-            let mut merge = MergeIter::new();
-            for f in &files {
-                merge.push_frame(as_frame(f));
-            }
+            let mut merge = merge_of(&files);
             let mut batch = GroupBatch::new();
             let mut got = Vec::new();
             while merge.fill_batch(&mut batch, min_records) > 0 {
@@ -669,17 +552,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_iter_incremental_push_matches_batch_construction() {
+    fn empty_frames_open_no_cursor() {
         let files = [
-            Arc::new(file(vec![(2, 1), (4, 2)])),
-            Arc::new(file(Vec::new())), // empty file: cursor never opens
-            Arc::new(file(vec![(1, 3), (2, 4)])),
+            file(vec![(2, 1), (4, 2)]),
+            file(Vec::new()),
+            file(vec![(1, 3), (2, 4)]),
         ];
-        let mut batch = MergeIter::with_files(files.iter().map(Arc::clone));
-        let mut incremental = MergeIter::new();
-        for f in &files {
-            incremental.push_file(Arc::clone(f));
-        }
-        assert_eq!(drain(&mut incremental), drain(&mut batch));
+        assert_eq!(
+            drain(&mut merge_of(&files)),
+            vec![(1, vec![3]), (2, vec![1, 4]), (4, vec![2])]
+        );
     }
 }

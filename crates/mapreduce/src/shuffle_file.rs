@@ -8,10 +8,12 @@
 //! contents of the files containing its intermediate data **without
 //! having to read and parse those files**."
 //!
-//! A partition is bytes only where it crosses a disk or a socket — the
-//! worker's [`PartitionStore`](crate::tier::PartitionStore), its spill
-//! files, the fetch frames — and there it has exactly one layout,
-//! version 3 (little-endian):
+//! Every committed partition is bytes in exactly one layout, from the
+//! moment its map attempt writes it: in the in-process executor's
+//! generation table, in a worker's
+//! [`PartitionStore`](crate::tier::PartitionStore) and its spill files,
+//! and inside the fetch frames. The layout is version 3
+//! (little-endian):
 //!
 //! ```text
 //! magic      b"SMOF"
@@ -21,12 +23,14 @@
 //! key_width  u32   <- packed key bytes per record
 //! val_width  u32   <- packed value bytes per record
 //! index_len  u32   <- key-offset index entries
-//! crc        u32   <- CRC-32 (IEEE) of index + payload bytes
+//! crc        u32   <- CRC-32 (IEEE) of the 36 header bytes above,
+//!                     then index + payload
 //! index      index_len × (key bytes, record offset u64)
 //! payload    records × (key bytes ++ value bytes), no framing
 //! ```
 //!
-//! Keys and values are packed by their [`FixedCodec`] and every record
+//! Keys and values are packed by their
+//! [`FixedCodec`](crate::wire::FixedCodec) and every record
 //! of a file has the same widths (fixed-arity coordinate keyspaces
 //! always do). Records then live at
 //! `payload_off + i × (key_width + val_width)`, so a reader can address
@@ -48,7 +52,7 @@ use std::path::Path;
 use crate::error::MrError;
 use crate::shuffle::MapOutputFile;
 use crate::task::{MrKey, MrValue};
-use crate::wire::{FixedCodec, WireFormat};
+use crate::wire::WireFormat;
 use crate::Result;
 
 pub(crate) const MAGIC: [u8; 4] = *b"SMOF";
@@ -69,8 +73,19 @@ pub const INDEX_INTERVAL: usize = 256;
 /// byte-at-a-time form — this sits on every shuffle fetch and SMOF
 /// encode, so the inner loop matters.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// The SMOF frame CRC of an encoded buffer: every header byte but the
+/// CRC field itself, then the index and payload. A flipped annotation
+/// or geometry field fails it like a flipped payload byte.
+fn frame_crc(bytes: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &bytes[..CRC_OFF]), &bytes[V3_HEADER_LEN..])
+}
+
+/// Feeds `bytes` into a running (inverted) CRC-32 state.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = crc_tables();
-    let mut crc = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes(c[0..4].try_into().expect("len 4")) ^ crc;
@@ -86,7 +101,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
 fn crc_tables() -> &'static [[u32; 256]; 8] {
@@ -197,7 +212,7 @@ pub fn write_v3(
         out.copy_within(key..key + key_width, at);
         out[at + key_width..at + entry].copy_from_slice(&(rec as u64).to_le_bytes());
     }
-    let crc = crc32(&out[V3_HEADER_LEN..]);
+    let crc = frame_crc(&out);
     out[CRC_OFF..V3_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     out
 }
@@ -211,26 +226,10 @@ where
     V: MrValue + WireFormat,
 {
     let meta = parse_v3_meta(bytes)?;
-    Ok(MapOutputFile {
-        records: decode_rows(
-            &bytes[meta.payload_off..],
-            &meta,
-            &K::fixed_codec(),
-            &V::fixed_codec(),
-        ),
-        raw_count: meta.raw,
-    })
-}
-
-/// The one v3 row decoder: every record of a validated `payload`.
-pub(crate) fn decode_rows<K, V>(
-    payload: &[u8],
-    meta: &V3Meta,
-    kc: &FixedCodec<K>,
-    vc: &FixedCodec<V>,
-) -> Vec<(K, V)> {
+    let (kc, vc) = (K::fixed_codec(), V::fixed_codec());
+    let payload = &bytes[meta.payload_off..];
     let row = meta.key_width + meta.val_width;
-    (0..meta.records)
+    let records = (0..meta.records)
         .map(|i| {
             let off = i * row;
             (
@@ -238,7 +237,11 @@ pub(crate) fn decode_rows<K, V>(
                 (vc.read)(&payload[off + meta.key_width..off + row]),
             )
         })
-        .collect()
+        .collect();
+    Ok(MapOutputFile {
+        records,
+        raw_count: meta.raw,
+    })
 }
 
 pub(crate) struct Prefix {
@@ -319,12 +322,11 @@ pub(crate) fn parse_v3_meta(bytes: &[u8]) -> Result<V3Meta> {
             bytes.len()
         )));
     }
-    let body = &bytes[V3_HEADER_LEN..];
-    let actual_crc = crc32(body);
+    let actual_crc = frame_crc(bytes);
     if actual_crc != crc {
         return Err(corrupt(format!(
-            "body CRC {actual_crc:#010x} != header CRC {crc:#010x} ({} body bytes)",
-            body.len()
+            "frame CRC {actual_crc:#010x} != stored CRC {crc:#010x} ({} bytes)",
+            bytes.len()
         )));
     }
     let index_off = V3_HEADER_LEN;
@@ -362,7 +364,7 @@ pub(crate) fn parse_v3_meta(bytes: &[u8]) -> Result<V3Meta> {
 }
 
 /// Type-free integrity check of one encoded map-output buffer: magic,
-/// version, geometry, and payload CRC — everything decoding would
+/// version, geometry, and frame CRC — everything decoding would
 /// check short of reading records, so callers that only move bytes
 /// (the worker's spill tier reading a partition back from disk) can
 /// reject bit flips and truncation as [`MrError::CorruptShuffle`]
@@ -544,7 +546,7 @@ mod tests {
         let entry = meta.key_width + 8;
         let off = meta.index_off + entry + meta.key_width;
         bad[off..off + 8].copy_from_slice(&300u64.to_le_bytes());
-        let crc = crc32(&bad[V3_HEADER_LEN..]);
+        let crc = frame_crc(&bad);
         bad[36..40].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             parse_v3_meta(&bad),

@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use crate::shuffle::MapOutputFile;
-use crate::shuffle_file::{decode_rows, parse_v3_meta, V3Meta};
+use crate::shuffle_file::{parse_v3_meta, V3Meta};
 use crate::task::{MrKey, MrValue};
 use crate::wire::{FixedCodec, WireFormat};
 use crate::Result;
@@ -56,7 +55,10 @@ where
     K: MrKey + WireFormat,
     V: MrValue + WireFormat,
 {
-    pub(crate) fn open(data: Arc<Vec<u8>>) -> Result<Self> {
+    /// Validates `data` as a SMOF buffer — magic, version, geometry,
+    /// frame CRC, index — and opens a view on it. Anything but a sound
+    /// v3 buffer is [`MrError::CorruptShuffle`](crate::MrError).
+    pub fn open(data: Arc<Vec<u8>>) -> Result<Self> {
         let meta = parse_v3_meta(&data)?;
         Ok(Smof3View {
             data,
@@ -66,20 +68,17 @@ where
         })
     }
 
-    /// Validates `data` as a SMOF buffer: `Ok(Some(view))` for a sound
-    /// v3 file, [`MrError::CorruptShuffle`](crate::MrError) for
-    /// everything else, any other version included. Never yields
-    /// `Ok(None)` (that was "a v2 file, decode it the classic way");
-    /// the benchmark pins this signature, so dropping the `Option`
-    /// needs a benchmark PR first.
+    /// [`Smof3View::open`] wrapped in an `Option` that is never `None`
+    /// (that was "a v2 file, decode it the classic way"); the benchmark
+    /// pins this signature, so dropping it needs a benchmark PR first.
     pub fn parse(data: Arc<Vec<u8>>) -> Result<Option<Self>> {
         Self::open(data).map(Some)
     }
 }
 
 // Record addressing needs only the captured codec fn pointers, so it
-// carries no trait bounds — which keeps `MergeIter` (and through it
-// the generic in-process engine) free of `WireFormat` bounds.
+// carries no trait bounds — which keeps `MergeIter` free of
+// `WireFormat` bounds.
 impl<K, V> Smof3View<K, V> {
     /// The §3.2.1 annotation: raw ⟨k,v⟩ pairs this file represents.
     #[inline]
@@ -171,25 +170,12 @@ impl<K, V> Smof3View<K, V> {
         }
         lo
     }
-
-    /// Materializes the whole view into a decoded file (compatibility
-    /// and testing; the hot paths never call this).
-    pub fn to_file(&self) -> MapOutputFile<K, V> {
-        MapOutputFile {
-            records: decode_rows(
-                &self.data[self.meta.payload_off..],
-                &self.meta,
-                &self.kc,
-                &self.vc,
-            ),
-            raw_count: self.meta.raw,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shuffle::MapOutputFile;
     use crate::shuffle_file::encode_map_output;
     use sidr_coords::Coord;
 
@@ -217,7 +203,6 @@ mod tests {
             assert_eq!(&v.key_at(i), k);
             assert_eq!(v.value_at(i), *val);
         }
-        assert_eq!(v.to_file().records, f.records);
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Wire encoding for intermediate keys and values.
 //!
-//! Intermediate data is bytes only where it crosses a disk or a socket
-//! — the worker's partition store, its spill files, the fetch frames —
-//! and there it has one layout: SMOF v3 ([`crate::shuffle_file`]),
-//! fixed-width records packed back-to-back. A type can take that path
-//! iff its encoding is *fixed-width within one file* (numerics, and
+//! Intermediate data is bytes from the moment a map attempt commits it
+//! — in the in-process executor's generation table, a worker's
+//! partition store, its spill files, the fetch frames — and it has one
+//! layout: SMOF v3 ([`crate::shuffle_file`]), fixed-width records
+//! packed back-to-back. So an intermediate key or value type must have
+//! an encoding that is *fixed-width within one file* (numerics, and
 //! `Coord` within a fixed-arity keyspace); [`WireFormat`] names its
 //! [`FixedCodec`], a bundle of fn pointers that packs records with no
 //! per-record framing and lets merge cursors compare keys directly on
-//! the encoded bytes. The generic in-process engine hands typed
-//! records between threads and needs no byte encoding at all.
+//! the encoded bytes.
 
 use std::cmp::Ordering;
 
-/// A type that can cross the shuffle on disk / the wire: it has a
-/// fixed-width codec.
+/// A type that can cross the shuffle: it has a fixed-width codec.
 pub trait WireFormat: Sized {
     /// The type's [`FixedCodec`].
     fn fixed_codec() -> FixedCodec<Self>;
