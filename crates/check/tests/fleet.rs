@@ -1,6 +1,6 @@
-//! The seeded fleet search: the real coordinator (`Fleet`, `RemoteJob`,
-//! the engine's `run_spec_with_executor`) and three real `Worker`s in
-//! one process, on `query1-tiny`, over the in-memory transport — under
+//! The seeded fleet search: the real serving path — a `Client` submits
+//! to a `Server` whose `Fleet` dispatches to three real `Worker`s — in
+//! one process, on `query1-tiny`, over the in-memory transport, under
 //! the explorer's seeded scheduler and virtual clock.
 //!
 //! Each seed draws its faults from one vocabulary (see [`Faults`]):
@@ -8,19 +8,25 @@
 //! `KeyblockBin` frames; heartbeat loss; a worker killed, or killed and
 //! rejoined at its address; a refused `Prepare`; a coordinator that
 //! vanishes and restarts reusing job ids; spill faults under a 1-byte
-//! budget; a straggler raced by a speculative twin; work spread over
-//! two workers (slot-order placement alone puts it all on w0). Every draw comes
-//! from the explorer's decider, so a failing seed's [`ScheduleRef`]
-//! replays its faults, its interleaving and its virtual timestamps.
+//! budget; a straggler raced by a speculative twin; a failed map
+//! attempt; work spread over two workers (slot-order placement alone
+//! puts it all on w0); a client that hangs up, or a second connection
+//! that cancels the job, after some keyblocks. Every draw comes from
+//! the explorer's decider, so a failing seed's [`ScheduleRef`] replays
+//! its faults, its interleaving and its virtual timestamps.
 //!
-//! Every run is checked by the same oracles (see [`World::check`]):
-//! output byte-identical to the single-process engine, each keyblock
-//! committed exactly once, re-executions confined to the maps of
-//! uncommitted `I_ℓ`s whose partitions a fault destroyed, the timeline
-//! protocol, the resident budget, the heartbeat's attempt counts, and —
-//! after `finish` — no partition, spill file or prepared job on any
-//! live worker and no vthread left parked. The scripted cases below fix
-//! the faults and assert exact expectations on top.
+//! Every run is checked by the same oracles (see [`World::check`]), on
+//! what the client *received*: output byte-identical to the
+//! single-process engine, each keyblock streamed exactly once,
+//! re-executions confined to the maps of uncommitted `I_ℓ`s whose
+//! partitions a fault destroyed, the timeline protocol, the resident
+//! budget, the heartbeat's attempt counts as `sidr-submit stats` shows
+//! them, and — once the server has finished the job — no partition,
+//! spill file or prepared job on any live worker, an idle slot pool and
+//! no vthread left parked. A hung-up job must still complete on the
+//! server; a cancelled one ends `Cancelled` (or `Done`, if every
+//! keyblock committed first). The scripted cases below fix the faults
+//! and assert exact expectations on top.
 //!
 //! ```text
 //! RUSTFLAGS='--cfg check' cargo test --release -p sidr-check --test fleet
@@ -31,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -39,15 +45,15 @@ use sidr_analyze::presets;
 use sidr_check::{choose, Explorer, FindingKind, Report, Strategy};
 use sidr_coords::Coord;
 use sidr_core::exec::ExecOptions;
-use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
+use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, TimelineOracle};
 use sidr_mapreduce::executor::TaskExecutor;
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::{
-    reexecuted_maps, Counters, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobResult,
-    SlotPool, SpeculationPolicy, TaskKind,
+    reexecuted_maps, Counters, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, SlotPool,
+    SpeculationPolicy, TaskEvent, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
@@ -55,10 +61,19 @@ use sidr_serve::binframe::{decode_keyblock, encode_keyblock};
 use sidr_serve::fleet::{WorkerRequest, WorkerResponse};
 use sidr_serve::frame;
 use sidr_serve::transport::{Crossing, Fate};
-use sidr_serve::{Fleet, Mem, Transport, WorkerStat};
+use sidr_serve::{
+    Client, Fleet, JobOutcome, Mem, Response, ServeError, Server, ServerConfig, ServerHandle,
+    ServerStats, SubmitOptions, Transport, WorkerStat,
+};
 use sidr_worker::{Worker, WorkerOptions};
 
 const WORKERS: usize = 3;
+
+/// The server's address; the workers are `w0`, `w1`, `w2`.
+const SERVER: &str = "c0";
+
+/// How often a client that hung up checks whether the job is over.
+const POLL: Duration = Duration::from_millis(20);
 
 /// The coordinator's heartbeat probe timeout.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
@@ -128,33 +143,26 @@ fn fixture(pushdown: bool) -> &'static Fixture {
         let out = InMemoryOutput::new();
         let file = ScincFile::open(&input).unwrap();
         let pool = SlotPool::new(4, 2).unwrap();
-        run_spec_on_pool(&file, &spec, &run_opts(pushdown), &out, &pool, None).unwrap();
+        let opts = SpecRunOptions {
+            validate_annotations: !pushdown,
+            filter_pushdown: pushdown,
+            ..SpecRunOptions::default()
+        };
+        run_spec_on_pool(&file, &spec, &opts, &out, &pool, None).unwrap();
+        let mut expected: Keyblocks = (out.commits().into_iter())
+            .map(|c| (c.reducer, c.records))
+            .collect();
+        expected.sort_by_key(|c| c.0);
         Fixture {
             spec,
             input,
-            expected: keyblocks(&out),
+            expected,
         }
     };
     match pushdown {
         false => PLAIN.get_or_init(build),
         true => FILTER.get_or_init(build),
     }
-}
-
-fn run_opts(pushdown: bool) -> SpecRunOptions {
-    SpecRunOptions {
-        validate_annotations: !pushdown,
-        filter_pushdown: pushdown,
-        ..SpecRunOptions::default()
-    }
-}
-
-fn keyblocks(out: &InMemoryOutput<Coord, f64>) -> Keyblocks {
-    let mut commits: Vec<_> = (out.commits().into_iter())
-        .map(|c| (c.reducer, c.records))
-        .collect();
-    commits.sort_by_key(|c| c.0);
-    commits
 }
 
 /// Which requests a wire rule matches.
@@ -264,6 +272,15 @@ struct Kill {
     rejoin: bool,
 }
 
+/// How the submitting client misbehaves, after this many keyblocks.
+#[derive(Clone, Copy, Debug)]
+enum ClientFault {
+    /// It hangs up.
+    HangUp(usize),
+    /// A second connection cancels the job.
+    Cancel(usize),
+}
+
 /// One run's faults. The search draws them ([`Faults::draw`]); a
 /// scripted case writes them out.
 #[derive(Clone, Debug, Default)]
@@ -281,8 +298,10 @@ struct Faults {
     straggle: Option<(usize, u64)>,
     /// These attempts of this map fail outright.
     fail: Option<(usize, Vec<u32>)>,
-    /// Virtual time between the job's end and `finish`.
-    linger: Duration,
+    client: Option<ClientFault>,
+    /// The job's deadline, when shorter than [`DEADLINE_MS`]: the job
+    /// must end `DeadlineExceeded`.
+    deadline: Option<u64>,
     pushdown: bool,
     map_slots: usize,
 }
@@ -357,14 +376,20 @@ impl Faults {
             ];
             (pick(2) == 0).then(|| (pick(maps), KINDS[pick(3)]))
         });
+        let keyblocks = fixture(false).spec.num_reducers;
         Faults {
             rules,
             kill,
             restart: (pick(6) == 0).then(|| 1 + pick(3)),
             spill,
             straggle: (pick(5) == 0).then(|| (pick(maps), 300)),
-            fail: None,
-            linger: Duration::from_millis([0, 0, 300][pick(3)]),
+            fail: (pick(6) == 0).then(|| (pick(maps), vec![0])),
+            client: match pick(7) {
+                0 => Some(ClientFault::HangUp(pick(keyblocks))),
+                1 => Some(ClientFault::Cancel(pick(keyblocks))),
+                _ => None,
+            },
+            deadline: None,
             pushdown: false,
             map_slots: 1 + pick(4),
         }
@@ -675,6 +700,9 @@ impl Ledger {
         c: Crossing<'_>,
         bytes: &mut Vec<u8>,
     ) -> Fate {
+        if c.endpoint == SERVER {
+            return Fate::Deliver(Duration::ZERO);
+        }
         let worker = c.endpoint[1..].parse().expect("a worker address");
         let mut wire = self.wire();
         wire.matched.resize(rules.len(), 0);
@@ -824,48 +852,121 @@ impl World {
         }
     }
 
-    /// Every oracle, on one finished run.
-    fn check(&self, fx: &Fixture, result: &JobResult, out: &InMemoryOutput<Coord, f64>) {
-        let spec = &fx.spec;
-        // Exactly once, and byte-identical to the single-process run.
-        let mut reducers: Vec<usize> = out.commits().iter().map(|c| c.reducer).collect();
-        reducers.sort_unstable();
-        if reducers != (0..spec.num_reducers).collect::<Vec<_>>() {
-            self.fail(format!("exactly-once: keyblocks committed {reducers:?}"));
+    /// Submits the job through a client on the serving path and reads
+    /// its stream as the draw says: to the end, or hanging up, or
+    /// cancelling from a second connection, after `k` keyblocks. While
+    /// a drawn `Prepare` refusal is still due (`refused`), a failed job
+    /// must leave the fleet swept, and is resubmitted.
+    fn submit(
+        &self,
+        (spec, input, options): (&JobSpec, &str, &SubmitOptions),
+        handle: &ServerHandle,
+        refused: bool,
+    ) -> Received {
+        let dial =
+            || Client::dial(&*self.net, SERVER).unwrap_or_else(|e| self.fail(format!("dial: {e}")));
+        let before = handle.stats();
+        let mut client = dial();
+        let job = (client.submit(spec, input, options.clone()))
+            .unwrap_or_else(|e| self.fail(format!("submit: {e}")))
+            .job;
+        let mut keyblocks = Vec::new();
+        let end = match self.faults.client {
+            Some(ClientFault::HangUp(k)) => {
+                while keyblocks.len() < k {
+                    match client.next_response() {
+                        Ok(Response::Keyblock {
+                            reducer, records, ..
+                        }) => keyblocks.push((reducer, records)),
+                        _ => break,
+                    }
+                }
+                drop(client);
+                // The job must still end on the server: polled on
+                // virtual time, bounded by its deadline.
+                let ended = |s: &ServerStats| {
+                    s.jobs_done + s.jobs_failed + s.jobs_cancelled + s.jobs_deadline_exceeded
+                };
+                let until = time::now() + Duration::from_millis(DEADLINE_MS) + HOLD;
+                while ended(&handle.stats()) == ended(&before) {
+                    if time::now() > until {
+                        self.fail("hang-up: the job never ended");
+                    }
+                    thread::sleep(POLL);
+                }
+                None
+            }
+            cancel => {
+                let mut canceller = match cancel {
+                    Some(ClientFault::Cancel(k)) => Some((k, dial())),
+                    _ => None,
+                };
+                let mut cancel_after = |n: usize| {
+                    if let Some((_, other)) = canceller.as_mut().filter(|c| c.0 == n) {
+                        (other.cancel(job)).unwrap_or_else(|e| self.fail(format!("cancel: {e}")));
+                    }
+                };
+                cancel_after(0);
+                Some(client.stream_job(job, |reducer, _, records| {
+                    keyblocks.push((reducer, records.to_vec()));
+                    cancel_after(keyblocks.len());
+                }))
+            }
+        };
+        let stats = handle.stats();
+        if refused && stats.jobs_failed > before.jobs_failed {
+            self.assert_swept("after a refused Prepare");
+            return self.submit((spec, input, options), handle, false);
         }
-        if keyblocks(out) != fx.expected {
-            self.fail("output differs from the single-process run");
-        }
-        // Re-executions stay inside what the faults destroyed.
-        let wire = self.ledger.wire();
-        let reduced = wire.reduced_before_faults.clone().unwrap_or_default();
-        let open: BTreeSet<usize> = (0..spec.num_reducers)
-            .filter(|r| !reduced.contains(r))
-            .flat_map(|r| spec.reduce_deps[r].iter().copied())
-            .collect();
-        let at_risk =
-            |d: &&Done| (wire.risk.get(&d.worker)).is_some_and(|u| u.is_none_or(|t| d.at <= t));
-        let lost: BTreeSet<usize> = (wire.done.iter().filter(at_risk))
-            .map(|d| d.map)
-            .chain(wire.destroyed.iter().copied())
-            .filter(|m| open.contains(m))
-            .collect();
-        drop(wire);
-        let reexecuted = reexecuted_maps(&result.events);
-        if !reexecuted.iter().all(|m| lost.contains(m)) {
+        let delta = |now: u64, then: u64| now - then;
+        let completed = (
+            delta(stats.jobs_done, before.jobs_done),
+            delta(stats.jobs_failed, before.jobs_failed),
+            delta(stats.keyblocks_committed, before.keyblocks_committed),
+        );
+        if end.is_none() && completed != (1, 0, spec.num_reducers as u64) {
             self.fail(format!(
-                "re-executed {reexecuted:?}, but faults destroyed only {lost:?}"
+                "hang-up: the job did not complete on the server: {stats:?}"
             ));
         }
-        // The timeline protocol. A lost source re-enqueues just its own
-        // map, not the reducer's whole set, so recovery confinement is
-        // judged above instead (R4 off).
-        let oracle = (0..spec.num_reducers).fold(
-            TimelineOracle::new(spec.splits.len(), spec.num_reducers).corruption_possible(true),
-            |o, r| o.with_deps(r, spec.reduce_deps[r].clone()),
-        );
-        if let Err(v) = oracle.check_complete(&result.events) {
-            self.fail(v);
+        Received {
+            keyblocks,
+            end,
+            stats,
+        }
+    }
+
+    /// Every oracle, on one run, judged on what the client received.
+    fn check(&self, fx: &Fixture, got: &Received, handle: &ServerHandle) {
+        let spec = &fx.spec;
+        // Each keyblock streamed at most once — every one, for a job
+        // that ran to `Done` — and byte-identical to the single-process
+        // run's.
+        let mut streamed = got.keyblocks.clone();
+        streamed.sort_by_key(|k| k.0);
+        let reducers: Vec<usize> = streamed.iter().map(|k| k.0).collect();
+        let done = matches!(&got.end, Some(Ok(o)) if o.completed);
+        if reducers.windows(2).any(|w| w[0] == w[1])
+            || (done && reducers.len() != spec.num_reducers)
+        {
+            self.fail(format!("exactly-once: keyblocks streamed {reducers:?}"));
+        }
+        let expected: Keyblocks = (fx.expected.iter())
+            .filter(|e| reducers.contains(&e.0))
+            .cloned()
+            .collect();
+        if streamed != expected {
+            self.fail("output differs from the single-process run");
+        }
+        match &got.end {
+            Some(Ok(outcome)) if outcome.completed => self.check_timeline(spec, &outcome.events),
+            // A hang-up was judged on the server's counters; a cancel may
+            // end the job early, and a short deadline must.
+            None => {}
+            Some(Ok(_)) if matches!(self.faults.client, Some(ClientFault::Cancel(_))) => {}
+            Some(Err(ServeError::DeadlineExceeded { .. })) if self.faults.deadline.is_some() => {}
+            Some(Ok(_)) => self.fail("job cancelled, though nobody asked"),
+            Some(Err(e)) => self.fail(format!("job failed: {e}")),
         }
         // The resident budget is a hard bound, unless a spill write
         // failed and pinned a partition.
@@ -884,6 +985,46 @@ impl World {
             }
         }
         self.assert_swept("after finish");
+        let s = handle.stats();
+        if s.map_busy + s.reduce_busy > 0 {
+            self.fail(format!("the pool is not idle after the job: {s:?}"));
+        }
+    }
+
+    /// Re-executions stay inside what the faults destroyed, and the
+    /// timeline keeps its protocol.
+    fn check_timeline(&self, spec: &JobSpec, events: &[TaskEvent]) {
+        let wire = self.ledger.wire();
+        let reduced = wire.reduced_before_faults.clone().unwrap_or_default();
+        let open: BTreeSet<usize> = (0..spec.num_reducers)
+            .filter(|r| !reduced.contains(r))
+            .flat_map(|r| spec.reduce_deps[r].iter().copied())
+            .collect();
+        let at_risk =
+            |d: &&Done| (wire.risk.get(&d.worker)).is_some_and(|u| u.is_none_or(|t| d.at <= t));
+        let lost: BTreeSet<usize> = (wire.done.iter().filter(at_risk))
+            .map(|d| d.map)
+            .chain(wire.destroyed.iter().copied())
+            .filter(|m| open.contains(m))
+            .chain(self.faults.fail.iter().map(|f| f.0))
+            .collect();
+        drop(wire);
+        let reexecuted = reexecuted_maps(events);
+        if !reexecuted.iter().all(|m| lost.contains(m)) {
+            self.fail(format!(
+                "re-executed {reexecuted:?}, but faults destroyed only {lost:?}"
+            ));
+        }
+        // A lost source re-enqueues just its own map, not the reducer's
+        // whole set, so recovery confinement is judged above instead
+        // (R4 off).
+        let oracle = (0..spec.num_reducers).fold(
+            TimelineOracle::new(spec.splits.len(), spec.num_reducers).corruption_possible(true),
+            |o, r| o.with_deps(r, spec.reduce_deps[r].clone()),
+        );
+        if let Err(v) = oracle.check_complete(events) {
+            self.fail(v);
+        }
     }
 
     fn teardown(&self) {
@@ -891,6 +1032,33 @@ impl World {
             w.kill();
         }
     }
+}
+
+/// What the submitting client saw of its job.
+struct Received {
+    /// Keyblocks in arrival order.
+    keyblocks: Keyblocks,
+    /// The stream's end; `None` when the client hung up.
+    end: Option<Result<JobOutcome, ServeError>>,
+    /// The server's counters once the job was over.
+    stats: ServerStats,
+}
+
+impl Received {
+    /// The timeline of a job that ran to `Done`.
+    fn events(&self) -> &[TaskEvent] {
+        match &self.end {
+            Some(Ok(outcome)) if outcome.completed => &outcome.events,
+            end => panic!("the job did not end Done: {end:?}"),
+        }
+    }
+}
+
+/// Reduce attempts that failed, on a timeline.
+fn failed_reduces(events: &[TaskEvent]) -> usize {
+    (events.iter())
+        .filter(|e| e.kind == TaskKind::ReduceFailed)
+        .count()
 }
 
 fn files_under(p: &Path) -> Vec<PathBuf> {
@@ -904,67 +1072,60 @@ fn files_under(p: &Path) -> Vec<PathBuf> {
     }
 }
 
-/// One run: the faults, the job, every oracle, then `expect`.
-fn run(faults: Faults, expect: &dyn Fn(&JobResult, &Wire)) {
+/// One run: the faults, the job submitted through a `Client` to a
+/// `Server` whose fleet is the three workers, every oracle, then
+/// `expect`.
+fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
     let fx = fixture(faults.pushdown);
     let world = World::new(faults, fx.spec.reduce_deps.clone());
     let faults = &world.faults;
     if let Some(maps) = faults.restart {
         world.vanished_coordinator(fx, maps);
     }
-    let fleet = Fleet::connect(Arc::clone(&world.net), world.addrs()).unwrap();
+    // Reduce slots cover every keyblock, so all reduces dispatch as
+    // soon as their barriers are met.
+    let config = ServerConfig {
+        map_slots: faults.map_slots,
+        reduce_slots: fx.spec.num_reducers,
+        workers: world.addrs(),
+        ..ServerConfig::default()
+    };
+    let server = (Server::bind(Arc::clone(&world.net), SERVER, config))
+        .unwrap_or_else(|e| world.fail(format!("bind: {e}")));
+    let handle = server.handle();
+    let acceptor = thread::spawn(move || server.run().unwrap());
     // A hung job would otherwise run on forever: the heartbeat's timer
     // always lets virtual time advance.
-    let spec = fx.spec.clone().with_deadline_ms(DEADLINE_MS);
+    let spec = (fx.spec.clone()).with_deadline_ms(faults.deadline.unwrap_or(DEADLINE_MS));
     let spec = match faults.straggle {
         Some((map, _)) => spec.with_speculation(SpeculationPolicy::force([map])),
         None => spec,
     };
-    let opts = ExecOptions {
+    let options = SubmitOptions {
         validate_annotations: !faults.pushdown,
         filter_pushdown: faults.pushdown,
         fault_plan: faults.fault_plan(),
+        priority_region: None,
     };
     let refused = faults.rules.iter().any(|r| matches!(r.act, Act::Refuse));
-    let remote = match fleet.prepare_job(&spec, &fx.input, &opts) {
-        Ok(remote) => remote,
-        Err(e) if refused => {
-            world.assert_swept(&format!("after a refused Prepare ({e})"));
-            fleet
-                .prepare_job(&spec, &fx.input, &opts)
-                .expect("a second Prepare")
-        }
-        Err(e) => world.fail(format!("prepare: {e}")),
-    };
-    // Reduce slots cover every keyblock, so all reduces dispatch as
-    // soon as their barriers are met.
-    let pool = SlotPool::new(faults.map_slots.max(1), spec.num_reducers).unwrap();
-    let out = InMemoryOutput::new();
-    let result = thread::scope(|s| {
+    let got = thread::scope(|s| {
         s.spawn(|| world.chaos());
-        let result = run_spec_with_executor(
-            &spec,
-            &run_opts(faults.pushdown),
-            &out,
-            &pool,
-            None,
-            &remote,
-        );
+        let got = world.submit((&spec, &fx.input, &options), &handle, refused);
         world.ledger.wire().over = true;
         world.ledger.ring();
-        result
+        got
     });
-    let result = result.unwrap_or_else(|e| world.fail(format!("job failed: {e}")));
-    thread::sleep(faults.linger);
-    remote.finish();
     thread::sleep(faults.settle());
-    world.check(fx, &result, &out);
+    world.check(fx, &got, &handle);
     // Attempt counts reach the coordinator's fleet view (`sidr-submit
     // stats`) by heartbeat: one period on, it matches every worker's.
     if faults.kill.is_none() && faults.rules.iter().all(|r| r.kind != Kind::Ping) {
         thread::sleep(BEAT);
         let counts = |s: &WorkerStat| (s.map_attempts, s.reduce_attempts);
-        let view: Vec<_> = fleet.stats().iter().map(counts).collect();
+        let mut client = (Client::dial(&*world.net, SERVER))
+            .unwrap_or_else(|e| world.fail(format!("dial: {e}")));
+        let stats = (client.stats()).unwrap_or_else(|e| world.fail(format!("stats: {e}")));
+        let view: Vec<_> = stats.workers.iter().map(counts).collect();
         let own: Vec<_> = (world.workers.lock().iter())
             .map(|w| counts(&w.0.stat()))
             .collect();
@@ -974,8 +1135,9 @@ fn run(faults: Faults, expect: &dyn Fn(&JobResult, &Wire)) {
             ));
         }
     }
-    expect(&result, &world.ledger.wire());
-    drop(fleet);
+    expect(&got, &world.ledger.wire());
+    handle.shutdown();
+    acceptor.join().ok();
     world.teardown();
 }
 
@@ -988,7 +1150,7 @@ fn explore(name: &str, schedules: usize, seed: u64, body: impl Fn()) -> Report {
         .run(Strategy::Random { schedules, seed }, body)
 }
 
-fn scripted(name: &str, faults: Faults, expect: impl Fn(&JobResult, &Wire)) {
+fn scripted(name: &str, faults: Faults, expect: impl Fn(&Received, &Wire)) {
     let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     explore(name, 12, 0x51D2_F1EE, || run(faults.clone(), &expect)).assert_clean();
 }
@@ -1001,24 +1163,31 @@ fn base() -> Faults {
 }
 
 /// ≥ 500 seeds, each with a fresh fault draw, every oracle on every
-/// one. Four explorations share the cores: a seed's cost is the job's
-/// own CPU, and a vthread handoff leaves its core idle until the next
-/// vthread wakes — another exploration fills that gap. Prints
-/// seeds/s; a failure prints the seed that replays it.
+/// one; at least one in five has the client hang up or cancel. Four
+/// explorations share the cores: a seed's cost is the job's own CPU,
+/// and a vthread handoff leaves its core idle until the next vthread
+/// wakes — another exploration fills that gap. Prints seeds/s; a
+/// failure prints the seed that replays it.
 #[test]
 fn seeded_fleet_search() {
     const SEEDS: usize = 500;
     const THREADS: u64 = 4;
     let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     fixture(false);
+    let clients = AtomicUsize::new(0);
     let started = std::time::Instant::now();
     let reports: Vec<Report> = std::thread::scope(|s| {
         let halves: Vec<_> = (0..THREADS)
             .map(|t| {
+                let clients = &clients;
                 s.spawn(move || {
                     let seeds = SEEDS / THREADS as usize;
                     explore("fleet-search", seeds, 0x51D2_F1EE_7000 + t, || {
-                        run(Faults::draw(), &|_, _| {})
+                        let faults = Faults::draw();
+                        if faults.client.is_some() {
+                            clients.fetch_add(1, Ordering::Relaxed);
+                        }
+                        run(faults, &|_, _| {})
                     })
                 })
             })
@@ -1028,13 +1197,19 @@ fn seeded_fleet_search() {
     let took = started.elapsed();
     let seeds: usize = reports.iter().map(|r| r.schedules).sum();
     let steps: u64 = reports.iter().map(|r| r.total_steps).sum();
+    let clients = clients.into_inner();
     eprintln!(
-        "fleet search: {seeds} seeds ({} steps each) in {took:.1?} — {:.1} seeds/s",
+        "fleet search: {seeds} seeds ({} steps each) in {took:.1?} — {:.1} seeds/s, \
+         {clients} with a client hang-up or cancel",
         steps / seeds.max(1) as u64,
         seeds as f64 / took.as_secs_f64()
     );
     reports.iter().for_each(Report::assert_clean);
     assert_eq!(seeds, SEEDS);
+    assert!(
+        clients * 5 >= seeds,
+        "{clients} client faults in {seeds} seeds"
+    );
 }
 
 /// A failing seed's `ScheduleRef` replays it: the same fault draw, the
@@ -1139,10 +1314,11 @@ fn mid_reduce_kill_reexecutes_exactly_its_maps() {
         }),
         ..spread_out(vec![held])
     };
-    scripted("mid-reduce-kill", faults, |result, wire| {
-        assert_eq!(reexecuted_maps(&result.events), lost_with(wire, 0));
+    scripted("mid-reduce-kill", faults, |got, wire| {
+        assert_eq!(reexecuted_maps(got.events()), lost_with(wire, 0));
         assert_eq!(
-            result.counters.reduce_failures, 0,
+            failed_reduces(got.events()),
+            0,
             "a kill before the reply is free"
         );
     });
@@ -1177,8 +1353,8 @@ fn mid_map_kill_reexecutes_only_committed_maps() {
             held(Kind::Reduce),
         ])
     };
-    scripted("mid-map-kill", faults, |result, wire| {
-        assert_eq!(reexecuted_maps(&result.events), lost_with(wire, 0));
+    scripted("mid-map-kill", faults, |got, wire| {
+        assert_eq!(reexecuted_maps(got.events()), lost_with(wire, 0));
         let straggled = (wire.done.iter()).find(|d| d.map == straggler);
         assert_eq!(straggled.map(|d| (d.worker, d.attempt)), Some((1, 0)));
     });
@@ -1201,13 +1377,13 @@ fn rejected_keyblock_frames_cost_the_attempt_and_the_released_maps() {
             .collect(),
         ..base()
     };
-    scripted("rejected-frames", faults, |result, _| {
+    scripted("rejected-frames", faults, |got, _| {
         let deps = &fixture(false).spec.reduce_deps;
         let mut released = deps[..tampered.len()].concat();
         released.sort_unstable();
         released.dedup();
-        assert_eq!(result.counters.reduce_failures, tampered.len() as u64);
-        assert_eq!(reexecuted_maps(&result.events), released);
+        assert_eq!(failed_reduces(got.events()), tampered.len());
+        assert_eq!(reexecuted_maps(got.events()), released);
     });
 }
 
@@ -1221,8 +1397,8 @@ fn corrupt_spill_readback_reexecutes_exactly_the_damaged_map() {
             spill: Some(Some((5, kind))),
             ..base()
         };
-        scripted("corrupt-readback", faults, |result, _| {
-            assert_eq!(reexecuted_maps(&result.events), vec![5]);
+        scripted("corrupt-readback", faults, |got, _| {
+            assert_eq!(reexecuted_maps(got.events()), vec![5]);
         });
     }
 }
@@ -1236,10 +1412,15 @@ fn pushed_down_filter_leaves_most_partitions_unproduced() {
         pushdown: true,
         ..base()
     };
-    scripted("pushdown", faults, |result, _| {
-        let c = &result.counters;
-        assert!(c.map_records_out > 0 && c.map_records_out * 5 < c.map_records_in);
-        assert!(reexecuted_maps(&result.events).is_empty());
+    scripted("pushdown", faults, |got, wire| {
+        let spec = &fixture(true).spec;
+        let produced: usize = wire.done.iter().map(|d| d.partitions.len()).sum();
+        let pairs = spec.splits.len() * spec.num_reducers;
+        assert!(
+            produced > 0 && produced * 5 < pairs,
+            "{produced} of {pairs}"
+        );
+        assert!(reexecuted_maps(got.events()).is_empty());
     });
 }
 
@@ -1253,8 +1434,8 @@ fn speculative_twin_runs_elsewhere_and_wins() {
         straggle: Some((straggler, 1_000)),
         ..base()
     };
-    scripted("speculation", faults, |result, wire| {
-        let events = &result.events;
+    scripted("speculation", faults, |got, wire| {
+        let events = got.events();
         assert!(reexecuted_maps(events).is_empty());
         let twin =
             |kind| (events.iter()).any(|e| e.kind == kind && e.task == straggler && e.attempt == 1);
@@ -1345,17 +1526,21 @@ fn finding_mentions(report: &Report, needle: &str) -> bool {
 
 /// A past bug: `finish` skipping a worker marked dead (it only missed
 /// heartbeats) leaves the job prepared there — the sweep oracle fires.
+/// Held reduce dispatches keep the job running past w0's lost beats.
 #[test]
 fn finish_skipping_dead_workers_is_caught_by_the_sweep() {
     let faults = Faults {
-        rules: vec![Rule {
-            worker: Some(0),
-            from: 1,
-            ..Rule::on(Kind::Ping, Act::Reply(Fate::Vanish)).every()
-        }],
-        linger: Duration::from_millis(300),
+        rules: vec![
+            Rule {
+                worker: Some(0),
+                from: 1,
+                ..Rule::on(Kind::Ping, Act::Reply(Fate::Vanish)).every()
+            },
+            Rule::on(Kind::Reduce, Act::Request(Fate::Deliver(HOLD))).every(),
+        ],
         ..base()
     };
+    scripted("finish-skips-dead", faults.clone(), |_, _| {});
     let report = mutated(
         Mutation::FinishSkipsDeadWorkers,
         "mutation:finish-skips-dead",
@@ -1402,6 +1587,98 @@ fn recovery_inheriting_racers_is_caught() {
     assert!(
         finding_mentions(&report, "job failed"),
         "the stranded map went unseen: {:?}",
+        report.failures
+    );
+}
+
+/// A job that outlives its deadline — one map's dispatch is held past
+/// it — ends `DeadlineExceeded` naming that deadline, counted once, and
+/// the fleet is swept.
+#[test]
+fn blown_deadline_ends_the_job_and_sweeps_the_fleet() {
+    let faults = Faults {
+        rules: vec![Rule {
+            task: Some(0),
+            ..Rule::on(Kind::Map, Act::Request(Fate::Deliver(HOLD)))
+        }],
+        deadline: Some(300),
+        ..base()
+    };
+    scripted("deadline", faults, |got, _| {
+        match &got.end {
+            Some(Err(ServeError::DeadlineExceeded { deadline_ms, .. })) => {
+                assert_eq!(*deadline_ms, 300)
+            }
+            end => panic!("expected DeadlineExceeded, got {end:?}"),
+        }
+        assert_eq!(got.stats.jobs_deadline_exceeded, 1, "{:?}", got.stats);
+    });
+}
+
+/// A map attempt that fails mid-stream is retried inside the engine:
+/// the retry is on the timeline the client received, and the output is
+/// byte-identical.
+#[test]
+fn failed_map_attempt_is_retried_where_the_client_sees_it() {
+    let faults = Faults {
+        fail: Some((3, vec![0])),
+        ..base()
+    };
+    scripted("map-retry", faults, |got, _| {
+        let retried = (got.events().iter())
+            .any(|e| e.kind == TaskKind::MapRetry && e.task == 3 && e.attempt == 1);
+        assert!(retried, "the retry is not on the streamed timeline");
+    });
+}
+
+/// Any connection may cancel a job: with the last keyblock's reduce
+/// held, a cancel sent after the first keyblock reaches the submitter
+/// as its terminal frame.
+#[test]
+fn cancel_from_another_connection_reaches_the_submitter() {
+    let faults = Faults {
+        rules: vec![Rule {
+            task: Some(3),
+            ..Rule::on(Kind::Reduce, Act::Request(Fate::Deliver(HOLD)))
+        }],
+        client: Some(ClientFault::Cancel(1)),
+        ..base()
+    };
+    scripted("cancel", faults, |got, _| {
+        assert!(
+            matches!(&got.end, Some(Ok(o)) if !o.completed),
+            "{:?}",
+            got.end
+        );
+        assert_eq!(got.stats.jobs_cancelled, 1, "{:?}", got.stats);
+    });
+}
+
+/// Hang-up tolerance, undone: with a commit that fails once its client
+/// has hung up, the job the server must finish fails instead — the
+/// hang-up oracle fires. The last keyblock's reduce is held so that it
+/// commits after the hang-up.
+#[test]
+fn hang_up_failing_the_commit_is_caught() {
+    let faults = Faults {
+        rules: vec![Rule {
+            task: Some(3),
+            ..Rule::on(Kind::Reduce, Act::Request(Fate::Deliver(HOLD)))
+        }],
+        client: Some(ClientFault::HangUp(1)),
+        ..base()
+    };
+    scripted("hang-up", faults.clone(), |got, _| {
+        assert_eq!(got.keyblocks.len(), 1);
+    });
+    let report = mutated(
+        Mutation::HangUpFailsCommit,
+        "mutation:hang-up-fails",
+        faults,
+    );
+    assert!(
+        finding_mentions(&report, "hang-up"),
+        "the hang-up oracle missed it: {:?}",
         report.failures
     );
 }

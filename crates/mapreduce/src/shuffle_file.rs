@@ -73,14 +73,19 @@ pub const INDEX_INTERVAL: usize = 256;
 /// byte-at-a-time form — this sits on every shuffle fetch and SMOF
 /// encode, so the inner loop matters.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(!0, bytes)
+    crc32_parts(&[bytes])
+}
+
+/// CRC-32 of `parts` concatenated, without concatenating them.
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    !parts.iter().fold(!0, |crc, part| crc32_update(crc, part))
 }
 
 /// The SMOF frame CRC of an encoded buffer: every header byte but the
 /// CRC field itself, then the index and payload. A flipped annotation
 /// or geometry field fails it like a flipped payload byte.
 fn frame_crc(bytes: &[u8]) -> u32 {
-    !crc32_update(crc32_update(!0, &bytes[..CRC_OFF]), &bytes[V3_HEADER_LEN..])
+    crc32_parts(&[&bytes[..CRC_OFF], &bytes[V3_HEADER_LEN..]])
 }
 
 /// Feeds `bytes` into a running (inverted) CRC-32 state.

@@ -145,6 +145,9 @@ pub mod chaos {
         /// straggler still out counts as a racer of the new generation,
         /// so a failed attempt of the new one is never retried.
         RecoveryInheritsRacers,
+        /// A keyblock committed after its client hung up fails the
+        /// commit, and so the job.
+        HangUpFailsCommit,
     }
 
     /// Whether `m` is armed. Always `false` outside checker builds.

@@ -11,8 +11,9 @@
 //! `sidr-submit`.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use sidr_serve::{Server, ServerConfig};
+use sidr_serve::{Server, ServerConfig, Tcp};
 
 struct Args {
     listen: String,
@@ -85,30 +86,24 @@ fn main() -> ExitCode {
         workers: args.workers,
         ..ServerConfig::default()
     };
-    let server = match Server::bind(&args.listen, config) {
+    let server = match Server::bind(Arc::new(Tcp), &args.listen, config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sidr-serve: cannot bind {}: {e}", args.listen);
             return ExitCode::FAILURE;
         }
     };
-    match server.local_addr() {
-        Ok(addr) => {
-            let mode = if fleet_size > 0 {
-                format!("coordinating {fleet_size} worker(s)")
-            } else {
-                "in-process execution".to_string()
-            };
-            println!(
-                "sidr-serve: listening on {addr} ({} map + {} reduce slots, {mode})",
-                args.map_slots, args.reduce_slots
-            );
-        }
-        Err(e) => {
-            eprintln!("sidr-serve: cannot resolve bound address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let mode = if fleet_size > 0 {
+        format!("coordinating {fleet_size} worker(s)")
+    } else {
+        "in-process execution".to_string()
+    };
+    println!(
+        "sidr-serve: listening on {} ({} map + {} reduce slots, {mode})",
+        server.local_addr(),
+        args.map_slots,
+        args.reduce_slots
+    );
     if let Err(e) = server.run() {
         eprintln!("sidr-serve: accept loop failed: {e}");
         return ExitCode::FAILURE;

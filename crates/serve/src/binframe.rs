@@ -29,15 +29,16 @@
 //! | 16     | 4    | `records`                                  |
 //! | 20     | 8    | `at_ms`                                    |
 //! | 28     | 4    | `key_width` (packed coord bytes)           |
-//! | 32     | 4    | CRC-32 of the payload                      |
+//! | 32     | 4    | CRC-32 of bytes 0..32, then of the payload |
 //! | 36     | —    | payload: `records` × (key + `f64` value)   |
 //!
 //! Like every decoder in this workspace, [`decode_keyblock`] trusts
-//! nothing: tag, kind, geometry and CRC are all checked, and any
-//! mismatch is a typed [`FrameError`], never a panic or over-read.
+//! nothing: tag, kind, reserved bytes, geometry and CRC are all
+//! checked, and any mismatch is a typed [`FrameError`], never a panic
+//! or over-read. A keyblock cannot arrive under another job or reducer.
 
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::crc32;
+use sidr_mapreduce::shuffle_file::crc32_parts;
 
 use crate::frame::FrameError;
 
@@ -110,9 +111,15 @@ pub fn encode_keyblock(
         k.write_packed(&mut out);
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let crc = crc32(&out[BIN_HEADER_LEN..]);
+    let crc = frame_crc(&out);
     out[32..36].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
+}
+
+/// The frame CRC: every header byte but the CRC field itself, then the
+/// payload.
+fn frame_crc(frame: &[u8]) -> u32 {
+    crc32_parts(&[&frame[..32], &frame[BIN_HEADER_LEN..]])
 }
 
 #[inline]
@@ -141,10 +148,11 @@ pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
             payload[0]
         )));
     }
-    if payload[1] != KIND_KEYBLOCK {
+    if payload[1..4] != [KIND_KEYBLOCK, 0, 0] {
         return Err(FrameError::Malformed(format!(
-            "unknown binary frame kind {}",
-            payload[1]
+            "unknown binary frame kind {} (reserved bytes {:?})",
+            payload[1],
+            &payload[2..4]
         )));
     }
     let job = le_u64(payload, 4);
@@ -169,13 +177,13 @@ pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
             payload.len()
         )));
     }
-    let body = &payload[BIN_HEADER_LEN..];
-    let actual = crc32(body);
+    let actual = frame_crc(payload);
     if actual != crc {
         return Err(FrameError::Malformed(format!(
-            "binary keyblock CRC mismatch: header {crc:#010x}, payload {actual:#010x}"
+            "binary keyblock CRC mismatch: stored {crc:#010x}, frame {actual:#010x}"
         )));
     }
+    let body = &payload[BIN_HEADER_LEN..];
     let mut out = Vec::with_capacity(records);
     for i in 0..records {
         let at = i * row;

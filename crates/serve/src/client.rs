@@ -9,7 +9,6 @@
 //! server emits.
 
 use std::collections::VecDeque;
-use std::net::{TcpStream, ToSocketAddrs};
 
 use sidr_core::spec::JobSpec;
 use sidr_mapreduce::TaskEvent;
@@ -17,6 +16,7 @@ use sidr_mapreduce::TaskEvent;
 use crate::binframe;
 use crate::frame::{self, FrameError, Role};
 use crate::proto::{Request, Response, ServerStats, SubmitOptions};
+use crate::transport::{Conn, Tcp, Transport};
 
 /// Client-visible failures.
 #[derive(Debug)]
@@ -108,32 +108,33 @@ pub struct JobOutcome {
 
 /// One connection to a `sidr-serve` daemon.
 pub struct Client {
-    reader: TcpStream,
-    writer: TcpStream,
+    conn: Conn,
     pending: VecDeque<Response>,
 }
 
 impl Client {
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let mut stream = TcpStream::connect(addr)?;
-        // Requests are whole frames in one write: send them now.
-        stream.set_nodelay(true)?;
-        // Version/role handshake before any request: a mismatched
-        // build pair (or a worker port dialed by mistake) fails here
-        // with a typed reason instead of deserialization garbage.
-        frame::handshake_dial(&mut stream, Role::Client, Role::Coordinator)
+    /// Dials the server at `addr` on `net`. The version/role handshake
+    /// runs before any request: a mismatched build pair (or a worker
+    /// port dialed by mistake) fails here with a typed reason instead
+    /// of deserialization garbage.
+    pub fn dial(net: &dyn Transport, addr: &str) -> std::io::Result<Client> {
+        let mut conn = net.dial(addr, None)?;
+        frame::handshake_dial(&mut conn, Role::Client, Role::Coordinator)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let writer = stream.try_clone()?;
         Ok(Client {
-            reader: stream,
-            writer,
+            conn,
             pending: VecDeque::new(),
         })
     }
 
+    /// [`Client::dial`] over TCP.
+    pub fn connect(addr: &str) -> std::io::Result<Client> {
+        Client::dial(&Tcp, addr)
+    }
+
     /// Alias of [`Client::connect`]. Pinned by `benchmark/src/sut.rs`
     /// (frozen); ROADMAP item 5b deletes it.
-    pub fn connect_binary(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+    pub fn connect_binary(addr: &str) -> std::io::Result<Client> {
         Client::connect(addr)
     }
 
@@ -144,11 +145,11 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ServeError> {
-        frame::send(&mut self.writer, req).map_err(ServeError::from)
+        frame::send(&mut self.conn, req).map_err(ServeError::from)
     }
 
     fn recv(&mut self) -> Result<Response, ServeError> {
-        let Some(payload) = frame::read_frame(&mut self.reader)? else {
+        let Some(payload) = frame::read_frame(&mut self.conn)? else {
             return Err(ServeError::Disconnected);
         };
         if binframe::is_binary(&payload) {

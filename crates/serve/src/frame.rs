@@ -28,9 +28,10 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// every incompatible message-shape change; the [`Hello`] handshake
 /// compares it so a mismatched pair of builds fails with a typed
 /// [`FrameError::VersionMismatch`] instead of deserialization garbage.
-/// The fetched SMOF partitions are part of the contract: v6 is the
-/// version whose partition CRC covers the header.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// The fetched SMOF partitions and keyblock frames are part of the
+/// contract: v6 is the version whose partition CRC covers the header,
+/// v7 the one whose `KeyblockBin` CRC does.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

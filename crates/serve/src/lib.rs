@@ -24,13 +24,14 @@
 //! packed [`KeyblockBin`] frame ([`binframe`]).
 //!
 //! ```no_run
-//! use sidr_serve::{Client, Server, ServerConfig, SubmitOptions};
+//! use std::sync::Arc;
+//! use sidr_serve::{Client, Server, ServerConfig, SubmitOptions, Tcp};
 //!
-//! let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-//! let addr = server.local_addr().unwrap();
+//! let server = Server::bind(Arc::new(Tcp), "127.0.0.1:0", ServerConfig::default()).unwrap();
+//! let addr = server.local_addr();
 //! std::thread::spawn(move || server.run());
 //!
-//! let mut client = Client::connect(addr).unwrap();
+//! let mut client = Client::connect(&addr).unwrap();
 //! # let spec: sidr_core::spec::JobSpec = todo!();
 //! let ticket = client.submit(&spec, "/data/temperature.scinc",
 //!     SubmitOptions::default()).unwrap();

@@ -17,13 +17,10 @@
 //! disconnects mid-stream mutes the stream without failing the job —
 //! the job completes into the server's lifetime counters.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 use sidr_analyze::{analyze_spec, AnalyzeOptions};
@@ -32,7 +29,8 @@ use sidr_core::diag::Severity;
 use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
 use sidr_core::spec::JobSpec;
-use sidr_mapreduce::sync::Mutex;
+use sidr_mapreduce::sync::chaos::{self, Mutation};
+use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::{CancelToken, MrError, OutputCollector, SlotPool};
 use sidr_scifile::ScincFile;
 
@@ -41,17 +39,7 @@ use crate::fleet::Fleet;
 use crate::frame::{self, FrameError, Hello, Role};
 use crate::metrics::{serve as serve_metrics, ServeMetrics};
 use crate::proto::{Request, Response, ServerStats, SubmitOptions};
-use crate::transport::Tcp;
-
-/// One message on a connection's outbound channel. JSON responses are
-/// serialized by the writer thread; a keyblock arrives already encoded
-/// as a `KeyblockBin` frame (one allocation at commit, written
-/// as-is), so the reduce-commit → socket path never runs a JSON
-/// encoder.
-enum Outbound {
-    Json(Response),
-    BinKeyblock(Vec<u8>),
-}
+use crate::transport::{Conn, Listener, Transport};
 
 /// The occupancy gauge a job in `state` contributes to, if any.
 fn state_gauge(m: &ServeMetrics, state: JobState) -> Option<&sidr_obs::Gauge> {
@@ -139,16 +127,15 @@ struct JobHandle {
 /// State shared by the acceptor, connection threads and job threads.
 struct Inner {
     config: ServerConfig,
-    /// The acceptor's bound address — used to self-connect on
-    /// shutdown so the blocking accept loop wakes up.
-    addr: SocketAddr,
+    listener: Arc<dyn Listener>,
     pool: SlotPool,
     /// The worker fleet, when configured with workers (coordinator
     /// mode). `None` executes jobs in-process, exactly as before.
     fleet: Option<Fleet>,
-    jobs: Mutex<HashMap<u64, JobHandle>>,
+    /// Ordered, like every collection a handler walks: a seed of the
+    /// fleet search replays only if the walk does.
+    jobs: Mutex<BTreeMap<u64, JobHandle>>,
     next_job: AtomicU64,
-    shutdown: AtomicBool,
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_cancelled: AtomicU64,
@@ -229,20 +216,20 @@ impl Inner {
         }
     }
 
-    /// Cancels every job that has not yet reached a terminal state.
-    fn cancel_all(&self) {
-        let jobs = self.jobs.lock();
-        for h in jobs.values() {
+    /// Cancels every job that has not yet reached a terminal state and
+    /// closes the endpoint, which ends the accept loop.
+    fn shutdown(&self) {
+        for h in self.jobs.lock().values() {
             if !h.state.is_terminal() {
                 h.cancel.cancel();
             }
         }
+        self.listener.close();
     }
 }
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
     inner: Arc<Inner>,
 }
 
@@ -255,10 +242,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Stops the accept loop and cancels outstanding jobs. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.cancel_all();
-        // Wake the blocking acceptor.
-        let _ = TcpStream::connect(self.inner.addr);
+        self.inner.shutdown();
     }
 
     /// A stats snapshot, bypassing the wire protocol.
@@ -268,34 +252,34 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the service. Use port 0 to let the OS pick (tests).
-    pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Server> {
+    /// Binds the service at `addr` on `net` (TCP: port 0 lets the OS
+    /// pick). A configured fleet is dialed over the same `net`.
+    pub fn bind(
+        net: Arc<dyn Transport>,
+        addr: &str,
+        config: ServerConfig,
+    ) -> std::io::Result<Server> {
         // Register the serving metrics before any traffic, so a scrape
         // of an idle daemon already shows the full inventory at zero.
         let _ = serve_metrics();
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
         let pool = SlotPool::new(config.map_slots, config.reduce_slots)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-        let fleet = if config.workers.is_empty() {
-            None
-        } else {
-            Some(
-                Fleet::connect(Arc::new(Tcp), config.workers.clone()).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-                })?,
-            )
+            .map_err(|e| invalid(e.to_string()))?;
+        let fleet = match config.workers.is_empty() {
+            true => None,
+            false => Some(
+                Fleet::connect(Arc::clone(&net), config.workers.clone())
+                    .map_err(|e| invalid(e.to_string()))?,
+            ),
         };
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         Ok(Server {
-            listener,
             inner: Arc::new(Inner {
                 config,
-                addr: local,
+                listener: net.listen(addr)?,
                 pool,
                 fleet,
-                jobs: Mutex::new(HashMap::new()),
+                jobs: Mutex::new(BTreeMap::new()),
                 next_job: AtomicU64::new(1),
-                shutdown: AtomicBool::new(false),
                 jobs_done: AtomicU64::new(0),
                 jobs_failed: AtomicU64::new(0),
                 jobs_cancelled: AtomicU64::new(0),
@@ -307,8 +291,8 @@ impl Server {
     }
 
     /// The bound address (the OS-picked port when bound to port 0).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+    pub fn local_addr(&self) -> String {
+        self.inner.listener.local_addr()
     }
 
     /// A control handle for shutting the server down from elsewhere.
@@ -319,48 +303,85 @@ impl Server {
     }
 
     /// Runs the accept loop until a `Shutdown` request (or
-    /// [`ServerHandle::shutdown`]) arrives. Each connection gets a
-    /// reader thread; each admitted job gets a worker thread.
+    /// [`ServerHandle::shutdown`]) closes the endpoint. Each connection
+    /// gets a reader thread and a writer thread; each admitted job gets
+    /// a worker thread.
     pub fn run(self) -> std::io::Result<()> {
-        for conn in self.listener.incoming() {
-            if self.inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            // Each frame leaves in one write; Nagle would only hold a
-            // small one back for the client's delayed ACK.
-            stream.set_nodelay(true).ok();
+        while let Some(conn) = self.inner.listener.accept() {
             let inner = Arc::clone(&self.inner);
-            thread::spawn(move || handle_connection(inner, stream));
+            thread::spawn(move || handle_connection(inner, conn));
         }
         Ok(())
     }
 }
 
-/// One connection: a reader loop on this thread, a writer thread
-/// draining the outbound channel, and a detached thread per admitted
-/// job. The channel fan-in is what lets keyblock frames of concurrent
-/// jobs interleave on one socket without tearing frames.
-fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut read_half = stream;
+/// One connection's outbound frames, each already encoded, drained by
+/// its one writer thread — so frames of concurrent jobs interleave on
+/// the socket without tearing, and a slow or half-open consumer holds
+/// up nothing but its own queue, never a reduce slot.
+#[derive(Default)]
+struct Outbox {
+    state: Mutex<OutboxState>,
+    ready: Condvar,
+}
 
+#[derive(Default)]
+struct OutboxState {
+    frames: VecDeque<Vec<u8>>,
+    /// A write failed: the consumer is gone, and every later frame is
+    /// dropped. That is the whole of hang-up tolerance.
+    closed: bool,
+    /// The reader has ended: no request will admit another job.
+    reader_done: bool,
+    /// Jobs admitted here whose terminal frame is not enqueued yet.
+    open_jobs: usize,
+}
+
+impl Outbox {
+    /// Enqueues one encoded frame, unless the consumer is gone; a job's
+    /// terminal frame (`ends_job`) also settles that job.
+    fn push(&self, payload: Vec<u8>, ends_job: bool) {
+        self.update(|st| {
+            st.open_jobs -= usize::from(ends_job);
+            if !st.closed {
+                st.frames.push_back(payload);
+            }
+        });
+    }
+
+    fn reply(&self, resp: &Response) {
+        self.push(json(resp), false);
+    }
+
+    fn update(&self, f: impl FnOnce(&mut OutboxState)) {
+        f(&mut self.state.lock());
+        self.ready.notify_all();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+}
+
+/// A response as frame payload.
+fn json(resp: &Response) -> Vec<u8> {
+    let text = frame::to_json(resp).expect("a Response always serializes");
+    text.into_bytes()
+}
+
+/// One connection: the handshake, then a reader loop on this thread, a
+/// writer thread draining the [`Outbox`], and a detached thread per
+/// admitted job.
+fn handle_connection(inner: Arc<Inner>, mut conn: Conn) {
     // The first frame must be a [`Hello`]. As everywhere on this
     // socket, anything else — garbage, or a well-formed `Request` sent
     // without a handshake — draws a protocol `Error` frame before the
     // connection closes, never a silent hang-up.
-    match frame::recv::<Hello>(&mut read_half) {
+    match frame::recv::<Hello>(&mut conn) {
         Ok(Some(hello)) => {
-            // Answer the handshake directly (the writer thread only
-            // speaks `Response`). A version or magic mismatch gets no
-            // reply at all: the dialer reads the close as the refusal.
-            if frame::handshake_accept(&mut write_half, &hello, Role::Coordinator).is_err() {
+            // A version or magic mismatch gets no reply at all: the
+            // dialer reads the close as the refusal.
+            if frame::handshake_accept(&mut conn, &hello, Role::Coordinator).is_err() {
                 return;
             }
         }
@@ -368,26 +389,30 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
         Err(e @ FrameError::Oversized { .. })
         | Err(e @ FrameError::Malformed(_))
         | Err(e @ FrameError::VersionMismatch { .. }) => {
-            send_error_frame(&mut write_half, e.to_string());
+            let message = e.to_string();
+            if frame::send(&mut conn, &Response::Error { message }).is_ok() {
+                serve_metrics().frames_out.inc();
+            }
             return;
         }
         Err(_) => return,
     }
 
-    let (tx, rx) = channel::<Outbound>();
-    let writer_inner = Arc::clone(&inner);
-    let writer = thread::spawn(move || write_loop(writer_inner, write_half, rx));
+    let (mut reader, writer) = conn.split();
+    let out = Arc::new(Outbox::default());
+    let (writer_inner, writer_out) = (Arc::clone(&inner), Arc::clone(&out));
+    let writer = thread::spawn(move || write_loop(&writer_inner, &writer_out, writer));
 
     loop {
-        match frame::recv::<Request>(&mut read_half) {
+        match frame::recv::<Request>(&mut reader) {
             Ok(Some(req)) => {
                 serve_metrics().frames_in.inc();
-                if !handle_request(&inner, req, &tx) {
+                if !handle_request(&inner, req, &out) {
                     break;
                 }
             }
-            // Clean disconnect: the job threads keep their tx clones
-            // and keep running (hang-up tolerance); we just leave.
+            // Clean disconnect: the jobs admitted here keep running
+            // (hang-up tolerance); we just leave.
             Ok(None) => break,
             Err(FrameError::Io(_)) | Err(FrameError::Truncated { .. }) => break,
             // The stream cannot be resynchronized after a bad length
@@ -396,98 +421,76 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
             Err(e @ FrameError::Oversized { .. })
             | Err(e @ FrameError::Malformed(_))
             | Err(e @ FrameError::VersionMismatch { .. }) => {
-                let _ = tx.send(Outbound::Json(Response::Error {
+                out.reply(&Response::Error {
                     message: e.to_string(),
-                }));
+                });
                 break;
             }
         }
     }
-    drop(tx);
+    out.update(|st| st.reader_done = true);
     let _ = writer.join();
 }
 
-/// One-off protocol `Error` frame on a connection whose writer thread
-/// hasn't started (the handshake).
-fn send_error_frame(stream: &mut TcpStream, message: String) {
-    if frame::send(stream, &Response::Error { message }).is_ok() {
-        serve_metrics().frames_out.inc();
-    }
-}
-
-/// Serializes responses onto the socket, accounting streamed bytes.
-/// Either flavor leaves in one vectored write (`write_frame`); a
-/// keyblock's bytes pass through untouched.
-fn write_loop(inner: Arc<Inner>, mut stream: TcpStream, rx: Receiver<Outbound>) {
-    for out in &rx {
-        let (payload, is_keyblock) = match out {
-            Outbound::Json(resp) => match serde_json::to_string(&resp) {
-                Ok(text) => (text.into_bytes(), false),
-                Err(_) => continue,
-            },
-            Outbound::BinKeyblock(bytes) => (bytes, true),
+/// Writes the outbox to the socket, accounting streamed bytes, until
+/// the reader has ended and every job admitted here has sent its
+/// terminal frame — or a write fails. Each frame leaves in one
+/// vectored write (`write_frame`); a keyblock's bytes pass through
+/// untouched.
+fn write_loop(inner: &Inner, out: &Outbox, mut w: impl Write) {
+    loop {
+        let next = wait_until(&out.ready, &mut out.state.lock(), None, |st| {
+            match st.frames.pop_front() {
+                Some(payload) => Some(Some(payload)),
+                None => (st.reader_done && st.open_jobs == 0).then_some(None),
+            }
+        });
+        let Some(payload) = next else {
+            return;
         };
-        if frame::write_frame(&mut stream, &payload).is_err() {
-            // Consumer hung up: keep draining so job threads never
-            // block on a dead connection, but stop writing.
-            for _ in rx.iter() {}
+        if frame::write_frame(&mut w, &payload).is_err() {
+            out.update(|st| {
+                st.closed = true;
+                st.frames.clear();
+            });
             return;
         }
         serve_metrics().frames_out.inc();
-        if is_keyblock {
-            inner
-                .bytes_streamed
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            serve_metrics().streamed_bytes.add(payload.len() as u64);
+        if binframe::is_binary(&payload) {
+            let n = payload.len() as u64;
+            inner.bytes_streamed.fetch_add(n, Ordering::Relaxed);
+            serve_metrics().streamed_bytes.add(n);
         }
     }
-    let _ = stream.flush();
 }
 
 /// Dispatches one request; returns false when the connection (or the
 /// whole server) should wind down.
-fn handle_request(inner: &Arc<Inner>, req: Request, tx: &Sender<Outbound>) -> bool {
+fn handle_request(inner: &Arc<Inner>, req: Request, out: &Arc<Outbox>) -> bool {
     match req {
         Request::Submit {
             spec,
             input,
             options,
-        } => {
-            admit(inner, spec, input, options, tx);
-            true
-        }
-        Request::Cancel { job } => {
-            let jobs = inner.jobs.lock();
-            match jobs.get(&job) {
-                Some(h) => h.cancel.cancel(),
-                None => {
-                    let _ = tx.send(Outbound::Json(Response::Error {
-                        message: format!("unknown job id {job}"),
-                    }));
-                }
-            }
-            true
-        }
-        Request::Stats => {
-            let _ = tx.send(Outbound::Json(Response::Stats {
-                stats: inner.stats(),
-            }));
-            true
-        }
-        Request::Metrics => {
-            let _ = tx.send(Outbound::Json(Response::Metrics {
-                text: sidr_obs::render_global(),
-            }));
-            true
-        }
+        } => admit(inner, spec, input, options, out),
+        Request::Cancel { job } => match inner.jobs.lock().get(&job) {
+            Some(h) => h.cancel.cancel(),
+            None => out.reply(&Response::Error {
+                message: format!("unknown job id {job}"),
+            }),
+        },
+        Request::Stats => out.reply(&Response::Stats {
+            stats: inner.stats(),
+        }),
+        Request::Metrics => out.reply(&Response::Metrics {
+            text: sidr_obs::render_global(),
+        }),
         Request::Shutdown => {
-            inner.shutdown.store(true, Ordering::SeqCst);
-            inner.cancel_all();
-            // Wake the acceptor so `Server::run` observes the flag.
-            let _ = TcpStream::connect(inner.addr);
-            false
+            inner.shutdown();
+            return false;
         }
     }
+    true
 }
 
 /// The admission pre-flight (§3.2.1 meets the static verifier): the
@@ -498,22 +501,22 @@ fn admit(
     spec: JobSpec,
     input: String,
     options: SubmitOptions,
-    tx: &Sender<Outbound>,
+    out: &Arc<Outbox>,
 ) {
     let report = match analyze_spec(&spec, &inner.config.analyze) {
         Ok(r) => r,
         Err(e) => {
             serve_metrics().rejections.inc();
-            let _ = tx.send(Outbound::Json(Response::Rejected {
+            out.reply(&Response::Rejected {
                 reason: format!("pre-flight could not analyze the spec: {e}"),
                 diagnostics: Vec::new(),
-            }));
+            });
             return;
         }
     };
     if report.has_errors() {
         serve_metrics().rejections.inc();
-        let _ = tx.send(Outbound::Json(Response::Rejected {
+        out.reply(&Response::Rejected {
             reason: "admission pre-flight found plan errors".into(),
             diagnostics: report
                 .diagnostics
@@ -521,7 +524,7 @@ fn admit(
                 .filter(|d| d.severity == Severity::Error)
                 .map(|d| d.to_string())
                 .collect(),
-        }));
+        });
         return;
     }
 
@@ -535,40 +538,42 @@ fn admit(
         },
     );
     serve_metrics().jobs_queued.inc();
-    let _ = tx.send(Outbound::Json(Response::Accepted {
+    out.update(|st| st.open_jobs += 1);
+    out.reply(&Response::Accepted {
         job,
         keyblocks: spec.num_reducers,
         num_maps: spec.splits.len(),
-    }));
+    });
 
-    let inner = Arc::clone(inner);
-    let tx = tx.clone();
-    thread::spawn(move || run_admitted_job(inner, job, spec, input, options, cancel, tx));
+    let (inner, out) = (Arc::clone(inner), Arc::clone(out));
+    thread::spawn(move || {
+        let end = run_admitted_job(&inner, job, &spec, &input, &options, &cancel, &out);
+        out.push(json(&end), true);
+    });
 }
 
 /// One admitted job, end to end: open the input, execute on the
-/// shared pool streaming each keyblock as it commits, then send the
-/// terminal frame. A vanished client mutes the stream; the job still
-/// completes into the lifetime counters.
+/// shared pool streaming each keyblock as it commits. Returns the
+/// terminal frame, its state already recorded. A vanished client mutes
+/// the stream; the job still completes into the lifetime counters.
 fn run_admitted_job(
-    inner: Arc<Inner>,
+    inner: &Inner,
     job: u64,
-    spec: JobSpec,
-    input: String,
-    options: SubmitOptions,
-    cancel: CancelToken,
-    tx: Sender<Outbound>,
-) {
+    spec: &JobSpec,
+    input: &str,
+    options: &SubmitOptions,
+    cancel: &CancelToken,
+    out: &Outbox,
+) -> Response {
     inner.set_state(job, JobState::Planning);
-    let file = match ScincFile::open(&input) {
+    let file = match ScincFile::open(input) {
         Ok(f) => f,
         Err(e) => {
             inner.set_state(job, JobState::Failed);
-            let _ = tx.send(Outbound::Json(Response::Failed {
+            return Response::Failed {
                 job,
                 error: format!("cannot open input {input:?}: {e}"),
-            }));
-            return;
+            };
         }
     };
 
@@ -579,11 +584,11 @@ fn run_admitted_job(
         fault_plan: options.fault_plan.clone(),
     };
 
-    let out = KeyblockStream {
-        inner: &inner,
+    let stream = KeyblockStream {
+        inner,
         job,
-        start: Instant::now(),
-        tx: tx.clone(),
+        start: time::now(),
+        out,
         keyblocks: AtomicU64::new(0),
         records: AtomicU64::new(0),
     };
@@ -600,14 +605,14 @@ fn run_admitted_job(
                 filter_pushdown: options.filter_pushdown,
                 fault_plan: options.fault_plan.clone(),
             };
-            match fleet.prepare_job(&spec, &input, &exec_opts) {
+            match fleet.prepare_job(spec, input, &exec_opts) {
                 Ok(remote) => {
                     let r = run_spec_with_executor(
-                        &spec,
+                        spec,
                         &opts,
-                        &out,
+                        &stream,
                         &inner.pool,
-                        Some(&cancel),
+                        Some(cancel),
                         &remote,
                     );
                     remote.finish();
@@ -616,60 +621,62 @@ fn run_admitted_job(
                 Err(e) => Err(sidr_core::SidrError::Engine(e)),
             }
         }
-        None => run_spec_on_pool(&file, &spec, &opts, &out, &inner.pool, Some(&cancel)),
+        None => run_spec_on_pool(&file, spec, &opts, &stream, &inner.pool, Some(cancel)),
     };
 
-    match result {
-        Ok(job_result) => {
-            inner.set_state(job, JobState::Done);
-            let _ = tx.send(Outbound::Json(Response::Done {
+    let (state, end) = match result {
+        Ok(job_result) => (
+            JobState::Done,
+            Response::Done {
                 job,
                 keyblocks: spec.num_reducers,
-                records: out.records.load(Ordering::Relaxed),
+                records: stream.records.load(Ordering::Relaxed),
                 events: job_result.events,
-            }));
-        }
-        Err(sidr_core::SidrError::Engine(MrError::DeadlineExceeded { deadline_ms })) => {
-            inner.set_state(job, JobState::DeadlineExceeded);
-            let _ = tx.send(Outbound::Json(Response::DeadlineExceeded {
-                job,
-                deadline_ms,
-            }));
-        }
+            },
+        ),
+        Err(sidr_core::SidrError::Engine(MrError::DeadlineExceeded { deadline_ms })) => (
+            JobState::DeadlineExceeded,
+            Response::DeadlineExceeded { job, deadline_ms },
+        ),
         Err(sidr_core::SidrError::Engine(MrError::Cancelled)) => {
-            inner.set_state(job, JobState::Cancelled);
-            let _ = tx.send(Outbound::Json(Response::Cancelled { job }));
+            (JobState::Cancelled, Response::Cancelled { job })
         }
-        Err(e) => {
-            inner.set_state(job, JobState::Failed);
-            let _ = tx.send(Outbound::Json(Response::Failed {
+        Err(e) => (
+            JobState::Failed,
+            Response::Failed {
                 job,
                 error: e.to_string(),
-            }));
-        }
-    }
+            },
+        ),
+    };
+    inner.set_state(job, state);
+    end
 }
 
 /// One job's output path. `commit` stamps the keyblock, encodes its
 /// `KeyblockBin` frame once into an exact-size buffer and enqueues it
 /// on the submitting connection; the records themselves are dropped.
-/// A send to a connection that is gone is ignored — that is the whole
-/// of hang-up tolerance. A keyblock the frame cannot carry fails the
-/// commit and thereby the job, with the reason.
+/// A connection that is gone drops the frame and nothing else. A
+/// keyblock the frame cannot carry fails the commit and thereby the
+/// job, with the reason.
 struct KeyblockStream<'a> {
     inner: &'a Inner,
     job: u64,
     start: Instant,
-    tx: Sender<Outbound>,
+    out: &'a Outbox,
     keyblocks: AtomicU64,
     records: AtomicU64,
 }
 
 impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
     fn commit(&self, reducer: usize, records: Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()> {
+        // Mutation hook: the hang-up tolerance above, undone.
+        if chaos::on(Mutation::HangUpFailsCommit) && self.out.is_closed() {
+            return Err(MrError::Output("the client hung up".into()));
+        }
         // Measured from job start: the paper's time-to-first-result,
         // as served.
-        let at = self.start.elapsed();
+        let at = time::now() - self.start;
         let bin = binframe::encode_keyblock(self.job, reducer, at.as_millis() as u64, &records)
             .map_err(|e| {
                 MrError::Output(format!("keyblock does not fit a KeyblockBin frame: {e}"))
@@ -684,7 +691,7 @@ impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
             .fetch_add(1, Ordering::Relaxed);
         self.records
             .fetch_add(records.len() as u64, Ordering::Relaxed);
-        let _ = self.tx.send(Outbound::BinKeyblock(bin));
+        self.out.push(bin, false);
         Ok(())
     }
 }

@@ -1,17 +1,17 @@
-//! The fleet's one wire seam: coordinator and workers dial and listen
-//! through a [`Transport`], never a socket type.
+//! The one wire seam: clients, the server, the coordinator and workers
+//! dial and listen through a [`Transport`], never a socket type.
 //!
-//! [`Tcp`] is what the daemons, [`crate::Server`] and the CLIs run on;
-//! `TCP_NODELAY`, timeouts and the self-dial that wakes a blocked
-//! `accept` are each set here, once. [`Mem`] is the same wire in
-//! memory — duplex byte pipes built on the `sidr_mapreduce::sync`
-//! facade — for running the real coordinator and workers in one
-//! process under the schedule explorer: every read and write is a
-//! yield point, a timed read times out on the explorer's virtual clock,
-//! and an optional fault hook decides the fate of every write (deliver
-//! it late, tamper with it, cut the connection, or leave it half-open).
-//! Bytes keep their order within a connection; delays reorder delivery
-//! across connections.
+//! [`Tcp`] is what the daemons and the CLIs run on; `TCP_NODELAY`,
+//! timeouts and the self-dial that wakes a blocked `accept` are each
+//! set here, once. [`Mem`] is the same wire in memory — duplex byte
+//! pipes built on the `sidr_mapreduce::sync` facade — for running the
+//! real server, coordinator and workers in one process under the
+//! schedule explorer: every read and write is a yield point, a timed
+//! read times out on the explorer's virtual clock, and an optional
+//! fault hook decides the fate of every write (deliver it late, tamper
+//! with it, cut the connection, or leave it half-open). Bytes keep
+//! their order within a connection; delays reorder delivery across
+//! connections.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, ErrorKind, IoSlice, Read, Write};
@@ -50,6 +50,13 @@ pub trait Listener: Send + Sync {
 pub struct Conn {
     reader: Box<dyn Read + Send>,
     writer: Box<dyn Write + Send>,
+}
+
+impl Conn {
+    /// The two halves, for a reader and a writer on different threads.
+    pub fn split(self) -> (Box<dyn Read + Send>, Box<dyn Write + Send>) {
+        (self.reader, self.writer)
+    }
 }
 
 impl Read for Conn {
@@ -398,6 +405,14 @@ impl Read for MemReader {
             st.head += n;
         }
         Ok(n)
+    }
+}
+
+/// A reader that hangs up cuts its direction: the peer's next write
+/// fails, as a write to a TCP peer that has reset does.
+impl Drop for MemReader {
+    fn drop(&mut self) {
+        self.pipe.cut();
     }
 }
 

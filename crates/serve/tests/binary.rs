@@ -7,6 +7,7 @@
 //! over-reads.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread;
 
 use proptest::collection::vec;
@@ -17,10 +18,11 @@ use sidr_coords::Coord;
 use sidr_core::framework::{run_query, FrameworkMode, RunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::SidrPlanner;
+use sidr_mapreduce::shuffle_file::crc32_parts;
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_serve::binframe::{decode_keyblock, encode_keyblock, is_binary, BIN_HEADER_LEN};
 use sidr_serve::frame::{self, read_frame, FrameError, Role};
-use sidr_serve::{Client, Request, Response, Server, ServerConfig, SubmitOptions};
+use sidr_serve::{Client, Request, Response, Server, ServerConfig, SubmitOptions, Tcp};
 
 /// Builds the CI-scale preset's spec and (once per tag) its dataset.
 fn tiny_fixture(tag: &str) -> (JobSpec, String) {
@@ -49,8 +51,8 @@ fn tiny_fixture(tag: &str) -> (JobSpec, String) {
 }
 
 fn spawn_server(config: ServerConfig) -> (std::net::SocketAddr, sidr_serve::ServerHandle) {
-    let server = Server::bind("127.0.0.1:0", config).unwrap();
-    let addr = server.local_addr().unwrap();
+    let server = Server::bind(Arc::new(Tcp), "127.0.0.1:0", config).unwrap();
+    let addr: std::net::SocketAddr = server.local_addr().parse().unwrap();
     let handle = server.handle();
     thread::spawn(move || server.run());
     (addr, handle)
@@ -72,7 +74,7 @@ fn streamed_keyblocks_decode_identical_to_batch() {
     let (addr, handle) = spawn_server(ServerConfig::default());
     let truth = batch_truth(&spec, &input);
 
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Client::connect(&addr.to_string()).unwrap();
     let ticket = client
         .submit(&spec, &input, SubmitOptions::default())
         .unwrap();
@@ -187,19 +189,38 @@ proptest! {
         prop_assert!(decode_keyblock(&wire[..cut]).is_err());
     }
 
-    /// Any single bit flip in the payload region is caught by the
-    /// CRC; flips in the header either fail a check or decode into
-    /// different (but well-formed) metadata — never a panic.
+    /// Any single bit flip in the payload is caught by the CRC; the
+    /// header's bits are covered exhaustively below.
     #[test]
     fn single_bit_flips_never_panic(pos_seed in any::<u64>(), bit in 0u8..8) {
         let mut wire = sample_frame();
-        let pos = (pos_seed as usize) % wire.len();
+        let pos = BIN_HEADER_LEN + (pos_seed as usize) % (wire.len() - BIN_HEADER_LEN);
         wire[pos] ^= 1 << bit;
-        let payload_flip = pos >= BIN_HEADER_LEN;
         match decode_keyblock(&wire) {
-            Ok(_) => prop_assert!(!payload_flip, "payload corruption must fail the CRC"),
             Err(FrameError::Malformed(_)) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
+            other => panic!("payload flip at {pos}: {:?}", other.map(|kb| kb.reducer)),
+        }
+    }
+
+    /// Layout-aware fuzzing, in the style of `smof3_props.rs`: a hostile
+    /// value in one header field, with the CRC re-sealed over the edit
+    /// or not, is a typed `Malformed` — or, when the value happens to
+    /// be the honest one, a decode whose re-encoding is the same bytes.
+    /// Never a panic, never an over-read.
+    #[test]
+    fn hostile_header_fields_are_malformed(field in hostile(), sealed in any::<bool>()) {
+        let mut wire = sample_frame();
+        field.apply(&mut wire);
+        if sealed {
+            reseal(&mut wire);
+        }
+        match decode_keyblock(&wire) {
+            Ok(kb) => {
+                let again = encode_keyblock(kb.job, kb.reducer, kb.at_ms, &kb.records).unwrap();
+                prop_assert_eq!(again, wire, "{:?} sealed={} decoded", field, sealed);
+            }
+            Err(FrameError::Malformed(_)) => {}
+            Err(other) => panic!("{field:?} sealed={sealed}: unexpected error class {other:?}"),
         }
     }
 
@@ -214,5 +235,72 @@ proptest! {
         }
         wire[16..20].copy_from_slice(&count.to_le_bytes());
         prop_assert!(decode_keyblock(&wire).is_err());
+    }
+}
+
+/// One header field of [`sample_frame`] set to a hostile value.
+#[derive(Clone, Copy, Debug)]
+enum Hostile {
+    Records(u32),
+    KeyWidth(u32),
+    Kind(u8),
+    Reserved(u16),
+}
+
+fn hostile() -> impl Strategy<Value = Hostile> {
+    (0u8..4, 0usize..3, any::<u32>()).prop_map(|(field, pick, v)| match field {
+        0 => Hostile::Records([0, u32::MAX, v][pick]),
+        1 => Hostile::KeyWidth([0, 4, u32::MAX][pick]),
+        2 => Hostile::Kind([1, u8::MAX, v as u8][pick]),
+        _ => Hostile::Reserved([1, u16::MAX, v as u16][pick]),
+    })
+}
+
+impl Hostile {
+    fn apply(self, wire: &mut [u8]) {
+        match self {
+            Hostile::Records(n) => wire[16..20].copy_from_slice(&n.to_le_bytes()),
+            Hostile::KeyWidth(w) => wire[28..32].copy_from_slice(&w.to_le_bytes()),
+            Hostile::Kind(k) => wire[1] = k,
+            Hostile::Reserved(r) => wire[2..4].copy_from_slice(&r.to_le_bytes()),
+        }
+    }
+}
+
+/// The encoder's CRC over an edited frame: header bytes `0..32`, then
+/// the payload.
+fn reseal(wire: &mut [u8]) {
+    let crc = crc32_parts(&[&wire[..32], &wire[BIN_HEADER_LEN..]]);
+    wire[32..BIN_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Re-sealing an untouched frame changes nothing, so the property
+/// above tests the structural checks and not a broken seal.
+#[test]
+fn reseal_matches_the_encoder() {
+    let wire = sample_frame();
+    let mut again = wire.clone();
+    reseal(&mut again);
+    assert_eq!(again, wire);
+}
+
+/// Every one of the header's 288 bits is covered: a flip fails the
+/// CRC or an earlier check, so a keyblock can never be filed under
+/// another job or reducer, or stamped with another time.
+#[test]
+fn every_header_bit_flip_is_malformed() {
+    let wire = sample_frame();
+    for byte in 0..BIN_HEADER_LEN {
+        for bit in 0..8 {
+            let mut flipped = wire.clone();
+            flipped[byte] ^= 1 << bit;
+            match decode_keyblock(&flipped) {
+                Err(FrameError::Malformed(_)) => {}
+                other => panic!(
+                    "header byte {byte} bit {bit}: {:?}",
+                    other.map(|kb| (kb.job, kb.reducer, kb.at_ms))
+                ),
+            }
+        }
     }
 }

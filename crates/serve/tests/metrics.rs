@@ -8,6 +8,7 @@
 //! running jobs in the same process would perturb the counters.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread;
 
 use sidr_analyze::presets;
@@ -15,7 +16,7 @@ use sidr_core::spec::JobSpec;
 use sidr_core::SidrPlanner;
 use sidr_obs::text::{self, Exposition};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
-use sidr_serve::{Client, Server, ServerConfig, SubmitOptions};
+use sidr_serve::{Client, Server, ServerConfig, SubmitOptions, Tcp};
 
 /// Builds the CI-scale preset's spec and (once per path) its dataset.
 fn tiny_fixture(tag: &str) -> (JobSpec, String) {
@@ -62,6 +63,7 @@ fn gauge(exp: &Exposition, name: &str, label: (&str, &str)) -> i64 {
 fn metrics_frame_agrees_with_stats_after_known_workload() {
     let (spec, input) = tiny_fixture("metrics");
     let server = Server::bind(
+        Arc::new(Tcp),
         "127.0.0.1:0",
         ServerConfig {
             map_slots: 2,
@@ -70,11 +72,11 @@ fn metrics_frame_agrees_with_stats_after_known_workload() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap();
+    let addr: std::net::SocketAddr = server.local_addr().parse().unwrap();
     let handle = server.handle();
     thread::spawn(move || server.run());
 
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Client::connect(&addr.to_string()).unwrap();
 
     // An idle daemon already exposes the full inventory, all zero.
     let idle = text::parse(&client.metrics().unwrap()).expect("idle exposition parses");

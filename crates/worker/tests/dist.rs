@@ -235,6 +235,7 @@ fn server_dispatches_to_fleet_and_reports_worker_stats() {
     let workers = spawn_workers(3);
 
     let server = Server::bind(
+        Arc::new(Tcp),
         "127.0.0.1:0",
         ServerConfig {
             workers: addrs(&workers),
@@ -242,11 +243,11 @@ fn server_dispatches_to_fleet_and_reports_worker_stats() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap();
+    let addr: std::net::SocketAddr = server.local_addr().parse().unwrap();
     let handle = server.handle();
     thread::spawn(move || server.run());
 
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Client::connect(&addr.to_string()).unwrap();
     let ticket = client
         .submit(&spec, &input, SubmitOptions::default())
         .unwrap();
