@@ -8,7 +8,8 @@
 //! `KeyblockBin` frames; heartbeat loss; a worker killed, or killed and
 //! rejoined at its address; a refused `Prepare`; a coordinator that
 //! vanishes and restarts reusing job ids; spill faults under a 1-byte
-//! budget; a straggler raced by a speculative twin; a failed map
+//! budget; a map's committed output corrupted or truncated; a
+//! straggler raced by a speculative twin; a failed map
 //! attempt; work spread over two workers (slot-order placement alone
 //! puts it all on w0); a client that hangs up, or a second connection
 //! that cancels the job, after some keyblocks. Every draw comes from
@@ -293,6 +294,9 @@ struct Faults {
     /// Workers get a 1-byte resident budget, and this map's first
     /// attempt this spill fault (if any).
     spill: Option<Option<(usize, FaultKind)>>,
+    /// This map's first attempt commits damaged output
+    /// (`CorruptOutput` or `TruncateOutput`).
+    damage: Option<(usize, FaultKind)>,
     /// This map's first attempt straggles this long, raced by a forced
     /// speculative twin.
     straggle: Option<(usize, u64)>,
@@ -376,12 +380,17 @@ impl Faults {
             ];
             (pick(2) == 0).then(|| (pick(maps), KINDS[pick(3)]))
         });
+        let damage = (pick(6) == 0).then(|| {
+            const KINDS: [FaultKind; 2] = [FaultKind::CorruptOutput, FaultKind::TruncateOutput];
+            (pick(maps), KINDS[pick(2)])
+        });
         let keyblocks = fixture(false).spec.num_reducers;
         Faults {
             rules,
             kill,
             restart: (pick(6) == 0).then(|| 1 + pick(3)),
             spill,
+            damage,
             straggle: (pick(5) == 0).then(|| (pick(maps), 300)),
             fail: (pick(6) == 0).then(|| (pick(maps), vec![0])),
             client: match pick(7) {
@@ -417,6 +426,9 @@ impl Faults {
             for &attempt in attempts {
                 plan = plan.with(FaultTarget::Map(*map), attempt, FaultKind::Fail);
             }
+        }
+        if let Some((map, kind)) = self.damage {
+            plan = plan.with(FaultTarget::Map(map), 0, kind);
         }
         plan
     }
@@ -772,12 +784,17 @@ impl World {
             incarnations: Default::default(),
             root,
         };
-        if let Some(Some((map, kind))) = world.faults.spill {
-            if kind != FaultKind::SpillWriteFail {
-                let mut wire = world.ledger.wire();
-                wire.reduced_before_faults = Some(HashSet::new());
-                wire.destroyed.insert(map);
-            }
+        let spill_damage = match world.faults.spill {
+            Some(Some((map, kind))) if kind != FaultKind::SpillWriteFail => Some(map),
+            _ => None,
+        };
+        for map in spill_damage
+            .into_iter()
+            .chain(world.faults.damage.map(|d| d.0))
+        {
+            let mut wire = world.ledger.wire();
+            wire.reduced_before_faults = Some(HashSet::new());
+            wire.destroyed.insert(map);
         }
         let spawned: Vec<_> = (0..WORKERS).map(|i| world.spawn(i)).collect();
         *world.workers.lock() = spawned;
@@ -1163,7 +1180,8 @@ fn base() -> Faults {
 }
 
 /// ≥ 500 seeds, each with a fresh fault draw, every oracle on every
-/// one; at least one in five has the client hang up or cancel. Four
+/// one; at least one in five has the client hang up or cancel, and at
+/// least one in eight damages a map's committed output. Four
 /// explorations share the cores: a seed's cost is the job's own CPU,
 /// and a vthread handoff leaves its core idle until the next vthread
 /// wakes — another exploration fills that gap. Prints seeds/s; a
@@ -1174,18 +1192,21 @@ fn seeded_fleet_search() {
     const THREADS: u64 = 4;
     let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     fixture(false);
-    let clients = AtomicUsize::new(0);
+    let (clients, damaged) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let started = std::time::Instant::now();
     let reports: Vec<Report> = std::thread::scope(|s| {
         let halves: Vec<_> = (0..THREADS)
             .map(|t| {
-                let clients = &clients;
+                let (clients, damaged) = (&clients, &damaged);
                 s.spawn(move || {
                     let seeds = SEEDS / THREADS as usize;
                     explore("fleet-search", seeds, 0x51D2_F1EE_7000 + t, || {
                         let faults = Faults::draw();
                         if faults.client.is_some() {
                             clients.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if faults.damage.is_some() {
+                            damaged.fetch_add(1, Ordering::Relaxed);
                         }
                         run(faults, &|_, _| {})
                     })
@@ -1197,10 +1218,10 @@ fn seeded_fleet_search() {
     let took = started.elapsed();
     let seeds: usize = reports.iter().map(|r| r.schedules).sum();
     let steps: u64 = reports.iter().map(|r| r.total_steps).sum();
-    let clients = clients.into_inner();
+    let (clients, damaged) = (clients.into_inner(), damaged.into_inner());
     eprintln!(
         "fleet search: {seeds} seeds ({} steps each) in {took:.1?} — {:.1} seeds/s, \
-         {clients} with a client hang-up or cancel",
+         {clients} with a client hang-up or cancel, {damaged} with damaged output",
         steps / seeds.max(1) as u64,
         seeds as f64 / took.as_secs_f64()
     );
@@ -1209,6 +1230,10 @@ fn seeded_fleet_search() {
     assert!(
         clients * 5 >= seeds,
         "{clients} client faults in {seeds} seeds"
+    );
+    assert!(
+        damaged * 8 >= seeds,
+        "{damaged} output-damage faults in {seeds} seeds"
     );
 }
 
@@ -1399,6 +1424,29 @@ fn corrupt_spill_readback_reexecutes_exactly_the_damaged_map() {
         };
         scripted("corrupt-readback", faults, |got, _| {
             assert_eq!(reexecuted_maps(got.events()), vec![5]);
+        });
+    }
+}
+
+/// Committed output damaged on its worker — a flipped bit or a lost
+/// last byte, on resident bytes — fails its CRC when the reduce opens
+/// it: the partition is lost, exactly its map re-executes, and the
+/// client receives byte-identical keyblocks.
+#[test]
+fn damaged_output_reexecutes_only_its_map() {
+    for kind in [FaultKind::CorruptOutput, FaultKind::TruncateOutput] {
+        let faults = Faults {
+            damage: Some((5, kind)),
+            ..base()
+        };
+        scripted("damaged-output", faults, |got, _| {
+            assert_eq!(reexecuted_maps(got.events()), vec![5], "{kind:?}");
+            let mut keyblocks = got.keyblocks.clone();
+            keyblocks.sort_by_key(|k| k.0);
+            assert!(
+                keyblocks == fixture(false).expected,
+                "{kind:?}: output differs"
+            );
         });
     }
 }
@@ -1679,6 +1727,28 @@ fn hang_up_failing_the_commit_is_caught() {
     assert!(
         finding_mentions(&report, "hang-up"),
         "the hang-up oracle missed it: {:?}",
+        report.failures
+    );
+}
+
+/// One release path, undone: a reduce that finds map 5's output
+/// damaged also releases its sound sources, so its retry finds them
+/// gone and maps the damage never touched re-execute — the recovery
+/// oracle fires.
+#[test]
+fn releasing_sound_sources_on_a_loss_is_caught() {
+    let faults = Faults {
+        damage: Some((5, FaultKind::CorruptOutput)),
+        ..base()
+    };
+    let report = mutated(
+        Mutation::ReleaseOnLostSources,
+        "mutation:release-on-lost-sources",
+        faults,
+    );
+    assert!(
+        finding_mentions(&report, "faults destroyed only"),
+        "the recovery oracle missed it: {:?}",
         report.failures
     );
 }

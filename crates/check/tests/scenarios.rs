@@ -419,7 +419,7 @@ fn spill_tier_scenario() {
                 assert_eq!(&*bytes, &*a, "fetch mid-spill must be byte-identical");
             }
         });
-        s.spawn(|| store.remove(&key_b));
+        s.spawn(|| store.release(9, 0, &[(1, 0)]));
     });
     // Partition A is never released: it must read back intact.
     let read = store

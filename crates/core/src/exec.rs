@@ -17,8 +17,9 @@
 //!
 //! In-process, a [`SpecExecutor`] is the [`AttemptBodies`] pair of the
 //! engine's one [`InProcessExecutor`](sidr_mapreduce::InProcessExecutor),
-//! which holds each committed generation as the bytes a worker's store
-//! would hold. The framework mode picks only the route a map attempt
+//! which commits, opens and releases partitions through a
+//! [`PartitionStore`](sidr_mapreduce::PartitionStore) exactly as a
+//! worker does. The framework mode picks only the route a map attempt
 //! applies per `K′` key: `partition+` for SIDR, the stock hash for
 //! Hadoop and SciHadoop.
 
@@ -152,14 +153,6 @@ impl SpecExecutor {
         })
     }
 
-    pub fn num_maps(&self) -> usize {
-        self.splits.len()
-    }
-
-    pub fn num_reducers(&self) -> usize {
-        self.num_reducers
-    }
-
     /// Runs one map attempt: read the split, map it by geometry, fold
     /// it through the combiner if the operator has one, and encode each
     /// non-empty partition as a SMOF buffer. Injected map faults for
@@ -218,18 +211,16 @@ impl SpecExecutor {
     /// merge ties break by file order, so this order is what keeps
     /// distributed output byte-identical to a single-process run).
     /// On success `emit` is called exactly once, with the
-    /// whole keyblock in key order; returns its record count. (A
-    /// callback rather than a return value only because
-    /// `benchmark/src/staged.rs`, frozen, pins this signature.)
+    /// whole keyblock in key order; returns its record count. Only
+    /// `benchmark/src/staged.rs`, frozen, still calls this; a worker
+    /// opens its sources with [`sidr_mapreduce::open_sources`] and
+    /// reduces them through [`AttemptBodies::reduce`].
     ///
     /// Annotation validation (§3.2.1 approach 2) happens here, against
     /// the buffers' raw counts — a mismatch means the routing promise
     /// itself is broken and must fail the job, so it surfaces as the
-    /// typed [`MrError::AnnotationMismatch`].
-    /// `expected_raw` is the coordinator's annotation expectation for
-    /// this attempt; when absent (validation off at submit time, or a
-    /// caller with no coordinator) the worker falls back to its own
-    /// plan-derived tally if its options ask for validation.
+    /// typed [`MrError::AnnotationMismatch`]; `expected_raw` is as for
+    /// [`AttemptBodies::reduce`].
     pub fn run_reduce(
         &self,
         reducer: usize,
@@ -241,13 +232,7 @@ impl SpecExecutor {
             .iter()
             .map(|bytes| Smof3View::open(Arc::clone(bytes)))
             .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
-        let expected = expected_raw.or(match &self.route {
-            Route::PartitionPlus(plan) if self.opts.validate_annotations => {
-                plan.expected_raw_count(reducer)
-            }
-            _ => None,
-        });
-        let records = self.reduce(reducer, inputs, expected)?;
+        let records = self.reduce(reducer, inputs, expected_raw)?;
         emit(&records)?;
         Ok(records.len() as u64)
     }
@@ -285,7 +270,10 @@ impl AttemptBodies for SpecExecutor {
     }
 
     /// Merges the views in the given order, checks the annotation
-    /// tally against `expected_raw`, applies the operator.
+    /// tally, applies the operator. The tally is `expected_raw`, the
+    /// coordinator's; when absent (validation off at submit time, or a
+    /// caller with no coordinator) it is the plan's own if these
+    /// options ask for validation.
     fn reduce(
         &self,
         reducer: usize,
@@ -295,6 +283,12 @@ impl AttemptBodies for SpecExecutor {
         if reducer >= self.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")));
         }
+        let expected_raw = expected_raw.or(match &self.route {
+            Route::PartitionPlus(plan) if self.opts.validate_annotations => {
+                plan.expected_raw_count(reducer)
+            }
+            _ => None,
+        });
         let op = OperatorReducer { op: self.operator };
         run_reduce_attempt(reducer, inputs, expected_raw, &op)
     }

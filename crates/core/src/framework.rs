@@ -2,8 +2,8 @@
 //! under any of the three frameworks the paper compares.
 //!
 //! Every mode runs the same data path — the geometric map
-//! ([`crate::geomap`]), SMOF partitions in the engine's one in-process
-//! generation table, the in-place merge — and the modes differ only in
+//! ([`crate::geomap`]), SMOF partitions in the in-process executor's
+//! partition store, the in-place merge — and the modes differ only in
 //! their splits, the route each `K′` key takes and the barrier:
 //!
 //! | mode        | splits                 | route            | barrier      | scheduling    |

@@ -6,16 +6,17 @@
 //! re-enqueueing — knows none of that: it hands every attempt to a
 //! [`TaskExecutor`] and interprets the outcome in one fault
 //! vocabulary. Two executors exist. [`InProcessExecutor`] runs
-//! attempts inside the scheduling process and keeps each committed
-//! map generation in one table keyed by `(map, attempt)`; the serving
-//! layer's fleet coordinator dispatches them to `sidr-worker`
-//! processes.
+//! attempts inside the scheduling process; the serving layer's fleet
+//! coordinator dispatches them to `sidr-worker` processes.
 //!
-//! A committed partition is CRC-framed SMOF v3 bytes everywhere: in
-//! the in-process table as in a worker's
-//! [`PartitionStore`](crate::tier::PartitionStore), and a reduce
-//! merges [`Smof3View`]s of those bytes in place
-//! ([`run_reduce_attempt`]). What writes the bytes is a pair of
+//! A committed partition is CRC-framed SMOF v3 bytes in a
+//! [`PartitionStore`], for both executors: the in-process executor
+//! keeps one per job, a worker one for all its jobs. Both commit a map
+//! attempt's partitions through [`PartitionStore::commit_map`] (which
+//! applies the job's output-damage faults), open a reduce's sources
+//! through [`open_sources`], merge the [`Smof3View`]s in place
+//! ([`run_reduce_attempt`]) and then release the sources through
+//! [`PartitionStore::release`]. What writes the bytes is a pair of
 //! [`AttemptBodies`]: a generic `run_job` job's per-record
 //! [`run_map_attempt`] followed by [`encode_map_output`], or a spec
 //! job's geometric map (`sidr_core::SpecExecutor`, which a worker runs
@@ -36,11 +37,12 @@ use crate::fault::FaultKind;
 use crate::plan::RoutingPlan;
 use crate::runtime::JobConfig;
 use crate::shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter};
-use crate::shuffle_file::{damage, encode_map_output};
+use crate::shuffle_file::encode_map_output;
 use crate::smof3::Smof3View;
 use crate::split::{InputSplit, MapTaskId};
-use crate::sync::Mutex;
+use crate::sync::{chaos, Mutex};
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
+use crate::tier::{MemBackend, PartitionStore, TierConfig, TierPressure};
 use crate::wire::WireFormat;
 use crate::Result;
 
@@ -357,29 +359,65 @@ where
     }
 }
 
-/// One committed map generation's partitions by reducer, as SMOF
-/// bytes. `None` marks a partition a volatile fetch consumed: lost,
-/// not empty. A reducer with no entry got nothing from this map.
-type Generation = Vec<(usize, Option<Arc<Vec<u8>>>)>;
+/// Both executors' one way to open a reduce's sources: `fetched` holds
+/// each source's `(map, epoch)` and bytes (`None`: absent), in fetch
+/// order. A source that is absent or fails its CRC is lost, and then
+/// nothing is opened or released; any other error is fatal.
+#[allow(clippy::type_complexity)]
+pub fn open_sources<K: MrKey + WireFormat, V: MrValue + WireFormat>(
+    store: &PartitionStore,
+    job: u64,
+    reducer: usize,
+    fetched: Vec<(MapTaskId, u32, Option<Arc<Vec<u8>>>)>,
+) -> std::result::Result<Vec<Smof3View<K, V>>, RemoteReduceError> {
+    let mut views = Vec::with_capacity(fetched.len());
+    let mut sound = Vec::with_capacity(fetched.len());
+    let (mut lost, mut corrupt) = (Vec::new(), false);
+    for (map, epoch, bytes) in fetched {
+        match bytes.map(Smof3View::open) {
+            Some(Ok(view)) => {
+                views.push(view);
+                sound.push((map, epoch));
+            }
+            None => lost.push(map),
+            Some(Err(MrError::CorruptShuffle { .. })) => {
+                lost.push(map);
+                corrupt = true;
+            }
+            Some(Err(e)) => return Err(RemoteReduceError::Fatal(e)),
+        }
+    }
+    if lost.is_empty() {
+        return Ok(views);
+    }
+    if corrupt && chaos::on(chaos::Mutation::ReleaseOnLostSources) {
+        store.release(job, reducer, &sound);
+    }
+    Err(RemoteReduceError::SourcesLost(lost))
+}
+
+/// The in-process job's id in its executor's own store.
+const JOB: u64 = 0;
 
 /// The in-process executor: attempts run on the scheduler's own
 /// worker threads through a pair of [`AttemptBodies`], and committed
-/// map output stays in this process as the bytes a worker's store
-/// would hold.
+/// map output stays in the job's own unbounded [`PartitionStore`].
 ///
-/// Generations are keyed by `(map, attempt)`, so a speculative loser
-/// or a superseded re-execution can never overwrite what a reducer was
-/// promised — it just sits unbound until the job ends. An injected
-/// `CorruptOutput` or `TruncateOutput` damages the committed bytes;
-/// the reduce that fetches them fails their CRC and reports exactly
-/// that map lost. One executor serves one job; dropping it drops
-/// everything the job still holds, however the job ended.
+/// Partitions are keyed by their generation `(map, attempt)`, so a
+/// speculative loser or a superseded re-execution can never overwrite
+/// what a reducer was promised — it just sits unbound. A reduce
+/// releases its sources once it has reduced them (volatile data: once
+/// they are all open); a reduce that succeeded is never retried. One
+/// executor serves one job; dropping it drops all the job still holds.
 pub struct InProcessExecutor<'a, B> {
     bodies: B,
     /// Fault script and `volatile_intermediate`.
     config: &'a JobConfig,
-    /// Committed generations, `(map, attempt)` → partitions.
-    table: Mutex<HashMap<(MapTaskId, u32), Generation>>,
+    /// Every committed partition, keyed `(JOB, map, reducer, attempt)`.
+    store: PartitionStore,
+    /// The reducers each committed `(map, attempt)` fed. A generation
+    /// not listed here is lost; a reducer it does not list got nothing.
+    fed: Mutex<HashMap<(MapTaskId, u32), Vec<usize>>>,
 }
 
 impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, JobBodies<'a, K1, V1, K2, V2, V3, SF>>
@@ -418,21 +456,19 @@ impl<'a, B> InProcessExecutor<'a, B> {
     /// An executor running `bodies` under `config`'s fault script and
     /// `volatile_intermediate`.
     pub fn with_bodies(bodies: B, config: &'a JobConfig) -> Self {
+        let store = PartitionStore::new(TierConfig::default(), Arc::new(MemBackend::new()));
+        store.prepare_job(JOB, config.fault_plan.clone(), &[]);
         InProcessExecutor {
             bodies,
             config,
-            table: Mutex::new(HashMap::new()),
+            store,
+            fed: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Map generations currently held, bound or not.
-    pub fn held_generations(&self) -> usize {
-        self.table.lock().len()
-    }
-
-    /// The job is over: drops every generation still held.
-    pub fn finish(&self) {
-        self.table.lock().clear();
+    /// What the job's store holds now, and its high-water mark.
+    pub fn pressure(&self) -> TierPressure {
+        self.store.pressure()
     }
 }
 
@@ -448,22 +484,8 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
     ) -> Result<()> {
         let fault = self.config.fault_plan.map_fault(task, attempt);
         let partitions = (self.bodies).map(task, attempt, fault, split, counters, pause)?;
-        // Post-commit damage: the attempt succeeds; the loss is found
-        // when a reduce fetches the bytes.
-        let truncate = match fault {
-            Some(FaultKind::CorruptOutput) => Some(false),
-            Some(FaultKind::TruncateOutput) => Some(true),
-            _ => None,
-        };
-        let generation = (partitions.into_iter())
-            .map(|(reducer, mut bytes)| {
-                if let Some(truncate) = truncate {
-                    damage(&mut bytes, truncate);
-                }
-                (reducer, Some(Arc::new(bytes)))
-            })
-            .collect();
-        self.table.lock().insert((task, attempt), generation);
+        let fed = self.store.commit_map(JOB, task, attempt, partitions);
+        self.fed.lock().insert((task, attempt), fed);
         Ok(())
     }
 
@@ -475,50 +497,35 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
         expected_raw: Option<u64>,
         counters: &Counters,
     ) -> std::result::Result<Vec<(B::Key, B::Out)>, RemoteReduceError> {
-        // Each source's partition for this reducer, in fetch order;
-        // `None` when its generation is missing or was consumed.
-        let held: Vec<(MapTaskId, Option<Arc<Vec<u8>>>)> = {
-            let table = self.table.lock();
+        // Skip sources that fed this reducer nothing.
+        let held: Vec<(MapTaskId, u32)> = {
+            let fed = self.fed.lock();
             (sources.iter())
-                .filter_map(|s| match table.get(&(s.map, s.epoch)) {
-                    None => Some((s.map, None)),
-                    Some(generation) => (generation.iter())
-                        .find(|(r, _)| *r == reducer)
-                        .map(|(_, bytes)| (s.map, bytes.clone())),
-                })
+                .filter(|s| (fed.get(&(s.map, s.epoch))).is_none_or(|rs| rs.contains(&reducer)))
+                .map(|s| (s.map, s.epoch))
                 .collect()
         };
-        let mut inputs = Vec::with_capacity(held.len());
-        let mut lost = Vec::new();
-        for (map, bytes) in held {
-            match bytes.map(Smof3View::open) {
-                Some(Ok(view)) => inputs.push(view),
-                // A failed CRC: the partition is lost, not the job.
-                None | Some(Err(MrError::CorruptShuffle { .. })) => lost.push(map),
-                Some(Err(e)) => return Err(RemoteReduceError::Fatal(e)),
-            }
-        }
-        // Either every source is sound and, under volatile data, they
-        // are consumed together, or nothing is touched and the lost
-        // maps are reported.
-        if !lost.is_empty() {
-            return Err(RemoteReduceError::SourcesLost(lost));
-        }
-        if self.config.volatile_intermediate {
-            let mut table = self.table.lock();
-            for s in sources {
-                let generation = table.get_mut(&(s.map, s.epoch));
-                for (r, bytes) in generation.into_iter().flatten() {
-                    if *r == reducer {
-                        *bytes = None;
-                    }
-                }
-            }
+        let fetched = (held.iter())
+            .map(|&(map, epoch)| {
+                let bytes = self.store.get(&(JOB, map, reducer, epoch));
+                (map, epoch, bytes.ok().flatten())
+            })
+            .collect();
+        let inputs = open_sources(&self.store, JOB, reducer, fetched)?;
+        // Volatile data is consumed by the fetch itself; otherwise the
+        // sources go once the keyblock is whole.
+        let volatile = self.config.volatile_intermediate;
+        if volatile {
+            self.store.release(JOB, reducer, &held);
         }
         let records: usize = inputs.iter().map(Smof3View::records).sum();
         Counters::add(&counters.shuffled_records, records as u64);
-        (self.bodies)
+        let out = (self.bodies)
             .reduce(reducer, inputs, expected_raw)
-            .map_err(RemoteReduceError::Fatal)
+            .map_err(RemoteReduceError::Fatal)?;
+        if !volatile {
+            self.store.release(JOB, reducer, &held);
+        }
+        Ok(out)
     }
 }

@@ -8,11 +8,10 @@
 //! consumes insufficient input.
 //!
 //! The builder is typed and in memory; a committed file is CRC-framed
-//! SMOF v3 bytes ([`crate::shuffle_file`]) wherever it lives — the
-//! in-process executor's generation table or a worker's
-//! [`PartitionStore`] — and the merge reads those bytes in place, one
-//! [`Smof3View`] per source. Where a file lives and how a reducer gets
-//! it is behind the [`TaskExecutor`] seam.
+//! SMOF v3 bytes ([`crate::shuffle_file`]) in a [`PartitionStore`],
+//! whichever executor committed it, and the merge reads those bytes in
+//! place, one [`Smof3View`] per source. Where a file lives and how a
+//! reducer gets it is behind the [`TaskExecutor`] seam.
 //!
 //! [`TaskExecutor`]: crate::executor::TaskExecutor
 //! [`PartitionStore`]: crate::tier::PartitionStore

@@ -9,10 +9,9 @@
 //! having to read and parse those files**."
 //!
 //! Every committed partition is bytes in exactly one layout, from the
-//! moment its map attempt writes it: in the in-process executor's
-//! generation table, in a worker's
-//! [`PartitionStore`](crate::tier::PartitionStore) and its spill files,
-//! and inside the fetch frames. The layout is version 3
+//! moment its map attempt writes it: in the
+//! [`PartitionStore`](crate::tier::PartitionStore) of either executor
+//! and its spill files, and inside the fetch frames. The layout is version 3
 //! (little-endian):
 //!
 //! ```text

@@ -148,6 +148,10 @@ pub mod chaos {
         /// A keyblock committed after its client hung up fails the
         /// commit, and so the job.
         HangUpFailsCommit,
+        /// A reduce whose source fails its CRC releases the sound
+        /// ones with it: the retry finds them gone, and maps outside
+        /// the fault's reach re-execute.
+        ReleaseOnLostSources,
     }
 
     /// Whether `m` is armed. Always `false` outside checker builds.

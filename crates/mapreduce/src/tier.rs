@@ -1,5 +1,6 @@
-//! The worker daemon's two-tier partition store: byte-budgeted
-//! resident memory over a disk spill tier.
+//! The partition store of every executor — one per worker daemon, one
+//! per in-process job (unbounded) — with byte-budgeted resident memory
+//! over a disk spill tier.
 //!
 //! SIDR's §6 keeps intermediate partitions volatile and in memory;
 //! the worker fleet inherited that literally, so a large job (or one
@@ -220,10 +221,13 @@ struct Inner {
     /// `(job, map)` → reducers that still depend on this map's output
     /// and have not released it: the spill-ranking temperature.
     pending: HashMap<(u64, usize), u64>,
-    /// Per-job scripted faults for the spill tier.
+    /// Per-job scripted faults for committed output and the spill tier.
     faults: HashMap<u64, FaultPlan>,
     resident: u64,
     spilled: u64,
+    /// `(resident, spilled)` as this store last added them to the
+    /// process-global gauges.
+    published: (i64, i64),
     peak_resident: u64,
     spill_failures: u64,
     clock: u64,
@@ -265,6 +269,7 @@ impl PartitionStore {
                 faults: HashMap::new(),
                 resident: 0,
                 spilled: 0,
+                published: (0, 0),
                 peak_resident: 0,
                 spill_failures: 0,
                 clock: 0,
@@ -279,9 +284,9 @@ impl PartitionStore {
         PartitionStore::new(cfg, Arc::new(DiskBackend::new(dir)))
     }
 
-    /// Registers a job: its scripted spill faults and the dependency
-    /// matrix's pending-consumer count per map (`counts[m]` = number
-    /// of reducers whose `I_ℓ` contains map `m`).
+    /// Registers a job: its scripted output and spill faults and the
+    /// dependency matrix's pending-consumer count per map (`counts[m]`
+    /// = number of reducers whose `I_ℓ` contains map `m`).
     pub fn prepare_job(&self, job: u64, plan: FaultPlan, counts: &[u64]) {
         let mut inner = self.inner.lock();
         if !plan.is_empty() {
@@ -294,13 +299,51 @@ impl PartitionStore {
         }
     }
 
-    /// One reducer released map `map`'s output: its partition is gone
-    /// and the map's spill temperature drops.
-    pub fn consumer_released(&self, job: u64, map: usize) {
-        let mut inner = self.inner.lock();
-        if let Some(n) = inner.pending.get_mut(&(job, map)) {
-            *n = n.saturating_sub(1);
+    /// Commits map attempt `(task, attempt)`'s partitions `(reducer,
+    /// bytes)`, every executor's one commit path, and returns the
+    /// reducers it fed. The job's scripted `CorruptOutput` /
+    /// `TruncateOutput` damages the bytes on their way in: the attempt
+    /// succeeds, and the reduce that opens them fails their CRC.
+    pub fn commit_map(
+        &self,
+        job: u64,
+        task: usize,
+        attempt: u32,
+        partitions: Vec<(usize, Vec<u8>)>,
+    ) -> Vec<usize> {
+        let fault = (self.inner.lock().faults.get(&job)).and_then(|p| p.map_fault(task, attempt));
+        let truncate = match fault {
+            Some(FaultKind::CorruptOutput) => Some(false),
+            Some(FaultKind::TruncateOutput) => Some(true),
+            _ => None,
+        };
+        let mut fed = Vec::with_capacity(partitions.len());
+        for (reducer, mut bytes) in partitions {
+            if let Some(truncate) = truncate {
+                shuffle_file::damage(&mut bytes, truncate);
+            }
+            // May spill *other* partitions on this thread: backpressure.
+            self.insert((job, task, reducer, attempt), Arc::new(bytes));
+            fed.push(reducer);
         }
+        fed
+    }
+
+    /// Reducer `reducer` is done with the partitions of `maps`
+    /// (`(map, epoch)`): each is dropped — spilled bytes are deleted
+    /// from the backend; a `Moving` partition goes at once and its
+    /// mover deletes its own file — and its map ranks colder for the
+    /// next spill-victim selection. The one way a partition leaves the
+    /// store, short of [`PartitionStore::remove_job`].
+    pub fn release(&self, job: u64, reducer: usize, maps: &[(usize, u32)]) {
+        let mut inner = self.inner.lock();
+        for &(map, epoch) in maps {
+            self.detach(&mut inner, &(job, map, reducer, epoch));
+            if let Some(n) = inner.pending.get_mut(&(job, map)) {
+                *n = n.saturating_sub(1);
+            }
+        }
+        self.publish(&mut inner);
     }
 
     /// Stores one encoded partition, replacing any previous entry at
@@ -323,41 +366,18 @@ impl PartitionStore {
             // when a single partition outsizes the whole budget).
             self.enforce_to(budget.saturating_sub(len));
         }
-        {
+        let fits = {
             let mut inner = self.inner.lock();
             self.detach(&mut inner, &key);
-            if budget == 0 || inner.resident + len <= budget {
-                inner.clock += 1;
-                let touch = inner.clock;
-                inner.entries.insert(
-                    key,
-                    Entry {
-                        state: TierState::Resident(bytes),
-                        len,
-                        touch,
-                        pinned: false,
-                    },
-                );
-                inner.resident += len;
-                inner.peak_resident = inner.peak_resident.max(inner.resident);
-                self.publish(&inner);
-                return;
-            }
-        }
+            budget == 0 || inner.resident + len <= budget
+        };
         // No room even after making it (the partition outsizes the
         // budget, or everything still resident is pinned by failed
-        // writes): bypass the memory tier entirely.
-        self.spill_incoming(key, bytes, len);
-    }
-
-    /// Writes a partition that cannot be admitted resident straight to
-    /// the backend. A failed write falls back to pinned-resident (over
-    /// budget, with the pressure advisory) — degraded, never lost.
-    fn spill_incoming(&self, key: PartKey, bytes: Arc<Vec<u8>>, len: u64) {
-        let spilled = self.write_spill(&key, &bytes);
+        // writes): bypass the memory tier entirely. A failed write
+        // leaves it pinned resident — degraded, never lost.
+        let spilled = !fits && self.write_spill(&key, &bytes);
         let mut inner = self.inner.lock();
         inner.clock += 1;
-        let touch = inner.clock;
         let state = if spilled {
             inner.spilled += len;
             let m = tier_metrics();
@@ -369,16 +389,15 @@ impl PartitionStore {
             inner.peak_resident = inner.peak_resident.max(inner.resident);
             TierState::Resident(bytes)
         };
-        inner.entries.insert(
-            key,
-            Entry {
-                state,
-                len,
-                touch,
-                pinned: !spilled,
-            },
-        );
-        self.publish(&inner);
+        let (touch, pinned) = (inner.clock, !fits && !spilled);
+        let entry = Entry {
+            state,
+            len,
+            touch,
+            pinned,
+        };
+        inner.entries.insert(key, entry);
+        self.publish(&mut inner);
     }
 
     /// Writes one partition's bytes to the backend under its spill
@@ -480,7 +499,7 @@ impl PartitionStore {
                 if (inner.entries.get(key)).is_some_and(|e| matches!(e.state, TierState::Spilled)) {
                     inner.entries.remove(key);
                     inner.spilled = inner.spilled.saturating_sub(len);
-                    self.publish(&inner);
+                    self.publish(&mut inner);
                 }
                 drop(inner);
                 self.backend.delete(&name);
@@ -489,15 +508,6 @@ impl PartitionStore {
                 })
             }
         }
-    }
-
-    /// Removes one partition (release/consume). Spilled bytes are
-    /// deleted from the backend; a `Moving` partition is removed
-    /// immediately and the mover cleans up its own file.
-    pub fn remove(&self, key: &PartKey) {
-        let mut inner = self.inner.lock();
-        self.detach(&mut inner, key);
-        self.publish(&inner);
     }
 
     /// Whether the key is currently present (either tier).
@@ -521,7 +531,7 @@ impl PartitionStore {
         }
         inner.pending.retain(|(j, _), _| *j != job);
         inner.faults.remove(&job);
-        self.publish(&inner);
+        self.publish(&mut inner);
         drop(inner);
         self.backend.delete_prefix(&job_prefix(job));
     }
@@ -568,11 +578,15 @@ impl PartitionStore {
         }
     }
 
-    /// Pushes the store's byte tallies into the process-global gauges.
-    fn publish(&self, inner: &Inner) {
+    /// Moves the process-global gauges by what this store's byte
+    /// tallies changed since it last published, so they sum every live
+    /// store in the process.
+    fn publish(&self, inner: &mut Inner) {
         let m = tier_metrics();
-        m.resident_bytes.set(inner.resident as i64);
-        m.spilled_bytes.set(inner.spilled as i64);
+        let now = (inner.resident as i64, inner.spilled as i64);
+        m.resident_bytes.add(now.0 - inner.published.0);
+        m.spilled_bytes.add(now.1 - inner.published.1);
+        inner.published = now;
     }
 
     /// Spills coldest-first until resident bytes are at or below
@@ -642,7 +656,7 @@ impl PartitionStore {
                 m.spills.inc();
                 m.spill_file_bytes.observe(len as f64);
             }
-            self.publish(&inner);
+            self.publish(&mut inner);
             drop(inner);
             if spilled && !installed {
                 // Released (or replaced) while we wrote: the consumer
@@ -653,6 +667,16 @@ impl PartitionStore {
                 self.moved.notify_all();
             }
         }
+    }
+}
+
+impl Drop for PartitionStore {
+    /// Takes what the store still holds out of the gauges.
+    fn drop(&mut self) {
+        let (resident, spilled) = self.inner.get_mut().published;
+        let m = tier_metrics();
+        m.resident_bytes.add(-resident);
+        m.spilled_bytes.add(-spilled);
     }
 }
 
@@ -832,40 +856,28 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_readback_discards_the_replica() {
-        let f = frame(64, 3);
-        let len = f.len() as u64;
-        let (store, backend) = mem_store(len + len / 2);
-        // Map 0 is coldest (no pending consumers) and scripted to
-        // come back corrupt; map 1 stays hot and resident.
-        let plan = FaultPlan::none().with(FaultTarget::Map(0), 0, FaultKind::SpillReadCorrupt);
-        store.prepare_job(1, plan, &[0, 1]);
-        store.insert((1, 0, 0, 0), Arc::clone(&f));
-        store.insert((1, 1, 0, 0), frame(64, 5));
-        assert_eq!(store.pressure().spilled_partitions, 1);
-        let err = store.get(&(1, 0, 0, 0)).unwrap_err();
-        assert!(
-            matches!(err, MrError::CorruptShuffle { .. }),
-            "damage surfaces as CorruptShuffle, got {err:?}"
-        );
-        // The loss is consistent: the replica is gone, on disk too.
-        assert!(store.get(&(1, 0, 0, 0)).unwrap().is_none());
-        assert!(backend.names().is_empty());
-        assert_eq!(store.pressure().spilled_partitions, 0);
-    }
-
-    #[test]
-    fn truncated_readback_discards_the_replica() {
-        let f = frame(64, 3);
-        let len = f.len() as u64;
-        let (store, _backend) = mem_store(len + len / 2);
-        let plan = FaultPlan::none().with(FaultTarget::Map(0), 0, FaultKind::SpillReadTruncate);
-        store.prepare_job(1, plan, &[0, 1]);
-        store.insert((1, 0, 0, 0), Arc::clone(&f));
-        store.insert((1, 1, 0, 0), frame(64, 5));
-        let err = store.get(&(1, 0, 0, 0)).unwrap_err();
-        assert!(matches!(err, MrError::CorruptShuffle { .. }));
-        assert!(store.get(&(1, 0, 0, 0)).unwrap().is_none());
+    fn damaged_readback_discards_the_replica() {
+        for kind in [FaultKind::SpillReadCorrupt, FaultKind::SpillReadTruncate] {
+            let f = frame(64, 3);
+            let len = f.len() as u64;
+            let (store, backend) = mem_store(len + len / 2);
+            // Map 0 is coldest (no pending consumers) and scripted to
+            // come back damaged; map 1 stays hot and resident.
+            let plan = FaultPlan::none().with(FaultTarget::Map(0), 0, kind);
+            store.prepare_job(1, plan, &[0, 1]);
+            store.insert((1, 0, 0, 0), Arc::clone(&f));
+            store.insert((1, 1, 0, 0), frame(64, 5));
+            assert_eq!(store.pressure().spilled_partitions, 1);
+            let err = store.get(&(1, 0, 0, 0)).unwrap_err();
+            assert!(
+                matches!(err, MrError::CorruptShuffle { .. }),
+                "{kind:?} surfaces as CorruptShuffle, got {err:?}"
+            );
+            // The loss is consistent: the replica is gone, on disk too.
+            assert!(store.get(&(1, 0, 0, 0)).unwrap().is_none());
+            assert!(backend.names().is_empty());
+            assert_eq!(store.pressure().spilled_partitions, 0);
+        }
     }
 
     #[test]
@@ -895,7 +907,7 @@ mod tests {
         } else {
             (1, 1, 0, 0)
         };
-        store.remove(&spilled_key);
+        store.release(1, 0, &[(spilled_key.1, 0)]);
         assert!(backend.names().is_empty(), "release removed the spill file");
         assert!(store.get(&spilled_key).unwrap().is_none());
     }
@@ -931,12 +943,12 @@ mod tests {
         let f = frame(64, 3);
         let len = f.len() as u64;
         let (store, backend) = mem_store(len * 2 + len / 2);
-        store.prepare_job(1, FaultPlan::none(), &[1, 1, 1]);
+        store.prepare_job(1, FaultPlan::none(), &[2, 2, 2]);
         store.insert((1, 0, 0, 0), Arc::clone(&f));
         store.insert((1, 1, 0, 0), frame(64, 5));
-        // Map 1's only consumer releases it: it is now the coldest
-        // even though map 0 is older.
-        store.consumer_released(1, 1);
+        // Reducer 1 is done with map 1: one consumer is left, against
+        // map 0's two, so map 1 is now the coldest though map 0 is older.
+        store.release(1, 1, &[(1, 0)]);
         store.insert((1, 2, 0, 0), frame(64, 7));
         assert_eq!(backend.names().len(), 1);
         assert!(backend.names()[0].contains("m000001"));

@@ -1,8 +1,8 @@
 //! Wire encoding for intermediate keys and values.
 //!
 //! Intermediate data is bytes from the moment a map attempt commits it
-//! — in the in-process executor's generation table, a worker's
-//! partition store, its spill files, the fetch frames — and it has one
+//! — in every executor's partition store, its spill files, the fetch
+//! frames — and it has one
 //! layout: SMOF v3 ([`crate::shuffle_file`]), fixed-width records
 //! packed back-to-back. So an intermediate key or value type must have
 //! an encoding that is *fixed-width within one file* (numerics, and

@@ -1,8 +1,8 @@
 //! The `TaskExecutor` seam, driven directly: the in-process executor
-//! keeps committed map output typed and resident, through commit →
-//! fetch, a lost source, post-commit corruption, volatile
-//! consume-then-recover and a lost speculative twin — and must leave
-//! nothing behind in its table once the job is over, however it ended.
+//! keeps committed map output as SMOF bytes in its partition store,
+//! through commit → fetch → release, a lost source, post-commit
+//! corruption, volatile consume-then-recover and a lost speculative
+//! twin — and a finished job holds only what no reduce consumed.
 
 use std::time::Duration;
 
@@ -11,7 +11,7 @@ use sidr_mapreduce::{
     run_job, run_job_with_executor, CancelToken, Counters, DefaultPlan, FaultKind, FaultPlan,
     FaultTarget, FnMapper, FnReducer, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig,
     MapTaskId, ModuloPartitioner, MrError, ReduceSource, RemoteReduceError, RetryPolicy,
-    SliceRecordSource, SlotPool, TaskExecutor,
+    RoutingPlan, SliceRecordSource, SlotPool, TaskExecutor,
 };
 
 const MAPS: u64 = 4;
@@ -127,20 +127,20 @@ fn commit_then_fetch_delivers_every_partition() {
         for m in 0..MAPS as usize {
             run_map(&exec, m, 0);
         }
-        assert_eq!(exec.held_generations(), MAPS as usize);
+        assert_eq!(
+            exec.pressure().resident_partitions,
+            MAPS as usize * REDUCERS
+        );
         for r in 0..REDUCERS {
             let (records, shuffled) = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
             assert_eq!(records, expected(r as u64), "reducer {r}");
             let mine = (0..MAPS * 10).filter(|k| k % 3 == r as u64).count();
             assert_eq!(shuffled, mine as u64);
         }
-        // Persistent data: a second fetch sees the same records.
-        assert_eq!(
-            run_reduce(&exec, 1, &sources(&[0; 4])).unwrap().0,
-            expected(1)
-        );
-        exec.finish();
-        assert_eq!(exec.held_generations(), 0);
+        // A second fetch reports every source lost: the first reduce
+        // released them.
+        assert_eq!(lost(run_reduce(&exec, 1, &sources(&[0; 4]))), [0, 1, 2, 3]);
+        assert_eq!(exec.pressure().resident_partitions, 0);
     });
 }
 
@@ -212,7 +212,10 @@ fn volatile_fetch_consumes_exactly_the_bound_generation() {
         // A speculative twin of map 2 committed as well: its
         // generation sits beside attempt 0's, unbound.
         run_map(&exec, 2, 1);
-        assert_eq!(exec.held_generations(), MAPS as usize + 1);
+        assert_eq!(
+            exec.pressure().resident_partitions,
+            (MAPS as usize + 1) * REDUCERS
+        );
 
         assert_eq!(
             run_reduce(&exec, 0, &sources(&[0; 4])).unwrap().0,
@@ -246,7 +249,7 @@ fn volatile_fetch_consumes_exactly_the_bound_generation() {
 
 /// Job-level: a job with a speculative race reports one connection per
 /// bound (map, reducer) pair, and a finished job — completed, failed or
-/// cancelled — leaves no table entry.
+/// cancelled — holds only partitions no reduce consumed.
 #[test]
 fn jobs_count_connections_and_leave_nothing_behind() {
     // Completed, with a forced speculative twin of map 1 racing a
@@ -273,9 +276,9 @@ fn jobs_count_connections_and_leave_nothing_behind() {
             MAPS * REDUCERS as u64,
             "one connection per (map, reducer)"
         );
-        assert!(exec.held_generations() >= MAPS as usize);
-        exec.finish();
-        assert_eq!(exec.held_generations(), 0);
+        // Every bound partition was released by its reduce: what is
+        // left is at most the speculative loser's generation.
+        assert!(exec.pressure().resident_partitions <= REDUCERS);
     });
 
     // Failed: reducer 2 exhausts its budget after every map
@@ -296,9 +299,10 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         let err = run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec)
             .unwrap_err();
         assert!(matches!(err, MrError::TaskFailed { .. }), "{err:?}");
-        assert_eq!(exec.held_generations(), MAPS as usize);
-        exec.finish();
-        assert_eq!(exec.held_generations(), 0);
+        // At most what the unfinished reducers were bound to.
+        let unfinished = REDUCERS - output.commits().len();
+        assert!(unfinished >= 1);
+        assert!(exec.pressure().resident_partitions <= MAPS as usize * unfinished);
     });
 
     // Cancelled mid-job, through the entry point that owns its
@@ -337,6 +341,62 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         job.join().unwrap()
     });
     assert!(matches!(result, Err(MrError::Cancelled)), "{result:?}");
+}
+
+/// Two keyblocks over disjoint halves of the input: reducer 0 reads
+/// maps 0 and 1, reducer 1 maps 2 and 3.
+struct Halves;
+
+impl RoutingPlan<u64> for Halves {
+    fn num_reducers(&self) -> usize {
+        2
+    }
+    fn partition(&self, key: &u64) -> usize {
+        usize::from(*key >= MAPS * 5)
+    }
+    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
+        Some(vec![2 * reducer, 2 * reducer + 1])
+    }
+    fn invert_scheduling(&self) -> bool {
+        true
+    }
+}
+
+/// Release after reduce at job scale: with one reduce slot and
+/// inverted scheduling, reducer 1's maps run only once reducer 0 has
+/// reduced and released its `I_ℓ`, so the store never holds every
+/// partition at once.
+#[test]
+fn disjoint_keyblocks_never_hold_every_partition() {
+    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
+    let reducer =
+        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let config = base_config();
+    let executor =
+        || InProcessExecutor::new(&identity_source, &mapper, None, &reducer, &Halves, &config);
+
+    // Every partition of the job, held at once.
+    let all = executor();
+    for m in 0..MAPS as usize {
+        run_map(&all, m, 0);
+    }
+    let total = all.pressure().resident_bytes;
+
+    let exec = executor();
+    let pool = SlotPool::new(1, 1).unwrap();
+    let output = InMemoryOutput::new();
+    run_job_with_executor(&splits(), &Halves, &output, &config, &pool, None, &exec).unwrap();
+    assert_eq!(
+        output.sorted_records(),
+        (0..MAPS * 10).map(|k| (k, k)).collect::<Vec<_>>()
+    );
+    let pressure = exec.pressure();
+    assert_eq!(pressure.resident_partitions, 0, "every source released");
+    assert!(
+        pressure.peak_resident_bytes < total,
+        "peak {} of {total} bytes",
+        pressure.peak_resident_bytes
+    );
 }
 
 /// A map that produces nothing for some reducer still costs that

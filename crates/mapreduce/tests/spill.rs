@@ -88,7 +88,7 @@ proptest! {
 
         // Release: the consumer is done, the backend copy must go.
         for key in &keys {
-            store.remove(key);
+            store.release(JOB, key.2, &[(key.1, key.3)]);
         }
         prop_assert_eq!(store.partition_count(), 0);
         prop_assert!(backend.names().is_empty(), "orphans: {:?}", backend.names());
@@ -152,7 +152,7 @@ fn remove_job_sweeps_every_backend_file() {
 
     // Release only half; Finish must still clean up the rest.
     for key in keys.iter().take(3) {
-        store.remove(key);
+        store.release(JOB, key.2, &[(key.1, key.3)]);
     }
     assert_eq!(backend.names().len(), 3);
     store.remove_job(JOB);

@@ -40,7 +40,7 @@ use sidr_core::SidrError;
 // poisoning shared state and cascade-killing the daemon.
 use sidr_mapreduce::sync::{thread, time, Mutex};
 use sidr_mapreduce::tier::{PartitionStore, TierConfig};
-use sidr_mapreduce::MrError;
+use sidr_mapreduce::{open_sources, AttemptBodies, MrError, RemoteReduceError};
 use sidr_serve::binframe;
 use sidr_serve::fleet::{
     send_reply, PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
@@ -299,7 +299,7 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
                 (WorkerResponse::Partition { status }, held)
             }
             WorkerRequest::Release { job, reducer, maps } => {
-                release(shared, job, reducer, &maps);
+                shared.store.release(job, reducer, &maps);
                 (WorkerResponse::Released, None)
             }
             WorkerRequest::Finish { job } => {
@@ -425,19 +425,11 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
     };
     match result {
         Ok(out) => {
-            let mut partitions = Vec::with_capacity(out.partitions.len());
-            // Inserting may spill *other* partitions synchronously:
-            // backpressure on the producing task's own thread.
-            for (reducer, bytes) in out.partitions {
-                partitions.push(reducer);
-                shared
-                    .store
-                    .insert((job, task, reducer, attempt), Arc::new(bytes));
-            }
+            let partitions = (shared.store).commit_map(job, task, attempt, out.partitions);
             if !shared.jobs.lock().contains_key(&job) {
                 // Finish raced the map; drop what we just stored.
                 for &reducer in &partitions {
-                    shared.store.remove(&(job, task, reducer, attempt));
+                    shared.store.release(job, reducer, &[(task, attempt)]);
                 }
                 return failed(format!("job {job} vanished mid-map"), false);
             }
@@ -475,21 +467,12 @@ fn peek_partition(
         })
 }
 
-/// Drops partitions a reduce attempt has merged and replied with.
-fn release(shared: &Shared, job: u64, reducer: usize, maps: &[(usize, u32)]) {
-    for &(map, epoch) in maps {
-        shared.store.remove(&(job, map, reducer, epoch));
-        // The map just lost a pending consumer — it ranks colder for
-        // the next spill-victim selection.
-        shared.store.consumer_released(job, map);
-    }
-}
-
 /// One reduce attempt, end to end on this worker:
 ///
 /// 1. **copy** — peek every source partition from its holder
-///    (self-fetches read the local store, peers over the wire). Any
-///    miss aborts with `lost_sources`.
+///    (self-fetches read the local store, peers over the wire) and open
+///    them ([`open_sources`]). A source that is gone or fails its CRC
+///    aborts with `lost_sources`.
 /// 2. **merge** — in the given source order (the plan's fetch order:
 ///    the equal-key tie-break that keeps output byte-identical to a
 ///    single-process run).
@@ -546,56 +529,54 @@ fn run_reduce_inner(
     // --- copy -------------------------------------------------------
     // Fetched buffers stay in `Arc`s end to end: a self-fetch shares
     // the local store's allocation outright, and v3 buffers are merged
-    // in place by `run_reduce` — no partition is copied or re-decoded
-    // on this path.
+    // in place — no partition is copied or re-decoded on this path.
     let fetch_started = time::now();
-    let mut partitions: Vec<Arc<Vec<u8>>> = Vec::with_capacity(sources.len());
-    let mut lost: Vec<usize> = Vec::new();
     // One fetch connection per peer, reused across that peer's
     // partitions (Table 3's connection accounting, worker-side) and
     // for the release that follows the reply.
-    let mut peers: HashMap<&str, WorkerConn> = HashMap::new();
+    // An unreachable holder's generations are gone.
+    let mut peers: HashMap<&str, Option<WorkerConn>> = HashMap::new();
+    let mut fetched = Vec::with_capacity(sources.len());
     for src in sources {
-        if src.holder == shared.addr {
-            match peek_partition(shared, job, src.map, reducer, src.epoch) {
-                Some(bytes) => partitions.push(bytes),
-                None => lost.push(src.map),
+        let (map, epoch) = (src.map, src.epoch);
+        let bytes = if src.holder == shared.addr {
+            peek_partition(shared, job, map, reducer, epoch)
+        } else {
+            let peer = (peers.entry(src.holder.as_str())).or_insert_with(|| {
+                WorkerConn::dial(&*shared.net, &src.holder, Role::Worker, None).ok()
+            });
+            let req = WorkerRequest::FetchPartition {
+                job,
+                map,
+                reducer,
+                epoch,
+            };
+            match peer.as_mut().map(|peer| peer.request(&req)) {
+                Some(Ok((WorkerResponse::Partition { .. }, Some(bytes)))) => Some(Arc::new(bytes)),
+                _ => None,
             }
-            continue;
-        }
-        if !peers.contains_key(src.holder.as_str()) {
-            match WorkerConn::dial(&*shared.net, &src.holder, Role::Worker, None) {
-                Ok(c) => {
-                    peers.insert(src.holder.as_str(), c);
-                }
-                Err(_) => {
-                    // Holder unreachable: its generations are gone.
-                    lost.push(src.map);
-                    continue;
-                }
-            }
-        }
-        let peer = peers.get_mut(src.holder.as_str()).expect("just inserted");
-        match peer.request(&WorkerRequest::FetchPartition {
-            job,
-            map: src.map,
-            reducer,
-            epoch: src.epoch,
-        }) {
-            Ok((WorkerResponse::Partition { .. }, Some(bytes))) => partitions.push(Arc::new(bytes)),
-            _ => lost.push(src.map),
-        }
-    }
-    if !lost.is_empty() {
-        lost.sort_unstable();
-        lost.dedup();
-        let failed = WorkerResponse::Failed {
-            detail: format!("reduce {reducer}: {} source partition(s) lost", lost.len()),
-            fatal: false,
-            lost_sources: lost,
         };
-        return answer(shared, conn, &failed, None);
+        fetched.push((map, epoch, bytes));
     }
+    let inputs = match open_sources(&shared.store, job, reducer, fetched) {
+        Ok(inputs) => inputs,
+        Err(RemoteReduceError::SourcesLost(lost)) => {
+            let failed = WorkerResponse::Failed {
+                detail: format!("reduce {reducer}: {} source partition(s) lost", lost.len()),
+                fatal: false,
+                lost_sources: lost,
+            };
+            return answer(shared, conn, &failed, None);
+        }
+        Err(other) => {
+            return answer(
+                shared,
+                conn,
+                &failed(format!("reduce {reducer}: {other:?}"), true),
+                None,
+            )
+        }
+    };
     let fetch_ms = time::now()
         .saturating_duration_since(fetch_started)
         .as_millis() as u64;
@@ -603,22 +584,24 @@ fn run_reduce_inner(
     // --- merge & reply ----------------------------------------------
     // A keyblock that cannot be one frame (mixed coordinate ranks, or
     // past `MAX_FRAME`) will not fit on a retry either: fatal.
-    let mut keyblock = Vec::new();
-    let result = exec.run_reduce(reducer, &partitions, expected_raw, &mut |records| {
-        keyblock = binframe::encode_keyblock(job, reducer, 0, records).map_err(|e| {
-            SidrError::Engine(MrError::BadConfig(format!(
-                "keyblock does not fit one frame: {e}"
-            )))
-        })?;
-        Ok(())
-    });
-    let emitted = match result {
-        Ok(emitted) => emitted,
+    let records = match exec
+        .reduce(reducer, inputs, expected_raw)
+        .map_err(SidrError::Engine)
+    {
+        Ok(records) => records,
         Err(e) => {
             let failed = failed(format!("reduce {reducer}: {e}"), is_fatal(&e));
             return answer(shared, conn, &failed, None);
         }
     };
+    let keyblock = match binframe::encode_keyblock(job, reducer, 0, &records) {
+        Ok(frame) => frame,
+        Err(e) => {
+            let detail = format!("reduce {reducer}: keyblock does not fit one frame: {e}");
+            return answer(shared, conn, &failed(detail, true), None);
+        }
+    };
+    let emitted = records.len() as u64;
     let done = WorkerResponse::ReduceDone { emitted, fetch_ms };
     if !answer(shared, conn, &done, Some(&keyblock)) {
         return false;
@@ -634,8 +617,8 @@ fn run_reduce_inner(
     }
     for (holder, maps) in by_holder {
         if holder == shared.addr {
-            release(shared, job, reducer, &maps);
-        } else if let Some(peer) = peers.get_mut(holder) {
+            shared.store.release(job, reducer, &maps);
+        } else if let Some(Some(peer)) = peers.get_mut(holder) {
             // A holder dying *during* release changes nothing: whatever
             // it still held is gone with it, which is exactly what
             // release was about to record.
