@@ -65,11 +65,6 @@ pub struct AnalyzeOptions {
     /// proof; covers with more slabs skip the O(n²) pass (the count
     /// balance and membership passes still run).
     pub pairwise_slab_limit: usize,
-    /// Per-worker resident-partition byte budget, when the fleet runs
-    /// with one (0 = unbounded/unknown). Admission compares the
-    /// spec's projected intermediate footprint against it and emits a
-    /// `SIDR-I015` advisory when the job is expected to spill.
-    pub worker_budget_bytes: u64,
 }
 
 impl Default for AnalyzeOptions {
@@ -78,7 +73,6 @@ impl Default for AnalyzeOptions {
             skew_bound: None,
             key_budget: 16_000_000,
             pairwise_slab_limit: 20_000,
-            worker_budget_bytes: 0,
         }
     }
 }
@@ -122,7 +116,6 @@ pub fn analyze_spec(spec: &JobSpec, opts: &AnalyzeOptions) -> sidr_core::Result<
     // must match the geometry its query implies.
     let mut report = Report::new();
     check_robustness(spec, &mut report);
-    check_memory_footprint(spec, opts, &mut report);
     for b in 0..spec.num_reducers {
         let derived = partition.keyblock_cover(b)?;
         match spec.keyblock_covers.get(b) {
@@ -179,37 +172,6 @@ fn check_robustness(spec: &JobSpec, report: &mut Report) {
     if let Err(why) = spec.speculation.validate() {
         report.push(
             Diagnostic::error(codes::SPECULATION, "speculation policy is invalid").with("why", why),
-        );
-    }
-}
-
-/// Encoded bytes per intermediate raw pair: a packed coordinate key
-/// plus an f64 value (the fixed-width SMOF record layout). An
-/// estimate, not an accounting — the advisory only has to be the
-/// right order of magnitude.
-const BYTES_PER_RAW_PAIR: u64 = 16;
-
-/// Memory-pressure pre-flight (`SIDR-I015`, advisory): when the fleet
-/// runs with a per-worker byte budget, project the job's intermediate
-/// footprint from its own count annotations (`Σ expected_raw`) and
-/// warn when it exceeds the budget — the job still runs, but its
-/// partitions will degrade to the disk spill tier, so the operator
-/// should expect read-back latency rather than a surprise.
-fn check_memory_footprint(spec: &JobSpec, opts: &AnalyzeOptions, report: &mut Report) {
-    if opts.worker_budget_bytes == 0 {
-        return;
-    }
-    let total_raw: u64 = spec.expected_raw.iter().sum();
-    let projected = total_raw.saturating_mul(BYTES_PER_RAW_PAIR);
-    if projected > opts.worker_budget_bytes {
-        report.push(
-            Diagnostic::info(
-                codes::MEMORY_PRESSURE,
-                "projected intermediate footprint exceeds the per-worker memory \
-                 budget; partitions will spill to the disk tier",
-            )
-            .with("projected_bytes", projected)
-            .with("worker_budget_bytes", opts.worker_budget_bytes),
         );
     }
 }
@@ -538,35 +500,6 @@ mod tests {
         let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
         let report = analyze_plan(&q, &splits, &plan, &AnalyzeOptions::default());
         assert!(report.is_clean(), "unexpected findings:\n{report}");
-    }
-
-    #[test]
-    fn tiny_worker_budget_emits_memory_pressure_advisory() {
-        let q = StructuralQuery::new(
-            "t",
-            sidr_coords::Shape::new(vec![48, 6, 6]).unwrap(),
-            sidr_coords::Shape::new(vec![4, 3, 1]).unwrap(),
-            Operator::Mean,
-        )
-        .unwrap();
-        let splits = SplitGenerator::new(q.input_space().clone(), 8)
-            .exact_count(6)
-            .unwrap();
-        let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-        let spec = sidr_core::spec::JobSpec::from_plan(&q, &splits, &plan).unwrap();
-        let opts = AnalyzeOptions {
-            worker_budget_bytes: 1,
-            ..AnalyzeOptions::default()
-        };
-        let report = analyze_spec(&spec, &opts).unwrap();
-        assert!(
-            !report.has_errors(),
-            "advisory must not fail admission:\n{report}"
-        );
-        assert!(report.has_code(codes::MEMORY_PRESSURE));
-        // Unbounded (or unconfigured) workers: no advisory.
-        let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
-        assert!(!report.has_code(codes::MEMORY_PRESSURE));
     }
 
     #[test]

@@ -53,7 +53,7 @@ use sidr_mapreduce::executor::TaskExecutor;
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::{
-    reexecuted_maps, Counters, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, SlotPool,
+    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, SlotPool,
     SpeculationPolicy, TaskEvent, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
@@ -144,8 +144,9 @@ fn fixture(pushdown: bool) -> &'static Fixture {
         let out = InMemoryOutput::new();
         let file = ScincFile::open(&input).unwrap();
         let pool = SlotPool::new(4, 2).unwrap();
+        // Validation on, as a client submits by default.
         let opts = SpecRunOptions {
-            validate_annotations: !pushdown,
+            validate_annotations: true,
             filter_pushdown: pushdown,
             ..SpecRunOptions::default()
         };
@@ -624,7 +625,7 @@ impl Wire {
                 worker,
                 map: *task,
                 attempt: *attempt,
-                partitions: partitions.clone(),
+                partitions: partitions.iter().map(|&(reducer, _)| reducer).collect(),
                 at,
             }),
             (WorkerResponse::Pong(_), _) if !faulted => {
@@ -848,7 +849,7 @@ impl World {
         let fleet = Fleet::connect(Arc::clone(&self.net), self.addrs()).unwrap();
         if let Ok(job) = fleet.prepare_job(&fx.spec, &fx.input, &ExecOptions::default()) {
             for (task, split) in fx.spec.splits.iter().enumerate().take(maps) {
-                let _ = job.execute_map(task, 0, false, split, &Counters::default(), &|_| true);
+                let _ = job.execute_map(task, 0, false, split, &|_| true);
             }
         }
     }
@@ -1119,10 +1120,9 @@ fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
         None => spec,
     };
     let options = SubmitOptions {
-        validate_annotations: !faults.pushdown,
         filter_pushdown: faults.pushdown,
         fault_plan: faults.fault_plan(),
-        priority_region: None,
+        ..SubmitOptions::default()
     };
     let refused = faults.rules.iter().any(|r| matches!(r.act, Act::Refuse));
     let got = thread::scope(|s| {
@@ -1513,7 +1513,7 @@ fn rejoined_worker_is_not_part_of_the_running_job() {
             .prepare_job(&fx.spec, &fx.input, &ExecOptions::default())
             .unwrap();
         let split = |m: usize| &fx.spec.splits[m];
-        job.execute_map(0, 0, false, split(0), &Counters::default(), &|_| true)
+        job.execute_map(0, 0, false, split(0), &|_| true)
             .expect("map 0 runs on w0");
         {
             let mut workers = world.workers.lock();
@@ -1522,7 +1522,7 @@ fn rejoined_worker_is_not_part_of_the_running_job() {
         }
         // One heartbeat later the coordinator sees w0 alive again.
         thread::sleep(Duration::from_millis(300));
-        job.execute_map(1, 0, false, split(1), &Counters::default(), &|_| true)
+        job.execute_map(1, 0, false, split(1), &|_| true)
             .expect("the rejoined worker costs no attempt");
         let attempts: Vec<u64> = (world.workers.lock().iter())
             .map(|w| w.0.stat().map_attempts)

@@ -22,6 +22,11 @@
 //! worker does. The framework mode picks only the route a map attempt
 //! applies per `K′` key: `partition+` for SIDR, the stock hash for
 //! Hadoop and SciHadoop.
+//!
+//! The bodies keep no books: a map attempt returns its tallies, and a
+//! reduce checks its §3.2.1 tally against the `expected_raw` it is
+//! handed — the scheduler's, which is `None` when validation is off or
+//! a push-down `Filter` voids the geometric count.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -31,8 +36,8 @@ use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_mapreduce::{
     begin_map_attempt, injected_source_error, run_reduce_attempt, AttemptBodies, Combiner,
-    CoordHashPartitioner, Counters, FaultKind, FaultPlan, InputSplit, MapTaskId, MrError,
-    RoutingPlan, Smof3View,
+    CoordHashPartitioner, FaultKind, FaultPlan, InputSplit, MapTaskId, MrError, RoutingPlan,
+    Smof3View,
 };
 use sidr_scifile::{DataType, ScincFile};
 
@@ -52,8 +57,10 @@ use crate::SidrError;
 /// the coordinator).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ExecOptions {
-    /// Cross-check count annotations before each reduce (§3.2.1
-    /// approach 2). A mismatch is fatal to the job, not retryable.
+    /// Cross-check count annotations in [`SpecExecutor::run_reduce`]
+    /// when its caller hands no expectation (§3.2.1 approach 2). A
+    /// mismatch is fatal to the job, not retryable. Attempts the engine
+    /// schedules check only the engine's `expected_raw`.
     pub validate_annotations: bool,
     /// Push a `Filter` operator's predicate below the shuffle.
     pub filter_pushdown: bool,
@@ -67,19 +74,7 @@ pub struct ExecOptions {
 /// attempt's whole keyblock, in key order, once.
 pub type KeyblockSink<'a> = dyn FnMut(&[(Coord, f64)]) -> crate::Result<()> + 'a;
 
-/// What one map attempt produced: per-reducer partitions as encoded
-/// SMOF buffers (only non-empty partitions appear: absence means the
-/// map produced nothing for that reducer).
-#[derive(Clone, Debug)]
-pub struct MapAttemptOutput {
-    pub partitions: Vec<(usize, Vec<u8>)>,
-    /// Records read from the split.
-    pub records_in: u64,
-    /// Intermediate records the map emitted, before any combiner.
-    pub records_out: u64,
-    /// Records written to the partitions, after the combiner.
-    pub records_combined: u64,
-}
+pub use sidr_mapreduce::MapAttemptOutput;
 
 /// One prepared job: the opened input, the query's map side, the
 /// mode's route and the reduce operator, ready to run any attempt.
@@ -129,7 +124,7 @@ impl SpecExecutor {
     ) -> crate::Result<Self> {
         let dtype = file.metadata().variable(&query.variable)?.dtype;
         let mut mapper = StructuralMapper::for_query(query);
-        if let Some(threshold) = pushdown_threshold(opts.filter_pushdown, query) {
+        if let Some(threshold) = pushdown_threshold(opts.filter_pushdown, query.operator) {
             mapper = mapper.push_down_filter(threshold);
         }
         let route = match mode {
@@ -219,8 +214,9 @@ impl SpecExecutor {
     /// Annotation validation (§3.2.1 approach 2) happens here, against
     /// the buffers' raw counts — a mismatch means the routing promise
     /// itself is broken and must fail the job, so it surfaces as the
-    /// typed [`MrError::AnnotationMismatch`]; `expected_raw` is as for
-    /// [`AttemptBodies::reduce`].
+    /// typed [`MrError::AnnotationMismatch`]. The tally is
+    /// `expected_raw`; when absent it is the plan's own if these
+    /// options ask for validation and push no `Filter` down.
     pub fn run_reduce(
         &self,
         reducer: usize,
@@ -232,6 +228,13 @@ impl SpecExecutor {
             .iter()
             .map(|bytes| Smof3View::open(Arc::clone(bytes)))
             .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
+        let pushed_down = pushdown_threshold(self.opts.filter_pushdown, self.operator).is_some();
+        let expected_raw = expected_raw.or(match &self.route {
+            Route::PartitionPlus(plan) if self.opts.validate_annotations && !pushed_down => {
+                plan.expected_raw_count(reducer)
+            }
+            _ => None,
+        });
         let records = self.reduce(reducer, inputs, expected_raw)?;
         emit(&records)?;
         Ok(records.len() as u64)
@@ -257,23 +260,13 @@ impl AttemptBodies for SpecExecutor {
         attempt: u32,
         fault: Option<FaultKind>,
         split: &InputSplit,
-        counters: &Counters,
         pause: &dyn Fn(Duration) -> bool,
-    ) -> sidr_mapreduce::Result<Vec<(usize, Vec<u8>)>> {
-        let out = self
-            .map_attempt(task, attempt, fault, split, pause)
-            .map_err(engine_error)?;
-        Counters::add(&counters.map_records_in, out.records_in);
-        Counters::add(&counters.map_records_out, out.records_out);
-        Counters::add(&counters.combined_records, out.records_combined);
-        Ok(out.partitions)
+    ) -> sidr_mapreduce::Result<MapAttemptOutput> {
+        (self.map_attempt(task, attempt, fault, split, pause)).map_err(engine_error)
     }
 
     /// Merges the views in the given order, checks the annotation
-    /// tally, applies the operator. The tally is `expected_raw`, the
-    /// coordinator's; when absent (validation off at submit time, or a
-    /// caller with no coordinator) it is the plan's own if these
-    /// options ask for validation.
+    /// tally against `expected_raw` when given, applies the operator.
     fn reduce(
         &self,
         reducer: usize,
@@ -283,12 +276,6 @@ impl AttemptBodies for SpecExecutor {
         if reducer >= self.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")));
         }
-        let expected_raw = expected_raw.or(match &self.route {
-            Route::PartitionPlus(plan) if self.opts.validate_annotations => {
-                plan.expected_raw_count(reducer)
-            }
-            _ => None,
-        });
         let op = OperatorReducer { op: self.operator };
         run_reduce_attempt(reducer, inputs, expected_raw, &op)
     }

@@ -148,7 +148,7 @@ pub fn run_query(
         reduce_slots: opts.reduce_slots,
         // Push-down breaks the geometric raw-count expectation.
         validate_annotations: opts.validate_annotations
-            && pushdown_threshold(opts.filter_pushdown, query).is_none(),
+            && pushdown_threshold(opts.filter_pushdown, query.operator).is_none(),
         fault_plan: opts.fault_plan.clone(),
         retry: opts.retry,
         volatile_intermediate: opts.volatile_intermediate,
@@ -328,8 +328,11 @@ pub fn run_spec_with_executor(
 
 /// The filter threshold to push below the shuffle, when push-down is
 /// asked for and the operator is a filter.
-pub(crate) fn pushdown_threshold(filter_pushdown: bool, query: &StructuralQuery) -> Option<f64> {
-    match (filter_pushdown, query.operator) {
+pub(crate) fn pushdown_threshold(
+    filter_pushdown: bool,
+    operator: crate::operators::Operator,
+) -> Option<f64> {
+    match (filter_pushdown, operator) {
         (true, crate::operators::Operator::Filter { threshold }) => Some(threshold),
         _ => None,
     }
@@ -355,7 +358,7 @@ fn spec_plan_and_config(
     let config = JobConfig {
         // Push-down breaks the geometric raw-count expectation.
         validate_annotations: opts.validate_annotations
-            && pushdown_threshold(opts.filter_pushdown, query).is_none(),
+            && pushdown_threshold(opts.filter_pushdown, query.operator).is_none(),
         fault_plan: opts.fault_plan.clone(),
         retry: spec.retry,
         speculation: spec.speculation.clone(),

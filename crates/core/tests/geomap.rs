@@ -5,20 +5,19 @@
 //! filter push-down, every element type, misaligned splits and any
 //! reducer count — and under both routes (SIDR's `partition+` and the
 //! stock hash of Hadoop and SciHadoop), `geomap::map_split` must
-//! produce exactly the `(reducer, bytes)` that `run_map_attempt` over a
-//! `StructuralMapper` and the same partition function followed by
-//! `encode_map_output` produces, with the same record tallies and
-//! raw-count annotations.
+//! produce exactly the `(reducer, bytes)` that `run_map_attempt` (the
+//! per-record map, then `encode_map_output`) over a `StructuralMapper`
+//! and the same partition function produces, with the same record
+//! tallies and raw-count annotations.
 
 use proptest::prelude::*;
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::geomap::map_split;
 use sidr_core::source::{ScincRecordSource, StructuralMapper};
 use sidr_core::{Operator, PartitionPlus, StructuralQuery};
-use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{
-    run_map_attempt, Combiner, CoordHashPartitioner, Counters, DefaultPlan, InputSplit,
-    RoutingPlan, Smof3View,
+    run_map_attempt, Combiner, CoordHashPartitioner, DefaultPlan, InputSplit, RoutingPlan,
+    Smof3View,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::{Element, ScincFile};
@@ -170,8 +169,7 @@ fn check_route<E: Element>(
         preferred_nodes: Vec::new(),
     };
 
-    let counters = Counters::default();
-    let per_record: Vec<(usize, Vec<u8>)> = run_map_attempt(
+    let per_record = run_map_attempt(
         0,
         0,
         None,
@@ -179,14 +177,9 @@ fn check_route<E: Element>(
         mapper,
         combiner,
         plan,
-        &counters,
         &|_| true,
     )
-    .unwrap()
-    .into_iter()
-    .map(|(r, f)| (r, encode_map_output(&f).unwrap()))
-    .collect();
-    let tally = counters.snapshot();
+    .unwrap();
 
     let kernel = map_split::<E>(
         file,
@@ -199,24 +192,24 @@ fn check_route<E: Element>(
     )
     .unwrap();
     assert_eq!(
-        kernel.records_in, tally.map_records_in,
+        kernel.records_in, per_record.records_in,
         "{route} records_in: {c:?}"
     );
     assert_eq!(
-        kernel.records_out, tally.map_records_out,
+        kernel.records_out, per_record.records_out,
         "{route} records_out: {c:?}"
     );
     assert_eq!(
-        kernel.records_combined, tally.combined_records,
+        kernel.records_combined, per_record.records_combined,
         "{route} combined records: {c:?}"
     );
     let reducers = |p: &[(usize, Vec<u8>)]| p.iter().map(|(r, _)| *r).collect::<Vec<_>>();
     assert_eq!(
         reducers(&kernel.partitions),
-        reducers(&per_record),
+        reducers(&per_record.partitions),
         "{route} non-empty partitions: {c:?}"
     );
-    for ((r, got), (_, want)) in kernel.partitions.iter().zip(&per_record) {
+    for ((r, got), (_, want)) in kernel.partitions.iter().zip(&per_record.partitions) {
         let raw = |b: &Vec<u8>| {
             Smof3View::<Coord, f64>::parse(std::sync::Arc::new(b.clone()))
                 .unwrap()

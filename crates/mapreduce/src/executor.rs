@@ -18,29 +18,35 @@
 //! ([`run_reduce_attempt`]) and then release the sources through
 //! [`PartitionStore::release`]. What writes the bytes is a pair of
 //! [`AttemptBodies`]: a generic `run_job` job's per-record
-//! [`run_map_attempt`] followed by [`encode_map_output`], or a spec
-//! job's geometric map (`sidr_core::SpecExecutor`, which a worker runs
-//! too).
+//! [`run_map_attempt`], or a spec job's geometric map
+//! (`sidr_core::SpecExecutor`, which a worker runs too).
+//!
+//! The job's books are the scheduler's. A map attempt *returns* its
+//! [`MapTally`] — records in and out, and `(reducer, rows)` of each
+//! non-empty partition, read from the SMOF headers by
+//! [`PartitionStore::commit_map`] — and the runtime records it once,
+//! for every executor: the counters, and which reducers each committed
+//! generation fed. A reduce attempt is handed only the sources that
+//! fed its reducer, and checks its §3.2.1 tally only against the
+//! `expected_raw` the runtime hands it.
 //!
 //! A lost generation — a dead worker, a consumed volatile partition, a
 //! failed CRC — surfaces as [`RemoteReduceError::SourcesLost`]: the
 //! scheduler re-enqueues exactly those maps, the dependency-scoped
 //! (`I_ℓ`) recovery of §6.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::counters::Counters;
 use crate::error::MrError;
 use crate::fault::FaultKind;
 use crate::plan::RoutingPlan;
 use crate::runtime::JobConfig;
-use crate::shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter};
+use crate::shuffle::{GroupBatch, MapOutputBuilder, MergeIter};
 use crate::shuffle_file::encode_map_output;
 use crate::smof3::Smof3View;
 use crate::split::{InputSplit, MapTaskId};
-use crate::sync::{chaos, Mutex};
+use crate::sync::chaos;
 use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
 use crate::tier::{MemBackend, PartitionStore, TierConfig, TierPressure};
 use crate::wire::WireFormat;
@@ -76,15 +82,42 @@ pub enum RemoteReduceError {
     Fatal(MrError),
 }
 
+/// What one map attempt produced, as the scheduler records it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MapTally {
+    /// Records read from the split.
+    pub records_in: u64,
+    /// Intermediate records the map emitted, before any combiner.
+    pub records_out: u64,
+    /// `(reducer, rows)` of each non-empty partition, in reducer
+    /// order: a reducer not listed got nothing from this attempt.
+    pub partitions: Vec<(usize, u64)>,
+}
+
+/// What one map attempt body produced: per-reducer partitions as
+/// encoded SMOF buffers (only non-empty partitions appear: absence
+/// means the map produced nothing for that reducer).
+#[derive(Clone, Debug)]
+pub struct MapAttemptOutput {
+    pub partitions: Vec<(usize, Vec<u8>)>,
+    /// Records read from the split.
+    pub records_in: u64,
+    /// Intermediate records the map emitted, before any combiner.
+    pub records_out: u64,
+    /// Records written to the partitions, after the combiner.
+    pub records_combined: u64,
+}
+
 /// Runs task attempts for the scheduler and holds their committed
 /// output. The engine never sees sockets, placement or payload
 /// representation.
 pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
     /// Runs one map attempt to *committed output held by the
-    /// executor* under the generation `(task, attempt)`. On `Ok` the
-    /// scheduler decides first-commit-wins and, for the winner, marks
-    /// the map `Done` at `attempt`; a loser's generation is simply
-    /// never bound. Errors are charged against the map's retry budget.
+    /// executor* under the generation `(task, attempt)`, and returns
+    /// what it produced. On `Ok` the scheduler records the tally,
+    /// decides first-commit-wins and, for the winner, marks the map
+    /// `Done` at `attempt`; a loser's generation is simply never
+    /// bound. Errors are charged against the map's retry budget.
     /// `speculative` marks a twin racing a running straggler: a fleet
     /// places it on a different worker than the primary.
     ///
@@ -99,11 +132,11 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
         attempt: u32,
         speculative: bool,
         split: &InputSplit,
-        counters: &Counters,
         pause: &dyn Fn(Duration) -> bool,
-    ) -> Result<()>;
+    ) -> Result<MapTally>;
 
-    /// Runs one reduce attempt: fetch the `sources` generations, merge
+    /// Runs one reduce attempt: fetch the `sources` generations (each
+    /// fed this reducer a non-empty partition), merge
     /// them in the given order (the plan's fetch order — the equal-key
     /// tie-break), reduce, and return the attempt's whole keyblock in
     /// key order — nothing leaves an attempt until it is complete, so
@@ -115,13 +148,12 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
         attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-        counters: &Counters,
     ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError>;
 }
 
 /// The map attempt body: fault → read → map → partition →
-/// [`MapOutputBuilder::finish`]. Returns the non-empty partitions
-/// `(reducer, file)`; `counters` receives the record tallies.
+/// [`MapOutputBuilder::finish`] → [`encode_map_output`]. Returns the
+/// non-empty partitions and the attempt's record tallies.
 ///
 /// `fault` is the injected fault for exactly this (task, attempt): a
 /// straggler waits through `pause` (see [`TaskExecutor::execute_map`]),
@@ -137,13 +169,12 @@ pub fn run_map_attempt<S, K2, V2>(
     mapper: &dyn Mapper<InKey = S::Key, InValue = S::Value, OutKey = K2, OutValue = V2>,
     combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
     plan: &dyn RoutingPlan<K2>,
-    counters: &Counters,
     pause: &dyn Fn(Duration) -> bool,
-) -> Result<Vec<(usize, MapOutputFile<K2, V2>)>>
+) -> Result<MapAttemptOutput>
 where
     S: RecordSource,
-    K2: MrKey,
-    V2: MrValue,
+    K2: MrKey + WireFormat,
+    V2: MrValue + WireFormat,
 {
     let source_err_after = begin_map_attempt(task, attempt, fault, pause)?;
     let mut source = open()?;
@@ -161,9 +192,15 @@ where
             records_out += 1;
         });
     }
-    Counters::add(&counters.map_records_in, records_in);
-    Counters::add(&counters.map_records_out, records_out);
-    Ok(builder.finish(combiner, counters))
+    let files = builder.finish(combiner);
+    Ok(MapAttemptOutput {
+        records_combined: files.iter().map(|(_, f)| f.records.len() as u64).sum(),
+        partitions: (files.iter())
+            .map(|(reducer, file)| Ok((*reducer, encode_map_output(file)?)))
+            .collect::<Result<_>>()?,
+        records_in,
+        records_out,
+    })
 }
 
 /// What an injected fault does at the start of a map attempt: a
@@ -267,21 +304,19 @@ pub trait AttemptBodies: Sync {
     type Out: MrValue;
 
     /// Runs map attempt `(task, attempt)` over `split` under its
-    /// injected `fault` (see [`begin_map_attempt`]). Returns the
-    /// non-empty partitions `(reducer, bytes)`; `counters` receives the
-    /// record tallies.
+    /// injected `fault` (see [`begin_map_attempt`]).
     fn map(
         &self,
         task: MapTaskId,
         attempt: u32,
         fault: Option<FaultKind>,
         split: &InputSplit,
-        counters: &Counters,
         pause: &dyn Fn(Duration) -> bool,
-    ) -> Result<Vec<(usize, Vec<u8>)>>;
+    ) -> Result<MapAttemptOutput>;
 
     /// Reduces one keyblock over its sources' views, in fetch order,
-    /// checking the §3.2.1 tally against `expected_raw` when given.
+    /// checking the §3.2.1 tally against `expected_raw` when given —
+    /// and only then.
     fn reduce(
         &self,
         reducer: usize,
@@ -292,8 +327,7 @@ pub trait AttemptBodies: Sync {
 
 /// A generic `run_job` job's attempt bodies: the per-record
 /// [`run_map_attempt`] over its record source, user functions and
-/// partition function, each partition then written by
-/// [`encode_map_output`]; and [`run_reduce_attempt`] with its reduce
+/// partition function; and [`run_reduce_attempt`] with its reduce
 /// function.
 pub struct JobBodies<'a, K1, V1, K2, V2, V3, SF>
 where
@@ -330,10 +364,9 @@ where
         attempt: u32,
         fault: Option<FaultKind>,
         split: &InputSplit,
-        counters: &Counters,
         pause: &dyn Fn(Duration) -> bool,
-    ) -> Result<Vec<(usize, Vec<u8>)>> {
-        let files = run_map_attempt(
+    ) -> Result<MapAttemptOutput> {
+        run_map_attempt(
             task,
             attempt,
             fault,
@@ -341,12 +374,8 @@ where
             self.mapper,
             self.combiner,
             self.plan,
-            counters,
             pause,
-        )?;
-        (files.into_iter())
-            .map(|(reducer, file)| Ok((reducer, encode_map_output(&file)?)))
-            .collect()
+        )
     }
 
     fn reduce(
@@ -407,17 +436,15 @@ const JOB: u64 = 0;
 /// speculative loser or a superseded re-execution can never overwrite
 /// what a reducer was promised — it just sits unbound. A reduce
 /// releases its sources once it has reduced them (volatile data: once
-/// they are all open); a reduce that succeeded is never retried. One
-/// executor serves one job; dropping it drops all the job still holds.
+/// they are all open); a reduce that succeeded is never retried. A
+/// source the store no longer holds is lost. One executor serves one
+/// job; dropping it drops all the job still holds.
 pub struct InProcessExecutor<'a, B> {
     bodies: B,
     /// Fault script and `volatile_intermediate`.
     config: &'a JobConfig,
     /// Every committed partition, keyed `(JOB, map, reducer, attempt)`.
     store: PartitionStore,
-    /// The reducers each committed `(map, attempt)` fed. A generation
-    /// not listed here is lost; a reducer it does not list got nothing.
-    fed: Mutex<HashMap<(MapTaskId, u32), Vec<usize>>>,
 }
 
 impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, JobBodies<'a, K1, V1, K2, V2, V3, SF>>
@@ -462,7 +489,6 @@ impl<'a, B> InProcessExecutor<'a, B> {
             bodies,
             config,
             store,
-            fed: Mutex::new(HashMap::new()),
         }
     }
 
@@ -479,14 +505,15 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
         attempt: u32,
         _speculative: bool,
         split: &InputSplit,
-        counters: &Counters,
         pause: &dyn Fn(Duration) -> bool,
-    ) -> Result<()> {
+    ) -> Result<MapTally> {
         let fault = self.config.fault_plan.map_fault(task, attempt);
-        let partitions = (self.bodies).map(task, attempt, fault, split, counters, pause)?;
-        let fed = self.store.commit_map(JOB, task, attempt, partitions);
-        self.fed.lock().insert((task, attempt), fed);
-        Ok(())
+        let out = (self.bodies).map(task, attempt, fault, split, pause)?;
+        Ok(MapTally {
+            records_in: out.records_in,
+            records_out: out.records_out,
+            partitions: self.store.commit_map(JOB, task, attempt, out.partitions),
+        })
     }
 
     fn execute_reduce(
@@ -495,16 +522,8 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
         _attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-        counters: &Counters,
     ) -> std::result::Result<Vec<(B::Key, B::Out)>, RemoteReduceError> {
-        // Skip sources that fed this reducer nothing.
-        let held: Vec<(MapTaskId, u32)> = {
-            let fed = self.fed.lock();
-            (sources.iter())
-                .filter(|s| (fed.get(&(s.map, s.epoch))).is_none_or(|rs| rs.contains(&reducer)))
-                .map(|s| (s.map, s.epoch))
-                .collect()
-        };
+        let held: Vec<(MapTaskId, u32)> = sources.iter().map(|s| (s.map, s.epoch)).collect();
         let fetched = (held.iter())
             .map(|&(map, epoch)| {
                 let bytes = self.store.get(&(JOB, map, reducer, epoch));
@@ -518,8 +537,6 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
         if volatile {
             self.store.release(JOB, reducer, &held);
         }
-        let records: usize = inputs.iter().map(Smof3View::records).sum();
-        Counters::add(&counters.shuffled_records, records as u64);
         let out = (self.bodies)
             .reduce(reducer, inputs, expected_raw)
             .map_err(RemoteReduceError::Fatal)?;

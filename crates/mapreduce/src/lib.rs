@@ -60,7 +60,8 @@ pub use counters::{Counters, CountersSnapshot};
 pub use error::MrError;
 pub use executor::{
     begin_map_attempt, injected_source_error, open_sources, run_map_attempt, run_reduce_attempt,
-    AttemptBodies, InProcessExecutor, ReduceSource, RemoteReduceError, TaskExecutor,
+    AttemptBodies, InProcessExecutor, MapAttemptOutput, MapTally, ReduceSource, RemoteReduceError,
+    TaskExecutor,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};

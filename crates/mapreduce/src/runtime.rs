@@ -170,8 +170,32 @@ struct State {
     /// with the re-open instant so the recovery-latency histogram can
     /// observe re-open → recommit.
     recovering: HashMap<MapTaskId, Instant>,
+    /// `(reducer, rows)` of every committed generation `(map, attempt)`:
+    /// a reduce is handed only the bound sources that fed it.
+    fed: HashMap<(MapTaskId, u32), Vec<(usize, u64)>>,
     reduces_done: usize,
     failed: bool,
+}
+
+impl State {
+    /// The sources bound at `epochs` that fed reducer `r`, and their
+    /// rows in all.
+    fn fed_sources(
+        &self,
+        r: usize,
+        sources: &[MapTaskId],
+        epochs: &[u32],
+    ) -> (Vec<ReduceSource>, u64) {
+        let mut fed = (Vec::with_capacity(sources.len()), 0);
+        for (&map, &epoch) in sources.iter().zip(epochs) {
+            let partitions = self.fed.get(&(map, epoch)).map_or(&[][..], Vec::as_slice);
+            if let Some(&(_, rows)) = partitions.iter().find(|&&(reducer, _)| reducer == r) {
+                fed.0.push(ReduceSource { map, epoch });
+                fed.1 += rows;
+            }
+        }
+        fed
+    }
 }
 
 struct Shared<'j, K2: MrKey> {
@@ -347,6 +371,7 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
             map_started: vec![None; num_maps],
             map_durations_ms: Vec::new(),
             recovering: HashMap::new(),
+            fed: HashMap::new(),
             reduces_done: 0,
             failed: false,
         })),
@@ -513,21 +538,22 @@ fn map_worker<K2: MrKey, V3: MrValue>(
         let pause = |dur: Duration| {
             shared.sleep_interruptible(dur, &|st| st.failed || st.sched.race_lost(task, attempt))
         };
-        match executor.execute_map(
-            task,
-            attempt,
-            speculative,
-            &splits[task],
-            &shared.counters,
-            &pause,
-        ) {
-            Ok(()) => {
+        match executor.execute_map(task, attempt, speculative, &splits[task], &pause) {
+            Ok(tally) => {
+                // Every attempt that returned tallies the work it did,
+                // winner or loser.
+                let c = &shared.counters;
+                Counters::add(&c.map_records_in, tally.records_in);
+                Counters::add(&c.map_records_out, tally.records_out);
+                let rows = tally.partitions.iter().map(|&(_, rows)| rows).sum();
+                Counters::add(&c.combined_records, rows);
                 let mut st = shared.state.lock();
                 if !st.sched.commit(task, attempt) {
                     drop(st);
                     lose_race(shared, task, attempt);
                     continue;
                 }
+                st.fed.insert((task, attempt), tally.partitions);
                 // `MapEnd` is logged before the lock publishes `Done`,
                 // so no dependent barrier event can land before it.
                 shared
@@ -731,9 +757,11 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
             }
             st.sched.bound_epochs(r, &min_epoch).map(Some)
         });
+        // The executor fetches only the bound generations that fed `r`.
+        let fed = (epochs.as_ref()).map(|epochs| st.fed_sources(r, &sources, epochs));
         drop(st);
         let copy_wait = time::now() - parked;
-        let Some(epochs) = epochs else {
+        let Some((epochs, (srcs, rows))) = epochs.zip(fed) else {
             // Cancelled, or another task already reported.
             shared.observe_cancel();
             return Ok(());
@@ -754,25 +782,21 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
             // barrier is met, before anything is dispatched.
             Err(RemoteReduceError::AttemptFailed("injected failure".into()))
         } else {
-            let srcs: Vec<ReduceSource> = sources
-                .iter()
-                .zip(&epochs)
-                .map(|(&map, &epoch)| ReduceSource { map, epoch })
-                .collect();
             // One contact per bound (map, reducer) pair, empty
             // partitions included — Hadoop "requires that every Reduce
             // task contact every completed Map task" (§4.6): Table 3's
             // connections.
-            Counters::add(&shared.counters.shuffle_connections, srcs.len() as u64);
+            Counters::add(&shared.counters.shuffle_connections, sources.len() as u64);
             let expected_raw = if shared.config.validate_annotations {
                 shared.plan.expected_raw_count(r)
             } else {
                 None
             };
-            exec.execute_reduce(r, attempt, &srcs, expected_raw, &shared.counters)
+            exec.execute_reduce(r, attempt, &srcs, expected_raw)
         };
         match result {
             Ok(out) => {
+                Counters::add(&shared.counters.shuffled_records, rows);
                 shared
                     .timeline
                     .record_attempt(TaskKind::ReduceMergeDone, r, attempt);

@@ -16,7 +16,6 @@
 //! [`TaskExecutor`]: crate::executor::TaskExecutor
 //! [`PartitionStore`]: crate::tier::PartitionStore
 
-use crate::counters::Counters;
 use crate::smof3::Smof3View;
 use crate::task::{MrKey, MrValue};
 
@@ -67,7 +66,6 @@ impl<K: MrKey, V: MrValue> MapOutputBuilder<K, V> {
     pub fn finish(
         self,
         combiner: Option<&dyn crate::task::Combiner<Key = K, Value = V>>,
-        counters: &Counters,
     ) -> Vec<(usize, MapOutputFile<K, V>)> {
         let mut out = Vec::new();
         for (reducer, mut records) in self.per_reducer.into_iter().enumerate() {
@@ -80,7 +78,6 @@ impl<K: MrKey, V: MrValue> MapOutputBuilder<K, V> {
             if let Some(c) = combiner {
                 records = combine_sorted(records, c);
             }
-            Counters::add(&counters.combined_records, records.len() as u64);
             out.push((reducer, MapOutputFile { records, raw_count }));
         }
         out
@@ -414,12 +411,11 @@ mod tests {
 
     #[test]
     fn builder_partitions_and_sorts() {
-        let counters = Counters::default();
         let mut b = MapOutputBuilder::<u64, u64>::new(2);
         b.push(0, 5, 50);
         b.push(0, 1, 10);
         b.push(1, 2, 20);
-        let files = b.finish(None, &counters);
+        let files = b.finish(None);
         assert_eq!(files.len(), 2);
         let f0 = &files.iter().find(|(r, _)| *r == 0).unwrap().1;
         assert_eq!(f0.records, vec![(1, 10), (5, 50)]);
@@ -428,13 +424,12 @@ mod tests {
 
     #[test]
     fn combiner_folds_but_annotation_keeps_raw_count() {
-        let counters = Counters::default();
         let mut b = MapOutputBuilder::<u64, u64>::new(1);
         b.push(0, 7, 1);
         b.push(0, 7, 2);
         b.push(0, 7, 3);
         b.push(0, 9, 4);
-        let files = b.finish(Some(&SumCombiner), &counters);
+        let files = b.finish(Some(&SumCombiner));
         let f = &files[0].1;
         assert_eq!(f.records, vec![(7, 6), (9, 4)]);
         assert_eq!(f.raw_count, 4, "annotation counts raw pairs, not combined");
@@ -442,10 +437,9 @@ mod tests {
 
     #[test]
     fn empty_partitions_produce_no_file() {
-        let counters = Counters::default();
         let mut b = MapOutputBuilder::<u64, u64>::new(3);
         b.push(1, 1, 1);
-        let files = b.finish(None, &counters);
+        let files = b.finish(None);
         assert_eq!(files.len(), 1);
         assert_eq!(files[0].0, 1);
     }

@@ -301,7 +301,8 @@ impl PartitionStore {
 
     /// Commits map attempt `(task, attempt)`'s partitions `(reducer,
     /// bytes)`, every executor's one commit path, and returns the
-    /// reducers it fed. The job's scripted `CorruptOutput` /
+    /// `(reducer, rows)` it fed, the rows read from each SMOF header
+    /// as handed in. The job's scripted `CorruptOutput` /
     /// `TruncateOutput` damages the bytes on their way in: the attempt
     /// succeeds, and the reduce that opens them fails their CRC.
     pub fn commit_map(
@@ -310,7 +311,7 @@ impl PartitionStore {
         task: usize,
         attempt: u32,
         partitions: Vec<(usize, Vec<u8>)>,
-    ) -> Vec<usize> {
+    ) -> Vec<(usize, u64)> {
         let fault = (self.inner.lock().faults.get(&job)).and_then(|p| p.map_fault(task, attempt));
         let truncate = match fault {
             Some(FaultKind::CorruptOutput) => Some(false),
@@ -319,12 +320,13 @@ impl PartitionStore {
         };
         let mut fed = Vec::with_capacity(partitions.len());
         for (reducer, mut bytes) in partitions {
+            let rows = shuffle_file::parse_prefix(&bytes).map_or(0, |p| p.records);
             if let Some(truncate) = truncate {
                 shuffle_file::damage(&mut bytes, truncate);
             }
             // May spill *other* partitions on this thread: backpressure.
             self.insert((job, task, reducer, attempt), Arc::new(bytes));
-            fed.push(reducer);
+            fed.push((reducer, rows));
         }
         fed
     }

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_mapreduce::{
-    run_job, run_job_with_executor, CancelToken, Counters, DefaultPlan, FaultKind, FaultPlan,
-    FaultTarget, FnMapper, FnReducer, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig,
+    run_job, run_job_with_executor, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget,
+    FnMapper, FnReducer, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, MapTally,
     MapTaskId, ModuloPartitioner, MrError, ReduceSource, RemoteReduceError, RetryPolicy,
     RoutingPlan, SliceRecordSource, SlotPool, TaskExecutor,
 };
@@ -73,16 +73,9 @@ macro_rules! with_executor {
     }};
 }
 
-fn run_map(exec: &dyn TaskExecutor<u64, u64>, task: MapTaskId, attempt: u32) {
-    exec.execute_map(
-        task,
-        attempt,
-        false,
-        &splits()[task],
-        &Counters::default(),
-        &|_| true,
-    )
-    .unwrap();
+fn run_map(exec: &dyn TaskExecutor<u64, u64>, task: MapTaskId, attempt: u32) -> MapTally {
+    exec.execute_map(task, attempt, false, &splits()[task], &|_| true)
+        .unwrap()
 }
 
 fn sources(epochs: &[u32]) -> Vec<ReduceSource> {
@@ -93,18 +86,17 @@ fn sources(epochs: &[u32]) -> Vec<ReduceSource> {
         .collect()
 }
 
-/// One reduce attempt's keyblock, plus the records its fetches moved.
+/// One reduce attempt's keyblock. Every map feeds every reducer, so
+/// every bound source is a fed one.
 fn run_reduce(
     exec: &dyn TaskExecutor<u64, u64>,
     reducer: usize,
     sources: &[ReduceSource],
-) -> Result<(Vec<(u64, u64)>, u64), RemoteReduceError> {
-    let counters = Counters::default();
-    let out = exec.execute_reduce(reducer, 0, sources, None, &counters)?;
-    Ok((out, counters.snapshot().shuffled_records))
+) -> Result<Vec<(u64, u64)>, RemoteReduceError> {
+    exec.execute_reduce(reducer, 0, sources, None)
 }
 
-fn lost(result: Result<(Vec<(u64, u64)>, u64), RemoteReduceError>) -> Vec<MapTaskId> {
+fn lost(result: Result<Vec<(u64, u64)>, RemoteReduceError>) -> Vec<MapTaskId> {
     match result {
         Err(RemoteReduceError::SourcesLost(maps)) => maps,
         other => panic!("expected SourcesLost, got {other:?}"),
@@ -124,18 +116,22 @@ fn expected(r: u64) -> Vec<(u64, u64)> {
 fn commit_then_fetch_delivers_every_partition() {
     let config = base_config();
     with_executor!(&config, |exec, _plan| {
-        for m in 0..MAPS as usize {
-            run_map(&exec, m, 0);
-        }
+        let tallies: Vec<MapTally> = (0..MAPS as usize).map(|m| run_map(&exec, m, 0)).collect();
         assert_eq!(
             exec.pressure().resident_partitions,
             MAPS as usize * REDUCERS
         );
         for r in 0..REDUCERS {
-            let (records, shuffled) = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
+            let records = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
             assert_eq!(records, expected(r as u64), "reducer {r}");
+            // The tallies name each partition's rows, read from its
+            // SMOF header.
+            let rows: u64 = (tallies.iter().flat_map(|t| &t.partitions))
+                .filter(|&&(reducer, _)| reducer == r)
+                .map(|&(_, rows)| rows)
+                .sum();
             let mine = (0..MAPS * 10).filter(|k| k % 3 == r as u64).count();
-            assert_eq!(shuffled, mine as u64);
+            assert_eq!(rows, mine as u64);
         }
         // A second fetch reports every source lost: the first reduce
         // released them.
@@ -161,7 +157,7 @@ fn uncommitted_generation_is_a_lost_source_and_nothing_is_consumed() {
         run_map(&exec, 2, 0);
         run_map(&exec, 3, 1);
         assert_eq!(
-            run_reduce(&exec, 0, &sources(&[0, 0, 0, 1])).unwrap().0,
+            run_reduce(&exec, 0, &sources(&[0, 0, 0, 1])).unwrap(),
             expected(0)
         );
     });
@@ -190,7 +186,7 @@ fn post_commit_corruption_surfaces_as_a_lost_source() {
             run_map(&exec, 1, 1);
             for r in 0..REDUCERS {
                 assert_eq!(
-                    run_reduce(&exec, r, &sources(&[0, 1, 0, 0])).unwrap().0,
+                    run_reduce(&exec, r, &sources(&[0, 1, 0, 0])).unwrap(),
                     expected(r as u64),
                     "{kind:?} reducer {r}"
                 );
@@ -218,7 +214,7 @@ fn volatile_fetch_consumes_exactly_the_bound_generation() {
         );
 
         assert_eq!(
-            run_reduce(&exec, 0, &sources(&[0; 4])).unwrap().0,
+            run_reduce(&exec, 0, &sources(&[0; 4])).unwrap(),
             expected(0)
         );
         // Consumed on fetch: gone, not empty — a re-bind of the
@@ -228,7 +224,7 @@ fn volatile_fetch_consumes_exactly_the_bound_generation() {
         // Other reducers' partitions of those generations are
         // untouched, and so is the twin's generation.
         assert_eq!(
-            run_reduce(&exec, 1, &sources(&[0; 4])).unwrap().0,
+            run_reduce(&exec, 1, &sources(&[0; 4])).unwrap(),
             expected(1)
         );
         assert_eq!(
@@ -241,7 +237,7 @@ fn volatile_fetch_consumes_exactly_the_bound_generation() {
             run_map(&exec, m, 1);
         }
         assert_eq!(
-            run_reduce(&exec, 0, &sources(&[1; 4])).unwrap().0,
+            run_reduce(&exec, 0, &sources(&[1; 4])).unwrap(),
             expected(0)
         );
     });

@@ -84,7 +84,6 @@ fn main() -> ExitCode {
         map_slots: args.map_slots,
         reduce_slots: args.reduce_slots,
         workers: args.workers,
-        ..ServerConfig::default()
     };
     let server = match Server::bind(Arc::new(Tcp), &args.listen, config) {
         Ok(s) => s,

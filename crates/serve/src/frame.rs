@@ -30,8 +30,9 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// [`FrameError::VersionMismatch`] instead of deserialization garbage.
 /// The fetched SMOF partitions and keyblock frames are part of the
 /// contract: v6 is the version whose partition CRC covers the header,
-/// v7 the one whose `KeyblockBin` CRC does.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// v7 the one whose `KeyblockBin` CRC does; v8's `MapDone` names each
+/// partition's rows beside its reducer.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

@@ -59,8 +59,6 @@ pub struct ServerConfig {
     pub map_slots: usize,
     /// Cluster-wide reduce slots shared by every job.
     pub reduce_slots: usize,
-    /// Admission pre-flight configuration.
-    pub analyze: AnalyzeOptions,
     /// Worker addresses (`host:port`). Empty means in-process
     /// execution; non-empty turns the server into a coordinator that
     /// dispatches every task attempt to this fleet.
@@ -72,7 +70,6 @@ impl Default for ServerConfig {
         ServerConfig {
             map_slots: 4,
             reduce_slots: 2,
-            analyze: AnalyzeOptions::default(),
             workers: Vec::new(),
         }
     }
@@ -126,7 +123,6 @@ struct JobHandle {
 
 /// State shared by the acceptor, connection threads and job threads.
 struct Inner {
-    config: ServerConfig,
     listener: Arc<dyn Listener>,
     pool: SlotPool,
     /// The worker fleet, when configured with workers (coordinator
@@ -268,13 +264,12 @@ impl Server {
         let fleet = match config.workers.is_empty() {
             true => None,
             false => Some(
-                Fleet::connect(Arc::clone(&net), config.workers.clone())
+                Fleet::connect(Arc::clone(&net), config.workers)
                     .map_err(|e| invalid(e.to_string()))?,
             ),
         };
         Ok(Server {
             inner: Arc::new(Inner {
-                config,
                 listener: net.listen(addr)?,
                 pool,
                 fleet,
@@ -503,7 +498,7 @@ fn admit(
     options: SubmitOptions,
     out: &Arc<Outbox>,
 ) {
-    let report = match analyze_spec(&spec, &inner.config.analyze) {
+    let report = match analyze_spec(&spec, &AnalyzeOptions::default()) {
         Ok(r) => r,
         Err(e) => {
             serve_metrics().rejections.inc();
@@ -600,10 +595,11 @@ fn run_admitted_job(
     // through the engine's `TaskExecutor` seam.
     let result = match &inner.fleet {
         Some(fleet) => {
+            // Each reduce checks the tally the engine hands it.
             let exec_opts = ExecOptions {
-                validate_annotations: options.validate_annotations,
                 filter_pushdown: options.filter_pushdown,
                 fault_plan: options.fault_plan.clone(),
+                ..ExecOptions::default()
             };
             match fleet.prepare_job(spec, input, &exec_opts) {
                 Ok(remote) => {

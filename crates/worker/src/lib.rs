@@ -428,7 +428,7 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
             let partitions = (shared.store).commit_map(job, task, attempt, out.partitions);
             if !shared.jobs.lock().contains_key(&job) {
                 // Finish raced the map; drop what we just stored.
-                for &reducer in &partitions {
+                for &(reducer, _) in &partitions {
                     shared.store.release(job, reducer, &[(task, attempt)]);
                 }
                 return failed(format!("job {job} vanished mid-map"), false);

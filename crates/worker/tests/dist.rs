@@ -149,6 +149,12 @@ fn fleet_output_is_byte_identical_to_single_process() {
         result.counters.shuffle_connections, local.counters.shuffle_connections,
         "a fleet job must report the single-process run's connections"
     );
+    // And so is every other count: a fault-free job's books do not
+    // depend on where its attempts ran.
+    assert_eq!(
+        result.counters, local.counters,
+        "a fleet job must keep the single-process run's counters"
+    );
     // Every map attempt landed on the fleet, none ran in-process.
     let map_attempts: u64 = workers.iter().map(|w| w.stat().map_attempts).sum();
     assert_eq!(map_attempts as usize, spec.splits.len());
@@ -210,7 +216,7 @@ fn panicked_task_attempt_leaves_worker_serving() {
         WorkerResponse::MapDone { partitions, .. } => partitions,
         other => panic!("map after the panic must succeed, got {other:?}"),
     };
-    let reducer = *partitions.first().expect("map 0 feeds a reducer");
+    let (reducer, _) = *partitions.first().expect("map 0 feeds a reducer");
     let fetch = WorkerRequest::FetchPartition {
         job: PANIC_JOB_ID,
         map: 0,
