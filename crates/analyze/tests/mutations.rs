@@ -227,15 +227,11 @@ fn corrupted_job_spec_is_caught() {
     );
 }
 
-/// The planner's built-in pre-flight is on by default and opt-out.
+/// The planner's built-in pre-flight runs in every build.
 #[test]
-fn planner_preflight_is_opt_out() {
+fn planner_preflight_runs_on_every_build() {
     let (q, splits, _) = fixture();
     assert!(SidrPlanner::new(&q, 3).build(&splits).is_ok());
-    assert!(SidrPlanner::new(&q, 3)
-        .skip_preflight()
-        .build(&splits)
-        .is_ok());
     // End-to-end rejection: the analyzer (superset of the pre-flight)
     // rejects at least five distinct corruption classes — covered by
     // the tests above; here we prove the pre-flight path itself runs

@@ -144,9 +144,7 @@ fn fixture(pushdown: bool) -> &'static Fixture {
         let out = InMemoryOutput::new();
         let file = ScincFile::open(&input).unwrap();
         let pool = SlotPool::new(4, 2).unwrap();
-        // Validation on, as a client submits by default.
         let opts = SpecRunOptions {
-            validate_annotations: true,
             filter_pushdown: pushdown,
             ..SpecRunOptions::default()
         };

@@ -25,8 +25,8 @@
 //!
 //! The bodies keep no books: a map attempt returns its tallies, and a
 //! reduce checks its §3.2.1 tally against the `expected_raw` it is
-//! handed — the scheduler's, which is `None` when validation is off or
-//! a push-down `Filter` voids the geometric count.
+//! handed — the plan's, which is `None` only for hash routing or when a
+//! pushed-down `Filter` voids the geometric count.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -59,8 +59,9 @@ use crate::SidrError;
 pub struct ExecOptions {
     /// Cross-check count annotations in [`SpecExecutor::run_reduce`]
     /// when its caller hands no expectation (§3.2.1 approach 2). A
-    /// mismatch is fatal to the job, not retryable. Attempts the engine
-    /// schedules check only the engine's `expected_raw`.
+    /// mismatch is fatal to the job, not retryable. Read only there:
+    /// attempts the engine schedules check the plan's `expected_raw`
+    /// unconditionally. Kept because the frozen benchmark sets it.
     pub validate_annotations: bool,
     /// Push a `Filter` operator's predicate below the shuffle.
     pub filter_pushdown: bool,
@@ -101,8 +102,8 @@ enum Route {
 
 impl SpecExecutor {
     /// Opens `input` and re-derives the spec's plan, exactly as the
-    /// coordinator's `run_spec_on_pool` does (admission has already
-    /// verified the spec, so the structural pre-flight is skipped).
+    /// coordinator's `run_spec_on_pool` does (its structural pre-flight
+    /// included).
     pub fn new(input: &Path, spec: JobSpec, opts: ExecOptions) -> crate::Result<Self> {
         let query = spec.query()?;
         let file = ScincFile::open(input)?;
@@ -112,8 +113,7 @@ impl SpecExecutor {
 
     /// The attempt bodies of `query` over `splits` under `mode`: the
     /// same map side in every mode, routed by `partition+` (SIDR, with
-    /// the plan re-derived without its pre-flight) or by the stock hash
-    /// (Hadoop, SciHadoop).
+    /// the plan re-derived) or by the stock hash (Hadoop, SciHadoop).
     pub(crate) fn for_query(
         file: ScincFile,
         query: &StructuralQuery,
@@ -130,7 +130,7 @@ impl SpecExecutor {
         let route = match mode {
             FrameworkMode::Sidr => Route::PartitionPlus(Box::new(
                 SidrPlanner::new(query, num_reducers)
-                    .skip_preflight()
+                    .filter_pushdown(opts.filter_pushdown)
                     .build(&splits)?,
             )),
             FrameworkMode::Hadoop | FrameworkMode::SciHadoop => Route::Hash,
@@ -216,7 +216,7 @@ impl SpecExecutor {
     /// itself is broken and must fail the job, so it surfaces as the
     /// typed [`MrError::AnnotationMismatch`]. The tally is
     /// `expected_raw`; when absent it is the plan's own if these
-    /// options ask for validation and push no `Filter` down.
+    /// options ask for validation.
     pub fn run_reduce(
         &self,
         reducer: usize,
@@ -228,9 +228,8 @@ impl SpecExecutor {
             .iter()
             .map(|bytes| Smof3View::open(Arc::clone(bytes)))
             .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
-        let pushed_down = pushdown_threshold(self.opts.filter_pushdown, self.operator).is_some();
         let expected_raw = expected_raw.or(match &self.route {
-            Route::PartitionPlus(plan) if self.opts.validate_annotations && !pushed_down => {
+            Route::PartitionPlus(plan) if self.opts.validate_annotations => {
                 plan.expected_raw_count(reducer)
             }
             _ => None,

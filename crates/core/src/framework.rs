@@ -11,6 +11,10 @@
 //! | `Hadoop`    | naive byte-range-style | hash-modulo      | global       | maps first    |
 //! | `SciHadoop` | extraction-aligned     | hash-modulo      | global       | maps first    |
 //! | `Sidr`      | extraction-aligned     | `partition+`     | actual deps  | reduces first |
+//!
+//! No mode has a validation switch: every reduce checks the §3.2.1
+//! tally its plan promises — none under hash routing or a pushed-down
+//! `Filter`.
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
@@ -59,8 +63,6 @@ pub struct RunOptions {
     pub reduce_slots: usize,
     /// Split size budget in bytes (HDFS block-sized by default).
     pub split_bytes: u64,
-    /// Cross-check count annotations (§3.2.1 approach 2, SIDR only).
-    pub validate_annotations: bool,
     /// Prioritize keyblocks covering this region of `K′` (§3.4, SIDR
     /// only).
     pub priority_region: Option<Slab>,
@@ -75,9 +77,8 @@ pub struct RunOptions {
     pub volatile_intermediate: bool,
     /// Push a `Filter` operator's predicate below the shuffle (Query
     /// 2's regime: Reduce tasks "process far less data", §4.1).
-    /// Output is unchanged; count-annotation validation is disabled
-    /// because the geometric tallies no longer apply (§3.2.1 approach
-    /// 1 — the dependency barrier — still guarantees correctness).
+    /// Output is unchanged; the plan then promises no §3.2.1 tally (the
+    /// approach-1 dependency barrier still guarantees correctness).
     pub filter_pushdown: bool,
 }
 
@@ -89,7 +90,6 @@ impl RunOptions {
             map_slots: 4,
             reduce_slots: 3,
             split_bytes: 1 << 20,
-            validate_annotations: false,
             priority_region: None,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
@@ -132,7 +132,7 @@ pub fn run_query(
             vec![1u64; n],
         ),
         FrameworkMode::Sidr => {
-            let mut planner = SidrPlanner::new(query, n);
+            let mut planner = SidrPlanner::new(query, n).filter_pushdown(opts.filter_pushdown);
             if let Some(region) = &opts.priority_region {
                 planner = planner.prioritize_region(region.clone());
             }
@@ -146,9 +146,6 @@ pub fn run_query(
     let config = JobConfig {
         map_slots: opts.map_slots,
         reduce_slots: opts.reduce_slots,
-        // Push-down breaks the geometric raw-count expectation.
-        validate_annotations: opts.validate_annotations
-            && pushdown_threshold(opts.filter_pushdown, query.operator).is_none(),
         fault_plan: opts.fault_plan.clone(),
         retry: opts.retry,
         volatile_intermediate: opts.volatile_intermediate,
@@ -227,11 +224,11 @@ pub struct SpecRunOptions {
     /// region of `K′` are scheduled first (§3.4 computational
     /// steering). Overrides the spec's stored `reduce_order`.
     pub priority_region: Option<Slab>,
-    /// Cross-check count annotations before each reduce (§3.2.1
-    /// approach 2).
+    /// Unread: every SIDR reduce checks the tally its plan promises.
+    /// Kept because the frozen benchmark still sets it.
     pub validate_annotations: bool,
-    /// Push a `Filter` operator's predicate below the shuffle
-    /// (disables annotation validation; output unchanged).
+    /// Push a `Filter` operator's predicate below the shuffle (the
+    /// plan then promises no annotation tally; output unchanged).
     pub filter_pushdown: bool,
     /// Chaos hook: deterministic fault script injected into this run
     /// (empty = none). Carried from the submission, not the spec.
@@ -264,8 +261,8 @@ pub fn run_spec_on_pool(
 ) -> Result<JobResult> {
     let query = spec.query()?;
     let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
-    // The engine hands each reduce the plan's tally when the run
-    // validates, and applies the fault script; the bodies add neither.
+    // The engine hands each reduce the plan's tally and applies the
+    // fault script; the bodies add neither.
     let exec_opts = ExecOptions {
         filter_pushdown: opts.filter_pushdown,
         ..ExecOptions::default()
@@ -346,19 +343,15 @@ fn spec_plan_and_config(
     query: &StructuralQuery,
     opts: &SpecRunOptions,
 ) -> Result<(crate::plan::SidrPlan, JobConfig)> {
-    // The planner re-derives the geometry the spec promised; the
-    // admission pre-flight (`sidr_analyze::analyze_spec`) has already
-    // proven the stored tables against it, so the cheap structural
-    // pre-flight inside `build` is skipped.
-    let mut planner = SidrPlanner::new(query, spec.num_reducers).skip_preflight();
+    // The planner re-derives the geometry the spec promised, and its
+    // structural pre-flight re-checks it on this side of the wire.
+    let mut planner =
+        SidrPlanner::new(query, spec.num_reducers).filter_pushdown(opts.filter_pushdown);
     if let Some(region) = &opts.priority_region {
         planner = planner.prioritize_region(region.clone());
     }
     let plan = planner.build(&spec.splits)?;
     let config = JobConfig {
-        // Push-down breaks the geometric raw-count expectation.
-        validate_annotations: opts.validate_annotations
-            && pushdown_threshold(opts.filter_pushdown, query.operator).is_none(),
         fault_plan: opts.fault_plan.clone(),
         retry: spec.retry,
         speculation: spec.speculation.clone(),
@@ -424,7 +417,6 @@ mod tests {
         ] {
             let mut opts = RunOptions::new(mode, 3);
             opts.split_bytes = 6 * 4 * 8 * 4; // 4 leading rows per split
-            opts.validate_annotations = mode == FrameworkMode::Sidr;
             let got = run_query(&file, &q, &opts).unwrap();
             assert_eq!(got.records.len(), expect.len(), "{mode}");
             for ((gk, gv), (ek, ev)) in got.records.iter().zip(&expect) {
@@ -505,7 +497,6 @@ mod tests {
         let mut opts = RunOptions::new(FrameworkMode::Sidr, 3);
         let plain = run_query(&file, &q, &opts).unwrap();
         opts.filter_pushdown = true;
-        opts.validate_annotations = true; // silently disabled with push-down
         let pushed = run_query(&file, &q, &opts).unwrap();
         assert_eq!(
             plain.records, pushed.records,
@@ -524,8 +515,7 @@ mod tests {
         let (file, _) = dataset("annot", &[20, 4, 4]);
         let q = StructuralQuery::new("t", shape(&[20, 4, 4]), shape(&[5, 2, 2]), Operator::Max)
             .unwrap();
-        let mut opts = RunOptions::new(FrameworkMode::Sidr, 3);
-        opts.validate_annotations = true;
+        let opts = RunOptions::new(FrameworkMode::Sidr, 3);
         // Max is distributive → a combiner folds pairs; annotations
         // must still tally the raw counts.
         let got = run_query(&file, &q, &opts).unwrap();

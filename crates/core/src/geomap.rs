@@ -74,7 +74,6 @@ pub fn map_split<E: Element>(
         partitions: Vec::new(),
         records_in,
         records_out: 0,
-        records_combined: 0,
     };
     let Some(image) = Image::of(split, mapper)? else {
         return Ok(out); // the split feeds no K' key
@@ -101,10 +100,10 @@ pub fn map_split<E: Element>(
         if keys.is_empty() {
             continue;
         }
-        let (rows, bytes) = match combiner {
+        let bytes = match combiner {
             None => {
                 let rows = raw[reducer] as usize;
-                let bytes = write_v3(raw[reducer], rows, key_width, VALUE_WIDTH, |buf| {
+                write_v3(raw[reducer], rows, key_width, VALUE_WIDTH, |buf| {
                     for &i in keys {
                         let at = buf.len();
                         image.key(i).write_packed(buf);
@@ -115,8 +114,7 @@ pub fn map_split<E: Element>(
                             buf.extend_from_slice(&v.to_le_bytes());
                         }
                     }
-                });
-                (rows, bytes)
+                })
             }
             Some(combiner) => {
                 // Fold first: the header carries the row count.
@@ -127,16 +125,14 @@ pub fn map_split<E: Element>(
                     combiner.combine(&image.key(i), &mut group);
                     rows.extend(group.iter().map(|&v| (i, v)));
                 }
-                let bytes = write_v3(raw[reducer], rows.len(), key_width, VALUE_WIDTH, |buf| {
+                write_v3(raw[reducer], rows.len(), key_width, VALUE_WIDTH, |buf| {
                     for &(i, v) in &rows {
                         image.key(i).write_packed(buf);
                         buf.extend_from_slice(&v.to_le_bytes());
                     }
-                });
-                (rows.len(), bytes)
+                })
             }
         };
-        out.records_combined += rows as u64;
         out.partitions.push((reducer, bytes));
     }
     Ok(out)

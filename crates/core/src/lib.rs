@@ -16,7 +16,7 @@
 //!   barriers, producing early, *correct* results (§4.1),
 //! * schedule Reduce tasks first, with Map tasks becoming eligible on
 //!   demand and keyblocks optionally prioritized — [`plan`] (§3.3–3.4),
-//! * cross-check early starts with count annotations ([`deps`]
+//! * cross-check every early start with count annotations ([`plan`]
 //!   `expected_raw_count`, §3.2.1 approach 2),
 //! * write output as dense contiguous slabs — [`output`] (§4.4),
 //! * recover from Reduce failures by re-executing only dependent Map

@@ -6,6 +6,7 @@ use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{InputSplit, MapTaskId, Partitioner, RoutingPlan};
 
 use crate::deps::Dependencies;
+use crate::framework::pushdown_threshold;
 use crate::partition_plus::PartitionPlus;
 use crate::query::StructuralQuery;
 use crate::{Result, SidrError};
@@ -18,13 +19,15 @@ use crate::{Result, SidrError};
 /// * `I_ℓ` dependency barriers and dependency-only fetches (§3.2, §4.6),
 /// * inverted reduce-first scheduling (§3.3),
 /// * optional keyblock priority order (§3.4),
-/// * expected raw-pair counts for annotation validation (§3.2.1).
+/// * the raw-pair tally each reduce checks (§3.2.1), unless a pushed-
+///   down `Filter` voids it.
 pub struct SidrPlan {
     partition: PartitionPlus,
     deps: Dependencies,
     reduce_order: Vec<usize>,
     invert: bool,
     expected_raw: Vec<u64>,
+    filter_pushed_down: bool,
 }
 
 impl SidrPlan {
@@ -42,6 +45,13 @@ impl SidrPlan {
     /// column of Table 3.
     pub fn total_connections(&self) -> u64 {
         self.deps.total_connections()
+    }
+
+    /// The keyblock's geometric raw-pair tally, |keys in block| ×
+    /// |extraction shape|, whether or not the job promises it — what
+    /// the submission document stores and the verifier checks.
+    pub fn geometric_raw_count(&self, reducer: usize) -> u64 {
+        self.expected_raw[reducer]
     }
 }
 
@@ -66,8 +76,10 @@ impl RoutingPlan<Coord> for SidrPlan {
         self.reduce_order.clone()
     }
 
+    /// The tally each reduce checks; a pushed-down `Filter` drops
+    /// pairs before the shuffle, so then there is none to promise.
     fn expected_raw_count(&self, reducer: usize) -> Option<u64> {
-        Some(self.expected_raw[reducer])
+        (!self.filter_pushed_down).then(|| self.expected_raw[reducer])
     }
 }
 
@@ -78,7 +90,7 @@ pub struct SidrPlanner<'q> {
     skew_bound: Option<u64>,
     priority_region: Option<Slab>,
     invert: bool,
-    preflight: bool,
+    filter_pushdown: bool,
 }
 
 impl<'q> SidrPlanner<'q> {
@@ -89,7 +101,7 @@ impl<'q> SidrPlanner<'q> {
             skew_bound: None,
             priority_region: None,
             invert: true,
-            preflight: true,
+            filter_pushdown: false,
         }
     }
 
@@ -114,14 +126,11 @@ impl<'q> SidrPlanner<'q> {
         self
     }
 
-    /// Disables the structural pre-flight check that [`build`]
-    /// otherwise runs on the finished plan (see [`crate::verify`]).
-    /// The check is cheap — O(reducers + dependency edges) — so opt
-    /// out only when building millions of throwaway plans.
-    ///
-    /// [`build`]: SidrPlanner::build
-    pub fn skip_preflight(mut self) -> Self {
-        self.preflight = false;
+    /// The job's `filter_pushdown`: a `Filter` predicate pushed below
+    /// the shuffle voids the geometric tallies, so the plan promises
+    /// none (the §3.2.1 approach-1 barrier still guarantees output).
+    pub fn filter_pushdown(mut self, filter_pushdown: bool) -> Self {
+        self.filter_pushdown = filter_pushdown;
         self
     }
 
@@ -166,6 +175,8 @@ impl<'q> SidrPlanner<'q> {
             reduce_order,
             invert: self.invert,
             expected_raw,
+            filter_pushed_down: pushdown_threshold(self.filter_pushdown, self.query.operator)
+                .is_some(),
         };
 
         // Pre-flight: prove the structural invariants before anything
@@ -173,14 +184,12 @@ impl<'q> SidrPlanner<'q> {
         // feasibility, annotation conservation). A planner bug
         // surfaces here as a diagnostic report instead of a hung
         // barrier or a silently wrong answer downstream.
-        if self.preflight {
-            let view = crate::verify::PlanView::of_plan(&plan, self.query, splits);
-            let report = crate::verify::structural_check(&view);
-            if report.has_errors() {
-                return Err(SidrError::Plan(format!(
-                    "pre-flight verification failed:\n{report}"
-                )));
-            }
+        let view = crate::verify::PlanView::of_plan(&plan, self.query, splits);
+        let report = crate::verify::structural_check(&view);
+        if report.has_errors() {
+            return Err(SidrError::Plan(format!(
+                "pre-flight verification failed:\n{report}"
+            )));
         }
 
         Ok(plan)

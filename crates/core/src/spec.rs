@@ -86,9 +86,7 @@ impl JobSpec {
                 .map(|i| plan.partition().keyblock_cover(i))
                 .collect::<Result<Vec<_>>>()?,
             reduce_order: plan.reduce_order(),
-            expected_raw: (0..r)
-                .map(|i| plan.expected_raw_count(i).expect("SIDR plans always know"))
-                .collect(),
+            expected_raw: (0..r).map(|i| plan.geometric_raw_count(i)).collect(),
             deadline_ms: None,
             retry: RetryPolicy::default(),
             speculation: SpeculationPolicy::default(),
@@ -138,7 +136,7 @@ impl JobSpec {
                     "stored dependencies for reducer {r} do not match the query geometry"
                 )));
             }
-            if plan.expected_raw_count(r) != Some(self.expected_raw[r]) {
+            if plan.geometric_raw_count(r) != self.expected_raw[r] {
                 return Err(SidrError::Plan(format!(
                     "stored raw-count tally for reducer {r} does not match the query geometry"
                 )));

@@ -1,9 +1,9 @@
 //! Structural pre-flight verification of SIDR plans.
 //!
 //! The cheap — O(reducers + dependency edges) — half of the static
-//! plan verifier. It runs inside [`SidrPlanner::build`] on every plan
-//! (opt out with [`SidrPlanner::skip_preflight`]) and catches plans
-//! that would hang or answer wrongly *before* any task is scheduled:
+//! plan verifier. It runs inside every [`SidrPlanner::build`], with no
+//! opt-out, and catches plans that would hang or answer wrongly
+//! *before* any task is scheduled:
 //! schedule permutation, dependency-graph feasibility, map↔keyblock
 //! inversion consistency, keyblock count balance and count-annotation
 //! conservation (§3.2.1 approach 2).
@@ -15,7 +15,6 @@
 //! [`Report`].
 //!
 //! [`SidrPlanner::build`]: crate::plan::SidrPlanner::build
-//! [`SidrPlanner::skip_preflight`]: crate::plan::SidrPlanner::skip_preflight
 
 use sidr_coords::Shape;
 use sidr_mapreduce::{InputSplit, MapTaskId, RoutingPlan};
@@ -41,7 +40,9 @@ pub struct PlanView {
     pub map_feeds: Vec<Vec<usize>>,
     /// Scheduling order over keyblocks (§3.3, §3.4).
     pub reduce_order: Vec<usize>,
-    /// Expected raw ⟨k,v⟩ pairs per keyblock (§3.2.1 approach 2).
+    /// Expected raw ⟨k,v⟩ pairs per keyblock (§3.2.1 approach 2): the
+    /// geometric tallies, also when a pushed-down `Filter` means the
+    /// plan promises none at run time.
     pub expected_raw: Vec<u64>,
     /// The query's intermediate keyspace `K′ᵀ` — taken from the query
     /// itself, not the partition, so a partition built over the wrong
@@ -66,9 +67,7 @@ impl PlanView {
                 .map(|m| plan.dependencies().map_feeds(m).to_vec())
                 .collect(),
             reduce_order: plan.reduce_order(),
-            expected_raw: (0..r)
-                .map(|b| plan.expected_raw_count(b).unwrap_or(0))
-                .collect(),
+            expected_raw: (0..r).map(|b| plan.geometric_raw_count(b)).collect(),
             kspace: query.intermediate_space(),
             fold_in: query.fold_in_count(),
             num_splits: splits.len(),

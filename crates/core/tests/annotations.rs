@@ -6,7 +6,9 @@ use sidr_coords::{Coord, ExtractionShape, Shape};
 use sidr_core::operators::OperatorReducer;
 use sidr_core::source::{scinc_source_factory, StructuralMapper};
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{run_job, InMemoryOutput, JobConfig, Mapper, MrError, SplitGenerator};
+use sidr_mapreduce::{
+    run_job, InMemoryOutput, JobConfig, Mapper, MrError, RoutingPlan, SplitGenerator,
+};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
 fn shape(v: &[u64]) -> Shape {
@@ -70,62 +72,17 @@ fn honest_run_passes_annotation_validation() {
         &reducer,
         &plan,
         &output,
-        &JobConfig {
-            validate_annotations: true,
-            ..Default::default()
-        },
+        &JobConfig::default(),
     );
     assert!(result.is_ok(), "honest run must validate: {result:?}");
 }
 
+/// The tripwire needs no switch: a default-config run over a SIDR plan
+/// refuses to reduce on insufficient input — the hazard §3.2.1
+/// describes — instead of answering from it.
 #[test]
-fn lossy_mapper_trips_the_annotation_check() {
+fn lossy_run_trips_the_tally_by_default() {
     let (file, _) = dataset("lossy", &[40, 8]);
-    let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
-    let splits = SplitGenerator::new(q.input_space().clone(), 8)
-        .exact_count(5)
-        .unwrap();
-    let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-    let mapper = LossyMapper {
-        inner: StructuralMapper::new(
-            ExtractionShape::new(shape(&[40, 8]), shape(&[4, 4])).unwrap(),
-        ),
-    };
-    let reducer = OperatorReducer { op: q.operator };
-    let factory = scinc_source_factory::<f64>(&file, "v");
-    let output = InMemoryOutput::new();
-    let result = run_job(
-        &splits,
-        &factory,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
-        &output,
-        &JobConfig {
-            validate_annotations: true,
-            ..Default::default()
-        },
-    );
-    match result {
-        Err(MrError::AnnotationMismatch {
-            expected, actual, ..
-        }) => {
-            assert!(
-                actual < expected,
-                "tally {actual} must fall short of {expected}"
-            );
-        }
-        other => panic!("expected AnnotationMismatch, got {other:?}"),
-    }
-}
-
-#[test]
-fn without_validation_the_lossy_run_silently_succeeds() {
-    // The contrast case: disable the cross-check and the engine happily
-    // produces an answer based on insufficient input — exactly the
-    // hazard §3.2.1 describes.
-    let (file, _) = dataset("silent", &[40, 8]);
     let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
     let splits = SplitGenerator::new(q.input_space().clone(), 8)
         .exact_count(5)
@@ -149,6 +106,45 @@ fn without_validation_the_lossy_run_silently_succeeds() {
         &output,
         &JobConfig::default(),
     );
-    assert!(result.is_ok());
-    assert!(!output.is_empty());
+    match result {
+        Err(MrError::AnnotationMismatch {
+            expected, actual, ..
+        }) => {
+            assert!(
+                actual < expected,
+                "tally {actual} must fall short of {expected}"
+            );
+        }
+        other => panic!("expected AnnotationMismatch, got {other:?}"),
+    }
+}
+
+/// A pushed-down `Filter` drops pairs before the shuffle, so its plan
+/// promises no tally — yet keeps the geometric one the verifier and
+/// the submission document check.
+#[test]
+fn pushed_down_filter_promises_no_tally_but_keeps_the_geometry() {
+    let filter = Operator::Filter { threshold: 0.5 };
+    let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), filter).unwrap();
+    let splits = SplitGenerator::new(q.input_space().clone(), 8)
+        .exact_count(5)
+        .unwrap();
+    let kept = SidrPlanner::new(&q, 3).build(&splits).unwrap();
+    let pushed = SidrPlanner::new(&q, 3)
+        .filter_pushdown(true)
+        .build(&splits)
+        .unwrap();
+    for r in 0..3 {
+        let geometric = kept.geometric_raw_count(r);
+        assert_eq!(kept.expected_raw_count(r), Some(geometric));
+        assert_eq!(pushed.expected_raw_count(r), None);
+        assert_eq!(pushed.geometric_raw_count(r), geometric);
+    }
+    // Push-down means nothing to an operator that is not a filter.
+    let mean = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
+    let plan = SidrPlanner::new(&mean, 3)
+        .filter_pushdown(true)
+        .build(&splits)
+        .unwrap();
+    assert!(plan.expected_raw_count(0).is_some());
 }

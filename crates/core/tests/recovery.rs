@@ -38,7 +38,6 @@ fn reduce_failure_reexecutes_exactly_i_ell() {
     let mut opts = RunOptions::new(FrameworkMode::Sidr, reducers);
     opts.split_bytes = 8 * 8 * 8 * 8; // 8 leading rows per split -> 8 maps
     opts.volatile_intermediate = true; // recovery must re-run maps
-    opts.validate_annotations = true; // conservation re-checked post-recovery
 
     // Fault-free baseline for byte-identical comparison.
     let baseline = run_query(&file, &query, &opts).unwrap();

@@ -104,8 +104,6 @@ pub struct MapAttemptOutput {
     pub records_in: u64,
     /// Intermediate records the map emitted, before any combiner.
     pub records_out: u64,
-    /// Records written to the partitions, after the combiner.
-    pub records_combined: u64,
 }
 
 /// Runs task attempts for the scheduler and holds their committed
@@ -141,7 +139,7 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
     /// tie-break), reduce, and return the attempt's whole keyblock in
     /// key order — nothing leaves an attempt until it is complete, so
     /// a failed attempt is always retryable. `expected_raw` carries
-    /// the plan's §3.2.1 annotation expectation when validation is on.
+    /// the plan's §3.2.1 annotation expectation, when it promises one.
     fn execute_reduce(
         &self,
         reducer: usize,
@@ -194,7 +192,6 @@ where
     }
     let files = builder.finish(combiner);
     Ok(MapAttemptOutput {
-        records_combined: files.iter().map(|(_, f)| f.records.len() as u64).sum(),
         partitions: (files.iter())
             .map(|(reducer, file)| Ok((*reducer, encode_map_output(file)?)))
             .collect::<Result<_>>()?,

@@ -44,9 +44,10 @@ pub trait RoutingPlan<K: MrKey>: Send + Sync {
         (0..self.num_reducers()).collect()
     }
 
-    /// Expected raw-⟨k,v⟩ count for a reducer, when the plan can
-    /// compute it (SIDR can, from geometry). Used with the shuffle's
-    /// count annotations to validate early starts (§3.2.1 approach 2).
+    /// Expected raw-⟨k,v⟩ count for a reducer, when the plan promises
+    /// one (SIDR does, from geometry). Every reduce checks it against
+    /// the shuffle's count annotations before it starts (§3.2.1
+    /// approach 2); `None` means there is nothing to check.
     fn expected_raw_count(&self, _reducer: usize) -> Option<u64> {
         None
     }

@@ -50,17 +50,15 @@ use crate::timeline::{TaskEvent, TaskKind, Timeline};
 use crate::wire::WireFormat;
 use crate::Result;
 
-/// Runtime configuration.
+/// Runtime configuration. It holds no check switches: every reduce
+/// checks the §3.2.1 tally its plan promises
+/// ([`RoutingPlan::expected_raw_count`]).
 #[derive(Clone, Debug)]
 pub struct JobConfig {
     /// Concurrent Map tasks (cluster-wide map slots).
     pub map_slots: usize,
     /// Concurrent Reduce tasks (cluster-wide reduce slots).
     pub reduce_slots: usize,
-    /// Cross-check the shuffle's count annotations against the plan's
-    /// expected raw counts before each reduce starts (§3.2.1
-    /// approach 2).
-    pub validate_annotations: bool,
     /// Deterministic, seeded fault injection: which task attempts
     /// fail, straggle, or commit corrupt output (subsumes the old
     /// `fail_reducers` hook — see
@@ -91,7 +89,6 @@ impl Default for JobConfig {
         JobConfig {
             map_slots: 4,
             reduce_slots: 3,
-            validate_annotations: false,
             fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
             volatile_intermediate: false,
@@ -431,14 +428,12 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
     let counters = shared.counters.snapshot();
     // §3.2.1 approach 2, whole-job form: in debug builds, balance the
     // runtime map-output tally against the plan's static prediction.
-    // Only meaningful when annotation validation is on (filter
-    // pushdown voids the geometric tallies) and every map ran exactly
-    // once (skips, retries, recovery re-executions and speculative
-    // twins — both racers tally their records — change the totals).
+    // Only meaningful when the plan promises tallies (hash routing and
+    // filter pushdown promise none) and every map ran exactly once
+    // (skips, retries, recovery re-executions and speculative twins —
+    // both racers tally their records — change the totals).
     #[cfg(debug_assertions)]
-    if shared.config.validate_annotations
-        && (0..num_maps).all(|m| shared.state.lock().sched.attempts(m) == 1)
-    {
+    if (0..num_maps).all(|m| shared.state.lock().sched.attempts(m) == 1) {
         let expected: Option<u64> = (0..num_reducers)
             .map(|r| shared.plan.expected_raw_count(r))
             .sum();
@@ -787,11 +782,7 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
             // task contact every completed Map task" (§4.6): Table 3's
             // connections.
             Counters::add(&shared.counters.shuffle_connections, sources.len() as u64);
-            let expected_raw = if shared.config.validate_annotations {
-                shared.plan.expected_raw_count(r)
-            } else {
-                None
-            };
+            let expected_raw = shared.plan.expected_raw_count(r);
             exec.execute_reduce(r, attempt, &srcs, expected_raw)
         };
         match result {

@@ -31,8 +31,9 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// The fetched SMOF partitions and keyblock frames are part of the
 /// contract: v6 is the version whose partition CRC covers the header,
 /// v7 the one whose `KeyblockBin` CRC does; v8's `MapDone` names each
-/// partition's rows beside its reducer.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// partition's rows beside its reducer; v9's `SubmitOptions` has no
+/// annotation-validation switch.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

@@ -27,15 +27,14 @@ use sidr_mapreduce::{FaultPlan, TaskEvent};
 
 use crate::fleet::WorkerStat;
 
-/// Per-submission execution knobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Per-submission execution knobs. The §3.2.1 annotation check is
+/// not one: every reduce checks the tally the job's plan promises.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SubmitOptions {
     /// Keyblocks covering this region of `K′` are scheduled first
     /// (§3.4 computational steering); overrides the spec's stored
     /// reduce order.
     pub priority_region: Option<Slab>,
-    /// Cross-check count annotations before each reduce (§3.2.1).
-    pub validate_annotations: bool,
     /// Push a `Filter` operator's predicate below the shuffle.
     pub filter_pushdown: bool,
     /// Chaos hook: a deterministic fault script injected into the run
@@ -44,17 +43,6 @@ pub struct SubmitOptions {
     /// chosen maps down (`FaultKind::Straggle`) so a job stays in
     /// flight.
     pub fault_plan: FaultPlan,
-}
-
-impl Default for SubmitOptions {
-    fn default() -> Self {
-        SubmitOptions {
-            priority_region: None,
-            validate_annotations: true,
-            filter_pushdown: false,
-            fault_plan: FaultPlan::none(),
-        }
-    }
 }
 
 /// Client → server.

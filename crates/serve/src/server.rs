@@ -574,9 +574,9 @@ fn run_admitted_job(
 
     let opts = SpecRunOptions {
         priority_region: options.priority_region.clone(),
-        validate_annotations: options.validate_annotations,
         filter_pushdown: options.filter_pushdown,
         fault_plan: options.fault_plan.clone(),
+        ..SpecRunOptions::default()
     };
 
     let stream = KeyblockStream {

@@ -89,13 +89,6 @@ fn addrs(workers: &[Worker]) -> Vec<String> {
     workers.iter().map(|w| w.addr().to_string()).collect()
 }
 
-fn run_opts() -> SpecRunOptions {
-    SpecRunOptions {
-        validate_annotations: true,
-        ..SpecRunOptions::default()
-    }
-}
-
 /// The per-keyblock commits in reducer order: the exact record sequence
 /// each keyblock streamed.
 fn keyblock_commits(out: &InMemoryOutput<Coord, f64>) -> Vec<(usize, Vec<(Coord, f64)>)> {
@@ -116,18 +109,17 @@ fn fleet_output_is_byte_identical_to_single_process() {
     let file = ScincFile::open(&input).unwrap();
     let local_out = InMemoryOutput::<Coord, f64>::new();
     let pool = SlotPool::new(4, 2).unwrap();
-    let local = run_spec_on_pool(&file, &spec, &run_opts(), &local_out, &pool, None).unwrap();
+    let opts = SpecRunOptions::default();
+    let local = run_spec_on_pool(&file, &spec, &opts, &local_out, &pool, None).unwrap();
 
     let workers = spawn_workers(3);
     let fleet = Fleet::connect(Arc::new(Tcp), addrs(&workers)).expect("fleet connects");
-    let opts = ExecOptions {
-        validate_annotations: true,
-        ..ExecOptions::default()
-    };
-    let remote = fleet.prepare_job(&spec, &input, &opts).expect("prepare");
+    let remote = fleet
+        .prepare_job(&spec, &input, &ExecOptions::default())
+        .expect("prepare");
     let pool = SlotPool::new(4, spec.num_reducers).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
-    let result = run_spec_with_executor(&spec, &run_opts(), &out, &pool, None, &remote).unwrap();
+    let result = run_spec_with_executor(&spec, &opts, &out, &pool, None, &remote).unwrap();
     remote.finish();
 
     let got = keyblock_commits(&out);

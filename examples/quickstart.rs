@@ -41,8 +41,7 @@ fn main() {
         query.intermediate_space()
     );
 
-    let mut opts = RunOptions::new(FrameworkMode::Sidr, 4);
-    opts.validate_annotations = true; // §3.2.1 approach-2 cross-check
+    let opts = RunOptions::new(FrameworkMode::Sidr, 4);
     let outcome = run_query(&file, &query, &opts).expect("query runs");
 
     println!(

@@ -38,7 +38,6 @@ fn main() {
             .expect("splits generate")
             .len();
         opts.fault_plan = FaultPlan::straggle_maps(0..maps, 3);
-        opts.validate_annotations = mode == FrameworkMode::Sidr;
         let outcome = run_query(&file, &query, &opts).expect("query runs");
 
         let first = outcome.result.first_result().expect("results commit");

@@ -30,7 +30,7 @@ USAGE:
   sidr info <file.scinc>
   sidr query \"<query text>\" --input <file.scinc>
              [--mode hadoop|scihadoop|sidr] [--reducers N] [--split-mib N]
-             [--validate] [--output <dir>] [--combined <file.scinc>]
+             [--output <dir>] [--combined <file.scinc>]
   sidr plan  \"<query text>\" --input <file.scinc> [--reducers N] [--split-mib N]
              [--spec <plan.json>]  (export the submission document for sidr-lint)
   sidr simulate \"<query text>\" --space <d0,d1,..>
@@ -51,23 +51,16 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits args into positional and `--flag value` pairs
-/// (`--validate`-style booleans get the value "true").
+/// Splits args into positional and `--flag value` pairs.
 fn parse_args(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            let boolean = matches!(name, "validate");
-            if boolean {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            } else {
-                let value = args.get(i + 1).cloned().unwrap_or_default();
-                flags.insert(name.to_string(), value);
-                i += 2;
-            }
+            let value = args.get(i + 1).cloned().unwrap_or_default();
+            flags.insert(name.to_string(), value);
+            i += 2;
         } else {
             positional.push(args[i].clone());
             i += 1;
@@ -179,6 +172,10 @@ fn common_query(
 }
 
 fn cmd_query(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+    // The old boolean flag would swallow the next flag as its value.
+    if flags.contains_key("validate") {
+        return Err("--validate is gone: the §3.2.1 annotation check always runs".into());
+    }
     let (file, query, reducers, split_bytes) = common_query(positional, flags)?;
     let mode = match flags.get("mode").map(String::as_str).unwrap_or("sidr") {
         "hadoop" => FrameworkMode::Hadoop,
@@ -188,7 +185,6 @@ fn cmd_query(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     };
     let mut opts = RunOptions::new(mode, reducers);
     opts.split_bytes = split_bytes;
-    opts.validate_annotations = flags.contains_key("validate") && mode == FrameworkMode::Sidr;
     let outcome = run_query(&file, &query, &opts).map_err(|e| e.to_string())?;
     println!(
         "{} produced {} records from {} maps / {} reducers in {:.0} ms \

@@ -74,7 +74,6 @@ fn full_cli_flow() {
         data.to_str().unwrap(),
         "--reducers",
         "2",
-        "--validate",
         "--output",
         parts.to_str().unwrap(),
         "--combined",
@@ -137,6 +136,19 @@ fn bad_inputs_fail_cleanly() {
     ]));
     assert!(!ok);
     assert!(text.contains("unknown operator"), "{text}");
+    // The removed `--validate` flag is refused, not parsed as taking
+    // the next flag for its value.
+    let (ok, text) = run(sidr().args([
+        "query",
+        "mean(windspeed) over {2,2}",
+        "--input",
+        data.to_str().unwrap(),
+        "--validate",
+        "--output",
+        dir.join("parts").to_str().unwrap(),
+    ]));
+    assert!(!ok);
+    assert!(text.contains("always runs"), "{text}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

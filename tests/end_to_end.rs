@@ -92,7 +92,6 @@ fn every_operator_agrees_across_all_modes() {
         ] {
             let mut opts = RunOptions::new(mode, 3);
             opts.split_bytes = 8 * 6 * 8 * 5;
-            opts.validate_annotations = mode == FrameworkMode::Sidr;
             let got = run_query(&file, &q, &opts).unwrap();
             // Filter/sort emit per-key lists whose intra-key order may
             // legally differ; normalize. Sum/Mean accumulate in
@@ -237,7 +236,6 @@ fn discarded_partial_region_is_dropped_consistently() {
     ] {
         let mut opts = RunOptions::new(mode, 2);
         opts.split_bytes = 6 * 8 * 2; // 2 rows per split -> 13 splits
-        opts.validate_annotations = mode == FrameworkMode::Sidr;
         let got = run_query(&file, &q, &opts).unwrap();
         assert_eq!(got.records.len(), expect.len(), "{mode}");
         for ((gk, gv), (ek, ev)) in got.records.iter().zip(&expect) {

@@ -87,7 +87,6 @@ proptest! {
         for mode in [FrameworkMode::Hadoop, FrameworkMode::SciHadoop, FrameworkMode::Sidr] {
             let mut opts = RunOptions::new(mode, reducers);
             opts.split_bytes = (space.extents()[1..].iter().product::<u64>() * 8 * 3).max(8);
-            opts.validate_annotations = mode == FrameworkMode::Sidr;
             let mut got = run_query(&file, &q, &opts).unwrap().records;
             got.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
             prop_assert_eq!(got.len(), expect.len());

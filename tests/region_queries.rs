@@ -58,7 +58,6 @@ fn region_query_reads_only_the_region_and_is_correct() {
     ] {
         let mut opts = RunOptions::new(mode, 3);
         opts.split_bytes = 8 * 8 * 8; // 8 region rows x 8 cols of f64
-        opts.validate_annotations = mode == FrameworkMode::Sidr;
         let got = run_query(&file, &q, &opts).unwrap();
         assert_eq!(got.records.len(), expect.len(), "{mode}");
         for ((gk, gv), (ek, ev)) in got.records.iter().zip(&expect) {
