@@ -22,7 +22,7 @@ fn key(k: usize) -> Coord {
     Coord::from([(k / 53) as u64, (k % 53) as u64])
 }
 
-/// `files` key-sorted SMOF v3 partitions where key `k` lands in
+/// `files` key-sorted SMOF v4 partitions where key `k` lands in
 /// `overlap` consecutive files — every group spans several sources.
 fn partitions(files: usize, keys: usize, overlap: usize) -> Vec<Arc<Vec<u8>>> {
     let mut per_file: Vec<Vec<(Coord, f64)>> = vec![Vec::new(); files];
@@ -51,7 +51,7 @@ fn merge_peak_live(parts: &[Arc<Vec<u8>>], expect_records: usize) -> u64 {
     for bytes in parts {
         let view = Smof3View::parse(Arc::clone(bytes))
             .expect("valid SMOF")
-            .expect("v3 frame");
+            .expect("v4 frame");
         merge.push_frame(view);
     }
     let mut records = 0;
@@ -108,26 +108,27 @@ fn wire_path_allocation_invariants() {
             "encode_map_output of {n} records: (allocator calls, peak live bytes)"
         );
     }
-    // ... and those bytes are the v3 layout, assembled by hand here.
-    let rows: [(u64, u64, f64); 3] = [(0, 0, 1.5), (1, 7, -2.25), (1, 8, 0.0)];
+    // ... and those bytes are the v4 layout, assembled by hand here:
+    // three records in two runs, key (1, 7) holding two values.
+    let rows: [(u64, u64, f64); 3] = [(0, 0, 1.5), (1, 7, -2.25), (1, 7, 0.0)];
     let mut body = Vec::new();
-    // The index: one entry, key (0, 0) at record 0.
-    for word in [0u64, 0, 0] {
-        body.extend_from_slice(&word.to_le_bytes());
-    }
-    // The payload: packed LE key words, then the LE value.
-    for (x, y, v) in rows {
+    // The run table: packed LE key words, then the cumulative end.
+    for (x, y, end) in [(0u64, 0u64, 1u32), (1, 7, 3)] {
         body.extend_from_slice(&x.to_le_bytes());
         body.extend_from_slice(&y.to_le_bytes());
+        body.extend_from_slice(&end.to_le_bytes());
+    }
+    // The values column: one LE f64 per record.
+    for (_, _, v) in rows {
         body.extend_from_slice(&v.to_le_bytes());
     }
     let mut expected = b"SMOF".to_vec();
-    expected.extend_from_slice(&3u32.to_le_bytes()); // version
+    expected.extend_from_slice(&4u32.to_le_bytes()); // version
     expected.extend_from_slice(&12u64.to_le_bytes()); // raw (§3.2.1 annotation)
     expected.extend_from_slice(&3u64.to_le_bytes()); // records
+    expected.extend_from_slice(&2u32.to_le_bytes()); // runs
     expected.extend_from_slice(&16u32.to_le_bytes()); // key width: two u64 words
     expected.extend_from_slice(&8u32.to_le_bytes()); // value width: one f64
-    expected.extend_from_slice(&1u32.to_le_bytes()); // index entries
                                                      // The CRC covers the 36 header bytes so far, then the body.
     let crc = crc32(&[expected.as_slice(), &body].concat());
     expected.extend_from_slice(&crc.to_le_bytes());

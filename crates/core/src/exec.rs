@@ -9,7 +9,7 @@
 //! crate only moves CRC-framed SMOF byte buffers between processes. A
 //! map attempt is the geometric kernel ([`crate::geomap`]): its
 //! per-reducer partitions come out as *encoded* SMOF buffers (the one
-//! partition format — v3, fixed-width ⟨coord, f64⟩ records). Reduce
+//! partition format — v4, runs of one coordinate key, f64 values). Reduce
 //! attempts merge the buffers **in place** (frames are borrowed, not
 //! decoded), in the plan's fetch order, so the merge's equal-key
 //! tie-break — and therefore the streamed output — is byte-identical

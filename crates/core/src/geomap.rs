@@ -24,8 +24,8 @@
 //! 3. routes once per image key, not once per record: `partition+`
 //!    under SIDR, the stock hash-modulo under Hadoop and SciHadoop;
 //! 4. folds each key run through the combiner, if any, and writes each
-//!    reducer's partition through the one SMOF v3 writer
-//!    ([`write_v3`]).
+//!    reducer's partition through the one SMOF v4 writer
+//!    ([`write_v4`]): one run-table entry per key, then its values.
 //!
 //! The bytes are exactly those of the per-record path —
 //! `run_map_attempt` over a [`StructuralMapper`] and the same partition
@@ -39,7 +39,7 @@
 //! [`Tiling::instances_touched_by`]: sidr_coords::Tiling::instances_touched_by
 
 use sidr_coords::{Coord, Slab};
-use sidr_mapreduce::shuffle_file::write_v3;
+use sidr_mapreduce::shuffle_file::write_v4;
 use sidr_mapreduce::{Combiner, MrError};
 use sidr_scifile::{read_chunks, Element, ScincFile};
 
@@ -57,7 +57,7 @@ const VALUE_WIDTH: usize = 8;
 /// Runs the map side of one split: what `mapper` makes of the records
 /// of `split` (absolute coordinates in `variable`'s space), routed to
 /// one of `num_reducers` by `keyblock_of` (a `K′` key's components →
-/// its reducer), as one encoded SMOF v3 partition per non-empty
+/// its reducer), as one encoded SMOF v4 partition per non-empty
 /// reducer.
 pub fn map_split<E: Element>(
     file: &ScincFile,
@@ -101,36 +101,58 @@ pub fn map_split<E: Element>(
             continue;
         }
         let bytes = match combiner {
-            None => {
-                let rows = raw[reducer] as usize;
-                write_v3(raw[reducer], rows, key_width, VALUE_WIDTH, |buf| {
+            None => write_v4(
+                raw[reducer],
+                raw[reducer] as usize,
+                keys.len(),
+                key_width,
+                VALUE_WIDTH,
+                |table| {
                     for &i in keys {
-                        let at = buf.len();
-                        image.key(i).write_packed(buf);
-                        for (n, v) in sorted.run(i).iter().enumerate() {
-                            if n > 0 {
-                                buf.extend_from_within(at..at + key_width);
-                            }
+                        let len = sorted.run(i).len();
+                        table.push(len, |buf| image.key(i).write_packed(buf));
+                    }
+                },
+                |buf| {
+                    for &i in keys {
+                        for v in sorted.run(i) {
                             buf.extend_from_slice(&v.to_le_bytes());
                         }
                     }
-                })
-            }
+                },
+            ),
             Some(combiner) => {
-                // Fold first: the header carries the row count.
-                let mut rows: Vec<(u32, f64)> = Vec::with_capacity(keys.len());
+                // Fold first: the header carries the row and run
+                // counts. A key the combiner folds to nothing has no
+                // run.
+                let mut runs: Vec<(u32, usize)> = Vec::with_capacity(keys.len());
+                let mut values: Vec<f64> = Vec::with_capacity(keys.len());
                 for &i in keys {
                     group.clear();
                     group.extend_from_slice(sorted.run(i));
                     combiner.combine(&image.key(i), &mut group);
-                    rows.extend(group.iter().map(|&v| (i, v)));
-                }
-                write_v3(raw[reducer], rows.len(), key_width, VALUE_WIDTH, |buf| {
-                    for &(i, v) in &rows {
-                        image.key(i).write_packed(buf);
-                        buf.extend_from_slice(&v.to_le_bytes());
+                    if !group.is_empty() {
+                        runs.push((i, group.len()));
+                        values.extend_from_slice(&group);
                     }
-                })
+                }
+                write_v4(
+                    raw[reducer],
+                    values.len(),
+                    runs.len(),
+                    key_width,
+                    VALUE_WIDTH,
+                    |table| {
+                        for &(i, len) in &runs {
+                            table.push(len, |buf| image.key(i).write_packed(buf));
+                        }
+                    },
+                    |buf| {
+                        for v in &values {
+                            buf.extend_from_slice(&v.to_le_bytes());
+                        }
+                    },
+                )
             }
         };
         out.partitions.push((reducer, bytes));

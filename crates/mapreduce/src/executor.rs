@@ -9,7 +9,7 @@
 //! attempts inside the scheduling process; the serving layer's fleet
 //! coordinator dispatches them to `sidr-worker` processes.
 //!
-//! A committed partition is CRC-framed SMOF v3 bytes in a
+//! A committed partition is CRC-framed SMOF v4 bytes in a
 //! [`PartitionStore`], for both executors: the in-process executor
 //! keeps one per job, a worker one for all its jobs. Both commit a map
 //! attempt's partitions through [`PartitionStore::commit_map`] (which
@@ -290,7 +290,7 @@ where
 }
 
 /// The two attempt bodies an [`InProcessExecutor`] runs: a map attempt
-/// that leaves its partitions as encoded SMOF v3 bytes, and a reduce
+/// that leaves its partitions as encoded SMOF v4 bytes, and a reduce
 /// attempt over views of those bytes.
 pub trait AttemptBodies: Sync {
     /// The intermediate key.

@@ -8,7 +8,7 @@
 //! consumes insufficient input.
 //!
 //! The builder is typed and in memory; a committed file is CRC-framed
-//! SMOF v3 bytes ([`crate::shuffle_file`]) in a [`PartitionStore`],
+//! SMOF v4 bytes ([`crate::shuffle_file`]) in a [`PartitionStore`],
 //! whichever executor committed it, and the merge reads those bytes in
 //! place, one [`Smof3View`] per source. Where a file lives and how a
 //! reducer gets it is behind the [`TaskExecutor`] seam.
@@ -125,30 +125,33 @@ fn combine_sorted<K: MrKey, V: MrValue>(
 
 /// Streaming k-way merge over key-sorted map-output files.
 ///
-/// Holds one cursor per file and a binary min-heap of file indices
-/// ordered by `(current key, file index)`, so records come out in
+/// Holds one run cursor per file and a binary min-heap of file indices
+/// ordered by `(current run key, file index)`, so records come out in
 /// global key order with equal keys delivered in (file order, record
-/// order) — exactly the order the old flatten-and-stable-sort merge
-/// produced, but without cloning every record into a scratch vector,
+/// order) — exactly the order a flatten-and-stable-sort merge
+/// produces, but without cloning every record into a scratch vector,
 /// without re-sorting already-sorted runs, and without materializing
 /// the whole `Vec<(K, Vec<V>)>` keyspace before the first key group
 /// is available.
 ///
-/// Each cursor reads a SMOF v3 [`Smof3View`] in place and never
-/// materializes records: ordering decisions compare packed key bytes
-/// (via the captured [`FixedCodec`](crate::wire::FixedCodec)), and a
-/// value is decoded exactly once, when its group leaves the merge into
-/// one reusable buffer ([`next_group`]). Cursors are opened one input
-/// at a time with [`push_frame`], in the plan's fetch order.
+/// Each cursor reads a SMOF v4 [`Smof3View`] in place and steps run by
+/// run: a source holds at most one run per key (its open checked that
+/// run keys strictly ascend), so a group takes one heap step per
+/// source that has the key, not one per record. Ordering decisions
+/// compare packed key bytes (via the captured
+/// [`FixedCodec`](crate::wire::FixedCodec)), and a value is decoded
+/// exactly once, when its group leaves the merge into one reusable
+/// buffer ([`next_group`]). Cursors are opened one input at a time
+/// with [`push_frame`], in the plan's fetch order.
 ///
 /// [`next_group`]: MergeIter::next_group
 /// [`push_frame`]: MergeIter::push_frame
 pub struct MergeIter<K, V> {
     sources: Vec<Smof3View<K, V>>,
-    /// Per-source position of the next unconsumed record.
+    /// Per-source index of the next unconsumed run.
     cursors: Vec<usize>,
-    /// Min-heap of source indices with records remaining, ordered by
-    /// `(key at cursor, source index)`. Kept by hand (not
+    /// Min-heap of source indices with runs remaining, ordered by
+    /// `(run key at cursor, source index)`. Kept by hand (not
     /// `BinaryHeap`) because the ordering lives in `sources`/`cursors`.
     heap: Vec<usize>,
     /// Reusable buffer holding the current group's values.
@@ -179,18 +182,12 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         }
     }
 
-    /// Opens a cursor on one more zero-copy v3 frame. Sources must be
+    /// Opens a cursor on one more zero-copy v4 frame. Sources must be
     /// pushed in the deterministic file order (the plan's fetch order)
     /// *before* consumption begins; equal keys yield values in push
-    /// order. The frame's records are merged straight out of the
+    /// order. The frame's runs are merged straight out of the
     /// underlying buffer.
     pub fn push_frame(&mut self, view: Smof3View<K, V>) {
-        debug_assert!(
-            (1..view.records()).all(|i| {
-                (view.key_codec().cmp)(view.key_bytes(i - 1), view.key_bytes(i)).is_le()
-            }),
-            "map-output frames are key-sorted"
-        );
         let idx = self.sources.len();
         let empty = view.is_empty();
         self.sources.push(view);
@@ -205,9 +202,11 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
     /// bytes compare in place, and equal keys break by push order.
     fn less(&self, a: usize, b: usize) -> bool {
         let (va, vb) = (&self.sources[a], &self.sources[b]);
-        (va.key_codec().cmp)(va.key_bytes(self.cursors[a]), vb.key_bytes(self.cursors[b]))
-            .then(a.cmp(&b))
-            .is_lt()
+        let (ka, kb) = (
+            va.run_key_bytes(self.cursors[a]),
+            vb.run_key_bytes(self.cursors[b]),
+        );
+        (va.key_codec().cmp)(ka, kb).then(a.cmp(&b)).is_lt()
     }
 
     fn sift_up(&mut self, mut pos: usize) {
@@ -238,11 +237,12 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         }
     }
 
-    /// Advances the root source's cursor past the record just consumed
+    /// Advances the root source's cursor past the run just consumed
     /// and restores the heap.
     fn advance_root(&mut self) {
         let f = self.heap[0];
-        if self.cursors[f] < self.sources[f].records() {
+        self.cursors[f] += 1;
+        if self.cursors[f] < self.sources[f].runs() {
             self.sift_down(0);
         } else {
             let last = self.heap.pop().expect("root exists");
@@ -267,27 +267,19 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         let Some(&f0) = self.heap.first() else {
             return false;
         };
-        let i0 = self.cursors[f0];
         // The group key, decoded exactly once per group.
-        let gkey: K = self.sources[f0].key_at(i0);
+        let gkey: K = self.sources[f0].run_key(self.cursors[f0]);
         while let Some(&f) = self.heap.first() {
-            let idx = self.cursors[f];
-            // Consume the whole run of `gkey` in this source without
-            // touching the heap (runs are contiguous in a sorted
-            // source), comparing packed bytes; nothing but the matched
-            // values is decoded.
-            let view = &self.sources[f];
-            let kc = view.key_codec();
-            if !(kc.cmp_decoded)(&gkey, view.key_bytes(idx)).is_eq() {
+            // Each source holds at most one run of `gkey`: take it
+            // whole, comparing packed bytes; nothing but its values is
+            // decoded.
+            let (view, r) = (&self.sources[f], self.cursors[f]);
+            if !(view.key_codec().cmp_decoded)(&gkey, view.run_key_bytes(r)).is_eq() {
                 break;
             }
-            let mut end = idx;
-            while end < view.records() && (kc.cmp_decoded)(&gkey, view.key_bytes(end)).is_eq() {
-                values.push(view.value_at(end));
-                end += 1;
-            }
-            self.consumed += (end - idx) as u64;
-            self.cursors[f] = end;
+            let run = view.run_values(r);
+            self.consumed += run.len() as u64;
+            values.extend(run);
             self.advance_root();
         }
         *key_out = Some(gkey);
@@ -465,7 +457,7 @@ mod tests {
         assert!(MergeIter::<u64, u64>::new().next_group().is_none());
     }
 
-    /// Encodes a file and reopens it as a zero-copy v3 frame.
+    /// Encodes a file and reopens it as a zero-copy v4 frame.
     fn as_frame(f: &MapOutputFile<u64, u64>) -> Smof3View<u64, u64> {
         let bytes = crate::shuffle_file::encode_map_output(f).unwrap();
         Smof3View::open(std::sync::Arc::new(bytes)).unwrap()

@@ -11,32 +11,33 @@
 //! Every committed partition is bytes in exactly one layout, from the
 //! moment its map attempt writes it: in the
 //! [`PartitionStore`](crate::tier::PartitionStore) of either executor
-//! and its spill files, and inside the fetch frames. The layout is version 3
+//! and its spill files, and inside the fetch frames. The layout is version 4
 //! (little-endian):
 //!
 //! ```text
 //! magic      b"SMOF"
-//! version    u32   <- 3; anything else is rejected as corrupt
+//! version    u32   <- 4; anything else is rejected as corrupt
 //! raw        u64   <- the annotation: raw ⟨k,v⟩ pairs represented
 //! records    u64   <- ⟨k′,v′⟩ records that follow
-//! key_width  u32   <- packed key bytes per record
+//! runs       u32   <- runs of one key
+//! key_width  u32   <- packed key bytes per run
 //! val_width  u32   <- packed value bytes per record
-//! index_len  u32   <- key-offset index entries
 //! crc        u32   <- CRC-32 (IEEE) of the 36 header bytes above,
-//!                     then index + payload
-//! index      index_len × (key bytes, record offset u64)
-//! payload    records × (key bytes ++ value bytes), no framing
+//!                     then run table + values
+//! run table  runs × (key bytes, cumulative end u32)
+//! values     records × value bytes, no framing
 //! ```
 //!
-//! Keys and values are packed by their
-//! [`FixedCodec`](crate::wire::FixedCodec) and every record
-//! of a file has the same widths (fixed-arity coordinate keyspaces
-//! always do). Records then live at
-//! `payload_off + i × (key_width + val_width)`, so a reader can address
-//! record `i` — or binary-search the sparse key-offset index (one entry
-//! every [`INDEX_INTERVAL`] records) to seek a keyrange — without
+//! A partition is sorted by key, and SIDR's `K → K′` is fixed before
+//! any map runs, so a partition arrives as runs of one `K′` key (35
+//! values each at fig. 8's `{7,5,1}`). Each run's key is written once,
+//! in a fixed-width table whose keys strictly ascend; run `r` holds
+//! values `end[r-1]..end[r]` of the values column. Keys and values are
+//! packed by their [`FixedCodec`], and every key of a file has one
+//! width, every value another (fixed-arity coordinate keyspaces always
+//! do), so a reader addresses run `r` and value `i` directly, without
 //! decoding any predecessor. That is what lets
-//! [`Smof3View`](crate::smof3::Smof3View) merge records straight out of
+//! [`Smof3View`](crate::smof3::Smof3View) merge runs straight out of
 //! the file bytes.
 //!
 //! The CRC frame makes a fetch of a corrupted or truncated file fail
@@ -44,27 +45,27 @@
 //! which is what lets the copy phase trigger re-execution of the
 //! producing map instead of reducing over damaged input (aggressive
 //! checksum validation of intermediate layouts, after "Only Aggressive
-//! Elephants are Fast Elephants").
+//! Elephants are Fast Elephants"). A run table that is out of key
+//! order, holds an empty run, or does not end at `records` is
+//! corruption too: a merge over it would split a key's group.
 
 use std::path::Path;
 
 use crate::error::MrError;
 use crate::shuffle::MapOutputFile;
 use crate::task::{MrKey, MrValue};
-use crate::wire::WireFormat;
+use crate::wire::{FixedCodec, WireFormat};
 use crate::Result;
 
 pub(crate) const MAGIC: [u8; 4] = *b"SMOF";
-pub const VERSION_V3: u32 = 3;
+pub const VERSION: u32 = 4;
 /// The annotation prefix: magic, version, raw, records.
 const PREFIX_LEN: usize = 4 + 4 + 8 + 8;
-pub(crate) const V3_HEADER_LEN: usize = PREFIX_LEN + 4 + 4 + 4 + 4;
+pub(crate) const HEADER_LEN: usize = PREFIX_LEN + 4 + 4 + 4 + 4;
 /// Where the header's CRC field (its last four bytes) starts.
-const CRC_OFF: usize = V3_HEADER_LEN - 4;
-/// One sparse key-offset index entry per this many records (plus one
-/// for record 0). Seeking a keyrange costs one binary search over the
-/// index and at most this many direct record probes.
-pub const INDEX_INTERVAL: usize = 256;
+const CRC_OFF: usize = HEADER_LEN - 4;
+/// Bytes of a run's cumulative end in the run table.
+const END_WIDTH: usize = 4;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
 /// Slice-by-8: eight lookup tables consume 8 input bytes per step,
@@ -81,10 +82,10 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
 }
 
 /// The SMOF frame CRC of an encoded buffer: every header byte but the
-/// CRC field itself, then the index and payload. A flipped annotation
-/// or geometry field fails it like a flipped payload byte.
+/// CRC field itself, then the run table and values. A flipped
+/// annotation or geometry field fails it like a flipped value byte.
 fn frame_crc(bytes: &[u8]) -> u32 {
-    crc32_parts(&[&bytes[..CRC_OFF], &bytes[V3_HEADER_LEN..]])
+    crc32_parts(&[&bytes[..CRC_OFF], &bytes[HEADER_LEN..]])
 }
 
 /// Feeds `bytes` into a running (inverted) CRC-32 state.
@@ -136,112 +137,147 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
 }
 
 /// Encodes one map-output file into a self-contained SMOF byte buffer
-/// (header + CRC frame + index + payload) — the exact bytes a worker's
-/// spill tier puts on disk, and what travels inside a raw frame when a
-/// worker serves a shuffle fetch over TCP. Records of non-uniform
-/// packed width (coords of different rank) cannot share a file: a
-/// typed [`MrError::BadConfig`], never a second layout.
+/// (header + CRC frame + run table + values) — the exact bytes a
+/// worker's spill tier puts on disk, and what travels inside a raw
+/// frame when a worker serves a shuffle fetch over TCP. Adjacent equal
+/// keys share one run. Records that are not key-sorted, or of
+/// non-uniform packed width (coords of different rank), cannot be a
+/// file: a typed [`MrError::BadConfig`], never a second layout.
 pub fn encode_map_output<K, V>(file: &MapOutputFile<K, V>) -> Result<Vec<u8>>
 where
     K: MrKey + WireFormat,
     V: MrValue + WireFormat,
 {
     let (kc, vc) = (K::fixed_codec(), V::fixed_codec());
-    let (kw, vw) = match file.records.first() {
+    let records = &file.records;
+    let (kw, vw) = match records.first() {
         Some((k, v)) => ((kc.width)(k), (vc.width)(v)),
         None => (0, 0),
     };
-    // Zero-width rows can't be addressed by offset either.
-    if (kw + vw == 0 && !file.records.is_empty())
-        || file
-            .records
+    // Zero-width values can't be addressed by offset.
+    if (vw == 0 && !records.is_empty())
+        || records
             .iter()
             .any(|(k, v)| (kc.width)(k) != kw || (vc.width)(v) != vw)
     {
         return Err(MrError::BadConfig(format!(
-            "map-output records must share one non-zero packed width \
-             (first record: {kw}-byte key, {vw}-byte value)"
+            "map-output records must share one packed width, with non-zero \
+             values (first record: {kw}-byte key, {vw}-byte value)"
         )));
     }
-    Ok(write_v3(
+    if let Some(i) = (1..records.len()).find(|&i| records[i - 1].0 > records[i].0) {
+        return Err(MrError::BadConfig(format!(
+            "map-output records are not key-sorted (record {i} of {})",
+            records.len()
+        )));
+    }
+    let same_key = |a: &(K, V), b: &(K, V)| a.0 == b.0;
+    Ok(write_v4(
         file.raw_count,
-        file.records.len(),
+        records.len(),
+        records.chunk_by(same_key).count(),
         kw,
         vw,
+        |table| {
+            for run in records.chunk_by(same_key) {
+                table.push(run.len(), |out| (kc.write)(&run[0].0, out));
+            }
+        },
         |out| {
-            for (k, v) in &file.records {
-                (kc.write)(k, out);
+            for (_, v) in records {
                 (vc.write)(v, out);
             }
         },
     ))
 }
 
-/// The one SMOF v3 writer: header, sparse key-offset index, payload
-/// and CRC, into one exactly-sized buffer. `rows` appends exactly
-/// `records` rows of `key_width + val_width` bytes each, in key order;
-/// the index is then filled from the written rows' keys and the CRC
-/// patched in, so a caller never lays out anything but its rows.
+/// The one SMOF v4 writer: header, run table, values and CRC, into one
+/// exactly-sized buffer. `table` pushes exactly `runs` runs in strictly
+/// ascending key order, `records` values between them; `values` then
+/// appends exactly `records` values of `val_width` bytes each, in run
+/// order. The CRC is patched in last, so a caller never lays out
+/// anything but its runs and values.
 ///
 /// [`encode_map_output`] and the geometric map kernel of spec jobs
 /// both write through here.
-pub fn write_v3(
+pub fn write_v4(
     raw: u64,
     records: usize,
+    runs: usize,
     key_width: usize,
     val_width: usize,
-    rows: impl FnOnce(&mut Vec<u8>),
+    table: impl FnOnce(&mut RunTable<'_>),
+    values: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
-    let row = key_width + val_width;
-    let entry = key_width + 8;
-    let index_len = records.div_ceil(INDEX_INTERVAL);
-    let payload_off = V3_HEADER_LEN + index_len * entry;
-    let len = payload_off + records * row;
+    let values_off = HEADER_LEN + runs * (key_width + END_WIDTH);
+    let len = values_off + records * val_width;
     let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION_V3.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&raw.to_le_bytes());
     out.extend_from_slice(&(records as u64).to_le_bytes());
+    out.extend_from_slice(&(runs as u32).to_le_bytes());
     out.extend_from_slice(&(key_width as u32).to_le_bytes());
     out.extend_from_slice(&(val_width as u32).to_le_bytes());
-    out.extend_from_slice(&(index_len as u32).to_le_bytes());
     out.extend_from_slice(&[0; 4]); // CRC, patched in below
-    out.resize(payload_off, 0); // the index, filled once the rows exist
-    rows(&mut out);
-    assert_eq!(out.len(), len, "rows must fill exactly {records} records");
-    for e in 0..index_len {
-        let rec = e * INDEX_INTERVAL;
-        let at = V3_HEADER_LEN + e * entry;
-        let key = payload_off + rec * row;
-        out.copy_within(key..key + key_width, at);
-        out[at + key_width..at + entry].copy_from_slice(&(rec as u64).to_le_bytes());
-    }
+    let mut run_table = RunTable {
+        out: &mut out,
+        key_width,
+        end: 0,
+    };
+    table(&mut run_table);
+    let end = run_table.end;
+    assert_eq!(
+        (out.len(), end),
+        (values_off, records),
+        "the table must hold exactly {runs} runs over {records} records"
+    );
+    values(&mut out);
+    assert_eq!(out.len(), len, "values must fill exactly {records} records");
     let crc = frame_crc(&out);
-    out[CRC_OFF..V3_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    out[CRC_OFF..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Decodes a SMOF byte buffer, verifying the CRC frame before decoding
-/// a single record. Corruption, truncation, trailing bytes and any
-/// version but 3 all surface as [`MrError::CorruptShuffle`].
+/// The run table of a buffer [`write_v4`] is writing.
+pub struct RunTable<'a> {
+    out: &'a mut Vec<u8>,
+    key_width: usize,
+    /// Records covered by the runs pushed so far.
+    end: usize,
+}
+
+impl RunTable<'_> {
+    /// Appends the next run: `len` values (at least one) under the key
+    /// that `key` appends, exactly `key_width` bytes of it.
+    pub fn push(&mut self, len: usize, key: impl FnOnce(&mut Vec<u8>)) {
+        assert!(len > 0, "a run holds at least one value");
+        let at = self.out.len();
+        key(self.out);
+        assert_eq!(self.out.len() - at, self.key_width, "one packed key");
+        self.end += len;
+        let end = u32::try_from(self.end).expect("run ends fit u32");
+        self.out.extend_from_slice(&end.to_le_bytes());
+    }
+}
+
+/// Decodes a SMOF byte buffer, verifying the CRC frame and the run
+/// table before decoding a single record. Corruption, truncation,
+/// trailing bytes, a run table out of key order and any version but 4
+/// all surface as [`MrError::CorruptShuffle`].
 pub fn decode_map_output<K, V>(bytes: &[u8]) -> Result<MapOutputFile<K, V>>
 where
     K: MrKey + WireFormat,
     V: MrValue + WireFormat,
 {
-    let meta = parse_v3_meta(bytes)?;
     let (kc, vc) = (K::fixed_codec(), V::fixed_codec());
-    let payload = &bytes[meta.payload_off..];
-    let row = meta.key_width + meta.val_width;
-    let records = (0..meta.records)
-        .map(|i| {
-            let off = i * row;
-            (
-                (kc.read)(&payload[off..off + meta.key_width]),
-                (vc.read)(&payload[off + meta.key_width..off + row]),
-            )
-        })
-        .collect();
+    let meta = parse_typed(bytes, &kc, &vc)?;
+    let mut records = Vec::with_capacity(meta.records);
+    for r in 0..meta.runs {
+        let key = (kc.read)(meta.key_bytes(bytes, r));
+        let values = meta.value_bytes(bytes, r).chunks_exact(meta.val_width);
+        records.extend(values.map(|v| (key.clone(), (vc.read)(v))));
+    }
     Ok(MapOutputFile {
         records,
         raw_count: meta.raw,
@@ -254,7 +290,7 @@ pub(crate) struct Prefix {
 }
 
 /// Parses the 24-byte annotation prefix — all the §3.2.1 tally path
-/// ever reads — rejecting every version but 3.
+/// ever reads — rejecting every version but 4.
 pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Prefix> {
     if bytes.len() < PREFIX_LEN {
         return Err(MrError::CorruptShuffle {
@@ -267,7 +303,7 @@ pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Prefix> {
         });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("len 4"));
-    if version != VERSION_V3 {
+    if version != VERSION {
         return Err(MrError::CorruptShuffle {
             detail: format!("unsupported map-output version {version}"),
         });
@@ -278,47 +314,99 @@ pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Prefix> {
     })
 }
 
-/// Validated v3 geometry: where the index and payload live inside the
-/// buffer. Produced only after the magic, version, length arithmetic,
-/// CRC, and index invariants have all checked out, so downstream
-/// record addressing can use plain slicing.
+/// Validated v4 geometry: where the run table and values live inside
+/// the buffer. Produced only after the magic, version, length
+/// arithmetic, CRC and run table have all checked out, so downstream
+/// run addressing can use plain slicing.
 #[derive(Clone, Copy)]
-pub(crate) struct V3Meta {
+pub(crate) struct Meta {
     pub raw: u64,
     pub records: usize,
+    pub runs: usize,
     pub key_width: usize,
     pub val_width: usize,
-    pub index_len: usize,
-    pub index_off: usize,
-    pub payload_off: usize,
+    pub values_off: usize,
 }
 
-pub(crate) fn parse_v3_meta(bytes: &[u8]) -> Result<V3Meta> {
+impl Meta {
+    /// Where run `r`'s table entry starts.
+    #[inline]
+    fn entry(&self, r: usize) -> usize {
+        HEADER_LEN + r * (self.key_width + END_WIDTH)
+    }
+
+    /// The packed key bytes of run `r`.
+    #[inline]
+    pub fn key_bytes<'a>(&self, bytes: &'a [u8], r: usize) -> &'a [u8] {
+        let at = self.entry(r);
+        &bytes[at..at + self.key_width]
+    }
+
+    /// One past run `r`'s last record.
+    #[inline]
+    pub fn end(&self, bytes: &[u8], r: usize) -> usize {
+        let at = self.entry(r) + self.key_width;
+        u32::from_le_bytes(bytes[at..at + END_WIDTH].try_into().expect("len 4")) as usize
+    }
+
+    /// The packed value bytes of run `r`.
+    #[inline]
+    pub fn value_bytes<'a>(&self, bytes: &'a [u8], r: usize) -> &'a [u8] {
+        let start = if r == 0 { 0 } else { self.end(bytes, r - 1) };
+        let end = self.end(bytes, r);
+        &bytes[self.values_off + start * self.val_width..self.values_off + end * self.val_width]
+    }
+}
+
+/// Validates `bytes` as a v4 buffer of `K` keys and `V` values: the
+/// widths must be ones the codecs can read, and run keys must strictly
+/// ascend by the key codec.
+pub(crate) fn parse_typed<K, V>(
+    bytes: &[u8],
+    kc: &FixedCodec<K>,
+    vc: &FixedCodec<V>,
+) -> Result<Meta> {
+    parse_meta(
+        bytes,
+        |kw, vw| (kc.width_ok)(kw) && (vc.width_ok)(vw),
+        |a, b| (kc.cmp)(a, b).is_lt(),
+    )
+}
+
+/// Validates `bytes` as a v4 buffer. `widths_ok(key_width,
+/// val_width)` says a file with runs may have those widths, and
+/// `in_order(a, b)` that run key `a` may precede run key `b`: the
+/// codecs' answers for a typed reader ([`parse_typed`]); any widths and
+/// merely distinct keys for the type-free [`verify_encoded`].
+fn parse_meta(
+    bytes: &[u8],
+    widths_ok: impl Fn(usize, usize) -> bool,
+    in_order: impl Fn(&[u8], &[u8]) -> bool,
+) -> Result<Meta> {
     let corrupt = |detail: String| MrError::CorruptShuffle { detail };
     let prefix = parse_prefix(bytes)?;
-    if bytes.len() < V3_HEADER_LEN {
-        return Err(corrupt("v3 map-output file shorter than header".into()));
+    if bytes.len() < HEADER_LEN {
+        return Err(corrupt("v4 map-output file shorter than header".into()));
     }
-    let key_width = u32::from_le_bytes(bytes[24..28].try_into().expect("len 4")) as usize;
-    let val_width = u32::from_le_bytes(bytes[28..32].try_into().expect("len 4")) as usize;
-    let index_len = u32::from_le_bytes(bytes[32..36].try_into().expect("len 4")) as usize;
-    let crc = u32::from_le_bytes(bytes[36..40].try_into().expect("len 4"));
+    let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("len 4"));
+    let (runs, key_width, val_width) = (field(24) as usize, field(28) as usize, field(32) as usize);
+    let crc = field(CRC_OFF);
     let records = usize::try_from(prefix.records)
         .map_err(|_| corrupt(format!("record count {} overflows", prefix.records)))?;
-    let row = key_width + val_width;
-    if records > 0 && row == 0 {
-        return Err(corrupt(format!("{records} records of zero width")));
+    if records > 0 && (val_width == 0 || !widths_ok(key_width, val_width)) {
+        return Err(corrupt(format!(
+            "{records} records of {key_width}-byte keys and {val_width}-byte values"
+        )));
     }
-    let entry = key_width + 8;
-    let index_bytes = index_len
-        .checked_mul(entry)
-        .ok_or_else(|| corrupt("index size overflows".into()))?;
-    let payload_bytes = records
-        .checked_mul(row)
-        .ok_or_else(|| corrupt("payload size overflows".into()))?;
-    let expected = V3_HEADER_LEN
-        .checked_add(index_bytes)
-        .and_then(|n| n.checked_add(payload_bytes))
+    let table_bytes = runs
+        .checked_mul(key_width + END_WIDTH)
+        .ok_or_else(|| corrupt("run table size overflows".into()))?;
+    let values_bytes = records
+        .checked_mul(val_width)
+        .ok_or_else(|| corrupt("values size overflows".into()))?;
+    let expected = HEADER_LEN
+        .checked_add(table_bytes)
+        .and_then(|n| n.checked_add(values_bytes))
         .ok_or_else(|| corrupt("file size overflows".into()))?;
     if bytes.len() != expected {
         return Err(corrupt(format!(
@@ -333,54 +421,55 @@ pub(crate) fn parse_v3_meta(bytes: &[u8]) -> Result<V3Meta> {
             bytes.len()
         )));
     }
-    let index_off = V3_HEADER_LEN;
-    let payload_off = index_off + index_bytes;
-    // The index must point at real records, in order, and each entry's
-    // key bytes must match the record it points at (byte equality is
-    // value equality for fixed-width encodings).
-    let mut prev: Option<u64> = None;
-    for e in 0..index_len {
-        let at = index_off + e * entry;
-        let rec = u64::from_le_bytes(bytes[at + key_width..at + entry].try_into().expect("len 8"));
-        if rec >= records as u64 {
-            return Err(corrupt(format!(
-                "index entry {e} points at record {rec} of {records}"
-            )));
-        }
-        if prev.is_some_and(|p| rec <= p) {
-            return Err(corrupt(format!("index entry {e} out of order")));
-        }
-        prev = Some(rec);
-        let rec_key = payload_off + rec as usize * row;
-        if bytes[at..at + key_width] != bytes[rec_key..rec_key + key_width] {
-            return Err(corrupt(format!("index entry {e} key mismatch")));
-        }
-    }
-    Ok(V3Meta {
+    let meta = Meta {
         raw: prefix.raw,
         records,
+        runs,
         key_width,
         val_width,
-        index_len,
-        index_off,
-        payload_off,
-    })
+        values_off: HEADER_LEN + table_bytes,
+    };
+    // Every run holds at least one record, the runs tile the values
+    // column exactly, and their keys are in order: a merge over the
+    // file then sees each key once.
+    let mut prev_end = 0;
+    for r in 0..runs {
+        let end = meta.end(bytes, r);
+        if end <= prev_end {
+            return Err(corrupt(format!("run {r} is empty (end {end})")));
+        }
+        if end > records {
+            return Err(corrupt(format!("run {r} ends at {end}, past {records}")));
+        }
+        if r > 0 && !in_order(meta.key_bytes(bytes, r - 1), meta.key_bytes(bytes, r)) {
+            return Err(corrupt(format!("run {r}'s key is out of order")));
+        }
+        prev_end = end;
+    }
+    if prev_end != records {
+        return Err(corrupt(format!(
+            "the runs end at {prev_end}, not at {records} records"
+        )));
+    }
+    Ok(meta)
 }
 
 /// Type-free integrity check of one encoded map-output buffer: magic,
-/// version, geometry, and frame CRC — everything decoding would
-/// check short of reading records, so callers that only move bytes
-/// (the worker's spill tier reading a partition back from disk) can
-/// reject bit flips and truncation as [`MrError::CorruptShuffle`]
-/// without knowing the key/value types.
+/// version, geometry, frame CRC and run table — everything decoding
+/// would check short of reading records, so callers that only move
+/// bytes (the worker's spill tier reading a partition back from disk)
+/// can reject bit flips and truncation as [`MrError::CorruptShuffle`]
+/// without knowing the key/value types. Without the key codec, adjacent
+/// run keys are checked to be distinct; their order is checked by every
+/// typed reader ([`decode_map_output`], `Smof3View::open`).
 pub fn verify_encoded(bytes: &[u8]) -> Result<()> {
-    parse_v3_meta(bytes).map(drop)
+    parse_meta(bytes, |_, _| true, |a, b| a != b).map(drop)
 }
 
 /// Fault injection on an encoded buffer: flips its last byte (a
 /// silently corrupted intermediate file) or, with `truncate`, drops it
-/// (a map output cut short by a crashed writer). The last byte is
-/// payload, or the stored CRC when there is no payload, so the CRC
+/// (a map output cut short by a crashed writer). The last byte is a
+/// value, or the stored CRC when there are none, so the CRC
 /// frame catches either damage before a record is decoded.
 pub fn damage(bytes: &mut Vec<u8>, truncate: bool) {
     if truncate {
@@ -405,6 +494,7 @@ fn io_err(e: std::io::Error) -> MrError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireFormat;
     use sidr_coords::Coord;
 
     /// `sample()` encoded into a file of the test's own.
@@ -460,15 +550,23 @@ mod tests {
     }
 
     #[test]
-    fn coord_files_encode_as_v3_and_decode_back() {
+    fn coord_files_encode_as_v4_and_decode_back() {
         let encoded = encode_map_output(&sample()).unwrap();
-        let meta = parse_v3_meta(&encoded).unwrap();
+        let meta = parse_typed(&encoded, &Coord::fixed_codec(), &f64::fixed_codec()).unwrap();
         assert_eq!((meta.key_width, meta.val_width), (16, 8));
-        assert_eq!((meta.raw, meta.records), (12, 3));
-        assert_eq!(meta.index_len, 1); // 3 records < INDEX_INTERVAL
+        assert_eq!((meta.raw, meta.records, meta.runs), (12, 3, 3));
         let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
         assert_eq!(back.records, sample().records);
         assert_eq!(back.raw_count, 12);
+    }
+
+    #[test]
+    fn unsorted_records_are_a_typed_encode_error() {
+        let f = MapOutputFile {
+            records: vec![(Coord::from([1, 0]), 1.0), (Coord::from([0, 9]), 2.0)],
+            raw_count: 2,
+        };
+        assert!(matches!(encode_map_output(&f), Err(MrError::BadConfig(_))));
     }
 
     #[test]
@@ -535,43 +633,19 @@ mod tests {
     }
 
     #[test]
-    fn v3_index_tampering_detected() {
-        let f = MapOutputFile {
-            records: (0..600u64).map(|i| (Coord::from([i]), i as f64)).collect(),
-            raw_count: 600,
-        };
-        let encoded = encode_map_output(&f).unwrap();
-        let meta = parse_v3_meta(&encoded).unwrap();
-        assert_eq!(meta.index_len, 3); // records 0, 256, 512
-
-        // Point the second index entry at the wrong record and re-seal
-        // the CRC: the key-mismatch check must still reject it.
-        let mut bad = encoded.clone();
-        let entry = meta.key_width + 8;
-        let off = meta.index_off + entry + meta.key_width;
-        bad[off..off + 8].copy_from_slice(&300u64.to_le_bytes());
-        let crc = frame_crc(&bad);
-        bad[36..40].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            parse_v3_meta(&bad),
-            Err(MrError::CorruptShuffle { .. })
-        ));
-    }
-
-    #[test]
     fn empty_file_roundtrips() {
         let f = MapOutputFile::<Coord, f64> {
             records: Vec::new(),
             raw_count: 0,
         };
         let encoded = encode_map_output(&f).unwrap();
-        assert_eq!(encoded.len(), V3_HEADER_LEN);
+        assert_eq!(encoded.len(), HEADER_LEN);
         let back: MapOutputFile<Coord, f64> = decode_map_output(&encoded).unwrap();
         assert!(back.records.is_empty());
     }
 
     #[test]
-    fn damage_is_caught_with_or_without_a_payload() {
+    fn damage_is_caught_with_or_without_values() {
         let empty = MapOutputFile::<Coord, f64> {
             records: Vec::new(),
             raw_count: 0,

@@ -1,30 +1,35 @@
-//! Zero-copy view over a SMOF v3 buffer.
+//! Zero-copy view over a SMOF v4 buffer.
 //!
-//! [`Smof3View`] is the read side of the v3 fixed-width layout
+//! [`Smof3View`] is the read side of the run-grouped v4 layout
 //! (`crate::shuffle_file`): it validates a buffer **once** — magic,
-//! version, geometry, CRC, index invariants — and then addresses
-//! records directly inside the shared bytes. A merge cursor over a
-//! view never materializes a `Vec<(K, V)>`: keys are compared as
-//! packed bytes (or against decoded keys via the codec's
-//! `cmp_decoded`), and values decode lazily as groups leave the
-//! merge. The buffer travels as `Arc<Vec<u8>>`, so a worker can hand
-//! the same fetched partition to the merge and keep serving it to
-//! other reducers without copying.
+//! version, geometry, CRC, and a run table whose keys strictly ascend
+//! by the key codec and whose runs tile the values — and then
+//! addresses runs directly inside the shared bytes. A merge cursor
+//! over a view steps run by run and never materializes a
+//! `Vec<(K, V)>`: keys are compared as packed bytes (or against
+//! decoded keys via the codec's `cmp_decoded`), and values decode
+//! lazily as groups leave the merge. The buffer travels as
+//! `Arc<Vec<u8>>`, so a worker can hand the same fetched partition to
+//! the merge and keep serving it to other reducers without copying.
+//!
+//! The name is from the v3 layout; the benchmark pins it (with
+//! [`Smof3View::parse`]) until it re-pins its adapter (ROADMAP item
+//! 10).
 
 use std::sync::Arc;
 
-use crate::shuffle_file::{parse_v3_meta, V3Meta};
+use crate::shuffle_file::{parse_typed, Meta};
 use crate::task::{MrKey, MrValue};
 use crate::wire::{FixedCodec, WireFormat};
 use crate::Result;
 
-/// A validated, shareable window onto one v3 map-output buffer.
+/// A validated, shareable window onto one v4 map-output buffer.
 ///
 /// Cloning is cheap (one `Arc` bump plus copied offsets); the
 /// underlying bytes are never copied or re-decoded.
 pub struct Smof3View<K, V> {
     data: Arc<Vec<u8>>,
-    meta: V3Meta,
+    meta: Meta,
     kc: FixedCodec<K>,
     vc: FixedCodec<V>,
 }
@@ -42,10 +47,10 @@ impl<K, V> std::fmt::Debug for Smof3View<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Smof3View")
             .field("records", &self.meta.records)
+            .field("runs", &self.meta.runs)
             .field("raw", &self.meta.raw)
             .field("key_width", &self.meta.key_width)
             .field("val_width", &self.meta.val_width)
-            .field("index_len", &self.meta.index_len)
             .finish()
     }
 }
@@ -56,16 +61,14 @@ where
     V: MrValue + WireFormat,
 {
     /// Validates `data` as a SMOF buffer — magic, version, geometry,
-    /// frame CRC, index — and opens a view on it. Anything but a sound
-    /// v3 buffer is [`MrError::CorruptShuffle`](crate::MrError).
+    /// frame CRC, run table — and opens a view on it. Anything but a
+    /// sound v4 buffer of `K` keys and `V` values, run keys out of
+    /// `K`'s order included, is
+    /// [`MrError::CorruptShuffle`](crate::MrError).
     pub fn open(data: Arc<Vec<u8>>) -> Result<Self> {
-        let meta = parse_v3_meta(&data)?;
-        Ok(Smof3View {
-            data,
-            meta,
-            kc: K::fixed_codec(),
-            vc: V::fixed_codec(),
-        })
+        let (kc, vc) = (K::fixed_codec(), V::fixed_codec());
+        let meta = parse_typed(&data, &kc, &vc)?;
+        Ok(Smof3View { data, meta, kc, vc })
     }
 
     /// [`Smof3View::open`] wrapped in an `Option` that is never `None`
@@ -76,7 +79,7 @@ where
     }
 }
 
-// Record addressing needs only the captured codec fn pointers, so it
+// Run addressing needs only the captured codec fn pointers, so it
 // carries no trait bounds — which keeps `MergeIter` free of
 // `WireFormat` bounds.
 impl<K, V> Smof3View<K, V> {
@@ -92,6 +95,12 @@ impl<K, V> Smof3View<K, V> {
         self.meta.records
     }
 
+    /// Number of runs: distinct keys, each with at least one value.
+    #[inline]
+    pub fn runs(&self) -> usize {
+        self.meta.runs
+    }
+
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.meta.records == 0
@@ -103,72 +112,25 @@ impl<K, V> Smof3View<K, V> {
         &self.kc
     }
 
+    /// The packed key bytes of run `r`, borrowed from the buffer.
     #[inline]
-    fn row(&self) -> usize {
-        self.meta.key_width + self.meta.val_width
+    pub fn run_key_bytes(&self, r: usize) -> &[u8] {
+        self.meta.key_bytes(&self.data, r)
     }
 
-    /// The packed key bytes of record `i`, borrowed from the buffer.
+    /// Decodes the key of run `r`.
     #[inline]
-    pub fn key_bytes(&self, i: usize) -> &[u8] {
-        let off = self.meta.payload_off + i * self.row();
-        &self.data[off..off + self.meta.key_width]
+    pub fn run_key(&self, r: usize) -> K {
+        (self.kc.read)(self.run_key_bytes(r))
     }
 
-    /// Decodes the key of record `i`.
+    /// Decodes run `r`'s values, in record order.
     #[inline]
-    pub fn key_at(&self, i: usize) -> K {
-        (self.kc.read)(self.key_bytes(i))
-    }
-
-    /// Decodes the value of record `i`.
-    #[inline]
-    pub fn value_at(&self, i: usize) -> V {
-        let off = self.meta.payload_off + i * self.row() + self.meta.key_width;
-        (self.vc.read)(&self.data[off..off + self.meta.val_width])
-    }
-
-    /// First record index whose key is `>= key`, found without
-    /// decoding any predecessor: binary-search the sparse key-offset
-    /// index down to one [`INDEX_INTERVAL`] window, then
-    /// binary-search records directly by packed-byte comparison.
-    /// Requires the file to be key-sorted (all SMOF files are).
-    ///
-    /// [`INDEX_INTERVAL`]: crate::shuffle_file::INDEX_INTERVAL
-    pub fn seek_ge(&self, key: &K) -> usize {
-        // Narrow [lo, hi) via the index: the last entry whose key is
-        // < `key` gives a lower bound; the next entry an upper bound.
-        let entry = self.meta.key_width + 8;
-        let (mut ilo, mut ihi) = (0usize, self.meta.index_len);
-        while ilo < ihi {
-            let mid = ilo + (ihi - ilo) / 2;
-            let at = self.meta.index_off + mid * entry;
-            let ekey = &self.data[at..at + self.meta.key_width];
-            if (self.kc.cmp_decoded)(key, ekey).is_gt() {
-                ilo = mid + 1;
-            } else {
-                ihi = mid;
-            }
-        }
-        let rec_of = |e: usize| -> usize {
-            let at = self.meta.index_off + e * entry + self.meta.key_width;
-            u64::from_le_bytes(self.data[at..at + 8].try_into().expect("len 8")) as usize
-        };
-        let mut lo = if ilo == 0 { 0 } else { rec_of(ilo - 1) };
-        let mut hi = if ilo < self.meta.index_len {
-            rec_of(ilo)
-        } else {
-            self.meta.records
-        };
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if (self.kc.cmp_decoded)(key, self.key_bytes(mid)).is_gt() {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    pub fn run_values(&self, r: usize) -> impl ExactSizeIterator<Item = V> + '_ {
+        let read = self.vc.read;
+        (self.meta.value_bytes(&self.data, r))
+            .chunks_exact(self.meta.val_width)
+            .map(read)
     }
 }
 
@@ -194,14 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn view_addresses_every_record() {
+    fn view_addresses_every_run() {
         let f = file(1000);
         let v = view(&f);
-        assert_eq!(v.records(), 1000);
+        assert_eq!((v.records(), v.runs()), (1000, 1000));
         assert_eq!(v.raw_count(), 2000);
-        for (i, (k, val)) in f.records.iter().enumerate() {
-            assert_eq!(&v.key_at(i), k);
-            assert_eq!(v.value_at(i), *val);
+        for (r, (k, val)) in f.records.iter().enumerate() {
+            assert_eq!(&v.run_key(r), k);
+            assert_eq!(v.run_values(r).collect::<Vec<_>>(), [*val]);
         }
     }
 
@@ -211,26 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn seek_ge_matches_linear_scan() {
-        let f = file(700); // several index windows
-        let v = view(&f);
-        let probe_keys: Vec<Coord> = (0..720u64)
-            .map(|i| Coord::from([i / 3, i % 3]))
-            .chain([Coord::origin(2), Coord::from([u64::MAX, 0])])
-            .collect();
-        for key in &probe_keys {
-            let expect = f.records.iter().position(|(k, _)| k >= key).unwrap_or(700);
-            assert_eq!(v.seek_ge(key), expect, "seek {key}");
-        }
-    }
-
-    #[test]
     fn clones_share_bytes() {
         let v = view(&file(10));
         let v2 = v.clone();
         assert!(std::ptr::eq(
-            v.key_bytes(3).as_ptr(),
-            v2.key_bytes(3).as_ptr()
+            v.run_key_bytes(3).as_ptr(),
+            v2.run_key_bytes(3).as_ptr()
         ));
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Intermediate data is bytes from the moment a map attempt commits it
 //! — in every executor's partition store, its spill files, the fetch
-//! frames — and it has one
-//! layout: SMOF v3 ([`crate::shuffle_file`]), fixed-width records
-//! packed back-to-back. So an intermediate key or value type must have
-//! an encoding that is *fixed-width within one file* (numerics, and
+//! frames — and it has one layout: SMOF v4 ([`crate::shuffle_file`]),
+//! a fixed-width run table of keys and a column of values. So an
+//! intermediate key or value type must have an encoding that is
+//! *fixed-width within one file* (numerics, and
 //! `Coord` within a fixed-arity keyspace); [`WireFormat`] names its
 //! [`FixedCodec`], a bundle of fn pointers that packs records with no
 //! per-record framing and lets merge cursors compare keys directly on
@@ -31,6 +31,9 @@ pub struct FixedCodec<T> {
     /// Encoded width of this value in bytes. Constant per value; all
     /// records of one file must agree.
     pub width: fn(&T) -> usize,
+    /// Whether some value encodes in exactly this many bytes: a reader
+    /// checks a file's widths with it before decoding anything.
+    pub width_ok: fn(usize) -> bool,
     /// Appends exactly `width(v)` bytes.
     pub write: fn(&T, &mut Vec<u8>),
     /// Decodes from exactly one encoded value's bytes.
@@ -63,6 +66,7 @@ macro_rules! impl_wire_num {
                 }
                 FixedCodec {
                     width: |_| std::mem::size_of::<$t>(),
+                    width_ok: |w| w == std::mem::size_of::<$t>(),
                     write: |v, out| out.extend_from_slice(&v.to_le_bytes()),
                     read: read_one,
                     cmp: |a, b| $cmp(&read_one(a), &read_one(b)),
@@ -85,6 +89,7 @@ impl WireFormat for sidr_coords::Coord {
         use sidr_coords::Coord;
         FixedCodec {
             width: Coord::packed_width,
+            width_ok: |w| w % 8 == 0,
             write: Coord::write_packed,
             read: Coord::from_packed,
             cmp: Coord::cmp_packed,
@@ -106,6 +111,7 @@ mod tests {
                 let mut packed = Vec::new();
                 (codec.write)(v, &mut packed);
                 assert_eq!(packed.len(), (codec.width)(v));
+                assert!((codec.width_ok)(packed.len()));
                 assert_eq!(&(codec.read)(&packed), v);
                 assert_eq!((codec.cmp_decoded)(v, &packed), Ordering::Equal);
             }

@@ -4,7 +4,7 @@
 //! an early result, and it travels as exactly one `KeyblockBin` frame
 //! on both hops: worker → coordinator (the raw frame after
 //! `ReduceDone`) and coordinator → client. The frame carries the
-//! records in the same packed little-endian layout SMOF v3 uses on
+//! records in the same packed little-endian encoding SMOF uses on
 //! disk (`Coord::write_packed` + `f64::to_le_bytes`), so the sender
 //! serializes one keyblock with a single buffer allocation and no text
 //! pass, and the receiver decodes it without a JSON parser — at fig. 8

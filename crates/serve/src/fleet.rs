@@ -14,7 +14,7 @@
 //! JSON frame protocol of [`crate::frame`], opened with the
 //! version/role [`Hello`](crate::frame::Hello) handshake; the two bulk
 //! payloads ride as one raw frame after their JSON header — a
-//! partition as CRC-framed SMOF (v3) bytes after `Partition`, a
+//! partition as CRC-framed SMOF (v4) bytes after `Partition`, a
 //! reduce attempt's keyblock as a [`crate::binframe`] `KeyblockBin`
 //! frame after `ReduceDone`.
 //!

@@ -32,8 +32,9 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// contract: v6 is the version whose partition CRC covers the header,
 /// v7 the one whose `KeyblockBin` CRC does; v8's `MapDone` names each
 /// partition's rows beside its reducer; v9's `SubmitOptions` has no
-/// annotation-validation switch.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// annotation-validation switch; v10's partitions are run-grouped SMOF
+/// v4, so a v9 peer would read every fetched partition as corrupt.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

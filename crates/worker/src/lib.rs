@@ -528,7 +528,7 @@ fn run_reduce_inner(
 ) -> bool {
     // --- copy -------------------------------------------------------
     // Fetched buffers stay in `Arc`s end to end: a self-fetch shares
-    // the local store's allocation outright, and v3 buffers are merged
+    // the local store's allocation outright, and v4 buffers are merged
     // in place — no partition is copied or re-decoded on this path.
     let fetch_started = time::now();
     // One fetch connection per peer, reused across that peer's
