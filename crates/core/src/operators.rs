@@ -4,7 +4,10 @@
 //! over multi-day regions, threshold filters, per-unit sorts. Each
 //! operator consumes the complete value list of one intermediate key
 //! — MapReduce guarantee 2 (§2.3) makes that safe — and emits one or
-//! more output values.
+//! more output values. The group is handed over mutably, and the
+//! holistic operators (median, percentile, sort) reorder it in place
+//! rather than sorting a copy: a linear-time selection per key instead
+//! of an allocation and a full sort.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,42 +63,67 @@ pub enum Operator {
 }
 
 impl Operator {
-    /// Applies the operator to one complete unit.
-    pub fn apply(&self, values: &[f64]) -> Vec<f64> {
-        if values.is_empty() {
-            return Vec::new();
+    /// Applies the operator to one complete unit, emitting its output
+    /// values in order. The one implementation: the engine's reducer,
+    /// the map-side combiner and [`Operator::apply`] all call it.
+    ///
+    /// Holistic operators work on the unit in place: `Median` and
+    /// `Percentile` select their rank in linear time and `SortValues`
+    /// sorts, so they leave `values` reordered. Every other operator
+    /// leaves it as it is. On NaN-free input the result is
+    /// bit-identical to stable-sorting a copy, a unit holding both +0.0
+    /// and −0.0 included.
+    pub fn reduce_group(&self, values: &mut [f64], emit: &mut dyn FnMut(f64)) {
+        let n = values.len();
+        if n == 0 {
+            return;
         }
         match *self {
-            Operator::Mean => vec![values.iter().sum::<f64>() / values.len() as f64],
-            Operator::Median => vec![median(values)],
-            Operator::Min => vec![values.iter().copied().fold(f64::INFINITY, f64::min)],
-            Operator::Max => vec![values.iter().copied().fold(f64::NEG_INFINITY, f64::max)],
-            Operator::Sum => vec![values.iter().sum()],
-            Operator::Count => vec![values.len() as f64],
+            Operator::Mean => emit(values.iter().sum::<f64>() / n as f64),
+            Operator::Median if n % 2 == 1 => emit(select_rank(values, n / 2)),
+            Operator::Median => {
+                let hi = select_rank(values, n / 2);
+                // `select_rank` left every value of rank < n/2 before
+                // index n/2, so rank n/2 − 1 is the greatest of those.
+                let lo = select_rank(&mut values[..n / 2], n / 2 - 1);
+                emit((lo + hi) / 2.0)
+            }
+            Operator::Min => emit(values.iter().copied().fold(f64::INFINITY, f64::min)),
+            Operator::Max => emit(values.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+            Operator::Sum => emit(values.iter().sum()),
+            Operator::Count => emit(n as f64),
             Operator::Filter { threshold } => {
-                values.iter().copied().filter(|&v| v > threshold).collect()
+                for &v in values.iter().filter(|&&v| v > threshold) {
+                    emit(v);
+                }
             }
             Operator::SortValues => {
-                let mut v = values.to_vec();
-                v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in datasets"));
-                v
+                values.sort_by(ascending);
+                for &v in values.iter() {
+                    emit(v);
+                }
             }
-            Operator::Variance => vec![variance(values)],
-            Operator::StdDev => vec![variance(values).sqrt()],
+            Operator::Variance => emit(variance(values)),
+            Operator::StdDev => emit(variance(values).sqrt()),
             Operator::Range => {
                 let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
                 let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                vec![hi - lo]
+                emit(hi - lo)
             }
             Operator::CountAbove { threshold } => {
-                vec![values.iter().filter(|&&v| v > threshold).count() as f64]
+                emit(values.iter().filter(|&&v| v > threshold).count() as f64)
             }
-            Operator::Percentile { p } => vec![percentile(values, p)],
+            Operator::Percentile { p } => {
+                // Nearest rank; `p` is clamped to [0, 100].
+                let p = p.clamp(0.0, 100.0);
+                let rank = ((p / 100.0) * n as f64).ceil() as usize;
+                emit(select_rank(values, rank.max(1) - 1))
+            }
             Operator::Histogram { lo, hi, buckets } => {
                 let n = buckets.max(1) as usize;
                 let mut counts = vec![0.0f64; n];
                 let width = (hi - lo) / n as f64;
-                for &v in values {
+                for &v in values.iter() {
                     let bin = if width > 0.0 {
                         (((v - lo) / width).floor() as i64).clamp(0, n as i64 - 1) as usize
                     } else {
@@ -103,9 +131,18 @@ impl Operator {
                     };
                     counts[bin] += 1.0;
                 }
-                counts
+                for c in counts {
+                    emit(c);
+                }
             }
         }
+    }
+
+    /// [`Operator::reduce_group`] over a copy of `values`, collected.
+    pub fn apply(&self, values: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.reduce_group(&mut values.to_vec(), &mut |v| out.push(v));
+        out
     }
 
     /// Whether the operator is distributive — computable from partial
@@ -134,31 +171,40 @@ impl Operator {
     }
 }
 
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in datasets"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
+/// The dataset order on values; a NaN is a broken dataset.
+fn ascending(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("no NaNs in datasets")
+}
+
+/// The value a stable ascending sort of `values` puts at index `k`,
+/// moved to `values[k]` in place, with every value of lower rank
+/// before it. Linear-time selection by `f64::total_cmp`, which on
+/// NaN-free values agrees with [`ascending`] except that it orders
+/// −0.0 before +0.0; any two values it calls equal have equal bits, so
+/// the selected value is exactly the sorted one. A unit holding both
+/// zeros is the exception: they compare equal but differ in their
+/// bits, and only the stable sort picks between them by input order,
+/// so such a unit is stable-sorted in place instead. A NaN panics, as
+/// the sort's comparator did.
+fn select_rank(values: &mut [f64], k: usize) -> f64 {
+    let (mut pos_zero, mut neg_zero) = (false, false);
+    for &v in values.iter() {
+        assert!(!v.is_nan(), "no NaNs in datasets");
+        pos_zero |= v.to_bits() == 0.0f64.to_bits();
+        neg_zero |= v.to_bits() == (-0.0f64).to_bits();
     }
+    if pos_zero && neg_zero {
+        values.sort_by(ascending);
+    } else {
+        values.select_nth_unstable_by(k, f64::total_cmp);
+    }
+    values[k]
 }
 
 fn variance(values: &[f64]) -> f64 {
     let n = values.len() as f64;
     let mean = values.iter().sum::<f64>() / n;
     values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n
-}
-
-/// Nearest-rank percentile on a sorted copy; `p` is clamped to
-/// `[0, 100]`.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in datasets"));
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.max(1) - 1]
 }
 
 /// The engine-facing Reduce function of a structural query: applies
@@ -172,10 +218,8 @@ impl Reducer for OperatorReducer {
     type InValue = f64;
     type OutValue = f64;
 
-    fn reduce(&self, _key: &sidr_coords::Coord, values: &[f64], emit: &mut dyn FnMut(f64)) {
-        for v in self.op.apply(values) {
-            emit(v);
-        }
+    fn reduce(&self, _key: &sidr_coords::Coord, values: &mut [f64], emit: &mut dyn FnMut(f64)) {
+        self.op.reduce_group(values, emit)
     }
 }
 
@@ -192,7 +236,8 @@ impl Combiner for OperatorCombiner {
 
     fn combine(&self, _key: &sidr_coords::Coord, values: &mut Vec<f64>) {
         debug_assert!(self.op.is_distributive());
-        let combined = self.op.apply(values);
+        let mut combined = None;
+        self.op.reduce_group(values, &mut |v| combined = Some(v));
         values.clear();
         values.extend(combined);
     }

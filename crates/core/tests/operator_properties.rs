@@ -106,3 +106,104 @@ proptest! {
         }
     }
 }
+
+/// The copy-and-stable-sort answer of `op` over `vs`, written here
+/// independently of the operator code: the semantics every in-place
+/// selection must reproduce bit for bit.
+fn stable_sort_reference(op: Operator, vs: &[f64]) -> Vec<f64> {
+    let mut sorted = vs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+    let n = sorted.len();
+    match op {
+        Operator::Median if n % 2 == 1 => vec![sorted[n / 2]],
+        Operator::Median => vec![(sorted[n / 2 - 1] + sorted[n / 2]) / 2.0],
+        Operator::Percentile { p } => {
+            let rank = ((p.clamp(0.0, 100.0) / 100.0) * n as f64).ceil() as usize;
+            vec![sorted[rank.max(1) - 1]]
+        }
+        Operator::SortValues => sorted,
+        other => unreachable!("no reference for {other:?}"),
+    }
+}
+
+/// Groups of 1–80 values drawn from a palette of a few to a few dozen
+/// values, so duplicates are heavy and both parities of length come
+/// up; the palette holds negatives, +0.0 and −0.0.
+fn group() -> impl Strategy<Value = Vec<f64>> {
+    (1i64..40).prop_flat_map(|span| {
+        prop::collection::vec(
+            (0u8..8, -span..span).prop_map(|(tag, k)| match tag {
+                0 => 0.0,
+                1 => -0.0,
+                _ => k as f64 * 0.25,
+            }),
+            1..=80,
+        )
+    })
+}
+
+fn bits(vs: &[f64]) -> Vec<u64> {
+    vs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// What `reduce_group` emits for `op` over a copy of `vs`.
+fn reduced(op: Operator, vs: &[f64]) -> Vec<f64> {
+    let mut out = Vec::new();
+    op.reduce_group(&mut vs.to_vec(), &mut |v| out.push(v));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn holistic_operators_are_bit_identical_to_a_stable_sort(vs in group()) {
+        let ops = [
+            Operator::Median,
+            Operator::SortValues,
+            Operator::Percentile { p: 0.0 },
+            Operator::Percentile { p: 1.0 },
+            Operator::Percentile { p: 50.0 },
+            Operator::Percentile { p: 99.9 },
+            Operator::Percentile { p: 100.0 },
+        ];
+        for op in ops {
+            let got = reduced(op, &vs);
+            let want = stable_sort_reference(op, &vs);
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} over {:?}", op, vs);
+        }
+    }
+}
+
+/// A unit whose stable answer is −0.0: +0.0 and −0.0 compare equal, so
+/// only input order decides which one a median reports.
+#[test]
+fn mixed_zero_group_keeps_the_stable_answer() {
+    let vs = [0.0, 3.0, -0.0, -5.0, -0.0];
+    // Stable ascending: [-5, 0.0, -0.0, -0.0, 3]; the median is −0.0.
+    assert_eq!(bits(&reduced(Operator::Median, &vs)), bits(&[-0.0]));
+    assert_eq!(
+        bits(&reduced(Operator::SortValues, &vs)),
+        bits(&[-5.0, 0.0, -0.0, -0.0, 3.0])
+    );
+    // The same values in another order: [-5, -0.0, 0.0, 0.0, 3].
+    assert_eq!(
+        bits(&reduced(Operator::Median, &[-0.0, 3.0, 0.0, -5.0, 0.0])),
+        bits(&[0.0])
+    );
+    // Even length whose middle pair is −0.0 and −0.0: their mean stays
+    // −0.0.
+    assert_eq!(
+        bits(&reduced(Operator::Median, &[-0.0, 1.0, -0.0, -1.0])),
+        bits(&[-0.0])
+    );
+    // Percentiles whose nearest rank falls on the zeros.
+    for p in [40.0, 60.0] {
+        let op = Operator::Percentile { p };
+        assert_eq!(
+            bits(&reduced(op, &vs)),
+            bits(&stable_sort_reference(op, &vs)),
+            "{op:?}"
+        );
+    }
+}

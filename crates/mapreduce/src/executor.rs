@@ -240,7 +240,8 @@ const REDUCE_BATCH_RECORDS: usize = 4096;
 /// given order** (the plan's fetch order breaks ties between equal
 /// keys, which is what keeps output byte-identical wherever the
 /// attempt runs) → §3.2.1 annotation tally → batched merge → reduce
-/// fn. Returns the keyblock: every output record, in key order.
+/// fn, which gets each group mutably from the batch that owns it.
+/// Returns the keyblock: every output record, in key order.
 ///
 /// The merge streams — batches amortize the per-group heap
 /// bookkeeping and no whole-keyspace `Vec<(K, Vec<V>)>` is ever
@@ -257,9 +258,10 @@ where
     V3: MrValue,
 {
     let mut merge: MergeIter<K, V> = MergeIter::new();
-    let mut actual = 0u64;
+    let (mut actual, mut merged_bytes) = (0u64, 0u64);
     for input in inputs {
         actual += input.raw_count();
+        merged_bytes += input.byte_len() as u64;
         merge.push_frame(input);
     }
     // Starting with less input than the geometry promises would
@@ -277,15 +279,13 @@ where
     let mut batch: GroupBatch<K, V> = GroupBatch::new();
     let mut out: Vec<(K, V3)> = Vec::new();
     while merge.fill_batch(&mut batch, REDUCE_BATCH_RECORDS) != 0 {
-        for (key, values) in batch.groups() {
+        for (key, values) in batch.groups_mut() {
             reducer_fn.reduce(key, values, &mut |v3| out.push((key.clone(), v3)));
         }
     }
-    let merged = merge.records_consumed();
     let m = crate::metrics::runtime();
-    m.merge_records.add(merged);
-    m.merge_bytes
-        .add(merged.saturating_mul(std::mem::size_of::<(K, V)>() as u64));
+    m.merge_records.add(merge.records_consumed());
+    m.merge_bytes.add(merged_bytes);
     Ok(out)
 }
 

@@ -109,7 +109,7 @@ pub fn runtime() -> &'static RuntimeMetrics {
             ),
             merge_bytes: r.counter(
                 "sidr_merge_bytes_total",
-                "Approximate bytes consumed through the k-way merge iterator",
+                "Bytes of the SMOF buffers consumed through the k-way merge iterator",
                 &[],
             ),
             task_retries_map: r.counter(

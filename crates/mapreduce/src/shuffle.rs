@@ -383,6 +383,20 @@ impl<K, V> GroupBatch<K, V> {
             (k, &self.values[start..self.ends[i]])
         })
     }
+
+    /// The batched groups, in merge order, each value slice handed out
+    /// mutably: the batch owns them, and a reducer may reorder a group
+    /// in place (see [`Reducer::reduce`](crate::Reducer::reduce)).
+    pub fn groups_mut(&mut self) -> impl Iterator<Item = (&K, &mut [V])> {
+        let mut rest = self.values.as_mut_slice();
+        let mut start = 0;
+        self.keys.iter().zip(&self.ends).map(move |(k, &end)| {
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
+            start = end;
+            (k, group)
+        })
+    }
 }
 
 #[cfg(test)]

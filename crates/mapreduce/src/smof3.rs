@@ -106,6 +106,12 @@ impl<K, V> Smof3View<K, V> {
         self.meta.records == 0
     }
 
+    /// Length of the whole encoded buffer: header, run table and values.
+    #[inline]
+    pub(crate) fn byte_len(&self) -> usize {
+        self.data.len()
+    }
+
     /// The codec the keys were packed with (for byte-level compares).
     #[inline]
     pub fn key_codec(&self) -> &FixedCodec<K> {

@@ -89,10 +89,13 @@ pub trait Reducer: Send + Sync {
     type OutValue: MrValue;
 
     /// Reduces one key group, emitting zero or more output values.
+    /// The group is the caller's scratch: a reducer may reorder it in
+    /// place (the holistic query operators select or sort there), and
+    /// the caller reads nothing of it afterwards.
     fn reduce(
         &self,
         key: &Self::Key,
-        values: &[Self::InValue],
+        values: &mut [Self::InValue],
         emit: &mut dyn FnMut(Self::OutValue),
     );
 }
@@ -181,7 +184,7 @@ where
     type InValue = IV;
     type OutValue = OV;
 
-    fn reduce(&self, key: &K, values: &[IV], emit: &mut dyn FnMut(OV)) {
+    fn reduce(&self, key: &K, values: &mut [IV], emit: &mut dyn FnMut(OV)) {
         (self.f)(key, values, emit)
     }
 }
@@ -210,7 +213,7 @@ mod tests {
         let r =
             FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
         let mut out = Vec::new();
-        r.reduce(&1, &[70, 30], &mut |v| out.push(v));
+        r.reduce(&1, &mut [70, 30], &mut |v| out.push(v));
         assert_eq!(out, vec![100]);
     }
 }
