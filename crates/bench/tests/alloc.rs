@@ -2,7 +2,8 @@
 //! counting allocator: the binary keyblock encoder makes O(1)
 //! allocator calls per keyblock, the streaming merge holds
 //! O(sources + one group) live bytes however many records it drains,
-//! and a SMOF encode is one exactly-sized buffer.
+//! a SMOF encode is one exactly-sized buffer, and the geometric map
+//! kernel holds no more than its input and its output partitions.
 //!
 //! One `#[test]` on purpose: the counters are process-global, so two
 //! tests on parallel threads would count each other's allocations.
@@ -10,9 +11,13 @@
 use std::sync::Arc;
 
 use sidr_bench::{AllocScope, CountingAlloc};
-use sidr_coords::Coord;
+use sidr_coords::{Coord, Shape, Slab};
+use sidr_core::geomap::map_split;
+use sidr_core::source::StructuralMapper;
+use sidr_core::{Operator, PartitionPlus, StructuralQuery};
 use sidr_mapreduce::shuffle_file::{crc32, encode_map_output};
 use sidr_mapreduce::{MapOutputFile, MergeIter, Smof3View};
+use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_serve::binframe;
 
 #[global_allocator]
@@ -141,4 +146,49 @@ fn wire_path_allocation_invariants() {
         raw_count: 12,
     };
     assert_eq!(encode_map_output(&file).expect("uniform rank"), expected);
+
+    // (d) The map kernel holds the split's input between its count and
+    // place passes and writes each value once, straight into its
+    // partition: at its peak nothing else of size is live. A
+    // fig.-8-shaped split, {7,5,1} keys over 4 reducers, no combiner.
+    let space = Shape::new(vec![7, 50, 50]).expect("valid");
+    let spec = DatasetSpec {
+        variable: "v".into(),
+        dim_names: vec!["t".into(), "y".into(), "x".into()],
+        space: space.clone(),
+        model: ValueModel::Uniform {
+            lo: -50.0,
+            hi: 50.0,
+        },
+        seed: 8,
+    };
+    let path = std::env::temp_dir().join(format!("sidr-alloc-map-{}.scinc", std::process::id()));
+    let file = spec.generate::<f64>(&path).expect("generates");
+    let extraction = Shape::new(vec![7, 5, 1]).expect("valid");
+    let query =
+        StructuralQuery::new("v", space.clone(), extraction, Operator::Median).expect("valid");
+    let mapper = StructuralMapper::for_query(&query);
+    let partition = PartitionPlus::for_query(&query, 4).expect("valid");
+    let split = Slab::whole(&space);
+    let scope = AllocScope::start();
+    let out = map_split::<f64>(
+        &file,
+        "v",
+        &split,
+        &mapper,
+        4,
+        |k| partition.keyblock_of(k),
+        None,
+    )
+    .expect("maps");
+    let (_bytes, _calls, peak) = scope.finish();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.partitions.len(), 4);
+    let input = split.count() * 8;
+    let output: u64 = out.partitions.iter().map(|(_, p)| p.len() as u64).sum();
+    let bound = input + output + 64 * 1024;
+    assert!(
+        peak <= bound,
+        "map_split peak live bytes {peak} exceed input {input} + output {output} + 64 KiB"
+    );
 }

@@ -118,6 +118,15 @@ impl Coord {
         }
     }
 
+    /// Writes `words`' packed encoding (LE words, no prefix) into
+    /// `out`, exactly `8 × words.len()` bytes long.
+    pub fn pack_words(words: &[u64], out: &mut [u8]) {
+        assert_eq!(out.len(), words.len() * 8, "one slot per word");
+        for (slot, &w) in out.chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
     /// Reconstructs a coordinate from its packed encoding. The rank is
     /// implied by the slice length, which must be a multiple of 8.
     pub fn from_packed(bytes: &[u8]) -> Coord {

@@ -19,27 +19,34 @@
 //!    a sum of per-dimension table entries: no per-record `Coord`,
 //!    division or allocation. Partial instances, stride gaps, records
 //!    outside the query region and push-down filter misses get none;
-//! 2. counting-sorts the values by image index, in place and stably
-//!    (a key's values keep reader order);
+//! 2. counts each image key's kept records in one pass over them;
 //! 3. routes once per image key, not once per record: `partition+`
 //!    under SIDR, the stock hash-modulo under Hadoop and SciHadoop;
-//! 4. folds each key run through the combiner, if any, and writes each
-//!    reducer's partition through the one SMOF v4 writer
-//!    ([`write_v4`]): one run-table entry per key, then its values.
+//!    then lays out each reducer's partition through the one SMOF v4
+//!    writer ([`SmofWriter`]), exactly sized: its header, one run-table
+//!    entry per key (packed from the odometer that stepped the route),
+//!    and a byte cursor per key into its values region;
+//! 4. places: a second pass over the same kept records, in reader
+//!    order, writes each value's 8 bytes once, at its key's cursor, so
+//!    a key's values keep reader order. With a combiner the pass fills
+//!    one key-ordered `f64` column instead, and each run is folded
+//!    there and copied into its partition. Each partition is then
+//!    sealed with its CRC.
 //!
 //! The bytes are exactly those of the per-record path —
 //! `run_map_attempt` over a [`StructuralMapper`] and the same partition
 //! function, then `encode_map_output` — which `tests/geomap.rs` pins
-//! for both routes. Transient memory
-//! is 12 bytes per kept record (a `u32` image index and the `f64`
-//! value) and 12 per image key, where the per-record path holds a
-//! `(Coord, f64)` row and a heap-allocated key per record (≈ 56 bytes
-//! at rank 3).
+//! for both routes. Transient memory is the split's input (held
+//! between the passes) and 16 bytes per image key, beside the output
+//! partitions themselves; a combiner adds the 8-byte column, after
+//! which the input is dropped. `tests/alloc.rs` in `sidr-bench` pins
+//! the bound. The per-record path holds a `(Coord, f64)` row and a
+//! heap-allocated key per record (≈ 56 bytes at rank 3).
 //!
 //! [`Tiling::instances_touched_by`]: sidr_coords::Tiling::instances_touched_by
 
 use sidr_coords::{Coord, Slab};
-use sidr_mapreduce::shuffle_file::write_v4;
+use sidr_mapreduce::shuffle_file::SmofWriter;
 use sidr_mapreduce::{Combiner, MrError};
 use sidr_scifile::{read_chunks, Element, ScincFile};
 
@@ -78,85 +85,123 @@ pub fn map_split<E: Element>(
     let Some(image) = Image::of(split, mapper)? else {
         return Ok(out); // the split feeds no K' key
     };
-    let sorted = image.scan::<E>(file, variable, split, mapper.predicate_gt)?;
-    out.records_out = sorted.values.len() as u64;
+    let mut chunks = read_chunks(split)
+        .into_iter()
+        .map(|chunk| {
+            let data = file.read_slab::<E>(variable, &chunk)?;
+            Ok((chunk, data))
+        })
+        .collect::<crate::Result<Vec<_>>>()?;
+    let predicate_gt = mapper.predicate_gt;
 
-    // Route once per image key: each reducer's keys, in key order.
+    // Count: each image key's kept records.
+    let mut counts = vec![0u32; image.keys()];
+    image.for_each_kept(&chunks, split, predicate_gt, |i, _| counts[i] += 1);
+    out.records_out = counts.iter().map(|&n| u64::from(n)).sum();
+
+    // Route once per image key.
+    let mut route = vec![0u32; counts.len()];
     let mut raw = vec![0u64; num_reducers];
-    let mut keys_of: Vec<Vec<u32>> = vec![Vec::new(); num_reducers];
-    let mut key = image.corner.clone();
-    for (i, &count) in sorted.counts.iter().enumerate() {
-        if count > 0 {
-            let r = keyblock_of(&key);
-            raw[r] += u64::from(count);
-            keys_of[r].push(i as u32);
+    image.for_each_key(|i, key| {
+        if counts[i] > 0 {
+            let r = keyblock_of(key);
+            route[i] = r as u32;
+            raw[r] += u64::from(counts[i]);
         }
-        image.step(&mut key);
+    });
+
+    // Per image key, where its next value goes: with a combiner, its
+    // place in one key-ordered column, where each run is then folded
+    // (`cursor` is left at the folded run's start and `counts` at its
+    // length; a key the combiner folds to nothing has no run).
+    let mut cursor = vec![0usize; counts.len()];
+    let mut column = Vec::new();
+    if let Some(combiner) = combiner {
+        let mut next = 0;
+        for (c, &n) in cursor.iter_mut().zip(&counts) {
+            *c = next;
+            next += n as usize;
+        }
+        column = vec![0.0; next];
+        image.for_each_kept(&chunks, split, predicate_gt, |i, v| {
+            column[cursor[i]] = v;
+            cursor[i] += 1;
+        });
+        chunks = Vec::new(); // every kept value is in the column now
+        let mut group = Vec::new();
+        image.for_each_key(|i, key| {
+            let n = counts[i] as usize;
+            if n > 0 {
+                let at = cursor[i] - n;
+                group.clear();
+                group.extend_from_slice(&column[at..cursor[i]]);
+                combiner.combine(&Coord::from(key), &mut group);
+                assert!(group.len() <= n, "a combiner never grows a run");
+                column[at..at + group.len()].copy_from_slice(&group);
+                cursor[i] = at;
+                counts[i] = group.len() as u32;
+            }
+        });
     }
 
-    let key_width = 8 * image.corner.len();
-    let mut group = Vec::new();
-    for (reducer, keys) in keys_of.iter().enumerate() {
-        if keys.is_empty() {
-            continue;
+    // Lay out each reducer's partition: header, then one run-table
+    // entry per key, packed from the odometer.
+    let (mut records, mut runs) = (vec![0usize; num_reducers], vec![0usize; num_reducers]);
+    for (&n, &r) in counts.iter().zip(&route) {
+        if n > 0 {
+            records[r as usize] += n as usize;
+            runs[r as usize] += 1;
         }
-        let bytes = match combiner {
-            None => write_v4(
-                raw[reducer],
-                raw[reducer] as usize,
-                keys.len(),
-                key_width,
-                VALUE_WIDTH,
-                |table| {
-                    for &i in keys {
-                        let len = sorted.run(i).len();
-                        table.push(len, |buf| image.key(i).write_packed(buf));
-                    }
-                },
-                |buf| {
-                    for &i in keys {
-                        for v in sorted.run(i) {
-                            buf.extend_from_slice(&v.to_le_bytes());
-                        }
-                    }
-                },
-            ),
-            Some(combiner) => {
-                // Fold first: the header carries the row and run
-                // counts. A key the combiner folds to nothing has no
-                // run.
-                let mut runs: Vec<(u32, usize)> = Vec::with_capacity(keys.len());
-                let mut values: Vec<f64> = Vec::with_capacity(keys.len());
-                for &i in keys {
-                    group.clear();
-                    group.extend_from_slice(sorted.run(i));
-                    combiner.combine(&image.key(i), &mut group);
-                    if !group.is_empty() {
-                        runs.push((i, group.len()));
-                        values.extend_from_slice(&group);
-                    }
-                }
-                write_v4(
-                    raw[reducer],
-                    values.len(),
-                    runs.len(),
-                    key_width,
-                    VALUE_WIDTH,
-                    |table| {
-                        for &(i, len) in &runs {
-                            table.push(len, |buf| image.key(i).write_packed(buf));
-                        }
-                    },
-                    |buf| {
-                        for v in &values {
-                            buf.extend_from_slice(&v.to_le_bytes());
-                        }
-                    },
-                )
-            }
-        };
-        out.partitions.push((reducer, bytes));
     }
+    let key_width = 8 * image.corner.len();
+    let mut writers: Vec<Option<SmofWriter>> = (0..num_reducers)
+        .map(|r| {
+            let (raw, records, runs) = (raw[r], records[r], runs[r]);
+            (runs > 0).then(|| SmofWriter::new(raw, records, runs, key_width, VALUE_WIDTH))
+        })
+        .collect();
+    image.for_each_key(|i, key| {
+        if counts[i] > 0 {
+            let writer = writers[route[i] as usize].as_mut();
+            let writer = writer.expect("a reducer with runs has a writer");
+            writer.push_run(counts[i] as usize, |slot| Coord::pack_words(key, slot));
+        }
+    });
+
+    // Place: each value's bytes written once, into its partition's
+    // values region. `next` is each reducer's fill, in key order.
+    let mut regions: Vec<&mut [u8]> = writers
+        .iter_mut()
+        .map(|w| w.as_mut().map_or(&mut [][..], SmofWriter::values_mut))
+        .collect();
+    let mut next = vec![0usize; num_reducers];
+    if combiner.is_none() {
+        // Each key's byte cursor, then the values in reader order.
+        for ((c, &n), &r) in cursor.iter_mut().zip(&counts).zip(&route) {
+            *c = next[r as usize];
+            next[r as usize] += n as usize * VALUE_WIDTH;
+        }
+        image.for_each_kept(&chunks, split, predicate_gt, |i, v| {
+            let at = cursor[i];
+            regions[route[i] as usize][at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
+            cursor[i] = at + VALUE_WIDTH;
+        });
+    } else {
+        for ((&at, &n), &r) in cursor.iter().zip(&counts).zip(&route) {
+            let (r, n) = (r as usize, n as usize);
+            let slots =
+                regions[r][next[r]..next[r] + n * VALUE_WIDTH].chunks_exact_mut(VALUE_WIDTH);
+            for (slot, v) in slots.zip(&column[at..at + n]) {
+                slot.copy_from_slice(&v.to_le_bytes());
+            }
+            next[r] += n * VALUE_WIDTH;
+        }
+    }
+    out.partitions = writers
+        .into_iter()
+        .enumerate()
+        .filter_map(|(r, w)| Some((r, w?.seal())))
+        .collect();
     Ok(out)
 }
 
@@ -167,26 +212,9 @@ struct Image {
     corner: Vec<u64>,
     /// The image's extents.
     extents: Vec<u64>,
-    /// Row-major strides of the image.
-    strides: Vec<u64>,
     /// Per split dimension, per position along it: the position's
     /// share of the image index (`(j − corner) × stride`), or [`NONE`].
     tables: Vec<Vec<u64>>,
-}
-
-/// The kept values in key order, and where each key's run ends.
-struct Sorted {
-    values: Vec<f64>,
-    counts: Vec<u32>,
-    ends: Vec<u32>,
-}
-
-impl Sorted {
-    /// Image key `i`'s values, in reader order.
-    fn run(&self, i: u32) -> &[f64] {
-        let end = self.ends[i as usize] as usize;
-        &self.values[end - self.counts[i as usize] as usize..end]
-    }
 }
 
 impl Image {
@@ -243,26 +271,29 @@ impl Image {
         Ok(Some(Image {
             corner,
             extents,
-            strides,
             tables,
         }))
     }
 
-    /// Reads the split and sorts the kept values by image index.
-    fn scan<E: Element>(
+    /// Image keys: the image's row-major size.
+    fn keys(&self) -> usize {
+        self.extents.iter().product::<u64>() as usize
+    }
+
+    /// Calls `f(index, value)` for each kept record of `chunks` (the
+    /// split's [`read_chunks`] and their data), in reader order: its
+    /// image index and its value. A record that maps to no image key,
+    /// or that the push-down filter `value > predicate_gt` drops, is
+    /// not kept.
+    fn for_each_kept<E: Element>(
         &self,
-        file: &ScincFile,
-        variable: &str,
+        chunks: &[(Slab, Vec<E>)],
         split: &Slab,
         predicate_gt: Option<f64>,
-    ) -> crate::Result<Sorted> {
+        mut f: impl FnMut(usize, f64),
+    ) {
         let rank = self.corner.len();
-        let image_keys = self.extents.iter().product::<u64>() as usize;
-        let mut counts = vec![0u32; image_keys];
-        let mut keys: Vec<u32> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        for chunk in read_chunks(split) {
-            let data = file.read_slab::<E>(variable, &chunk)?;
+        for (chunk, data) in chunks {
             let offset: Vec<usize> = (0..rank)
                 .map(|d| (chunk.corner()[d] - split.corner()[d]) as usize)
                 .collect();
@@ -285,9 +316,7 @@ impl Image {
                         if predicate_gt.is_some_and(|threshold| v <= threshold) {
                             continue;
                         }
-                        keys.push(idx as u32);
-                        values.push(v);
-                        counts[idx as usize] += 1;
+                        f(idx as usize, v);
                     }
                 }
                 for d in (0..rank - 1).rev() {
@@ -299,59 +328,22 @@ impl Image {
                 }
             }
         }
-        // Counting sort: each record's destination row, in reader
-        // order (stable), then the values permuted there in place.
-        // `ends` starts as each key's first row and, once every record
-        // has taken its row, is one past its last.
-        let mut ends: Vec<u32> = Vec::with_capacity(image_keys);
-        let mut next = 0u32;
-        for &c in &counts {
-            ends.push(next);
-            next += c;
-        }
-        for k in keys.iter_mut() {
-            let dest = &mut ends[*k as usize];
-            *k = *dest;
-            *dest += 1;
-        }
-        for i in 0..keys.len() {
-            while keys[i] as usize != i {
-                let dest = keys[i] as usize;
-                values.swap(i, dest);
-                keys.swap(i, dest);
-            }
-        }
-        Ok(Sorted {
-            values,
-            counts,
-            ends,
-        })
     }
 
-    /// Advances a `K′` coordinate to the next image key, row-major.
-    fn step(&self, key: &mut [u64]) {
-        for d in (0..key.len()).rev() {
-            key[d] += 1;
-            if key[d] < self.corner[d] + self.extents[d] {
-                return;
+    /// Calls `f(index, key)` for each image key in row-major order,
+    /// which is `K′` key order: its index and its `K′` components,
+    /// stepped by an odometer.
+    fn for_each_key(&self, mut f: impl FnMut(usize, &[u64])) {
+        let mut key = self.corner.clone();
+        for i in 0..self.keys() {
+            f(i, &key);
+            for d in (0..key.len()).rev() {
+                key[d] += 1;
+                if key[d] < self.corner[d] + self.extents[d] {
+                    break;
+                }
+                key[d] = self.corner[d];
             }
-            key[d] = self.corner[d];
         }
-    }
-
-    /// Image key `i` as a `K′` coordinate.
-    fn key(&self, i: u32) -> Coord {
-        let mut rest = u64::from(i);
-        Coord::new(
-            self.corner
-                .iter()
-                .zip(&self.strides)
-                .map(|(&corner, &stride)| {
-                    let j = rest / stride;
-                    rest %= stride;
-                    corner + j
-                })
-                .collect::<Vec<_>>(),
-        )
     }
 }

@@ -265,3 +265,30 @@ fn chunk_major_order_reaches_the_sum() {
         seed: 11,
     });
 }
+
+/// The benchmark's geometry in miniature: a fig.-8-shaped split read
+/// in 7 chunks of 6 or 5 rows along dimension 1, which cut four of its
+/// eight 5-row tile rows, so half the keys' values span two chunks and
+/// the count and place passes must agree on reader order across them.
+/// With and without a combiner and a pushed-down filter, under both
+/// routes.
+#[test]
+fn fig8_shaped_split_with_keys_across_chunks() {
+    for operator in [Operator::Median, Operator::Max] {
+        for pushdown in [None, Some(0.5)] {
+            run(&Case {
+                space: vec![14, 40, 10],
+                extraction: vec![7, 5, 1],
+                gap: vec![0, 0, 0],
+                region: None,
+                split_corner: vec![7, 0, 0],
+                split_shape: vec![7, 40, 10],
+                operator,
+                reducers: 5,
+                pushdown,
+                dtype: 3,
+                seed: 48,
+            });
+        }
+    }
+}

@@ -243,92 +243,117 @@ where
         )));
     }
     let same_key = |a: &(K, V), b: &(K, V)| a.0 == b.0;
-    Ok(write_v4(
-        file.raw_count,
-        records.len(),
-        records.chunk_by(same_key).count(),
-        kw,
-        vw,
-        |table| {
-            for run in records.chunk_by(same_key) {
-                table.push(run.len(), |out| (kc.write)(&run[0].0, out));
-            }
-        },
-        |out| {
-            for (_, v) in records {
-                (vc.write)(v, out);
-            }
-        },
-    ))
+    let runs = records.chunk_by(same_key).count();
+    let mut writer = SmofWriter::new(file.raw_count, records.len(), runs, kw, vw);
+    for run in records.chunk_by(same_key) {
+        writer.push_run(run.len(), |slot| (kc.write)(&run[0].0, slot));
+    }
+    if vw > 0 {
+        let slots = writer.values_mut().chunks_exact_mut(vw);
+        for (slot, (_, v)) in slots.zip(records) {
+            (vc.write)(v, slot);
+        }
+    }
+    Ok(writer.seal())
 }
 
-/// The one SMOF v4 writer: header, run table, values and CRC, into one
-/// exactly-sized buffer. `table` pushes exactly `runs` runs in strictly
-/// ascending key order, `records` values between them; `values` then
-/// appends exactly `records` values of `val_width` bytes each, in run
-/// order. The CRC is patched in last, so a caller never lays out
-/// anything but its runs and values.
+/// The one SMOF v4 writer, in two phases. [`SmofWriter::new`] makes
+/// the partition's one allocation, exactly sized and zero-filled, and
+/// writes its header; the run table is then pushed in strictly
+/// ascending key order ([`SmofWriter::push_run`]). Once it holds
+/// exactly `runs` runs over `records` records,
+/// [`SmofWriter::values_mut`] hands over the values region,
+/// `records × val_width` bytes in run order, to be overwritten in any
+/// order. [`SmofWriter::seal`] patches in the CRC and is the only way
+/// to the bytes, so an unsealed partition cannot escape.
 ///
 /// [`encode_map_output`] and the geometric map kernel of spec jobs
 /// both write through here.
-pub fn write_v4(
-    raw: u64,
-    records: usize,
+pub struct SmofWriter {
+    buf: Vec<u8>,
     runs: usize,
+    records: usize,
     key_width: usize,
-    val_width: usize,
-    table: impl FnOnce(&mut RunTable<'_>),
-    values: impl FnOnce(&mut Vec<u8>),
-) -> Vec<u8> {
-    let values_off = HEADER_LEN + runs * (key_width + END_WIDTH);
-    let len = values_off + records * val_width;
-    let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&raw.to_le_bytes());
-    out.extend_from_slice(&(records as u64).to_le_bytes());
-    out.extend_from_slice(&(runs as u32).to_le_bytes());
-    out.extend_from_slice(&(key_width as u32).to_le_bytes());
-    out.extend_from_slice(&(val_width as u32).to_le_bytes());
-    out.extend_from_slice(&[0; 4]); // CRC, patched in below
-    let mut run_table = RunTable {
-        out: &mut out,
-        key_width,
-        end: 0,
-    };
-    table(&mut run_table);
-    let end = run_table.end;
-    assert_eq!(
-        (out.len(), end),
-        (values_off, records),
-        "the table must hold exactly {runs} runs over {records} records"
-    );
-    values(&mut out);
-    assert_eq!(out.len(), len, "values must fill exactly {records} records");
-    let crc = frame_crc(&out);
-    out[CRC_OFF..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// The run table of a buffer [`write_v4`] is writing.
-pub struct RunTable<'a> {
-    out: &'a mut Vec<u8>,
-    key_width: usize,
+    /// Run-table entries pushed so far.
+    pushed: usize,
     /// Records covered by the runs pushed so far.
     end: usize,
 }
 
-impl RunTable<'_> {
-    /// Appends the next run: `len` values (at least one) under the key
-    /// that `key` appends, exactly `key_width` bytes of it.
-    pub fn push(&mut self, len: usize, key: impl FnOnce(&mut Vec<u8>)) {
+impl SmofWriter {
+    /// A writer of one partition: `raw` is the §3.2.1 annotation,
+    /// `records` values of `val_width` bytes in `runs` runs under keys
+    /// of `key_width` bytes.
+    pub fn new(raw: u64, records: usize, runs: usize, key_width: usize, val_width: usize) -> Self {
+        let len = HEADER_LEN + runs * (key_width + END_WIDTH) + records * val_width;
+        let mut buf = vec![0; len];
+        let header = [
+            &MAGIC[..],
+            &VERSION.to_le_bytes(),
+            &raw.to_le_bytes(),
+            &(records as u64).to_le_bytes(),
+            &(runs as u32).to_le_bytes(),
+            &(key_width as u32).to_le_bytes(),
+            &(val_width as u32).to_le_bytes(),
+        ];
+        let mut at = 0;
+        for field in header {
+            buf[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        }
+        debug_assert_eq!(at, CRC_OFF); // the CRC is patched in by `seal`
+        SmofWriter {
+            buf,
+            runs,
+            records,
+            key_width,
+            pushed: 0,
+            end: 0,
+        }
+    }
+
+    /// Appends the next run-table entry: `len` values (at least one)
+    /// under the key `key` writes into its `key_width`-byte slot.
+    pub fn push_run(&mut self, len: usize, key: impl FnOnce(&mut [u8])) {
         assert!(len > 0, "a run holds at least one value");
-        let at = self.out.len();
-        key(self.out);
-        assert_eq!(self.out.len() - at, self.key_width, "one packed key");
+        assert!(
+            self.pushed < self.runs,
+            "the table holds {} runs",
+            self.runs
+        );
+        let at = HEADER_LEN + self.pushed * (self.key_width + END_WIDTH);
+        key(&mut self.buf[at..at + self.key_width]);
+        self.pushed += 1;
         self.end += len;
         let end = u32::try_from(self.end).expect("run ends fit u32");
-        self.out.extend_from_slice(&end.to_le_bytes());
+        let at = at + self.key_width;
+        self.buf[at..at + END_WIDTH].copy_from_slice(&end.to_le_bytes());
+    }
+
+    /// The values region, once the run table is complete.
+    pub fn values_mut(&mut self) -> &mut [u8] {
+        self.check_table();
+        let values_off = HEADER_LEN + self.runs * (self.key_width + END_WIDTH);
+        &mut self.buf[values_off..]
+    }
+
+    /// The finished partition: the CRC over the header and body
+    /// patched in.
+    pub fn seal(mut self) -> Vec<u8> {
+        self.check_table();
+        let crc = frame_crc(&self.buf);
+        self.buf[CRC_OFF..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        self.buf
+    }
+
+    fn check_table(&self) {
+        assert_eq!(
+            (self.pushed, self.end),
+            (self.runs, self.records),
+            "the table must hold exactly {} runs over {} records",
+            self.runs,
+            self.records
+        );
     }
 }
 

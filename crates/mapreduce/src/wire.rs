@@ -34,8 +34,8 @@ pub struct FixedCodec<T> {
     /// Whether some value encodes in exactly this many bytes: a reader
     /// checks a file's widths with it before decoding anything.
     pub width_ok: fn(usize) -> bool,
-    /// Appends exactly `width(v)` bytes.
-    pub write: fn(&T, &mut Vec<u8>),
+    /// Writes `v` into `out`, exactly `width(v)` bytes long.
+    pub write: fn(&T, &mut [u8]),
     /// Decodes from exactly one encoded value's bytes.
     pub read: fn(&[u8]) -> T,
     /// Total order on encoded bytes.
@@ -67,7 +67,7 @@ macro_rules! impl_wire_num {
                 FixedCodec {
                     width: |_| std::mem::size_of::<$t>(),
                     width_ok: |w| w == std::mem::size_of::<$t>(),
-                    write: |v, out| out.extend_from_slice(&v.to_le_bytes()),
+                    write: |v, out| out.copy_from_slice(&v.to_le_bytes()),
                     read: read_one,
                     cmp: |a, b| $cmp(&read_one(a), &read_one(b)),
                     cmp_decoded: |v, b| $cmp(v, &read_one(b)),
@@ -90,7 +90,7 @@ impl WireFormat for sidr_coords::Coord {
         FixedCodec {
             width: Coord::packed_width,
             width_ok: |w| w % 8 == 0,
-            write: Coord::write_packed,
+            write: |c, out| Coord::pack_words(c.components(), out),
             read: Coord::from_packed,
             cmp: Coord::cmp_packed,
             cmp_decoded: Coord::cmp_decoded_packed,
@@ -108,7 +108,7 @@ mod tests {
         fn check<T: WireFormat + Clone + PartialEq + std::fmt::Debug>(values: &[T]) {
             let codec = T::fixed_codec();
             for v in values {
-                let mut packed = Vec::new();
+                let mut packed = vec![0; (codec.width)(v)];
                 (codec.write)(v, &mut packed);
                 assert_eq!(packed.len(), (codec.width)(v));
                 assert!((codec.width_ok)(packed.len()));
@@ -117,7 +117,7 @@ mod tests {
             }
             for a in values {
                 for b in values {
-                    let (mut pa, mut pb) = (Vec::new(), Vec::new());
+                    let (mut pa, mut pb) = (vec![0; (codec.width)(a)], vec![0; (codec.width)(b)]);
                     (codec.write)(a, &mut pa);
                     (codec.write)(b, &mut pb);
                     assert_eq!((codec.cmp)(&pa, &pb).reverse(), (codec.cmp)(&pb, &pa));
@@ -140,7 +140,7 @@ mod tests {
         // LE bytes of 256 are [0,1,...]; memcmp would call that less
         // than 1's [1,0,...]. The codec must compare by value.
         let codec = u64::fixed_codec();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut a, mut b) = ([0; 8], [0; 8]);
         (codec.write)(&256u64, &mut a);
         (codec.write)(&1u64, &mut b);
         assert_eq!((codec.cmp)(&a, &b), Ordering::Greater);
