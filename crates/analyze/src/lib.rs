@@ -12,11 +12,17 @@
 //! 1. **Coverage & disjointness** (`SIDR-E001`/`SIDR-E002`) — the
 //!    keyblocks tile `K′ᵀ` exactly: slab covers are in-bounds,
 //!    pairwise disjoint and count-balanced, and the per-key partition
-//!    function agrees with the covers, hot path included.
+//!    function agrees with the covers, hot path included. One walk
+//!    over `K′ᵀ`, one `Coord` stepped in place, routes every key
+//!    through both paths; nothing is allocated per key. The input
+//!    splits tile the query region the same way: a split outside it,
+//!    or a gap, is `SIDR-E001`; two splits reading the same records
+//!    are `SIDR-E002`.
 //! 2. **Dependency soundness & completeness**
 //!    (`SIDR-E003`/`SIDR-W004`) — each `I_ℓ` is recomputed
 //!    independently from the extraction-shape algebra (image of each
 //!    split, reference per-key routing) and compared edge by edge.
+//!    Each image is walked the same way, allocating nothing per key.
 //! 3. **Skew certificate** (`SIDR-E005`) — the dealing unit respects
 //!    the permissible skew and observed keyblock sizes differ by at
 //!    most one unit, with witness keyblocks (§3.1).
@@ -33,14 +39,14 @@
 //! geometric half on top, renders findings through
 //! [`sidr_core::diag`], and ships the `sidr-lint` CLI.
 
-use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use sidr_coords::{cover, CoverDefect, Slab};
 use sidr_core::diag::{codes, Diagnostic, Report};
 use sidr_core::spec::JobSpec;
 use sidr_core::verify::{structural_check, PlanView};
 use sidr_core::{PartitionPlus, SidrPlan, StructuralQuery};
-use sidr_mapreduce::{InputSplit, Partitioner};
+use sidr_mapreduce::InputSplit;
 
 pub mod presets;
 
@@ -99,6 +105,7 @@ pub fn analyze(
     let mut report = structural_check(view);
     let mut budget = opts.key_budget;
     check_cover_geometry(view, opts, &mut report);
+    check_split_tiling(query, splits, opts, &mut report);
     check_membership(view, &mut budget, &mut report);
     check_dependencies(query, splits, view, &mut budget, &mut report);
     check_skew(view, opts, &mut report);
@@ -246,10 +253,90 @@ fn check_cover_geometry(view: &PlanView, opts: &AnalyzeOptions, report: &mut Rep
     }
 }
 
+/// Invariant 1, input side: the splits tile the query region exactly —
+/// in bounds, pairwise disjoint, counts balancing to the region's
+/// (`SIDR-E001`/`SIDR-E002`). Every split generator tiles it and the
+/// §3.2.1 tallies assume it: a record read twice, or by no map, would
+/// fail the job's tally only after admission. More splits than
+/// `pairwise_slab_limit` skip the O(n²) overlap pass, not the bounds
+/// or a gap.
+fn check_split_tiling(
+    query: &StructuralQuery,
+    splits: &[InputSplit],
+    opts: &AnalyzeOptions,
+    report: &mut Report,
+) {
+    let space = query.input_space();
+    let corner = query.region().corner().clone();
+    // Splits relative to the region corner; one starting before the
+    // corner lies outside the region.
+    let rel: Result<Vec<Slab>, usize> = splits
+        .iter()
+        .enumerate()
+        .map(|(index, split)| {
+            split
+                .slab
+                .corner()
+                .checked_sub(&corner)
+                .and_then(|c| Slab::new(c, split.slab.shape().clone()))
+                .map_err(|_| index)
+        })
+        .collect();
+    let defect = match rel {
+        Err(index) => Some(CoverDefect::OutOfBounds { index }),
+        Ok(rel) if rel.len() > opts.pairwise_slab_limit => {
+            report.push(
+                Diagnostic::info(
+                    codes::TRUNCATED,
+                    "too many splits for the pairwise tiling proof",
+                )
+                .with("splits", rel.len())
+                .with("limit", opts.pairwise_slab_limit),
+            );
+            // Without the overlap proof a count short of the region's
+            // still proves a gap. (A sum past `u64` proves overlap, not
+            // a gap.)
+            cover::first_out_of_bounds(&rel, space)
+                .map(|index| CoverDefect::OutOfBounds { index })
+                .or_else(|| {
+                    let covered = rel.iter().try_fold(0u64, |n, s| n.checked_add(s.count()))?;
+                    (covered < space.count()).then(|| CoverDefect::CountMismatch {
+                        covered,
+                        expected: space.count(),
+                    })
+                })
+        }
+        Ok(rel) => cover::exact_cover_defect(&rel, space),
+    };
+    let Some(defect) = defect else { return };
+    report.push(match defect {
+        CoverDefect::OutOfBounds { index } => Diagnostic::error(
+            codes::COVERAGE,
+            "input split extends outside the query region",
+        )
+        .with("split", index)
+        .with("slab", &splits[index].slab),
+        CoverDefect::Overlap { a, b, shared } => Diagnostic::error(
+            codes::OVERLAP,
+            "input splits overlap: their shared records would be read twice",
+        )
+        .with("split_a", a)
+        .with("split_b", b)
+        .with("shared_records", shared),
+        CoverDefect::CountMismatch { covered, expected } => Diagnostic::error(
+            codes::COVERAGE,
+            "input splits do not tile the query region: some records would be read by no map",
+        )
+        .with("covered_records", covered)
+        .with("region_records", expected),
+    });
+}
+
 /// Invariant 1, exhaustive half: route every key of `K′ᵀ` through the
 /// partition function — reference path and the strength-reduced hot
 /// path maps actually use — and balance the per-keyblock tallies
-/// against the claimed key counts.
+/// against the claimed key counts. One walk, one `Coord` stepped in
+/// place.
 fn check_membership(view: &PlanView, budget: &mut u64, report: &mut Report) {
     let cp = view.partition.partition();
     let r = view.num_reducers();
@@ -265,31 +352,34 @@ fn check_membership(view: &PlanView, budget: &mut u64, report: &mut Report) {
     *budget -= total;
 
     let mut tallies = vec![0u64; r];
-    for key in Slab::whole(&view.kspace).iter_coords() {
-        let b = match cp.keyblock_of_key(&key) {
+    let walk = Slab::whole(&view.kspace).try_for_each_coord(|key| {
+        let b = match cp.keyblock_of_key(key) {
             Ok(b) if b < r => b,
             _ => {
-                report.push(
+                return ControlFlow::Break(
                     Diagnostic::error(codes::COVERAGE, "key is owned by no keyblock")
-                        .with("key", &key),
-                );
-                return;
+                        .with("key", key),
+                )
             }
         };
-        let fast = Partitioner::partition(&view.partition, &key, r);
+        let fast = view.partition.keyblock_of(key.components());
         if fast != b {
-            report.push(
+            return ControlFlow::Break(
                 Diagnostic::error(
                     codes::OVERLAP,
                     "hot-path routing disagrees with the reference partition",
                 )
-                .with("key", &key)
+                .with("key", key)
                 .with("reference_keyblock", b)
                 .with("hot_path_keyblock", fast),
             );
-            return;
         }
         tallies[b] += 1;
+        ControlFlow::Continue(())
+    });
+    if let ControlFlow::Break(finding) = walk {
+        report.push(finding);
+        return;
     }
     let mut mismatches = 0usize;
     for (b, &tally) in tallies.iter().enumerate() {
@@ -325,8 +415,10 @@ fn check_membership(view: &PlanView, budget: &mut u64, report: &mut Report) {
 
 /// Invariant 2: recompute each split's keyblock set independently —
 /// image of the split under the extraction shape, then reference
-/// per-key routing — and compare against the plan's dependency
-/// tables edge by edge (`SIDR-E003` missing, `SIDR-W004` spurious).
+/// per-key routing — and compare against the plan's dependency tables
+/// edge by edge (`SIDR-E003` missing, `SIDR-W004` spurious). Each
+/// image is walked with one `Coord` stepped in place, marking a
+/// reused flag per keyblock.
 fn check_dependencies(
     query: &StructuralQuery,
     splits: &[InputSplit],
@@ -338,6 +430,10 @@ fn check_dependencies(
     let mut skipped = 0usize;
     let mut missing = 0usize;
     let mut spurious = 0usize;
+    // Reused across splits: the recomputed keyblock set, and the
+    // stored one sorted and deduplicated.
+    let mut fed = vec![false; view.num_reducers()];
+    let mut listed: Vec<usize> = Vec::new();
     for (m, split) in splits.iter().enumerate() {
         let image = match query.image_of_split(&split.slab) {
             Ok(i) => i,
@@ -350,26 +446,28 @@ fn check_dependencies(
                 return;
             }
         };
-        let expected: BTreeSet<usize> = match image {
-            None => BTreeSet::new(),
-            Some(img) => {
-                let n = img.count();
-                if n > *budget {
-                    skipped += 1;
-                    continue;
-                }
-                *budget -= n;
-                img.iter_coords()
-                    .filter_map(|kp| cp.keyblock_of_key(&kp).ok())
-                    .collect()
+        fed.fill(false);
+        if let Some(img) = image {
+            let n = img.count();
+            if n > *budget {
+                skipped += 1;
+                continue;
             }
-        };
-        let actual: BTreeSet<usize> = view
-            .map_feeds
-            .get(m)
-            .map(|f| f.iter().copied().collect())
-            .unwrap_or_default();
-        for &b in expected.difference(&actual) {
+            *budget -= n;
+            let _ = img.try_for_each_coord(|key| {
+                // Keys the reference cannot route feed nothing.
+                let b = cp.keyblock_of_key(key).ok();
+                if let Some(f) = b.and_then(|b| fed.get_mut(b)) {
+                    *f = true;
+                }
+                ControlFlow::<()>::Continue(())
+            });
+        }
+        listed.clear();
+        listed.extend(view.map_feeds.get(m).into_iter().flatten());
+        listed.sort_unstable();
+        listed.dedup();
+        for b in (0..fed.len()).filter(|&b| fed[b] && listed.binary_search(&b).is_err()) {
             missing += 1;
             if missing <= DETAIL_CAP {
                 report.push(
@@ -383,7 +481,10 @@ fn check_dependencies(
                 );
             }
         }
-        for &b in actual.difference(&expected) {
+        for &b in listed
+            .iter()
+            .filter(|&&b| !fed.get(b).copied().unwrap_or(false))
+        {
             spurious += 1;
             if spurious <= DETAIL_CAP {
                 report.push(
@@ -497,6 +598,35 @@ mod tests {
         let splits = SplitGenerator::new(q.input_space().clone(), 8)
             .exact_count(6)
             .unwrap();
+        let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
+        let report = analyze_plan(&q, &splits, &plan, &AnalyzeOptions::default());
+        assert!(report.is_clean(), "unexpected findings:\n{report}");
+    }
+
+    /// Region splits are absolute; the tiling check takes them
+    /// relative to the region corner.
+    #[test]
+    fn region_plan_analyzes_clean() {
+        let space = sidr_coords::Shape::new(vec![64, 10]).unwrap();
+        let region = Slab::new(
+            sidr_coords::Coord::from([16, 0]),
+            sidr_coords::Shape::new(vec![32, 10]).unwrap(),
+        )
+        .unwrap();
+        let q = StructuralQuery::over_region(
+            "t",
+            &space,
+            region.clone(),
+            sidr_coords::Shape::new(vec![8, 5]).unwrap(),
+            Operator::Mean,
+        )
+        .unwrap();
+        let splits = SplitGenerator::new(space, 8)
+            .for_region(region)
+            .unwrap()
+            .aligned(8 * 10 * 8, 8)
+            .unwrap();
+        assert!(splits.len() > 1);
         let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
         let report = analyze_plan(&q, &splits, &plan, &AnalyzeOptions::default());
         assert!(report.is_clean(), "unexpected findings:\n{report}");

@@ -5,7 +5,7 @@
 use sidr_analyze::diag::codes;
 use sidr_analyze::verify::PlanView;
 use sidr_analyze::{analyze, analyze_spec, AnalyzeOptions};
-use sidr_coords::Shape;
+use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{InputSplit, SplitGenerator};
@@ -237,4 +237,125 @@ fn planner_preflight_runs_on_every_build() {
     // the tests above; here we prove the pre-flight path itself runs
     // by checking a degenerate planner input still errors cleanly.
     assert!(SidrPlanner::new(&q, 0).build(&splits).is_err());
+}
+
+/// Truncation keeps its partial coverage: with the key budget one
+/// short of `|K′ᵀ|`, membership is skipped (`SIDR-I010`) but every
+/// split image that fits is still checked, so a dropped edge of split
+/// 0 is still `SIDR-E003`.
+#[test]
+fn truncated_membership_still_checks_dependencies() {
+    let (q, splits, mut view) = fixture();
+    let b = *view.map_feeds[0].first().expect("split 0 feeds something");
+    view.map_feeds[0].retain(|&x| x != b);
+    view.reduce_deps[b].retain(|&m| m != 0);
+    let opts = AnalyzeOptions {
+        key_budget: view.kspace.count() - 1,
+        ..AnalyzeOptions::default()
+    };
+    let report = analyze(&q, &splits, &view, &opts);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::TRUNCATED && d.context.iter().any(|(k, _)| k == "keys")),
+        "membership must report its truncation:\n{report}"
+    );
+    assert!(
+        report.has_code(codes::DEP_MISSING),
+        "wrong codes:\n{report}"
+    );
+}
+
+/// A submission over `{28,10,4}` with `{7,5,1}` keys and 4 splits of
+/// 7 rows each — the fixture for the split-tiling mutations below.
+fn tiled_spec() -> JobSpec {
+    let q = StructuralQuery::new(
+        "t",
+        Shape::new(vec![28, 10, 4]).unwrap(),
+        Shape::new(vec![7, 5, 1]).unwrap(),
+        Operator::Mean,
+    )
+    .unwrap();
+    let splits = SplitGenerator::new(q.input_space().clone(), 8)
+        .exact_count(4)
+        .unwrap();
+    assert_eq!(splits[3].slab.corner(), &Coord::from([21, 0, 0]));
+    let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
+    let spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    let clean = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    assert!(clean.is_clean(), "unexpected findings:\n{clean}");
+    spec
+}
+
+fn slab(corner: [u64; 3], shape: [u64; 3]) -> Slab {
+    Slab::new(Coord::from(corner), Shape::new(shape.to_vec()).unwrap()).unwrap()
+}
+
+/// A split widened past the input space reads records that do not
+/// exist: `SIDR-E001`, naming the split.
+#[test]
+fn split_past_the_input_space_is_e001() {
+    let mut spec = tiled_spec();
+    spec.splits[3].slab = slab([21, 0, 0], [14, 10, 4]);
+    let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    assert!(report.has_errors(), "admitted:\n{report}");
+    assert!(report.has_code(codes::COVERAGE), "wrong codes:\n{report}");
+    assert!(report.to_json().contains("[\"split\",\"3\"]"), "{report}");
+}
+
+/// A split moved wholly outside the input space leaves its rows
+/// unread — an error, not just a spurious-edge warning.
+#[test]
+fn split_outside_the_input_space_is_e001() {
+    let mut spec = tiled_spec();
+    spec.splits[3].slab = slab([28, 0, 0], [7, 10, 4]);
+    let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    assert!(report.has_errors(), "admitted:\n{report}");
+    assert!(report.has_code(codes::COVERAGE), "wrong codes:\n{report}");
+}
+
+/// Two splits over the same rows, with `reduce_deps` re-derived to
+/// match, agree with every dependency check — but rows 14..21 would be
+/// read twice and rows 21..28 never: `SIDR-E002`.
+#[test]
+fn duplicated_split_is_e002() {
+    let mut spec = tiled_spec();
+    spec.splits[3] = spec.splits[2].clone();
+    for deps in &mut spec.reduce_deps {
+        deps.retain(|&m| m != 3);
+        if deps.contains(&2) {
+            deps.push(3);
+        }
+    }
+    let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    assert!(report.has_errors(), "admitted:\n{report}");
+    assert!(report.has_code(codes::OVERLAP), "wrong codes:\n{report}");
+}
+
+/// Over `pairwise_slab_limit` the split overlap proof is skipped
+/// (`SIDR-I010`), but a split set whose records fall short of the
+/// region's is still a gap: `SIDR-E001`.
+#[test]
+fn gapped_splits_over_the_pairwise_limit_are_e001() {
+    let opts = AnalyzeOptions {
+        pairwise_slab_limit: 2,
+        ..AnalyzeOptions::default()
+    };
+    let mut spec = tiled_spec();
+    let clean = analyze_spec(&spec, &opts).unwrap();
+    assert!(!clean.has_errors(), "unexpected errors:\n{clean}");
+    spec.splits[3].slab = slab([21, 0, 0], [3, 10, 4]);
+    let report = analyze_spec(&spec, &opts).unwrap();
+    let has = |code: &str, key: &str| {
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == code && d.context.iter().any(|(k, _)| k == key))
+    };
+    assert!(has(codes::TRUNCATED, "splits"), "no truncation:\n{report}");
+    assert!(
+        has(codes::COVERAGE, "covered_records"),
+        "admitted:\n{report}"
+    );
 }

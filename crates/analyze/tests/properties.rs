@@ -92,4 +92,28 @@ proptest! {
             "wrong codes:\n{report}"
         );
     }
+
+    /// Adding any edge whose split contributes nothing to its keyblock
+    /// (to both tables, as a buggy derivation would) is reported as
+    /// spurious, and only warned about.
+    #[test]
+    fn spurious_edge_is_always_reported(
+        (q, splits, reducers) in geometry(),
+        pick in 0usize..1024,
+    ) {
+        let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
+        let mut view = PlanView::of_plan(&plan, &q, &splits);
+        let non_edges: Vec<(usize, usize)> = (0..splits.len())
+            .flat_map(|m| (0..view.num_reducers()).map(move |b| (b, m)))
+            .filter(|&(b, m)| !view.map_feeds[m].contains(&b))
+            .collect();
+        prop_assume!(!non_edges.is_empty());
+        let (b, m) = non_edges[pick % non_edges.len()];
+        view.map_feeds[m].push(b);
+        view.reduce_deps[b].push(m);
+        view.reduce_deps[b].sort_unstable();
+        let report = analyze(&q, &splits, &view, &AnalyzeOptions::default());
+        prop_assert!(report.has_code(codes::DEP_SPURIOUS), "spurious edge ({b}, {m}) not reported:\n{report}");
+        prop_assert!(!report.has_errors(), "a spurious edge is no error:\n{report}");
+    }
 }

@@ -2,21 +2,24 @@
 //! counting allocator: the binary keyblock encoder makes O(1)
 //! allocator calls per keyblock, the streaming merge holds
 //! O(sources + one group) live bytes however many records it drains,
-//! a SMOF encode is one exactly-sized buffer, and the geometric map
-//! kernel holds no more than its input and its output partitions.
+//! a SMOF encode is one exactly-sized buffer, the geometric map
+//! kernel holds no more than its input and its output partitions, and
+//! the admission pre-flight allocates nothing per key.
 //!
 //! One `#[test]` on purpose: the counters are process-global, so two
 //! tests on parallel threads would count each other's allocations.
 
 use std::sync::Arc;
 
+use sidr_analyze::{analyze_spec, AnalyzeOptions};
 use sidr_bench::{AllocScope, CountingAlloc};
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::geomap::map_split;
 use sidr_core::source::StructuralMapper;
-use sidr_core::{Operator, PartitionPlus, StructuralQuery};
+use sidr_core::spec::JobSpec;
+use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::shuffle_file::{crc32, encode_map_output};
-use sidr_mapreduce::{MapOutputFile, MergeIter, Smof3View};
+use sidr_mapreduce::{InputSplit, MapOutputFile, MergeIter, Smof3View};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_serve::binframe;
 
@@ -190,5 +193,60 @@ fn wire_path_allocation_invariants() {
     assert!(
         peak <= bound,
         "map_split peak live bytes {peak} exceed input {input} + output {output} + 64 KiB"
+    );
+
+    // (e) The admission pre-flight routes `K′ᵀ` and each split image
+    // in walks that step a single `Coord` in place, and keeps nothing
+    // per key. Four times the keys over the same 8 splits and 4
+    // reducers: the same allocator calls and the same peak live bytes
+    // (measured: 501 calls, 1,873 bytes).
+    let runs: Vec<(u64, u64, u64)> = [50, 200]
+        .into_iter()
+        .map(|width| {
+            let space = Shape::new(vec![56, 50, width]).expect("valid");
+            let extraction = Shape::new(vec![7, 5, 1]).expect("valid");
+            let query =
+                StructuralQuery::new("v", space, extraction, Operator::Mean).expect("valid");
+            let splits: Vec<InputSplit> = (0..8u64)
+                .map(|i| InputSplit {
+                    slab: Slab::new(
+                        Coord::from([7 * i, 0, 0]),
+                        Shape::new(vec![7, 50, width]).expect("valid"),
+                    )
+                    .expect("valid"),
+                    byte_range: (0, 0),
+                    preferred_nodes: Vec::new(),
+                })
+                .collect();
+            let plan = SidrPlanner::new(&query, 4).build(&splits).expect("plans");
+            let spec = JobSpec::from_plan(&query, &splits, &plan).expect("spec");
+            let keys = query.intermediate_space().count();
+            let scope = AllocScope::start();
+            let report = analyze_spec(&spec, &AnalyzeOptions::default()).expect("analyzes");
+            let (_bytes, calls, peak) = scope.finish();
+            assert!(report.is_clean(), "unexpected findings:\n{report}");
+            (keys, calls, peak)
+        })
+        .collect();
+    assert_eq!(
+        (runs[0].0, runs[1].0),
+        (4_000, 16_000),
+        "K′ᵀ keys at the two sizes"
+    );
+    assert!(
+        runs[0].1 == runs[1].1 && runs[0].1 < 1_000,
+        "analyze_spec allocator calls {} at {} keys, {} at {} keys",
+        runs[0].1,
+        runs[0].0,
+        runs[1].1,
+        runs[1].0
+    );
+    assert!(
+        runs[0].2 == runs[1].2 && runs[0].2 <= 32 * 1024,
+        "analyze_spec peak live bytes {} at {} keys, {} at {} keys",
+        runs[0].2,
+        runs[0].0,
+        runs[1].2,
+        runs[1].0
     );
 }

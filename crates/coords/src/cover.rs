@@ -73,17 +73,20 @@ pub fn first_overlap(slabs: &[Slab]) -> Option<(usize, usize, u64)> {
     None
 }
 
+/// Index of the first slab not inside `[0, space)`.
+pub fn first_out_of_bounds(slabs: &[Slab], space: &Shape) -> Option<usize> {
+    let whole = Slab::whole(space);
+    slabs.iter().position(|s| !whole.contains_slab(s))
+}
+
 /// Checks that `slabs` exactly tile `[0, space)`: all in bounds,
 /// pairwise disjoint, counts summing to `space.count()`. Disjointness
 /// plus an exact count balance implies every coordinate is covered
 /// exactly once, so no per-key enumeration is needed. Returns the
 /// first defect found, or `None` for an exact cover.
 pub fn exact_cover_defect(slabs: &[Slab], space: &Shape) -> Option<CoverDefect> {
-    let whole = Slab::whole(space);
-    for (index, s) in slabs.iter().enumerate() {
-        if !whole.contains_slab(s) {
-            return Some(CoverDefect::OutOfBounds { index });
-        }
+    if let Some(index) = first_out_of_bounds(slabs, space) {
+        return Some(CoverDefect::OutOfBounds { index });
     }
     if let Some((a, b, shared)) = first_overlap(slabs) {
         return Some(CoverDefect::Overlap { a, b, shared });

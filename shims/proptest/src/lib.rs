@@ -14,7 +14,8 @@
 //! Only the surface this workspace uses is implemented: integer/float
 //! range strategies, `Just`, tuples, `Vec<S>`, `prop_map`,
 //! `prop_flat_map`, `prop::collection::vec`, `any::<bool>()`,
-//! `prop_oneof!`, and the `proptest!`/`prop_assert*` macros.
+//! `prop_oneof!`, and the `proptest!`/`prop_assert*`/`prop_assume!`
+//! macros.
 
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
@@ -474,6 +475,18 @@ macro_rules! prop_assert {
     };
 }
 
+/// Skips the rest of a case whose inputs do not meet a precondition.
+/// Unlike the real crate, the skipped case is not replaced by a fresh
+/// draw: it counts toward `cases`.
+#[macro_export]
+macro_rules! prop_assume {
+    ($cond:expr $(, $($fmt:tt)+)?) => {
+        if !$cond {
+            return ::std::result::Result::Ok(());
+        }
+    };
+}
+
 /// Asserts equality inside a `proptest!` body.
 #[macro_export]
 macro_rules! prop_assert_eq {
@@ -524,8 +537,8 @@ macro_rules! prop_oneof {
 /// The glob-import surface used by tests (`use proptest::prelude::*`).
 pub mod prelude {
     pub use crate::{
-        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Arbitrary,
-        Just, ProptestConfig, Strategy, TestCaseError,
+        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+        Arbitrary, Just, ProptestConfig, Strategy, TestCaseError,
     };
 }
 
