@@ -67,9 +67,9 @@ pub struct AnalyzeOptions {
     /// (membership over `K′ᵀ` plus per-split image enumeration).
     /// Passes that would exceed it are skipped with `SIDR-I010`.
     pub key_budget: u64,
-    /// Pairwise slab-intersection work cap for the disjointness
-    /// proof; covers with more slabs skip the O(n²) pass (the count
-    /// balance and membership passes still run).
+    /// Slab cap for the disjointness proof; covers and split sets
+    /// with more slabs skip its overlap sweep (the count balance and
+    /// membership passes still run).
     pub pairwise_slab_limit: usize,
 }
 
@@ -258,8 +258,8 @@ fn check_cover_geometry(view: &PlanView, opts: &AnalyzeOptions, report: &mut Rep
 /// (`SIDR-E001`/`SIDR-E002`). Every split generator tiles it and the
 /// §3.2.1 tallies assume it: a record read twice, or by no map, would
 /// fail the job's tally only after admission. More splits than
-/// `pairwise_slab_limit` skip the O(n²) overlap pass, not the bounds
-/// or a gap.
+/// `pairwise_slab_limit` skip the overlap sweep, not the bounds or a
+/// gap.
 fn check_split_tiling(
     query: &StructuralQuery,
     splits: &[InputSplit],

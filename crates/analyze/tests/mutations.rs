@@ -333,6 +333,46 @@ fn duplicated_split_is_e002() {
     assert!(report.has_code(codes::OVERLAP), "wrong codes:\n{report}");
 }
 
+/// At `pairwise_slab_limit` the split overlap proof still runs, as a
+/// sweep: 20,000 one-row splits are proved disjoint, and one row read
+/// twice is `SIDR-E002` naming both splits — the lowest overlapping
+/// pair, as a pairwise scan would report it.
+#[test]
+fn overlap_proof_at_the_split_limit() {
+    const ROWS: u64 = 20_000;
+    let limit = AnalyzeOptions::default().pairwise_slab_limit;
+    assert_eq!(ROWS as usize, limit);
+    let q = StructuralQuery::new(
+        "t",
+        Shape::new(vec![ROWS, 2, 2]).unwrap(),
+        Shape::new(vec![1, 2, 2]).unwrap(),
+        Operator::Mean,
+    )
+    .unwrap();
+    let splits = SplitGenerator::new(q.input_space().clone(), 4)
+        .exact_count(ROWS)
+        .unwrap();
+    assert_eq!(splits.len(), limit);
+    let plan = SidrPlanner::new(&q, 4).build(&splits).unwrap();
+    let mut spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    let clean = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    assert!(clean.is_clean(), "unexpected findings:\n{clean}");
+
+    // Split 17,001 reads split 17,000's row again.
+    spec.splits[17_001] = spec.splits[17_000].clone();
+    let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    let overlap = (report.diagnostics.iter())
+        .find(|d| d.code == codes::OVERLAP)
+        .unwrap_or_else(|| panic!("admitted:\n{report}"));
+    let named = |key: &str| {
+        (overlap.context.iter())
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    assert_eq!(named("split_a").as_deref(), Some("17000"), "{report}");
+    assert_eq!(named("split_b").as_deref(), Some("17001"), "{report}");
+}
+
 /// Over `pairwise_slab_limit` the split overlap proof is skipped
 /// (`SIDR-I010`), but a split set whose records fall short of the
 /// region's is still a gap: `SIDR-E001`.

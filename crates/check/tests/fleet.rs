@@ -444,7 +444,7 @@ struct Done {
     at: Instant,
 }
 
-/// One connection's last request.
+/// One connection's last request: the one its next reply answers.
 struct Exchange {
     worker: usize,
     req: WorkerRequest,
@@ -460,6 +460,10 @@ struct Wire {
     /// Requests each rule has matched so far.
     matched: Vec<usize>,
     exchanges: HashMap<u64, Exchange>,
+    /// Every `RunReduce` sent, and every map a `RunMap` named: a kept
+    /// connection's `Exchange` only remembers its last request.
+    reduces_sent: usize,
+    maps_sent: BTreeSet<usize>,
     done: Vec<Done>,
     /// Reducers whose honest keyblock was sent.
     reduced: HashSet<usize>,
@@ -488,7 +492,9 @@ fn costly(kind: Kind, act: Act) -> bool {
             kind == Kind::Ping && d >= PROBE_TIMEOUT
         }
         // One fetch connection serves a reduce's every fetch from a
-        // holder; a coordinator call is one request.
+        // holder, so a cut after one reply fails the next fetch; the
+        // coordinator sends a request that fails on a kept connection
+        // once more on a fresh dial.
         Act::Reply(Fate::DeliverThenCut) => kind == Kind::Fetch,
         Act::Request(_) | Act::Reply(_) => true,
         Act::Tamper(_) | Act::Refuse => false,
@@ -511,18 +517,13 @@ impl Wire {
                 reduces,
                 task,
             } => {
-                let (mut sent, mut dispatched, mut busy) = (0, task.is_none(), false);
-                for x in self.exchanges.values() {
-                    match x.req {
-                        WorkerRequest::RunReduce { .. } => {
-                            sent += 1;
-                            busy |= x.worker != victim && !x.answered;
-                        }
-                        WorkerRequest::RunMap { task: t, .. } => dispatched |= task == Some(t),
-                        _ => {}
-                    }
-                }
-                self.done.len() >= maps && sent >= reduces && dispatched && !busy
+                let dispatched = task.is_none_or(|t| self.maps_sent.contains(&t));
+                let busy = (self.exchanges.values()).any(|x| {
+                    matches!(x.req, WorkerRequest::RunReduce { .. })
+                        && x.worker != victim
+                        && !x.answered
+                });
+                self.done.len() >= maps && self.reduces_sent >= reduces && dispatched && !busy
             }
         }
     }
@@ -534,6 +535,13 @@ impl Wire {
         let Some(req) = decode::<WorkerRequest>(bytes) else {
             return fate;
         };
+        match req {
+            WorkerRequest::RunReduce { .. } => self.reduces_sent += 1,
+            WorkerRequest::RunMap { task, .. } => {
+                self.maps_sent.insert(task);
+            }
+            _ => {}
+        }
         let mut x = Exchange {
             worker,
             req: req.clone(),
@@ -1266,15 +1274,17 @@ fn a_seed_replays_its_faults_frames_and_timestamps() {
     }
 }
 
-/// Work spread over two workers: w0's first map dispatch is cut, so
-/// the coordinator takes it for dead and maps walk on to w1, whose
-/// dispatches are slowed until a heartbeat has revived w0 (at 200 ms
-/// virtual; no dispatch lands on that instant).
+/// Work spread over two workers: w0's first map dispatch is cut on
+/// the connection `Prepare` left, and so is its resend on a fresh
+/// dial, so the coordinator takes w0 for dead and maps walk on to w1,
+/// whose dispatches are slowed until a heartbeat has revived w0 (at
+/// 200 ms virtual; no dispatch lands on that instant).
 fn spread() -> [Rule; 2] {
     let slow = Act::Request(Fate::Deliver(Duration::from_millis(45)));
     [
         Rule {
             worker: Some(0),
+            count: 2,
             ..Rule::on(Kind::Map, Act::Request(Fate::Cut))
         },
         Rule {

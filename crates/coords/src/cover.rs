@@ -57,20 +57,39 @@ pub fn total_count(slabs: &[Slab]) -> u64 {
 }
 
 /// First overlapping pair in a slab collection, as
-/// `(index_a, index_b, shared_count)`.
+/// `(index_a, index_b, shared_count)`: of all overlapping pairs, the
+/// lowest `(a, b)` with `a < b`, the pair a pairwise scan meets first.
 ///
-/// O(n²) pairwise intersection; fine for keyblock covers (a few slabs
-/// per grid row), not meant for millions of slabs.
+/// A sweep along dimension 0: slabs in order of their first corner
+/// component, each intersected only with the slabs whose dim-0 range is
+/// still open where it starts. Slabs stacked along dim 0 (row splits)
+/// cost O(n log n); slabs that all span dim 0 still meet pairwise.
 pub fn first_overlap(slabs: &[Slab]) -> Option<(usize, usize, u64)> {
-    for (i, a) in slabs.iter().enumerate() {
-        for (j, b) in slabs.iter().enumerate().skip(i + 1) {
-            let shared = overlap_count(a, b);
-            if shared > 0 {
-                return Some((i, j, shared));
+    // Dim-0 range; a rank-0 slab is one point, so two of them still meet.
+    let span = |i: usize| {
+        let s = &slabs[i];
+        match s.corner().components().first() {
+            Some(&lo) => (lo, lo.saturating_add(s.shape()[0])),
+            None => (0, 1),
+        }
+    };
+    let mut order: Vec<usize> = (0..slabs.len()).collect();
+    order.sort_by_key(|&i| span(i).0);
+    let mut open: Vec<usize> = Vec::new();
+    let mut first: Option<(usize, usize, u64)> = None;
+    for j in order {
+        let start = span(j).0;
+        open.retain(|&i| span(i).1 > start);
+        for &i in &open {
+            let shared = overlap_count(&slabs[i], &slabs[j]);
+            let (a, b) = (i.min(j), i.max(j));
+            if shared > 0 && first.is_none_or(|(fa, fb, _)| (a, b) < (fa, fb)) {
+                first = Some((a, b, shared));
             }
         }
+        open.push(j);
     }
-    None
+    first
 }
 
 /// Index of the first slab not inside `[0, space)`.
@@ -80,10 +99,11 @@ pub fn first_out_of_bounds(slabs: &[Slab], space: &Shape) -> Option<usize> {
 }
 
 /// Checks that `slabs` exactly tile `[0, space)`: all in bounds,
-/// pairwise disjoint, counts summing to `space.count()`. Disjointness
-/// plus an exact count balance implies every coordinate is covered
-/// exactly once, so no per-key enumeration is needed. Returns the
-/// first defect found, or `None` for an exact cover.
+/// pairwise disjoint ([`first_overlap`]), counts summing to
+/// `space.count()`. Disjointness plus an exact count balance implies
+/// every coordinate is covered exactly once, so no per-key enumeration
+/// is needed. Returns the first defect found, or `None` for an exact
+/// cover.
 pub fn exact_cover_defect(slabs: &[Slab], space: &Shape) -> Option<CoverDefect> {
     if let Some(index) = first_out_of_bounds(slabs, space) {
         return Some(CoverDefect::OutOfBounds { index });
@@ -157,6 +177,34 @@ mod tests {
             exact_cover_defect(&slabs, &space),
             Some(CoverDefect::OutOfBounds { index: 1 })
         );
+    }
+
+    /// The sweep reports the pair a pairwise scan meets first, however
+    /// the slabs are ordered along dimension 0.
+    #[test]
+    fn first_overlap_is_the_lowest_pair() {
+        // #3 overlaps #1 and #0; #2 overlaps #1. Lowest: (0, 3).
+        let slabs = vec![
+            slab(&[6, 0], &[2, 2]),
+            slab(&[0, 0], &[4, 2]),
+            slab(&[3, 1], &[1, 1]),
+            slab(&[1, 0], &[6, 1]),
+        ];
+        assert_eq!(first_overlap(&slabs), Some((0, 3, 1)));
+        let brute = |s: &[Slab]| {
+            (0..s.len())
+                .flat_map(|a| (a + 1..s.len()).map(move |b| (a, b)))
+                .map(|(a, b)| (a, b, overlap_count(&s[a], &s[b])))
+                .find(|p| p.2 > 0)
+        };
+        for n in 0..slabs.len() {
+            let mut rotated = slabs.clone();
+            rotated.rotate_left(n);
+            assert_eq!(first_overlap(&rotated), brute(&rotated), "rotated by {n}");
+        }
+        // Columns: every dim-0 range meets every other, none overlap.
+        let columns: Vec<Slab> = (0..5).map(|c| slab(&[0, c], &[4, 1])).collect();
+        assert_eq!(first_overlap(&columns), None);
     }
 
     #[test]

@@ -305,6 +305,12 @@ impl PartitionStore {
     /// as handed in. The job's scripted `CorruptOutput` /
     /// `TruncateOutput` damages the bytes on their way in: the attempt
     /// succeeds, and the reduce that opens them fails their CRC.
+    ///
+    /// Idempotent per `(task, attempt)`: a second commit of the same
+    /// attempt replaces the first, partition for partition (see
+    /// [`PartitionStore::insert`]), so a `RunMap` delivered twice — its
+    /// reply lost, and the request sent again on a new connection —
+    /// holds one copy and tallies its bytes once.
     pub fn commit_map(
         &self,
         job: u64,
@@ -894,6 +900,29 @@ mod tests {
         store.insert((1, 1, 0, 0), frame(64, 5));
         let back = store.get(&(1, 0, 0, 1)).unwrap().unwrap();
         assert_eq!(*back, *f);
+    }
+
+    /// The same attempt committed twice holds one copy of each
+    /// partition, in whichever tier, and tallies its bytes once.
+    #[test]
+    fn a_recommitted_attempt_replaces_itself() {
+        let f = frame(64, 3);
+        let len = f.len() as u64;
+        let (store, backend) = mem_store(len + len / 2);
+        store.prepare_job(1, FaultPlan::none(), &[1]);
+        let parts = || vec![(0, f.to_vec()), (1, frame(64, 5).to_vec())];
+        let fed = store.commit_map(1, 0, 0, parts());
+        let (once, files) = (store.pressure(), backend.names());
+        assert_eq!(once.spilled_partitions, 1, "one partition in each tier");
+        assert_eq!(store.commit_map(1, 0, 0, parts()), fed);
+        let twice = store.pressure();
+        assert_eq!(store.partition_count(), 2);
+        assert_eq!(
+            (twice.resident_bytes, twice.spilled_bytes),
+            (once.resident_bytes, once.spilled_bytes)
+        );
+        assert_eq!(backend.names().len(), files.len());
+        assert_eq!(*store.get(&(1, 0, 0, 0)).unwrap().unwrap(), *f);
     }
 
     #[test]

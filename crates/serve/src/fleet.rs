@@ -16,7 +16,10 @@
 //! payloads ride as one raw frame after their JSON header — a
 //! partition as CRC-framed SMOF (v4) bytes after `Partition`, a
 //! reduce attempt's keyblock as a [`crate::binframe`] `KeyblockBin`
-//! frame after `ReduceDone`.
+//! frame after `ReduceDone`. The coordinator keeps its dispatch
+//! connections from task to task, and judges a worker dead only on a
+//! fresh dial: a kept connection that fails is dropped and its request
+//! sent once more on a new one.
 //!
 //! Each fact about the data plane is said once. A partition is *held
 //! or gone*: a map's `MapDone` names `(reducer, rows)` for each

@@ -9,7 +9,8 @@ use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::MrError;
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
-use super::wire::{call, WorkerRequest, WorkerResponse, WorkerStat};
+use super::wire::{call, Reply, WorkerConn, WorkerRequest, WorkerResponse, WorkerStat};
+use crate::frame::{FrameError, Role};
 use crate::transport::Transport;
 
 /// Fleet-wide metrics (process-global, one registration).
@@ -17,7 +18,7 @@ pub struct FleetMetrics {
     pub workers_lost: Arc<Counter>,
     pub tasks_reassigned: Arc<Counter>,
     /// Coordinator-observed latency of one remote dispatch
-    /// (map or reduce), connection to final reply.
+    /// (map or reduce), request to final reply.
     pub dispatch_seconds: Arc<Histogram>,
     /// Worker-reported wall time of a reduce's shuffle-fetch copy
     /// phase.
@@ -49,7 +50,7 @@ pub fn fleet_metrics() -> &'static FleetMetrics {
             ),
             dispatch_seconds: r.histogram(
                 "sidr_fleet_dispatch_seconds",
-                "Remote task dispatch latency (connect to final reply), seconds",
+                "Remote task dispatch latency (request to final reply), seconds",
                 &[],
                 DISPATCH_BUCKETS,
             ),
@@ -86,6 +87,12 @@ pub(super) struct WorkerSlot {
     /// each heartbeat's pressure summary.
     resident_gauge: Arc<Gauge>,
     spilled_gauge: Arc<Gauge>,
+    /// Handshaken dispatch connections between exchanges. The slot pool
+    /// bounds how many dispatches run at once, so it bounds this list.
+    idle: Mutex<Vec<WorkerConn>>,
+    /// `sidr_fleet_worker_dials_total{worker=...}`: dispatch
+    /// connections opened (probes dial apart).
+    dials: Arc<Counter>,
 }
 
 /// Heartbeat probe interval: every worker is pinged once per period.
@@ -147,6 +154,12 @@ impl Fleet {
                     spilled_gauge: r.gauge(
                         "sidr_fleet_worker_spilled_bytes",
                         "Spilled partition bytes this worker reported on its last heartbeat",
+                        &[("worker", addr.as_str())],
+                    ),
+                    idle: Mutex::new(Vec::new()),
+                    dials: r.counter(
+                        "sidr_fleet_worker_dials_total",
+                        "Dispatch connections opened to this worker (probes not counted)",
                         &[("worker", addr.as_str())],
                     ),
                 })
@@ -245,12 +258,46 @@ impl WorkerSlot {
     fn heartbeat_age(&self) -> Duration {
         time::now().saturating_duration_since(*self.last_heartbeat.lock())
     }
+
+    /// One dispatch exchange (`Prepare`, `RunMap`, `RunReduce`): on an
+    /// idle connection to this worker when one is kept, else on a new
+    /// dial; the connection is kept again after a clean exchange.
+    ///
+    /// An exchange that fails on a kept connection says nothing about
+    /// the worker: the connection may have idled across the worker's
+    /// restart, or been cut after its last reply. It is dropped and the
+    /// request goes once more on a new dial, whose outcome is the
+    /// answer: a worker is judged dead only by a fresh dial. The
+    /// request may then reach the worker twice; every dispatch request
+    /// is idempotent there.
+    pub(super) fn call(
+        &self,
+        net: &dyn Transport,
+        req: &WorkerRequest,
+    ) -> Result<Reply, FrameError> {
+        let kept = self.idle.lock().pop();
+        if let Some(mut conn) = kept {
+            if let Ok(reply) = conn.request(req) {
+                self.idle.lock().push(conn);
+                return Ok(reply);
+            }
+        }
+        let mut conn = WorkerConn::dial(net, &self.addr, Role::Coordinator, None)?;
+        self.dials.inc();
+        let reply = conn.request(req)?;
+        self.idle.lock().push(conn);
+        Ok(reply)
+    }
 }
 
+/// Takes the worker out of the rotation and drops its idle
+/// connections: a worker that comes back is dialed fresh.
 pub(super) fn mark_dead(slot: &WorkerSlot) {
     if slot.alive.swap(false, Ordering::SeqCst) {
         fleet_metrics().workers_lost.inc();
     }
+    // Closed once the lock is released.
+    let _stale = std::mem::take(&mut *slot.idle.lock());
 }
 
 /// A session id no earlier coordinator used: the wall clock, plus a

@@ -12,8 +12,8 @@ use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{time, Mutex};
 use sidr_mapreduce::{InputSplit, MapTaskId, MrError};
 
-use super::membership::{fleet_metrics, mark_dead, Fleet, HEARTBEAT_TIMEOUT};
-use super::wire::{call, SourceLoc, WorkerRequest, WorkerResponse};
+use super::membership::{fleet_metrics, mark_dead, Fleet, WorkerSlot, HEARTBEAT_TIMEOUT};
+use super::wire::{call, Reply, SourceLoc, WorkerRequest, WorkerResponse};
 use crate::binframe;
 use crate::frame::FrameError;
 
@@ -49,7 +49,7 @@ impl Fleet {
             if !slot.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            match call(&*self.net, &slot.addr, &req, None) {
+            match slot.call(&*self.net, &req) {
                 Ok((WorkerResponse::Prepared { .. }, _)) => prepared.store(true, Ordering::SeqCst),
                 Ok((WorkerResponse::Failed { detail, .. }, _)) => {
                     refused = Some(format!("worker {} rejected the job: {detail}", slot.addr));
@@ -160,7 +160,7 @@ impl RemoteJob<'_> {
             if prepared.load(Ordering::SeqCst) || !slot.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            let reply = call(&*self.fleet.net, &slot.addr, &self.prepare, None);
+            let reply = slot.call(&*self.fleet.net, &self.prepare);
             if let Ok((WorkerResponse::Prepared { .. }, _)) = reply {
                 prepared.store(true, Ordering::SeqCst);
             }
@@ -169,7 +169,9 @@ impl RemoteJob<'_> {
 
     /// The one walk over dispatch candidates: `attempt_on` each slot in
     /// rank order until a worker *answers* — whatever it answers, except
-    /// `UnknownJob`. An `Err` is connection-level death: the worker died
+    /// `UnknownJob`. An `Err` is connection-level death on a fresh dial
+    /// (a kept connection that failed was already retried on one, see
+    /// [`WorkerSlot::call`]): the worker died
     /// mid-attempt, having committed nothing (map) and released nothing
     /// (reduce), so it is marked dead and the same attempt moves to the
     /// next candidate. `UnknownJob` is a worker that rejoined since
@@ -182,7 +184,7 @@ impl RemoteJob<'_> {
     fn dispatch(
         &self,
         candidates: impl Fn() -> Vec<usize>,
-        mut attempt_on: impl FnMut(usize, &str) -> Result<Reply, FrameError>,
+        mut attempt_on: impl FnMut(usize, &WorkerSlot) -> Result<Reply, FrameError>,
     ) -> Option<(usize, Reply)> {
         let metrics = fleet_metrics();
         for walk in 0..2 {
@@ -193,7 +195,7 @@ impl RemoteJob<'_> {
                 }
                 let slot = &self.fleet.slots[idx];
                 let started = time::now();
-                match attempt_on(idx, &slot.addr) {
+                match attempt_on(idx, slot) {
                     Ok((WorkerResponse::UnknownJob { .. }, _)) => {
                         self.prepared[idx].store(false, Ordering::SeqCst);
                     }
@@ -214,9 +216,6 @@ impl RemoteJob<'_> {
         None
     }
 }
-
-/// A reply and the raw frame after it, if any.
-type Reply = (WorkerResponse, Option<Vec<u8>>);
 
 impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
     /// A speculative twin demotes the worker currently running the
@@ -254,11 +253,11 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             task,
             attempt,
         };
-        let reply = self.dispatch(candidates, |idx, addr| {
+        let reply = self.dispatch(candidates, |idx, slot| {
             if !speculative {
                 self.in_flight.lock().insert(task, idx);
             }
-            let reply = call(&*self.fleet.net, addr, &req, None);
+            let reply = slot.call(&*self.fleet.net, &req);
             if !speculative {
                 let mut in_flight = self.in_flight.lock();
                 if in_flight.get(&task) == Some(&idx) {
@@ -369,7 +368,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         let failed = RemoteReduceError::AttemptFailed;
         let net = &*self.fleet.net;
         let (emitted, fetch_ms, frame) =
-            match (self.dispatch(candidates, |_, addr| call(net, addr, &req, None))).map(|r| r.1) {
+            match (self.dispatch(candidates, |_, slot| slot.call(net, &req))).map(|r| r.1) {
                 Some((WorkerResponse::ReduceDone { emitted, fetch_ms }, Some(frame))) => {
                     (emitted, fetch_ms, frame)
                 }

@@ -263,15 +263,20 @@ impl WorkerConn {
     }
 }
 
-/// The one RPC driver: dial, handshake, one request, its reply (and
-/// payload). Every coordinator → worker exchange is one `call` on a
-/// fresh connection.
+/// A reply and the raw frame after it, if any.
+pub(super) type Reply = (WorkerResponse, Option<Vec<u8>>);
+
+/// The probe's RPC driver: dial, handshake, one request, its reply (and
+/// payload), on a connection of its own that is dropped after it.
+/// `Ping` and `Finish` go this way, with a timeout: their question is
+/// whether the worker answers a new connection at all. Dispatch keeps
+/// its connections instead (`WorkerSlot::call`).
 pub(super) fn call(
     net: &dyn Transport,
     addr: &str,
     req: &WorkerRequest,
     timeout: Option<Duration>,
-) -> Result<(WorkerResponse, Option<Vec<u8>>), FrameError> {
+) -> Result<Reply, FrameError> {
     WorkerConn::dial(net, addr, Role::Coordinator, timeout)?.request(req)
 }
 

@@ -23,10 +23,15 @@
 //! re-execution of the maps whose bytes it held, never the job.
 //!
 //! Every connection must open with the version/role [`Hello`]
-//! handshake; a worker accepts nothing else. Connections come from the
-//! worker's [`Transport`]: TCP in the daemon, in memory under the
-//! schedule explorer, where killing a worker is its endpoint closing
-//! and every connection to it being cut.
+//! handshake; a worker accepts nothing else, and then answers requests
+//! on it one after another until the dialer hangs up. The coordinator
+//! keeps its dispatch connections between tasks, so a worker serves a
+//! coordinator on about as many connections (and handler threads) as
+//! the coordinator has slots; a probe or a peer's fetches come on a
+//! connection of their own. Connections come from the worker's
+//! [`Transport`]: TCP in the daemon, in memory under the schedule
+//! explorer, where killing a worker is its endpoint closing and every
+//! connection to it being cut.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -210,11 +215,14 @@ impl Drop for Worker {
     }
 }
 
-/// One connection: mandatory `Hello` handshake, then a request loop.
-/// The coordinator opens a fresh connection per dispatch; peers open
-/// one per fetch — either way requests on one connection are serial.
-/// A dead worker answers nothing: the loop ends at the first request,
-/// or the first reply, after `kill`.
+/// One connection: mandatory `Hello` handshake, then a request loop
+/// until the dialer hangs up. The coordinator sends dispatch after
+/// dispatch on a connection it keeps, and a probe on one of its own;
+/// a peer sends one reduce's fetches and releases — either way
+/// requests on one connection are serial. A dead worker answers
+/// nothing: the loop ends at the first request, or the first reply,
+/// after `kill`, which is how a coordinator's kept connection to it
+/// turns stale.
 fn handle_connection(shared: &Shared, mut conn: Conn) {
     // Every dialer speaks the handshake, so anything else on the
     // first frame is a protocol error and the connection just closes.

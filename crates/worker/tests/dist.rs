@@ -19,7 +19,9 @@ use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{reexecuted_maps, InMemoryOutput, SlotPool, SplitGenerator};
+use sidr_mapreduce::{
+    reexecuted_maps, InMemoryOutput, SlotPool, SplitGenerator, TaskEvent, TaskKind,
+};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
 use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
@@ -89,9 +91,12 @@ fn addrs(workers: &[Worker]) -> Vec<String> {
     workers.iter().map(|w| w.addr().to_string()).collect()
 }
 
+/// Committed keyblocks, `(reducer, records)`.
+type Keyblocks = Vec<(usize, Vec<(Coord, f64)>)>;
+
 /// The per-keyblock commits in reducer order: the exact record sequence
 /// each keyblock streamed.
-fn keyblock_commits(out: &InMemoryOutput<Coord, f64>) -> Vec<(usize, Vec<(Coord, f64)>)> {
+fn keyblock_commits(out: &InMemoryOutput<Coord, f64>) -> Keyblocks {
     let mut commits: Vec<_> = (out.commits().into_iter())
         .map(|c| (c.reducer, c.records))
         .collect();
@@ -150,6 +155,144 @@ fn fleet_output_is_byte_identical_to_single_process() {
     // Every map attempt landed on the fleet, none ran in-process.
     let map_attempts: u64 = workers.iter().map(|w| w.stat().map_attempts).sum();
     assert_eq!(map_attempts as usize, spec.splits.len());
+}
+
+/// Dispatch connections each worker's coordinator has opened, from its
+/// `sidr_fleet_worker_dials_total` series (probes dial apart).
+fn dispatch_dials(workers: &[Worker]) -> Vec<u64> {
+    let series = |w: &Worker| {
+        sidr_obs::global()
+            .counter("sidr_fleet_worker_dials_total", "", &[("worker", w.addr())])
+            .get()
+    };
+    workers.iter().map(series).collect()
+}
+
+/// One job on `fleet` through `pool`: its keyblocks and timeline.
+fn fleet_job(
+    fleet: &Fleet,
+    pool: &SlotPool,
+    (spec, input): (&JobSpec, &str),
+) -> (Keyblocks, Vec<TaskEvent>) {
+    let remote = (fleet.prepare_job(spec, input, &ExecOptions::default())).expect("prepare");
+    let out = InMemoryOutput::<Coord, f64>::new();
+    let opts = SpecRunOptions::default();
+    let result = run_spec_with_executor(spec, &opts, &out, pool, None, &remote).unwrap();
+    remote.finish();
+    (keyblock_commits(&out), result.events)
+}
+
+/// The coordinator keeps its dispatch connections. A fig08-scale job
+/// on 2 workers through 2 + 2 slots opens at most one connection per
+/// slot, plus one, to each worker, though the busiest worker alone
+/// takes more dispatches than that; a second job opens none.
+#[test]
+fn dispatch_reuses_idle_connections() {
+    const SLOTS: (usize, usize) = (2, 2);
+    let bound = (SLOTS.0 + SLOTS.1 + 1) as u64;
+    let (spec, input) = fig08_scale_fixture("reuse");
+    let workers = spawn_workers(2);
+    let fleet = Fleet::connect(Arc::new(Tcp), addrs(&workers)).expect("fleet connects");
+    let pool = SlotPool::new(SLOTS.0, SLOTS.1).unwrap();
+
+    let before = dispatch_dials(&workers);
+    let (first, _) = fleet_job(&fleet, &pool, (&spec, &input));
+    let opened: Vec<u64> = (dispatch_dials(&workers).iter().zip(&before))
+        .map(|(now, then)| now - then)
+        .collect();
+    for (w, &n) in opened.iter().enumerate() {
+        assert!(
+            (1..=bound).contains(&n),
+            "worker {w}: {n} dispatch connections for one job"
+        );
+    }
+    // `Prepare` and every attempt it ran, each one dispatch.
+    let busiest = workers[0].stat();
+    let dispatches = 1 + busiest.map_attempts + busiest.reduce_attempts;
+    assert!(
+        dispatches > bound,
+        "worker 0 took only {dispatches} dispatches"
+    );
+
+    let after = dispatch_dials(&workers);
+    let (second, _) = fleet_job(&fleet, &pool, (&spec, &input));
+    assert_eq!(
+        dispatch_dials(&workers),
+        after,
+        "the second job dialed instead of reusing"
+    );
+    assert_eq!(first.len(), 11);
+    assert_eq!(first, second, "both jobs stream the same keyblocks");
+}
+
+/// An idle connection to a worker that died, or died and came back, is
+/// stale: the exchange on it fails, and the request goes once more on a
+/// fresh dial, which alone decides whether the worker is dead. Every
+/// job below streams the single-process keyblocks, and none charges an
+/// attempt to its retry budget:
+/// 1. a job leaves idle connections to w0;
+/// 2. w0 is killed, and the next job runs on w1;
+/// 3. a new worker takes w0's address, rejoins, and takes the next
+///    job's maps;
+/// 4. a job prepared on both is run after w0 restarts once more: the
+///    new w0 answers `UnknownJob` (or is skipped as dead), and the job
+///    moves to w1.
+#[test]
+fn stale_connections_are_never_a_death_verdict() {
+    let (spec, input) = tiny_fixture("stale");
+    let file = ScincFile::open(&input).unwrap();
+    let local = InMemoryOutput::<Coord, f64>::new();
+    let pool = SlotPool::new(2, 2).unwrap();
+    let opts = SpecRunOptions::default();
+    run_spec_on_pool(&file, &spec, &opts, &local, &pool, None).unwrap();
+    let expected = keyblock_commits(&local);
+
+    let mut workers = spawn_workers(2);
+    let addr0 = workers[0].addr().to_string();
+    let fleet = Fleet::connect(Arc::new(Tcp), addrs(&workers)).expect("fleet connects");
+    let uncharged = |step: &str, (got, events): (Vec<_>, Vec<TaskEvent>)| {
+        assert_eq!(got, expected, "{step}: output differs");
+        let charged = (events.iter()).find(|e| {
+            e.attempt > 0 || matches!(e.kind, TaskKind::MapFailed | TaskKind::ReduceFailed)
+        });
+        assert_eq!(charged, None, "{step}: an attempt was charged");
+    };
+    let respawn = |workers: &mut Vec<Worker>| {
+        workers[0].kill();
+        workers[0] = Worker::spawn(Arc::new(Tcp), &addr0, WorkerOptions::default())
+            .expect("w0's address is free again");
+    };
+
+    uncharged("first job", fleet_job(&fleet, &pool, (&spec, &input)));
+    assert!(workers[0].stat().map_attempts > 0, "w0 took the first job");
+
+    workers[0].kill();
+    let before = workers[1].stat().map_attempts;
+    uncharged("after the kill", fleet_job(&fleet, &pool, (&spec, &input)));
+    let ran = workers[1].stat().map_attempts - before;
+    assert_eq!(ran as usize, spec.splits.len(), "w1 ran every map");
+
+    respawn(&mut workers);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !fleet.stats()[0].alive {
+        assert!(std::time::Instant::now() < deadline, "w0 never rejoined");
+        thread::sleep(Duration::from_millis(20));
+    }
+    uncharged(
+        "after the rejoin",
+        fleet_job(&fleet, &pool, (&spec, &input)),
+    );
+    assert!(workers[0].stat().map_attempts > 0, "the new w0 took work");
+
+    let remote = (fleet.prepare_job(&spec, &input, &ExecOptions::default())).expect("prepare");
+    respawn(&mut workers);
+    let out = InMemoryOutput::<Coord, f64>::new();
+    let result = run_spec_with_executor(&spec, &opts, &out, &pool, None, &remote).unwrap();
+    remote.finish();
+    uncharged("restart mid-job", (keyblock_commits(&out), result.events));
+    let w0 = workers[0].stat();
+    assert_eq!((w0.map_attempts, w0.reduce_attempts), (0, 0));
+    assert_eq!(workers[0].prepared_jobs(), 0, "the new w0 is no member");
 }
 
 /// Satellite of the sync-facade change: a task attempt that panics
