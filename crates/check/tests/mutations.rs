@@ -10,57 +10,40 @@
 //! lock and arms exactly one mutation for its duration.
 #![cfg(check)]
 
+#[path = "../../mapreduce/tests/support/mod.rs"]
+mod support;
+
 use std::sync::Mutex as TestLock;
 
 use sidr_check::{Explorer, FindingKind, Strategy};
-use sidr_coords::{Shape, Slab};
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::thread;
 use sidr_mapreduce::{
-    run_job_shared, DefaultPlan, FaultPlan, FnMapper, FnReducer, InMemoryOutput, InputSplit,
-    JobConfig, MapTaskId, ModuloPartitioner, RetryPolicy, RoutingPlan, SliceRecordSource, SlotPool,
+    AttemptBodies, DefaultPlan, FaultPlan, InMemoryOutput, InputSplit, JobConfig, MapTaskId,
+    RetryPolicy, RoutingPlan, SlotPool,
 };
+use support::{bodies, number_splits, run_shared, sum};
 
 static CHAOS: TestLock<()> = TestLock::new(());
 
-fn unit_splits(n: u64) -> Vec<InputSplit> {
-    let space = Shape::new(vec![n]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(n)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
+/// Source yielding one `(id, id)` record per split.
+fn diagonal_source(id: MapTaskId, _split: &InputSplit) -> Vec<(u64, u64)> {
+    vec![(id as u64, id as u64)]
 }
 
-fn diagonal_source(
-    id: MapTaskId,
-    _split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    Ok(SliceRecordSource::new(vec![(id as u64, id as u64)]))
+/// Every record's `key + 1`, summed on one reducer.
+fn sum_to_one_key() -> impl AttemptBodies<Key = u64, Value = u64, Out = u64> {
+    bodies(diagonal_source, |k, _v, emit| emit(0, k + 1), |_| 0, sum)
 }
 
 /// One tiny single-reducer job on `pool`: 2 maps, global barrier.
 fn run_tiny_job(pool: &SlotPool) {
-    let splits = unit_splits(2);
-    let mapper = FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(0, *k + 1));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 1);
+    let splits = number_splits(2, 2);
     let output = InMemoryOutput::new();
-    run_job_shared(
+    run_shared(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_to_one_key(),
+        &DefaultPlan::new(1),
         &output,
         &JobConfig::default(),
         pool,
@@ -146,12 +129,9 @@ fn state_lock_held_across_acquire_is_caught_as_deadlock() {
 /// Overlapping dependency sets: r0 <- {m0, m1}, r1 <- {m1, m2}.
 struct OverlapPlan;
 
-impl RoutingPlan<u64> for OverlapPlan {
+impl RoutingPlan for OverlapPlan {
     fn num_reducers(&self) -> usize {
         2
-    }
-    fn partition(&self, key: &u64) -> usize {
-        usize::from(*key > 1)
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(if reducer == 0 { vec![0, 1] } else { vec![1, 2] })
@@ -179,14 +159,16 @@ fn skipped_recovery_rewait_is_caught() {
             },
             || {
                 let pool = SlotPool::new(2, 2).unwrap();
-                let splits = unit_splits(3);
-                let mapper = FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| {
-                    emit(*k, 100 + *k);
-                    emit(*k + 1, 200 + *k);
-                });
-                let reducer = FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                    emit(vs.iter().sum())
-                });
+                let splits = number_splits(3, 3);
+                let overlap = bodies(
+                    diagonal_source,
+                    |k, _v, emit| {
+                        emit(k, 100 + k);
+                        emit(k + 1, 200 + k);
+                    },
+                    |k| usize::from(k > 1),
+                    sum,
+                );
                 let output = InMemoryOutput::new();
                 let config = JobConfig {
                     fault_plan: FaultPlan::fail_reducers_first_attempt([0, 1]),
@@ -197,12 +179,9 @@ fn skipped_recovery_rewait_is_caught() {
                     },
                     ..Default::default()
                 };
-                run_job_shared(
+                run_shared(
                     &splits,
-                    &diagonal_source,
-                    &mapper,
-                    None,
-                    &reducer,
+                    overlap,
                     &OverlapPlan,
                     &output,
                     &config,

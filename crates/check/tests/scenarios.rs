@@ -12,42 +12,36 @@
 //! decision trace to re-run it.
 #![cfg(check)]
 
+#[path = "../../mapreduce/tests/support/mod.rs"]
+mod support;
+
 use std::time::{Duration, Instant};
 
 use sidr_check::{Explorer, Strategy};
-use sidr_coords::{Shape, Slab};
 use sidr_core::TimelineOracle;
 use sidr_mapreduce::sync::atomic::{AtomicUsize, Ordering};
 use sidr_mapreduce::sync::{thread, time};
 use sidr_mapreduce::{
-    run_job_shared, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, FnMapper,
-    FnReducer, InMemoryOutput, InputSplit, JobConfig, MapTaskId, ModuloPartitioner, MrError,
-    RetryPolicy, RoutingPlan, SliceRecordSource, SlotPool, SpeculationPolicy, TaskKind,
+    AttemptBodies, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput,
+    InputSplit, JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SlotPool,
+    SpeculationPolicy, TaskKind,
 };
-
-/// Splits `0..n` into `n` one-record splits.
-fn unit_splits(n: u64) -> Vec<InputSplit> {
-    let space = Shape::new(vec![n]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(n)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
-}
+use support::{bodies, number_splits, run_shared, sum};
 
 /// Source yielding one `(id, id)` record per split.
-fn diagonal_source(
-    id: MapTaskId,
-    _split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    Ok(SliceRecordSource::new(vec![(id as u64, id as u64)]))
+fn diagonal_source(id: MapTaskId, _split: &InputSplit) -> Vec<(u64, u64)> {
+    vec![(id as u64, id as u64)]
+}
+
+/// Each record as `(key, 100 + key)`, dealt over `n` reducers by
+/// modulo.
+fn hundreds(n: usize) -> impl AttemptBodies<Key = u64, Value = u64, Out = u64> {
+    bodies(
+        diagonal_source,
+        |k, _v, emit| emit(k, 100 + k),
+        move |k| k as usize % n,
+        sum,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -147,12 +141,9 @@ fn cancel_racing_blocked_worker_is_clean() {
 /// Overlapping dependency sets: r0 <- {m0, m1}, r1 <- {m1, m2}.
 struct OverlapPlan;
 
-impl RoutingPlan<u64> for OverlapPlan {
+impl RoutingPlan for OverlapPlan {
     fn num_reducers(&self) -> usize {
         2
-    }
-    fn partition(&self, key: &u64) -> usize {
-        usize::from(*key > 1)
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(if reducer == 0 { vec![0, 1] } else { vec![1, 2] })
@@ -170,13 +161,16 @@ impl RoutingPlan<u64> for OverlapPlan {
 /// the explored interleaving.
 fn recovery_scenario() {
     let pool = SlotPool::new(2, 2).unwrap();
-    let splits = unit_splits(3);
-    let mapper = FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| {
-        emit(*k, 100 + *k);
-        emit(*k + 1, 200 + *k);
-    });
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let splits = number_splits(3, 3);
+    let overlap = bodies(
+        diagonal_source,
+        |k, _v, emit| {
+            emit(k, 100 + k);
+            emit(k + 1, 200 + k);
+        },
+        |k| usize::from(k > 1),
+        sum,
+    );
     let output = InMemoryOutput::new();
     let config = JobConfig {
         fault_plan: FaultPlan::fail_reducers_first_attempt([0, 1]),
@@ -187,12 +181,9 @@ fn recovery_scenario() {
         },
         ..Default::default()
     };
-    let result = run_job_shared(
+    let result = run_shared(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
+        overlap,
         &OverlapPlan,
         &output,
         &config,
@@ -239,22 +230,14 @@ fn last_slot_scenario() {
     thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                let splits = unit_splits(2);
-                let mapper = FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| {
-                    emit(0, *k + 1)
-                });
-                let reducer = FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                    emit(vs.iter().sum())
-                });
-                let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 1);
+                let splits = number_splits(2, 2);
+                let sum_to_one_key =
+                    bodies(diagonal_source, |k, _v, emit| emit(0, k + 1), |_| 0, sum);
                 let output = InMemoryOutput::new();
-                run_job_shared(
+                run_shared(
                     &splits,
-                    &diagonal_source,
-                    &mapper,
-                    None,
-                    &reducer,
-                    &plan,
+                    sum_to_one_key,
+                    &DefaultPlan::new(1),
                     &output,
                     &JobConfig::default(),
                     &pool,
@@ -290,12 +273,9 @@ fn two_jobs_contending_for_last_slot_is_clean() {
 /// 1:1 dependencies: reducer i <- map i, inverted scheduling.
 struct PairPlan;
 
-impl RoutingPlan<u64> for PairPlan {
+impl RoutingPlan for PairPlan {
     fn num_reducers(&self) -> usize {
         2
-    }
-    fn partition(&self, key: &u64) -> usize {
-        (*key as usize) % 2
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(vec![reducer])
@@ -318,24 +298,16 @@ impl RoutingPlan<u64> for PairPlan {
 /// rule (R6), held on every schedule.
 fn speculation_scenario() {
     let pool = SlotPool::new(2, 2).unwrap();
-    let splits = unit_splits(2);
-    let mapper = FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| {
-        emit(*k, 100 + *k);
-    });
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let splits = number_splits(2, 2);
     let output = InMemoryOutput::new();
     let config = JobConfig {
         speculation: SpeculationPolicy::force([0]),
         volatile_intermediate: true,
         ..Default::default()
     };
-    let result = run_job_shared(
+    let result = run_shared(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
+        hundreds(2),
         &PairPlan,
         &output,
         &config,
@@ -471,11 +443,7 @@ fn ms(n: u64) -> Duration {
 /// notification: no further virtual time passes and no slot leaks.
 fn deadline_scenario() {
     let pool = SlotPool::new(2, 1).unwrap();
-    let splits = unit_splits(3);
-    let mapper =
-        FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, 100 + *k));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let splits = number_splits(3, 3);
     let output = InMemoryOutput::new();
     let config = JobConfig {
         fault_plan: FaultPlan::straggle_maps([0], 3_000),
@@ -483,13 +451,10 @@ fn deadline_scenario() {
         ..Default::default()
     };
     let t0 = time::now();
-    let result = run_job_shared(
+    let result = run_shared(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &DefaultPlan::<u64, _>::new(ModuloPartitioner, 1),
+        hundreds(1),
+        &DefaultPlan::new(1),
         &output,
         &config,
         &pool,
@@ -535,11 +500,7 @@ fn deadline_fails_the_job_at_its_virtual_instant() {
 /// passes the protocol oracle.
 fn quantile_trigger_scenario() {
     let pool = SlotPool::new(2, 2).unwrap();
-    let splits = unit_splits(4);
-    let mapper =
-        FnMapper::new(|k: &u64, _v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, 100 + *k));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let splits = number_splits(4, 4);
     let output = InMemoryOutput::new();
     let config = JobConfig {
         fault_plan: FaultPlan::straggle_maps(1..4, 10).with(
@@ -551,13 +512,10 @@ fn quantile_trigger_scenario() {
         ..Default::default()
     };
     let t0 = time::now();
-    let result = run_job_shared(
+    let result = run_shared(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &DefaultPlan::<u64, _>::new(ModuloPartitioner, 2),
+        hundreds(2),
+        &DefaultPlan::new(2),
         &output,
         &config,
         &pool,

@@ -35,7 +35,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_mapreduce::{
-    begin_map_attempt, injected_source_error, run_reduce_attempt, AttemptBodies, Combiner,
+    begin_map_attempt, injected_source_error, run_reduce_attempt, AttemptBodies,
     CoordHashPartitioner, FaultKind, FaultPlan, InputSplit, MapTaskId, MrError, RoutingPlan,
     Smof3View,
 };
@@ -43,7 +43,7 @@ use sidr_scifile::{DataType, ScincFile};
 
 use crate::framework::{pushdown_threshold, FrameworkMode};
 use crate::geomap::map_split;
-use crate::operators::{Operator, OperatorReducer};
+use crate::operators::Operator;
 use crate::plan::{SidrPlan, SidrPlanner};
 use crate::query::StructuralQuery;
 use crate::source::StructuralMapper;
@@ -149,7 +149,7 @@ impl SpecExecutor {
     }
 
     /// Runs one map attempt: read the split, map it by geometry, fold
-    /// it through the combiner if the operator has one, and encode each
+    /// each key's run if the operator is distributive, and encode each
     /// non-empty partition as a SMOF buffer. Injected map faults for
     /// this (task, attempt) fire here, on the worker, exactly as they
     /// would in-process — except that a worker cannot see the
@@ -183,10 +183,7 @@ impl SpecExecutor {
                 return Err(injected_source_error(task, attempt, after).into());
             }
         }
-        let combiner = self.operator.combiner();
-        let combiner = combiner
-            .as_ref()
-            .map(|c| c as &dyn Combiner<Key = Coord, Value = f64>);
+        let fold = self.operator.is_distributive().then_some(self.operator);
         let (file, var, slab) = (&self.file, self.variable.as_str(), &split.slab);
         let (mapper, n) = (&self.mapper, self.num_reducers);
         let route = |key: &[u64]| match &self.route {
@@ -194,10 +191,10 @@ impl SpecExecutor {
             Route::Hash => CoordHashPartitioner::keyblock_of(key, n),
         };
         match self.dtype {
-            DataType::I32 => map_split::<i32>(file, var, slab, mapper, n, route, combiner),
-            DataType::I64 => map_split::<i64>(file, var, slab, mapper, n, route, combiner),
-            DataType::F32 => map_split::<f32>(file, var, slab, mapper, n, route, combiner),
-            DataType::F64 => map_split::<f64>(file, var, slab, mapper, n, route, combiner),
+            DataType::I32 => map_split::<i32>(file, var, slab, mapper, n, route, fold),
+            DataType::I64 => map_split::<i64>(file, var, slab, mapper, n, route, fold),
+            DataType::F32 => map_split::<f32>(file, var, slab, mapper, n, route, fold),
+            DataType::F64 => map_split::<f64>(file, var, slab, mapper, n, route, fold),
         }
     }
 
@@ -275,7 +272,9 @@ impl AttemptBodies for SpecExecutor {
         if reducer >= self.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")));
         }
-        let op = OperatorReducer { op: self.operator };
-        run_reduce_attempt(reducer, inputs, expected_raw, &op)
+        let op = self.operator;
+        run_reduce_attempt(reducer, inputs, expected_raw, |values, emit| {
+            op.reduce_group(values, emit)
+        })
     }
 }

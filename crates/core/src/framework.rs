@@ -18,9 +18,9 @@
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
-    run_job_with_executor, CancelToken, CoordHashPartitioner, DefaultPlan, FaultPlan,
-    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobResult, OutputCollector,
-    RetryPolicy, RoutingPlan, SlotPool, SpeculationPolicy, SplitGenerator, TaskExecutor,
+    run_job_with_executor, CancelToken, DefaultPlan, FaultPlan, InMemoryOutput, InProcessExecutor,
+    InputSplit, JobConfig, JobResult, OutputCollector, RetryPolicy, RoutingPlan, SlotPool,
+    SpeculationPolicy, SplitGenerator, TaskExecutor,
 };
 use sidr_scifile::ScincFile;
 
@@ -124,13 +124,12 @@ pub fn run_query(
 ) -> Result<QueryOutcome> {
     let splits = generate_splits(file, query, opts.mode, opts.split_bytes)?;
     let n = opts.num_reducers;
-    let (plan, reducer_key_counts): (Box<dyn RoutingPlan<Coord>>, Vec<u64>) = match opts.mode {
+    let (plan, reducer_key_counts): (Box<dyn RoutingPlan>, Vec<u64>) = match opts.mode {
         // Hash partitioning has no geometric key counts; weigh
         // reducers equally.
-        FrameworkMode::Hadoop | FrameworkMode::SciHadoop => (
-            Box::new(DefaultPlan::<Coord, _>::new(CoordHashPartitioner, n)),
-            vec![1u64; n],
-        ),
+        FrameworkMode::Hadoop | FrameworkMode::SciHadoop => {
+            (Box::new(DefaultPlan::new(n)), vec![1u64; n])
+        }
         FrameworkMode::Sidr => {
             let mut planner = SidrPlanner::new(query, n).filter_pushdown(opts.filter_pushdown);
             if let Some(region) = &opts.priority_region {
@@ -314,7 +313,7 @@ pub fn run_spec_with_executor(
     let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
     Ok(run_job_with_executor(
         &spec.splits,
-        &plan as &dyn RoutingPlan<Coord>,
+        &plan,
         output,
         &config,
         pool,

@@ -28,29 +28,32 @@
 //!    and a byte cursor per key into its values region;
 //! 4. places: a second pass over the same kept records, in reader
 //!    order, writes each value's 8 bytes once, at its key's cursor, so
-//!    a key's values keep reader order. With a combiner the pass fills
-//!    one key-ordered `f64` column instead, and each run is folded
-//!    there and copied into its partition. Each partition is then
-//!    sealed with its CRC.
+//!    a key's values keep reader order. A distributive operator fills
+//!    one key-ordered `f64` column instead; each run is folded there in
+//!    place with [`Operator::reduce_group`] to its one value, which is
+//!    copied into its partition. Each partition is then sealed with its
+//!    CRC.
 //!
-//! The bytes are exactly those of the per-record path —
-//! `run_map_attempt` over a [`StructuralMapper`] and the same partition
-//! function, then `encode_map_output` — which `tests/geomap.rs` pins
-//! for both routes. Transient memory is the split's input (held
-//! between the passes) and 16 bytes per image key, beside the output
-//! partitions themselves; a combiner adds the 8-byte column, after
-//! which the input is dropped. `tests/alloc.rs` in `sidr-bench` pins
-//! the bound. The per-record path holds a `(Coord, f64)` row and a
+//! The bytes are exactly those of a per-record map — each record
+//! through the structural map, routed by the same partition function,
+//! each reducer's pairs stably sorted by key and each run folded, then
+//! `encode_map_output` — which `tests/geomap.rs` keeps as the kernel's
+//! reference and pins for both routes. Transient memory is the split's
+//! input (held between the passes) and 16 bytes per image key, beside
+//! the output partitions themselves; a fold adds the 8-byte column,
+//! after which the input is dropped. `tests/alloc.rs` in `sidr-bench`
+//! pins the bound. A per-record map holds a `(Coord, f64)` row and a
 //! heap-allocated key per record (≈ 56 bytes at rank 3).
 //!
 //! [`Tiling::instances_touched_by`]: sidr_coords::Tiling::instances_touched_by
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::shuffle_file::SmofWriter;
-use sidr_mapreduce::{Combiner, MrError};
+use sidr_mapreduce::MrError;
 use sidr_scifile::{read_chunks, Element, ScincFile};
 
 use crate::exec::MapAttemptOutput;
+use crate::operators::Operator;
 use crate::source::StructuralMapper;
 
 /// Table entry of a split position that maps to no image key. Any sum
@@ -65,7 +68,8 @@ const VALUE_WIDTH: usize = 8;
 /// of `split` (absolute coordinates in `variable`'s space), routed to
 /// one of `num_reducers` by `keyblock_of` (a `K′` key's components →
 /// its reducer), as one encoded SMOF v4 partition per non-empty
-/// reducer.
+/// reducer. `fold` is the query's operator when it is distributive:
+/// each key's run is then folded map-side to one value.
 pub fn map_split<E: Element>(
     file: &ScincFile,
     variable: &str,
@@ -73,9 +77,9 @@ pub fn map_split<E: Element>(
     mapper: &StructuralMapper,
     num_reducers: usize,
     keyblock_of: impl Fn(&[u64]) -> usize,
-    combiner: Option<&dyn Combiner<Key = Coord, Value = f64>>,
+    fold: Option<Operator>,
 ) -> crate::Result<MapAttemptOutput> {
-    debug_assert!(!mapper.corner_keys, "the kernel routes normalized K' keys");
+    debug_assert!(fold.is_none_or(|op| op.is_distributive()));
     let records_in = split.count();
     let mut out = MapAttemptOutput {
         partitions: Vec::new(),
@@ -110,13 +114,13 @@ pub fn map_split<E: Element>(
         }
     });
 
-    // Per image key, where its next value goes: with a combiner, its
-    // place in one key-ordered column, where each run is then folded
-    // (`cursor` is left at the folded run's start and `counts` at its
-    // length; a key the combiner folds to nothing has no run).
+    // Per image key, where its next value goes: with a fold, its place
+    // in one key-ordered column, where each run is then folded to one
+    // value (`cursor` is left at the folded run's start and `counts`
+    // at 1).
     let mut cursor = vec![0usize; counts.len()];
     let mut column = Vec::new();
-    if let Some(combiner) = combiner {
+    if let Some(op) = fold {
         let mut next = 0;
         for (c, &n) in cursor.iter_mut().zip(&counts) {
             *c = next;
@@ -128,20 +132,15 @@ pub fn map_split<E: Element>(
             cursor[i] += 1;
         });
         chunks = Vec::new(); // every kept value is in the column now
-        let mut group = Vec::new();
-        image.for_each_key(|i, key| {
-            let n = counts[i] as usize;
-            if n > 0 {
-                let at = cursor[i] - n;
-                group.clear();
-                group.extend_from_slice(&column[at..cursor[i]]);
-                combiner.combine(&Coord::from(key), &mut group);
-                assert!(group.len() <= n, "a combiner never grows a run");
-                column[at..at + group.len()].copy_from_slice(&group);
-                cursor[i] = at;
-                counts[i] = group.len() as u32;
+        for (c, n) in cursor.iter_mut().zip(counts.iter_mut()) {
+            if *n > 0 {
+                let at = *c - *n as usize;
+                let mut folded = None;
+                op.reduce_group(&mut column[at..*c], &mut |v| folded = Some(v));
+                column[at] = folded.expect("a distributive operator folds a run to one value");
+                (*c, *n) = (at, 1);
             }
-        });
+        }
     }
 
     // Lay out each reducer's partition: header, then one run-table
@@ -175,7 +174,7 @@ pub fn map_split<E: Element>(
         .map(|w| w.as_mut().map_or(&mut [][..], SmofWriter::values_mut))
         .collect();
     let mut next = vec![0usize; num_reducers];
-    if combiner.is_none() {
+    if fold.is_none() {
         // Each key's byte cursor, then the values in reader order.
         for ((c, &n), &r) in cursor.iter_mut().zip(&counts).zip(&route) {
             *c = next[r as usize];

@@ -11,14 +11,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use sidr_mapreduce::{Combiner, Reducer};
-
 /// The operator of a structural query.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Operator {
     /// Arithmetic mean of the unit (query example 1, §2.2).
     Mean,
-    /// Median of the unit (Query 1, §4.1). Holistic: no combiner.
+    /// Median of the unit (Query 1, §4.1). Holistic: no map-side fold.
     Median,
     Min,
     Max,
@@ -64,8 +62,9 @@ pub enum Operator {
 
 impl Operator {
     /// Applies the operator to one complete unit, emitting its output
-    /// values in order. The one implementation: the engine's reducer,
-    /// the map-side combiner and [`Operator::apply`] all call it.
+    /// values in order. The one implementation: the reduce attempt, the
+    /// map-side fold of a distributive operator ([`crate::geomap`]) and
+    /// [`Operator::apply`] all call it.
     ///
     /// Holistic operators work on the unit in place: `Median` and
     /// `Percentile` select their rank in linear time and `SortValues`
@@ -147,8 +146,8 @@ impl Operator {
 
     /// Whether the operator is distributive — computable from partial
     /// aggregates — and therefore combinable at the Map side. HOP-style
-    /// systems are *limited* to these (§5); SIDR is not, but uses
-    /// combiners for them when available.
+    /// systems are *limited* to these (§5); SIDR is not, but folds
+    /// them map-side ([`crate::geomap`]).
     pub fn is_distributive(&self) -> bool {
         matches!(self, Operator::Min | Operator::Max | Operator::Sum)
     }
@@ -161,13 +160,6 @@ impl Operator {
             self,
             Operator::Filter { .. } | Operator::SortValues | Operator::Histogram { .. }
         )
-    }
-
-    /// A map-side combiner for distributive operators, `None`
-    /// otherwise.
-    pub fn combiner(&self) -> Option<OperatorCombiner> {
-        self.is_distributive()
-            .then_some(OperatorCombiner { op: *self })
     }
 }
 
@@ -205,42 +197,6 @@ fn variance(values: &[f64]) -> f64 {
     let n = values.len() as f64;
     let mean = values.iter().sum::<f64>() / n;
     values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n
-}
-
-/// The engine-facing Reduce function of a structural query: applies
-/// the operator to each key's complete unit.
-pub struct OperatorReducer {
-    pub op: Operator,
-}
-
-impl Reducer for OperatorReducer {
-    type Key = sidr_coords::Coord;
-    type InValue = f64;
-    type OutValue = f64;
-
-    fn reduce(&self, _key: &sidr_coords::Coord, values: &mut [f64], emit: &mut dyn FnMut(f64)) {
-        self.op.reduce_group(values, emit)
-    }
-}
-
-/// Map-side combiner for distributive operators (min/max/sum fold
-/// losslessly; the shuffle annotation still counts raw pairs,
-/// §3.2.1).
-pub struct OperatorCombiner {
-    op: Operator,
-}
-
-impl Combiner for OperatorCombiner {
-    type Key = sidr_coords::Coord;
-    type Value = f64;
-
-    fn combine(&self, _key: &sidr_coords::Coord, values: &mut Vec<f64>) {
-        debug_assert!(self.op.is_distributive());
-        let mut combined = None;
-        self.op.reduce_group(values, &mut |v| combined = Some(v));
-        values.clear();
-        values.extend(combined);
-    }
 }
 
 #[cfg(test)]
@@ -291,8 +247,6 @@ mod tests {
         assert!(Operator::Max.is_distributive());
         assert!(!Operator::Median.is_distributive());
         assert!(!Operator::Mean.is_distributive()); // mean of means is wrong
-        assert!(Operator::Median.combiner().is_none());
-        assert!(Operator::Sum.combiner().is_some());
     }
 
     #[test]
@@ -363,17 +317,15 @@ mod tests {
 
     #[test]
     fn combiner_is_lossless_for_distributive_ops() {
-        // Combining partial groups then reducing equals reducing the
-        // whole group.
+        // Folding partial groups map-side with `reduce_group`, then
+        // reducing the folds, equals reducing the whole group.
         let all = [4.0, -2.0, 9.0, 3.5, 0.0, 7.0];
         for op in [Operator::Min, Operator::Max, Operator::Sum] {
-            let c = op.combiner().unwrap();
-            let k = sidr_coords::Coord::from([0]);
-            let mut part1 = all[..3].to_vec();
-            c.combine(&k, &mut part1);
-            let mut part2 = all[3..].to_vec();
-            c.combine(&k, &mut part2);
-            let combined: Vec<f64> = part1.into_iter().chain(part2).collect();
+            let mut combined = Vec::new();
+            for part in [&all[..3], &all[3..]] {
+                op.reduce_group(&mut part.to_vec(), &mut |v| combined.push(v));
+            }
+            assert_eq!(combined.len(), 2, "{op:?} folds each part to one value");
             assert_eq!(op.apply(&combined), op.apply(&all), "{op:?}");
         }
     }

@@ -1,9 +1,10 @@
 //! The SIDR routing plan: partition+, dependency barriers, inverted
 //! scheduling and keyblock prioritization, packaged behind the
-//! engine's [`RoutingPlan`] trait.
+//! engine's [`RoutingPlan`] trait (partition+ itself is applied by the
+//! map attempt, `SpecExecutor`, through [`SidrPlan::partition`]).
 
-use sidr_coords::{Coord, Slab};
-use sidr_mapreduce::{InputSplit, MapTaskId, Partitioner, RoutingPlan};
+use sidr_coords::Slab;
+use sidr_mapreduce::{InputSplit, MapTaskId, RoutingPlan};
 
 use crate::deps::Dependencies;
 use crate::framework::pushdown_threshold;
@@ -13,9 +14,9 @@ use crate::{Result, SidrError};
 
 /// A fully derived SIDR plan for one job.
 ///
-/// Built by [`SidrPlanner`]; immutable afterwards. Implements
-/// [`RoutingPlan`] so the engine executes with:
-/// * `partition+` as the partition function (§3.1),
+/// Built by [`SidrPlanner`]; immutable afterwards. Carries `partition+`
+/// (§3.1), the partition function its map attempts apply, and
+/// implements [`RoutingPlan`] so the engine executes with:
 /// * `I_ℓ` dependency barriers and dependency-only fetches (§3.2, §4.6),
 /// * inverted reduce-first scheduling (§3.3),
 /// * optional keyblock priority order (§3.4),
@@ -55,13 +56,9 @@ impl SidrPlan {
     }
 }
 
-impl RoutingPlan<Coord> for SidrPlan {
+impl RoutingPlan for SidrPlan {
     fn num_reducers(&self) -> usize {
         self.partition.num_reducers()
-    }
-
-    fn partition(&self, key: &Coord) -> usize {
-        Partitioner::partition(&self.partition, key, self.partition.num_reducers())
     }
 
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {

@@ -2,12 +2,16 @@
 //! catch a Reduce task that would otherwise start on insufficient
 //! input. These tests prove the tripwire fires.
 
-use sidr_coords::{Coord, ExtractionShape, Shape};
-use sidr_core::operators::OperatorReducer;
-use sidr_core::source::{scinc_source_factory, StructuralMapper};
-use sidr_core::{Operator, SidrPlanner, StructuralQuery};
+use std::time::Duration;
+
+use sidr_coords::{Coord, Shape};
+use sidr_core::spec::JobSpec;
+use sidr_core::{ExecOptions, Operator, SidrPlanner, SpecExecutor, StructuralQuery};
+use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
 use sidr_mapreduce::{
-    run_job, InMemoryOutput, JobConfig, Mapper, MrError, RoutingPlan, SplitGenerator,
+    run_job_with_executor, AttemptBodies, FaultKind, InMemoryOutput, InProcessExecutor, InputSplit,
+    JobConfig, JobResult, MapAttemptOutput, MapTaskId, MrError, RoutingPlan, SlotPool, Smof3View,
+    SplitGenerator,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
@@ -15,65 +19,87 @@ fn shape(v: &[u64]) -> Shape {
     Shape::new(v.to_vec()).unwrap()
 }
 
-fn dataset(name: &str, space: &[u64]) -> (sidr_scifile::ScincFile, DatasetSpec) {
+/// A query's attempt bodies whose map, when `lossy`, silently drops
+/// every 17th record of each partition it writes — the kind of bug (or
+/// combiner-count confusion) the annotation tally exists to catch
+/// before a reduce runs on partial input. The partition it writes is
+/// valid and CRC-sealed, its annotation counting the records it holds.
+struct Lossy {
+    inner: SpecExecutor,
+    lossy: bool,
+}
+
+impl AttemptBodies for Lossy {
+    type Key = Coord;
+    type Value = f64;
+    type Out = f64;
+
+    fn map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        fault: Option<FaultKind>,
+        split: &InputSplit,
+        pause: &dyn Fn(Duration) -> bool,
+    ) -> sidr_mapreduce::Result<MapAttemptOutput> {
+        let mut out = self.inner.map(task, attempt, fault, split, pause)?;
+        if self.lossy {
+            for (_, bytes) in &mut out.partitions {
+                let mut file = decode_map_output::<Coord, f64>(bytes)?;
+                let mut i = 0;
+                file.records.retain(|_| {
+                    i += 1;
+                    i % 17 != 0
+                });
+                file.raw_count = file.records.len() as u64;
+                *bytes = encode_map_output(&file)?;
+            }
+        }
+        Ok(out)
+    }
+
+    fn reduce(
+        &self,
+        reducer: usize,
+        inputs: Vec<Smof3View<Coord, f64>>,
+        expected_raw: Option<u64>,
+    ) -> sidr_mapreduce::Result<Vec<(Coord, f64)>> {
+        self.inner.reduce(reducer, inputs, expected_raw)
+    }
+}
+
+/// A default-config SIDR mean over a `{40, 8}` dataset, its map lossy
+/// or not.
+fn run(name: &str, lossy: bool) -> sidr_mapreduce::Result<JobResult> {
     let spec = DatasetSpec {
         variable: "v".into(),
-        dim_names: (0..space.len()).map(|i| format!("d{i}")).collect(),
-        space: shape(space),
+        dim_names: vec!["d0".into(), "d1".into()],
+        space: shape(&[40, 8]),
         model: ValueModel::LinearIndex,
         seed: 0,
     };
     let dir = std::env::temp_dir().join("sidr-annot-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{name}-{}.scinc", std::process::id()));
-    let file = spec.generate::<f64>(&path).unwrap();
-    (file, spec)
-}
-
-/// A mapper that silently drops a fraction of its records — the kind
-/// of bug (or combiner-count confusion) the annotation tally exists to
-/// catch before a reduce runs on partial input.
-struct LossyMapper {
-    inner: StructuralMapper,
-}
-
-impl Mapper for LossyMapper {
-    type InKey = Coord;
-    type InValue = f64;
-    type OutKey = Coord;
-    type OutValue = f64;
-
-    fn map(&self, key: &Coord, value: &f64, emit: &mut dyn FnMut(Coord, f64)) {
-        // Drop every 17th record.
-        if key.components().iter().sum::<u64>() % 17 == 0 {
-            return;
-        }
-        self.inner.map(key, value, emit);
-    }
-}
-
-#[test]
-fn honest_run_passes_annotation_validation() {
-    let (file, _) = dataset("honest", &[40, 8]);
+    spec.generate::<f64>(&path).unwrap();
     let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
     let splits = SplitGenerator::new(q.input_space().clone(), 8)
         .exact_count(5)
         .unwrap();
     let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-    let mapper = StructuralMapper::new(q.extraction.clone());
-    let reducer = OperatorReducer { op: q.operator };
-    let factory = scinc_source_factory::<f64>(&file, "v");
+    let job = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    let inner = SpecExecutor::new(&path, job, ExecOptions::default()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let config = JobConfig::default();
+    let executor = InProcessExecutor::with_bodies(Lossy { inner, lossy }, &config);
+    let pool = SlotPool::new(config.map_slots, config.reduce_slots)?;
     let output = InMemoryOutput::new();
-    let result = run_job(
-        &splits,
-        &factory,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
-        &output,
-        &JobConfig::default(),
-    );
+    run_job_with_executor(&splits, &plan, &output, &config, &pool, None, &executor)
+}
+
+#[test]
+fn honest_run_passes_annotation_validation() {
+    let result = run("honest", false);
     assert!(result.is_ok(), "honest run must validate: {result:?}");
 }
 
@@ -82,31 +108,7 @@ fn honest_run_passes_annotation_validation() {
 /// describes — instead of answering from it.
 #[test]
 fn lossy_run_trips_the_tally_by_default() {
-    let (file, _) = dataset("lossy", &[40, 8]);
-    let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
-    let splits = SplitGenerator::new(q.input_space().clone(), 8)
-        .exact_count(5)
-        .unwrap();
-    let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-    let mapper = LossyMapper {
-        inner: StructuralMapper::new(
-            ExtractionShape::new(shape(&[40, 8]), shape(&[4, 4])).unwrap(),
-        ),
-    };
-    let reducer = OperatorReducer { op: q.operator };
-    let factory = scinc_source_factory::<f64>(&file, "v");
-    let output = InMemoryOutput::new();
-    let result = run_job(
-        &splits,
-        &factory,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
-        &output,
-        &JobConfig::default(),
-    );
-    match result {
+    match run("lossy", true) {
         Err(MrError::AnnotationMismatch {
             expected, actual, ..
         }) => {

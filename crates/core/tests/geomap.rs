@@ -1,23 +1,24 @@
-//! The geometric map kernel is the per-record map path, byte for byte.
+//! The geometric map kernel is the per-record map, byte for byte.
 //!
 //! For random geometries — rank 1–4, strided and unstrided extractions
 //! with discarded partial instances, a query region off the origin,
 //! filter push-down, every element type, misaligned splits and any
 //! reducer count — and under both routes (SIDR's `partition+` and the
 //! stock hash of Hadoop and SciHadoop), `geomap::map_split` must
-//! produce exactly the `(reducer, bytes)` that `run_map_attempt` (the
-//! per-record map, then `encode_map_output`) over a `StructuralMapper`
-//! and the same partition function produces, with the same record
-//! tallies and raw-count annotations.
+//! produce exactly the `(reducer, bytes)` that [`per_record`] — the
+//! structural map record by record, then `encode_map_output` — produces
+//! under the same partition function, with the same record tallies and
+//! raw-count annotations. `per_record` is the kernel's reference and
+//! lives only here.
 
 use proptest::prelude::*;
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::geomap::map_split;
 use sidr_core::source::{ScincRecordSource, StructuralMapper};
-use sidr_core::{Operator, PartitionPlus, StructuralQuery};
+use sidr_core::{MapAttemptOutput, Operator, PartitionPlus, StructuralQuery};
+use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{
-    run_map_attempt, Combiner, CoordHashPartitioner, DefaultPlan, InputSplit, RoutingPlan,
-    Smof3View,
+    CoordHashPartitioner, InputSplit, MapOutputFile, Partitioner, RecordSource, Smof3View,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::{Element, ScincFile};
@@ -125,61 +126,138 @@ fn query(c: &Case) -> StructuralQuery {
 const LO: f64 = 500.0;
 const HI: f64 = 1500.0;
 
+/// The structural map, record by record: every record of `split`, read
+/// through a `ScincRecordSource`, that the push-down `predicate_gt`
+/// keeps and that lies in the query region is translated into the
+/// region's frame and mapped through the extraction to its `K′` key;
+/// one in a discarded partial instance or a stride gap maps to
+/// nothing. Returns the records read and the `(K′ key, value)` pairs
+/// emitted, in reader order.
+fn structural_map<E: Element>(
+    file: &ScincFile,
+    split: &InputSplit,
+    query: &StructuralQuery,
+    predicate_gt: Option<f64>,
+) -> (u64, Vec<(Coord, f64)>) {
+    let mut source = ScincRecordSource::<E>::open(file, "v", split).unwrap();
+    let corner = query.region().corner().clone();
+    let (mut records_in, mut emitted) = (0, Vec::new());
+    while let Some((key, value)) = source.next_record().unwrap() {
+        records_in += 1;
+        if predicate_gt.is_some_and(|threshold| value <= threshold) {
+            continue;
+        }
+        let Ok(rel) = key.checked_sub(&corner) else {
+            continue; // below the region's corner
+        };
+        if !query.input_space().contains(&rel) {
+            continue; // beyond the region's extent
+        }
+        if let Ok(Some(k_prime)) = query.extraction.map_key(&rel) {
+            emitted.push((k_prime, value));
+        }
+    }
+    (records_in, emitted)
+}
+
+/// The kernel's reference: [`structural_map`] routed by `partition`,
+/// each reducer's pairs stably sorted by key and, under a distributive
+/// operator, each key's run folded with `Operator::reduce_group`; each
+/// non-empty partition encoded with its raw-pair annotation.
+fn per_record<E: Element>(
+    file: &ScincFile,
+    split: &InputSplit,
+    query: &StructuralQuery,
+    predicate_gt: Option<f64>,
+    partition: &dyn Partitioner<Coord>,
+    reducers: usize,
+) -> MapAttemptOutput {
+    let (records_in, emitted) = structural_map::<E>(file, split, query, predicate_gt);
+    let records_out = emitted.len() as u64;
+    let mut parts = vec![Vec::new(); reducers];
+    for (k_prime, value) in emitted {
+        parts[partition.partition(&k_prime, reducers)].push((k_prime, value));
+    }
+    let op = query.operator;
+    let partitions = (parts.into_iter().enumerate())
+        .filter(|(_, records)| !records.is_empty())
+        .map(|(r, mut records)| {
+            records.sort_by(|a, b| a.0.cmp(&b.0));
+            let raw_count = records.len() as u64;
+            if op.is_distributive() {
+                records = (records.chunk_by(|a, b| a.0 == b.0))
+                    .map(|run| {
+                        let mut values: Vec<f64> = run.iter().map(|&(_, v)| v).collect();
+                        let mut folded = Vec::new();
+                        op.reduce_group(&mut values, &mut |v| folded.push(v));
+                        assert_eq!(folded.len(), 1, "a distributive fold is one value");
+                        (run[0].0.clone(), folded[0])
+                    })
+                    .collect();
+            }
+            let file = MapOutputFile { records, raw_count };
+            (r, encode_map_output(&file).unwrap())
+        })
+        .collect();
+    MapAttemptOutput {
+        partitions,
+        records_in,
+        records_out,
+    }
+}
+
 /// Both map paths over one case, under both routes; panics with the
 /// case on a mismatch.
 fn check<E: Element>(c: &Case, file: &ScincFile) {
     let query = query(c);
     let mut mapper = StructuralMapper::for_query(&query);
-    if let Some(fraction) = c.pushdown {
-        mapper = mapper.push_down_filter(-LO + fraction * (HI + LO));
+    let predicate_gt = c.pushdown.map(|fraction| -LO + fraction * (HI + LO));
+    if let Some(threshold) = predicate_gt {
+        mapper = mapper.push_down_filter(threshold);
     }
     let partition = PartitionPlus::for_query(&query, c.reducers).unwrap();
     let n = c.reducers;
-    let sidr = DefaultPlan::new(partition.clone(), n);
+    let reference = |p: &dyn Partitioner<Coord>, split: &InputSplit| {
+        per_record::<E>(file, split, &query, predicate_gt, p, n)
+    };
     check_route::<E>(
         c,
         file,
         &mapper,
-        &sidr,
+        &|split| reference(&partition, split),
         &|k| partition.keyblock_of(k),
         "partition+",
     );
-    let hash = DefaultPlan::new(CoordHashPartitioner, n);
     let hash_route = |k: &[u64]| CoordHashPartitioner::keyblock_of(k, n);
-    check_route::<E>(c, file, &mapper, &hash, &hash_route, "hash");
+    check_route::<E>(
+        c,
+        file,
+        &mapper,
+        &|split| reference(&CoordHashPartitioner, split),
+        &hash_route,
+        "hash",
+    );
 }
 
-/// Both map paths over one case under one route: `plan` routes the
-/// per-record path, `keyblock_of` the kernel.
+/// Both map paths over one case under one route: `reference` maps
+/// record by record, routed by the route's `Partitioner`, and
+/// `keyblock_of` routes the kernel.
 fn check_route<E: Element>(
     c: &Case,
     file: &ScincFile,
     mapper: &StructuralMapper,
-    plan: &dyn RoutingPlan<Coord>,
+    reference: &dyn Fn(&InputSplit) -> MapAttemptOutput,
     keyblock_of: &dyn Fn(&[u64]) -> usize,
     route: &str,
 ) {
-    let combiner = c.operator.combiner();
-    let combiner = combiner
-        .as_ref()
-        .map(|c| c as &dyn Combiner<Key = Coord, Value = f64>);
+    let fold = c.operator.is_distributive().then_some(c.operator);
     let split = InputSplit {
         slab: Slab::new(Coord::new(c.split_corner.clone()), shape(&c.split_shape)).unwrap(),
         byte_range: (0, 0),
         preferred_nodes: Vec::new(),
     };
 
-    let per_record = run_map_attempt(
-        0,
-        0,
-        None,
-        || ScincRecordSource::<E>::open(file, "v", &split),
-        mapper,
-        combiner,
-        plan,
-        &|_| true,
-    )
-    .unwrap();
+    let per_record = reference(&split);
 
     let kernel = map_split::<E>(
         file,
@@ -188,7 +266,7 @@ fn check_route<E: Element>(
         mapper,
         c.reducers,
         keyblock_of,
-        combiner,
+        fold,
     )
     .unwrap();
     assert_eq!(
@@ -291,4 +369,34 @@ fn fig8_shaped_split_with_keys_across_chunks() {
             });
         }
     }
+}
+
+/// The structural map translates each key through the extraction and
+/// drops the keys of a discarded partial instance.
+#[test]
+fn structural_map_translates_and_drops() {
+    let spec = DatasetSpec {
+        variable: "v".into(),
+        dim_names: vec!["d0".into()],
+        space: shape(&[10]),
+        model: ValueModel::LinearIndex,
+        seed: 0,
+    };
+    let dir = std::env::temp_dir().join("sidr-geomap-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("translate-{}.scinc", std::process::id()));
+    let file = spec.generate::<f64>(&path).unwrap();
+    let query = StructuralQuery::new("v", shape(&[10]), shape(&[4]), Operator::Mean).unwrap();
+    let split = InputSplit {
+        slab: Slab::whole(&shape(&[10])),
+        byte_range: (0, 0),
+        preferred_nodes: Vec::new(),
+    };
+    let (records_in, out) = structural_map::<f64>(&file, &split, &query, None);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(records_in, 10);
+    // Keys 0..8 map to instances 0 and 1; keys 8..10 discarded.
+    assert_eq!(out.len(), 8);
+    assert!(out[..4].iter().all(|(k, _)| k == &Coord::from([0])));
+    assert!(out[4..].iter().all(|(k, _)| k == &Coord::from([1])));
 }

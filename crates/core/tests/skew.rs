@@ -1,14 +1,14 @@
-//! §4.3's intermediate-key-skew pathology reproduced on the *real*
-//! threaded engine (the fig13 binary reproduces it at paper scale on
-//! the simulator).
+//! §4.3's intermediate-key-skew pathology: corner-coordinate keys
+//! under the stock hash starve reducers, while SIDR's `partition+`
+//! over normalized keys, run on the real threaded engine, stays
+//! balanced (the fig13 binary reproduces it at paper scale on the
+//! simulator).
 
 use sidr_coords::{Coord, Shape};
-use sidr_core::operators::OperatorReducer;
-use sidr_core::source::{scinc_source_factory, StructuralMapper};
+use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
+use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{
-    run_job, CoordHashPartitioner, DefaultPlan, InMemoryOutput, JobConfig, SplitGenerator,
-};
+use sidr_mapreduce::{CoordHashPartitioner, InMemoryOutput, Partitioner, SlotPool, SplitGenerator};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
 const REDUCERS: usize = 22;
@@ -23,6 +23,14 @@ fn per_reducer_records(output: &InMemoryOutput<Coord, f64>) -> Vec<usize> {
         counts[c.reducer] += c.records.len();
     }
     counts
+}
+
+/// The key a SciHadoop query author naturally names an output
+/// position by: its instance's *corner coordinate* in `K`, `k′ ·
+/// stride` — the key pattern ("coordinates at fixed intervals") whose
+/// binary representation defeats hash-modulo partitioning (§4.3).
+fn corner_key(q: &StructuralQuery, k_prime: &Coord) -> Coord {
+    k_prime.component_mul(q.extraction.stride()).unwrap()
 }
 
 #[test]
@@ -43,25 +51,13 @@ fn corner_keys_starve_reducers_under_hash_but_not_under_partition_plus() {
 
     let q = StructuralQuery::new("v", space.clone(), shape(&[2, 4]), Operator::Mean).unwrap();
     let splits = SplitGenerator::new(space, 8).exact_count(10).unwrap();
-    let reducer = OperatorReducer { op: q.operator };
-    let factory = scinc_source_factory::<f64>(&file, "v");
 
-    // Stock: corner keys + hash-modulo.
-    let stock_output = InMemoryOutput::new();
-    let stock_mapper = StructuralMapper::new(q.extraction.clone()).emit_corner_keys();
-    let stock_plan = DefaultPlan::<Coord, _>::new(CoordHashPartitioner, REDUCERS);
-    run_job(
-        &splits,
-        &factory,
-        &stock_mapper,
-        None,
-        &reducer,
-        &stock_plan,
-        &stock_output,
-        &JobConfig::default(),
-    )
-    .unwrap();
-    let stock = per_reducer_records(&stock_output);
+    // Stock: corner keys + hash-modulo. A mean emits one record per
+    // key, so each reducer gets as many records as keys.
+    let mut stock = vec![0usize; REDUCERS];
+    for k_prime in q.intermediate_space().iter_coords() {
+        stock[CoordHashPartitioner.partition(&corner_key(&q, &k_prime), REDUCERS)] += 1;
+    }
     let starved = stock.iter().filter(|&&c| c == 0).count();
     assert!(
         starved >= REDUCERS / 2,
@@ -76,19 +72,11 @@ fn corner_keys_starve_reducers_under_hash_but_not_under_partition_plus() {
 
     // SIDR: partition+ over normalized keys — balanced.
     let sidr_output = InMemoryOutput::new();
-    let sidr_mapper = StructuralMapper::new(q.extraction.clone());
     let sidr_plan = SidrPlanner::new(&q, REDUCERS).build(&splits).unwrap();
-    run_job(
-        &splits,
-        &factory,
-        &sidr_mapper,
-        None,
-        &reducer,
-        &sidr_plan,
-        &sidr_output,
-        &JobConfig::default(),
-    )
-    .unwrap();
+    let job = JobSpec::from_plan(&q, &splits, &sidr_plan).unwrap();
+    let pool = SlotPool::new(4, 3).unwrap();
+    let opts = SpecRunOptions::default();
+    run_spec_on_pool(&file, &job, &opts, &sidr_output, &pool, None).unwrap();
     let sidr = per_reducer_records(&sidr_output);
     assert_eq!(sidr.iter().filter(|&&c| c == 0).count(), 0, "{sidr:?}");
     let max = *sidr.iter().max().unwrap();
@@ -98,8 +86,8 @@ fn corner_keys_starve_reducers_under_hash_but_not_under_partition_plus() {
         "partition+ skew beyond one dealing unit: {sidr:?}"
     );
 
-    // Both produce the same *number* of output keys (the stock run's
-    // keys are corner-scaled but 1:1 with SIDR's).
+    // Both produce the same *number* of output keys (the stock keys
+    // are corner-scaled but 1:1 with SIDR's).
     assert_eq!(stock.iter().sum::<usize>(), sidr.iter().sum::<usize>());
     std::fs::remove_file(&path).unwrap();
 }
@@ -107,16 +95,13 @@ fn corner_keys_starve_reducers_under_hash_but_not_under_partition_plus() {
 #[test]
 fn strided_corner_keys_use_stride_spacing() {
     // With a stride, corner coordinates step by the stride, not the
-    // tile — the mapper must honor that.
+    // tile.
     let space = shape(&[40]);
     let q =
         StructuralQuery::with_stride("v", space, shape(&[2]), vec![10], Operator::Mean).unwrap();
-    let mapper = StructuralMapper::new(q.extraction.clone()).emit_corner_keys();
-    let mut out = Vec::new();
-    use sidr_mapreduce::Mapper as _;
-    for i in 0..40u64 {
-        mapper.map(&Coord::from([i]), &0.0, &mut |k, v| out.push((k, v)));
-    }
-    let keys: Vec<u64> = out.iter().map(|(k, _)| k[0]).collect();
+    let keys: Vec<u64> = (0..40u64)
+        .filter_map(|i| q.map_key(&Coord::from([i])))
+        .map(|k_prime| corner_key(&q, &k_prime)[0])
+        .collect();
     assert_eq!(keys, vec![0, 0, 10, 10, 20, 20, 30, 30]);
 }

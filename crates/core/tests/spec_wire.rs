@@ -5,15 +5,15 @@
 //! (retry budget, speculation, deadline) governs the job on every
 //! entry point, without the caller copying it anywhere.
 
+use std::path::{Path, PathBuf};
+
 use sidr_coords::Shape;
 use sidr_core::framework::{
     run_query, run_spec_on_pool, run_spec_with_executor, FrameworkMode, RunOptions, SpecRunOptions,
 };
-use sidr_core::operators::OperatorReducer;
-use sidr_core::source::{scinc_source_factory, StructuralMapper};
 use sidr_core::spec::JobSpec;
 use sidr_core::verify::PlanView;
-use sidr_core::{Operator, SidrError, SidrPlanner, StructuralQuery};
+use sidr_core::{ExecOptions, Operator, SidrError, SidrPlanner, SpecExecutor, StructuralQuery};
 use sidr_mapreduce::{
     reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InProcessExecutor,
     InputSplit, JobConfig, JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy,
@@ -139,8 +139,8 @@ fn spec_execution_matches_batch_run_query() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A 12-map, 4-keyblock spec and its dataset.
-fn twelve_map_job(tag: &str) -> (ScincFile, JobSpec) {
+/// A 12-map, 4-keyblock spec and its dataset's path.
+fn twelve_map_job(tag: &str) -> (PathBuf, JobSpec) {
     let space = shape(&[48, 6, 4]);
     let ds = DatasetSpec {
         variable: "t".into(),
@@ -152,45 +152,40 @@ fn twelve_map_job(tag: &str) -> (ScincFile, JobSpec) {
     let dir = std::env::temp_dir().join("sidr-spec-wire-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("policy-{tag}-{}.scinc", std::process::id()));
-    let file = ds.generate::<f64>(&path).unwrap();
-    // The open handle keeps the bytes readable.
-    std::fs::remove_file(&path).unwrap();
+    ds.generate::<f64>(&path).unwrap();
     let q = StructuralQuery::new("t", space, shape(&[4, 3, 2]), Operator::Mean).unwrap();
     let splits = SplitGenerator::new(q.input_space().clone(), 8)
         .exact_count(12)
         .unwrap();
     let plan = SidrPlanner::new(&q, 4).build(&splits).unwrap();
-    (file, JobSpec::from_plan(&q, &splits, &plan).unwrap())
+    (path, JobSpec::from_plan(&q, &splits, &plan).unwrap())
 }
 
-/// Runs `spec` through both spec entry points with default
-/// `SpecRunOptions` — only the fault script set, nothing of the spec's
-/// policy copied over: `run_spec_on_pool`, then `run_spec_with_executor`
-/// over an in-process executor.
+/// Runs `spec` over `input` through both spec entry points with
+/// default `SpecRunOptions` — only the fault script set, nothing of the
+/// spec's policy copied over: `run_spec_on_pool`, then
+/// `run_spec_with_executor` over an in-process executor of the spec's
+/// own attempt bodies. Removes `input` afterwards.
 fn run_both(
-    file: &ScincFile,
+    input: &Path,
     spec: &JobSpec,
     fault_plan: FaultPlan,
 ) -> [sidr_core::Result<JobResult>; 2] {
+    let file = ScincFile::open(input).unwrap();
     let opts = SpecRunOptions {
         fault_plan: fault_plan.clone(),
         ..SpecRunOptions::default()
     };
     let pool = SlotPool::new(4, 4).unwrap();
-    let on_pool = run_spec_on_pool(file, spec, &opts, &InMemoryOutput::new(), &pool, None);
+    let on_pool = run_spec_on_pool(&file, spec, &opts, &InMemoryOutput::new(), &pool, None);
 
-    let query = spec.query().unwrap();
-    let plan = SidrPlanner::new(&query, spec.num_reducers)
-        .build(&spec.splits)
-        .unwrap();
-    let factory = scinc_source_factory::<f64>(file, &query.variable);
-    let mapper = StructuralMapper::for_query(&query);
-    let reducer = OperatorReducer { op: query.operator };
+    let bodies = SpecExecutor::new(input, spec.clone(), ExecOptions::default()).unwrap();
+    std::fs::remove_file(input).unwrap();
     let config = JobConfig {
         fault_plan,
         ..JobConfig::default()
     };
-    let executor = InProcessExecutor::new(&factory, &mapper, None, &reducer, &plan, &config);
+    let executor = InProcessExecutor::with_bodies(bodies, &config);
     let on_executor =
         run_spec_with_executor(spec, &opts, &InMemoryOutput::new(), &pool, None, &executor);
     [on_pool, on_executor]
@@ -200,7 +195,7 @@ fn run_both(
 /// straggling map races it, with nothing set on `SpecRunOptions`.
 #[test]
 fn spec_speculation_takes_effect_through_both_entry_points() {
-    let (file, spec) = twelve_map_job("speculation");
+    let (input, spec) = twelve_map_job("speculation");
     let straggler = 5;
     let spec = spec.with_speculation(SpeculationPolicy::force([straggler]));
     let straggle = FaultPlan::none().with(
@@ -210,7 +205,7 @@ fn spec_speculation_takes_effect_through_both_entry_points() {
     );
     for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
         .into_iter()
-        .zip(run_both(&file, &spec, straggle))
+        .zip(run_both(&input, &spec, straggle))
     {
         let result = result.unwrap_or_else(|e| panic!("{entry}: {e}"));
         assert!(
@@ -226,11 +221,11 @@ fn spec_speculation_takes_effect_through_both_entry_points() {
 /// typed error.
 #[test]
 fn spec_deadline_takes_effect_through_both_entry_points() {
-    let (file, spec) = twelve_map_job("deadline");
+    let (input, spec) = twelve_map_job("deadline");
     let spec = spec.with_deadline_ms(40);
     for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
         .into_iter()
-        .zip(run_both(&file, &spec, FaultPlan::straggle_maps(0..12, 50)))
+        .zip(run_both(&input, &spec, FaultPlan::straggle_maps(0..12, 50)))
     {
         assert!(
             matches!(
@@ -248,7 +243,7 @@ fn spec_deadline_takes_effect_through_both_entry_points() {
 /// single injected map failure fails the job instead of being retried.
 #[test]
 fn spec_retry_budget_takes_effect_through_both_entry_points() {
-    let (file, spec) = twelve_map_job("retry");
+    let (input, spec) = twelve_map_job("retry");
     let spec = spec.with_retry(RetryPolicy {
         max_task_attempts: 1,
         backoff_ms: 1,
@@ -256,7 +251,7 @@ fn spec_retry_budget_takes_effect_through_both_entry_points() {
     let fail = FaultPlan::none().with(FaultTarget::Map(0), 0, FaultKind::Fail);
     for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
         .into_iter()
-        .zip(run_both(&file, &spec, fail))
+        .zip(run_both(&input, &spec, fail))
     {
         assert!(
             matches!(result, Err(SidrError::Engine(MrError::TaskFailed { .. }))),
@@ -271,7 +266,10 @@ fn spec_retry_budget_takes_effect_through_both_entry_points() {
 /// error), the map runs once more, and the output is bit-identical.
 #[test]
 fn damaged_map_output_is_reexecuted_once_with_identical_output() {
-    let (file, spec) = twelve_map_job("damage");
+    let (input, spec) = twelve_map_job("damage");
+    let file = ScincFile::open(&input).unwrap();
+    // The open handle keeps the bytes readable.
+    std::fs::remove_file(&input).unwrap();
     let pool = SlotPool::new(4, 4).unwrap();
     let run = |fault_plan: FaultPlan| {
         let opts = SpecRunOptions {

@@ -5,10 +5,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use sidr_coords::Shape;
 use sidr_core::early::streaming_output;
-use sidr_core::operators::OperatorReducer;
-use sidr_core::source::{scinc_source_factory, StructuralMapper};
+use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
+use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{run_job, FaultPlan, JobConfig, SplitGenerator};
+use sidr_mapreduce::{FaultPlan, SlotPool, SplitGenerator};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
 fn shape(v: &[u64]) -> Shape {
@@ -33,9 +33,12 @@ fn consumer_sees_results_before_the_job_finishes() {
     let q = StructuralQuery::new("v", space.clone(), shape(&[4, 4]), Operator::Mean).unwrap();
     let splits = SplitGenerator::new(space, 8).exact_count(6).unwrap();
     let plan = SidrPlanner::new(&q, 6).build(&splits).unwrap();
-    let mapper = StructuralMapper::new(q.extraction.clone());
-    let reducer = OperatorReducer { op: q.operator };
-    let factory = scinc_source_factory::<f64>(&file, "v");
+    let job = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    let opts = SpecRunOptions {
+        fault_plan: FaultPlan::straggle_maps(0..splits.len(), 10),
+        ..SpecRunOptions::default()
+    };
+    let pool = SlotPool::new(1, 3).unwrap(); // serialize maps so results trickle
     let (collector, rx) = streaming_output();
 
     let job_done = AtomicBool::new(false);
@@ -55,21 +58,7 @@ fn consumer_sees_results_before_the_job_finishes() {
             }
         });
 
-        run_job(
-            &splits,
-            &factory,
-            &mapper,
-            None,
-            &reducer,
-            &plan,
-            &collector,
-            &JobConfig {
-                map_slots: 1, // serialize maps so results trickle
-                fault_plan: FaultPlan::straggle_maps(0..splits.len(), 10),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        run_spec_on_pool(&file, &job, &opts, &collector, &pool, None).unwrap();
         job_done.store(true, Ordering::SeqCst);
         drop(collector); // close the channel so the consumer exits
         consumer.join().unwrap();

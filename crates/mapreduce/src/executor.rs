@@ -17,9 +17,8 @@
 //! through [`open_sources`], merge the [`Smof3View`]s in place
 //! ([`run_reduce_attempt`]) and then release the sources through
 //! [`PartitionStore::release`]. What writes the bytes is a pair of
-//! [`AttemptBodies`]: a generic `run_job` job's per-record
-//! [`run_map_attempt`], or a spec job's geometric map
-//! (`sidr_core::SpecExecutor`, which a worker runs too).
+//! [`AttemptBodies`] — every job's is `sidr_core::SpecExecutor`, the
+//! geometric map a worker runs too.
 //!
 //! The job's books are the scheduler's. A map attempt *returns* its
 //! [`MapTally`] — records in and out, and `(reducer, rows)` of each
@@ -40,14 +39,12 @@ use std::time::Duration;
 
 use crate::error::MrError;
 use crate::fault::FaultKind;
-use crate::plan::RoutingPlan;
 use crate::runtime::JobConfig;
-use crate::shuffle::{GroupBatch, MapOutputBuilder, MergeIter};
-use crate::shuffle_file::encode_map_output;
+use crate::shuffle::{GroupBatch, MergeIter};
 use crate::smof3::Smof3View;
 use crate::split::{InputSplit, MapTaskId};
 use crate::sync::chaos;
-use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
+use crate::task::{MrKey, MrValue};
 use crate::tier::{MemBackend, PartitionStore, TierConfig, TierPressure};
 use crate::wire::WireFormat;
 use crate::Result;
@@ -149,57 +146,6 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
     ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError>;
 }
 
-/// The map attempt body: fault → read → map → partition →
-/// [`MapOutputBuilder::finish`] → [`encode_map_output`]. Returns the
-/// non-empty partitions and the attempt's record tallies.
-///
-/// `fault` is the injected fault for exactly this (task, attempt): a
-/// straggler waits through `pause` (see [`TaskExecutor::execute_map`]),
-/// a failure dies before any work, a source fault turns the record
-/// stream into a transient I/O error mid-read. `open` runs only after
-/// those, so a failed attempt never opens its split.
-#[allow(clippy::too_many_arguments)]
-pub fn run_map_attempt<S, K2, V2>(
-    task: MapTaskId,
-    attempt: u32,
-    fault: Option<FaultKind>,
-    open: impl FnOnce() -> Result<S>,
-    mapper: &dyn Mapper<InKey = S::Key, InValue = S::Value, OutKey = K2, OutValue = V2>,
-    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
-    plan: &dyn RoutingPlan<K2>,
-    pause: &dyn Fn(Duration) -> bool,
-) -> Result<MapAttemptOutput>
-where
-    S: RecordSource,
-    K2: MrKey + WireFormat,
-    V2: MrValue + WireFormat,
-{
-    let source_err_after = begin_map_attempt(task, attempt, fault, pause)?;
-    let mut source = open()?;
-    let mut builder = MapOutputBuilder::new(plan.num_reducers());
-    let mut records_in = 0u64;
-    let mut records_out = 0u64;
-    while let Some((k, v)) = source.next_record()? {
-        if source_err_after.is_some_and(|after| records_in >= after) {
-            return Err(injected_source_error(task, attempt, records_in));
-        }
-        records_in += 1;
-        mapper.map(&k, &v, &mut |k2, v2| {
-            let reducer = plan.partition(&k2);
-            builder.push(reducer, k2, v2);
-            records_out += 1;
-        });
-    }
-    let files = builder.finish(combiner);
-    Ok(MapAttemptOutput {
-        partitions: (files.iter())
-            .map(|(reducer, file)| Ok((*reducer, encode_map_output(file)?)))
-            .collect::<Result<_>>()?,
-        records_in,
-        records_out,
-    })
-}
-
 /// What an injected fault does at the start of a map attempt: a
 /// straggler waits through `pause` (and is [`MrError::Cancelled`] when
 /// the wait is cut short), a failure dies before any work. Returns the
@@ -239,9 +185,11 @@ const REDUCE_BATCH_RECORDS: usize = 4096;
 /// The reduce attempt body: open a merge cursor per input view **in the
 /// given order** (the plan's fetch order breaks ties between equal
 /// keys, which is what keeps output byte-identical wherever the
-/// attempt runs) → §3.2.1 annotation tally → batched merge → reduce
-/// fn, which gets each group mutably from the batch that owns it.
-/// Returns the keyblock: every output record, in key order.
+/// attempt runs) → §3.2.1 annotation tally → batched merge → `reduce`,
+/// which gets each key's group mutably from the batch that owns it (it
+/// may reorder the group in place: the holistic query operators select
+/// or sort there) and emits the key's output values. Returns the
+/// keyblock: every output record, in key order.
 ///
 /// The merge streams — batches amortize the per-group heap
 /// bookkeeping and no whole-keyspace `Vec<(K, Vec<V>)>` is ever
@@ -250,7 +198,7 @@ pub fn run_reduce_attempt<K, V, V3>(
     reducer: usize,
     inputs: Vec<Smof3View<K, V>>,
     expected_raw: Option<u64>,
-    reducer_fn: &dyn Reducer<Key = K, InValue = V, OutValue = V3>,
+    mut reduce: impl FnMut(&mut [V], &mut dyn FnMut(V3)),
 ) -> Result<Vec<(K, V3)>>
 where
     K: MrKey,
@@ -280,7 +228,7 @@ where
     let mut out: Vec<(K, V3)> = Vec::new();
     while merge.fill_batch(&mut batch, REDUCE_BATCH_RECORDS) != 0 {
         for (key, values) in batch.groups_mut() {
-            reducer_fn.reduce(key, values, &mut |v3| out.push((key.clone(), v3)));
+            reduce(values, &mut |v3| out.push((key.clone(), v3)));
         }
     }
     let m = crate::metrics::runtime();
@@ -320,69 +268,6 @@ pub trait AttemptBodies: Sync {
         inputs: Vec<Smof3View<Self::Key, Self::Value>>,
         expected_raw: Option<u64>,
     ) -> Result<Vec<(Self::Key, Self::Out)>>;
-}
-
-/// A generic `run_job` job's attempt bodies: the per-record
-/// [`run_map_attempt`] over its record source, user functions and
-/// partition function; and [`run_reduce_attempt`] with its reduce
-/// function.
-pub struct JobBodies<'a, K1, V1, K2, V2, V3, SF>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
-    source_factory: &'a SF,
-    mapper: &'a dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-    combiner: Option<&'a dyn Combiner<Key = K2, Value = V2>>,
-    reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
-    plan: &'a dyn RoutingPlan<K2>,
-}
-
-impl<K1, V1, K2, V2, V3, SF, S> AttemptBodies for JobBodies<'_, K1, V1, K2, V2, V3, SF>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey + WireFormat,
-    V2: MrValue + WireFormat,
-    V3: MrValue,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
-    type Key = K2;
-    type Value = V2;
-    type Out = V3;
-
-    fn map(
-        &self,
-        task: MapTaskId,
-        attempt: u32,
-        fault: Option<FaultKind>,
-        split: &InputSplit,
-        pause: &dyn Fn(Duration) -> bool,
-    ) -> Result<MapAttemptOutput> {
-        run_map_attempt(
-            task,
-            attempt,
-            fault,
-            || (self.source_factory)(task, split),
-            self.mapper,
-            self.combiner,
-            self.plan,
-            pause,
-        )
-    }
-
-    fn reduce(
-        &self,
-        reducer: usize,
-        inputs: Vec<Smof3View<K2, V2>>,
-        expected_raw: Option<u64>,
-    ) -> Result<Vec<(K2, V3)>> {
-        run_reduce_attempt(reducer, inputs, expected_raw, self.reducer)
-    }
 }
 
 /// Both executors' one way to open a reduce's sources: `fetched` holds
@@ -442,38 +327,6 @@ pub struct InProcessExecutor<'a, B> {
     config: &'a JobConfig,
     /// Every committed partition, keyed `(JOB, map, reducer, attempt)`.
     store: PartitionStore,
-}
-
-impl<'a, K1, V1, K2, V2, V3, SF> InProcessExecutor<'a, JobBodies<'a, K1, V1, K2, V2, V3, SF>>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
-    /// The executor of a generic job:
-    /// * `source_factory` — opens the RecordReader for a split,
-    /// * `mapper` / `combiner` / `reducer` — the user functions,
-    /// * `plan` — the partition function,
-    /// * `config` — fault script, `volatile_intermediate`.
-    pub fn new(
-        source_factory: &'a SF,
-        mapper: &'a dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-        combiner: Option<&'a dyn Combiner<Key = K2, Value = V2>>,
-        reducer: &'a dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
-        plan: &'a dyn RoutingPlan<K2>,
-        config: &'a JobConfig,
-    ) -> Self {
-        let bodies = JobBodies {
-            source_factory,
-            mapper,
-            combiner,
-            reducer,
-            plan,
-        };
-        Self::with_bodies(bodies, config)
-    }
 }
 
 impl<'a, B> InProcessExecutor<'a, B> {

@@ -7,7 +7,7 @@
 //! * **Input splits** ([`split`]) — byte-range-style naive splits
 //!   (stock Hadoop) and logical-coordinate, extraction-aligned splits
 //!   (SciHadoop, §2.4.1),
-//! * **Map / Combine / Reduce** user functions ([`task`]),
+//! * **Record sources** and the key/value bounds ([`task`]),
 //! * **Partitioner** ([`partitioner`]) — including Hadoop's
 //!   modulo-of-the-binary-representation default whose skew pathology
 //!   §4.3 demonstrates,
@@ -59,23 +59,20 @@ pub mod wire;
 pub use counters::{Counters, CountersSnapshot};
 pub use error::MrError;
 pub use executor::{
-    begin_map_attempt, injected_source_error, open_sources, run_map_attempt, run_reduce_attempt,
-    AttemptBodies, InProcessExecutor, MapAttemptOutput, MapTally, ReduceSource, RemoteReduceError,
-    TaskExecutor,
+    begin_map_attempt, injected_source_error, open_sources, run_reduce_attempt, AttemptBodies,
+    InProcessExecutor, MapAttemptOutput, MapTally, ReduceSource, RemoteReduceError, TaskExecutor,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
 pub use plan::{DefaultPlan, RoutingPlan};
-pub use runtime::{run_job, run_job_shared, run_job_with_executor, JobConfig, JobResult};
-pub use shuffle::{GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter};
+pub use runtime::{run_job_with_executor, JobConfig, JobResult};
+pub use shuffle::{GroupBatch, MapOutputFile, MergeIter};
 pub use slots::{CancelToken, CancelWake, Semaphore, SlotOccupancy, SlotPool, WakerRegistration};
 pub use smof3::Smof3View;
 pub use speculation::SpeculationPolicy;
 pub use split::{InputSplit, MapTaskId, SplitGenerator};
-pub use task::{
-    Combiner, FnMapper, FnReducer, Mapper, MrKey, MrValue, RecordSource, Reducer, SliceRecordSource,
-};
+pub use task::{MrKey, MrValue, RecordSource};
 pub use tier::{PartitionStore, SpillBackend, TierConfig, TierPressure};
 pub use timeline::{reexecuted_maps, spans, TaskEvent, TaskKind, Timeline};
 pub use wire::FixedCodec;

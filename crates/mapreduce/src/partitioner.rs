@@ -119,5 +119,6 @@ mod tests {
         let p = ModuloPartitioner;
         assert_eq!(p.partition(&45u64, 22), 1);
         assert_eq!(p.partition(&44u64, 22), 0);
+        assert_eq!(p.partition(&9u64, 4), 1);
     }
 }

@@ -1,29 +1,29 @@
 //! Routing plans: the policy surface that separates stock Hadoop,
 //! SciHadoop and SIDR.
 //!
-//! A [`RoutingPlan`] bundles every decision the paper varies:
+//! A [`RoutingPlan`] bundles the decisions the scheduler varies; the
+//! partition function is not among them, because only a map attempt
+//! applies it — it lives in the job's attempt bodies:
 //!
 //! | decision            | Hadoop / SciHadoop        | SIDR                     |
 //! |---------------------|---------------------------|--------------------------|
-//! | partition function  | hash-modulo (§3.1)        | `partition+`             |
 //! | reduce barrier      | all Map tasks (global)    | actual deps `I_ℓ` (§3.2) |
 //! | fetch sources       | every Map task (§4.6)     | only `I_ℓ`               |
 //! | scheduling          | maps first, reduces by id | reduces first, maps on   |
 //! |                     |                           | demand (§3.3)            |
 //! | reduce order        | monotone ids              | prioritized keyblocks    |
 //! |                     |                           | (§3.4)                   |
+//! | §3.2.1 tally        | none                      | geometric raw count      |
+//!
+//! The partition function each attempt body applies is hash-modulo
+//! under Hadoop and SciHadoop (§3.1) and `partition+` under SIDR.
 
-use crate::partitioner::Partitioner;
 use crate::split::MapTaskId;
-use crate::task::MrKey;
 
 /// The per-job routing/scheduling policy.
-pub trait RoutingPlan<K: MrKey>: Send + Sync {
+pub trait RoutingPlan: Send + Sync {
     /// Number of Reduce tasks (`r`).
     fn num_reducers(&self) -> usize;
-
-    /// Assigns an intermediate key to a keyblock / reducer.
-    fn partition(&self, key: &K) -> usize;
 
     /// The Map tasks reducer `r` depends on and fetches from (`I_ℓ`),
     /// or `None` for the global barrier: any Map task may feed any
@@ -53,32 +53,22 @@ pub trait RoutingPlan<K: MrKey>: Send + Sync {
     }
 }
 
-/// Stock Hadoop: hash partitioning, global barrier, fetch-everything,
-/// maps eagerly schedulable, reduces in id order.
-pub struct DefaultPlan<K, P> {
-    partitioner: P,
+/// Stock Hadoop: global barrier, fetch-everything, maps eagerly
+/// schedulable, reduces in id order.
+pub struct DefaultPlan {
     num_reducers: usize,
-    _marker: std::marker::PhantomData<fn(K)>,
 }
 
-impl<K: MrKey, P: Partitioner<K>> DefaultPlan<K, P> {
-    pub fn new(partitioner: P, num_reducers: usize) -> Self {
+impl DefaultPlan {
+    pub fn new(num_reducers: usize) -> Self {
         assert!(num_reducers > 0, "need at least one reducer");
-        DefaultPlan {
-            partitioner,
-            num_reducers,
-            _marker: std::marker::PhantomData,
-        }
+        DefaultPlan { num_reducers }
     }
 }
 
-impl<K: MrKey, P: Partitioner<K>> RoutingPlan<K> for DefaultPlan<K, P> {
+impl RoutingPlan for DefaultPlan {
     fn num_reducers(&self) -> usize {
         self.num_reducers
-    }
-
-    fn partition(&self, key: &K) -> usize {
-        self.partitioner.partition(key, self.num_reducers)
     }
 
     fn reduce_deps(&self, _reducer: usize) -> Option<Vec<MapTaskId>> {
@@ -89,13 +79,11 @@ impl<K: MrKey, P: Partitioner<K>> RoutingPlan<K> for DefaultPlan<K, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::ModuloPartitioner;
 
     #[test]
     fn default_plan_is_global_barrier_everything() {
-        let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
+        let plan = DefaultPlan::new(4);
         assert_eq!(plan.num_reducers(), 4);
-        assert_eq!(plan.partition(&9), 1);
         assert_eq!(plan.reduce_deps(0), None);
         assert!(!plan.invert_scheduling());
         assert_eq!(plan.reduce_order(), vec![0, 1, 2, 3]);
@@ -105,6 +93,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one reducer")]
     fn zero_reducers_panics() {
-        let _ = DefaultPlan::<u64, _>::new(ModuloPartitioner, 0);
+        let _ = DefaultPlan::new(0);
     }
 }

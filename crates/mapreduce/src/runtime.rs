@@ -9,16 +9,16 @@
 //! already hold. This module supplies the threads, the waiting, the
 //! clock (elapsed times, backoff sleeps, latency stamps) and the
 //! timeline events. Running an attempt — and holding what it produced
-//! — is the [`TaskExecutor`]'s job. [`run_job_with_executor`] is the
-//! one entry point; [`run_job`] and [`run_job_shared`] hand it an
-//! [`InProcessExecutor`] over the caller's user functions.
+//! — is the [`TaskExecutor`]'s job: an
+//! [`InProcessExecutor`](crate::executor::InProcessExecutor) over a
+//! pair of attempt bodies, or a worker fleet. [`run_job_with_executor`]
+//! is the one entry point.
 //!
 //! Slots are owned by a [`SlotPool`] — the cluster-wide map and reduce
 //! capacity (Hadoop's per-TaskTracker slots, §4: 4 map + 3 reduce per
-//! node). [`run_job`] runs one job over a pool of its own;
-//! [`run_job_shared`] runs a job against a pool *shared with other
-//! concurrently running jobs* (the serving path), so the whole
-//! cluster's slot budget is enforced across jobs rather than per job.
+//! node). A pool may be *shared with other concurrently running jobs*
+//! (the serving path), so the whole cluster's slot budget is enforced
+//! across jobs rather than per job.
 //! Reduce tasks occupy a slot from the moment they are launched —
 //! which, under inverted scheduling, is what makes their maps
 //! eligible — and are dispatched only when their barrier is met:
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use crate::counters::{Counters, CountersSnapshot};
 use crate::error::MrError;
-use crate::executor::{InProcessExecutor, ReduceSource, RemoteReduceError, TaskExecutor};
+use crate::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
 use crate::output::OutputCollector;
 use crate::plan::RoutingPlan;
@@ -45,9 +45,8 @@ use crate::schedule::Schedule;
 use crate::slots::{subscribe_all, CancelToken, CancelWake, PairWaker, SlotGuard, SlotPool};
 use crate::speculation::SpeculationPolicy;
 use crate::split::{InputSplit, MapTaskId};
-use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
+use crate::task::{MrKey, MrValue};
 use crate::timeline::{TaskEvent, TaskKind, Timeline};
-use crate::wire::WireFormat;
 use crate::Result;
 
 /// Runtime configuration. It holds no check switches: every reduce
@@ -195,7 +194,7 @@ impl State {
     }
 }
 
-struct Shared<'j, K2: MrKey> {
+struct Shared<'j> {
     /// `Arc`'d (with `cv`) so cancel tokens can hold a [`PairWaker`]
     /// over the pair while the job runs.
     state: Arc<Mutex<State>>,
@@ -203,13 +202,13 @@ struct Shared<'j, K2: MrKey> {
     counters: Counters,
     timeline: Timeline,
     error: Mutex<Option<MrError>>,
-    plan: &'j dyn RoutingPlan<K2>,
+    plan: &'j dyn RoutingPlan,
     config: &'j JobConfig,
     pool: &'j SlotPool,
     cancel: Option<&'j CancelToken>,
 }
 
-impl<K2: MrKey> Shared<'_, K2> {
+impl Shared<'_> {
     fn fail(&self, err: MrError) {
         let mut slot = self.error.lock();
         if slot.is_none() {
@@ -256,84 +255,6 @@ impl<K2: MrKey> Shared<'_, K2> {
     }
 }
 
-/// Runs one MapReduce job to completion on a slot pool of its own
-/// (sized from `config.map_slots` / `config.reduce_slots`).
-///
-/// * `splits` — the input splits (one Map task each),
-/// * `source_factory` — opens the RecordReader for a split,
-/// * `mapper` / `combiner` / `reducer` — the user functions,
-/// * `plan` — partitioning, barrier, fetch and scheduling policy,
-/// * `output` — where committed reduce output goes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job<K1, V1, K2, V2, V3, SF, S>(
-    splits: &[InputSplit],
-    source_factory: &SF,
-    mapper: &dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
-    reducer: &dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
-    plan: &dyn RoutingPlan<K2>,
-    output: &dyn OutputCollector<K2, V3>,
-    config: &JobConfig,
-) -> Result<JobResult>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey + WireFormat,
-    V2: MrValue + WireFormat,
-    V3: MrValue,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
-    let pool = SlotPool::new(config.map_slots, config.reduce_slots)?;
-    run_job_shared(
-        splits,
-        source_factory,
-        mapper,
-        combiner,
-        reducer,
-        plan,
-        output,
-        config,
-        &pool,
-        None,
-    )
-}
-
-/// Runs one MapReduce job in-process over a [`SlotPool`] that may be
-/// shared with other jobs running concurrently on other threads — the
-/// serving path. `config.map_slots` / `config.reduce_slots` are
-/// ignored here: the pool owns the cluster's slot budget, and at most
-/// `pool.map_slots()` Map tasks and `pool.reduce_slots()` Reduce tasks
-/// run at once *across all sharing jobs*.
-///
-/// Passing a `cancel` token makes the job abandonable: once cancelled,
-/// the job unwinds and this returns [`MrError::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_shared<K1, V1, K2, V2, V3, SF, S>(
-    splits: &[InputSplit],
-    source_factory: &SF,
-    mapper: &dyn Mapper<InKey = K1, InValue = V1, OutKey = K2, OutValue = V2>,
-    combiner: Option<&dyn Combiner<Key = K2, Value = V2>>,
-    reducer: &dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
-    plan: &dyn RoutingPlan<K2>,
-    output: &dyn OutputCollector<K2, V3>,
-    config: &JobConfig,
-    pool: &SlotPool,
-    cancel: Option<&CancelToken>,
-) -> Result<JobResult>
-where
-    K1: MrKey,
-    V1: MrValue,
-    K2: MrKey + WireFormat,
-    V2: MrValue + WireFormat,
-    V3: MrValue,
-    SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
-    S: RecordSource<Key = K1, Value = V1>,
-{
-    let executor = InProcessExecutor::new(source_factory, mapper, combiner, reducer, plan, config);
-    run_job_with_executor(splits, plan, output, config, pool, cancel, &executor)
-}
-
 /// The scheduler entry point: runs one job's attempts through
 /// `executor` — in-process or a worker fleet — while this function
 /// keeps everything above the payload: eligibility, inverted
@@ -342,7 +263,7 @@ where
 /// it still holds when the job ends is its owner's to drop.
 pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
     splits: &[InputSplit],
-    plan: &dyn RoutingPlan<K2>,
+    plan: &dyn RoutingPlan,
     output: &dyn OutputCollector<K2, V3>,
     config: &JobConfig,
     pool: &SlotPool,
@@ -453,7 +374,7 @@ pub fn run_job_with_executor<K2: MrKey, V3: MrValue>(
 }
 
 fn map_worker<K2: MrKey, V3: MrValue>(
-    shared: &Shared<'_, K2>,
+    shared: &Shared<'_>,
     splits: &[InputSplit],
     executor: &dyn TaskExecutor<K2, V3>,
 ) {
@@ -635,7 +556,7 @@ fn map_worker<K2: MrKey, V3: MrValue>(
 /// `MapSpeculationLost` timeline event for either racer plus the
 /// wasted-work metric, then a notify so anything watching the race
 /// re-checks.
-fn lose_race<K2: MrKey>(shared: &Shared<'_, K2>, task: MapTaskId, attempt: u32) {
+fn lose_race(shared: &Shared<'_>, task: MapTaskId, attempt: u32) {
     shared
         .timeline
         .record_attempt(TaskKind::MapSpeculationLost, task, attempt);
@@ -644,7 +565,7 @@ fn lose_race<K2: MrKey>(shared: &Shared<'_, K2>, task: MapTaskId, attempt: u32) 
 }
 
 fn reduce_worker<K2: MrKey, V3: MrValue>(
-    shared: &Shared<'_, K2>,
+    shared: &Shared<'_>,
     output: &dyn OutputCollector<K2, V3>,
     executor: &dyn TaskExecutor<K2, V3>,
 ) {
@@ -719,7 +640,7 @@ fn reduce_worker<K2: MrKey, V3: MrValue>(
 ///   budget and, under volatile intermediate data (in-process only),
 ///   re-executes its whole dependency set.
 fn run_reduce_task<K2: MrKey, V3: MrValue>(
-    shared: &Shared<'_, K2>,
+    shared: &Shared<'_>,
     r: usize,
     exec: &dyn TaskExecutor<K2, V3>,
     output: &dyn OutputCollector<K2, V3>,
@@ -857,7 +778,7 @@ fn run_reduce_task<K2: MrKey, V3: MrValue>(
 ///   boosts the trigger for the rest of the job: anything slower than
 ///   its cohort is raced (advisory `SIDR-I014`,
 ///   `sidr_mr_deadline_boosts_total`).
-fn monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
+fn monitor(shared: &Shared<'_>, num_reducers: usize) {
     let policy = &shared.config.speculation;
     let deadline = shared.config.deadline;
     let interval = Duration::from_millis(policy.check_interval_ms.max(1));
@@ -931,8 +852,8 @@ fn monitor<K2: MrKey>(shared: &Shared<'_, K2>, num_reducers: usize) {
 /// the committed one is re-opened for re-execution, and `min_epoch`
 /// moves past each lost binding so the retry waits for a fresh commit
 /// instead of re-fetching a dead one.
-fn recover<K2: MrKey>(
-    shared: &Shared<'_, K2>,
+fn recover(
+    shared: &Shared<'_>,
     sources: &[MapTaskId],
     epochs: &[u32],
     min_epoch: &mut [u32],

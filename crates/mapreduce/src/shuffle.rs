@@ -1,4 +1,4 @@
-//! Shuffle payloads: map-output files, their builder, and sort-merge.
+//! Shuffle payloads: map-output files and their sort-merge.
 //!
 //! Each Map task leaves one output file per reducer it produced data
 //! for. A file carries the §3.2.1 *annotation*: "how many ⟨k,v⟩ are
@@ -7,13 +7,17 @@
 //! cross-check SIDR uses to validate that starting early never
 //! consumes insufficient input.
 //!
-//! The builder is typed and in memory; a committed file is CRC-framed
-//! SMOF v4 bytes ([`crate::shuffle_file`]) in a [`PartitionStore`],
-//! whichever executor committed it, and the merge reads those bytes in
-//! place, one [`Smof3View`] per source. Where a file lives and how a
-//! reducer gets it is behind the [`TaskExecutor`] seam.
+//! A [`MapOutputFile`] is the typed, in-memory form that
+//! [`encode_map_output`] and [`decode_map_output`] translate; a
+//! committed file is CRC-framed SMOF v4 bytes ([`crate::shuffle_file`])
+//! in a [`PartitionStore`], whichever executor committed it, and the
+//! merge reads those bytes in place, one [`Smof3View`] per source.
+//! Where a file lives and how a reducer gets it is behind the
+//! [`TaskExecutor`] seam.
 //!
 //! [`TaskExecutor`]: crate::executor::TaskExecutor
+//! [`encode_map_output`]: crate::shuffle_file::encode_map_output
+//! [`decode_map_output`]: crate::shuffle_file::decode_map_output
 //! [`PartitionStore`]: crate::tier::PartitionStore
 
 use crate::smof3::Smof3View;
@@ -37,90 +41,6 @@ impl<K, V> Default for MapOutputFile<K, V> {
             raw_count: 0,
         }
     }
-}
-
-/// Builds the per-reducer output files of one Map task: partitions,
-/// optionally combines, sorts, annotates.
-pub struct MapOutputBuilder<K, V> {
-    per_reducer: Vec<Vec<(K, V)>>,
-}
-
-impl<K: MrKey, V: MrValue> MapOutputBuilder<K, V> {
-    pub fn new(num_reducers: usize) -> Self {
-        MapOutputBuilder {
-            per_reducer: (0..num_reducers).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Adds one intermediate pair destined for `reducer`.
-    #[inline]
-    pub fn push(&mut self, reducer: usize, key: K, value: V) {
-        self.per_reducer[reducer].push((key, value));
-    }
-
-    /// Finalizes into per-reducer files: sorts by key, applies the
-    /// combiner per key group, and stamps the raw-count annotation.
-    /// Returns `(reducer, file)` for every non-empty partition; empty
-    /// ones produce nothing (Hadoop serves an empty response for
-    /// those; the executor models that as absence).
-    pub fn finish(
-        self,
-        combiner: Option<&dyn crate::task::Combiner<Key = K, Value = V>>,
-    ) -> Vec<(usize, MapOutputFile<K, V>)> {
-        let mut out = Vec::new();
-        for (reducer, mut records) in self.per_reducer.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
-            }
-            records.sort_by(|a, b| a.0.cmp(&b.0));
-            // The annotation: raw pairs pushed for this reducer.
-            let raw_count = records.len() as u64;
-            if let Some(c) = combiner {
-                records = combine_sorted(records, c);
-            }
-            out.push((reducer, MapOutputFile { records, raw_count }));
-        }
-        out
-    }
-}
-
-/// Applies a combiner to a key-sorted run. One group buffer is reused
-/// across every key (the combiner rewrites it in place), and the key
-/// is moved — not cloned — unless the combiner emits more than one
-/// value for it.
-fn combine_sorted<K: MrKey, V: MrValue>(
-    records: Vec<(K, V)>,
-    combiner: &dyn crate::task::Combiner<Key = K, Value = V>,
-) -> Vec<(K, V)> {
-    let mut out = Vec::with_capacity(records.len());
-    let mut iter = records.into_iter();
-    let Some((mut key, first)) = iter.next() else {
-        return out;
-    };
-    let mut group: Vec<V> = Vec::new();
-    group.push(first);
-    let flush = |key: K, group: &mut Vec<V>, out: &mut Vec<(K, V)>| {
-        combiner.combine(&key, group);
-        match group.len() {
-            0 => {}
-            1 => out.push((key, group.pop().expect("one value"))),
-            _ => {
-                let last = group.pop().expect("at least two values");
-                out.extend(group.drain(..).map(|v| (key.clone(), v)));
-                out.push((key, last));
-            }
-        }
-    };
-    for (k, v) in iter {
-        if k == key {
-            group.push(v);
-        } else {
-            flush(std::mem::replace(&mut key, k), &mut group, &mut out);
-            group.push(v);
-        }
-    }
-    flush(key, &mut group, &mut out);
-    out
 }
 
 /// Streaming k-way merge over key-sorted map-output files.
@@ -386,7 +306,7 @@ impl<K, V> GroupBatch<K, V> {
 
     /// The batched groups, in merge order, each value slice handed out
     /// mutably: the batch owns them, and a reducer may reorder a group
-    /// in place (see [`Reducer::reduce`](crate::Reducer::reduce)).
+    /// in place (see [`run_reduce_attempt`](crate::run_reduce_attempt)).
     pub fn groups_mut(&mut self) -> impl Iterator<Item = (&K, &mut [V])> {
         let mut rest = self.values.as_mut_slice();
         let mut start = 0;
@@ -402,53 +322,6 @@ impl<K, V> GroupBatch<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::Combiner;
-
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = u64;
-        type Value = u64;
-        fn combine(&self, _key: &u64, values: &mut Vec<u64>) {
-            let sum = values.iter().sum();
-            values.clear();
-            values.push(sum);
-        }
-    }
-
-    #[test]
-    fn builder_partitions_and_sorts() {
-        let mut b = MapOutputBuilder::<u64, u64>::new(2);
-        b.push(0, 5, 50);
-        b.push(0, 1, 10);
-        b.push(1, 2, 20);
-        let files = b.finish(None);
-        assert_eq!(files.len(), 2);
-        let f0 = &files.iter().find(|(r, _)| *r == 0).unwrap().1;
-        assert_eq!(f0.records, vec![(1, 10), (5, 50)]);
-        assert_eq!(f0.raw_count, 2);
-    }
-
-    #[test]
-    fn combiner_folds_but_annotation_keeps_raw_count() {
-        let mut b = MapOutputBuilder::<u64, u64>::new(1);
-        b.push(0, 7, 1);
-        b.push(0, 7, 2);
-        b.push(0, 7, 3);
-        b.push(0, 9, 4);
-        let files = b.finish(Some(&SumCombiner));
-        let f = &files[0].1;
-        assert_eq!(f.records, vec![(7, 6), (9, 4)]);
-        assert_eq!(f.raw_count, 4, "annotation counts raw pairs, not combined");
-    }
-
-    #[test]
-    fn empty_partitions_produce_no_file() {
-        let mut b = MapOutputBuilder::<u64, u64>::new(3);
-        b.push(1, 1, 1);
-        let files = b.finish(None);
-        assert_eq!(files.len(), 1);
-        assert_eq!(files[0].0, 1);
-    }
 
     fn file(records: Vec<(u64, u64)>) -> MapOutputFile<u64, u64> {
         MapOutputFile {

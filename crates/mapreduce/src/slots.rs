@@ -50,7 +50,8 @@ struct TokenInner {
 /// is observed at every blocking point (slot acquisition, eligibility
 /// and barrier waits); each blocking point's condvar is registered as
 /// a waker while the job runs, so [`cancel`](CancelToken::cancel)
-/// wakes parked workers immediately and `run_job_shared` returns
+/// wakes parked workers immediately and
+/// [`run_job_with_executor`](crate::run_job_with_executor) returns
 /// [`MrError::Cancelled`] within notification latency, not within a
 /// poll tick.
 #[derive(Clone)]
@@ -249,8 +250,9 @@ impl Drop for SlotGuard<'_> {
 /// The cluster-wide slot capacity: `map_slots` concurrent Map tasks
 /// and `reduce_slots` concurrent Reduce tasks, *across every job
 /// sharing the pool*. Wrap it in an `Arc` and pass it to
-/// [`run_job_shared`](crate::run_job_shared) from multiple threads to multiplex jobs over one
-/// cluster's worth of slots — the multi-tenant serving configuration.
+/// [`run_job_with_executor`](crate::run_job_with_executor) from multiple
+/// threads to multiplex jobs over one cluster's worth of slots — the
+/// multi-tenant serving configuration.
 #[derive(Debug)]
 pub struct SlotPool {
     pub(crate) map: Semaphore,

@@ -7,53 +7,15 @@
 //! only by notification. Under `--cfg check` the same paths are
 //! explored on virtual time (`sidr-check`'s `deadline` scenario).
 
+mod support;
+
 use std::time::{Duration, Instant};
 
-use sidr_coords::{Coord, Shape, Slab};
 use sidr_mapreduce::{
-    run_job_shared, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, FnMapper,
-    FnReducer, InMemoryOutput, InputSplit, JobConfig, MapTaskId, ModuloPartitioner, MrError,
-    RetryPolicy, SliceRecordSource, SlotPool,
+    CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig,
+    MrError, RetryPolicy, SlotPool,
 };
-
-fn number_splits(n: u64, pieces: u64) -> Vec<InputSplit> {
-    let space = Shape::new(vec![n]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(pieces)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
-}
-
-fn identity_source(
-    _id: MapTaskId,
-    split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    let records: Vec<(u64, u64)> = split
-        .slab
-        .iter_coords()
-        .map(|c: Coord| (c[0], c[0]))
-        .collect();
-    Ok(SliceRecordSource::new(records))
-}
-
-#[allow(clippy::type_complexity)] // the FnMapper/FnReducer generics spell out the closure shapes
-fn sum_by_mod10() -> (
-    FnMapper<u64, u64, u64, u64, impl Fn(&u64, &u64, &mut dyn FnMut(u64, u64)) + Send + Sync>,
-    FnReducer<u64, u64, u64, impl Fn(&u64, &[u64], &mut dyn FnMut(u64)) + Send + Sync>,
-) {
-    (
-        FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 10, *v)),
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum())),
-    )
-}
+use support::{number_splits, run_shared, sum_by_mod10};
 
 /// Job A holds both slots of a (1 map, 1 reduce) pool; job B's
 /// workers all park on the semaphores. Cancelling B must return
@@ -61,8 +23,7 @@ fn sum_by_mod10() -> (
 #[test]
 fn blocked_job_cancels_with_sub_tick_latency() {
     let pool = SlotPool::new(1, 1).unwrap();
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
+    let plan = DefaultPlan::new(2);
 
     // Job A: one long (straggling) map so both the map slot and — via
     // its reduce's copy phase — the reduce slot stay occupied.
@@ -81,12 +42,9 @@ fn blocked_job_cancels_with_sub_tick_latency() {
 
     std::thread::scope(|scope| {
         let a = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits_a,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                sum_by_mod10(2),
                 &plan,
                 &output_a,
                 &config_a,
@@ -97,12 +55,9 @@ fn blocked_job_cancels_with_sub_tick_latency() {
         // Let A occupy the pool.
         std::thread::sleep(Duration::from_millis(80));
         let b = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits_b,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                sum_by_mod10(2),
                 &plan,
                 &output_b,
                 &config_b,
@@ -143,19 +98,15 @@ fn cancel_after(
     settle: Duration,
 ) -> (Duration, sidr_mapreduce::Result<sidr_mapreduce::JobResult>) {
     let pool = SlotPool::new(2, 2).unwrap();
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
+    let plan = DefaultPlan::new(2);
     let splits = number_splits(50, 2);
     let output = InMemoryOutput::new();
     let cancel = CancelToken::new();
     std::thread::scope(|scope| {
         let job = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                sum_by_mod10(2),
                 &plan,
                 &output,
                 config,

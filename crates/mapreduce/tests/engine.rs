@@ -2,68 +2,23 @@
 //! map → shuffle → reduce pipeline, barrier semantics, connection
 //! accounting, inverted scheduling, fault injection and recovery.
 
+mod support;
+
 use std::time::Duration;
 
-use sidr_coords::{Coord, Shape, Slab};
 use sidr_mapreduce::{
-    run_job, DefaultPlan, FaultPlan, FnMapper, FnReducer, InMemoryOutput, InputSplit, JobConfig,
-    MapTaskId, ModuloPartitioner, RoutingPlan, SliceRecordSource, TaskKind,
+    DefaultPlan, FaultPlan, InMemoryOutput, InputSplit, JobConfig, MapTaskId, RoutingPlan, TaskKind,
 };
-
-/// Splits `0..n` into `pieces` integer-keyed splits.
-fn number_splits(n: u64, pieces: u64) -> Vec<InputSplit> {
-    let space = Shape::new(vec![n]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(pieces)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
-}
-
-/// Source yielding `(i, i)` for each coordinate of the split.
-fn identity_source(
-    _id: MapTaskId,
-    split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    let records: Vec<(u64, u64)> = split
-        .slab
-        .iter_coords()
-        .map(|c: Coord| (c[0], c[0]))
-        .collect();
-    Ok(SliceRecordSource::new(records))
-}
-
-#[allow(clippy::type_complexity)] // the FnMapper/FnReducer generics spell out the closure shapes
-fn sum_by_mod10() -> (
-    FnMapper<u64, u64, u64, u64, impl Fn(&u64, &u64, &mut dyn FnMut(u64, u64)) + Send + Sync>,
-    FnReducer<u64, u64, u64, impl Fn(&u64, &[u64], &mut dyn FnMut(u64)) + Send + Sync>,
-) {
-    (
-        FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 10, *v)),
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum())),
-    )
-}
+use support::{bodies, identity_source, number_splits, run, run_shared, sum, sum_by_mod10};
 
 #[test]
 fn sums_by_key_are_exact() {
     let splits = number_splits(1000, 7);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(4),
+        &DefaultPlan::new(4),
         &output,
         &JobConfig::default(),
     )
@@ -85,16 +40,11 @@ fn sums_by_key_are_exact() {
 fn hadoop_mode_contacts_every_map() {
     // Table 3's Hadoop column: connections = maps × reducers.
     let splits = number_splits(100, 5);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(4),
+        &DefaultPlan::new(4),
         &output,
         &JobConfig::default(),
     )
@@ -105,16 +55,11 @@ fn hadoop_mode_contacts_every_map() {
 #[test]
 fn global_barrier_orders_all_maps_before_any_reduce_barrier() {
     let splits = number_splits(200, 8);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 3);
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(3),
+        &DefaultPlan::new(3),
         &output,
         &JobConfig {
             fault_plan: FaultPlan::straggle_maps(0..splits.len(), 2),
@@ -138,12 +83,9 @@ struct OneToOnePlan {
     n: usize,
 }
 
-impl RoutingPlan<u64> for OneToOnePlan {
+impl RoutingPlan for OneToOnePlan {
     fn num_reducers(&self) -> usize {
         self.n
-    }
-    fn partition(&self, key: &u64) -> usize {
-        (*key as usize) % self.n
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(vec![reducer])
@@ -155,29 +97,30 @@ impl RoutingPlan<u64> for OneToOnePlan {
 
 /// Source where split i yields only key i (so reducer i depends only
 /// on map i under mod-n partitioning with n splits).
-fn diagonal_source(
-    id: MapTaskId,
-    _split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    Ok(SliceRecordSource::new(vec![(id as u64, 100 + id as u64)]))
+fn diagonal_source(id: MapTaskId, _split: &InputSplit) -> Vec<(u64, u64)> {
+    vec![(id as u64, 100 + id as u64)]
+}
+
+/// `diagonal_source`'s records, each key its own group, dealt over `n`
+/// reducers by modulo.
+fn diagonal(n: usize) -> impl sidr_mapreduce::AttemptBodies<Key = u64, Value = u64, Out = u64> {
+    bodies(
+        diagonal_source,
+        |k, v, emit| emit(k, v),
+        move |k| k as usize % n,
+        sum,
+    )
 }
 
 #[test]
 fn dependency_barrier_lets_reduces_finish_before_all_maps() {
     let n = 6usize;
     let splits = number_splits(n as u64, n as u64);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = OneToOnePlan { n };
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        diagonal(n),
+        &OneToOnePlan { n },
         &output,
         &JobConfig {
             map_slots: 1, // serialize maps so overlap is observable
@@ -211,18 +154,11 @@ fn inverted_scheduling_skips_undepended_maps() {
     // 8 maps but only 4 reducers with 1:1 deps: maps 4..8 are skipped.
     let n = 4usize;
     let splits = number_splits(8, 8);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = OneToOnePlan { n };
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        diagonal(n),
+        &OneToOnePlan { n },
         &output,
         &JobConfig::default(),
     )
@@ -236,18 +172,11 @@ fn inverted_scheduling_skips_undepended_maps() {
 fn injected_reduce_failure_recovers_by_reexecuting_maps() {
     let n = 5usize;
     let splits = number_splits(n as u64, n as u64);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = OneToOnePlan { n };
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        diagonal(n),
+        &OneToOnePlan { n },
         &output,
         &JobConfig {
             fault_plan: FaultPlan::fail_reducers_first_attempt([2]),
@@ -273,18 +202,11 @@ fn injected_reduce_failure_recovers_by_reexecuting_maps() {
 fn failure_without_volatile_store_needs_no_reexecution() {
     let n = 4usize;
     let splits = number_splits(n as u64, n as u64);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = OneToOnePlan { n };
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        diagonal(n),
+        &OneToOnePlan { n },
         &output,
         &JobConfig {
             fault_plan: FaultPlan::fail_reducers_first_attempt([1]),
@@ -300,16 +222,11 @@ fn failure_without_volatile_store_needs_no_reexecution() {
 
 #[test]
 fn empty_splits_rejected() {
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
     let output = InMemoryOutput::new();
-    let err = run_job(
+    let err = run(
         &[],
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(2),
+        &DefaultPlan::new(2),
         &output,
         &JobConfig::default(),
     );
@@ -319,8 +236,6 @@ fn empty_splits_rejected() {
 #[test]
 fn zero_slots_rejected() {
     let splits = number_splits(10, 2);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
     let output = InMemoryOutput::new();
     for cfg in [
         JobConfig {
@@ -332,15 +247,12 @@ fn zero_slots_rejected() {
             ..Default::default()
         },
     ] {
-        assert!(run_job(
+        assert!(run(
             &splits,
-            &identity_source,
-            &mapper,
-            None,
-            &reducer,
-            &plan,
+            sum_by_mod10(2),
+            &DefaultPlan::new(2),
             &output,
-            &cfg,
+            &cfg
         )
         .is_err());
     }
@@ -350,18 +262,17 @@ fn zero_slots_rejected() {
 fn reduce_waves_with_few_slots() {
     // 10 reducers over 2 slots: all complete, in waves.
     let splits = number_splits(100, 4);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 10, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.len() as u64));
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 10);
+    let count = bodies(
+        identity_source,
+        |k, v, emit| emit(k % 10, v),
+        |k| (k % 10) as usize,
+        |vs| vs.len() as u64,
+    );
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        count,
+        &DefaultPlan::new(10),
         &output,
         &JobConfig {
             reduce_slots: 2,
@@ -377,12 +288,9 @@ fn reduce_waves_with_few_slots() {
 /// prioritized (§3.4).
 struct SteeredPlan;
 
-impl RoutingPlan<u64> for SteeredPlan {
+impl RoutingPlan for SteeredPlan {
     fn num_reducers(&self) -> usize {
         4
-    }
-    fn partition(&self, key: &u64) -> usize {
-        *key as usize
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(vec![2 * reducer, 2 * reducer + 1])
@@ -402,19 +310,16 @@ impl RoutingPlan<u64> for SteeredPlan {
 #[test]
 fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
     let splits = number_splits(8, 8);
-    let source = |id: MapTaskId, _: &InputSplit| {
-        Ok(SliceRecordSource::new(vec![(id as u64 / 2, id as u64)]))
-    };
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let steered = bodies(
+        |id, _| vec![(id as u64 / 2, id as u64)],
+        |k, v, emit| emit(k, v),
+        |k| k as usize,
+        sum,
+    );
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &source,
-        &mapper,
-        None,
-        &reducer,
+        steered,
         &SteeredPlan,
         &output,
         &JobConfig {
@@ -448,12 +353,11 @@ fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
 
 #[test]
 fn two_jobs_share_one_slot_pool() {
-    use sidr_mapreduce::{run_job_shared, SlotPool};
+    use sidr_mapreduce::SlotPool;
 
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(200, 5);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
+    let plan = DefaultPlan::new(4);
     let config = JobConfig {
         fault_plan: FaultPlan::straggle_maps(0..splits.len(), 5),
         ..Default::default()
@@ -463,12 +367,9 @@ fn two_jobs_share_one_slot_pool() {
     let out_b = InMemoryOutput::new();
     let (res_a, res_b) = std::thread::scope(|scope| {
         let a = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                sum_by_mod10(4),
                 &plan,
                 &out_a,
                 &config,
@@ -477,12 +378,9 @@ fn two_jobs_share_one_slot_pool() {
             )
         });
         let b = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                sum_by_mod10(4),
                 &plan,
                 &out_b,
                 &config,
@@ -513,12 +411,10 @@ fn two_jobs_share_one_slot_pool() {
 
 #[test]
 fn cancellation_aborts_a_running_job() {
-    use sidr_mapreduce::{run_job_shared, CancelToken, MrError, SlotPool};
+    use sidr_mapreduce::{CancelToken, MrError, SlotPool};
 
     let pool = SlotPool::new(1, 1).unwrap();
     let splits = number_splits(400, 20);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
     let config = JobConfig {
         fault_plan: FaultPlan::straggle_maps(0..splits.len(), 20), // 20 maps x 20 ms on one slot
         ..Default::default()
@@ -532,13 +428,10 @@ fn cancellation_aborts_a_running_job() {
             std::thread::sleep(Duration::from_millis(50));
             canceller.cancel();
         });
-        run_job_shared(
+        run_shared(
             &splits,
-            &identity_source,
-            &mapper,
-            None,
-            &reducer,
-            &plan,
+            sum_by_mod10(4),
+            &DefaultPlan::new(4),
             &output,
             &config,
             &pool,
@@ -556,22 +449,17 @@ fn cancellation_aborts_a_running_job() {
 
 #[test]
 fn cancelling_before_start_fails_fast() {
-    use sidr_mapreduce::{run_job_shared, CancelToken, MrError, SlotPool};
+    use sidr_mapreduce::{CancelToken, MrError, SlotPool};
 
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(100, 4);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 4);
     let output = InMemoryOutput::new();
     let cancel = CancelToken::new();
     cancel.cancel();
-    let result = run_job_shared(
+    let result = run_shared(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(4),
+        &DefaultPlan::new(4),
         &output,
         &JobConfig::default(),
         &pool,
@@ -582,7 +470,7 @@ fn cancelling_before_start_fails_fast() {
 
 #[test]
 fn shared_pool_bounds_concurrent_maps_across_jobs() {
-    use sidr_mapreduce::{run_job_shared, SlotPool};
+    use sidr_mapreduce::SlotPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     // A mapper that tracks its own concurrency high-water mark across
@@ -595,26 +483,28 @@ fn shared_pool_bounds_concurrent_maps_across_jobs() {
 
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(120, 6);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| {
-        let now = RUNNING.fetch_add(1, Ordering::SeqCst) + 1;
-        PEAK.fetch_max(now, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(2));
-        emit(k % 10, *v);
-        RUNNING.fetch_sub(1, Ordering::SeqCst);
-    });
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 3);
+    let tracked = || {
+        bodies(
+            identity_source,
+            |k, v, emit| {
+                let now = RUNNING.fetch_add(1, Ordering::SeqCst) + 1;
+                PEAK.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                emit(k % 10, v);
+                RUNNING.fetch_sub(1, Ordering::SeqCst);
+            },
+            |k| (k % 3) as usize,
+            sum,
+        )
+    };
+    let plan = DefaultPlan::new(3);
     let out_a = InMemoryOutput::new();
     let out_b = InMemoryOutput::new();
     std::thread::scope(|scope| {
         let a = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                tracked(),
                 &plan,
                 &out_a,
                 &JobConfig::default(),
@@ -623,12 +513,9 @@ fn shared_pool_bounds_concurrent_maps_across_jobs() {
             )
         });
         let b = scope.spawn(|| {
-            run_job_shared(
+            run_shared(
                 &splits,
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                tracked(),
                 &plan,
                 &out_b,
                 &JobConfig::default(),

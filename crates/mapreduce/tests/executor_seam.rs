@@ -4,15 +4,16 @@
 //! corruption, volatile consume-then-recover and a lost speculative
 //! twin — and a finished job holds only what no reduce consumed.
 
+mod support;
+
 use std::time::Duration;
 
-use sidr_coords::{Coord, Shape, Slab};
 use sidr_mapreduce::{
-    run_job, run_job_with_executor, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget,
-    FnMapper, FnReducer, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, MapTally,
-    MapTaskId, ModuloPartitioner, MrError, ReduceSource, RemoteReduceError, RetryPolicy,
-    RoutingPlan, SliceRecordSource, SlotPool, TaskExecutor,
+    run_job_with_executor, AttemptBodies, CancelToken, DefaultPlan, FaultKind, FaultPlan,
+    FaultTarget, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, MapTally, MapTaskId,
+    MrError, ReduceSource, RemoteReduceError, RetryPolicy, RoutingPlan, SlotPool, TaskExecutor,
 };
+use support::{bodies, identity_source, number_splits, run, run_shared, sum};
 
 const MAPS: u64 = 4;
 const REDUCERS: usize = 3;
@@ -29,48 +30,25 @@ fn base_config() -> JobConfig {
 
 /// `MAPS` splits of ten consecutive integers each.
 fn splits() -> Vec<InputSplit> {
-    let space = Shape::new(vec![MAPS * 10]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(MAPS)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
-}
-
-fn identity_source(
-    _id: MapTaskId,
-    split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    Ok(SliceRecordSource::new(
-        split
-            .slab
-            .iter_coords()
-            .map(|c: Coord| (c[0], c[0]))
-            .collect(),
-    ))
+    number_splits(MAPS * 10, MAPS)
 }
 
 /// Sums values by `key % 6` over a `% REDUCERS` partition: reducer
 /// `r` owns keys `r` and `r + 3`, and every map feeds every reducer.
-macro_rules! with_executor {
-    ($config:expr, |$exec:ident, $plan:ident| $body:block) => {{
-        let mapper =
-            FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 6, *v));
-        let reducer =
-            FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-        let $plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
-        let config: &JobConfig = $config;
-        let $exec =
-            InProcessExecutor::new(&identity_source, &mapper, None, &reducer, &$plan, config);
-        $body
-    }};
+fn sum_by_mod6() -> impl AttemptBodies<Key = u64, Value = u64, Out = u64> {
+    bodies(
+        identity_source,
+        |k, v, emit| emit(k % 6, v),
+        |k| (k % REDUCERS as u64) as usize,
+        sum,
+    )
+}
+
+/// An in-process executor of [`sum_by_mod6`] under `config`.
+fn executor(
+    config: &JobConfig,
+) -> InProcessExecutor<'_, impl AttemptBodies<Key = u64, Value = u64, Out = u64>> {
+    InProcessExecutor::with_bodies(sum_by_mod6(), config)
 }
 
 fn run_map(exec: &dyn TaskExecutor<u64, u64>, task: MapTaskId, attempt: u32) -> MapTally {
@@ -115,29 +93,28 @@ fn expected(r: u64) -> Vec<(u64, u64)> {
 #[test]
 fn commit_then_fetch_delivers_every_partition() {
     let config = base_config();
-    with_executor!(&config, |exec, _plan| {
-        let tallies: Vec<MapTally> = (0..MAPS as usize).map(|m| run_map(&exec, m, 0)).collect();
-        assert_eq!(
-            exec.pressure().resident_partitions,
-            MAPS as usize * REDUCERS
-        );
-        for r in 0..REDUCERS {
-            let records = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
-            assert_eq!(records, expected(r as u64), "reducer {r}");
-            // The tallies name each partition's rows, read from its
-            // SMOF header.
-            let rows: u64 = (tallies.iter().flat_map(|t| &t.partitions))
-                .filter(|&&(reducer, _)| reducer == r)
-                .map(|&(_, rows)| rows)
-                .sum();
-            let mine = (0..MAPS * 10).filter(|k| k % 3 == r as u64).count();
-            assert_eq!(rows, mine as u64);
-        }
-        // A second fetch reports every source lost: the first reduce
-        // released them.
-        assert_eq!(lost(run_reduce(&exec, 1, &sources(&[0; 4]))), [0, 1, 2, 3]);
-        assert_eq!(exec.pressure().resident_partitions, 0);
-    });
+    let exec = executor(&config);
+    let tallies: Vec<MapTally> = (0..MAPS as usize).map(|m| run_map(&exec, m, 0)).collect();
+    assert_eq!(
+        exec.pressure().resident_partitions,
+        MAPS as usize * REDUCERS
+    );
+    for r in 0..REDUCERS {
+        let records = run_reduce(&exec, r, &sources(&[0; 4])).unwrap();
+        assert_eq!(records, expected(r as u64), "reducer {r}");
+        // The tallies name each partition's rows, read from its
+        // SMOF header.
+        let rows: u64 = (tallies.iter().flat_map(|t| &t.partitions))
+            .filter(|&&(reducer, _)| reducer == r)
+            .map(|&(_, rows)| rows)
+            .sum();
+        let mine = (0..MAPS * 10).filter(|k| k % 3 == r as u64).count();
+        assert_eq!(rows, mine as u64);
+    }
+    // A second fetch reports every source lost: the first reduce
+    // released them.
+    assert_eq!(lost(run_reduce(&exec, 1, &sources(&[0; 4]))), [0, 1, 2, 3]);
+    assert_eq!(exec.pressure().resident_partitions, 0);
 }
 
 #[test]
@@ -146,21 +123,20 @@ fn uncommitted_generation_is_a_lost_source_and_nothing_is_consumed() {
         volatile_intermediate: true,
         ..base_config()
     };
-    with_executor!(&config, |exec, _plan| {
-        for m in [0, 1, 3] {
-            run_map(&exec, m, 0);
-        }
-        // Map 2 never committed; map 3 only at attempt 0, not 1.
-        assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0, 0, 0, 1]))), [2, 3]);
-        // The failed bind consumed nothing, even under volatile
-        // data: once the sources exist the same reduce succeeds.
-        run_map(&exec, 2, 0);
-        run_map(&exec, 3, 1);
-        assert_eq!(
-            run_reduce(&exec, 0, &sources(&[0, 0, 0, 1])).unwrap(),
-            expected(0)
-        );
-    });
+    let exec = executor(&config);
+    for m in [0, 1, 3] {
+        run_map(&exec, m, 0);
+    }
+    // Map 2 never committed; map 3 only at attempt 0, not 1.
+    assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0, 0, 0, 1]))), [2, 3]);
+    // The failed bind consumed nothing, even under volatile
+    // data: once the sources exist the same reduce succeeds.
+    run_map(&exec, 2, 0);
+    run_map(&exec, 3, 1);
+    assert_eq!(
+        run_reduce(&exec, 0, &sources(&[0, 0, 0, 1])).unwrap(),
+        expected(0)
+    );
 }
 
 #[test]
@@ -170,28 +146,27 @@ fn post_commit_corruption_surfaces_as_a_lost_source() {
             fault_plan: FaultPlan::none().with(FaultTarget::Map(1), 0, kind),
             ..base_config()
         };
-        with_executor!(&config, |exec, _plan| {
-            for m in 0..MAPS as usize {
-                run_map(&exec, m, 0); // map 1 "succeeds" too
-            }
-            // Every reducer finds the damage on its own partition.
-            for r in 0..REDUCERS {
-                assert_eq!(
-                    lost(run_reduce(&exec, r, &sources(&[0; 4]))),
-                    [1],
-                    "{kind:?} reducer {r}"
-                );
-            }
-            // The re-executed attempt is clean and is what gets bound.
-            run_map(&exec, 1, 1);
-            for r in 0..REDUCERS {
-                assert_eq!(
-                    run_reduce(&exec, r, &sources(&[0, 1, 0, 0])).unwrap(),
-                    expected(r as u64),
-                    "{kind:?} reducer {r}"
-                );
-            }
-        });
+        let exec = executor(&config);
+        for m in 0..MAPS as usize {
+            run_map(&exec, m, 0); // map 1 "succeeds" too
+        }
+        // Every reducer finds the damage on its own partition.
+        for r in 0..REDUCERS {
+            assert_eq!(
+                lost(run_reduce(&exec, r, &sources(&[0; 4]))),
+                [1],
+                "{kind:?} reducer {r}"
+            );
+        }
+        // The re-executed attempt is clean and is what gets bound.
+        run_map(&exec, 1, 1);
+        for r in 0..REDUCERS {
+            assert_eq!(
+                run_reduce(&exec, r, &sources(&[0, 1, 0, 0])).unwrap(),
+                expected(r as u64),
+                "{kind:?} reducer {r}"
+            );
+        }
     }
 }
 
@@ -201,46 +176,45 @@ fn volatile_fetch_consumes_exactly_the_bound_generation() {
         volatile_intermediate: true,
         ..base_config()
     };
-    with_executor!(&config, |exec, _plan| {
-        for m in 0..MAPS as usize {
-            run_map(&exec, m, 0);
-        }
-        // A speculative twin of map 2 committed as well: its
-        // generation sits beside attempt 0's, unbound.
-        run_map(&exec, 2, 1);
-        assert_eq!(
-            exec.pressure().resident_partitions,
-            (MAPS as usize + 1) * REDUCERS
-        );
+    let exec = executor(&config);
+    for m in 0..MAPS as usize {
+        run_map(&exec, m, 0);
+    }
+    // A speculative twin of map 2 committed as well: its
+    // generation sits beside attempt 0's, unbound.
+    run_map(&exec, 2, 1);
+    assert_eq!(
+        exec.pressure().resident_partitions,
+        (MAPS as usize + 1) * REDUCERS
+    );
 
-        assert_eq!(
-            run_reduce(&exec, 0, &sources(&[0; 4])).unwrap(),
-            expected(0)
-        );
-        // Consumed on fetch: gone, not empty — a re-bind of the
-        // same generations must report them lost, never reduce
-        // over nothing.
-        assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0; 4]))), [0, 1, 2, 3]);
-        // Other reducers' partitions of those generations are
-        // untouched, and so is the twin's generation.
-        assert_eq!(
-            run_reduce(&exec, 1, &sources(&[0; 4])).unwrap(),
-            expected(1)
-        );
-        assert_eq!(
-            lost(run_reduce(&exec, 0, &sources(&[0, 0, 1, 0]))),
-            [0, 1, 3]
-        );
-        // Recovery: exactly the consumed maps re-execute; the
-        // retry binds the fresh epochs.
-        for m in [0, 1, 3] {
-            run_map(&exec, m, 1);
-        }
-        assert_eq!(
-            run_reduce(&exec, 0, &sources(&[1; 4])).unwrap(),
-            expected(0)
-        );
-    });
+    assert_eq!(
+        run_reduce(&exec, 0, &sources(&[0; 4])).unwrap(),
+        expected(0)
+    );
+    // Consumed on fetch: gone, not empty — a re-bind of the
+    // same generations must report them lost, never reduce
+    // over nothing.
+    assert_eq!(lost(run_reduce(&exec, 0, &sources(&[0; 4]))), [0, 1, 2, 3]);
+    // Other reducers' partitions of those generations are
+    // untouched, and so is the twin's generation.
+    assert_eq!(
+        run_reduce(&exec, 1, &sources(&[0; 4])).unwrap(),
+        expected(1)
+    );
+    assert_eq!(
+        lost(run_reduce(&exec, 0, &sources(&[0, 0, 1, 0]))),
+        [0, 1, 3]
+    );
+    // Recovery: exactly the consumed maps re-execute; the
+    // retry binds the fresh epochs.
+    for m in [0, 1, 3] {
+        run_map(&exec, m, 1);
+    }
+    assert_eq!(
+        run_reduce(&exec, 0, &sources(&[1; 4])).unwrap(),
+        expected(0)
+    );
 }
 
 /// Job-level: a job with a speculative race reports one connection per
@@ -259,23 +233,23 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         speculation: sidr_mapreduce::SpeculationPolicy::force([1]),
         ..base_config()
     };
-    with_executor!(&config, |exec, plan| {
-        let pool = SlotPool::new(4, 3).unwrap();
-        let output = InMemoryOutput::new();
-        let result =
-            run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec).unwrap();
-        let mut want: Vec<(u64, u64)> = (0..REDUCERS as u64).flat_map(expected).collect();
-        want.sort_unstable();
-        assert_eq!(output.sorted_records(), want);
-        assert_eq!(
-            result.counters.shuffle_connections,
-            MAPS * REDUCERS as u64,
-            "one connection per (map, reducer)"
-        );
-        // Every bound partition was released by its reduce: what is
-        // left is at most the speculative loser's generation.
-        assert!(exec.pressure().resident_partitions <= REDUCERS);
-    });
+    let exec = executor(&config);
+    let plan = DefaultPlan::new(REDUCERS);
+    let pool = SlotPool::new(4, 3).unwrap();
+    let output = InMemoryOutput::new();
+    let result =
+        run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec).unwrap();
+    let mut want: Vec<(u64, u64)> = (0..REDUCERS as u64).flat_map(expected).collect();
+    want.sort_unstable();
+    assert_eq!(output.sorted_records(), want);
+    assert_eq!(
+        result.counters.shuffle_connections,
+        MAPS * REDUCERS as u64,
+        "one connection per (map, reducer)"
+    );
+    // Every bound partition was released by its reduce: what is
+    // left is at most the speculative loser's generation.
+    assert!(exec.pressure().resident_partitions <= REDUCERS);
 
     // Failed: reducer 2 exhausts its budget after every map
     // committed.
@@ -289,17 +263,17 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         },
         ..base_config()
     };
-    with_executor!(&config, |exec, plan| {
-        let pool = SlotPool::new(4, 3).unwrap();
-        let output = InMemoryOutput::new();
-        let err = run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec)
-            .unwrap_err();
-        assert!(matches!(err, MrError::TaskFailed { .. }), "{err:?}");
-        // At most what the unfinished reducers were bound to.
-        let unfinished = REDUCERS - output.commits().len();
-        assert!(unfinished >= 1);
-        assert!(exec.pressure().resident_partitions <= MAPS as usize * unfinished);
-    });
+    let exec = executor(&config);
+    let plan = DefaultPlan::new(REDUCERS);
+    let pool = SlotPool::new(4, 3).unwrap();
+    let output = InMemoryOutput::new();
+    let err =
+        run_job_with_executor(&splits(), &plan, &output, &config, &pool, None, &exec).unwrap_err();
+    assert!(matches!(err, MrError::TaskFailed { .. }), "{err:?}");
+    // At most what the unfinished reducers were bound to.
+    let unfinished = REDUCERS - output.commits().len();
+    assert!(unfinished >= 1);
+    assert!(exec.pressure().resident_partitions <= MAPS as usize * unfinished);
 
     // Cancelled mid-job, through the entry point that owns its
     // executor: maps have committed, every reduce is straggling.
@@ -310,21 +284,15 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         }),
         ..base_config()
     };
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 6, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
+    let plan = DefaultPlan::new(REDUCERS);
     let pool = SlotPool::new(4, 3).unwrap();
     let cancel = CancelToken::new();
     let output = InMemoryOutput::new();
     let result = std::thread::scope(|s| {
         let job = s.spawn(|| {
-            sidr_mapreduce::run_job_shared(
+            run_shared(
                 &splits(),
-                &identity_source,
-                &mapper,
-                None,
-                &reducer,
+                sum_by_mod6(),
                 &plan,
                 &output,
                 &config,
@@ -343,12 +311,9 @@ fn jobs_count_connections_and_leave_nothing_behind() {
 /// maps 0 and 1, reducer 1 maps 2 and 3.
 struct Halves;
 
-impl RoutingPlan<u64> for Halves {
+impl RoutingPlan for Halves {
     fn num_reducers(&self) -> usize {
         2
-    }
-    fn partition(&self, key: &u64) -> usize {
-        usize::from(*key >= MAPS * 5)
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(vec![2 * reducer, 2 * reducer + 1])
@@ -364,12 +329,16 @@ impl RoutingPlan<u64> for Halves {
 /// partition at once.
 #[test]
 fn disjoint_keyblocks_never_hold_every_partition() {
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
     let config = base_config();
-    let executor =
-        || InProcessExecutor::new(&identity_source, &mapper, None, &reducer, &Halves, &config);
+    let executor = || {
+        let halves = bodies(
+            identity_source,
+            |k, v, emit| emit(k, v),
+            |k| usize::from(k >= MAPS * 5),
+            sum,
+        );
+        InProcessExecutor::with_bodies(halves, &config)
+    };
 
     // Every partition of the job, held at once.
     let all = executor();
@@ -402,18 +371,17 @@ fn disjoint_keyblocks_never_hold_every_partition() {
 fn empty_partitions_still_count_a_connection() {
     // Every key lands on reducer 0: reducers 1 and 2 fetch nothing
     // but empties.
-    let mapper = FnMapper::new(|_k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(0, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, REDUCERS);
+    let to_zero = bodies(
+        identity_source,
+        |_k, v, emit| emit(0, v),
+        |k| (k % REDUCERS as u64) as usize,
+        sum,
+    );
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits(),
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        to_zero,
+        &DefaultPlan::new(REDUCERS),
         &output,
         &base_config(),
     )

@@ -5,56 +5,16 @@
 //! dependency set `I_ℓ`, and exhausted budgets fail the job with a
 //! typed error instead of wrong answers.
 
+mod support;
+
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use sidr_coords::{Coord, Shape, Slab};
 use sidr_mapreduce::{
-    reexecuted_maps, run_job, DefaultPlan, FaultKind, FaultPlan, FaultTarget, FnMapper, FnReducer,
-    InMemoryOutput, InputSplit, JobConfig, MapTaskId, ModuloPartitioner, MrError, RetryPolicy,
-    RoutingPlan, SliceRecordSource, SpeculationPolicy, TaskKind,
+    reexecuted_maps, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InputSplit,
+    JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SpeculationPolicy, TaskKind,
 };
-
-/// Splits `0..n` into `pieces` integer-keyed splits.
-fn number_splits(n: u64, pieces: u64) -> Vec<InputSplit> {
-    let space = Shape::new(vec![n]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(pieces)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
-}
-
-/// Source yielding `(i, i)` for each coordinate of the split.
-fn identity_source(
-    _id: MapTaskId,
-    split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    let records: Vec<(u64, u64)> = split
-        .slab
-        .iter_coords()
-        .map(|c: Coord| (c[0], c[0]))
-        .collect();
-    Ok(SliceRecordSource::new(records))
-}
-
-#[allow(clippy::type_complexity)] // the FnMapper/FnReducer generics spell out the closure shapes
-fn sum_by_mod10() -> (
-    FnMapper<u64, u64, u64, u64, impl Fn(&u64, &u64, &mut dyn FnMut(u64, u64)) + Send + Sync>,
-    FnReducer<u64, u64, u64, impl Fn(&u64, &[u64], &mut dyn FnMut(u64)) + Send + Sync>,
-) {
-    (
-        FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 10, *v)),
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum())),
-    )
-}
+use support::{bodies, number_splits, run, sum, sum_by_mod10};
 
 /// Ground truth for sum_by_mod10 over `0..n`.
 fn digit_sums(n: u64) -> Vec<(u64, u64)> {
@@ -82,16 +42,11 @@ fn try_run_sums(
     config: &JobConfig,
 ) -> sidr_mapreduce::Result<(Vec<(u64, u64)>, sidr_mapreduce::JobResult)> {
     let splits = number_splits(n, pieces);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, reducers);
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(reducers),
+        &DefaultPlan::new(reducers),
         &output,
         config,
     )?;
@@ -166,16 +121,11 @@ fn exhausted_retry_budget_fails_job_with_typed_error() {
         backoff_ms: 1,
     };
     let splits = number_splits(40, 4);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
     let output = InMemoryOutput::new();
-    let err = run_job(
+    let err = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(2),
+        &DefaultPlan::new(2),
         &output,
         &JobConfig {
             retry,
@@ -196,16 +146,11 @@ fn exhausted_retry_budget_fails_job_with_typed_error() {
 #[test]
 fn reduce_exhaustion_fails_job_with_typed_error() {
     let splits = number_splits(40, 4);
-    let (mapper, reducer) = sum_by_mod10();
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, 2);
     let output = InMemoryOutput::new();
-    let err = run_job(
+    let err = run(
         &splits,
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+        sum_by_mod10(2),
+        &DefaultPlan::new(2),
         &output,
         &JobConfig {
             retry: RetryPolicy {
@@ -231,12 +176,9 @@ struct OneToOnePlan {
     n: usize,
 }
 
-impl RoutingPlan<u64> for OneToOnePlan {
+impl RoutingPlan for OneToOnePlan {
     fn num_reducers(&self) -> usize {
         self.n
-    }
-    fn partition(&self, key: &u64) -> usize {
-        (*key as usize) % self.n
     }
     fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
         Some(vec![reducer])
@@ -246,11 +188,8 @@ impl RoutingPlan<u64> for OneToOnePlan {
     }
 }
 
-fn diagonal_source(
-    id: MapTaskId,
-    _split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    Ok(SliceRecordSource::new(vec![(id as u64, 100 + id as u64)]))
+fn diagonal_source(id: MapTaskId, _split: &InputSplit) -> Vec<(u64, u64)> {
+    vec![(id as u64, 100 + id as u64)]
 }
 
 /// Dependency-scoped recovery: a reduce that fails after its barrier
@@ -261,17 +200,17 @@ fn diagonal_source(
 fn failed_reduce_reexecutes_exactly_its_dependency_set() {
     let n = 5usize;
     let splits = number_splits(n as u64, n as u64);
-    let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+    let diagonal = bodies(
+        diagonal_source,
+        |k, v, emit| emit(k, v),
+        move |k| k as usize % n,
+        sum,
+    );
     let plan = OneToOnePlan { n };
     let output = InMemoryOutput::new();
-    let result = run_job(
+    let result = run(
         &splits,
-        &diagonal_source,
-        &mapper,
-        None,
-        &reducer,
+        diagonal,
         &plan,
         &output,
         &JobConfig {

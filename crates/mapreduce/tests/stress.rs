@@ -2,60 +2,31 @@
 //! slot counts, and repeated runs shaking out ordering assumptions in
 //! the runtime's locking.
 
-use sidr_coords::{Shape, Slab};
+mod support;
+
 use sidr_mapreduce::{
-    run_job, DefaultPlan, FaultKind, FaultPlan, FaultTarget, FnMapper, FnReducer, InMemoryOutput,
-    InputSplit, JobConfig, MapTaskId, ModuloPartitioner, RoutingPlan, SliceRecordSource,
+    DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, MapTaskId,
+    RoutingPlan,
 };
-
-fn number_splits(n: u64, pieces: u64) -> Vec<InputSplit> {
-    let space = Shape::new(vec![n]).unwrap();
-    Slab::whole(&space)
-        .split_along_longest(pieces)
-        .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
-        .collect()
-}
-
-fn identity_source(
-    _id: MapTaskId,
-    split: &InputSplit,
-) -> sidr_mapreduce::Result<SliceRecordSource<u64, u64>> {
-    Ok(SliceRecordSource::new(
-        split.slab.iter_coords().map(|c| (c[0], c[0])).collect(),
-    ))
-}
+use support::{bodies, identity_source, number_splits, run, sum};
 
 fn run_one(n: u64, splits: u64, reducers: usize, config: &JobConfig) -> u64 {
-    let mapper =
-        FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(k % 101, *v));
-    let reducer =
-        FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
-    let plan = DefaultPlan::<u64, _>::new(ModuloPartitioner, reducers);
+    let sum_by_mod101 = bodies(
+        identity_source,
+        |k, v, emit| emit(k % 101, v),
+        move |k| (k % reducers as u64) as usize,
+        sum,
+    );
     let output = InMemoryOutput::new();
-    run_job(
-        &splits_of(n, splits),
-        &identity_source,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+    run(
+        &number_splits(n, splits),
+        sum_by_mod101,
+        &DefaultPlan::new(reducers),
         &output,
         config,
     )
     .unwrap();
     output.sorted_records().iter().map(|(_, v)| v).sum()
-}
-
-fn splits_of(n: u64, pieces: u64) -> Vec<InputSplit> {
-    number_splits(n, pieces)
 }
 
 #[test]
@@ -98,12 +69,9 @@ fn repeated_runs_with_failures_are_stable() {
         n: usize,
         maps_per: usize,
     }
-    impl RoutingPlan<u64> for ContigPlan {
+    impl RoutingPlan for ContigPlan {
         fn num_reducers(&self) -> usize {
             self.n
-        }
-        fn partition(&self, key: &u64) -> usize {
-            ((*key as usize) / 500).min(self.n - 1)
         }
         fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
             // Keys are contiguous ranges; splits are contiguous too.
@@ -118,20 +86,21 @@ fn repeated_runs_with_failures_are_stable() {
     for round in 0..10u64 {
         let n_red = 8usize;
         let splits = number_splits(4000, 32); // 125 keys per split
-        let mapper = FnMapper::new(|k: &u64, v: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, *v));
-        let reducer =
-            FnReducer::new(|_k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.iter().sum()));
+                                              // Keys are dealt in contiguous runs of 500.
+        let contig = bodies(
+            identity_source,
+            |k, v, emit| emit(k, v),
+            |k| (k as usize / 500).min(n_red - 1),
+            sum,
+        );
         let plan = ContigPlan {
             n: n_red,
             maps_per: 4,
         };
         let output = InMemoryOutput::new();
-        let result = run_job(
+        let result = run(
             &splits,
-            &identity_source,
-            &mapper,
-            None,
-            &reducer,
+            contig,
             &plan,
             &output,
             &JobConfig {

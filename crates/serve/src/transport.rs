@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, ErrorKind, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -46,16 +46,28 @@ pub trait Listener: Send + Sync {
     fn close(&self);
 }
 
+/// Hangs one connection up from this side: a read blocked on it, at
+/// either end, returns, and every later read or write on it fails.
+/// Outlives the [`Conn`] it came from, and clones hang up the same
+/// connection.
+pub type Hangup = Arc<dyn Fn() + Send + Sync>;
+
 /// One connection: a read half and a write half.
 pub struct Conn {
     reader: Box<dyn Read + Send>,
     writer: Box<dyn Write + Send>,
+    hangup: Hangup,
 }
 
 impl Conn {
     /// The two halves, for a reader and a writer on different threads.
     pub fn split(self) -> (Box<dyn Read + Send>, Box<dyn Write + Send>) {
         (self.reader, self.writer)
+    }
+
+    /// A handle that hangs this connection up, wherever its halves are.
+    pub fn hangup(&self) -> Hangup {
+        Arc::clone(&self.hangup)
     }
 }
 
@@ -116,9 +128,13 @@ fn tcp_conn(stream: TcpStream, timeout: Option<Duration>) -> io::Result<Conn> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
+    let socket = stream.try_clone()?;
     Ok(Conn {
         reader: Box::new(BufReader::new(stream.try_clone()?)),
         writer: Box::new(stream),
+        hangup: Arc::new(move || {
+            let _ = socket.shutdown(Shutdown::Both);
+        }),
     })
 }
 
@@ -223,6 +239,10 @@ impl Transport for Mem {
             .ok_or_else(refused)?;
         let (up, down) = (Arc::new(Pipe::default()), Arc::new(Pipe::default()));
         let conn = self.net.next_conn.fetch_add(1, Ordering::Relaxed);
+        let pipes = [Arc::downgrade(&up), Arc::downgrade(&down)];
+        let hangup: Hangup = Arc::new(move || {
+            pipes.iter().filter_map(Weak::upgrade).for_each(|p| p.cut());
+        });
         let half = |from: &Arc<Pipe>, to: &Arc<Pipe>, inbound, timeout| Conn {
             reader: Box::new(BufReader::new(MemReader {
                 pipe: Arc::clone(from),
@@ -237,6 +257,7 @@ impl Transport for Mem {
                 conn,
                 last_due: None,
             }),
+            hangup: Arc::clone(&hangup),
         };
         let dialer = half(&down, &up, true, timeout);
         let accepted = half(&up, &down, false, None);

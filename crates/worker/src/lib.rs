@@ -30,8 +30,8 @@
 //! the coordinator has slots; a probe or a peer's fetches come on a
 //! connection of their own. Connections come from the worker's
 //! [`Transport`]: TCP in the daemon, in memory under the schedule
-//! explorer, where killing a worker is its endpoint closing and every
-//! connection to it being cut.
+//! explorer. Either way, killing a worker closes its endpoint and hangs
+//! up every connection it accepted.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -51,7 +51,7 @@ use sidr_serve::fleet::{
     send_reply, PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
 };
 use sidr_serve::frame::{self, Hello, Role};
-use sidr_serve::transport::{Conn, Listener, Transport};
+use sidr_serve::transport::{Conn, Hangup, Listener, Transport};
 use sidr_serve::WorkerStat;
 
 /// Resource configuration of one worker process.
@@ -77,6 +77,10 @@ struct Shared {
     store: PartitionStore,
     /// The coordinator session whose jobs these are.
     session: Mutex<u64>,
+    /// Each open connection's hang-up, by accept order, for `kill`: a
+    /// dead process's connections die with it. A handler removes its
+    /// own when it returns.
+    conns: Mutex<BTreeMap<u64, Hangup>>,
     dead: AtomicBool,
     tasks_in_flight: AtomicU64,
     map_attempts: AtomicU64,
@@ -137,6 +141,7 @@ impl Worker {
             jobs: Mutex::new(BTreeMap::new()),
             store: PartitionStore::on_disk(tier_cfg, spill_dir),
             session: Mutex::new(0),
+            conns: Mutex::new(BTreeMap::new()),
             dead: AtomicBool::new(false),
             tasks_in_flight: AtomicU64::new(0),
             map_attempts: AtomicU64::new(0),
@@ -144,9 +149,14 @@ impl Worker {
         });
         let (accept_shared, door) = (Arc::clone(&shared), Arc::clone(&listener));
         let acceptor = thread::spawn(move || {
-            while let Some(conn) = door.accept() {
+            for id in 0u64.. {
+                let Some(conn) = door.accept() else { break };
                 let handler_shared = Arc::clone(&accept_shared);
-                thread::spawn(move || handle_connection(&handler_shared, conn));
+                handler_shared.conns.lock().insert(id, conn.hangup());
+                thread::spawn(move || {
+                    handle_connection(&handler_shared, conn);
+                    handler_shared.conns.lock().remove(&id);
+                });
             }
         });
         Ok(Worker {
@@ -172,8 +182,9 @@ impl Worker {
     }
 
     /// Simulates the process dying: the endpoint closes (dials are
-    /// refused; in memory, every connection to it is cut), no handler
-    /// answers another request, and the partition store is wiped. The
+    /// refused), every connection it accepted is hung up — a handler
+    /// parked on a kept connection returns at once — no handler answers
+    /// another request, and the partition store is wiped. The
     /// coordinator finds out the way it would with a real crash —
     /// broken task connections and failed heartbeats.
     pub fn kill(&self) {
@@ -186,6 +197,8 @@ impl Worker {
         if let Some(h) = self.acceptor.lock().take() {
             let _ = h.join();
         }
+        let conns = std::mem::take(&mut *self.shared.conns.lock());
+        conns.values().for_each(|hang_up| hang_up());
         let jobs: Vec<u64> = {
             let mut jobs = self.shared.jobs.lock();
             let ids = jobs.keys().copied().collect();
@@ -220,9 +233,9 @@ impl Drop for Worker {
 /// dispatch on a connection it keeps, and a probe on one of its own;
 /// a peer sends one reduce's fetches and releases — either way
 /// requests on one connection are serial. A dead worker answers
-/// nothing: the loop ends at the first request, or the first reply,
-/// after `kill`, which is how a coordinator's kept connection to it
-/// turns stale.
+/// nothing: `kill` hangs the connection up, so the loop ends at its
+/// next read or reply, which is how a coordinator's kept connection to
+/// it turns stale.
 fn handle_connection(shared: &Shared, mut conn: Conn) {
     // Every dialer speaks the handshake, so anything else on the
     // first frame is a protocol error and the connection just closes.

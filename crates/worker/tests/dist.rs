@@ -1,7 +1,7 @@
 //! Distributed execution over real TCP: a loopback 3-worker fleet
 //! produces output byte-identical to a single-process run, the serving
-//! path dispatches to it, and a panicking task attempt leaves a worker
-//! serving.
+//! path dispatches to it, a panicking task attempt leaves a worker
+//! serving, and a killed worker hangs up the connections it kept.
 //!
 //! Fleet faults — kills, rejoins, cut or tampered frames, lost
 //! heartbeats, spill faults, speculation races — are explored by the
@@ -25,7 +25,8 @@ use sidr_mapreduce::{
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
 use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
-use sidr_serve::frame::Role;
+use sidr_serve::frame::{self, Role};
+use sidr_serve::transport::Transport;
 use sidr_serve::{Client, Fleet, Server, ServerConfig, SubmitOptions, Tcp};
 use sidr_worker::{Worker, WorkerOptions};
 
@@ -293,6 +294,37 @@ fn stale_connections_are_never_a_death_verdict() {
     let w0 = workers[0].stat();
     assert_eq!((w0.map_attempts, w0.reduce_attempts), (0, 0));
     assert_eq!(workers[0].prepared_jobs(), 0, "the new w0 is no member");
+}
+
+/// A killed worker hangs up every connection it accepted: a handler
+/// parked on a kept dispatch connection returns within one heartbeat
+/// (200 ms), with no further dispatch on it, and the connection reads
+/// end-of-stream, not a timeout.
+#[test]
+fn kill_hangs_up_kept_connections() {
+    const HEARTBEAT: Duration = Duration::from_millis(200);
+    let worker = &spawn_workers(1)[0];
+    // Two kept connections, each handler parked on its next request:
+    // one served a `Ping`, one was only handshaken.
+    let mut conns: Vec<_> = (0..2)
+        .map(|_| {
+            let mut conn = Tcp.dial(worker.addr(), Some(HEARTBEAT)).unwrap();
+            frame::handshake_dial(&mut conn, Role::Coordinator, Role::Worker).unwrap();
+            conn
+        })
+        .collect();
+    frame::send(&mut conns[0], &WorkerRequest::Ping { session: 1 }).unwrap();
+    let pong = frame::recv::<WorkerResponse>(&mut conns[0]);
+    assert!(
+        matches!(pong, Ok(Some(WorkerResponse::Pong(_)))),
+        "{pong:?}"
+    );
+
+    worker.kill();
+    for (i, conn) in conns.iter_mut().enumerate() {
+        let next = frame::recv::<WorkerResponse>(conn);
+        assert!(matches!(next, Ok(None)), "connection {i}: {next:?}");
+    }
 }
 
 /// Satellite of the sync-facade change: a task attempt that panics

@@ -1,6 +1,7 @@
 //! The array query language front end (§2.4): parse a textual query,
 //! bind it against a dataset's metadata, and execute it under SIDR —
-//! then stream the early results as they commit (§6).
+//! then show when each keyblock's result committed (§6: early results
+//! while maps still run).
 //!
 //! ```sh
 //! cargo run --release --example query_language
@@ -8,12 +9,10 @@
 //! ```
 
 use sidr_repro::coords::Shape;
-use sidr_repro::core::early::streaming_output;
+use sidr_repro::core::framework::RunOptions;
 use sidr_repro::core::lang::parse_query;
-use sidr_repro::core::operators::OperatorReducer;
-use sidr_repro::core::source::{scinc_source_factory, StructuralMapper};
-use sidr_repro::core::SidrPlanner;
-use sidr_repro::mapreduce::{run_job, JobConfig, SplitGenerator};
+use sidr_repro::core::{run_query, FrameworkMode};
+use sidr_repro::mapreduce::TaskKind;
 use sidr_repro::scifile::gen::DatasetSpec;
 
 fn main() {
@@ -41,42 +40,31 @@ fn main() {
         query.intermediate_space()
     );
 
-    let splits = SplitGenerator::new(query.input_space().clone(), 4)
-        .aligned(12 * 16 * 10 * 4 * 8, query.extraction.shape()[0])
-        .expect("splits generate");
-    let plan = SidrPlanner::new(&query, 4)
-        .build(&splits)
-        .expect("plan builds");
-    let mapper = StructuralMapper::new(query.extraction.clone());
-    let reducer = OperatorReducer { op: query.operator };
-    let factory = scinc_source_factory::<f32>(&file, &query.variable);
-    let (collector, rx) = streaming_output();
-
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for early in rx.iter() {
-                println!(
-                    "  [{:>6.1} ms] keyblock {} committed: {} records (first: {:?})",
-                    early.at.as_secs_f64() * 1e3,
-                    early.reducer,
-                    early.records.len(),
-                    early.records.first().map(|(k, v)| format!("{k} -> {v:.2}")),
-                );
-            }
-        });
-        run_job(
-            &splits,
-            &factory,
-            &mapper,
-            None,
-            &reducer,
-            &plan,
-            &collector,
-            &JobConfig::default(),
-        )
-        .expect("query executes");
-        drop(collector);
-    });
+    let mut opts = RunOptions::new(FrameworkMode::Sidr, 4);
+    opts.split_bytes = 12 * 16 * 10 * 4 * 8; // eight f32 time steps
+    let outcome = run_query(&file, &query, &opts).expect("query executes");
+    let last_map = outcome.result.completions(TaskKind::MapEnd).last().copied();
+    for e in (outcome.result.events.iter()).filter(|e| e.kind == TaskKind::ReduceEnd) {
+        println!(
+            "  [{:>6.1} ms] keyblock {} committed{}",
+            e.at.as_secs_f64() * 1e3,
+            e.task,
+            if last_map.is_some_and(|m| e.at < m) {
+                " (maps still running)"
+            } else {
+                ""
+            },
+        );
+    }
+    println!(
+        "{} records from {} maps (first: {:?})",
+        outcome.records.len(),
+        outcome.num_maps,
+        outcome
+            .records
+            .first()
+            .map(|(k, v)| format!("{k} -> {v:.2}")),
+    );
 
     std::fs::remove_file(&path).ok();
 }

@@ -224,10 +224,10 @@ fn cmd_query(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         let collector = DenseSlabOutput::new(dir, &query.variable, plan.partition())
             .map_err(|e| e.to_string())?;
         // Group records by keyblock and commit through the collector.
-        use sidr_repro::mapreduce::{OutputCollector, RoutingPlan};
+        use sidr_repro::mapreduce::OutputCollector;
         let mut per_block: Vec<Vec<(sidr_repro::coords::Coord, f64)>> = vec![Vec::new(); reducers];
         for (k, v) in &outcome.records {
-            per_block[RoutingPlan::partition(&plan, k)].push((k.clone(), *v));
+            per_block[plan.partition().keyblock_of(k.components())].push((k.clone(), *v));
         }
         for (r, records) in per_block.into_iter().enumerate() {
             collector.commit(r, records).map_err(|e| e.to_string())?;

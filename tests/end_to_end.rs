@@ -3,12 +3,13 @@
 //! against independently computed ground truth.
 
 use sidr_repro::coords::{Coord, Shape, Slab};
-use sidr_repro::core::framework::{generate_splits, RunOptions};
+use sidr_repro::core::framework::{generate_splits, run_spec_on_pool, RunOptions, SpecRunOptions};
 use sidr_repro::core::output::DenseSlabOutput;
+use sidr_repro::core::spec::JobSpec;
 use sidr_repro::core::{
     run_query, FrameworkMode, Operator, PartitionPlus, SidrPlanner, StructuralQuery,
 };
-use sidr_repro::mapreduce::{FaultPlan, TaskKind};
+use sidr_repro::mapreduce::{FaultPlan, SlotPool, TaskKind};
 use sidr_repro::scifile::gen::{DatasetSpec, ValueModel};
 use sidr_repro::scifile::ScincFile;
 
@@ -171,18 +172,15 @@ fn dense_output_files_reassemble_the_full_output_space() {
     std::fs::create_dir_all(&dir).unwrap();
     let collector = DenseSlabOutput::new(&dir, "v", plan.partition()).unwrap();
 
-    let mapper = sidr_repro::core::source::StructuralMapper::new(q.extraction.clone());
-    let reducer = sidr_repro::core::operators::OperatorReducer { op: q.operator };
-    let factory = sidr_repro::core::source::scinc_source_factory::<f64>(&file, "v");
-    sidr_repro::mapreduce::run_job(
-        &splits,
-        &factory,
-        &mapper,
-        None,
-        &reducer,
-        &plan,
+    let job = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    let pool = SlotPool::new(4, 3).unwrap();
+    run_spec_on_pool(
+        &file,
+        &job,
+        &SpecRunOptions::default(),
         &collector,
-        &sidr_repro::mapreduce::JobConfig::default(),
+        &pool,
+        None,
     )
     .unwrap();
 

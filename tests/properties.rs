@@ -136,7 +136,7 @@ proptest! {
         reducers in 1usize..6,
     ) {
         use sidr_repro::core::SidrPlanner;
-        use sidr_repro::mapreduce::RoutingPlan;
+        use sidr_repro::mapreduce::{Partitioner, RoutingPlan};
         let Ok(q) = StructuralQuery::new("v", space.clone(), ext, Operator::Mean) else {
             return Ok(());
         };
@@ -146,7 +146,7 @@ proptest! {
         let mut actual = vec![0u64; reducers];
         for k in space.iter_coords() {
             if let Some(kp) = q.map_key(&k) {
-                actual[RoutingPlan::partition(&plan, &kp)] += 1;
+                actual[Partitioner::partition(plan.partition(), &kp, reducers)] += 1;
             }
         }
         for (r, &count) in actual.iter().enumerate() {
