@@ -105,7 +105,6 @@ fn main() -> ExitCode {
     };
     let opts = AnalyzeOptions {
         skew_bound: args.skew_bound,
-        ..AnalyzeOptions::default()
     };
 
     let mut failed = false;

@@ -11,18 +11,22 @@
 //!
 //! 1. **Coverage & disjointness** (`SIDR-E001`/`SIDR-E002`) — the
 //!    keyblocks tile `K′ᵀ` exactly: slab covers are in-bounds,
-//!    pairwise disjoint and count-balanced, and the per-key partition
-//!    function agrees with the covers, hot path included. One walk
-//!    over `K′ᵀ`, one `Coord` stepped in place, routes every key
-//!    through both paths; nothing is allocated per key. The input
-//!    splits tile the query region the same way: a split outside it,
-//!    or a gap, is `SIDR-E001`; two splits reading the same records
-//!    are `SIDR-E002`.
+//!    pairwise disjoint and count-balanced, proved on the slabs, so no
+//!    key is visited. On the submission path the partition is
+//!    re-derived from the spec's query and the stored covers must
+//!    equal it; that the hot route (`PartitionPlus::keyblock_of`)
+//!    agrees with the covers is a property of the code, tested in
+//!    `tests/properties.rs`, not of a submission. The input splits
+//!    tile the query region the same way: a split outside it, or a
+//!    gap, is `SIDR-E001`; two splits reading the same records are
+//!    `SIDR-E002`.
 //! 2. **Dependency soundness & completeness**
 //!    (`SIDR-E003`/`SIDR-W004`) — each `I_ℓ` is recomputed
-//!    independently from the extraction-shape algebra (image of each
-//!    split, reference per-key routing) and compared edge by edge.
-//!    Each image is walked the same way, allocating nothing per key.
+//!    independently of the planner's grid-row derivation: each split's
+//!    image under the extraction shape is intersected with the
+//!    keyblock cover slabs proved above, in one dim-0 sweep, and
+//!    compared edge by edge. Its cost is in slabs, not keys, so it is
+//!    exact at any `|K′ᵀ|`.
 //! 3. **Skew certificate** (`SIDR-E005`) — the dealing unit respects
 //!    the permissible skew and observed keyblock sizes differ by at
 //!    most one unit, with witness keyblocks (§3.1).
@@ -39,9 +43,7 @@
 //! geometric half on top, renders findings through
 //! [`sidr_core::diag`], and ships the `sidr-lint` CLI.
 
-use std::ops::ControlFlow;
-
-use sidr_coords::{cover, CoverDefect, Slab};
+use sidr_coords::{cover, CoverDefect, Shape, Slab};
 use sidr_core::diag::{codes, Diagnostic, Report};
 use sidr_core::spec::JobSpec;
 use sidr_core::verify::{structural_check, PlanView};
@@ -57,30 +59,17 @@ pub use sidr_core::verify;
 /// collapsing the rest into a summary line.
 const DETAIL_CAP: usize = 5;
 
+/// Slab cap for the disjointness proofs: keyblock covers and split
+/// sets with more slabs skip the overlap sweep (`SIDR-I010`), not the
+/// bounds or a gap.
+pub const PAIRWISE_SLAB_LIMIT: usize = 20_000;
+
 /// Verifier knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AnalyzeOptions {
     /// The permissible skew the plan is supposed to honor (§3.1).
     /// `None` accepts the partition's own dealing unit as the bound.
     pub skew_bound: Option<u64>,
-    /// Total per-key work budget across the exhaustive passes
-    /// (membership over `K′ᵀ` plus per-split image enumeration).
-    /// Passes that would exceed it are skipped with `SIDR-I010`.
-    pub key_budget: u64,
-    /// Slab cap for the disjointness proof; covers and split sets
-    /// with more slabs skip its overlap sweep (the count balance and
-    /// membership passes still run).
-    pub pairwise_slab_limit: usize,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            skew_bound: None,
-            key_budget: 16_000_000,
-            pairwise_slab_limit: 20_000,
-        }
-    }
 }
 
 /// Verifies a built plan end to end.
@@ -103,11 +92,11 @@ pub fn analyze(
     opts: &AnalyzeOptions,
 ) -> Report {
     let mut report = structural_check(view);
-    let mut budget = opts.key_budget;
-    check_cover_geometry(view, opts, &mut report);
-    check_split_tiling(query, splits, opts, &mut report);
-    check_membership(view, &mut budget, &mut report);
-    check_dependencies(query, splits, view, &mut budget, &mut report);
+    let cover = check_cover_geometry(view, &mut report);
+    check_split_tiling(query, splits, &mut report);
+    if let Some((slabs, owners)) = cover {
+        check_dependencies(query, splits, view, &slabs, &owners, &mut report);
+    }
     check_skew(view, opts, &mut report);
     report
 }
@@ -195,77 +184,54 @@ fn invert_deps(reduce_deps: &[Vec<usize>], num_splits: usize) -> Vec<Vec<usize>>
     feeds
 }
 
-/// Invariant 1, algebraic half: the keyblock slab covers form an
-/// exact cover of `K′ᵀ` — in bounds, pairwise disjoint, counts
-/// balancing to `|K′ᵀ|` (`SIDR-E001`/`SIDR-E002`).
-fn check_cover_geometry(view: &PlanView, opts: &AnalyzeOptions, report: &mut Report) {
+/// Invariant 1: the keyblock slab covers form an exact cover of
+/// `K′ᵀ` — in bounds, pairwise disjoint, counts balancing to `|K′ᵀ|`
+/// (`SIDR-E001`/`SIDR-E002`). Returns the cover slabs and the
+/// keyblock owning each, unless a cover is not computable or has a
+/// defect: dependencies derived from a broken cover would only repeat
+/// its error.
+fn check_cover_geometry(view: &PlanView, report: &mut Report) -> Option<(Vec<Slab>, Vec<usize>)> {
     let cp = view.partition.partition();
     let mut slabs: Vec<Slab> = Vec::new();
     let mut owners: Vec<usize> = Vec::new();
     for b in 0..view.num_reducers() {
-        match cp.block_cover(b) {
-            Ok(c) => {
-                for s in c {
-                    slabs.push(s);
-                    owners.push(b);
-                }
-            }
-            // Un-computable covers are already reported by the
-            // structural count-balance check.
-            Err(_) => return,
+        // Un-computable covers are already reported by the structural
+        // count-balance check.
+        for s in cp.block_cover(b).ok()? {
+            slabs.push(s);
+            owners.push(b);
         }
     }
-    if slabs.len() > opts.pairwise_slab_limit {
-        report.push(
-            Diagnostic::info(
-                codes::TRUNCATED,
-                "cover has too many slabs for the pairwise disjointness proof",
-            )
-            .with("slabs", slabs.len())
-            .with("limit", opts.pairwise_slab_limit),
-        );
-        return;
-    }
-    match cover::exact_cover_defect(&slabs, &view.kspace) {
-        None => {}
-        Some(CoverDefect::OutOfBounds { index }) => {
-            report.push(
-                Diagnostic::error(codes::COVERAGE, "keyblock cover extends outside K′ᵀ")
-                    .with("keyblock", owners[index])
-                    .with("slab", &slabs[index]),
-            );
+    let Some(defect) = tiling_defect(&slabs, &view.kspace, "slabs", report) else {
+        return Some((slabs, owners));
+    };
+    report.push(match defect {
+        CoverDefect::OutOfBounds { index } => {
+            Diagnostic::error(codes::COVERAGE, "keyblock cover extends outside K′ᵀ")
+                .with("keyblock", owners[index])
+                .with("slab", &slabs[index])
         }
-        Some(CoverDefect::Overlap { a, b, shared }) => {
-            report.push(
-                Diagnostic::error(codes::OVERLAP, "keyblock covers overlap")
-                    .with("keyblock_a", owners[a])
-                    .with("keyblock_b", owners[b])
-                    .with("shared_keys", shared),
-            );
+        CoverDefect::Overlap { a, b, shared } => {
+            Diagnostic::error(codes::OVERLAP, "keyblock covers overlap")
+                .with("keyblock_a", owners[a])
+                .with("keyblock_b", owners[b])
+                .with("shared_keys", shared)
         }
-        Some(CoverDefect::CountMismatch { covered, expected }) => {
-            report.push(
-                Diagnostic::error(codes::COVERAGE, "keyblock covers do not tile K′ᵀ")
-                    .with("covered_keys", covered)
-                    .with("keyspace_keys", expected),
-            );
+        CoverDefect::CountMismatch { covered, expected } => {
+            Diagnostic::error(codes::COVERAGE, "keyblock covers do not tile K′ᵀ")
+                .with("covered_keys", covered)
+                .with("keyspace_keys", expected)
         }
-    }
+    });
+    None
 }
 
 /// Invariant 1, input side: the splits tile the query region exactly —
 /// in bounds, pairwise disjoint, counts balancing to the region's
 /// (`SIDR-E001`/`SIDR-E002`). Every split generator tiles it and the
 /// §3.2.1 tallies assume it: a record read twice, or by no map, would
-/// fail the job's tally only after admission. More splits than
-/// `pairwise_slab_limit` skip the overlap sweep, not the bounds or a
-/// gap.
-fn check_split_tiling(
-    query: &StructuralQuery,
-    splits: &[InputSplit],
-    opts: &AnalyzeOptions,
-    report: &mut Report,
-) {
+/// fail the job's tally only after admission.
+fn check_split_tiling(query: &StructuralQuery, splits: &[InputSplit], report: &mut Report) {
     let space = query.input_space();
     let corner = query.region().corner().clone();
     // Splits relative to the region corner; one starting before the
@@ -284,29 +250,7 @@ fn check_split_tiling(
         .collect();
     let defect = match rel {
         Err(index) => Some(CoverDefect::OutOfBounds { index }),
-        Ok(rel) if rel.len() > opts.pairwise_slab_limit => {
-            report.push(
-                Diagnostic::info(
-                    codes::TRUNCATED,
-                    "too many splits for the pairwise tiling proof",
-                )
-                .with("splits", rel.len())
-                .with("limit", opts.pairwise_slab_limit),
-            );
-            // Without the overlap proof a count short of the region's
-            // still proves a gap. (A sum past `u64` proves overlap, not
-            // a gap.)
-            cover::first_out_of_bounds(&rel, space)
-                .map(|index| CoverDefect::OutOfBounds { index })
-                .or_else(|| {
-                    let covered = rel.iter().try_fold(0u64, |n, s| n.checked_add(s.count()))?;
-                    (covered < space.count()).then(|| CoverDefect::CountMismatch {
-                        covered,
-                        expected: space.count(),
-                    })
-                })
-        }
-        Ok(rel) => cover::exact_cover_defect(&rel, space),
+        Ok(rel) => tiling_defect(&rel, space, "splits", report),
     };
     let Some(defect) = defect else { return };
     report.push(match defect {
@@ -332,111 +276,64 @@ fn check_split_tiling(
     });
 }
 
-/// Invariant 1, exhaustive half: route every key of `K′ᵀ` through the
-/// partition function — reference path and the strength-reduced hot
-/// path maps actually use — and balance the per-keyblock tallies
-/// against the claimed key counts. One walk, one `Coord` stepped in
-/// place.
-fn check_membership(view: &PlanView, budget: &mut u64, report: &mut Report) {
-    let cp = view.partition.partition();
-    let r = view.num_reducers();
-    let total = view.kspace.count();
-    if total > *budget {
-        report.push(
-            Diagnostic::info(codes::TRUNCATED, "K′ᵀ too large for exhaustive membership")
-                .with("keys", total)
-                .with("budget", *budget),
-        );
-        return;
+/// [`cover::exact_cover_defect`], except that past
+/// [`PAIRWISE_SLAB_LIMIT`] slabs the overlap sweep is skipped
+/// (`SIDR-I010`, counting the `noun`): a count short of the space's
+/// still proves a gap. (A sum past `u64` proves overlap, not a gap.)
+fn tiling_defect(
+    slabs: &[Slab],
+    space: &Shape,
+    noun: &str,
+    report: &mut Report,
+) -> Option<CoverDefect> {
+    if slabs.len() <= PAIRWISE_SLAB_LIMIT {
+        return cover::exact_cover_defect(slabs, space);
     }
-    *budget -= total;
-
-    let mut tallies = vec![0u64; r];
-    let walk = Slab::whole(&view.kspace).try_for_each_coord(|key| {
-        let b = match cp.keyblock_of_key(key) {
-            Ok(b) if b < r => b,
-            _ => {
-                return ControlFlow::Break(
-                    Diagnostic::error(codes::COVERAGE, "key is owned by no keyblock")
-                        .with("key", key),
-                )
-            }
-        };
-        let fast = view.partition.keyblock_of(key.components());
-        if fast != b {
-            return ControlFlow::Break(
-                Diagnostic::error(
-                    codes::OVERLAP,
-                    "hot-path routing disagrees with the reference partition",
-                )
-                .with("key", key)
-                .with("reference_keyblock", b)
-                .with("hot_path_keyblock", fast),
-            );
-        }
-        tallies[b] += 1;
-        ControlFlow::Continue(())
-    });
-    if let ControlFlow::Break(finding) = walk {
-        report.push(finding);
-        return;
+    report.push(
+        Diagnostic::info(
+            codes::TRUNCATED,
+            format!("too many {noun} for the pairwise disjointness proof"),
+        )
+        .with(noun, slabs.len())
+        .with("limit", PAIRWISE_SLAB_LIMIT),
+    );
+    if let Some(index) = cover::first_out_of_bounds(slabs, space) {
+        return Some(CoverDefect::OutOfBounds { index });
     }
-    let mut mismatches = 0usize;
-    for (b, &tally) in tallies.iter().enumerate() {
-        let claimed = match cp.block_key_count(b) {
-            Ok(c) => c,
-            Err(_) => return, // structural check already flagged
-        };
-        if tally != claimed {
-            mismatches += 1;
-            if mismatches <= DETAIL_CAP {
-                report.push(
-                    Diagnostic::error(
-                        codes::COVERAGE,
-                        "keyblock owns a different number of keys than claimed",
-                    )
-                    .with("keyblock", b)
-                    .with("routed_keys", tally)
-                    .with("claimed_keys", claimed),
-                );
-            }
-        }
-    }
-    if mismatches > DETAIL_CAP {
-        report.push(
-            Diagnostic::error(
-                codes::COVERAGE,
-                "further keyblock tally mismatches suppressed",
-            )
-            .with("total_mismatches", mismatches),
-        );
-    }
+    let covered = slabs
+        .iter()
+        .try_fold(0u64, |n, s| n.checked_add(s.count()))?;
+    (covered < space.count()).then(|| CoverDefect::CountMismatch {
+        covered,
+        expected: space.count(),
+    })
 }
 
-/// Invariant 2: recompute each split's keyblock set independently —
-/// image of the split under the extraction shape, then reference
-/// per-key routing — and compare against the plan's dependency tables
-/// edge by edge (`SIDR-E003` missing, `SIDR-W004` spurious). Each
-/// image is walked with one `Coord` stepped in place, marking a
-/// reused flag per keyblock.
+/// Invariant 2: recompute each split's keyblock set independently of
+/// `Dependencies::derive` — the split's image under the extraction
+/// shape, intersected with the keyblock cover slabs in one dim-0
+/// sweep ([`cover::for_each_crossing`]) — and compare against the
+/// plan's dependency tables edge by edge (`SIDR-E003` missing,
+/// `SIDR-W004` spurious). The cover is exact, so a split feeds a
+/// keyblock exactly when its image meets one of the keyblock's slabs.
 fn check_dependencies(
     query: &StructuralQuery,
     splits: &[InputSplit],
     view: &PlanView,
-    budget: &mut u64,
+    slabs: &[Slab],
+    owners: &[usize],
     report: &mut Report,
 ) {
-    let cp = view.partition.partition();
-    let mut skipped = 0usize;
-    let mut missing = 0usize;
-    let mut spurious = 0usize;
-    // Reused across splits: the recomputed keyblock set, and the
-    // stored one sorted and deduplicated.
-    let mut fed = vec![false; view.num_reducers()];
-    let mut listed: Vec<usize> = Vec::new();
+    // A split without an image feeds nothing.
+    let mut images: Vec<Slab> = Vec::new();
+    let mut imaged: Vec<usize> = Vec::new();
     for (m, split) in splits.iter().enumerate() {
-        let image = match query.image_of_split(&split.slab) {
-            Ok(i) => i,
+        match query.image_of_split(&split.slab) {
+            Ok(Some(image)) => {
+                images.push(image);
+                imaged.push(m);
+            }
+            Ok(None) => {}
             Err(e) => {
                 report.push(
                     Diagnostic::error(codes::DEP_MISSING, "split image is not computable")
@@ -445,82 +342,65 @@ fn check_dependencies(
                 );
                 return;
             }
-        };
-        fed.fill(false);
-        if let Some(img) = image {
-            let n = img.count();
-            if n > *budget {
-                skipped += 1;
-                continue;
-            }
-            *budget -= n;
-            let _ = img.try_for_each_coord(|key| {
-                // Keys the reference cannot route feed nothing.
-                let b = cp.keyblock_of_key(key).ok();
-                if let Some(f) = b.and_then(|b| fed.get_mut(b)) {
-                    *f = true;
-                }
-                ControlFlow::<()>::Continue(())
-            });
-        }
-        listed.clear();
-        listed.extend(view.map_feeds.get(m).into_iter().flatten());
-        listed.sort_unstable();
-        listed.dedup();
-        for b in (0..fed.len()).filter(|&b| fed[b] && listed.binary_search(&b).is_err()) {
-            missing += 1;
-            if missing <= DETAIL_CAP {
-                report.push(
-                    Diagnostic::error(
-                        codes::DEP_MISSING,
-                        "split feeds a keyblock that does not list it: \
-                         the reduce barrier would release on incomplete input",
-                    )
-                    .with("split", m)
-                    .with("keyblock", b),
-                );
-            }
-        }
-        for &b in listed
-            .iter()
-            .filter(|&&b| !fed.get(b).copied().unwrap_or(false))
-        {
-            spurious += 1;
-            if spurious <= DETAIL_CAP {
-                report.push(
-                    Diagnostic::warning(
-                        codes::DEP_SPURIOUS,
-                        "dependency set lists a split that contributes nothing; \
-                         the barrier is later than necessary",
-                    )
-                    .with("split", m)
-                    .with("keyblock", b),
-                );
-            }
         }
     }
-    if missing > DETAIL_CAP {
+    // Edges as (split, keyblock), sorted: the recomputed ones and the
+    // stored ones.
+    let mut fed: Vec<(usize, usize)> = Vec::new();
+    cover::for_each_crossing(&images, slabs, |i, k| fed.push((imaged[i], owners[k])));
+    fed.sort_unstable();
+    fed.dedup();
+    let mut listed: Vec<(usize, usize)> = (view.map_feeds.iter().take(splits.len()))
+        .enumerate()
+        .flat_map(|(m, feeds)| feeds.iter().map(move |&b| (m, b)))
+        .collect();
+    listed.sort_unstable();
+    listed.dedup();
+
+    let missing: Vec<_> = (fed.iter())
+        .filter(|e| listed.binary_search(e).is_err())
+        .collect();
+    for &&(m, b) in missing.iter().take(DETAIL_CAP) {
+        report.push(
+            Diagnostic::error(
+                codes::DEP_MISSING,
+                "split feeds a keyblock that does not list it: \
+                 the reduce barrier would release on incomplete input",
+            )
+            .with("split", m)
+            .with("keyblock", b),
+        );
+    }
+    if missing.len() > DETAIL_CAP {
         report.push(
             Diagnostic::error(
                 codes::DEP_MISSING,
                 "further missing dependency edges suppressed",
             )
-            .with("total_missing", missing),
+            .with("total_missing", missing.len()),
         );
     }
-    if spurious > DETAIL_CAP {
+    let spurious: Vec<_> = (listed.iter())
+        .filter(|e| fed.binary_search(e).is_err())
+        .collect();
+    for &&(m, b) in spurious.iter().take(DETAIL_CAP) {
+        report.push(
+            Diagnostic::warning(
+                codes::DEP_SPURIOUS,
+                "dependency set lists a split that contributes nothing; \
+                 the barrier is later than necessary",
+            )
+            .with("split", m)
+            .with("keyblock", b),
+        );
+    }
+    if spurious.len() > DETAIL_CAP {
         report.push(
             Diagnostic::warning(
                 codes::DEP_SPURIOUS,
                 "further spurious dependency edges suppressed",
             )
-            .with("total_spurious", spurious),
-        );
-    }
-    if skipped > 0 {
-        report.push(
-            Diagnostic::info(codes::TRUNCATED, "split images exceeded the key budget")
-                .with("splits_skipped", skipped),
+            .with("total_spurious", spurious.len()),
         );
     }
 }
@@ -630,21 +510,5 @@ mod tests {
         let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
         let report = analyze_plan(&q, &splits, &plan, &AnalyzeOptions::default());
         assert!(report.is_clean(), "unexpected findings:\n{report}");
-    }
-
-    #[test]
-    fn tiny_budget_truncates_instead_of_failing() {
-        let q = StructuralQuery::query1_small().unwrap();
-        let splits = SplitGenerator::new(q.input_space().clone(), 4)
-            .aligned(1 << 16, 2)
-            .unwrap();
-        let plan = SidrPlanner::new(&q, 6).build(&splits).unwrap();
-        let opts = AnalyzeOptions {
-            key_budget: 10,
-            ..AnalyzeOptions::default()
-        };
-        let report = analyze_plan(&q, &splits, &plan, &opts);
-        assert!(!report.has_errors(), "unexpected errors:\n{report}");
-        assert!(report.has_code(codes::TRUNCATED));
     }
 }

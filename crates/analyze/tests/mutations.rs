@@ -4,7 +4,7 @@
 
 use sidr_analyze::diag::codes;
 use sidr_analyze::verify::PlanView;
-use sidr_analyze::{analyze, analyze_spec, AnalyzeOptions};
+use sidr_analyze::{analyze, analyze_spec, AnalyzeOptions, PAIRWISE_SLAB_LIMIT};
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
@@ -165,7 +165,6 @@ fn violated_skew_bound_is_e005() {
     assert!(unit > 1, "fixture needs a non-trivial dealing unit");
     let opts = AnalyzeOptions {
         skew_bound: Some(unit - 1),
-        ..AnalyzeOptions::default()
     };
     let report = analyze(&q, &splits, &view, &opts);
     assert!(report.has_errors());
@@ -188,7 +187,6 @@ fn honored_skew_bound_is_clean() {
     let unit = view.partition.partition().skew_shape().count();
     let opts = AnalyzeOptions {
         skew_bound: Some(unit),
-        ..AnalyzeOptions::default()
     };
     let report = analyze(&q, &splits, &view, &opts);
     assert!(report.is_clean(), "unexpected findings:\n{report}");
@@ -239,32 +237,47 @@ fn planner_preflight_runs_on_every_build() {
     assert!(SidrPlanner::new(&q, 0).build(&splits).is_err());
 }
 
-/// Truncation keeps its partial coverage: with the key budget one
-/// short of `|K′ᵀ|`, membership is skipped (`SIDR-I010`) but every
-/// split image that fits is still checked, so a dropped edge of split
-/// 0 is still `SIDR-E003`.
+/// Dependencies are proved at any `|K′ᵀ|`: a `{4096,4096,2}` input
+/// with extraction `{1,1,1}` has 33,554,432 keys, twice the largest
+/// `K′ᵀ` a per-key walk once routed before it skipped the split images.
+/// Split 63's edge to keyblock 21, dropped from the submission, is
+/// `SIDR-E003` naming both, and nothing is truncated.
 #[test]
-fn truncated_membership_still_checks_dependencies() {
-    let (q, splits, mut view) = fixture();
-    let b = *view.map_feeds[0].first().expect("split 0 feeds something");
-    view.map_feeds[0].retain(|&x| x != b);
-    view.reduce_deps[b].retain(|&m| m != 0);
-    let opts = AnalyzeOptions {
-        key_budget: view.kspace.count() - 1,
-        ..AnalyzeOptions::default()
+fn dropped_edge_past_any_key_count_is_e003() {
+    let q = StructuralQuery::new(
+        "t",
+        Shape::new(vec![4096, 4096, 2]).unwrap(),
+        Shape::new(vec![1, 1, 1]).unwrap(),
+        Operator::Mean,
+    )
+    .unwrap();
+    assert_eq!(q.intermediate_space().count(), 33_554_432);
+    let splits = SplitGenerator::new(q.input_space().clone(), 4)
+        .exact_count(64)
+        .unwrap();
+    assert_eq!(splits.len(), 64);
+    let plan = SidrPlanner::new(&q, 22).build(&splits).unwrap();
+    let mut spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    let clean = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    assert!(clean.is_clean(), "unexpected findings:\n{clean}");
+
+    assert!(
+        spec.reduce_deps[21].contains(&63),
+        "split 63 feeds keyblock 21"
+    );
+    spec.reduce_deps[21].retain(|&m| m != 63);
+    let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+    let missing = (report.diagnostics.iter())
+        .find(|d| d.code == codes::DEP_MISSING)
+        .unwrap_or_else(|| panic!("admitted:\n{report}"));
+    let named = |key: &str| {
+        (missing.context.iter())
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
     };
-    let report = analyze(&q, &splits, &view, &opts);
-    assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == codes::TRUNCATED && d.context.iter().any(|(k, _)| k == "keys")),
-        "membership must report its truncation:\n{report}"
-    );
-    assert!(
-        report.has_code(codes::DEP_MISSING),
-        "wrong codes:\n{report}"
-    );
+    assert_eq!(named("split").as_deref(), Some("63"), "{report}");
+    assert_eq!(named("keyblock").as_deref(), Some("21"), "{report}");
+    assert!(!report.has_code(codes::TRUNCATED), "{report}");
 }
 
 /// A submission over `{28,10,4}` with `{7,5,1}` keys and 4 splits of
@@ -333,28 +346,32 @@ fn duplicated_split_is_e002() {
     assert!(report.has_code(codes::OVERLAP), "wrong codes:\n{report}");
 }
 
-/// At `pairwise_slab_limit` the split overlap proof still runs, as a
-/// sweep: 20,000 one-row splits are proved disjoint, and one row read
-/// twice is `SIDR-E002` naming both splits — the lowest overlapping
-/// pair, as a pairwise scan would report it.
-#[test]
-fn overlap_proof_at_the_split_limit() {
-    const ROWS: u64 = 20_000;
-    let limit = AnalyzeOptions::default().pairwise_slab_limit;
-    assert_eq!(ROWS as usize, limit);
+/// `rows` one-row splits over `{rows,2,2}` with `{1,2,2}` keys and 4
+/// reducers: the fixture for the split-limit cases below.
+fn one_row_splits(rows: u64) -> JobSpec {
     let q = StructuralQuery::new(
         "t",
-        Shape::new(vec![ROWS, 2, 2]).unwrap(),
+        Shape::new(vec![rows, 2, 2]).unwrap(),
         Shape::new(vec![1, 2, 2]).unwrap(),
         Operator::Mean,
     )
     .unwrap();
     let splits = SplitGenerator::new(q.input_space().clone(), 4)
-        .exact_count(ROWS)
+        .exact_count(rows)
         .unwrap();
-    assert_eq!(splits.len(), limit);
+    assert_eq!(splits.len() as u64, rows);
     let plan = SidrPlanner::new(&q, 4).build(&splits).unwrap();
-    let mut spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    JobSpec::from_plan(&q, &splits, &plan).unwrap()
+}
+
+/// At `PAIRWISE_SLAB_LIMIT` the split overlap proof still runs, as a
+/// sweep: 20,000 one-row splits are proved disjoint, and one row read
+/// twice is `SIDR-E002` naming both splits — the lowest overlapping
+/// pair, as a pairwise scan would report it.
+#[test]
+fn overlap_proof_at_the_split_limit() {
+    assert_eq!(PAIRWISE_SLAB_LIMIT, 20_000);
+    let mut spec = one_row_splits(PAIRWISE_SLAB_LIMIT as u64);
     let clean = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
     assert!(clean.is_clean(), "unexpected findings:\n{clean}");
 
@@ -373,20 +390,17 @@ fn overlap_proof_at_the_split_limit() {
     assert_eq!(named("split_b").as_deref(), Some("17001"), "{report}");
 }
 
-/// Over `pairwise_slab_limit` the split overlap proof is skipped
+/// Over `PAIRWISE_SLAB_LIMIT` the split overlap proof is skipped
 /// (`SIDR-I010`), but a split set whose records fall short of the
 /// region's is still a gap: `SIDR-E001`.
 #[test]
 fn gapped_splits_over_the_pairwise_limit_are_e001() {
-    let opts = AnalyzeOptions {
-        pairwise_slab_limit: 2,
-        ..AnalyzeOptions::default()
-    };
-    let mut spec = tiled_spec();
-    let clean = analyze_spec(&spec, &opts).unwrap();
+    let mut spec = one_row_splits(PAIRWISE_SLAB_LIMIT as u64 + 1);
+    let clean = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
     assert!(!clean.has_errors(), "unexpected errors:\n{clean}");
-    spec.splits[3].slab = slab([21, 0, 0], [3, 10, 4]);
-    let report = analyze_spec(&spec, &opts).unwrap();
+    // Split 17,000 reads half its row.
+    spec.splits[17_000].slab = slab([17_000, 0, 0], [1, 1, 2]);
+    let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
     let has = |code: &str, key: &str| {
         report
             .diagnostics

@@ -1112,7 +1112,6 @@ fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
         map_slots: faults.map_slots,
         reduce_slots: fx.spec.num_reducers,
         workers: world.addrs(),
-        ..ServerConfig::default()
     };
     let server = (Server::bind(Arc::clone(&world.net), SERVER, config))
         .unwrap_or_else(|e| world.fail(format!("bind: {e}")));

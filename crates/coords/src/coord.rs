@@ -39,13 +39,6 @@ impl Coord {
         &self.0
     }
 
-    /// Mutable components, for walkers that step one coordinate in
-    /// place instead of building a new one per step.
-    #[inline]
-    pub(crate) fn components_mut(&mut self) -> &mut [u64] {
-        &mut self.0
-    }
-
     /// Component-wise addition. Errors on rank mismatch.
     pub fn checked_add(&self, other: &Coord) -> Result<Coord> {
         self.same_rank(other)?;

@@ -43,12 +43,20 @@ impl std::fmt::Display for CoverDefect {
 }
 
 /// Number of coordinates two slabs share (0 when disjoint or of
-/// different rank).
+/// different rank). Allocates nothing: the sweeps below call it once
+/// per meeting pair.
 pub fn overlap_count(a: &Slab, b: &Slab) -> u64 {
-    match a.intersect(b) {
-        Ok(Some(i)) => i.count(),
-        _ => 0,
+    if a.rank() != b.rank() {
+        return 0;
     }
+    let (ac, bc) = (a.corner().components(), b.corner().components());
+    (0..a.rank())
+        .map(|d| {
+            let lo = ac[d].max(bc[d]);
+            let hi = (ac[d] + a.shape()[d]).min(bc[d] + b.shape()[d]);
+            hi.saturating_sub(lo)
+        })
+        .product()
 }
 
 /// Sum of the element counts of a slab collection.
@@ -60,36 +68,82 @@ pub fn total_count(slabs: &[Slab]) -> u64 {
 /// `(index_a, index_b, shared_count)`: of all overlapping pairs, the
 /// lowest `(a, b)` with `a < b`, the pair a pairwise scan meets first.
 ///
-/// A sweep along dimension 0: slabs in order of their first corner
-/// component, each intersected only with the slabs whose dim-0 range is
-/// still open where it starts. Slabs stacked along dim 0 (row splits)
-/// cost O(n log n); slabs that all span dim 0 still meet pairwise.
+/// Found by the dim-0 `sweep` below: slabs stacked along dim 0 (row
+/// splits) cost O(n log n); slabs that all span dim 0 still meet
+/// pairwise.
 pub fn first_overlap(slabs: &[Slab]) -> Option<(usize, usize, u64)> {
-    // Dim-0 range; a rank-0 slab is one point, so two of them still meet.
-    let span = |i: usize| {
-        let s = &slabs[i];
-        match s.corner().components().first() {
-            Some(&lo) => (lo, lo.saturating_add(s.shape()[0])),
-            None => (0, 1),
-        }
-    };
-    let mut order: Vec<usize> = (0..slabs.len()).collect();
-    order.sort_by_key(|&i| span(i).0);
-    let mut open: Vec<usize> = Vec::new();
     let mut first: Option<(usize, usize, u64)> = None;
-    for j in order {
-        let start = span(j).0;
-        open.retain(|&i| span(i).1 > start);
-        for &i in &open {
+    sweep(
+        slabs.len(),
+        None,
+        |i| dim0(&slabs[i]),
+        |i, j| {
             let shared = overlap_count(&slabs[i], &slabs[j]);
             let (a, b) = (i.min(j), i.max(j));
             if shared > 0 && first.is_none_or(|(fa, fb, _)| (a, b) < (fa, fb)) {
                 first = Some((a, b, shared));
             }
-        }
-        open.push(j);
-    }
+        },
+    );
     first
+}
+
+/// Every intersecting pair across two slab collections, as
+/// `meet(l, r)` with `l` indexing `left` and `r` indexing `right`, in
+/// sweep order. One `sweep` over both: each slab is intersected only
+/// with the other collection's slabs whose dim-0 range is still open,
+/// so the cost is in slabs and meetings, never in the coordinates the
+/// slabs hold.
+pub fn for_each_crossing(left: &[Slab], right: &[Slab], mut meet: impl FnMut(usize, usize)) {
+    let n = left.len();
+    let at = |i: usize| if i < n { &left[i] } else { &right[i - n] };
+    sweep(
+        n + right.len(),
+        Some(n),
+        |i| dim0(at(i)),
+        |i, j| {
+            let (l, r) = (i.min(j), i.max(j));
+            if overlap_count(at(l), at(r)) > 0 {
+                meet(l, r - n);
+            }
+        },
+    );
+}
+
+/// A slab's dim-0 range; a rank-0 slab is one point, so two of them
+/// still meet.
+fn dim0(s: &Slab) -> (u64, u64) {
+    match s.corner().components().first() {
+        Some(&lo) => (lo, lo.saturating_add(s.shape()[0])),
+        None => (0, 1),
+    }
+}
+
+/// The sort-and-sweep along dimension 0: items `0..n` in order of
+/// their range's start, each met (`meet(earlier, later)`) only with
+/// the items whose range is still open where it starts. With
+/// `groups: Some(k)`, items `..k` and `k..` form two groups and only
+/// pairs across them meet; with `None` every pair may.
+fn sweep(
+    n: usize,
+    groups: Option<usize>,
+    span: impl Fn(usize) -> (u64, u64),
+    mut meet: impl FnMut(usize, usize),
+) {
+    let group = |i: usize| usize::from(groups.is_some_and(|k| i >= k));
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| span(i).0);
+    let mut open: [Vec<usize>; 2] = Default::default();
+    for j in order {
+        let start = span(j).0;
+        let g = group(j);
+        let other = if groups.is_some() { 1 - g } else { g };
+        open[other].retain(|&i| span(i).1 > start);
+        for &i in &open[other] {
+            meet(i, j);
+        }
+        open[g].push(j);
+    }
 }
 
 /// Index of the first slab not inside `[0, space)`.
@@ -205,6 +259,44 @@ mod tests {
         // Columns: every dim-0 range meets every other, none overlap.
         let columns: Vec<Slab> = (0..5).map(|c| slab(&[0, c], &[4, 1])).collect();
         assert_eq!(first_overlap(&columns), None);
+    }
+
+    /// The crossing sweep finds exactly the intersecting pairs a
+    /// pairwise scan across the two collections finds.
+    #[test]
+    fn crossings_match_the_pairwise_scan() {
+        let left = vec![
+            slab(&[6, 0], &[2, 2]),
+            slab(&[0, 0], &[4, 2]),
+            slab(&[3, 1], &[1, 1]),
+        ];
+        let right = vec![
+            slab(&[1, 0], &[6, 1]),
+            slab(&[0, 1], &[8, 1]),
+            slab(&[4, 0], &[2, 2]),
+            slab(&[9, 0], &[1, 2]),
+        ];
+        let mut swept = Vec::new();
+        for_each_crossing(&left, &right, |l, r| swept.push((l, r)));
+        swept.sort_unstable();
+        let brute: Vec<(usize, usize)> = (0..left.len())
+            .flat_map(|l| (0..right.len()).map(move |r| (l, r)))
+            .filter(|&(l, r)| left[l].intersects(&right[r]))
+            .collect();
+        assert_eq!(swept, brute);
+        // The allocation-free count agrees with the intersection's.
+        for (l, r) in (0..left.len()).flat_map(|l| (0..right.len()).map(move |r| (l, r))) {
+            let shared = left[l]
+                .intersect(&right[r])
+                .unwrap()
+                .map_or(0, |i| i.count());
+            assert_eq!(overlap_count(&left[l], &right[r]), shared, "({l}, {r})");
+        }
+        // Within one collection nothing meets: overlapping left slabs
+        // are no crossing.
+        let mut none = Vec::new();
+        for_each_crossing(&left, &[], |l, r| none.push((l, r)));
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod slab;
 pub mod tiling;
 
 pub use coord::Coord;
-pub use cover::{exact_cover_defect, first_overlap, overlap_count, CoverDefect};
+pub use cover::{exact_cover_defect, first_overlap, for_each_crossing, overlap_count, CoverDefect};
 pub use error::CoordError;
 pub use extraction::ExtractionShape;
 pub use partition::{choose_skew_shape, ContiguousPartition, KeyblockId};

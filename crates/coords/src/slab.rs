@@ -7,7 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::ControlFlow;
 
 use crate::coord::Coord;
 use crate::error::CoordError;
@@ -161,39 +160,6 @@ impl Slab {
         }
     }
 
-    /// Calls `f` on every coordinate in the slab, in the row-major
-    /// order of [`Slab::iter_coords`], until it breaks. One `Coord` is
-    /// stepped in place: one allocation per walk, none per coordinate.
-    pub fn try_for_each_coord<B>(
-        &self,
-        mut f: impl FnMut(&Coord) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        let lo = self.corner.components();
-        let ext = self.shape.extents();
-        let last = ext.len() - 1;
-        let mut key = self.corner.clone();
-        loop {
-            for x in lo[last]..lo[last] + ext[last] {
-                key.components_mut()[last] = x;
-                f(&key)?;
-            }
-            // Carry into the outer dimensions; past the first, done.
-            let c = key.components_mut();
-            let mut dim = last;
-            loop {
-                if dim == 0 {
-                    return ControlFlow::Continue(());
-                }
-                dim -= 1;
-                c[dim] += 1;
-                if c[dim] < lo[dim] + ext[dim] {
-                    break;
-                }
-                c[dim] = lo[dim];
-            }
-        }
-    }
-
     /// Splits the slab into at most `n` pieces along its longest
     /// dimension, preserving row-major contiguity of the pieces.
     /// Used by split generation to respect a target split size.
@@ -330,36 +296,6 @@ mod tests {
                 Coord::from([2, 3]),
             ]
         );
-    }
-
-    #[test]
-    fn try_for_each_coord_matches_iter_coords() {
-        for s in [
-            slab(&[1, 2], &[2, 2]),
-            slab(&[3], &[4]),
-            slab(&[0, 5, 7], &[2, 1, 3]),
-            slab(&[9, 9, 9], &[1, 1, 1]),
-        ] {
-            let mut walked = Vec::new();
-            let done = s.try_for_each_coord(|c| {
-                walked.push(c.clone());
-                ControlFlow::<()>::Continue(())
-            });
-            assert_eq!(done, ControlFlow::Continue(()));
-            assert_eq!(walked, s.iter_coords().collect::<Vec<_>>(), "{s}");
-        }
-        // A break stops the walk at the coordinate that raised it.
-        let mut seen = 0;
-        let stop = slab(&[0, 0], &[3, 3]).try_for_each_coord(|c| {
-            seen += 1;
-            if c == &Coord::from([1, 1]) {
-                ControlFlow::Break(c.clone())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert_eq!(stop, ControlFlow::Break(Coord::from([1, 1])));
-        assert_eq!(seen, 5);
     }
 
     #[test]
