@@ -24,7 +24,7 @@
 //!    (`SIDR-E003`/`SIDR-W004`) — each `I_ℓ` is recomputed
 //!    independently of the planner's grid-row derivation: each split's
 //!    image under the extraction shape is intersected with the
-//!    keyblock cover slabs proved above, in one dim-0 sweep, and
+//!    keyblock cover slabs proved above, in one sweep, and
 //!    compared edge by edge. Its cost is in slabs, not keys, so it is
 //!    exact at any `|K′ᵀ|`.
 //! 3. **Skew certificate** (`SIDR-E005`) — the dealing unit respects
@@ -311,8 +311,8 @@ fn tiling_defect(
 
 /// Invariant 2: recompute each split's keyblock set independently of
 /// `Dependencies::derive` — the split's image under the extraction
-/// shape, intersected with the keyblock cover slabs in one dim-0
-/// sweep ([`cover::for_each_crossing`]) — and compare against the
+/// shape, intersected with the keyblock cover slabs in one sweep
+/// ([`cover::for_each_crossing`]) — and compare against the
 /// plan's dependency tables edge by edge (`SIDR-E003` missing,
 /// `SIDR-W004` spurious). The cover is exact, so a split feeds a
 /// keyblock exactly when its image meets one of the keyblock's slabs.
@@ -424,24 +424,30 @@ fn check_skew(view: &PlanView, opts: &AnalyzeOptions, report: &mut Report) {
             .with("skew_shape", cp.skew_shape()),
         );
     }
-    let mut hi: Option<(usize, u64)> = None;
-    let mut lo: Option<(usize, u64)> = None;
+    // The §3.1 bound is one dealing unit. A unit clipped at the space's
+    // edge is short, so keyblocks are compared by key count plus their
+    // clipped units' shortfall: what each would hold unclipped.
+    let mut hi: Option<(usize, u64, u64)> = None;
+    let mut lo: Option<(usize, u64, u64)> = None;
     for b in 0..view.num_reducers() {
-        let c = match cp.block_key_count(b) {
+        let keys = match cp.block_key_count(b) {
             Ok(c) => c,
             Err(_) => return, // structural check already flagged
         };
-        if c == 0 {
+        if keys == 0 {
             continue;
         }
-        if hi.is_none_or(|(_, best)| c > best) {
-            hi = Some((b, c));
+        let (start, end) = cp.block_run(b);
+        let shortfall = (end - start) * unit - keys;
+        let c = keys + shortfall;
+        if hi.is_none_or(|(_, best, _)| c > best) {
+            hi = Some((b, c, keys));
         }
-        if lo.is_none_or(|(_, best)| c < best) {
-            lo = Some((b, c));
+        if lo.is_none_or(|(_, best, _)| c < best) {
+            lo = Some((b, c, keys));
         }
     }
-    if let (Some((hb, hc)), Some((lb, lc))) = (hi, lo) {
+    if let (Some((hb, hc, hk)), Some((lb, lc, lk))) = (hi, lo) {
         let observed = hc - lc;
         if observed > unit {
             report.push(
@@ -452,9 +458,9 @@ fn check_skew(view: &PlanView, opts: &AnalyzeOptions, report: &mut Report) {
                 .with("observed_skew", observed)
                 .with("dealing_unit_keys", unit)
                 .with("largest_keyblock", hb)
-                .with("largest_keys", hc)
+                .with("largest_keys", hk)
                 .with("smallest_keyblock", lb)
-                .with("smallest_keys", lc),
+                .with("smallest_keys", lk),
             );
         }
     }

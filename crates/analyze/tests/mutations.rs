@@ -413,3 +413,32 @@ fn gapped_splits_over_the_pairwise_limit_are_e001() {
         "admitted:\n{report}"
     );
 }
+
+/// A planner-built partition passes its own skew certificate when the
+/// last dealing unit is clipped: `K′ᵀ` `{1,400000}` dealt to n
+/// keyblocks in units the clip leaves short (69 of 97 keys at
+/// n = 1,000). Compared by keys alone, keyblock 0 (485) and the last
+/// (360) differ by more than one unit; unclipped they differ by one.
+#[test]
+fn clipped_last_unit_is_within_the_skew_bound() {
+    for n in [1_000, 4_000] {
+        let q = StructuralQuery::new(
+            "t",
+            Shape::new(vec![1, 400_000]).unwrap(),
+            Shape::new(vec![1, 1]).unwrap(),
+            Operator::Mean,
+        )
+        .unwrap();
+        let splits = SplitGenerator::new(q.input_space().clone(), 4)
+            .exact_count(n as u64)
+            .unwrap();
+        let plan = SidrPlanner::new(&q, n).build(&splits).unwrap();
+        let spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+        let report = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();
+        assert!(
+            !report.has_code(codes::SKEW),
+            "n = {n}: planner-built partition fails its skew certificate:\n{report}"
+        );
+        assert!(report.is_clean(), "n = {n}: unexpected findings:\n{report}");
+    }
+}

@@ -4,7 +4,7 @@
 //! on a known-bad runtime is worthless — these are its teeth.
 //!
 //! The engine's waits have no safety tick under `--cfg check`, so a
-//! dropped notification is a hang the explorer sees, not a delay.
+//! dropped wake is a hang the explorer sees, not a delay.
 //!
 //! The chaos flag is process-global, so every test serializes on one
 //! lock and arms exactly one mutation for its duration.
@@ -53,42 +53,42 @@ fn run_tiny_job(pool: &SlotPool) {
     assert_eq!(output.sorted_records(), vec![(0, 3)]);
 }
 
-/// A `release` that forgets its `notify_one` leaves the blocked
-/// acquirer with no wake source: it stays parked on the semaphore's
-/// condvar with nothing left to run, which the scheduler reports as
-/// LostWakeup.
+/// Two tiny jobs on a one-slot pool, each asking for slots the other
+/// holds.
+fn two_jobs_on_one_slot() {
+    let pool = SlotPool::new(1, 1).unwrap();
+    thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| run_tiny_job(&pool));
+        }
+    });
+}
+
+/// A `release` that rings none of the jobs that found the pool full
+/// leaves a job's loop waiting on its inbox for a slot that is already
+/// free, with nothing left to ring it: a LostWakeup finding.
 #[test]
-fn dropped_release_notify_is_caught_as_lost_wakeup() {
+fn release_that_wakes_no_job_is_caught_as_lost_wakeup() {
     let _serial = CHAOS.lock().unwrap();
-    let _armed = chaos::arm(Mutation::DropSemReleaseNotify);
-    let report = Explorer::new("mutation:drop-release-notify").run(
+    let _armed = chaos::arm(Mutation::ReleaseWakesNoJob);
+    let report = Explorer::new("mutation:release-wakes-no-job").run(
         Strategy::Random {
             schedules: 400,
             seed: 0x0BAD_0001,
         },
-        || {
-            let pool = SlotPool::new(1, 1).unwrap();
-            thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| {
-                        assert!(pool.map_sem().acquire(&|| false));
-                        pool.map_sem().release();
-                    });
-                }
-            });
-            assert_eq!(pool.map_sem().in_use(), 0);
-        },
+        two_jobs_on_one_slot,
     );
     report.assert_finds(FindingKind::LostWakeup);
 }
 
-/// A map commit that skips `notify_all` strands the reducer parked on
-/// the barrier condvar: a LostWakeup finding.
+/// An attempt whose report is queued without waking the loop strands a
+/// loop that was already waiting with no timer armed: a LostWakeup
+/// finding.
 #[test]
-fn dropped_map_done_notify_is_caught_as_lost_wakeup() {
+fn dropped_post_wake_is_caught_as_lost_wakeup() {
     let _serial = CHAOS.lock().unwrap();
-    let _armed = chaos::arm(Mutation::DropMapDoneNotify);
-    let report = Explorer::new("mutation:drop-map-done-notify").run(
+    let _armed = chaos::arm(Mutation::DropPostWake);
+    let report = Explorer::new("mutation:drop-post-wake").run(
         Strategy::Random {
             schedules: 400,
             seed: 0x0BAD_0002,
@@ -99,31 +99,6 @@ fn dropped_map_done_notify_is_caught_as_lost_wakeup() {
         },
     );
     report.assert_finds(FindingKind::LostWakeup);
-}
-
-/// Widening the state critical section across the slot acquire makes
-/// the acquire's abort predicate re-lock a mutex its own thread holds
-/// the moment the semaphore is contended — a self-deadlock finding.
-/// Two jobs share a one-slot pool so the contended path is reachable.
-#[test]
-fn state_lock_held_across_acquire_is_caught_as_deadlock() {
-    let _serial = CHAOS.lock().unwrap();
-    let _armed = chaos::arm(Mutation::HoldStateAcrossAcquire);
-    let report = Explorer::new("mutation:hold-state-across-acquire").run(
-        Strategy::Random {
-            schedules: 400,
-            seed: 0x0BAD_0003,
-        },
-        || {
-            let pool = SlotPool::new(1, 1).unwrap();
-            thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| run_tiny_job(&pool));
-                }
-            });
-        },
-    );
-    report.assert_finds(FindingKind::Deadlock);
 }
 
 /// Overlapping dependency sets: r0 <- {m0, m1}, r1 <- {m1, m2}.

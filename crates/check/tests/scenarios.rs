@@ -2,7 +2,7 @@
 //! under the virtual scheduler. These compile only under
 //! `RUSTFLAGS='--cfg check'`, where `sidr-mapreduce::sync` re-exports
 //! the checker's primitives and clock, and the *production*
-//! SlotPool/CancelToken/recovery/monitor code runs unmodified inside
+//! SlotPool/CancelToken/coordinator-loop code runs unmodified inside
 //! each explored schedule — its waits with no safety tick, its sleeps
 //! and deadlines on virtual time.
 //!
@@ -15,6 +15,7 @@
 #[path = "../../mapreduce/tests/support/mod.rs"]
 mod support;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sidr_check::{Explorer, Strategy};
@@ -23,8 +24,8 @@ use sidr_mapreduce::sync::atomic::{AtomicUsize, Ordering};
 use sidr_mapreduce::sync::{thread, time};
 use sidr_mapreduce::{
     AttemptBodies, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput,
-    InputSplit, JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SlotPool,
-    SpeculationPolicy, TaskKind,
+    Inbox, InputSplit, JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SlotPool,
+    SpeculationPolicy, TaskKind, Wake,
 };
 use support::{bodies, number_splits, run_shared, sum};
 
@@ -45,35 +46,47 @@ fn hundreds(n: usize) -> impl AttemptBodies<Key = u64, Value = u64, Out = u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 1: concurrent acquire/release/wake_all on one SlotPool.
+// Scenario 1: concurrent asks and releases on one SlotPool.
 // ---------------------------------------------------------------------------
 
-/// Three acquirers contend for two map slots while a fourth thread
-/// fires `wake_all` (the job-failure/cancellation broadcast) at an
-/// arbitrary point. The virtual `held` counter proves mutual exclusion
-/// of the slot count itself; the final `in_use` check proves no
-/// release is lost or doubled.
+/// Takes a map slot the way a job's loop does: ask, and with none free
+/// wait on the inbox until a release (or any other wake) rings it, then
+/// ask again.
+fn take_slot(pool: &SlotPool, inbox: &Arc<Inbox<()>>) {
+    let waker = Arc::clone(inbox) as Arc<dyn Wake>;
+    while !pool.map_sem().try_acquire(&waker) {
+        inbox.next(None);
+    }
+}
+
+/// Three loops contend for two map slots while a fourth thread rings
+/// the first loop's inbox at an arbitrary point (a wake that frees
+/// nothing, as a cancel's is). The virtual `held` counter proves mutual
+/// exclusion of the slot count itself; the final `in_use` check proves
+/// no release is lost or doubled, and the run ending at all proves
+/// every loop that found the pool full was rung by a release.
 fn slot_pool_scenario() {
     let pool = SlotPool::new(2, 1).unwrap();
     let held = AtomicUsize::new(0);
+    let inboxes: Vec<Arc<Inbox<()>>> = (0..3).map(|_| Arc::default()).collect();
     thread::scope(|s| {
-        for _ in 0..3 {
-            s.spawn(|| {
-                if pool.map_sem().acquire(&|| false) {
-                    let now = held.fetch_add(1, Ordering::SeqCst) + 1;
-                    assert!(now <= 2, "{now} concurrent holders of 2 slots");
-                    held.fetch_sub(1, Ordering::SeqCst);
-                    pool.map_sem().release();
-                }
+        for inbox in &inboxes {
+            let (pool, held) = (&pool, &held);
+            s.spawn(move || {
+                take_slot(pool, inbox);
+                let now = held.fetch_add(1, Ordering::SeqCst) + 1;
+                assert!(now <= 2, "{now} concurrent holders of 2 slots");
+                held.fetch_sub(1, Ordering::SeqCst);
+                pool.map_sem().release();
             });
         }
-        s.spawn(|| pool.map_sem().wake_all());
+        s.spawn(|| inboxes[0].ring());
     });
     assert_eq!(pool.map_sem().in_use(), 0, "slots leaked");
 }
 
 #[test]
-fn slot_pool_acquire_release_wake_all_is_clean() {
+fn slot_pool_ask_release_ring_is_clean() {
     let report = Explorer::new("slot-pool").run(
         Strategy::Exhaustive {
             max_schedules: 1_500,
@@ -89,37 +102,44 @@ fn slot_pool_acquire_release_wake_all_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 2: cancellation racing a worker blocked on the last slot.
+// Scenario 2: cancellation racing a loop waiting for the last slot.
 // ---------------------------------------------------------------------------
 
-/// One thread holds the only map slot, a second blocks acquiring it
-/// with a cancellation-abort predicate, a third cancels the token.
-/// The registered semaphore waker must wake the blocked thread no
-/// matter how the three interleave — a missed wake shows up as a
-/// LostWakeup finding, a stuck one as Deadlock.
+/// One thread holds the only map slot and frees it; a second — a job's
+/// loop, its inbox registered with the token — asks for the slot and
+/// waits until a release or the cancel rings it; a third cancels. No
+/// matter how the three interleave, the loop must wake: a missed ring
+/// shows up as a LostWakeup finding, a stuck wait as Deadlock.
 fn cancel_scenario() {
     let pool = SlotPool::new(1, 1).unwrap();
     let token = CancelToken::new();
-    let reg = token.register(pool.map_sem().waker());
+    let inbox = Arc::new(Inbox::<()>::default());
+    let waker = Arc::clone(&inbox) as Arc<dyn Wake>;
+    token.register(&waker);
     thread::scope(|s| {
         s.spawn(|| {
-            assert!(pool.map_sem().acquire(&|| false));
+            take_slot(&pool, &Arc::default());
             pool.map_sem().release();
         });
-        s.spawn(|| {
-            if pool.map_sem().acquire(&|| token.is_cancelled()) {
-                pool.map_sem().release();
+        s.spawn(|| loop {
+            if token.is_cancelled() {
+                break;
             }
+            if pool.map_sem().try_acquire(&waker) {
+                pool.map_sem().release();
+                break;
+            }
+            inbox.next(None);
         });
         s.spawn(|| token.cancel());
     });
     assert_eq!(pool.map_sem().in_use(), 0, "slots leaked");
-    drop(reg);
+    drop((waker, inbox));
     assert_eq!(token.waker_count(), 0, "waker registration leaked");
 }
 
 #[test]
-fn cancel_racing_blocked_worker_is_clean() {
+fn cancel_racing_a_waiting_loop_is_clean() {
     let report = Explorer::new("cancel-race").run(
         Strategy::Exhaustive {
             max_schedules: 1_500,
@@ -428,7 +448,7 @@ fn spill_vs_fetch_vs_release_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 7: the deadline on virtual time — the monitor fails a job
+// Scenario 7: the deadline on virtual time — the loop fails a job
 // whose straggler would outlive it.
 // ---------------------------------------------------------------------------
 
@@ -437,10 +457,11 @@ fn ms(n: u64) -> Duration {
 }
 
 /// Map 0's first attempt straggles 3 s of virtual time under a 50 ms
-/// deadline. On every schedule the monitor must fail the job with
-/// `DeadlineExceeded` exactly when the virtual clock reaches 50 ms, and
-/// the workers — the straggler's sleep included — must unwind by
-/// notification: no further virtual time passes and no slot leaks.
+/// deadline. On every schedule the loop's deadline timer must fail the
+/// job with `DeadlineExceeded` exactly when the virtual clock reaches
+/// 50 ms, and the attempts — the straggler's pause included — must
+/// unwind by notification: no further virtual time passes and no slot
+/// leaks.
 fn deadline_scenario() {
     let pool = SlotPool::new(2, 1).unwrap();
     let splits = number_splits(3, 3);
@@ -487,13 +508,13 @@ fn deadline_fails_the_job_at_its_virtual_instant() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 8: the speculation monitor's quantile trigger on virtual
+// Scenario 8: the loop's speculation quantile trigger on virtual
 // time.
 // ---------------------------------------------------------------------------
 
 /// Map 0's first attempt straggles 1 s, its three peers 10 ms each,
 /// with the default cohort trigger (no forced maps): once three peers
-/// have committed, the monitor sees map 0 past 2 × the cohort's 10 ms
+/// have committed, the loop sees map 0 past 2 × the cohort's 10 ms
 /// quantile and grants it a twin, which commits and retires the
 /// straggler. On every schedule the output is the fault-free one, the
 /// job ends well before the straggler would have, and the timeline

@@ -3,8 +3,8 @@
 //! `partition+` promises that keyblock covers *tile* the intermediate
 //! keyspace `K′ᵀ`: every key belongs to exactly one keyblock (§3.1).
 //! The static plan verifier proves this by intersecting the slabs of a
-//! candidate cover pairwise and balancing their element counts against
-//! the space. These helpers are the geometric core of that proof and
+//! candidate cover — a sort-and-sweep finds the pairs that meet — and
+//! balancing their element counts against the space. These helpers are the geometric core of that proof and
 //! are usable for any "do these slabs partition this space?" question.
 
 use crate::shape::Shape;
@@ -68,15 +68,15 @@ pub fn total_count(slabs: &[Slab]) -> u64 {
 /// `(index_a, index_b, shared_count)`: of all overlapping pairs, the
 /// lowest `(a, b)` with `a < b`, the pair a pairwise scan meets first.
 ///
-/// Found by the dim-0 `sweep` below: slabs stacked along dim 0 (row
-/// splits) cost O(n log n); slabs that all span dim 0 still meet
-/// pairwise.
+/// Found by the `sweep` below along the `widest` dimension: slabs
+/// stacked along any one dimension cost O(n log n), whichever it is.
 pub fn first_overlap(slabs: &[Slab]) -> Option<(usize, usize, u64)> {
     let mut first: Option<(usize, usize, u64)> = None;
+    let d = widest(slabs.iter());
     sweep(
         slabs.len(),
         None,
-        |i| dim0(&slabs[i]),
+        |i| range(&slabs[i], d),
         |i, j| {
             let shared = overlap_count(&slabs[i], &slabs[j]);
             let (a, b) = (i.min(j), i.max(j));
@@ -90,17 +90,18 @@ pub fn first_overlap(slabs: &[Slab]) -> Option<(usize, usize, u64)> {
 
 /// Every intersecting pair across two slab collections, as
 /// `meet(l, r)` with `l` indexing `left` and `r` indexing `right`, in
-/// sweep order. One `sweep` over both: each slab is intersected only
-/// with the other collection's slabs whose dim-0 range is still open,
-/// so the cost is in slabs and meetings, never in the coordinates the
-/// slabs hold.
+/// sweep order. One `sweep` over both, along the `widest` dimension:
+/// each slab is intersected only with the other collection's slabs
+/// whose range is still open, so the cost is in slabs and meetings,
+/// never in the coordinates the slabs hold.
 pub fn for_each_crossing(left: &[Slab], right: &[Slab], mut meet: impl FnMut(usize, usize)) {
     let n = left.len();
     let at = |i: usize| if i < n { &left[i] } else { &right[i - n] };
+    let d = widest(left.iter().chain(right));
     sweep(
         n + right.len(),
         Some(n),
-        |i| dim0(at(i)),
+        |i| range(at(i), d),
         |i, j| {
             let (l, r) = (i.min(j), i.max(j));
             if overlap_count(at(l), at(r)) > 0 {
@@ -110,16 +111,34 @@ pub fn for_each_crossing(left: &[Slab], right: &[Slab], mut meet: impl FnMut(usi
     );
 }
 
-/// A slab's dim-0 range; a rank-0 slab is one point, so two of them
-/// still meet.
-fn dim0(s: &Slab) -> (u64, u64) {
-    match s.corner().components().first() {
-        Some(&lo) => (lo, lo.saturating_add(s.shape()[0])),
+/// The dimension to sweep along: the one whose slab ranges spread
+/// widest, i.e. where the slabs' summed length per unit of the
+/// collection's extent — how many stack on one coordinate — is least.
+/// Only dimensions every slab has count; with none, 0.
+fn widest<'s>(slabs: impl Iterator<Item = &'s Slab> + Clone) -> usize {
+    let rank = slabs.clone().map(Slab::rank).min().unwrap_or(0);
+    let depth = |d: usize| {
+        let (lo, hi, len) = slabs
+            .clone()
+            .map(|s| range(s, d))
+            .fold((u64::MAX, 0, 0u128), |(lo, hi, len), (a, b)| {
+                (lo.min(a), hi.max(b), len + u128::from(b - a))
+            });
+        len / u128::from(hi.saturating_sub(lo)).max(1)
+    };
+    (0..rank).min_by_key(|&d| depth(d)).unwrap_or(0)
+}
+
+/// A slab's range along dimension `d`; a slab without one is one
+/// point, so two of them still meet.
+fn range(s: &Slab, d: usize) -> (u64, u64) {
+    match s.corner().components().get(d) {
+        Some(&lo) => (lo, lo.saturating_add(s.shape()[d])),
         None => (0, 1),
     }
 }
 
-/// The sort-and-sweep along dimension 0: items `0..n` in order of
+/// The sort-and-sweep along one dimension: items `0..n` in order of
 /// their range's start, each met (`meet(earlier, later)`) only with
 /// the items whose range is still open where it starts. With
 /// `groups: Some(k)`, items `..k` and `k..` form two groups and only
@@ -259,6 +278,39 @@ mod tests {
         // Columns: every dim-0 range meets every other, none overlap.
         let columns: Vec<Slab> = (0..5).map(|c| slab(&[0, c], &[4, 1])).collect();
         assert_eq!(first_overlap(&columns), None);
+    }
+
+    /// Slabs that all span dimension 0 — one row cut into runs, as a
+    /// one-row `K′ᵀ`'s splits and keyblocks are — are swept along
+    /// dimension 1, where they are stacked: at n = 4,000 the sweep
+    /// examines a few candidate pairs per slab, not n² / 2.
+    #[test]
+    fn sweeps_along_the_widest_dimension() {
+        let n = 4_000u64;
+        let runs = |len: u64, offset: u64| -> Vec<Slab> {
+            (0..n)
+                .map(|i| slab(&[0, offset + i * len], &[1, len]))
+                .collect()
+        };
+        // Keyblock runs of 97 keys, offset so each meets two splits.
+        let (splits, blocks) = (runs(100, 0), runs(97, 3));
+        let both: Vec<Slab> = splits.iter().chain(&blocks).cloned().collect();
+        let d = widest(both.iter());
+        assert_eq!((widest(splits.iter()), d), (1, 1));
+        let mut candidates = 0u64;
+        let span = |i: usize| range(&both[i], d);
+        sweep(both.len(), Some(splits.len()), span, |_, _| candidates += 1);
+        assert!(
+            candidates <= 3 * n,
+            "{candidates} candidate pairs for n = {n}"
+        );
+        let mut met = 0u64;
+        for_each_crossing(&splits, &blocks, |_, _| met += 1);
+        assert!(met >= n && met <= candidates, "{met} crossings");
+        assert_eq!(first_overlap(&splits), None);
+        // Stacked along dimension 0 instead, dimension 0 is swept.
+        let rows: Vec<Slab> = (0..8).map(|r| slab(&[r, 0], &[1, 400])).collect();
+        assert_eq!(widest(rows.iter()), 0);
     }
 
     /// The crossing sweep finds exactly the intersecting pairs a

@@ -59,11 +59,11 @@ pub mod codes {
     /// its first task starts, so admission refuses it.
     pub const DEADLINE: &str = "SIDR-E012";
     /// The spec's speculative-execution policy is invalid: a trigger
-    /// quantile outside (0, 1], a slowdown factor below 1 (every
-    /// healthy task would be "straggling"), or a zero check interval.
+    /// quantile outside (0, 1], or a slowdown factor below 1 (every
+    /// healthy task would be "straggling").
     pub const SPECULATION: &str = "SIDR-E013";
     /// Advisory, emitted at run time rather than admission: projected
-    /// completion threatens the deadline, so the engine's monitor
+    /// completion threatens the deadline, so the engine's loop
     /// boosted the speculation trigger before the deadline abandons
     /// the job (`sidr_mr_deadline_boosts_total`).
     pub const DEADLINE_PRESSURE: &str = "SIDR-I014";

@@ -13,7 +13,7 @@
 //! 2. the wasted-work ratio (losing racers per executed map attempt);
 //! 3. the deadline-hit rate under the engine's deadline: speculation
 //!    configured to never self-trigger and the spec carrying
-//!    `deadline_ms`, so only the monitor's deadline-pressure boost
+//!    `deadline_ms`, so only the coordinator loop's deadline-pressure boost
 //!    (SIDR-I014, `sidr_mr_deadline_boosts_total`) can rescue the run
 //!    before the engine abandons it.
 //!
@@ -239,10 +239,7 @@ fn main() -> ExitCode {
     let mut launched = 0u64;
     let mut lost = 0u64;
     let mut attempts = 0u64;
-    let speculating = spec.clone().with_speculation(SpeculationPolicy {
-        check_interval_ms: 5,
-        ..SpeculationPolicy::on()
-    });
+    let speculating = spec.clone().with_speculation(SpeculationPolicy::on());
     for _ in 0..w.runs {
         let run = run_once(&file, &speculating, straggle_plan()).expect("speculative run");
         all_identical &= run.keyblocks == baseline.keyblocks;
@@ -254,14 +251,13 @@ fn main() -> ExitCode {
 
     // ---- Arm 3: deadline pressure, the engine's boost alone. ----
     // The trigger's slowdown factor is set astronomically high, so the
-    // *only* way a twin launches is the monitor projecting that the
+    // *only* way a twin launches is the loop projecting that the
     // job threatens its deadline and boosting the trigger (SIDR-I014).
     // A run the boost cannot rescue ends in `DeadlineExceeded`.
     let pressed = spec
         .clone()
         .with_speculation(SpeculationPolicy {
             slowdown: 1e9,
-            check_interval_ms: 5,
             ..SpeculationPolicy::on()
         })
         .with_deadline_ms(w.deadline_ms);

@@ -1,98 +1,37 @@
 //! Engine counters: the quantities the paper's evaluation measures.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live counters updated by worker threads during a job.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// A job's counters. Its coordinator loop is their one writer, so they
+/// are plain numbers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CountersSnapshot {
     /// Records read from input splits.
-    pub map_records_in: AtomicU64,
+    pub map_records_in: u64,
     /// Intermediate pairs emitted by Map functions (pre-combine).
-    pub map_records_out: AtomicU64,
+    pub map_records_out: u64,
     /// Intermediate pairs after map-side combining.
-    pub combined_records: AtomicU64,
+    pub combined_records: u64,
     /// Shuffle fetches: one per (map, reducer) contact — the network
     /// connections of Table 3.
-    pub shuffle_connections: AtomicU64,
+    pub shuffle_connections: u64,
     /// Intermediate pairs actually transferred by fetches.
-    pub shuffled_records: AtomicU64,
+    pub shuffled_records: u64,
     /// Values emitted by Reduce functions.
-    pub reduce_records_out: AtomicU64,
+    pub reduce_records_out: u64,
     /// Map tasks skipped because no Reduce task depends on them
     /// (possible under dependency-aware routing when a split lies
     /// entirely in a discarded partial region).
-    pub maps_skipped: AtomicU64,
+    pub maps_skipped: u64,
     /// Map tasks re-executed by the dependency-based failure-recovery
     /// path (§6 future work).
-    pub maps_reexecuted: AtomicU64,
+    pub maps_reexecuted: u64,
     /// Reduce task attempts that failed (injected faults).
-    pub reduce_failures: AtomicU64,
+    pub reduce_failures: u64,
     /// Map task attempts that failed (source errors, injected
     /// faults); retried until the budget runs out.
-    pub map_failures: AtomicU64,
+    pub map_failures: u64,
     /// Map tasks re-enqueued by the retry path after a failed attempt.
-    pub map_retries: AtomicU64,
+    pub map_retries: u64,
     /// Shuffle fetches that detected a corrupt or truncated file
     /// (each triggers dependency-scoped re-execution of the map).
-    pub corrupt_fetches: AtomicU64,
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    pub map_records_in: u64,
-    pub map_records_out: u64,
-    pub combined_records: u64,
-    pub shuffle_connections: u64,
-    pub shuffled_records: u64,
-    pub reduce_records_out: u64,
-    pub maps_skipped: u64,
-    pub maps_reexecuted: u64,
-    pub reduce_failures: u64,
-    pub map_failures: u64,
-    pub map_retries: u64,
     pub corrupt_fetches: u64,
-}
-
-impl Counters {
-    /// Atomically increments a counter.
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Copies all counters.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            map_records_in: self.map_records_in.load(Ordering::Relaxed),
-            map_records_out: self.map_records_out.load(Ordering::Relaxed),
-            combined_records: self.combined_records.load(Ordering::Relaxed),
-            shuffle_connections: self.shuffle_connections.load(Ordering::Relaxed),
-            shuffled_records: self.shuffled_records.load(Ordering::Relaxed),
-            reduce_records_out: self.reduce_records_out.load(Ordering::Relaxed),
-            maps_skipped: self.maps_skipped.load(Ordering::Relaxed),
-            maps_reexecuted: self.maps_reexecuted.load(Ordering::Relaxed),
-            reduce_failures: self.reduce_failures.load(Ordering::Relaxed),
-            map_failures: self.map_failures.load(Ordering::Relaxed),
-            map_retries: self.map_retries.load(Ordering::Relaxed),
-            corrupt_fetches: self.corrupt_fetches.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reflects_adds() {
-        let c = Counters::default();
-        Counters::add(&c.shuffle_connections, 5);
-        Counters::add(&c.shuffle_connections, 2);
-        Counters::add(&c.map_records_in, 1);
-        let s = c.snapshot();
-        assert_eq!(s.shuffle_connections, 7);
-        assert_eq!(s.map_records_in, 1);
-        assert_eq!(s.reduce_records_out, 0);
-    }
 }

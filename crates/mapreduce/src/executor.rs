@@ -1,13 +1,14 @@
 //! The task-execution seam: where a claimed task attempt actually
 //! runs, where its committed output lives, and how a reducer gets it.
 //!
-//! The scheduler ([`crate::runtime`]) — slot accounting, eligibility,
-//! dependency barriers, retry budgets, first-commit-wins, recovery
-//! re-enqueueing — knows none of that: it hands every attempt to a
-//! [`TaskExecutor`] and interprets the outcome in one fault
-//! vocabulary. Two executors exist. [`InProcessExecutor`] runs
-//! attempts inside the scheduling process; the serving layer's fleet
-//! coordinator dispatches them to `sidr-worker` processes.
+//! The scheduler ([`crate::runtime`]'s coordinator loop) — slot
+//! accounting, eligibility, dependency barriers, retry budgets,
+//! first-commit-wins, recovery re-enqueueing — knows none of that. It
+//! drives a [`Cluster`]: [`run_job_with_executor`]'s runs each attempt
+//! on one of the job's slot threads through a [`TaskExecutor`],
+//! interpreting the outcome in one fault vocabulary. Two executors exist. [`InProcessExecutor`]
+//! runs attempts inside the scheduling process; the serving layer's
+//! fleet coordinator dispatches them to `sidr-worker` processes.
 //!
 //! A committed partition is CRC-framed SMOF v4 bytes in a
 //! [`PartitionStore`], for both executors: the in-process executor
@@ -34,18 +35,24 @@
 //! scheduler re-enqueues exactly those maps, the dependency-scoped
 //! (`I_ℓ`) recovery of §6.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::MrError;
 use crate::fault::FaultKind;
-use crate::runtime::JobConfig;
+use crate::output::OutputCollector;
+use crate::plan::RoutingPlan;
+use crate::runtime::{coordinate, JobConfig};
+use crate::schedule::Schedule;
 use crate::shuffle::{GroupBatch, MergeIter};
+use crate::slots::{CancelToken, Inbox, SlotPool, Wake};
 use crate::smof3::Smof3View;
 use crate::split::{InputSplit, MapTaskId};
-use crate::sync::chaos;
+use crate::sync::{chaos, thread, time};
 use crate::task::{MrKey, MrValue};
 use crate::tier::{MemBackend, PartitionStore, TierConfig, TierPressure};
+use crate::timeline::{JobResult, TaskKind, Timeline};
 use crate::wire::WireFormat;
 use crate::Result;
 
@@ -144,6 +151,48 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
     ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError>;
+}
+
+/// What an attempt reports to its job's loop.
+pub enum Done {
+    Map {
+        task: MapTaskId,
+        attempt: u32,
+        place: usize,
+        result: Result<MapTally>,
+    },
+    /// The records the attempt committed, or why it did not.
+    Reduce {
+        reducer: usize,
+        result: std::result::Result<u64, RemoteReduceError>,
+    },
+}
+
+/// Where a job's attempts run: its clock, slots and runners. The loop
+/// makes every decision; a cluster runs what it is told and reports
+/// through [`next`](Cluster::next).
+pub trait Cluster {
+    /// Time since the job started.
+    fn now(&self) -> Duration;
+    /// Cluster-wide `(map, reduce)` slot counts.
+    fn slots(&self) -> (usize, usize);
+    /// Occupies a free map slot and names its place (a node) or, with
+    /// none free, has [`next`](Cluster::next) wake when one frees.
+    fn take_map_slot(&mut self) -> Option<usize>;
+    fn take_reduce_slot(&mut self) -> bool;
+    fn free_map_slot(&mut self, place: usize);
+    fn free_reduce_slot(&mut self);
+    /// Whether `map`'s input is local to `place`: what
+    /// [`Schedule::claim_map`](crate::schedule::Schedule::claim_map) prefers.
+    fn local(&self, place: usize, map: MapTaskId) -> bool;
+    fn start_map(&mut self, task: MapTaskId, attempt: u32, speculative: bool, place: usize);
+    /// Starts a reduce attempt over the bound generations that fed it.
+    fn start_reduce(&mut self, reducer: usize, attempt: u32, sources: Vec<ReduceSource>);
+    /// Cuts a running map attempt's pause short (a lost race, a job's end).
+    fn stop_map(&mut self, task: MapTaskId, attempt: u32);
+    /// The next report; `None` once `until` passes, or on a wake that
+    /// brings none (a slot freed, a cancel).
+    fn next(&mut self, until: Option<Duration>) -> Option<Done>;
 }
 
 /// What an injected fault does at the start of a map attempt: a
@@ -310,8 +359,8 @@ pub fn open_sources<K: MrKey + WireFormat, V: MrValue + WireFormat>(
 /// The in-process job's id in its executor's own store.
 const JOB: u64 = 0;
 
-/// The in-process executor: attempts run on the scheduler's own
-/// worker threads through a pair of [`AttemptBodies`], and committed
+/// The in-process executor: attempts run on the job's slot threads
+/// through a pair of [`AttemptBodies`], and committed
 /// map output stays in the job's own unbounded [`PartitionStore`].
 ///
 /// Partitions are keyed by their generation `(map, attempt)`, so a
@@ -395,4 +444,242 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
         }
         Ok(out)
     }
+}
+
+/// An attempt's body, as one of the job's slot threads runs it.
+type Attempt<'e> = Box<dyn FnOnce() + Send + 'e>;
+
+/// One slot class's threads: each runs the attempts posted to `queue`
+/// until a `None` — one per thread, posted when the job's loop ends.
+struct SlotThreads<'e> {
+    queue: Inbox<Option<Attempt<'e>>>,
+    n: usize,
+}
+
+impl SlotThreads<'_> {
+    fn run(&self) {
+        loop {
+            match self.queue.next(None) {
+                Some(Some(attempt)) => attempt(),
+                Some(None) => return,
+                None => {}
+            }
+        }
+    }
+}
+
+/// Ends the job's slot threads when dropped, however its loop ends.
+struct EndThreads<'r, 'e>([&'r SlotThreads<'e>; 2]);
+
+impl Drop for EndThreads<'_, '_> {
+    fn drop(&mut self) {
+        for class in self.0 {
+            (0..class.n).for_each(|_| class.queue.post(None));
+        }
+    }
+}
+
+/// The in-process cluster: each attempt on one of the job's slot
+/// threads, through the executor, over a [`SlotPool`] other jobs may
+/// share.
+struct Threads<'r, 'e, K2, V3> {
+    /// Map attempts run on map slot threads only and reduces on reduce
+    /// ones, so each class's buffers stay in its threads' allocator
+    /// arenas.
+    maps: &'r SlotThreads<'e>,
+    reduces: &'r SlotThreads<'e>,
+    inbox: Arc<Inbox<Done>>,
+    pool: &'e SlotPool,
+    splits: &'e [InputSplit],
+    plan: &'e dyn RoutingPlan,
+    output: &'e dyn OutputCollector<K2, V3>,
+    executor: &'e dyn TaskExecutor<K2, V3>,
+    timeline: Arc<Timeline>,
+    /// What each running map attempt's `pause` waits on: the loop rings
+    /// it to stop the attempt.
+    stops: HashMap<(MapTaskId, u32), Arc<Inbox<()>>>,
+}
+
+impl<K2, V3> Threads<'_, '_, K2, V3> {
+    /// The inbox, as a slot release rings it.
+    fn waker(&self) -> Arc<dyn Wake> {
+        Arc::clone(&self.inbox) as Arc<dyn Wake>
+    }
+}
+
+impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
+    fn now(&self) -> Duration {
+        self.timeline.elapsed()
+    }
+
+    fn slots(&self) -> (usize, usize) {
+        (self.pool.map_slots(), self.pool.reduce_slots())
+    }
+
+    fn take_map_slot(&mut self) -> Option<usize> {
+        self.pool.map.try_acquire(&self.waker()).then_some(0)
+    }
+
+    fn take_reduce_slot(&mut self) -> bool {
+        self.pool.reduce.try_acquire(&self.waker())
+    }
+
+    fn free_map_slot(&mut self, _place: usize) {
+        self.pool.map.release();
+    }
+
+    fn free_reduce_slot(&mut self) {
+        self.pool.reduce.release();
+    }
+
+    fn local(&self, _place: usize, _map: MapTaskId) -> bool {
+        true
+    }
+
+    fn start_map(&mut self, task: MapTaskId, attempt: u32, speculative: bool, place: usize) {
+        let stop = Arc::new(Inbox::default());
+        self.stops.insert((task, attempt), Arc::clone(&stop));
+        let (inbox, executor, splits) = (Arc::clone(&self.inbox), self.executor, self.splits);
+        // The executor keeps the attempt's output under the generation
+        // (task, attempt), each racer's under its own; the loop decides
+        // the race.
+        self.maps.queue.post(Some(Box::new(move || {
+            // Slept out, or cut short by a ring.
+            let pause = |dur: Duration| {
+                let until = time::now() + dur;
+                stop.next(Some(until));
+                time::now() >= until
+            };
+            let split = &splits[task];
+            let result = executor.execute_map(task, attempt, speculative, split, &pause);
+            inbox.post(Done::Map {
+                task,
+                attempt,
+                place,
+                result,
+            });
+        })));
+    }
+
+    fn start_reduce(&mut self, reducer: usize, attempt: u32, sources: Vec<ReduceSource>) {
+        let expected_raw = self.plan.expected_raw_count(reducer);
+        let (inbox, executor) = (Arc::clone(&self.inbox), self.executor);
+        let (output, timeline) = (self.output, Arc::clone(&self.timeline));
+        // The attempt returns its whole keyblock, committed atomically
+        // (§2.3) on this thread, so a slow collector holds no decision.
+        self.reduces.queue.post(Some(Box::new(move || {
+            let result = (executor.execute_reduce(reducer, attempt, &sources, expected_raw))
+                .and_then(|out| {
+                    timeline.record_attempt(TaskKind::ReduceMergeDone, reducer, attempt);
+                    let records = out.len() as u64;
+                    (output.commit(reducer, out).map(|()| records))
+                        .map_err(|e| RemoteReduceError::Fatal(MrError::Output(e.to_string())))
+                });
+            inbox.post(Done::Reduce { reducer, result });
+        })));
+    }
+
+    fn stop_map(&mut self, task: MapTaskId, attempt: u32) {
+        if let Some(stop) = self.stops.get(&(task, attempt)) {
+            stop.ring();
+        }
+    }
+
+    fn next(&mut self, until: Option<Duration>) -> Option<Done> {
+        let done = (self.inbox).next(until.map(|d| self.timeline.origin() + d))?;
+        if let Done::Map { task, attempt, .. } = done {
+            self.stops.remove(&(task, attempt));
+        }
+        Some(done)
+    }
+}
+
+/// The scheduler entry point: runs one job's attempts through
+/// `executor` — in-process or a worker fleet — while the coordinator
+/// loop keeps everything above the payload: eligibility, inverted
+/// scheduling, barriers, slots, retry budgets, first-commit-wins and
+/// dependency-scoped recovery. The executor outlives the call: what
+/// it still holds when the job ends is its owner's to drop.
+pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
+    splits: &'e [InputSplit],
+    plan: &'e dyn RoutingPlan,
+    output: &'e dyn OutputCollector<K2, V3>,
+    config: &JobConfig,
+    pool: &'e SlotPool,
+    cancel: Option<&CancelToken>,
+    executor: &'e dyn TaskExecutor<K2, V3>,
+) -> Result<JobResult> {
+    if splits.is_empty() {
+        return Err(MrError::BadConfig("no input splits".into()));
+    }
+    let deps = (0..plan.num_reducers())
+        .map(|r| plan.reduce_deps(r))
+        .collect();
+    let (order, invert) = (plan.reduce_order(), plan.invert_scheduling());
+    let sched = Schedule::new(splits.len(), deps, order, invert)?;
+    let timeline = Arc::new(Timeline::new());
+    let inbox = Arc::new(Inbox::default());
+    let waker = Arc::clone(&inbox) as Arc<dyn Wake>;
+    // Registered while the inbox lives: for this job.
+    if let Some(c) = cancel {
+        c.register(&waker);
+    }
+    // One thread per slot the pool could ever grant this job, capped by
+    // its task counts (a twin per map under speculation): the slots,
+    // not the threads, bound what runs, so no attempt waits for one.
+    let twins = if config.speculation.enabled { 2 } else { 1 };
+    let maps = SlotThreads {
+        queue: Inbox::default(),
+        n: pool.map_slots().min(splits.len() * twins),
+    };
+    let reduces = SlotThreads {
+        queue: Inbox::default(),
+        n: pool.reduce_slots().min(plan.num_reducers()),
+    };
+    let counters = thread::scope(|scope| {
+        for class in [&maps, &reduces] {
+            (0..class.n).for_each(|_| {
+                scope.spawn(|| class.run());
+            });
+        }
+        let _end = EndThreads([&maps, &reduces]);
+        let mut threads = Threads {
+            maps: &maps,
+            reduces: &reduces,
+            inbox,
+            pool,
+            splits,
+            plan,
+            output,
+            executor,
+            timeline: Arc::clone(&timeline),
+            stops: HashMap::new(),
+        };
+        coordinate(&mut threads, sched, config, cancel, &timeline)
+    });
+    let result = JobResult {
+        counters: counters?,
+        events: timeline.events(),
+        elapsed: timeline.job_end().unwrap_or_default(),
+    };
+    // §3.2.1 approach 2, whole-job form: in debug builds, the map-output
+    // tally must match the plan's prediction when it makes one and every
+    // map ran exactly once, as attempt 0 (skips, retries, re-executions
+    // and twins change the totals).
+    #[cfg(debug_assertions)]
+    {
+        let mut starts = result
+            .events
+            .iter()
+            .filter(|e| e.kind == TaskKind::MapStart);
+        let ran_once = starts.clone().count() == splits.len() && starts.all(|e| e.attempt == 0);
+        let expected = (0..plan.num_reducers()).map(|r| plan.expected_raw_count(r));
+        if let Some(expected) = expected.sum::<Option<u64>>().filter(|_| ran_once) {
+            debug_assert_eq!(
+                result.counters.map_records_out, expected,
+                "static plan prediction disagrees with the runtime map-output tally"
+            );
+        }
+    }
+    Ok(result)
 }

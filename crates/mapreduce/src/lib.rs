@@ -21,13 +21,13 @@
 //!   barrier, or per-reducer dependency barriers with SIDR's inverted
 //!   reduce-first scheduling (§3.2–3.3),
 //! * **The scheduling decisions** ([`schedule`]) — §3.3 eligibility,
-//!   §3.4 launch order and the §3.2 barrier as plain data, shared
-//!   with the `sidr-simcluster` model,
-//! * **A threaded driver** ([`runtime`]) — slot-limited ([`slots`])
-//!   map/reduce worker threads around one schedule, with retries,
-//!   speculation and recovery, per-dispatch connection accounting
-//!   (Table 3), task timelines ([`timeline`]) and counters
-//!   ([`counters`]).
+//!   §3.4 launch order and the §3.2 barrier as plain data,
+//! * **One coordinator loop per job** ([`runtime`]) — it owns the
+//!   schedule and runs retries, speculation, deadlines and recovery on
+//!   its timers, over slot-limited ([`slots`]) threads or, in
+//!   the `sidr-simcluster` model, a virtual clock; with per-dispatch
+//!   connection accounting (Table 3), task timelines ([`timeline`])
+//!   and counters ([`counters`]).
 //!
 //! The SIDR-specific planner (partition+, dependency derivation,
 //! keyblock prioritization) lives in the `sidr-core` crate and plugs in
@@ -54,27 +54,29 @@ pub mod sync;
 pub mod task;
 pub mod tier;
 pub mod timeline;
+pub mod timers;
 pub mod wire;
 
-pub use counters::{Counters, CountersSnapshot};
+pub use counters::CountersSnapshot;
 pub use error::MrError;
 pub use executor::{
-    begin_map_attempt, injected_source_error, open_sources, run_reduce_attempt, AttemptBodies,
-    InProcessExecutor, MapAttemptOutput, MapTally, ReduceSource, RemoteReduceError, TaskExecutor,
+    begin_map_attempt, injected_source_error, open_sources, run_job_with_executor,
+    run_reduce_attempt, AttemptBodies, Cluster, Done, InProcessExecutor, MapAttemptOutput,
+    MapTally, ReduceSource, RemoteReduceError, TaskExecutor,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
 pub use plan::{DefaultPlan, RoutingPlan};
-pub use runtime::{run_job_with_executor, JobConfig, JobResult};
+pub use runtime::{coordinate, JobConfig};
 pub use shuffle::{GroupBatch, MapOutputFile, MergeIter};
-pub use slots::{CancelToken, CancelWake, Semaphore, SlotOccupancy, SlotPool, WakerRegistration};
+pub use slots::{CancelToken, Inbox, Semaphore, SlotOccupancy, SlotPool, Wake};
 pub use smof3::Smof3View;
 pub use speculation::SpeculationPolicy;
 pub use split::{InputSplit, MapTaskId, SplitGenerator};
 pub use task::{MrKey, MrValue, RecordSource};
 pub use tier::{PartitionStore, SpillBackend, TierConfig, TierPressure};
-pub use timeline::{reexecuted_maps, spans, TaskEvent, TaskKind, Timeline};
+pub use timeline::{reexecuted_maps, spans, JobResult, TaskEvent, TaskKind, Timeline};
 pub use wire::FixedCodec;
 pub use wire::WireFormat;
 

@@ -60,7 +60,7 @@ pub struct RuntimeMetrics {
     /// that lost a race: work done and thrown away.
     pub speculative_wasted: Arc<Counter>,
     /// `sidr_mr_deadline_boosts_total` — jobs whose projected finish
-    /// threatened their deadline, so the monitor boosted the
+    /// threatened their deadline, so the coordinator loop boosted the
     /// speculation trigger (`SIDR-I014`).
     pub deadline_boosts: Arc<Counter>,
 }

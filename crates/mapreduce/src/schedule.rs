@@ -6,15 +6,11 @@
 //! attempt ids, first-commit-wins, the retry budget, speculative twins
 //! and dependency-scoped recovery (§6).
 //!
-//! A [`Schedule`] holds no lock, clock, thread or executor. Its owner
-//! serialises access and supplies time: the threaded
-//! [`runtime`](crate::runtime) embeds one in the state its workers
-//! lock, the `sidr-simcluster` event loop embeds one beside its event
-//! heap. Both launch reduces with
-//! [`launch_next_reduce`](Schedule::launch_next_reduce), launch map
-//! attempts with [`claim_map`](Schedule::claim_map), commit them with
-//! [`commit`](Schedule::commit) and wait on
-//! [`barrier_met`](Schedule::barrier_met) — the same code.
+//! A [`Schedule`] holds no lock, clock, thread or executor. Its one
+//! owner is a job's coordinator loop ([`runtime`](crate::runtime)),
+//! which supplies time and calls one method per event — whether the
+//! attempts run on threads or, in `sidr-simcluster`, on a cost model's
+//! virtual clock.
 //!
 //! **One record per map generation.** A *generation* is one claim of a
 //! map from the eligible queue: its primary attempt and at most one
@@ -57,10 +53,7 @@ pub enum MapStatus {
 /// The speculative twin of a map's current generation — at most one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Twin {
-    /// None, and the primary's `MapStart` is not logged yet: a twin's
-    /// `MapSpeculated` must never precede its racer's start.
-    Unlogged,
-    /// None; the primary is logged, so a twin may be granted or forced.
+    /// None yet: a twin may be granted or forced.
     Ready,
     /// The caller judged the primary slow; an idle map slot may launch
     /// the twin.
@@ -195,7 +188,7 @@ impl Schedule {
                 epoch: 0,
                 floor: 0,
                 running: 0,
-                twin: Twin::Unlogged,
+                twin: Twin::Ready,
             })
             .collect();
         let skipped = maps
@@ -265,30 +258,41 @@ impl Schedule {
         let m = self.eligible.remove(i)?;
         let g = &mut self.maps[m];
         g.status = MapStatus::Running;
-        g.twin = Twin::Unlogged;
+        g.twin = Twin::Ready;
         Some((m, g.launch()))
     }
 
-    /// Launches the speculative twin of a straggling map: the first
-    /// raceable `forced` map (the deterministic trigger), else the
-    /// granted map blocking the most reducers. Only a generation with
-    /// one logged, uncommitted primary running can be raced, and only
-    /// once.
-    pub(crate) fn claim_twin(&mut self, forced: &[MapTaskId]) -> Option<(MapTaskId, u32)> {
-        let m = (forced.iter().copied())
+    /// Whether a free map slot has work: an eligible map or, given the
+    /// forced maps of a speculating job, a twin to launch.
+    pub(crate) fn claimable(&self, twins: Option<&[MapTaskId]>) -> bool {
+        !self.eligible.is_empty() || twins.is_some_and(|forced| self.next_twin(forced).is_some())
+    }
+
+    /// The map whose twin launches next: the first raceable `forced`
+    /// map (the deterministic trigger), else the granted map blocking
+    /// the most reducers.
+    fn next_twin(&self, forced: &[MapTaskId]) -> Option<MapTaskId> {
+        (forced.iter().copied())
             .find(|&m| self.maps.get(m).is_some_and(|g| g.raceable(Twin::Ready)))
             .or_else(|| {
                 (0..self.maps.len())
                     .filter(|&m| self.maps[m].raceable(Twin::Granted))
                     .max_by_key(|&m| (self.blocking_weight(m), m))
-            })?;
+            })
+    }
+
+    /// Launches the speculative twin of a straggling map
+    /// ([`next_twin`](Self::next_twin)). Only a generation with one
+    /// uncommitted primary running can be raced, and only once.
+    pub(crate) fn claim_twin(&mut self, forced: &[MapTaskId]) -> Option<(MapTaskId, u32)> {
+        let m = self.next_twin(forced)?;
         let g = &mut self.maps[m];
         g.twin = Twin::Launched;
         Some((m, g.launch()))
     }
 
     /// Maps whose current generation may still be granted a twin: one
-    /// logged primary running and no twin yet. Which of them are slow
+    /// primary running and no twin yet. Which of them are slow
     /// is the caller's judgement.
     pub(crate) fn twin_candidates(&self) -> impl Iterator<Item = MapTaskId> + '_ {
         (0..self.maps.len()).filter(|&m| self.maps[m].raceable(Twin::Ready))
@@ -300,15 +304,6 @@ impl Schedule {
         let g = &mut self.maps[m];
         if g.twin == Twin::Ready {
             g.twin = Twin::Granted;
-        }
-    }
-
-    /// `attempt`'s `MapStart` is on the timeline. Once the current
-    /// generation's primary is logged, it may be raced.
-    pub(crate) fn note_started(&mut self, m: MapTaskId, attempt: u32) {
-        let g = &mut self.maps[m];
-        if g.current(attempt) && g.twin == Twin::Unlogged {
-            g.twin = Twin::Ready;
         }
     }
 
@@ -433,12 +428,20 @@ impl Schedule {
         }
     }
 
+    pub fn num_maps(&self) -> usize {
+        self.maps.len()
+    }
+
+    pub fn num_reducers(&self) -> usize {
+        self.deps.len()
+    }
+
     pub fn status(&self, m: MapTaskId) -> MapStatus {
         self.maps[m].status
     }
 
     /// Attempts of map `m` launched so far.
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(test)]
     pub(crate) fn attempts(&self, m: MapTaskId) -> u32 {
         self.maps[m].next_attempt
     }
@@ -476,12 +479,11 @@ mod tests {
     }
 
     /// Every reduce of `sidr` launched and map 0's primary (attempt 0)
-    /// running with its `MapStart` logged.
+    /// running.
     fn racing() -> Schedule {
         let mut s = sidr(vec![0, 1, 2]);
         while s.launch_next_reduce().is_some() {}
         assert_eq!(s.claim_map(|m| m == 0), Some((0, 0)));
-        s.note_started(0, 0);
         s
     }
 
@@ -586,7 +588,6 @@ mod tests {
         assert!(s.race_lost(0, 0));
         assert!(!s.commit(0, 0), "the primary loses");
         assert_eq!(s.claim_map(|m| m == 1), Some((1, 0)));
-        s.note_started(1, 0);
         assert_eq!(s.claim_twin(&[1]), Some((1, 1)));
         assert!(s.commit(1, 0));
         assert_eq!(s.attempt_failed(1, 1), None, "a dying loser is no failure");
@@ -660,19 +661,7 @@ mod tests {
         assert!(s.commit(0, 0));
         assert!(s.recover(0, 0));
         assert_eq!(s.claim_map(|m| m == 0), Some((0, 2)));
-        s.note_started(0, 2);
         assert_eq!(s.claim_twin(&[0]), Some((0, 3)), "a fresh generation");
-    }
-
-    #[test]
-    fn no_twin_before_the_primary_start_is_logged() {
-        let mut s = sidr(vec![0, 1, 2]);
-        s.launch_next_reduce();
-        assert_eq!(s.claim_map(|_| true), Some((0, 0)));
-        assert_eq!(s.twin_candidates().count(), 0);
-        assert_eq!(s.claim_twin(&[0]), None);
-        s.note_started(0, 0);
-        assert_eq!(s.claim_twin(&[0]), Some((0, 1)));
     }
 
     /// A twin commits, its holder dies and recovery re-opens the map;
@@ -687,32 +676,25 @@ mod tests {
         assert!(s.recover(0, 1));
         assert_eq!(s.claim_map(|m| m == 0), Some((0, 2)));
         assert!(!s.commit(0, 0), "the old primary loses at the floor");
-        s.note_started(0, 2);
         assert_eq!(s.twin_candidates().collect::<Vec<_>>(), vec![0]);
         assert_eq!(s.claim_twin(&[0]), Some((0, 3)));
     }
 
     /// A twin granted to a generation that then commits and is
     /// recovered must not launch against the next generation, which
-    /// nobody judged slow — and the dead generation's twin logging its
-    /// start late must not arm the new primary before it is logged.
+    /// nobody judged slow.
     #[test]
-    fn a_dead_generation_twin_state_does_not_carry_over() {
+    fn a_dead_generation_twin_grant_does_not_carry_over() {
         let mut s = racing();
         s.grant_twin(0);
         assert!(s.commit(0, 0), "committed before the twin launched");
         assert!(s.recover(0, 0));
         assert_eq!(s.claim_map(|m| m == 0), Some((0, 1)));
-        s.note_started(0, 1);
         assert_eq!(s.claim_twin(&[]), None, "the stale grant is gone");
-
-        assert_eq!(s.claim_map(|m| m == 1), Some((1, 0)));
-        s.note_started(1, 0);
-        assert_eq!(s.claim_twin(&[1]), Some((1, 1)));
-        assert!(s.commit(1, 0));
-        assert!(s.recover(1, 0));
-        assert_eq!(s.claim_map(|m| m == 1), Some((1, 2)));
-        s.note_started(1, 1); // the dead twin's late `MapStart`
-        assert_eq!(s.claim_twin(&[1]), None, "primary 2 is not logged");
+        assert_eq!(
+            s.claim_twin(&[0]),
+            Some((0, 2)),
+            "a forced twin still races"
+        );
     }
 }

@@ -1,56 +1,95 @@
-//! Slot capacity and cooperative cancellation: the counting semaphores
-//! that bound how many Map and Reduce tasks run at once across every
-//! job sharing a [`SlotPool`], and the [`CancelToken`] that wakes a
-//! job's parked workers.
+//! Slot capacity, wake-ups and cooperative cancellation: the counting
+//! semaphores that bound how many Map and Reduce tasks run at once
+//! across every job sharing a [`SlotPool`], the [`Inbox`] a job's
+//! coordinator loop waits on, and the [`CancelToken`] that rings it.
+//!
+//! Nothing here parks a thread on a slot. A job's loop asks for a slot
+//! with [`Semaphore::try_acquire`]; when none is free its inbox is
+//! registered, and the next [`release`](Semaphore::release) — by any
+//! job — rings it so the loop asks again. A cancel rings it the same
+//! way.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::chaos::{self, Mutation};
 use crate::sync::{wait_until, Condvar, Mutex};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 use crate::error::MrError;
 use crate::Result;
 
-/// A blocking point's wake-up target: the condvar a worker may be
-/// parked on, paired with the mutex that guards its predicate.
-///
-/// `wake` takes (and immediately drops) the mutex before notifying.
-/// That closes the lost-wakeup window: a waiter that has already
-/// checked the cancel flag under the lock but not yet entered
-/// `wait()` still holds the lock, so the waker blocks until the
-/// waiter is actually parked — the notification cannot land in the
-/// gap.
-pub trait CancelWake: Send + Sync {
-    /// Wakes the blocking point so it re-checks its cancel predicate.
+/// Something a waiting loop can be woken through: rung by a slot
+/// release or a cancel, it re-checks what it waits for.
+pub trait Wake: Send + Sync {
     fn wake(&self);
 }
 
-pub(crate) struct PairWaker<T: Send + 'static> {
-    pub(crate) mutex: Arc<Mutex<T>>,
-    pub(crate) cv: Arc<Condvar>,
+/// A queue a thread waits on: a job's loop reads its attempts' reports
+/// from one, and the job's slot threads read the attempts to run from
+/// another. Beside the items, a ring wakes a reader with no item (a
+/// slot freed, a cancel).
+pub struct Inbox<T> {
+    state: Mutex<(VecDeque<T>, bool)>,
+    cv: Condvar,
 }
 
-impl<T: Send + 'static> CancelWake for PairWaker<T> {
+impl<T> Default for Inbox<T> {
+    fn default() -> Self {
+        Inbox {
+            state: Mutex::new((VecDeque::new(), false)),
+            cv: Condvar::new(),
+        }
+    }
+}
+
+impl<T: Send> Inbox<T> {
+    /// Queues `item` and wakes the reader.
+    pub fn post(&self, item: T) {
+        self.state.lock().0.push_back(item);
+        if !chaos::on(Mutation::DropPostWake) {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wakes the reader with no item.
+    pub fn ring(&self) {
+        self.state.lock().1 = true;
+        self.cv.notify_one();
+    }
+
+    /// Waits until something was posted or rung, or `until` passes,
+    /// and takes the oldest item posted (`None` after a bare ring or a
+    /// timeout).
+    pub fn next(&self, until: Option<Instant>) -> Option<T> {
+        let mut st = self.state.lock();
+        wait_until(&self.cv, &mut st, until, |st| {
+            (!st.0.is_empty() || st.1).then_some(Some(()))
+        });
+        st.1 = false;
+        st.0.pop_front()
+    }
+}
+
+impl<T: Send> Wake for Inbox<T> {
     fn wake(&self) {
-        drop(self.mutex.lock());
-        self.cv.notify_all();
+        self.ring();
     }
 }
 
 struct TokenInner {
     cancelled: AtomicBool,
-    next_id: AtomicU64,
-    wakers: Mutex<Vec<(u64, Arc<dyn CancelWake>)>>,
+    /// Held weakly: a loop's inbox lives as long as its job, so a
+    /// registration ends with the job, however it ends.
+    wakers: Mutex<Vec<Weak<dyn Wake>>>,
 }
 
 /// Cooperative cancellation for a running job.
 ///
 /// Cloning shares the flag: the serving layer keeps one clone per
-/// `JobHandle` while the runtime's workers poll another. Cancellation
-/// is observed at every blocking point (slot acquisition, eligibility
-/// and barrier waits); each blocking point's condvar is registered as
-/// a waker while the job runs, so [`cancel`](CancelToken::cancel)
-/// wakes parked workers immediately and
+/// `JobHandle` while the job's coordinator loop reads another. The
+/// loop's inbox is registered as a waker while the job runs, so
+/// [`cancel`](CancelToken::cancel) wakes it at once and
 /// [`run_job_with_executor`](crate::run_job_with_executor) returns
 /// [`MrError::Cancelled`] within notification latency, not within a
 /// poll tick.
@@ -61,7 +100,6 @@ impl Default for CancelToken {
     fn default() -> Self {
         CancelToken(Arc::new(TokenInner {
             cancelled: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
             wakers: Mutex::new(Vec::new()),
         }))
     }
@@ -80,16 +118,16 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation and wakes every registered blocking
-    /// point. Idempotent.
+    /// Requests cancellation and wakes every registered waker.
+    /// Idempotent.
     pub fn cancel(&self) {
         self.0.cancelled.store(true, Ordering::SeqCst);
-        let wakers: Vec<Arc<dyn CancelWake>> = self
+        let wakers: Vec<Arc<dyn Wake>> = self
             .0
             .wakers
             .lock()
             .iter()
-            .map(|(_, w)| Arc::clone(w))
+            .filter_map(Weak::upgrade)
             .collect();
         for w in wakers {
             w.wake();
@@ -100,66 +138,37 @@ impl CancelToken {
         self.0.cancelled.load(Ordering::SeqCst)
     }
 
-    /// Registers a blocking point to be woken on cancel, returning an
-    /// RAII registration that unsubscribes on drop. If the token is
-    /// already cancelled the waker fires immediately.
-    ///
-    /// Registration is *only* RAII — there is no manual unsubscribe —
-    /// so a worker that exits (or unwinds) between registering and
-    /// parking can never leak its waker slot on a long-lived token.
-    pub fn register(&self, waker: Arc<dyn CancelWake>) -> WakerRegistration {
-        let id = self.0.next_id.fetch_add(1, Ordering::Relaxed);
-        self.0.wakers.lock().push((id, Arc::clone(&waker)));
+    /// Registers `waker` to be woken on cancel for as long as it lives
+    /// (dead ones are dropped here). If the token is already cancelled
+    /// the waker fires at once.
+    pub fn register(&self, waker: &Arc<dyn Wake>) {
+        let mut wakers = self.0.wakers.lock();
+        wakers.retain(|w| w.strong_count() > 0);
+        wakers.push(Arc::downgrade(waker));
+        drop(wakers);
         if self.is_cancelled() {
             waker.wake();
         }
-        WakerRegistration {
-            token: self.clone(),
-            id,
-        }
     }
 
-    /// Blocking points currently registered (diagnostic: a quiesced
-    /// token must report 0 or registrations have leaked).
+    /// Registered wakers still alive (diagnostic: a quiesced token must
+    /// report 0).
     pub fn waker_count(&self) -> usize {
-        self.0.wakers.lock().len()
+        (self.0.wakers.lock().iter())
+            .filter(|w| w.strong_count() > 0)
+            .count()
     }
 }
 
-/// One blocking point's registration on a [`CancelToken`];
-/// unsubscribes on drop (see [`CancelToken::register`]).
-pub struct WakerRegistration {
-    token: CancelToken,
-    id: u64,
-}
-
-impl Drop for WakerRegistration {
-    fn drop(&mut self) {
-        self.token.0.wakers.lock().retain(|(i, _)| *i != self.id);
-    }
-}
-
-/// The waker registrations for one job run, dropped — and thereby
-/// unsubscribed — when the job returns.
-pub(crate) fn subscribe_all(
-    token: Option<&CancelToken>,
-    wakers: impl IntoIterator<Item = Arc<dyn CancelWake>>,
-) -> Vec<WakerRegistration> {
-    match token {
-        None => Vec::new(),
-        Some(t) => wakers.into_iter().map(|w| t.register(w)).collect(),
-    }
-}
-
-/// A counting semaphore over one slot class (map or reduce). The
-/// mutex/condvar pair is `Arc`'d so cancel tokens can hold a
-/// `PairWaker` over it. Public so sidr-check scenarios can drive
-/// acquire/release/wake_all directly; jobs only ever touch it through
-/// a [`SlotPool`].
+/// A counting semaphore over one slot class (map or reduce) that never
+/// blocks: a caller that finds no slot free is registered and woken by
+/// the next release. Public so sidr-check scenarios can drive it
+/// directly; jobs only ever touch it through a [`SlotPool`].
 pub struct Semaphore {
     total: usize,
-    busy: Arc<Mutex<usize>>,
-    cv: Arc<Condvar>,
+    /// Slots occupied, and the wakers of callers that found none free —
+    /// held weakly, as a token holds them, so one ends with its job.
+    state: Mutex<(usize, Vec<Weak<dyn Wake>>)>,
     /// Occupancy gauge for this slot class (process-global).
     busy_gauge: Arc<sidr_obs::Gauge>,
 }
@@ -177,73 +186,49 @@ impl Semaphore {
     fn new(total: usize, busy_gauge: Arc<sidr_obs::Gauge>) -> Self {
         Semaphore {
             total,
-            busy: Arc::new(Mutex::new(0)),
-            cv: Arc::new(Condvar::new()),
+            state: Mutex::new((0, Vec::new())),
             busy_gauge,
         }
     }
 
-    /// Occupies one slot, blocking until one frees. Returns `false`
-    /// without occupying anything if `abort()` turns true first.
-    /// Blocked waiters are condvar-woken on release, on job failure
-    /// and on cancellation.
-    pub fn acquire(&self, abort: &dyn Fn() -> bool) -> bool {
-        let mut busy = self.busy.lock();
-        let got = wait_until(&self.cv, &mut busy, None, |busy| {
-            if *busy < self.total {
-                *busy += 1;
-                Some(Some(()))
-            } else {
-                abort().then_some(None)
-            }
-        })
-        .is_some();
-        drop(busy);
-        if got {
+    /// Occupies one slot if one is free. Otherwise registers `waiter`
+    /// (once) to be woken by the next release, and returns false.
+    pub fn try_acquire(&self, waiter: &Arc<dyn Wake>) -> bool {
+        let mut st = self.state.lock();
+        if st.0 < self.total {
+            st.0 += 1;
+            drop(st);
             self.busy_gauge.inc();
+            return true;
         }
-        got
+        let waiter = Arc::downgrade(waiter);
+        if !st.1.iter().any(|w| w.ptr_eq(&waiter)) {
+            st.1.push(waiter);
+        }
+        false
     }
 
-    /// Frees one slot and wakes one waiter.
+    /// Frees one slot and wakes every registered waiter; each asks
+    /// again, and those that lose re-register.
     pub fn release(&self) {
-        let mut busy = self.busy.lock();
-        debug_assert!(*busy > 0, "slot released but none occupied");
-        *busy -= 1;
-        drop(busy);
+        let mut st = self.state.lock();
+        debug_assert!(st.0 > 0, "slot released but none occupied");
+        st.0 -= 1;
+        let waiting = if chaos::on(Mutation::ReleaseWakesNoJob) {
+            Vec::new()
+        } else {
+            std::mem::take(&mut st.1)
+        };
+        drop(st);
         self.busy_gauge.dec();
-        if !chaos::on(Mutation::DropSemReleaseNotify) {
-            self.cv.notify_one();
+        for w in waiting.iter().filter_map(Weak::upgrade) {
+            w.wake();
         }
-    }
-
-    /// Wakes every waiter so it re-checks its abort predicate (used
-    /// when a sharing job fails or is cancelled).
-    pub fn wake_all(&self) {
-        drop(self.busy.lock());
-        self.cv.notify_all();
-    }
-
-    /// A cancel waker parked on this semaphore's condvar.
-    pub fn waker(&self) -> Arc<dyn CancelWake> {
-        Arc::new(PairWaker {
-            mutex: Arc::clone(&self.busy),
-            cv: Arc::clone(&self.cv),
-        })
     }
 
     /// Slots currently occupied.
     pub fn in_use(&self) -> usize {
-        *self.busy.lock()
-    }
-}
-
-/// Occupied slot; releases on drop.
-pub(crate) struct SlotGuard<'p>(pub(crate) &'p Semaphore);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release();
+        self.state.lock().0
     }
 }
 
@@ -320,86 +305,80 @@ mod tests {
     use super::*;
     use std::time::{Duration, Instant};
 
-    /// A cancel must reach a waiter parked on a semaphore's condvar by
-    /// notification — well inside one 25 ms safety tick — not by
-    /// waiting for the next safety-net poll.
-    #[test]
-    fn cancel_wakes_semaphore_waiter_sub_tick() {
-        let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        assert!(sem.acquire(&|| false)); // occupy the only slot
-        let token = CancelToken::new();
-        let registration = token.register(sem.waker());
+    /// Whether `inbox` is rung, or rings, within `ms`.
+    fn rung_within(inbox: &Inbox<()>, ms: u64) -> bool {
+        let until = Instant::now() + Duration::from_millis(ms);
+        inbox.next(Some(until));
+        Instant::now() < until
+    }
 
+    /// A cancel must reach a loop waiting on its inbox by notification
+    /// — well inside one 25 ms safety tick — not by a poll.
+    #[test]
+    fn cancel_wakes_a_waiting_inbox_sub_tick() {
+        let inbox = Arc::new(Inbox::<()>::default());
+        let waker = Arc::clone(&inbox) as Arc<dyn Wake>;
+        let token = CancelToken::new();
+        token.register(&waker);
         let waiter = {
-            let sem = Arc::clone(&sem);
-            let token = token.clone();
-            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled()))
+            let inbox = Arc::clone(&inbox);
+            std::thread::spawn(move || inbox.next(None))
         };
-        // Give the waiter ample time to park on the condvar.
+        // Give the waiter ample time to park.
         std::thread::sleep(Duration::from_millis(60));
         let cancelled_at = Instant::now();
         token.cancel();
-        let got = waiter.join().unwrap();
+        assert!(waiter.join().unwrap().is_none(), "a ring carries no item");
         let latency = cancelled_at.elapsed();
-        assert!(!got, "waiter must abort, not acquire");
         assert!(
             latency < Duration::from_millis(10),
             "cancel→wake took {latency:?}; expected notification latency, \
              not a poll tick"
         );
-        drop(registration);
-        assert_eq!(token.waker_count(), 0);
-        sem.release();
+        // Registering with a cancelled token rings at once, so a loop
+        // that raced past the flag check still wakes.
+        token.register(&waker);
+        assert!(rung_within(&inbox, 1_000));
     }
 
-    /// Subscribing to an already-cancelled token fires the waker
-    /// immediately, so a waiter that raced past the flag check still
-    /// gets woken.
-    #[test]
-    fn subscribe_after_cancel_fires_immediately() {
-        let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
-        assert!(sem.acquire(&|| false));
-        let token = CancelToken::new();
-        token.cancel();
-        let waiter = {
-            let sem = Arc::clone(&sem);
-            let token = token.clone();
-            std::thread::spawn(move || sem.acquire(&|| token.is_cancelled()))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        // The waiter aborts on its own flag check; the subscription
-        // path must still wake, not deadlock, if it happens after.
-        let _registration = token.register(sem.waker());
-        assert!(!waiter.join().unwrap());
-        sem.release();
-    }
-
-    /// A worker that exits — or unwinds — between registering its
-    /// waker and parking must not leak its slot on the token: every
-    /// registration path is RAII, so the token quiesces to zero wakers
-    /// no matter how the registration scope ends.
+    /// A registration ends with its waker, however the job holding it
+    /// ends — unwinding included — so a long-lived token quiesces to 0.
     #[test]
     fn waker_registrations_never_leak_slots() {
-        let sem = Arc::new(Semaphore::new(1, Arc::new(sidr_obs::Gauge::default())));
         let token = CancelToken::new();
-        {
-            let _a = token.register(sem.waker());
-            let _b = token.register(sem.waker());
+        let inbox: Arc<dyn Wake> = Arc::new(Inbox::<()>::default());
+        token.register(&inbox);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let dying: Arc<dyn Wake> = Arc::new(Inbox::<()>::default());
+            token.register(&dying);
             assert_eq!(token.waker_count(), 2);
-            // A worker dying between subscribe and wait unwinds
-            // through its registration.
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _c = token.register(sem.waker());
-                assert_eq!(token.waker_count(), 3);
-                panic!("worker died between subscribe and wait");
-            }));
-            assert!(died.is_err());
-            assert_eq!(token.waker_count(), 2, "unwound registration leaked");
-        }
-        assert_eq!(token.waker_count(), 0, "dropped registrations leaked");
-        // Cancelling a quiesced token has nobody stale to wake.
+            panic!("loop died between register and wait");
+        }));
+        assert!(died.is_err());
+        assert_eq!(token.waker_count(), 1, "an unwound registration leaked");
+        drop(inbox);
+        assert_eq!(token.waker_count(), 0, "a dropped registration leaked");
         token.cancel();
-        assert!(sem.acquire(&|| false));
+    }
+
+    /// A caller that finds no slot is registered once and rung by the
+    /// next release; one whose job has ended is simply dropped.
+    #[test]
+    fn release_rings_each_registered_waiter_once() {
+        let sem = Semaphore::new(1, Arc::new(sidr_obs::Gauge::default()));
+        let inbox = Arc::new(Inbox::<()>::default());
+        let waiter = Arc::clone(&inbox) as Arc<dyn Wake>;
+        assert!(sem.try_acquire(&waiter));
+        assert!(!sem.try_acquire(&waiter) && !sem.try_acquire(&waiter));
+        let ended: Arc<dyn Wake> = Arc::new(Inbox::<()>::default());
+        assert!(!sem.try_acquire(&ended));
+        assert_eq!(sem.state.lock().1.len(), 2, "each registered once");
+        drop(ended);
         sem.release();
+        assert!(rung_within(&inbox, 1_000), "release rang");
+        assert!(sem.state.lock().1.is_empty());
+        assert!(sem.try_acquire(&waiter));
+        sem.release();
+        assert_eq!(sem.in_use(), 0);
     }
 }

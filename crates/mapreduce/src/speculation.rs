@@ -8,8 +8,8 @@
 //! the job's deadline is threatened (*boosted*). The mechanism half is
 //! split: commit claims and each generation's twin state are
 //! [`crate::schedule::Schedule`] decisions; loser teardown and the
-//! monitor thread — which also decides when to boost — live in
-//! [`crate::runtime`].
+//! coordinator loop — which also decides when to look again and when
+//! to boost — live in [`crate::runtime`].
 //!
 //! The trigger is cohort-relative, following "Assignment Problems of
 //! Different-Sized Inputs in MapReduce": a running attempt is a
@@ -21,6 +21,13 @@
 //! one speculative twin, ever; retries and recovery re-executions
 //! start a fresh generation.
 
+use std::time::Duration;
+
+/// How early a deadline job's trigger is boosted
+/// ([`SpeculationPolicy::boost_at`]): the margin
+/// `results/BENCH_speculation.json` measured rescuing every run.
+const DEADLINE_MARGIN: u32 = 4;
+
 fn default_quantile() -> f64 {
     0.75
 }
@@ -31,10 +38,6 @@ fn default_slowdown() -> f64 {
 
 fn default_min_committed() -> usize {
     3
-}
-
-fn default_check_interval_ms() -> u64 {
-    20
 }
 
 /// When to race a second attempt of a running map task.
@@ -60,8 +63,6 @@ pub struct SpeculationPolicy {
     /// Commits the cohort needs before the quantile is trusted; until
     /// then nothing is speculated (unless deadline-boosted or forced).
     pub min_committed: usize,
-    /// Monitor wake interval, milliseconds. Must be > 0.
-    pub check_interval_ms: u64,
     /// Deterministic hook for tests and chaos scenarios: these map
     /// tasks get a speculative twin as soon as they are running, no
     /// timing involved — a non-empty list switches the cohort trigger
@@ -81,8 +82,6 @@ impl serde::ser::Serialize for SpeculationPolicy {
         serde::ser::Serialize::serialize(&self.slowdown, s);
         s.field("min_committed");
         serde::ser::Serialize::serialize(&self.min_committed, s);
-        s.field("check_interval_ms");
-        serde::ser::Serialize::serialize(&self.check_interval_ms, s);
         s.field("force_maps");
         serde::ser::Serialize::serialize(&self.force_maps, s);
         s.end_object();
@@ -101,7 +100,6 @@ impl serde::de::Deserialize for SpeculationPolicy {
                     "quantile" => p.quantile = Deserialize::deserialize(d)?,
                     "slowdown" => p.slowdown = Deserialize::deserialize(d)?,
                     "min_committed" => p.min_committed = Deserialize::deserialize(d)?,
-                    "check_interval_ms" => p.check_interval_ms = Deserialize::deserialize(d)?,
                     "force_maps" => p.force_maps = Deserialize::deserialize(d)?,
                     _ => d.skip_value()?,
                 }
@@ -121,7 +119,6 @@ impl Default for SpeculationPolicy {
             quantile: default_quantile(),
             slowdown: default_slowdown(),
             min_committed: default_min_committed(),
-            check_interval_ms: default_check_interval_ms(),
             force_maps: Vec::new(),
         }
     }
@@ -164,13 +161,10 @@ impl SpeculationPolicy {
                 self.slowdown
             ));
         }
-        if self.check_interval_ms == 0 {
-            return Err("speculation check interval of 0 ms would busy-spin the monitor".into());
-        }
         Ok(())
     }
 
-    /// The effective slowdown factor: under deadline boost the monitor
+    /// The effective slowdown factor: under deadline boost the loop
     /// races anything slower than the cohort itself.
     pub fn effective_slowdown(&self, boosted: bool) -> f64 {
         if boosted {
@@ -200,6 +194,18 @@ impl SpeculationPolicy {
         let rank =
             ((self.quantile * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
         Some(sorted_ms[rank - 1])
+    }
+
+    /// When a job with `deadline` boosts its trigger: once
+    /// `now + DEADLINE_MARGIN ×` the projected rest — the cohort
+    /// quantile per task wave `left` — reaches the deadline. `None`
+    /// while the cohort is below its floor. The projection is crude on
+    /// purpose: the rule only asks whether the rest threatens the
+    /// deadline.
+    pub fn boost_at(&self, sorted_ms: &[u64], left: u64, deadline: Duration) -> Option<Duration> {
+        let q = self.cohort_quantile_ms(sorted_ms, false)?;
+        let projection = Duration::from_millis(q.max(1) * left);
+        Some(deadline.saturating_sub(projection * DEADLINE_MARGIN))
     }
 
     /// Elapsed milliseconds past which a running attempt counts as a
@@ -247,10 +253,6 @@ mod tests {
                 slowdown: 0.5,
                 ..SpeculationPolicy::on()
             },
-            SpeculationPolicy {
-                check_interval_ms: 0,
-                ..SpeculationPolicy::on()
-            },
         ] {
             assert!(p.validate().is_err(), "{p:?} should be rejected");
         }
@@ -292,8 +294,12 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: SpeculationPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
-        // Older documents without the field deserialize to defaults.
+        // Older documents without the field deserialize to defaults,
+        // and a key the policy no longer has is skipped.
         let sparse: SpeculationPolicy = serde_json::from_str("{}").unwrap();
         assert_eq!(sparse, SpeculationPolicy::default());
+        let old: SpeculationPolicy =
+            serde_json::from_str(r#"{"enabled":true,"check_interval_ms":0}"#).unwrap();
+        assert_eq!(old, SpeculationPolicy::on());
     }
 }

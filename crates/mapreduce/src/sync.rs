@@ -102,9 +102,9 @@ pub mod atomic {
 /// when the explored body ends) and a sleep waits on virtual time.
 pub mod thread {
     #[cfg(check)]
-    pub use sidr_check::sync::thread::{scope, sleep, spawn, JoinHandle};
+    pub use sidr_check::sync::thread::{scope, sleep, spawn, JoinHandle, Scope};
     #[cfg(not(check))]
-    pub use std::thread::{scope, sleep, spawn, JoinHandle};
+    pub use std::thread::{scope, sleep, spawn, JoinHandle, Scope};
 }
 
 /// Seeded concurrency-bug injection for checker mutation tests.
@@ -120,15 +120,13 @@ pub mod chaos {
     /// A deliberately injected concurrency bug.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum Mutation {
-        /// `Semaphore::release` forgets its `notify_one`: slot waiters
-        /// make progress only via the safety tick.
-        DropSemReleaseNotify,
-        /// A finished map commits `Done` without `notify_all`: reducers
-        /// blocked on the barrier are never woken.
-        DropMapDoneNotify,
-        /// The map worker holds the state lock across the slot
-        /// acquire, whose abort callback also locks state.
-        HoldStateAcrossAcquire,
+        /// `Inbox::post` queues an attempt's result without waking the
+        /// loop: a loop waiting with no timer never sees it.
+        DropPostWake,
+        /// `Semaphore::release` frees the slot but rings none of the
+        /// jobs that found the pool full: they wait for a release that
+        /// has already happened.
+        ReleaseWakesNoJob,
         /// Volatile recovery skips re-enqueueing the consumed map
         /// outputs, so a recovering reducer waits for a recommit
         /// nobody will produce.

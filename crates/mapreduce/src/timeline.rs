@@ -2,6 +2,7 @@
 //! (task completion over time), attempt-stamped so retries and
 //! recovery re-executions are distinguishable in the event stream.
 
+use crate::counters::CountersSnapshot;
 use crate::sync::time::now;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -79,15 +80,20 @@ impl Timeline {
         now() - self.start
     }
 
-    /// Records an event now (attempt 0).
-    pub fn record(&self, kind: TaskKind, task: usize) {
-        self.record_attempt(kind, task, 0);
+    /// The instant the job started: `elapsed` counts from here.
+    pub(crate) fn origin(&self) -> Instant {
+        self.start
     }
 
     /// Records an event now, stamped with the task attempt it belongs
     /// to.
     pub fn record_attempt(&self, kind: TaskKind, task: usize, attempt: u32) {
-        let at = self.elapsed();
+        self.record_at(kind, task, attempt, self.elapsed());
+    }
+
+    /// Records an event at `at` after job start on the caller's clock —
+    /// the coordinator loop's, which is virtual in the simulator.
+    pub fn record_at(&self, kind: TaskKind, task: usize, attempt: u32, at: Duration) {
         self.events.lock().push(TaskEvent {
             kind,
             task,
@@ -111,6 +117,55 @@ impl Timeline {
             .filter(|e| e.kind == TaskKind::ReduceEnd)
             .map(|e| e.at)
             .max()
+    }
+}
+
+/// Outcome of a completed job.
+#[derive(Clone, Debug)]
+pub struct JobResult {
+    pub counters: CountersSnapshot,
+    pub events: Vec<TaskEvent>,
+    pub elapsed: Duration,
+}
+
+impl JobResult {
+    /// Time of the first committed reduce output. Scans for the
+    /// minimum — no allocation, no sort (experiments call this in
+    /// loops).
+    pub fn first_result(&self) -> Option<Duration> {
+        self.times(TaskKind::ReduceEnd).min()
+    }
+
+    /// Sorted completion times of one event kind.
+    pub fn completions(&self, kind: TaskKind) -> Vec<Duration> {
+        let mut t: Vec<Duration> = self.times(kind).collect();
+        // `events` is time-sorted, so the filtered view almost always
+        // already is too; sort only if recording raced out of order.
+        if !t.is_sorted() {
+            t.sort_unstable();
+        }
+        t
+    }
+
+    /// Fraction of Map tasks complete when the first result committed.
+    pub fn maps_done_at_first_result(&self) -> Option<f64> {
+        let first = self.first_result()?;
+        let (done, total) = self
+            .times(TaskKind::MapEnd)
+            .fold((0usize, 0usize), |(done, total), t| {
+                (done + usize::from(t <= first), total + 1)
+            });
+        if total == 0 {
+            return None;
+        }
+        Some(done as f64 / total as f64)
+    }
+
+    fn times(&self, kind: TaskKind) -> impl Iterator<Item = Duration> + '_ {
+        self.events
+            .iter()
+            .filter(move |e| e.kind == kind)
+            .map(|e| e.at)
     }
 }
 
@@ -239,9 +294,9 @@ mod tests {
     #[test]
     fn records_and_sorts_events() {
         let tl = Timeline::new();
-        tl.record(TaskKind::MapStart, 0);
-        tl.record(TaskKind::MapEnd, 0);
-        tl.record(TaskKind::ReduceEnd, 0);
+        tl.record_attempt(TaskKind::MapStart, 0, 0);
+        tl.record_attempt(TaskKind::MapEnd, 0, 0);
+        tl.record_attempt(TaskKind::ReduceEnd, 0, 0);
         let evs = tl.events();
         assert_eq!(evs.len(), 3);
         assert!(evs.windows(2).all(|w| w[0].at <= w[1].at));
@@ -362,5 +417,42 @@ mod tests {
         assert_eq!(spans[1].name, "map");
         assert_eq!(spans[1].attempt, 1);
         assert_eq!((spans[1].start_us, spans[1].end_us), (4_000, 6_000));
+    }
+
+    fn result(events: &[(TaskKind, u64)]) -> JobResult {
+        let at = Duration::from_millis;
+        JobResult {
+            counters: CountersSnapshot::default(),
+            events: (events.iter())
+                .map(|&(kind, ms)| TaskEvent {
+                    kind,
+                    task: 0,
+                    attempt: 0,
+                    at: at(ms),
+                })
+                .collect(),
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn first_result_and_fraction() {
+        let ms = Duration::from_millis;
+        let r = result(&[
+            (TaskKind::MapEnd, 1),
+            (TaskKind::ReduceEnd, 2),
+            (TaskKind::MapEnd, 3),
+        ]);
+        assert_eq!(r.first_result(), Some(ms(2)));
+        let frac = r.maps_done_at_first_result().unwrap();
+        assert!((frac - 0.5).abs() < 1e-9, "frac {frac}");
+        assert_eq!(r.completions(TaskKind::MapEnd), vec![ms(1), ms(3)]);
+    }
+
+    #[test]
+    fn empty_job_has_no_result() {
+        let r = result(&[]);
+        assert_eq!(r.first_result(), None);
+        assert_eq!(r.maps_done_at_first_result(), None);
     }
 }

@@ -1,10 +1,10 @@
-//! Cancellation latency: cancelling a job whose workers are blocked
-//! (here: parked on the shared pool's slot semaphores behind another
-//! job, or sleeping out a straggle or a backoff) must unwind by condvar
+//! Cancellation latency: cancelling a job that is blocked (here: its
+//! loop waiting for slots another job holds, an attempt pausing out a
+//! straggle, or a map waiting out its retry backoff) must unwind by
 //! notification — microseconds — not by the 25 ms `WAIT_TICK` safety
 //! tick that `sync::wait_until` keeps on untimed waits, nor by waiting
-//! out the sleep. The sleeps have no tick at all: a cancel reaches them
-//! only by notification. Under `--cfg check` the same paths are
+//! out the delay. The cancel rings the loop's inbox, and the loop stops
+//! each running attempt's pause. Under `--cfg check` the same paths are
 //! explored on virtual time (`sidr-check`'s `deadline` scenario).
 
 mod support;
@@ -17,8 +17,8 @@ use sidr_mapreduce::{
 };
 use support::{number_splits, run_shared, sum_by_mod10};
 
-/// Job A holds both slots of a (1 map, 1 reduce) pool; job B's
-/// workers all park on the semaphores. Cancelling B must return
+/// Job A holds both slots of a (1 map, 1 reduce) pool; job B's loop
+/// waits for a release to ring it. Cancelling B must return
 /// `Cancelled` in far less than one `WAIT_TICK` (25 ms).
 #[test]
 fn blocked_job_cancels_with_sub_tick_latency() {
@@ -65,7 +65,7 @@ fn blocked_job_cancels_with_sub_tick_latency() {
                 Some(&cancel_b),
             )
         });
-        // Let B's workers park on the slot semaphores.
+        // Let B's loop find the pool full and wait for a ring.
         std::thread::sleep(Duration::from_millis(80));
 
         let cancelled_at = Instant::now();
@@ -79,8 +79,8 @@ fn blocked_job_cancels_with_sub_tick_latency() {
         );
         assert!(
             latency < Duration::from_millis(10),
-            "cancel→return took {latency:?}; blocked workers must be \
-             condvar-woken, not discovered by the 25 ms poll tick"
+            "cancel→return took {latency:?}; a blocked job must be \
+             woken by the cancel's ring, not discovered by the 25 ms poll tick"
         );
 
         // Job A is untouched by B's cancellation.
@@ -124,9 +124,10 @@ fn cancel_after(
 
 /// Regression: the straggle injection used to be a plain
 /// `thread::sleep`, so cancelling a job with a 3 s straggler blocked
-/// the join for the full delay. The sleep is now a cancellation-aware
-/// timed wait on the job condvar: cancel→return must land in well
-/// under one `WAIT_TICK` (25 ms), not after seconds.
+/// the join for the full delay. The pause is now a timed wait on the
+/// attempt's stop signal, which the loop raises on cancel:
+/// cancel→return must land in well under one `WAIT_TICK` (25 ms), not
+/// after seconds.
 #[test]
 fn straggling_map_cancels_with_sub_tick_latency() {
     let config = JobConfig {

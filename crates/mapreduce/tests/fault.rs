@@ -308,10 +308,7 @@ fn quantile_trigger_speculates_straggler_without_forcing() {
             0,
             FaultKind::Straggle { delay_ms: 5_000 },
         ),
-        speculation: SpeculationPolicy {
-            check_interval_ms: 5,
-            ..SpeculationPolicy::on()
-        },
+        speculation: SpeculationPolicy::on(),
         ..Default::default()
     };
     let started = Instant::now();
@@ -420,7 +417,7 @@ fn deadline_abandons_straggling_job_by_notification() {
 }
 
 /// Deadline pressure, boost alone: the trigger itself is unreachable
-/// (`slowdown` 1e9), so the straggler is raced only because the monitor
+/// (`slowdown` 1e9), so the straggler is raced only because the coordinator loop
 /// projected the job past its deadline and boosted the trigger. The
 /// boost fires once, its twin wins, and the job makes its deadline
 /// with output identical to a fault-free run.
@@ -438,7 +435,6 @@ fn deadline_boost_alone_rescues_straggler() {
         ),
         speculation: SpeculationPolicy {
             slowdown: 1e9,
-            check_interval_ms: 5,
             ..SpeculationPolicy::on()
         },
         deadline: Some(Duration::from_secs(1)),

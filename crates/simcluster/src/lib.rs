@@ -11,15 +11,18 @@
 //! planning code*: splits come from `sidr-mapreduce`'s generators,
 //! keyblock geometry from `sidr-core`'s `partition+`, dependency sets
 //! from `sidr-core`'s `Dependencies`, and the skewed hash assignment
-//! from the engine's `CoordHashPartitioner`. Only the wall-clock cost
-//! model (disk/network bandwidth, CPU rates) is calibrated, and the
-//! claims we reproduce are about curve *shape* — who starts when, how
-//! completion tracks dependencies — not absolute seconds.
+//! from the engine's `CoordHashPartitioner`. The scheduling is not
+//! modelled at all: a simulated job runs through the engine's own
+//! coordinator loop (`sidr_mapreduce::coordinate`), with this crate's
+//! cluster — per-node slots on a virtual clock — as its `Cluster`.
+//! Only the wall-clock cost model (disk/network bandwidth, CPU rates)
+//! is calibrated, and the claims we reproduce are about curve *shape*
+//! — who starts when, how completion tracks dependencies — not
+//! absolute seconds.
 //!
 //! Entry points: build a [`SimJob`] via [`workload`], run it with
 //! [`simulate`], read the returned [`SimTrace`].
 
-pub mod event;
 pub mod model;
 pub mod sim;
 pub mod workload;

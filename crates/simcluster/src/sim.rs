@@ -1,11 +1,15 @@
-//! The cluster simulation proper.
+//! The cluster simulation: the engine's coordinator loop over a cost
+//! model on a virtual clock.
 
 use std::time::Duration;
 
 use sidr_mapreduce::schedule::Schedule;
-use sidr_mapreduce::{TaskEvent, TaskKind};
+use sidr_mapreduce::timers::Timers;
+use sidr_mapreduce::{
+    coordinate, Cluster, Done, JobConfig, MapTally, MapTaskId, ReduceSource, TaskEvent, TaskKind,
+    Timeline,
+};
 
-use crate::event::{secs, to_secs, Event, EventQueue, SimTime};
 use crate::model::{CostModel, SimClusterConfig};
 
 /// One simulated Map task.
@@ -58,34 +62,28 @@ pub struct SimTrace {
 }
 
 impl SimTrace {
-    fn new(n_maps: usize, n_reduces: usize) -> Self {
-        SimTrace {
+    fn new(n_maps: usize, n_reduces: usize, events: Vec<TaskEvent>) -> Self {
+        let mut trace = SimTrace {
             map_end_s: vec![None; n_maps],
             reduce_start_s: vec![0.0; n_reduces],
             reduce_ready_s: vec![0.0; n_reduces],
             reduce_end_s: vec![0.0; n_reduces],
-            events: Vec::new(),
+            events,
+        };
+        for e in &trace.events {
+            let at_s = e.at.as_micros() as f64 / 1e6;
+            match e.kind {
+                TaskKind::MapEnd => trace.map_end_s[e.task] = Some(at_s),
+                TaskKind::ReduceStart => trace.reduce_start_s[e.task] = at_s,
+                TaskKind::ReduceBarrierMet => trace.reduce_ready_s[e.task] = at_s,
+                TaskKind::ReduceEnd => trace.reduce_end_s[e.task] = at_s,
+                _ => {}
+            }
         }
+        trace
     }
 
-    fn record(&mut self, kind: TaskKind, task: usize, now: SimTime) {
-        let at_s = to_secs(now);
-        match kind {
-            TaskKind::MapEnd => self.map_end_s[task] = Some(at_s),
-            TaskKind::ReduceStart => self.reduce_start_s[task] = at_s,
-            TaskKind::ReduceBarrierMet => self.reduce_ready_s[task] = at_s,
-            TaskKind::ReduceEnd => self.reduce_end_s[task] = at_s,
-            _ => {}
-        }
-        self.events.push(TaskEvent {
-            kind,
-            task,
-            attempt: 0,
-            at: Duration::from_micros(now),
-        });
-    }
-
-    /// The run as the engine's timeline would have recorded it
+    /// The run's timeline, as the engine's loop recorded it
     /// (`MapStart` / `MapEnd` / `ReduceStart` / `ReduceBarrierMet` /
     /// `ReduceEnd`, in causal order) — what `sidr_core::TimelineOracle`
     /// checks.
@@ -135,87 +133,154 @@ impl SimTrace {
     }
 }
 
+/// An attempt's end, on the virtual clock.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum End {
+    Map {
+        task: MapTaskId,
+        attempt: u32,
+        node: usize,
+    },
+    Reduce {
+        reducer: usize,
+    },
+}
+
+/// The paper's cluster as a [`Cluster`]: per-node map slots, a pool of
+/// reduce slots, and attempts that end when the [`CostModel`] says —
+/// by time, then by start order, so identical inputs replay
+/// identically.
+struct Model<'a> {
+    job: &'a SimJob,
+    model: &'a CostModel,
+    now: Duration,
+    free_map: Vec<usize>,
+    free_reduce: usize,
+    slots: (usize, usize),
+    ends: Timers<End>,
+}
+
+impl Model<'_> {
+    fn end_after(&mut self, secs: f64, end: End) {
+        let at = self.now + Duration::from_micros((secs * 1e6).round() as u64);
+        self.ends.arm(at, end);
+    }
+}
+
+impl Cluster for Model<'_> {
+    fn now(&self) -> Duration {
+        self.now
+    }
+
+    fn slots(&self) -> (usize, usize) {
+        self.slots
+    }
+
+    fn take_map_slot(&mut self) -> Option<usize> {
+        let node = self.free_map.iter().position(|&free| free > 0)?;
+        self.free_map[node] -= 1;
+        Some(node)
+    }
+
+    fn take_reduce_slot(&mut self) -> bool {
+        let free = self.free_reduce > 0;
+        self.free_reduce -= usize::from(free);
+        free
+    }
+
+    fn free_map_slot(&mut self, node: usize) {
+        self.free_map[node] += 1;
+    }
+
+    fn free_reduce_slot(&mut self) {
+        self.free_reduce += 1;
+    }
+
+    fn local(&self, node: usize, map: MapTaskId) -> bool {
+        self.job.maps[map].preferred_nodes.contains(&node)
+    }
+
+    fn start_map(&mut self, task: MapTaskId, attempt: u32, _speculative: bool, node: usize) {
+        let map = &self.job.maps[task];
+        let local = self.local(node, task);
+        let secs = (self.model).map_duration_s(map.input_bytes, local, map.oblivious, task as u64);
+        self.end_after(
+            secs,
+            End::Map {
+                task,
+                attempt,
+                node,
+            },
+        );
+    }
+
+    fn start_reduce(&mut self, reducer: usize, _attempt: u32, _sources: Vec<ReduceSource>) {
+        let bytes = self.job.reduces[reducer].input_bytes;
+        let secs = self.model.reduce_duration_s(bytes, reducer as u64);
+        self.end_after(secs, End::Reduce { reducer });
+    }
+
+    fn stop_map(&mut self, _task: MapTaskId, _attempt: u32) {}
+
+    fn next(&mut self, until: Option<Duration>) -> Option<Done> {
+        let next = self.ends.next_at();
+        if let Some(until) = until.filter(|&u| next.is_none_or(|at| u < at)) {
+            self.now = until;
+            return None;
+        }
+        self.now = next.expect("a simulated job never stalls");
+        Some(match self.ends.pop_due(self.now)? {
+            End::Map {
+                task,
+                attempt,
+                node,
+            } => Done::Map {
+                task,
+                attempt,
+                place: node,
+                result: Ok(MapTally::default()),
+            },
+            End::Reduce { reducer } => Done::Reduce {
+                reducer,
+                result: Ok(0),
+            },
+        })
+    }
+}
+
 /// Runs the simulation to completion.
 ///
-/// Every scheduling decision — which reduce launches next, which maps
-/// that makes eligible and in what order, when a barrier is met — is
-/// the engine's own [`Schedule`]; what is modelled here is the cluster
-/// around it: simulated time, per-node slots, data locality (as
+/// The job runs through the engine's own coordinator loop
+/// ([`coordinate`]): every scheduling decision — which reduce launches
+/// next, which maps that makes eligible and in what order, when a
+/// barrier is met — is the engine's. What is modelled here is the
+/// cluster around it: simulated time, per-node slots, data locality (as
 /// `claim_map`'s preference) and task durations from the [`CostModel`].
 pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> SimTrace {
-    let n_maps = job.maps.len();
-    let n_reduces = job.reduces.len();
-    assert!(n_reduces > 0, "job needs at least one reduce");
-    let mut sched = Schedule::new(
-        n_maps,
+    assert!(!job.reduces.is_empty(), "job needs at least one reduce");
+    let mut runner = Model {
+        job,
+        model,
+        now: Duration::ZERO,
+        free_map: vec![cluster.map_slots_per_node; cluster.num_nodes],
+        free_reduce: cluster.total_reduce_slots(),
+        slots: (
+            cluster.num_nodes * cluster.map_slots_per_node,
+            cluster.total_reduce_slots(),
+        ),
+        ends: Timers::default(),
+    };
+    let timeline = Timeline::new();
+    let config = JobConfig::default();
+    let sched = Schedule::new(
+        job.maps.len(),
         job.reduces.iter().map(|r| r.deps.clone()).collect(),
         job.reduce_order.clone(),
         job.invert_scheduling,
     )
     .expect("order must cover reduces, deps must name maps");
-
-    let mut queue = EventQueue::new();
-    let mut free_map_slots = vec![cluster.map_slots_per_node; cluster.num_nodes];
-    let mut free_reduce_slots = cluster.total_reduce_slots();
-    // Launched reduces still short of their barrier; each holds a slot
-    // until its ReduceEnd.
-    let mut waiting: Vec<usize> = Vec::new();
-    let mut trace = SimTrace::new(n_maps, n_reduces);
-    let mut now: SimTime = 0;
-
-    loop {
-        // Reduces launch first, onto free slots (§3.3).
-        while free_reduce_slots > 0 {
-            let Some(r) = sched.launch_next_reduce() else {
-                break;
-            };
-            free_reduce_slots -= 1;
-            trace.record(TaskKind::ReduceStart, r, now);
-            waiting.push(r);
-        }
-        waiting.retain(|&r| {
-            if !sched.barrier_met(r) {
-                return true;
-            }
-            trace.record(TaskKind::ReduceBarrierMet, r, now);
-            let dur = model.reduce_duration_s(job.reduces[r].input_bytes, r as u64);
-            queue.push(now + secs(dur), Event::ReduceEnd { reduce: r });
-            false
-        });
-        // Eligible maps onto free slots, node-local first — the
-        // locality-tree walk of §3.3.
-        for (node, free) in free_map_slots.iter_mut().enumerate() {
-            let local = |m: usize| job.maps[m].preferred_nodes.contains(&node);
-            while *free > 0 {
-                let Some((map, attempt)) = sched.claim_map(local) else {
-                    break;
-                };
-                *free -= 1;
-                trace.record(TaskKind::MapStart, map, now);
-                let task = &job.maps[map];
-                let dur =
-                    model.map_duration_s(task.input_bytes, local(map), task.oblivious, map as u64);
-                queue.push(now + secs(dur), Event::MapEnd { map, attempt, node });
-            }
-        }
-
-        let Some((at, event)) = queue.pop() else {
-            break;
-        };
-        now = at;
-        match event {
-            Event::MapEnd { map, attempt, node } => {
-                assert!(sched.commit(map, attempt), "an unraced attempt commits");
-                free_map_slots[node] += 1;
-                trace.record(TaskKind::MapEnd, map, now);
-            }
-            Event::ReduceEnd { reduce } => {
-                free_reduce_slots += 1;
-                trace.record(TaskKind::ReduceEnd, reduce, now);
-            }
-        }
-    }
-    trace
+    coordinate(&mut runner, sched, &config, None, &timeline).expect("a fault-free job completes");
+    SimTrace::new(job.maps.len(), job.reduces.len(), timeline.events())
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 # Alternating base/change benchmark pairs, recorded in the ledger.
 #
 #   tools/bench_pair.sh BASE [--workload W]... [--pairs N] [--trace 0|1] [--seed N]
+#   tools/bench_pair.sh --control [--workload W]... [--pairs N] [--trace 0|1] [--seed N]
 #
 # Extracts BASE and HEAD into two trees of their own (`git archive`;
 # HEAD is the working tree: committed, changed and new files, not the
@@ -21,19 +22,27 @@
 # (end-to-end, or per-layer with --trace 1), both sides' median
 # [q1, q3] and how many pairs HEAD won.
 #
+# With --control there is no BASE: HEAD's source is extracted into two
+# separate trees, each built on its own, and the same alternating
+# protocol runs between them (the base side is labelled
+# "control:<HEAD>"). Whatever spread an A/A run shows is noise of the
+# host and the build, not of the code; quote it beside an A/B claim.
+#
 # Exits nonzero when a run fails (a job failed or an output was wrong)
 # or when any pair's compare finds a cell outside its bound — a claimed
 # gain larger than the bound disagrees too.
 set -euo pipefail
 
 usage() {
-    echo "usage: tools/bench_pair.sh BASE [--workload W]... [--pairs N] [--trace 0|1] [--seed N]" >&2
+    echo "usage: tools/bench_pair.sh BASE|--control [--workload W]... [--pairs N] [--trace 0|1] [--seed N]" >&2
     exit 2
 }
 
 [ $# -ge 1 ] || usage
 base_rev=$1
 shift
+control=0
+[ "$base_rev" = --control ] && control=1
 workloads=()
 pairs=6
 trace=0
@@ -61,9 +70,11 @@ ledger=$repo/BENCH_history.json
 short() { git rev-parse --short "$1"; }
 parent_of() { git rev-parse --short "$1^" 2>/dev/null || echo ""; }
 
-base=$(git rev-parse --verify "$base_rev^{commit}")
-base_label=$(short "$base")
-base_parent=$(parent_of "$base")
+if [ "$control" -eq 0 ]; then
+    base=$(git rev-parse --verify "$base_rev^{commit}")
+    base_label=$(short "$base")
+    base_parent=$(parent_of "$base")
+fi
 # HEAD's side is the working tree — changed and new files, minus the
 # ledger this script appends to — written as a tree object through a
 # scratch index: no ref, index or file of the checkout changes, and
@@ -83,9 +94,11 @@ else
 fi
 
 trees=${TMPDIR:-/tmp}/sidr-bench-pair
+# tree_for REV [SUFFIX]: REV's tree extracted (once) into its own
+# directory; SUFFIX names a second copy of the same tree.
 tree_for() {
     local dir
-    dir=$trees/$(git rev-parse "$1^{tree}")
+    dir=$trees/$(git rev-parse "$1^{tree}")${2:-}
     if [ ! -d "$dir" ]; then
         mkdir -p "$dir.partial"
         git archive "$1" | tar -x -C "$dir.partial"
@@ -93,7 +106,13 @@ tree_for() {
     fi
     echo "$dir"
 }
-base_dir=$(tree_for "$base")
+if [ "$control" -eq 1 ]; then
+    base_label=control:$head_label
+    base_parent=$head_parent
+    base_dir=$(tree_for "$head" -control)
+else
+    base_dir=$(tree_for "$base")
+fi
 head_dir=$(tree_for "$head")
 
 out=$(mktemp -d "${TMPDIR:-/tmp}/sidr-bench-pair-runs.XXXXXX")
