@@ -3,8 +3,9 @@
 //! allocator calls per keyblock, the streaming merge holds
 //! O(sources + one group) live bytes however many records it drains,
 //! a SMOF encode is one exactly-sized buffer, the geometric map
-//! kernel holds no more than its input and its output partitions, and
-//! the admission pre-flight's allocations do not grow with `|K′ᵀ|`.
+//! kernel holds no more than its input and its output partitions (and
+//! under a combiner 8 bytes per key), and the admission pre-flight's
+//! allocations do not grow with `|K′ᵀ|`.
 //!
 //! One `#[test]` on purpose: the counters are process-global, so two
 //! tests on parallel threads would count each other's allocations.
@@ -150,8 +151,8 @@ fn wire_path_allocation_invariants() {
     };
     assert_eq!(encode_map_output(&file).expect("uniform rank"), expected);
 
-    // (d) The map kernel holds the split's input between its count and
-    // place passes and writes each value once, straight into its
+    // (d) The map kernel holds the split's input from the read to its
+    // place pass, which writes each value once, straight into its
     // partition: at its peak nothing else of size is live. A
     // fig.-8-shaped split, {7,5,1} keys over 4 reducers, no combiner.
     let space = Shape::new(vec![7, 50, 50]).expect("valid");
@@ -173,26 +174,43 @@ fn wire_path_allocation_invariants() {
     let mapper = StructuralMapper::for_query(&query);
     let partition = PartitionPlus::for_query(&query, 4).expect("valid");
     let split = Slab::whole(&space);
-    let scope = AllocScope::start();
-    let out = map_split::<f64>(
-        &file,
-        "v",
-        &split,
-        &mapper,
-        4,
-        |k| partition.keyblock_of(k),
-        None,
-    )
-    .expect("maps");
-    let (_bytes, _calls, peak) = scope.finish();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.partitions.len(), 4);
+    let map_peak = |fold: Option<Operator>| {
+        let scope = AllocScope::start();
+        let out = map_split::<f64>(
+            &file,
+            "v",
+            &split,
+            &mapper,
+            4,
+            |k| partition.keyblock_of(k),
+            fold,
+        )
+        .expect("maps");
+        let (_bytes, _calls, peak) = scope.finish();
+        assert_eq!(out.partitions.len(), 4);
+        let output: u64 = out.partitions.iter().map(|(_, p)| p.len() as u64).sum();
+        (peak, output)
+    };
     let input = split.count() * 8;
-    let output: u64 = out.partitions.iter().map(|(_, p)| p.len() as u64).sum();
+    let (peak, output) = map_peak(None);
     let bound = input + output + 64 * 1024;
     assert!(
         peak <= bound,
         "map_split peak live bytes {peak} exceed input {input} + output {output} + 64 KiB"
+    );
+
+    // (f) A combiner folds each value into its key's 8-byte
+    // accumulator as it is read: beside the input and the output, the
+    // kernel holds 8 bytes per image key, not 8 per record. The same
+    // split under Max: 17,500 records onto 500 keys.
+    let keys = query.intermediate_space().count();
+    let (peak, output) = map_peak(Some(Operator::Max));
+    std::fs::remove_file(&path).ok();
+    let bound = input + 8 * keys + output + 64 * 1024;
+    assert!(
+        peak <= bound,
+        "folding map_split peak live bytes {peak} exceed input {input} + 8 × {keys} keys \
+         + output {output} + 64 KiB"
     );
 
     // (e) The admission pre-flight proves coverage and dependencies on

@@ -19,29 +19,35 @@
 //!    a sum of per-dimension table entries: no per-record `Coord`,
 //!    division or allocation. Partial instances, stride gaps, records
 //!    outside the query region and push-down filter misses get none;
-//! 2. counts each image key's kept records in one pass over them;
+//! 2. takes each image key's record count from geometry: the product,
+//!    over dimensions, of how many split positions map to its
+//!    coordinate along that dimension, O(Σ extents + keys) and no pass
+//!    over the records. A push-down filter's counts depend on the
+//!    values, so its jobs count in one pass over the kept records;
 //! 3. routes once per image key, not once per record: `partition+`
 //!    under SIDR, the stock hash-modulo under Hadoop and SciHadoop;
 //!    then lays out each reducer's partition through the one SMOF v4
 //!    writer ([`SmofWriter`]), exactly sized: its header, one run-table
 //!    entry per key (packed from the odometer that stepped the route),
 //!    and a byte cursor per key into its values region;
-//! 4. places: a second pass over the same kept records, in reader
-//!    order, writes each value's 8 bytes once, at its key's cursor, so
-//!    a key's values keep reader order. A distributive operator fills
-//!    one key-ordered `f64` column instead; each run is folded there in
-//!    place with [`Operator::reduce_group`] to its one value, which is
-//!    copied into its partition. Each partition is then sealed with its
-//!    CRC.
+//! 4. places: one pass over the kept records, in reader order, writes
+//!    each value's 8 bytes once, at its key's cursor, so a key's values
+//!    keep reader order. A distributive operator streams its fold
+//!    instead: the pass steps each value into its key's accumulator
+//!    with the operator's `Fold` — the identity and step
+//!    [`Operator::reduce_group`] folds a run with — and each non-empty
+//!    key's one value is copied into its partition. Each partition
+//!    is then sealed with its CRC.
 //!
 //! The bytes are exactly those of a per-record map — each record
 //! through the structural map, routed by the same partition function,
 //! each reducer's pairs stably sorted by key and each run folded, then
 //! `encode_map_output` — which `tests/geomap.rs` keeps as the kernel's
 //! reference and pins for both routes. Transient memory is the split's
-//! input (held between the passes) and 16 bytes per image key, beside
-//! the output partitions themselves; a fold adds the 8-byte column,
-//! after which the input is dropped. `tests/alloc.rs` in `sidr-bench`
+//! input (held from the read to the place pass) and 16 bytes per image
+//! key — count, reducer, and a byte cursor or a fold's accumulator —
+//! beside the output partitions themselves; a fold drops the input
+//! before the partitions are laid out. `tests/alloc.rs` in `sidr-bench`
 //! pins the bound. A per-record map holds a `(Coord, f64)` row and a
 //! heap-allocated key per record (≈ 56 bytes at rank 3).
 //!
@@ -53,7 +59,7 @@ use sidr_mapreduce::MrError;
 use sidr_scifile::{read_chunks, Element, ScincFile};
 
 use crate::exec::MapAttemptOutput;
-use crate::operators::Operator;
+use crate::operators::{Fold, Operator};
 use crate::source::StructuralMapper;
 
 /// Table entry of a split position that maps to no image key. Any sum
@@ -79,7 +85,6 @@ pub fn map_split<E: Element>(
     keyblock_of: impl Fn(&[u64]) -> usize,
     fold: Option<Operator>,
 ) -> crate::Result<MapAttemptOutput> {
-    debug_assert!(fold.is_none_or(|op| op.is_distributive()));
     let records_in = split.count();
     let mut out = MapAttemptOutput {
         partitions: Vec::new(),
@@ -98,9 +103,12 @@ pub fn map_split<E: Element>(
         .collect::<crate::Result<Vec<_>>>()?;
     let predicate_gt = mapper.predicate_gt;
 
-    // Count: each image key's kept records.
-    let mut counts = vec![0u32; image.keys()];
-    image.for_each_kept(&chunks, split, predicate_gt, |i, _| counts[i] += 1);
+    // Count: each image key's kept records, from geometry alone unless
+    // a push-down filter makes them depend on the values.
+    let mut counts = match predicate_gt {
+        None => image.geometric_counts(),
+        Some(_) => image.counted(&chunks, split, predicate_gt),
+    };
     out.records_out = counts.iter().map(|&n| u64::from(n)).sum();
 
     // Route once per image key.
@@ -114,34 +122,16 @@ pub fn map_split<E: Element>(
         }
     });
 
-    // Per image key, where its next value goes: with a fold, its place
-    // in one key-ordered column, where each run is then folded to one
-    // value (`cursor` is left at the folded run's start and `counts`
-    // at 1).
-    let mut cursor = vec![0usize; counts.len()];
-    let mut column = Vec::new();
-    if let Some(op) = fold {
-        let mut next = 0;
-        for (c, &n) in cursor.iter_mut().zip(&counts) {
-            *c = next;
-            next += n as usize;
-        }
-        column = vec![0.0; next];
-        image.for_each_kept(&chunks, split, predicate_gt, |i, v| {
-            column[cursor[i]] = v;
-            cursor[i] += 1;
-        });
-        chunks = Vec::new(); // every kept value is in the column now
-        for (c, n) in cursor.iter_mut().zip(counts.iter_mut()) {
-            if *n > 0 {
-                let at = *c - *n as usize;
-                let mut folded = None;
-                op.reduce_group(&mut column[at..*c], &mut |v| folded = Some(v));
-                column[at] = folded.expect("a distributive operator folds a run to one value");
-                (*c, *n) = (at, 1);
-            }
-        }
-    }
+    // Fold: each kept value taken into its key's accumulator as it is
+    // read, after which the input is done with and each non-empty key
+    // is a run of one value.
+    let folded = fold.map(|op| {
+        let fold = op.fold().expect("a distributive operator");
+        let acc = image.fold_kept(&chunks, split, predicate_gt, fold);
+        chunks = Vec::new();
+        counts.iter_mut().for_each(|n| *n = (*n).min(1));
+        acc
+    });
 
     // Lay out each reducer's partition: header, then one run-table
     // entry per key, packed from the odometer.
@@ -174,8 +164,17 @@ pub fn map_split<E: Element>(
         .map(|w| w.as_mut().map_or(&mut [][..], SmofWriter::values_mut))
         .collect();
     let mut next = vec![0usize; num_reducers];
-    if fold.is_none() {
+    if let Some(acc) = folded {
+        for ((&v, &n), &r) in acc.iter().zip(&counts).zip(&route) {
+            if n > 0 {
+                let (r, at) = (r as usize, next[r as usize]);
+                regions[r][at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
+                next[r] = at + VALUE_WIDTH;
+            }
+        }
+    } else {
         // Each key's byte cursor, then the values in reader order.
+        let mut cursor = vec![0usize; counts.len()];
         for ((c, &n), &r) in cursor.iter_mut().zip(&counts).zip(&route) {
             *c = next[r as usize];
             next[r as usize] += n as usize * VALUE_WIDTH;
@@ -185,16 +184,6 @@ pub fn map_split<E: Element>(
             regions[route[i] as usize][at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
             cursor[i] = at + VALUE_WIDTH;
         });
-    } else {
-        for ((&at, &n), &r) in cursor.iter().zip(&counts).zip(&route) {
-            let (r, n) = (r as usize, n as usize);
-            let slots =
-                regions[r][next[r]..next[r] + n * VALUE_WIDTH].chunks_exact_mut(VALUE_WIDTH);
-            for (slot, v) in slots.zip(&column[at..at + n]) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            next[r] += n * VALUE_WIDTH;
-        }
     }
     out.partitions = writers
         .into_iter()
@@ -329,6 +318,65 @@ impl Image {
         }
     }
 
+    /// Each image key's record count from geometry alone: the product,
+    /// over dimensions, of how many split positions map to the key's
+    /// coordinate along that dimension. It is the number of kept
+    /// records when no push-down filter drops any.
+    fn geometric_counts(&self) -> Vec<u32> {
+        let mut counts = vec![1u32];
+        let mut stride = self.keys() as u64;
+        for (table, &extent) in self.tables.iter().zip(&self.extents) {
+            stride /= extent;
+            let mut along = vec![0u32; extent as usize];
+            for &t in table.iter().filter(|&&t| t < NONE) {
+                along[(t / stride) as usize] += 1;
+            }
+            let mut next = Vec::with_capacity(counts.len() * along.len());
+            for &c in &counts {
+                next.extend(along.iter().map(|&a| c * a));
+            }
+            counts = next;
+        }
+        counts
+    }
+
+    /// Each image key's kept records, counted one by one.
+    fn counted<E: Element>(
+        &self,
+        chunks: &[(Slab, Vec<E>)],
+        split: &Slab,
+        predicate_gt: Option<f64>,
+    ) -> Vec<u32> {
+        let mut counts = vec![0u32; self.keys()];
+        self.for_each_kept(chunks, split, predicate_gt, |i, _| counts[i] += 1);
+        counts
+    }
+
+    /// Each image key's kept values folded in reader order, from
+    /// `fold`'s identity: one accumulator per key. One record loop per
+    /// operator, so the step inlines into it.
+    fn fold_kept<E: Element>(
+        &self,
+        chunks: &[(Slab, Vec<E>)],
+        split: &Slab,
+        predicate_gt: Option<f64>,
+        fold: Fold,
+    ) -> Vec<f64> {
+        let mut acc = vec![fold.identity(); self.keys()];
+        match fold {
+            Fold::Min => self.for_each_kept(chunks, split, predicate_gt, |i, v| {
+                acc[i] = Fold::Min.step(acc[i], v)
+            }),
+            Fold::Max => self.for_each_kept(chunks, split, predicate_gt, |i, v| {
+                acc[i] = Fold::Max.step(acc[i], v)
+            }),
+            Fold::Sum => self.for_each_kept(chunks, split, predicate_gt, |i, v| {
+                acc[i] = Fold::Sum.step(acc[i], v)
+            }),
+        }
+        acc
+    }
+
     /// Calls `f(index, key)` for each image key in row-major order,
     /// which is `K′` key order: its index and its `K′` components,
     /// stepped by an odometer.
@@ -342,6 +390,136 @@ impl Image {
                     break;
                 }
                 key[d] = self.corner[d];
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use sidr_coords::Shape;
+
+    use super::*;
+    use crate::StructuralQuery;
+
+    fn shape(v: &[u64]) -> Shape {
+        Shape::new(v.to_vec()).unwrap()
+    }
+
+    /// A split, a query over a space holding it and the mapper: rank
+    /// 1–4, an extraction that may leave a discarded partial instance,
+    /// stride gaps or a region clipping the split, and a misaligned
+    /// split.
+    fn geometry() -> impl Strategy<Value = (Slab, StructuralMapper)> {
+        (1usize..=4, prop::collection::vec(any::<u64>(), 32)).prop_map(|(rank, draws)| {
+            let mut draws = draws.into_iter();
+            let mut draw = |n: u64| draws.next().expect("enough draws") % n;
+            let space: Vec<u64> = (0..rank).map(|_| 2 + draw(8)).collect();
+            let extraction: Vec<u64> = space.iter().map(|&s| (1 + draw(3)).min(s)).collect();
+            let query = match draw(3) {
+                0 => StructuralQuery::new("v", shape(&space), shape(&extraction), Operator::Sum),
+                1 => {
+                    let stride = extraction.iter().map(|&e| e + draw(3)).collect();
+                    let (space, extraction) = (shape(&space), shape(&extraction));
+                    StructuralQuery::with_stride("v", space, extraction, stride, Operator::Sum)
+                }
+                _ => {
+                    let (mut corner, mut extent) = (Vec::new(), Vec::new());
+                    for d in 0..rank {
+                        let c = draw(space[d] - extraction[d] + 1);
+                        corner.push(c);
+                        extent.push(extraction[d] + draw(space[d] - c - extraction[d] + 1));
+                    }
+                    let region = Slab::new(Coord::new(corner), shape(&extent)).unwrap();
+                    let extraction = shape(&extraction);
+                    StructuralQuery::over_region(
+                        "v",
+                        &shape(&space),
+                        region,
+                        extraction,
+                        Operator::Sum,
+                    )
+                }
+            }
+            .unwrap();
+            let (mut corner, mut extent) = (Vec::new(), Vec::new());
+            for &s in &space {
+                let c = draw(s);
+                corner.push(c);
+                extent.push(1 + draw(s - c));
+            }
+            let split = Slab::new(Coord::new(corner), shape(&extent)).unwrap();
+            (split, StructuralMapper::for_query(&query))
+        })
+    }
+
+    /// The split's [`read_chunks`], each holding `value(i)` for its
+    /// `i`-th record in reader order.
+    fn chunks(split: &Slab, value: impl Fn(usize) -> f64) -> Vec<(Slab, Vec<f64>)> {
+        let mut i = 0;
+        read_chunks(split)
+            .into_iter()
+            .map(|chunk| {
+                let data = (i..i + chunk.count() as usize).map(&value).collect();
+                i += chunk.count() as usize;
+                (chunk, data)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn geometric_counts_equal_the_counting_pass((split, mapper) in geometry()) {
+            if let Some(image) = Image::of(&split, &mapper).unwrap() {
+                let chunks = chunks(&split, |_| 0.0);
+                prop_assert_eq!(image.geometric_counts(), image.counted(&chunks, &split, None));
+            }
+        }
+    }
+
+    /// Keys whose coordinate no split position maps to count zero: a
+    /// hand-built image of 2 × 3 keys where position 1 of dimension 0
+    /// is a stride gap and key column 1 is fed by no position.
+    #[test]
+    fn geometric_counts_keep_zero_count_keys() {
+        let image = Image {
+            corner: vec![4, 0],
+            extents: vec![2, 3],
+            tables: vec![vec![0, NONE, 3, 3], vec![0, 0, 2, NONE, 0]],
+        };
+        let split = Slab::new(Coord::from([0, 0]), shape(&[4, 5])).unwrap();
+        let chunks = chunks(&split, |_| 0.0);
+        assert_eq!(image.geometric_counts(), vec![3, 0, 1, 6, 0, 2]);
+        assert_eq!(
+            image.geometric_counts(),
+            image.counted(&chunks, &split, None)
+        );
+    }
+
+    /// The streamed fold is `reduce_group` over each key's run in
+    /// reader order, bit for bit: both zeros, opposite signs and sums
+    /// whose order shows in their bits, keys spanning read chunks.
+    #[test]
+    fn streamed_fold_equals_reduce_group_on_the_run() {
+        const VALUES: [f64; 8] = [-0.0, 0.0, 1e16, -1e16, 1.0, -1.0, 0.1, -0.0];
+        let query =
+            StructuralQuery::new("v", shape(&[6, 130]), shape(&[3, 10]), Operator::Sum).unwrap();
+        let mapper = StructuralMapper::for_query(&query);
+        let split = Slab::whole(&shape(&[6, 130]));
+        let image = Image::of(&split, &mapper).unwrap().unwrap();
+        for seed in 0..4 {
+            let chunks = chunks(&split, |i| VALUES[(i * 7 + seed + i / 13) % VALUES.len()]);
+            let mut runs = vec![Vec::new(); image.keys()];
+            image.for_each_kept(&chunks, &split, None, |i, v| runs[i].push(v));
+            for op in [Operator::Min, Operator::Max, Operator::Sum] {
+                let folded = image.fold_kept(&chunks, &split, None, op.fold().unwrap());
+                for (run, acc) in runs.iter().zip(&folded) {
+                    let want = op.apply(run);
+                    assert_eq!(acc.to_bits(), want[0].to_bits(), "{op:?} over {run:?}");
+                }
             }
         }
     }

@@ -62,9 +62,9 @@ pub enum Operator {
 
 impl Operator {
     /// Applies the operator to one complete unit, emitting its output
-    /// values in order. The one implementation: the reduce attempt, the
-    /// map-side fold of a distributive operator ([`crate::geomap`]) and
-    /// [`Operator::apply`] all call it.
+    /// values in order. The one implementation: the reduce attempt and
+    /// [`Operator::apply`] call it, and the map-side fold of a
+    /// distributive operator ([`crate::geomap`]) steps the same `Fold`.
     ///
     /// Holistic operators work on the unit in place: `Median` and
     /// `Percentile` select their rank in linear time and `SortValues`
@@ -87,9 +87,14 @@ impl Operator {
                 let lo = select_rank(&mut values[..n / 2], n / 2 - 1);
                 emit((lo + hi) / 2.0)
             }
-            Operator::Min => emit(values.iter().copied().fold(f64::INFINITY, f64::min)),
-            Operator::Max => emit(values.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-            Operator::Sum => emit(values.iter().sum()),
+            Operator::Min | Operator::Max | Operator::Sum => {
+                let fold = self.fold().expect("a distributive operator");
+                emit(
+                    values
+                        .iter()
+                        .fold(fold.identity(), |acc, &v| fold.step(acc, v)),
+                )
+            }
             Operator::Count => emit(n as f64),
             Operator::Filter { threshold } => {
                 for &v in values.iter().filter(|&&v| v > threshold) {
@@ -149,7 +154,17 @@ impl Operator {
     /// systems are *limited* to these (§5); SIDR is not, but folds
     /// them map-side ([`crate::geomap`]).
     pub fn is_distributive(&self) -> bool {
-        matches!(self, Operator::Min | Operator::Max | Operator::Sum)
+        self.fold().is_some()
+    }
+
+    /// The fold of a distributive operator, `None` for the others.
+    pub(crate) fn fold(&self) -> Option<Fold> {
+        match self {
+            Operator::Min => Some(Fold::Min),
+            Operator::Max => Some(Fold::Max),
+            Operator::Sum => Some(Fold::Sum),
+            _ => None,
+        }
     }
 
     /// Whether the operator emits exactly one value per unit (such
@@ -160,6 +175,40 @@ impl Operator {
             self,
             Operator::Filter { .. } | Operator::SortValues | Operator::Histogram { .. }
         )
+    }
+}
+
+/// A distributive operator as a left fold: start from
+/// [`Fold::identity`] and take in each value, in order, with
+/// [`Fold::step`]. The one definition: [`Operator::reduce_group`] folds
+/// a unit with it, and the map kernel ([`crate::geomap`]) folds each
+/// key's values with it as it reads them, so the two agree bit for bit
+/// (a sum from −0.0, as `Iterator::sum` adds).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fold {
+    Min,
+    Max,
+    Sum,
+}
+
+impl Fold {
+    /// The fold's start: what an empty unit folds to.
+    pub(crate) fn identity(self) -> f64 {
+        match self {
+            Fold::Min => f64::INFINITY,
+            Fold::Max => f64::NEG_INFINITY,
+            Fold::Sum => -0.0,
+        }
+    }
+
+    /// Takes in `v` after everything `acc` has folded.
+    #[inline(always)]
+    pub(crate) fn step(self, acc: f64, v: f64) -> f64 {
+        match self {
+            Fold::Min => acc.min(v),
+            Fold::Max => acc.max(v),
+            Fold::Sum => acc + v,
+        }
     }
 }
 
@@ -312,6 +361,39 @@ mod tests {
             assert!(op.single_valued(), "{op:?}");
             assert!(!op.is_distributive(), "{op:?}");
             assert!(op.apply(&[]).is_empty(), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn folds_are_the_std_folds_bit_for_bit() {
+        // Signed zeros, and a sum whose order shows in its bits.
+        let runs: [&[f64]; 6] = [
+            &[],
+            &[-0.0],
+            &[0.0, -0.0],
+            &[-0.0, 0.0],
+            &[1e16, 1.0, -1e16, 0.1],
+            &[-1e16, 0.1, 1e16, 1.0, -0.0],
+        ];
+        let bits = |v: f64| v.to_bits();
+        for run in runs {
+            let values = run.iter().copied();
+            let sum: f64 = run.iter().sum();
+            let min = values.clone().fold(f64::INFINITY, f64::min);
+            let max = values.fold(f64::NEG_INFINITY, f64::max);
+            for (op, want) in [
+                (Operator::Sum, sum),
+                (Operator::Min, min),
+                (Operator::Max, max),
+            ] {
+                // An empty unit emits nothing; its fold is the identity.
+                let got = match op.apply(run)[..] {
+                    [] => op.fold().unwrap().identity(),
+                    [v] => v,
+                    _ => panic!("{op:?} folds to one value"),
+                };
+                assert_eq!(bits(got), bits(want), "{op:?} of {run:?}");
+            }
         }
     }
 

@@ -209,14 +209,18 @@ impl SpeculationPolicy {
     }
 
     /// Elapsed milliseconds past which a running attempt counts as a
-    /// straggler: `slowdown ×` the cohort quantile. `None` while the
-    /// cohort is below its floor, and always when maps are forced —
-    /// those are then the only trigger, whatever the clock says.
+    /// straggler: `slowdown ×` the cohort quantile, taken as at least
+    /// 1 ms as in [`SpeculationPolicy::boost_at`] — durations are whole
+    /// milliseconds, and a cohort of sub-millisecond maps must not make
+    /// every running attempt a straggler whatever `slowdown` says.
+    /// `None` while the cohort is below its floor, and always when maps
+    /// are forced — those are then the only trigger, whatever the clock
+    /// says.
     pub fn straggler_threshold_ms(&self, sorted_ms: &[u64], boosted: bool) -> Option<u64> {
         if !self.force_maps.is_empty() {
             return None;
         }
-        let q = self.cohort_quantile_ms(sorted_ms, boosted)?;
+        let q = self.cohort_quantile_ms(sorted_ms, boosted)?.max(1);
         Some((q as f64 * self.effective_slowdown(boosted)).ceil() as u64)
     }
 }
@@ -286,6 +290,22 @@ mod tests {
         let forced = SpeculationPolicy::force([2]);
         assert_eq!(forced.straggler_threshold_ms(&cohort, false), None);
         assert_eq!(forced.straggler_threshold_ms(&cohort, true), None);
+    }
+
+    #[test]
+    fn sub_millisecond_cohort_keeps_the_slowdown() {
+        // Maps under a millisecond record 0 ms: the quantile counts as
+        // 1 ms, so the slowdown still sets the threshold.
+        let p = SpeculationPolicy {
+            slowdown: 1e9,
+            ..SpeculationPolicy::on()
+        };
+        let threshold = p.straggler_threshold_ms(&[0, 0, 0, 0], false);
+        assert!(
+            threshold.is_some_and(|ms| ms >= 1_000_000_000),
+            "{threshold:?}"
+        );
+        assert_eq!(p.straggler_threshold_ms(&[0], true), Some(1));
     }
 
     #[test]

@@ -17,10 +17,12 @@
 # at the repo root (one object per line): commit (the measured tree,
 # "worktree" for uncommitted changes), parent (its parent commit),
 # side, pair, workload, seed, trace, cores, seconds, correct, attempted,
-# failed, jobs and every metric by name. `sidr-benchmark compare` runs
-# on each untraced pair; the end prints, per workload and metric
-# (end-to-end, or per-layer with --trace 1), both sides' median
-# [q1, q3] and how many pairs HEAD won.
+# failed, jobs, steal_ticks (the host's CPU steal over the run: the
+# `steal` field of /proc/stat's `cpu` line, read before and after; null
+# where there is none) and every metric by name. `sidr-benchmark
+# compare` runs on each untraced pair; the end prints, per workload and
+# metric (end-to-end, or per-layer with --trace 1), both sides' median
+# [q1, q3] and how many pairs HEAD won, then each side's median steal.
 #
 # With --control there is no BASE: HEAD's source is extracted into two
 # separate trees, each built on its own, and the same alternating
@@ -125,9 +127,15 @@ fi
 failed=0
 disagreed=0
 
+# steal_now: the host's cumulative CPU steal in ticks, or nothing
+# where /proc/stat has no such field.
+steal_now() {
+    awk '$1 == "cpu" { print $9; exit }' /proc/stat 2>/dev/null || true
+}
+
 # run SIDE PAIR: one benchmark run of every selected workload on SIDE.
 run() {
-    local side=$1 pair=$2 dir label parent w file
+    local side=$1 pair=$2 dir label parent w file steal0 steal1 steal
     if [ "$side" = base ]; then
         dir=$base_dir label=$base_label parent=$base_parent
     else
@@ -141,19 +149,26 @@ run() {
         file=$out/pair$pair-$w-$side.json
         echo "== pair $pair · $side ($label) · $w" >&2
         local correct=true
+        steal0=$(steal_now)
         if ! (cd "$dir" && bash benchmark/run.sh "${run_args[@]}" --out "$file" >"$file.log" 2>&1); then
             echo "   run failed; see $file.log" >&2
             failed=1
             correct=false
         fi
+        steal1=$(steal_now)
+        steal=null
+        if [[ $steal0 =~ ^[0-9]+$ && $steal1 =~ ^[0-9]+$ ]]; then
+            steal=$((steal1 - steal0))
+        fi
         [ -s "$file" ] || continue
         jq -c --arg commit "$label" --arg parent "$parent" --arg side "$side" \
-            --argjson pair "$pair" --argjson correct "$correct" '
+            --argjson pair "$pair" --argjson correct "$correct" --argjson steal "$steal" '
             .record as $r | .workloads[] | {
                 commit: $commit, parent: $parent, side: $side, pair: $pair,
                 workload: .name, seed: $r.seed, trace: (if $r.trace then 1 else 0 end),
                 cores: $r.nproc, seconds: $r.seconds,
                 correct: $correct, attempted: .attempted, failed: .failed, jobs: .jobs,
+                steal_ticks: $steal,
                 metrics: (.metrics | map({key: .name, value: .value}) | from_entries),
                 source: "bench_pair.sh"
             }' "$file" | tee -a "$out/lines.jsonl" >>"$ledger"
@@ -200,6 +215,16 @@ jq -rs --argjson metrics "$metrics" '
       + ("base \($paired | map(.[0]) | cell)" | pad(36))
       + ("head \($paired | map(.[1]) | cell)" | pad(36))
       + "head better \($wins)/\($paired | length)"
+' "$out/lines.jsonl"
+# Each side's median host steal per workload: a pair that differs by
+# more than its bound may be steal alone.
+jq -rs '
+    def median: sort | .[(length - 1) / 2 | floor] as $lo | .[length / 2 | floor] as $hi
+        | ($lo + $hi) / 2;
+    def side(s): [.[] | select(.side == s) | .steal_ticks | numbers]
+        | if . == [] then "-" else median end;
+    group_by(.workload)[]
+    | "\(.[0].workload)  steal_ticks median: base \(side("base")), head \(side("head"))"
 ' "$out/lines.jsonl"
 
 [ "$failed" -eq 0 ] && [ "$disagreed" -eq 0 ]
