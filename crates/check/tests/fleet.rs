@@ -107,15 +107,15 @@ struct Fixture {
     expected: Keyblocks,
 }
 
-/// `query1-tiny`, or its pushed-down filter variant, with the
-/// single-process engine's output. Built outside any exploration.
-fn fixture(pushdown: bool) -> &'static Fixture {
+/// `query1-tiny`, or its filter variant, with the single-process
+/// engine's output. Built outside any exploration.
+fn fixture(filter: bool) -> &'static Fixture {
     static PLAIN: OnceLock<Fixture> = OnceLock::new();
     static FILTER: OnceLock<Fixture> = OnceLock::new();
     let build = || {
         let job = presets::preset("query1-tiny").expect("preset exists");
         let mut query = job.query.clone();
-        if pushdown {
+        if filter {
             // Values are the linear index: only the top tenth passes.
             query.operator = Operator::Filter {
                 threshold: query.input_space().count() as f64 * 0.9,
@@ -144,11 +144,7 @@ fn fixture(pushdown: bool) -> &'static Fixture {
         let out = InMemoryOutput::new();
         let file = ScincFile::open(&input).unwrap();
         let pool = SlotPool::new(4, 2).unwrap();
-        let opts = SpecRunOptions {
-            filter_pushdown: pushdown,
-            ..SpecRunOptions::default()
-        };
-        run_spec_on_pool(&file, &spec, &opts, &out, &pool, None).unwrap();
+        run_spec_on_pool(&file, &spec, &SpecRunOptions::default(), &out, &pool, None).unwrap();
         let mut expected: Keyblocks = (out.commits().into_iter())
             .map(|c| (c.reducer, c.records))
             .collect();
@@ -159,7 +155,7 @@ fn fixture(pushdown: bool) -> &'static Fixture {
             expected,
         }
     };
-    match pushdown {
+    match filter {
         false => PLAIN.get_or_init(build),
         true => FILTER.get_or_init(build),
     }
@@ -305,7 +301,8 @@ struct Faults {
     /// The job's deadline, when shorter than [`DEADLINE_MS`]: the job
     /// must end `DeadlineExceeded`.
     deadline: Option<u64>,
-    pushdown: bool,
+    /// The job is `query1-tiny`'s filter variant.
+    filter: bool,
     map_slots: usize,
 }
 
@@ -398,7 +395,7 @@ impl Faults {
                 _ => None,
             },
             deadline: None,
-            pushdown: false,
+            filter: false,
             map_slots: 1 + pick(4),
         }
     }
@@ -438,8 +435,8 @@ struct Done {
     worker: usize,
     map: usize,
     attempt: u32,
-    /// The reducers it holds a partition for.
-    partitions: Vec<usize>,
+    /// The reducers it holds a partition for, and its rows.
+    partitions: Vec<(usize, u64)>,
     /// When the coordinator can read it.
     at: Instant,
 }
@@ -631,7 +628,7 @@ impl Wire {
                 worker,
                 map: *task,
                 attempt: *attempt,
-                partitions: partitions.iter().map(|&(reducer, _)| reducer).collect(),
+                partitions: partitions.clone(),
                 at,
             }),
             (WorkerResponse::Pong(_), _) if !faulted => {
@@ -1100,7 +1097,7 @@ fn files_under(p: &Path) -> Vec<PathBuf> {
 /// `Server` whose fleet is the three workers, every oracle, then
 /// `expect`.
 fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
-    let fx = fixture(faults.pushdown);
+    let fx = fixture(faults.filter);
     let world = World::new(faults, fx.spec.reduce_deps.clone());
     let faults = &world.faults;
     if let Some(maps) = faults.restart {
@@ -1125,7 +1122,6 @@ fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
         None => spec,
     };
     let options = SubmitOptions {
-        filter_pushdown: faults.pushdown,
         fault_plan: faults.fault_plan(),
         ..SubmitOptions::default()
     };
@@ -1311,7 +1307,7 @@ fn spread_out(mut rules: Vec<Rule>) -> Faults {
 fn lost_with(wire: &Wire, victim: usize) -> Vec<usize> {
     let replied = wire.reduced_at_kill.as_ref().expect("the kill fired");
     let mut maps: Vec<usize> = (wire.done.iter())
-        .filter(|d| d.worker == victim && d.partitions.iter().any(|r| !replied.contains(r)))
+        .filter(|d| d.worker == victim && d.partitions.iter().any(|(r, _)| !replied.contains(r)))
         .map(|d| d.map)
         .collect();
     maps.sort_unstable();
@@ -1458,24 +1454,39 @@ fn damaged_output_reexecutes_only_its_map() {
     }
 }
 
-/// Held or gone, when most partitions were never produced: a filter
-/// pushed below the shuffle leaves most `(map, reducer)` pairs empty,
-/// and an unproduced partition is not a lost one.
+/// A filter selects map-side, yet each map still produces a partition
+/// for every keyblock whose `I_ℓ` holds it — most of them without a
+/// row, their annotations carrying the tally — and none of them is
+/// taken for lost: no map re-executes, and the output is the engine's.
 #[test]
-fn pushed_down_filter_leaves_most_partitions_unproduced() {
+fn filter_produces_every_geometric_partition_mostly_empty() {
     let faults = Faults {
-        pushdown: true,
+        filter: true,
         ..base()
     };
-    scripted("pushdown", faults, |got, wire| {
-        let spec = &fixture(true).spec;
-        let produced: usize = wire.done.iter().map(|d| d.partitions.len()).sum();
-        let pairs = spec.splits.len() * spec.num_reducers;
+    scripted("filter", faults, |got, wire| {
+        let fx = fixture(true);
+        let produced: BTreeMap<(usize, usize), u64> = (wire.done.iter())
+            .flat_map(|d| d.partitions.iter().map(|&(r, rows)| ((d.map, r), rows)))
+            .collect();
+        let geometric: BTreeSet<(usize, usize)> = (fx.spec.reduce_deps.iter().enumerate())
+            .flat_map(|(r, deps)| deps.iter().map(move |&m| (m, r)))
+            .collect();
         assert!(
-            produced > 0 && produced * 5 < pairs,
-            "{produced} of {pairs}"
+            produced.keys().copied().eq(geometric.iter().copied()),
+            "produced {:?}, geometry {geometric:?}",
+            produced.keys()
+        );
+        let empty = produced.values().filter(|&&rows| rows == 0).count();
+        assert!(
+            empty * 2 > produced.len(),
+            "{empty} of {} empty",
+            produced.len()
         );
         assert!(reexecuted_maps(got.events()).is_empty());
+        let mut keyblocks = got.keyblocks.clone();
+        keyblocks.sort_by_key(|k| k.0);
+        assert!(keyblocks == fx.expected, "output differs from the engine's");
     });
 }
 

@@ -20,13 +20,14 @@
 //! which commits, opens and releases partitions through a
 //! [`PartitionStore`](sidr_mapreduce::PartitionStore) exactly as a
 //! worker does. The framework mode picks only the route a map attempt
-//! applies per `K′` key: `partition+` for SIDR, the stock hash for
-//! Hadoop and SciHadoop.
+//! applies per `K′` key: `partition+` for SIDR, taken from the job's
+//! one plan, the stock hash for Hadoop and SciHadoop.
 //!
 //! The bodies keep no books: a map attempt returns its tallies, and a
 //! reduce checks its §3.2.1 tally against the `expected_raw` it is
-//! handed — the plan's, which is `None` only for hash routing or when a
-//! pushed-down `Filter` voids the geometric count.
+//! handed — the plan's, which is `None` only under hash routing. A
+//! `Filter` selects map-side, and its partitions still count the pairs
+//! their map represents.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -36,15 +37,14 @@ use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_mapreduce::{
     begin_map_attempt, injected_source_error, run_reduce_attempt, AttemptBodies,
-    CoordHashPartitioner, FaultKind, FaultPlan, InputSplit, MapTaskId, MrError, RoutingPlan,
-    Smof3View,
+    CoordHashPartitioner, FaultKind, FaultPlan, InputSplit, MapTaskId, MrError, Smof3View,
 };
 use sidr_scifile::{DataType, ScincFile};
 
-use crate::framework::{pushdown_threshold, FrameworkMode};
 use crate::geomap::map_split;
 use crate::operators::Operator;
-use crate::plan::{SidrPlan, SidrPlanner};
+use crate::partition_plus::PartitionPlus;
+use crate::plan::{raw_tallies, SidrPlan};
 use crate::query::StructuralQuery;
 use crate::source::StructuralMapper;
 use crate::spec::JobSpec;
@@ -63,8 +63,6 @@ pub struct ExecOptions {
     /// attempts the engine schedules check the plan's `expected_raw`
     /// unconditionally. Kept because the frozen benchmark sets it.
     pub validate_annotations: bool,
-    /// Push a `Filter` operator's predicate below the shuffle.
-    pub filter_pushdown: bool,
     /// Deterministic fault script. Workers apply the *map* faults
     /// (the attempt runs here); reduce faults are injected
     /// coordinator-side where the retry/recovery bookkeeping lives.
@@ -92,49 +90,57 @@ pub struct SpecExecutor {
 }
 
 /// The framework mode's partition function, applied once per image key.
-enum Route {
-    /// SIDR: `partition+` over the plan's keyblocks; the plan also
-    /// knows each keyblock's §3.2.1 annotation tally.
-    PartitionPlus(Box<SidrPlan>),
+pub(crate) enum Route {
+    /// SIDR: `partition+` over the keyblocks, with each keyblock's
+    /// §3.2.1 tally for [`SpecExecutor::run_reduce`].
+    PartitionPlus {
+        partition: Box<PartitionPlus>,
+        tally: Vec<u64>,
+    },
     /// Hadoop and SciHadoop: the stock hash-modulo (§3.1).
     Hash,
 }
 
+impl Route {
+    /// The route of a job whose plan is built.
+    pub(crate) fn of_plan(plan: &SidrPlan) -> Self {
+        Route::PartitionPlus {
+            partition: Box::new(plan.partition().clone()),
+            tally: plan.expected_raw.clone(),
+        }
+    }
+}
+
 impl SpecExecutor {
-    /// Opens `input` and re-derives the spec's plan, exactly as the
-    /// coordinator's `run_spec_on_pool` does (its structural pre-flight
-    /// included).
+    /// Opens `input` and derives the spec's route — `partition+` over
+    /// its query and keyblock count, and each keyblock's tally — with
+    /// no dependency derivation: an attempt needs neither `I_ℓ` nor a
+    /// schedule. An invalid query or partition is refused here.
     pub fn new(input: &Path, spec: JobSpec, opts: ExecOptions) -> crate::Result<Self> {
         let query = spec.query()?;
         let file = ScincFile::open(input)?;
+        let partition = Box::new(PartitionPlus::for_query(&query, spec.num_reducers)?);
+        let tally = raw_tallies(&query, &partition)?;
+        let route = Route::PartitionPlus { partition, tally };
         let (splits, reducers) = (spec.splits, spec.num_reducers);
-        Self::for_query(file, &query, splits, reducers, FrameworkMode::Sidr, opts)
+        Ok(SpecExecutor {
+            opts,
+            ..Self::for_query(file, &query, splits, reducers, route)?
+        })
     }
 
-    /// The attempt bodies of `query` over `splits` under `mode`: the
-    /// same map side in every mode, routed by `partition+` (SIDR, with
-    /// the plan re-derived) or by the stock hash (Hadoop, SciHadoop).
+    /// The attempt bodies of `query` over `splits`: the same map side
+    /// in every mode, routed by `route` to `num_reducers`. The engine
+    /// hands each reduce its tally and applies the fault script, so
+    /// these bodies take no options.
     pub(crate) fn for_query(
         file: ScincFile,
         query: &StructuralQuery,
         splits: Vec<InputSplit>,
         num_reducers: usize,
-        mode: FrameworkMode,
-        opts: ExecOptions,
+        route: Route,
     ) -> crate::Result<Self> {
         let dtype = file.metadata().variable(&query.variable)?.dtype;
-        let mut mapper = StructuralMapper::for_query(query);
-        if let Some(threshold) = pushdown_threshold(opts.filter_pushdown, query.operator) {
-            mapper = mapper.push_down_filter(threshold);
-        }
-        let route = match mode {
-            FrameworkMode::Sidr => Route::PartitionPlus(Box::new(
-                SidrPlanner::new(query, num_reducers)
-                    .filter_pushdown(opts.filter_pushdown)
-                    .build(&splits)?,
-            )),
-            FrameworkMode::Hadoop | FrameworkMode::SciHadoop => Route::Hash,
-        };
         Ok(SpecExecutor {
             file,
             splits,
@@ -142,19 +148,19 @@ impl SpecExecutor {
             dtype,
             variable: query.variable.clone(),
             operator: query.operator,
-            mapper,
+            mapper: StructuralMapper::for_query(query),
             route,
-            opts,
+            opts: ExecOptions::default(),
         })
     }
 
     /// Runs one map attempt: read the split, map it by geometry, fold
-    /// each key's run if the operator is distributive, and encode each
-    /// non-empty partition as a SMOF buffer. Injected map faults for
-    /// this (task, attempt) fire here, on the worker, exactly as they
-    /// would in-process — except that a worker cannot see the
-    /// coordinator's cancel or race state, so a straggle sleeps its
-    /// full delay.
+    /// each key's run if the operator is distributive, and encode a
+    /// SMOF buffer for each reducer the split represents pairs for.
+    /// Injected map faults for this (task, attempt) fire here, on the
+    /// worker, exactly as they would in-process — except that a worker
+    /// cannot see the coordinator's cancel or race state, so a
+    /// straggle sleeps its full delay.
     pub fn run_map(&self, task: MapTaskId, attempt: u32) -> crate::Result<MapAttemptOutput> {
         let split = self
             .splits
@@ -187,7 +193,7 @@ impl SpecExecutor {
         let (file, var, slab) = (&self.file, self.variable.as_str(), &split.slab);
         let (mapper, n) = (&self.mapper, self.num_reducers);
         let route = |key: &[u64]| match &self.route {
-            Route::PartitionPlus(plan) => plan.partition().keyblock_of(key),
+            Route::PartitionPlus { partition, .. } => partition.keyblock_of(key),
             Route::Hash => CoordHashPartitioner::keyblock_of(key, n),
         };
         match self.dtype {
@@ -212,7 +218,7 @@ impl SpecExecutor {
     /// the buffers' raw counts — a mismatch means the routing promise
     /// itself is broken and must fail the job, so it surfaces as the
     /// typed [`MrError::AnnotationMismatch`]. The tally is
-    /// `expected_raw`; when absent it is the plan's own if these
+    /// `expected_raw`; when absent it is the route's own if these
     /// options ask for validation.
     pub fn run_reduce(
         &self,
@@ -226,8 +232,8 @@ impl SpecExecutor {
             .map(|bytes| Smof3View::open(Arc::clone(bytes)))
             .collect::<sidr_mapreduce::Result<Vec<_>>>()?;
         let expected_raw = expected_raw.or(match &self.route {
-            Route::PartitionPlus(plan) if self.opts.validate_annotations => {
-                plan.expected_raw_count(reducer)
+            Route::PartitionPlus { tally, .. } if self.opts.validate_annotations => {
+                tally.get(reducer).copied()
             }
             _ => None,
         });

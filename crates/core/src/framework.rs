@@ -12,9 +12,11 @@
 //! | `SciHadoop` | extraction-aligned     | hash-modulo      | global       | maps first    |
 //! | `Sidr`      | extraction-aligned     | `partition+`     | actual deps  | reduces first |
 //!
-//! No mode has a validation switch: every reduce checks the §3.2.1
-//! tally its plan promises — none under hash routing or a pushed-down
-//! `Filter`.
+//! No mode has a validation switch: every SIDR reduce checks the
+//! §3.2.1 tally its plan promises (hash routing promises none). A
+//! `Filter` selects map-side in every mode, so its reduces receive only
+//! the passing values while the tally still counts every pair the maps
+//! represent.
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
@@ -24,7 +26,7 @@ use sidr_mapreduce::{
 };
 use sidr_scifile::ScincFile;
 
-use crate::exec::{ExecOptions, SpecExecutor};
+use crate::exec::{Route, SpecExecutor};
 use crate::plan::SidrPlanner;
 use crate::query::StructuralQuery;
 use crate::spec::JobSpec;
@@ -75,11 +77,6 @@ pub struct RunOptions {
     /// Do not persist intermediate data; recover failed reduces by
     /// re-executing dependent maps (§6).
     pub volatile_intermediate: bool,
-    /// Push a `Filter` operator's predicate below the shuffle (Query
-    /// 2's regime: Reduce tasks "process far less data", §4.1).
-    /// Output is unchanged; the plan then promises no §3.2.1 tally (the
-    /// approach-1 dependency barrier still guarantees correctness).
-    pub filter_pushdown: bool,
 }
 
 impl RunOptions {
@@ -94,7 +91,6 @@ impl RunOptions {
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
             volatile_intermediate: false,
-            filter_pushdown: false,
         }
     }
 }
@@ -124,14 +120,14 @@ pub fn run_query(
 ) -> Result<QueryOutcome> {
     let splits = generate_splits(file, query, opts.mode, opts.split_bytes)?;
     let n = opts.num_reducers;
-    let (plan, reducer_key_counts): (Box<dyn RoutingPlan>, Vec<u64>) = match opts.mode {
+    let (plan, route, reducer_key_counts): (Box<dyn RoutingPlan>, _, _) = match opts.mode {
         // Hash partitioning has no geometric key counts; weigh
         // reducers equally.
         FrameworkMode::Hadoop | FrameworkMode::SciHadoop => {
-            (Box::new(DefaultPlan::new(n)), vec![1u64; n])
+            (Box::new(DefaultPlan::new(n)), Route::Hash, vec![1u64; n])
         }
         FrameworkMode::Sidr => {
-            let mut planner = SidrPlanner::new(query, n).filter_pushdown(opts.filter_pushdown);
+            let mut planner = SidrPlanner::new(query, n);
             if let Some(region) = &opts.priority_region {
                 planner = planner.prioritize_region(region.clone());
             }
@@ -139,30 +135,18 @@ pub fn run_query(
             let counts = (0..n)
                 .map(|r| plan.partition().keyblock_key_count(r))
                 .collect::<Result<Vec<u64>>>()?;
-            (Box::new(plan), counts)
+            let route = Route::of_plan(&plan);
+            (Box::new(plan), route, counts)
         }
     };
     let config = JobConfig {
-        map_slots: opts.map_slots,
-        reduce_slots: opts.reduce_slots,
         fault_plan: opts.fault_plan.clone(),
         retry: opts.retry,
         volatile_intermediate: opts.volatile_intermediate,
         speculation: SpeculationPolicy::default(),
         deadline: None,
     };
-    let exec_opts = ExecOptions {
-        filter_pushdown: opts.filter_pushdown,
-        ..ExecOptions::default()
-    };
-    let bodies = SpecExecutor::for_query(
-        file.try_clone()?,
-        query,
-        splits.clone(),
-        n,
-        opts.mode,
-        exec_opts,
-    )?;
+    let bodies = SpecExecutor::for_query(file.try_clone()?, query, splits.clone(), n, route)?;
     let executor = InProcessExecutor::with_bodies(bodies, &config);
     let pool = SlotPool::new(opts.map_slots, opts.reduce_slots)?;
     let output = InMemoryOutput::<Coord, f64>::new();
@@ -226,9 +210,6 @@ pub struct SpecRunOptions {
     /// Unread: every SIDR reduce checks the tally its plan promises.
     /// Kept because the frozen benchmark still sets it.
     pub validate_annotations: bool,
-    /// Push a `Filter` operator's predicate below the shuffle (the
-    /// plan then promises no annotation tally; output unchanged).
-    pub filter_pushdown: bool,
     /// Chaos hook: deterministic fault script injected into this run
     /// (empty = none). Carried from the submission, not the spec.
     pub fault_plan: FaultPlan,
@@ -247,7 +228,8 @@ pub struct SpecRunOptions {
 /// are used verbatim (the wire contract — what `sidr plan --spec`
 /// exported and `sidr-lint` / the server's admission pre-flight
 /// verified is exactly what runs), the plan is re-derived from the
-/// spec's query over those splits, and the pool bounds this job's
+/// spec's query over those splits — the job's one plan, whose
+/// `partition+` the bodies route by — and the pool bounds this job's
 /// slot usage *jointly with every other job sharing it*. Pass a
 /// [`CancelToken`] to make the job abandonable mid-flight.
 pub fn run_spec_on_pool(
@@ -260,21 +242,9 @@ pub fn run_spec_on_pool(
 ) -> Result<JobResult> {
     let query = spec.query()?;
     let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
-    // The engine hands each reduce the plan's tally and applies the
-    // fault script; the bodies add neither.
-    let exec_opts = ExecOptions {
-        filter_pushdown: opts.filter_pushdown,
-        ..ExecOptions::default()
-    };
     let (splits, n) = (spec.splits.clone(), spec.num_reducers);
-    let bodies = SpecExecutor::for_query(
-        file.try_clone()?,
-        &query,
-        splits,
-        n,
-        FrameworkMode::Sidr,
-        exec_opts,
-    )?;
+    let route = Route::of_plan(&plan);
+    let bodies = SpecExecutor::for_query(file.try_clone()?, &query, splits, n, route)?;
     let executor = InProcessExecutor::with_bodies(bodies, &config);
     Ok(run_job_with_executor(
         &spec.splits,
@@ -322,18 +292,6 @@ pub fn run_spec_with_executor(
     )?)
 }
 
-/// The filter threshold to push below the shuffle, when push-down is
-/// asked for and the operator is a filter.
-pub(crate) fn pushdown_threshold(
-    filter_pushdown: bool,
-    operator: crate::operators::Operator,
-) -> Option<f64> {
-    match (filter_pushdown, operator) {
-        (true, crate::operators::Operator::Filter { threshold }) => Some(threshold),
-        _ => None,
-    }
-}
-
 /// The plan and engine configuration a spec run uses, in-process or
 /// on a fleet: the spec's own retry budget, speculation policy and
 /// deadline, whoever the caller is.
@@ -344,8 +302,7 @@ fn spec_plan_and_config(
 ) -> Result<(crate::plan::SidrPlan, JobConfig)> {
     // The planner re-derives the geometry the spec promised, and its
     // structural pre-flight re-checks it on this side of the wire.
-    let mut planner =
-        SidrPlanner::new(query, spec.num_reducers).filter_pushdown(opts.filter_pushdown);
+    let mut planner = SidrPlanner::new(query, spec.num_reducers);
     if let Some(region) = &opts.priority_region {
         planner = planner.prioritize_region(region.clone());
     }
@@ -482,31 +439,49 @@ mod tests {
         assert_eq!(got_sorted, expect);
     }
 
+    /// In every mode a filter ships only its passing values — the
+    /// shuffle a tenth of what the maps represent — and its output is
+    /// the ground truth.
     #[test]
-    fn filter_pushdown_shrinks_the_shuffle_without_changing_output() {
-        let (file, _) = dataset("pushdown", &[32, 6, 4]);
+    fn filter_selects_map_side_and_shrinks_the_shuffle() {
+        let space = [32, 6, 4];
+        let (file, spec) = dataset("selects", &space);
         let threshold = 32.0 * 6.0 * 4.0 * 0.9; // top 10 % of linear indices
         let q = StructuralQuery::new(
             "t",
-            shape(&[32, 6, 4]),
+            shape(&space),
             shape(&[4, 3, 2]),
             Operator::Filter { threshold },
         )
         .unwrap();
-        let mut opts = RunOptions::new(FrameworkMode::Sidr, 3);
-        let plain = run_query(&file, &q, &opts).unwrap();
-        opts.filter_pushdown = true;
-        let pushed = run_query(&file, &q, &opts).unwrap();
-        assert_eq!(
-            plain.records, pushed.records,
-            "push-down must not change output"
-        );
-        assert!(
-            pushed.result.counters.shuffled_records * 5 < plain.result.counters.shuffled_records,
-            "push-down shuffled {} vs {}",
-            pushed.result.counters.shuffled_records,
-            plain.result.counters.shuffled_records
-        );
+        let mut expect: Vec<(Coord, f64)> = (q.intermediate_space().iter_coords())
+            .flat_map(|kp| {
+                let pre = q.extraction.preimage_of_key(&kp).unwrap();
+                let vals: Vec<f64> = pre.iter_coords().map(|k| spec.value_at(&k)).collect();
+                vals.into_iter()
+                    .filter(|&v| v > threshold)
+                    .map(move |v| (kp.clone(), v))
+            })
+            .collect();
+        expect.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        for mode in [
+            FrameworkMode::Hadoop,
+            FrameworkMode::SciHadoop,
+            FrameworkMode::Sidr,
+        ] {
+            let got = run_query(&file, &q, &RunOptions::new(mode, 3)).unwrap();
+            let mut records = got.records.clone();
+            records.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            assert_eq!(records, expect, "{mode}: selection must not change output");
+            let c = got.result.counters;
+            assert_eq!(c.map_records_out, space.iter().product::<u64>(), "{mode}");
+            assert!(
+                c.shuffled_records * 5 < c.map_records_out,
+                "{mode}: shuffled {} of {} represented",
+                c.shuffled_records,
+                c.map_records_out
+            );
+        }
     }
 
     #[test]

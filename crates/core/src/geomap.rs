@@ -18,18 +18,23 @@
 //!    the split touches ([`Tiling::instances_touched_by`]). The index is
 //!    a sum of per-dimension table entries: no per-record `Coord`,
 //!    division or allocation. Partial instances, stride gaps, records
-//!    outside the query region and push-down filter misses get none;
+//!    outside the query region get none, and a `Filter` query keeps
+//!    only the values its predicate passes;
 //! 2. takes each image key's record count from geometry: the product,
 //!    over dimensions, of how many split positions map to its
 //!    coordinate along that dimension, O(Σ extents + keys) and no pass
-//!    over the records. A push-down filter's counts depend on the
-//!    values, so its jobs count in one pass over the kept records;
+//!    over the records. These are the pairs the map *represents*: its
+//!    `records_out`, and each partition's §3.2.1 `raw` annotation. A
+//!    `Filter` keeps a subset that depends on the values, so its jobs
+//!    also count the kept records in one pass;
 //! 3. routes once per image key, not once per record: `partition+`
 //!    under SIDR, the stock hash-modulo under Hadoop and SciHadoop;
-//!    then lays out each reducer's partition through the one SMOF v4
-//!    writer ([`SmofWriter`]), exactly sized: its header, one run-table
-//!    entry per key (packed from the odometer that stepped the route),
-//!    and a byte cursor per key into its values region;
+//!    then lays out the partition of each reducer whose represented
+//!    count is non-zero — one with no kept row included — through the
+//!    one SMOF v4 writer ([`SmofWriter`]), exactly sized: its header,
+//!    one run-table entry per key with a kept record (packed from the
+//!    odometer that stepped the route), and a byte cursor per key into
+//!    its values region;
 //! 4. places: one pass over the kept records, in reader order, writes
 //!    each value's 8 bytes once, at its key's cursor, so a key's values
 //!    keep reader order. A distributive operator streams its fold
@@ -42,11 +47,13 @@
 //! The bytes are exactly those of a per-record map — each record
 //! through the structural map, routed by the same partition function,
 //! each reducer's pairs stably sorted by key and each run folded, then
-//! `encode_map_output` — which `tests/geomap.rs` keeps as the kernel's
-//! reference and pins for both routes. Transient memory is the split's
-//! input (held from the read to the place pass) and 16 bytes per image
-//! key — count, reducer, and a byte cursor or a fold's accumulator —
-//! beside the output partitions themselves; a fold drops the input
+//! `encode_map_output` under the count of pairs mapped before any
+//! selection — which `tests/geomap.rs` keeps as the kernel's reference
+//! and pins for both routes. Transient memory is the split's input
+//! (held from the read to the place pass) and 16 bytes per image key —
+//! count, reducer, and a byte cursor or a fold's accumulator; 4 more
+//! under a filter, whose represented and kept counts differ — beside
+//! the output partitions themselves; a fold drops the input
 //! before the partitions are laid out. `tests/alloc.rs` in `sidr-bench`
 //! pins the bound. A per-record map holds a `(Coord, f64)` row and a
 //! heap-allocated key per record (≈ 56 bytes at rank 3).
@@ -73,9 +80,10 @@ const VALUE_WIDTH: usize = 8;
 /// Runs the map side of one split: what `mapper` makes of the records
 /// of `split` (absolute coordinates in `variable`'s space), routed to
 /// one of `num_reducers` by `keyblock_of` (a `K′` key's components →
-/// its reducer), as one encoded SMOF v4 partition per non-empty
-/// reducer. `fold` is the query's operator when it is distributive:
-/// each key's run is then folded map-side to one value.
+/// its reducer), as one encoded SMOF v4 partition per reducer the
+/// split represents pairs for. `fold` is the query's operator when it
+/// is distributive: each key's run is then folded map-side to one
+/// value.
 pub fn map_split<E: Element>(
     file: &ScincFile,
     variable: &str,
@@ -103,24 +111,28 @@ pub fn map_split<E: Element>(
         .collect::<crate::Result<Vec<_>>>()?;
     let predicate_gt = mapper.predicate_gt;
 
-    // Count: each image key's kept records, from geometry alone unless
-    // a push-down filter makes them depend on the values.
-    let mut counts = match predicate_gt {
-        None => image.geometric_counts(),
-        Some(_) => image.counted(&chunks, split, predicate_gt),
-    };
-    out.records_out = counts.iter().map(|&n| u64::from(n)).sum();
+    // Count: each image key's represented records, from geometry alone.
+    let represented = image.geometric_counts();
+    out.records_out = represented.iter().map(|&n| u64::from(n)).sum();
 
-    // Route once per image key.
-    let mut route = vec![0u32; counts.len()];
+    // Route once per represented image key; its records are its
+    // reducer's annotation.
+    let mut route = vec![0u32; represented.len()];
     let mut raw = vec![0u64; num_reducers];
     image.for_each_key(|i, key| {
-        if counts[i] > 0 {
+        if represented[i] > 0 {
             let r = keyblock_of(key);
             route[i] = r as u32;
-            raw[r] += u64::from(counts[i]);
+            raw[r] += u64::from(represented[i]);
         }
     });
+
+    // Each image key's kept records: all it represents, unless a
+    // filter's selection makes them depend on the values.
+    let mut counts = match predicate_gt {
+        None => represented,
+        Some(_) => image.counted(&chunks, split, predicate_gt),
+    };
 
     // Fold: each kept value taken into its key's accumulator as it is
     // read, after which the input is done with and each non-empty key
@@ -146,7 +158,7 @@ pub fn map_split<E: Element>(
     let mut writers: Vec<Option<SmofWriter>> = (0..num_reducers)
         .map(|r| {
             let (raw, records, runs) = (raw[r], records[r], runs[r]);
-            (runs > 0).then(|| SmofWriter::new(raw, records, runs, key_width, VALUE_WIDTH))
+            (raw > 0).then(|| SmofWriter::new(raw, records, runs, key_width, VALUE_WIDTH))
         })
         .collect();
     image.for_each_key(|i, key| {
@@ -271,8 +283,7 @@ impl Image {
     /// Calls `f(index, value)` for each kept record of `chunks` (the
     /// split's [`read_chunks`] and their data), in reader order: its
     /// image index and its value. A record that maps to no image key,
-    /// or that the push-down filter `value > predicate_gt` drops, is
-    /// not kept.
+    /// or that a filter's `value > predicate_gt` drops, is not kept.
     fn for_each_kept<E: Element>(
         &self,
         chunks: &[(Slab, Vec<E>)],
@@ -320,8 +331,8 @@ impl Image {
 
     /// Each image key's record count from geometry alone: the product,
     /// over dimensions, of how many split positions map to the key's
-    /// coordinate along that dimension. It is the number of kept
-    /// records when no push-down filter drops any.
+    /// coordinate along that dimension: the records the key
+    /// represents, all of them kept unless a filter drops some.
     fn geometric_counts(&self) -> Vec<u32> {
         let mut counts = vec![1u32];
         let mut stride = self.keys() as u64;

@@ -7,7 +7,6 @@ use sidr_coords::Slab;
 use sidr_mapreduce::{InputSplit, MapTaskId, RoutingPlan};
 
 use crate::deps::Dependencies;
-use crate::framework::pushdown_threshold;
 use crate::partition_plus::PartitionPlus;
 use crate::query::StructuralQuery;
 use crate::{Result, SidrError};
@@ -20,15 +19,14 @@ use crate::{Result, SidrError};
 /// * `I_ℓ` dependency barriers and dependency-only fetches (§3.2, §4.6),
 /// * inverted reduce-first scheduling (§3.3),
 /// * optional keyblock priority order (§3.4),
-/// * the raw-pair tally each reduce checks (§3.2.1), unless a pushed-
-///   down `Filter` voids it.
+/// * the raw-pair tally each reduce checks (§3.2.1).
 pub struct SidrPlan {
     partition: PartitionPlus,
     deps: Dependencies,
     reduce_order: Vec<usize>,
     invert: bool,
-    expected_raw: Vec<u64>,
-    filter_pushed_down: bool,
+    /// Each keyblock's geometric raw-pair tally ([`raw_tallies`]).
+    pub(crate) expected_raw: Vec<u64>,
 }
 
 impl SidrPlan {
@@ -46,13 +44,6 @@ impl SidrPlan {
     /// column of Table 3.
     pub fn total_connections(&self) -> u64 {
         self.deps.total_connections()
-    }
-
-    /// The keyblock's geometric raw-pair tally, |keys in block| ×
-    /// |extraction shape|, whether or not the job promises it — what
-    /// the submission document stores and the verifier checks.
-    pub fn geometric_raw_count(&self, reducer: usize) -> u64 {
-        self.expected_raw[reducer]
     }
 }
 
@@ -73,10 +64,11 @@ impl RoutingPlan for SidrPlan {
         self.reduce_order.clone()
     }
 
-    /// The tally each reduce checks; a pushed-down `Filter` drops
-    /// pairs before the shuffle, so then there is none to promise.
+    /// The keyblock's geometric tally, which every SIDR reduce checks:
+    /// a map's partitions count the pairs it represents, a `Filter`'s
+    /// selection and a combiner notwithstanding.
     fn expected_raw_count(&self, reducer: usize) -> Option<u64> {
-        (!self.filter_pushed_down).then(|| self.expected_raw[reducer])
+        Some(self.expected_raw[reducer])
     }
 }
 
@@ -87,7 +79,6 @@ pub struct SidrPlanner<'q> {
     skew_bound: Option<u64>,
     priority_region: Option<Slab>,
     invert: bool,
-    filter_pushdown: bool,
 }
 
 impl<'q> SidrPlanner<'q> {
@@ -98,7 +89,6 @@ impl<'q> SidrPlanner<'q> {
             skew_bound: None,
             priority_region: None,
             invert: true,
-            filter_pushdown: false,
         }
     }
 
@@ -120,14 +110,6 @@ impl<'q> SidrPlanner<'q> {
     /// without reduce-first scheduling).
     pub fn classic_scheduling(mut self) -> Self {
         self.invert = false;
-        self
-    }
-
-    /// The job's `filter_pushdown`: a `Filter` predicate pushed below
-    /// the shuffle voids the geometric tallies, so the plan promises
-    /// none (the §3.2.1 approach-1 barrier still guarantees output).
-    pub fn filter_pushdown(mut self, filter_pushdown: bool) -> Self {
-        self.filter_pushdown = filter_pushdown;
         self
     }
 
@@ -156,24 +138,12 @@ impl<'q> SidrPlanner<'q> {
             Some(region) => priority_order(&partition, region)?,
         };
 
-        // Expected raw ⟨k,v⟩ per keyblock: every input key folding into
-        // the block's K' keys produces exactly one intermediate pair
-        // under the structural-mapper contract, so the expected tally
-        // is |keys in block| × |extraction shape|. Requires splits to
-        // cover the query's input space (all our generators do).
-        let fold = self.query.fold_in_count();
-        let expected_raw = (0..self.num_reducers)
-            .map(|r| Ok(partition.keyblock_key_count(r)? * fold))
-            .collect::<Result<Vec<u64>>>()?;
-
         let plan = SidrPlan {
+            expected_raw: raw_tallies(self.query, &partition)?,
             partition,
             deps,
             reduce_order,
             invert: self.invert,
-            expected_raw,
-            filter_pushed_down: pushdown_threshold(self.filter_pushdown, self.query.operator)
-                .is_some(),
         };
 
         // Pre-flight: prove the structural invariants before anything
@@ -191,6 +161,18 @@ impl<'q> SidrPlanner<'q> {
 
         Ok(plan)
     }
+}
+
+/// Each keyblock's expected raw ⟨k,v⟩ pairs: every input key folding
+/// into the block's `K′` keys is one intermediate pair its map
+/// represents under the structural-mapper contract, so the tally is
+/// |keys in block| × |extraction shape|. Requires splits to cover the
+/// query's input space (all our generators do).
+pub(crate) fn raw_tallies(query: &StructuralQuery, partition: &PartitionPlus) -> Result<Vec<u64>> {
+    let fold = query.fold_in_count();
+    (0..partition.num_reducers())
+        .map(|r| Ok(partition.keyblock_key_count(r)? * fold))
+        .collect()
 }
 
 /// Keyblocks intersecting `region` first (in id order), the rest after

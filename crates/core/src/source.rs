@@ -7,8 +7,11 @@
 //! the opaque dataflow (§3) — and forwards the value unchanged.
 //! Structural queries do all value computation in the Reduce operator,
 //! so one input record produces at most one intermediate record,
-//! which is the contract the count annotations rely on (§3.2.1). The
-//! map kernel ([`crate::geomap`]) applies it per key, not per record.
+//! which is the contract the count annotations rely on (§3.2.1): a
+//! partition's annotation counts the records that map to its keys,
+//! also where a `Filter`'s map-side selection or a combiner keeps
+//! fewer. The map kernel ([`crate::geomap`]) applies it per key, not
+//! per record.
 
 use sidr_coords::{Coord, ExtractionShape};
 use sidr_mapreduce::{InputSplit, MrError, RecordSource};
@@ -52,26 +55,27 @@ impl<E: Element> RecordSource for ScincRecordSource<'_, E> {
 /// The structural Map function: `emit(extraction.map_key(k), v)`.
 ///
 /// Keys in discarded partial instances or stride gaps produce nothing
-/// ("assuming we throw away the data from the 365-th day", §3 Area 3).
+/// ("assuming we throw away the data from the 365-th day", §3 Area 3),
+/// and a `Filter` query's map keeps only the values that pass.
 pub struct StructuralMapper {
     pub(crate) extraction: ExtractionShape,
     /// Corner of the query's input region; record keys are absolute
     /// and must be translated before extraction (§2.1's corner+shape
     /// query inputs).
     pub(crate) region_corner: Option<Coord>,
-    /// Map-side selection push-down: emit only values strictly above
-    /// this threshold. Query 2's 3σ filter passes 0.1 % of the data
-    /// (§4.1) — pushing the predicate below the shuffle is what makes
-    /// its Reduce tasks "process far less data". Filtering is a local,
-    /// per-value decision, so the final output is unchanged; the count
-    /// annotations no longer equal the geometric expectation, so
-    /// §3.2.1 approach-2 validation is unavailable (approach 1, the
-    /// `I_ℓ` barrier, still guarantees correctness).
+    /// Map-side selection: a `Filter` query's map emits only values
+    /// strictly above its threshold. Query 2's 3σ filter passes 0.1 %
+    /// of the data (§4.1), and selecting below the shuffle is what
+    /// makes its Reduce tasks "process far less data". The selection is
+    /// a local, per-value decision that the reduce repeats, so output
+    /// is unchanged, and each partition's annotation still counts the
+    /// pairs its map *represents* — the geometric tally (§3.2.1).
     pub(crate) predicate_gt: Option<f64>,
 }
 
 impl StructuralMapper {
-    /// Builds the mapper for a query, honoring its input region.
+    /// Builds the mapper for a query, honoring its input region and,
+    /// for a `Filter`, its predicate.
     pub fn for_query(query: &crate::query::StructuralQuery) -> Self {
         let region = query.region();
         let corner = region.corner();
@@ -82,13 +86,10 @@ impl StructuralMapper {
                 .iter()
                 .any(|&c| c != 0)
                 .then(|| corner.clone()),
-            predicate_gt: None,
+            predicate_gt: match query.operator {
+                crate::operators::Operator::Filter { threshold } => Some(threshold),
+                _ => None,
+            },
         }
-    }
-
-    /// Pushes a `value > threshold` selection below the shuffle.
-    pub fn push_down_filter(mut self, threshold: f64) -> Self {
-        self.predicate_gt = Some(threshold);
-        self
     }
 }

@@ -86,7 +86,7 @@ impl JobSpec {
                 .map(|i| plan.partition().keyblock_cover(i))
                 .collect::<Result<Vec<_>>>()?,
             reduce_order: plan.reduce_order(),
-            expected_raw: (0..r).map(|i| plan.geometric_raw_count(i)).collect(),
+            expected_raw: plan.expected_raw.clone(),
             deadline_ms: None,
             retry: RetryPolicy::default(),
             speculation: SpeculationPolicy::default(),
@@ -136,7 +136,7 @@ impl JobSpec {
                     "stored dependencies for reducer {r} do not match the query geometry"
                 )));
             }
-            if plan.geometric_raw_count(r) != self.expected_raw[r] {
+            if plan.expected_raw[r] != self.expected_raw[r] {
                 return Err(SidrError::Plan(format!(
                     "stored raw-count tally for reducer {r} does not match the query geometry"
                 )));

@@ -41,8 +41,7 @@ pub struct PlanView {
     /// Scheduling order over keyblocks (§3.3, §3.4).
     pub reduce_order: Vec<usize>,
     /// Expected raw ⟨k,v⟩ pairs per keyblock (§3.2.1 approach 2): the
-    /// geometric tallies, also when a pushed-down `Filter` means the
-    /// plan promises none at run time.
+    /// geometric tallies the plan promises at run time.
     pub expected_raw: Vec<u64>,
     /// The query's intermediate keyspace `K′ᵀ` — taken from the query
     /// itself, not the partition, so a partition built over the wrong
@@ -67,7 +66,7 @@ impl PlanView {
                 .map(|m| plan.dependencies().map_feeds(m).to_vec())
                 .collect(),
             reduce_order: plan.reduce_order(),
-            expected_raw: (0..r).map(|b| plan.geometric_raw_count(b)).collect(),
+            expected_raw: plan.expected_raw.clone(),
             kspace: query.intermediate_space(),
             fold_in: query.fold_in_count(),
             num_splits: splits.len(),

@@ -2,9 +2,11 @@
 //! catch a Reduce task that would otherwise start on insufficient
 //! input. These tests prove the tripwire fires.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use sidr_coords::{Coord, Shape};
+use sidr_core::framework::{run_query, FrameworkMode, RunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{ExecOptions, Operator, SidrPlanner, SpecExecutor, StructuralQuery};
 use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
@@ -14,6 +16,7 @@ use sidr_mapreduce::{
     SplitGenerator,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
+use sidr_scifile::ScincFile;
 
 fn shape(v: &[u64]) -> Shape {
     Shape::new(v.to_vec()).unwrap()
@@ -68,9 +71,8 @@ impl AttemptBodies for Lossy {
     }
 }
 
-/// A default-config SIDR mean over a `{40, 8}` dataset, its map lossy
-/// or not.
-fn run(name: &str, lossy: bool) -> sidr_mapreduce::Result<JobResult> {
+/// The `{40, 8}` dataset of linear indices, at a path of its own.
+fn dataset(name: &str) -> PathBuf {
     let spec = DatasetSpec {
         variable: "v".into(),
         dim_names: vec!["d0".into(), "d1".into()],
@@ -82,7 +84,19 @@ fn run(name: &str, lossy: bool) -> sidr_mapreduce::Result<JobResult> {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{name}-{}.scinc", std::process::id()));
     spec.generate::<f64>(&path).unwrap();
-    let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
+    path
+}
+
+/// `operator` over `{4, 4}` instances of the dataset.
+fn query(operator: Operator) -> StructuralQuery {
+    StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), operator).unwrap()
+}
+
+/// A default-config SIDR job of `operator` over the dataset in five
+/// splits and three keyblocks, its map lossy or not.
+fn run(name: &str, operator: Operator, lossy: bool) -> sidr_mapreduce::Result<JobResult> {
+    let path = dataset(name);
+    let q = query(operator);
     let splits = SplitGenerator::new(q.input_space().clone(), 8)
         .exact_count(5)
         .unwrap();
@@ -92,14 +106,14 @@ fn run(name: &str, lossy: bool) -> sidr_mapreduce::Result<JobResult> {
     std::fs::remove_file(&path).unwrap();
     let config = JobConfig::default();
     let executor = InProcessExecutor::with_bodies(Lossy { inner, lossy }, &config);
-    let pool = SlotPool::new(config.map_slots, config.reduce_slots)?;
+    let pool = SlotPool::new(4, 3)?;
     let output = InMemoryOutput::new();
     run_job_with_executor(&splits, &plan, &output, &config, &pool, None, &executor)
 }
 
 #[test]
 fn honest_run_passes_annotation_validation() {
-    let result = run("honest", false);
+    let result = run("honest", Operator::Mean, false);
     assert!(result.is_ok(), "honest run must validate: {result:?}");
 }
 
@@ -108,7 +122,11 @@ fn honest_run_passes_annotation_validation() {
 /// describes — instead of answering from it.
 #[test]
 fn lossy_run_trips_the_tally_by_default() {
-    match run("lossy", true) {
+    assert_trips(run("lossy", Operator::Mean, true));
+}
+
+fn assert_trips(result: sidr_mapreduce::Result<JobResult>) {
+    match result {
         Err(MrError::AnnotationMismatch {
             expected, actual, ..
         }) => {
@@ -121,32 +139,38 @@ fn lossy_run_trips_the_tally_by_default() {
     }
 }
 
-/// A pushed-down `Filter` drops pairs before the shuffle, so its plan
-/// promises no tally — yet keeps the geometric one the verifier and
-/// the submission document check.
+/// A `Filter` selects map-side and keeps its tally: its job ships only
+/// the passing tenth of the values, far fewer rows than its maps
+/// represent; every keyblock's promised tally is the geometric one;
+/// and a lossy map over the same job trips it.
 #[test]
-fn pushed_down_filter_promises_no_tally_but_keeps_the_geometry() {
-    let filter = Operator::Filter { threshold: 0.5 };
-    let q = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), filter).unwrap();
+fn filter_ships_only_passing_rows_and_keeps_its_tally() {
+    let filter = Operator::Filter {
+        threshold: 40.0 * 8.0 * 0.9,
+    };
+    let path = dataset("filter");
+    let file = ScincFile::open(&path).unwrap();
+    let q = query(filter);
+    let got = run_query(&file, &q, &RunOptions::new(FrameworkMode::Sidr, 3)).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let c = got.result.counters;
+    assert_eq!(c.map_records_out, 40 * 8, "the maps represent every pair");
+    assert!(
+        c.shuffled_records * 5 < c.map_records_out,
+        "shipped {} rows of {} represented",
+        c.shuffled_records,
+        c.map_records_out
+    );
+    assert_eq!(got.records.len() as u64, c.shuffled_records);
+
     let splits = SplitGenerator::new(q.input_space().clone(), 8)
         .exact_count(5)
         .unwrap();
-    let kept = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-    let pushed = SidrPlanner::new(&q, 3)
-        .filter_pushdown(true)
-        .build(&splits)
-        .unwrap();
+    let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
     for r in 0..3 {
-        let geometric = kept.geometric_raw_count(r);
-        assert_eq!(kept.expected_raw_count(r), Some(geometric));
-        assert_eq!(pushed.expected_raw_count(r), None);
-        assert_eq!(pushed.geometric_raw_count(r), geometric);
+        let geometric = plan.partition().keyblock_key_count(r).unwrap() * q.fold_in_count();
+        assert_eq!(plan.expected_raw_count(r), Some(geometric), "keyblock {r}");
     }
-    // Push-down means nothing to an operator that is not a filter.
-    let mean = StructuralQuery::new("v", shape(&[40, 8]), shape(&[4, 4]), Operator::Mean).unwrap();
-    let plan = SidrPlanner::new(&mean, 3)
-        .filter_pushdown(true)
-        .build(&splits)
-        .unwrap();
-    assert!(plan.expected_raw_count(0).is_some());
+
+    assert_trips(run("filter-lossy", filter, true));
 }

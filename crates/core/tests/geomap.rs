@@ -1,15 +1,15 @@
 //! The geometric map kernel is the per-record map, byte for byte.
 //!
 //! For random geometries — rank 1–4, strided and unstrided extractions
-//! with discarded partial instances, a query region off the origin,
-//! filter push-down, every element type, misaligned splits and any
-//! reducer count — and under both routes (SIDR's `partition+` and the
-//! stock hash of Hadoop and SciHadoop), `geomap::map_split` must
-//! produce exactly the `(reducer, bytes)` that [`per_record`] — the
-//! structural map record by record, then `encode_map_output` — produces
-//! under the same partition function, with the same record tallies and
-//! raw-count annotations. `per_record` is the kernel's reference and
-//! lives only here.
+//! with discarded partial instances, a query region off the origin, a
+//! `Filter`'s map-side selection, every element type, misaligned splits
+//! and any reducer count — and under both routes (SIDR's `partition+`
+//! and the stock hash of Hadoop and SciHadoop), `geomap::map_split`
+//! must produce exactly the `(reducer, bytes)` that [`per_record`] —
+//! the structural map record by record, then `encode_map_output` —
+//! produces under the same partition function, with the same record
+//! tallies and raw-count annotations. `per_record` is the kernel's
+//! reference and lives only here.
 
 use proptest::prelude::*;
 use sidr_coords::{Coord, Shape, Slab};
@@ -38,8 +38,6 @@ struct Case {
     split_shape: Vec<u64>,
     operator: Operator,
     reducers: usize,
-    /// Push down `value > threshold`, as a fraction of the value range.
-    pushdown: Option<f64>,
     dtype: u8,
     seed: u64,
 }
@@ -76,6 +74,7 @@ fn case() -> impl Strategy<Value = Case> {
             Operator::Sum,
             Operator::Median,
             Operator::Mean,
+            filter(draw(1000) as f64 / 1000.0),
         ];
         Case {
             space,
@@ -84,13 +83,20 @@ fn case() -> impl Strategy<Value = Case> {
             region,
             split_corner,
             split_shape,
-            operator: operators[draw(5) as usize],
+            operator: operators[draw(6) as usize],
             reducers: 1 + draw(7) as usize,
-            pushdown: (draw(3) == 0).then(|| draw(1000) as f64 / 1000.0),
             dtype: draw(4) as u8,
             seed: draw(u64::MAX),
         }
     })
+}
+
+/// A filter passing `value > threshold`, the threshold a `fraction` of
+/// the way through the value range.
+fn filter(fraction: f64) -> Operator {
+    Operator::Filter {
+        threshold: -LO + fraction * (HI + LO),
+    }
 }
 
 fn shape(v: &[u64]) -> Shape {
@@ -127,26 +133,21 @@ const LO: f64 = 500.0;
 const HI: f64 = 1500.0;
 
 /// The structural map, record by record: every record of `split`, read
-/// through a `ScincRecordSource`, that the push-down `predicate_gt`
-/// keeps and that lies in the query region is translated into the
-/// region's frame and mapped through the extraction to its `K′` key;
-/// one in a discarded partial instance or a stride gap maps to
-/// nothing. Returns the records read and the `(K′ key, value)` pairs
-/// emitted, in reader order.
+/// through a `ScincRecordSource`, that lies in the query region is
+/// translated into the region's frame and mapped through the extraction
+/// to its `K′` key; one in a discarded partial instance or a stride gap
+/// maps to nothing. Returns the records read and the `(K′ key, value)`
+/// pairs mapped, in reader order, before any selection.
 fn structural_map<E: Element>(
     file: &ScincFile,
     split: &InputSplit,
     query: &StructuralQuery,
-    predicate_gt: Option<f64>,
 ) -> (u64, Vec<(Coord, f64)>) {
     let mut source = ScincRecordSource::<E>::open(file, "v", split).unwrap();
     let corner = query.region().corner().clone();
     let (mut records_in, mut emitted) = (0, Vec::new());
     while let Some((key, value)) = source.next_record().unwrap() {
         records_in += 1;
-        if predicate_gt.is_some_and(|threshold| value <= threshold) {
-            continue;
-        }
         let Ok(rel) = key.checked_sub(&corner) else {
             continue; // below the region's corner
         };
@@ -160,19 +161,20 @@ fn structural_map<E: Element>(
     (records_in, emitted)
 }
 
-/// The kernel's reference: [`structural_map`] routed by `partition`,
-/// each reducer's pairs stably sorted by key and, under a distributive
-/// operator, each key's run folded with `Operator::reduce_group`; each
-/// non-empty partition encoded with its raw-pair annotation.
+/// The kernel's reference: [`structural_map`] routed by `partition`;
+/// under a `Filter`, only the values above its threshold kept; each
+/// reducer's pairs stably sorted by key and, under a distributive
+/// operator, each key's run folded with `Operator::reduce_group`. Each
+/// partition that pairs were mapped to is encoded, its raw-pair
+/// annotation counting them all, kept or not.
 fn per_record<E: Element>(
     file: &ScincFile,
     split: &InputSplit,
     query: &StructuralQuery,
-    predicate_gt: Option<f64>,
     partition: &dyn Partitioner<Coord>,
     reducers: usize,
 ) -> MapAttemptOutput {
-    let (records_in, emitted) = structural_map::<E>(file, split, query, predicate_gt);
+    let (records_in, emitted) = structural_map::<E>(file, split, query);
     let records_out = emitted.len() as u64;
     let mut parts = vec![Vec::new(); reducers];
     for (k_prime, value) in emitted {
@@ -182,8 +184,11 @@ fn per_record<E: Element>(
     let partitions = (parts.into_iter().enumerate())
         .filter(|(_, records)| !records.is_empty())
         .map(|(r, mut records)| {
-            records.sort_by(|a, b| a.0.cmp(&b.0));
             let raw_count = records.len() as u64;
+            if let Operator::Filter { threshold } = op {
+                records.retain(|&(_, v)| v > threshold);
+            }
+            records.sort_by(|a, b| a.0.cmp(&b.0));
             if op.is_distributive() {
                 records = (records.chunk_by(|a, b| a.0 == b.0))
                     .map(|run| {
@@ -210,16 +215,11 @@ fn per_record<E: Element>(
 /// case on a mismatch.
 fn check<E: Element>(c: &Case, file: &ScincFile) {
     let query = query(c);
-    let mut mapper = StructuralMapper::for_query(&query);
-    let predicate_gt = c.pushdown.map(|fraction| -LO + fraction * (HI + LO));
-    if let Some(threshold) = predicate_gt {
-        mapper = mapper.push_down_filter(threshold);
-    }
+    let mapper = StructuralMapper::for_query(&query);
     let partition = PartitionPlus::for_query(&query, c.reducers).unwrap();
     let n = c.reducers;
-    let reference = |p: &dyn Partitioner<Coord>, split: &InputSplit| {
-        per_record::<E>(file, split, &query, predicate_gt, p, n)
-    };
+    let reference =
+        |p: &dyn Partitioner<Coord>, split: &InputSplit| per_record::<E>(file, split, &query, p, n);
     check_route::<E>(
         c,
         file,
@@ -281,7 +281,7 @@ fn check_route<E: Element>(
     assert_eq!(
         reducers(&kernel.partitions),
         reducers(&per_record.partitions),
-        "{route} non-empty partitions: {c:?}"
+        "{route} partitions: {c:?}"
     );
     for ((r, got), (_, want)) in kernel.partitions.iter().zip(&per_record.partitions) {
         let raw = |b: &Vec<u8>| {
@@ -338,7 +338,6 @@ fn chunk_major_order_reaches_the_sum() {
         split_shape: vec![4, 200],
         operator: Operator::Sum,
         reducers: 1,
-        pushdown: None,
         dtype: 3,
         seed: 11,
     });
@@ -348,26 +347,23 @@ fn chunk_major_order_reaches_the_sum() {
 /// in 7 chunks of 6 or 5 rows along dimension 1, which cut four of its
 /// eight 5-row tile rows, so half the keys' values span two chunks and
 /// the count and place passes must agree on reader order across them.
-/// With and without a combiner and a pushed-down filter, under both
-/// routes.
+/// With and without a combiner, and with a filter's selection, under
+/// both routes.
 #[test]
 fn fig8_shaped_split_with_keys_across_chunks() {
-    for operator in [Operator::Median, Operator::Max] {
-        for pushdown in [None, Some(0.5)] {
-            run(&Case {
-                space: vec![14, 40, 10],
-                extraction: vec![7, 5, 1],
-                gap: vec![0, 0, 0],
-                region: None,
-                split_corner: vec![7, 0, 0],
-                split_shape: vec![7, 40, 10],
-                operator,
-                reducers: 5,
-                pushdown,
-                dtype: 3,
-                seed: 48,
-            });
-        }
+    for operator in [Operator::Median, Operator::Max, filter(0.5)] {
+        run(&Case {
+            space: vec![14, 40, 10],
+            extraction: vec![7, 5, 1],
+            gap: vec![0, 0, 0],
+            region: None,
+            split_corner: vec![7, 0, 0],
+            split_shape: vec![7, 40, 10],
+            operator,
+            reducers: 5,
+            dtype: 3,
+            seed: 48,
+        });
     }
 }
 
@@ -392,7 +388,7 @@ fn structural_map_translates_and_drops() {
         byte_range: (0, 0),
         preferred_nodes: Vec::new(),
     };
-    let (records_in, out) = structural_map::<f64>(&file, &split, &query, None);
+    let (records_in, out) = structural_map::<f64>(&file, &split, &query);
     std::fs::remove_file(&path).ok();
     assert_eq!(records_in, 10);
     // Keys 0..8 map to instances 0 and 1; keys 8..10 discarded.

@@ -6,9 +6,11 @@
 pub struct CountersSnapshot {
     /// Records read from input splits.
     pub map_records_in: u64,
-    /// Intermediate pairs emitted by Map functions (pre-combine).
+    /// Intermediate pairs the Map functions represent: the §3.2.1
+    /// annotations' total, before any selection or combining.
     pub map_records_out: u64,
-    /// Intermediate pairs after map-side combining.
+    /// Intermediate pairs the maps' partitions hold, after map-side
+    /// selection and combining.
     pub combined_records: u64,
     /// Shuffle fetches: one per (map, reducer) contact — the network
     /// connections of Table 3.

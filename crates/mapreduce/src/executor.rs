@@ -23,7 +23,7 @@
 //!
 //! The job's books are the scheduler's. A map attempt *returns* its
 //! [`MapTally`] — records in and out, and `(reducer, rows)` of each
-//! non-empty partition, read from the SMOF headers by
+//! partition it produced, read from the SMOF headers by
 //! [`PartitionStore::commit_map`] — and the runtime records it once,
 //! for every executor: the counters, and which reducers each committed
 //! generation fed. A reduce attempt is handed only the sources that
@@ -91,22 +91,27 @@ pub enum RemoteReduceError {
 pub struct MapTally {
     /// Records read from the split.
     pub records_in: u64,
-    /// Intermediate records the map emitted, before any combiner.
+    /// Intermediate pairs the map represents: what its partitions'
+    /// annotations sum to, before any selection or combiner.
     pub records_out: u64,
-    /// `(reducer, rows)` of each non-empty partition, in reducer
-    /// order: a reducer not listed got nothing from this attempt.
+    /// `(reducer, rows)` of each partition produced, in reducer order:
+    /// a reducer not listed got nothing from this attempt. A partition
+    /// may hold no row — a filter passed none of its values — while its
+    /// annotation still counts the pairs it represents.
     pub partitions: Vec<(usize, u64)>,
 }
 
 /// What one map attempt body produced: per-reducer partitions as
-/// encoded SMOF buffers (only non-empty partitions appear: absence
-/// means the map produced nothing for that reducer).
+/// encoded SMOF buffers. A partition appears for each reducer the map
+/// represents pairs for, rows or none; absence means the map produced
+/// nothing for that reducer.
 #[derive(Clone, Debug)]
 pub struct MapAttemptOutput {
     pub partitions: Vec<(usize, Vec<u8>)>,
     /// Records read from the split.
     pub records_in: u64,
-    /// Intermediate records the map emitted, before any combiner.
+    /// Intermediate pairs the map represents: what its partitions'
+    /// annotations sum to, before any selection or combiner.
     pub records_out: u64,
 }
 
@@ -138,7 +143,7 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
     ) -> Result<MapTally>;
 
     /// Runs one reduce attempt: fetch the `sources` generations (each
-    /// fed this reducer a non-empty partition), merge
+    /// produced a partition for this reducer), merge
     /// them in the given order (the plan's fetch order — the equal-key
     /// tie-break), reduce, and return the attempt's whole keyblock in
     /// key order — nothing leaves an attempt until it is complete, so

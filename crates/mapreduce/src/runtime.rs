@@ -38,11 +38,10 @@ use crate::Result;
 /// Runtime configuration. It holds no check switches: every reduce
 /// checks the §3.2.1 tally its plan promises
 /// ([`RoutingPlan::expected_raw_count`](crate::RoutingPlan::expected_raw_count)).
-#[derive(Clone, Debug)]
+/// Nor does it size slots: those are the cluster's, the
+/// [`SlotPool`](crate::SlotPool) a job runs on.
+#[derive(Clone, Debug, Default)]
 pub struct JobConfig {
-    /// Cluster-wide map and reduce slots (the pool a caller builds).
-    pub map_slots: usize,
-    pub reduce_slots: usize,
     /// Seeded fault injection: which attempts fail, straggle, or commit
     /// corrupt output.
     pub fault_plan: FaultPlan,
@@ -59,20 +58,6 @@ pub struct JobConfig {
     /// a speculating job whose projected finish threatens it gets a
     /// boosted trigger first ([`SpeculationPolicy::boost_at`]).
     pub deadline: Option<Duration>,
-}
-
-impl Default for JobConfig {
-    fn default() -> Self {
-        JobConfig {
-            map_slots: 4,
-            reduce_slots: 3,
-            fault_plan: FaultPlan::default(),
-            retry: RetryPolicy::default(),
-            volatile_intermediate: false,
-            speculation: SpeculationPolicy::default(),
-            deadline: None,
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]

@@ -283,8 +283,13 @@ pub struct SmofWriter {
 impl SmofWriter {
     /// A writer of one partition: `raw` is the §3.2.1 annotation,
     /// `records` values of `val_width` bytes in `runs` runs under keys
-    /// of `key_width` bytes.
+    /// of `key_width` bytes. A partition of no records records no
+    /// widths, so every empty one is the same bytes but its annotation.
     pub fn new(raw: u64, records: usize, runs: usize, key_width: usize, val_width: usize) -> Self {
+        let (key_width, val_width) = match records {
+            0 => (0, 0),
+            _ => (key_width, val_width),
+        };
         let len = HEADER_LEN + runs * (key_width + END_WIDTH) + records * val_width;
         let mut buf = vec![0; len];
         let header = [

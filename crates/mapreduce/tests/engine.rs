@@ -9,7 +9,7 @@ use std::time::Duration;
 use sidr_mapreduce::{
     DefaultPlan, FaultPlan, InMemoryOutput, InputSplit, JobConfig, MapTaskId, RoutingPlan, TaskKind,
 };
-use support::{bodies, identity_source, number_splits, run, run_shared, sum, sum_by_mod10};
+use support::{bodies, identity_source, number_splits, run, run_shared, sum, sum_by_mod10, SLOTS};
 
 #[test]
 fn sums_by_key_are_exact() {
@@ -21,6 +21,7 @@ fn sums_by_key_are_exact() {
         &DefaultPlan::new(4),
         &output,
         &JobConfig::default(),
+        SLOTS,
     )
     .unwrap();
 
@@ -47,6 +48,7 @@ fn hadoop_mode_contacts_every_map() {
         &DefaultPlan::new(4),
         &output,
         &JobConfig::default(),
+        SLOTS,
     )
     .unwrap();
     assert_eq!(result.counters.shuffle_connections, 5 * 4);
@@ -65,6 +67,7 @@ fn global_barrier_orders_all_maps_before_any_reduce_barrier() {
             fault_plan: FaultPlan::straggle_maps(0..splits.len(), 2),
             ..Default::default()
         },
+        SLOTS,
     )
     .unwrap();
     let last_map_end = *result.completions(TaskKind::MapEnd).last().unwrap();
@@ -123,11 +126,10 @@ fn dependency_barrier_lets_reduces_finish_before_all_maps() {
         &OneToOnePlan { n },
         &output,
         &JobConfig {
-            map_slots: 1, // serialize maps so overlap is observable
-            reduce_slots: 2,
             fault_plan: FaultPlan::straggle_maps(0..n, 5),
             ..Default::default()
         },
+        (1, 2), // serialize maps so overlap is observable
     )
     .unwrap();
 
@@ -161,6 +163,7 @@ fn inverted_scheduling_skips_undepended_maps() {
         &OneToOnePlan { n },
         &output,
         &JobConfig::default(),
+        SLOTS,
     )
     .unwrap();
     assert_eq!(result.counters.maps_skipped, 4);
@@ -183,6 +186,7 @@ fn injected_reduce_failure_recovers_by_reexecuting_maps() {
             volatile_intermediate: true, // §6: intermediate data not persisted
             ..Default::default()
         },
+        SLOTS,
     )
     .unwrap();
     assert_eq!(result.counters.reduce_failures, 1);
@@ -213,6 +217,7 @@ fn failure_without_volatile_store_needs_no_reexecution() {
             volatile_intermediate: false, // Hadoop persists map output
             ..Default::default()
         },
+        SLOTS,
     )
     .unwrap();
     assert_eq!(result.counters.reduce_failures, 1);
@@ -229,6 +234,7 @@ fn empty_splits_rejected() {
         &DefaultPlan::new(2),
         &output,
         &JobConfig::default(),
+        SLOTS,
     );
     assert!(err.is_err());
 }
@@ -237,22 +243,14 @@ fn empty_splits_rejected() {
 fn zero_slots_rejected() {
     let splits = number_splits(10, 2);
     let output = InMemoryOutput::new();
-    for cfg in [
-        JobConfig {
-            map_slots: 0,
-            ..Default::default()
-        },
-        JobConfig {
-            reduce_slots: 0,
-            ..Default::default()
-        },
-    ] {
+    for slots in [(0, 3), (4, 0)] {
         assert!(run(
             &splits,
             sum_by_mod10(2),
             &DefaultPlan::new(2),
             &output,
-            &cfg
+            &JobConfig::default(),
+            slots,
         )
         .is_err());
     }
@@ -274,10 +272,8 @@ fn reduce_waves_with_few_slots() {
         count,
         &DefaultPlan::new(10),
         &output,
-        &JobConfig {
-            reduce_slots: 2,
-            ..Default::default()
-        },
+        &JobConfig::default(),
+        (4, 2),
     )
     .unwrap();
     assert_eq!(result.completions(TaskKind::ReduceEnd).len(), 10);
@@ -323,11 +319,10 @@ fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
         &SteeredPlan,
         &output,
         &JobConfig {
-            map_slots: 1, // one map at a time: the start order is the claim order
-            reduce_slots: 4,
             fault_plan: FaultPlan::straggle_maps(0..8, 5),
             ..Default::default()
         },
+        (1, 4), // one map at a time: the start order is the claim order
     )
     .unwrap();
     let starts: Vec<usize> = result

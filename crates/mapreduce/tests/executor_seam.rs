@@ -13,7 +13,7 @@ use sidr_mapreduce::{
     FaultTarget, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, MapTally, MapTaskId,
     MrError, ReduceSource, RemoteReduceError, RetryPolicy, RoutingPlan, SlotPool, TaskExecutor,
 };
-use support::{bodies, identity_source, number_splits, run, run_shared, sum};
+use support::{bodies, identity_source, number_splits, run, run_shared, sum, SLOTS};
 
 const MAPS: u64 = 4;
 const REDUCERS: usize = 3;
@@ -384,6 +384,7 @@ fn empty_partitions_still_count_a_connection() {
         &DefaultPlan::new(REDUCERS),
         &output,
         &base_config(),
+        SLOTS,
     )
     .unwrap();
     assert_eq!(

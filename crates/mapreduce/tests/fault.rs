@@ -14,7 +14,7 @@ use sidr_mapreduce::{
     reexecuted_maps, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InputSplit,
     JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SpeculationPolicy, TaskKind,
 };
-use support::{bodies, number_splits, run, sum, sum_by_mod10};
+use support::{bodies, number_splits, run, sum, sum_by_mod10, SLOTS};
 
 /// Ground truth for sum_by_mod10 over `0..n`.
 fn digit_sums(n: u64) -> Vec<(u64, u64)> {
@@ -49,6 +49,7 @@ fn try_run_sums(
         &DefaultPlan::new(reducers),
         &output,
         config,
+        SLOTS,
     )?;
     Ok((output.sorted_records(), result))
 }
@@ -134,6 +135,7 @@ fn exhausted_retry_budget_fails_job_with_typed_error() {
                 .with(FaultTarget::Map(0), 1, FaultKind::Fail),
             ..Default::default()
         },
+        SLOTS,
     )
     .unwrap_err();
     match err {
@@ -162,6 +164,7 @@ fn reduce_exhaustion_fails_job_with_typed_error() {
                 .with(FaultTarget::Reduce(1), 1, FaultKind::Fail),
             ..Default::default()
         },
+        SLOTS,
     )
     .unwrap_err();
     match err {
@@ -218,6 +221,7 @@ fn failed_reduce_reexecutes_exactly_its_dependency_set() {
             volatile_intermediate: true,
             ..Default::default()
         },
+        SLOTS,
     )
     .unwrap();
     let i_ell = plan.reduce_deps(3).unwrap();

@@ -8,9 +8,9 @@ use sidr_mapreduce::{
     DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, MapTaskId,
     RoutingPlan,
 };
-use support::{bodies, identity_source, number_splits, run, sum};
+use support::{bodies, identity_source, number_splits, run, sum, SLOTS};
 
-fn run_one(n: u64, splits: u64, reducers: usize, config: &JobConfig) -> u64 {
+fn run_one(n: u64, splits: u64, reducers: usize, slots: (usize, usize)) -> u64 {
     let sum_by_mod101 = bodies(
         identity_source,
         |k, v, emit| emit(k % 101, v),
@@ -23,7 +23,8 @@ fn run_one(n: u64, splits: u64, reducers: usize, config: &JobConfig) -> u64 {
         sum_by_mod101,
         &DefaultPlan::new(reducers),
         &output,
-        config,
+        &JobConfig::default(),
+        slots,
     )
     .unwrap();
     output.sorted_records().iter().map(|(_, v)| v).sum()
@@ -34,16 +35,7 @@ fn many_jobs_in_parallel_all_agree() {
     let expect: u64 = (0..4000u64).sum();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
-            .map(|i| {
-                scope.spawn(move || {
-                    let config = JobConfig {
-                        map_slots: 1 + i % 4,
-                        reduce_slots: 1 + i % 3,
-                        ..Default::default()
-                    };
-                    run_one(4000, 16 + i as u64, 7, &config)
-                })
-            })
+            .map(|i| scope.spawn(move || run_one(4000, 16 + i as u64, 7, (1 + i % 4, 1 + i % 3))))
             .collect();
         for h in handles {
             assert_eq!(h.join().unwrap(), expect);
@@ -55,12 +47,7 @@ fn many_jobs_in_parallel_all_agree() {
 fn tiny_slots_large_job() {
     // 1 map slot, 1 reduce slot, 64 splits, 32 reducers: maximal
     // serialization, everything still completes and sums correctly.
-    let config = JobConfig {
-        map_slots: 1,
-        reduce_slots: 1,
-        ..Default::default()
-    };
-    assert_eq!(run_one(10_000, 64, 32, &config), (0..10_000u64).sum());
+    assert_eq!(run_one(10_000, 64, 32, (1, 1)), (0..10_000u64).sum());
 }
 
 #[test]
@@ -114,6 +101,7 @@ fn repeated_runs_with_failures_are_stable() {
                 volatile_intermediate: true,
                 ..Default::default()
             },
+            SLOTS,
         )
         .unwrap();
         assert_eq!(result.counters.reduce_failures, 1, "round {round}");

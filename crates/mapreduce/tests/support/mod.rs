@@ -114,16 +114,20 @@ where
     }
 }
 
-/// Runs `bodies` as one job on a slot pool of its own, sized from
-/// `config`.
+/// The `(map, reduce)` slots most tests' pools have.
+pub const SLOTS: (usize, usize) = (4, 3);
+
+/// Runs `bodies` as one job on a slot pool of its own, of
+/// `(map, reduce)` slots.
 pub fn run<B: AttemptBodies<Key = u64, Out = u64>>(
     splits: &[InputSplit],
     bodies: B,
     plan: &dyn RoutingPlan,
     output: &dyn OutputCollector<u64, u64>,
     config: &JobConfig,
+    (map_slots, reduce_slots): (usize, usize),
 ) -> Result<JobResult> {
-    let pool = SlotPool::new(config.map_slots, config.reduce_slots)?;
+    let pool = SlotPool::new(map_slots, reduce_slots)?;
     run_shared(splits, bodies, plan, output, config, &pool, None)
 }
 

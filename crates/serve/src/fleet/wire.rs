@@ -42,7 +42,7 @@ pub enum WorkerRequest {
     RunMap { job: u64, task: usize, attempt: u32 },
     /// Runs one reduce attempt: fetch every source partition from its
     /// holder, merge/reduce, send the keyblock back whole, and only
-    /// then release the sources. `sources` names non-empty partitions
+    /// then release the sources. `sources` names produced partitions
     /// only.
     RunReduce {
         job: u64,
@@ -95,8 +95,7 @@ pub enum WorkerResponse {
         attempt: u32,
         records_in: u64,
         records_out: u64,
-        /// `(reducer, rows)` of each non-empty partition from this
-        /// attempt.
+        /// `(reducer, rows)` of each partition from this attempt.
         partitions: Vec<(usize, u64)>,
     },
     /// The attempt succeeded; one raw frame follows, holding its whole

@@ -33,8 +33,11 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// v7 the one whose `KeyblockBin` CRC does; v8's `MapDone` names each
 /// partition's rows beside its reducer; v9's `SubmitOptions` has no
 /// annotation-validation switch; v10's partitions are run-grouped SMOF
-/// v4, so a v9 peer would read every fetched partition as corrupt.
-pub const PROTOCOL_VERSION: u32 = 10;
+/// v4, so a v9 peer would read every fetched partition as corrupt;
+/// v11's `SubmitOptions` and `ExecOptions` have no filter switch (a
+/// `Filter` always selects map-side), so a v10 peer's `Submit` or
+/// `Prepare` would fail to decode mid-job.
+pub const PROTOCOL_VERSION: u32 = 11;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

@@ -35,8 +35,6 @@ pub struct SubmitOptions {
     /// (§3.4 computational steering); overrides the spec's stored
     /// reduce order.
     pub priority_region: Option<Slab>,
-    /// Push a `Filter` operator's predicate below the shuffle.
-    pub filter_pushdown: bool,
     /// Chaos hook: a deterministic fault script injected into the run
     /// (empty plan = none). Lets clients exercise the retry and
     /// dependency-scoped recovery machinery end to end, and slow

@@ -574,7 +574,6 @@ fn run_admitted_job(
 
     let opts = SpecRunOptions {
         priority_region: options.priority_region.clone(),
-        filter_pushdown: options.filter_pushdown,
         fault_plan: options.fault_plan.clone(),
         ..SpecRunOptions::default()
     };
@@ -597,7 +596,6 @@ fn run_admitted_job(
         Some(fleet) => {
             // Each reduce checks the tally the engine hands it.
             let exec_opts = ExecOptions {
-                filter_pushdown: options.filter_pushdown,
                 fault_plan: options.fault_plan.clone(),
                 ..ExecOptions::default()
             };
