@@ -146,8 +146,7 @@ pub fn analyze_spec(spec: &JobSpec, opts: &AnalyzeOptions) -> sidr_core::Result<
 /// (`SIDR-E011`/`SIDR-E012`/`SIDR-E013`): a zero retry budget can
 /// never launch a task, a zero deadline cancels the job before its
 /// first task, and a malformed speculation policy (quantile outside
-/// (0, 1], slowdown below 1, zero check interval) would misfire on
-/// every healthy task. All are spec-level, not geometric, so they
+/// (0, 1], slowdown below 1) would misfire on every healthy task. All are spec-level, not geometric, so they
 /// only run on the submission path.
 fn check_robustness(spec: &JobSpec, report: &mut Report) {
     if spec.retry.max_task_attempts == 0 {

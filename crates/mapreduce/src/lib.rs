@@ -35,6 +35,7 @@
 //! general, SIDR-agnostic machinery plus the stock-Hadoop defaults.
 
 pub mod counters;
+mod crc;
 pub mod error;
 pub mod executor;
 pub mod fault;

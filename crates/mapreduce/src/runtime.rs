@@ -547,7 +547,19 @@ impl Loop<'_> {
         }
         while self.st.in_flight > 0 {
             match self.cluster.next(None) {
-                Some(Done::Map { place, .. }) => self.cluster.free_map_slot(place),
+                Some(Done::Map {
+                    task,
+                    attempt,
+                    place,
+                    ..
+                }) => {
+                    self.cluster.free_map_slot(place);
+                    // A racer still out when the last keyblock
+                    // committed lost all the same.
+                    if self.sched.race_lost(task, attempt) {
+                        self.lose_race(task, attempt);
+                    }
+                }
                 Some(Done::Reduce { .. }) => {}
                 None => continue,
             }

@@ -67,144 +67,13 @@ const CRC_OFF: usize = HEADER_LEN - 4;
 /// Bytes of a run's cumulative end in the run table.
 const END_WIDTH: usize = 4;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`. Every SMOF
-/// encode and open, every spill read-back and every keyblock frame
-/// checks through here, so the loop matters. A buffer of at least
-/// 2 KiB runs as four independent slice-by-8 lanes over its four
-/// quarters, interleaved so their table lookups overlap, and the
-/// lanes' states are joined by a GF(2) shift by `x^(8m) mod P`; a
-/// shorter one runs one slice-by-8 lane. Same digests as the classic
-/// byte-at-a-time form.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_parts(&[bytes])
-}
-
-/// CRC-32 of `parts` concatenated, without concatenating them.
-pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    !parts.iter().fold(!0, |crc, part| crc32_update(crc, part))
-}
+pub use crate::crc::{crc32, crc32_parts};
 
 /// The SMOF frame CRC of an encoded buffer: every header byte but the
 /// CRC field itself, then the run table and values. A flipped
 /// annotation or geometry field fails it like a flipped value byte.
 fn frame_crc(bytes: &[u8]) -> u32 {
     crc32_parts(&[&bytes[..CRC_OFF], &bytes[HEADER_LEN..]])
-}
-
-/// The reflected CRC-32 polynomial.
-const POLY: u32 = 0xEDB8_8320;
-
-/// Buffers shorter than this take the single lane: below it, the
-/// shift that joins four lanes costs more than the lanes save.
-const LANE_MIN: usize = 2048;
-
-/// Feeds `bytes` into a running (inverted) CRC-32 state.
-///
-/// The CRC register is linear over GF(2): running state `s` over
-/// `Y` gives `s·x^(8|Y|) mod P`, XOR what a zero state gives over
-/// `Y`. So four lanes can start from states `crc, 0, 0, 0` on quarters
-/// of `m` bytes each, and then be folded left to right with a shift
-/// by `x^(8m) mod P` between them (zlib's `crc32_combine`); the few
-/// bytes past the fourth quarter continue from the joined state.
-fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    if bytes.len() < LANE_MIN {
-        return crc32_lane(crc, bytes);
-    }
-    let m = bytes.len() / 32 * 8;
-    let (quarters, tail) = bytes.split_at(4 * m);
-    let [a, b, c, d] = [0, 1, 2, 3].map(|i| quarters[i * m..(i + 1) * m].chunks_exact(8));
-    let t = crc_tables();
-    let mut s = [crc, 0, 0, 0];
-    for (((ca, cb), cc), cd) in a.zip(b).zip(c).zip(d) {
-        s[0] = crc32_step8(t, s[0], ca);
-        s[1] = crc32_step8(t, s[1], cb);
-        s[2] = crc32_step8(t, s[2], cc);
-        s[3] = crc32_step8(t, s[3], cd);
-    }
-    let shift = x_pow_8n(m);
-    let joined = s[1..]
-        .iter()
-        .fold(s[0], |acc, &lane| gf2_mul(acc, shift) ^ lane);
-    crc32_lane(joined, tail)
-}
-
-/// One slice-by-8 lane: eight lookup tables consume 8 input bytes per
-/// step, with a byte-at-a-time tail.
-fn crc32_lane(mut crc: u32, bytes: &[u8]) -> u32 {
-    let t = crc_tables();
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        crc = crc32_step8(t, crc, c);
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
-/// Feeds one 8-byte chunk into `crc` (slice-by-8).
-#[inline(always)]
-fn crc32_step8(t: &[[u32; 256]; 8], crc: u32, c: &[u8]) -> u32 {
-    let c: &[u8; 8] = c.try_into().expect("8-byte chunk");
-    let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-    t[7][(lo & 0xFF) as usize]
-        ^ t[6][((lo >> 8) & 0xFF) as usize]
-        ^ t[5][((lo >> 16) & 0xFF) as usize]
-        ^ t[4][(lo >> 24) as usize]
-        ^ t[3][c[4] as usize]
-        ^ t[2][c[5] as usize]
-        ^ t[1][c[6] as usize]
-        ^ t[0][c[7] as usize]
-}
-
-/// `a·b mod P` over GF(2), both in the reflected bit order, where bit
-/// 31 is `x^0`.
-fn gf2_mul(a: u32, mut b: u32) -> u32 {
-    let mut product = 0;
-    for bit in (0..32).rev() {
-        if a >> bit & 1 != 0 {
-            product ^= b;
-        }
-        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
-    }
-    product
-}
-
-/// `x^(8n) mod P`, reflected: the shift that moves a CRC state past
-/// `n` bytes. Square-and-multiply from `x^8`.
-fn x_pow_8n(mut n: usize) -> u32 {
-    let (mut result, mut square) = (1 << 31, 1 << 23);
-    while n != 0 {
-        if n & 1 != 0 {
-            result = gf2_mul(result, square);
-        }
-        square = gf2_mul(square, square);
-        n >>= 1;
-    }
-    result
-}
-
-fn crc_tables() -> &'static [[u32; 256]; 8] {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for (i, slot) in t[0].iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        for k in 1..8 {
-            let (done, rest) = t.split_at_mut(k);
-            let (t0, prev) = (&done[0], &done[k - 1]);
-            for (slot, &p) in rest[0].iter_mut().zip(prev.iter()) {
-                *slot = t0[(p & 0xFF) as usize] ^ (p >> 8);
-            }
-        }
-        t
-    })
 }
 
 /// Encodes one map-output file into a self-contained SMOF byte buffer
@@ -619,78 +488,6 @@ mod tests {
                 (Coord::from([1, 0]), 0.0),
             ],
             raw_count: 12, // combiner folded 12 raw pairs into 3
-        }
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    /// Byte-at-a-time reference: the classic one-table form, with no
-    /// slice-by-8 step, no lane split and no GF(2) join, so it pins
-    /// all three to the same digests.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let t = &crc_tables()[0];
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
-    }
-
-    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = rand::SplitMix64::seed_from_u64(seed);
-        (0..len).map(|_| rng.next_u64() as u8).collect()
-    }
-
-    #[test]
-    fn crc32_single_lane_tails_and_lane_path_match_bytewise_reference() {
-        // All lengths through several 8-byte blocks, so every tail
-        // shape (0..=7 remainder bytes) of the single lane is hit,
-        // plus buffers on both sides of the four-lane threshold.
-        for len in (0..64).chain([255, 256, 4096, 10_000]) {
-            let data = random_bytes(len, 0x51D2 + len as u64);
-            assert_eq!(crc32(&data), crc32_bytewise(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn crc32_four_lanes_match_bytewise_around_the_threshold() {
-        let data = random_bytes(3 << 20, 0x4C41_4E45);
-        // Every length across the single-lane → four-lane switch, and
-        // every tail past the fourth quarter (0..=31 bytes) for quarter
-        // sizes on both sides of it.
-        let around = LANE_MIN / 32;
-        let lens = (2040..=2100)
-            .chain(
-                (around - 2..=around + 2)
-                    .chain([around * 3])
-                    .flat_map(|k| 32 * k..32 * k + 32),
-            )
-            .chain([data.len()]);
-        for len in lens {
-            assert_eq!(
-                crc32(&data[..len]),
-                crc32_bytewise(&data[..len]),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn crc32_parts_split_at_lane_boundaries_equal_whole_digest() {
-        let data = random_bytes(10_013, 0xB0DA);
-        let whole = crc32(&data);
-        assert_eq!(whole, crc32_bytewise(&data));
-        let m = data.len() / 32 * 8;
-        for cut in (0..=4)
-            .map(|q| q * m)
-            .flat_map(|b| [b.saturating_sub(1), b, b + 1])
-        {
-            let (head, tail) = data.split_at(cut);
-            assert_eq!(crc32_parts(&[head, tail]), whole, "cut at {cut}");
         }
     }
 

@@ -547,10 +547,11 @@ fn admit(
     });
 }
 
-/// One admitted job, end to end: open the input, execute on the
-/// shared pool streaming each keyblock as it commits. Returns the
-/// terminal frame, its state already recorded. A vanished client mutes
-/// the stream; the job still completes into the lifetime counters.
+/// One admitted job, end to end: execute on the fleet, or open the
+/// input and execute on the shared pool, streaming each keyblock as it
+/// commits. Returns the terminal frame, its state already recorded. A
+/// vanished client mutes the stream; the job still completes into the
+/// lifetime counters.
 fn run_admitted_job(
     inner: &Inner,
     job: u64,
@@ -561,17 +562,6 @@ fn run_admitted_job(
     out: &Outbox,
 ) -> Response {
     inner.set_state(job, JobState::Planning);
-    let file = match ScincFile::open(input) {
-        Ok(f) => f,
-        Err(e) => {
-            inner.set_state(job, JobState::Failed);
-            return Response::Failed {
-                job,
-                error: format!("cannot open input {input:?}: {e}"),
-            };
-        }
-    };
-
     let opts = SpecRunOptions {
         priority_region: options.priority_region.clone(),
         fault_plan: options.fault_plan.clone(),
@@ -615,7 +605,19 @@ fn run_admitted_job(
                 Err(e) => Err(sidr_core::SidrError::Engine(e)),
             }
         }
-        None => run_spec_on_pool(&file, spec, &opts, &stream, &inner.pool, Some(cancel)),
+        // Only the in-process arm reads the input here; in coordinator
+        // mode the path is the workers' to open, and a worker that
+        // cannot refuses `Prepare`.
+        None => match ScincFile::open(input) {
+            Ok(file) => run_spec_on_pool(&file, spec, &opts, &stream, &inner.pool, Some(cancel)),
+            Err(e) => {
+                inner.set_state(job, JobState::Failed);
+                return Response::Failed {
+                    job,
+                    error: format!("cannot open input {input:?}: {e}"),
+                };
+            }
+        },
     };
 
     let (state, end) = match result {

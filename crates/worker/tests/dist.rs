@@ -27,7 +27,7 @@ use sidr_scifile::ScincFile;
 use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Role};
 use sidr_serve::transport::Transport;
-use sidr_serve::{Client, Fleet, Server, ServerConfig, SubmitOptions, Tcp};
+use sidr_serve::{Client, Fleet, ServeError, Server, ServerConfig, SubmitOptions, Tcp};
 use sidr_worker::{Worker, WorkerOptions};
 
 /// Builds a spec and (once per tag) its dataset from a query.
@@ -454,5 +454,44 @@ fn server_dispatches_to_fleet_and_reports_worker_stats() {
         );
     }
 
+    client.shutdown().ok();
+}
+
+/// A coordinator never opens a fleet job's input: the path is the
+/// workers' to read. A missing input fails the job with the workers'
+/// `Prepare` refusal, not with the coordinator's own open error, so a
+/// coordinator that cannot see the workers' files still serves them.
+#[test]
+fn fleet_job_input_is_opened_by_the_workers_only() {
+    let (spec, _) = tiny_fixture("missing");
+    let input = std::env::temp_dir()
+        .join("sidr-worker-tests")
+        .join(format!("absent-{}.scinc", std::process::id()));
+    let workers = spawn_workers(2);
+    let server = Server::bind(
+        Arc::new(Tcp),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: addrs(&workers),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    thread::spawn(move || server.run());
+
+    let mut client = Client::connect(&addr).unwrap();
+    let ticket = client
+        .submit(&spec, &input.to_string_lossy(), SubmitOptions::default())
+        .unwrap();
+    match client.stream_job(ticket.job, |_, _, _| panic!("no keyblock can stream")) {
+        Err(ServeError::JobFailed(why)) => {
+            assert!(why.contains("rejected the job"), "{why}");
+            assert!(!why.contains("cannot open input"), "{why}");
+        }
+        other => panic!("expected the workers' refusal, got {other:?}"),
+    }
+    assert_eq!(handle.stats().jobs_failed, 1);
     client.shutdown().ok();
 }
