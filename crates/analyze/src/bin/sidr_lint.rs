@@ -16,8 +16,9 @@
 
 use std::process::ExitCode;
 
-use sidr_analyze::{analyze_plan, analyze_spec, presets, AnalyzeOptions};
+use sidr_analyze::{analyze_spec, presets, AnalyzeOptions};
 use sidr_core::spec::JobSpec;
+use sidr_core::verify::{verify, PlanView};
 use sidr_core::SidrPlanner;
 
 struct Args {
@@ -130,13 +131,15 @@ fn main() -> ExitCode {
             let plan = match planner.build(&job.splits) {
                 Ok(p) => p,
                 Err(e) => {
-                    // The planner's own pre-flight already rejected it.
+                    // The build's proof rejected it.
                     println!("[FAIL] {label}\n{e}");
                     failed = true;
                     continue;
                 }
             };
-            let report = analyze_plan(&job.query, &job.splits, &plan, &opts);
+            // The build proved it; the report renders its warnings.
+            let view = PlanView::of_plan(&plan, &job.query, &job.splits);
+            let report = verify(&job.query, &job.splits, &view, args.skew_bound);
             failed |= render(&label, &report, &args);
         }
     }

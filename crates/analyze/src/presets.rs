@@ -151,7 +151,10 @@ fn aligned_splits(query: &StructuralQuery, element_size: u64, split_bytes: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sidr_core::SidrPlanner;
 
+    /// Every build proves its plan, so a preset that stops proving
+    /// clean fails here, not only in `sidr-lint`.
     #[test]
     fn every_listed_preset_builds() {
         for &(name, _) in preset_names() {
@@ -159,6 +162,12 @@ mod tests {
             assert_eq!(job.name, name);
             assert!(!job.splits.is_empty());
             assert!(!job.reducer_counts.is_empty());
+            for &reducers in &job.reducer_counts {
+                let built = SidrPlanner::new(&job.query, reducers).build(&job.splits);
+                if let Err(e) = built {
+                    panic!("{name} @ {reducers} keyblocks: {e}");
+                }
+            }
         }
         assert!(preset("no-such").is_none());
     }

@@ -3,8 +3,8 @@
 //! documented stable code, while the untouched plan passes clean.
 
 use sidr_analyze::diag::codes;
-use sidr_analyze::verify::PlanView;
-use sidr_analyze::{analyze, analyze_spec, AnalyzeOptions, PAIRWISE_SLAB_LIMIT};
+use sidr_analyze::verify::{verify, PlanView, PAIRWISE_SLAB_LIMIT};
+use sidr_analyze::{analyze_spec, AnalyzeOptions};
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
@@ -27,7 +27,7 @@ fn fixture() -> (StructuralQuery, Vec<InputSplit>, PlanView) {
 }
 
 fn run(q: &StructuralQuery, splits: &[InputSplit], view: &PlanView) -> sidr_core::Report {
-    analyze(q, splits, view, &AnalyzeOptions::default())
+    verify(q, splits, view, None)
 }
 
 #[test]
@@ -163,10 +163,7 @@ fn violated_skew_bound_is_e005() {
     let (q, splits, view) = fixture();
     let unit = view.partition.partition().skew_shape().count();
     assert!(unit > 1, "fixture needs a non-trivial dealing unit");
-    let opts = AnalyzeOptions {
-        skew_bound: Some(unit - 1),
-    };
-    let report = analyze(&q, &splits, &view, &opts);
+    let report = verify(&q, &splits, &view, Some(unit - 1));
     assert!(report.has_errors());
     assert!(report.has_code(codes::SKEW), "wrong codes:\n{report}");
     let skew = report
@@ -185,10 +182,7 @@ fn violated_skew_bound_is_e005() {
 fn honored_skew_bound_is_clean() {
     let (q, splits, view) = fixture();
     let unit = view.partition.partition().skew_shape().count();
-    let opts = AnalyzeOptions {
-        skew_bound: Some(unit),
-    };
-    let report = analyze(&q, &splits, &view, &opts);
+    let report = verify(&q, &splits, &view, Some(unit));
     assert!(report.is_clean(), "unexpected findings:\n{report}");
 }
 
@@ -223,18 +217,6 @@ fn corrupted_job_spec_is_caught() {
         report.has_code(codes::DEP_MISSING),
         "wrong codes:\n{report}"
     );
-}
-
-/// The planner's built-in pre-flight runs in every build.
-#[test]
-fn planner_preflight_runs_on_every_build() {
-    let (q, splits, _) = fixture();
-    assert!(SidrPlanner::new(&q, 3).build(&splits).is_ok());
-    // End-to-end rejection: the analyzer (superset of the pre-flight)
-    // rejects at least five distinct corruption classes — covered by
-    // the tests above; here we prove the pre-flight path itself runs
-    // by checking a degenerate planner input still errors cleanly.
-    assert!(SidrPlanner::new(&q, 0).build(&splits).is_err());
 }
 
 /// Dependencies are proved at any `|K′ᵀ|`: a `{4096,4096,2}` input

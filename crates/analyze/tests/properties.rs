@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 
 use sidr_analyze::diag::codes;
-use sidr_analyze::verify::PlanView;
-use sidr_analyze::{analyze, analyze_plan, AnalyzeOptions};
+use sidr_analyze::verify::{verify, PlanView};
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{InputSplit, SplitGenerator};
@@ -132,7 +131,7 @@ fn feeds_match_the_walk(
         listed.sort_unstable();
         prop_assert_eq!(&listed, &walked[m], "split {}", m);
     }
-    let report = analyze(q, splits, &clean, &AnalyzeOptions::default());
+    let report = verify(q, splits, &clean, None);
     prop_assert!(
         report.is_clean(),
         "findings on a planner-built plan:\n{report}"
@@ -149,7 +148,7 @@ fn feeds_match_the_walk(
                 view.reduce_deps[b].push(m);
                 view.reduce_deps[b].sort_unstable();
             }
-            let report = analyze(q, splits, &view, &AnalyzeOptions::default());
+            let report = verify(q, splits, &view, None);
             if edge {
                 prop_assert!(
                     names_edge(&report, codes::DEP_MISSING, m, b),
@@ -220,7 +219,7 @@ proptest! {
     #[test]
     fn planner_plans_verify_clean((q, splits, reducers) in geometry()) {
         let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
-        let report = analyze_plan(&q, &splits, &plan, &AnalyzeOptions::default());
+        let report = verify(&q, &splits, &PlanView::of_plan(&plan, &q, &splits), None);
         prop_assert!(report.is_clean(), "findings on a planner-built plan:\n{report}");
     }
 
@@ -235,7 +234,7 @@ proptest! {
         let mut view = PlanView::of_plan(&plan, &q, &splits);
         let victim = victim % view.expected_raw.len();
         view.expected_raw[victim] += delta;
-        let report = analyze(&q, &splits, &view, &AnalyzeOptions::default());
+        let report = verify(&q, &splits, &view, None);
         prop_assert!(report.has_errors());
         prop_assert!(report.has_code(codes::BLOCK_COUNT) || report.has_code(codes::CONSERVATION));
     }
@@ -260,7 +259,7 @@ proptest! {
         let (b, m) = edges[pick % edges.len()];
         view.reduce_deps[b].retain(|&x| x != m);
         view.map_feeds[m].retain(|&x| x != b);
-        let report = analyze(&q, &splits, &view, &AnalyzeOptions::default());
+        let report = verify(&q, &splits, &view, None);
         prop_assert!(report.has_errors(), "dropped edge ({b}, {m}) not caught");
         // Either the geometric pass (E003) or — when the keyblock
         // lost its only feeder — the starvation check (E007) fires.
@@ -289,7 +288,7 @@ proptest! {
         view.map_feeds[m].push(b);
         view.reduce_deps[b].push(m);
         view.reduce_deps[b].sort_unstable();
-        let report = analyze(&q, &splits, &view, &AnalyzeOptions::default());
+        let report = verify(&q, &splits, &view, None);
         prop_assert!(report.has_code(codes::DEP_SPURIOUS), "spurious edge ({b}, {m}) not reported:\n{report}");
         prop_assert!(!report.has_errors(), "a spurious edge is no error:\n{report}");
     }

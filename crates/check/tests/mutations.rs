@@ -1,7 +1,8 @@
 //! Seeded mutation tests: re-introduce one classic concurrency bug at
 //! a time through `sidr_mapreduce::sync::chaos` and prove the explorer
 //! catches each with the matching finding. A checker that never fires
-//! on a known-bad runtime is worthless — these are its teeth.
+//! on a known-bad runtime is worthless — these are its teeth. Two
+//! planner faults ride the same hooks and must fail the plan's build.
 //!
 //! The engine's waits have no safety tick under `--cfg check`, so a
 //! dropped wake is a hang the explorer sees, not a delay.
@@ -16,12 +17,18 @@ mod support;
 use std::sync::Mutex as TestLock;
 
 use sidr_check::{Explorer, FindingKind, Strategy};
+use sidr_coords::Shape;
+use sidr_core::diag::codes;
+use sidr_core::framework::{generate_splits, run_query, FrameworkMode, RunOptions};
+use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::thread;
 use sidr_mapreduce::{
     AttemptBodies, DefaultPlan, FaultPlan, InMemoryOutput, InputSplit, JobConfig, MapTaskId,
     RetryPolicy, RoutingPlan, SlotPool,
 };
+use sidr_scifile::gen::{DatasetSpec, ValueModel};
+use sidr_scifile::ScincFile;
 use support::{bodies, number_splits, run_shared, sum};
 
 static CHAOS: TestLock<()> = TestLock::new(());
@@ -235,4 +242,71 @@ fn dropped_tier_move_notify_is_caught_as_lost_wakeup() {
         },
     );
     report.assert_finds(FindingKind::LostWakeup);
+}
+
+/// `{12,6,5}` read by 6 splits, `{2,2,1}` keys: `K′ᵀ` `{6,3,5}` dealt
+/// to 4 keyblocks in `{1,1,3}` units, the last of each row clipped to
+/// 2 keys at the space's edge. Its plan proves clean unmutated.
+fn clipped_query_job() -> (ScincFile, StructuralQuery, RunOptions) {
+    let space = Shape::new(vec![12, 6, 5]).unwrap();
+    let path =
+        std::env::temp_dir().join(format!("sidr-check-planner-{}.scinc", std::process::id()));
+    let ds = DatasetSpec {
+        variable: "t".into(),
+        dim_names: vec!["d0".into(), "d1".into(), "d2".into()],
+        space: space.clone(),
+        model: ValueModel::LinearIndex,
+        seed: 5,
+    };
+    let file = ds.generate::<f64>(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let query = StructuralQuery::new(
+        "t",
+        space,
+        Shape::new(vec![2, 2, 1]).unwrap(),
+        Operator::Sum,
+    )
+    .unwrap();
+    let opts = RunOptions {
+        split_bytes: 2 * 6 * 5 * 8,
+        ..RunOptions::new(FrameworkMode::Sidr, 4)
+    };
+    let pp = PartitionPlus::for_query(&query, 4).unwrap();
+    let (start, end) = pp.partition().block_run(3);
+    let unit = pp.partition().skew_shape().count();
+    assert!(
+        pp.keyblock_key_count(3).unwrap() < (end - start) * unit,
+        "no clipped unit"
+    );
+    let splits = generate_splits(&file, &query, FrameworkMode::Sidr, opts.split_bytes).unwrap();
+    assert_eq!(splits.len(), 6);
+    SidrPlanner::new(&query, 4).build(&splits).unwrap();
+    (file, query, opts)
+}
+
+/// Under `mutation`, `run_query` fails in the plan's build, before
+/// any task runs, with the code admission gives.
+fn build_fails_with(mutation: Mutation, code: &str) {
+    let _serial = CHAOS.lock().unwrap();
+    let (file, query, opts) = clipped_query_job();
+    let _armed = chaos::arm(mutation);
+    match run_query(&file, &query, &opts) {
+        Ok(_) => panic!("{mutation:?}: the plan built and ran"),
+        Err(e) => assert!(
+            e.to_string().contains(code),
+            "{mutation:?}, not {code}: {e}"
+        ),
+    }
+}
+
+/// A derivation that drops one dependency edge is `SIDR-E003`.
+#[test]
+fn dropped_derived_edge_fails_the_build_as_e003() {
+    build_fails_with(Mutation::DeriveDropsEdge, codes::DEP_MISSING);
+}
+
+/// A last keyblock cover short of its clipped unit is `SIDR-E001`.
+#[test]
+fn short_last_cover_fails_the_build_as_e001() {
+    build_fails_with(Mutation::ShortLastCover, codes::COVERAGE);
 }

@@ -10,6 +10,7 @@
 //! Fig. 5(b).
 
 use sidr_coords::Slab;
+use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::{InputSplit, MapTaskId};
 
 use crate::partition_plus::PartitionPlus;
@@ -51,6 +52,11 @@ impl Dependencies {
                 reduce_deps[b].push(map_id);
             }
             map_feeds.push(blocks);
+        }
+        if chaos::on(Mutation::DeriveDropsEdge) {
+            if let Some(b) = map_feeds.last_mut().and_then(Vec::pop) {
+                reduce_deps[b].pop();
+            }
         }
         Ok(Dependencies {
             reduce_deps,

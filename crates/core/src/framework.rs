@@ -226,8 +226,8 @@ pub struct SpecRunOptions {
 ///
 /// This is the multi-tenant serving entry point: the spec's own splits
 /// are used verbatim (the wire contract — what `sidr plan --spec`
-/// exported and `sidr-lint` / the server's admission pre-flight
-/// verified is exactly what runs), the plan is re-derived from the
+/// exported and `sidr-lint` / the server's admission verified is
+/// exactly what runs), the plan is re-derived from the
 /// spec's query over those splits — the job's one plan, whose
 /// `partition+` the bodies route by — and the pool bounds this job's
 /// slot usage *jointly with every other job sharing it*. Pass a
@@ -301,7 +301,7 @@ fn spec_plan_and_config(
     opts: &SpecRunOptions,
 ) -> Result<(crate::plan::SidrPlan, JobConfig)> {
     // The planner re-derives the geometry the spec promised, and its
-    // structural pre-flight re-checks it on this side of the wire.
+    // build proves it again on this side of the wire.
     let mut planner = SidrPlanner::new(query, spec.num_reducers);
     if let Some(region) = &opts.priority_region {
         planner = planner.prioritize_region(region.clone());

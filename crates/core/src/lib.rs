@@ -22,11 +22,10 @@
 //! * recover from Reduce failures by re-executing only dependent Map
 //!   tasks instead of persisting intermediate data (§6; exercised
 //!   through the engine's `volatile_intermediate` mode),
-//! * statically verify every plan before a task runs — [`verify`]
-//!   pre-flights the structural invariants inside
-//!   [`plan::SidrPlanner::build`], and the `sidr-analyze` crate
-//!   extends the same [`diag::Report`] machinery into a full
-//!   geometric proof plus the `sidr-lint` CLI.
+//! * statically verify every plan before a task runs — [`verify`] is
+//!   one proof at every build, run inside
+//!   [`plan::SidrPlanner::build`]; the `sidr-analyze` crate runs the
+//!   same proof at admission and ships the `sidr-lint` CLI.
 //!
 //! The high-level entry point is [`framework::run_query`], which runs
 //! one structural query under any of the three compared frameworks
@@ -60,7 +59,6 @@ pub use partition_plus::PartitionPlus;
 pub use plan::{SidrPlan, SidrPlanner};
 pub use protocol::{ProtocolViolation, TimelineOracle};
 pub use query::StructuralQuery;
-pub use verify::{structural_check, PlanView};
 
 /// Errors from SIDR planning and execution.
 #[derive(Debug)]

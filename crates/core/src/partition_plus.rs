@@ -10,6 +10,7 @@
 //! dense slab (§4.4).
 
 use sidr_coords::{choose_skew_shape, ContiguousPartition, Coord, Shape, Slab};
+use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::Partitioner;
 
 use crate::query::StructuralQuery;
@@ -147,6 +148,13 @@ impl PartitionPlus {
     /// The dense slab cover of one keyblock in `K′` — what its Reduce
     /// task writes as contiguous output (§4.4).
     pub fn keyblock_cover(&self, reducer: usize) -> Result<Vec<Slab>> {
+        if chaos::on(Mutation::ShortLastCover) && reducer + 1 == self.num_reducers() {
+            let (start, end) = self.partition.block_run(reducer);
+            return Ok(self
+                .partition
+                .tiling()
+                .run_cover(start, end.saturating_sub(1).max(start))?);
+        }
         Ok(self.partition.block_cover(reducer)?)
     }
 

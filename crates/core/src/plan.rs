@@ -146,16 +146,14 @@ impl<'q> SidrPlanner<'q> {
             invert: self.invert,
         };
 
-        // Pre-flight: prove the structural invariants before anything
-        // runs (coverage balance, schedule permutation, dependency
-        // feasibility, annotation conservation). A planner bug
-        // surfaces here as a diagnostic report instead of a hung
+        // One proof at every build, the one admission runs: a planner
+        // fault surfaces here as a diagnostic report, not as a hung
         // barrier or a silently wrong answer downstream.
         let view = crate::verify::PlanView::of_plan(&plan, self.query, splits);
-        let report = crate::verify::structural_check(&view);
+        let report = crate::verify::verify(self.query, splits, &view, self.skew_bound);
         if report.has_errors() {
             return Err(SidrError::Plan(format!(
-                "pre-flight verification failed:\n{report}"
+                "plan verification failed:\n{report}"
             )));
         }
 

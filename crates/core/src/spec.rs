@@ -15,7 +15,7 @@ use sidr_coords::Slab;
 use sidr_mapreduce::{InputSplit, MapTaskId, RetryPolicy, RoutingPlan, SpeculationPolicy};
 
 use crate::operators::Operator;
-use crate::plan::{SidrPlan, SidrPlanner};
+use crate::plan::SidrPlan;
 use crate::query::StructuralQuery;
 use crate::{Result, SidrError};
 
@@ -124,27 +124,6 @@ impl JobSpec {
         )
     }
 
-    /// Re-derives the full plan from the spec's query and splits and
-    /// verifies the stored relationships against it — a submission
-    /// integrity check.
-    pub fn verify(&self) -> Result<()> {
-        let query = self.query()?;
-        let plan = SidrPlanner::new(&query, self.num_reducers).build(&self.splits)?;
-        for r in 0..self.num_reducers {
-            if plan.dependencies().reduce_deps(r) != self.reduce_deps[r].as_slice() {
-                return Err(SidrError::Plan(format!(
-                    "stored dependencies for reducer {r} do not match the query geometry"
-                )));
-            }
-            if plan.expected_raw[r] != self.expected_raw[r] {
-                return Err(SidrError::Plan(format!(
-                    "stored raw-count tally for reducer {r} does not match the query geometry"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Serializes to JSON (the job-submission document).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("spec contains no non-serializable data")
@@ -173,6 +152,7 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SidrPlanner;
     use sidr_coords::Shape;
     use sidr_mapreduce::SplitGenerator;
 
@@ -200,15 +180,7 @@ mod tests {
         assert_eq!(back.reduce_deps, spec.reduce_deps);
         assert_eq!(back.keyblock_covers, spec.keyblock_covers);
         assert_eq!(back.query, spec.query);
-        back.verify().unwrap();
-    }
-
-    #[test]
-    fn verify_detects_tampered_dependencies() {
-        let (q, splits, plan) = setup();
-        let mut spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
-        spec.reduce_deps[0].pop();
-        assert!(spec.verify().is_err());
+        assert_eq!(back.expected_raw, spec.expected_raw);
     }
 
     #[test]

@@ -1,22 +1,48 @@
-//! Structural pre-flight verification of SIDR plans.
+//! Static verification of SIDR plans: one proof at every build.
 //!
-//! The cheap — O(reducers + dependency edges) — half of the static
-//! plan verifier. It runs inside every [`SidrPlanner::build`], with no
-//! opt-out, and catches plans that would hang or answer wrongly
-//! *before* any task is scheduled:
-//! schedule permutation, dependency-graph feasibility, map↔keyblock
-//! inversion consistency, keyblock count balance and count-annotation
-//! conservation (§3.2.1 approach 2).
+//! SIDR replaces MapReduce's global reduce barrier with per-keyblock
+//! dependency barriers and lets reducers start — and emit *final*
+//! results — before all maps finish (§3.2, §4.1). That only works if
+//! the plan's geometry is right: a missing dependency edge means a
+//! reducer answers from incomplete input; an overlapping keyblock
+//! means a key is reduced twice; a wrong count annotation either
+//! blocks a healthy reducer or waves a starving one through.
+//! [`verify`] *proves* those invariants before any task runs:
 //!
-//! The expensive geometric half — exhaustive coverage of `K′ᵀ`,
-//! independent dependency recomputation, the skew certificate — lives
-//! in the `sidr-analyze` crate, which starts from the same
-//! [`PlanView`] and merges its findings into the same
-//! [`Report`].
+//! 1. **Coverage & disjointness** (`SIDR-E001`/`SIDR-E002`) — the
+//!    keyblocks tile `K′ᵀ` exactly: per-keyblock counts balance, the
+//!    instance runs tile, and the slab covers are in-bounds, pairwise
+//!    disjoint and count-balanced, proved on the slabs, so no key is
+//!    visited. The input splits tile the query region the same way: a
+//!    split outside it, or a gap, is `SIDR-E001`; two splits reading
+//!    the same records are `SIDR-E002`.
+//! 2. **Dependency soundness & completeness**
+//!    (`SIDR-E003`/`SIDR-W004`) — each `I_ℓ` is recomputed
+//!    independently of [`Dependencies::derive`]: each split's image
+//!    under the extraction shape is intersected with the keyblock
+//!    cover slabs proved above, in one sweep, and compared edge by
+//!    edge. Its cost is in slabs, not keys, so it is exact at any
+//!    `|K′ᵀ|`.
+//! 3. **Skew certificate** (`SIDR-E005`) — the dealing unit respects
+//!    the permissible skew and observed keyblock sizes differ by at
+//!    most one unit, with witness keyblocks (§3.1).
+//! 4. **Scheduling feasibility** (`SIDR-E006`/`SIDR-E007`) — the
+//!    reduce order is a permutation and the bipartite map→keyblock
+//!    graph is consistent, in-range and starvation-free.
+//! 5. **Annotation conservation** (`SIDR-E008`/`SIDR-E009`) — the
+//!    predicted per-keyblock raw-pair counts sum to `|K′ᵀ| × fold`
+//!    and match each keyblock's geometry (§3.2.1 approach 2).
+//!
+//! One proof at every build: [`SidrPlanner::build`] runs [`verify`]
+//! with no opt-out, so a planner fault fails the first plan it
+//! shapes, in the engine, the simulator and every experiment alike.
+//! Admission (`sidr-analyze`'s `analyze_spec`) runs the same function
+//! over the tables a submission stores.
 //!
 //! [`SidrPlanner::build`]: crate::plan::SidrPlanner::build
+//! [`Dependencies::derive`]: crate::deps::Dependencies::derive
 
-use sidr_coords::Shape;
+use sidr_coords::{cover, CoverDefect, Shape, Slab};
 use sidr_mapreduce::{InputSplit, MapTaskId, RoutingPlan};
 
 use crate::diag::{codes, Diagnostic, Report};
@@ -79,21 +105,57 @@ impl PlanView {
     }
 }
 
-/// Runs the structural invariant checks; see the module docs for the
-/// split between this and `sidr-analyze`'s geometric checks.
-pub fn structural_check(view: &PlanView) -> Report {
+/// How many detailed diagnostics to emit per finding family before
+/// collapsing the rest into a summary line.
+const DETAIL_CAP: usize = 5;
+
+/// Slab cap for the disjointness proofs: keyblock covers and split
+/// sets with more slabs skip the overlap sweep (`SIDR-I010`), not the
+/// bounds or a gap.
+pub const PAIRWISE_SLAB_LIMIT: usize = 20_000;
+
+/// Proves every invariant of the plan `view` describes over `splits`
+/// (see the module docs). `skew_bound` is the permissible skew the
+/// plan must honor (§3.1); `None` accepts the partition's own dealing
+/// unit.
+pub fn verify(
+    query: &StructuralQuery,
+    splits: &[InputSplit],
+    view: &PlanView,
+    skew_bound: Option<u64>,
+) -> Report {
     let mut report = Report::new();
     check_count_balance(view, &mut report);
     check_schedule(view, &mut report);
     check_dependency_graph(view, &mut report);
     check_conservation(view, &mut report);
+    let cover = check_cover_geometry(view, &mut report);
+    check_split_tiling(query, splits, &mut report);
+    if let Some((slabs, owners)) = cover {
+        check_dependencies(query, splits, view, &slabs, &owners, &mut report);
+    }
+    check_skew(view, skew_bound, &mut report);
     report
 }
 
-/// SIDR-E001 (cheap half): per-keyblock key counts must sum to
-/// `|K′ᵀ|`, and the instance runs must tile `[0, instance_count)`
-/// contiguously. Together with the disjoint covers proven in
-/// `sidr-analyze` this makes the tiling exact.
+/// The map→keyblock table of `reduce_deps`: each map's keyblocks, in
+/// id order. Map ids past `num_splits` are skipped.
+pub fn invert_deps(reduce_deps: &[Vec<MapTaskId>], num_splits: usize) -> Vec<Vec<usize>> {
+    let mut feeds: Vec<Vec<usize>> = vec![Vec::new(); num_splits];
+    for (b, deps) in reduce_deps.iter().enumerate() {
+        for &m in deps {
+            if m < num_splits {
+                feeds[m].push(b);
+            }
+        }
+    }
+    feeds
+}
+
+/// SIDR-E001: per-keyblock key counts must sum to `|K′ᵀ|`, and the
+/// instance runs must tile `[0, instance_count)` contiguously.
+/// Together with the disjoint covers [`check_cover_geometry`] proves
+/// this makes the tiling exact.
 fn check_count_balance(view: &PlanView, report: &mut Report) {
     let cp = view.partition.partition();
     let expected_keys = view.kspace.count();
@@ -222,17 +284,7 @@ fn check_dependency_graph(view: &PlanView, report: &mut Report) {
     }
     // Inversion consistency: the map→keyblock table must be exactly
     // the transpose of the keyblock→map table.
-    let mut inverted: Vec<Vec<usize>> = vec![Vec::new(); view.num_splits];
-    for (b, deps) in view.reduce_deps.iter().enumerate() {
-        for &m in deps {
-            if m < view.num_splits {
-                inverted[m].push(b);
-            }
-        }
-    }
-    for row in &mut inverted {
-        row.sort_unstable();
-    }
+    let inverted = invert_deps(&view.reduce_deps, view.num_splits);
     if view.map_feeds.len() != view.num_splits {
         report.push(
             Diagnostic::error(codes::SCHED_GRAPH, "map-feeds table length mismatch")
@@ -304,11 +356,293 @@ fn check_conservation(view: &PlanView, report: &mut Report) {
     }
 }
 
+/// Invariant 1: the keyblock slab covers form an exact cover of
+/// `K′ᵀ` — in bounds, pairwise disjoint, counts balancing to `|K′ᵀ|`
+/// (`SIDR-E001`/`SIDR-E002`). Returns the cover slabs and the
+/// keyblock owning each, unless a cover is not computable or has a
+/// defect: dependencies derived from a broken cover would only repeat
+/// its error.
+fn check_cover_geometry(view: &PlanView, report: &mut Report) -> Option<(Vec<Slab>, Vec<usize>)> {
+    let mut slabs: Vec<Slab> = Vec::new();
+    let mut owners: Vec<usize> = Vec::new();
+    for b in 0..view.num_reducers() {
+        // Un-computable covers are already reported by the
+        // count-balance check.
+        for s in view.partition.keyblock_cover(b).ok()? {
+            slabs.push(s);
+            owners.push(b);
+        }
+    }
+    let Some(defect) = tiling_defect(&slabs, &view.kspace, "slabs", report) else {
+        return Some((slabs, owners));
+    };
+    report.push(match defect {
+        CoverDefect::OutOfBounds { index } => {
+            Diagnostic::error(codes::COVERAGE, "keyblock cover extends outside K′ᵀ")
+                .with("keyblock", owners[index])
+                .with("slab", &slabs[index])
+        }
+        CoverDefect::Overlap { a, b, shared } => {
+            Diagnostic::error(codes::OVERLAP, "keyblock covers overlap")
+                .with("keyblock_a", owners[a])
+                .with("keyblock_b", owners[b])
+                .with("shared_keys", shared)
+        }
+        CoverDefect::CountMismatch { covered, expected } => {
+            Diagnostic::error(codes::COVERAGE, "keyblock covers do not tile K′ᵀ")
+                .with("covered_keys", covered)
+                .with("keyspace_keys", expected)
+        }
+    });
+    None
+}
+
+/// Invariant 1, input side: the splits tile the query region exactly —
+/// in bounds, pairwise disjoint, counts balancing to the region's
+/// (`SIDR-E001`/`SIDR-E002`). Every split generator tiles it and the
+/// §3.2.1 tallies assume it: a record read twice, or by no map, would
+/// fail the job's tally only after admission.
+fn check_split_tiling(query: &StructuralQuery, splits: &[InputSplit], report: &mut Report) {
+    let space = query.input_space();
+    let corner = query.region().corner().clone();
+    // Splits relative to the region corner; one starting before the
+    // corner lies outside the region.
+    let rel: Result<Vec<Slab>, usize> = splits
+        .iter()
+        .enumerate()
+        .map(|(index, split)| {
+            split
+                .slab
+                .corner()
+                .checked_sub(&corner)
+                .and_then(|c| Slab::new(c, split.slab.shape().clone()))
+                .map_err(|_| index)
+        })
+        .collect();
+    let defect = match rel {
+        Err(index) => Some(CoverDefect::OutOfBounds { index }),
+        Ok(rel) => tiling_defect(&rel, space, "splits", report),
+    };
+    let Some(defect) = defect else { return };
+    report.push(match defect {
+        CoverDefect::OutOfBounds { index } => Diagnostic::error(
+            codes::COVERAGE,
+            "input split extends outside the query region",
+        )
+        .with("split", index)
+        .with("slab", &splits[index].slab),
+        CoverDefect::Overlap { a, b, shared } => Diagnostic::error(
+            codes::OVERLAP,
+            "input splits overlap: their shared records would be read twice",
+        )
+        .with("split_a", a)
+        .with("split_b", b)
+        .with("shared_records", shared),
+        CoverDefect::CountMismatch { covered, expected } => Diagnostic::error(
+            codes::COVERAGE,
+            "input splits do not tile the query region: some records would be read by no map",
+        )
+        .with("covered_records", covered)
+        .with("region_records", expected),
+    });
+}
+
+/// [`cover::exact_cover_defect`], except that past
+/// [`PAIRWISE_SLAB_LIMIT`] slabs the overlap sweep is skipped
+/// (`SIDR-I010`, counting the `noun`): a count short of the space's
+/// still proves a gap. (A sum past `u64` proves overlap, not a gap.)
+fn tiling_defect(
+    slabs: &[Slab],
+    space: &Shape,
+    noun: &str,
+    report: &mut Report,
+) -> Option<CoverDefect> {
+    if slabs.len() <= PAIRWISE_SLAB_LIMIT {
+        return cover::exact_cover_defect(slabs, space);
+    }
+    report.push(
+        Diagnostic::info(
+            codes::TRUNCATED,
+            format!("too many {noun} for the pairwise disjointness proof"),
+        )
+        .with(noun, slabs.len())
+        .with("limit", PAIRWISE_SLAB_LIMIT),
+    );
+    if let Some(index) = cover::first_out_of_bounds(slabs, space) {
+        return Some(CoverDefect::OutOfBounds { index });
+    }
+    let covered = slabs
+        .iter()
+        .try_fold(0u64, |n, s| n.checked_add(s.count()))?;
+    (covered < space.count()).then(|| CoverDefect::CountMismatch {
+        covered,
+        expected: space.count(),
+    })
+}
+
+/// Invariant 2: recompute each split's keyblock set independently of
+/// `Dependencies::derive` — the split's image under the extraction
+/// shape, intersected with the keyblock cover slabs in one sweep
+/// ([`cover::for_each_crossing`]) — and compare against the
+/// plan's dependency tables edge by edge (`SIDR-E003` missing,
+/// `SIDR-W004` spurious). The cover is exact, so a split feeds a
+/// keyblock exactly when its image meets one of the keyblock's slabs.
+fn check_dependencies(
+    query: &StructuralQuery,
+    splits: &[InputSplit],
+    view: &PlanView,
+    slabs: &[Slab],
+    owners: &[usize],
+    report: &mut Report,
+) {
+    // A split without an image feeds nothing.
+    let mut images: Vec<Slab> = Vec::new();
+    let mut imaged: Vec<usize> = Vec::new();
+    for (m, split) in splits.iter().enumerate() {
+        match query.image_of_split(&split.slab) {
+            Ok(Some(image)) => {
+                images.push(image);
+                imaged.push(m);
+            }
+            Ok(None) => {}
+            Err(e) => {
+                report.push(
+                    Diagnostic::error(codes::DEP_MISSING, "split image is not computable")
+                        .with("split", m)
+                        .with("cause", e),
+                );
+                return;
+            }
+        }
+    }
+    // Edges as (split, keyblock), sorted: the recomputed ones and the
+    // stored ones.
+    let mut fed: Vec<(usize, usize)> = Vec::new();
+    cover::for_each_crossing(&images, slabs, |i, k| fed.push((imaged[i], owners[k])));
+    fed.sort_unstable();
+    fed.dedup();
+    let mut listed: Vec<(usize, usize)> = (view.map_feeds.iter().take(splits.len()))
+        .enumerate()
+        .flat_map(|(m, feeds)| feeds.iter().map(move |&b| (m, b)))
+        .collect();
+    listed.sort_unstable();
+    listed.dedup();
+
+    let missing: Vec<_> = (fed.iter())
+        .filter(|e| listed.binary_search(e).is_err())
+        .collect();
+    for &&(m, b) in missing.iter().take(DETAIL_CAP) {
+        report.push(
+            Diagnostic::error(
+                codes::DEP_MISSING,
+                "split feeds a keyblock that does not list it: \
+                 the reduce barrier would release on incomplete input",
+            )
+            .with("split", m)
+            .with("keyblock", b),
+        );
+    }
+    if missing.len() > DETAIL_CAP {
+        report.push(
+            Diagnostic::error(
+                codes::DEP_MISSING,
+                "further missing dependency edges suppressed",
+            )
+            .with("total_missing", missing.len()),
+        );
+    }
+    let spurious: Vec<_> = (listed.iter())
+        .filter(|e| fed.binary_search(e).is_err())
+        .collect();
+    for &&(m, b) in spurious.iter().take(DETAIL_CAP) {
+        report.push(
+            Diagnostic::warning(
+                codes::DEP_SPURIOUS,
+                "dependency set lists a split that contributes nothing; \
+                 the barrier is later than necessary",
+            )
+            .with("split", m)
+            .with("keyblock", b),
+        );
+    }
+    if spurious.len() > DETAIL_CAP {
+        report.push(
+            Diagnostic::warning(
+                codes::DEP_SPURIOUS,
+                "further spurious dependency edges suppressed",
+            )
+            .with("total_spurious", spurious.len()),
+        );
+    }
+}
+
+/// Invariant 3: the skew certificate (`SIDR-E005`). The dealing unit
+/// must respect the permissible skew, and the observed spread across
+/// non-empty keyblocks must stay within one unit — witnessed by the
+/// largest and smallest keyblocks.
+fn check_skew(view: &PlanView, skew_bound: Option<u64>, report: &mut Report) {
+    let cp = view.partition.partition();
+    let unit = cp.skew_shape().count();
+    let bound = skew_bound.unwrap_or(unit);
+    if unit > bound {
+        report.push(
+            Diagnostic::error(
+                codes::SKEW,
+                "the partition's dealing unit exceeds the permissible skew",
+            )
+            .with("dealing_unit_keys", unit)
+            .with("permissible_skew", bound)
+            .with("skew_shape", cp.skew_shape()),
+        );
+    }
+    // The §3.1 bound is one dealing unit. A unit clipped at the space's
+    // edge is short, so keyblocks are compared by key count plus their
+    // clipped units' shortfall: what each would hold unclipped.
+    let mut hi: Option<(usize, u64, u64)> = None;
+    let mut lo: Option<(usize, u64, u64)> = None;
+    for b in 0..view.num_reducers() {
+        let keys = match cp.block_key_count(b) {
+            Ok(c) => c,
+            Err(_) => return, // the count-balance check flagged it
+        };
+        if keys == 0 {
+            continue;
+        }
+        let (start, end) = cp.block_run(b);
+        let shortfall = (end - start) * unit - keys;
+        let c = keys + shortfall;
+        if hi.is_none_or(|(_, best, _)| c > best) {
+            hi = Some((b, c, keys));
+        }
+        if lo.is_none_or(|(_, best, _)| c < best) {
+            lo = Some((b, c, keys));
+        }
+    }
+    if let (Some((hb, hc, hk)), Some((lb, lc, lk))) = (hi, lo) {
+        let observed = hc - lc;
+        if observed > unit {
+            report.push(
+                Diagnostic::error(
+                    codes::SKEW,
+                    "observed keyblock skew exceeds one dealing unit",
+                )
+                .with("observed_skew", observed)
+                .with("dealing_unit_keys", unit)
+                .with("largest_keyblock", hb)
+                .with("largest_keys", hk)
+                .with("smallest_keyblock", lb)
+                .with("smallest_keys", lk),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operators::Operator;
     use crate::plan::SidrPlanner;
+    use sidr_coords::Coord;
     use sidr_mapreduce::SplitGenerator;
 
     fn fixture() -> (StructuralQuery, Vec<InputSplit>, PlanView) {
@@ -327,53 +661,78 @@ mod tests {
         (q, splits, view)
     }
 
+    /// `fixture`'s view, corrupted by `corrupt`, verified.
+    fn verify_corrupted(corrupt: impl FnOnce(&mut PlanView)) -> Report {
+        let (q, splits, mut view) = fixture();
+        corrupt(&mut view);
+        verify(&q, &splits, &view, None)
+    }
+
     #[test]
-    fn planner_output_is_structurally_clean() {
-        let (_, _, view) = fixture();
-        let report = structural_check(&view);
+    fn planner_output_verifies_clean() {
+        let report = verify_corrupted(|_| {});
+        assert!(report.is_clean(), "unexpected findings:\n{report}");
+    }
+
+    /// Region splits are absolute; the tiling check takes them
+    /// relative to the region corner.
+    #[test]
+    fn region_plan_verifies_clean() {
+        let space = Shape::new(vec![64, 10]).unwrap();
+        let region = Slab::new(Coord::from([16, 0]), Shape::new(vec![32, 10]).unwrap()).unwrap();
+        let q = StructuralQuery::over_region(
+            "t",
+            &space,
+            region.clone(),
+            Shape::new(vec![8, 5]).unwrap(),
+            Operator::Mean,
+        )
+        .unwrap();
+        let splits = SplitGenerator::new(space, 8)
+            .for_region(region)
+            .unwrap()
+            .aligned(8 * 10 * 8, 8)
+            .unwrap();
+        assert!(splits.len() > 1);
+        let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
+        let report = verify(&q, &splits, &PlanView::of_plan(&plan, &q, &splits), None);
         assert!(report.is_clean(), "unexpected findings:\n{report}");
     }
 
     #[test]
     fn bad_reduce_order_is_caught() {
-        let (_, _, mut view) = fixture();
-        view.reduce_order = vec![0, 0, 1, 2];
-        assert!(structural_check(&view).has_code(codes::SCHED_ORDER));
+        let report = verify_corrupted(|v| v.reduce_order = vec![0, 0, 1, 2]);
+        assert!(report.has_code(codes::SCHED_ORDER));
     }
 
     #[test]
     fn dangling_dependency_is_caught() {
-        let (_, _, mut view) = fixture();
-        view.reduce_deps[1].push(view.num_splits + 5);
-        assert!(structural_check(&view).has_code(codes::SCHED_GRAPH));
+        let report = verify_corrupted(|v| v.reduce_deps[1].push(v.num_splits + 5));
+        assert!(report.has_code(codes::SCHED_GRAPH));
     }
 
     #[test]
     fn starved_keyblock_is_caught() {
-        let (_, _, mut view) = fixture();
-        view.reduce_deps[2].clear();
-        let report = structural_check(&view);
+        let report = verify_corrupted(|v| v.reduce_deps[2].clear());
         assert!(report.has_code(codes::SCHED_GRAPH));
     }
 
     #[test]
     fn corrupted_expected_count_is_caught() {
-        let (_, _, mut view) = fixture();
-        view.expected_raw[0] += 1;
-        let report = structural_check(&view);
+        let report = verify_corrupted(|v| v.expected_raw[0] += 1);
         assert!(report.has_code(codes::BLOCK_COUNT));
         assert!(report.has_code(codes::CONSERVATION));
     }
 
     #[test]
     fn wrong_keyspace_partition_is_caught() {
-        let (_, _, mut view) = fixture();
         // Partition built over a *wider* space than the query's K′ᵀ:
         // the keyblocks tile the wrong space, so counts cannot
         // balance.
         let wide = Shape::new(vec![32, 2, 10]).unwrap();
-        view.partition = PartitionPlus::with_skew_bound(wide, 4, 20).unwrap();
-        let report = structural_check(&view);
+        let report = verify_corrupted(|v| {
+            v.partition = PartitionPlus::with_skew_bound(wide, 4, 20).unwrap()
+        });
         assert!(report.has_code(codes::COVERAGE));
     }
 }

@@ -4,7 +4,8 @@
 /// are plain numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CountersSnapshot {
-    /// Records read from input splits.
+    /// Records read from input splits. Like every map counter, only
+    /// committed attempts count: a losing racer's work does not.
     pub map_records_in: u64,
     /// Intermediate pairs the Map functions represent: the §3.2.1
     /// annotations' total, before any selection or combining.

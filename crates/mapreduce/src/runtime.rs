@@ -328,15 +328,16 @@ impl Loop<'_> {
             Ok(tally) => tally,
             Err(e) => return self.map_failed(task, attempt, e),
         };
-        // Every attempt tallies its work, winner or loser; the first
-        // commit wins.
+        // The first commit wins, and only the committed attempt's
+        // tally counts, as Hadoop's job counters do: a racer's work
+        // would count or not by when it reports.
+        if !self.sched.commit(task, attempt) {
+            return self.lose_race(task, attempt);
+        }
         let c = &mut self.st.counters;
         c.map_records_in += tally.records_in;
         c.map_records_out += tally.records_out;
         c.combined_records += tally.partitions.iter().map(|&(_, rows)| rows).sum::<u64>();
-        if !self.sched.commit(task, attempt) {
-            return self.lose_race(task, attempt);
-        }
         self.st.fed.insert((task, attempt), tally.partitions);
         self.record(TaskKind::MapEnd, task, attempt);
         let took = self.cluster.now() - started;

@@ -107,17 +107,18 @@ pub mod thread {
     pub use std::thread::{scope, sleep, spawn, JoinHandle, Scope};
 }
 
-/// Seeded concurrency-bug injection for checker mutation tests.
+/// Seeded bug injection for checker mutation tests.
 ///
 /// Each [`Mutation`](chaos::Mutation) re-introduces one classic bug at a named hook in
-/// the runtime. The hooks compile to `false` in normal builds; under
+/// the runtime, or one planner fault the plan's own proof must catch
+/// at build. The hooks compile to `false` in normal builds; under
 /// `--cfg check` the mutation tests arm one at a time and assert the
 /// explorer reports the matching finding (lost wakeup, deadlock,
-/// protocol violation). The armed flag is process-global state of the
+/// protocol violation), or the build the matching diagnostic code. The armed flag is process-global state of the
 /// *checker*, not of the model: it is a plain std atomic on purpose,
 /// so arming it neither yields nor creates happens-before edges.
 pub mod chaos {
-    /// A deliberately injected concurrency bug.
+    /// A deliberately injected concurrency bug or planner fault.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum Mutation {
         /// `Inbox::post` queues an attempt's result without waking the
@@ -150,6 +151,14 @@ pub mod chaos {
         /// ones with it: the retry finds them gone, and maps outside
         /// the fault's reach re-execute.
         ReleaseOnLostSources,
+        /// `Dependencies::derive` drops the last map's last dependency
+        /// edge from both of its tables: that keyblock's barrier
+        /// releases without the map's data.
+        DeriveDropsEdge,
+        /// `PartitionPlus::keyblock_cover` leaves the last keyblock's
+        /// last dealing unit, the one clipped at the space's edge, out
+        /// of its cover.
+        ShortLastCover,
     }
 
     /// Whether `m` is armed. Always `false` outside checker builds.

@@ -14,7 +14,7 @@ use sidr_mapreduce::{
     reexecuted_maps, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InputSplit,
     JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SpeculationPolicy, TaskKind,
 };
-use support::{bodies, number_splits, run, sum, sum_by_mod10, SLOTS};
+use support::{bodies, identity_source, number_splits, run, sum, sum_by_mod10, SLOTS};
 
 /// Ground truth for sum_by_mod10 over `0..n`.
 fn digit_sums(n: u64) -> Vec<(u64, u64)> {
@@ -294,6 +294,9 @@ fn speculative_twin_rescues_straggler_with_identical_output() {
     // Speculation is not recovery.
     assert!(reexecuted_maps(&result.events).is_empty());
     assert_eq!(result.counters.map_failures, 0);
+    // Only the committed attempt's tally counts, whenever the loser
+    // reports.
+    assert_eq!(result.counters.map_records_in, 120);
     let oracle = sidr_core::TimelineOracle::new(6, 4);
     if let Err(v) = oracle.check_complete(&result.events) {
         panic!("speculative timeline violates the protocol oracle: {v}");
@@ -386,10 +389,60 @@ fn primary_wins_race_and_slow_twin_is_discarded() {
     }
     assert!(reexecuted_maps(&result.events).is_empty());
     assert_eq!(result.counters.map_failures, 0);
+    assert_eq!(result.counters.map_records_in, 120);
     let oracle = sidr_core::TimelineOracle::new(6, 4);
     if let Err(v) = oracle.check_complete(&result.events) {
         panic!("primary-wins timeline violates the protocol oracle: {v}");
     }
+}
+
+/// A racer that finishes its work after the other attempt committed,
+/// while the job still runs, adds no tally: both attempts of map 2
+/// meet inside their work, past any pause a lost race could cut
+/// short, so both return one; map 5's 300 ms straggle keeps the job
+/// running when the loser reports. Only the committed attempt's 20
+/// records count.
+#[test]
+fn losing_racer_that_finishes_adds_no_tally() {
+    let met = (std::sync::Mutex::new(0u32), std::sync::Condvar::new());
+    let meeting_map_2 = bodies(
+        |task, split: &InputSplit| {
+            if task == 2 {
+                let (arrived, cv) = &met;
+                let mut n = arrived.lock().expect("no attempt panics holding it");
+                *n += 1;
+                cv.notify_all();
+                let wait = Duration::from_secs(10);
+                drop(cv.wait_timeout_while(n, wait, |n| *n < 2));
+            }
+            identity_source(task, split)
+        },
+        |k, v, emit| emit(k % 10, v),
+        |k| (k % 4) as usize,
+        sum,
+    );
+    let config = JobConfig {
+        fault_plan: FaultPlan::straggle_maps([5], 300),
+        speculation: SpeculationPolicy::force([2]),
+        ..Default::default()
+    };
+    let output = InMemoryOutput::new();
+    let splits = number_splits(120, 6);
+    let result = run(
+        &splits,
+        meeting_map_2,
+        &DefaultPlan::new(4),
+        &output,
+        &config,
+        SLOTS,
+    )
+    .unwrap();
+    assert_eq!(output.sorted_records(), digit_sums(120));
+    let lost =
+        (result.events.iter()).any(|e| e.kind == TaskKind::MapSpeculationLost && e.task == 2);
+    assert!(lost, "map 2 ran no race");
+    assert_eq!(result.counters.map_records_in, 120);
+    assert_eq!(result.counters.map_records_out, 120);
 }
 
 /// The engine owns the deadline: a job still running when

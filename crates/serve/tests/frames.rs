@@ -7,6 +7,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use sidr_analyze::{analyze_spec, AnalyzeOptions};
 use sidr_coords::Shape;
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
@@ -156,7 +157,8 @@ fn submitted_spec_survives_the_frame_hop_intact() {
     };
     // The framed spec is the same document `sidr plan --spec` writes.
     assert_eq!(back.to_json(), spec.to_json());
-    back.verify().unwrap();
+    let report = analyze_spec(&back, &AnalyzeOptions::default()).unwrap();
+    assert!(report.is_clean(), "unexpected findings:\n{report}");
 }
 
 #[test]
