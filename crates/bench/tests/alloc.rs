@@ -3,8 +3,9 @@
 //! allocator calls per keyblock, the streaming merge holds
 //! O(sources + one group) live bytes however many records it drains,
 //! a SMOF encode is one exactly-sized buffer, the geometric map
-//! kernel holds no more than its input and its output partitions (and
-//! under a combiner 8 bytes per key), and the admission pre-flight's
+//! kernel holds one read chunk and its output partitions, beside the
+//! values of the units it finishes, or 16 bytes per key where it places
+//! them (8 under a combiner), and the admission pre-flight's
 //! allocations do not grow with `|K′ᵀ|`.
 //!
 //! One `#[test]` on purpose: the counters are process-global, so two
@@ -22,6 +23,7 @@ use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::shuffle_file::{crc32, encode_map_output};
 use sidr_mapreduce::{InputSplit, MapOutputFile, MergeIter, Smof3View};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
+use sidr_scifile::read_chunks;
 use sidr_serve::binframe;
 
 #[global_allocator]
@@ -151,10 +153,12 @@ fn wire_path_allocation_invariants() {
     };
     assert_eq!(encode_map_output(&file).expect("uniform rank"), expected);
 
-    // (d) The map kernel holds the split's input from the read to its
-    // place pass, which writes each value once, straight into its
-    // partition: at its peak nothing else of size is live. A
-    // fig.-8-shaped split, {7,5,1} keys over 4 reducers, no combiner.
+    // (d) The map kernel reads its split one chunk at a time. Under
+    // Median it gathers each key the split holds whole into one f64
+    // scratch and finishes it into a run of one row, so beside the
+    // scratch — the split's size here — it holds one read chunk, not
+    // the split's input. A fig.-8-shaped split, {7,5,1} keys over 4
+    // reducers, every key whole.
     let space = Shape::new(vec![7, 50, 50]).expect("valid");
     let spec = DatasetSpec {
         variable: "v".into(),
@@ -173,17 +177,16 @@ fn wire_path_allocation_invariants() {
         StructuralQuery::new("v", space.clone(), extraction, Operator::Median).expect("valid");
     let mapper = StructuralMapper::for_query(&query);
     let partition = PartitionPlus::for_query(&query, 4).expect("valid");
-    let split = Slab::whole(&space);
-    let map_peak = |fold: Option<Operator>| {
+    let map_peak = |split: &Slab, operator: Operator| {
         let scope = AllocScope::start();
         let out = map_split::<f64>(
             &file,
             "v",
-            &split,
+            split,
             &mapper,
             4,
             |k| partition.keyblock_of(k),
-            fold,
+            operator,
         )
         .expect("maps");
         let (_bytes, _calls, peak) = scope.finish();
@@ -191,8 +194,14 @@ fn wire_path_allocation_invariants() {
         let output: u64 = out.partitions.iter().map(|(_, p)| p.len() as u64).sum();
         (peak, output)
     };
+    // The bytes of a split's largest read chunk.
+    let chunk_bytes = |split: &Slab| {
+        let largest = read_chunks(split).iter().map(Slab::count).max();
+        largest.expect("a split has a chunk") * 8
+    };
+    let split = Slab::whole(&space);
     let input = split.count() * 8;
-    let (peak, output) = map_peak(None);
+    let (peak, output) = map_peak(&split, Operator::Median);
     let bound = input + output + 64 * 1024;
     assert!(
         peak <= bound,
@@ -200,17 +209,39 @@ fn wire_path_allocation_invariants() {
     );
 
     // (f) A combiner folds each value into its key's 8-byte
-    // accumulator as it is read: beside the input and the output, the
-    // kernel holds 8 bytes per image key, not 8 per record. The same
-    // split under Max: 17,500 records onto 500 keys.
+    // accumulator as it is read: beside one read chunk and the output,
+    // the kernel holds 8 bytes per image key, not 8 per record. The
+    // whole split under Max: 17,500 records onto 500 keys.
     let keys = query.intermediate_space().count();
-    let (peak, output) = map_peak(Some(Operator::Max));
-    std::fs::remove_file(&path).ok();
-    let bound = input + 8 * keys + output + 64 * 1024;
+    let chunk = chunk_bytes(&split);
+    let (peak, output) = map_peak(&split, Operator::Max);
+    let bound = chunk + 8 * keys + output + 64 * 1024;
     assert!(
         peak <= bound,
-        "folding map_split peak live bytes {peak} exceed input {input} + 8 × {keys} keys \
+        "folding map_split peak live bytes {peak} exceed chunk {chunk} + 8 × {keys} keys \
          + output {output} + 64 KiB"
+    );
+
+    // (g) A split that cuts every unit — its 4 rows of the 7-row
+    // instances — finishes none under Median: each value is placed
+    // straight into its partition as its chunk is read. Beside the
+    // output the kernel holds one read chunk and 16 bytes per image
+    // key (count, reducer, byte cursor).
+    let cut = Slab::new(
+        Coord::from([0, 0, 0]),
+        Shape::new(vec![4, 50, 50]).expect("valid"),
+    )
+    .expect("valid");
+    let image_keys = query.intermediate_space().count();
+    let chunk = chunk_bytes(&cut);
+    let (peak, output) = map_peak(&cut, Operator::Median);
+    assert!(output > cut.count() * 8, "every value ships");
+    let bound = chunk + output + 16 * image_keys + 64 * 1024;
+    std::fs::remove_file(&path).ok();
+    assert!(
+        peak <= bound,
+        "placing map_split peak live bytes {peak} exceed chunk {chunk} + output {output} \
+         + 16 × {image_keys} keys + 64 KiB"
     );
 
     // (e) The admission pre-flight proves coverage and dependencies on

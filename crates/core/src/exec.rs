@@ -155,8 +155,10 @@ impl SpecExecutor {
     }
 
     /// Runs one map attempt: read the split, map it by geometry, fold
-    /// each key's run if the operator is distributive, and encode a
-    /// SMOF buffer for each reducer the split represents pairs for.
+    /// each key's run if the operator is distributive or finish each
+    /// key the split holds whole if its reduce gives its own value
+    /// back, and encode a SMOF buffer for each reducer the split
+    /// represents pairs for.
     /// Injected map faults for this (task, attempt) fire here, on the
     /// worker, exactly as they would in-process — except that a worker
     /// cannot see the coordinator's cancel or race state, so a
@@ -189,18 +191,17 @@ impl SpecExecutor {
                 return Err(injected_source_error(task, attempt, after).into());
             }
         }
-        let fold = self.operator.is_distributive().then_some(self.operator);
         let (file, var, slab) = (&self.file, self.variable.as_str(), &split.slab);
-        let (mapper, n) = (&self.mapper, self.num_reducers);
+        let (mapper, n, op) = (&self.mapper, self.num_reducers, self.operator);
         let route = |key: &[u64]| match &self.route {
             Route::PartitionPlus { partition, .. } => partition.keyblock_of(key),
             Route::Hash => CoordHashPartitioner::keyblock_of(key, n),
         };
         match self.dtype {
-            DataType::I32 => map_split::<i32>(file, var, slab, mapper, n, route, fold),
-            DataType::I64 => map_split::<i64>(file, var, slab, mapper, n, route, fold),
-            DataType::F32 => map_split::<f32>(file, var, slab, mapper, n, route, fold),
-            DataType::F64 => map_split::<f64>(file, var, slab, mapper, n, route, fold),
+            DataType::I32 => map_split::<i32>(file, var, slab, mapper, n, route, op),
+            DataType::I64 => map_split::<i64>(file, var, slab, mapper, n, route, op),
+            DataType::F32 => map_split::<f32>(file, var, slab, mapper, n, route, op),
+            DataType::F64 => map_split::<f64>(file, var, slab, mapper, n, route, op),
         }
     }
 

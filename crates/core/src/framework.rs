@@ -203,9 +203,11 @@ pub fn generate_splits(
 /// policy) belong to the server.
 #[derive(Clone, Debug, Default)]
 pub struct SpecRunOptions {
-    /// Client-supplied keyblock priority: keyblocks covering this
-    /// region of `K′` are scheduled first (§3.4 computational
-    /// steering). Overrides the spec's stored `reduce_order`.
+    /// Client-supplied keyblock priority: the plan the run re-derives
+    /// from the spec's query and splits schedules the keyblocks
+    /// covering this region of `K′` first (§3.4 computational
+    /// steering); without one it runs in that plan's own order. The
+    /// run never reads the spec's stored `reduce_order`.
     pub priority_region: Option<Slab>,
     /// Unread: every SIDR reduce checks the tally its plan promises.
     /// Kept because the frozen benchmark still sets it.

@@ -13,20 +13,24 @@
 //! values are data.
 //! [`map_split`]:
 //!
-//! 1. reads the split in [`read_chunks`] order and gives each record
-//!    its row-major index in the split's *image*, the slab of `K′` keys
-//!    the split touches ([`Tiling::instances_touched_by`]). The index is
-//!    a sum of per-dimension table entries: no per-record `Coord`,
-//!    division or allocation. Partial instances, stride gaps, records
-//!    outside the query region get none, and a `Filter` query keeps
-//!    only the values its predicate passes;
+//! 1. reads the split one [`read_chunks`] slab at a time, passing each
+//!    chunk and dropping it before the next is read, and gives each
+//!    record its row-major index in the split's *image*, the slab of
+//!    `K′` keys the split touches ([`Tiling::instances_touched_by`]).
+//!    The index is a sum of per-dimension table entries: no per-record
+//!    `Coord`, division or allocation. Partial instances, stride gaps,
+//!    records outside the query region get none, and a `Filter` query
+//!    keeps only the values its predicate passes;
 //! 2. takes each image key's record count from geometry: the product,
 //!    over dimensions, of how many split positions map to its
 //!    coordinate along that dimension, O(Σ extents + keys) and no pass
 //!    over the records. These are the pairs the map *represents*: its
 //!    `records_out`, and each partition's §3.2.1 `raw` annotation. A
-//!    `Filter` keeps a subset that depends on the values, so its jobs
-//!    also count the kept records in one pass;
+//!    key whose count is the query's `fold_in_count` lies *whole* in
+//!    the split: partial instances have no image key and stride gaps
+//!    no index, so no other map feeds it. A `Filter` keeps a subset
+//!    that depends on the values, so its jobs hold the split's chunks
+//!    and count the kept records in one pass over them;
 //! 3. routes once per image key, not once per record: `partition+`
 //!    under SIDR, the stock hash-modulo under Hadoop and SciHadoop;
 //!    then lays out the partition of each reducer whose represented
@@ -41,22 +45,31 @@
 //!    instead: the pass steps each value into its key's accumulator
 //!    with the operator's `Fold` — the identity and step
 //!    [`Operator::reduce_group`] folds a run with — and each non-empty
-//!    key's one value is copied into its partition. Each partition
-//!    is then sealed with its CRC.
+//!    key's one value is copied into its partition. Any other operator
+//!    whose reduce gives its own one value back (Mean, Median,
+//!    Percentile) *finishes* each whole key: the pass gathers the key's
+//!    values into one `f64` scratch, in reader order, and
+//!    [`Operator::reduce_group`] turns them into a run of one row.
+//!    Keys that straddle splits are placed. Each partition is then
+//!    sealed with its CRC.
 //!
 //! The bytes are exactly those of a per-record map — each record
 //! through the structural map, routed by the same partition function,
-//! each reducer's pairs stably sorted by key and each run folded, then
-//! `encode_map_output` under the count of pairs mapped before any
-//! selection — which `tests/geomap.rs` keeps as the kernel's reference
-//! and pins for both routes. Transient memory is the split's input
-//! (held from the read to the place pass) and 16 bytes per image key —
-//! count, reducer, and a byte cursor or a fold's accumulator; 4 more
-//! under a filter, whose represented and kept counts differ — beside
-//! the output partitions themselves; a fold drops the input
-//! before the partitions are laid out. `tests/alloc.rs` in `sidr-bench`
-//! pins the bound. A per-record map holds a `(Coord, f64)` row and a
-//! heap-allocated key per record (≈ 56 bytes at rank 3).
+//! each reducer's pairs stably sorted by key, each run folded and each
+//! whole run finished, then `encode_map_output` under the count of
+//! pairs mapped before any selection — which `tests/geomap.rs` keeps as
+//! the kernel's reference and pins for both routes. Finishing leaves a
+//! job's output as it was: a whole key has one source, so the merge
+//! would have handed the reduce this same reader order, and the reduce
+//! of the one finished value returns it bit for bit. Transient memory
+//! is one read chunk and 16 bytes per image key — count, reducer, and a
+//! byte cursor or a fold's accumulator — beside the output partitions
+//! themselves; finishing adds the scratch of the whole keys' values,
+//! and a filter, whose represented and kept counts differ, holds the
+//! split's input from the read to the place pass and 4 bytes more per
+//! key. `tests/alloc.rs` in `sidr-bench` pins the bounds. A per-record
+//! map holds a `(Coord, f64)` row and a heap-allocated key per record
+//! (≈ 56 bytes at rank 3).
 //!
 //! [`Tiling::instances_touched_by`]: sidr_coords::Tiling::instances_touched_by
 
@@ -81,9 +94,10 @@ const VALUE_WIDTH: usize = 8;
 /// of `split` (absolute coordinates in `variable`'s space), routed to
 /// one of `num_reducers` by `keyblock_of` (a `K′` key's components →
 /// its reducer), as one encoded SMOF v4 partition per reducer the
-/// split represents pairs for. `fold` is the query's operator when it
-/// is distributive: each key's run is then folded map-side to one
-/// value.
+/// split represents pairs for. `operator` is the query's: a
+/// distributive one folds each key's run map-side to one value, and
+/// one whose reduce gives its own value back finishes each key the
+/// split holds whole.
 pub fn map_split<E: Element>(
     file: &ScincFile,
     variable: &str,
@@ -91,7 +105,7 @@ pub fn map_split<E: Element>(
     mapper: &StructuralMapper,
     num_reducers: usize,
     keyblock_of: impl Fn(&[u64]) -> usize,
-    fold: Option<Operator>,
+    operator: Operator,
 ) -> crate::Result<MapAttemptOutput> {
     let records_in = split.count();
     let mut out = MapAttemptOutput {
@@ -102,13 +116,6 @@ pub fn map_split<E: Element>(
     let Some(image) = Image::of(split, mapper)? else {
         return Ok(out); // the split feeds no K' key
     };
-    let mut chunks = read_chunks(split)
-        .into_iter()
-        .map(|chunk| {
-            let data = file.read_slab::<E>(variable, &chunk)?;
-            Ok((chunk, data))
-        })
-        .collect::<crate::Result<Vec<_>>>()?;
     let predicate_gt = mapper.predicate_gt;
 
     // Count: each image key's represented records, from geometry alone.
@@ -128,29 +135,31 @@ pub fn map_split<E: Element>(
     });
 
     // Each image key's kept records: all it represents, unless a
-    // filter's selection makes them depend on the values.
-    let mut counts = match predicate_gt {
-        None => represented,
-        Some(_) => image.counted(&chunks, split, predicate_gt),
+    // filter's selection makes them depend on the values, which takes
+    // a counting pass over the held input.
+    let (input, counts): (Input<E>, _) = match predicate_gt {
+        None => (Input::Streamed { file, variable }, represented),
+        Some(_) => {
+            let input = Input::held(file, variable, split)?;
+            let counts = image.counted(&input, split, predicate_gt)?;
+            (input, counts)
+        }
     };
+    let reduce = Reduce::of(operator, mapper);
 
-    // Fold: each kept value taken into its key's accumulator as it is
-    // read, after which the input is done with and each non-empty key
-    // is a run of one value.
-    let folded = fold.map(|op| {
-        let fold = op.fold().expect("a distributive operator");
-        let acc = image.fold_kept(&chunks, split, predicate_gt, fold);
-        chunks = Vec::new();
-        counts.iter_mut().for_each(|n| *n = (*n).min(1));
-        acc
-    });
+    // Fold: each value taken into its key's accumulator as it is read,
+    // before the partitions are laid out.
+    let folded = match reduce {
+        Reduce::Fold(fold) => Some(image.fold_kept(&input, split, fold)?),
+        _ => None,
+    };
 
     // Lay out each reducer's partition: header, then one run-table
     // entry per key, packed from the odometer.
     let (mut records, mut runs) = (vec![0usize; num_reducers], vec![0usize; num_reducers]);
     for (&n, &r) in counts.iter().zip(&route) {
         if n > 0 {
-            records[r as usize] += n as usize;
+            records[r as usize] += reduce.rows(n);
             runs[r as usize] += 1;
         }
     }
@@ -165,7 +174,7 @@ pub fn map_split<E: Element>(
         if counts[i] > 0 {
             let writer = writers[route[i] as usize].as_mut();
             let writer = writer.expect("a reducer with runs has a writer");
-            writer.push_run(counts[i] as usize, |slot| Coord::pack_words(key, slot));
+            writer.push_run(reduce.rows(counts[i]), |slot| Coord::pack_words(key, slot));
         }
     });
 
@@ -185,17 +194,53 @@ pub fn map_split<E: Element>(
             }
         }
     } else {
-        // Each key's byte cursor, then the values in reader order.
+        // Each key's cursor — a placed key's byte offset into its
+        // partition's values, a whole key's index into the scratch
+        // that gathers its unit — then the values in reader order.
+        let whole = reduce.whole();
         let mut cursor = vec![0usize; counts.len()];
+        let mut gathered = 0;
         for ((c, &n), &r) in cursor.iter_mut().zip(&counts).zip(&route) {
-            *c = next[r as usize];
-            next[r as usize] += n as usize * VALUE_WIDTH;
+            let rows = if whole == Some(n) {
+                *c = gathered;
+                gathered += n as usize;
+                1
+            } else {
+                *c = next[r as usize];
+                n as usize
+            };
+            next[r as usize] += rows * VALUE_WIDTH;
         }
-        image.for_each_kept(&chunks, split, predicate_gt, |i, v| {
+        let mut scratch = vec![0f64; gathered];
+        image.for_each_kept(&input, split, predicate_gt, |i, v| {
             let at = cursor[i];
-            regions[route[i] as usize][at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
-            cursor[i] = at + VALUE_WIDTH;
-        });
+            if whole == Some(counts[i]) {
+                scratch[at] = v;
+                cursor[i] = at + 1;
+            } else {
+                regions[route[i] as usize][at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
+                cursor[i] = at + VALUE_WIDTH;
+            }
+        })?;
+        // Finish: each whole key's unit reduced to the one value of
+        // its row, in key order.
+        if gathered > 0 {
+            next.fill(0);
+            let mut from = 0;
+            for (&n, &r) in counts.iter().zip(&route) {
+                let (r, at) = (r as usize, next[r as usize]);
+                if whole == Some(n) {
+                    let unit = &mut scratch[from..from + n as usize];
+                    from += unit.len();
+                    let mut value = 0.0;
+                    operator.reduce_group(unit, &mut |v| value = v);
+                    regions[r][at..at + VALUE_WIDTH].copy_from_slice(&value.to_le_bytes());
+                    next[r] = at + VALUE_WIDTH;
+                } else {
+                    next[r] = at + n as usize * VALUE_WIDTH;
+                }
+            }
+        }
     }
     out.partitions = writers
         .into_iter()
@@ -203,6 +248,89 @@ pub fn map_split<E: Element>(
         .filter_map(|(r, w)| Some((r, w?.seal())))
         .collect();
     Ok(out)
+}
+
+/// How the map reduces each image key's kept values before they ship.
+#[derive(Clone, Copy)]
+enum Reduce {
+    /// A distributive operator: every key's run folds to one value as
+    /// it is read.
+    Fold(Fold),
+    /// An operator whose reduce gives its own one value back: each key
+    /// holding all `whole` records of its unit is finished to one
+    /// value; the keys that straddle splits are placed.
+    Finish { whole: u32 },
+    /// Every kept value is placed.
+    Place,
+}
+
+impl Reduce {
+    fn of(operator: Operator, mapper: &StructuralMapper) -> Self {
+        if let Some(fold) = operator.fold() {
+            return Reduce::Fold(fold);
+        }
+        match u32::try_from(mapper.extraction.shape().count()) {
+            Ok(whole) if operator.idempotent() => Reduce::Finish { whole },
+            _ => Reduce::Place,
+        }
+    }
+
+    /// The unit size a key must hold to be finished, if any.
+    fn whole(self) -> Option<u32> {
+        match self {
+            Reduce::Finish { whole } => Some(whole),
+            _ => None,
+        }
+    }
+
+    /// The rows a key with `kept` records ships.
+    fn rows(self, kept: u32) -> usize {
+        match self {
+            Reduce::Fold(_) => kept.min(1) as usize,
+            Reduce::Finish { whole } if kept == whole => 1,
+            _ => kept as usize,
+        }
+    }
+}
+
+/// The split's records in [`read_chunks`] order.
+enum Input<'a, E> {
+    /// Read, passed and dropped one chunk at a time.
+    Streamed {
+        file: &'a ScincFile,
+        variable: &'a str,
+    },
+    /// Read once and held: a filter passes its records twice.
+    Held(Vec<(Slab, Vec<E>)>),
+}
+
+impl<E: Element> Input<'_, E> {
+    /// Every chunk of `split` read and held.
+    fn held(file: &ScincFile, variable: &str, split: &Slab) -> crate::Result<Self> {
+        let chunks = read_chunks(split)
+            .into_iter()
+            .map(|chunk| {
+                let data = file.read_slab::<E>(variable, &chunk)?;
+                Ok((chunk, data))
+            })
+            .collect::<crate::Result<Vec<_>>>()?;
+        Ok(Input::Held(chunks))
+    }
+
+    /// Calls `f(chunk, data)` for each [`read_chunks`] slab of `split`
+    /// and its records, in order.
+    fn for_each_chunk(&self, split: &Slab, mut f: impl FnMut(&Slab, &[E])) -> crate::Result<()> {
+        match self {
+            Input::Streamed { file, variable } => {
+                for chunk in read_chunks(split) {
+                    let data = file.read_slab::<E>(variable, &chunk)?;
+                    f(&chunk, &data);
+                }
+            }
+            Input::Held(chunks) => chunks.iter().for_each(|(chunk, data)| f(chunk, data)),
+        }
+        Ok(())
+    }
 }
 
 /// The split's image in `K′` and the per-dimension tables that index
@@ -280,19 +408,19 @@ impl Image {
         self.extents.iter().product::<u64>() as usize
     }
 
-    /// Calls `f(index, value)` for each kept record of `chunks` (the
-    /// split's [`read_chunks`] and their data), in reader order: its
-    /// image index and its value. A record that maps to no image key,
-    /// or that a filter's `value > predicate_gt` drops, is not kept.
+    /// Calls `f(index, value)` for each kept record of `split`, read
+    /// from `input`, in reader order: its image index and its value. A
+    /// record that maps to no image key, or that a filter's
+    /// `value > predicate_gt` drops, is not kept.
     fn for_each_kept<E: Element>(
         &self,
-        chunks: &[(Slab, Vec<E>)],
+        input: &Input<E>,
         split: &Slab,
         predicate_gt: Option<f64>,
         mut f: impl FnMut(usize, f64),
-    ) {
+    ) -> crate::Result<()> {
         let rank = self.corner.len();
-        for (chunk, data) in chunks {
+        input.for_each_chunk(split, |chunk, data| {
             let offset: Vec<usize> = (0..rank)
                 .map(|d| (chunk.corner()[d] - split.corner()[d]) as usize)
                 .collect();
@@ -326,7 +454,7 @@ impl Image {
                     pos[d] = 0;
                 }
             }
-        }
+        })
     }
 
     /// Each image key's record count from geometry alone: the product,
@@ -354,38 +482,37 @@ impl Image {
     /// Each image key's kept records, counted one by one.
     fn counted<E: Element>(
         &self,
-        chunks: &[(Slab, Vec<E>)],
+        input: &Input<E>,
         split: &Slab,
         predicate_gt: Option<f64>,
-    ) -> Vec<u32> {
+    ) -> crate::Result<Vec<u32>> {
         let mut counts = vec![0u32; self.keys()];
-        self.for_each_kept(chunks, split, predicate_gt, |i, _| counts[i] += 1);
-        counts
+        self.for_each_kept(input, split, predicate_gt, |i, _| counts[i] += 1)?;
+        Ok(counts)
     }
 
-    /// Each image key's kept values folded in reader order, from
-    /// `fold`'s identity: one accumulator per key. One record loop per
-    /// operator, so the step inlines into it.
+    /// Each image key's values folded in reader order, from `fold`'s
+    /// identity: one accumulator per key. One record loop per operator,
+    /// so the step inlines into it.
     fn fold_kept<E: Element>(
         &self,
-        chunks: &[(Slab, Vec<E>)],
+        input: &Input<E>,
         split: &Slab,
-        predicate_gt: Option<f64>,
         fold: Fold,
-    ) -> Vec<f64> {
+    ) -> crate::Result<Vec<f64>> {
         let mut acc = vec![fold.identity(); self.keys()];
         match fold {
-            Fold::Min => self.for_each_kept(chunks, split, predicate_gt, |i, v| {
+            Fold::Min => self.for_each_kept(input, split, None, |i, v| {
                 acc[i] = Fold::Min.step(acc[i], v)
             }),
-            Fold::Max => self.for_each_kept(chunks, split, predicate_gt, |i, v| {
+            Fold::Max => self.for_each_kept(input, split, None, |i, v| {
                 acc[i] = Fold::Max.step(acc[i], v)
             }),
-            Fold::Sum => self.for_each_kept(chunks, split, predicate_gt, |i, v| {
+            Fold::Sum => self.for_each_kept(input, split, None, |i, v| {
                 acc[i] = Fold::Sum.step(acc[i], v)
             }),
-        }
-        acc
+        }?;
+        Ok(acc)
     }
 
     /// Calls `f(index, key)` for each image key in row-major order,
@@ -465,18 +592,20 @@ mod tests {
         })
     }
 
-    /// The split's [`read_chunks`], each holding `value(i)` for its
-    /// `i`-th record in reader order.
-    fn chunks(split: &Slab, value: impl Fn(usize) -> f64) -> Vec<(Slab, Vec<f64>)> {
+    /// The split's [`read_chunks`], held, each holding `value(i)` for
+    /// its `i`-th record in reader order.
+    fn chunks(split: &Slab, value: impl Fn(usize) -> f64) -> Input<'static, f64> {
         let mut i = 0;
-        read_chunks(split)
-            .into_iter()
-            .map(|chunk| {
-                let data = (i..i + chunk.count() as usize).map(&value).collect();
-                i += chunk.count() as usize;
-                (chunk, data)
-            })
-            .collect()
+        Input::Held(
+            read_chunks(split)
+                .into_iter()
+                .map(|chunk| {
+                    let data = (i..i + chunk.count() as usize).map(&value).collect();
+                    i += chunk.count() as usize;
+                    (chunk, data)
+                })
+                .collect(),
+        )
     }
 
     proptest! {
@@ -486,7 +615,8 @@ mod tests {
         fn geometric_counts_equal_the_counting_pass((split, mapper) in geometry()) {
             if let Some(image) = Image::of(&split, &mapper).unwrap() {
                 let chunks = chunks(&split, |_| 0.0);
-                prop_assert_eq!(image.geometric_counts(), image.counted(&chunks, &split, None));
+                let counted = image.counted(&chunks, &split, None).unwrap();
+                prop_assert_eq!(image.geometric_counts(), counted);
             }
         }
     }
@@ -506,7 +636,7 @@ mod tests {
         assert_eq!(image.geometric_counts(), vec![3, 0, 1, 6, 0, 2]);
         assert_eq!(
             image.geometric_counts(),
-            image.counted(&chunks, &split, None)
+            image.counted(&chunks, &split, None).unwrap()
         );
     }
 
@@ -524,9 +654,13 @@ mod tests {
         for seed in 0..4 {
             let chunks = chunks(&split, |i| VALUES[(i * 7 + seed + i / 13) % VALUES.len()]);
             let mut runs = vec![Vec::new(); image.keys()];
-            image.for_each_kept(&chunks, &split, None, |i, v| runs[i].push(v));
+            image
+                .for_each_kept(&chunks, &split, None, |i, v| runs[i].push(v))
+                .unwrap();
             for op in [Operator::Min, Operator::Max, Operator::Sum] {
-                let folded = image.fold_kept(&chunks, &split, None, op.fold().unwrap());
+                let folded = image
+                    .fold_kept(&chunks, &split, op.fold().unwrap())
+                    .unwrap();
                 for (run, acc) in runs.iter().zip(&folded) {
                     let want = op.apply(run);
                     assert_eq!(acc.to_bits(), want[0].to_bits(), "{op:?} over {run:?}");

@@ -167,6 +167,28 @@ impl Operator {
         }
     }
 
+    /// Whether reducing the one value the operator emits for a unit
+    /// gives that value back, bit for bit: `apply(&apply(u))` is
+    /// `apply(u)` for every unit `u`. A map that holds a unit whole
+    /// may then reduce it itself and ship the one value
+    /// ([`crate::geomap`]): the reduce, handed that value alone, emits
+    /// it unchanged. Min, Max and Sum fold from their identity (a sum
+    /// from −0.0), Mean divides a one-value sum by 1, and Median and
+    /// Percentile select the only value there is. Every other operator
+    /// emits a statistic of the unit that its own reduce does not keep
+    /// (a count, a spread), or emits many values.
+    pub(crate) fn idempotent(&self) -> bool {
+        matches!(
+            self,
+            Operator::Min
+                | Operator::Max
+                | Operator::Sum
+                | Operator::Mean
+                | Operator::Median
+                | Operator::Percentile { .. }
+        )
+    }
+
     /// Whether the operator emits exactly one value per unit (such
     /// output fills a dense array; list-valued output goes to
     /// coordinate/value pair files, §2.4.2 / §4.4).
@@ -250,7 +272,93 @@ fn variance(values: &[f64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Every operator, the parameterised ones at one setting each.
+    const ALL: [Operator; 14] = [
+        Operator::Mean,
+        Operator::Median,
+        Operator::Min,
+        Operator::Max,
+        Operator::Sum,
+        Operator::Count,
+        Operator::Filter { threshold: 0.0 },
+        Operator::SortValues,
+        Operator::Variance,
+        Operator::StdDev,
+        Operator::Range,
+        Operator::CountAbove { threshold: 0.0 },
+        Operator::Percentile { p: 50.0 },
+        Operator::Histogram {
+            lo: 0.0,
+            hi: 10.0,
+            buckets: 2,
+        },
+    ];
+
+    /// A unit of 1–64 values: both zeros in either order, duplicates,
+    /// and ±1e16 beside small values, whose sum cancels in its bits.
+    fn unit() -> impl Strategy<Value = Vec<f64>> {
+        let value = (0u32..7, -100.0..100.0f64).prop_map(|(kind, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1e16,
+            3 => -1e16,
+            4 => 1.5,
+            5 => x.round(),
+            _ => x,
+        });
+        prop::collection::vec(value, 1..=64)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Reducing the one value an admitted operator emits for a unit
+        /// gives it back, bit for bit.
+        #[test]
+        fn idempotent_operators_give_their_value_back(u in unit(), tenths in 0u64..=1000) {
+            let p = tenths as f64 / 10.0;
+            let admitted = [
+                Operator::Min,
+                Operator::Max,
+                Operator::Sum,
+                Operator::Mean,
+                Operator::Median,
+                Operator::Percentile { p },
+            ];
+            for op in admitted {
+                prop_assert!(op.idempotent(), "{:?}", op);
+                let once = op.apply(&u);
+                prop_assert_eq!(once.len(), 1, "{:?}", op);
+                prop_assert_eq!(bits(&op.apply(&once)), bits(&once), "{:?} of {:?}", op, u);
+            }
+        }
+    }
+
+    /// The predicate admits exactly the six, and each refused operator
+    /// has a unit that shows why: its one value reduces to another, or
+    /// it emits many values.
+    #[test]
+    fn refused_operators_have_witnesses() {
+        let admitted = ALL.iter().filter(|op| op.idempotent()).count();
+        assert_eq!(admitted, 6);
+        for op in ALL.iter().filter(|op| !op.idempotent()) {
+            let witness: &[f64] = match op {
+                Operator::Histogram { .. } => &[1.0],
+                _ => &[1.0, 3.0],
+            };
+            let once = op.apply(witness);
+            let shown = once.len() != 1 || bits(&op.apply(&once)) != bits(&once);
+            assert!(shown, "{op:?}: {witness:?} → {once:?} reduces to itself");
+        }
+    }
 
     #[test]
     fn mean_median_of_known_values() {

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use sidr_coords::{Coord, Shape};
-use sidr_core::framework::{run_query, FrameworkMode, RunOptions};
+use sidr_core::framework::{generate_splits, run_query, FrameworkMode, RunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{ExecOptions, Operator, SidrPlanner, SpecExecutor, StructuralQuery};
 use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
@@ -95,20 +95,31 @@ fn query(operator: Operator) -> StructuralQuery {
 /// A default-config SIDR job of `operator` over the dataset in five
 /// splits and three keyblocks, its map lossy or not.
 fn run(name: &str, operator: Operator, lossy: bool) -> sidr_mapreduce::Result<JobResult> {
-    let path = dataset(name);
     let q = query(operator);
     let splits = SplitGenerator::new(q.input_space().clone(), 8)
         .exact_count(5)
         .unwrap();
-    let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-    let job = JobSpec::from_plan(&q, &splits, &plan).unwrap();
+    run_splits(name, &q, &splits, lossy)
+}
+
+/// A default-config SIDR job of `q` over `splits` of the dataset in
+/// three keyblocks, its map lossy or not.
+fn run_splits(
+    name: &str,
+    q: &StructuralQuery,
+    splits: &[InputSplit],
+    lossy: bool,
+) -> sidr_mapreduce::Result<JobResult> {
+    let path = dataset(name);
+    let plan = SidrPlanner::new(q, 3).build(splits).unwrap();
+    let job = JobSpec::from_plan(q, splits, &plan).unwrap();
     let inner = SpecExecutor::new(&path, job, ExecOptions::default()).unwrap();
     std::fs::remove_file(&path).unwrap();
     let config = JobConfig::default();
     let executor = InProcessExecutor::with_bodies(Lossy { inner, lossy }, &config);
     let pool = SlotPool::new(4, 3)?;
     let output = InMemoryOutput::new();
-    run_job_with_executor(&splits, &plan, &output, &config, &pool, None, &executor)
+    run_job_with_executor(splits, &plan, &output, &config, &pool, None, &executor)
 }
 
 #[test]
@@ -173,4 +184,82 @@ fn filter_ships_only_passing_rows_and_keeps_its_tally() {
     }
 
     assert_trips(run("filter-lossy", filter, true));
+}
+
+/// A map finishes each unit its split holds whole and ships the one
+/// value: Median over odd (9) and even (12) units, Percentile and Mean,
+/// in every mode, over strided instances — 3 rows every 4 — that the
+/// 6-row splits cut, so a split holds whole keys beside cut ones. The
+/// output is the brute force bit for bit; the maps ship each cut key's
+/// records and one row per whole key, while their tallies still count
+/// every pair; and a lossy map over a finished job trips the tally.
+#[test]
+fn whole_units_finish_map_side_in_every_mode() {
+    let path = dataset("whole");
+    let file = ScincFile::open(&path).unwrap();
+    let value = |k: &Coord| (k[0] * 8 + k[1]) as f64; // the linear index
+    let strided = |extraction: &[u64], operator| {
+        let (space, extraction) = (shape(&[40, 8]), shape(extraction));
+        StructuralQuery::with_stride("v", space, extraction, vec![4, 4], operator).unwrap()
+    };
+    let queries = [
+        strided(&[3, 3], Operator::Median),
+        strided(&[3, 4], Operator::Median),
+        strided(&[3, 4], Operator::Percentile { p: 30.0 }),
+        strided(&[3, 3], Operator::Mean),
+    ];
+    let split_bytes = 6 * 8 * 8; // six 8-value rows
+    for q in &queries {
+        let mut expect = Vec::new();
+        for kp in q.intermediate_space().iter_coords() {
+            let unit = q.extraction.preimage_of_key(&kp).unwrap();
+            let values: Vec<f64> = unit.iter_coords().map(|k| value(&k)).collect();
+            expect.push((kp, q.operator.apply(&values)[0]));
+        }
+        for mode in [
+            FrameworkMode::Hadoop,
+            FrameworkMode::SciHadoop,
+            FrameworkMode::Sidr,
+        ] {
+            let mut opts = RunOptions::new(mode, 3);
+            opts.split_bytes = split_bytes;
+            let got = run_query(&file, q, &opts).unwrap();
+            let bits = |r: &[(Coord, f64)]| -> Vec<(Coord, u64)> {
+                r.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+            };
+            assert_eq!(bits(&got.records), bits(&expect), "{mode} {q:?}");
+
+            // Each key ships one row from a split holding it whole, or
+            // the records a split holds of it.
+            let splits = generate_splits(&file, q, mode, split_bytes).unwrap();
+            let (mut shipped, mut whole) = (0, 0);
+            for kp in q.intermediate_space().iter_coords() {
+                let unit = q.extraction.preimage_of_key(&kp).unwrap();
+                for split in &splits {
+                    match split.slab.intersect(&unit).unwrap().map(|s| s.count()) {
+                        Some(n) if n == q.fold_in_count() => {
+                            (shipped, whole) = (shipped + 1, whole + 1)
+                        }
+                        Some(n) => shipped += n,
+                        None => {}
+                    }
+                }
+            }
+            assert!(
+                0 < whole && whole < q.intermediate_space().count(),
+                "{mode}: a mix"
+            );
+            let c = got.result.counters;
+            assert_eq!(c.combined_records, shipped, "{mode} {q:?}");
+            assert_eq!(c.shuffled_records, shipped, "{mode} {q:?}");
+            assert_eq!(
+                c.map_records_out,
+                q.intermediate_space().count() * q.fold_in_count(),
+                "{mode}: the maps represent every pair"
+            );
+        }
+        let splits = generate_splits(&file, q, FrameworkMode::Sidr, split_bytes).unwrap();
+        assert_trips(run_splits("whole-lossy", q, &splits, true));
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -2,8 +2,9 @@
 //!
 //! For random geometries — rank 1–4, strided and unstrided extractions
 //! with discarded partial instances, a query region off the origin, a
-//! `Filter`'s map-side selection, every element type, misaligned splits
-//! and any reducer count — and under both routes (SIDR's `partition+`
+//! `Filter`'s map-side selection, distributive folds, Mean, Median and
+//! Percentile finishing the units a split holds whole, every element
+//! type, misaligned splits and any reducer count — and under both routes (SIDR's `partition+`
 //! and the stock hash of Hadoop and SciHadoop), `geomap::map_split`
 //! must produce exactly the `(reducer, bytes)` that [`per_record`] —
 //! the structural map record by record, then `encode_map_output` —
@@ -43,7 +44,7 @@ struct Case {
 }
 
 fn case() -> impl Strategy<Value = Case> {
-    (1usize..=4, prop::collection::vec(any::<u64>(), 32)).prop_map(|(rank, draws)| {
+    (1usize..=4, prop::collection::vec(any::<u64>(), 40)).prop_map(|(rank, draws)| {
         let mut draws = draws.into_iter();
         let mut draw = |n: u64| draws.next().expect("enough draws") % n;
         let space: Vec<u64> = (0..rank).map(|_| 2 + draw(8)).collect();
@@ -74,6 +75,9 @@ fn case() -> impl Strategy<Value = Case> {
             Operator::Sum,
             Operator::Median,
             Operator::Mean,
+            Operator::Percentile {
+                p: draw(101) as f64,
+            },
             filter(draw(1000) as f64 / 1000.0),
         ];
         Case {
@@ -83,7 +87,7 @@ fn case() -> impl Strategy<Value = Case> {
             region,
             split_corner,
             split_shape,
-            operator: operators[draw(6) as usize],
+            operator: operators[draw(operators.len() as u64) as usize],
             reducers: 1 + draw(7) as usize,
             dtype: draw(4) as u8,
             seed: draw(u64::MAX),
@@ -163,10 +167,12 @@ fn structural_map<E: Element>(
 
 /// The kernel's reference: [`structural_map`] routed by `partition`;
 /// under a `Filter`, only the values above its threshold kept; each
-/// reducer's pairs stably sorted by key and, under a distributive
-/// operator, each key's run folded with `Operator::reduce_group`. Each
-/// partition that pairs were mapped to is encoded, its raw-pair
-/// annotation counting them all, kept or not.
+/// reducer's pairs stably sorted by key; under a distributive operator,
+/// each key's run folded with `Operator::reduce_group`, and under Mean,
+/// Median or Percentile, each run of a whole unit — all
+/// `fold_in_count` of its pairs — finished with it. Each partition that
+/// pairs were mapped to is encoded, its raw-pair annotation counting
+/// them all, kept or not.
 fn per_record<E: Element>(
     file: &ScincFile,
     split: &InputSplit,
@@ -181,6 +187,13 @@ fn per_record<E: Element>(
         parts[partition.partition(&k_prime, reducers)].push((k_prime, value));
     }
     let op = query.operator;
+    let finishes = matches!(
+        op,
+        Operator::Mean | Operator::Median | Operator::Percentile { .. }
+    );
+    let reduced = |run: &[(Coord, f64)]| {
+        op.is_distributive() || (finishes && run.len() as u64 == query.fold_in_count())
+    };
     let partitions = (parts.into_iter().enumerate())
         .filter(|(_, records)| !records.is_empty())
         .map(|(r, mut records)| {
@@ -189,17 +202,18 @@ fn per_record<E: Element>(
                 records.retain(|&(_, v)| v > threshold);
             }
             records.sort_by(|a, b| a.0.cmp(&b.0));
-            if op.is_distributive() {
-                records = (records.chunk_by(|a, b| a.0 == b.0))
-                    .map(|run| {
-                        let mut values: Vec<f64> = run.iter().map(|&(_, v)| v).collect();
-                        let mut folded = Vec::new();
-                        op.reduce_group(&mut values, &mut |v| folded.push(v));
-                        assert_eq!(folded.len(), 1, "a distributive fold is one value");
-                        (run[0].0.clone(), folded[0])
-                    })
-                    .collect();
-            }
+            records = (records.chunk_by(|a, b| a.0 == b.0))
+                .flat_map(|run| {
+                    if !reduced(run) {
+                        return run.to_vec();
+                    }
+                    let mut values: Vec<f64> = run.iter().map(|&(_, v)| v).collect();
+                    let mut out = Vec::new();
+                    op.reduce_group(&mut values, &mut |v| out.push(v));
+                    assert_eq!(out.len(), 1, "{op:?} reduces a run to one value");
+                    vec![(run[0].0.clone(), out[0])]
+                })
+                .collect();
             let file = MapOutputFile { records, raw_count };
             (r, encode_map_output(&file).unwrap())
         })
@@ -250,7 +264,6 @@ fn check_route<E: Element>(
     keyblock_of: &dyn Fn(&[u64]) -> usize,
     route: &str,
 ) {
-    let fold = c.operator.is_distributive().then_some(c.operator);
     let split = InputSplit {
         slab: Slab::new(Coord::new(c.split_corner.clone()), shape(&c.split_shape)).unwrap(),
         byte_range: (0, 0),
@@ -266,7 +279,7 @@ fn check_route<E: Element>(
         mapper,
         c.reducers,
         keyblock_of,
-        fold,
+        c.operator,
     )
     .unwrap();
     assert_eq!(
@@ -347,11 +360,18 @@ fn chunk_major_order_reaches_the_sum() {
 /// in 7 chunks of 6 or 5 rows along dimension 1, which cut four of its
 /// eight 5-row tile rows, so half the keys' values span two chunks and
 /// the count and place passes must agree on reader order across them.
-/// With and without a combiner, and with a filter's selection, under
-/// both routes.
+/// With and without a combiner, every key finished whole, and with a
+/// filter's selection, under both routes.
 #[test]
 fn fig8_shaped_split_with_keys_across_chunks() {
-    for operator in [Operator::Median, Operator::Max, filter(0.5)] {
+    let p90 = Operator::Percentile { p: 90.0 };
+    for operator in [
+        Operator::Median,
+        Operator::Mean,
+        p90,
+        Operator::Max,
+        filter(0.5),
+    ] {
         run(&Case {
             space: vec![14, 40, 10],
             extraction: vec![7, 5, 1],
@@ -363,6 +383,27 @@ fn fig8_shaped_split_with_keys_across_chunks() {
             reducers: 5,
             dtype: 3,
             seed: 48,
+        });
+    }
+}
+
+/// A split that holds the first tile row of its instances whole and
+/// cuts the second: each partition finishes the whole keys and places
+/// the cut ones' values, key order interleaving the two.
+#[test]
+fn split_mixing_whole_and_cut_units() {
+    for operator in [Operator::Median, Operator::Mean] {
+        run(&Case {
+            space: vec![14, 40, 10],
+            extraction: vec![7, 5, 1],
+            gap: vec![0, 0, 0],
+            region: None,
+            split_corner: vec![0, 0, 0],
+            split_shape: vec![10, 40, 10],
+            operator,
+            reducers: 3,
+            dtype: 2,
+            seed: 5,
         });
     }
 }
