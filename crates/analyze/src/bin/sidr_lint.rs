@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use sidr_analyze::{analyze_spec, presets, AnalyzeOptions};
 use sidr_core::spec::JobSpec;
-use sidr_core::verify::{verify, PlanView};
+use sidr_core::verify::verify;
 use sidr_core::SidrPlanner;
 
 struct Args {
@@ -138,8 +138,7 @@ fn main() -> ExitCode {
                 }
             };
             // The build proved it; the report renders its warnings.
-            let view = PlanView::of_plan(&plan, &job.query, &job.splits);
-            let report = verify(&job.query, &job.splits, &view, args.skew_bound);
+            let report = verify(&job.query, &job.splits, &plan, args.skew_bound);
             failed |= render(&label, &report, &args);
         }
     }

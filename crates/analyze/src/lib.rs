@@ -4,17 +4,14 @@
 //! build, run inside every `SidrPlanner::build`. A submission brings
 //! its own tables, so [`analyze_spec`] adds only what a spec can get
 //! wrong on its own — fault-tolerance knobs (`SIDR-E011`–`SIDR-E013`)
-//! and stored keyblock covers that disagree with the geometry the
-//! spec's query implies (`SIDR-E001`) — then runs the same
-//! [`verify`](sidr_core::verify::verify) over the stored view, whose
-//! partition is re-derived from the spec's query. That the hot route
+//! — and proves the plan the spec stores, built by the one constructor
+//! the run uses too ([`SidrPlan::of_spec`]). That the hot route
 //! (`PartitionPlus::keyblock_of`) agrees with the covers is a property
 //! of the code, tested in `tests/properties.rs`, not of a submission.
 
 use sidr_core::diag::{codes, Diagnostic, Report};
 use sidr_core::spec::JobSpec;
-use sidr_core::verify::{invert_deps, verify, PlanView};
-use sidr_core::PartitionPlus;
+use sidr_core::SidrPlan;
 
 pub mod presets;
 
@@ -29,44 +26,15 @@ pub struct AnalyzeOptions {
     pub skew_bound: Option<u64>,
 }
 
-/// Lints a serialized job submission: re-derives the plan geometry
-/// from the spec's own query and splits, checks the stored tables
-/// against it, then runs [`verify()`] over the stored view.
+/// Lints a serialized job submission: checks its fault-tolerance
+/// knobs, then proves the plan it stores — its `I_ℓ` and launch order
+/// over its splits, with the geometry its query implies.
 pub fn analyze_spec(spec: &JobSpec, opts: &AnalyzeOptions) -> sidr_core::Result<Report> {
     let query = spec.query()?;
-    let partition = PartitionPlus::for_query(&query, spec.num_reducers)?;
-
-    // The spec stores the keyblock covers it promised reducers; they
-    // must match the geometry its query implies.
     let mut report = Report::new();
     check_robustness(spec, &mut report);
-    for b in 0..spec.num_reducers {
-        let derived = partition.keyblock_cover(b)?;
-        match spec.keyblock_covers.get(b) {
-            Some(stored) if *stored == derived => {}
-            _ => {
-                report.push(
-                    Diagnostic::error(
-                        codes::COVERAGE,
-                        "stored keyblock cover disagrees with the query geometry",
-                    )
-                    .with("keyblock", b),
-                );
-            }
-        }
-    }
-
-    let view = PlanView {
-        partition,
-        map_feeds: invert_deps(&spec.reduce_deps, spec.splits.len()),
-        reduce_deps: spec.reduce_deps.clone(),
-        reduce_order: spec.reduce_order.clone(),
-        expected_raw: spec.expected_raw.clone(),
-        kspace: query.intermediate_space(),
-        fold_in: query.fold_in_count(),
-        num_splits: spec.splits.len(),
-    };
-    report.merge(verify(&query, &spec.splits, &view, opts.skew_bound));
+    let (_, proof) = SidrPlan::of_spec(spec, &query, None, opts.skew_bound)?;
+    report.merge(proof);
     Ok(report)
 }
 

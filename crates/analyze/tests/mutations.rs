@@ -3,14 +3,14 @@
 //! documented stable code, while the untouched plan passes clean.
 
 use sidr_analyze::diag::codes;
-use sidr_analyze::verify::{verify, PlanView, PAIRWISE_SLAB_LIMIT};
+use sidr_analyze::verify::{verify, PAIRWISE_SLAB_LIMIT};
 use sidr_analyze::{analyze_spec, AnalyzeOptions};
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::spec::JobSpec;
-use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{InputSplit, SplitGenerator};
+use sidr_core::{Operator, PartitionPlus, SidrPlan, SidrPlanner, StructuralQuery};
+use sidr_mapreduce::{InputSplit, MapTaskId, SplitGenerator};
 
-fn fixture() -> (StructuralQuery, Vec<InputSplit>, PlanView) {
+fn fixture() -> (StructuralQuery, Vec<InputSplit>, SidrPlan) {
     let q = StructuralQuery::new(
         "t",
         Shape::new(vec![48, 6, 6]).unwrap(),
@@ -22,32 +22,36 @@ fn fixture() -> (StructuralQuery, Vec<InputSplit>, PlanView) {
         .exact_count(6)
         .unwrap();
     let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-    let view = PlanView::of_plan(&plan, &q, &splits);
-    (q, splits, view)
+    (q, splits, plan)
 }
 
-fn run(q: &StructuralQuery, splits: &[InputSplit], view: &PlanView) -> sidr_core::Report {
-    verify(q, splits, view, None)
+fn run(q: &StructuralQuery, splits: &[InputSplit], plan: &SidrPlan) -> sidr_core::Report {
+    verify(q, splits, plan, None)
+}
+
+/// The table the scheduler runs: `I_ℓ` per keyblock.
+fn deps(plan: &mut SidrPlan) -> &mut Vec<Vec<MapTaskId>> {
+    plan.job.reduce_deps.as_mut().expect("SIDR plans list I_ℓ")
 }
 
 #[test]
 fn untouched_plan_is_clean() {
-    let (q, splits, view) = fixture();
-    let report = run(&q, &splits, &view);
+    let (q, splits, plan) = fixture();
+    let report = run(&q, &splits, &plan);
     assert!(report.is_clean(), "unexpected findings:\n{report}");
 }
 
-/// Invariant 2 (soundness): drop one dependency edge *consistently*
-/// from both tables, as a buggy derivation would — the structural
-/// inversion check stays green, the independent geometric
-/// recomputation catches it.
+/// Invariant 2 (soundness): drop one dependency edge, as a buggy
+/// derivation would — every structural check stays green, the
+/// independent geometric recomputation catches it.
 #[test]
 fn dropped_dependency_edge_is_e003() {
-    let (q, splits, mut view) = fixture();
-    let b = *view.map_feeds[0].first().expect("split 0 feeds something");
-    view.map_feeds[0].retain(|&x| x != b);
-    view.reduce_deps[b].retain(|&m| m != 0);
-    let report = run(&q, &splits, &view);
+    let (q, splits, mut plan) = fixture();
+    let b = (deps(&mut plan).iter())
+        .position(|d| d.contains(&0))
+        .expect("split 0 feeds something");
+    deps(&mut plan)[b].retain(|&m| m != 0);
+    let report = run(&q, &splits, &plan);
     assert!(report.has_errors());
     assert!(
         report.has_code(codes::DEP_MISSING),
@@ -59,16 +63,16 @@ fn dropped_dependency_edge_is_e003() {
 /// barrier — warning, not error.
 #[test]
 fn spurious_dependency_edge_is_w004() {
-    let (q, splits, mut view) = fixture();
+    let (q, splits, mut plan) = fixture();
     // Find a (split, keyblock) pair that is NOT an edge.
+    let table = deps(&mut plan);
     let (m, b) = (0..splits.len())
-        .flat_map(|m| (0..view.num_reducers()).map(move |b| (m, b)))
-        .find(|&(m, b)| !view.map_feeds[m].contains(&b))
+        .flat_map(|m| (0..table.len()).map(move |b| (m, b)))
+        .find(|&(m, b)| !table[b].contains(&m))
         .expect("small plans have non-edges");
-    view.map_feeds[m].push(b);
-    view.reduce_deps[b].push(m);
-    view.reduce_deps[b].sort_unstable();
-    let report = run(&q, &splits, &view);
+    table[b].push(m);
+    table[b].sort_unstable();
+    let report = run(&q, &splits, &plan);
     assert!(
         !report.has_errors(),
         "spurious edges must not be errors:\n{report}"
@@ -83,11 +87,11 @@ fn spurious_dependency_edge_is_w004() {
 /// tile the query's K′ᵀ.
 #[test]
 fn widened_keyblock_space_is_e001() {
-    let (q, splits, mut view) = fixture();
-    let mut wide = view.kspace.extents().to_vec();
+    let (q, splits, mut plan) = fixture();
+    let mut wide = q.intermediate_space().extents().to_vec();
     wide[0] *= 2;
-    view.partition = PartitionPlus::with_skew_bound(Shape::new(wide).unwrap(), 3, 12).unwrap();
-    let report = run(&q, &splits, &view);
+    plan.partition = PartitionPlus::with_skew_bound(Shape::new(wide).unwrap(), 3, 12).unwrap();
+    let report = run(&q, &splits, &plan);
     assert!(report.has_errors());
     assert!(report.has_code(codes::COVERAGE), "wrong codes:\n{report}");
 }
@@ -96,9 +100,9 @@ fn widened_keyblock_space_is_e001() {
 /// per-block equation and the global conservation law.
 #[test]
 fn corrupted_key_count_is_e009_and_e008() {
-    let (q, splits, mut view) = fixture();
-    view.expected_raw[1] += 7;
-    let report = run(&q, &splits, &view);
+    let (q, splits, mut plan) = fixture();
+    plan.job.expected_raw.as_mut().unwrap()[1] += 7;
+    let report = run(&q, &splits, &plan);
     assert!(report.has_errors());
     assert!(
         report.has_code(codes::BLOCK_COUNT),
@@ -114,9 +118,9 @@ fn corrupted_key_count_is_e009_and_e008() {
 /// another.
 #[test]
 fn non_permutation_schedule_is_e006() {
-    let (q, splits, mut view) = fixture();
-    view.reduce_order = vec![0, 0, 2];
-    let report = run(&q, &splits, &view);
+    let (q, splits, mut plan) = fixture();
+    plan.job.reduce_order = vec![0, 0, 2];
+    let report = run(&q, &splits, &plan);
     assert!(report.has_errors());
     assert!(
         report.has_code(codes::SCHED_ORDER),
@@ -128,10 +132,28 @@ fn non_permutation_schedule_is_e006() {
 /// never be met.
 #[test]
 fn dangling_map_dependency_is_e007() {
-    let (q, splits, mut view) = fixture();
+    let (q, splits, mut plan) = fixture();
     let ghost = splits.len() + 3;
-    view.reduce_deps[0].push(ghost);
-    let report = run(&q, &splits, &view);
+    deps(&mut plan)[0].push(ghost);
+    let report = run(&q, &splits, &plan);
+    assert!(report.has_errors());
+    assert!(
+        report.has_code(codes::SCHED_GRAPH),
+        "wrong codes:\n{report}"
+    );
+}
+
+/// Invariant 4: an `I_ℓ` that lists a map twice, not next to itself,
+/// would hand that map's output to the reducer twice; every `I_ℓ` must
+/// be strictly ascending.
+#[test]
+fn non_adjacent_duplicate_dependency_is_e007() {
+    let (q, splits, mut plan) = fixture();
+    let set = (deps(&mut plan).iter_mut())
+        .find(|d| d.len() >= 2)
+        .expect("some keyblock depends on two maps");
+    set.push(set[0]);
+    let report = run(&q, &splits, &plan);
     assert!(report.has_errors());
     assert!(
         report.has_code(codes::SCHED_GRAPH),
@@ -143,12 +165,9 @@ fn dangling_map_dependency_is_e007() {
 /// starves forever under inverted scheduling.
 #[test]
 fn starved_keyblock_is_e007() {
-    let (q, splits, mut view) = fixture();
-    view.reduce_deps[2].clear();
-    for feeds in &mut view.map_feeds {
-        feeds.retain(|&b| b != 2);
-    }
-    let report = run(&q, &splits, &view);
+    let (q, splits, mut plan) = fixture();
+    deps(&mut plan)[2].clear();
+    let report = run(&q, &splits, &plan);
     assert!(report.has_errors());
     assert!(
         report.has_code(codes::SCHED_GRAPH),
@@ -160,10 +179,10 @@ fn starved_keyblock_is_e007() {
 /// permissible skew fails its certificate, with witness context.
 #[test]
 fn violated_skew_bound_is_e005() {
-    let (q, splits, view) = fixture();
-    let unit = view.partition.partition().skew_shape().count();
+    let (q, splits, plan) = fixture();
+    let unit = plan.partition.partition().skew_shape().count();
     assert!(unit > 1, "fixture needs a non-trivial dealing unit");
-    let report = verify(&q, &splits, &view, Some(unit - 1));
+    let report = verify(&q, &splits, &plan, Some(unit - 1));
     assert!(report.has_errors());
     assert!(report.has_code(codes::SKEW), "wrong codes:\n{report}");
     let skew = report
@@ -180,9 +199,9 @@ fn violated_skew_bound_is_e005() {
 /// The honored bound passes.
 #[test]
 fn honored_skew_bound_is_clean() {
-    let (q, splits, view) = fixture();
-    let unit = view.partition.partition().skew_shape().count();
-    let report = verify(&q, &splits, &view, Some(unit));
+    let (q, splits, plan) = fixture();
+    let unit = plan.partition.partition().skew_shape().count();
+    let report = verify(&q, &splits, &plan, Some(unit));
     assert!(report.is_clean(), "unexpected findings:\n{report}");
 }
 
@@ -190,9 +209,9 @@ fn honored_skew_bound_is_clean() {
 /// on.
 #[test]
 fn json_report_carries_stable_codes() {
-    let (q, splits, mut view) = fixture();
-    view.expected_raw[0] += 1;
-    let json = run(&q, &splits, &view).to_json();
+    let (q, splits, mut plan) = fixture();
+    plan.job.expected_raw.as_mut().unwrap()[0] += 1;
+    let json = run(&q, &splits, &plan).to_json();
     assert!(json.contains("\"code\":\"SIDR-E009\""), "json was: {json}");
     assert!(json.contains("\"severity\":\"Error\""));
 }
@@ -201,8 +220,7 @@ fn json_report_carries_stable_codes() {
 /// from a serialized submission is caught after a JSON round-trip.
 #[test]
 fn corrupted_job_spec_is_caught() {
-    let (q, splits, _) = fixture();
-    let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
+    let (q, splits, plan) = fixture();
     let spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
 
     let clean = analyze_spec(&spec, &AnalyzeOptions::default()).unwrap();

@@ -7,10 +7,10 @@
 use proptest::prelude::*;
 
 use sidr_analyze::diag::codes;
-use sidr_analyze::verify::{verify, PlanView};
+use sidr_analyze::verify::verify;
 use sidr_coords::{Coord, Shape, Slab};
-use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{InputSplit, SplitGenerator};
+use sidr_core::{Operator, PartitionPlus, SidrPlan, SidrPlanner, StructuralQuery};
+use sidr_mapreduce::{InputSplit, MapTaskId, SplitGenerator};
 
 /// Random structural query: extraction extents 1–4 per dimension,
 /// input space an exact multiple of the extraction shape.
@@ -104,6 +104,11 @@ fn walked_feeds(q: &StructuralQuery, splits: &[InputSplit], pp: &PartitionPlus) 
         .collect()
 }
 
+/// The table the scheduler runs: `I_ℓ` per keyblock.
+fn deps(plan: &mut SidrPlan) -> &mut Vec<Vec<MapTaskId>> {
+    plan.job.reduce_deps.as_mut().expect("SIDR plans list I_ℓ")
+}
+
 /// Whether `report` holds a `code` finding naming split `m` and
 /// keyblock `b`.
 fn names_edge(report: &sidr_analyze::diag::Report, code: &str, m: usize, b: usize) -> bool {
@@ -114,7 +119,7 @@ fn names_edge(report: &sidr_analyze::diag::Report, code: &str, m: usize, b: usiz
     })
 }
 
-/// The untouched plan lists exactly the walk's feeds and analyzes
+/// The untouched plan lists exactly the walk's edges and analyzes
 /// clean; every edge the walk finds is `SIDR-E003` when dropped, and
 /// every edge it does not find is `SIDR-W004`, and no error, when
 /// added — each naming its split and keyblock.
@@ -123,32 +128,29 @@ fn feeds_match_the_walk(
     splits: &[InputSplit],
     reducers: usize,
 ) -> Result<(), TestCaseError> {
-    let plan = SidrPlanner::new(q, reducers).build(splits).unwrap();
-    let clean = PlanView::of_plan(&plan, q, splits);
+    let clean = SidrPlanner::new(q, reducers).build(splits).unwrap();
     let walked = walked_feeds(q, splits, &clean.partition);
-    for (m, feeds) in clean.map_feeds.iter().enumerate() {
-        let mut listed = feeds.clone();
-        listed.sort_unstable();
-        prop_assert_eq!(&listed, &walked[m], "split {}", m);
+    let mut inverted = vec![Vec::new(); reducers];
+    for (m, feeds) in walked.iter().enumerate() {
+        feeds.iter().for_each(|&b| inverted[b].push(m));
     }
+    prop_assert_eq!(clean.job.reduce_deps.as_ref(), Some(&inverted));
     let report = verify(q, splits, &clean, None);
     prop_assert!(
         report.is_clean(),
         "findings on a planner-built plan:\n{report}"
     );
     for (m, feeds) in walked.iter().enumerate() {
-        for b in 0..clean.num_reducers() {
-            let mut view = clean.clone();
+        for b in 0..reducers {
+            let mut plan = clean.clone();
             let edge = feeds.contains(&b);
             if edge {
-                view.map_feeds[m].retain(|&x| x != b);
-                view.reduce_deps[b].retain(|&x| x != m);
+                deps(&mut plan)[b].retain(|&x| x != m);
             } else {
-                view.map_feeds[m].push(b);
-                view.reduce_deps[b].push(m);
-                view.reduce_deps[b].sort_unstable();
+                deps(&mut plan)[b].push(m);
+                deps(&mut plan)[b].sort_unstable();
             }
-            let report = verify(q, splits, &view, None);
+            let report = verify(q, splits, &plan, None);
             if edge {
                 prop_assert!(
                     names_edge(&report, codes::DEP_MISSING, m, b),
@@ -219,7 +221,7 @@ proptest! {
     #[test]
     fn planner_plans_verify_clean((q, splits, reducers) in geometry()) {
         let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
-        let report = verify(&q, &splits, &PlanView::of_plan(&plan, &q, &splits), None);
+        let report = verify(&q, &splits, &plan, None);
         prop_assert!(report.is_clean(), "findings on a planner-built plan:\n{report}");
     }
 
@@ -230,36 +232,32 @@ proptest! {
         victim in 0usize..64,
         delta in 1u64..1000,
     ) {
-        let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
-        let mut view = PlanView::of_plan(&plan, &q, &splits);
-        let victim = victim % view.expected_raw.len();
-        view.expected_raw[victim] += delta;
-        let report = verify(&q, &splits, &view, None);
+        let mut plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
+        let tallies = plan.job.expected_raw.as_mut().unwrap();
+        let victim = victim % tallies.len();
+        tallies[victim] += delta;
+        let report = verify(&q, &splits, &plan, None);
         prop_assert!(report.has_errors());
         prop_assert!(report.has_code(codes::BLOCK_COUNT) || report.has_code(codes::CONSERVATION));
     }
 
-    /// Dropping any dependency edge (consistently, as a buggy
-    /// derivation would) is detected by the independent geometric
-    /// recomputation.
+    /// Dropping any dependency edge, as a buggy derivation would, is
+    /// detected by the independent geometric recomputation.
     #[test]
     fn edge_drop_is_always_caught(
         (q, splits, reducers) in geometry(),
         pick in 0usize..1024,
     ) {
-        let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
-        let mut view = PlanView::of_plan(&plan, &q, &splits);
-        let edges: Vec<(usize, usize)> = view
-            .reduce_deps
+        let mut plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
+        let edges: Vec<(usize, usize)> = deps(&mut plan)
             .iter()
             .enumerate()
             .flat_map(|(b, deps)| deps.iter().map(move |&m| (b, m)))
             .collect();
         prop_assert!(!edges.is_empty(), "plans always have dependency edges");
         let (b, m) = edges[pick % edges.len()];
-        view.reduce_deps[b].retain(|&x| x != m);
-        view.map_feeds[m].retain(|&x| x != b);
-        let report = verify(&q, &splits, &view, None);
+        deps(&mut plan)[b].retain(|&x| x != m);
+        let report = verify(&q, &splits, &plan, None);
         prop_assert!(report.has_errors(), "dropped edge ({b}, {m}) not caught");
         // Either the geometric pass (E003) or — when the keyblock
         // lost its only feeder — the starvation check (E007) fires.
@@ -269,26 +267,25 @@ proptest! {
         );
     }
 
-    /// Adding any edge whose split contributes nothing to its keyblock
-    /// (to both tables, as a buggy derivation would) is reported as
-    /// spurious, and only warned about.
+    /// Adding any edge whose split contributes nothing to its keyblock,
+    /// as a buggy derivation would, is reported as spurious, and only
+    /// warned about.
     #[test]
     fn spurious_edge_is_always_reported(
         (q, splits, reducers) in geometry(),
         pick in 0usize..1024,
     ) {
-        let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
-        let mut view = PlanView::of_plan(&plan, &q, &splits);
+        let mut plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
+        let table = deps(&mut plan);
         let non_edges: Vec<(usize, usize)> = (0..splits.len())
-            .flat_map(|m| (0..view.num_reducers()).map(move |b| (b, m)))
-            .filter(|&(b, m)| !view.map_feeds[m].contains(&b))
+            .flat_map(|m| (0..table.len()).map(move |b| (b, m)))
+            .filter(|&(b, m)| !table[b].contains(&m))
             .collect();
         prop_assume!(!non_edges.is_empty());
         let (b, m) = non_edges[pick % non_edges.len()];
-        view.map_feeds[m].push(b);
-        view.reduce_deps[b].push(m);
-        view.reduce_deps[b].sort_unstable();
-        let report = verify(&q, &splits, &view, None);
+        table[b].push(m);
+        table[b].sort_unstable();
+        let report = verify(&q, &splits, &plan, None);
         prop_assert!(report.has_code(codes::DEP_SPURIOUS), "spurious edge ({b}, {m}) not reported:\n{report}");
         prop_assert!(!report.has_errors(), "a spurious edge is no error:\n{report}");
     }

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sidr_bench::bench_query;
-use sidr_core::deps::Dependencies;
+use sidr_core::deps;
 use sidr_core::PartitionPlus;
 use sidr_mapreduce::SplitGenerator;
 
@@ -19,15 +19,15 @@ fn bench_deps(c: &mut Criterion) {
     for reducers in [22usize, 176] {
         let pp = PartitionPlus::for_query(&query, reducers).expect("partition+ builds");
         group.bench_function(BenchmarkId::new("derive_all", reducers), |b| {
-            b.iter(|| black_box(Dependencies::derive(&query, &pp, &splits).expect("derives")))
+            b.iter(|| black_box(deps::derive(&query, &pp, &splits).expect("derives")))
         });
         group.bench_function(BenchmarkId::new("recompute_one_keyblock", reducers), |b| {
             let target = reducers / 2;
             b.iter(|| {
                 let mut mine = Vec::new();
                 for (m, split) in splits.iter().enumerate() {
-                    let blocks = Dependencies::keyblocks_of_split(&query, &pp, &split.slab)
-                        .expect("valid geometry");
+                    let blocks =
+                        deps::keyblocks_of_split(&query, &pp, &split.slab).expect("valid geometry");
                     if blocks.contains(&target) {
                         mine.push(m);
                     }

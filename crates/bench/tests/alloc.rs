@@ -248,7 +248,7 @@ fn wire_path_allocation_invariants() {
     // slabs — cover slabs, split slabs and split images — and visits no
     // key. Four times the keys over the same 8 splits and 4 reducers:
     // the same allocator calls and the same peak live bytes (measured:
-    // 386 calls, 2,521 bytes).
+    // 360 calls, 2,073 bytes).
     let runs: Vec<(u64, u64, u64)> = [50, 200]
         .into_iter()
         .map(|width| {

@@ -24,8 +24,8 @@ use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::thread;
 use sidr_mapreduce::{
-    AttemptBodies, DefaultPlan, FaultPlan, InMemoryOutput, InputSplit, JobConfig, MapTaskId,
-    RetryPolicy, RoutingPlan, SlotPool,
+    AttemptBodies, FaultPlan, InMemoryOutput, InputSplit, JobConfig, JobPlan, MapTaskId,
+    RetryPolicy, SlotPool,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
@@ -50,7 +50,7 @@ fn run_tiny_job(pool: &SlotPool) {
     run_shared(
         &splits,
         sum_to_one_key(),
-        &DefaultPlan::new(1),
+        &JobPlan::global(1),
         &output,
         &JobConfig::default(),
         pool,
@@ -109,18 +109,8 @@ fn dropped_post_wake_is_caught_as_lost_wakeup() {
 }
 
 /// Overlapping dependency sets: r0 <- {m0, m1}, r1 <- {m1, m2}.
-struct OverlapPlan;
-
-impl RoutingPlan for OverlapPlan {
-    fn num_reducers(&self) -> usize {
-        2
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(if reducer == 0 { vec![0, 1] } else { vec![1, 2] })
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
+fn overlap_plan() -> JobPlan {
+    JobPlan::with_deps(vec![vec![0, 1], vec![1, 2]])
 }
 
 /// Skipping the volatile-recovery re-enqueue leaves the retrying
@@ -164,7 +154,7 @@ fn skipped_recovery_rewait_is_caught() {
                 run_shared(
                     &splits,
                     overlap,
-                    &OverlapPlan,
+                    &overlap_plan(),
                     &output,
                     &config,
                     &pool,

@@ -23,9 +23,9 @@ use sidr_core::TimelineOracle;
 use sidr_mapreduce::sync::atomic::{AtomicUsize, Ordering};
 use sidr_mapreduce::sync::{thread, time};
 use sidr_mapreduce::{
-    AttemptBodies, CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput,
-    Inbox, InputSplit, JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SlotPool,
-    SpeculationPolicy, TaskKind, Wake,
+    AttemptBodies, CancelToken, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, Inbox,
+    InputSplit, JobConfig, JobPlan, MapTaskId, MrError, RetryPolicy, SlotPool, SpeculationPolicy,
+    TaskKind, Wake,
 };
 use support::{bodies, number_splits, run_shared, sum};
 
@@ -159,18 +159,8 @@ fn cancel_racing_a_waiting_loop_is_clean() {
 // ---------------------------------------------------------------------------
 
 /// Overlapping dependency sets: r0 <- {m0, m1}, r1 <- {m1, m2}.
-struct OverlapPlan;
-
-impl RoutingPlan for OverlapPlan {
-    fn num_reducers(&self) -> usize {
-        2
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(if reducer == 0 { vec![0, 1] } else { vec![1, 2] })
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
+fn overlap_plan() -> JobPlan {
+    JobPlan::with_deps(vec![vec![0, 1], vec![1, 2]])
 }
 
 /// Both reducers fail their first attempt over volatile intermediate
@@ -204,7 +194,7 @@ fn recovery_scenario() {
     let result = run_shared(
         &splits,
         overlap,
-        &OverlapPlan,
+        &overlap_plan(),
         &output,
         &config,
         &pool,
@@ -257,7 +247,7 @@ fn last_slot_scenario() {
                 run_shared(
                     &splits,
                     sum_to_one_key,
-                    &DefaultPlan::new(1),
+                    &JobPlan::global(1),
                     &output,
                     &JobConfig::default(),
                     &pool,
@@ -291,18 +281,8 @@ fn two_jobs_contending_for_last_slot_is_clean() {
 // ---------------------------------------------------------------------------
 
 /// 1:1 dependencies: reducer i <- map i, inverted scheduling.
-struct PairPlan;
-
-impl RoutingPlan for PairPlan {
-    fn num_reducers(&self) -> usize {
-        2
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(vec![reducer])
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
+fn pair_plan() -> JobPlan {
+    JobPlan::with_deps(vec![vec![0], vec![1]])
 }
 
 /// Map 0 is force-speculated (no timing involved; scenario 8 drives the
@@ -328,7 +308,7 @@ fn speculation_scenario() {
     let result = run_shared(
         &splits,
         hundreds(2),
-        &PairPlan,
+        &pair_plan(),
         &output,
         &config,
         &pool,
@@ -475,7 +455,7 @@ fn deadline_scenario() {
     let result = run_shared(
         &splits,
         hundreds(1),
-        &DefaultPlan::new(1),
+        &JobPlan::global(1),
         &output,
         &config,
         &pool,
@@ -536,7 +516,7 @@ fn quantile_trigger_scenario() {
     let result = run_shared(
         &splits,
         hundreds(2),
-        &DefaultPlan::new(2),
+        &JobPlan::global(2),
         &output,
         &config,
         &pool,

@@ -17,121 +17,83 @@ use crate::partition_plus::PartitionPlus;
 use crate::query::StructuralQuery;
 use crate::Result;
 
-/// The dependency structure of one job: split → keyblocks and its
-/// inversion keyblock → splits.
-#[derive(Clone, Debug)]
-pub struct Dependencies {
-    /// `I_ℓ` per keyblock: the Map tasks reducer ℓ depends on, in id
-    /// order.
-    reduce_deps: Vec<Vec<MapTaskId>>,
-    /// Keyblocks each Map task produces data for, in id order.
-    map_feeds: Vec<Vec<usize>>,
+/// `I_ℓ` per keyblock for `splits` under `query` and the `partition+`
+/// keyblock assignment: the Map tasks each reducer depends on, in id
+/// order.
+///
+/// For each split, the extraction shape maps the split's slab to the
+/// slab of intermediate keys it can produce (§3 Area 2); the partition
+/// geometry then yields the keyblocks those keys land in. The result
+/// is exact for disjoint extractions and a safe superset under strides
+/// (a superset only delays a reduce start, never corrupts it).
+pub fn derive(
+    query: &StructuralQuery,
+    partition: &PartitionPlus,
+    splits: &[InputSplit],
+) -> Result<Vec<Vec<MapTaskId>>> {
+    let mut reduce_deps: Vec<Vec<MapTaskId>> = vec![Vec::new(); partition.num_reducers()];
+    let mut last = None;
+    for (map_id, split) in splits.iter().enumerate() {
+        for b in keyblocks_of_split(query, partition, &split.slab)? {
+            reduce_deps[b].push(map_id);
+            last = Some(b);
+        }
+    }
+    if chaos::on(Mutation::DeriveDropsEdge) {
+        // The last edge derived: the last map's last keyblock.
+        if let Some(b) = last {
+            reduce_deps[b].pop();
+        }
+    }
+    Ok(reduce_deps)
 }
 
-impl Dependencies {
-    /// Derives dependencies for `splits` under `query` and the
-    /// `partition+` keyblock assignment.
-    ///
-    /// For each split, the extraction shape maps the split's slab to
-    /// the slab of intermediate keys it can produce (§3 Area 2); the
-    /// partition geometry then yields the keyblocks those keys land
-    /// in. The result is exact for disjoint extractions and a safe
-    /// superset under strides (a superset only delays a reduce start,
-    /// never corrupts it).
-    pub fn derive(
-        query: &StructuralQuery,
-        partition: &PartitionPlus,
-        splits: &[InputSplit],
-    ) -> Result<Self> {
-        let r = partition.num_reducers();
-        let mut reduce_deps: Vec<Vec<MapTaskId>> = vec![Vec::new(); r];
-        let mut map_feeds: Vec<Vec<usize>> = Vec::with_capacity(splits.len());
-        for (map_id, split) in splits.iter().enumerate() {
-            let blocks = Self::keyblocks_of_split(query, partition, &split.slab)?;
-            for &b in &blocks {
-                reduce_deps[b].push(map_id);
-            }
-            map_feeds.push(blocks);
+/// The keyblocks a single split produces data for, in id order.
+pub fn keyblocks_of_split(
+    query: &StructuralQuery,
+    partition: &PartitionPlus,
+    split: &Slab,
+) -> Result<Vec<usize>> {
+    let Some(image) = query.image_of_split(split)? else {
+        return Ok(Vec::new()); // split lies in a discarded region
+    };
+    // The image is a slab of K'. The partition's skew-shape tiling
+    // turns it into a grid slab of dealing-unit instances; within
+    // that grid slab, instances along the last dimension are
+    // consecutive in row-major index order, and keyblocks are
+    // contiguous index runs — so each grid row contributes the
+    // whole range [block(first), block(last)].
+    let cp = partition.partition();
+    let tiling = cp.tiling();
+    let Some(grid_slab) = tiling.instances_touched_by(&image)? else {
+        return Ok(Vec::new());
+    };
+    let rank = grid_slab.rank();
+    let last_len = grid_slab.shape()[rank - 1];
+    let mut blocks = std::collections::BTreeSet::new();
+    let mut add_run = |start_coord: &sidr_coords::Coord| -> Result<()> {
+        let start = tiling.linearize_grid(start_coord)?;
+        let first = cp.keyblock_of_instance(start);
+        let last = cp.keyblock_of_instance(start + last_len - 1);
+        blocks.extend(first..=last);
+        Ok(())
+    };
+    if rank == 1 {
+        add_run(grid_slab.corner())?;
+    } else {
+        let outer = sidr_coords::Shape::new(grid_slab.shape().extents()[..rank - 1].to_vec())?;
+        for rel in outer.iter_coords() {
+            let mut comps: Vec<u64> = rel
+                .components()
+                .iter()
+                .zip(grid_slab.corner().components())
+                .map(|(&a, &b)| a + b)
+                .collect();
+            comps.push(grid_slab.corner()[rank - 1]);
+            add_run(&sidr_coords::Coord::new(comps))?;
         }
-        if chaos::on(Mutation::DeriveDropsEdge) {
-            if let Some(b) = map_feeds.last_mut().and_then(Vec::pop) {
-                reduce_deps[b].pop();
-            }
-        }
-        Ok(Dependencies {
-            reduce_deps,
-            map_feeds,
-        })
     }
-
-    /// The keyblocks a single split produces data for.
-    pub fn keyblocks_of_split(
-        query: &StructuralQuery,
-        partition: &PartitionPlus,
-        split: &Slab,
-    ) -> Result<Vec<usize>> {
-        let Some(image) = query.image_of_split(split)? else {
-            return Ok(Vec::new()); // split lies in a discarded region
-        };
-        // The image is a slab of K'. The partition's skew-shape tiling
-        // turns it into a grid slab of dealing-unit instances; within
-        // that grid slab, instances along the last dimension are
-        // consecutive in row-major index order, and keyblocks are
-        // contiguous index runs — so each grid row contributes the
-        // whole range [block(first), block(last)].
-        let cp = partition.partition();
-        let tiling = cp.tiling();
-        let Some(grid_slab) = tiling.instances_touched_by(&image)? else {
-            return Ok(Vec::new());
-        };
-        let rank = grid_slab.rank();
-        let last_len = grid_slab.shape()[rank - 1];
-        let mut blocks = std::collections::BTreeSet::new();
-        let mut add_run = |start_coord: &sidr_coords::Coord| -> Result<()> {
-            let start = tiling.linearize_grid(start_coord)?;
-            let first = cp.keyblock_of_instance(start);
-            let last = cp.keyblock_of_instance(start + last_len - 1);
-            blocks.extend(first..=last);
-            Ok(())
-        };
-        if rank == 1 {
-            add_run(grid_slab.corner())?;
-        } else {
-            let outer = sidr_coords::Shape::new(grid_slab.shape().extents()[..rank - 1].to_vec())?;
-            for rel in outer.iter_coords() {
-                let mut comps: Vec<u64> = rel
-                    .components()
-                    .iter()
-                    .zip(grid_slab.corner().components())
-                    .map(|(&a, &b)| a + b)
-                    .collect();
-                comps.push(grid_slab.corner()[rank - 1]);
-                add_run(&sidr_coords::Coord::new(comps))?;
-            }
-        }
-        Ok(blocks.into_iter().collect())
-    }
-
-    /// `I_ℓ`: the Map tasks reducer `reducer` depends on.
-    pub fn reduce_deps(&self, reducer: usize) -> &[MapTaskId] {
-        &self.reduce_deps[reducer]
-    }
-
-    /// Keyblocks a Map task produces data for.
-    pub fn map_feeds(&self, map: MapTaskId) -> &[usize] {
-        &self.map_feeds[map]
-    }
-
-    /// Number of keyblocks.
-    pub fn num_reducers(&self) -> usize {
-        self.reduce_deps.len()
-    }
-
-    /// Total (map, reducer) contact pairs = the SIDR column of
-    /// Table 3.
-    pub fn total_connections(&self) -> u64 {
-        self.reduce_deps.iter().map(|d| d.len() as u64).sum()
-    }
+    Ok(blocks.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -173,17 +135,14 @@ mod tests {
         let pp = PartitionPlus::for_query(&q, 6).unwrap();
         let gen = SplitGenerator::new(q.input_space().clone(), 8);
         let splits = gen.exact_count(13).unwrap();
-        let deps = Dependencies::derive(&q, &pp, &splits).unwrap();
+        let mut expect = vec![Vec::new(); 6];
         for (m, split) in splits.iter().enumerate() {
-            let expect = brute_keyblocks(&q, &pp, &split.slab);
-            assert_eq!(deps.map_feeds(m), &expect[..], "split {m}");
+            let blocks = brute_keyblocks(&q, &pp, &split.slab);
+            let derived = keyblocks_of_split(&q, &pp, &split.slab).unwrap();
+            assert_eq!(derived, blocks, "split {m}");
+            blocks.into_iter().for_each(|b| expect[b].push(m));
         }
-        // Inversion is consistent.
-        for r in 0..6 {
-            for &m in deps.reduce_deps(r) {
-                assert!(deps.map_feeds(m).contains(&r));
-            }
-        }
+        assert_eq!(derive(&q, &pp, &splits).unwrap(), expect);
     }
 
     #[test]
@@ -194,13 +153,9 @@ mod tests {
         let pp = PartitionPlus::for_query(&q, 4).unwrap();
         let gen = SplitGenerator::new(q.input_space().clone(), 8);
         let splits = gen.aligned(7 * 10 * 10 * 8 * 4, 7).unwrap();
-        let deps = Dependencies::derive(&q, &pp, &splits).unwrap();
-        for m in 0..splits.len() {
-            assert!(
-                deps.map_feeds(m).len() <= 2,
-                "split {m} feeds {:?}",
-                deps.map_feeds(m)
-            );
+        for (m, split) in splits.iter().enumerate() {
+            let blocks = keyblocks_of_split(&q, &pp, &split.slab).unwrap();
+            assert!(blocks.len() <= 2, "split {m} feeds {blocks:?}");
         }
     }
 
@@ -210,18 +165,6 @@ mod tests {
         let pp = PartitionPlus::for_query(&q, 2).unwrap();
         // Rows 8..10 are in the discarded partial instance.
         let split = Slab::new(Coord::from([8, 0]), shape(&[2, 4])).unwrap();
-        let blocks = Dependencies::keyblocks_of_split(&q, &pp, &split).unwrap();
-        assert!(blocks.is_empty());
-    }
-
-    #[test]
-    fn total_connections_is_sum_of_deps() {
-        let q = weekly_query();
-        let pp = PartitionPlus::for_query(&q, 5).unwrap();
-        let gen = SplitGenerator::new(q.input_space().clone(), 8);
-        let splits = gen.exact_count(10).unwrap();
-        let deps = Dependencies::derive(&q, &pp, &splits).unwrap();
-        let sum: u64 = (0..5).map(|r| deps.reduce_deps(r).len() as u64).sum();
-        assert_eq!(deps.total_connections(), sum);
+        assert!(keyblocks_of_split(&q, &pp, &split).unwrap().is_empty());
     }
 }

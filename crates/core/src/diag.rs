@@ -38,9 +38,10 @@ pub mod codes {
     /// some keyblock would never be scheduled (§3.3, §3.4).
     pub const SCHED_ORDER: &str = "SIDR-E006";
     /// The dependency graph is infeasible: a dependency names a
-    /// nonexistent map task, the map→keyblock inversion is
-    /// inconsistent, or a keyblock that expects data has no
-    /// dependencies and can never meet its barrier (§3.2, §3.3).
+    /// nonexistent map task, a dependency set is not strictly
+    /// ascending (one map twice, or out of order), or a keyblock that
+    /// expects data has no dependencies and can never meet its barrier
+    /// (§3.2, §3.3).
     pub const SCHED_GRAPH: &str = "SIDR-E007";
     /// Count annotations are not conserved: the per-keyblock expected
     /// raw-pair counts do not sum to `|K′ᵀ| × fold` — the total the

@@ -105,8 +105,8 @@ impl Route {
     /// The route of a job whose plan is built.
     pub(crate) fn of_plan(plan: &SidrPlan) -> Self {
         Route::PartitionPlus {
-            partition: Box::new(plan.partition().clone()),
-            tally: plan.expected_raw.clone(),
+            partition: Box::new(plan.partition.clone()),
+            tally: plan.job.expected_raw.clone().unwrap_or_default(),
         }
     }
 }

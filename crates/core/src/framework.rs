@@ -20,14 +20,14 @@
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
-    run_job_with_executor, CancelToken, DefaultPlan, FaultPlan, InMemoryOutput, InProcessExecutor,
-    InputSplit, JobConfig, JobResult, OutputCollector, RetryPolicy, RoutingPlan, SlotPool,
-    SpeculationPolicy, SplitGenerator, TaskExecutor,
+    run_job_with_executor, CancelToken, FaultPlan, InMemoryOutput, InProcessExecutor, InputSplit,
+    JobConfig, JobPlan, JobResult, OutputCollector, RetryPolicy, SlotPool, SpeculationPolicy,
+    SplitGenerator, TaskExecutor,
 };
 use sidr_scifile::ScincFile;
 
 use crate::exec::{Route, SpecExecutor};
-use crate::plan::SidrPlanner;
+use crate::plan::{unrefuted, SidrPlan, SidrPlanner};
 use crate::query::StructuralQuery;
 use crate::spec::JobSpec;
 use crate::{Result, SidrError};
@@ -120,11 +120,11 @@ pub fn run_query(
 ) -> Result<QueryOutcome> {
     let splits = generate_splits(file, query, opts.mode, opts.split_bytes)?;
     let n = opts.num_reducers;
-    let (plan, route, reducer_key_counts): (Box<dyn RoutingPlan>, _, _) = match opts.mode {
+    let (plan, route, reducer_key_counts) = match opts.mode {
         // Hash partitioning has no geometric key counts; weigh
         // reducers equally.
         FrameworkMode::Hadoop | FrameworkMode::SciHadoop => {
-            (Box::new(DefaultPlan::new(n)), Route::Hash, vec![1u64; n])
+            (JobPlan::global(n), Route::Hash, vec![1u64; n])
         }
         FrameworkMode::Sidr => {
             let mut planner = SidrPlanner::new(query, n);
@@ -133,10 +133,10 @@ pub fn run_query(
             }
             let plan = planner.build(&splits)?;
             let counts = (0..n)
-                .map(|r| plan.partition().keyblock_key_count(r))
+                .map(|r| plan.partition.keyblock_key_count(r))
                 .collect::<Result<Vec<u64>>>()?;
             let route = Route::of_plan(&plan);
-            (Box::new(plan), route, counts)
+            (plan.job, route, counts)
         }
     };
     let config = JobConfig {
@@ -150,15 +150,7 @@ pub fn run_query(
     let executor = InProcessExecutor::with_bodies(bodies, &config);
     let pool = SlotPool::new(opts.map_slots, opts.reduce_slots)?;
     let output = InMemoryOutput::<Coord, f64>::new();
-    let result = run_job_with_executor(
-        &splits,
-        plan.as_ref(),
-        &output,
-        &config,
-        &pool,
-        None,
-        &executor,
-    )?;
+    let result = run_job_with_executor(&splits, &plan, &output, &config, &pool, None, &executor)?;
     Ok(QueryOutcome {
         mode: opts.mode,
         records: output.sorted_records(),
@@ -203,11 +195,10 @@ pub fn generate_splits(
 /// policy) belong to the server.
 #[derive(Clone, Debug, Default)]
 pub struct SpecRunOptions {
-    /// Client-supplied keyblock priority: the plan the run re-derives
-    /// from the spec's query and splits schedules the keyblocks
-    /// covering this region of `K′` first (§3.4 computational
-    /// steering); without one it runs in that plan's own order. The
-    /// run never reads the spec's stored `reduce_order`.
+    /// Client-supplied keyblock priority: the run launches the
+    /// keyblocks covering this region of `K′` first (§3.4
+    /// computational steering), each part in the spec's stored
+    /// `reduce_order`; without one it follows that order as stored.
     pub priority_region: Option<Slab>,
     /// Unread: every SIDR reduce checks the tally its plan promises.
     /// Kept because the frozen benchmark still sets it.
@@ -226,13 +217,13 @@ pub struct SpecRunOptions {
 /// every committed partition as the SMOF bytes a worker's store would
 /// hold, so the engine and the fleet share one data path.
 ///
-/// This is the multi-tenant serving entry point: the spec's own splits
-/// are used verbatim (the wire contract — what `sidr plan --spec`
-/// exported and `sidr-lint` / the server's admission verified is
-/// exactly what runs), the plan is re-derived from the
-/// spec's query over those splits — the job's one plan, whose
-/// `partition+` the bodies route by — and the pool bounds this job's
-/// slot usage *jointly with every other job sharing it*. Pass a
+/// This is the multi-tenant serving entry point: the spec's own
+/// splits, `I_ℓ` and launch order are used verbatim (the wire
+/// contract — what `sidr plan --spec` exported and `sidr-lint` / the
+/// server's admission verified is exactly what runs), built and proved
+/// again into the job's one plan ([`SidrPlan::of_spec`]), whose
+/// `partition+` the bodies route by; the pool bounds this job's slot
+/// usage *jointly with every other job sharing it*. Pass a
 /// [`CancelToken`] to make the job abandonable mid-flight.
 pub fn run_spec_on_pool(
     file: &ScincFile,
@@ -250,7 +241,7 @@ pub fn run_spec_on_pool(
     let executor = InProcessExecutor::with_bodies(bodies, &config);
     Ok(run_job_with_executor(
         &spec.splits,
-        &plan,
+        &plan.job,
         output,
         &config,
         pool,
@@ -285,7 +276,7 @@ pub fn run_spec_with_executor(
     let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
     Ok(run_job_with_executor(
         &spec.splits,
-        &plan,
+        &plan.job,
         output,
         &config,
         pool,
@@ -295,20 +286,17 @@ pub fn run_spec_with_executor(
 }
 
 /// The plan and engine configuration a spec run uses, in-process or
-/// on a fleet: the spec's own retry budget, speculation policy and
-/// deadline, whoever the caller is.
+/// on a fleet: the spec's stored plan, proved on this side of the wire
+/// whoever admitted it, and its own retry budget, speculation policy
+/// and deadline, whoever the caller is.
 fn spec_plan_and_config(
     spec: &JobSpec,
     query: &StructuralQuery,
     opts: &SpecRunOptions,
-) -> Result<(crate::plan::SidrPlan, JobConfig)> {
-    // The planner re-derives the geometry the spec promised, and its
-    // build proves it again on this side of the wire.
-    let mut planner = SidrPlanner::new(query, spec.num_reducers);
-    if let Some(region) = &opts.priority_region {
-        planner = planner.prioritize_region(region.clone());
-    }
-    let plan = planner.build(&spec.splits)?;
+) -> Result<(SidrPlan, JobConfig)> {
+    let region = opts.priority_region.as_ref();
+    let (plan, report) = SidrPlan::of_spec(spec, query, region, None)?;
+    unrefuted(&report)?;
     let config = JobConfig {
         fault_plan: opts.fault_plan.clone(),
         retry: spec.retry,

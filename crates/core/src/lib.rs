@@ -16,8 +16,9 @@
 //!   barriers, producing early, *correct* results (§4.1),
 //! * schedule Reduce tasks first, with Map tasks becoming eligible on
 //!   demand and keyblocks optionally prioritized — [`plan`] (§3.3–3.4),
-//! * cross-check every early start with count annotations ([`plan`]
-//!   `expected_raw_count`, §3.2.1 approach 2),
+//!   handing the engine one plain-data `JobPlan`,
+//! * cross-check every early start with count annotations (the plan's
+//!   `expected_raw`, §3.2.1 approach 2),
 //! * write output as dense contiguous slabs — [`output`] (§4.4),
 //! * recover from Reduce failures by re-executing only dependent Map
 //!   tasks instead of persisting intermediate data (§6; exercised

@@ -1,75 +1,86 @@
-//! The SIDR routing plan: partition+, dependency barriers, inverted
-//! scheduling and keyblock prioritization, packaged behind the
-//! engine's [`RoutingPlan`] trait (partition+ itself is applied by the
-//! map attempt, `SpecExecutor`, through [`SidrPlan::partition`]).
+//! The SIDR plan: `partition+` and the engine's one [`JobPlan`] —
+//! dependency barriers, inverted scheduling, keyblock prioritization
+//! and the §3.2.1 tallies. `partition+` itself is applied by the map
+//! attempt (`SpecExecutor`), through [`SidrPlan::partition`].
 
 use sidr_coords::Slab;
-use sidr_mapreduce::{InputSplit, MapTaskId, RoutingPlan};
+use sidr_mapreduce::{InputSplit, JobPlan, MapTaskId};
 
-use crate::deps::Dependencies;
+use crate::deps;
+use crate::diag::Report;
 use crate::partition_plus::PartitionPlus;
 use crate::query::StructuralQuery;
+use crate::spec::JobSpec;
+use crate::verify::verify;
 use crate::{Result, SidrError};
 
-/// A fully derived SIDR plan for one job.
-///
-/// Built by [`SidrPlanner`]; immutable afterwards. Carries `partition+`
-/// (§3.1), the partition function its map attempts apply, and
-/// implements [`RoutingPlan`] so the engine executes with:
-/// * `I_ℓ` dependency barriers and dependency-only fetches (§3.2, §4.6),
-/// * inverted reduce-first scheduling (§3.3),
-/// * optional keyblock priority order (§3.4),
-/// * the raw-pair tally each reduce checks (§3.2.1).
+/// A fully derived SIDR plan for one job: the keyblock geometry and
+/// the plain-data plan the engine runs. Every constructor proves it
+/// ([`verify`]), so a planner fault or a corrupted submission is a
+/// diagnostic report, not a hung barrier or a silently wrong answer.
+#[derive(Clone, Debug)]
 pub struct SidrPlan {
-    partition: PartitionPlus,
-    deps: Dependencies,
-    reduce_order: Vec<usize>,
-    invert: bool,
-    /// Each keyblock's geometric raw-pair tally ([`raw_tallies`]).
-    pub(crate) expected_raw: Vec<u64>,
+    /// `partition+` (§3.1): the partition function the job's map
+    /// attempts apply.
+    pub partition: PartitionPlus,
+    /// What the scheduler runs: `I_ℓ` per keyblock as the barrier and
+    /// fetch set (§3.2, §4.6), inverted reduce-first scheduling
+    /// (§3.3), the launch order (§3.4) and each keyblock's geometric
+    /// raw-pair tally (|keys| × |extraction shape|), which every reduce
+    /// checks.
+    pub job: JobPlan,
 }
 
 impl SidrPlan {
-    /// The keyblock geometry.
-    pub fn partition(&self) -> &PartitionPlus {
-        &self.partition
+    /// The plan a submission stores (§3.2.1: "the relationships are
+    /// stored as part of the job specification"): the spec's `I_ℓ` and
+    /// launch order — the keyblocks covering `priority_region` moved to
+    /// its front, when one is given (§3.4 steering) — with `partition+`
+    /// and the tallies derived from its query, and the proof's report
+    /// over the spec's splits. A plan whose report holds an error must
+    /// not run.
+    pub fn of_spec(
+        spec: &JobSpec,
+        query: &StructuralQuery,
+        priority_region: Option<&Slab>,
+        skew_bound: Option<u64>,
+    ) -> Result<(Self, Report)> {
+        let partition = PartitionPlus::for_query(query, spec.num_reducers)?;
+        let reduce_order = match priority_region {
+            Some(region) => prioritize(&partition, region, &spec.reduce_order)?,
+            None => spec.reduce_order.clone(),
+        };
+        let plan = Self::assemble(query, partition, spec.reduce_deps.clone(), reduce_order)?;
+        let report = verify(query, &spec.splits, &plan, skew_bound);
+        Ok((plan, report))
     }
 
-    /// The dependency structure.
-    pub fn dependencies(&self) -> &Dependencies {
-        &self.deps
-    }
-
-    /// Total (map, reducer) contacts this plan will incur — the SIDR
-    /// column of Table 3.
-    pub fn total_connections(&self) -> u64 {
-        self.deps.total_connections()
+    /// `partition` with barriers `reduce_deps` launched in
+    /// `reduce_order`, reduce-first, each keyblock checking its
+    /// geometric tally.
+    fn assemble(
+        query: &StructuralQuery,
+        partition: PartitionPlus,
+        reduce_deps: Vec<Vec<MapTaskId>>,
+        reduce_order: Vec<usize>,
+    ) -> Result<Self> {
+        let job = JobPlan {
+            reduce_order,
+            expected_raw: Some(raw_tallies(query, &partition)?),
+            ..JobPlan::with_deps(reduce_deps)
+        };
+        Ok(SidrPlan { partition, job })
     }
 }
 
-impl RoutingPlan for SidrPlan {
-    fn num_reducers(&self) -> usize {
-        self.partition.num_reducers()
+/// `Ok` unless the proof's `report` holds an error.
+pub(crate) fn unrefuted(report: &Report) -> Result<()> {
+    if report.has_errors() {
+        return Err(SidrError::Plan(format!(
+            "plan verification failed:\n{report}"
+        )));
     }
-
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(self.deps.reduce_deps(reducer).to_vec())
-    }
-
-    fn invert_scheduling(&self) -> bool {
-        self.invert
-    }
-
-    fn reduce_order(&self) -> Vec<usize> {
-        self.reduce_order.clone()
-    }
-
-    /// The keyblock's geometric tally, which every SIDR reduce checks:
-    /// a map's partitions count the pairs it represents, a `Filter`'s
-    /// selection and a combiner notwithstanding.
-    fn expected_raw_count(&self, reducer: usize) -> Option<u64> {
-        Some(self.expected_raw[reducer])
-    }
+    Ok(())
 }
 
 /// Builder for [`SidrPlan`].
@@ -78,7 +89,6 @@ pub struct SidrPlanner<'q> {
     num_reducers: usize,
     skew_bound: Option<u64>,
     priority_region: Option<Slab>,
-    invert: bool,
 }
 
 impl<'q> SidrPlanner<'q> {
@@ -88,7 +98,6 @@ impl<'q> SidrPlanner<'q> {
             num_reducers,
             skew_bound: None,
             priority_region: None,
-            invert: true,
         }
     }
 
@@ -103,13 +112,6 @@ impl<'q> SidrPlanner<'q> {
     /// burst-buffer windows). The region is a slab of `K′`.
     pub fn prioritize_region(mut self, region: Slab) -> Self {
         self.priority_region = Some(region);
-        self
-    }
-
-    /// Disables inverted scheduling (ablation: dependency barriers
-    /// without reduce-first scheduling).
-    pub fn classic_scheduling(mut self) -> Self {
-        self.invert = false;
         self
     }
 
@@ -131,32 +133,14 @@ impl<'q> SidrPlanner<'q> {
             )?,
             None => PartitionPlus::for_query(self.query, self.num_reducers)?,
         };
-        let deps = Dependencies::derive(self.query, &partition, splits)?;
-
-        let reduce_order = match &self.priority_region {
-            None => (0..self.num_reducers).collect(),
-            Some(region) => priority_order(&partition, region)?,
-        };
-
-        let plan = SidrPlan {
-            expected_raw: raw_tallies(self.query, &partition)?,
-            partition,
-            deps,
-            reduce_order,
-            invert: self.invert,
-        };
-
-        // One proof at every build, the one admission runs: a planner
-        // fault surfaces here as a diagnostic report, not as a hung
-        // barrier or a silently wrong answer downstream.
-        let view = crate::verify::PlanView::of_plan(&plan, self.query, splits);
-        let report = crate::verify::verify(self.query, splits, &view, self.skew_bound);
-        if report.has_errors() {
-            return Err(SidrError::Plan(format!(
-                "plan verification failed:\n{report}"
-            )));
+        let mut reduce_order: Vec<usize> = (0..self.num_reducers).collect();
+        if let Some(region) = &self.priority_region {
+            reduce_order = prioritize(&partition, region, &reduce_order)?;
         }
-
+        let reduce_deps = deps::derive(self.query, &partition, splits)?;
+        let plan = SidrPlan::assemble(self.query, partition, reduce_deps, reduce_order)?;
+        // One proof at every build, the one admission runs.
+        unrefuted(&verify(self.query, splits, &plan, self.skew_bound))?;
         Ok(plan)
     }
 }
@@ -173,18 +157,16 @@ pub(crate) fn raw_tallies(query: &StructuralQuery, partition: &PartitionPlus) ->
         .collect()
 }
 
-/// Keyblocks intersecting `region` first (in id order), the rest after
-/// (in id order).
-fn priority_order(partition: &PartitionPlus, region: &Slab) -> Result<Vec<usize>> {
-    let r = partition.num_reducers();
+/// `order` with the keyblocks intersecting `region` moved to its
+/// front; each part keeps its order.
+fn prioritize(partition: &PartitionPlus, region: &Slab, order: &[usize]) -> Result<Vec<usize>> {
     let mut hot = Vec::new();
     let mut cold = Vec::new();
-    for block in 0..r {
-        let intersects = partition
-            .keyblock_cover(block)?
-            .iter()
-            .any(|s| s.intersects(region));
-        if intersects {
+    for &block in order {
+        // An entry past the keyblocks is left for the proof (SIDR-E006).
+        let hit = block < partition.num_reducers()
+            && (partition.keyblock_cover(block)?.iter()).any(|s| s.intersects(region));
+        if hit {
             hot.push(block);
         } else {
             cold.push(block);
@@ -219,12 +201,11 @@ mod tests {
     fn plan_exposes_sidr_policies() {
         let q = query();
         let s = splits(&q, 8);
-        let plan = SidrPlanner::new(&q, 4).build(&s).unwrap();
+        let plan = SidrPlanner::new(&q, 4).build(&s).unwrap().job;
         assert_eq!(plan.num_reducers(), 4);
-        assert!(plan.invert_scheduling());
-        assert!(plan.reduce_deps(0).is_some());
+        assert_eq!(plan.reduce_deps.as_ref().map(Vec::len), Some(4));
         // Expected raw counts sum to the mapped portion of the input.
-        let total: u64 = (0..4).map(|r| plan.expected_raw_count(r).unwrap()).sum();
+        let total: u64 = (0..4).map(|r| plan.expected_raw(r).unwrap()).sum();
         assert_eq!(total, q.intermediate_space().count() * q.fold_in_count());
     }
 
@@ -244,11 +225,10 @@ mod tests {
             .prioritize_region(region.clone())
             .build(&s)
             .unwrap();
-        let order = plan.reduce_order();
-        let first = order[0];
+        let order = &plan.job.reduce_order;
         assert!(plan
-            .partition()
-            .keyblock_cover(first)
+            .partition
+            .keyblock_cover(order[0])
             .unwrap()
             .iter()
             .any(|c| c.intersects(&region)));
@@ -258,15 +238,15 @@ mod tests {
         assert_eq!(sorted, vec![0, 1, 2, 3]);
     }
 
+    /// A region moves its keyblocks to the front of the order it is
+    /// given, which keeps its order otherwise.
     #[test]
-    fn classic_scheduling_flag() {
+    fn prioritize_keeps_the_given_order_within_each_part() {
         let q = query();
-        let s = splits(&q, 4);
-        let plan = SidrPlanner::new(&q, 2)
-            .classic_scheduling()
-            .build(&s)
-            .unwrap();
-        assert!(!plan.invert_scheduling());
+        let pp = PartitionPlus::for_query(&q, 4).unwrap();
+        let last = pp.keyblock_cover(3).unwrap()[0].clone();
+        let order = prioritize(&pp, &last, &[1, 3, 0, 2]).unwrap();
+        assert_eq!(order, vec![3, 1, 0, 2]);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! Reduce tasks are provided their dependency information when they
 //! are scheduled. This approach adds a small IO cost to job submission
 //! as **the relationships are stored as part of the job
-//! specification**." [`JobSpec`] is that artifact: everything a
-//! TaskTracker needs — the query, the splits, the keyblock geometry,
-//! each reducer's `I_ℓ` and the launch order — in one serializable
-//! document, so its size (the submission IO cost) is measurable.
+//! specification**." [`JobSpec`] is that artifact: what cannot be
+//! derived from the query — the splits, each reducer's `I_ℓ` and the
+//! launch order — with the query itself, in one serializable document,
+//! so its size (the submission IO cost) is measurable. The keyblock
+//! geometry and the §3.2.1 tallies follow from the query; the plan a
+//! spec runs is [`SidrPlan::of_spec`](crate::plan::SidrPlan::of_spec).
 
 use serde::{Deserialize, Serialize};
 
-use sidr_coords::Slab;
-use sidr_mapreduce::{InputSplit, MapTaskId, RetryPolicy, RoutingPlan, SpeculationPolicy};
+use sidr_mapreduce::{InputSplit, MapTaskId, RetryPolicy, SpeculationPolicy};
 
 use crate::operators::Operator;
 use crate::plan::SidrPlan;
@@ -36,14 +37,11 @@ pub struct JobSpec {
     pub query: QuerySpec,
     pub num_reducers: usize,
     pub splits: Vec<InputSplit>,
-    /// `I_ℓ` per reducer — the stored side of store-vs-recompute.
+    /// `I_ℓ` per reducer — the stored side of store-vs-recompute, and
+    /// the barrier the run schedules.
     pub reduce_deps: Vec<Vec<MapTaskId>>,
-    /// Keyblock slab covers in `K′` (what each reducer writes).
-    pub keyblock_covers: Vec<Vec<Slab>>,
-    /// Launch order (§3.3/§3.4).
+    /// Launch order (§3.3/§3.4), which the run follows.
     pub reduce_order: Vec<usize>,
-    /// Expected raw-pair tallies for annotation validation (§3.2.1).
-    pub expected_raw: Vec<u64>,
     /// Wall-clock deadline for the whole job, in milliseconds
     /// (`None` = unbounded). Enforced by the engine, from its job
     /// start: a job still running at its deadline is abandoned with
@@ -68,7 +66,7 @@ impl JobSpec {
         splits: &[InputSplit],
         plan: &SidrPlan,
     ) -> Result<Self> {
-        let r = plan.num_reducers();
+        let job = &plan.job;
         Ok(JobSpec {
             query: QuerySpec {
                 variable: query.variable.clone(),
@@ -77,16 +75,10 @@ impl JobSpec {
                 stride: query.extraction.stride().to_vec(),
                 operator: query.operator,
             },
-            num_reducers: r,
+            num_reducers: job.num_reducers(),
             splits: splits.to_vec(),
-            reduce_deps: (0..r)
-                .map(|i| plan.dependencies().reduce_deps(i).to_vec())
-                .collect(),
-            keyblock_covers: (0..r)
-                .map(|i| plan.partition().keyblock_cover(i))
-                .collect::<Result<Vec<_>>>()?,
-            reduce_order: plan.reduce_order(),
-            expected_raw: plan.expected_raw.clone(),
+            reduce_deps: job.reduce_deps.clone().unwrap_or_default(),
+            reduce_order: job.reduce_order.clone(),
             deadline_ms: None,
             retry: RetryPolicy::default(),
             speculation: SpeculationPolicy::default(),
@@ -178,9 +170,8 @@ mod tests {
         let json = spec.to_json();
         let back = JobSpec::from_json(&json).unwrap();
         assert_eq!(back.reduce_deps, spec.reduce_deps);
-        assert_eq!(back.keyblock_covers, spec.keyblock_covers);
+        assert_eq!(back.reduce_order, spec.reduce_order);
         assert_eq!(back.query, spec.query);
-        assert_eq!(back.expected_raw, spec.expected_raw);
     }
 
     #[test]

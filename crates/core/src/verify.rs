@@ -18,17 +18,18 @@
 //!    the same records are `SIDR-E002`.
 //! 2. **Dependency soundness & completeness**
 //!    (`SIDR-E003`/`SIDR-W004`) — each `I_ℓ` is recomputed
-//!    independently of [`Dependencies::derive`]: each split's image
+//!    independently of [`deps::derive`]: each split's image
 //!    under the extraction shape is intersected with the keyblock
 //!    cover slabs proved above, in one sweep, and compared edge by
-//!    edge. Its cost is in slabs, not keys, so it is exact at any
+//!    edge against `reduce_deps`, the table the scheduler runs. Its
+//!    cost is in slabs, not keys, so it is exact at any
 //!    `|K′ᵀ|`.
 //! 3. **Skew certificate** (`SIDR-E005`) — the dealing unit respects
 //!    the permissible skew and observed keyblock sizes differ by at
 //!    most one unit, with witness keyblocks (§3.1).
 //! 4. **Scheduling feasibility** (`SIDR-E006`/`SIDR-E007`) — the
-//!    reduce order is a permutation and the bipartite map→keyblock
-//!    graph is consistent, in-range and starvation-free.
+//!    reduce order is a permutation and the dependency graph is
+//!    in-range, duplicate-free and starvation-free.
 //! 5. **Annotation conservation** (`SIDR-E008`/`SIDR-E009`) — the
 //!    predicted per-keyblock raw-pair counts sum to `|K′ᵀ| × fold`
 //!    and match each keyblock's geometry (§3.2.1 approach 2).
@@ -36,74 +37,21 @@
 //! One proof at every build: [`SidrPlanner::build`] runs [`verify`]
 //! with no opt-out, so a planner fault fails the first plan it
 //! shapes, in the engine, the simulator and every experiment alike.
-//! Admission (`sidr-analyze`'s `analyze_spec`) runs the same function
-//! over the tables a submission stores.
+//! A submission's plan is built by [`SidrPlan::of_spec`] from the
+//! tables it stores, and proved by the same function, at admission
+//! (`sidr-analyze`'s `analyze_spec`) and again by the run that
+//! schedules it. The proof reads the plan's own tables.
 //!
 //! [`SidrPlanner::build`]: crate::plan::SidrPlanner::build
-//! [`Dependencies::derive`]: crate::deps::Dependencies::derive
+//! [`deps::derive`]: crate::deps::derive
 
 use sidr_coords::{cover, CoverDefect, Shape, Slab};
-use sidr_mapreduce::{InputSplit, MapTaskId, RoutingPlan};
+use sidr_mapreduce::{InputSplit, MapTaskId};
 
 use crate::diag::{codes, Diagnostic, Report};
 use crate::partition_plus::PartitionPlus;
 use crate::plan::SidrPlan;
 use crate::query::StructuralQuery;
-
-/// A plan flattened into independently checkable (and, in tests,
-/// independently corruptible) parts.
-///
-/// [`SidrPlan`] is immutable by design; the verifier instead works on
-/// this open mirror of it, so the mutation tests in `sidr-analyze`
-/// can hand-corrupt each invariant and prove the verifier catches it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanView {
-    /// The keyblock geometry under scrutiny.
-    pub partition: PartitionPlus,
-    /// Per-keyblock dependency sets `I_ℓ` (map task ids).
-    pub reduce_deps: Vec<Vec<MapTaskId>>,
-    /// The inverse relation: which keyblocks each map feeds.
-    pub map_feeds: Vec<Vec<usize>>,
-    /// Scheduling order over keyblocks (§3.3, §3.4).
-    pub reduce_order: Vec<usize>,
-    /// Expected raw ⟨k,v⟩ pairs per keyblock (§3.2.1 approach 2): the
-    /// geometric tallies the plan promises at run time.
-    pub expected_raw: Vec<u64>,
-    /// The query's intermediate keyspace `K′ᵀ` — taken from the query
-    /// itself, not the partition, so a partition built over the wrong
-    /// space is caught rather than trusted.
-    pub kspace: Shape,
-    /// Input keys folding into each `K′` key (`|extraction shape|`).
-    pub fold_in: u64,
-    /// Number of input splits (= map tasks).
-    pub num_splits: usize,
-}
-
-impl PlanView {
-    /// Snapshots a built plan for verification.
-    pub fn of_plan(plan: &SidrPlan, query: &StructuralQuery, splits: &[InputSplit]) -> Self {
-        let r = plan.num_reducers();
-        PlanView {
-            partition: plan.partition().clone(),
-            reduce_deps: (0..r)
-                .map(|b| plan.dependencies().reduce_deps(b).to_vec())
-                .collect(),
-            map_feeds: (0..splits.len())
-                .map(|m| plan.dependencies().map_feeds(m).to_vec())
-                .collect(),
-            reduce_order: plan.reduce_order(),
-            expected_raw: plan.expected_raw.clone(),
-            kspace: query.intermediate_space(),
-            fold_in: query.fold_in_count(),
-            num_splits: splits.len(),
-        }
-    }
-
-    /// Keyblock count the view claims.
-    pub fn num_reducers(&self) -> usize {
-        self.partition.num_reducers()
-    }
-}
 
 /// How many detailed diagnostics to emit per finding family before
 /// collapsing the rest into a summary line.
@@ -114,53 +62,46 @@ const DETAIL_CAP: usize = 5;
 /// bounds or a gap.
 pub const PAIRWISE_SLAB_LIMIT: usize = 20_000;
 
-/// Proves every invariant of the plan `view` describes over `splits`
-/// (see the module docs). `skew_bound` is the permissible skew the
-/// plan must honor (§3.1); `None` accepts the partition's own dealing
-/// unit.
+/// Proves every invariant of `plan` over `splits` (see the module
+/// docs). `skew_bound` is the permissible skew the plan must honor
+/// (§3.1); `None` accepts the partition's own dealing unit.
 pub fn verify(
     query: &StructuralQuery,
     splits: &[InputSplit],
-    view: &PlanView,
+    plan: &SidrPlan,
     skew_bound: Option<u64>,
 ) -> Report {
     let mut report = Report::new();
-    check_count_balance(view, &mut report);
-    check_schedule(view, &mut report);
-    check_dependency_graph(view, &mut report);
-    check_conservation(view, &mut report);
-    let cover = check_cover_geometry(view, &mut report);
+    let partition = &plan.partition;
+    // The keyspace and fold come from the query, not the partition, so
+    // a partition built over the wrong space is caught rather than
+    // trusted. A global barrier or a missing tally reads as an empty
+    // table, which the length checks refuse.
+    let (kspace, fold_in) = (query.intermediate_space(), query.fold_in_count());
+    let deps = plan.job.reduce_deps.as_deref().unwrap_or_default();
+    let tallies = plan.job.expected_raw.as_deref().unwrap_or_default();
+    check_count_balance(partition, &kspace, &mut report);
+    check_schedule(partition, &plan.job.reduce_order, &mut report);
+    check_dependency_graph(partition, deps, tallies, splits.len(), &mut report);
+    check_conservation(partition, tallies, &kspace, fold_in, &mut report);
+    let cover = check_cover_geometry(partition, &kspace, &mut report);
     check_split_tiling(query, splits, &mut report);
     if let Some((slabs, owners)) = cover {
-        check_dependencies(query, splits, view, &slabs, &owners, &mut report);
+        check_dependencies(query, splits, deps, &slabs, &owners, &mut report);
     }
-    check_skew(view, skew_bound, &mut report);
+    check_skew(partition, skew_bound, &mut report);
     report
-}
-
-/// The map→keyblock table of `reduce_deps`: each map's keyblocks, in
-/// id order. Map ids past `num_splits` are skipped.
-pub fn invert_deps(reduce_deps: &[Vec<MapTaskId>], num_splits: usize) -> Vec<Vec<usize>> {
-    let mut feeds: Vec<Vec<usize>> = vec![Vec::new(); num_splits];
-    for (b, deps) in reduce_deps.iter().enumerate() {
-        for &m in deps {
-            if m < num_splits {
-                feeds[m].push(b);
-            }
-        }
-    }
-    feeds
 }
 
 /// SIDR-E001: per-keyblock key counts must sum to `|K′ᵀ|`, and the
 /// instance runs must tile `[0, instance_count)` contiguously.
 /// Together with the disjoint covers [`check_cover_geometry`] proves
 /// this makes the tiling exact.
-fn check_count_balance(view: &PlanView, report: &mut Report) {
-    let cp = view.partition.partition();
-    let expected_keys = view.kspace.count();
+fn check_count_balance(partition: &PartitionPlus, kspace: &Shape, report: &mut Report) {
+    let cp = partition.partition();
+    let expected_keys = kspace.count();
     let mut total = 0u64;
-    for b in 0..view.num_reducers() {
+    for b in 0..partition.num_reducers() {
         match cp.block_key_count(b) {
             Ok(n) => total += n,
             Err(e) => {
@@ -184,7 +125,7 @@ fn check_count_balance(view: &PlanView, report: &mut Report) {
         );
     }
     let mut cursor = 0u64;
-    for b in 0..view.num_reducers() {
+    for b in 0..partition.num_reducers() {
         let (start, end) = cp.block_run(b);
         if start != cursor || end < start {
             report.push(
@@ -208,18 +149,18 @@ fn check_count_balance(view: &PlanView, report: &mut Report) {
 
 /// SIDR-E006: the reduce order must be a permutation of the
 /// keyblocks — anything else drops or double-schedules a keyblock.
-fn check_schedule(view: &PlanView, report: &mut Report) {
-    let r = view.num_reducers();
-    if view.reduce_order.len() != r {
+fn check_schedule(partition: &PartitionPlus, reduce_order: &[usize], report: &mut Report) {
+    let r = partition.num_reducers();
+    if reduce_order.len() != r {
         report.push(
             Diagnostic::error(codes::SCHED_ORDER, "reduce order length mismatch")
-                .with("entries", view.reduce_order.len())
+                .with("entries", reduce_order.len())
                 .with("keyblocks", r),
         );
         return;
     }
     let mut seen = vec![false; r];
-    for &b in &view.reduce_order {
+    for &b in reduce_order {
         if b >= r || seen[b] {
             report.push(
                 Diagnostic::error(
@@ -234,36 +175,45 @@ fn check_schedule(view: &PlanView, report: &mut Report) {
     }
 }
 
-/// SIDR-E007: dependency-graph feasibility. The graph is bipartite
-/// (maps → keyblocks) by construction; infeasibility here means a
-/// dangling map id, a duplicated edge, an inconsistent inversion, or
-/// a keyblock that expects data yet depends on nothing — under
+/// SIDR-E007: dependency-graph feasibility. Infeasibility here means
+/// a dangling map id, an `I_ℓ` that is not strictly ascending (so it
+/// may list a map twice, and would change the fetch and merge order),
+/// or a keyblock that expects data yet depends on nothing — under
 /// inverted scheduling its barrier would wait forever.
-fn check_dependency_graph(view: &PlanView, report: &mut Report) {
-    let r = view.num_reducers();
-    if view.reduce_deps.len() != r {
+fn check_dependency_graph(
+    partition: &PartitionPlus,
+    reduce_deps: &[Vec<MapTaskId>],
+    tallies: &[u64],
+    num_splits: usize,
+    report: &mut Report,
+) {
+    let r = partition.num_reducers();
+    if reduce_deps.len() != r {
         report.push(
             Diagnostic::error(codes::SCHED_GRAPH, "dependency table length mismatch")
-                .with("entries", view.reduce_deps.len())
+                .with("entries", reduce_deps.len())
                 .with("keyblocks", r),
         );
         return;
     }
-    for (b, deps) in view.reduce_deps.iter().enumerate() {
+    for (b, deps) in reduce_deps.iter().enumerate() {
         let mut prev: Option<usize> = None;
         for &m in deps {
-            if m >= view.num_splits {
+            if m >= num_splits {
                 report.push(
                     Diagnostic::error(codes::SCHED_GRAPH, "dependency names a nonexistent map")
                         .with("keyblock", b)
                         .with("map", m)
-                        .with("num_maps", view.num_splits),
+                        .with("num_maps", num_splits),
                 );
                 return;
             }
-            if prev == Some(m) {
+            if prev.is_some_and(|p| m <= p) {
                 report.push(
-                    Diagnostic::error(codes::SCHED_GRAPH, "dependency set lists a map twice")
+                    Diagnostic::error(
+                        codes::SCHED_GRAPH,
+                        "dependency set is not strictly ascending (lists a map twice or out of order)",
+                    )
                         .with("keyblock", b)
                         .with("map", m),
                 );
@@ -271,42 +221,16 @@ fn check_dependency_graph(view: &PlanView, report: &mut Report) {
             }
             prev = Some(m);
         }
-        if deps.is_empty() && view.expected_raw.get(b).copied().unwrap_or(0) > 0 {
+        let expected = tallies.get(b).copied().unwrap_or(0);
+        if deps.is_empty() && expected > 0 {
             report.push(
                 Diagnostic::error(
                     codes::SCHED_GRAPH,
                     "keyblock expects data but has no dependencies; its barrier can never be met",
                 )
                 .with("keyblock", b)
-                .with("expected_raw", view.expected_raw[b]),
+                .with("expected_raw", expected),
             );
-        }
-    }
-    // Inversion consistency: the map→keyblock table must be exactly
-    // the transpose of the keyblock→map table.
-    let inverted = invert_deps(&view.reduce_deps, view.num_splits);
-    if view.map_feeds.len() != view.num_splits {
-        report.push(
-            Diagnostic::error(codes::SCHED_GRAPH, "map-feeds table length mismatch")
-                .with("entries", view.map_feeds.len())
-                .with("num_maps", view.num_splits),
-        );
-        return;
-    }
-    for (m, feeds) in view.map_feeds.iter().enumerate() {
-        let mut sorted = feeds.clone();
-        sorted.sort_unstable();
-        if sorted != inverted[m] {
-            report.push(
-                Diagnostic::error(
-                    codes::SCHED_GRAPH,
-                    "map→keyblock inversion disagrees with the dependency sets",
-                )
-                .with("map", m)
-                .with("feeds", format!("{sorted:?}"))
-                .with("inverted_deps", format!("{:?}", inverted[m])),
-            );
-            return;
         }
     }
 }
@@ -315,35 +239,41 @@ fn check_dependency_graph(view: &PlanView, report: &mut Report) {
 /// key folds into exactly one `K′` key, so keyblock expectations must
 /// satisfy `expected_raw[b] = keys(b) × fold` and sum to
 /// `|K′ᵀ| × fold` (§3.2.1 approach 2).
-fn check_conservation(view: &PlanView, report: &mut Report) {
-    let r = view.num_reducers();
-    if view.expected_raw.len() != r {
+fn check_conservation(
+    partition: &PartitionPlus,
+    tallies: &[u64],
+    kspace: &Shape,
+    fold_in: u64,
+    report: &mut Report,
+) {
+    let r = partition.num_reducers();
+    if tallies.len() != r {
         report.push(
             Diagnostic::error(codes::CONSERVATION, "expected-count table length mismatch")
-                .with("entries", view.expected_raw.len())
+                .with("entries", tallies.len())
                 .with("keyblocks", r),
         );
         return;
     }
-    let cp = view.partition.partition();
-    for b in 0..r {
+    let cp = partition.partition();
+    for (b, &tally) in tallies.iter().enumerate() {
         if let Ok(keys) = cp.block_key_count(b) {
-            let want = keys * view.fold_in;
-            if view.expected_raw[b] != want {
+            let want = keys * fold_in;
+            if tally != want {
                 report.push(
                     Diagnostic::error(
                         codes::BLOCK_COUNT,
                         "keyblock expected raw-pair count disagrees with its geometry",
                     )
                     .with("keyblock", b)
-                    .with("expected_raw", view.expected_raw[b])
+                    .with("expected_raw", tally)
                     .with("keys_times_fold", want),
                 );
             }
         }
     }
-    let total: u64 = view.expected_raw.iter().sum();
-    let want_total = view.kspace.count() * view.fold_in;
+    let total: u64 = tallies.iter().sum();
+    let want_total = kspace.count() * fold_in;
     if total != want_total {
         report.push(
             Diagnostic::error(
@@ -362,18 +292,22 @@ fn check_conservation(view: &PlanView, report: &mut Report) {
 /// keyblock owning each, unless a cover is not computable or has a
 /// defect: dependencies derived from a broken cover would only repeat
 /// its error.
-fn check_cover_geometry(view: &PlanView, report: &mut Report) -> Option<(Vec<Slab>, Vec<usize>)> {
+fn check_cover_geometry(
+    partition: &PartitionPlus,
+    kspace: &Shape,
+    report: &mut Report,
+) -> Option<(Vec<Slab>, Vec<usize>)> {
     let mut slabs: Vec<Slab> = Vec::new();
     let mut owners: Vec<usize> = Vec::new();
-    for b in 0..view.num_reducers() {
+    for b in 0..partition.num_reducers() {
         // Un-computable covers are already reported by the
         // count-balance check.
-        for s in view.partition.keyblock_cover(b).ok()? {
+        for s in partition.keyblock_cover(b).ok()? {
             slabs.push(s);
             owners.push(b);
         }
     }
-    let Some(defect) = tiling_defect(&slabs, &view.kspace, "slabs", report) else {
+    let Some(defect) = tiling_defect(&slabs, kspace, "slabs", report) else {
         return Some((slabs, owners));
     };
     report.push(match defect {
@@ -481,16 +415,16 @@ fn tiling_defect(
 }
 
 /// Invariant 2: recompute each split's keyblock set independently of
-/// `Dependencies::derive` — the split's image under the extraction
-/// shape, intersected with the keyblock cover slabs in one sweep
-/// ([`cover::for_each_crossing`]) — and compare against the
-/// plan's dependency tables edge by edge (`SIDR-E003` missing,
-/// `SIDR-W004` spurious). The cover is exact, so a split feeds a
+/// [`deps::derive`](crate::deps::derive) — the split's image under the
+/// extraction shape, intersected with the keyblock cover slabs in one
+/// sweep ([`cover::for_each_crossing`]) — and compare against
+/// `reduce_deps`, the table the scheduler runs, edge by edge
+/// (`SIDR-E003` missing, `SIDR-W004` spurious). The cover is exact, so a split feeds a
 /// keyblock exactly when its image meets one of the keyblock's slabs.
 fn check_dependencies(
     query: &StructuralQuery,
     splits: &[InputSplit],
-    view: &PlanView,
+    reduce_deps: &[Vec<MapTaskId>],
     slabs: &[Slab],
     owners: &[usize],
     report: &mut Report,
@@ -521,9 +455,10 @@ fn check_dependencies(
     cover::for_each_crossing(&images, slabs, |i, k| fed.push((imaged[i], owners[k])));
     fed.sort_unstable();
     fed.dedup();
-    let mut listed: Vec<(usize, usize)> = (view.map_feeds.iter().take(splits.len()))
-        .enumerate()
-        .flat_map(|(m, feeds)| feeds.iter().map(move |&b| (m, b)))
+    // A dangling map id is SIDR-E007's.
+    let mut listed: Vec<(usize, usize)> = (reduce_deps.iter().enumerate())
+        .flat_map(|(b, deps)| deps.iter().map(move |&m| (m, b)))
+        .filter(|&(m, _)| m < splits.len())
         .collect();
     listed.sort_unstable();
     listed.dedup();
@@ -580,8 +515,8 @@ fn check_dependencies(
 /// must respect the permissible skew, and the observed spread across
 /// non-empty keyblocks must stay within one unit — witnessed by the
 /// largest and smallest keyblocks.
-fn check_skew(view: &PlanView, skew_bound: Option<u64>, report: &mut Report) {
-    let cp = view.partition.partition();
+fn check_skew(partition: &PartitionPlus, skew_bound: Option<u64>, report: &mut Report) {
+    let cp = partition.partition();
     let unit = cp.skew_shape().count();
     let bound = skew_bound.unwrap_or(unit);
     if unit > bound {
@@ -600,7 +535,7 @@ fn check_skew(view: &PlanView, skew_bound: Option<u64>, report: &mut Report) {
     // clipped units' shortfall: what each would hold unclipped.
     let mut hi: Option<(usize, u64, u64)> = None;
     let mut lo: Option<(usize, u64, u64)> = None;
-    for b in 0..view.num_reducers() {
+    for b in 0..partition.num_reducers() {
         let keys = match cp.block_key_count(b) {
             Ok(c) => c,
             Err(_) => return, // the count-balance check flagged it
@@ -645,7 +580,7 @@ mod tests {
     use sidr_coords::Coord;
     use sidr_mapreduce::SplitGenerator;
 
-    fn fixture() -> (StructuralQuery, Vec<InputSplit>, PlanView) {
+    fn fixture() -> (StructuralQuery, Vec<InputSplit>, SidrPlan) {
         let q = StructuralQuery::new(
             "t",
             Shape::new(vec![64, 10, 10]).unwrap(),
@@ -657,15 +592,19 @@ mod tests {
             .exact_count(8)
             .unwrap();
         let plan = SidrPlanner::new(&q, 4).build(&splits).unwrap();
-        let view = PlanView::of_plan(&plan, &q, &splits);
-        (q, splits, view)
+        (q, splits, plan)
     }
 
-    /// `fixture`'s view, corrupted by `corrupt`, verified.
-    fn verify_corrupted(corrupt: impl FnOnce(&mut PlanView)) -> Report {
-        let (q, splits, mut view) = fixture();
-        corrupt(&mut view);
-        verify(&q, &splits, &view, None)
+    /// `fixture`'s plan, corrupted by `corrupt`, verified.
+    fn verify_corrupted(corrupt: impl FnOnce(&mut SidrPlan)) -> Report {
+        let (q, splits, mut plan) = fixture();
+        corrupt(&mut plan);
+        verify(&q, &splits, &plan, None)
+    }
+
+    /// The plan's dependency table.
+    fn deps(plan: &mut SidrPlan) -> &mut Vec<Vec<MapTaskId>> {
+        plan.job.reduce_deps.as_mut().unwrap()
     }
 
     #[test]
@@ -695,31 +634,39 @@ mod tests {
             .unwrap();
         assert!(splits.len() > 1);
         let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
-        let report = verify(&q, &splits, &PlanView::of_plan(&plan, &q, &splits), None);
+        let report = verify(&q, &splits, &plan, None);
         assert!(report.is_clean(), "unexpected findings:\n{report}");
+    }
+
+    /// A global barrier lists no `I_ℓ` and promises no tally.
+    #[test]
+    fn a_plan_without_tables_is_refused() {
+        let report = verify_corrupted(|p| p.job = sidr_mapreduce::JobPlan::global(4));
+        assert!(report.has_code(codes::SCHED_GRAPH));
+        assert!(report.has_code(codes::CONSERVATION));
     }
 
     #[test]
     fn bad_reduce_order_is_caught() {
-        let report = verify_corrupted(|v| v.reduce_order = vec![0, 0, 1, 2]);
+        let report = verify_corrupted(|p| p.job.reduce_order = vec![0, 0, 1, 2]);
         assert!(report.has_code(codes::SCHED_ORDER));
     }
 
     #[test]
     fn dangling_dependency_is_caught() {
-        let report = verify_corrupted(|v| v.reduce_deps[1].push(v.num_splits + 5));
+        let report = verify_corrupted(|p| deps(p)[1].push(8 + 5));
         assert!(report.has_code(codes::SCHED_GRAPH));
     }
 
     #[test]
     fn starved_keyblock_is_caught() {
-        let report = verify_corrupted(|v| v.reduce_deps[2].clear());
+        let report = verify_corrupted(|p| deps(p)[2].clear());
         assert!(report.has_code(codes::SCHED_GRAPH));
     }
 
     #[test]
     fn corrupted_expected_count_is_caught() {
-        let report = verify_corrupted(|v| v.expected_raw[0] += 1);
+        let report = verify_corrupted(|p| p.job.expected_raw.as_mut().unwrap()[0] += 1);
         assert!(report.has_code(codes::BLOCK_COUNT));
         assert!(report.has_code(codes::CONSERVATION));
     }
@@ -730,8 +677,8 @@ mod tests {
         // the keyblocks tile the wrong space, so counts cannot
         // balance.
         let wide = Shape::new(vec![32, 2, 10]).unwrap();
-        let report = verify_corrupted(|v| {
-            v.partition = PartitionPlus::with_skew_bound(wide, 4, 20).unwrap()
+        let report = verify_corrupted(|p| {
+            p.partition = PartitionPlus::with_skew_bound(wide, 4, 20).unwrap()
         });
         assert!(report.has_code(codes::COVERAGE));
     }

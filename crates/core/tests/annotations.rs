@@ -12,7 +12,7 @@ use sidr_core::{ExecOptions, Operator, SidrPlanner, SpecExecutor, StructuralQuer
 use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
 use sidr_mapreduce::{
     run_job_with_executor, AttemptBodies, FaultKind, InMemoryOutput, InProcessExecutor, InputSplit,
-    JobConfig, JobResult, MapAttemptOutput, MapTaskId, MrError, RoutingPlan, SlotPool, Smof3View,
+    JobConfig, JobResult, MapAttemptOutput, MapTaskId, MrError, SlotPool, Smof3View,
     SplitGenerator,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
@@ -119,7 +119,7 @@ fn run_splits(
     let executor = InProcessExecutor::with_bodies(Lossy { inner, lossy }, &config);
     let pool = SlotPool::new(4, 3)?;
     let output = InMemoryOutput::new();
-    run_job_with_executor(splits, &plan, &output, &config, &pool, None, &executor)
+    run_job_with_executor(splits, &plan.job, &output, &config, &pool, None, &executor)
 }
 
 #[test]
@@ -179,8 +179,8 @@ fn filter_ships_only_passing_rows_and_keeps_its_tally() {
         .unwrap();
     let plan = SidrPlanner::new(&q, 3).build(&splits).unwrap();
     for r in 0..3 {
-        let geometric = plan.partition().keyblock_key_count(r).unwrap() * q.fold_in_count();
-        assert_eq!(plan.expected_raw_count(r), Some(geometric), "keyblock {r}");
+        let geometric = plan.partition.keyblock_key_count(r).unwrap() * q.fold_in_count();
+        assert_eq!(plan.job.expected_raw(r), Some(geometric), "keyblock {r}");
     }
 
     assert_trips(run("filter-lossy", filter, true));

@@ -47,7 +47,8 @@ fn reduce_failure_reexecutes_exactly_i_ell() {
     // The plan SIDR will build — its dependency table is the oracle.
     let splits = generate_splits(&file, &query, FrameworkMode::Sidr, opts.split_bytes).unwrap();
     let plan = SidrPlanner::new(&query, reducers).build(&splits).unwrap();
-    let mut i_ell: Vec<MapTaskId> = plan.dependencies().reduce_deps(failed_reducer).to_vec();
+    let deps = plan.job.reduce_deps.unwrap();
+    let mut i_ell: Vec<MapTaskId> = deps[failed_reducer].clone();
     i_ell.sort_unstable();
     i_ell.dedup();
     assert!(
@@ -66,8 +67,8 @@ fn reduce_failure_reexecutes_exactly_i_ell() {
     // dependencies recommitted, recovery confined to `I_ℓ`.
     let mut oracle =
         sidr_core::TimelineOracle::new(baseline.num_maps, reducers).volatile_intermediate(true);
-    for r in 0..reducers {
-        oracle = oracle.with_deps(r, plan.dependencies().reduce_deps(r).to_vec());
+    for (r, i_ell) in deps.iter().enumerate() {
+        oracle = oracle.with_deps(r, i_ell.clone());
     }
     oracle
         .check_complete(&baseline.result.events)

@@ -82,7 +82,7 @@ fn corner_keys_starve_reducers_under_hash_but_not_under_partition_plus() {
     let max = *sidr.iter().max().unwrap();
     let min = *sidr.iter().min().unwrap();
     assert!(
-        (max - min) as u64 <= sidr_plan.partition().partition().skew_shape().count(),
+        (max - min) as u64 <= sidr_plan.partition.partition().skew_shape().count(),
         "partition+ skew beyond one dealing unit: {sidr:?}"
     );
 

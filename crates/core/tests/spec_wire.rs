@@ -1,19 +1,22 @@
 //! The JobSpec wire contract shared by `sidr plan --spec`,
 //! `sidr-lint --spec` and the `sidr-serve` daemon: a spec serialized
-//! to JSON must parse back and re-plan to the *identical* plan, so the
-//! three tools can never drift apart — and the policy it carries
-//! (retry budget, speculation, deadline) governs the job on every
-//! entry point, without the caller copying it anywhere.
+//! to JSON must parse back and rebuild the *identical* plan, so the
+//! three tools can never drift apart — the tables it stores are the
+//! ones its run schedules, and the policy it carries (retry budget,
+//! speculation, deadline) governs the job on every entry point,
+//! without the caller copying it anywhere.
 
 use std::path::{Path, PathBuf};
 
-use sidr_coords::Shape;
+use sidr_coords::{Shape, Slab};
 use sidr_core::framework::{
     run_query, run_spec_on_pool, run_spec_with_executor, FrameworkMode, RunOptions, SpecRunOptions,
 };
 use sidr_core::spec::JobSpec;
-use sidr_core::verify::PlanView;
-use sidr_core::{ExecOptions, Operator, SidrError, SidrPlanner, SpecExecutor, StructuralQuery};
+use sidr_core::{
+    ExecOptions, Operator, PartitionPlus, SidrError, SidrPlan, SidrPlanner, SpecExecutor,
+    StructuralQuery,
+};
 use sidr_mapreduce::{
     reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InProcessExecutor,
     InputSplit, JobConfig, JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy,
@@ -40,34 +43,26 @@ fn setup() -> (StructuralQuery, Vec<InputSplit>) {
     (q, splits)
 }
 
-/// §3.2.1's submission document round-trips through JSON and re-plans
-/// to an identical `PlanView` — the exact artifact `sidr-analyze`
+/// §3.2.1's submission document round-trips through JSON and rebuilds
+/// an identical plan, proved clean — the exact artifact `sidr-analyze`
 /// verifies and the server executes.
 #[test]
-fn spec_json_replans_to_an_identical_plan_view() {
+fn spec_json_rebuilds_an_identical_plan() {
     let (q, splits) = setup();
     let plan = SidrPlanner::new(&q, 4).build(&splits).unwrap();
     let spec = JobSpec::from_plan(&q, &splits, &plan).unwrap();
-    let original_view = PlanView::of_plan(&plan, &q, &splits);
 
     // The wire hop: what `sidr plan --spec` writes, parsed back.
-    let wire = spec.to_json();
-    let back = JobSpec::from_json(&wire).unwrap();
+    let back = JobSpec::from_json(&spec.to_json()).unwrap();
 
-    // Re-plan from nothing but the deserialized spec.
-    let re_query = back.query().unwrap();
-    let re_plan = SidrPlanner::new(&re_query, back.num_reducers)
-        .build(&back.splits)
-        .unwrap();
-    let re_view = PlanView::of_plan(&re_plan, &re_query, &back.splits);
-
+    // Rebuild from nothing but the deserialized spec.
+    let (rebuilt, report) = SidrPlan::of_spec(&back, &back.query().unwrap(), None, None).unwrap();
+    assert!(report.is_clean(), "{report}");
     assert_eq!(
-        original_view, re_view,
-        "re-planned view differs from the original: the wire contract drifted"
+        (rebuilt.partition, rebuilt.job),
+        (plan.partition, plan.job),
+        "rebuilt plan differs from the original: the wire contract drifted"
     );
-    // And the stored tables agree with the re-derived plan.
-    assert_eq!(back.reduce_deps, re_view.reduce_deps);
-    assert_eq!(back.expected_raw, re_view.expected_raw);
 }
 
 /// A second hop (serialize the re-parsed spec again) is byte-stable:
@@ -138,6 +133,54 @@ fn spec_execution_matches_batch_run_query() {
     .unwrap();
     assert_eq!(output.sorted_records(), batch.records);
     std::fs::remove_file(&path).ok();
+}
+
+/// The run follows the launch order its spec stores: a hand-edited
+/// permutation launches its reduces in that order, and a priority
+/// region moves its keyblocks to the front of it (§3.4).
+#[test]
+fn a_spec_runs_the_launch_order_it_stores() {
+    let (input, mut spec) = twelve_map_job("order");
+    let file = ScincFile::open(&input).unwrap();
+    std::fs::remove_file(&input).unwrap();
+    spec.reduce_order = vec![2, 0, 3, 1];
+    let pool = SlotPool::new(2, 1).unwrap();
+    let launched = |priority_region: Option<Slab>| {
+        let opts = SpecRunOptions {
+            priority_region,
+            ..SpecRunOptions::default()
+        };
+        let output = InMemoryOutput::new();
+        let result = run_spec_on_pool(&file, &spec, &opts, &output, &pool, None).unwrap();
+        (result.events.iter())
+            .filter(|e| e.kind == TaskKind::ReduceStart)
+            .map(|e| e.task)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(launched(None), vec![2, 0, 3, 1]);
+    // A region inside keyblock 3.
+    let partition = PartitionPlus::for_query(&spec.query().unwrap(), 4).unwrap();
+    let region = partition.keyblock_cover(3).unwrap().remove(0);
+    assert_eq!(launched(Some(region)), vec![3, 2, 0, 1]);
+}
+
+/// The run schedules the `I_ℓ` its spec stores, so it proves them
+/// itself: a spec that lost one edge is refused with `SIDR-E003`
+/// without ever passing admission, not run on a barrier that would
+/// release early.
+#[test]
+fn a_spec_missing_an_edge_is_refused_by_its_run() {
+    let (input, mut spec) = twelve_map_job("edge");
+    let file = ScincFile::open(&input).unwrap();
+    std::fs::remove_file(&input).unwrap();
+    let victim = (spec.reduce_deps.iter()).position(|d| d.len() > 1).unwrap();
+    spec.reduce_deps[victim].pop();
+    let pool = SlotPool::new(2, 2).unwrap();
+    let opts = SpecRunOptions::default();
+    match run_spec_on_pool(&file, &spec, &opts, &InMemoryOutput::new(), &pool, None) {
+        Err(SidrError::Plan(why)) => assert!(why.contains("SIDR-E003"), "{why}"),
+        other => panic!("ran a spec missing an edge: {other:?}"),
+    }
 }
 
 /// A 12-map, 4-keyblock spec and its dataset's path.

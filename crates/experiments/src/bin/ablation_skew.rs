@@ -9,7 +9,7 @@
 //! one dealing-unit of imbalance.
 
 use sidr_coords::Shape;
-use sidr_core::deps::Dependencies;
+use sidr_core::deps;
 use sidr_core::{Operator, PartitionPlus, StructuralQuery};
 use sidr_experiments::{compare, write_csv};
 use sidr_mapreduce::SplitGenerator;
@@ -44,8 +44,8 @@ fn main() {
         let slabs: usize = (0..reducers)
             .map(|r| pp.keyblock_cover(r).expect("cover exists").len())
             .sum();
-        let deps = Dependencies::derive(&query, &pp, &splits).expect("deps derive");
-        let conns = deps.total_connections();
+        let deps = deps::derive(&query, &pp, &splits).expect("deps derive");
+        let conns: usize = deps.iter().map(Vec::len).sum();
         println!(
             "{bound:>12} {skew:>12} {slabs:>14} {conns:>14} {:>14.1}",
             conns as f64 / reducers as f64

@@ -16,7 +16,7 @@
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::{FrameworkMode, SidrPlanner, StructuralQuery};
 use sidr_experiments::{compare, write_csv};
-use sidr_mapreduce::{RoutingPlan, SplitGenerator};
+use sidr_mapreduce::SplitGenerator;
 use sidr_simcluster::{build_sim_job, simulate, CostModel, SimClusterConfig, SimWorkload};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
         .build(&splits)
         .expect("plan builds");
     let hot_keys_of = |r: usize| -> u64 {
-        plan.partition()
+        plan.partition
             .keyblock_cover(r)
             .expect("cover exists")
             .iter()
@@ -130,7 +130,4 @@ fn main() {
         ),
         fractions[2] > fractions[1] && fractions[2] > 0.9,
     );
-    // Priority order actually front-loads the hot keyblocks.
-    let order = plan.reduce_order();
-    let _ = order;
 }

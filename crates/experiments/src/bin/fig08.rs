@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 
 use sidr_coords::Shape;
-use sidr_core::deps::Dependencies;
+use sidr_core::deps;
 use sidr_core::{Operator, PartitionPlus, StructuralQuery};
 use sidr_experiments::{compare, write_csv};
 use sidr_mapreduce::{CoordHashPartitioner, Partitioner, SplitGenerator};
@@ -57,7 +57,7 @@ fn main() {
 
     // (b) partition+: the real dependency derivation.
     let pp = PartitionPlus::for_query(&query, reducers).expect("partition+ builds");
-    let deps = Dependencies::derive(&query, &pp, &splits).expect("deps derive");
+    let deps = deps::derive(&query, &pp, &splits).expect("deps derive");
 
     let span = |set: &BTreeSet<usize>| -> usize {
         match (set.iter().next(), set.iter().next_back()) {
@@ -77,7 +77,7 @@ fn main() {
     let mut hash_span_total = 0usize;
     let mut plus_span_total = 0usize;
     for (b, hash_set) in hash_deps.iter().enumerate() {
-        let plus_set: BTreeSet<usize> = deps.reduce_deps(b).iter().copied().collect();
+        let plus_set: BTreeSet<usize> = deps[b].iter().copied().collect();
         let h_n = hash_set.len();
         let p_n = plus_set.len();
         let h_s = span(hash_set);

@@ -28,11 +28,8 @@ fn main() {
     for reducers in [22usize, 66, 132, 264, 528, 1024] {
         let w = SimWorkload::new(query.clone(), FrameworkMode::Sidr, reducers);
         let job = build_sim_job(&w).expect("plans");
-        let sidr: u64 = job
-            .reduces
-            .iter()
-            .map(|r| r.deps.as_ref().expect("SIDR plans have deps").len() as u64)
-            .sum();
+        let deps = job.plan.reduce_deps.expect("SIDR plans have deps");
+        let sidr: u64 = deps.iter().map(|d| d.len() as u64).sum();
         let hadoop = maps * reducers as u64;
         println!(
             "{reducers:>10}/{maps} {hadoop:>18} {sidr:>18} {:>7.0}x",

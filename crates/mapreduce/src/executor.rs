@@ -42,7 +42,7 @@ use std::time::Duration;
 use crate::error::MrError;
 use crate::fault::FaultKind;
 use crate::output::OutputCollector;
-use crate::plan::RoutingPlan;
+use crate::plan::JobPlan;
 use crate::runtime::{coordinate, JobConfig};
 use crate::schedule::Schedule;
 use crate::shuffle::{GroupBatch, MergeIter};
@@ -496,7 +496,7 @@ struct Threads<'r, 'e, K2, V3> {
     inbox: Arc<Inbox<Done>>,
     pool: &'e SlotPool,
     splits: &'e [InputSplit],
-    plan: &'e dyn RoutingPlan,
+    plan: &'e JobPlan,
     output: &'e dyn OutputCollector<K2, V3>,
     executor: &'e dyn TaskExecutor<K2, V3>,
     timeline: Arc<Timeline>,
@@ -567,7 +567,7 @@ impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
     }
 
     fn start_reduce(&mut self, reducer: usize, attempt: u32, sources: Vec<ReduceSource>) {
-        let expected_raw = self.plan.expected_raw_count(reducer);
+        let expected_raw = self.plan.expected_raw(reducer);
         let (inbox, executor) = (Arc::clone(&self.inbox), self.executor);
         let (output, timeline) = (self.output, Arc::clone(&self.timeline));
         // The attempt returns its whole keyblock, committed atomically
@@ -607,7 +607,7 @@ impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
 /// it still holds when the job ends is its owner's to drop.
 pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
     splits: &'e [InputSplit],
-    plan: &'e dyn RoutingPlan,
+    plan: &'e JobPlan,
     output: &'e dyn OutputCollector<K2, V3>,
     config: &JobConfig,
     pool: &'e SlotPool,
@@ -617,11 +617,7 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
     if splits.is_empty() {
         return Err(MrError::BadConfig("no input splits".into()));
     }
-    let deps = (0..plan.num_reducers())
-        .map(|r| plan.reduce_deps(r))
-        .collect();
-    let (order, invert) = (plan.reduce_order(), plan.invert_scheduling());
-    let sched = Schedule::new(splits.len(), deps, order, invert)?;
+    let sched = Schedule::new(splits.len(), plan)?;
     let timeline = Arc::new(Timeline::new());
     let inbox = Arc::new(Inbox::default());
     let waker = Arc::clone(&inbox) as Arc<dyn Wake>;
@@ -678,8 +674,8 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
             .iter()
             .filter(|e| e.kind == TaskKind::MapStart);
         let ran_once = starts.clone().count() == splits.len() && starts.all(|e| e.attempt == 0);
-        let expected = (0..plan.num_reducers()).map(|r| plan.expected_raw_count(r));
-        if let Some(expected) = expected.sum::<Option<u64>>().filter(|_| ran_once) {
+        let expected = plan.expected_raw.as_ref().map(|e| e.iter().sum::<u64>());
+        if let Some(expected) = expected.filter(|_| ran_once) {
             debug_assert_eq!(
                 result.counters.map_records_out, expected,
                 "static plan prediction disagrees with the runtime map-output tally"

@@ -30,9 +30,10 @@
 //!   and counters ([`counters`]).
 //!
 //! The SIDR-specific planner (partition+, dependency derivation,
-//! keyblock prioritization) lives in the `sidr-core` crate and plugs in
-//! through the [`plan::RoutingPlan`] trait; this crate provides the
-//! general, SIDR-agnostic machinery plus the stock-Hadoop defaults.
+//! keyblock prioritization) lives in the `sidr-core` crate and hands
+//! the engine one plain [`JobPlan`] value; this crate provides the
+//! general, SIDR-agnostic machinery plus the stock-Hadoop plan
+//! ([`JobPlan::global`]).
 
 pub mod counters;
 mod crc;
@@ -68,7 +69,7 @@ pub use executor::{
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
-pub use plan::{DefaultPlan, RoutingPlan};
+pub use plan::JobPlan;
 pub use runtime::{coordinate, JobConfig};
 pub use shuffle::{GroupBatch, MapOutputFile, MergeIter};
 pub use slots::{CancelToken, Inbox, Semaphore, SlotOccupancy, SlotPool, Wake};

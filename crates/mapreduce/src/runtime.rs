@@ -37,7 +37,7 @@ use crate::Result;
 
 /// Runtime configuration. It holds no check switches: every reduce
 /// checks the §3.2.1 tally its plan promises
-/// ([`RoutingPlan::expected_raw_count`](crate::RoutingPlan::expected_raw_count)).
+/// ([`JobPlan::expected_raw`](crate::JobPlan::expected_raw)).
 /// Nor does it size slots: those are the cluster's, the
 /// [`SlotPool`](crate::SlotPool) a job runs on.
 #[derive(Clone, Debug, Default)]

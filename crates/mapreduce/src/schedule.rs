@@ -32,6 +32,7 @@
 use std::collections::VecDeque;
 
 use crate::error::MrError;
+use crate::plan::JobPlan;
 use crate::split::MapTaskId;
 use crate::sync::chaos::{self, Mutation};
 use crate::Result;
@@ -126,59 +127,71 @@ pub struct Schedule {
     /// Next position in `reduce_order`.
     cursor: usize,
     /// `I_ℓ` per reducer; `None` is the global barrier.
-    deps: Vec<Option<Vec<MapTaskId>>>,
+    deps: Option<Vec<Vec<MapTaskId>>>,
     /// Inverse of `deps`: the dependency-barrier reducers waiting on
     /// each map.
     dependents: Vec<Vec<usize>>,
-    global_reducers: usize,
     /// Entries of `I_ℓ` not yet `Done`, per dependency-barrier reducer.
     pending: Vec<usize>,
     /// Maps neither `Done` nor `Skipped` — what a global barrier waits
     /// for.
     unfinished: usize,
     skipped: usize,
-    invert: bool,
 }
 
 impl Schedule {
-    /// Builds the schedule of a plan: `deps[r]` is reducer `r`'s
-    /// `I_ℓ` (`None` = global barrier), `reduce_order` the launch
-    /// order, `invert` SIDR's reduce-first scheduling. Without
-    /// inversion every map starts eligible, in index order; with it
-    /// none does, and maps no reducer depends on are skipped outright.
-    pub fn new(
-        num_maps: usize,
-        deps: Vec<Option<Vec<MapTaskId>>>,
-        reduce_order: Vec<usize>,
-        invert: bool,
-    ) -> Result<Self> {
-        let num_reducers = deps.len();
-        if reduce_order.len() != num_reducers || reduce_order.iter().any(|&r| r >= num_reducers) {
+    /// Builds the schedule of `plan` over `num_maps` maps. Under the
+    /// global barrier every map starts eligible, in index order; a
+    /// dependency plan is inverted (§3.3): no map starts eligible, and
+    /// maps no reducer depends on are skipped outright. A plan whose
+    /// launch order is not a permutation of its reducers, or whose
+    /// `I_ℓ` table or tally has another length, or which names a
+    /// nonexistent map, is refused.
+    pub fn new(num_maps: usize, plan: &JobPlan) -> Result<Self> {
+        let num_reducers = plan.num_reducers();
+        let reduce_order = plan.reduce_order.clone();
+        let mut sorted = reduce_order.clone();
+        sorted.sort_unstable();
+        if num_reducers == 0 || !sorted.into_iter().eq(0..num_reducers) {
             return Err(MrError::BadConfig(format!(
-                "reduce_order {reduce_order:?} does not cover {num_reducers} reducers"
+                "reduce_order {reduce_order:?} is not a permutation of at least one reducer"
+            )));
+        }
+        if let Some(raw) = plan
+            .expected_raw
+            .as_ref()
+            .filter(|raw| raw.len() != num_reducers)
+        {
+            return Err(MrError::BadConfig(format!(
+                "{} expected tallies for {num_reducers} reducers",
+                raw.len()
             )));
         }
         let mut dependents = vec![Vec::new(); num_maps];
         let mut pending = vec![0; num_reducers];
-        let mut global_reducers = 0;
-        for (r, deps) in deps.iter().enumerate() {
-            let Some(deps) = deps else {
-                global_reducers += 1;
-                continue;
-            };
-            for &m in deps {
-                if m >= num_maps {
-                    return Err(MrError::BadConfig(format!(
-                        "reduce {r} depends on nonexistent map {m}"
-                    )));
-                }
-                dependents[m].push(r);
+        if let Some(deps) = &plan.reduce_deps {
+            if deps.len() != num_reducers {
+                return Err(MrError::BadConfig(format!(
+                    "{} dependency sets for {num_reducers} reducers",
+                    deps.len()
+                )));
             }
-            pending[r] = deps.len();
+            for (r, deps) in deps.iter().enumerate() {
+                for &m in deps {
+                    if m >= num_maps {
+                        return Err(MrError::BadConfig(format!(
+                            "reduce {r} depends on nonexistent map {m}"
+                        )));
+                    }
+                    dependents[m].push(r);
+                }
+                pending[r] = deps.len();
+            }
         }
+        let invert = plan.reduce_deps.is_some();
         let maps: Vec<MapGen> = (dependents.iter())
             .map(|waiting| MapGen {
-                status: match (invert, global_reducers == 0 && waiting.is_empty()) {
+                status: match (invert, waiting.is_empty()) {
                     (false, _) => MapStatus::Eligible,
                     (true, true) => MapStatus::Skipped,
                     (true, false) => MapStatus::Ineligible,
@@ -204,13 +217,11 @@ impl Schedule {
             maps,
             reduce_order,
             cursor: 0,
-            deps,
+            deps: plan.reduce_deps.clone(),
             dependents,
-            global_reducers,
             pending,
             unfinished: num_maps - skipped,
             skipped,
-            invert,
         })
     }
 
@@ -227,23 +238,12 @@ impl Schedule {
     pub fn launch_next_reduce(&mut self) -> Option<usize> {
         let &r = self.reduce_order.get(self.cursor)?;
         self.cursor += 1;
-        if self.invert {
-            let Schedule {
-                maps,
-                eligible,
-                deps,
-                ..
-            } = self;
-            let all = 0..maps.len();
-            let mut open = |m: MapTaskId| {
-                if maps[m].status == MapStatus::Ineligible {
-                    maps[m].status = MapStatus::Eligible;
-                    eligible.push_back(m);
+        if let Some(deps) = &self.deps {
+            for &m in &deps[r] {
+                if self.maps[m].status == MapStatus::Ineligible {
+                    self.maps[m].status = MapStatus::Eligible;
+                    self.eligible.push_back(m);
                 }
-            };
-            match &deps[r] {
-                Some(deps) => deps.iter().copied().for_each(&mut open),
-                None => all.for_each(&mut open),
             }
         }
         Some(r)
@@ -396,7 +396,7 @@ impl Schedule {
     /// Whether every map reducer `r` waits for is `Done` (§3.2): its
     /// `I_ℓ`, or all maps under the global barrier.
     pub fn barrier_met(&self, r: usize) -> bool {
-        match self.deps[r] {
+        match self.deps {
             Some(_) => self.pending[r] == 0,
             None => self.unfinished == 0,
         }
@@ -422,8 +422,8 @@ impl Schedule {
     /// every map (stock Hadoop "requires that every Reduce task
     /// contact every completed Map task", §4.6).
     pub fn sources(&self, r: usize) -> Vec<MapTaskId> {
-        match &self.deps[r] {
-            Some(deps) => deps.clone(),
+        match &self.deps {
+            Some(deps) => deps[r].clone(),
             None => (0..self.maps.len()).collect(),
         }
     }
@@ -433,7 +433,7 @@ impl Schedule {
     }
 
     pub fn num_reducers(&self) -> usize {
-        self.deps.len()
+        self.reduce_order.len()
     }
 
     pub fn status(&self, m: MapTaskId) -> MapStatus {
@@ -459,7 +459,10 @@ impl Schedule {
     /// How many reducers' barriers contain map `m` — what a straggling
     /// `m` stalls.
     pub fn blocking_weight(&self, m: MapTaskId) -> usize {
-        self.dependents[m].len() + self.global_reducers
+        match self.deps {
+            Some(_) => self.dependents[m].len(),
+            None => self.num_reducers(),
+        }
     }
 }
 
@@ -469,9 +472,13 @@ mod tests {
 
     /// Three reducers over six maps, `I_ℓ = {2ℓ, 2ℓ+1}`; map 6 feeds
     /// nobody.
-    fn sidr(order: Vec<usize>) -> Schedule {
-        let deps = (0..3).map(|r| Some(vec![2 * r, 2 * r + 1])).collect();
-        Schedule::new(7, deps, order, true).unwrap()
+    fn sidr(reduce_order: Vec<usize>) -> Schedule {
+        let deps = (0..3).map(|r| vec![2 * r, 2 * r + 1]).collect();
+        let plan = JobPlan {
+            reduce_order,
+            ..JobPlan::with_deps(deps)
+        };
+        Schedule::new(7, &plan).unwrap()
     }
 
     fn drain(s: &mut Schedule) -> Vec<MapTaskId> {
@@ -488,8 +495,8 @@ mod tests {
     }
 
     #[test]
-    fn classic_scheduling_serves_every_map_in_index_order() {
-        let mut s = Schedule::new(4, vec![None, None], vec![0, 1], false).unwrap();
+    fn the_global_barrier_serves_every_map_in_index_order() {
+        let mut s = Schedule::new(4, &JobPlan::global(2)).unwrap();
         assert_eq!(s.maps_skipped(), 0);
         assert_eq!(drain(&mut s), vec![0, 1, 2, 3]);
         assert_eq!(s.launch_next_reduce(), Some(0));
@@ -554,20 +561,25 @@ mod tests {
     }
 
     #[test]
-    fn a_global_reducer_under_inversion_opens_everything_and_skips_nothing() {
-        let mut s = Schedule::new(3, vec![Some(vec![1]), None], vec![0, 1], true).unwrap();
-        assert_eq!(s.maps_skipped(), 0);
-        s.launch_next_reduce();
-        assert_eq!(s.status(0), MapStatus::Ineligible);
-        s.launch_next_reduce();
-        assert_eq!(drain(&mut s), vec![1, 0, 2]);
-    }
-
-    #[test]
     fn malformed_plans_are_rejected() {
-        assert!(Schedule::new(2, vec![None], vec![], false).is_err());
-        assert!(Schedule::new(2, vec![None], vec![1], false).is_err());
-        assert!(Schedule::new(2, vec![Some(vec![2])], vec![0], true).is_err());
+        let order = |reduce_order| JobPlan {
+            reduce_order,
+            ..JobPlan::global(1)
+        };
+        assert!(Schedule::new(2, &JobPlan::global(0)).is_err());
+        assert!(Schedule::new(2, &order(vec![1])).is_err());
+        assert!(Schedule::new(2, &order(vec![0, 0])).is_err());
+        assert!(Schedule::new(2, &JobPlan::with_deps(vec![vec![2]])).is_err());
+        let short = JobPlan {
+            reduce_order: vec![0, 1],
+            ..JobPlan::with_deps(vec![vec![0]])
+        };
+        assert!(Schedule::new(2, &short).is_err());
+        let short_tally = JobPlan {
+            expected_raw: Some(vec![1]),
+            ..JobPlan::global(2)
+        };
+        assert!(Schedule::new(2, &short_tally).is_err());
     }
 
     #[test]

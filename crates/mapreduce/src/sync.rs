@@ -151,8 +151,8 @@ pub mod chaos {
         /// ones with it: the retry finds them gone, and maps outside
         /// the fault's reach re-execute.
         ReleaseOnLostSources,
-        /// `Dependencies::derive` drops the last map's last dependency
-        /// edge from both of its tables: that keyblock's barrier
+        /// `deps::derive` drops the last edge it derives, the last
+        /// feeding map's, from `reduce_deps`: that keyblock's barrier
         /// releases without the map's data.
         DeriveDropsEdge,
         /// `PartitionPlus::keyblock_cover` leaves the last keyblock's

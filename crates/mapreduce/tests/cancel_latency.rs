@@ -12,8 +12,8 @@ mod support;
 use std::time::{Duration, Instant};
 
 use sidr_mapreduce::{
-    CancelToken, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig,
-    MrError, RetryPolicy, SlotPool,
+    CancelToken, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, JobPlan, MrError,
+    RetryPolicy, SlotPool,
 };
 use support::{number_splits, run_shared, sum_by_mod10};
 
@@ -23,7 +23,7 @@ use support::{number_splits, run_shared, sum_by_mod10};
 #[test]
 fn blocked_job_cancels_with_sub_tick_latency() {
     let pool = SlotPool::new(1, 1).unwrap();
-    let plan = DefaultPlan::new(2);
+    let plan = JobPlan::global(2);
 
     // Job A: one long (straggling) map so both the map slot and — via
     // its reduce's copy phase — the reduce slot stay occupied.
@@ -98,7 +98,7 @@ fn cancel_after(
     settle: Duration,
 ) -> (Duration, sidr_mapreduce::Result<sidr_mapreduce::JobResult>) {
     let pool = SlotPool::new(2, 2).unwrap();
-    let plan = DefaultPlan::new(2);
+    let plan = JobPlan::global(2);
     let splits = number_splits(50, 2);
     let output = InMemoryOutput::new();
     let cancel = CancelToken::new();

@@ -7,7 +7,7 @@ mod support;
 use std::time::Duration;
 
 use sidr_mapreduce::{
-    DefaultPlan, FaultPlan, InMemoryOutput, InputSplit, JobConfig, MapTaskId, RoutingPlan, TaskKind,
+    FaultPlan, InMemoryOutput, InputSplit, JobConfig, JobPlan, MapTaskId, TaskKind,
 };
 use support::{bodies, identity_source, number_splits, run, run_shared, sum, sum_by_mod10, SLOTS};
 
@@ -18,7 +18,7 @@ fn sums_by_key_are_exact() {
     let result = run(
         &splits,
         sum_by_mod10(4),
-        &DefaultPlan::new(4),
+        &JobPlan::global(4),
         &output,
         &JobConfig::default(),
         SLOTS,
@@ -45,7 +45,7 @@ fn hadoop_mode_contacts_every_map() {
     let result = run(
         &splits,
         sum_by_mod10(4),
-        &DefaultPlan::new(4),
+        &JobPlan::global(4),
         &output,
         &JobConfig::default(),
         SLOTS,
@@ -61,7 +61,7 @@ fn global_barrier_orders_all_maps_before_any_reduce_barrier() {
     let result = run(
         &splits,
         sum_by_mod10(3),
-        &DefaultPlan::new(3),
+        &JobPlan::global(3),
         &output,
         &JobConfig {
             fault_plan: FaultPlan::straggle_maps(0..splits.len(), 2),
@@ -82,20 +82,8 @@ fn global_barrier_orders_all_maps_before_any_reduce_barrier() {
 /// keys ≡ d (mod r); with splits that are contiguous ranges, *every*
 /// split produces keys for every reducer, so deps are still all maps —
 /// instead we give it artificial 1:1 deps to test the mechanics.
-struct OneToOnePlan {
-    n: usize,
-}
-
-impl RoutingPlan for OneToOnePlan {
-    fn num_reducers(&self) -> usize {
-        self.n
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(vec![reducer])
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
+fn one_to_one(n: usize) -> JobPlan {
+    JobPlan::with_deps((0..n).map(|r| vec![r]).collect())
 }
 
 /// Source where split i yields only key i (so reducer i depends only
@@ -123,7 +111,7 @@ fn dependency_barrier_lets_reduces_finish_before_all_maps() {
     let result = run(
         &splits,
         diagonal(n),
-        &OneToOnePlan { n },
+        &one_to_one(n),
         &output,
         &JobConfig {
             fault_plan: FaultPlan::straggle_maps(0..n, 5),
@@ -160,7 +148,7 @@ fn inverted_scheduling_skips_undepended_maps() {
     let result = run(
         &splits,
         diagonal(n),
-        &OneToOnePlan { n },
+        &one_to_one(n),
         &output,
         &JobConfig::default(),
         SLOTS,
@@ -179,7 +167,7 @@ fn injected_reduce_failure_recovers_by_reexecuting_maps() {
     let result = run(
         &splits,
         diagonal(n),
-        &OneToOnePlan { n },
+        &one_to_one(n),
         &output,
         &JobConfig {
             fault_plan: FaultPlan::fail_reducers_first_attempt([2]),
@@ -210,7 +198,7 @@ fn failure_without_volatile_store_needs_no_reexecution() {
     let result = run(
         &splits,
         diagonal(n),
-        &OneToOnePlan { n },
+        &one_to_one(n),
         &output,
         &JobConfig {
             fault_plan: FaultPlan::fail_reducers_first_attempt([1]),
@@ -231,7 +219,7 @@ fn empty_splits_rejected() {
     let err = run(
         &[],
         sum_by_mod10(2),
-        &DefaultPlan::new(2),
+        &JobPlan::global(2),
         &output,
         &JobConfig::default(),
         SLOTS,
@@ -247,7 +235,7 @@ fn zero_slots_rejected() {
         assert!(run(
             &splits,
             sum_by_mod10(2),
-            &DefaultPlan::new(2),
+            &JobPlan::global(2),
             &output,
             &JobConfig::default(),
             slots,
@@ -270,7 +258,7 @@ fn reduce_waves_with_few_slots() {
     let result = run(
         &splits,
         count,
-        &DefaultPlan::new(10),
+        &JobPlan::global(10),
         &output,
         &JobConfig::default(),
         (4, 2),
@@ -280,25 +268,6 @@ fn reduce_waves_with_few_slots() {
     assert_eq!(output.len(), 10);
 }
 
-/// Four keyblocks over eight maps, `I_ℓ = {2ℓ, 2ℓ+1}`, keyblock 3
-/// prioritized (§3.4).
-struct SteeredPlan;
-
-impl RoutingPlan for SteeredPlan {
-    fn num_reducers(&self) -> usize {
-        4
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(vec![2 * reducer, 2 * reducer + 1])
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
-    fn reduce_order(&self) -> Vec<usize> {
-        vec![3, 0, 1, 2]
-    }
-}
-
 /// Steering must hold when every keyblock's reduce is already in
 /// flight (all four hold a slot, so all eight maps are eligible at
 /// once): the maps run in the order reduce launches made them
@@ -306,6 +275,13 @@ impl RoutingPlan for SteeredPlan {
 #[test]
 fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
     let splits = number_splits(8, 8);
+    // Four keyblocks over eight maps, `I_ℓ = {2ℓ, 2ℓ+1}`, keyblock 3
+    // prioritized (§3.4).
+    let deps = (0..4).map(|r| vec![2 * r, 2 * r + 1]).collect();
+    let plan = JobPlan {
+        reduce_order: vec![3, 0, 1, 2],
+        ..JobPlan::with_deps(deps)
+    };
     let steered = bodies(
         |id, _| vec![(id as u64 / 2, id as u64)],
         |k, v, emit| emit(k, v),
@@ -316,7 +292,7 @@ fn steered_keyblocks_maps_start_first_with_every_reduce_in_flight() {
     let result = run(
         &splits,
         steered,
-        &SteeredPlan,
+        &plan,
         &output,
         &JobConfig {
             fault_plan: FaultPlan::straggle_maps(0..8, 5),
@@ -352,7 +328,7 @@ fn two_jobs_share_one_slot_pool() {
 
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(200, 5);
-    let plan = DefaultPlan::new(4);
+    let plan = JobPlan::global(4);
     let config = JobConfig {
         fault_plan: FaultPlan::straggle_maps(0..splits.len(), 5),
         ..Default::default()
@@ -426,7 +402,7 @@ fn cancellation_aborts_a_running_job() {
         run_shared(
             &splits,
             sum_by_mod10(4),
-            &DefaultPlan::new(4),
+            &JobPlan::global(4),
             &output,
             &config,
             &pool,
@@ -454,7 +430,7 @@ fn cancelling_before_start_fails_fast() {
     let result = run_shared(
         &splits,
         sum_by_mod10(4),
-        &DefaultPlan::new(4),
+        &JobPlan::global(4),
         &output,
         &JobConfig::default(),
         &pool,
@@ -492,7 +468,7 @@ fn shared_pool_bounds_concurrent_maps_across_jobs() {
             sum,
         )
     };
-    let plan = DefaultPlan::new(3);
+    let plan = JobPlan::global(3);
     let out_a = InMemoryOutput::new();
     let out_b = InMemoryOutput::new();
     std::thread::scope(|scope| {

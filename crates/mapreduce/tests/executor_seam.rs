@@ -9,9 +9,9 @@ mod support;
 use std::time::Duration;
 
 use sidr_mapreduce::{
-    run_job_with_executor, AttemptBodies, CancelToken, DefaultPlan, FaultKind, FaultPlan,
-    FaultTarget, InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, MapTally, MapTaskId,
-    MrError, ReduceSource, RemoteReduceError, RetryPolicy, RoutingPlan, SlotPool, TaskExecutor,
+    run_job_with_executor, AttemptBodies, CancelToken, FaultKind, FaultPlan, FaultTarget,
+    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobPlan, MapTally, MapTaskId,
+    MrError, ReduceSource, RemoteReduceError, RetryPolicy, SlotPool, TaskExecutor,
 };
 use support::{bodies, identity_source, number_splits, run, run_shared, sum, SLOTS};
 
@@ -234,7 +234,7 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         ..base_config()
     };
     let exec = executor(&config);
-    let plan = DefaultPlan::new(REDUCERS);
+    let plan = JobPlan::global(REDUCERS);
     let pool = SlotPool::new(4, 3).unwrap();
     let output = InMemoryOutput::new();
     let result =
@@ -264,7 +264,7 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         ..base_config()
     };
     let exec = executor(&config);
-    let plan = DefaultPlan::new(REDUCERS);
+    let plan = JobPlan::global(REDUCERS);
     let pool = SlotPool::new(4, 3).unwrap();
     let output = InMemoryOutput::new();
     let err =
@@ -284,7 +284,7 @@ fn jobs_count_connections_and_leave_nothing_behind() {
         }),
         ..base_config()
     };
-    let plan = DefaultPlan::new(REDUCERS);
+    let plan = JobPlan::global(REDUCERS);
     let pool = SlotPool::new(4, 3).unwrap();
     let cancel = CancelToken::new();
     let output = InMemoryOutput::new();
@@ -309,18 +309,8 @@ fn jobs_count_connections_and_leave_nothing_behind() {
 
 /// Two keyblocks over disjoint halves of the input: reducer 0 reads
 /// maps 0 and 1, reducer 1 maps 2 and 3.
-struct Halves;
-
-impl RoutingPlan for Halves {
-    fn num_reducers(&self) -> usize {
-        2
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(vec![2 * reducer, 2 * reducer + 1])
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
+fn halves() -> JobPlan {
+    JobPlan::with_deps(vec![vec![0, 1], vec![2, 3]])
 }
 
 /// Release after reduce at job scale: with one reduce slot and
@@ -350,7 +340,7 @@ fn disjoint_keyblocks_never_hold_every_partition() {
     let exec = executor();
     let pool = SlotPool::new(1, 1).unwrap();
     let output = InMemoryOutput::new();
-    run_job_with_executor(&splits(), &Halves, &output, &config, &pool, None, &exec).unwrap();
+    run_job_with_executor(&splits(), &halves(), &output, &config, &pool, None, &exec).unwrap();
     assert_eq!(
         output.sorted_records(),
         (0..MAPS * 10).map(|k| (k, k)).collect::<Vec<_>>()
@@ -381,7 +371,7 @@ fn empty_partitions_still_count_a_connection() {
     let result = run(
         &splits(),
         to_zero,
-        &DefaultPlan::new(REDUCERS),
+        &JobPlan::global(REDUCERS),
         &output,
         &base_config(),
         SLOTS,

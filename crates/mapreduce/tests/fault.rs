@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use sidr_mapreduce::{
-    reexecuted_maps, DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InputSplit,
-    JobConfig, MapTaskId, MrError, RetryPolicy, RoutingPlan, SpeculationPolicy, TaskKind,
+    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InputSplit, JobConfig,
+    JobPlan, MapTaskId, MrError, RetryPolicy, SpeculationPolicy, TaskKind,
 };
 use support::{bodies, identity_source, number_splits, run, sum, sum_by_mod10, SLOTS};
 
@@ -46,7 +46,7 @@ fn try_run_sums(
     let result = run(
         &splits,
         sum_by_mod10(reducers),
-        &DefaultPlan::new(reducers),
+        &JobPlan::global(reducers),
         &output,
         config,
         SLOTS,
@@ -126,7 +126,7 @@ fn exhausted_retry_budget_fails_job_with_typed_error() {
     let err = run(
         &splits,
         sum_by_mod10(2),
-        &DefaultPlan::new(2),
+        &JobPlan::global(2),
         &output,
         &JobConfig {
             retry,
@@ -152,7 +152,7 @@ fn reduce_exhaustion_fails_job_with_typed_error() {
     let err = run(
         &splits,
         sum_by_mod10(2),
-        &DefaultPlan::new(2),
+        &JobPlan::global(2),
         &output,
         &JobConfig {
             retry: RetryPolicy {
@@ -175,20 +175,8 @@ fn reduce_exhaustion_fails_job_with_typed_error() {
 
 /// A 1:1 dependency plan (reducer i depends only on map i), as in the
 /// engine tests — the smallest plan with non-trivial `I_ℓ`.
-struct OneToOnePlan {
-    n: usize,
-}
-
-impl RoutingPlan for OneToOnePlan {
-    fn num_reducers(&self) -> usize {
-        self.n
-    }
-    fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-        Some(vec![reducer])
-    }
-    fn invert_scheduling(&self) -> bool {
-        true
-    }
+fn one_to_one(n: usize) -> JobPlan {
+    JobPlan::with_deps((0..n).map(|r| vec![r]).collect())
 }
 
 fn diagonal_source(id: MapTaskId, _split: &InputSplit) -> Vec<(u64, u64)> {
@@ -209,7 +197,7 @@ fn failed_reduce_reexecutes_exactly_its_dependency_set() {
         move |k| k as usize % n,
         sum,
     );
-    let plan = OneToOnePlan { n };
+    let plan = one_to_one(n);
     let output = InMemoryOutput::new();
     let result = run(
         &splits,
@@ -224,7 +212,7 @@ fn failed_reduce_reexecutes_exactly_its_dependency_set() {
         SLOTS,
     )
     .unwrap();
-    let i_ell = plan.reduce_deps(3).unwrap();
+    let i_ell = plan.reduce_deps.unwrap()[3].clone();
     assert_eq!(
         reexecuted_maps(&result.events),
         i_ell,
@@ -431,7 +419,7 @@ fn losing_racer_that_finishes_adds_no_tally() {
     let result = run(
         &splits,
         meeting_map_2,
-        &DefaultPlan::new(4),
+        &JobPlan::global(4),
         &output,
         &config,
         SLOTS,

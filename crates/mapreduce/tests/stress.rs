@@ -4,10 +4,7 @@
 
 mod support;
 
-use sidr_mapreduce::{
-    DefaultPlan, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, MapTaskId,
-    RoutingPlan,
-};
+use sidr_mapreduce::{FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, JobPlan};
 use support::{bodies, identity_source, number_splits, run, sum, SLOTS};
 
 fn run_one(n: u64, splits: u64, reducers: usize, slots: (usize, usize)) -> u64 {
@@ -21,7 +18,7 @@ fn run_one(n: u64, splits: u64, reducers: usize, slots: (usize, usize)) -> u64 {
     run(
         &number_splits(n, splits),
         sum_by_mod101,
-        &DefaultPlan::new(reducers),
+        &JobPlan::global(reducers),
         &output,
         &JobConfig::default(),
         slots,
@@ -52,24 +49,6 @@ fn tiny_slots_large_job() {
 
 #[test]
 fn repeated_runs_with_failures_are_stable() {
-    struct ContigPlan {
-        n: usize,
-        maps_per: usize,
-    }
-    impl RoutingPlan for ContigPlan {
-        fn num_reducers(&self) -> usize {
-            self.n
-        }
-        fn reduce_deps(&self, reducer: usize) -> Option<Vec<MapTaskId>> {
-            // Keys are contiguous ranges; splits are contiguous too.
-            let start = reducer * self.maps_per;
-            Some((start..start + self.maps_per).collect())
-        }
-        fn invert_scheduling(&self) -> bool {
-            true
-        }
-    }
-
     for round in 0..10u64 {
         let n_red = 8usize;
         let splits = number_splits(4000, 32); // 125 keys per split
@@ -80,10 +59,8 @@ fn repeated_runs_with_failures_are_stable() {
             |k| (k as usize / 500).min(n_red - 1),
             sum,
         );
-        let plan = ContigPlan {
-            n: n_red,
-            maps_per: 4,
-        };
+        // Keys are contiguous ranges; splits are contiguous too.
+        let plan = JobPlan::with_deps((0..n_red).map(|r| (4 * r..4 * r + 4).collect()).collect());
         let output = InMemoryOutput::new();
         let result = run(
             &splits,

@@ -20,9 +20,9 @@ use sidr_coords::{Shape, Slab};
 use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{
     begin_map_attempt, injected_source_error, run_job_with_executor, run_reduce_attempt,
-    AttemptBodies, CancelToken, FaultKind, InProcessExecutor, InputSplit, JobConfig, JobResult,
-    MapAttemptOutput, MapOutputFile, MapTaskId, ModuloPartitioner, OutputCollector, Partitioner,
-    Result, RoutingPlan, SlotPool, Smof3View,
+    AttemptBodies, CancelToken, FaultKind, InProcessExecutor, InputSplit, JobConfig, JobPlan,
+    JobResult, MapAttemptOutput, MapOutputFile, MapTaskId, ModuloPartitioner, OutputCollector,
+    Partitioner, Result, SlotPool, Smof3View,
 };
 
 /// A job's attempt bodies over closures: see [`bodies`].
@@ -122,7 +122,7 @@ pub const SLOTS: (usize, usize) = (4, 3);
 pub fn run<B: AttemptBodies<Key = u64, Out = u64>>(
     splits: &[InputSplit],
     bodies: B,
-    plan: &dyn RoutingPlan,
+    plan: &JobPlan,
     output: &dyn OutputCollector<u64, u64>,
     config: &JobConfig,
     (map_slots, reduce_slots): (usize, usize),
@@ -136,7 +136,7 @@ pub fn run<B: AttemptBodies<Key = u64, Out = u64>>(
 pub fn run_shared<B: AttemptBodies<Key = u64, Out = u64>>(
     splits: &[InputSplit],
     bodies: B,
-    plan: &dyn RoutingPlan,
+    plan: &JobPlan,
     output: &dyn OutputCollector<u64, u64>,
     config: &JobConfig,
     pool: &SlotPool,

@@ -36,8 +36,9 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// v4, so a v9 peer would read every fetched partition as corrupt;
 /// v11's `SubmitOptions` and `ExecOptions` have no filter switch (a
 /// `Filter` always selects map-side), so a v10 peer's `Submit` or
-/// `Prepare` would fail to decode mid-job.
-pub const PROTOCOL_VERSION: u32 = 11;
+/// `Prepare` would fail to decode mid-job; v12's `Prepare` carries a
+/// `JobSpec` without stored keyblock covers or tallies.
+pub const PROTOCOL_VERSION: u32 = 12;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

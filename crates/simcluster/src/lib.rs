@@ -10,7 +10,7 @@
 //! all of which this simulator models explicitly, *reusing the real
 //! planning code*: splits come from `sidr-mapreduce`'s generators,
 //! keyblock geometry from `sidr-core`'s `partition+`, dependency sets
-//! from `sidr-core`'s `Dependencies`, and the skewed hash assignment
+//! from `sidr-core`'s `deps::derive`, and the skewed hash assignment
 //! from the engine's `CoordHashPartitioner`. The scheduling is not
 //! modelled at all: a simulated job runs through the engine's own
 //! coordinator loop (`sidr_mapreduce::coordinate`), with this crate's
@@ -28,5 +28,5 @@ pub mod sim;
 pub mod workload;
 
 pub use model::{CostModel, SimClusterConfig};
-pub use sim::{simulate, SimJob, SimMapTask, SimReduceTask, SimTrace};
+pub use sim::{simulate, SimJob, SimMapTask, SimTrace};
 pub use workload::{build_sim_job, SimWorkload};

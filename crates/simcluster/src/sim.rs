@@ -6,8 +6,8 @@ use std::time::Duration;
 use sidr_mapreduce::schedule::Schedule;
 use sidr_mapreduce::timers::Timers;
 use sidr_mapreduce::{
-    coordinate, Cluster, Done, JobConfig, MapTally, MapTaskId, ReduceSource, TaskEvent, TaskKind,
-    Timeline,
+    coordinate, Cluster, Done, JobConfig, JobPlan, MapTally, MapTaskId, ReduceSource, TaskEvent,
+    TaskKind, Timeline,
 };
 
 use crate::model::{CostModel, SimClusterConfig};
@@ -24,26 +24,15 @@ pub struct SimMapTask {
     pub oblivious: bool,
 }
 
-/// One simulated Reduce task.
-#[derive(Clone, Debug)]
-pub struct SimReduceTask {
-    /// Bytes the task fetches, merges, reduces and writes.
-    pub input_bytes: u64,
-    /// Map tasks it depends on (`I_ℓ`); `None` = global barrier.
-    pub deps: Option<Vec<usize>>,
-}
-
 /// A complete simulated job.
 #[derive(Clone, Debug)]
 pub struct SimJob {
     pub maps: Vec<SimMapTask>,
-    pub reduces: Vec<SimReduceTask>,
-    /// Launch order of reduce tasks (monotone ids for stock Hadoop,
-    /// §3.3; possibly prioritized for SIDR, §3.4).
-    pub reduce_order: Vec<usize>,
-    /// SIDR inverted scheduling: maps become eligible only once a
-    /// running reduce depends on them (§3.3).
-    pub invert_scheduling: bool,
+    /// Bytes each Reduce task fetches, merges, reduces and writes.
+    pub reduce_bytes: Vec<u64>,
+    /// The plan the engine's loop runs: barriers (`I_ℓ` or global),
+    /// launch order and inverted scheduling (§3.2–§3.4).
+    pub plan: JobPlan,
 }
 
 /// Timestamps (seconds) of everything that happened.
@@ -215,7 +204,7 @@ impl Cluster for Model<'_> {
     }
 
     fn start_reduce(&mut self, reducer: usize, _attempt: u32, _sources: Vec<ReduceSource>) {
-        let bytes = self.job.reduces[reducer].input_bytes;
+        let bytes = self.job.reduce_bytes[reducer];
         let secs = self.model.reduce_duration_s(bytes, reducer as u64);
         self.end_after(secs, End::Reduce { reducer });
     }
@@ -257,7 +246,11 @@ impl Cluster for Model<'_> {
 /// cluster around it: simulated time, per-node slots, data locality (as
 /// `claim_map`'s preference) and task durations from the [`CostModel`].
 pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> SimTrace {
-    assert!(!job.reduces.is_empty(), "job needs at least one reduce");
+    assert_eq!(
+        job.reduce_bytes.len(),
+        job.plan.num_reducers(),
+        "one size per reduce"
+    );
     let mut runner = Model {
         job,
         model,
@@ -272,15 +265,10 @@ pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> 
     };
     let timeline = Timeline::new();
     let config = JobConfig::default();
-    let sched = Schedule::new(
-        job.maps.len(),
-        job.reduces.iter().map(|r| r.deps.clone()).collect(),
-        job.reduce_order.clone(),
-        job.invert_scheduling,
-    )
-    .expect("order must cover reduces, deps must name maps");
+    let sched = Schedule::new(job.maps.len(), &job.plan)
+        .expect("order must cover reduces, deps must name maps");
     coordinate(&mut runner, sched, &config, None, &timeline).expect("a fault-free job completes");
-    SimTrace::new(job.maps.len(), job.reduces.len(), timeline.events())
+    SimTrace::new(job.maps.len(), job.plan.num_reducers(), timeline.events())
 }
 
 #[cfg(test)]
@@ -305,26 +293,26 @@ mod tests {
                     oblivious: false,
                 })
                 .collect(),
-            reduces: (0..n_reduces)
-                .map(|r| SimReduceTask {
-                    input_bytes: 32 << 20,
-                    deps: if global {
-                        None
+            reduce_bytes: vec![32 << 20; n_reduces],
+            plan: if global {
+                JobPlan::global(n_reduces)
+            } else {
+                // Reduce r depends on a contiguous slice of maps; the
+                // last reduce takes the remainder.
+                let per = n_maps / n_reduces;
+                let end = |r: usize| {
+                    if r + 1 == n_reduces {
+                        n_maps
                     } else {
-                        // Reduce r depends on a contiguous slice of
-                        // maps; the last reduce takes the remainder.
-                        let per = n_maps / n_reduces;
-                        let end = if r + 1 == n_reduces {
-                            n_maps
-                        } else {
-                            (r + 1) * per
-                        };
-                        Some((r * per..end).collect())
-                    },
-                })
-                .collect(),
-            reduce_order: (0..n_reduces).collect(),
-            invert_scheduling: !global,
+                        (r + 1) * per
+                    }
+                };
+                JobPlan::with_deps(
+                    (0..n_reduces)
+                        .map(|r| (r * per..end(r)).collect())
+                        .collect(),
+                )
+            },
         }
     }
 

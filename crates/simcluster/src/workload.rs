@@ -6,9 +6,9 @@
 use sidr_coords::{Coord, Slab};
 use sidr_core::{FrameworkMode, SidrPlanner, StructuralQuery};
 use sidr_dfs::{DfsConfig, NameNode};
-use sidr_mapreduce::{CoordHashPartitioner, Partitioner, RoutingPlan, SplitGenerator};
+use sidr_mapreduce::{CoordHashPartitioner, JobPlan, Partitioner, SplitGenerator};
 
-use crate::sim::{SimJob, SimMapTask, SimReduceTask};
+use crate::sim::{SimJob, SimMapTask};
 
 /// How intermediate keys look to the hash partitioner under the
 /// stock-Hadoop modes.
@@ -108,22 +108,19 @@ pub fn build_sim_job(w: &SimWorkload) -> sidr_core::Result<SimJob> {
 
     let total_intermediate = w.intermediate_bytes();
 
-    let (reduces, reduce_order, invert) = match w.mode {
+    let (reduce_bytes, plan) = match w.mode {
         FrameworkMode::Hadoop | FrameworkMode::SciHadoop => {
             let weights = hash_key_weights(&w.query, w.num_reducers, w.hash_keys);
             let total_w: u64 = weights.iter().sum();
-            let reduces = weights
+            let reduce_bytes = weights
                 .iter()
-                .map(|&kw| SimReduceTask {
-                    input_bytes: if total_w == 0 {
-                        0
-                    } else {
-                        (total_intermediate as u128 * kw as u128 / total_w as u128) as u64
-                    },
-                    deps: None, // global barrier (§2.3.1)
+                .map(|&kw| match total_w {
+                    0 => 0,
+                    _ => (total_intermediate as u128 * kw as u128 / total_w as u128) as u64,
                 })
                 .collect();
-            (reduces, (0..w.num_reducers).collect(), false)
+            // Global barrier (§2.3.1).
+            (reduce_bytes, JobPlan::global(w.num_reducers))
         }
         FrameworkMode::Sidr => {
             let mut planner = SidrPlanner::new(&w.query, w.num_reducers);
@@ -132,25 +129,20 @@ pub fn build_sim_job(w: &SimWorkload) -> sidr_core::Result<SimJob> {
             }
             let plan = planner.build(&splits)?;
             let total_keys = w.query.intermediate_space().count();
-            let reduces = (0..w.num_reducers)
+            let reduce_bytes = (0..w.num_reducers)
                 .map(|r| {
-                    let kw = plan.partition().keyblock_key_count(r)?;
-                    Ok(SimReduceTask {
-                        input_bytes: (total_intermediate as u128 * kw as u128 / total_keys as u128)
-                            as u64,
-                        deps: Some(plan.dependencies().reduce_deps(r).to_vec()),
-                    })
+                    let kw = plan.partition.keyblock_key_count(r)?;
+                    Ok((total_intermediate as u128 * kw as u128 / total_keys as u128) as u64)
                 })
                 .collect::<sidr_core::Result<Vec<_>>>()?;
-            (reduces, plan.reduce_order(), true)
+            (reduce_bytes, plan.job)
         }
     };
 
     Ok(SimJob {
         maps,
-        reduces,
-        reduce_order,
-        invert_scheduling: invert,
+        reduce_bytes,
+        plan,
     })
 }
 
@@ -186,15 +178,10 @@ pub fn hash_key_weights(
 /// map from every reducer; SIDR contacts only dependencies (Table 3).
 pub fn connection_count(w: &SimWorkload) -> sidr_core::Result<u64> {
     let job = build_sim_job(w)?;
-    let n_maps = job.maps.len() as u64;
-    Ok(job
-        .reduces
-        .iter()
-        .map(|r| match &r.deps {
-            Some(d) => d.len() as u64,
-            None => n_maps,
-        })
-        .sum())
+    Ok(match &job.plan.reduce_deps {
+        Some(deps) => deps.iter().map(|d| d.len() as u64).sum(),
+        None => (job.maps.len() * job.plan.num_reducers()) as u64,
+    })
 }
 
 #[cfg(test)]
@@ -224,9 +211,7 @@ mod tests {
             ..SimWorkload::new(small_query(), FrameworkMode::Sidr, 6)
         };
         let job = build_sim_job(&w).unwrap();
-        assert!(job.invert_scheduling);
-        for r in &job.reduces {
-            let deps = r.deps.as_ref().unwrap();
+        for deps in job.plan.reduce_deps.as_ref().unwrap() {
             assert!(!deps.is_empty());
             assert!(
                 deps.len() < job.maps.len(),
@@ -234,7 +219,7 @@ mod tests {
             );
         }
         // Reduce input bytes sum to ~total intermediate bytes.
-        let total: u64 = job.reduces.iter().map(|r| r.input_bytes).sum();
+        let total: u64 = job.reduce_bytes.iter().sum();
         let expect = w.intermediate_bytes();
         assert!(
             (total as i64 - expect as i64).unsigned_abs() <= w.num_reducers as u64 * 64,
@@ -249,8 +234,7 @@ mod tests {
             ..SimWorkload::new(small_query(), FrameworkMode::Hadoop, 4)
         };
         let job = build_sim_job(&w).unwrap();
-        assert!(!job.invert_scheduling);
-        assert!(job.reduces.iter().all(|r| r.deps.is_none()));
+        assert!(job.plan.reduce_deps.is_none());
         assert!(job.maps.iter().all(|m| m.oblivious));
     }
 

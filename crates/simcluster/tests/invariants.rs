@@ -6,45 +6,40 @@
 use proptest::prelude::*;
 
 use sidr_core::TimelineOracle;
-use sidr_simcluster::{simulate, CostModel, SimClusterConfig, SimJob, SimMapTask, SimReduceTask};
+use sidr_mapreduce::JobPlan;
+use sidr_simcluster::{simulate, CostModel, SimClusterConfig, SimJob, SimMapTask};
 
 /// Random job: 4-60 maps, 1-12 reduces, contiguous dep slices.
 fn jobs() -> impl Strategy<Value = SimJob> {
-    (4usize..60, 1usize..12, any::<bool>(), 0u64..3).prop_map(
-        |(n_maps, n_reduces, invert, node_salt)| {
-            let maps = (0..n_maps)
-                .map(|i| SimMapTask {
-                    input_bytes: 1 << 20,
-                    preferred_nodes: vec![
-                        (i + node_salt as usize) % 24,
-                        (i * 7 + 3) % 24,
-                        (i * 13 + 11) % 24,
-                    ],
-                    oblivious: false,
-                })
-                .collect();
-            let per = n_maps / n_reduces;
-            let reduces = (0..n_reduces)
-                .map(|r| {
-                    let end = if r + 1 == n_reduces {
-                        n_maps
-                    } else {
-                        (r + 1) * per
-                    };
-                    SimReduceTask {
-                        input_bytes: 1 << 19,
-                        deps: Some((r * per..end).collect()),
-                    }
-                })
-                .collect();
-            SimJob {
-                maps,
-                reduces,
-                reduce_order: (0..n_reduces).collect(),
-                invert_scheduling: invert,
+    (4usize..60, 1usize..12, 0u64..3).prop_map(|(n_maps, n_reduces, node_salt)| {
+        let maps = (0..n_maps)
+            .map(|i| SimMapTask {
+                input_bytes: 1 << 20,
+                preferred_nodes: vec![
+                    (i + node_salt as usize) % 24,
+                    (i * 7 + 3) % 24,
+                    (i * 13 + 11) % 24,
+                ],
+                oblivious: false,
+            })
+            .collect();
+        let per = n_maps / n_reduces;
+        let end = |r: usize| {
+            if r + 1 == n_reduces {
+                n_maps
+            } else {
+                (r + 1) * per
             }
-        },
-    )
+        };
+        let deps = (0..n_reduces)
+            .map(|r| (r * per..end(r)).collect())
+            .collect();
+        SimJob {
+            maps,
+            reduce_bytes: vec![1 << 19; n_reduces],
+            plan: JobPlan::with_deps(deps),
+        }
+    })
 }
 
 fn model() -> CostModel {
@@ -66,9 +61,9 @@ proptest! {
     #[test]
     fn traces_satisfy_the_engines_timeline_oracle(job in jobs()) {
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
-        let mut oracle = TimelineOracle::new(job.maps.len(), job.reduces.len());
-        for (r, task) in job.reduces.iter().enumerate() {
-            oracle = oracle.with_deps(r, task.deps.clone().expect("generated jobs have deps"));
+        let mut oracle = TimelineOracle::new(job.maps.len(), job.plan.num_reducers());
+        for (r, deps) in job.plan.reduce_deps.iter().flatten().enumerate() {
+            oracle = oracle.with_deps(r, deps.clone());
         }
         let verdict = oracle.check_complete(&trace.events());
         prop_assert!(verdict.is_ok(), "{verdict:?}");
@@ -78,10 +73,7 @@ proptest! {
     fn dependency_barrier_never_slower_than_global(job in jobs()) {
         let dep_trace = simulate(&job, &SimClusterConfig::default(), &model());
         let mut global = job.clone();
-        for r in global.reduces.iter_mut() {
-            r.deps = None;
-        }
-        global.invert_scheduling = false;
+        global.plan = JobPlan::global(job.plan.num_reducers());
         let global_trace = simulate(&global, &SimClusterConfig::default(), &model());
         // First results strictly ordered, makespan no worse (ties
         // allowed: the final reduce waits for the last map either way).

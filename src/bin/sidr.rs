@@ -221,13 +221,13 @@ fn cmd_query(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         let plan = SidrPlanner::new(&query, reducers)
             .build(&splits)
             .map_err(|e| e.to_string())?;
-        let collector = DenseSlabOutput::new(dir, &query.variable, plan.partition())
+        let collector = DenseSlabOutput::new(dir, &query.variable, &plan.partition)
             .map_err(|e| e.to_string())?;
         // Group records by keyblock and commit through the collector.
         use sidr_repro::mapreduce::OutputCollector;
         let mut per_block: Vec<Vec<(sidr_repro::coords::Coord, f64)>> = vec![Vec::new(); reducers];
         for (k, v) in &outcome.records {
-            per_block[plan.partition().keyblock_of(k.components())].push((k.clone(), *v));
+            per_block[plan.partition.keyblock_of(k.components())].push((k.clone(), *v));
         }
         for (r, records) in per_block.into_iter().enumerate() {
             collector.commit(r, records).map_err(|e| e.to_string())?;
@@ -329,7 +329,7 @@ fn cmd_plan(positional: &[String], flags: &HashMap<String, String>) -> Result<()
         "{} splits, {} reducers, {} total connections (Hadoop would use {})",
         splits.len(),
         reducers,
-        plan.total_connections(),
+        spec.reduce_deps.iter().map(Vec::len).sum::<usize>(),
         splits.len() * reducers
     );
     println!(
@@ -338,9 +338,9 @@ fn cmd_plan(positional: &[String], flags: &HashMap<String, String>) -> Result<()
         spec.dependency_bytes()
     );
     for r in 0..reducers.min(8) {
-        let deps = plan.dependencies().reduce_deps(r);
+        let deps = &spec.reduce_deps[r];
         let keys = plan
-            .partition()
+            .partition
             .keyblock_key_count(r)
             .map_err(|e| e.to_string())?;
         println!(

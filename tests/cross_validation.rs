@@ -56,14 +56,10 @@ fn simulator_structure_matches_real_engine() {
                 real.num_maps,
                 "{mode}/{reducers}: map counts diverge"
             );
-            let sim_connections: u64 = sim
-                .reduces
-                .iter()
-                .map(|r| match &r.deps {
-                    Some(d) => d.len() as u64,
-                    None => sim.maps.len() as u64,
-                })
-                .sum();
+            let sim_connections = match &sim.plan.reduce_deps {
+                Some(deps) => deps.iter().map(|d| d.len() as u64).sum(),
+                None => (sim.maps.len() * sim.plan.num_reducers()) as u64,
+            };
             assert_eq!(
                 sim_connections, real.result.counters.shuffle_connections,
                 "{mode}/{reducers}: connection counts diverge"
@@ -94,10 +90,8 @@ fn simulator_and_engine_agree_on_skipped_maps() {
     let sim = build_sim_job(&w).unwrap();
     let sim_skipped = {
         let mut needed = vec![false; sim.maps.len()];
-        for r in &sim.reduces {
-            for &m in r.deps.as_ref().unwrap() {
-                needed[m] = true;
-            }
+        for &m in sim.plan.reduce_deps.iter().flatten().flatten() {
+            needed[m] = true;
         }
         needed.iter().filter(|&&n| !n).count() as u64
     };

@@ -170,7 +170,7 @@ fn dense_output_files_reassemble_the_full_output_space() {
     let plan = SidrPlanner::new(&q, reducers).build(&splits).unwrap();
     let dir = std::env::temp_dir().join(format!("sidr-e2e-dense-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let collector = DenseSlabOutput::new(&dir, "v", plan.partition()).unwrap();
+    let collector = DenseSlabOutput::new(&dir, "v", &plan.partition).unwrap();
 
     let job = JobSpec::from_plan(&q, &splits, &plan).unwrap();
     let pool = SlotPool::new(4, 3).unwrap();

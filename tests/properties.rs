@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use sidr_repro::coords::{Coord, Shape};
-use sidr_repro::core::deps::Dependencies;
+use sidr_repro::core::deps;
 use sidr_repro::core::framework::RunOptions;
 use sidr_repro::core::{run_query, FrameworkMode, Operator, PartitionPlus, StructuralQuery};
 use sidr_repro::mapreduce::SplitGenerator;
@@ -110,8 +110,7 @@ proptest! {
         };
         let pp = PartitionPlus::for_query(&q, reducers).unwrap();
         let splits = SplitGenerator::new(space, 8).exact_count(n_splits).unwrap();
-        let deps = Dependencies::derive(&q, &pp, &splits).unwrap();
-
+        let mut inverted = vec![Vec::new(); reducers];
         for (m, split) in splits.iter().enumerate() {
             // Brute force: trace every key of the split.
             let mut expect: Vec<usize> = split.slab.iter_coords()
@@ -120,14 +119,12 @@ proptest! {
                 .collect();
             expect.sort_unstable();
             expect.dedup();
-            prop_assert_eq!(deps.map_feeds(m), &expect[..], "split {}", m);
+            let derived = deps::keyblocks_of_split(&q, &pp, &split.slab).unwrap();
+            prop_assert_eq!(&derived, &expect, "split {}", m);
+            expect.into_iter().for_each(|b| inverted[b].push(m));
         }
-        // The inversion I_l is consistent with the forward map.
-        for r in 0..reducers {
-            for &m in deps.reduce_deps(r) {
-                prop_assert!(deps.map_feeds(m).contains(&r));
-            }
-        }
+        // I_l is the inversion of the forward map.
+        prop_assert_eq!(deps::derive(&q, &pp, &splits).unwrap(), inverted);
     }
 
     #[test]
@@ -136,7 +133,7 @@ proptest! {
         reducers in 1usize..6,
     ) {
         use sidr_repro::core::SidrPlanner;
-        use sidr_repro::mapreduce::{Partitioner, RoutingPlan};
+        use sidr_repro::mapreduce::Partitioner;
         let Ok(q) = StructuralQuery::new("v", space.clone(), ext, Operator::Mean) else {
             return Ok(());
         };
@@ -146,11 +143,11 @@ proptest! {
         let mut actual = vec![0u64; reducers];
         for k in space.iter_coords() {
             if let Some(kp) = q.map_key(&k) {
-                actual[Partitioner::partition(plan.partition(), &kp, reducers)] += 1;
+                actual[Partitioner::partition(&plan.partition, &kp, reducers)] += 1;
             }
         }
         for (r, &count) in actual.iter().enumerate() {
-            prop_assert_eq!(plan.expected_raw_count(r), Some(count), "reducer {}", r);
+            prop_assert_eq!(plan.job.expected_raw(r), Some(count), "reducer {}", r);
         }
     }
 
