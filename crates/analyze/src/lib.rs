@@ -2,13 +2,15 @@
 //!
 //! The proof itself is [`sidr_core::verify`]: one proof at every
 //! build, run inside every `SidrPlanner::build`. A submission brings
-//! its own tables, so [`analyze_spec`] adds only what a spec can get
+//! its own tables, so [`admit_spec`] adds only what a spec can get
 //! wrong on its own — fault-tolerance knobs (`SIDR-E011`–`SIDR-E013`)
 //! — and proves the plan the spec stores, built by the one constructor
-//! the run uses too ([`SidrPlan::of_spec`]). That the hot route
+//! for a spec's plan ([`SidrPlan::of_spec`]), and hands that plan back:
+//! a server runs the plan its admission proved. That the hot route
 //! (`PartitionPlus::keyblock_of`) agrees with the covers is a property
 //! of the code, tested in `tests/properties.rs`, not of a submission.
 
+use sidr_coords::Slab;
 use sidr_core::diag::{codes, Diagnostic, Report};
 use sidr_core::spec::JobSpec;
 use sidr_core::SidrPlan;
@@ -26,16 +28,27 @@ pub struct AnalyzeOptions {
     pub skew_bound: Option<u64>,
 }
 
-/// Lints a serialized job submission: checks its fault-tolerance
-/// knobs, then proves the plan it stores — its `I_ℓ` and launch order
-/// over its splits, with the geometry its query implies.
+/// Lints a serialized job submission: [`admit_spec`]'s report.
 pub fn analyze_spec(spec: &JobSpec, opts: &AnalyzeOptions) -> sidr_core::Result<Report> {
+    Ok(admit_spec(spec, None, opts)?.1)
+}
+
+/// Admits a serialized job submission: checks its fault-tolerance
+/// knobs, then builds the plan it stores — its `I_ℓ` and launch order
+/// over its splits, the keyblocks covering `priority_region` first
+/// (§3.4; the same entries reordered, so the same verdict) — and
+/// proves it. A plan whose report holds an error must not run.
+pub fn admit_spec(
+    spec: &JobSpec,
+    priority_region: Option<&Slab>,
+    opts: &AnalyzeOptions,
+) -> sidr_core::Result<(SidrPlan, Report)> {
     let query = spec.query()?;
     let mut report = Report::new();
     check_robustness(spec, &mut report);
-    let (_, proof) = SidrPlan::of_spec(spec, &query, None, opts.skew_bound)?;
+    let (plan, proof) = SidrPlan::of_spec(spec, &query, priority_region, opts.skew_bound)?;
     report.merge(proof);
-    Ok(report)
+    Ok((plan, report))
 }
 
 /// Admission checks on the spec's fault-tolerance knobs

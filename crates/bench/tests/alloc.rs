@@ -5,8 +5,8 @@
 //! a SMOF encode is one exactly-sized buffer, the geometric map
 //! kernel holds one read chunk and its output partitions, beside the
 //! values of the units it finishes, or 16 bytes per key where it places
-//! them (8 under a combiner), and the admission pre-flight's
-//! allocations do not grow with `|K′ᵀ|`.
+//! them (8 under a combiner), and admission's allocations do not grow
+//! with `|K′ᵀ|`.
 //!
 //! One `#[test]` on purpose: the counters are process-global, so two
 //! tests on parallel threads would count each other's allocations.
@@ -244,11 +244,11 @@ fn wire_path_allocation_invariants() {
          + 16 × {image_keys} keys + 64 KiB"
     );
 
-    // (e) The admission pre-flight proves coverage and dependencies on
-    // slabs — cover slabs, split slabs and split images — and visits no
-    // key. Four times the keys over the same 8 splits and 4 reducers:
-    // the same allocator calls and the same peak live bytes (measured:
-    // 360 calls, 2,073 bytes).
+    // (e) Admission proves coverage and dependencies on slabs — cover
+    // slabs, split slabs and split images — and visits no key. Four
+    // times the keys over the same 8 splits and 4 reducers: the same
+    // allocator calls and the same peak live bytes (measured: 360
+    // calls, 2,073 bytes).
     let runs: Vec<(u64, u64, u64)> = [50, 200]
         .into_iter()
         .map(|width| {

@@ -22,7 +22,7 @@ use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{
     run_job_with_executor, CancelToken, FaultPlan, InMemoryOutput, InProcessExecutor, InputSplit,
     JobConfig, JobPlan, JobResult, OutputCollector, RetryPolicy, SlotPool, SpeculationPolicy,
-    SplitGenerator, TaskExecutor,
+    SplitGenerator,
 };
 use sidr_scifile::ScincFile;
 
@@ -217,14 +217,16 @@ pub struct SpecRunOptions {
 /// every committed partition as the SMOF bytes a worker's store would
 /// hold, so the engine and the fleet share one data path.
 ///
-/// This is the multi-tenant serving entry point: the spec's own
-/// splits, `I_ℓ` and launch order are used verbatim (the wire
-/// contract — what `sidr plan --spec` exported and `sidr-lint` / the
-/// server's admission verified is exactly what runs), built and proved
-/// again into the job's one plan ([`SidrPlan::of_spec`]), whose
-/// `partition+` the bodies route by; the pool bounds this job's slot
-/// usage *jointly with every other job sharing it*. Pass a
-/// [`CancelToken`] to make the job abandonable mid-flight.
+/// This is where a bare spec is proved and run in-process: the spec's
+/// own splits, `I_ℓ` and launch order are used verbatim (the wire
+/// contract — what `sidr plan --spec` exported and `sidr-lint`
+/// verified is exactly what runs), built and proved into the job's one
+/// plan ([`SidrPlan::of_spec`]), whose `partition+` the bodies route
+/// by, under the spec's own policy ([`JobSpec::job_config`]); the pool
+/// bounds this job's slot usage *jointly with every other job sharing
+/// it*. Pass a [`CancelToken`] to make the job abandonable mid-flight.
+/// A caller that holds a proved plan already (the server's admission)
+/// runs it through [`run_job_with_executor`] directly.
 pub fn run_spec_on_pool(
     file: &ScincFile,
     spec: &JobSpec,
@@ -234,7 +236,10 @@ pub fn run_spec_on_pool(
     cancel: Option<&CancelToken>,
 ) -> Result<JobResult> {
     let query = spec.query()?;
-    let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
+    let region = opts.priority_region.as_ref();
+    let (plan, report) = SidrPlan::of_spec(spec, &query, region, None)?;
+    unrefuted(&report)?;
+    let config = spec.job_config(opts.fault_plan.clone());
     let (splits, n) = (spec.splits.clone(), spec.num_reducers);
     let route = Route::of_plan(&plan);
     let bodies = SpecExecutor::for_query(file.try_clone()?, &query, splits, n, route)?;
@@ -248,63 +253,6 @@ pub fn run_spec_on_pool(
         cancel,
         &executor,
     )?)
-}
-
-/// Executes a serialized job submission with its task attempts
-/// dispatched through the engine's [`TaskExecutor`] seam: to a worker
-/// fleet, or (from [`run_spec_on_pool`]) to this process.
-///
-/// Scheduling is the same wherever attempts run — same plan, same
-/// shared [`SlotPool`], same inverted reduce-first order, same
-/// keyblock-by-keyblock commits through `output`. Only *where* an
-/// attempt's bytes are read and reduced differs. Map output lives in
-/// worker memory and dies with the worker; the executor reports
-/// exactly the generations that are gone
-/// ([`sidr_mapreduce::RemoteReduceError::SourcesLost`]) and the
-/// scheduler re-executes exactly those maps (§6). A reduce attempt
-/// that merely failed consumed nothing, so the engine's
-/// `volatile_intermediate` whole-`I_ℓ` re-execution is not used here.
-pub fn run_spec_with_executor(
-    spec: &JobSpec,
-    opts: &SpecRunOptions,
-    output: &dyn OutputCollector<Coord, f64>,
-    pool: &SlotPool,
-    cancel: Option<&CancelToken>,
-    executor: &dyn TaskExecutor<Coord, f64>,
-) -> Result<JobResult> {
-    let query = spec.query()?;
-    let (plan, config) = spec_plan_and_config(spec, &query, opts)?;
-    Ok(run_job_with_executor(
-        &spec.splits,
-        &plan.job,
-        output,
-        &config,
-        pool,
-        cancel,
-        executor,
-    )?)
-}
-
-/// The plan and engine configuration a spec run uses, in-process or
-/// on a fleet: the spec's stored plan, proved on this side of the wire
-/// whoever admitted it, and its own retry budget, speculation policy
-/// and deadline, whoever the caller is.
-fn spec_plan_and_config(
-    spec: &JobSpec,
-    query: &StructuralQuery,
-    opts: &SpecRunOptions,
-) -> Result<(SidrPlan, JobConfig)> {
-    let region = opts.priority_region.as_ref();
-    let (plan, report) = SidrPlan::of_spec(spec, query, region, None)?;
-    unrefuted(&report)?;
-    let config = JobConfig {
-        fault_plan: opts.fault_plan.clone(),
-        retry: spec.retry,
-        speculation: spec.speculation.clone(),
-        deadline: spec.deadline_ms.map(std::time::Duration::from_millis),
-        ..Default::default()
-    };
-    Ok((plan, config))
 }
 
 #[cfg(test)]

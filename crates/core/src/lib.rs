@@ -52,9 +52,7 @@ pub mod verify;
 
 pub use diag::{Diagnostic, Report, Severity};
 pub use exec::{ExecOptions, MapAttemptOutput, SpecExecutor};
-pub use framework::{
-    run_query, run_spec_on_pool, run_spec_with_executor, FrameworkMode, QueryOutcome,
-};
+pub use framework::{run_query, run_spec_on_pool, FrameworkMode, QueryOutcome};
 pub use operators::Operator;
 pub use partition_plus::PartitionPlus;
 pub use plan::{SidrPlan, SidrPlanner};

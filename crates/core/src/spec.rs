@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sidr_mapreduce::{InputSplit, MapTaskId, RetryPolicy, SpeculationPolicy};
+use sidr_mapreduce::{FaultPlan, InputSplit, JobConfig, MapTaskId, RetryPolicy, SpeculationPolicy};
 
 use crate::operators::Operator;
 use crate::plan::SidrPlan;
@@ -101,6 +101,19 @@ impl JobSpec {
     pub fn with_speculation(mut self, policy: SpeculationPolicy) -> Self {
         self.speculation = policy;
         self
+    }
+
+    /// The engine configuration the job runs under, wherever its
+    /// attempts run: the spec's own retry budget, speculation policy
+    /// and deadline, with the submission's fault script.
+    pub fn job_config(&self, fault_plan: FaultPlan) -> JobConfig {
+        JobConfig {
+            fault_plan,
+            retry: self.retry,
+            speculation: self.speculation.clone(),
+            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
+            ..JobConfig::default()
+        }
     }
 
     /// Reconstructs the query from the spec.

@@ -38,9 +38,10 @@
 //! with no opt-out, so a planner fault fails the first plan it
 //! shapes, in the engine, the simulator and every experiment alike.
 //! A submission's plan is built by [`SidrPlan::of_spec`] from the
-//! tables it stores, and proved by the same function, at admission
-//! (`sidr-analyze`'s `analyze_spec`) and again by the run that
-//! schedules it. The proof reads the plan's own tables.
+//! tables it stores, and proved by the same function, once: at a
+//! server's admission (`sidr-analyze`'s `admit_spec`), whose plan the
+//! job runs, or by `run_spec_on_pool` for a spec run in-process. The
+//! proof reads the plan's own tables.
 //!
 //! [`SidrPlanner::build`]: crate::plan::SidrPlanner::build
 //! [`deps::derive`]: crate::deps::derive

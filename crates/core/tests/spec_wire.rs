@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use sidr_coords::{Shape, Slab};
 use sidr_core::framework::{
-    run_query, run_spec_on_pool, run_spec_with_executor, FrameworkMode, RunOptions, SpecRunOptions,
+    run_query, run_spec_on_pool, FrameworkMode, RunOptions, SpecRunOptions,
 };
 use sidr_core::spec::JobSpec;
 use sidr_core::{
@@ -18,8 +18,8 @@ use sidr_core::{
     StructuralQuery,
 };
 use sidr_mapreduce::{
-    reexecuted_maps, FaultKind, FaultPlan, FaultTarget, InMemoryOutput, InProcessExecutor,
-    InputSplit, JobConfig, JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy,
+    reexecuted_maps, run_job_with_executor, FaultKind, FaultPlan, FaultTarget, InMemoryOutput,
+    InProcessExecutor, InputSplit, JobResult, MrError, RetryPolicy, SlotPool, SpeculationPolicy,
     SplitGenerator, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
@@ -205,11 +205,12 @@ fn twelve_map_job(tag: &str) -> (PathBuf, JobSpec) {
     (path, JobSpec::from_plan(&q, &splits, &plan).unwrap())
 }
 
-/// Runs `spec` over `input` through both spec entry points with
-/// default `SpecRunOptions` — only the fault script set, nothing of the
-/// spec's policy copied over: `run_spec_on_pool`, then
-/// `run_spec_with_executor` over an in-process executor of the spec's
-/// own attempt bodies. Removes `input` afterwards.
+/// Runs `spec` over `input` both ways a spec runs, with only the fault
+/// script set and nothing of the spec's policy copied over:
+/// `run_spec_on_pool`, then the spec's proved plan through
+/// `run_job_with_executor` under `JobSpec::job_config`, over an
+/// in-process executor of the bodies a worker prepares. Removes
+/// `input` afterwards.
 fn run_both(
     input: &Path,
     spec: &JobSpec,
@@ -225,14 +226,21 @@ fn run_both(
 
     let bodies = SpecExecutor::new(input, spec.clone(), ExecOptions::default()).unwrap();
     std::fs::remove_file(input).unwrap();
-    let config = JobConfig {
-        fault_plan,
-        ..JobConfig::default()
-    };
+    let (plan, report) = SidrPlan::of_spec(spec, &spec.query().unwrap(), None, None).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let config = spec.job_config(fault_plan);
     let executor = InProcessExecutor::with_bodies(bodies, &config);
-    let on_executor =
-        run_spec_with_executor(spec, &opts, &InMemoryOutput::new(), &pool, None, &executor);
-    [on_pool, on_executor]
+    let out = InMemoryOutput::new();
+    let on_executor = run_job_with_executor(
+        &spec.splits,
+        &plan.job,
+        &out,
+        &config,
+        &pool,
+        None,
+        &executor,
+    );
+    [on_pool, on_executor.map_err(SidrError::from)]
 }
 
 /// A spec's speculation policy is the job's: forcing a twin for a
@@ -247,7 +255,7 @@ fn spec_speculation_takes_effect_through_both_entry_points() {
         0,
         FaultKind::Straggle { delay_ms: 2_000 },
     );
-    for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
+    for (entry, result) in ["run_spec_on_pool", "run_job_with_executor"]
         .into_iter()
         .zip(run_both(&input, &spec, straggle))
     {
@@ -267,7 +275,7 @@ fn spec_speculation_takes_effect_through_both_entry_points() {
 fn spec_deadline_takes_effect_through_both_entry_points() {
     let (input, spec) = twelve_map_job("deadline");
     let spec = spec.with_deadline_ms(40);
-    for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
+    for (entry, result) in ["run_spec_on_pool", "run_job_with_executor"]
         .into_iter()
         .zip(run_both(&input, &spec, FaultPlan::straggle_maps(0..12, 50)))
     {
@@ -293,7 +301,7 @@ fn spec_retry_budget_takes_effect_through_both_entry_points() {
         backoff_ms: 1,
     });
     let fail = FaultPlan::none().with(FaultTarget::Map(0), 0, FaultKind::Fail);
-    for (entry, result) in ["run_spec_on_pool", "run_spec_with_executor"]
+    for (entry, result) in ["run_spec_on_pool", "run_job_with_executor"]
         .into_iter()
         .zip(run_both(&input, &spec, fail))
     {

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Accepts `JobSpec` submissions over the length-prefixed JSON
-//! protocol, pre-flights each with the static plan verifier, runs
-//! admitted jobs concurrently on one shared slot pool and streams
+//! protocol, proves each one's plan at admission, runs the admitted
+//! plans concurrently on one shared slot pool and streams
 //! every keyblock back the moment its reduce commits. Submit with
 //! `sidr-submit`.
 

@@ -8,8 +8,9 @@
 //!   `run_job_with_executor` on one cluster-wide [`SlotPool`](sidr_mapreduce::SlotPool), so map/reduce
 //!   capacity is bounded across tenants, with inverted scheduling
 //!   intact — in-flight reduces, not idle ones, gate map eligibility;
-//! * **admission pre-flight**: submissions are `sidr-analyze`d before
-//!   anything is scheduled; error findings reject the job at the door;
+//! * **admission**: each submission's plan is built and proved by
+//!   `sidr-analyze` before anything is scheduled; error findings reject
+//!   the job at the door, and the job runs the plan admission proved;
 //! * **early correct results over the wire** (§3.4, §5): every
 //!   keyblock streams back as a frame the moment its reduce commits,
 //!   while the job's remaining maps are still running;

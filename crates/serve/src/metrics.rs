@@ -33,7 +33,7 @@ pub struct ServeMetrics {
     /// Jobs the engine abandoned at their deadline (graceful
     /// degradation, not failure).
     pub jobs_deadline_exceeded: Arc<Counter>,
-    /// Submissions the admission pre-flight turned away.
+    /// Submissions admission turned away.
     pub rejections: Arc<Counter>,
     /// Frames decoded from / written to client connections.
     pub frames_in: Arc<Counter>,
@@ -69,7 +69,7 @@ pub fn serve() -> &'static ServeMetrics {
             ),
             rejections: r.counter(
                 "sidr_serve_rejections_total",
-                "Submissions rejected by the admission pre-flight",
+                "Submissions rejected at admission",
                 &[],
             ),
             frames_in: r.counter(

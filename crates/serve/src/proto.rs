@@ -32,8 +32,9 @@ use crate::fleet::WorkerStat;
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SubmitOptions {
     /// Keyblocks covering this region of `K′` are scheduled first
-    /// (§3.4 computational steering); overrides the spec's stored
-    /// reduce order.
+    /// (§3.4 computational steering): admission moves them to the
+    /// front of the spec's stored reduce order, and each part keeps
+    /// the stored order.
     pub priority_region: Option<Slab>,
     /// Chaos hook: a deterministic fault script injected into the run
     /// (empty plan = none). Lets clients exercise the retry and
@@ -72,13 +73,13 @@ pub enum Request {
 /// Server → client.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Response {
-    /// The submission passed the admission pre-flight and is queued.
+    /// The submission passed admission and is queued.
     Accepted {
         job: u64,
         keyblocks: usize,
         num_maps: usize,
     },
-    /// The admission pre-flight found errors; nothing was scheduled.
+    /// Admission found errors; nothing was scheduled.
     Rejected {
         reason: String,
         diagnostics: Vec<String>,

@@ -4,10 +4,11 @@
 //! One process owns one cluster-wide [`SlotPool`]; every admitted job
 //! is scheduled on it concurrently by `run_job_with_executor` (attempts
 //! run in-process, or on the fleet when one is configured), so the §3.3
-//! slot-class bounds hold *across* jobs, not per job. Admission runs
-//! the `sidr-analyze` pre-flight on each submitted [`JobSpec`] before
-//! anything is scheduled — a plan that would hang or answer wrongly
-//! is rejected at the door with its diagnostics.
+//! slot-class bounds hold *across* jobs, not per job. Admission builds
+//! and proves each submitted [`JobSpec`]'s plan with `sidr-analyze`
+//! before anything is scheduled — a plan that would hang or answer
+//! wrongly is rejected at the door with its diagnostics — and the job
+//! runs the plan admission proved.
 //!
 //! Each job's output path is one collector (`KeyblockStream`): every
 //! committed keyblock is stamped, encoded as one
@@ -19,20 +20,23 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sidr_analyze::{analyze_spec, AnalyzeOptions};
+use sidr_analyze::{admit_spec, AnalyzeOptions};
 use sidr_coords::Coord;
 use sidr_core::diag::Severity;
-use sidr_core::exec::ExecOptions;
-use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
+use sidr_core::exec::{ExecOptions, SpecExecutor};
 use sidr_core::spec::JobSpec;
+use sidr_core::SidrPlan;
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
-use sidr_mapreduce::{CancelToken, MrError, OutputCollector, SlotPool};
-use sidr_scifile::ScincFile;
+use sidr_mapreduce::{
+    run_job_with_executor, CancelToken, FaultPlan, InProcessExecutor, MrError, OutputCollector,
+    SlotPool, TaskExecutor,
+};
 
 use crate::binframe;
 use crate::fleet::Fleet;
@@ -44,7 +48,7 @@ use crate::transport::{Conn, Listener, Transport};
 /// The occupancy gauge a job in `state` contributes to, if any.
 fn state_gauge(m: &ServeMetrics, state: JobState) -> Option<&sidr_obs::Gauge> {
     match state {
-        JobState::Queued | JobState::Planning => Some(&m.jobs_queued),
+        JobState::Queued => Some(&m.jobs_queued),
         JobState::Running => Some(&m.jobs_running),
         JobState::Done | JobState::Failed | JobState::Cancelled | JobState::DeadlineExceeded => {
             None
@@ -78,11 +82,9 @@ impl Default for ServerConfig {
 /// Lifecycle of one admitted job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
-    /// Admitted, waiting for its worker thread.
+    /// Admitted with its proved plan, waiting for its job thread.
     Queued,
-    /// Opening inputs and re-deriving the plan from the spec.
-    Planning,
-    /// Executing on the shared pool.
+    /// Opening its input and executing on the shared pool.
     Running,
     Done,
     Failed,
@@ -100,17 +102,15 @@ impl JobState {
         )
     }
 
-    /// The legal lifecycle edges. Terminal states have no successors;
-    /// a job can only fail out of `Planning` (input open) or `Running`
-    /// (execution), and `DeadlineExceeded` is a refinement of
-    /// cancellation so it too requires `Running`.
+    /// The legal lifecycle edges, `Queued → Running → terminal`.
+    /// Terminal states have no successors; a job can only fail out of
+    /// `Running` (input open or execution), and `DeadlineExceeded` is
+    /// a refinement of cancellation so it too requires `Running`.
     pub fn can_transition(self, to: JobState) -> bool {
         use JobState::*;
         matches!(
             (self, to),
-            (Queued, Planning | Cancelled)
-                | (Planning, Running | Failed | Cancelled)
-                | (Running, Done | Failed | Cancelled | DeadlineExceeded)
+            (Queued, Running | Cancelled) | (Running, Done | Failed | Cancelled | DeadlineExceeded)
         )
     }
 }
@@ -128,8 +128,9 @@ struct Inner {
     /// The worker fleet, when configured with workers (coordinator
     /// mode). `None` executes jobs in-process, exactly as before.
     fleet: Option<Fleet>,
-    /// Ordered, like every collection a handler walks: a seed of the
-    /// fleet search replays only if the walk does.
+    /// The jobs that have not ended. Ordered, like every collection a
+    /// handler walks: a seed of the fleet search replays only if the
+    /// walk does.
     jobs: Mutex<BTreeMap<u64, JobHandle>>,
     next_job: AtomicU64,
     jobs_done: AtomicU64,
@@ -141,6 +142,7 @@ struct Inner {
 }
 
 impl Inner {
+    /// Moves `job` to `state`; a job that ends leaves the registry.
     fn set_state(&self, job: u64, state: JobState) {
         let mut jobs = self.jobs.lock();
         let prev = jobs.get_mut(&job).map(|h| {
@@ -152,6 +154,9 @@ impl Inner {
             h.state = state;
             prev
         });
+        if state.is_terminal() {
+            jobs.remove(&job);
+        }
         drop(jobs);
         let m = serve_metrics();
         if let Some(prev) = prev {
@@ -187,7 +192,7 @@ impl Inner {
         let jobs = self.jobs.lock();
         let queued = jobs
             .values()
-            .filter(|h| matches!(h.state, JobState::Queued | JobState::Planning))
+            .filter(|h| h.state == JobState::Queued)
             .count();
         let running = jobs
             .values()
@@ -212,13 +217,11 @@ impl Inner {
         }
     }
 
-    /// Cancels every job that has not yet reached a terminal state and
+    /// Cancels every job in the registry — none has ended — and
     /// closes the endpoint, which ends the accept loop.
     fn shutdown(&self) {
         for h in self.jobs.lock().values() {
-            if !h.state.is_terminal() {
-                h.cancel.cancel();
-            }
+            h.cancel.cancel();
         }
         self.listener.close();
     }
@@ -470,6 +473,8 @@ fn handle_request(inner: &Arc<Inner>, req: Request, out: &Arc<Outbox>) -> bool {
         } => admit(inner, spec, input, options, out),
         Request::Cancel { job } => match inner.jobs.lock().get(&job) {
             Some(h) => h.cancel.cancel(),
+            // An id this server issued whose job has ended.
+            None if job < inner.next_job.load(Ordering::Relaxed) => {}
             None => out.reply(&Response::Error {
                 message: format!("unknown job id {job}"),
             }),
@@ -488,9 +493,11 @@ fn handle_request(inner: &Arc<Inner>, req: Request, out: &Arc<Outbox>) -> bool {
     true
 }
 
-/// The admission pre-flight (§3.2.1 meets the static verifier): the
-/// spec is analyzed *before* anything is scheduled, and a plan with
-/// error-severity findings never reaches the pool.
+/// Admission (§3.2.1 meets the static verifier): the spec's plan is
+/// built — its keyblocks covering the submission's priority region
+/// first — and proved *before* anything is scheduled; a plan with
+/// error-severity findings never reaches the pool, and the plan that
+/// passes is the one the job runs.
 fn admit(
     inner: &Arc<Inner>,
     spec: JobSpec,
@@ -498,12 +505,13 @@ fn admit(
     options: SubmitOptions,
     out: &Arc<Outbox>,
 ) {
-    let report = match analyze_spec(&spec, &AnalyzeOptions::default()) {
-        Ok(r) => r,
+    let region = options.priority_region.as_ref();
+    let (plan, report) = match admit_spec(&spec, region, &AnalyzeOptions::default()) {
+        Ok(admitted) => admitted,
         Err(e) => {
             serve_metrics().rejections.inc();
             out.reply(&Response::Rejected {
-                reason: format!("pre-flight could not analyze the spec: {e}"),
+                reason: format!("admission could not analyze the spec: {e}"),
                 diagnostics: Vec::new(),
             });
             return;
@@ -512,7 +520,7 @@ fn admit(
     if report.has_errors() {
         serve_metrics().rejections.inc();
         out.reply(&Response::Rejected {
-            reason: "admission pre-flight found plan errors".into(),
+            reason: "admission found plan errors".into(),
             diagnostics: report
                 .diagnostics
                 .iter()
@@ -542,82 +550,68 @@ fn admit(
 
     let (inner, out) = (Arc::clone(inner), Arc::clone(out));
     thread::spawn(move || {
-        let end = run_admitted_job(&inner, job, &spec, &input, &options, &cancel, &out);
+        let stream = KeyblockStream {
+            inner: &inner,
+            job,
+            start: time::now(),
+            out: &out,
+            keyblocks: AtomicU64::new(0),
+            records: AtomicU64::new(0),
+        };
+        let end = run_admitted_job(&stream, &spec, &plan, &input, &options.fault_plan, &cancel);
         out.push(json(&end), true);
     });
 }
 
-/// One admitted job, end to end: execute on the fleet, or open the
-/// input and execute on the shared pool, streaming each keyblock as it
-/// commits. Returns the terminal frame, its state already recorded. A
-/// vanished client mutes the stream; the job still completes into the
-/// lifetime counters.
+/// One admitted job, end to end: the plan admission proved, through
+/// the engine's one entry, with attempts on the fleet or in this
+/// process, each keyblock streaming as it commits. Returns the terminal
+/// frame, its state already recorded. A vanished client mutes the
+/// stream; the job still completes into the lifetime counters.
 fn run_admitted_job(
-    inner: &Inner,
-    job: u64,
+    stream: &KeyblockStream<'_>,
     spec: &JobSpec,
+    plan: &SidrPlan,
     input: &str,
-    options: &SubmitOptions,
+    fault_plan: &FaultPlan,
     cancel: &CancelToken,
-    out: &Outbox,
 ) -> Response {
-    inner.set_state(job, JobState::Planning);
-    let opts = SpecRunOptions {
-        priority_region: options.priority_region.clone(),
-        fault_plan: options.fault_plan.clone(),
-        ..SpecRunOptions::default()
-    };
-
-    let stream = KeyblockStream {
-        inner,
-        job,
-        start: time::now(),
-        out,
-        keyblocks: AtomicU64::new(0),
-        records: AtomicU64::new(0),
-    };
-
+    let (inner, job) = (stream.inner, stream.job);
     inner.set_state(job, JobState::Running);
+    let config = spec.job_config(fault_plan.clone());
+    let run = |executor: &dyn TaskExecutor<Coord, f64>| {
+        run_job_with_executor(
+            &spec.splits,
+            &plan.job,
+            stream,
+            &config,
+            &inner.pool,
+            Some(cancel),
+            executor,
+        )
+    };
 
     // Same scheduler either way; only where attempts execute differs.
-    // In coordinator mode each attempt is dispatched to the fleet
-    // through the engine's `TaskExecutor` seam.
     let result = match &inner.fleet {
+        // Each attempt is dispatched to the fleet; a worker that cannot
+        // open the input refuses `Prepare`.
         Some(fleet) => {
-            // Each reduce checks the tally the engine hands it.
             let exec_opts = ExecOptions {
-                fault_plan: options.fault_plan.clone(),
+                fault_plan: fault_plan.clone(),
                 ..ExecOptions::default()
             };
-            match fleet.prepare_job(spec, input, &exec_opts) {
-                Ok(remote) => {
-                    let r = run_spec_with_executor(
-                        spec,
-                        &opts,
-                        &stream,
-                        &inner.pool,
-                        Some(cancel),
-                        &remote,
-                    );
+            fleet
+                .prepare_job(spec, input, &exec_opts)
+                .and_then(|remote| {
+                    let r = run(&remote);
                     remote.finish();
                     r
-                }
-                Err(e) => Err(sidr_core::SidrError::Engine(e)),
-            }
+                })
         }
-        // Only the in-process arm reads the input here; in coordinator
-        // mode the path is the workers' to open, and a worker that
-        // cannot refuses `Prepare`.
-        None => match ScincFile::open(input) {
-            Ok(file) => run_spec_on_pool(&file, spec, &opts, &stream, &inner.pool, Some(cancel)),
-            Err(e) => {
-                inner.set_state(job, JobState::Failed);
-                return Response::Failed {
-                    job,
-                    error: format!("cannot open input {input:?}: {e}"),
-                };
-            }
-        },
+        // The bodies a worker prepares, in this process.
+        None => SpecExecutor::new(Path::new(input), spec.clone(), Default::default())
+            .map_err(|e| MrError::Source(format!("cannot open input {input:?}: {e}")))
+            .and_then(|bodies| run(&InProcessExecutor::with_bodies(bodies, &config))),
     };
 
     let (state, end) = match result {
@@ -630,13 +624,11 @@ fn run_admitted_job(
                 events: job_result.events,
             },
         ),
-        Err(sidr_core::SidrError::Engine(MrError::DeadlineExceeded { deadline_ms })) => (
+        Err(MrError::DeadlineExceeded { deadline_ms }) => (
             JobState::DeadlineExceeded,
             Response::DeadlineExceeded { job, deadline_ms },
         ),
-        Err(sidr_core::SidrError::Engine(MrError::Cancelled)) => {
-            (JobState::Cancelled, Response::Cancelled { job })
-        }
+        Err(MrError::Cancelled) => (JobState::Cancelled, Response::Cancelled { job }),
         Err(e) => (
             JobState::Failed,
             Response::Failed {
@@ -694,27 +686,19 @@ impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::JobState;
+    use super::*;
+    use crate::{Client, ServeError, Tcp};
+    use sidr_core::SidrPlanner;
+    use sidr_scifile::gen::DatasetSpec;
     use JobState::*;
 
-    const ALL: [JobState; 7] = [
-        Queued,
-        Planning,
-        Running,
-        Done,
-        Failed,
-        Cancelled,
-        DeadlineExceeded,
-    ];
+    const ALL: [JobState; 6] = [Queued, Running, Done, Failed, Cancelled, DeadlineExceeded];
 
     #[test]
     fn transition_matrix_matches_the_documented_lifecycle() {
         let legal: &[(JobState, JobState)] = &[
-            (Queued, Planning),
+            (Queued, Running),
             (Queued, Cancelled),
-            (Planning, Running),
-            (Planning, Failed),
-            (Planning, Cancelled),
             (Running, Done),
             (Running, Failed),
             (Running, Cancelled),
@@ -750,5 +734,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A job that ends leaves the registry, so the daemon holds no
+    /// entry for a served job; a late `Cancel` of its id draws no
+    /// frame, while an id never issued still draws an `Error`.
+    #[test]
+    fn ended_jobs_leave_the_registry_and_a_late_cancel_is_silent() {
+        let job = sidr_analyze::presets::preset("query1-tiny").unwrap();
+        let plan = SidrPlanner::new(&job.query, 4).build(&job.splits).unwrap();
+        let spec = JobSpec::from_plan(&job.query, &job.splits, &plan).unwrap();
+        let path = std::env::temp_dir().join(format!("sidr-registry-{}.scinc", std::process::id()));
+        let dataset = DatasetSpec::windspeed(job.query.input_space().clone(), 0);
+        dataset.generate::<f32>(&path).unwrap();
+        let input = path.to_string_lossy();
+        let server = Server::bind(Arc::new(Tcp), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let (addr, inner) = (server.local_addr(), Arc::clone(&server.inner));
+        std::thread::spawn(move || server.run());
+        let mut client = Client::connect(&addr).unwrap();
+        let mut served = [0; 3];
+        for id in &mut served {
+            let ticket = client.submit(&spec, &input, SubmitOptions::default());
+            *id = ticket.unwrap().job;
+            client.stream_job(*id, |_, _, _| {}).unwrap();
+        }
+        // A job's end is recorded before its terminal frame is queued.
+        assert!(inner.jobs.lock().is_empty(), "ended jobs stay registered");
+
+        for job in served {
+            client.cancel(job).unwrap();
+        }
+        // An `Error` frame ahead of the stats reply would fail this.
+        assert_eq!(client.stats().unwrap().jobs_done, 3);
+        client.cancel(served[2] + 1).unwrap();
+        assert!(matches!(client.stats(), Err(ServeError::Protocol(_))));
+        inner.shutdown();
+        std::fs::remove_file(path).unwrap();
     }
 }

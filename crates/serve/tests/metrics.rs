@@ -85,7 +85,7 @@ fn metrics_frame_agrees_with_stats_after_known_workload() {
     assert_eq!(gauge(&idle, "sidr_slots_busy", ("class", "map")), 0);
 
     // Known workload: two jobs to completion, plus one rejected
-    // submission (a spec whose plan the pre-flight refuses).
+    // submission (a spec whose plan admission refuses).
     let mut keyblock_frames = 0u64;
     for _ in 0..2 {
         let ticket = client

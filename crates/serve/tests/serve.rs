@@ -247,12 +247,15 @@ fn request_without_hello_draws_a_protocol_error() {
 /// priority region reorders delivery — the keyblock covering the
 /// region's corner streams back first. It must hold whether keyblocks take
 /// reduce slots one at a time or (4 slots) are all in flight at once,
-/// where only the order their maps are served in can steer.
+/// where only the order their maps are served in can steer. At one
+/// reduce slot the whole order is admission's plan: the region's
+/// keyblock, then the rest in the spec's stored (hand-permuted) order.
 #[test]
 fn priority_region_steers_first_delivery() {
-    let (spec, input) = tiny_fixture("steer");
-    // K′ᵀ is {24,1,1,1} over 4 keyblocks of 6 keys; steer to the
-    // *last* block's region so the default order would get it wrong.
+    let (mut spec, input) = tiny_fixture("steer");
+    spec.reduce_order = vec![2, 0, 3, 1];
+    // K′ᵀ is {24,1,1,1} over 4 keyblocks of 6 keys; steer to block 3's
+    // region, which neither the stored nor the default order leads with.
     let region = sidr_coords::Slab::new(
         Coord::new(vec![20, 0, 0, 0]),
         sidr_coords::Shape::new(vec![2, 1, 1, 1]).unwrap(),
@@ -285,6 +288,9 @@ fn priority_region_steers_first_delivery() {
             Some(&3),
             "{reduce_slots} reduce slot(s): steered keyblock did not stream first: {order:?}"
         );
+        if reduce_slots == 1 {
+            assert_eq!(order, [3, 2, 0, 1], "the served order is not the plan's");
+        }
         handle.shutdown();
     }
 }

@@ -13,21 +13,22 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use sidr_analyze::presets;
+use sidr_analyze::{admit_spec, presets, AnalyzeOptions};
 use sidr_coords::{Coord, Shape};
 use sidr_core::exec::ExecOptions;
-use sidr_core::framework::{run_spec_on_pool, run_spec_with_executor, SpecRunOptions};
+use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::{
-    reexecuted_maps, InMemoryOutput, SlotPool, SplitGenerator, TaskEvent, TaskKind,
+    reexecuted_maps, run_job_with_executor, FaultPlan, InMemoryOutput, JobResult, SlotPool,
+    SplitGenerator, TaskEvent, TaskKind,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
 use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Role};
 use sidr_serve::transport::Transport;
-use sidr_serve::{Client, Fleet, ServeError, Server, ServerConfig, SubmitOptions, Tcp};
+use sidr_serve::{Client, Fleet, RemoteJob, ServeError, Server, ServerConfig, SubmitOptions, Tcp};
 use sidr_worker::{Worker, WorkerOptions};
 
 /// Builds a spec and (once per tag) its dataset from a query.
@@ -105,6 +106,20 @@ fn keyblock_commits(out: &InMemoryOutput<Coord, f64>) -> Keyblocks {
     commits
 }
 
+/// Runs `spec`'s admitted plan with its attempts on `remote`, as the
+/// server's job thread does.
+fn run_remote(
+    spec: &JobSpec,
+    remote: &RemoteJob<'_>,
+    out: &InMemoryOutput<Coord, f64>,
+    pool: &SlotPool,
+) -> JobResult {
+    let (plan, report) = admit_spec(spec, None, &AnalyzeOptions::default()).unwrap();
+    assert!(!report.has_errors(), "{report}");
+    let config = spec.job_config(FaultPlan::none());
+    run_job_with_executor(&spec.splits, &plan.job, out, &config, pool, None, remote).unwrap()
+}
+
 /// Tentpole e2e at fig08 scale: a 3-worker loopback fleet streams the
 /// same keyblocks with the same in-block record order as the
 /// single-process engine — byte-identical results, per the paper's
@@ -125,7 +140,7 @@ fn fleet_output_is_byte_identical_to_single_process() {
         .expect("prepare");
     let pool = SlotPool::new(4, spec.num_reducers).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
-    let result = run_spec_with_executor(&spec, &opts, &out, &pool, None, &remote).unwrap();
+    let result = run_remote(&spec, &remote, &out, &pool);
     remote.finish();
 
     let got = keyblock_commits(&out);
@@ -177,8 +192,7 @@ fn fleet_job(
 ) -> (Keyblocks, Vec<TaskEvent>) {
     let remote = (fleet.prepare_job(spec, input, &ExecOptions::default())).expect("prepare");
     let out = InMemoryOutput::<Coord, f64>::new();
-    let opts = SpecRunOptions::default();
-    let result = run_spec_with_executor(spec, &opts, &out, pool, None, &remote).unwrap();
+    let result = run_remote(spec, &remote, &out, pool);
     remote.finish();
     (keyblock_commits(&out), result.events)
 }
@@ -288,7 +302,7 @@ fn stale_connections_are_never_a_death_verdict() {
     let remote = (fleet.prepare_job(&spec, &input, &ExecOptions::default())).expect("prepare");
     respawn(&mut workers);
     let out = InMemoryOutput::<Coord, f64>::new();
-    let result = run_spec_with_executor(&spec, &opts, &out, &pool, None, &remote).unwrap();
+    let result = run_remote(&spec, &remote, &out, &pool);
     remote.finish();
     uncharged("restart mid-job", (keyblock_commits(&out), result.events));
     let w0 = workers[0].stat();

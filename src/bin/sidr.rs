@@ -17,7 +17,7 @@ use sidr_repro::core::framework::{generate_splits, RunOptions};
 use sidr_repro::core::lang::parse_query;
 use sidr_repro::core::output::{reassemble_dense_output, DenseSlabOutput};
 use sidr_repro::core::spec::JobSpec;
-use sidr_repro::core::{run_query, FrameworkMode, SidrPlanner};
+use sidr_repro::core::{run_query, FrameworkMode, PartitionPlus, SidrPlanner};
 use sidr_repro::scifile::gen::DatasetSpec;
 use sidr_repro::scifile::ScincFile;
 
@@ -216,18 +216,15 @@ fn cmd_query(positional: &[String], flags: &HashMap<String, String>) -> Result<(
             return Err("dense output requires a single-valued operator".into());
         }
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let splits =
-            generate_splits(&file, &query, mode, split_bytes).map_err(|e| e.to_string())?;
-        let plan = SidrPlanner::new(&query, reducers)
-            .build(&splits)
-            .map_err(|e| e.to_string())?;
-        let collector = DenseSlabOutput::new(dir, &query.variable, &plan.partition)
-            .map_err(|e| e.to_string())?;
+        // The run's own routing: `partition+` over the query's keyblocks.
+        let partition = PartitionPlus::for_query(&query, reducers).map_err(|e| e.to_string())?;
+        let collector =
+            DenseSlabOutput::new(dir, &query.variable, &partition).map_err(|e| e.to_string())?;
         // Group records by keyblock and commit through the collector.
         use sidr_repro::mapreduce::OutputCollector;
         let mut per_block: Vec<Vec<(sidr_repro::coords::Coord, f64)>> = vec![Vec::new(); reducers];
         for (k, v) in &outcome.records {
-            per_block[plan.partition.keyblock_of(k.components())].push((k.clone(), *v));
+            per_block[partition.keyblock_of(k.components())].push((k.clone(), *v));
         }
         for (r, records) in per_block.into_iter().enumerate() {
             collector.commit(r, records).map_err(|e| e.to_string())?;
