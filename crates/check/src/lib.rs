@@ -19,8 +19,8 @@
 //!      join, no timer pending.
 //!    * [`Finding::LostWakeup`]: nothing can run, no timer is pending,
 //!      and a vthread is parked on a condvar. The runtime's waits have
-//!      no safety tick under `--cfg check`, so a missed notification
-//!      is a hang here — a finding, not a pass.
+//!      no safety tick in any build, so a missed notification is a
+//!      hang here, as in production — a finding, not a pass.
 //!    * [`Finding::Race`]: two [`sync::RaceCell`] accesses with no
 //!      happens-before edge (vector clocks over lock/unlock,
 //!      notify/wait, acquire/release atomics, spawn/join).

@@ -43,7 +43,7 @@ pub enum Finding {
     SelfDeadlock { thread: usize, mutex: usize },
     /// Nothing can run, no timer is pending, and some thread is parked
     /// on a condvar: the notification it needed never came. Under the
-    /// real clock this is the 25 ms safety tick pumping a stalled job.
+    /// real clock this is a hung job.
     LostWakeup { threads: BTreeMap<usize, BlockInfo> },
     /// Two accesses to the same `RaceCell` without a happens-before
     /// edge between them.

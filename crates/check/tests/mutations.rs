@@ -4,8 +4,8 @@
 //! on a known-bad runtime is worthless — these are its teeth. Two
 //! planner faults ride the same hooks and must fail the plan's build.
 //!
-//! The engine's waits have no safety tick under `--cfg check`, so a
-//! dropped wake is a hang the explorer sees, not a delay.
+//! The engine's waits have no safety tick, in this build or any
+//! other, so a dropped wake is a hang the explorer sees, not a delay.
 //!
 //! The chaos flag is process-global, so every test serializes on one
 //! lock and arms exactly one mutation for its duration.
@@ -172,66 +172,6 @@ fn skipped_recovery_rewait_is_caught() {
         "mutated recovery path explored {} schedules without a finding",
         report.schedules
     );
-}
-
-/// A spill install that forgets to notify the `moved` condvar leaves
-/// fetchers of the moving partition parked with no wake source, which
-/// the scheduler reports as LostWakeup. This is the teeth behind the spill-tier
-/// scenario's claim that waiting out `Moving` is properly notified.
-#[test]
-fn dropped_tier_move_notify_is_caught_as_lost_wakeup() {
-    use sidr_mapreduce::tier::MemBackend;
-    let _serial = CHAOS.lock().unwrap();
-    let _armed = chaos::arm(Mutation::DropTierMoveNotify);
-    let report = Explorer::new("mutation:drop-tier-move-notify").run(
-        Strategy::Random {
-            schedules: 400,
-            seed: 0x0BAD_0006,
-        },
-        || {
-            let backend = std::sync::Arc::new(MemBackend::new());
-            let encode = |salt: u64| {
-                let records: Vec<(sidr_coords::Coord, f64)> = (0..8)
-                    .map(|i| (sidr_coords::Coord::from([salt, i]), i as f64))
-                    .collect();
-                std::sync::Arc::new(
-                    sidr_mapreduce::shuffle_file::encode_map_output(
-                        &sidr_mapreduce::MapOutputFile {
-                            raw_count: records.len() as u64,
-                            records,
-                        },
-                    )
-                    .unwrap(),
-                )
-            };
-            let a = encode(0);
-            let b = encode(1);
-            // Room for exactly one partition: inserting B forces the
-            // already-admitted A through the `Moving` state, where the
-            // fetcher must wait on the (mutated) notify.
-            let store = sidr_mapreduce::PartitionStore::new(
-                sidr_mapreduce::TierConfig {
-                    budget_bytes: a.len() as u64,
-                },
-                std::sync::Arc::clone(&backend) as std::sync::Arc<dyn sidr_mapreduce::SpillBackend>,
-            );
-            store.prepare_job(9, FaultPlan::none(), &[1, 1]);
-            let key_a = (9u64, 0usize, 0usize, 0u32);
-            let key_b = (9u64, 1usize, 0usize, 0u32);
-            thread::scope(|s| {
-                s.spawn(|| {
-                    store.insert(key_a, std::sync::Arc::clone(&a));
-                    store.insert(key_b, std::sync::Arc::clone(&b));
-                });
-                s.spawn(|| {
-                    if let Some(read) = store.get(&key_a).unwrap() {
-                        assert_eq!(&*read, &*a);
-                    }
-                });
-            });
-        },
-    );
-    report.assert_finds(FindingKind::LostWakeup);
 }
 
 /// `{12,6,5}` read by 6 splits, `{2,2,1}` keys: `K′ᵀ` `{6,3,5}` dealt

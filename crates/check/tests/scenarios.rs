@@ -3,8 +3,9 @@
 //! `RUSTFLAGS='--cfg check'`, where `sidr-mapreduce::sync` re-exports
 //! the checker's primitives and clock, and the *production*
 //! SlotPool/CancelToken/coordinator-loop code runs unmodified inside
-//! each explored schedule — its waits with no safety tick, its sleeps
-//! and deadlines on virtual time.
+//! each explored schedule — its waits, which end only on a
+//! notification in every build, and its sleeps and deadlines on
+//! virtual time.
 //!
 //! Every scenario body is self-contained (fresh pool, fresh job) and
 //! asserts its own postconditions, so a bad interleaving surfaces as a
@@ -356,10 +357,10 @@ fn encoded_partition(salt: u64) -> std::sync::Arc<Vec<u8>> {
     std::sync::Arc::new(sidr_mapreduce::shuffle_file::encode_map_output(&file).unwrap())
 }
 
-/// A budget that admits exactly one partition puts the `Moving`
-/// window — fetchers waiting on the `moved` condvar while the mover
-/// writes outside the lock — on the hot path: the second insert must
-/// evict the first to make room. One thread inserts both partitions,
+/// A budget that admits exactly one partition puts the spill window —
+/// the mover writing outside the lock while its victim stays resident
+/// and fetchable — on the hot path: the second insert must evict the
+/// first to make room. One thread inserts both partitions,
 /// one fetches the first at an arbitrary point (before, during or
 /// after its move), one releases the second mid-move. Whatever the
 /// interleaving: a fetched partition is byte-identical, resident

@@ -129,6 +129,15 @@ impl SpecExecutor {
         })
     }
 
+    /// The attempt bodies of `spec`, whose plan is built and proved:
+    /// routed by the plan's `partition+` and tallies, with nothing
+    /// derived again.
+    pub fn of_plan(file: ScincFile, spec: &JobSpec, plan: &SidrPlan) -> crate::Result<Self> {
+        let (query, splits) = (spec.query()?, spec.splits.clone());
+        let route = Route::of_plan(plan);
+        Self::for_query(file, &query, splits, spec.num_reducers, route)
+    }
+
     /// The attempt bodies of `query` over `splits`: the same map side
     /// in every mode, routed by `route` to `num_reducers`. The engine
     /// hands each reduce its tally and applies the fault script, so

@@ -240,9 +240,7 @@ pub fn run_spec_on_pool(
     let (plan, report) = SidrPlan::of_spec(spec, &query, region, None)?;
     unrefuted(&report)?;
     let config = spec.job_config(opts.fault_plan.clone());
-    let (splits, n) = (spec.splits.clone(), spec.num_reducers);
-    let route = Route::of_plan(&plan);
-    let bodies = SpecExecutor::for_query(file.try_clone()?, &query, splits, n, route)?;
+    let bodies = SpecExecutor::of_plan(file.try_clone()?, spec, &plan)?;
     let executor = InProcessExecutor::with_bodies(bodies, &config);
     Ok(run_job_with_executor(
         &spec.splits,

@@ -44,12 +44,6 @@ pub struct RuntimeMetrics {
     /// Re-enqueue of a lost/corrupt map output → its re-executed
     /// attempt committing: how long a recovery actually takes.
     pub recovery_seconds: Arc<Histogram>,
-    /// `sidr_mr_tick_wakeups_total` — blocked workers that made
-    /// progress only because the safety-net tick fired, not because a
-    /// notification arrived. Nonzero means a wakeup was lost; the
-    /// sidr-check explorer reports the same condition as a
-    /// `LostWakeup` finding.
-    pub tick_wakeups: Arc<Counter>,
     /// `sidr_mr_speculative_launched_total` — speculative twin
     /// attempts launched against running stragglers.
     pub speculative_launched: Arc<Counter>,
@@ -132,11 +126,6 @@ pub fn runtime() -> &'static RuntimeMetrics {
                 "Lost-output re-enqueue to recovered map commit, seconds",
                 &[],
                 DURATION_BUCKETS,
-            ),
-            tick_wakeups: r.counter(
-                "sidr_mr_tick_wakeups_total",
-                "Blocked workers unblocked by the safety-net tick instead of a notification",
-                &[],
             ),
             speculative_launched: r.counter(
                 "sidr_mr_speculative_launched_total",

@@ -313,7 +313,8 @@ mod tests {
     }
 
     /// A cancel must reach a loop waiting on its inbox by notification
-    /// — well inside one 25 ms safety tick — not by a poll.
+    /// — well inside 25 ms — not by a poll: an untimed wait has no
+    /// other way to end.
     #[test]
     fn cancel_wakes_a_waiting_inbox_sub_tick() {
         let inbox = Arc::new(Inbox::<()>::default());

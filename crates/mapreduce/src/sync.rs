@@ -36,55 +36,32 @@ pub mod time {
     }
 }
 
-/// How often an untimed wait re-checks in case a notification was
-/// missed. Checker builds have no tick: there a missed notification is
-/// a hang, which the explorer reports.
-#[cfg(not(check))]
-const WAIT_TICK: std::time::Duration = std::time::Duration::from_millis(25);
-
 /// Parks on `cv`, re-evaluating `ready` under the lock on every wakeup:
 /// `Some(Some(r))` returns `Some(r)`; `Some(None)` gives up (a failed or
-/// cancelled job) and returns `None`, as does `until` passing. A result
-/// — not a give-up — reached right after a safety tick rather than a
-/// notification counts in `sidr_mr_tick_wakeups_total`.
+/// cancelled job) and returns `None`, as does `until` passing. An
+/// untimed wait ends only on a notification — the same wait the
+/// checker explores, where a missed one is a `LostWakeup` finding.
 pub fn wait_until<T, R>(
     cv: &Condvar,
     guard: &mut MutexGuard<'_, T>,
     until: Option<Instant>,
     mut ready: impl FnMut(&mut T) -> Option<Option<R>>,
 ) -> Option<R> {
-    let mut ticked = false;
     loop {
         if let Some(r) = ready(guard) {
-            if ticked && r.is_some() {
-                crate::metrics::runtime().tick_wakeups.inc();
-            }
             return r;
         }
-        ticked = match until {
+        match until {
             Some(t) => {
                 let now = time::now();
                 if now >= t {
                     return None;
                 }
                 cv.wait_for(guard, t - now);
-                false
             }
-            None => wait_tick(cv, guard),
-        };
+            None => cv.wait(guard),
+        }
     }
-}
-
-/// One untimed wait; true if the tick ended it.
-#[cfg(not(check))]
-fn wait_tick<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) -> bool {
-    cv.wait_for(guard, WAIT_TICK).timed_out()
-}
-
-#[cfg(check)]
-fn wait_tick<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) -> bool {
-    cv.wait(guard);
-    false
 }
 
 /// Atomic types used by the concurrency core. Under `--cfg check`
@@ -132,10 +109,6 @@ pub mod chaos {
         /// outputs, so a recovering reducer waits for a recommit
         /// nobody will produce.
         SkipRecoveryRewait,
-        /// The spill mover installs the on-disk tier without
-        /// `notify_all`: fetchers blocked on a `Moving` partition are
-        /// never woken and progress only via the safety tick.
-        DropTierMoveNotify,
         /// The fleet's `finish` skips workers marked dead, so a worker
         /// that only missed heartbeats keeps the job's executor and
         /// partitions.

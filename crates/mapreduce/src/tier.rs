@@ -23,19 +23,19 @@
 //! replica and reports the partition lost, which routes recovery
 //! through the same `I_ℓ`-scoped re-execution path as a dead worker.
 //!
-//! Concurrency: a partition being written out is in the `Moving`
-//! state. Fetches of a moving partition wait on a condvar (through
-//! [`wait_until`]) until the move lands rather than racing the
-//! mover — returning bytes mid-move would let a fetch→release pass
-//! the mover's install and resurrect a consumed partition as an
-//! orphaned spill file. The facade's
-//! [`chaos::Mutation::DropTierMoveNotify`] drops the mover's wakeup
-//! so the checker can prove the wait is notified.
+//! Concurrency: a partition being written out stays `Resident` until
+//! the write lands, so a fetch never waits — it is served the bytes
+//! still in memory. Only an admission spills, under the `admission`
+//! lock, so at most one move is in flight and no recommit of its key
+//! overlaps it. After the write the mover installs `Spilled` only if
+//! the entry is still its own (the same `Arc`); a release or
+//! `remove_job` that won meanwhile never waits for it, and the mover
+//! deletes its now-orphaned file instead.
 
 use crate::error::MrError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::shuffle_file;
-use crate::sync::{chaos, wait_until, Condvar, Mutex};
+use crate::sync::Mutex;
 use sidr_obs::{global, Counter, Gauge, Histogram, BYTE_BUCKETS, DURATION_BUCKETS};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -49,11 +49,8 @@ pub type PartKey = (u64, usize, usize, u32);
 
 /// Where the bytes of one partition live.
 enum TierState {
-    /// In memory.
+    /// In memory (also while a spill write of it is in flight).
     Resident(Arc<Vec<u8>>),
-    /// In memory, with a spill write in flight. Fetchers wait;
-    /// removal wins over the move (the mover deletes its file).
-    Moving(Arc<Vec<u8>>),
     /// On disk under the store's backend; read back on fetch.
     Spilled,
 }
@@ -238,9 +235,6 @@ pub struct PartitionStore {
     cfg: TierConfig,
     backend: Arc<dyn SpillBackend>,
     inner: Mutex<Inner>,
-    /// Signalled when a `Moving` partition resolves (installed on
-    /// disk, or reverted resident after a failed write).
-    moved: Condvar,
     /// Serializes budgeted admissions end-to-end (make room, then
     /// tally): producers queue behind the spilling producer instead of
     /// overlapping their admissions, which is what makes "peak
@@ -274,7 +268,6 @@ impl PartitionStore {
                 spill_failures: 0,
                 clock: 0,
             }),
-            moved: Condvar::new(),
             admission: Mutex::new(()),
         }
     }
@@ -339,8 +332,8 @@ impl PartitionStore {
 
     /// Reducer `reducer` is done with the partitions of `maps`
     /// (`(map, epoch)`): each is dropped — spilled bytes are deleted
-    /// from the backend; a `Moving` partition goes at once and its
-    /// mover deletes its own file — and its map ranks colder for the
+    /// from the backend; a partition being spilled goes at once and
+    /// its mover deletes its own file — and its map ranks colder for the
     /// next spill-victim selection. The one way a partition leaves the
     /// store, short of [`PartitionStore::remove_job`].
     pub fn release(&self, job: u64, reducer: usize, maps: &[(usize, u32)]) {
@@ -463,28 +456,17 @@ impl PartitionStore {
     /// partition, and recovery re-executes the producing map.
     pub fn get(&self, key: &PartKey) -> crate::Result<Option<Arc<Vec<u8>>>> {
         let mut inner = self.inner.lock();
-        // Wait out an in-flight move: racing it could hand bytes to a
-        // fetch→release that then loses to the mover's install.
-        // `Ok` is the answer, `Err` the length of a spilled partition.
-        let found = wait_until(&self.moved, &mut inner, None, |inner| {
-            inner.clock += 1;
-            let now = inner.clock;
-            let Some(e) = inner.entries.get_mut(key) else {
-                return Some(Some(Ok(None)));
-            };
-            e.touch = now;
-            match &e.state {
-                TierState::Resident(b) => Some(Some(Ok(Some(Arc::clone(b))))),
-                TierState::Moving(_) => None,
-                TierState::Spilled => Some(Some(Err(e.len))),
-            }
-        });
-        drop(inner);
-        let len = match found {
-            Some(Err(len)) => len,
-            Some(Ok(bytes)) => return Ok(bytes),
-            None => unreachable!("an untimed wait returns only when ready"),
+        inner.clock += 1;
+        let now = inner.clock;
+        let Some(e) = inner.entries.get_mut(key) else {
+            return Ok(None);
         };
+        e.touch = now;
+        let len = match &e.state {
+            TierState::Resident(b) => return Ok(Some(Arc::clone(b))),
+            TierState::Spilled => e.len,
+        };
+        drop(inner);
         let name = spill_name(key);
         let t0 = Instant::now();
         let read = self
@@ -569,13 +551,12 @@ impl PartitionStore {
     }
 
     /// Removes `key`'s entry and fixes the byte accounting; deletes
-    /// an on-disk copy when one exists. (A `Moving` entry's file is
-    /// deleted by the mover when it reacquires the lock and finds the
-    /// entry gone.)
+    /// an on-disk copy when one exists. (The file of an entry being
+    /// spilled is deleted by its mover, which finds the entry gone.)
     fn detach(&self, inner: &mut Inner, key: &PartKey) {
         if let Some(e) = inner.entries.remove(key) {
             match e.state {
-                TierState::Resident(_) | TierState::Moving(_) => {
+                TierState::Resident(_) => {
                     inner.resident = inner.resident.saturating_sub(e.len);
                 }
                 TierState::Spilled => {
@@ -599,51 +580,42 @@ impl PartitionStore {
 
     /// Spills coldest-first until resident bytes are at or below
     /// `target` (or nothing is left to spill: everything still
-    /// resident is pinned by a failed write or already moving).
+    /// resident is pinned by a failed write).
     fn enforce_to(&self, target: u64) {
         let m = tier_metrics();
         loop {
             // Pick the coldest spillable partition under the lock.
-            let mut inner = self.inner.lock();
+            let inner = self.inner.lock();
             if inner.resident <= target {
                 return;
             }
             let victim = inner
                 .entries
                 .iter()
-                .filter(|(_, e)| !e.pinned && matches!(e.state, TierState::Resident(_)))
-                .min_by_key(|(k, e)| {
+                .filter_map(|(k, e)| match &e.state {
+                    TierState::Resident(b) if !e.pinned => Some((k, e, b)),
+                    _ => None,
+                })
+                .min_by_key(|(k, e, _)| {
                     let temp = inner.pending.get(&(k.0, k.1)).copied().unwrap_or(0);
                     (temp, e.touch)
                 })
-                .map(|(k, _)| *k);
-            let Some(key) = victim else {
+                .map(|(k, e, b)| (*k, e.len, Arc::clone(b)));
+            let Some((key, len, bytes)) = victim else {
                 // Over budget with nothing movable: degraded but
                 // functional. The pressure summary carries the news.
                 return;
             };
-            let entry = inner.entries.get_mut(&key).expect("victim exists");
-            let bytes = match std::mem::replace(&mut entry.state, TierState::Spilled) {
-                TierState::Resident(b) => {
-                    entry.state = TierState::Moving(Arc::clone(&b));
-                    b
-                }
-                other => {
-                    entry.state = other;
-                    continue;
-                }
-            };
-            let len = entry.len;
             drop(inner);
 
-            // Write outside the lock — fetches of *other* partitions
-            // proceed; fetches of this one wait on `moved`.
+            // Write outside the lock — fetches, of this partition too,
+            // are served from memory meanwhile.
             let spilled = self.write_spill(&key, &bytes);
             let mut inner = self.inner.lock();
             let ours = inner
                 .entries
                 .get_mut(&key)
-                .filter(|e| matches!(&e.state, TierState::Moving(b) if Arc::ptr_eq(b, &bytes)));
+                .filter(|e| matches!(&e.state, TierState::Resident(b) if Arc::ptr_eq(b, &bytes)));
             let installed = match ours {
                 Some(e) if spilled => {
                     e.state = TierState::Spilled;
@@ -652,7 +624,6 @@ impl PartitionStore {
                 // ENOSPC (real or injected): keep the partition
                 // resident and pinned, move on to other victims.
                 Some(e) => {
-                    e.state = TierState::Resident(bytes);
                     e.pinned = true;
                     false
                 }
@@ -670,9 +641,6 @@ impl PartitionStore {
                 // Released (or replaced) while we wrote: the consumer
                 // won, our file is an orphan.
                 self.backend.delete(&spill_name(&key));
-            }
-            if !(installed && chaos::on(chaos::Mutation::DropTierMoveNotify)) {
-                self.moved.notify_all();
             }
         }
     }
@@ -759,6 +727,7 @@ mod tests {
     use crate::fault::{FaultPlan, FaultTarget};
     use crate::shuffle::MapOutputFile;
     use crate::shuffle_file::encode_map_output;
+    use std::time::Duration;
 
     fn frame(n: u64, salt: u64) -> Arc<Vec<u8>> {
         let file = MapOutputFile::<u64, u64> {
@@ -967,6 +936,90 @@ mod tests {
         assert_eq!(store.partition_count(), 0);
         let p = store.pressure();
         assert_eq!((p.resident_bytes, p.spilled_bytes), (0, 0));
+    }
+
+    /// A backend whose spill write meets the test at `gate` twice:
+    /// once as it starts, and once more before it lands.
+    struct GatedBackend {
+        files: MemBackend,
+        gate: std::sync::Barrier,
+    }
+
+    impl SpillBackend for GatedBackend {
+        fn write(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.gate.wait();
+            self.gate.wait();
+            self.files.write(name, bytes)
+        }
+
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.files.read(name)
+        }
+
+        fn delete(&self, name: &str) {
+            self.files.delete(name)
+        }
+
+        fn delete_prefix(&self, prefix: &str) {
+            self.files.delete_prefix(prefix)
+        }
+
+        fn damage(&self, name: &str, truncate: bool) {
+            self.files.damage(name, truncate)
+        }
+    }
+
+    /// While a spill write is in flight, a fetch of its victim is
+    /// served the bytes still in memory at once, and a release of it
+    /// wins: the mover finds the entry gone and deletes its own file.
+    #[test]
+    fn fetch_and_release_during_a_spill_neither_wait_nor_orphan() {
+        let f0 = frame(64, 3);
+        let len = f0.len() as u64;
+        let backend = Arc::new(GatedBackend {
+            files: MemBackend::new(),
+            gate: std::sync::Barrier::new(2),
+        });
+        let cfg = TierConfig {
+            budget_bytes: len + len / 2,
+        };
+        let store = Arc::new(PartitionStore::new(
+            cfg,
+            Arc::clone(&backend) as Arc<dyn SpillBackend>,
+        ));
+        store.insert((1, 0, 0, 0), Arc::clone(&f0));
+        // The second admission spills map 0, the only resident victim;
+        // its write waits at the gate until the test has fetched and
+        // released map 0.
+        let inserter = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || store.insert((1, 1, 0, 0), frame(64, 5)))
+        };
+        backend.gate.wait();
+        let fetch = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || store.get(&(1, 0, 0, 0)).unwrap())
+        };
+        let bound = Instant::now() + Duration::from_secs(5);
+        while !fetch.is_finished() && Instant::now() < bound {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(fetch.is_finished(), "a fetch during the spill write waits");
+        let fetched = fetch.join().unwrap().expect("the victim is present");
+        assert_eq!(*fetched, *f0, "served the resident bytes");
+        store.release(1, 0, &[(0, 0)]);
+        backend.gate.wait();
+        inserter.join().unwrap();
+        assert!(
+            backend.files.names().is_empty(),
+            "the mover deleted the file of a released partition: {:?}",
+            backend.files.names()
+        );
+        assert!(store.get(&(1, 0, 0, 0)).unwrap().is_none());
+        store.release(1, 0, &[(1, 0)]);
+        let p = store.pressure();
+        assert_eq!((p.resident_bytes, p.spilled_bytes), (0, 0));
+        assert_eq!(store.partition_count(), 0);
     }
 
     #[test]

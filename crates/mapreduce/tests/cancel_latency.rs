@@ -1,10 +1,10 @@
 //! Cancellation latency: cancelling a job that is blocked (here: its
 //! loop waiting for slots another job holds, an attempt pausing out a
 //! straggle, or a map waiting out its retry backoff) must unwind by
-//! notification — microseconds — not by the 25 ms `WAIT_TICK` safety
-//! tick that `sync::wait_until` keeps on untimed waits, nor by waiting
-//! out the delay. The cancel rings the loop's inbox, and the loop stops
-//! each running attempt's pause. Under `--cfg check` the same paths are
+//! notification — microseconds — not by a poll, nor by waiting out
+//! the delay. `sync::wait_until` has no poll: an untimed wait ends only
+//! on a notification. The cancel rings the loop's inbox, and the loop
+//! stops each running attempt's pause. Under `--cfg check` the same paths are
 //! explored on virtual time (`sidr-check`'s `deadline` scenario).
 
 mod support;
@@ -19,7 +19,7 @@ use support::{number_splits, run_shared, sum_by_mod10};
 
 /// Job A holds both slots of a (1 map, 1 reduce) pool; job B's loop
 /// waits for a release to ring it. Cancelling B must return
-/// `Cancelled` in far less than one `WAIT_TICK` (25 ms).
+/// `Cancelled` in far less than a 25 ms poll period would allow.
 #[test]
 fn blocked_job_cancels_with_sub_tick_latency() {
     let pool = SlotPool::new(1, 1).unwrap();
@@ -80,7 +80,7 @@ fn blocked_job_cancels_with_sub_tick_latency() {
         assert!(
             latency < Duration::from_millis(10),
             "cancel→return took {latency:?}; a blocked job must be \
-             woken by the cancel's ring, not discovered by the 25 ms poll tick"
+             woken by the cancel's ring, not discovered by a poll"
         );
 
         // Job A is untouched by B's cancellation.
@@ -126,8 +126,7 @@ fn cancel_after(
 /// `thread::sleep`, so cancelling a job with a 3 s straggler blocked
 /// the join for the full delay. The pause is now a timed wait on the
 /// attempt's stop signal, which the loop raises on cancel:
-/// cancel→return must land in well under one `WAIT_TICK` (25 ms), not
-/// after seconds.
+/// cancel→return must land in well under 25 ms, not after seconds.
 #[test]
 fn straggling_map_cancels_with_sub_tick_latency() {
     let config = JobConfig {

@@ -436,12 +436,10 @@ fn losing_racer_that_finishes_adds_no_tally() {
 /// The engine owns the deadline: a job still running when
 /// `JobConfig::deadline` expires fails with the typed
 /// `DeadlineExceeded` — within one wakeup of the deadline, not after
-/// its 3 s straggler — and unwinds by notification: no blocked worker
-/// needed the safety-net tick.
+/// its 3 s straggler — and unwinds by notification: untimed waits
+/// have no other way to end, so a lost wake-up hangs this test.
 #[test]
 fn deadline_abandons_straggling_job_by_notification() {
-    let ticks = &sidr_mapreduce::metrics::runtime().tick_wakeups;
-    let ticks_before = ticks.get();
     let config = JobConfig {
         fault_plan: FaultPlan::straggle_maps([2], 3_000),
         deadline: Some(Duration::from_millis(50)),
@@ -458,7 +456,6 @@ fn deadline_abandons_straggling_job_by_notification() {
         elapsed < Duration::from_millis(150),
         "deadline enforced late: {elapsed:?} for a 50 ms deadline"
     );
-    assert_eq!(ticks.get(), ticks_before, "a worker needed the tick");
 }
 
 /// Deadline pressure, boost alone: the trigger itself is unreachable

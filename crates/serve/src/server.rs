@@ -30,13 +30,14 @@ use sidr_coords::Coord;
 use sidr_core::diag::Severity;
 use sidr_core::exec::{ExecOptions, SpecExecutor};
 use sidr_core::spec::JobSpec;
-use sidr_core::SidrPlan;
+use sidr_core::{SidrError, SidrPlan};
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::{
     run_job_with_executor, CancelToken, FaultPlan, InProcessExecutor, MrError, OutputCollector,
     SlotPool, TaskExecutor,
 };
+use sidr_scifile::ScincFile;
 
 use crate::binframe;
 use crate::fleet::Fleet;
@@ -102,10 +103,12 @@ impl JobState {
         )
     }
 
-    /// The legal lifecycle edges, `Queued → Running → terminal`.
-    /// Terminal states have no successors; a job can only fail out of
-    /// `Running` (input open or execution), and `DeadlineExceeded` is
-    /// a refinement of cancellation so it too requires `Running`.
+    /// The legal lifecycle edges, `Queued → Running → terminal`, and
+    /// `Queued → Cancelled` for a job whose thread finds it cancelled
+    /// before it starts. Terminal states have no successors; a job can
+    /// only fail out of `Running` (input open or execution), and
+    /// `DeadlineExceeded` is a refinement of cancellation so it too
+    /// requires `Running`.
     pub fn can_transition(self, to: JobState) -> bool {
         use JobState::*;
         matches!(
@@ -577,6 +580,11 @@ fn run_admitted_job(
     cancel: &CancelToken,
 ) -> Response {
     let (inner, job) = (stream.inner, stream.job);
+    // Cancelled while queued: ends without starting.
+    if cancel.is_cancelled() {
+        inner.set_state(job, JobState::Cancelled);
+        return Response::Cancelled { job };
+    }
     inner.set_state(job, JobState::Running);
     let config = spec.job_config(fault_plan.clone());
     let run = |executor: &dyn TaskExecutor<Coord, f64>| {
@@ -609,7 +617,9 @@ fn run_admitted_job(
                 })
         }
         // The bodies a worker prepares, in this process.
-        None => SpecExecutor::new(Path::new(input), spec.clone(), Default::default())
+        None => ScincFile::open(Path::new(input))
+            .map_err(SidrError::from)
+            .and_then(|file| SpecExecutor::of_plan(file, spec, plan))
             .map_err(|e| MrError::Source(format!("cannot open input {input:?}: {e}")))
             .and_then(|bodies| run(&InProcessExecutor::with_bodies(bodies, &config))),
     };
@@ -734,6 +744,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A job cancelled while it is still queued ends `Queued →
+    /// Cancelled` (an illegal edge trips `set_state`'s assertion)
+    /// without opening its input: the input here does not exist, so a
+    /// job that started would have failed instead.
+    #[test]
+    fn a_job_cancelled_while_queued_ends_without_running() {
+        let job = sidr_analyze::presets::preset("query1-tiny").unwrap();
+        let plan = SidrPlanner::new(&job.query, 4).build(&job.splits).unwrap();
+        let spec = JobSpec::from_plan(&job.query, &job.splits, &plan).unwrap();
+        let server = Server::bind(Arc::new(Tcp), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let inner = &server.inner;
+        let cancel = CancelToken::new();
+        let handle = JobHandle {
+            state: Queued,
+            cancel: cancel.clone(),
+        };
+        inner.jobs.lock().insert(7, handle);
+        cancel.cancel();
+        let out = Outbox::default();
+        let stream = KeyblockStream {
+            inner,
+            job: 7,
+            start: time::now(),
+            out: &out,
+            keyblocks: AtomicU64::new(0),
+            records: AtomicU64::new(0),
+        };
+        let none = FaultPlan::none();
+        let end = run_admitted_job(&stream, &spec, &plan, "/nonexistent.scinc", &none, &cancel);
+        assert!(matches!(end, Response::Cancelled { job: 7 }), "{end:?}");
+        assert!(
+            inner.jobs.lock().is_empty(),
+            "the ended job stays registered"
+        );
+        let stats = inner.stats();
+        assert_eq!((stats.jobs_cancelled, stats.jobs_failed), (1, 0));
+        inner.shutdown();
     }
 
     /// A job that ends leaves the registry, so the daemon holds no
