@@ -54,9 +54,9 @@ pub fn admit_spec(
 /// Admission checks on the spec's fault-tolerance knobs
 /// (`SIDR-E011`/`SIDR-E012`/`SIDR-E013`): a zero retry budget can
 /// never launch a task, a zero deadline cancels the job before its
-/// first task, and a malformed speculation policy (quantile outside
-/// (0, 1], slowdown below 1) would misfire on every healthy task. All are spec-level, not geometric, so they
-/// only run on the submission path.
+/// first task, and a malformed speculation policy (slowdown below 1)
+/// would misfire on every healthy task. All are spec-level, not
+/// geometric, so they only run on the submission path.
 fn check_robustness(spec: &JobSpec, report: &mut Report) {
     if spec.retry.max_task_attempts == 0 {
         report.push(

@@ -22,7 +22,7 @@
 //! re-executions confined to the maps of uncommitted `I_ℓ`s whose
 //! partitions a fault destroyed, the timeline protocol, the resident
 //! budget, the heartbeat's attempt counts as `sidr-submit stats` shows
-//! them, and — once the server has finished the job — no partition,
+//! them, no attempt on a worker that refuses `Prepare`, and — once the server has finished the job — no partition,
 //! spill file or prepared job on any live worker, an idle slot pool and
 //! no vthread left parked. A hung-up job must still complete on the
 //! server; a cancelled one ends `Cancelled` (or `Done`, if every
@@ -358,9 +358,10 @@ impl Faults {
             });
         }
         if pick(6) == 0 {
+            // A worker whose mount lacks the input refuses every time.
             rules.push(Rule {
                 worker: Some(pick(WORKERS)),
-                ..Rule::on(Kind::Prepare, Act::Refuse)
+                ..Rule::on(Kind::Prepare, Act::Refuse).every()
             });
         }
         let kill = (pick(3) == 0).then(|| Kill {
@@ -850,10 +851,9 @@ impl World {
     /// A coordinator that ran some maps of job 1 and vanished.
     fn vanished_coordinator(&self, fx: &Fixture, maps: usize) {
         let fleet = Fleet::connect(Arc::clone(&self.net), self.addrs()).unwrap();
-        if let Ok(job) = fleet.prepare_job(&fx.spec, &fx.input, &ExecOptions::default()) {
-            for (task, split) in fx.spec.splits.iter().enumerate().take(maps) {
-                let _ = job.execute_map(task, 0, false, split, &|_| true);
-            }
+        let job = fleet.prepare_job(&fx.spec, &fx.input, &ExecOptions::default());
+        for (task, split) in fx.spec.splits.iter().enumerate().take(maps) {
+            let _ = job.execute_map(task, 0, false, split, &|_| true);
         }
     }
 
@@ -875,14 +875,11 @@ impl World {
 
     /// Submits the job through a client on the serving path and reads
     /// its stream as the draw says: to the end, or hanging up, or
-    /// cancelling from a second connection, after `k` keyblocks. While
-    /// a drawn `Prepare` refusal is still due (`refused`), a failed job
-    /// must leave the fleet swept, and is resubmitted.
+    /// cancelling from a second connection, after `k` keyblocks.
     fn submit(
         &self,
         (spec, input, options): (&JobSpec, &str, &SubmitOptions),
         handle: &ServerHandle,
-        refused: bool,
     ) -> Received {
         let dial =
             || Client::dial(&*self.net, SERVER).unwrap_or_else(|e| self.fail(format!("dial: {e}")));
@@ -935,10 +932,6 @@ impl World {
             }
         };
         let stats = handle.stats();
-        if refused && stats.jobs_failed > before.jobs_failed {
-            self.assert_swept("after a refused Prepare");
-            return self.submit((spec, input, options), handle, false);
-        }
         let delta = |now: u64, then: u64| now - then;
         let completed = (
             delta(stats.jobs_done, before.jobs_done),
@@ -988,6 +981,18 @@ impl World {
             Some(Err(ServeError::DeadlineExceeded { .. })) if self.faults.deadline.is_some() => {}
             Some(Ok(_)) => self.fail("job cancelled, though nobody asked"),
             Some(Err(e)) => self.fail(format!("job failed: {e}")),
+        }
+        // A worker that refuses `Prepare` never joins the job, so it
+        // runs none of its attempts.
+        let refusers = (self.faults.rules.iter())
+            .filter(|r| matches!(r.act, Act::Refuse))
+            .filter_map(|r| r.worker);
+        for w in refusers {
+            let stat = self.workers.lock()[w].0.stat();
+            let mapped = (self.ledger.wire().done.iter()).any(|d| d.worker == w);
+            if mapped || stat.map_attempts + stat.reduce_attempts > 0 {
+                self.fail(format!("w{w} refused Prepare, yet ran attempts: {stat:?}"));
+            }
         }
         // The resident budget is a hard bound, unless a spill write
         // failed and pinned a partition.
@@ -1125,10 +1130,9 @@ fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
         fault_plan: faults.fault_plan(),
         ..SubmitOptions::default()
     };
-    let refused = faults.rules.iter().any(|r| matches!(r.act, Act::Refuse));
     let got = thread::scope(|s| {
         s.spawn(|| world.chaos());
-        let got = world.submit((&spec, &fx.input, &options), &handle, refused);
+        let got = world.submit((&spec, &fx.input, &options), &handle);
         world.ledger.wire().over = true;
         world.ledger.ring();
         got
@@ -1516,9 +1520,9 @@ fn speculative_twin_runs_elsewhere_and_wins() {
     });
 }
 
-/// A worker restarted at its address rejoins as a new member with an
-/// empty store, not part of the running job: its answer to the next
-/// map takes it out of the job and the dispatch moves on, uncharged.
+/// A worker restarted at its address comes back with an empty store:
+/// its answer to the next map takes it out of the running job and the
+/// dispatch moves on, uncharged.
 #[test]
 fn rejoined_worker_is_not_part_of_the_running_job() {
     fixture(false);
@@ -1527,9 +1531,7 @@ fn rejoined_worker_is_not_part_of_the_running_job() {
         let fx = fixture(false);
         let world = World::new(base(), fx.spec.reduce_deps.clone());
         let fleet = Fleet::connect(Arc::clone(&world.net), world.addrs()).unwrap();
-        let job = fleet
-            .prepare_job(&fx.spec, &fx.input, &ExecOptions::default())
-            .unwrap();
+        let job = fleet.prepare_job(&fx.spec, &fx.input, &ExecOptions::default());
         let split = |m: usize| &fx.spec.splits[m];
         job.execute_map(0, 0, false, split(0), &|_| true)
             .expect("map 0 runs on w0");
@@ -1545,7 +1547,7 @@ fn rejoined_worker_is_not_part_of_the_running_job() {
         let attempts: Vec<u64> = (world.workers.lock().iter())
             .map(|w| w.0.stat().map_attempts)
             .collect();
-        assert_eq!(attempts, vec![0, 1, 0], "map 1 ran on the next member");
+        assert_eq!(attempts, vec![0, 1, 0], "map 1 ran on the next worker");
         job.finish();
         world.assert_swept("after finish");
         drop(fleet);
@@ -1554,11 +1556,12 @@ fn rejoined_worker_is_not_part_of_the_running_job() {
     .assert_clean();
 }
 
-/// w0 and w1 miss the first heartbeat, so only w2 is prepared; w2 is
-/// then killed and rejoins. The job has no member left, though all
-/// three are alive: the dispatch enlists them and the job completes.
+/// w0 and w1 miss the first heartbeat, so only w2 takes maps; w2 is
+/// then killed and rejoins, and answers `UnknownJob`. The walk waits
+/// for the next heartbeat round, which revives w0 and w1: w0 joins the
+/// job at that dispatch, and the job completes.
 #[test]
-fn a_job_without_members_enlists_the_live_workers() {
+fn a_job_whose_only_worker_restarts_moves_to_the_revived_ones() {
     let faults = Faults {
         rules: vec![Rule {
             count: 2,
@@ -1571,9 +1574,36 @@ fn a_job_without_members_enlists_the_live_workers() {
         }),
         ..base()
     };
-    scripted("enlist", faults, |_, wire| {
+    scripted("revived", faults, |_, wire| {
         let hosts: BTreeSet<usize> = wire.done.iter().map(|d| d.worker).collect();
-        assert_eq!(hosts, BTreeSet::from([0, 2]), "w0 was enlisted");
+        assert_eq!(hosts, BTreeSet::from([0, 2]), "w0 joined the job");
+    });
+}
+
+/// w0 refuses every `Prepare`, as a worker whose mount lacks the input
+/// would: it never joins the job and runs none of its attempts (the
+/// search's oracle), and each refusal moves the attempt on, uncharged.
+/// Without it, every attempt would have gone to w0.
+#[test]
+fn a_refused_prepare_costs_no_attempt() {
+    let faults = Faults {
+        rules: vec![Rule {
+            worker: Some(0),
+            ..Rule::on(Kind::Prepare, Act::Refuse).every()
+        }],
+        ..base()
+    };
+    scripted("refused", faults, |got, wire| {
+        let charged = (got.events().iter()).find(|e| {
+            e.attempt > 0 || matches!(e.kind, TaskKind::MapFailed | TaskKind::ReduceFailed)
+        });
+        assert_eq!(charged, None, "a refusal charged an attempt");
+        let hosts: BTreeSet<usize> = wire.done.iter().map(|d| d.worker).collect();
+        assert_eq!(
+            hosts,
+            BTreeSet::from([1]),
+            "the maps went to the next worker"
+        );
     });
 }
 

@@ -59,9 +59,8 @@ pub mod codes {
     /// The spec's deadline is zero: the job would be cancelled before
     /// its first task starts, so admission refuses it.
     pub const DEADLINE: &str = "SIDR-E012";
-    /// The spec's speculative-execution policy is invalid: a trigger
-    /// quantile outside (0, 1], or a slowdown factor below 1 (every
-    /// healthy task would be "straggling").
+    /// The spec's speculative-execution policy is invalid: a slowdown
+    /// factor below 1 (every healthy task would be "straggling").
     pub const SPECULATION: &str = "SIDR-E013";
     /// Advisory, emitted at run time rather than admission: projected
     /// completion threatens the deadline, so the engine's loop

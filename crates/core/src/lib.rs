@@ -32,7 +32,6 @@
 //! one structural query under any of the three compared frameworks
 //! (stock Hadoop, SciHadoop, SIDR) on a SciNC dataset.
 
-pub mod early;
 pub mod exec;
 pub mod framework;
 pub mod geomap;

@@ -1,5 +1,5 @@
-//! File-backed output collectors: dense contiguous slabs (SIDR, §4.4)
-//! and coordinate/value pair files (the sparse fallback).
+//! The file-backed output collector: dense contiguous slabs (SIDR,
+//! §4.4), and their reassembly into one file.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use sidr_coords::{Coord, Slab};
 use sidr_mapreduce::{MrError, OutputCollector};
-use sidr_scifile::sparse::{write_dense_output, CoordValueWriter};
+use sidr_scifile::sparse::write_dense_output;
 
 use crate::partition_plus::PartitionPlus;
 
@@ -54,8 +54,8 @@ impl DenseSlabOutput {
 impl OutputCollector<Coord, f64> for DenseSlabOutput {
     fn commit(&self, reducer: usize, records: Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()> {
         // Single-valued operators emit exactly one value per key; a
-        // duplicate means the operator is list-valued and belongs in a
-        // PairFileOutput instead.
+        // duplicate means the operator is list-valued, which a dense
+        // file cannot hold.
         let by_key: HashMap<&Coord, f64> = records.iter().map(|(k, v)| (k, *v)).collect();
         if by_key.len() != records.len() {
             return Err(MrError::Output(format!(
@@ -81,46 +81,6 @@ impl OutputCollector<Coord, f64> for DenseSlabOutput {
                 .map_err(|e| MrError::Output(e.to_string()))?;
             self.written.lock().push(path);
         }
-        Ok(())
-    }
-}
-
-/// Writes each reducer's output as explicit coordinate/value pairs —
-/// the sparse strategy whose constant per-element overhead §4.4
-/// contrasts with the sentinel approach. Handles list-valued
-/// operators (filter, sort) where a key may repeat.
-pub struct PairFileOutput {
-    dir: PathBuf,
-    rank: usize,
-    written: Mutex<Vec<(PathBuf, u64)>>,
-}
-
-impl PairFileOutput {
-    pub fn new(dir: impl Into<PathBuf>, rank: usize) -> Self {
-        PairFileOutput {
-            dir: dir.into(),
-            rank,
-            written: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// `(path, pair count)` of all files written so far.
-    pub fn files(&self) -> Vec<(PathBuf, u64)> {
-        self.written.lock().clone()
-    }
-}
-
-impl OutputCollector<Coord, f64> for PairFileOutput {
-    fn commit(&self, reducer: usize, records: Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()> {
-        let path = self.dir.join(format!("part-r{reducer:05}.sccv"));
-        let mut w = CoordValueWriter::<f64>::create(&path, self.rank)
-            .map_err(|e| MrError::Output(e.to_string()))?;
-        let n = records.len() as u64;
-        for (c, v) in &records {
-            w.push(c, *v).map_err(|e| MrError::Output(e.to_string()))?;
-        }
-        w.finish().map_err(|e| MrError::Output(e.to_string()))?;
-        self.written.lock().push((path, n));
         Ok(())
     }
 }
@@ -191,7 +151,6 @@ mod tests {
     use crate::operators::Operator;
     use crate::query::StructuralQuery;
     use sidr_coords::Shape;
-    use sidr_scifile::sparse::read_coord_value_pairs;
     use sidr_scifile::ScincFile;
 
     fn shape(v: &[u64]) -> Shape {
@@ -302,24 +261,6 @@ mod tests {
         let dest = dir.join("combined.scinc");
         let err = reassemble_dense_output(&out.files(), "t", &q.intermediate_space(), &dest);
         assert!(err.is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pair_output_roundtrips_with_duplicates() {
-        let dir = temp_dir("pairs");
-        let out = PairFileOutput::new(&dir, 2);
-        let records = vec![
-            (Coord::from([1, 2]), 3.5),
-            (Coord::from([1, 2]), 4.5), // duplicate key: list-valued op
-            (Coord::from([2, 0]), -1.0),
-        ];
-        out.commit(7, records.clone()).unwrap();
-        let files = out.files();
-        assert_eq!(files.len(), 1);
-        assert_eq!(files[0].1, 3);
-        let read = read_coord_value_pairs::<f64>(&files[0].0).unwrap();
-        assert_eq!(read, records);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -49,8 +49,6 @@
 //! order, holds an empty run, or does not end at `records` is
 //! corruption too: a merge over it would split a key's group.
 
-use std::path::Path;
-
 use crate::error::MrError;
 use crate::shuffle::MapOutputFile;
 use crate::task::{MrKey, MrValue};
@@ -449,36 +447,11 @@ pub fn damage(bytes: &mut Vec<u8>, truncate: bool) {
     }
 }
 
-/// [`damage`] applied to the file at `path`.
-pub fn damage_file(path: impl AsRef<Path>, truncate: bool) -> Result<()> {
-    let path = path.as_ref();
-    let mut bytes = std::fs::read(path).map_err(io_err)?;
-    damage(&mut bytes, truncate);
-    std::fs::write(path, &bytes).map_err(io_err)
-}
-
-fn io_err(e: std::io::Error) -> MrError {
-    MrError::Source(format!("shuffle spill I/O: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::WireFormat;
     use sidr_coords::Coord;
-
-    /// `sample()` encoded into a file of the test's own.
-    fn sample_on_disk(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("sidr-smof-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{name}-{}", std::process::id()));
-        std::fs::write(&path, encode_map_output(&sample()).unwrap()).unwrap();
-        path
-    }
-
-    fn decode_file(path: &Path) -> Result<MapOutputFile<Coord, f64>> {
-        decode_map_output(&std::fs::read(path).unwrap())
-    }
 
     fn sample() -> MapOutputFile<Coord, f64> {
         MapOutputFile {
@@ -543,28 +516,6 @@ mod tests {
         bytes[0] = b'S';
         bytes[4] = 9;
         assert!(parse_prefix(&bytes).is_err());
-    }
-
-    #[test]
-    fn bit_flip_detected_by_crc() {
-        let path = sample_on_disk("bitflip");
-        damage_file(&path, false).unwrap();
-        assert!(matches!(
-            decode_file(&path),
-            Err(MrError::CorruptShuffle { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncation_detected_by_crc() {
-        let path = sample_on_disk("truncate");
-        damage_file(&path, true).unwrap();
-        assert!(matches!(
-            decode_file(&path),
-            Err(MrError::CorruptShuffle { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

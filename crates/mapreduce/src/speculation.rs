@@ -14,9 +14,9 @@
 //! The trigger is cohort-relative, following "Assignment Problems of
 //! Different-Sized Inputs in MapReduce": a running attempt is a
 //! straggler once its elapsed time exceeds `slowdown ×` the
-//! `quantile`-th quantile of the job's *committed* map durations — the
+//! `QUANTILE`-th quantile of the job's *committed* map durations — the
 //! task's own cohort, not a wall-clock constant — and the quantile is
-//! only trusted once `min_committed` commits exist. Racing is bounded
+//! only trusted once `COHORT_FLOOR` commits exist. Racing is bounded
 //! by an at-most-one-extra-attempt invariant: a task generation gets
 //! one speculative twin, ever; retries and recovery re-executions
 //! start a fresh generation.
@@ -28,16 +28,16 @@ use std::time::Duration;
 /// `results/BENCH_speculation.json` measured rescuing every run.
 const DEADLINE_MARGIN: u32 = 4;
 
-fn default_quantile() -> f64 {
-    0.75
-}
+/// Which quantile of the committed-map-duration cohort is the slowness
+/// reference.
+const QUANTILE: f64 = 0.75;
+
+/// Commits the cohort needs before the quantile is trusted; until then
+/// nothing is speculated (unless deadline-boosted or forced).
+const COHORT_FLOOR: usize = 3;
 
 fn default_slowdown() -> f64 {
     2.0
-}
-
-fn default_min_committed() -> usize {
-    3
 }
 
 /// When to race a second attempt of a running map task.
@@ -53,16 +53,10 @@ fn default_min_committed() -> usize {
 pub struct SpeculationPolicy {
     /// Master switch; everything below is inert when false.
     pub enabled: bool,
-    /// Which quantile of the committed-map-duration cohort is the
-    /// slowness reference. Must be in `(0, 1]`.
-    pub quantile: f64,
     /// A running attempt counts as a straggler once its elapsed time
-    /// exceeds `slowdown ×` the cohort quantile. Must be ≥ 1 (a
+    /// exceeds `slowdown ×` the cohort's `QUANTILE`. Must be ≥ 1 (a
     /// factor below 1 would speculate tasks *faster* than the cohort).
     pub slowdown: f64,
-    /// Commits the cohort needs before the quantile is trusted; until
-    /// then nothing is speculated (unless deadline-boosted or forced).
-    pub min_committed: usize,
     /// Deterministic hook for tests and chaos scenarios: these map
     /// tasks get a speculative twin as soon as they are running, no
     /// timing involved — a non-empty list switches the cohort trigger
@@ -76,12 +70,8 @@ impl serde::ser::Serialize for SpeculationPolicy {
         s.begin_object();
         s.field("enabled");
         serde::ser::Serialize::serialize(&self.enabled, s);
-        s.field("quantile");
-        serde::ser::Serialize::serialize(&self.quantile, s);
         s.field("slowdown");
         serde::ser::Serialize::serialize(&self.slowdown, s);
-        s.field("min_committed");
-        serde::ser::Serialize::serialize(&self.min_committed, s);
         s.field("force_maps");
         serde::ser::Serialize::serialize(&self.force_maps, s);
         s.end_object();
@@ -97,9 +87,7 @@ impl serde::de::Deserialize for SpeculationPolicy {
                 let key = d.object_key()?;
                 match key.as_str() {
                     "enabled" => p.enabled = Deserialize::deserialize(d)?,
-                    "quantile" => p.quantile = Deserialize::deserialize(d)?,
                     "slowdown" => p.slowdown = Deserialize::deserialize(d)?,
-                    "min_committed" => p.min_committed = Deserialize::deserialize(d)?,
                     "force_maps" => p.force_maps = Deserialize::deserialize(d)?,
                     _ => d.skip_value()?,
                 }
@@ -116,9 +104,7 @@ impl Default for SpeculationPolicy {
     fn default() -> Self {
         SpeculationPolicy {
             enabled: false,
-            quantile: default_quantile(),
             slowdown: default_slowdown(),
-            min_committed: default_min_committed(),
             force_maps: Vec::new(),
         }
     }
@@ -149,12 +135,6 @@ impl SpeculationPolicy {
         if !self.enabled {
             return Ok(());
         }
-        if !(self.quantile > 0.0 && self.quantile <= 1.0) {
-            return Err(format!(
-                "speculation quantile {} outside (0, 1]",
-                self.quantile
-            ));
-        }
         if self.slowdown < 1.0 {
             return Err(format!(
                 "speculation slowdown factor {} below 1 would race tasks faster than their cohort",
@@ -174,25 +154,15 @@ impl SpeculationPolicy {
         }
     }
 
-    /// The effective cohort floor: under deadline boost one commit is
-    /// enough to trust.
-    pub fn effective_min_committed(&self, boosted: bool) -> usize {
-        if boosted {
-            1
-        } else {
-            self.min_committed
-        }
-    }
-
-    /// The `quantile`-th value of a **sorted** duration cohort
-    /// (nearest-rank), `None` while the cohort is below the effective
-    /// floor.
+    /// The `QUANTILE`-th value of a **sorted** duration cohort
+    /// (nearest-rank), `None` while the cohort is below its floor:
+    /// `COHORT_FLOOR` commits, or one under deadline boost.
     pub fn cohort_quantile_ms(&self, sorted_ms: &[u64], boosted: bool) -> Option<u64> {
-        if sorted_ms.len() < self.effective_min_committed(boosted).max(1) {
+        let floor = if boosted { 1 } else { COHORT_FLOOR };
+        if sorted_ms.len() < floor {
             return None;
         }
-        let rank =
-            ((self.quantile * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
+        let rank = ((QUANTILE * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
         Some(sorted_ms[rank - 1])
     }
 
@@ -236,7 +206,7 @@ mod tests {
         assert!(p.validate().is_ok());
         // A disabled policy never reports a defect, whatever its knobs.
         let broken = SpeculationPolicy {
-            quantile: 7.0,
+            slowdown: 0.5,
             ..SpeculationPolicy::default()
         };
         assert!(broken.validate().is_ok());
@@ -244,29 +214,18 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_knobs() {
-        for p in [
-            SpeculationPolicy {
-                quantile: 0.0,
-                ..SpeculationPolicy::on()
-            },
-            SpeculationPolicy {
-                quantile: 1.5,
-                ..SpeculationPolicy::on()
-            },
-            SpeculationPolicy {
-                slowdown: 0.5,
-                ..SpeculationPolicy::on()
-            },
-        ] {
-            assert!(p.validate().is_err(), "{p:?} should be rejected");
-        }
+        let p = SpeculationPolicy {
+            slowdown: 0.5,
+            ..SpeculationPolicy::on()
+        };
+        assert!(p.validate().is_err(), "{p:?} should be rejected");
         assert!(SpeculationPolicy::on().validate().is_ok());
         assert!(SpeculationPolicy::force([3]).validate().is_ok());
     }
 
     #[test]
     fn cohort_quantile_needs_the_floor_then_ranks() {
-        let p = SpeculationPolicy::on(); // q=0.75, min_committed=3
+        let p = SpeculationPolicy::on(); // p75, a floor of 3 commits
         assert_eq!(p.cohort_quantile_ms(&[10], false), None);
         assert_eq!(p.cohort_quantile_ms(&[10, 20], false), None);
         assert_eq!(p.cohort_quantile_ms(&[10, 20, 30, 40], false), Some(30));
@@ -320,6 +279,10 @@ mod tests {
         assert_eq!(sparse, SpeculationPolicy::default());
         let old: SpeculationPolicy =
             serde_json::from_str(r#"{"enabled":true,"check_interval_ms":0}"#).unwrap();
+        assert_eq!(old, SpeculationPolicy::on());
+        // So is the trigger quantile, now a constant.
+        let knob = r#"{"enabled":true,"quantile":0.5}"#;
+        let old: SpeculationPolicy = serde_json::from_str(knob).unwrap();
         assert_eq!(old, SpeculationPolicy::on());
     }
 }

@@ -79,9 +79,6 @@ pub trait SpillBackend: Send + Sync {
     /// Best-effort recursive delete of everything under `prefix`
     /// (a job's namespace directory).
     fn delete_prefix(&self, prefix: &str);
-    /// Fault injection: damages the stored copy of `name` so its CRC
-    /// frame fails on read-back (bit flip, or truncation).
-    fn damage(&self, name: &str, truncate: bool);
 }
 
 /// Spills to SMOF files under a root directory.
@@ -122,10 +119,6 @@ impl SpillBackend for DiskBackend {
 
     fn delete_prefix(&self, prefix: &str) {
         std::fs::remove_dir_all(self.root.join(prefix)).ok();
-    }
-
-    fn damage(&self, name: &str, truncate: bool) {
-        shuffle_file::damage_file(self.path(name), truncate).ok();
     }
 }
 
@@ -173,13 +166,6 @@ impl SpillBackend for MemBackend {
             .lock()
             .unwrap()
             .retain(|k, _| !k.starts_with(prefix));
-    }
-
-    fn damage(&self, name: &str, truncate: bool) {
-        let mut files = self.files.lock().unwrap();
-        if let Some(bytes) = files.get_mut(name) {
-            shuffle_file::damage(bytes, truncate);
-        }
     }
 }
 
@@ -403,11 +389,11 @@ impl PartitionStore {
 
     /// Writes one partition's bytes to the backend under its spill
     /// name, applying the job's scripted spill fault: an injected
-    /// ENOSPC instead of the write, or damage to the written copy so
-    /// detection at fetch time is a genuine CRC failure, not
-    /// bookkeeping. True when the bytes are on disk; a failure is
-    /// counted and logged here, and the caller keeps the partition
-    /// resident and pinned — degraded, never lost.
+    /// ENOSPC instead of the write, or a damaged copy written in place
+    /// of the bytes, so detection at fetch time is a genuine CRC
+    /// failure, not bookkeeping. True when the bytes are on disk; a
+    /// failure is counted and logged here, and the caller keeps the
+    /// partition resident and pinned — degraded, never lost.
     fn write_spill(&self, key: &PartKey, bytes: &[u8]) -> bool {
         let m = tier_metrics();
         let fault = self
@@ -418,24 +404,23 @@ impl PartitionStore {
             .and_then(|plan| plan.map_fault(key.1, key.3));
         let name = spill_name(key);
         let t0 = Instant::now();
-        let wrote = if fault == Some(FaultKind::SpillWriteFail) {
-            Err(std::io::Error::new(
+        let damaged = |truncate| {
+            let mut copy = bytes.to_vec();
+            shuffle_file::damage(&mut copy, truncate);
+            self.backend.write(&name, &copy)
+        };
+        let wrote = match fault {
+            Some(FaultKind::SpillWriteFail) => Err(std::io::Error::new(
                 std::io::ErrorKind::StorageFull,
                 "injected ENOSPC",
-            ))
-        } else {
-            self.backend.write(&name, bytes)
+            )),
+            Some(FaultKind::SpillReadCorrupt) => damaged(false),
+            Some(FaultKind::SpillReadTruncate) => damaged(true),
+            _ => self.backend.write(&name, bytes),
         };
         m.spill_seconds.observe(t0.elapsed().as_secs_f64());
         match wrote {
-            Ok(()) => {
-                match fault {
-                    Some(FaultKind::SpillReadCorrupt) => self.backend.damage(&name, false),
-                    Some(FaultKind::SpillReadTruncate) => self.backend.damage(&name, true),
-                    _ => {}
-                }
-                true
-            }
+            Ok(()) => true,
             Err(e) => {
                 self.inner.lock().spill_failures += 1;
                 m.spill_failures.inc();
@@ -962,10 +947,6 @@ mod tests {
 
         fn delete_prefix(&self, prefix: &str) {
             self.files.delete_prefix(prefix)
-        }
-
-        fn damage(&self, name: &str, truncate: bool) {
-            self.files.damage(name, truncate)
         }
     }
 

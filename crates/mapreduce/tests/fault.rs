@@ -293,7 +293,7 @@ fn speculative_twin_rescues_straggler_with_identical_output() {
 
 /// Speculative execution, timing direction: no forcing — the
 /// cohort-quantile trigger alone notices a 5-second straggler once
-/// `min_committed` fast commits exist, races it, and the twin's commit
+/// the cohort floor's fast commits exist, races it, and the twin's commit
 /// releases the job well inside the scripted delay.
 #[test]
 fn quantile_trigger_speculates_straggler_without_forcing() {

@@ -131,12 +131,15 @@ proptest! {
     }
 }
 
-/// Applies one of the two damage flavors, chosen per-name from the
-/// seed so both paths get proptest coverage within a single case.
+/// Rots the stored copy of `name` with one of the two damage flavors,
+/// chosen per-name from the seed so both paths get proptest coverage
+/// within a single case.
 fn backend_damage(backend: &MemBackend, name: &str, seed: u64) {
-    let h = name.bytes().fold(seed, |a, b| a.rotate_left(7) ^ b as u64);
     use sidr_mapreduce::tier::SpillBackend;
-    backend.damage(name, h % 2 == 0);
+    let h = name.bytes().fold(seed, |a, b| a.rotate_left(7) ^ b as u64);
+    let mut bytes = backend.read(name).unwrap();
+    sidr_mapreduce::shuffle_file::damage(&mut bytes, h % 2 == 0);
+    backend.write(name, &bytes).unwrap();
 }
 
 /// `remove_job` (the worker's `Finish` path) sweeps the whole job

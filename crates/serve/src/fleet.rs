@@ -45,12 +45,13 @@
 //! so the engine re-executes exactly those maps (§6), never a whole
 //! dependency set.
 //!
-//! A worker that restarts at the same address *rejoins* as a new member
-//! with an empty store, not part of any running job: it answers a task
-//! of such a job with [`WorkerResponse::UnknownJob`], which takes it out
-//! of that job and moves the dispatch on, uncharged. A job that has no
-//! member left to answer enlists the live non-members with a fresh
-//! `Prepare`; what it placed on a rejoined one before reads `Missing`.
+//! A worker joins a job when a dispatch first picks it: the job's
+//! `Prepare` goes first, and a refusal moves the attempt on, uncharged.
+//! A worker that restarts at the same address comes back with an empty
+//! store: it answers a task of a job it had joined with
+//! [`WorkerResponse::UnknownJob`], which takes it out of that job, drops
+//! what the job placed on it and moves the dispatch on, uncharged; its
+//! next pick prepares it afresh.
 //!
 //! The wire types live in `wire`, the membership and heartbeat in
 //! `membership`, and the job executor in `remote`.

@@ -1,7 +1,7 @@
 //! [`RemoteJob`]: one job's executor on the fleet.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use sidr_coords::Coord;
@@ -18,76 +18,35 @@ use crate::binframe;
 use crate::frame::FrameError;
 
 impl Fleet {
-    /// Prepares a job on every live worker and returns its remote
-    /// executor.
-    pub fn prepare_job(
-        &self,
-        spec: &JobSpec,
-        input: &str,
-        opts: &ExecOptions,
-    ) -> Result<RemoteJob<'_>, MrError> {
+    /// A job's remote executor. No worker hears of the job yet: each
+    /// joins when a dispatch first picks it.
+    pub fn prepare_job(&self, spec: &JobSpec, input: &str, opts: &ExecOptions) -> RemoteJob<'_> {
         let job = self.job_seq.fetch_add(1, Ordering::Relaxed);
-        let req = WorkerRequest::Prepare {
-            session: self.session,
-            job,
-            spec: spec.clone(),
-            input: input.to_string(),
-            opts: opts.clone(),
-        };
-        // Every worker may only *look* dead: give the heartbeat one
-        // round to say otherwise.
-        if !(self.slots.iter()).any(|s| s.alive.load(Ordering::SeqCst)) {
-            self.await_round(self.rounds());
-        }
-        // A slot is part of this job only if it answered `Prepare`: a
-        // worker skipped as dead here that the heartbeat revives a
-        // moment later never installed the job.
-        let prepared: Box<[AtomicBool]> =
-            self.slots.iter().map(|_| AtomicBool::new(false)).collect();
-        let mut refused = None;
-        for (slot, prepared) in self.slots.iter().zip(prepared.iter()) {
-            if !slot.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            match slot.call(&*self.net, &req) {
-                Ok((WorkerResponse::Prepared { .. }, _)) => prepared.store(true, Ordering::SeqCst),
-                Ok((WorkerResponse::Failed { detail, .. }, _)) => {
-                    refused = Some(format!("worker {} rejected the job: {detail}", slot.addr));
-                    break;
-                }
-                Ok((other, _)) => {
-                    refused = Some(format!(
-                        "worker {}: unexpected reply to Prepare: {other:?}",
-                        slot.addr
-                    ));
-                    break;
-                }
-                // A worker dying during prepare is not fatal — it is
-                // simply not part of this job.
-                Err(_) => mark_dead(slot),
-            }
-        }
-        let remote = RemoteJob {
+        RemoteJob {
             fleet: self,
             job,
-            prepare: req,
-            prepared,
+            prepare: WorkerRequest::Prepare {
+                session: self.session,
+                job,
+                spec: spec.clone(),
+                input: input.to_string(),
+                opts: opts.clone(),
+            },
+            members: self.slots.iter().map(|_| Mutex::default()).collect(),
             placement: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(HashMap::new()),
-        };
-        if refused.is_none() && remote.members().next().is_none() {
-            refused = Some("no live workers to run the job".into());
-        }
-        match refused {
-            // The workers that did answer `Prepared` hold the job's
-            // executor and open input until told otherwise.
-            Some(why) => {
-                remote.finish();
-                Err(MrError::BadConfig(why))
-            }
-            None => Ok(remote),
         }
     }
+}
+
+/// A worker's standing in one job (see [`RemoteJob::join`]).
+#[derive(Default)]
+struct Member {
+    /// `Prepare`s sent to it: the join an attempt goes out under.
+    joins: u32,
+    /// Its last `Prepare` was answered `Prepared`, and no task since
+    /// was answered `UnknownJob`.
+    holds: bool,
 }
 
 /// One job's remote executor: implements the engine's
@@ -96,12 +55,13 @@ impl Fleet {
 pub struct RemoteJob<'f> {
     fleet: &'f Fleet,
     job: u64,
-    /// The job's `Prepare`, for enlisting late members.
+    /// The job's `Prepare`, sent to a worker when a dispatch first
+    /// picks it.
     prepare: WorkerRequest,
-    /// Which workers are members of this job (index-aligned with the
-    /// fleet's slots): they answered `Prepare` and have not since
-    /// rejoined. Dispatch never targets the others.
-    prepared: Box<[AtomicBool]>,
+    /// Each fleet slot's standing in this job, index-aligned with the
+    /// fleet's slots. The lock is held across the slot's `Prepare`
+    /// exchange, so concurrent dispatches prepare a worker once.
+    members: Box<[Mutex<Member>]>,
     /// `(map, epoch)` → the fleet slot holding that committed
     /// generation.
     placement: Mutex<HashMap<(usize, u32), usize>>,
@@ -111,20 +71,23 @@ pub struct RemoteJob<'f> {
     in_flight: Mutex<HashMap<usize, usize>>,
 }
 
-impl RemoteJob<'_> {
-    /// The slots that are members of this job, in slot order.
-    fn members(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.prepared.len()).filter(|&i| self.prepared[i].load(Ordering::SeqCst))
-    }
+/// Why a worker did not join: it refused the job (the reason), or its
+/// connection died (`None`).
+type NoJoin = Option<String>;
 
-    /// Broadcasts `Finish`, dropping the job's state on every prepared
-    /// worker — including one currently marked dead: a missed heartbeat
-    /// may only mean slow, and a live worker left unfinished would keep
-    /// the job's executor and partitions. The probe timeout bounds the
-    /// call to one that really is gone.
+impl RemoteJob<'_> {
+    /// Sends `Finish` to every worker this job sent a `Prepare`,
+    /// dropping the job's state there — including one currently marked
+    /// dead: a missed heartbeat may only mean slow, and a live worker
+    /// left unfinished would keep the job's executor and partitions. A
+    /// `Prepare` whose reply was lost may still have installed the job,
+    /// so it counts too. The probe timeout bounds the call to one that
+    /// really is gone.
     pub fn finish(&self) {
-        for i in self.members() {
-            let slot = &self.fleet.slots[i];
+        for (slot, member) in self.fleet.slots.iter().zip(self.members.iter()) {
+            if member.lock().joins == 0 {
+                continue;
+            }
             if chaos::on(Mutation::FinishSkipsDeadWorkers) && !slot.alive.load(Ordering::SeqCst) {
                 continue;
             }
@@ -139,81 +102,124 @@ impl RemoteJob<'_> {
         }
     }
 
-    /// Workers eligible for this job's dispatch: live members in slot
+    /// Workers eligible for this job's dispatch: live ones in slot
     /// order, those reporting memory pressure last (stable sort). A
     /// pressured worker stays a legal target: it is slower, not wrong,
     /// and may be the only one left.
     fn ranked_workers(&self) -> Vec<usize> {
         let slots = &self.fleet.slots;
-        let mut ranked: Vec<usize> = (self.members())
+        let mut ranked: Vec<usize> = (0..slots.len())
             .filter(|&i| slots[i].alive.load(Ordering::SeqCst))
             .collect();
         ranked.sort_by_key(|&i| slots[i].pressured.load(Ordering::SeqCst));
         ranked
     }
 
-    /// Installs the job on live workers that are not members — they
-    /// looked dead at `Prepare`, or rejoined since — for a dispatch no
-    /// member answered.
-    fn enlist(&self) {
-        for (slot, prepared) in self.fleet.slots.iter().zip(self.prepared.iter()) {
-            if prepared.load(Ordering::SeqCst) || !slot.alive.load(Ordering::SeqCst) {
-                continue;
+    /// Makes slot `idx` a member of this job unless it is one: sends it
+    /// the job's `Prepare`, with the slot's standing locked across the
+    /// exchange. Returns the join an attempt on it goes out under.
+    fn join(&self, idx: usize) -> Result<u32, NoJoin> {
+        let mut member = self.members[idx].lock();
+        if member.holds {
+            return Ok(member.joins);
+        }
+        member.joins += 1;
+        let slot = &self.fleet.slots[idx];
+        match slot.call(&*self.fleet.net, &self.prepare) {
+            Ok((WorkerResponse::Prepared { .. }, _)) => {
+                member.holds = true;
+                Ok(member.joins)
             }
-            let reply = slot.call(&*self.fleet.net, &self.prepare);
-            if let Ok((WorkerResponse::Prepared { .. }, _)) = reply {
-                prepared.store(true, Ordering::SeqCst);
-            }
+            Ok((WorkerResponse::Failed { detail, .. }, _)) => Err(Some(format!(
+                "worker {} rejected the job: {detail}",
+                slot.addr
+            ))),
+            Ok((other, _)) => Err(Some(format!(
+                "worker {}: unexpected reply to Prepare: {other:?}",
+                slot.addr
+            ))),
+            Err(_) => Err(None),
         }
     }
 
-    /// The one walk over dispatch candidates: `attempt_on` each slot in
-    /// rank order until a worker *answers* — whatever it answers, except
-    /// `UnknownJob`. An `Err` is connection-level death on a fresh dial
-    /// (a kept connection that failed was already retried on one, see
-    /// [`WorkerSlot::call`]): the worker died
-    /// mid-attempt, having committed nothing (map) and released nothing
-    /// (reduce), so it is marked dead and the same attempt moves to the
-    /// next candidate. `UnknownJob` is a worker that rejoined since
-    /// `Prepare`: it leaves this job and the attempt moves on, uncharged
-    /// either way. When nobody answered, every member may only *look*
+    /// Slot `idx` answered a task of join `joins` with `UnknownJob`: it
+    /// lost the job (it restarted, or another coordinator took it
+    /// over), and every map output placed on it with it. A later join
+    /// is left alone — it went to the worker as it is now.
+    fn leave(&self, idx: usize, joins: u32) {
+        let mut member = self.members[idx].lock();
+        if member.joins == joins {
+            member.holds = false;
+            self.placement.lock().retain(|_, &mut holder| holder != idx);
+        }
+    }
+
+    /// The one walk over dispatch candidates: [join](Self::join) each
+    /// slot in rank order, then `attempt_on` it, until a worker
+    /// *answers* the attempt — whatever it answers, except
+    /// `UnknownJob`. Every miss moves the same attempt to the next
+    /// candidate, uncharged:
+    /// - an `Err` is connection-level death on a fresh dial (a kept
+    ///   connection that failed was already retried on one, see
+    ///   [`WorkerSlot::call`]): the worker died mid-attempt, having
+    ///   committed nothing (map) and released nothing (reduce), so it
+    ///   is marked dead;
+    /// - a refused `Prepare` leaves the worker out of this attempt;
+    /// - `UnknownJob` is a worker that lost the job: it
+    ///   [leaves](Self::leave), and its next pick prepares it afresh.
+    ///
+    /// When every worker refused, the attempt fails with their reason.
+    /// When nobody answered otherwise, every worker may only *look*
     /// dead (missed beats, a cut connection): the walk waits for the
-    /// next heartbeat round, [enlists](Self::enlist) live non-members
-    /// and goes once more over the candidates ranked then. `None` means
-    /// no candidate answered either time.
+    /// next heartbeat round and goes once more over the candidates
+    /// ranked then. `Err` is the reason no candidate answered.
     fn dispatch(
         &self,
         candidates: impl Fn() -> Vec<usize>,
         mut attempt_on: impl FnMut(usize, &WorkerSlot) -> Result<Reply, FrameError>,
-    ) -> Option<(usize, Reply)> {
+    ) -> Result<(usize, Reply), String> {
         let metrics = fleet_metrics();
+        let mut refused = None;
         for walk in 0..2 {
             let round = self.fleet.rounds();
+            let mut refusals = 0;
             for (nth, idx) in candidates().into_iter().enumerate() {
                 if nth > 0 || walk > 0 {
                     metrics.tasks_reassigned.inc();
                 }
                 let slot = &self.fleet.slots[idx];
+                let joins = match self.join(idx) {
+                    Ok(joins) => joins,
+                    Err(Some(why)) => {
+                        refusals += 1;
+                        refused = Some(why);
+                        continue;
+                    }
+                    Err(None) => {
+                        mark_dead(slot);
+                        continue;
+                    }
+                };
                 let started = time::now();
                 match attempt_on(idx, slot) {
-                    Ok((WorkerResponse::UnknownJob { .. }, _)) => {
-                        self.prepared[idx].store(false, Ordering::SeqCst);
-                    }
+                    Ok((WorkerResponse::UnknownJob { .. }, _)) => self.leave(idx, joins),
                     Ok(reply) => {
                         metrics
                             .dispatch_seconds
                             .observe_duration(time::now().saturating_duration_since(started));
-                        return Some((idx, reply));
+                        return Ok((idx, reply));
                     }
                     Err(_) => mark_dead(slot),
                 }
             }
+            if refusals == self.fleet.slots.len() {
+                break;
+            }
             if walk == 0 {
                 self.fleet.await_round(round);
-                self.enlist();
             }
         }
-        None
+        Err(refused.unwrap_or_else(|| "no live worker answered the dispatch".into()))
     }
 }
 
@@ -267,7 +273,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             reply
         });
         match reply.map(|(idx, (reply, _))| (idx, reply)) {
-            Some((
+            Ok((
                 idx,
                 WorkerResponse::MapDone {
                     records_in,
@@ -286,7 +292,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             // The worker is alive and the attempt itself failed
             // (injected fault, bad split): charge the retry budget
             // like a local failure.
-            Some((_, WorkerResponse::Failed { detail, fatal, .. })) => Err(if fatal {
+            Ok((_, WorkerResponse::Failed { detail, fatal, .. })) => Err(if fatal {
                 MrError::TaskFailed {
                     task: format!("map {task}"),
                     cause: detail,
@@ -294,12 +300,10 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             } else {
                 MrError::Source(detail)
             }),
-            Some((_, other)) => Err(MrError::Source(format!(
+            Ok((_, other)) => Err(MrError::Source(format!(
                 "unexpected reply to RunMap: {other:?}"
             ))),
-            None => Err(MrError::Source(format!(
-                "map {task}: no live worker answered the dispatch"
-            ))),
+            Err(why) => Err(MrError::Source(format!("map {task}: {why}"))),
         }
     }
 
@@ -311,7 +315,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         expected_raw: Option<u64>,
     ) -> Result<Vec<(Coord, f64)>, RemoteReduceError> {
         // Resolve each source's holder. A generation whose holder is
-        // dead or has rejoined since is already lost: report it
+        // dead or has lost the job since is already lost: report it
         // without burning a dispatch. Dispatch prefers the worker
         // already holding the most source partitions (shuffle-local),
         // then the rest.
@@ -320,10 +324,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         let mut holder_count: HashMap<usize, usize> = HashMap::new();
         {
             let placement = self.placement.lock();
-            let gone = |i: usize| {
-                !self.fleet.slots[i].alive.load(Ordering::SeqCst)
-                    || !self.prepared[i].load(Ordering::SeqCst)
-            };
+            let gone = |i: usize| !self.fleet.slots[i].alive.load(Ordering::SeqCst);
             for s in sources {
                 match placement.get(&(s.map, s.epoch)) {
                     Some(&slot) if !gone(slot) => {
@@ -369,10 +370,10 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         let net = &*self.fleet.net;
         let (emitted, fetch_ms, frame) =
             match (self.dispatch(candidates, |_, slot| slot.call(net, &req))).map(|r| r.1) {
-                Some((WorkerResponse::ReduceDone { emitted, fetch_ms }, Some(frame))) => {
+                Ok((WorkerResponse::ReduceDone { emitted, fetch_ms }, Some(frame))) => {
                     (emitted, fetch_ms, frame)
                 }
-                Some((
+                Ok((
                     WorkerResponse::Failed {
                         detail,
                         fatal,
@@ -391,16 +392,12 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
                         failed(detail)
                     });
                 }
-                Some((other, _)) => {
+                Ok((other, _)) => {
                     return Err(failed(format!(
                         "unexpected frame in reply to RunReduce: {other:?}"
                     )))
                 }
-                None => {
-                    return Err(failed(format!(
-                        "reduce {reducer}: no live worker answered the dispatch"
-                    )))
-                }
+                Err(why) => return Err(failed(format!("reduce {reducer}: {why}"))),
             };
         // Nothing is committed unless the keyblock names this job, this
         // reducer and the record count `ReduceDone` announced; a frame

@@ -37,8 +37,10 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// v11's `SubmitOptions` and `ExecOptions` have no filter switch (a
 /// `Filter` always selects map-side), so a v10 peer's `Submit` or
 /// `Prepare` would fail to decode mid-job; v12's `Prepare` carries a
-/// `JobSpec` without stored keyblock covers or tallies.
-pub const PROTOCOL_VERSION: u32 = 12;
+/// `JobSpec` without stored keyblock covers or tallies; a v13 worker
+/// answers a `Prepare` of a job it holds without starting it over, as
+/// a coordinator that prepares a worker at its first dispatch needs.
+pub const PROTOCOL_VERSION: u32 = 13;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

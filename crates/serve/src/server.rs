@@ -602,19 +602,16 @@ fn run_admitted_job(
     // Same scheduler either way; only where attempts execute differs.
     let result = match &inner.fleet {
         // Each attempt is dispatched to the fleet; a worker that cannot
-        // open the input refuses `Prepare`.
+        // open the input refuses the `Prepare` its first pick sends.
         Some(fleet) => {
             let exec_opts = ExecOptions {
                 fault_plan: fault_plan.clone(),
                 ..ExecOptions::default()
             };
-            fleet
-                .prepare_job(spec, input, &exec_opts)
-                .and_then(|remote| {
-                    let r = run(&remote);
-                    remote.finish();
-                    r
-                })
+            let remote = fleet.prepare_job(spec, input, &exec_opts);
+            let r = run(&remote);
+            remote.finish();
+            r
         }
         // The bodies a worker prepares, in this process.
         None => ScincFile::open(Path::new(input))

@@ -38,7 +38,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sidr_core::exec::SpecExecutor;
+use sidr_core::exec::{ExecOptions, SpecExecutor};
+use sidr_core::spec::JobSpec;
 use sidr_core::SidrError;
 // The workspace sync facade (parking_lot in normal builds): a task
 // thread that panics while holding a lock unwinds cleanly instead of
@@ -267,31 +268,7 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
                 opts,
             } => {
                 adopt_session(shared, session);
-                // Within a session a job id is never reused; this only
-                // clears what a refused or half-done `Prepare` left.
-                finish_job(shared, job);
-                // Invert `I_ℓ` into per-map pending-consumer counts:
-                // the tier ranks spill victims coldest first, and
-                // "cold" is "few reducers still waiting on this map's
-                // partitions".
-                let mut pending = vec![0u64; spec.splits.len()];
-                for deps in &spec.reduce_deps {
-                    for &m in deps {
-                        if let Some(c) = pending.get_mut(m) {
-                            *c += 1;
-                        }
-                    }
-                }
-                let fault_plan = opts.fault_plan.clone();
-                let resp = match SpecExecutor::new(Path::new(&input), spec, opts) {
-                    Ok(exec) => {
-                        shared.store.prepare_job(job, fault_plan, &pending);
-                        shared.jobs.lock().insert(job, Arc::new(exec));
-                        WorkerResponse::Prepared { job }
-                    }
-                    Err(e) => failed(format!("prepare job {job}: {e}"), false),
-                };
-                (resp, None)
+                (prepare(shared, job, spec, &input, opts), None)
             }
             WorkerRequest::RunMap { job, task, attempt } => {
                 (run_map(shared, job, task, attempt), None)
@@ -343,6 +320,41 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
 /// worker is dead, which answers nothing.
 fn answer(shared: &Shared, conn: &mut Conn, resp: &WorkerResponse, payload: Option<&[u8]>) -> bool {
     !shared.dead.load(Ordering::SeqCst) && send_reply(conn, resp, payload).is_ok()
+}
+
+/// Installs `job` unless it is held here already: within a session a
+/// job id is never reused, so a second `Prepare` (a resend, or one whose
+/// reply was lost) keeps what the job holds.
+fn prepare(
+    shared: &Shared,
+    job: u64,
+    spec: JobSpec,
+    input: &str,
+    opts: ExecOptions,
+) -> WorkerResponse {
+    if shared.jobs.lock().contains_key(&job) {
+        return WorkerResponse::Prepared { job };
+    }
+    // Invert `I_ℓ` into per-map pending-consumer counts: the tier ranks
+    // spill victims coldest first, and "cold" is "few reducers still
+    // waiting on this map's partitions".
+    let mut pending = vec![0u64; spec.splits.len()];
+    for deps in &spec.reduce_deps {
+        for &m in deps {
+            if let Some(c) = pending.get_mut(m) {
+                *c += 1;
+            }
+        }
+    }
+    let fault_plan = opts.fault_plan.clone();
+    match SpecExecutor::new(Path::new(input), spec, opts) {
+        Ok(exec) => {
+            shared.store.prepare_job(job, fault_plan, &pending);
+            shared.jobs.lock().insert(job, Arc::new(exec));
+            WorkerResponse::Prepared { job }
+        }
+        Err(e) => failed(format!("prepare job {job}: {e}"), false),
+    }
 }
 
 /// A coordinator that restarted counts its jobs from 1 again, and never
@@ -652,8 +664,64 @@ fn run_reduce_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sidr_core::SidrPlanner;
+    use sidr_scifile::gen::{DatasetSpec, ValueModel};
     use sidr_serve::Tcp;
     use std::time::{Duration, Instant};
+
+    /// A `Prepare` of a job the worker holds answers `Prepared` and
+    /// keeps what the job committed: the coordinator may send it again
+    /// when the first reply was lost.
+    #[test]
+    fn a_second_prepare_keeps_the_jobs_partitions() {
+        let preset = sidr_analyze::presets::preset("query1-tiny").unwrap();
+        let query = &preset.query;
+        let plan = (SidrPlanner::new(query, preset.reducer_counts[0]))
+            .build(&preset.splits)
+            .unwrap();
+        let spec = JobSpec::from_plan(query, &preset.splits, &plan).unwrap();
+        let input = std::env::temp_dir().join(format!("sidr-worker-{}.scinc", std::process::id()));
+        let space = query.input_space().clone();
+        DatasetSpec {
+            variable: query.variable.clone(),
+            dim_names: (0..space.rank()).map(|d| format!("d{d}")).collect(),
+            space,
+            model: ValueModel::LinearIndex,
+            seed: 0,
+        }
+        .generate::<f32>(&input)
+        .unwrap();
+
+        let worker = Worker::spawn(Arc::new(Tcp), "127.0.0.1:0", WorkerOptions::default());
+        let worker = worker.unwrap();
+        let mut conn = WorkerConn::dial(&Tcp, worker.addr(), Role::Coordinator, None).unwrap();
+        let mut ask = |req: &WorkerRequest| conn.request(req).unwrap().0;
+        let prepare = WorkerRequest::Prepare {
+            session: 1,
+            job: 1,
+            spec,
+            input: input.to_string_lossy().into_owned(),
+            opts: ExecOptions::default(),
+        };
+        assert!(matches!(ask(&prepare), WorkerResponse::Prepared { job: 1 }));
+        let map = WorkerRequest::RunMap {
+            job: 1,
+            task: 0,
+            attempt: 0,
+        };
+        assert!(matches!(ask(&map), WorkerResponse::MapDone { .. }));
+        let held = worker.stat().partitions_held;
+        assert!(held > 0, "map 0 committed no partition");
+
+        assert!(matches!(ask(&prepare), WorkerResponse::Prepared { job: 1 }));
+        assert_eq!(
+            worker.stat().partitions_held,
+            held,
+            "Prepare started the job over"
+        );
+        assert_eq!(worker.prepared_jobs(), 1);
+        std::fs::remove_file(&input).ok();
+    }
 
     /// `wait` is a join, not a poll: it returns as soon as `kill` has
     /// stopped the acceptor.

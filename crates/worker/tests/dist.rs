@@ -19,6 +19,7 @@ use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
+use sidr_mapreduce::executor::TaskExecutor;
 use sidr_mapreduce::{
     reexecuted_maps, run_job_with_executor, FaultPlan, InMemoryOutput, JobResult, SlotPool,
     SplitGenerator, TaskEvent, TaskKind,
@@ -135,9 +136,7 @@ fn fleet_output_is_byte_identical_to_single_process() {
 
     let workers = spawn_workers(3);
     let fleet = Fleet::connect(Arc::new(Tcp), addrs(&workers)).expect("fleet connects");
-    let remote = fleet
-        .prepare_job(&spec, &input, &ExecOptions::default())
-        .expect("prepare");
+    let remote = fleet.prepare_job(&spec, &input, &ExecOptions::default());
     let pool = SlotPool::new(4, spec.num_reducers).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = run_remote(&spec, &remote, &out, &pool);
@@ -190,7 +189,7 @@ fn fleet_job(
     pool: &SlotPool,
     (spec, input): (&JobSpec, &str),
 ) -> (Keyblocks, Vec<TaskEvent>) {
-    let remote = (fleet.prepare_job(spec, input, &ExecOptions::default())).expect("prepare");
+    let remote = fleet.prepare_job(spec, input, &ExecOptions::default());
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = run_remote(spec, &remote, &out, pool);
     remote.finish();
@@ -198,9 +197,10 @@ fn fleet_job(
 }
 
 /// The coordinator keeps its dispatch connections. A fig08-scale job
-/// on 2 workers through 2 + 2 slots opens at most one connection per
-/// slot, plus one, to each worker, though the busiest worker alone
-/// takes more dispatches than that; a second job opens none.
+/// on 2 workers through 2 + 2 slots runs every attempt on worker 0 and
+/// opens at most one connection per slot, plus one, to it, though it
+/// takes more dispatches than that; worker 1 is never picked, so it
+/// gets no dial and never holds the job. A second job opens none.
 #[test]
 fn dispatch_reuses_idle_connections() {
     const SLOTS: (usize, usize) = (2, 2);
@@ -211,16 +211,24 @@ fn dispatch_reuses_idle_connections() {
     let pool = SlotPool::new(SLOTS.0, SLOTS.1).unwrap();
 
     let before = dispatch_dials(&workers);
-    let (first, _) = fleet_job(&fleet, &pool, (&spec, &input));
+    let remote = fleet.prepare_job(&spec, &input, &ExecOptions::default());
+    let out = InMemoryOutput::<Coord, f64>::new();
+    run_remote(&spec, &remote, &out, &pool);
+    let prepared: Vec<usize> = workers.iter().map(Worker::prepared_jobs).collect();
+    remote.finish();
+    let first = keyblock_commits(&out);
     let opened: Vec<u64> = (dispatch_dials(&workers).iter().zip(&before))
         .map(|(now, then)| now - then)
         .collect();
-    for (w, &n) in opened.iter().enumerate() {
-        assert!(
-            (1..=bound).contains(&n),
-            "worker {w}: {n} dispatch connections for one job"
-        );
-    }
+    assert!(
+        (1..=bound).contains(&opened[0]),
+        "worker 0: {} dispatch connections for one job",
+        opened[0]
+    );
+    assert_eq!(opened[1], 0, "the idle worker 1 was dialed");
+    assert_eq!(prepared, vec![1, 0], "jobs held while the job ran");
+    let idle = workers[1].stat();
+    assert_eq!((idle.map_attempts, idle.reduce_attempts), (0, 0));
     // `Prepare` and every attempt it ran, each one dispatch.
     let busiest = workers[0].stat();
     let dispatches = 1 + busiest.map_attempts + busiest.reduce_attempts;
@@ -249,9 +257,10 @@ fn dispatch_reuses_idle_connections() {
 /// 2. w0 is killed, and the next job runs on w1;
 /// 3. a new worker takes w0's address, rejoins, and takes the next
 ///    job's maps;
-/// 4. a job prepared on both is run after w0 restarts once more: the
-///    new w0 answers `UnknownJob` (or is skipped as dead), and the job
-///    moves to w1.
+/// 4. w0 joins a job and restarts once more: the new w0 answers the
+///    job's next attempt `UnknownJob`, which costs no attempt and moves
+///    it to w1; the next pick prepares the new w0 afresh, so it runs
+///    later attempts, and `Finish` reaches it.
 #[test]
 fn stale_connections_are_never_a_death_verdict() {
     let (spec, input) = tiny_fixture("stale");
@@ -272,10 +281,17 @@ fn stale_connections_are_never_a_death_verdict() {
         });
         assert_eq!(charged, None, "{step}: an attempt was charged");
     };
+    // Restarts w0 at its address, and waits until the fleet sees it
+    // alive.
     let respawn = |workers: &mut Vec<Worker>| {
         workers[0].kill();
         workers[0] = Worker::spawn(Arc::new(Tcp), &addr0, WorkerOptions::default())
             .expect("w0's address is free again");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !fleet.stats()[0].alive {
+            assert!(std::time::Instant::now() < deadline, "w0 never rejoined");
+            thread::sleep(Duration::from_millis(20));
+        }
     };
 
     uncharged("first job", fleet_job(&fleet, &pool, (&spec, &input)));
@@ -288,26 +304,27 @@ fn stale_connections_are_never_a_death_verdict() {
     assert_eq!(ran as usize, spec.splits.len(), "w1 ran every map");
 
     respawn(&mut workers);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !fleet.stats()[0].alive {
-        assert!(std::time::Instant::now() < deadline, "w0 never rejoined");
-        thread::sleep(Duration::from_millis(20));
-    }
     uncharged(
         "after the rejoin",
         fleet_job(&fleet, &pool, (&spec, &input)),
     );
     assert!(workers[0].stat().map_attempts > 0, "the new w0 took work");
 
-    let remote = (fleet.prepare_job(&spec, &input, &ExecOptions::default())).expect("prepare");
+    let remote = fleet.prepare_job(&spec, &input, &ExecOptions::default());
+    let split = &spec.splits[0];
+    (remote.execute_map(0, 0, false, split, &|_| true)).expect("w0 joins the job");
+    assert_eq!(workers[0].prepared_jobs(), 1, "w0 holds the job");
     respawn(&mut workers);
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = run_remote(&spec, &remote, &out, &pool);
     remote.finish();
     uncharged("restart mid-job", (keyblock_commits(&out), result.events));
     let w0 = workers[0].stat();
-    assert_eq!((w0.map_attempts, w0.reduce_attempts), (0, 0));
-    assert_eq!(workers[0].prepared_jobs(), 0, "the new w0 is no member");
+    assert!(
+        w0.map_attempts + w0.reduce_attempts > 0,
+        "the new w0 was never prepared afresh"
+    );
+    assert_eq!(workers[0].prepared_jobs(), 0, "Finish missed the new w0");
 }
 
 /// A killed worker hangs up every connection it accepted: a handler
