@@ -2,6 +2,9 @@
 //! counting allocator: the binary keyblock encoder makes O(1)
 //! allocator calls per keyblock, the streaming merge holds
 //! O(sources + one group) live bytes however many records it drains,
+//! a reduce attempt makes O(1) allocator calls however many keys it
+//! writes, the coordinator forwards a worker's keyblock frame without
+//! one,
 //! a SMOF encode is one exactly-sized buffer, the geometric map
 //! kernel holds one read chunk and its output partitions, beside the
 //! values of the units it finishes, or 16 bytes per key where it places
@@ -21,7 +24,7 @@ use sidr_core::source::StructuralMapper;
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, PartitionPlus, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::shuffle_file::{crc32, encode_map_output};
-use sidr_mapreduce::{InputSplit, MapOutputFile, MergeIter, Smof3View};
+use sidr_mapreduce::{run_reduce_attempt, InputSplit, MapOutputFile, MergeIter, Smof3View};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::read_chunks;
 use sidr_serve::binframe;
@@ -101,6 +104,45 @@ fn wire_path_allocation_invariants() {
     assert!(
         small <= bound && large <= bound,
         "merge peak live bytes {small} / {large} exceed {bound} for {files} sources"
+    );
+
+    // (h) A reduce attempt writes its rows into one buffer sized for a
+    // row per key, and keeps keys packed from the merge to that
+    // buffer: over N single-value keys it makes the same allocator
+    // calls at any N (measured: 42; ≥ 2N before keys stayed packed).
+    // The coordinator's check of the worker's sealed frame and its
+    // restamp make none (2 + N before, decoding and re-encoding).
+    // The engine's metrics register on first use, before the count.
+    sidr_mapreduce::metrics::runtime();
+    let reduce_calls: Vec<(u64, u64)> = [20_000, 100_000]
+        .into_iter()
+        .map(|keys| {
+            let views: Vec<Smof3View<Coord, f64>> = (partitions(8, keys, 1).into_iter())
+                .map(|bytes| Smof3View::open(bytes).expect("valid SMOF"))
+                .collect();
+            let scope = AllocScope::start();
+            let rows = run_reduce_attempt(0, views, None, |vs, emit| {
+                Operator::Median.reduce_group(vs, emit)
+            })
+            .expect("reduces");
+            let reduce = scope.finish().1;
+            assert_eq!(rows.len(), keys);
+            let frame = binframe::seal_keyblock(3, 0, 0, rows).expect("fits a frame");
+            let scope = AllocScope::start();
+            let rows = binframe::accept_keyblock(frame, 3, 0, keys as u64).expect("sound");
+            let forwarded = binframe::seal_keyblock(42, 0, 1500, rows).expect("fits a frame");
+            let forward = scope.finish().1;
+            assert_eq!(binframe::decode_keyblock(&forwarded).unwrap().job, 42);
+            (reduce, forward)
+        })
+        .collect();
+    assert!(
+        reduce_calls[0].0 == reduce_calls[1].0 && reduce_calls[0].0 <= 64,
+        "reduce attempt allocator calls at 20,000 and 100,000 keys: {reduce_calls:?}"
+    );
+    assert!(
+        reduce_calls.iter().all(|&(_, forward)| forward == 0),
+        "the coordinator's check and restamp allocated: {reduce_calls:?}"
     );
 
     // (c) One SMOF encode is one exactly-sized buffer: a single

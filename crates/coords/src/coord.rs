@@ -157,19 +157,6 @@ impl Coord {
         a.len().cmp(&b.len())
     }
 
-    /// Compares a decoded coordinate against a packed encoding, with
-    /// the same ordering contract as [`Coord::cmp_packed`].
-    pub fn cmp_decoded_packed(&self, packed: &[u8]) -> std::cmp::Ordering {
-        for (ca, wb) in self.0.iter().zip(packed.chunks_exact(8)) {
-            let wb = u64::from_le_bytes(wb.try_into().expect("8-byte chunk"));
-            match ca.cmp(&wb) {
-                std::cmp::Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        self.packed_width().cmp(&packed.len())
-    }
-
     fn same_rank(&self, other: &Coord) -> Result<()> {
         if self.rank() == other.rank() {
             Ok(())
@@ -330,7 +317,6 @@ mod tests {
             a.write_packed(&mut pa);
             b.write_packed(&mut pb);
             assert_eq!(Coord::cmp_packed(&pa, &pb), a.cmp(&b), "{a} vs {b}");
-            assert_eq!(a.cmp_decoded_packed(&pb), a.cmp(&b), "{a} vs packed {b}");
         }
     }
 }

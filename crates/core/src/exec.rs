@@ -37,7 +37,8 @@ use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_mapreduce::{
     begin_map_attempt, injected_source_error, run_reduce_attempt, AttemptBodies,
-    CoordHashPartitioner, FaultKind, FaultPlan, InputSplit, MapTaskId, MrError, Smof3View,
+    CoordHashPartitioner, FaultKind, FaultPlan, InputSplit, Keyblock, MapTaskId, MrError,
+    Smof3View,
 };
 use sidr_scifile::{DataType, ScincFile};
 
@@ -247,7 +248,7 @@ impl SpecExecutor {
             }
             _ => None,
         });
-        let records = self.reduce(reducer, inputs, expected_raw)?;
+        let records = self.reduce(reducer, inputs, expected_raw)?.into_records();
         emit(&records)?;
         Ok(records.len() as u64)
     }
@@ -284,7 +285,7 @@ impl AttemptBodies for SpecExecutor {
         reducer: usize,
         inputs: Vec<Smof3View<Coord, f64>>,
         expected_raw: Option<u64>,
-    ) -> sidr_mapreduce::Result<Vec<(Coord, f64)>> {
+    ) -> sidr_mapreduce::Result<Keyblock<Coord, f64>> {
         if reducer >= self.num_reducers {
             return Err(MrError::BadConfig(format!("reduce {reducer} out of range")));
         }

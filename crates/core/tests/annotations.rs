@@ -12,7 +12,7 @@ use sidr_core::{ExecOptions, Operator, SidrPlanner, SpecExecutor, StructuralQuer
 use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
 use sidr_mapreduce::{
     run_job_with_executor, AttemptBodies, FaultKind, InMemoryOutput, InProcessExecutor, InputSplit,
-    JobConfig, JobResult, MapAttemptOutput, MapTaskId, MrError, SlotPool, Smof3View,
+    JobConfig, JobResult, Keyblock, MapAttemptOutput, MapTaskId, MrError, SlotPool, Smof3View,
     SplitGenerator,
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
@@ -66,7 +66,7 @@ impl AttemptBodies for Lossy {
         reducer: usize,
         inputs: Vec<Smof3View<Coord, f64>>,
         expected_raw: Option<u64>,
-    ) -> sidr_mapreduce::Result<Vec<(Coord, f64)>> {
+    ) -> sidr_mapreduce::Result<Keyblock<Coord, f64>> {
         self.inner.reduce(reducer, inputs, expected_raw)
     }
 }

@@ -41,6 +41,7 @@ use std::time::Duration;
 
 use crate::error::MrError;
 use crate::fault::FaultKind;
+use crate::keyblock::Keyblock;
 use crate::output::OutputCollector;
 use crate::plan::JobPlan;
 use crate::runtime::{coordinate, JobConfig};
@@ -146,16 +147,17 @@ pub trait TaskExecutor<K2: MrKey, V3: MrValue>: Sync {
     /// produced a partition for this reducer), merge
     /// them in the given order (the plan's fetch order — the equal-key
     /// tie-break), reduce, and return the attempt's whole keyblock in
-    /// key order — nothing leaves an attempt until it is complete, so
-    /// a failed attempt is always retryable. `expected_raw` carries
-    /// the plan's §3.2.1 annotation expectation, when it promises one.
+    /// key order, as packed rows — nothing leaves an attempt until it
+    /// is complete, so a failed attempt is always retryable.
+    /// `expected_raw` carries the plan's §3.2.1 annotation
+    /// expectation, when it promises one.
     fn execute_reduce(
         &self,
         reducer: usize,
         attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-    ) -> std::result::Result<Vec<(K2, V3)>, RemoteReduceError>;
+    ) -> std::result::Result<Keyblock<K2, V3>, RemoteReduceError>;
 }
 
 /// What an attempt reports to its job's loop.
@@ -243,7 +245,12 @@ const REDUCE_BATCH_RECORDS: usize = 4096;
 /// which gets each key's group mutably from the batch that owns it (it
 /// may reorder the group in place: the holistic query operators select
 /// or sort there) and emits the key's output values. Returns the
-/// keyblock: every output record, in key order.
+/// keyblock: every output row, in key order, each the group's packed
+/// key bytes and then the value's, written into one buffer sized for a
+/// row per key — no key is decoded or allocated between the merge and
+/// the frame. Rows whose keys differ in width (sources of different
+/// key ranks) cannot share a keyblock: that is
+/// [`MrError::Output`], and no retry changes it.
 ///
 /// The merge streams — batches amortize the per-group heap
 /// bookkeeping and no whole-keyspace `Vec<(K, Vec<V>)>` is ever
@@ -253,17 +260,18 @@ pub fn run_reduce_attempt<K, V, V3>(
     inputs: Vec<Smof3View<K, V>>,
     expected_raw: Option<u64>,
     mut reduce: impl FnMut(&mut [V], &mut dyn FnMut(V3)),
-) -> Result<Vec<(K, V3)>>
+) -> Result<Keyblock<K, V3>>
 where
-    K: MrKey,
+    K: MrKey + WireFormat,
     V: MrValue,
-    V3: MrValue,
+    V3: MrValue + WireFormat,
 {
     let mut merge: MergeIter<K, V> = MergeIter::new();
-    let (mut actual, mut merged_bytes) = (0u64, 0u64);
+    let (mut actual, mut merged_bytes, mut keys) = (0u64, 0u64, 0usize);
     for input in inputs {
         actual += input.raw_count();
         merged_bytes += input.byte_len() as u64;
+        keys += input.runs();
         merge.push_frame(input);
     }
     // Starting with less input than the geometry promises would
@@ -279,10 +287,18 @@ where
         }
     }
     let mut batch: GroupBatch<K, V> = GroupBatch::new();
-    let mut out: Vec<(K, V3)> = Vec::new();
+    // Distinct keys are at most the sources' runs: one row each, the
+    // common case, fits without a reallocation.
+    let mut out = Keyblock::with_hint(keys);
     while merge.fill_batch(&mut batch, REDUCE_BATCH_RECORDS) != 0 {
         for (key, values) in batch.groups_mut() {
-            reduce(values, &mut |v3| out.push((key.clone(), v3)));
+            let mut one_width = true;
+            reduce(values, &mut |v3| one_width &= out.push(key, &v3));
+            if !one_width {
+                return Err(MrError::Output(format!(
+                    "reducer {reducer}'s keyblock mixes key widths; its rows need one"
+                )));
+            }
         }
     }
     let m = crate::metrics::runtime();
@@ -300,7 +316,7 @@ pub trait AttemptBodies: Sync {
     /// The intermediate value.
     type Value: MrValue + WireFormat;
     /// The reduce output value.
-    type Out: MrValue;
+    type Out: MrValue + WireFormat;
 
     /// Runs map attempt `(task, attempt)` over `split` under its
     /// injected `fault` (see [`begin_map_attempt`]).
@@ -321,7 +337,7 @@ pub trait AttemptBodies: Sync {
         reducer: usize,
         inputs: Vec<Smof3View<Self::Key, Self::Value>>,
         expected_raw: Option<u64>,
-    ) -> Result<Vec<(Self::Key, Self::Out)>>;
+    ) -> Result<Keyblock<Self::Key, Self::Out>>;
 }
 
 /// Both executors' one way to open a reduce's sources: `fetched` holds
@@ -426,7 +442,7 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
         _attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-    ) -> std::result::Result<Vec<(B::Key, B::Out)>, RemoteReduceError> {
+    ) -> std::result::Result<Keyblock<B::Key, B::Out>, RemoteReduceError> {
         let held: Vec<(MapTaskId, u32)> = sources.iter().map(|s| (s.map, s.epoch)).collect();
         let fetched = (held.iter())
             .map(|&(map, epoch)| {
@@ -577,7 +593,7 @@ impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
                 .and_then(|out| {
                     timeline.record_attempt(TaskKind::ReduceMergeDone, reducer, attempt);
                     let records = out.len() as u64;
-                    (output.commit(reducer, out).map(|()| records))
+                    (output.commit_keyblock(reducer, out).map(|()| records))
                         .map_err(|e| RemoteReduceError::Fatal(MrError::Output(e.to_string())))
                 });
             inbox.post(Done::Reduce { reducer, result });

@@ -13,6 +13,8 @@
 //!   §4.3 demonstrates,
 //! * **Shuffle** ([`shuffle`]) — per-(map, reducer) output files with
 //!   count annotations (§3.2.1) and the streaming sort-merge,
+//! * **Keyblocks** ([`keyblock`]) — a reduce attempt's whole output as
+//!   packed rows, in the layout a `KeyblockBin` frame carries,
 //! * **Task execution** ([`executor`]) — the seam the scheduler hands
 //!   attempts through: the map/reduce attempt bodies, the in-process
 //!   executor with its one table of SMOF-encoded map generations, and
@@ -40,6 +42,7 @@ mod crc;
 pub mod error;
 pub mod executor;
 pub mod fault;
+pub mod keyblock;
 pub mod metrics;
 pub mod output;
 pub mod partitioner;
@@ -67,6 +70,7 @@ pub use executor::{
     MapTally, ReduceSource, RemoteReduceError, TaskExecutor,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultTarget, RetryPolicy};
+pub use keyblock::{Keyblock, KEYBLOCK_HEADROOM};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
 pub use plan::JobPlan;

@@ -3,6 +3,7 @@
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::keyblock::Keyblock;
 use crate::task::{MrKey, MrValue};
 use crate::Result;
 
@@ -13,6 +14,14 @@ use crate::Result;
 pub trait OutputCollector<K, V>: Send + Sync {
     /// Commits the complete output of one reducer.
     fn commit(&self, reducer: usize, records: Vec<(K, V)>) -> Result<()>;
+
+    /// Commits the complete output of one reducer, as the reduce wrote
+    /// it: what the engine calls. By default its rows are decoded, each
+    /// once, and handed to [`commit`](Self::commit); a collector that
+    /// sends bytes takes the rows as they are.
+    fn commit_keyblock(&self, reducer: usize, keyblock: Keyblock<K, V>) -> Result<()> {
+        self.commit(reducer, keyblock.into_records())
+    }
 }
 
 /// Collects output in memory, stamping each commit with its time —

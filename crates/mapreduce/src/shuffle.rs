@@ -20,6 +20,8 @@
 //! [`decode_map_output`]: crate::shuffle_file::decode_map_output
 //! [`PartitionStore`]: crate::tier::PartitionStore
 
+use std::marker::PhantomData;
+
 use crate::smof3::Smof3View;
 use crate::task::{MrKey, MrValue};
 
@@ -57,9 +59,11 @@ impl<K, V> Default for MapOutputFile<K, V> {
 /// Each cursor reads a SMOF v4 [`Smof3View`] in place and steps run by
 /// run: a source holds at most one run per key (its open checked that
 /// run keys strictly ascend), so a group takes one heap step per
-/// source that has the key, not one per record. Ordering decisions
-/// compare packed key bytes (via the captured
-/// [`FixedCodec`](crate::wire::FixedCodec)), and a value is decoded
+/// source that has the key, not one per record. Keys stay packed:
+/// ordering decisions compare key bytes (via the captured
+/// [`FixedCodec`](crate::wire::FixedCodec)), a group's key is copied
+/// as bytes from its first run and the other sources' runs join it on
+/// byte equality, and no key is ever decoded. A value is decoded
 /// exactly once, when its group leaves the merge into one reusable
 /// buffer ([`next_group`]). Cursors are opened one input at a time
 /// with [`push_frame`], in the plan's fetch order.
@@ -76,9 +80,8 @@ pub struct MergeIter<K, V> {
     heap: Vec<usize>,
     /// Reusable buffer holding the current group's values.
     group: Vec<V>,
-    /// The current group's key (owned: there is no decoded record to
-    /// borrow it from).
-    group_key: Option<K>,
+    /// Reusable buffer holding the current group's packed key.
+    group_key: Vec<u8>,
     /// Records consumed so far (for the merge throughput metrics).
     consumed: u64,
 }
@@ -97,7 +100,7 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             cursors: Vec::new(),
             heap: Vec::new(),
             group: Vec::new(),
-            group_key: None,
+            group_key: Vec::new(),
             consumed: 0,
         }
     }
@@ -178,23 +181,24 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         self.consumed
     }
 
-    /// Consumes the smallest unconsumed key's whole group: sets
-    /// `key_out` and appends every value (in source order, record
+    /// Consumes the smallest unconsumed key's whole group: appends its
+    /// packed key to `keys` and every value (in source order, record
     /// order) to `values`. Returns false when the merge is exhausted.
     /// Shared engine of [`MergeIter::next_group`] and
     /// [`MergeIter::fill_batch`].
-    fn gather_group(&mut self, key_out: &mut Option<K>, values: &mut Vec<V>) -> bool {
+    fn gather_group(&mut self, keys: &mut Vec<u8>, values: &mut Vec<V>) -> bool {
         let Some(&f0) = self.heap.first() else {
             return false;
         };
-        // The group key, decoded exactly once per group.
-        let gkey: K = self.sources[f0].run_key(self.cursors[f0]);
+        // The group key, copied as bytes from its first run.
+        let start = keys.len();
+        keys.extend_from_slice(self.sources[f0].run_key_bytes(self.cursors[f0]));
         while let Some(&f) = self.heap.first() {
-            // Each source holds at most one run of `gkey`: take it
-            // whole, comparing packed bytes; nothing but its values is
-            // decoded.
+            // Each source holds at most one run of the key: take it
+            // whole. Byte equality is key equality (the codec's
+            // contract); nothing but the values is decoded.
             let (view, r) = (&self.sources[f], self.cursors[f]);
-            if !(view.key_codec().cmp_decoded)(&gkey, view.run_key_bytes(r)).is_eq() {
+            if view.run_key_bytes(r) != &keys[start..] {
                 break;
             }
             let run = view.run_values(r);
@@ -202,28 +206,26 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             values.extend(run);
             self.advance_root();
         }
-        *key_out = Some(gkey);
         true
     }
 
-    /// The next key group: the smallest unconsumed key together with
-    /// *every* value of that key across all sources, in (source
-    /// order, record order) — MapReduce guarantee 2 (§2.3). The
-    /// values borrow the iterator's reusable buffer and are valid
-    /// until the next call; only the group's values are decoded, never
-    /// the whole keyspace.
-    pub fn next_group(&mut self) -> Option<(&K, &[V])> {
-        // Detach the buffer so `gather_group` can borrow self mutably.
-        let mut group = std::mem::take(&mut self.group);
+    /// The next key group: the smallest unconsumed key, packed,
+    /// together with *every* value of that key across all sources, in
+    /// (source order, record order) — MapReduce guarantee 2 (§2.3).
+    /// Key and values borrow the iterator's reusable buffers and are
+    /// valid until the next call; only the group's values are decoded,
+    /// never the whole keyspace.
+    pub fn next_group(&mut self) -> Option<(&[u8], &[V])> {
+        // Detach the buffers so `gather_group` can borrow self mutably.
+        let (mut key, mut group) = (
+            std::mem::take(&mut self.group_key),
+            std::mem::take(&mut self.group),
+        );
+        key.clear();
         group.clear();
-        let mut key = None;
         let found = self.gather_group(&mut key, &mut group);
-        self.group = group;
-        if !found {
-            return None;
-        }
-        self.group_key = key;
-        Some((self.group_key.as_ref().expect("gathered"), &self.group))
+        (self.group_key, self.group) = (key, group);
+        found.then_some((&self.group_key[..], &self.group[..]))
     }
 
     /// Fills `batch` with consecutive key groups until at least
@@ -234,31 +236,30 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
     /// cache-sized chunk of records instead of paying it per call.
     pub fn fill_batch(&mut self, batch: &mut GroupBatch<K, V>, min_records: usize) -> usize {
         batch.clear();
-        loop {
-            let mut key = None;
-            if !self.gather_group(&mut key, &mut batch.values) {
-                break;
-            }
-            batch.keys.push(key.expect("gathered"));
-            batch.ends.push(batch.values.len());
+        while self.gather_group(&mut batch.keys, &mut batch.values) {
+            batch.ends.push((batch.keys.len(), batch.values.len()));
             if batch.values.len() >= min_records {
                 break;
             }
         }
-        batch.keys.len()
+        batch.ends.len()
     }
 }
 
 /// A reusable batch of key groups drained from a [`MergeIter`]: flat
-/// value storage plus per-group end offsets, so refilling it does at
-/// most three buffer writes and zero per-group allocations once the
-/// buffers have grown to steady state.
+/// packed-key and value storage plus per-group end offsets, so
+/// refilling it does at most three buffer writes and zero per-group
+/// allocations once the buffers have grown to steady state.
 pub struct GroupBatch<K, V> {
-    keys: Vec<K>,
+    /// Each group's packed key, back to back.
+    keys: Vec<u8>,
     values: Vec<V>,
-    /// `values` offset one past each group's last value; group `i`
-    /// spans `ends[i-1]..ends[i]` (from 0 for the first).
-    ends: Vec<usize>,
+    /// `(keys, values)` offsets one past each group's key bytes and
+    /// last value; group `i` spans from group `i-1`'s ends (from 0 for
+    /// the first).
+    ends: Vec<(usize, usize)>,
+    /// The keys are `K`s, packed.
+    key: PhantomData<fn() -> K>,
 }
 
 impl<K, V> Default for GroupBatch<K, V> {
@@ -273,6 +274,7 @@ impl<K, V> GroupBatch<K, V> {
             keys: Vec::new(),
             values: Vec::new(),
             ends: Vec::new(),
+            key: PhantomData,
         }
     }
 
@@ -284,11 +286,11 @@ impl<K, V> GroupBatch<K, V> {
 
     /// Number of key groups in the batch.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.ends.is_empty()
     }
 
     /// Total records across all groups in the batch.
@@ -296,25 +298,26 @@ impl<K, V> GroupBatch<K, V> {
         self.values.len()
     }
 
-    /// The batched groups, in merge order.
-    pub fn groups(&self) -> impl Iterator<Item = (&K, &[V])> {
-        self.keys.iter().enumerate().map(|(i, k)| {
-            let start = if i == 0 { 0 } else { self.ends[i - 1] };
-            (k, &self.values[start..self.ends[i]])
-        })
+    /// The batched groups, in merge order: each packed key and its
+    /// values.
+    pub fn groups(&self) -> impl Iterator<Item = (&[u8], &[V])> {
+        let starts = std::iter::once((0, 0)).chain(self.ends.iter().copied());
+        (starts.zip(&self.ends))
+            .map(|((k0, v0), &(k1, v1))| (&self.keys[k0..k1], &self.values[v0..v1]))
     }
 
     /// The batched groups, in merge order, each value slice handed out
     /// mutably: the batch owns them, and a reducer may reorder a group
     /// in place (see [`run_reduce_attempt`](crate::run_reduce_attempt)).
-    pub fn groups_mut(&mut self) -> impl Iterator<Item = (&K, &mut [V])> {
-        let mut rest = self.values.as_mut_slice();
-        let mut start = 0;
-        self.keys.iter().zip(&self.ends).map(move |(k, &end)| {
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+    pub fn groups_mut(&mut self) -> impl Iterator<Item = (&[u8], &mut [V])> {
+        let (keys, mut rest) = (&self.keys[..], self.values.as_mut_slice());
+        let (mut k0, mut v0) = (0, 0);
+        self.ends.iter().map(move |&(k1, v1)| {
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(v1 - v0);
             rest = tail;
-            start = end;
-            (k, group)
+            let key = &keys[k0..k1];
+            (k0, v0) = (k1, v1);
+            (key, group)
         })
     }
 }
@@ -330,11 +333,16 @@ mod tests {
         }
     }
 
+    /// A packed `u64` key.
+    fn key(packed: &[u8]) -> u64 {
+        u64::from_le_bytes(packed.try_into().expect("one u64"))
+    }
+
     /// Every remaining key group, in merge order.
     fn drain(merge: &mut MergeIter<u64, u64>) -> Vec<(u64, Vec<u64>)> {
         let mut groups = Vec::new();
         while let Some((k, vs)) = merge.next_group() {
-            groups.push((*k, vs.to_vec()));
+            groups.push((key(k), vs.to_vec()));
         }
         groups
     }
@@ -415,7 +423,7 @@ mod tests {
             while merge.fill_batch(&mut batch, min_records) > 0 {
                 assert!(batch.records() >= min_records || merge.records_consumed() == 200);
                 for (k, vs) in batch.groups() {
-                    got.push((*k, vs.to_vec()));
+                    got.push((key(k), vs.to_vec()));
                 }
             }
             assert_eq!(got, expected, "min_records {min_records}");

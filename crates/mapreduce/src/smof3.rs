@@ -6,8 +6,8 @@
 //! by the key codec and whose runs tile the values — and then
 //! addresses runs directly inside the shared bytes. A merge cursor
 //! over a view steps run by run and never materializes a
-//! `Vec<(K, V)>`: keys are compared as packed bytes (or against
-//! decoded keys via the codec's `cmp_decoded`), and values decode
+//! `Vec<(K, V)>`: keys stay packed bytes, compared in place and copied
+//! as bytes into the reduce's output rows, and values decode
 //! lazily as groups leave the merge. The buffer travels as
 //! `Arc<Vec<u8>>`, so a worker can hand the same fetched partition to
 //! the merge and keep serving it to other reducers without copying.

@@ -40,8 +40,6 @@ pub struct FixedCodec<T> {
     pub read: fn(&[u8]) -> T,
     /// Total order on encoded bytes.
     pub cmp: fn(&[u8], &[u8]) -> Ordering,
-    /// Total order between a decoded value and encoded bytes.
-    pub cmp_decoded: fn(&T, &[u8]) -> Ordering,
 }
 
 // fn pointers are Copy no matter what `T` is; derive would demand
@@ -70,7 +68,6 @@ macro_rules! impl_wire_num {
                     write: |v, out| out.copy_from_slice(&v.to_le_bytes()),
                     read: read_one,
                     cmp: |a, b| $cmp(&read_one(a), &read_one(b)),
-                    cmp_decoded: |v, b| $cmp(v, &read_one(b)),
                 }
             }
         }
@@ -93,7 +90,6 @@ impl WireFormat for sidr_coords::Coord {
             write: |c, out| Coord::pack_words(c.components(), out),
             read: Coord::from_packed,
             cmp: Coord::cmp_packed,
-            cmp_decoded: Coord::cmp_decoded_packed,
         }
     }
 }
@@ -113,7 +109,6 @@ mod tests {
                 assert_eq!(packed.len(), (codec.width)(v));
                 assert!((codec.width_ok)(packed.len()));
                 assert_eq!(&(codec.read)(&packed), v);
-                assert_eq!((codec.cmp_decoded)(v, &packed), Ordering::Equal);
             }
             for a in values {
                 for b in values {
@@ -121,7 +116,7 @@ mod tests {
                     (codec.write)(a, &mut pa);
                     (codec.write)(b, &mut pb);
                     assert_eq!((codec.cmp)(&pa, &pb).reverse(), (codec.cmp)(&pb, &pa));
-                    assert_eq!((codec.cmp_decoded)(a, &pb), (codec.cmp)(&pa, &pb));
+                    assert_eq!((codec.cmp)(&pa, &pb).is_eq(), pa == pb);
                 }
             }
         }

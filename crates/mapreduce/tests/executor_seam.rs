@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use sidr_mapreduce::{
     run_job_with_executor, AttemptBodies, CancelToken, FaultKind, FaultPlan, FaultTarget,
-    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobPlan, MapTally, MapTaskId,
-    MrError, ReduceSource, RemoteReduceError, RetryPolicy, SlotPool, TaskExecutor,
+    InMemoryOutput, InProcessExecutor, InputSplit, JobConfig, JobPlan, Keyblock, MapTally,
+    MapTaskId, MrError, ReduceSource, RemoteReduceError, RetryPolicy, SlotPool, TaskExecutor,
 };
 use support::{bodies, identity_source, number_splits, run, run_shared, sum, SLOTS};
 
@@ -71,7 +71,7 @@ fn run_reduce(
     reducer: usize,
     sources: &[ReduceSource],
 ) -> Result<Vec<(u64, u64)>, RemoteReduceError> {
-    exec.execute_reduce(reducer, 0, sources, None)
+    (exec.execute_reduce(reducer, 0, sources, None)).map(Keyblock::into_records)
 }
 
 fn lost(result: Result<Vec<(u64, u64)>, RemoteReduceError>) -> Vec<MapTaskId> {

@@ -48,11 +48,16 @@ fn merge_of(views: &[Smof3View<u64, u32>]) -> MergeIter<u64, u32> {
     merge
 }
 
+/// A group's packed `u64` key.
+fn key(packed: &[u8]) -> u64 {
+    u64::from_le_bytes(packed.try_into().expect("one u64"))
+}
+
 /// Every remaining key group, in merge order.
 fn drain(merge: &mut MergeIter<u64, u32>) -> Vec<(u64, Vec<u32>)> {
     let mut got = Vec::new();
     while let Some((k, vs)) = merge.next_group() {
-        got.push((*k, vs.to_vec()));
+        got.push((key(k), vs.to_vec()));
     }
     got
 }
@@ -105,7 +110,7 @@ proptest! {
         let mut batch = GroupBatch::new();
         let mut got: Vec<(u64, Vec<u32>)> = Vec::new();
         while merge.fill_batch(&mut batch, min_records) > 0 {
-            got.extend(batch.groups().map(|(k, vs)| (*k, vs.to_vec())));
+            got.extend(batch.groups().map(|(k, vs)| (key(k), vs.to_vec())));
         }
         prop_assert_eq!(got, legacy_merge(&files));
     }
@@ -121,8 +126,8 @@ proptest! {
         let (mut a, mut b) = (merge_of(&shared), merge_of(&shared));
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         loop {
-            let next_a = a.next_group().map(|(k, vs)| (*k, vs.to_vec()));
-            let next_b = b.next_group().map(|(k, vs)| (*k, vs.to_vec()));
+            let next_a = a.next_group().map(|(k, vs)| (key(k), vs.to_vec()));
+            let next_b = b.next_group().map(|(k, vs)| (key(k), vs.to_vec()));
             if next_a.is_none() && next_b.is_none() {
                 break;
             }

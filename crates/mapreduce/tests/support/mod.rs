@@ -21,8 +21,8 @@ use sidr_mapreduce::shuffle_file::encode_map_output;
 use sidr_mapreduce::{
     begin_map_attempt, injected_source_error, run_job_with_executor, run_reduce_attempt,
     AttemptBodies, CancelToken, FaultKind, InProcessExecutor, InputSplit, JobConfig, JobPlan,
-    JobResult, MapAttemptOutput, MapOutputFile, MapTaskId, ModuloPartitioner, OutputCollector,
-    Partitioner, Result, SlotPool, Smof3View,
+    JobResult, Keyblock, MapAttemptOutput, MapOutputFile, MapTaskId, ModuloPartitioner,
+    OutputCollector, Partitioner, Result, SlotPool, Smof3View,
 };
 
 /// A job's attempt bodies over closures: see [`bodies`].
@@ -107,7 +107,7 @@ where
         reducer: usize,
         inputs: Vec<Smof3View<u64, u64>>,
         expected_raw: Option<u64>,
-    ) -> Result<Vec<(u64, u64)>> {
+    ) -> Result<Keyblock<u64, u64>> {
         run_reduce_attempt(reducer, inputs, expected_raw, |values, emit| {
             emit((self.reduce)(values))
         })

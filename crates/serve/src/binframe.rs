@@ -5,11 +5,20 @@
 //! on both hops: worker → coordinator (the raw frame after
 //! `ReduceDone`) and coordinator → client. The frame carries the
 //! records in the same packed little-endian encoding SMOF uses on
-//! disk (`Coord::write_packed` + `f64::to_le_bytes`), so the sender
-//! serializes one keyblock with a single buffer allocation and no text
-//! pass, and the receiver decodes it without a JSON parser — at fig. 8
-//! scale a JSON keyblock's decimal text was the dominant cost between
-//! a reduce commit and the bytes leaving the socket.
+//! disk (`Coord::write_packed` + `f64::to_le_bytes`), and it is the
+//! same bytes from the merge to the client's socket:
+//! - the reduce writes its rows in this layout, behind room for the
+//!   header ([`Keyblock`]), and the worker seals the header over that
+//!   room in place ([`seal_keyblock`]);
+//! - the coordinator checks the worker's frame without building a row
+//!   ([`accept_keyblock`]), then restamps its job and `at_ms`, reseals
+//!   the CRC and forwards the same buffer;
+//! - only the client decodes rows ([`decode_keyblock`]).
+//!
+//! An in-process job's keyblock is sealed the same way by the
+//! serving collector. At fig. 8 scale a JSON keyblock's decimal text,
+//! and later a decode and re-encode per hop, were the dominant cost
+//! between a reduce commit and the bytes leaving the socket.
 //!
 //! Binary frames ride the same length-prefixed transport as JSON
 //! frames ([`crate::frame`]) and are distinguished by their first
@@ -32,15 +41,17 @@
 //! | 32     | 4    | CRC-32 of bytes 0..32, then of the payload |
 //! | 36     | —    | payload: `records` × (key + `f64` value)   |
 //!
-//! Like every decoder in this workspace, [`decode_keyblock`] trusts
+//! Like every decoder in this workspace, the frame check that
+//! [`decode_keyblock`] and [`accept_keyblock`] both run trusts
 //! nothing: tag, kind, reserved bytes, geometry and CRC are all
 //! checked, and any mismatch is a typed [`FrameError`], never a panic
 //! or over-read. A keyblock cannot arrive under another job or reducer.
 
 use sidr_coords::Coord;
 use sidr_mapreduce::shuffle_file::crc32_parts;
+use sidr_mapreduce::{Keyblock, KEYBLOCK_HEADROOM};
 
-use crate::frame::FrameError;
+use crate::frame::{FrameError, MAX_FRAME};
 
 /// First payload byte of every binary frame.
 pub const BIN_TAG: u8 = 0xBB;
@@ -50,6 +61,9 @@ pub const KIND_KEYBLOCK: u8 = 0;
 
 /// Fixed header length, bytes.
 pub const BIN_HEADER_LEN: usize = 36;
+
+// A reduce leaves exactly a header's room in front of its rows.
+const _: () = assert!(BIN_HEADER_LEN == KEYBLOCK_HEADROOM);
 
 /// Does this frame payload carry a binary message (vs. JSON)?
 #[inline]
@@ -67,13 +81,22 @@ pub struct KeyblockBin {
     pub records: Vec<(Coord, f64)>,
 }
 
+/// What a sound keyblock frame's header says.
+struct KeyblockHead {
+    job: u64,
+    reducer: usize,
+    records: usize,
+    at_ms: u64,
+    /// Packed key bytes per row.
+    key_width: usize,
+}
+
 /// Encodes one keyblock as a complete binary frame payload, in one
 /// exactly-sized allocation. Fails when the records' coordinates mix
 /// ranks — the fixed-width payload needs one key width; every key of
 /// a keyblock lies in one `K′`, so SIDR keyspaces deliver that, but
 /// the wire never assumes it — or when the frame would exceed
-/// [`MAX_FRAME`](crate::frame::MAX_FRAME), the size bound a keyblock
-/// has on either hop.
+/// [`MAX_FRAME`], the size bound a keyblock has on either hop.
 pub fn encode_keyblock(
     job: u64,
     reducer: usize,
@@ -86,34 +109,85 @@ pub fn encode_keyblock(
             "keyblock mixes coordinate ranks; no fixed key width".into(),
         ));
     }
-    let row = key_width + 8;
-    let max = crate::frame::MAX_FRAME;
-    let len = BIN_HEADER_LEN.saturating_add(records.len().saturating_mul(row));
-    if len > max as usize {
-        return Err(FrameError::Oversized {
-            len: u32::try_from(len).unwrap_or(u32::MAX),
-            max,
-        });
-    }
-    // The frame fits `MAX_FRAME`, so the record count fits a `u32`.
-    let n = records.len() as u32;
+    let len = BIN_HEADER_LEN.saturating_add(records.len().saturating_mul(key_width + 8));
+    fits(len)?;
     let mut out = Vec::with_capacity(len);
-    out.push(BIN_TAG);
-    out.push(KIND_KEYBLOCK);
-    out.extend_from_slice(&[0, 0]);
-    out.extend_from_slice(&job.to_le_bytes());
-    out.extend_from_slice(&(reducer as u32).to_le_bytes());
-    out.extend_from_slice(&n.to_le_bytes());
-    out.extend_from_slice(&at_ms.to_le_bytes());
-    out.extend_from_slice(&(key_width as u32).to_le_bytes());
-    out.extend_from_slice(&[0; 4]); // CRC backpatched below
+    out.resize(BIN_HEADER_LEN, 0);
     for (k, v) in records {
         k.write_packed(&mut out);
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let crc = frame_crc(&out);
-    out[32..36].copy_from_slice(&crc.to_le_bytes());
+    seal(&mut out, job, reducer, records.len(), at_ms, key_width);
     Ok(out)
+}
+
+/// Seals `keyblock`'s frame in place: writes the header over the room
+/// the reduce left in front of its rows, and the CRC over both. A
+/// worker seals the keyblock its reduce wrote; the coordinator
+/// restamps a worker's with its own job and `at_ms`. No row is read
+/// but by the CRC. Fails, as [`encode_keyblock`] does, when the frame
+/// would exceed [`MAX_FRAME`].
+pub fn seal_keyblock(
+    job: u64,
+    reducer: usize,
+    at_ms: u64,
+    keyblock: Keyblock<Coord, f64>,
+) -> Result<Vec<u8>, FrameError> {
+    let (records, key_width) = (keyblock.len(), keyblock.key_width());
+    let mut frame = keyblock.into_frame();
+    fits(frame.len())?;
+    seal(&mut frame, job, reducer, records, at_ms, key_width);
+    Ok(frame)
+}
+
+/// The coordinator's check of a worker's keyblock frame: a sound frame
+/// (the checks [`decode_keyblock`] runs) of `job`'s `reducer` with the
+/// `records` rows its `ReduceDone` announced. Returns the frame's
+/// buffer as the keyblock it holds, no row decoded or copied; any
+/// failure is a typed error, and nothing is committed.
+pub fn accept_keyblock(
+    frame: Vec<u8>,
+    job: u64,
+    reducer: usize,
+    records: u64,
+) -> Result<Keyblock<Coord, f64>, FrameError> {
+    let head = check_keyblock(&frame)?;
+    if (head.job, head.reducer, head.records as u64) != (job, reducer, records) {
+        return Err(FrameError::Malformed(format!(
+            "keyblock frame names job {} reducer {} with {} records, \
+             not job {job} reducer {reducer} with {records}",
+            head.job, head.reducer, head.records
+        )));
+    }
+    // `check_keyblock` proved the geometry `from_frame` takes on trust.
+    Ok(Keyblock::from_frame(frame, head.records, head.key_width))
+}
+
+/// A frame of `len` bytes fits the transport's bound.
+fn fits(len: usize) -> Result<(), FrameError> {
+    if len > MAX_FRAME as usize {
+        return Err(FrameError::Oversized {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            max: MAX_FRAME,
+        });
+    }
+    Ok(())
+}
+
+/// Writes the header into `frame`'s first [`BIN_HEADER_LEN`] bytes and
+/// then the CRC. The frame fits [`MAX_FRAME`], so its counts fit a
+/// `u32`.
+fn seal(frame: &mut [u8], job: u64, reducer: usize, records: usize, at_ms: u64, key_width: usize) {
+    frame[0] = BIN_TAG;
+    frame[1] = KIND_KEYBLOCK;
+    frame[2..4].fill(0);
+    frame[4..12].copy_from_slice(&job.to_le_bytes());
+    frame[12..16].copy_from_slice(&(reducer as u32).to_le_bytes());
+    frame[16..20].copy_from_slice(&(records as u32).to_le_bytes());
+    frame[20..28].copy_from_slice(&at_ms.to_le_bytes());
+    frame[28..32].copy_from_slice(&(key_width as u32).to_le_bytes());
+    let crc = frame_crc(frame);
+    frame[32..36].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The frame CRC: every header byte but the CRC field itself, then the
@@ -132,10 +206,11 @@ fn le_u64(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().expect("bounds checked"))
 }
 
-/// Decodes one binary keyblock frame payload. Every malformation —
-/// wrong tag or kind, impossible geometry, truncated or oversized
-/// payload, CRC mismatch — is a typed error.
-pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
+/// Checks one binary keyblock frame payload and reads its header,
+/// without building a row. Every malformation — wrong tag or kind,
+/// impossible geometry, truncated or oversized payload, CRC mismatch —
+/// is a typed error.
+fn check_keyblock(payload: &[u8]) -> Result<KeyblockHead, FrameError> {
     if payload.len() < BIN_HEADER_LEN {
         return Err(FrameError::Malformed(format!(
             "binary frame of {} bytes is shorter than the {BIN_HEADER_LEN}-byte header",
@@ -155,11 +230,14 @@ pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
             &payload[2..4]
         )));
     }
-    let job = le_u64(payload, 4);
-    let reducer = le_u32(payload, 12) as usize;
-    let records = le_u32(payload, 16) as usize;
-    let at_ms = le_u64(payload, 20);
-    let key_width = le_u32(payload, 28) as usize;
+    let head = KeyblockHead {
+        job: le_u64(payload, 4),
+        reducer: le_u32(payload, 12) as usize,
+        records: le_u32(payload, 16) as usize,
+        at_ms: le_u64(payload, 20),
+        key_width: le_u32(payload, 28) as usize,
+    };
+    let (records, key_width) = (head.records, head.key_width);
     let crc = le_u32(payload, 32);
     if !key_width.is_multiple_of(8) {
         return Err(FrameError::Malformed(format!(
@@ -183,9 +261,17 @@ pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
             "binary keyblock CRC mismatch: stored {crc:#010x}, frame {actual:#010x}"
         )));
     }
+    Ok(head)
+}
+
+/// Decodes one binary keyblock frame payload: the frame check, then
+/// every row.
+pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
+    let head = check_keyblock(payload)?;
+    let (key_width, row) = (head.key_width, head.key_width + 8);
     let body = &payload[BIN_HEADER_LEN..];
-    let mut out = Vec::with_capacity(records);
-    for i in 0..records {
+    let mut out = Vec::with_capacity(head.records);
+    for i in 0..head.records {
         let at = i * row;
         let key = Coord::from_packed(&body[at..at + key_width]);
         let val = f64::from_le_bytes(
@@ -196,9 +282,9 @@ pub fn decode_keyblock(payload: &[u8]) -> Result<KeyblockBin, FrameError> {
         out.push((key, val));
     }
     Ok(KeyblockBin {
-        job,
-        reducer,
-        at_ms,
+        job: head.job,
+        reducer: head.reducer,
+        at_ms: head.at_ms,
         records: out,
     })
 }

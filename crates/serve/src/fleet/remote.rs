@@ -10,7 +10,7 @@ use sidr_core::spec::JobSpec;
 use sidr_mapreduce::executor::{MapTally, ReduceSource, RemoteReduceError, TaskExecutor};
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{time, Mutex};
-use sidr_mapreduce::{InputSplit, MapTaskId, MrError};
+use sidr_mapreduce::{InputSplit, Keyblock, MapTaskId, MrError};
 
 use super::membership::{fleet_metrics, mark_dead, Fleet, WorkerSlot, HEARTBEAT_TIMEOUT};
 use super::wire::{call, Reply, SourceLoc, WorkerRequest, WorkerResponse};
@@ -163,7 +163,8 @@ impl RemoteJob<'_> {
     ///   connection that failed was already retried on one, see
     ///   [`WorkerSlot::call`]): the worker died mid-attempt, having
     ///   committed nothing (map) and released nothing (reduce), so it
-    ///   is marked dead;
+    ///   is marked dead, and the attempt counts as reassigned — the
+    ///   only miss that does;
     /// - a refused `Prepare` leaves the worker out of this attempt;
     /// - `UnknownJob` is a worker that lost the job: it
     ///   [leaves](Self::leave), and its next pick prepares it afresh.
@@ -180,13 +181,14 @@ impl RemoteJob<'_> {
     ) -> Result<(usize, Reply), String> {
         let metrics = fleet_metrics();
         let mut refused = None;
+        let died = |slot: &WorkerSlot| {
+            mark_dead(slot);
+            metrics.tasks_reassigned.inc();
+        };
         for walk in 0..2 {
             let round = self.fleet.rounds();
             let mut refusals = 0;
-            for (nth, idx) in candidates().into_iter().enumerate() {
-                if nth > 0 || walk > 0 {
-                    metrics.tasks_reassigned.inc();
-                }
+            for idx in candidates() {
                 let slot = &self.fleet.slots[idx];
                 let joins = match self.join(idx) {
                     Ok(joins) => joins,
@@ -196,7 +198,7 @@ impl RemoteJob<'_> {
                         continue;
                     }
                     Err(None) => {
-                        mark_dead(slot);
+                        died(slot);
                         continue;
                     }
                 };
@@ -209,7 +211,7 @@ impl RemoteJob<'_> {
                             .observe_duration(time::now().saturating_duration_since(started));
                         return Ok((idx, reply));
                     }
-                    Err(_) => mark_dead(slot),
+                    Err(_) => died(slot),
                 }
             }
             if refusals == self.fleet.slots.len() {
@@ -313,7 +315,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         attempt: u32,
         sources: &[ReduceSource],
         expected_raw: Option<u64>,
-    ) -> Result<Vec<(Coord, f64)>, RemoteReduceError> {
+    ) -> Result<Keyblock<Coord, f64>, RemoteReduceError> {
         // Resolve each source's holder. A generation whose holder is
         // dead or has lost the job since is already lost: report it
         // without burning a dispatch. Dispatch prefers the worker
@@ -401,22 +403,13 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
             };
         // Nothing is committed unless the keyblock names this job, this
         // reducer and the record count `ReduceDone` announced; a frame
-        // that fails any of those (or its CRC) costs the attempt.
-        let kb = binframe::decode_keyblock(&frame)
+        // that fails any of those (or its CRC) costs the attempt. The
+        // frame's buffer is the keyblock: no row is decoded.
+        let keyblock = binframe::accept_keyblock(frame, self.job, reducer, emitted)
             .map_err(|e| failed(format!("keyblock frame: {e}")))?;
-        if (kb.job, kb.reducer, kb.records.len() as u64) != (self.job, reducer, emitted) {
-            return Err(failed(format!(
-                "keyblock frame names job {} reducer {} with {} records, \
-                 not job {} reducer {reducer} with {emitted}",
-                kb.job,
-                kb.reducer,
-                kb.records.len(),
-                self.job
-            )));
-        }
         fleet_metrics()
             .fetch_seconds
             .observe(Duration::from_millis(fetch_ms).as_secs_f64());
-        Ok(kb.records)
+        Ok(keyblock)
     }
 }

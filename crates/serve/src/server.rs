@@ -11,12 +11,13 @@
 //! runs the plan admission proved.
 //!
 //! Each job's output path is one collector (`KeyblockStream`): every
-//! committed keyblock is stamped, encoded as one
-//! [`KeyblockBin`](crate::binframe::KeyblockBin) frame and enqueued on
-//! the submitting connection the moment its reduce finishes (§3.4/§5
-//! early correct results). Nothing is retained: a client that
-//! disconnects mid-stream mutes the stream without failing the job —
-//! the job completes into the server's lifetime counters.
+//! committed keyblock is stamped, sealed as one
+//! [`KeyblockBin`](crate::binframe::KeyblockBin) frame in the buffer
+//! its reduce wrote, and enqueued on the submitting connection the
+//! moment its reduce finishes (§3.4/§5 early correct results). Nothing
+//! is retained: a client that disconnects mid-stream mutes the stream
+//! without failing the job — the job completes into the server's
+//! lifetime counters.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
@@ -34,8 +35,8 @@ use sidr_core::{SidrError, SidrPlan};
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::{
-    run_job_with_executor, CancelToken, FaultPlan, InProcessExecutor, MrError, OutputCollector,
-    SlotPool, TaskExecutor,
+    run_job_with_executor, CancelToken, FaultPlan, InProcessExecutor, Keyblock, MrError,
+    OutputCollector, SlotPool, TaskExecutor,
 };
 use sidr_scifile::ScincFile;
 
@@ -648,12 +649,12 @@ fn run_admitted_job(
     end
 }
 
-/// One job's output path. `commit` stamps the keyblock, encodes its
-/// `KeyblockBin` frame once into an exact-size buffer and enqueues it
-/// on the submitting connection; the records themselves are dropped.
-/// A connection that is gone drops the frame and nothing else. A
-/// keyblock the frame cannot carry fails the commit and thereby the
-/// job, with the reason.
+/// One job's output path. A keyblock is stamped, sealed as its
+/// `KeyblockBin` frame in the buffer the reduce wrote its rows into —
+/// a worker's frame is restamped in place — and enqueued on the
+/// submitting connection; no row is decoded or copied. A connection
+/// that is gone drops the frame and nothing else. A keyblock the frame
+/// cannot carry fails the commit and thereby the job, with the reason.
 struct KeyblockStream<'a> {
     inner: &'a Inner,
     job: u64,
@@ -665,6 +666,19 @@ struct KeyblockStream<'a> {
 
 impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
     fn commit(&self, reducer: usize, records: Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()> {
+        let keyblock = Keyblock::from_records(&records).ok_or_else(|| {
+            MrError::Output(format!(
+                "reducer {reducer}'s keyblock mixes key widths; a KeyblockBin frame needs one"
+            ))
+        })?;
+        self.commit_keyblock(reducer, keyblock)
+    }
+
+    fn commit_keyblock(
+        &self,
+        reducer: usize,
+        keyblock: Keyblock<Coord, f64>,
+    ) -> sidr_mapreduce::Result<()> {
         // Mutation hook: the hang-up tolerance above, undone.
         if chaos::on(Mutation::HangUpFailsCommit) && self.out.is_closed() {
             return Err(MrError::Output("the client hung up".into()));
@@ -672,7 +686,8 @@ impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
         // Measured from job start: the paper's time-to-first-result,
         // as served.
         let at = time::now() - self.start;
-        let bin = binframe::encode_keyblock(self.job, reducer, at.as_millis() as u64, &records)
+        let records = keyblock.len();
+        let bin = binframe::seal_keyblock(self.job, reducer, at.as_millis() as u64, keyblock)
             .map_err(|e| {
                 MrError::Output(format!("keyblock does not fit a KeyblockBin frame: {e}"))
             })?;
@@ -684,8 +699,7 @@ impl OutputCollector<Coord, f64> for KeyblockStream<'_> {
         self.inner
             .keyblocks_committed
             .fetch_add(1, Ordering::Relaxed);
-        self.records
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.records.fetch_add(records as u64, Ordering::Relaxed);
         self.out.push(bin, false);
         Ok(())
     }

@@ -4,7 +4,10 @@
 //! for the same job. Plus adversarial property tests for the
 //! `KeyblockBin` decoder, in the style of `frames.rs`: truncations,
 //! bit flips and hostile geometry yield typed errors, never panics or
-//! over-reads.
+//! over-reads. And the packed path from merge to socket: the reduce's
+//! sealed rows are the bytes the decode-and-encode path produced, the
+//! coordinator's check refuses every damaged or misfiled worker frame,
+//! and its restamped frame decodes to the worker's rows.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -14,13 +17,20 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sidr_analyze::presets;
-use sidr_coords::Coord;
+use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::framework::{run_query, FrameworkMode, RunOptions};
 use sidr_core::spec::JobSpec;
-use sidr_core::SidrPlanner;
-use sidr_mapreduce::shuffle_file::crc32_parts;
+use sidr_core::{Operator, SidrPlanner};
+use sidr_mapreduce::shuffle_file::{crc32_parts, encode_map_output};
+use sidr_mapreduce::{
+    run_reduce_attempt, AttemptBodies, FaultKind, InProcessExecutor, InputSplit, JobConfig,
+    Keyblock, MapAttemptOutput, MapOutputFile, MapTaskId, MrError, ReduceSource, RemoteReduceError,
+    Smof3View, TaskExecutor,
+};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
-use sidr_serve::binframe::{decode_keyblock, encode_keyblock, is_binary, BIN_HEADER_LEN};
+use sidr_serve::binframe::{
+    accept_keyblock, decode_keyblock, encode_keyblock, is_binary, seal_keyblock, BIN_HEADER_LEN,
+};
 use sidr_serve::frame::{self, read_frame, FrameError, Role};
 use sidr_serve::{Client, Request, Response, Server, ServerConfig, SubmitOptions, Tcp};
 
@@ -302,5 +312,205 @@ fn every_header_bit_flip_is_malformed() {
                 ),
             }
         }
+    }
+}
+
+/// The worker's frame of [`sample_frame`]'s rows: job 3, reducer 5,
+/// sealed over the reduce's header room.
+fn worker_frame() -> (Vec<u8>, Vec<(Coord, f64)>) {
+    let records = decode_keyblock(&sample_frame()).unwrap().records;
+    let frame = seal_keyblock(3, 5, 0, Keyblock::from_records(&records).unwrap()).unwrap();
+    (frame, records)
+}
+
+/// One source partition of `records`, sorted by key, as a view.
+fn view_of(mut records: Vec<(Coord, f64)>) -> Smof3View<Coord, f64> {
+    records.sort_by(|a, b| a.0.cmp(&b.0));
+    let file = MapOutputFile {
+        raw_count: records.len() as u64,
+        records,
+    };
+    Smof3View::open(Arc::new(encode_map_output(&file).unwrap())).unwrap()
+}
+
+/// The reduce path the packed rows replaced, kept only as the
+/// reference: decode every source's records, stable-sort them by key
+/// (equal keys in source order), apply `op` to each key's group and
+/// collect `(Coord, f64)` rows — to be encoded by `encode_keyblock`.
+fn decoded_reduce(sources: &[Smof3View<Coord, f64>], op: Operator) -> Vec<(Coord, f64)> {
+    let mut all: Vec<(Coord, f64)> = Vec::new();
+    for view in sources {
+        let records = (0..view.runs()).flat_map(|r| {
+            let key = view.run_key(r);
+            view.run_values(r).map(move |v| (key.clone(), v))
+        });
+        all.extend(records);
+    }
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut rows = Vec::new();
+    let mut rest = &all[..];
+    while let Some((key, _)) = rest.first() {
+        let n = rest.iter().take_while(|(k, _)| k == key).count();
+        let mut values: Vec<f64> = rest[..n].iter().map(|(_, v)| *v).collect();
+        op.reduce_group(&mut values, &mut |v| rows.push((key.clone(), v)));
+        rest = &rest[n..];
+    }
+    rows
+}
+
+const OPERATORS: [Operator; 5] = [
+    Operator::Median,
+    Operator::Mean,
+    Operator::Max,
+    Operator::SortValues,
+    Operator::Filter { threshold: 0.5 },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The coordinator's check of a worker frame refuses, with a typed
+    /// error and before any keyblock exists to commit, every
+    /// single-byte change, every truncation, and a frame filed under
+    /// another job or reducer or announced with another row count.
+    #[test]
+    fn the_coordinator_refuses_every_damaged_or_misfiled_frame(
+        pos_seed in any::<u64>(),
+        flip in 1u8..=255,
+        cut_seed in any::<u64>(),
+        (job, reducer, rows) in (0u64..6, 3usize..8, 15u64..20),
+    ) {
+        let (frame, records) = worker_frame();
+        let n = records.len() as u64;
+        let refused = |frame: Vec<u8>, job, reducer, rows| {
+            matches!(accept_keyblock(frame, job, reducer, rows), Err(FrameError::Malformed(_)))
+        };
+        prop_assert!(accept_keyblock(frame.clone(), 3, 5, n).is_ok());
+
+        let mut flipped = frame.clone();
+        let pos = (pos_seed as usize) % flipped.len();
+        flipped[pos] ^= flip;
+        prop_assert!(refused(flipped, 3, 5, n), "byte {} ^ {:#04x}", pos, flip);
+
+        let cut = (cut_seed as usize) % frame.len();
+        prop_assert!(refused(frame[..cut].to_vec(), 3, 5, n), "cut at {}", cut);
+
+        if (job, reducer, rows) != (3, 5, n) {
+            prop_assert!(refused(frame, job, reducer, rows), "as {:?}", (job, reducer, rows));
+        }
+    }
+
+    /// The packed reduce's sealed frame is byte for byte
+    /// `encode_keyblock` of the rows the decode-every-record path
+    /// produced, for any sources — keys spread over several, and
+    /// repeated inside one — and every kind of operator.
+    #[test]
+    fn the_packed_reduce_frame_is_the_encoded_decoded_rows(
+        sources in vec(vec((0u64..6, 0u64..3, -4i32..4), 0..24), 0..6),
+        op in 0usize..OPERATORS.len(),
+    ) {
+        let op = OPERATORS[op];
+        let views: Vec<Smof3View<Coord, f64>> = (sources.into_iter())
+            .map(|rows| {
+                let records = rows.into_iter().map(|(a, b, v)| (Coord::from([a, b]), v as f64 / 4.0));
+                view_of(records.collect())
+            })
+            .collect();
+        let reference = encode_keyblock(9, 2, 77, &decoded_reduce(&views, op)).unwrap();
+        let packed = run_reduce_attempt(2, views, None, |vs, emit| op.reduce_group(vs, emit)).unwrap();
+        prop_assert_eq!(seal_keyblock(9, 2, 77, packed).unwrap(), reference);
+    }
+}
+
+/// What the coordinator forwards is the worker's buffer under its own
+/// job and time: it decodes, through the client's decoder, to the
+/// worker's rows, under the coordinator's job and `at_ms`.
+#[test]
+fn a_restamped_frame_decodes_to_the_workers_rows() {
+    let (frame, records) = worker_frame();
+    let rows = accept_keyblock(frame, 3, 5, records.len() as u64).unwrap();
+    let forwarded = seal_keyblock(42, 5, 1234, rows).unwrap();
+    assert_eq!(
+        forwarded,
+        sample_frame(),
+        "the same bytes as a fresh encode"
+    );
+    let kb = decode_keyblock(&forwarded).unwrap();
+    assert_eq!((kb.job, kb.reducer, kb.at_ms), (42, 5, 1234));
+    assert_eq!(kb.records, records);
+}
+
+/// Map `task` writes one key of rank `task + 1` for reducer 0: the
+/// reduce's sources disagree on key width.
+struct MixedRanks;
+
+impl AttemptBodies for MixedRanks {
+    type Key = Coord;
+    type Value = f64;
+    type Out = f64;
+
+    fn map(
+        &self,
+        task: MapTaskId,
+        _attempt: u32,
+        _fault: Option<FaultKind>,
+        _split: &InputSplit,
+        _pause: &dyn Fn(std::time::Duration) -> bool,
+    ) -> sidr_mapreduce::Result<MapAttemptOutput> {
+        let file = MapOutputFile {
+            records: vec![(Coord::from(vec![7; task + 1]), 1.0)],
+            raw_count: 1,
+        };
+        Ok(MapAttemptOutput {
+            partitions: vec![(0, encode_map_output(&file)?)],
+            records_in: 1,
+            records_out: 1,
+        })
+    }
+
+    fn reduce(
+        &self,
+        reducer: usize,
+        inputs: Vec<Smof3View<Coord, f64>>,
+        expected_raw: Option<u64>,
+    ) -> sidr_mapreduce::Result<Keyblock<Coord, f64>> {
+        run_reduce_attempt(reducer, inputs, expected_raw, |vs, emit| {
+            Operator::Mean.reduce_group(vs, emit)
+        })
+    }
+}
+
+/// A keyblock no frame can carry fails its attempt fatally, as
+/// `encode_keyblock`'s refusals did: rows of two key widths are an
+/// output error the executor makes fatal (a worker answers it
+/// `fatal`), and rows past `MAX_FRAME` are a typed `Oversized` seal.
+#[test]
+fn a_keyblock_no_frame_can_carry_fails_fatally() {
+    let config = JobConfig::default();
+    let exec = InProcessExecutor::with_bodies(MixedRanks, &config);
+    let split = InputSplit {
+        slab: Slab::whole(&Shape::new(vec![1]).unwrap()),
+        byte_range: (0, 8),
+        preferred_nodes: Vec::new(),
+    };
+    for task in 0..2 {
+        exec.execute_map(task, 0, false, &split, &|_| true).unwrap();
+    }
+    let sources = [0, 1].map(|map| ReduceSource { map, epoch: 0 });
+    match exec.execute_reduce(0, 0, &sources, None) {
+        Err(RemoteReduceError::Fatal(MrError::Output(why))) => {
+            assert!(why.contains("key widths"), "{why}")
+        }
+        other => panic!("expected a fatal output error, got {other:?}"),
+    }
+
+    let row = Coord::from([0u64, 0]).packed_width() + 8;
+    let n = (sidr_serve::MAX_FRAME as usize - BIN_HEADER_LEN) / row + 1;
+    let mut kb = Keyblock::<Coord, f64>::with_hint(n);
+    let key = [0u8; 16];
+    (0..n).for_each(|_| assert!(kb.push(&key, &0.0)));
+    match seal_keyblock(1, 0, 0, kb) {
+        Err(FrameError::Oversized { max, .. }) => assert_eq!(max, sidr_serve::MAX_FRAME),
+        other => panic!("expected Oversized, got {:?}", other.map(|b| b.len())),
     }
 }

@@ -7,7 +7,8 @@
 //!   partitions (encoded CRC-framed SMOF buffers) in memory; reduce
 //!   attempts fetch their source partitions from the workers holding
 //!   them, merge in the plan's fetch order, and send the keyblock back
-//!   to the coordinator whole, as one `KeyblockBin` frame;
+//!   to the coordinator whole, as one `KeyblockBin` frame sealed over
+//!   the rows the reduce wrote;
 //! * **serve shuffle fetches** to peer workers over the same
 //!   length-prefixed frame protocol, partition bytes riding as one raw
 //!   frame after their JSON header.
@@ -423,6 +424,7 @@ fn is_fatal(e: &SidrError) -> bool {
         e,
         SidrError::Engine(MrError::AnnotationMismatch { .. })
             | SidrError::Engine(MrError::BadConfig(_))
+            | SidrError::Engine(MrError::Output(_))
     )
 }
 
@@ -615,26 +617,28 @@ fn run_reduce_inner(
         .as_millis() as u64;
 
     // --- merge & reply ----------------------------------------------
-    // A keyblock that cannot be one frame (mixed coordinate ranks, or
-    // past `MAX_FRAME`) will not fit on a retry either: fatal.
-    let records = match exec
+    // The reduce writes its rows in the frame's layout, and the header
+    // is sealed over the room it left. A keyblock that cannot be one
+    // frame (mixed coordinate ranks, or past `MAX_FRAME`) will not fit
+    // on a retry either: fatal.
+    let rows = match exec
         .reduce(reducer, inputs, expected_raw)
         .map_err(SidrError::Engine)
     {
-        Ok(records) => records,
+        Ok(rows) => rows,
         Err(e) => {
             let failed = failed(format!("reduce {reducer}: {e}"), is_fatal(&e));
             return answer(shared, conn, &failed, None);
         }
     };
-    let keyblock = match binframe::encode_keyblock(job, reducer, 0, &records) {
+    let emitted = rows.len() as u64;
+    let keyblock = match binframe::seal_keyblock(job, reducer, 0, rows) {
         Ok(frame) => frame,
         Err(e) => {
             let detail = format!("reduce {reducer}: keyblock does not fit one frame: {e}");
             return answer(shared, conn, &failed(detail, true), None);
         }
     };
-    let emitted = records.len() as u64;
     let done = WorkerResponse::ReduceDone { emitted, fetch_ms };
     if !answer(shared, conn, &done, Some(&keyblock)) {
         return false;
@@ -668,6 +672,16 @@ mod tests {
     use sidr_scifile::gen::{DatasetSpec, ValueModel};
     use sidr_serve::Tcp;
     use std::time::{Duration, Instant};
+
+    /// A reduce whose rows no keyblock can hold (keys of two widths)
+    /// fails its attempt fatally, as a refused frame encode did: no
+    /// retry on any worker changes the rows.
+    #[test]
+    fn an_output_error_is_fatal() {
+        let mixed = MrError::Output("reducer 0's keyblock mixes key widths".into());
+        assert!(is_fatal(&SidrError::Engine(mixed)));
+        assert!(!is_fatal(&SidrError::Engine(MrError::Source("eof".into()))));
+    }
 
     /// A `Prepare` of a job the worker holds answers `Prepared` and
     /// keeps what the job committed: the coordinator may send it again
