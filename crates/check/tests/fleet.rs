@@ -22,11 +22,12 @@
 //! re-executions confined to the maps of uncommitted `I_ℓ`s whose
 //! partitions a fault destroyed, the timeline protocol, the resident
 //! budget, the heartbeat's attempt counts as `sidr-submit stats` shows
-//! them, no attempt on a worker that refuses `Prepare`, and — once the server has finished the job — no partition,
-//! spill file or prepared job on any live worker, an idle slot pool and
-//! no vthread left parked. A hung-up job must still complete on the
-//! server; a cancelled one ends `Cancelled` (or `Done`, if every
-//! keyblock committed first). The scripted cases below fix the faults
+//! them, no attempt on a worker that refuses `Prepare`, an idle slot
+//! pool, no vthread left parked, and — once a heartbeat round has
+//! passed after the job's end — no partition, spill file or prepared
+//! job on any live worker that a probe reached since. A hung-up job
+//! must still complete on the server; a cancelled one ends `Cancelled`
+//! (or `Done`, if every keyblock committed first). The scripted cases below fix the faults
 //! and assert exact expectations on top.
 //!
 //! ```text
@@ -91,9 +92,9 @@ const PARKED: Duration = Duration::from_secs(10);
 /// Every job's deadline, in virtual time: far past any fault's delay.
 const DEADLINE_MS: u64 = 20_000;
 
-/// Virtual time left to pass after `finish` beyond the longest delay a
-/// rule injected, so every held frame has landed before the sweep is
-/// judged.
+/// Virtual time left to pass after the job's end beyond the longest
+/// delay a rule injected, so every held frame has landed before the
+/// sweep is judged.
 const SETTLE: Duration = Duration::from_millis(100);
 
 /// The mutation flag is process-global: runs that arm one serialize.
@@ -172,8 +173,8 @@ enum Kind {
     Ping,
 }
 
-fn kind_of(req: &WorkerRequest) -> Option<(Kind, Option<usize>, Option<u32>)> {
-    Some(match *req {
+fn kind_of(req: &WorkerRequest) -> (Kind, Option<usize>, Option<u32>) {
+    match *req {
         WorkerRequest::Prepare { .. } => (Kind::Prepare, None, None),
         WorkerRequest::RunMap { task, attempt, .. } => (Kind::Map, Some(task), Some(attempt)),
         WorkerRequest::RunReduce {
@@ -182,8 +183,7 @@ fn kind_of(req: &WorkerRequest) -> Option<(Kind, Option<usize>, Option<u32>)> {
         WorkerRequest::FetchPartition { map, .. } => (Kind::Fetch, Some(map), None),
         WorkerRequest::Release { reducer, .. } => (Kind::Release, Some(reducer), None),
         WorkerRequest::Ping { .. } => (Kind::Ping, None, None),
-        WorkerRequest::Finish { .. } => return None,
-    })
+    }
 }
 
 /// How a tampered keyblock reply lies.
@@ -283,8 +283,9 @@ enum ClientFault {
 struct Faults {
     rules: Vec<Rule>,
     kill: Option<Kill>,
-    /// A coordinator ran this many maps of job 1, then vanished without
-    /// `Finish`; its successor reuses the job id.
+    /// A coordinator ran this many maps of job 1, then vanished; its
+    /// successor, which reuses the job id, ends them with its first
+    /// roster.
     restart: Option<usize>,
     /// Workers get a 1-byte resident budget, and this map's first
     /// attempt this spill fault (if any).
@@ -401,8 +402,8 @@ impl Faults {
         }
     }
 
-    /// How long after `finish` a frame this run delayed may still land
-    /// (a kill cuts anything parked longer).
+    /// How long after the job's end a frame this run delayed may still
+    /// land (a kill cuts anything parked longer).
     fn settle(&self) -> Duration {
         let delays = self.rules.iter().filter_map(|r| match r.act {
             Act::Request(Fate::Deliver(d)) | Act::Reply(Fate::Deliver(d)) => Some(d.min(HOLD)),
@@ -477,12 +478,17 @@ struct Wire {
     reduced_at_kill: Option<HashSet<usize>>,
     /// The job is over; a pending kill will not fire.
     over: bool,
+    /// When each worker last answered a `Ping` whose roster holds no
+    /// open job: by then it held no job.
+    emptied: BTreeMap<usize, Instant>,
+    /// Live workers the last sweep judged.
+    swept: usize,
     log: Vec<String>,
 }
 
 /// Can `act` on a `kind` exchange cost the worker its partitions, or
 /// make the coordinator take it for dead? Only probes time out, and a
-/// released-late partition is swept by `Finish`.
+/// released-late partition is swept by the job's end.
 fn costly(kind: Kind, act: Act) -> bool {
     match act {
         _ if kind == Kind::Release => false,
@@ -547,10 +553,7 @@ impl Wire {
             reply: None,
             answered: false,
         };
-        let Some((kind, task, attempt)) = kind_of(&req) else {
-            self.exchanges.insert(conn, x);
-            return fate;
-        };
+        let (kind, task, attempt) = kind_of(&req);
         for (i, rule) in rules.iter().enumerate() {
             let matches = rule.kind == kind
                 && rule.worker.is_none_or(|w| w == worker)
@@ -603,6 +606,7 @@ impl Wire {
         };
         x.answered = true;
         let (act, faulted) = (x.reply.take(), x.faulted);
+        let emptied = matches!(&x.req, WorkerRequest::Ping { roster } if roster.open.is_empty());
         let reducer = match x.req {
             WorkerRequest::RunReduce { reducer, .. } => Some(reducer),
             _ => None,
@@ -616,6 +620,11 @@ impl Wire {
                 Fate::Deliver(d) => d,
                 _ => Duration::ZERO,
             };
+        // The worker applied the roster before it answered, whatever
+        // becomes of the answer.
+        if emptied && matches!(reply, WorkerResponse::Pong(_)) {
+            self.emptied.insert(worker, time::now());
+        }
         match (&reply, reducer) {
             (
                 WorkerResponse::MapDone {
@@ -857,10 +866,19 @@ impl World {
         }
     }
 
-    /// After `finish`: no live worker holds a partition, a spill file
-    /// or a prepared job.
-    fn assert_swept(&self, when: &str) {
-        for (w, dir) in self.workers.lock().iter().filter(|w| w.0.stat().alive) {
+    /// A heartbeat round after the job ended at `since`: no live
+    /// worker that answered a `Ping` ending it since holds a partition,
+    /// a spill file or a prepared job. Records how many it judged.
+    fn assert_swept(&self, since: Instant, when: &str) {
+        let reached: Vec<usize> = (self.ledger.wire().emptied.iter())
+            .filter(|&(_, &at)| at >= since)
+            .map(|(&w, _)| w)
+            .collect();
+        let workers = self.workers.lock();
+        let live = reached.iter().map(|&w| &workers[w]);
+        let live: Vec<_> = live.filter(|w| w.0.stat().alive).collect();
+        self.ledger.wire().swept = live.len();
+        for (w, dir) in live {
             let (held, jobs) = (w.stat().partitions_held, w.prepared_jobs());
             let files = files_under(dir);
             if held > 0 || jobs > 0 || !files.is_empty() {
@@ -950,8 +968,9 @@ impl World {
         }
     }
 
-    /// Every oracle, on one run, judged on what the client received.
-    fn check(&self, fx: &Fixture, got: &Received, handle: &ServerHandle) {
+    /// Every oracle, on one run, judged on what the client received; the
+    /// job ended at `ended`.
+    fn check(&self, fx: &Fixture, got: &Received, handle: &ServerHandle, ended: Instant) {
         let spec = &fx.spec;
         // Each keyblock streamed at most once — every one, for a job
         // that ran to `Done` — and byte-identical to the single-process
@@ -1010,7 +1029,7 @@ impl World {
                 ));
             }
         }
-        self.assert_swept("after finish");
+        self.assert_swept(ended, "after the job's end");
         let s = handle.stats();
         if s.map_busy + s.reduce_busy > 0 {
             self.fail(format!("the pool is not idle after the job: {s:?}"));
@@ -1130,19 +1149,20 @@ fn run(faults: Faults, expect: &dyn Fn(&Received, &Wire)) {
         fault_plan: faults.fault_plan(),
         ..SubmitOptions::default()
     };
-    let got = thread::scope(|s| {
+    let (got, ended) = thread::scope(|s| {
         s.spawn(|| world.chaos());
         let got = world.submit((&spec, &fx.input, &options), &handle);
         world.ledger.wire().over = true;
         world.ledger.ring();
-        got
+        (got, time::now())
     });
-    thread::sleep(faults.settle());
-    world.check(fx, &got, &handle);
+    // Every held frame lands, then a heartbeat round carries the job's
+    // end to each worker it reaches.
+    thread::sleep(faults.settle() + BEAT);
+    world.check(fx, &got, &handle, ended);
     // Attempt counts reach the coordinator's fleet view (`sidr-submit
     // stats`) by heartbeat: one period on, it matches every worker's.
     if faults.kill.is_none() && faults.rules.iter().all(|r| r.kind != Kind::Ping) {
-        thread::sleep(BEAT);
         let counts = |s: &WorkerStat| (s.map_attempts, s.reduce_attempts);
         let mut client = (Client::dial(&*world.net, SERVER))
             .unwrap_or_else(|e| world.fail(format!("dial: {e}")));
@@ -1185,8 +1205,9 @@ fn base() -> Faults {
 }
 
 /// ≥ 500 seeds, each with a fresh fault draw, every oracle on every
-/// one; at least one in five has the client hang up or cancel, and at
-/// least one in eight damages a map's committed output. Four
+/// one; at least one in five has the client hang up or cancel, at
+/// least one in eight damages a map's committed output, and at most one
+/// in twenty judges no worker's sweep. Four
 /// explorations share the cores: a seed's cost is the job's own CPU,
 /// and a vthread handoff leaves its core idle until the next vthread
 /// wakes — another exploration fills that gap. Prints seeds/s; a
@@ -1198,11 +1219,12 @@ fn seeded_fleet_search() {
     let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
     fixture(false);
     let (clients, damaged) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let unswept = AtomicUsize::new(0);
     let started = std::time::Instant::now();
     let reports: Vec<Report> = std::thread::scope(|s| {
         let halves: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (clients, damaged) = (&clients, &damaged);
+                let (clients, damaged, unswept) = (&clients, &damaged, &unswept);
                 s.spawn(move || {
                     let seeds = SEEDS / THREADS as usize;
                     explore("fleet-search", seeds, 0x51D2_F1EE_7000 + t, || {
@@ -1213,7 +1235,11 @@ fn seeded_fleet_search() {
                         if faults.damage.is_some() {
                             damaged.fetch_add(1, Ordering::Relaxed);
                         }
-                        run(faults, &|_, _| {})
+                        run(faults, &|_, wire| {
+                            if wire.swept == 0 {
+                                unswept.fetch_add(1, Ordering::Relaxed);
+                            }
+                        })
                     })
                 })
             })
@@ -1224,9 +1250,11 @@ fn seeded_fleet_search() {
     let seeds: usize = reports.iter().map(|r| r.schedules).sum();
     let steps: u64 = reports.iter().map(|r| r.total_steps).sum();
     let (clients, damaged) = (clients.into_inner(), damaged.into_inner());
+    let unswept = unswept.into_inner();
     eprintln!(
         "fleet search: {seeds} seeds ({} steps each) in {took:.1?} — {:.1} seeds/s, \
-         {clients} with a client hang-up or cancel, {damaged} with damaged output",
+         {clients} with a client hang-up or cancel, {damaged} with damaged output, \
+         {unswept} whose sweep judged no worker",
         steps / seeds.max(1) as u64,
         seeds as f64 / took.as_secs_f64()
     );
@@ -1239,6 +1267,10 @@ fn seeded_fleet_search() {
     assert!(
         damaged * 8 >= seeds,
         "{damaged} output-damage faults in {seeds} seeds"
+    );
+    assert!(
+        unswept * 20 <= seeds,
+        "{unswept} of {seeds} seeds swept no worker"
     );
 }
 
@@ -1548,8 +1580,15 @@ fn rejoined_worker_is_not_part_of_the_running_job() {
             .map(|w| w.0.stat().map_attempts)
             .collect();
         assert_eq!(attempts, vec![0, 1, 0], "map 1 ran on the next worker");
-        job.finish();
-        world.assert_swept("after finish");
+        drop(job);
+        let ended = time::now();
+        thread::sleep(BEAT);
+        world.assert_swept(ended, "after the job's end");
+        assert_eq!(
+            world.ledger.wire().swept,
+            WORKERS,
+            "a probe missed a worker"
+        );
         drop(fleet);
         world.teardown();
     })
@@ -1620,30 +1659,21 @@ fn finding_mentions(report: &Report, needle: &str) -> bool {
         .any(|f| f.kind() == FindingKind::Panic && f.to_string().contains(needle))
 }
 
-/// A past bug: `finish` skipping a worker marked dead (it only missed
-/// heartbeats) leaves the job prepared there — the sweep oracle fires.
-/// Held reduce dispatches keep the job running past w0's lost beats.
+/// One teardown path, undone: a worker that applies the roster only
+/// on `Prepare` keeps the ended job, since no later job joins it — the
+/// sweep oracle fires.
 #[test]
-fn finish_skipping_dead_workers_is_caught_by_the_sweep() {
-    let faults = Faults {
-        rules: vec![
-            Rule {
-                worker: Some(0),
-                from: 1,
-                ..Rule::on(Kind::Ping, Act::Reply(Fate::Vanish)).every()
-            },
-            Rule::on(Kind::Reduce, Act::Request(Fate::Deliver(HOLD))).every(),
-        ],
-        ..base()
-    };
-    scripted("finish-skips-dead", faults.clone(), |_, _| {});
+fn a_roster_heard_only_on_prepare_is_caught_by_the_sweep() {
+    scripted("roster-on-ping", base(), |_, wire| {
+        assert!(wire.swept > 0, "the sweep judged no worker");
+    });
     let report = mutated(
-        Mutation::FinishSkipsDeadWorkers,
-        "mutation:finish-skips-dead",
-        faults,
+        Mutation::RosterOnlyOnPrepare,
+        "mutation:roster-only-on-prepare",
+        base(),
     );
     assert!(
-        finding_mentions(&report, "sweep after finish"),
+        finding_mentions(&report, "sweep after the job's end"),
         "the sweep oracle missed it: {:?}",
         report.failures
     );

@@ -594,7 +594,7 @@ impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
                     timeline.record_attempt(TaskKind::ReduceMergeDone, reducer, attempt);
                     let records = out.len() as u64;
                     (output.commit_keyblock(reducer, out).map(|()| records))
-                        .map_err(|e| RemoteReduceError::Fatal(MrError::Output(e.to_string())))
+                        .map_err(RemoteReduceError::Fatal)
                 });
             inbox.post(Done::Reduce { reducer, result });
         })));

@@ -14,7 +14,7 @@
 //!
 //! The name is from the v3 layout; the benchmark pins it (with
 //! [`Smof3View::parse`]) until it re-pins its adapter (ROADMAP item
-//! 10).
+//! 7(a)).
 
 use std::sync::Arc;
 

@@ -109,10 +109,10 @@ pub mod chaos {
         /// outputs, so a recovering reducer waits for a recommit
         /// nobody will produce.
         SkipRecoveryRewait,
-        /// The fleet's `finish` skips workers marked dead, so a worker
-        /// that only missed heartbeats keeps the job's executor and
-        /// partitions.
-        FinishSkipsDeadWorkers,
+        /// A worker applies the coordinator's roster only on `Prepare`,
+        /// not on `Ping`, so a worker that no later job joins keeps an
+        /// ended job's executor and partitions.
+        RosterOnlyOnPrepare,
         /// Recovery keeps the dead generation's running count: its
         /// straggler still out counts as a racer of the new generation,
         /// so a failed attempt of the new one is never retried.

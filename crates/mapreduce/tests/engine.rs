@@ -7,7 +7,8 @@ mod support;
 use std::time::Duration;
 
 use sidr_mapreduce::{
-    FaultPlan, InMemoryOutput, InputSplit, JobConfig, JobPlan, MapTaskId, TaskKind,
+    FaultPlan, InMemoryOutput, InputSplit, JobConfig, JobPlan, MapTaskId, MrError, OutputCollector,
+    TaskKind,
 };
 use support::{bodies, identity_source, number_splits, run, run_shared, sum, sum_by_mod10, SLOTS};
 
@@ -225,6 +226,32 @@ fn empty_splits_rejected() {
         SLOTS,
     );
     assert!(err.is_err());
+}
+
+/// A collector that refuses every commit.
+struct Refusing;
+
+impl OutputCollector<u64, u64> for Refusing {
+    fn commit(&self, _reducer: usize, _records: Vec<(u64, u64)>) -> sidr_mapreduce::Result<()> {
+        Err(MrError::Output("x".into()))
+    }
+}
+
+/// A commit's failure ends the job with the collector's own error,
+/// its message said once.
+#[test]
+fn a_failed_commit_fails_the_job_with_the_collectors_error() {
+    let splits = number_splits(100, 4);
+    let err = run(
+        &splits,
+        sum_by_mod10(2),
+        &JobPlan::global(2),
+        &Refusing,
+        &JobConfig::default(),
+        SLOTS,
+    )
+    .unwrap_err();
+    assert_eq!(err.to_string(), "output error: x");
 }
 
 #[test]

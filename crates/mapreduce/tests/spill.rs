@@ -142,9 +142,10 @@ fn backend_damage(backend: &MemBackend, name: &str, seed: u64) {
     backend.write(name, &bytes).unwrap();
 }
 
-/// `remove_job` (the worker's `Finish` path) sweeps the whole job
-/// namespace even for partitions never individually released — the
-/// deterministic orphan regression for the directory sweep.
+/// `remove_job` (how a worker drops a job a roster ended) sweeps the
+/// whole job namespace even for partitions never individually
+/// released — the deterministic orphan regression for the directory
+/// sweep.
 #[test]
 fn remove_job_sweeps_every_backend_file() {
     let parts: Vec<_> = (0..6)
@@ -153,7 +154,7 @@ fn remove_job_sweeps_every_backend_file() {
     let (store, backend, keys) = store_with(&parts);
     assert_eq!(backend.names().len(), parts.len());
 
-    // Release only half; Finish must still clean up the rest.
+    // Release only half; the job's end must still clean up the rest.
     for key in keys.iter().take(3) {
         store.release(JOB, key.2, &[(key.1, key.3)]);
     }

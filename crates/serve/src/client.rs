@@ -133,13 +133,13 @@ impl Client {
     }
 
     /// Alias of [`Client::connect`]. Pinned by `benchmark/src/sut.rs`
-    /// (frozen); ROADMAP item 5b deletes it.
+    /// (frozen); ROADMAP item 7(a) deletes it.
     pub fn connect_binary(addr: &str) -> std::io::Result<Client> {
         Client::connect(addr)
     }
 
     /// Always `true`: every keyblock is a `KeyblockBin` frame. Pinned
-    /// by `benchmark/src/sut.rs` (frozen); ROADMAP item 5b deletes it.
+    /// by `benchmark/src/sut.rs` (frozen); ROADMAP item 7(a) deletes it.
     pub fn is_binary(&self) -> bool {
         true
     }

@@ -53,6 +53,10 @@
 //! what the job placed on it and moves the dispatch on, uncharged; its
 //! next pick prepares it afresh.
 //!
+//! A job ends on the heartbeat: every `Ping` and `Prepare` carries the
+//! coordinator's [`Roster`], and a worker drops each job it ends, so one
+//! that missed a job's end is swept at the next probe that reaches it.
+//!
 //! The wire types live in `wire`, the membership and heartbeat in
 //! `membership`, and the job executor in `remote`.
 
@@ -63,5 +67,6 @@ mod wire;
 pub use membership::{fleet_metrics, Fleet, FleetMetrics};
 pub use remote::RemoteJob;
 pub use wire::{
-    send_reply, PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse, WorkerStat,
+    send_reply, PartitionStatus, Roster, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
+    WorkerStat,
 };

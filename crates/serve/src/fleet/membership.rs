@@ -9,7 +9,7 @@ use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
 use sidr_mapreduce::MrError;
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
-use super::wire::{call, Reply, WorkerConn, WorkerRequest, WorkerResponse, WorkerStat};
+use super::wire::{Reply, Roster, WorkerConn, WorkerRequest, WorkerResponse, WorkerStat};
 use crate::frame::{FrameError, Role};
 use crate::transport::Transport;
 
@@ -98,17 +98,18 @@ pub(super) struct WorkerSlot {
 /// Heartbeat probe interval: every worker is pinged once per period.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
-/// Connect/read timeout of a probe (and of `Finish`); a worker that
-/// cannot answer within it is declared dead.
-pub(super) const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Connect/read timeout of a probe; a worker that cannot answer within
+/// it is declared dead.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The coordinator's handle on its worker fleet.
 pub struct Fleet {
     pub(super) net: Arc<dyn Transport>,
-    /// This coordinator, as its requests name it to workers.
-    pub(super) session: u64,
     pub(super) slots: Vec<Arc<WorkerSlot>>,
-    pub(super) job_seq: AtomicU64,
+    /// This coordinator's session and jobs: ids are issued and opened
+    /// under this one lock, and a job's `RemoteJob` closes its id when
+    /// it drops. Every probe carries the roster as it stands.
+    pub(super) roster: Arc<Mutex<Roster>>,
     /// The heartbeat monitor's progress: it waits on this between
     /// rounds for `shutdown`, and a dispatch that found no live worker
     /// waits on it for the next round.
@@ -165,22 +166,26 @@ impl Fleet {
                 })
             })
             .collect();
+        let roster = Roster {
+            session: new_session(),
+            open: Vec::new(),
+            issued: 1,
+        };
         let fleet = Fleet {
             net,
-            session: new_session(),
             slots,
-            job_seq: AtomicU64::new(1),
+            roster: Arc::new(Mutex::new(roster)),
             beat: Arc::default(),
             monitor: Mutex::new(None),
         };
         // Synchronous first round so jobs submitted immediately after
         // startup see the real liveness picture.
         for slot in &fleet.slots {
-            probe(&*fleet.net, fleet.session, slot);
+            probe(&*fleet.net, &fleet.roster, slot);
         }
-        let (net, session, beat) = (
+        let (net, roster, beat) = (
             Arc::clone(&fleet.net),
-            fleet.session,
+            Arc::clone(&fleet.roster),
             Arc::clone(&fleet.beat),
         );
         let slots = fleet.slots.clone();
@@ -197,7 +202,7 @@ impl Fleet {
                 }
                 round = time::now();
                 for slot in &slots {
-                    probe(&*net, session, slot);
+                    probe(&*net, &roster, slot);
                 }
                 beat.0.lock().rounds += 1;
                 beat.1.notify_all();
@@ -310,10 +315,16 @@ fn new_session() -> u64 {
     nanos.wrapping_add(SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
-/// One liveness probe: dial, handshake, `Ping`, read `Pong`.
-fn probe(net: &dyn Transport, session: u64, slot: &WorkerSlot) {
-    let ping = WorkerRequest::Ping { session };
-    match call(net, &slot.addr, &ping, Some(HEARTBEAT_TIMEOUT)) {
+/// One liveness probe: dial, handshake, `Ping` with the roster as it
+/// stands, read `Pong` — on a connection of its own, with a timeout:
+/// its question is whether the worker answers a new connection at all.
+fn probe(net: &dyn Transport, roster: &Mutex<Roster>, slot: &WorkerSlot) {
+    let ping = WorkerRequest::Ping {
+        roster: roster.lock().clone(),
+    };
+    let timeout = Some(HEARTBEAT_TIMEOUT);
+    let conn = WorkerConn::dial(net, &slot.addr, Role::Coordinator, timeout);
+    match conn.and_then(|mut conn| conn.request(&ping)) {
         Ok((WorkerResponse::Pong(stat), _)) => {
             let pressured = stat.pressured();
             slot.resident_gauge.set(stat.resident_bytes as i64);

@@ -8,25 +8,31 @@ use sidr_coords::Coord;
 use sidr_core::exec::ExecOptions;
 use sidr_core::spec::JobSpec;
 use sidr_mapreduce::executor::{MapTally, ReduceSource, RemoteReduceError, TaskExecutor};
-use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{time, Mutex};
 use sidr_mapreduce::{InputSplit, Keyblock, MapTaskId, MrError};
 
-use super::membership::{fleet_metrics, mark_dead, Fleet, WorkerSlot, HEARTBEAT_TIMEOUT};
-use super::wire::{call, Reply, SourceLoc, WorkerRequest, WorkerResponse};
+use super::membership::{fleet_metrics, mark_dead, Fleet, WorkerSlot};
+use super::wire::{Reply, SourceLoc, WorkerRequest, WorkerResponse};
 use crate::binframe;
 use crate::frame::FrameError;
 
 impl Fleet {
-    /// A job's remote executor. No worker hears of the job yet: each
-    /// joins when a dispatch first picks it.
+    /// A job's remote executor: its id is issued and open until the
+    /// executor drops. No worker hears of the job yet: each joins when
+    /// a dispatch first picks it.
     pub fn prepare_job(&self, spec: &JobSpec, input: &str, opts: &ExecOptions) -> RemoteJob<'_> {
-        let job = self.job_seq.fetch_add(1, Ordering::Relaxed);
+        let (job, roster) = {
+            let mut roster = self.roster.lock();
+            let job = roster.issued;
+            roster.issued += 1;
+            roster.open.push(job);
+            (job, roster.clone())
+        };
         RemoteJob {
             fleet: self,
             job,
             prepare: WorkerRequest::Prepare {
-                session: self.session,
+                roster,
                 job,
                 spec: spec.clone(),
                 input: input.to_string(),
@@ -51,12 +57,13 @@ struct Member {
 
 /// One job's remote executor: implements the engine's
 /// [`TaskExecutor`] seam by dispatching attempts to the fleet and
-/// tracking which worker holds each committed map generation.
+/// tracking which worker holds each committed map generation. The job
+/// ends when it drops: the next roster a worker hears ends it there.
 pub struct RemoteJob<'f> {
     fleet: &'f Fleet,
     job: u64,
     /// The job's `Prepare`, sent to a worker when a dispatch first
-    /// picks it.
+    /// picks it, with the roster taken when the job was created.
     prepare: WorkerRequest,
     /// Each fleet slot's standing in this job, index-aligned with the
     /// fleet's slots. The lock is held across the slot's `Prepare`
@@ -76,32 +83,6 @@ pub struct RemoteJob<'f> {
 type NoJoin = Option<String>;
 
 impl RemoteJob<'_> {
-    /// Sends `Finish` to every worker this job sent a `Prepare`,
-    /// dropping the job's state there — including one currently marked
-    /// dead: a missed heartbeat may only mean slow, and a live worker
-    /// left unfinished would keep the job's executor and partitions. A
-    /// `Prepare` whose reply was lost may still have installed the job,
-    /// so it counts too. The probe timeout bounds the call to one that
-    /// really is gone.
-    pub fn finish(&self) {
-        for (slot, member) in self.fleet.slots.iter().zip(self.members.iter()) {
-            if member.lock().joins == 0 {
-                continue;
-            }
-            if chaos::on(Mutation::FinishSkipsDeadWorkers) && !slot.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            let finish = WorkerRequest::Finish { job: self.job };
-            call(
-                &*self.fleet.net,
-                &slot.addr,
-                &finish,
-                Some(HEARTBEAT_TIMEOUT),
-            )
-            .ok();
-        }
-    }
-
     /// Workers eligible for this job's dispatch: live ones in slot
     /// order, those reporting memory pressure last (stable sort). A
     /// pressured worker stays a legal target: it is slower, not wrong,
@@ -222,6 +203,14 @@ impl RemoteJob<'_> {
             }
         }
         Err(refused.unwrap_or_else(|| "no live worker answered the dispatch".into()))
+    }
+}
+
+impl Drop for RemoteJob<'_> {
+    /// The job has ended: every attempt has reported, so no dispatch
+    /// of it is in flight.
+    fn drop(&mut self) {
+        self.fleet.roster.lock().open.retain(|&job| job != self.job);
     }
 }
 

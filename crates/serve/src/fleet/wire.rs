@@ -19,26 +19,23 @@ use crate::transport::{Conn, Transport};
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum WorkerRequest {
-    /// Liveness probe; answered with [`WorkerResponse::Pong`].
-    Ping { session: u64 },
+    /// Liveness probe; answered with [`WorkerResponse::Pong`]. The
+    /// worker applies its [`Roster`] first.
+    Ping { roster: Roster },
     /// Installs a job on the worker: the spec (splits, routing
     /// promises), the input path (shared filesystem, like an HDFS
-    /// mount) and the task-local execution options.
-    ///
-    /// `session` (here and on `Ping`) names the coordinator: a worker
-    /// that first hears a new one drops every job of the last, whose
-    /// `Finish` will never come — even if it missed the successor's
-    /// first `Prepare` of a reused job id.
+    /// mount) and the task-local execution options. The worker applies
+    /// its [`Roster`], taken when the job was created, first.
     Prepare {
-        session: u64,
+        roster: Roster,
         job: u64,
         spec: JobSpec,
         input: String,
         opts: ExecOptions,
     },
     /// Runs one map attempt; the worker keeps the committed
-    /// partitions until a reduce that replied releases them or the job
-    /// finishes.
+    /// partitions until a reduce that replied releases them or a
+    /// [`Roster`] ends the job.
     RunMap { job: u64, task: usize, attempt: u32 },
     /// Runs one reduce attempt: fetch every source partition from its
     /// holder, merge/reduce, send the keyblock back whole, and only
@@ -68,8 +65,28 @@ pub enum WorkerRequest {
         reducer: usize,
         maps: Vec<(usize, u32)>,
     },
-    /// Drops all state for a finished job.
-    Finish { job: u64 },
+}
+
+/// The coordinator's jobs, as every `Ping` and `Prepare` tells a worker
+/// of them: the one way a job's end reaches it. Ids only grow, and a job
+/// is open from its id's issue until its executor drops, so a late or
+/// resent roster can keep an ended job longer, never end a running one.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct Roster {
+    /// Names the coordinator: a worker that hears a new one drops
+    /// every job of the last, which counts its jobs from 1 again.
+    pub session: u64,
+    /// The jobs issued and not yet ended, ascending.
+    pub open: Vec<u64>,
+    /// Every job id below this one has been issued.
+    pub issued: u64,
+}
+
+impl Roster {
+    /// Has `job` of this session ended?
+    pub fn ends(&self, job: u64) -> bool {
+        job < self.issued && !self.open.contains(&job)
+    }
 }
 
 /// Where one reduce source partition lives.
@@ -114,7 +131,6 @@ pub enum WorkerResponse {
         status: PartitionStatus,
     },
     Released,
-    Finished,
     /// A task for a job this worker was never prepared for: it
     /// restarted since `Prepare` (a rejoined member, empty store).
     UnknownJob {
@@ -264,20 +280,6 @@ impl WorkerConn {
 
 /// A reply and the raw frame after it, if any.
 pub(super) type Reply = (WorkerResponse, Option<Vec<u8>>);
-
-/// The probe's RPC driver: dial, handshake, one request, its reply (and
-/// payload), on a connection of its own that is dropped after it.
-/// `Ping` and `Finish` go this way, with a timeout: their question is
-/// whether the worker answers a new connection at all. Dispatch keeps
-/// its connections instead (`WorkerSlot::call`).
-pub(super) fn call(
-    net: &dyn Transport,
-    addr: &str,
-    req: &WorkerRequest,
-    timeout: Option<Duration>,
-) -> Result<Reply, FrameError> {
-    WorkerConn::dial(net, addr, Role::Coordinator, timeout)?.request(req)
-}
 
 #[cfg(test)]
 mod tests {

@@ -39,8 +39,10 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// `Prepare` would fail to decode mid-job; v12's `Prepare` carries a
 /// `JobSpec` without stored keyblock covers or tallies; a v13 worker
 /// answers a `Prepare` of a job it holds without starting it over, as
-/// a coordinator that prepares a worker at its first dispatch needs.
-pub const PROTOCOL_VERSION: u32 = 13;
+/// a coordinator that prepares a worker at its first dispatch needs;
+/// v14's `Ping` and `Prepare` carry the coordinator's roster, and there
+/// is no `Finish`.
+pub const PROTOCOL_VERSION: u32 = 14;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

@@ -609,10 +609,7 @@ fn run_admitted_job(
                 fault_plan: fault_plan.clone(),
                 ..ExecOptions::default()
             };
-            let remote = fleet.prepare_job(spec, input, &exec_opts);
-            let r = run(&remote);
-            remote.finish();
-            r
+            run(&fleet.prepare_job(spec, input, &exec_opts))
         }
         // The bodies a worker prepares, in this process.
         None => ScincFile::open(Path::new(input))

@@ -45,12 +45,13 @@ use sidr_core::SidrError;
 // The workspace sync facade (parking_lot in normal builds): a task
 // thread that panics while holding a lock unwinds cleanly instead of
 // poisoning shared state and cascade-killing the daemon.
+use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, Mutex};
 use sidr_mapreduce::tier::{PartitionStore, TierConfig};
 use sidr_mapreduce::{open_sources, AttemptBodies, MrError, RemoteReduceError};
 use sidr_serve::binframe;
 use sidr_serve::fleet::{
-    send_reply, PartitionStatus, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
+    send_reply, PartitionStatus, Roster, SourceLoc, WorkerConn, WorkerRequest, WorkerResponse,
 };
 use sidr_serve::frame::{self, Hello, Role};
 use sidr_serve::transport::{Conn, Hangup, Listener, Transport};
@@ -201,17 +202,9 @@ impl Worker {
         }
         let conns = std::mem::take(&mut *self.shared.conns.lock());
         conns.values().for_each(|hang_up| hang_up());
-        let jobs: Vec<u64> = {
-            let mut jobs = self.shared.jobs.lock();
-            let ids = jobs.keys().copied().collect();
-            jobs.clear();
-            ids
-        };
         // Wipe both tiers: a dead process loses its memory *and* its
         // local disk as far as the fleet is concerned.
-        for job in jobs {
-            self.shared.store.remove_job(job);
-        }
+        finish_jobs(&self.shared, |_| true);
     }
 
     /// Blocks until the worker is killed (daemon mode for the CLI): joins
@@ -257,18 +250,22 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             return;
         }
         let (resp, payload) = match req {
-            WorkerRequest::Ping { session } => {
-                adopt_session(shared, session);
+            WorkerRequest::Ping { roster } => {
+                // Mutation hook: a job's end heard only from the next
+                // job's `Prepare`.
+                if !chaos::on(Mutation::RosterOnlyOnPrepare) {
+                    apply_roster(shared, &roster);
+                }
                 (WorkerResponse::Pong(shared.stat()), None)
             }
             WorkerRequest::Prepare {
-                session,
+                roster,
                 job,
                 spec,
                 input,
                 opts,
             } => {
-                adopt_session(shared, session);
+                apply_roster(shared, &roster);
                 (prepare(shared, job, spec, &input, opts), None)
             }
             WorkerRequest::RunMap { job, task, attempt } => {
@@ -300,10 +297,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             WorkerRequest::Release { job, reducer, maps } => {
                 shared.store.release(job, reducer, &maps);
                 (WorkerResponse::Released, None)
-            }
-            WorkerRequest::Finish { job } => {
-                finish_job(shared, job);
-                (WorkerResponse::Finished, None)
             }
         };
         if !answer(
@@ -358,27 +351,26 @@ fn prepare(
     }
 }
 
-/// A coordinator that restarted counts its jobs from 1 again, and never
-/// sends `Finish` for its predecessor's: whatever another session left
-/// here goes as soon as the new one is heard from.
-fn adopt_session(shared: &Shared, session: u64) {
-    let mut current = shared.session.lock();
-    if *current == session {
-        return;
-    }
-    *current = session;
-    let jobs: Vec<u64> = shared.jobs.lock().keys().copied().collect();
-    for job in jobs {
-        finish_job(shared, job);
-    }
+/// The one rule that ends jobs here, run on every `Ping` and
+/// `Prepare`: a roster of another session drops every job (a coordinator
+/// that restarted counts its jobs from 1 again), and one of this
+/// session drops each job it [ends](Roster::ends).
+fn apply_roster(shared: &Shared, roster: &Roster) {
+    let mut session = shared.session.lock();
+    let restarted = *session != roster.session;
+    *session = roster.session;
+    finish_jobs(shared, |job| restarted || roster.ends(job));
 }
 
-/// Drops everything this worker holds for `job`: its executor and,
-/// in both tiers, its partitions — intermediate data leaves no spill
-/// files behind after the job ends.
-fn finish_job(shared: &Shared, job: u64) {
-    shared.jobs.lock().remove(&job);
-    shared.store.remove_job(job);
+/// Drops everything this worker holds for each job `ended` picks: its
+/// executor and, in both tiers, its partitions — intermediate data
+/// leaves no spill files behind after the job ends.
+fn finish_jobs(shared: &Shared, ended: impl Fn(u64) -> bool) {
+    let jobs: Vec<u64> = shared.jobs.lock().keys().copied().collect();
+    for job in jobs.into_iter().filter(|&job| ended(job)) {
+        shared.jobs.lock().remove(&job);
+        shared.store.remove_job(job);
+    }
 }
 
 /// Armed count of task attempts that should panic on entry (test
@@ -462,7 +454,8 @@ fn run_map(shared: &Shared, job: u64, task: usize, attempt: u32) -> WorkerRespon
         Ok(out) => {
             let partitions = (shared.store).commit_map(job, task, attempt, out.partitions);
             if !shared.jobs.lock().contains_key(&job) {
-                // Finish raced the map; drop what we just stored.
+                // A roster of a new session ended the job while it
+                // mapped; drop what we just stored.
                 for &(reducer, _) in &partitions {
                     shared.store.release(job, reducer, &[(task, attempt)]);
                 }
@@ -683,18 +676,17 @@ mod tests {
         assert!(!is_fatal(&SidrError::Engine(MrError::Source("eof".into()))));
     }
 
-    /// A `Prepare` of a job the worker holds answers `Prepared` and
-    /// keeps what the job committed: the coordinator may send it again
-    /// when the first reply was lost.
-    #[test]
-    fn a_second_prepare_keeps_the_jobs_partitions() {
+    /// `query1-tiny`'s spec, its dataset written to a file named by
+    /// `tag`, and a worker with a coordinator's connection to it.
+    fn tiny_worker(tag: &str) -> (JobSpec, PathBuf, Worker, WorkerConn) {
         let preset = sidr_analyze::presets::preset("query1-tiny").unwrap();
         let query = &preset.query;
         let plan = (SidrPlanner::new(query, preset.reducer_counts[0]))
             .build(&preset.splits)
             .unwrap();
         let spec = JobSpec::from_plan(query, &preset.splits, &plan).unwrap();
-        let input = std::env::temp_dir().join(format!("sidr-worker-{}.scinc", std::process::id()));
+        let name = format!("sidr-worker-{}-{tag}.scinc", std::process::id());
+        let input = std::env::temp_dir().join(name);
         let space = query.input_space().clone();
         DatasetSpec {
             variable: query.variable.clone(),
@@ -705,25 +697,45 @@ mod tests {
         }
         .generate::<f32>(&input)
         .unwrap();
-
         let worker = Worker::spawn(Arc::new(Tcp), "127.0.0.1:0", WorkerOptions::default());
         let worker = worker.unwrap();
-        let mut conn = WorkerConn::dial(&Tcp, worker.addr(), Role::Coordinator, None).unwrap();
+        let conn = WorkerConn::dial(&Tcp, worker.addr(), Role::Coordinator, None).unwrap();
+        (spec, input, worker, conn)
+    }
+
+    /// Session 1's roster: `open` of the jobs below `issued`.
+    fn roster(open: &[u64], issued: u64) -> Roster {
+        Roster {
+            session: 1,
+            open: open.to_vec(),
+            issued,
+        }
+    }
+
+    fn map_0(job: u64) -> WorkerRequest {
+        WorkerRequest::RunMap {
+            job,
+            task: 0,
+            attempt: 0,
+        }
+    }
+
+    /// A `Prepare` of a job the worker holds answers `Prepared` and
+    /// keeps what the job committed: the coordinator may send it again
+    /// when the first reply was lost.
+    #[test]
+    fn a_second_prepare_keeps_the_jobs_partitions() {
+        let (spec, input, worker, mut conn) = tiny_worker("again");
         let mut ask = |req: &WorkerRequest| conn.request(req).unwrap().0;
         let prepare = WorkerRequest::Prepare {
-            session: 1,
+            roster: roster(&[1], 2),
             job: 1,
             spec,
             input: input.to_string_lossy().into_owned(),
             opts: ExecOptions::default(),
         };
         assert!(matches!(ask(&prepare), WorkerResponse::Prepared { job: 1 }));
-        let map = WorkerRequest::RunMap {
-            job: 1,
-            task: 0,
-            attempt: 0,
-        };
-        assert!(matches!(ask(&map), WorkerResponse::MapDone { .. }));
+        assert!(matches!(ask(&map_0(1)), WorkerResponse::MapDone { .. }));
         let held = worker.stat().partitions_held;
         assert!(held > 0, "map 0 committed no partition");
 
@@ -734,6 +746,43 @@ mod tests {
             "Prepare started the job over"
         );
         assert_eq!(worker.prepared_jobs(), 1);
+        std::fs::remove_file(&input).ok();
+    }
+
+    /// A `Prepare` whose roster ends job 1 drops job 1 and its
+    /// partitions before installing its own job; a stale roster, one
+    /// taken before job 2 was issued, keeps job 2.
+    #[test]
+    fn a_roster_ends_the_jobs_it_closed_and_only_those() {
+        let (spec, input, worker, mut conn) = tiny_worker("roster");
+        let held = || (worker.prepared_jobs(), worker.stat().partitions_held);
+        let mut ask = |req: WorkerRequest| conn.request(&req).unwrap().0;
+        let prepare = |job, roster| WorkerRequest::Prepare {
+            roster,
+            job,
+            spec: spec.clone(),
+            input: input.to_string_lossy().into_owned(),
+            opts: ExecOptions::default(),
+        };
+        ask(prepare(1, roster(&[1], 2)));
+        assert!(matches!(ask(map_0(1)), WorkerResponse::MapDone { .. }));
+        assert!(held().1 > 0, "map 0 committed no partition");
+
+        assert!(matches!(
+            ask(prepare(2, roster(&[2], 3))),
+            WorkerResponse::Prepared { job: 2 }
+        ));
+        assert_eq!(held(), (1, 0), "job 1 outlived the roster that ended it");
+        assert!(matches!(ask(map_0(2)), WorkerResponse::MapDone { .. }));
+        let job_2 = held();
+        for stale in [roster(&[], 2), roster(&[1], 2), roster(&[], 1)] {
+            ask(WorkerRequest::Ping { roster: stale });
+        }
+        assert_eq!(held(), job_2, "a stale roster ended job 2");
+        ask(WorkerRequest::Ping {
+            roster: roster(&[], 3),
+        });
+        assert_eq!(held(), (0, 0));
         std::fs::remove_file(&input).ok();
     }
 

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
+use sidr_serve::fleet::{Roster, WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::Role;
 use sidr_serve::Tcp;
 use sidr_worker::{Worker, WorkerOptions};
@@ -23,12 +23,15 @@ fn open_fds() -> usize {
 fn hung_up_connections_release_their_sockets() {
     let worker = Worker::spawn(Arc::new(Tcp), "127.0.0.1:0", WorkerOptions::default()).unwrap();
     let addr = worker.addr().to_string();
+    let ping = WorkerRequest::Ping {
+        roster: Roster::default(),
+    };
     let before = open_fds();
     // The heartbeat's pattern: one connection per probe, dropped after
     // its `Pong`.
     for round in 0..200 {
         let mut conn = WorkerConn::dial(&Tcp, &addr, Role::Coordinator, None).unwrap();
-        let reply = conn.request(&WorkerRequest::Ping { session: 1 }).unwrap();
+        let reply = conn.request(&ping).unwrap();
         assert!(
             matches!(reply, (WorkerResponse::Pong(_), None)),
             "round {round}: {reply:?}"

@@ -1,7 +1,9 @@
 //! Distributed execution over real TCP: a loopback 3-worker fleet
 //! produces output byte-identical to a single-process run, the serving
 //! path dispatches to it, a panicking task attempt leaves a worker
-//! serving, and a killed worker hangs up the connections it kept.
+//! serving, and a killed worker hangs up the connections it kept. One
+//! run, over the in-memory transport on the wall clock, cuts a worker
+//! off while its job ends.
 //!
 //! Fleet faults — kills, rejoins, cut or tampered frames, lost
 //! heartbeats, spill faults, speculation races — are explored by the
@@ -9,9 +11,10 @@
 //! same coordinator and workers over the in-memory transport.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sidr_analyze::{admit_spec, presets, AnalyzeOptions};
 use sidr_coords::{Coord, Shape};
@@ -26,10 +29,12 @@ use sidr_mapreduce::{
 };
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_scifile::ScincFile;
-use sidr_serve::fleet::{WorkerConn, WorkerRequest, WorkerResponse};
+use sidr_serve::fleet::{Roster, WorkerConn, WorkerRequest, WorkerResponse};
 use sidr_serve::frame::{self, Role};
-use sidr_serve::transport::Transport;
-use sidr_serve::{Client, Fleet, RemoteJob, ServeError, Server, ServerConfig, SubmitOptions, Tcp};
+use sidr_serve::transport::{Fate, Transport};
+use sidr_serve::{
+    Client, Fleet, Mem, RemoteJob, ServeError, Server, ServerConfig, SubmitOptions, Tcp,
+};
 use sidr_worker::{Worker, WorkerOptions};
 
 /// Builds a spec and (once per tag) its dataset from a query.
@@ -140,7 +145,6 @@ fn fleet_output_is_byte_identical_to_single_process() {
     let pool = SlotPool::new(4, spec.num_reducers).unwrap();
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = run_remote(&spec, &remote, &out, &pool);
-    remote.finish();
 
     let got = keyblock_commits(&out);
     assert_eq!(got.len(), 11, "one commit per keyblock");
@@ -192,7 +196,6 @@ fn fleet_job(
     let remote = fleet.prepare_job(spec, input, &ExecOptions::default());
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = run_remote(spec, &remote, &out, pool);
-    remote.finish();
     (keyblock_commits(&out), result.events)
 }
 
@@ -215,7 +218,7 @@ fn dispatch_reuses_idle_connections() {
     let out = InMemoryOutput::<Coord, f64>::new();
     run_remote(&spec, &remote, &out, &pool);
     let prepared: Vec<usize> = workers.iter().map(Worker::prepared_jobs).collect();
-    remote.finish();
+    drop(remote);
     let first = keyblock_commits(&out);
     let opened: Vec<u64> = (dispatch_dials(&workers).iter().zip(&before))
         .map(|(now, then)| now - then)
@@ -260,7 +263,7 @@ fn dispatch_reuses_idle_connections() {
 /// 4. w0 joins a job and restarts once more: the new w0 answers the
 ///    job's next attempt `UnknownJob`, which costs no attempt and moves
 ///    it to w1; the next pick prepares the new w0 afresh, so it runs
-///    later attempts, and `Finish` reaches it.
+///    later attempts, and the job's end reaches it on the heartbeat.
 #[test]
 fn stale_connections_are_never_a_death_verdict() {
     let (spec, input) = tiny_fixture("stale");
@@ -317,14 +320,72 @@ fn stale_connections_are_never_a_death_verdict() {
     respawn(&mut workers);
     let out = InMemoryOutput::<Coord, f64>::new();
     let result = run_remote(&spec, &remote, &out, &pool);
-    remote.finish();
+    drop(remote);
     uncharged("restart mid-job", (keyblock_commits(&out), result.events));
     let w0 = workers[0].stat();
     assert!(
         w0.map_attempts + w0.reduce_attempts > 0,
         "the new w0 was never prepared afresh"
     );
-    assert_eq!(workers[0].prepared_jobs(), 0, "Finish missed the new w0");
+    swept_within(&workers[0], "the job's end missed the new w0");
+}
+
+/// Waits for `worker` to hold no job and no partition, for at most 25
+/// heartbeat periods of 200 ms.
+fn swept_within(worker: &Worker, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (worker.prepared_jobs(), worker.stat().partitions_held) != (0, 0) {
+        assert!(Instant::now() < deadline, "{what}");
+        thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A worker cut off while its job ends misses nothing: the end is in
+/// every probe's roster, so the first probe that reaches the worker
+/// again sweeps the job's executor and partitions off it.
+#[test]
+fn a_worker_that_misses_the_jobs_end_is_swept_once_reachable() {
+    let (spec, input) = tiny_fixture("missed-end");
+    let cut = Arc::new(AtomicBool::new(false));
+    let net: Arc<dyn Transport> = Arc::new(Mem::with_faults({
+        let cut = Arc::clone(&cut);
+        move |crossing, _| {
+            let to_w0 = crossing.inbound && crossing.endpoint == "w0";
+            match to_w0 && cut.load(Ordering::SeqCst) {
+                true => Fate::Cut,
+                false => Fate::Deliver(Duration::ZERO),
+            }
+        }
+    }));
+    let workers: Vec<Worker> = (["w0", "w1"].iter())
+        .map(|addr| Worker::spawn(Arc::clone(&net), addr, WorkerOptions::default()).unwrap())
+        .collect();
+    let fleet = Fleet::connect(Arc::clone(&net), vec!["w0".into(), "w1".into()]).unwrap();
+    let remote = fleet.prepare_job(&spec, &input, &ExecOptions::default());
+    for (task, split) in spec.splits.iter().enumerate().take(3) {
+        (remote.execute_map(task, 0, false, split, &|_| true)).expect("w0 runs the map");
+    }
+    let held = workers[0].stat().partitions_held;
+    assert!(held > 0, "w0 holds no partition");
+
+    cut.store(true, Ordering::SeqCst);
+    drop(remote);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while fleet.stats()[0].alive {
+        assert!(Instant::now() < deadline, "the fleet never lost w0");
+        thread::sleep(Duration::from_millis(20));
+    }
+    let w0 = &workers[0];
+    assert_eq!(
+        (w0.prepared_jobs(), w0.stat().partitions_held),
+        (1, held),
+        "w0 heard of the job's end while cut off"
+    );
+
+    cut.store(false, Ordering::SeqCst);
+    swept_within(w0, "w0 kept the ended job once reachable");
+    assert_eq!(workers[1].stat().map_attempts, 0, "w1 ran maps");
+    std::fs::remove_file(&input).ok();
 }
 
 /// A killed worker hangs up every connection it accepted: a handler
@@ -344,7 +405,10 @@ fn kill_hangs_up_kept_connections() {
             conn
         })
         .collect();
-    frame::send(&mut conns[0], &WorkerRequest::Ping { session: 1 }).unwrap();
+    let ping = WorkerRequest::Ping {
+        roster: Roster::default(),
+    };
+    frame::send(&mut conns[0], &ping).unwrap();
     let pong = frame::recv::<WorkerResponse>(&mut conns[0]);
     assert!(
         matches!(pong, Ok(Some(WorkerResponse::Pong(_)))),
@@ -374,8 +438,10 @@ fn panicked_task_attempt_leaves_worker_serving() {
     let timeout = Some(Duration::from_secs(30));
     let mut conn = WorkerConn::dial(&Tcp, worker.addr(), Role::Coordinator, timeout).unwrap();
     let mut ask = |req: WorkerRequest| conn.request(&req).expect("the connection stays up");
+    // Issues no job id, so it ends no job.
+    let roster = Roster::default;
     let prepare = WorkerRequest::Prepare {
-        session: 1,
+        roster: roster(),
         job: PANIC_JOB_ID,
         spec,
         input,
@@ -406,7 +472,7 @@ fn panicked_task_attempt_leaves_worker_serving() {
     // A poisoned std mutex would now wedge every subsequent request;
     // the parking_lot facade just unlocks. Same connection: ping,
     // re-run the map, fetch a partition.
-    match ask(WorkerRequest::Ping { session: 1 }).0 {
+    match ask(WorkerRequest::Ping { roster: roster() }).0 {
         WorkerResponse::Pong(stat) => assert!(stat.alive, "worker must report alive"),
         other => panic!("expected Pong, got {other:?}"),
     }
