@@ -20,9 +20,11 @@
 //! what the client *received*: output byte-identical to the
 //! single-process engine, each keyblock streamed exactly once,
 //! re-executions confined to the maps of uncommitted `I_ℓ`s whose
-//! partitions a fault destroyed, the timeline protocol, the resident
-//! budget, the heartbeat's attempt counts as `sidr-submit stats` shows
-//! them, no attempt on a worker that refuses `Prepare`, an idle slot
+//! partitions a fault destroyed, the timeline protocol (which the
+//! coordinator's loop checks itself, so a violation is a failed job,
+//! a finding on every path), the resident budget, the heartbeat's
+//! attempt counts as `sidr-submit stats` shows them, no attempt on a
+//! worker that refuses `Prepare`, an idle slot
 //! pool, no vthread left parked, and — once a heartbeat round has
 //! passed after the job's end — no partition, spill file or prepared
 //! job on any live worker that a probe reached since. A hung-up job
@@ -49,7 +51,7 @@ use sidr_coords::Coord;
 use sidr_core::exec::ExecOptions;
 use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
 use sidr_core::spec::JobSpec;
-use sidr_core::{Operator, SidrPlanner, TimelineOracle};
+use sidr_core::{Operator, SidrPlanner};
 use sidr_mapreduce::executor::TaskExecutor;
 use sidr_mapreduce::sync::chaos::{self, Mutation};
 use sidr_mapreduce::sync::{thread, time, wait_until, Condvar, Mutex};
@@ -1036,8 +1038,10 @@ impl World {
         }
     }
 
-    /// Re-executions stay inside what the faults destroyed, and the
-    /// timeline keeps its protocol.
+    /// Re-executions stay inside what the faults destroyed. The
+    /// timeline's protocol, R4 included, the job checked itself before
+    /// it ended `Done`: a violation fails it, which
+    /// [`check`](Self::check) reports like any failure.
     fn check_timeline(&self, spec: &JobSpec, events: &[TaskEvent]) {
         let wire = self.ledger.wire();
         let reduced = wire.reduced_before_faults.clone().unwrap_or_default();
@@ -1051,7 +1055,6 @@ impl World {
             .map(|d| d.map)
             .chain(wire.destroyed.iter().copied())
             .filter(|m| open.contains(m))
-            .chain(self.faults.fail.iter().map(|f| f.0))
             .collect();
         drop(wire);
         let reexecuted = reexecuted_maps(events);
@@ -1059,16 +1062,6 @@ impl World {
             self.fail(format!(
                 "re-executed {reexecuted:?}, but faults destroyed only {lost:?}"
             ));
-        }
-        // A lost source re-enqueues just its own map, not the reducer's
-        // whole set, so recovery confinement is judged above instead
-        // (R4 off).
-        let oracle = (0..spec.num_reducers).fold(
-            TimelineOracle::new(spec.splits.len(), spec.num_reducers).corruption_possible(true),
-            |o, r| o.with_deps(r, spec.reduce_deps[r].clone()),
-        );
-        if let Err(v) = oracle.check_complete(events) {
-            self.fail(v);
         }
     }
 

@@ -20,7 +20,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sidr_check::{Explorer, Strategy};
-use sidr_core::TimelineOracle;
 use sidr_mapreduce::sync::atomic::{AtomicUsize, Ordering};
 use sidr_mapreduce::sync::{thread, time};
 use sidr_mapreduce::{
@@ -168,8 +167,8 @@ fn overlap_plan() -> JobPlan {
 /// data, so each must re-execute its (overlapping) dependency set and
 /// re-wait its barrier while the other's recovery commits maps late.
 /// Output equality proves no stale/consumed data was reduced; the
-/// timeline oracle proves the per-attempt barrier protocol held in
-/// the explored interleaving.
+/// job's own protocol check proves the per-attempt barrier protocol
+/// held in the explored interleaving (a violation fails the job).
 fn recovery_scenario() {
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(3, 3);
@@ -207,13 +206,6 @@ fn recovery_scenario() {
         vec![(0, 100), (1, 301), (2, 303), (3, 202)]
     );
     assert_eq!(result.counters.reduce_failures, 2);
-    let oracle = TimelineOracle::new(3, 2)
-        .volatile_intermediate(true)
-        .with_deps(0, vec![0, 1])
-        .with_deps(1, vec![1, 2]);
-    if let Err(v) = oracle.check_complete(&result.events) {
-        panic!("timeline protocol violation: {v}");
-    }
 }
 
 #[test]
@@ -294,9 +286,9 @@ fn pair_plan() -> JobPlan {
 /// dependent reducer binding and consuming at every point in between
 /// — over *volatile* intermediate data, where consuming anything but
 /// the committed generation would strand the reducer. Output equality
-/// proves the winner's data (and only it) was reduced; the oracle proves the
-/// attempt-stamped protocol, including the at-most-one-extra-attempt
-/// rule (R6), held on every schedule.
+/// proves the winner's data (and only it) was reduced; the job's own
+/// protocol check proves the attempt-stamped protocol, including the
+/// at-most-one-extra-attempt rule (R6), held on every schedule.
 fn speculation_scenario() {
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(2, 2);
@@ -306,7 +298,7 @@ fn speculation_scenario() {
         volatile_intermediate: true,
         ..Default::default()
     };
-    let result = run_shared(
+    run_shared(
         &splits,
         hundreds(2),
         &pair_plan(),
@@ -317,13 +309,6 @@ fn speculation_scenario() {
     )
     .unwrap();
     assert_eq!(output.sorted_records(), vec![(0, 100), (1, 101)]);
-    let oracle = TimelineOracle::new(2, 2)
-        .volatile_intermediate(true)
-        .with_deps(0, vec![0])
-        .with_deps(1, vec![1]);
-    if let Err(v) = oracle.check_complete(&result.events) {
-        panic!("timeline protocol violation: {v}");
-    }
 }
 
 #[test]
@@ -498,8 +483,8 @@ fn deadline_fails_the_job_at_its_virtual_instant() {
 /// have committed, the loop sees map 0 past 2 × the cohort's 10 ms
 /// quantile and grants it a twin, which commits and retires the
 /// straggler. On every schedule the output is the fault-free one, the
-/// job ends well before the straggler would have, and the timeline
-/// passes the protocol oracle.
+/// job ends well before the straggler would have, and the job's
+/// timeline passes its own protocol check.
 fn quantile_trigger_scenario() {
     let pool = SlotPool::new(2, 2).unwrap();
     let splits = number_splits(4, 4);
@@ -534,9 +519,6 @@ fn quantile_trigger_scenario() {
         (result.events.iter()).any(|e| e.kind == TaskKind::MapSpeculated && e.task == 0),
         "the quantile trigger never raced map 0"
     );
-    if let Err(v) = TimelineOracle::new(4, 2).check_complete(&result.events) {
-        panic!("timeline protocol violation: {v}");
-    }
 }
 
 #[test]

@@ -39,7 +39,6 @@ pub mod lang;
 pub mod operators;
 pub mod output;
 pub mod plan;
-pub mod protocol;
 pub mod query;
 pub mod source;
 pub mod spec;
@@ -55,7 +54,6 @@ pub use framework::{run_query, run_spec_on_pool, FrameworkMode, QueryOutcome};
 pub use operators::Operator;
 pub use partition_plus::PartitionPlus;
 pub use plan::{SidrPlan, SidrPlanner};
-pub use protocol::{ProtocolViolation, TimelineOracle};
 pub use query::StructuralQuery;
 
 /// Errors from SIDR planning and execution.

@@ -340,7 +340,10 @@ fn damaged_map_output_is_reexecuted_once_with_identical_output() {
     for kind in [FaultKind::CorruptOutput, FaultKind::TruncateOutput] {
         let (records, result) = run(FaultPlan::none().with(FaultTarget::Map(damaged), 0, kind));
         assert_eq!(records, clean, "{kind:?}: output diverged");
-        assert!(result.counters.corrupt_fetches >= 1, "{kind:?}: not caught");
+        assert!(
+            result.counters.lost_source_reports >= 1,
+            "{kind:?}: not caught"
+        );
         assert_eq!(reexecuted_maps(&result.events), vec![damaged], "{kind:?}");
         let starts = (result.events.iter())
             .filter(|e| e.kind == TaskKind::MapStart && e.task == damaged)

@@ -34,7 +34,8 @@ pub struct CountersSnapshot {
     pub map_failures: u64,
     /// Map tasks re-enqueued by the retry path after a failed attempt.
     pub map_retries: u64,
-    /// Shuffle fetches that detected a corrupt or truncated file
-    /// (each triggers dependency-scoped re-execution of the map).
-    pub corrupt_fetches: u64,
+    /// Reduce attempts that reported lost sources — a fetch found a
+    /// map's output corrupt or truncated, or its holder died or left the
+    /// job, so none was made — each re-executing those maps (§6).
+    pub lost_source_reports: u64,
 }

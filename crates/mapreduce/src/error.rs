@@ -40,6 +40,9 @@ pub enum MrError {
     /// expired; the engine abandoned the remainder. Output already
     /// committed stays valid.
     DeadlineExceeded { deadline_ms: u64 },
+    /// The job ran to its end, but its timeline broke the runtime's
+    /// protocol ([`TimelineOracle`](crate::TimelineOracle)).
+    Protocol(crate::ProtocolViolation),
 }
 
 impl fmt::Display for MrError {
@@ -66,6 +69,7 @@ impl fmt::Display for MrError {
             MrError::DeadlineExceeded { deadline_ms } => {
                 write!(f, "job deadline of {deadline_ms} ms exceeded")
             }
+            MrError::Protocol(v) => write!(f, "{v}"),
         }
     }
 }

@@ -45,7 +45,6 @@ use crate::keyblock::Keyblock;
 use crate::output::OutputCollector;
 use crate::plan::JobPlan;
 use crate::runtime::{coordinate, JobConfig};
-use crate::schedule::Schedule;
 use crate::shuffle::{GroupBatch, MergeIter};
 use crate::slots::{CancelToken, Inbox, SlotPool, Wake};
 use crate::smof3::Smof3View;
@@ -633,7 +632,6 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
     if splits.is_empty() {
         return Err(MrError::BadConfig("no input splits".into()));
     }
-    let sched = Schedule::new(splits.len(), plan)?;
     let timeline = Arc::new(Timeline::new());
     let inbox = Arc::new(Inbox::default());
     let waker = Arc::clone(&inbox) as Arc<dyn Wake>;
@@ -672,7 +670,7 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
             timeline: Arc::clone(&timeline),
             stops: HashMap::new(),
         };
-        coordinate(&mut threads, sched, config, cancel, &timeline)
+        coordinate(&mut threads, splits.len(), plan, config, cancel, &timeline)
     });
     let result = JobResult {
         counters: counters?,

@@ -28,8 +28,9 @@
 //!   schedule and runs retries, speculation, deadlines and recovery on
 //!   its timers, over slot-limited ([`slots`]) threads or, in
 //!   the `sidr-simcluster` model, a virtual clock; with per-dispatch
-//!   connection accounting (Table 3), task timelines ([`timeline`])
-//!   and counters ([`counters`]).
+//!   connection accounting (Table 3), task timelines ([`timeline`]),
+//!   the protocol check the loop runs on them ([`protocol`]) and
+//!   counters ([`counters`]).
 //!
 //! The SIDR-specific planner (partition+, dependency derivation,
 //! keyblock prioritization) lives in the `sidr-core` crate and hands
@@ -47,6 +48,7 @@ pub mod metrics;
 pub mod output;
 pub mod partitioner;
 pub mod plan;
+pub mod protocol;
 pub mod runtime;
 pub mod schedule;
 pub mod shuffle;
@@ -74,6 +76,7 @@ pub use keyblock::{Keyblock, KEYBLOCK_HEADROOM};
 pub use output::{InMemoryOutput, OutputCollector};
 pub use partitioner::{CoordHashPartitioner, ModuloPartitioner, Partitioner};
 pub use plan::JobPlan;
+pub use protocol::{ProtocolViolation, TimelineOracle};
 pub use runtime::{coordinate, JobConfig};
 pub use shuffle::{GroupBatch, MapOutputFile, MergeIter};
 pub use slots::{CancelToken, Inbox, Semaphore, SlotOccupancy, SlotPool, Wake};

@@ -33,7 +33,7 @@ use crate::split::MapTaskId;
 use crate::sync::chaos::{self, Mutation};
 use crate::timeline::{TaskKind, Timeline};
 use crate::timers::Timers;
-use crate::Result;
+use crate::{JobPlan, Result, TimelineOracle};
 
 /// Runtime configuration. It holds no check switches: every reduce
 /// checks the §3.2.1 tally its plan promises
@@ -126,16 +126,18 @@ struct Loop<'a> {
     st: State,
 }
 
-/// Runs one job — its plan's `sched` — to its end on `cluster`,
+/// Runs one job — `plan` over `num_maps` maps — to its end on `cluster`,
 /// stamping events on the cluster's clock into `timeline`; returns the
-/// job's counters.
+/// job's counters once its timeline passes the plan's protocol oracle.
 pub fn coordinate(
     cluster: &mut dyn Cluster,
-    sched: Schedule,
+    num_maps: usize,
+    plan: &JobPlan,
     config: &JobConfig,
     cancel: Option<&CancelToken>,
     timeline: &Timeline,
 ) -> Result<CountersSnapshot> {
+    let sched = Schedule::new(num_maps, plan)?;
     let num_reducers = sched.num_reducers();
     let mut st = State {
         map_started: vec![None; sched.num_maps()],
@@ -176,7 +178,12 @@ pub fn coordinate(
             job.fire(timer);
         }
     }
-    job.finish()
+    let counters = job.finish()?;
+    let oracle = TimelineOracle::for_plan(num_maps, plan, config);
+    oracle
+        .check_complete(&timeline.events())
+        .map_err(MrError::Protocol)?;
+    Ok(counters)
 }
 
 impl Loop<'_> {
@@ -369,7 +376,7 @@ impl Loop<'_> {
             Err(RemoteReduceError::SourcesLost(lost)) => {
                 // Nothing was consumed: re-execute exactly the lost maps
                 // (their `I_ℓ` share); the same attempt waits for them.
-                self.st.counters.corrupt_fetches += 1;
+                self.st.counters.lost_source_reports += 1;
                 self.recover(r, |m| lost.contains(&m));
                 self.wait_barrier(r);
             }
@@ -440,8 +447,9 @@ impl Loop<'_> {
     }
 
     /// Dependency-scoped recovery (§6): each `lost` source of reduce `r`
-    /// whose bound generation is still committed is re-opened, and its
-    /// `min_epoch` moves past the lost binding.
+    /// whose bound generation is still committed is re-opened, recorded
+    /// as a `MapLost` of that generation, and its `min_epoch` moves past
+    /// the lost binding.
     fn recover(&mut self, r: usize, lost: impl Fn(MapTaskId) -> bool) {
         let now = self.cluster.now();
         let run = &mut self.st.reduces[r];
@@ -456,11 +464,12 @@ impl Loop<'_> {
                 self.st.recovering.insert(m, now);
                 self.st.counters.maps_reexecuted += 1;
                 metrics().maps_recovered.inc();
-                reopened.push(m);
+                reopened.push((m, run.bound[i]));
             }
             run.min_epoch[i] = run.bound[i] + 1;
         }
-        for m in reopened {
+        for (m, epoch) in reopened {
+            self.record(TaskKind::MapLost, m, epoch);
             self.stop_losers(m);
         }
     }

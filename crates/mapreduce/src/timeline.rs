@@ -39,6 +39,11 @@ pub enum TaskKind {
     /// A map attempt (either racer) lost the first-commit-wins race;
     /// its output is never bound to a reducer.
     MapSpeculationLost,
+    /// Recovery re-opened a committed map whose output a reducer lost
+    /// (a volatile reduce failure, or a lost-sources report): the
+    /// event's attempt id is the lost generation. The map's next
+    /// `MapStart` is its re-execution.
+    MapLost,
 }
 
 /// One timeline event.
@@ -169,28 +174,14 @@ impl JobResult {
     }
 }
 
-/// The set of map tasks that executed more than once — the
-/// re-executed set a recovery experiment asserts against `I_ℓ`
-/// (dependency-scoped recovery must re-run exactly the failed
-/// reduce's dependency set, nothing more).
-///
-/// Speculative twins are excluded: a `MapStart` whose (task, attempt)
-/// was granted by a `MapSpeculated` event is a deliberate race for
-/// latency, not a recovery re-execution.
+/// The maps recovery re-opened — the tasks of the `MapLost` events,
+/// sorted and deduplicated: the re-executed set a recovery experiment
+/// asserts against `I_ℓ` (dependency-scoped recovery must re-run
+/// exactly the lost sources, nothing more). A retry after a failed
+/// attempt and a speculative twin are not re-executions.
 pub fn reexecuted_maps(events: &[TaskEvent]) -> Vec<usize> {
-    use std::collections::HashSet;
-    let speculative: HashSet<(usize, u32)> = events
-        .iter()
-        .filter(|e| e.kind == TaskKind::MapSpeculated)
-        .map(|e| (e.task, e.attempt))
-        .collect();
-    let mut maps: Vec<usize> = events
-        .iter()
-        .filter(|e| {
-            e.kind == TaskKind::MapStart
-                && e.attempt > 0
-                && !speculative.contains(&(e.task, e.attempt))
-        })
+    let mut maps: Vec<usize> = (events.iter())
+        .filter(|e| e.kind == TaskKind::MapLost)
         .map(|e| e.task)
         .collect();
     maps.sort_unstable();
@@ -272,7 +263,10 @@ pub fn spans(events: &[TaskEvent]) -> Vec<sidr_obs::Span> {
                     out.push(sidr_obs::Span::new("reduce", t, s, us(e.at)).with_attempt(e.attempt));
                 }
             }
-            TaskKind::MapRetry | TaskKind::ReduceFailed | TaskKind::MapSpeculated => {}
+            TaskKind::MapRetry
+            | TaskKind::ReduceFailed
+            | TaskKind::MapSpeculated
+            | TaskKind::MapLost => {}
         }
     }
     out
@@ -311,37 +305,32 @@ mod tests {
         assert_eq!(back, e);
     }
 
+    /// Only `MapLost` marks a re-execution: map 1's retry after a
+    /// failure and map 2's speculative twin do not count; map 3, lost
+    /// twice, counts once.
     #[test]
-    fn reexecuted_maps_are_attempted_more_than_once() {
-        let events = vec![
-            ev(TaskKind::MapStart, 0, 0, 0),
-            ev(TaskKind::MapEnd, 0, 0, 1),
-            ev(TaskKind::MapStart, 1, 0, 0),
-            ev(TaskKind::MapEnd, 1, 0, 1),
-            ev(TaskKind::MapStart, 1, 1, 2),
-            ev(TaskKind::MapEnd, 1, 1, 3),
-            ev(TaskKind::MapStart, 1, 2, 4),
-        ];
-        assert_eq!(reexecuted_maps(&events), vec![1]);
-    }
-
-    #[test]
-    fn speculative_attempts_are_not_reexecutions() {
-        // Map 1 straggles at attempt 0, gets a speculative twin
-        // (attempt 1) which wins; attempt 0 loses. Map 2 is genuinely
-        // recovered at attempt 1. Only map 2 counts as re-executed.
+    fn reexecuted_maps_are_the_lost_ones() {
         let events = vec![
             ev(TaskKind::MapStart, 1, 0, 0),
-            ev(TaskKind::MapSpeculated, 1, 1, 5),
-            ev(TaskKind::MapStart, 1, 1, 6),
-            ev(TaskKind::MapEnd, 1, 1, 8),
-            ev(TaskKind::MapSpeculationLost, 1, 0, 9),
+            ev(TaskKind::MapFailed, 1, 0, 1),
+            ev(TaskKind::MapRetry, 1, 1, 2),
+            ev(TaskKind::MapStart, 1, 1, 3),
+            ev(TaskKind::MapEnd, 1, 1, 4),
             ev(TaskKind::MapStart, 2, 0, 0),
-            ev(TaskKind::MapEnd, 2, 0, 1),
-            ev(TaskKind::MapStart, 2, 1, 10),
-            ev(TaskKind::MapEnd, 2, 1, 12),
+            ev(TaskKind::MapSpeculated, 2, 1, 5),
+            ev(TaskKind::MapStart, 2, 1, 6),
+            ev(TaskKind::MapEnd, 2, 1, 8),
+            ev(TaskKind::MapSpeculationLost, 2, 0, 9),
+            ev(TaskKind::MapStart, 3, 0, 0),
+            ev(TaskKind::MapEnd, 3, 0, 1),
+            ev(TaskKind::MapLost, 3, 0, 2),
+            ev(TaskKind::MapStart, 3, 1, 3),
+            ev(TaskKind::MapEnd, 3, 1, 4),
+            ev(TaskKind::MapLost, 3, 1, 5),
+            ev(TaskKind::MapStart, 3, 2, 6),
+            ev(TaskKind::MapEnd, 3, 2, 7),
         ];
-        assert_eq!(reexecuted_maps(&events), vec![2]);
+        assert_eq!(reexecuted_maps(&events), vec![3]);
     }
 
     #[test]

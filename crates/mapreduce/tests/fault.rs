@@ -91,7 +91,7 @@ fn map_fault_matrix_recovers_with_identical_output() {
             }
             FaultKind::CorruptOutput | FaultKind::TruncateOutput => {
                 assert!(
-                    result.counters.corrupt_fetches >= 1,
+                    result.counters.lost_source_reports >= 1,
                     "{kind:?}: corruption never detected at fetch time"
                 );
                 assert_eq!(
@@ -285,10 +285,6 @@ fn speculative_twin_rescues_straggler_with_identical_output() {
     // Only the committed attempt's tally counts, whenever the loser
     // reports.
     assert_eq!(result.counters.map_records_in, 120);
-    let oracle = sidr_core::TimelineOracle::new(6, 4);
-    if let Err(v) = oracle.check_complete(&result.events) {
-        panic!("speculative timeline violates the protocol oracle: {v}");
-    }
 }
 
 /// Speculative execution, timing direction: no forcing — the
@@ -322,10 +318,6 @@ fn quantile_trigger_speculates_straggler_without_forcing() {
         "no speculative grant for the straggling map"
     );
     assert!(reexecuted_maps(&result.events).is_empty());
-    let oracle = sidr_core::TimelineOracle::new(6, 4);
-    if let Err(v) = oracle.check_complete(&result.events) {
-        panic!("quantile-triggered timeline violates the protocol oracle: {v}");
-    }
 }
 
 /// First commit wins from either side: when the *twin* is the slow
@@ -378,10 +370,6 @@ fn primary_wins_race_and_slow_twin_is_discarded() {
     assert!(reexecuted_maps(&result.events).is_empty());
     assert_eq!(result.counters.map_failures, 0);
     assert_eq!(result.counters.map_records_in, 120);
-    let oracle = sidr_core::TimelineOracle::new(6, 4);
-    if let Err(v) = oracle.check_complete(&result.events) {
-        panic!("primary-wins timeline violates the protocol oracle: {v}");
-    }
 }
 
 /// A racer that finishes its work after the other attempt committed,
@@ -499,19 +487,14 @@ fn deadline_boost_alone_rescues_straggler() {
         .iter()
         .any(|e| e.kind == TaskKind::MapEnd && e.task == 5 && e.attempt == 1));
     assert!(reexecuted_maps(&result.events).is_empty());
-    let oracle = sidr_core::TimelineOracle::new(6, 4);
-    if let Err(v) = oracle.check_complete(&result.events) {
-        panic!("boosted timeline violates the protocol oracle: {v}");
-    }
 }
 
 proptest! {
     /// Property: ANY random fault plan within the retry budget — up to
     /// three faults drawn from the full matrix, at most one per task —
-    /// yields output byte-identical to the fault-free ground truth,
-    /// and every run's event stream satisfies the timeline protocol
-    /// oracle (attempt monotonicity, barriers after dependency
-    /// commits, one commit per reducer).
+    /// yields output byte-identical to the fault-free ground truth;
+    /// every run's event stream satisfies the timeline protocol, R4
+    /// included, or the run would have failed.
     #[test]
     fn random_fault_plans_preserve_output(seed in 0u64..10_000) {
         let plan = FaultPlan::random(seed, 6, 4, 3);
@@ -522,12 +505,12 @@ proptest! {
         };
         let (records, result) = run_sums(120, 6, 4, &config);
         prop_assert_eq!(records, digit_sums(120));
-        // Global barrier, persistent intermediate data; random plans
-        // may corrupt map outputs, whose re-enqueues are invisible to
-        // the stream, so R4 confinement is relaxed.
-        let oracle = sidr_core::TimelineOracle::new(6, 4).corruption_possible(true);
-        if let Err(v) = oracle.check_complete(&result.events) {
-            prop_assert!(false, "fault plan seed {}: {}", seed, v);
-        }
+        // The job checked its own timeline, R4 included, before it
+        // returned. With persistent intermediate data only a lost
+        // source re-opens a map, and each one does.
+        prop_assert_eq!(
+            result.counters.lost_source_reports > 0,
+            !reexecuted_maps(&result.events).is_empty()
+        );
     }
 }

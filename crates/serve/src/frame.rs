@@ -41,8 +41,9 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// answers a `Prepare` of a job it holds without starting it over, as
 /// a coordinator that prepares a worker at its first dispatch needs;
 /// v14's `Ping` and `Prepare` carry the coordinator's roster, and there
-/// is no `Finish`.
-pub const PROTOCOL_VERSION: u32 = 14;
+/// is no `Finish`; v15's `Done.events` may carry a `MapLost`, which a
+/// v14 client cannot decode.
+pub const PROTOCOL_VERSION: u32 = 15;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use sidr_mapreduce::schedule::Schedule;
 use sidr_mapreduce::timers::Timers;
 use sidr_mapreduce::{
     coordinate, Cluster, Done, JobConfig, JobPlan, MapTally, MapTaskId, ReduceSource, TaskEvent,
@@ -74,8 +73,8 @@ impl SimTrace {
 
     /// The run's timeline, as the engine's loop recorded it
     /// (`MapStart` / `MapEnd` / `ReduceStart` / `ReduceBarrierMet` /
-    /// `ReduceEnd`, in causal order) — what `sidr_core::TimelineOracle`
-    /// checks.
+    /// `ReduceEnd`, in causal order), which the loop already checked
+    /// with its protocol oracle before `simulate` returned.
     pub fn events(&self) -> Vec<TaskEvent> {
         self.events.clone()
     }
@@ -265,10 +264,10 @@ pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> 
     };
     let timeline = Timeline::new();
     let config = JobConfig::default();
-    let sched = Schedule::new(job.maps.len(), &job.plan)
-        .expect("order must cover reduces, deps must name maps");
-    coordinate(&mut runner, sched, &config, None, &timeline).expect("a fault-free job completes");
-    SimTrace::new(job.maps.len(), job.plan.num_reducers(), timeline.events())
+    let num_maps = job.maps.len();
+    (coordinate(&mut runner, num_maps, &job.plan, &config, None, &timeline))
+        .expect("a fault-free job ends and passes its protocol check");
+    SimTrace::new(num_maps, job.plan.num_reducers(), timeline.events())
 }
 
 #[cfg(test)]
