@@ -47,11 +47,17 @@
 //!    [`Operator::reduce_group`] folds a run with — and each non-empty
 //!    key's one value is copied into its partition. Any other operator
 //!    whose reduce gives its own one value back (Mean, Median,
-//!    Percentile) *finishes* each whole key: the pass gathers the key's
-//!    values into one `f64` scratch, in reader order, and
-//!    [`Operator::reduce_group`] turns them into a run of one row.
-//!    Keys that straddle splits are placed. Each partition is then
-//!    sealed with its CRC.
+//!    Percentile) *finishes* each whole key: the pass gathers the whole
+//!    keys' values into one `f64` scratch in blocks of the finisher's
+//!    lanes (`operators::Finisher`), and each block is reduced to one
+//!    value per key, a run of one row. A Median or Percentile of a
+//!    small unit has sixteen lanes: a block interleaves sixteen keys'
+//!    values, each key's in reader order down its lane, and one
+//!    comparator network selects the rank of all sixteen at once. Any
+//!    other has one lane: each key's values lie together, in reader
+//!    order, and [`Operator::reduce_group`] reduces them. Keys that
+//!    straddle splits are placed. Each partition is then sealed with
+//!    its CRC.
 //!
 //! The bytes are exactly those of a per-record map — each record
 //! through the structural map, routed by the same partition function,
@@ -60,12 +66,15 @@
 //! pairs mapped before any selection — which `tests/geomap.rs` keeps as
 //! the kernel's reference and pins for both routes. Finishing leaves a
 //! job's output as it was: a whole key has one source, so the merge
-//! would have handed the reduce this same reader order, and the reduce
-//! of the one finished value returns it bit for bit. Transient memory
+//! would have handed the reduce this same reader order, a network
+//! selects the value the reduce would, and the reduce of the one
+//! finished value returns it bit for bit. Transient memory
 //! is one read chunk and 16 bytes per image key — count, reducer, and a
 //! byte cursor or a fold's accumulator — beside the output partitions
 //! themselves; finishing adds the scratch of the whole keys' values,
-//! and a filter, whose represented and kept counts differ, holds the
+//! with no padding however the lanes fall, and the finisher's copy of
+//! one block (the unit size × 16 values, for a network), and a filter,
+//! whose represented and kept counts differ, holds the
 //! split's input from the read to the place pass and 4 bytes more per
 //! key. `tests/alloc.rs` in `sidr-bench` pins the bounds. A per-record
 //! map holds a `(Coord, f64)` row and a heap-allocated key per record
@@ -79,7 +88,7 @@ use sidr_mapreduce::MrError;
 use sidr_scifile::{read_chunks, Element, ScincFile};
 
 use crate::exec::MapAttemptOutput;
-use crate::operators::{Fold, Operator};
+use crate::operators::{Finisher, Fold, Operator};
 use crate::source::StructuralMapper;
 
 /// Table entry of a split position that maps to no image key. Any sum
@@ -195,49 +204,78 @@ pub fn map_split<E: Element>(
         }
     } else {
         // Each key's cursor — a placed key's byte offset into its
-        // partition's values, a whole key's index into the scratch
-        // that gathers its unit — then the values in reader order.
+        // partition's values, a whole key's slot in the scratch that
+        // gathers its unit — then the values in reader order. The
+        // whole keys, numbered `w` in key order, fill the scratch in
+        // blocks of the finisher's `lanes` units, the last block
+        // perhaps fewer: unit `w` is lane `w % lanes` of block
+        // `w / lanes`, and its value `j` lies `j × width + lane` past
+        // the block's start, `width` being the block's unit count.
+        // With one lane, the units lie one after another.
         let whole = reduce.whole();
+        let n = whole.unwrap_or(0) as usize;
+        let units = whole.map_or(0, |whole| counts.iter().filter(|&&k| k == whole).count());
+        let mut finisher = (units > 0).then(|| Finisher::new(operator, n));
+        let lanes = finisher.as_ref().map_or(1, Finisher::lanes);
+        let block = lanes * n;
+        // Slots below `full` lie in full blocks; the rest in the
+        // partial one, whose units step by its width.
+        let (full, tail) = (units / lanes * block, units % lanes);
+        let slot = |w: usize| w / lanes * block + w % lanes;
         let mut cursor = vec![0usize; counts.len()];
-        let mut gathered = 0;
-        for ((c, &n), &r) in cursor.iter_mut().zip(&counts).zip(&route) {
-            let rows = if whole == Some(n) {
-                *c = gathered;
-                gathered += n as usize;
+        let mut w = 0;
+        for ((c, &k), &r) in cursor.iter_mut().zip(&counts).zip(&route) {
+            let rows = if whole == Some(k) {
+                *c = slot(w);
+                w += 1;
                 1
             } else {
                 *c = next[r as usize];
-                n as usize
+                k as usize
             };
             next[r as usize] += rows * VALUE_WIDTH;
         }
-        let mut scratch = vec![0f64; gathered];
-        image.for_each_kept(&input, split, predicate_gt, |i, v| {
-            let at = cursor[i];
-            if whole == Some(counts[i]) {
-                scratch[at] = v;
-                cursor[i] = at + 1;
-            } else {
-                regions[route[i] as usize][at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
-                cursor[i] = at + VALUE_WIDTH;
+        let mut scratch = vec![0f64; units * n];
+        // The pass owns the cursors and the step's operands, so that
+        // it does not reload them through a reference after each store:
+        // where a row's values all feed one key, each step waits on the
+        // one before. For the same reason the step is a branch, not a
+        // select, which would put its operands on that chain.
+        image.for_each_kept(&input, split, predicate_gt, {
+            let (scratch, regions, counts, route) = (&mut scratch, &mut regions, &counts, &route);
+            move |i, v| {
+                let at = cursor[i];
+                if whole == Some(counts[i]) {
+                    scratch[at] = v;
+                    cursor[i] = if at < full {
+                        at + lanes
+                    } else {
+                        past(at, tail)
+                    };
+                } else {
+                    let region = &mut regions[route[i] as usize];
+                    region[at..at + VALUE_WIDTH].copy_from_slice(&v.to_le_bytes());
+                    cursor[i] = at + VALUE_WIDTH;
+                }
             }
         })?;
-        // Finish: each whole key's unit reduced to the one value of
-        // its row, in key order.
-        if gathered > 0 {
+        // Finish: each block's units reduced, unit `l`'s value left
+        // in its block's slot `l`, then copied to its row in key order.
+        if let Some(finisher) = &mut finisher {
+            for units in scratch.chunks_mut(block) {
+                finisher.finish(units, units.len() / n);
+            }
             next.fill(0);
-            let mut from = 0;
-            for (&n, &r) in counts.iter().zip(&route) {
+            let mut w = 0;
+            for (&k, &r) in counts.iter().zip(&route) {
                 let (r, at) = (r as usize, next[r as usize]);
-                if whole == Some(n) {
-                    let unit = &mut scratch[from..from + n as usize];
-                    from += unit.len();
-                    let mut value = 0.0;
-                    operator.reduce_group(unit, &mut |v| value = v);
+                if whole == Some(k) {
+                    let value = scratch[slot(w)];
+                    w += 1;
                     regions[r][at..at + VALUE_WIDTH].copy_from_slice(&value.to_le_bytes());
                     next[r] = at + VALUE_WIDTH;
                 } else {
-                    next[r] = at + n as usize * VALUE_WIDTH;
+                    next[r] = at + k as usize * VALUE_WIDTH;
                 }
             }
         }
@@ -248,6 +286,14 @@ pub fn map_split<E: Element>(
         .filter_map(|(r, w)| Some((r, w?.seal())))
         .collect();
     Ok(out)
+}
+
+/// `at + width`: a cursor's step in the partial block, out of line so
+/// that the full blocks' step is a predicted branch.
+#[cold]
+#[inline(never)]
+fn past(at: usize, width: usize) -> usize {
+    at + width
 }
 
 /// How the map reduces each image key's kept values before they ship.

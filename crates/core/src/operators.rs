@@ -7,7 +7,9 @@
 //! more output values. The group is handed over mutably, and the
 //! holistic operators (median, percentile, sort) reorder it in place
 //! rather than sorting a copy: a linear-time selection per key instead
-//! of an allocation and a full sort.
+//! of an allocation and a full sort. Where a map finishes many small
+//! units of one size, its `Finisher` selects Median and Percentile for
+//! a block of units at once with one comparator network.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,8 +65,13 @@ pub enum Operator {
 impl Operator {
     /// Applies the operator to one complete unit, emitting its output
     /// values in order. The one implementation: the reduce attempt and
-    /// [`Operator::apply`] call it, and the map-side fold of a
-    /// distributive operator ([`crate::geomap`]) steps the same `Fold`.
+    /// [`Operator::apply`] call it, and the map kernel
+    /// ([`crate::geomap`]) builds on it: it steps a distributive
+    /// operator's same `Fold`, and it finishes each unit a split holds
+    /// whole through a `Finisher`, which calls this function, or,
+    /// for a Median or Percentile of a small unit, selects the same
+    /// `ranks` with a comparator network that gives this function's
+    /// value bit for bit.
     ///
     /// Holistic operators work on the unit in place: `Median` and
     /// `Percentile` select their rank in linear time and `SortValues`
@@ -79,13 +86,17 @@ impl Operator {
         }
         match *self {
             Operator::Mean => emit(values.iter().sum::<f64>() / n as f64),
-            Operator::Median if n % 2 == 1 => emit(select_rank(values, n / 2)),
-            Operator::Median => {
-                let hi = select_rank(values, n / 2);
-                // `select_rank` left every value of rank < n/2 before
-                // index n/2, so rank n/2 − 1 is the greatest of those.
-                let lo = select_rank(&mut values[..n / 2], n / 2 - 1);
-                emit((lo + hi) / 2.0)
+            Operator::Median | Operator::Percentile { .. } => {
+                let (lo, hi) = self.ranks(n).expect("a selecting operator");
+                let v = select_rank(values, hi);
+                if lo == hi {
+                    emit(v)
+                } else {
+                    // `select_rank` left every value of rank < hi before
+                    // index hi, so rank lo = hi − 1 is the greatest of
+                    // those.
+                    emit((select_rank(&mut values[..hi], lo) + v) / 2.0)
+                }
             }
             Operator::Min | Operator::Max | Operator::Sum => {
                 let fold = self.fold().expect("a distributive operator");
@@ -116,12 +127,6 @@ impl Operator {
             }
             Operator::CountAbove { threshold } => {
                 emit(values.iter().filter(|&&v| v > threshold).count() as f64)
-            }
-            Operator::Percentile { p } => {
-                // Nearest rank; `p` is clamped to [0, 100].
-                let p = p.clamp(0.0, 100.0);
-                let rank = ((p / 100.0) * n as f64).ceil() as usize;
-                emit(select_rank(values, rank.max(1) - 1))
             }
             Operator::Histogram { lo, hi, buckets } => {
                 let n = buckets.max(1) as usize;
@@ -189,6 +194,24 @@ impl Operator {
         )
     }
 
+    /// The ranks a selecting operator emits, in a stable ascending sort
+    /// of a unit of `n ≥ 1` values: `(lo, hi)`, one rank when they are
+    /// equal, and otherwise a median's two middle ranks, whose values
+    /// it averages. `None` for an operator that selects no rank.
+    fn ranks(&self, n: usize) -> Option<(usize, usize)> {
+        match *self {
+            Operator::Median if n % 2 == 1 => Some((n / 2, n / 2)),
+            Operator::Median => Some((n / 2 - 1, n / 2)),
+            Operator::Percentile { p } => {
+                // Nearest rank; `p` is clamped to [0, 100].
+                let p = p.clamp(0.0, 100.0);
+                let rank = ((p / 100.0) * n as f64).ceil() as usize;
+                Some((rank.max(1) - 1, rank.max(1) - 1))
+            }
+            _ => None,
+        }
+    }
+
     /// Whether the operator emits exactly one value per unit (such
     /// output fills a dense array; list-valued output goes to
     /// coordinate/value pair files, §2.4.2 / §4.4).
@@ -198,6 +221,170 @@ impl Operator {
             Operator::Filter { .. } | Operator::SortValues | Operator::Histogram { .. }
         )
     }
+}
+
+/// Units a [`Finisher`]'s network finishes at once: one lane each.
+const LANES: usize = 16;
+
+/// Comparators per unit value a pruned network may cost and still beat
+/// a selection per unit. Measured on 2 vCPUs (x86-64 baseline target)
+/// over random Median and Percentile units, against
+/// [`Operator::reduce_group`] per unit: the network took 0.43× its
+/// time at n = 35 (5.9 comparators per value) and 0.83–0.91× at
+/// n = 127 (8.2–9.5), tied at n = 129 (10.4) and lost from there
+/// (1.29× at n = 255, 11.0). So the cut falls at n = 128.
+const BUDGET: usize = 10;
+
+/// Largest unit a network is built for: past the budget's cut, so a
+/// larger unit's network, which would cost more, is not even built.
+const MAX_NETWORK: usize = 256;
+
+/// The map kernel's finish step for units of one size `n`: reduces a
+/// block of units, laid out in lanes, to one value per unit, each
+/// bit for bit [`Operator::reduce_group`]'s.
+///
+/// A block holds `width ≤ lanes()` units, value `j` of unit `l` at
+/// `j·width + l`. Median and Percentile, while their network costs at
+/// most [`BUDGET`] comparators per value, run [`LANES`] units at a
+/// time: Batcher's odd–even merge sort for the next power of two at or
+/// above `n`, every comparator that touches an index ≥ `n` dropped
+/// (as if those held +∞), and then pruned backwards to the comparators
+/// the wanted ranks depend on. Each comparator is a branch-free min
+/// and max across the lanes, selected by the mask of `a < b`. On
+/// NaN-free values where no unit holds both +0.0 and −0.0, that picks
+/// one input bit for bit and values that compare equal have equal
+/// bits, so rank `k` of the network is rank `k` of the stable sort. A
+/// unit holding both zeros goes through [`Operator::reduce_group`] on
+/// its values in their order, and a NaN anywhere in a block panics,
+/// as the reduce does. Every other case has one lane, and the block is
+/// the unit itself, which [`Operator::reduce_group`] reduces.
+pub(crate) struct Finisher {
+    operator: Operator,
+    n: usize,
+    /// The network's comparators `(a, b)`, `a < b`, in order; empty
+    /// when the finisher has one lane.
+    network: Vec<(u16, u16)>,
+    ranks: (usize, usize),
+    lanes: usize,
+    /// One block's values, a row per rank position.
+    rows: Vec<[f64; LANES]>,
+}
+
+impl Finisher {
+    /// The finisher of `operator`'s units of `n ≥ 1` values.
+    pub(crate) fn new(operator: Operator, n: usize) -> Self {
+        let mut finisher = Finisher {
+            operator,
+            n,
+            network: Vec::new(),
+            ranks: (0, 0),
+            lanes: 1,
+            rows: Vec::new(),
+        };
+        if let Some(ranks) = operator.ranks(n).filter(|_| n <= MAX_NETWORK) {
+            let network = selection_network(n, ranks);
+            if network.len() <= BUDGET * n {
+                finisher.network = network;
+                finisher.ranks = ranks;
+                finisher.lanes = LANES;
+                finisher.rows = vec![[0.0; LANES]; n];
+            }
+        }
+        finisher
+    }
+
+    /// Units to a block.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Reduces the `width` units of `block` (`n · width` values, value
+    /// `j` of unit `l` at `j·width + l`) and writes unit `l`'s value to
+    /// `block[l]`.
+    pub(crate) fn finish(&mut self, block: &mut [f64], width: usize) {
+        debug_assert!(width >= 1 && width <= self.lanes && block.len() == self.n * width);
+        if self.lanes == 1 {
+            let mut value = 0.0;
+            self.operator.reduce_group(block, &mut |v| value = v);
+            block[0] = value;
+            return;
+        }
+        let (mut nan, mut pos_zero, mut neg_zero) = (false, false, false);
+        for &v in block.iter() {
+            nan |= v.is_nan();
+            pos_zero |= v.to_bits() == 0.0f64.to_bits();
+            neg_zero |= v.to_bits() == (-0.0f64).to_bits();
+        }
+        assert!(!nan, "no NaNs in datasets");
+        for (row, values) in self.rows.iter_mut().zip(block.chunks_exact(width)) {
+            row[..width].copy_from_slice(values);
+        }
+        for &(a, b) in &self.network {
+            let (head, tail) = self.rows.split_at_mut(usize::from(b));
+            let (a, b) = (&mut head[usize::from(a)], &mut tail[0]);
+            for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                // `p < q` as a mask, so the select vectorises where
+                // an `if` would branch.
+                let (p, q) = (x.to_bits(), y.to_bits());
+                let less = u64::from(f64::from_bits(p) < f64::from_bits(q)).wrapping_neg();
+                *x = f64::from_bits(p & less | q & !less);
+                *y = f64::from_bits(q & less | p & !less);
+            }
+        }
+        let (lo, hi) = self.ranks;
+        let mut values = [0.0; LANES];
+        for (l, value) in values[..width].iter_mut().enumerate() {
+            let unit = || block[l..].iter().step_by(width).copied();
+            let holds = |zero: f64| unit().any(|v| v.to_bits() == zero.to_bits());
+            *value = if pos_zero && neg_zero && holds(0.0) && holds(-0.0) {
+                let mut value = 0.0;
+                (self.operator).reduce_group(&mut unit().collect::<Vec<_>>(), &mut |v| value = v);
+                value
+            } else if lo == hi {
+                self.rows[hi][l]
+            } else {
+                (self.rows[lo][l] + self.rows[hi][l]) / 2.0
+            };
+        }
+        block[..width].copy_from_slice(&values[..width]);
+    }
+}
+
+/// The comparators that select `ranks` from `n` values: Batcher's
+/// odd–even merge sort for the next power of two, without the
+/// comparators that touch an index ≥ `n`, pruned backwards to the
+/// cone of `ranks`. `n` is at most [`MAX_NETWORK`].
+fn selection_network(n: usize, (lo, hi): (usize, usize)) -> Vec<(u16, u16)> {
+    let size = n.next_power_of_two();
+    let mut sort = Vec::new();
+    let mut p = 1;
+    while p < size {
+        let mut k = p;
+        while k >= 1 {
+            for j in (k % p..size - k).step_by(2 * k) {
+                for i in 0..k.min(size - j - k) {
+                    let (a, b) = (i + j, i + j + k);
+                    if a / (2 * p) == b / (2 * p) && b < n {
+                        sort.push((a as u16, b as u16));
+                    }
+                }
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+    let mut needed = vec![false; n];
+    (needed[lo], needed[hi]) = (true, true);
+    let mut cone: Vec<(u16, u16)> = (sort.into_iter().rev())
+        .filter(|&(a, b)| {
+            let (a, b) = (usize::from(a), usize::from(b));
+            let keep = needed[a] || needed[b];
+            (needed[a], needed[b]) = (needed[a] || keep, needed[b] || keep);
+            keep
+        })
+        .collect();
+    cone.reverse();
+    cone
 }
 
 /// A distributive operator as a left fold: start from
@@ -317,6 +504,132 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Each rank set a finisher asks for over units of up to 20
+    /// values: Median at odd and even `n`, and Percentile at 0, 30, 50,
+    /// 75 and 100.
+    fn selections(n: usize) -> Vec<Operator> {
+        let mut ops = vec![Operator::Median];
+        ops.extend([0.0, 30.0, 50.0, 75.0, 100.0].map(|p| Operator::Percentile { p }));
+        ops.retain(|op| op.ranks(n).is_some());
+        ops
+    }
+
+    /// By the 0–1 principle, a comparator network selects rank `k` of
+    /// every input if it does of every 0/1 input. Every `n` in 1..=20,
+    /// all 2ⁿ 0/1 inputs, 64 to a word: input `base + t` is bit `t`,
+    /// and a comparator is `&` (min) and `|` (max). Rank `k` of a 0/1
+    /// input with `ones` ones is 1 exactly when `k ≥ n − ones`.
+    #[test]
+    fn pruned_networks_select_their_ranks_on_every_zero_one_input() {
+        let ones: Vec<usize> = (0..64u32).map(|t| t.count_ones() as usize).collect();
+        for n in 1..=20 {
+            for op in selections(n) {
+                let finisher = Finisher::new(op, n);
+                assert_eq!(finisher.lanes(), LANES, "{op:?} at n = {n}");
+                let (lo, hi) = finisher.ranks;
+                let inputs = 1u64 << n;
+                let mask = if inputs >= 64 { !0 } else { (1 << inputs) - 1 };
+                for base in (0..inputs).step_by(64) {
+                    let mut w: Vec<u64> = (0..n)
+                        .map(|i| match i {
+                            0..6 => (0..64).fold(0, |w, t| w | ((t >> i) & 1) << t),
+                            _ => ((base >> i) & 1).wrapping_neg(),
+                        })
+                        .collect();
+                    for &(a, b) in &finisher.network {
+                        let (a, b) = (usize::from(a), usize::from(b));
+                        (w[a], w[b]) = (w[a] & w[b], w[a] | w[b]);
+                    }
+                    let base_ones = base.count_ones() as usize;
+                    for k in [lo, hi] {
+                        let want = (0..64).fold(0u64, |want, t| {
+                            want | u64::from(k + base_ones + ones[t] >= n) << t
+                        });
+                        assert_eq!(
+                            w[k] & mask,
+                            want & mask,
+                            "{op:?}, n {n}, rank {k}, base {base}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cut: Median and Percentile run a network of [`LANES`] lanes
+    /// up to n = 128 and finish one unit at a time past it, as every
+    /// other operator does at any `n`.
+    #[test]
+    fn networks_stop_at_the_budget() {
+        let p90 = Operator::Percentile { p: 90.0 };
+        for (op, n, lanes) in [
+            (Operator::Median, 1, LANES),
+            (Operator::Median, 128, LANES),
+            (Operator::Median, 129, 1),
+            (p90, 128, LANES),
+            (Operator::Median, 25_920, 1),
+            (Operator::Mean, 35, 1),
+        ] {
+            assert_eq!(Finisher::new(op, n).lanes(), lanes, "{op:?} at n = {n}");
+        }
+        let full = selection_network(35, (17, 17)).len();
+        assert!(
+            full < 262,
+            "the median cone of 35 is pruned: {full} comparators"
+        );
+    }
+
+    /// A NaN in any lane of a block, full or partial, panics as the
+    /// reduce's does.
+    #[test]
+    fn a_nan_in_any_lane_panics() {
+        for width in [LANES, 5] {
+            for lane in 0..width {
+                let caught = std::panic::catch_unwind(|| {
+                    let mut block: Vec<f64> = (0..35 * width).map(|i| i as f64).collect();
+                    block[17 * width + lane] = f64::NAN;
+                    Finisher::new(Operator::Median, 35).finish(&mut block, width);
+                });
+                let why = caught.expect_err("a NaN panics");
+                let why = why.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(why, "no NaNs in datasets", "width {width}, lane {lane}");
+            }
+        }
+    }
+
+    /// A block of `width` units of `n` values for a finisher: duplicates,
+    /// ±1e16 beside small values, and zeros. Each lane holds only
+    /// +0.0, only −0.0, or both.
+    fn block() -> impl Strategy<Value = (Operator, usize, usize, Vec<f64>)> {
+        let op = (any::<bool>(), 0u64..=1000).prop_map(|(median, tenths)| match median {
+            true => Operator::Median,
+            false => Operator::Percentile {
+                p: tenths as f64 / 10.0,
+            },
+        });
+        (op, 1usize..=160, 1usize..=LANES, any::<u64>()).prop_map(|(op, n, width, seed)| {
+            let width = width.min(Finisher::new(op, n).lanes());
+            let mut rng = rand::SplitMix64::seed_from_u64(seed);
+            let zeros: Vec<u64> = (0..width).map(|_| rng.next_u64() % 3).collect();
+            let values = (0..n * width)
+                .map(|i| match rng.next_u64() % 7 {
+                    0 => match zeros[i % width] {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ if rng.next_u64().is_multiple_of(2) => 0.0,
+                        _ => -0.0,
+                    },
+                    1 => 1e16,
+                    2 => -1e16,
+                    3 => 1.5,
+                    4 => (rng.next_u64() % 11) as f64 - 5.0,
+                    _ => (rng.next_u64() % 20_000) as f64 / 100.0 - 100.0,
+                })
+                .collect();
+            (op, n, width, values)
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -338,6 +651,20 @@ mod tests {
                 let once = op.apply(&u);
                 prop_assert_eq!(once.len(), 1, "{:?}", op);
                 prop_assert_eq!(bits(&op.apply(&once)), bits(&once), "{:?} of {:?}", op, u);
+            }
+        }
+
+        /// A finisher gives each lane of a block `reduce_group`'s value
+        /// of that lane's unit, in its order, bit for bit: full and
+        /// partial blocks, on both sides of the network's cut.
+        #[test]
+        fn finisher_equals_reduce_group_per_lane((op, n, width, values) in block()) {
+            let mut finished = values.clone();
+            Finisher::new(op, n).finish(&mut finished, width);
+            for (l, got) in finished[..width].iter().enumerate() {
+                let unit: Vec<f64> = values[l..].iter().step_by(width).copied().collect();
+                let want = op.apply(&unit);
+                prop_assert_eq!(got.to_bits(), want[0].to_bits(), "{:?} lane {} of {:?}", op, l, unit);
             }
         }
     }

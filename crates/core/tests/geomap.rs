@@ -408,6 +408,35 @@ fn split_mixing_whole_and_cut_units() {
     }
 }
 
+/// Splits holding at least 17 whole keys, so the finish step selects a
+/// full block of sixteen units and then a partial one: Median at odd
+/// (5) and even (6) unit sizes, and Percentile; and a unit of 147
+/// values, past the network's cut, finished one unit at a time.
+#[test]
+fn whole_keys_fill_a_block_and_part_of_the_next() {
+    let p75 = Operator::Percentile { p: 75.0 };
+    for (space, extraction, operator) in [
+        (vec![5, 6, 5], vec![5, 1, 1], Operator::Median),
+        (vec![5, 6, 5], vec![2, 3, 1], Operator::Median),
+        (vec![5, 6, 5], vec![5, 1, 1], p75),
+        (vec![5, 6, 5], vec![2, 3, 1], p75),
+        (vec![3, 14, 7], vec![3, 7, 7], Operator::Median),
+    ] {
+        run(&Case {
+            split_shape: space.clone(),
+            space,
+            extraction,
+            gap: vec![0, 0, 0],
+            region: None,
+            split_corner: vec![0, 0, 0],
+            operator,
+            reducers: 3,
+            dtype: 2,
+            seed: 17,
+        });
+    }
+}
+
 /// The structural map translates each key through the extraction and
 /// drops the keys of a discarded partial instance.
 #[test]

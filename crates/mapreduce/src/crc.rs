@@ -23,6 +23,46 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
     !parts.iter().fold(!0, |crc, part| update(crc, part))
 }
 
+/// The CRC-32 of a message, from its CRC `crc` before `delta` was
+/// XORed into its bytes that end `trailing` bytes before its end, and
+/// without reading the message. The CRC is affine in the message
+/// bytes, so the change is the CRC register of `delta` alone, from
+/// zero, carried over `trailing` zero bytes: a multiply by
+/// `x^(8·trailing) mod P`. A CRC that did not match the message before
+/// does not match it after.
+pub fn crc32_amend(crc: u32, delta: &[u8], trailing: usize) -> u32 {
+    let register = update(0, delta).reverse_bits();
+    crc ^ mul_mod_p(register, x_pow_mod_p(8 * trailing as u64)).reverse_bits()
+}
+
+/// The normal (unreflected) form of `P`, its `x^32` term implied.
+const POLY_NORMAL: u32 = 0x04C1_1DB7;
+
+/// `a · b mod P` in the normal bit order.
+fn mul_mod_p(a: u32, b: u32) -> u32 {
+    (0..32).rev().fold(0u32, |r, i| {
+        let r = (r << 1) ^ if r >> 31 != 0 { POLY_NORMAL } else { 0 };
+        if a >> i & 1 != 0 {
+            r ^ b
+        } else {
+            r
+        }
+    })
+}
+
+/// `x^n mod P` in the normal bit order, by squaring.
+fn x_pow_mod_p(mut n: u64) -> u32 {
+    let (mut result, mut square) = (1u32, 2u32);
+    while n > 0 {
+        if n & 1 != 0 {
+            result = mul_mod_p(result, square);
+        }
+        square = mul_mod_p(square, square);
+        n >>= 1;
+    }
+    result
+}
+
 /// Buffers shorter than this take the slice-by-8 lane even where the
 /// folding path is available: below it, the fold's fixed cost (its
 /// setup and the final reduction) outweighs what it saves.
@@ -291,18 +331,41 @@ mod tests {
         }
     }
 
-    /// `x^n mod P` in the normal (unreflected) bit order, `P` with its
-    /// `x^32` term implied.
-    fn x_pow_mod_p(n: u32) -> u32 {
-        (0..n).fold(1u32, |r, _| {
-            (r << 1) ^ if r >> 31 != 0 { 0x04C1_1DB7 } else { 0 }
-        })
+    /// `x^n mod P` by squaring is `x` multiplied in `n` times.
+    #[test]
+    fn x_pow_mod_p_is_repeated_multiplication() {
+        let mut by_steps = 1u32;
+        for n in 0..=1100 {
+            assert_eq!(x_pow_mod_p(n), by_steps, "x^{n}");
+            by_steps = (by_steps << 1) ^ if by_steps >> 31 != 0 { POLY_NORMAL } else { 0 };
+        }
+    }
+
+    /// Amending a CRC for a changed run of bytes gives the changed
+    /// message's CRC, wherever the run sits and whatever its length.
+    #[test]
+    fn amended_crc_equals_the_recomputed_one() {
+        let data = random_bytes(5000, 0xA3E4);
+        let mut rng = rand::SplitMix64::seed_from_u64(0xD17A);
+        for (at, len) in [(0, 32), (0, 1), (7, 9), (100, 300), (4990, 10), (0, 5000)] {
+            let mut changed = data.clone();
+            let delta: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            for (b, d) in changed[at..at + len].iter_mut().zip(&delta) {
+                *b ^= d;
+            }
+            let trailing = data.len() - at - len;
+            assert_eq!(
+                crc32_amend(crc32(&data), &delta, trailing),
+                crc32(&changed),
+                "{len} bytes at {at}"
+            );
+        }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn fold_constants_derive_from_the_polynomial() {
-        let k = |n: u32| (x_pow_mod_p(n).reverse_bits() as i64) << 1;
+        let k = |n: u64| (x_pow_mod_p(n).reverse_bits() as i64) << 1;
         assert_eq!(
             [clmul::K1, clmul::K2, clmul::K3, clmul::K4, clmul::K5],
             [

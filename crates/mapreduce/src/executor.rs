@@ -651,7 +651,7 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
         queue: Inbox::default(),
         n: pool.reduce_slots().min(plan.num_reducers()),
     };
-    let counters = thread::scope(|scope| {
+    let outcome = thread::scope(|scope| {
         for class in [&maps, &reduces] {
             (0..class.n).for_each(|_| {
                 scope.spawn(|| class.run());
@@ -672,9 +672,10 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
         };
         coordinate(&mut threads, splits.len(), plan, config, cancel, &timeline)
     });
+    let (counters, events) = outcome?;
     let result = JobResult {
-        counters: counters?,
-        events: timeline.events(),
+        counters,
+        events,
         elapsed: timeline.job_end().unwrap_or_default(),
     };
     // §3.2.1 approach 2, whole-job form: in debug builds, the map-output

@@ -31,7 +31,7 @@ use crate::slots::CancelToken;
 use crate::speculation::SpeculationPolicy;
 use crate::split::MapTaskId;
 use crate::sync::chaos::{self, Mutation};
-use crate::timeline::{TaskKind, Timeline};
+use crate::timeline::{TaskEvent, TaskKind, Timeline};
 use crate::timers::Timers;
 use crate::{JobPlan, Result, TimelineOracle};
 
@@ -128,7 +128,8 @@ struct Loop<'a> {
 
 /// Runs one job — `plan` over `num_maps` maps — to its end on `cluster`,
 /// stamping events on the cluster's clock into `timeline`; returns the
-/// job's counters once its timeline passes the plan's protocol oracle.
+/// job's counters and its events, sorted by time, once they pass the
+/// plan's protocol oracle.
 pub fn coordinate(
     cluster: &mut dyn Cluster,
     num_maps: usize,
@@ -136,7 +137,7 @@ pub fn coordinate(
     config: &JobConfig,
     cancel: Option<&CancelToken>,
     timeline: &Timeline,
-) -> Result<CountersSnapshot> {
+) -> Result<(CountersSnapshot, Vec<TaskEvent>)> {
     let sched = Schedule::new(num_maps, plan)?;
     let num_reducers = sched.num_reducers();
     let mut st = State {
@@ -179,11 +180,11 @@ pub fn coordinate(
         }
     }
     let counters = job.finish()?;
-    let oracle = TimelineOracle::for_plan(num_maps, plan, config);
-    oracle
-        .check_complete(&timeline.events())
+    let events = timeline.events();
+    TimelineOracle::for_plan(num_maps, plan, config)
+        .check_complete(&events)
         .map_err(MrError::Protocol)?;
-    Ok(counters)
+    Ok((counters, events))
 }
 
 impl Loop<'_> {

@@ -65,7 +65,7 @@ const CRC_OFF: usize = HEADER_LEN - 4;
 /// Bytes of a run's cumulative end in the run table.
 const END_WIDTH: usize = 4;
 
-pub use crate::crc::{crc32, crc32_parts};
+pub use crate::crc::{crc32, crc32_amend, crc32_parts};
 
 /// The SMOF frame CRC of an encoded buffer: every header byte but the
 /// CRC field itself, then the run table and values. A flipped

@@ -11,8 +11,9 @@
 //!   header ([`Keyblock`]), and the worker seals the header over that
 //!   room in place ([`seal_keyblock`]);
 //! - the coordinator checks the worker's frame without building a row
-//!   ([`accept_keyblock`]), then restamps its job and `at_ms`, reseals
-//!   the CRC and forwards the same buffer;
+//!   ([`accept_keyblock`]), then restamps its job and `at_ms`, derives
+//!   the new CRC from the checked one without reading a row, and
+//!   forwards the same buffer;
 //! - only the client decodes rows ([`decode_keyblock`]).
 //!
 //! An in-process job's keyblock is sealed the same way by the
@@ -48,7 +49,7 @@
 //! or over-read. A keyblock cannot arrive under another job or reducer.
 
 use sidr_coords::Coord;
-use sidr_mapreduce::shuffle_file::crc32_parts;
+use sidr_mapreduce::shuffle_file::{crc32_amend, crc32_parts};
 use sidr_mapreduce::{Keyblock, KEYBLOCK_HEADROOM};
 
 use crate::frame::{FrameError, MAX_FRAME};
@@ -123,10 +124,12 @@ pub fn encode_keyblock(
 
 /// Seals `keyblock`'s frame in place: writes the header over the room
 /// the reduce left in front of its rows, and the CRC over both. A
-/// worker seals the keyblock its reduce wrote; the coordinator
-/// restamps a worker's with its own job and `at_ms`. No row is read
-/// but by the CRC. Fails, as [`encode_keyblock`] does, when the frame
-/// would exceed [`MAX_FRAME`].
+/// worker seals the keyblock its reduce wrote, and its CRC reads the
+/// rows. The coordinator restamps a worker's, which
+/// [`accept_keyblock`] checked, with its own job and `at_ms`; its CRC
+/// is derived from the checked one, and no row is read. Fails, as
+/// [`encode_keyblock`] does, when the frame would exceed
+/// [`MAX_FRAME`].
 pub fn seal_keyblock(
     job: u64,
     reducer: usize,
@@ -175,9 +178,16 @@ fn fits(len: usize) -> Result<(), FrameError> {
 }
 
 /// Writes the header into `frame`'s first [`BIN_HEADER_LEN`] bytes and
-/// then the CRC. The frame fits [`MAX_FRAME`], so its counts fit a
-/// `u32`.
+/// then the CRC. A blank header, the zeros a reduce or
+/// [`encode_keyblock`] left, gets the CRC over header and rows. A
+/// sealed one, a received frame's (its tag set), is restamped: the new
+/// CRC is the stored one amended by the header's change
+/// ([`crc32_amend`]), reading no row, and it matches the frame exactly
+/// when the stored one did. The frame fits [`MAX_FRAME`], so its
+/// counts fit a `u32`.
 fn seal(frame: &mut [u8], job: u64, reducer: usize, records: usize, at_ms: u64, key_width: usize) {
+    let mut delta: [u8; 32] = frame[..32].try_into().expect("a header's room");
+    let sealed = delta[0] == BIN_TAG;
     frame[0] = BIN_TAG;
     frame[1] = KIND_KEYBLOCK;
     frame[2..4].fill(0);
@@ -186,7 +196,14 @@ fn seal(frame: &mut [u8], job: u64, reducer: usize, records: usize, at_ms: u64, 
     frame[16..20].copy_from_slice(&(records as u32).to_le_bytes());
     frame[20..28].copy_from_slice(&at_ms.to_le_bytes());
     frame[28..32].copy_from_slice(&(key_width as u32).to_le_bytes());
-    let crc = frame_crc(frame);
+    let crc = if sealed {
+        for (d, b) in delta.iter_mut().zip(&frame[..32]) {
+            *d ^= b;
+        }
+        crc32_amend(le_u32(frame, 32), &delta, frame.len() - BIN_HEADER_LEN)
+    } else {
+        frame_crc(frame)
+    };
     frame[32..36].copy_from_slice(&crc.to_le_bytes());
 }
 
@@ -322,6 +339,46 @@ mod tests {
     fn mixed_rank_records_refuse_to_encode() {
         let records = vec![(Coord::from([1, 2]), 0.5), (Coord::from([3]), 1.5)];
         assert!(encode_keyblock(1, 0, 0, &records).is_err());
+    }
+
+    /// Restamping a sealed frame amends its CRC instead of reading the
+    /// rows again, and the result is the CRC over the restamped frame:
+    /// at every payload length to 4 KiB and at a few MiB-sized ones.
+    #[test]
+    fn resealed_crc_equals_the_full_crc() {
+        let longest = (3 << 20) + 5;
+        let payload: Vec<u8> = (0..longest as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        for len in (0..=4096).chain([1 << 20, 3 << 20, longest]) {
+            let mut frame = vec![0u8; BIN_HEADER_LEN + len];
+            frame[BIN_HEADER_LEN..].copy_from_slice(&payload[..len]);
+            seal(&mut frame, 3, 5, len / 24, 0, 16);
+            let (job, at_ms) = (42 + len as u64, 1500 + len as u64);
+            seal(&mut frame, job, 5, len / 24, at_ms, 16);
+            let crc = le_u32(&frame, 32);
+            assert_eq!(crc, frame_crc(&frame), "payload of {len} bytes");
+        }
+    }
+
+    /// A row that changes between the coordinator's check and its
+    /// reseal is not laundered: the amended CRC still mismatches, and
+    /// the client's decode refuses the frame.
+    #[test]
+    fn a_row_flipped_before_the_reseal_is_still_refused() {
+        let frame = encode_keyblock(3, 5, 0, &sample()).unwrap();
+        let forwarded = |frame| seal_keyblock(42, 5, 1234, Keyblock::from_frame(frame, 10, 16));
+        let sound = forwarded(frame.clone()).unwrap();
+        assert_eq!(decode_keyblock(&sound).unwrap().records, sample());
+        for bit in [0, 77, 8 * (frame.len() - BIN_HEADER_LEN) - 1] {
+            let mut flipped = frame.clone();
+            flipped[BIN_HEADER_LEN + bit / 8] ^= 1 << (bit % 8);
+            let resealed = forwarded(flipped).unwrap();
+            assert!(
+                matches!(decode_keyblock(&resealed), Err(FrameError::Malformed(_))),
+                "row bit {bit}"
+            );
+        }
     }
 
     #[test]

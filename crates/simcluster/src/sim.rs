@@ -265,9 +265,9 @@ pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> 
     let timeline = Timeline::new();
     let config = JobConfig::default();
     let num_maps = job.maps.len();
-    (coordinate(&mut runner, num_maps, &job.plan, &config, None, &timeline))
+    let (_, events) = (coordinate(&mut runner, num_maps, &job.plan, &config, None, &timeline))
         .expect("a fault-free job ends and passes its protocol check");
-    SimTrace::new(num_maps, job.plan.num_reducers(), timeline.events())
+    SimTrace::new(num_maps, job.plan.num_reducers(), events)
 }
 
 #[cfg(test)]
