@@ -305,8 +305,6 @@ fn wire_path_allocation_invariants() {
                         Shape::new(vec![7, 50, width]).expect("valid"),
                     )
                     .expect("valid"),
-                    byte_range: (0, 0),
-                    preferred_nodes: Vec::new(),
                 })
                 .collect();
             let plan = SidrPlanner::new(&query, 4).build(&splits).expect("plans");

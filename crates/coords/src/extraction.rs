@@ -130,13 +130,6 @@ impl ExtractionShape {
         self.tiling.instances_touched_by(input)
     }
 
-    /// The slab of input keys that contribute to a slab of
-    /// intermediate keys — the preimage used to turn a keyblock into
-    /// its input dependency footprint `I_ℓ` (§3.2).
-    pub fn preimage_of_slab(&self, k_prime_slab: &Slab) -> Result<Slab> {
-        self.tiling.grid_slab_to_space(k_prime_slab)
-    }
-
     /// Number of input keys that fold into intermediate key `k_prime`
     /// (the size of its preimage — all extraction instances here are
     /// full because partials are discarded).
@@ -229,17 +222,6 @@ mod tests {
         // Space {10}, shape {4}: grid {2} covers [0,8); [8,10) discarded.
         let es = ExtractionShape::new(shape(&[10]), shape(&[4])).unwrap();
         assert!(es.image_of_slab(&slab(&[8], &[2])).unwrap().is_none());
-    }
-
-    #[test]
-    fn preimage_of_slab_is_superset_of_keys() {
-        let es = ExtractionShape::new(shape(&[20, 20]), shape(&[4, 5])).unwrap();
-        let kblock = slab(&[1, 0], &[2, 4]); // in K'
-        let pre = es.preimage_of_slab(&kblock).unwrap();
-        for kp in kblock.iter_coords() {
-            let key_pre = es.preimage_of_key(&kp).unwrap();
-            assert!(pre.contains_slab(&key_pre));
-        }
     }
 
     #[test]

@@ -100,40 +100,6 @@ impl Shape {
         }
         Ok(Coord::new(components))
     }
-
-    /// Ceil-divides each extent by the matching extent of `tile`,
-    /// giving the shape of the tile grid (how many tile instances fit
-    /// per dimension, counting partial tiles).
-    pub fn tiles_per_dim(&self, tile: &Shape) -> Result<Vec<u64>> {
-        if tile.rank() != self.rank() {
-            return Err(CoordError::RankMismatch {
-                expected: self.rank(),
-                actual: tile.rank(),
-            });
-        }
-        Ok(self
-            .0
-            .iter()
-            .zip(tile.extents())
-            .map(|(&space, &t)| space.div_ceil(t))
-            .collect())
-    }
-
-    /// Component-wise exact division; errors unless every extent is an
-    /// exact multiple. Used when a query guarantees alignment.
-    pub fn exact_div(&self, tile: &Shape) -> Result<Shape> {
-        let per_dim = self.tiles_per_dim(tile)?;
-        for (dim, (&space, &t)) in self.0.iter().zip(tile.extents()).enumerate() {
-            if space % t != 0 {
-                return Err(CoordError::OutOfBounds {
-                    dim,
-                    coordinate: space,
-                    extent: t,
-                });
-            }
-        }
-        Shape::new(per_dim)
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -287,26 +253,6 @@ mod tests {
         for (i, c) in coords.iter().enumerate() {
             assert_eq!(s.linearize(c).unwrap(), i as u64);
         }
-    }
-
-    #[test]
-    fn tiles_per_dim_ceil() {
-        let space = Shape::new(vec![365, 250, 200]).unwrap();
-        let tile = Shape::new(vec![7, 5, 1]).unwrap();
-        // 365/7 = 52.14… → 53 partial weeks; 250/5 = 50; 200/1 = 200.
-        assert_eq!(space.tiles_per_dim(&tile).unwrap(), vec![53, 50, 200]);
-    }
-
-    #[test]
-    fn exact_div_requires_alignment() {
-        let space = Shape::new(vec![364, 250, 200]).unwrap();
-        let tile = Shape::new(vec![7, 5, 1]).unwrap();
-        assert_eq!(
-            space.exact_div(&tile).unwrap(),
-            Shape::new(vec![52, 50, 200]).unwrap()
-        );
-        let space2 = Shape::new(vec![365, 250, 200]).unwrap();
-        assert!(space2.exact_div(&tile).is_err());
     }
 
     #[test]

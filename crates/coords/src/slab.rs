@@ -145,12 +145,6 @@ impl Slab {
         matches!(self.intersect(other), Ok(Some(_)))
     }
 
-    /// Clips this slab against a space `[0, space)`, returning the
-    /// contained portion (or `None` if entirely outside).
-    pub fn clip_to(&self, space: &Shape) -> Result<Option<Slab>> {
-        self.intersect(&Slab::whole(space))
-    }
-
     /// Iterates all coordinates in the slab in row-major order
     /// (relative to the global space, i.e. absolute coordinates).
     pub fn iter_coords(&self) -> SlabIter {
@@ -316,15 +310,5 @@ mod tests {
     fn split_caps_at_dimension_length() {
         let s = slab(&[0], &[3]);
         assert_eq!(s.split_along_longest(10).len(), 3);
-    }
-
-    #[test]
-    fn clip_to_space() {
-        let space = Shape::new(vec![10, 10]).unwrap();
-        let s = slab(&[8, 8], &[5, 5]);
-        let clipped = s.clip_to(&space).unwrap().unwrap();
-        assert_eq!(clipped, slab(&[8, 8], &[2, 2]));
-        let outside = slab(&[10, 0], &[2, 2]);
-        assert!(outside.clip_to(&space).unwrap().is_none());
     }
 }

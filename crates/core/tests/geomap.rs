@@ -266,8 +266,6 @@ fn check_route<E: Element>(
 ) {
     let split = InputSplit {
         slab: Slab::new(Coord::new(c.split_corner.clone()), shape(&c.split_shape)).unwrap(),
-        byte_range: (0, 0),
-        preferred_nodes: Vec::new(),
     };
 
     let per_record = reference(&split);
@@ -455,8 +453,6 @@ fn structural_map_translates_and_drops() {
     let query = StructuralQuery::new("v", shape(&[10]), shape(&[4]), Operator::Mean).unwrap();
     let split = InputSplit {
         slab: Slab::whole(&shape(&[10])),
-        byte_range: (0, 0),
-        preferred_nodes: Vec::new(),
     };
     let (records_in, out) = structural_map::<f64>(&file, &split, &query);
     std::fs::remove_file(&path).ok();

@@ -30,8 +30,8 @@
 //! fed its reducer, and checks its §3.2.1 tally only against the
 //! `expected_raw` the runtime hands it.
 //!
-//! A lost generation — a dead worker, a consumed volatile partition, a
-//! failed CRC — surfaces as [`RemoteReduceError::SourcesLost`]: the
+//! A lost generation — a dead worker, a released partition, a failed
+//! CRC — surfaces as [`RemoteReduceError::SourcesLost`]: the
 //! scheduler re-enqueues exactly those maps, the dependency-scoped
 //! (`I_ℓ`) recovery of §6.
 
@@ -70,17 +70,17 @@ pub struct ReduceSource {
 #[derive(Debug)]
 pub enum RemoteReduceError {
     /// Source partitions are gone — with a dead worker, to a failed
-    /// CRC, consumed by an earlier volatile fetch, or released by a
-    /// fleet attempt whose reply was then rejected — and *this attempt
+    /// CRC, released by an earlier reduce, or released by a fleet
+    /// attempt whose reply was then rejected — and *this attempt
     /// consumed nothing*. The scheduler re-enqueues exactly these maps
     /// and retries the same attempt once they recommit; no retry
     /// budget is charged.
     SourcesLost(Vec<MapTaskId>),
     /// The attempt failed. Charged against the retry budget. Under
-    /// the in-process engine's volatile intermediate data its fetches
-    /// were consumed, so the scheduler re-executes the whole dependency
-    /// set; a fleet attempt releases nothing before it has replied, so
-    /// its retry simply fetches again.
+    /// volatile intermediate data the scheduler takes its fetches as
+    /// consumed and re-executes the whole dependency set; otherwise
+    /// its retry simply fetches again, since no attempt releases a
+    /// source before its keyblock is whole.
     AttemptFailed(String),
     /// Unrecoverable: fail the job with this error.
     Fatal(MrError),
@@ -386,21 +386,20 @@ const JOB: u64 = 0;
 /// Partitions are keyed by their generation `(map, attempt)`, so a
 /// speculative loser or a superseded re-execution can never overwrite
 /// what a reducer was promised — it just sits unbound. A reduce
-/// releases its sources once it has reduced them (volatile data: once
-/// they are all open); a reduce that succeeded is never retried. A
-/// source the store no longer holds is lost. One executor serves one
-/// job; dropping it drops all the job still holds.
+/// releases its sources once it has reduced them, volatile or not: a
+/// reduce that succeeded is never retried, and one that failed ends
+/// the job. A source the store no longer holds is lost. One executor
+/// serves one job; dropping it drops all the job still holds.
 pub struct InProcessExecutor<'a, B> {
     bodies: B,
-    /// Fault script and `volatile_intermediate`.
+    /// The job's fault script.
     config: &'a JobConfig,
     /// Every committed partition, keyed `(JOB, map, reducer, attempt)`.
     store: PartitionStore,
 }
 
 impl<'a, B> InProcessExecutor<'a, B> {
-    /// An executor running `bodies` under `config`'s fault script and
-    /// `volatile_intermediate`.
+    /// An executor running `bodies` under `config`'s fault script.
     pub fn with_bodies(bodies: B, config: &'a JobConfig) -> Self {
         let store = PartitionStore::new(TierConfig::default(), Arc::new(MemBackend::new()));
         store.prepare_job(JOB, config.fault_plan.clone(), &[]);
@@ -450,18 +449,10 @@ impl<B: AttemptBodies> TaskExecutor<B::Key, B::Out> for InProcessExecutor<'_, B>
             })
             .collect();
         let inputs = open_sources(&self.store, JOB, reducer, fetched)?;
-        // Volatile data is consumed by the fetch itself; otherwise the
-        // sources go once the keyblock is whole.
-        let volatile = self.config.volatile_intermediate;
-        if volatile {
-            self.store.release(JOB, reducer, &held);
-        }
         let out = (self.bodies)
             .reduce(reducer, inputs, expected_raw)
             .map_err(RemoteReduceError::Fatal)?;
-        if !volatile {
-            self.store.release(JOB, reducer, &held);
-        }
+        self.store.release(JOB, reducer, &held);
         Ok(out)
     }
 }

@@ -3,10 +3,11 @@
 //! Hadoop defines an InputSplit as byte-ranges in a file; SciHadoop
 //! defines it as a corner+shape slab in logical coordinates, making
 //! the split and the key set it produces the same object (`Iᵢ ≡ K_Tᵢ`,
-//! §2.4.1). The engine always carries the logical slab — that is what
-//! the RecordReader consumes — but keeps the generation style visible
-//! because split *alignment* is what separates stock Hadoop from
-//! SciHadoop in the evaluation:
+//! §2.4.1). A split here is only its slab — that is what the
+//! RecordReader consumes; where a map's bytes live matters only to the
+//! cluster simulator, which derives them itself. The generation style
+//! stays visible because split *alignment* is what separates stock
+//! Hadoop from SciHadoop in the evaluation:
 //!
 //! * [`SplitGenerator::naive_linear`] — byte-range-style: the
 //!   row-major linearized space is chopped into equal runs with no
@@ -18,8 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sidr_coords::{Coord, CoordError, Shape, Slab};
-use sidr_dfs::{FileId, NameNode, NodeId};
+use sidr_coords::{Coord, Shape, Slab};
 
 use crate::error::MrError;
 use crate::Result;
@@ -28,15 +28,12 @@ use crate::Result;
 /// assigns each split to exactly one Map task, §2.3).
 pub type MapTaskId = usize;
 
-/// One unit of Map input.
+/// One unit of Map input: a slab of the input space, the same object
+/// as the keys it produces (`Iᵢ ≡ K_Tᵢ`).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InputSplit {
     /// The split's extent in logical coordinates (`Iᵢ`).
     pub slab: Slab,
-    /// Byte range in the backing file (for DFS locality queries).
-    pub byte_range: (u64, u64),
-    /// Datanodes hosting the split's bytes, ranked by locality.
-    pub preferred_nodes: Vec<NodeId>,
 }
 
 impl InputSplit {
@@ -46,28 +43,23 @@ impl InputSplit {
     }
 }
 
-/// Generates input splits for a variable of a registered dataset.
-pub struct SplitGenerator<'a> {
+/// Generates input splits for a variable of a dataset.
+pub struct SplitGenerator {
     space: Shape,
     /// The query's input region `T` — a sub-slab of `space` (§2.1:
     /// units of work are corner+shape pairs "in the input data set").
     /// Defaults to the whole space.
     region: Slab,
     element_size: u64,
-    namenode: Option<(&'a NameNode, FileId)>,
-    /// Byte offset of the variable data within the file.
-    data_offset: u64,
 }
 
-impl<'a> SplitGenerator<'a> {
+impl SplitGenerator {
     /// A generator over `space` with `element_size`-byte elements.
     pub fn new(space: Shape, element_size: u64) -> Self {
         SplitGenerator {
             region: Slab::whole(&space),
             space,
             element_size,
-            namenode: None,
-            data_offset: 0,
         }
     }
 
@@ -82,13 +74,6 @@ impl<'a> SplitGenerator<'a> {
         }
         self.region = region;
         Ok(self)
-    }
-
-    /// Attaches DFS placement so splits carry locality hints.
-    pub fn with_dfs(mut self, namenode: &'a NameNode, file: FileId, data_offset: u64) -> Self {
-        self.namenode = Some((namenode, file));
-        self.data_offset = data_offset;
-        self
     }
 
     /// Target elements per split for a byte budget (e.g. one 128 MB
@@ -142,7 +127,7 @@ impl<'a> SplitGenerator<'a> {
             extents[0] = take;
             let slab = Slab::new(Coord::new(corner), Shape::new(extents)?)?;
             debug_assert!(self.region.contains_slab(&slab));
-            out.push(self.finish_split(slab)?);
+            out.push(InputSplit { slab });
             row += take;
         }
         Ok(out)
@@ -155,65 +140,14 @@ impl<'a> SplitGenerator<'a> {
         if n == 0 {
             return Err(MrError::BadConfig("split count must be > 0".into()));
         }
-        self.region
-            .split_along_longest(n)
-            .into_iter()
-            .map(|slab| self.finish_split(slab))
-            .collect()
-    }
-
-    fn finish_split(&self, slab: Slab) -> Result<InputSplit> {
-        let byte_range = self.byte_range_of(&slab)?;
-        let preferred_nodes = match self.namenode {
-            Some((nn, file)) => nn
-                .nodes_for_range(file, byte_range.0, byte_range.1)
-                .map_err(|e| MrError::Source(e.to_string()))?
-                .into_iter()
-                .map(|(node, _)| node)
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok(InputSplit {
-            slab,
-            byte_range,
-            preferred_nodes,
-        })
-    }
-
-    /// The byte range of a slab's bounding row-major run within the
-    /// variable data (exact for leading-dimension slabs, bounding
-    /// otherwise).
-    fn byte_range_of(&self, slab: &Slab) -> Result<(u64, u64)> {
-        let first = self.space.linearize(slab.corner())?;
-        let end_coord = slab.end();
-        // end() is exclusive: clamp to last in-bounds coordinate.
-        let last_comps: Vec<u64> = end_coord.components().iter().map(|&c| c - 1).collect();
-        let last = self
-            .space
-            .linearize(&Coord::new(last_comps))
-            .map_err(|e| match e {
-                CoordError::OutOfBounds {
-                    dim,
-                    coordinate,
-                    extent,
-                } => CoordError::OutOfBounds {
-                    dim,
-                    coordinate,
-                    extent,
-                },
-                other => other,
-            })?;
-        Ok((
-            self.data_offset + first * self.element_size,
-            self.data_offset + (last + 1) * self.element_size,
-        ))
+        let slabs = self.region.split_along_longest(n).into_iter();
+        Ok(slabs.map(|slab| InputSplit { slab }).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidr_dfs::DfsConfig;
 
     fn shape(v: &[u64]) -> Shape {
         Shape::new(v.to_vec()).unwrap()
@@ -254,37 +188,6 @@ mod tests {
         assert_eq!(splits.len(), 8);
         let total: u64 = splits.iter().map(InputSplit::record_count).sum();
         assert_eq!(total, 160);
-    }
-
-    #[test]
-    fn byte_ranges_are_monotone_and_tight() {
-        let g = SplitGenerator::new(shape(&[10, 4]), 8);
-        let splits = g.naive_linear(4 * 8 * 2).unwrap();
-        for w in splits.windows(2) {
-            assert_eq!(w[0].byte_range.1, w[1].byte_range.0);
-        }
-        assert_eq!(splits[0].byte_range.0, 0);
-        assert_eq!(splits.last().unwrap().byte_range.1, 10 * 4 * 8);
-    }
-
-    #[test]
-    fn locality_hints_come_from_dfs() {
-        let nn = NameNode::new(DfsConfig {
-            block_size: 4 * 8 * 2, // 2 rows per block
-            ..Default::default()
-        })
-        .unwrap();
-        let file = nn.register_file("/f", 10 * 4 * 8).unwrap();
-        let g = SplitGenerator::new(shape(&[10, 4]), 8).with_dfs(&nn, file, 0);
-        let splits = g.naive_linear(4 * 8 * 2).unwrap();
-        for s in &splits {
-            assert!(!s.preferred_nodes.is_empty());
-            // The top-ranked node actually hosts bytes of the range.
-            let local = nn
-                .local_bytes(file, s.byte_range.0, s.byte_range.1, s.preferred_nodes[0])
-                .unwrap();
-            assert!(local > 0);
-        }
     }
 
     #[test]

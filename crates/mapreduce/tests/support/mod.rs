@@ -152,14 +152,7 @@ pub fn number_splits(n: u64, pieces: u64) -> Vec<InputSplit> {
     Slab::whole(&space)
         .split_along_longest(pieces)
         .into_iter()
-        .map(|slab| InputSplit {
-            byte_range: (
-                slab.corner()[0] * 8,
-                (slab.corner()[0] + slab.shape()[0]) * 8,
-            ),
-            slab,
-            preferred_nodes: vec![],
-        })
+        .map(|slab| InputSplit { slab })
         .collect()
 }
 

@@ -42,8 +42,10 @@ pub const MAX_FRAME: u32 = 32 << 20;
 /// a coordinator that prepares a worker at its first dispatch needs;
 /// v14's `Ping` and `Prepare` carry the coordinator's roster, and there
 /// is no `Finish`; v15's `Done.events` may carry a `MapLost`, which a
-/// v14 client cannot decode.
-pub const PROTOCOL_VERSION: u32 = 15;
+/// v14 client cannot decode; v16's `JobSpec.splits` are bare slabs,
+/// without a byte range or datanodes, so a v15 peer would fail to
+/// decode a v16 `Submit` or `Prepare`.
+pub const PROTOCOL_VERSION: u32 = 16;
 
 /// Fixed magic carried by every [`Hello`]: distinguishes a handshake
 /// frame from whatever else a stray dialer might send first.

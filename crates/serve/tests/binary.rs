@@ -490,8 +490,6 @@ fn a_keyblock_no_frame_can_carry_fails_fatally() {
     let exec = InProcessExecutor::with_bodies(MixedRanks, &config);
     let split = InputSplit {
         slab: Slab::whole(&Shape::new(vec![1]).unwrap()),
-        byte_range: (0, 8),
-        preferred_nodes: Vec::new(),
     };
     for task in 0..2 {
         exec.execute_map(task, 0, false, &split, &|_| true).unwrap();

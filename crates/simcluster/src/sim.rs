@@ -16,7 +16,7 @@ use crate::model::{CostModel, SimClusterConfig};
 pub struct SimMapTask {
     /// Bytes the task reads.
     pub input_bytes: u64,
-    /// Nodes hosting a replica of the split (from the DFS model).
+    /// Nodes hosting a replica of the split's bytes (`sidr_dfs::hosts`).
     pub preferred_nodes: Vec<usize>,
     /// Structure-oblivious read path (stock Hadoop over scientific
     /// files): over-read and likely-remote (§2.4.1).

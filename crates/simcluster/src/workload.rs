@@ -5,7 +5,6 @@
 
 use sidr_coords::{Coord, Slab};
 use sidr_core::{FrameworkMode, SidrPlanner, StructuralQuery};
-use sidr_dfs::{DfsConfig, NameNode};
 use sidr_mapreduce::{CoordHashPartitioner, JobPlan, Partitioner, SplitGenerator};
 
 use crate::sim::{SimJob, SimMapTask};
@@ -77,16 +76,14 @@ impl SimWorkload {
     }
 }
 
-/// Derives the [`SimJob`] for a workload: real splits with real DFS
-/// placement, real keyblock sizes, real dependency sets.
-pub fn build_sim_job(w: &SimWorkload) -> sidr_core::Result<SimJob> {
-    let dfs = NameNode::new(DfsConfig::default()).expect("default DFS config is valid");
-    let file = dfs
-        .register_file("/sim/input.scinc", w.input_bytes())
-        .expect("fresh namenode has no duplicates");
+/// The simulated input file's path, which seeds its block placement.
+const SIM_INPUT: &str = "/sim/input.scinc";
 
-    let generator =
-        SplitGenerator::new(w.query.input_space().clone(), w.element_size).with_dfs(&dfs, file, 0);
+/// Derives the [`SimJob`] for a workload: real splits with the paper's
+/// HDFS placement, real keyblock sizes, real dependency sets.
+pub fn build_sim_job(w: &SimWorkload) -> sidr_core::Result<SimJob> {
+    let space = w.query.input_space();
+    let generator = SplitGenerator::new(space.clone(), w.element_size);
     let splits = match w.mode {
         FrameworkMode::Hadoop => generator.naive_linear(w.split_bytes)?,
         FrameworkMode::SciHadoop | FrameworkMode::Sidr => {
@@ -95,16 +92,23 @@ pub fn build_sim_job(w: &SimWorkload) -> sidr_core::Result<SimJob> {
     };
 
     let oblivious = w.mode == FrameworkMode::Hadoop;
-    let maps: Vec<SimMapTask> = splits
-        .iter()
-        .map(|s| SimMapTask {
-            input_bytes: s.byte_range.1 - s.byte_range.0,
-            // HDFS replication factor: the top replicas host the bulk
-            // of the split.
-            preferred_nodes: s.preferred_nodes.iter().take(3).map(|n| n.0).collect(),
-            oblivious,
+    // Splits are whole rows of the leading dimension, so each is one
+    // row-major run of the file's bytes; the top replicas of that run
+    // host the bulk of it.
+    let maps = (splits.iter())
+        .map(|s| {
+            let start = space.linearize(s.slab.corner())? * w.element_size;
+            let input_bytes = s.slab.count() * w.element_size;
+            let hosts = sidr_dfs::hosts(SIM_INPUT, w.input_bytes(), start, start + input_bytes);
+            Ok(SimMapTask {
+                input_bytes,
+                preferred_nodes: (hosts.into_iter().take(sidr_dfs::REPLICAS))
+                    .map(|(node, _)| node)
+                    .collect(),
+                oblivious,
+            })
         })
-        .collect();
+        .collect::<sidr_core::Result<Vec<_>>>()?;
 
     let total_intermediate = w.intermediate_bytes();
 
@@ -225,6 +229,34 @@ mod tests {
             (total as i64 - expect as i64).unsigned_abs() <= w.num_reducers as u64 * 64,
             "{total} vs {expect}"
         );
+    }
+
+    #[test]
+    fn maps_tile_the_input_bytes_and_their_nodes_host_them() {
+        // Large elements spread the 240 rows over five 128 MB blocks.
+        let element_size = 16 << 10;
+        for mode in [FrameworkMode::Hadoop, FrameworkMode::Sidr] {
+            let w = SimWorkload {
+                element_size,
+                split_bytes: 12 * 12 * element_size * 8,
+                ..SimWorkload::new(small_query(), mode, 4)
+            };
+            let job = build_sim_job(&w).unwrap();
+            let mut start = 0;
+            for m in &job.maps {
+                let end = start + m.input_bytes;
+                let hosts = sidr_dfs::hosts(SIM_INPUT, w.input_bytes(), start, end);
+                assert!(!m.preferred_nodes.is_empty());
+                for node in &m.preferred_nodes {
+                    assert!(hosts.iter().any(|(n, b)| n == node && *b > 0), "{mode:?}");
+                }
+                start = end;
+            }
+            assert_eq!(start, w.input_bytes());
+            let placements: std::collections::HashSet<_> =
+                job.maps.iter().map(|m| &m.preferred_nodes).collect();
+            assert!(placements.len() >= 5, "{mode:?}: {placements:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   partitions),
 //! * [`scifile`] — SciNC, a NetCDF-like scientific file format with
 //!   coordinate-addressed slab I/O,
-//! * [`dfs`] — an HDFS-like block/replica placement model,
+//! * [`dfs`] — the paper's HDFS block placement, which the simulator
+//!   reads to place its maps,
 //! * [`mapreduce`] — a Hadoop-like MapReduce engine with pluggable
 //!   partitioners, barriers and schedulers,
 //! * [`core`] — SIDR itself: structural queries, `partition+`,
