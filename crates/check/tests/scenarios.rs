@@ -205,7 +205,7 @@ fn recovery_scenario() {
         output.sorted_records(),
         vec![(0, 100), (1, 301), (2, 303), (3, 202)]
     );
-    assert_eq!(result.counters.reduce_failures, 2);
+    assert_eq!(result.count(TaskKind::ReduceFailed), 2);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use sidr_coords::Shape;
 use sidr_core::framework::{generate_splits, RunOptions};
 use sidr_core::{run_query, FrameworkMode, Operator, SidrPlanner, StructuralQuery};
-use sidr_mapreduce::{reexecuted_maps, FaultPlan, MapTaskId};
+use sidr_mapreduce::{reexecuted_maps, FaultPlan, MapTaskId, TaskKind};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
 #[test]
@@ -71,11 +71,11 @@ fn reduce_failure_reexecutes_exactly_i_ell() {
         "recovery must re-execute exactly the failed reduce's I_ℓ"
     );
     assert_eq!(
-        outcome.result.counters.maps_reexecuted,
+        outcome.result.count(TaskKind::MapLost),
         i_ell.len() as u64,
         "re-execution counter must match |I_ℓ|"
     );
-    assert_eq!(outcome.result.counters.reduce_failures, 1);
+    assert_eq!(outcome.result.count(TaskKind::ReduceFailed), 1);
     assert_eq!(
         outcome.records, baseline.records,
         "recovered output must be identical to the fault-free run"

@@ -16,8 +16,11 @@
 use sidr_coords::{Coord, Shape, Slab};
 use sidr_core::{FrameworkMode, SidrPlanner, StructuralQuery};
 use sidr_experiments::{compare, write_csv};
-use sidr_mapreduce::SplitGenerator;
-use sidr_simcluster::{build_sim_job, simulate, CostModel, SimClusterConfig, SimWorkload};
+use sidr_mapreduce::{SplitGenerator, TaskKind};
+use sidr_simcluster::{
+    build_sim_job, first_result_s, makespan_s, secs, simulate, CostModel, SimClusterConfig,
+    SimWorkload,
+};
 
 fn main() {
     let query = StructuralQuery::query1().expect("paper query is valid");
@@ -62,7 +65,7 @@ fn main() {
         &cluster,
         &model,
     );
-    let deadline = 0.4 * sh.makespan_s();
+    let deadline = 0.4 * makespan_s(&sh);
 
     println!("== §3.4: hot-region output available before eviction at {deadline:.0} s ==\n");
     let mut rows = Vec::new();
@@ -85,9 +88,9 @@ fn main() {
             simulate(&build_sim_job(&w).expect("plans"), &cluster, &model)
         };
         // Which keyblocks committed before the deadline?
-        let hot_done: u64 = (0..trace.reduce_end_s.len())
-            .filter(|&r| trace.reduce_end_s[r] <= deadline)
-            .map(|r| if i == 0 { 0 } else { hot_keys_of(r) })
+        let hot_done: u64 = (trace.events.iter())
+            .filter(|e| e.kind == TaskKind::ReduceEnd && secs(e.at) <= deadline)
+            .map(|e| if i == 0 { 0 } else { hot_keys_of(e.task) })
             .sum();
         let fraction = if total_hot == 0 {
             0.0
@@ -98,11 +101,11 @@ fn main() {
             "{label:>20}: {:>5.1} % of the hot region delivered before eviction \
              (first result {:.0} s)",
             100.0 * fraction,
-            trace.first_result_s()
+            first_result_s(&trace)
         );
         rows.push(format!(
             "{label},{fraction:.4},{:.1}",
-            trace.first_result_s()
+            first_result_s(&trace)
         ));
         fractions.push(fraction);
     }

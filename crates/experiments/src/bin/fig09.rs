@@ -11,7 +11,9 @@
 
 use sidr_core::{FrameworkMode, StructuralQuery};
 use sidr_experiments::{compare, report_curves, Curve};
-use sidr_simcluster::{build_sim_job, simulate, CostModel, SimClusterConfig, SimWorkload};
+use sidr_simcluster::{
+    build_sim_job, first_result_s, makespan_s, simulate, CostModel, SimClusterConfig, SimWorkload,
+};
 
 fn main() {
     let query = StructuralQuery::query1().expect("paper query is valid");
@@ -31,9 +33,9 @@ fn main() {
         println!(
             "{tag:>3}: {} maps, first result {:.0} s, complete {:.0} s, maps done at first result {:.1} %",
             job.maps.len(),
-            trace.first_result_s(),
-            trace.makespan_s(),
-            100.0 * trace.maps_done_at_first_result()
+            first_result_s(&trace),
+            makespan_s(&trace),
+            100.0 * trace.maps_done_at_first_result().expect("results")
         );
         curves.push(Curve::maps(format!("Map 22R ({tag})"), &trace));
         curves.push(Curve::reduces(format!("22 Reduces ({tag})"), &trace));
@@ -49,39 +51,36 @@ fn main() {
     let h = &stats[0].1;
     let sh = &stats[1].1;
     let ss = &stats[2].1;
+    let ss_maps_done = ss.maps_done_at_first_result().expect("results");
     println!("\nShape checks vs paper:");
     compare(
         "SIDR first result well before SciHadoop's",
         "625 s vs 1132 s",
-        &format!(
-            "{:.0} s vs {:.0} s",
-            ss.first_result_s(),
-            sh.first_result_s()
-        ),
-        ss.first_result_s() < 0.75 * sh.first_result_s(),
+        &format!("{:.0} s vs {:.0} s", first_result_s(ss), first_result_s(sh)),
+        first_result_s(ss) < 0.75 * first_result_s(sh),
     );
     compare(
         "Hadoop first result far behind both",
         "2797 s",
-        &format!("{:.0} s", h.first_result_s()),
-        h.first_result_s() > 1.8 * sh.first_result_s(),
+        &format!("{:.0} s", first_result_s(h)),
+        first_result_s(h) > 1.8 * first_result_s(sh),
     );
     compare(
         "SIDR total within ~5% of SciHadoop",
         "1264 s vs 1250 s",
-        &format!("{:.0} s vs {:.0} s", ss.makespan_s(), sh.makespan_s()),
-        (ss.makespan_s() / sh.makespan_s() - 1.0).abs() < 0.10,
+        &format!("{:.0} s vs {:.0} s", makespan_s(ss), makespan_s(sh)),
+        (makespan_s(ss) / makespan_s(sh) - 1.0).abs() < 0.10,
     );
     compare(
         "Hadoop ~2.5x slower overall",
         "2.5x",
-        &format!("{:.2}x", h.makespan_s() / ss.makespan_s()),
-        h.makespan_s() / ss.makespan_s() > 1.8,
+        &format!("{:.2}x", makespan_s(h) / makespan_s(ss)),
+        makespan_s(h) / makespan_s(ss) > 1.8,
     );
     compare(
         "SIDR first result with small fraction of maps done",
         "6 % of query completed",
-        &format!("{:.1} % of maps", 100.0 * ss.maps_done_at_first_result()),
-        ss.maps_done_at_first_result() < 0.25,
+        &format!("{:.1} % of maps", 100.0 * ss_maps_done),
+        ss_maps_done < 0.25,
     );
 }

@@ -11,7 +11,9 @@
 
 use sidr_core::{FrameworkMode, StructuralQuery};
 use sidr_experiments::{compare, report_curves, Curve};
-use sidr_simcluster::{build_sim_job, simulate, CostModel, SimClusterConfig, SimWorkload};
+use sidr_simcluster::{
+    build_sim_job, first_result_s, makespan_s, simulate, CostModel, SimClusterConfig, SimWorkload,
+};
 
 fn main() {
     let query = StructuralQuery::query1().expect("paper query is valid");
@@ -39,9 +41,9 @@ fn main() {
         let trace = simulate(&build_sim_job(&w).expect("plans"), &cluster, &model);
         println!(
             "SIDR {r:>4} reducers: first result {:>6.0} s, complete {:>6.0} s, maps at first result {:>5.1} %",
-            trace.first_result_s(),
-            trace.makespan_s(),
-            100.0 * trace.maps_done_at_first_result()
+            first_result_s(&trace),
+            makespan_s(&trace),
+            100.0 * trace.maps_done_at_first_result().expect("results")
         );
         curves.push(Curve::reduces(format!("{r}R (SS)"), &trace));
         sidr_traces.push((r, trace));
@@ -54,11 +56,8 @@ fn main() {
     );
 
     println!("\nShape checks vs paper:");
-    let makespans: Vec<f64> = sidr_traces.iter().map(|(_, t)| t.makespan_s()).collect();
-    let firsts: Vec<f64> = sidr_traces
-        .iter()
-        .map(|(_, t)| t.first_result_s())
-        .collect();
+    let makespans: Vec<f64> = sidr_traces.iter().map(|(_, t)| makespan_s(t)).collect();
+    let firsts: Vec<f64> = sidr_traces.iter().map(|(_, t)| first_result_s(t)).collect();
     compare(
         "first result improves monotonically with reducers",
         "22 -> 528 decreasing",
@@ -77,7 +76,7 @@ fn main() {
         ),
         makespans.windows(2).all(|w| w[1] <= w[0] * 1.02),
     );
-    let speedup = (sh.makespan_s() - makespans[3]) / sh.makespan_s();
+    let speedup = (makespan_s(&sh) - makespans[3]) / makespan_s(&sh);
     compare(
         "SIDR 528R faster than SciHadoop",
         "29 % faster",
@@ -99,7 +98,7 @@ fn main() {
     compare(
         "SciHadoop gains nothing from 528 reducers",
         "no benefit",
-        &format!("{:.0} s vs {:.0} s", sh_528.makespan_s(), sh.makespan_s()),
-        (sh_528.makespan_s() / sh.makespan_s() - 1.0).abs() < 0.05,
+        &format!("{:.0} s vs {:.0} s", makespan_s(&sh_528), makespan_s(&sh)),
+        (makespan_s(&sh_528) / makespan_s(&sh) - 1.0).abs() < 0.05,
     );
 }

@@ -10,8 +10,8 @@ use sidr_coords::Shape;
 use sidr_core::{FrameworkMode, Operator, StructuralQuery};
 use sidr_experiments::{compare, report_curves, Curve};
 use sidr_simcluster::{
-    build_sim_job, simulate, workload::hash_key_weights, workload::HashKeyModel, CostModel,
-    SimClusterConfig, SimWorkload,
+    build_sim_job, makespan_s, simulate, workload::hash_key_weights, workload::HashKeyModel,
+    CostModel, SimClusterConfig, SimWorkload,
 };
 
 fn main() {
@@ -78,7 +78,7 @@ fn main() {
         &format!("{:.1}x mean", max_w as f64 / mean_w),
         max_w as f64 / mean_w > 1.8,
     );
-    let speedup = (stock.makespan_s() - sidr.makespan_s()) / stock.makespan_s();
+    let speedup = (makespan_s(&stock) - makespan_s(&sidr)) / makespan_s(&stock);
     compare(
         "SIDR completes much faster on the skewed query",
         "42 % faster",

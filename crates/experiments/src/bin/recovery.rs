@@ -18,6 +18,7 @@ use sidr_coords::Shape;
 use sidr_core::framework::RunOptions;
 use sidr_core::{run_query, FrameworkMode, Operator, StructuralQuery};
 use sidr_experiments::{compare, write_csv};
+use sidr_mapreduce::TaskKind;
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 
 fn main() {
@@ -65,25 +66,16 @@ fn main() {
             }
             Some(expect) => &outcome.records == expect,
         };
+        let reexecuted = outcome.result.count(TaskKind::MapLost);
         println!(
             "{n_failures:>12} {:>14} {:>16} {:>18} {:>14}",
-            outcome.num_maps,
-            outcome.result.counters.maps_reexecuted,
-            outcome.result.counters.shuffled_records,
-            ok
+            outcome.num_maps, reexecuted, outcome.result.counters.shuffled_records, ok
         );
         rows.push(format!(
             "{n_failures},{},{},{}",
-            outcome.num_maps,
-            outcome.result.counters.maps_reexecuted,
-            outcome.result.counters.shuffled_records
+            outcome.num_maps, reexecuted, outcome.result.counters.shuffled_records
         ));
-        results.push((
-            n_failures,
-            outcome.num_maps,
-            outcome.result.counters.maps_reexecuted,
-            ok,
-        ));
+        results.push((n_failures, outcome.num_maps, reexecuted, ok));
     }
     let csv = write_csv(
         "recovery",

@@ -10,7 +10,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sidr_simcluster::SimTrace;
+use sidr_mapreduce::{JobResult, TaskKind};
+use sidr_simcluster::secs;
 
 /// Directory experiment CSVs are written to (`results/` under the
 /// workspace root, or `$SIDR_RESULTS_DIR`).
@@ -62,14 +63,18 @@ impl Curve {
         }
     }
 
-    /// Map-completion curve of a simulation trace.
-    pub fn maps(label: impl Into<String>, trace: &SimTrace) -> Self {
-        Curve::new(label, trace.map_completions())
+    /// Map-completion curve of a simulated job.
+    pub fn maps(label: impl Into<String>, job: &JobResult) -> Self {
+        Curve::of(label, job, TaskKind::MapEnd)
     }
 
-    /// Reduce-completion curve of a simulation trace.
-    pub fn reduces(label: impl Into<String>, trace: &SimTrace) -> Self {
-        Curve::new(label, trace.reduce_completions())
+    /// Reduce-completion curve of a simulated job.
+    pub fn reduces(label: impl Into<String>, job: &JobResult) -> Self {
+        Curve::of(label, job, TaskKind::ReduceEnd)
+    }
+
+    fn of(label: impl Into<String>, job: &JobResult, kind: TaskKind) -> Self {
+        Curve::new(label, job.completions(kind).into_iter().map(secs).collect())
     }
 
     /// Time at which `fraction` (0..=1) of the population completed.

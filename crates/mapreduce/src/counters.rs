@@ -1,7 +1,8 @@
 //! Engine counters: the quantities the paper's evaluation measures.
 
-/// A job's counters. Its coordinator loop is their one writer, so they
-/// are plain numbers.
+/// A job's counters: what no event carries (a count of one event kind
+/// is [`JobResult::count`](crate::JobResult::count)). Its coordinator
+/// loop is their one writer, so they are plain numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CountersSnapshot {
     /// Records read from input splits. Like every map counter, only
@@ -24,16 +25,6 @@ pub struct CountersSnapshot {
     /// (possible under dependency-aware routing when a split lies
     /// entirely in a discarded partial region).
     pub maps_skipped: u64,
-    /// Map tasks re-executed by the dependency-based failure-recovery
-    /// path (§6 future work).
-    pub maps_reexecuted: u64,
-    /// Reduce task attempts that failed (injected faults).
-    pub reduce_failures: u64,
-    /// Map task attempts that failed (source errors, injected
-    /// faults); retried until the budget runs out.
-    pub map_failures: u64,
-    /// Map tasks re-enqueued by the retry path after a failed attempt.
-    pub map_retries: u64,
     /// Reduce attempts that reported lost sources — a fetch found a
     /// map's output corrupt or truncated, or its holder died or left the
     /// job, so none was made — each re-executing those maps (§6).

@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::error::MrError;
 use crate::fault::FaultKind;
@@ -52,7 +52,7 @@ use crate::split::{InputSplit, MapTaskId};
 use crate::sync::{chaos, thread, time};
 use crate::task::{MrKey, MrValue};
 use crate::tier::{MemBackend, PartitionStore, TierConfig, TierPressure};
-use crate::timeline::{JobResult, TaskKind, Timeline};
+use crate::timeline::JobResult;
 use crate::wire::WireFormat;
 use crate::Result;
 
@@ -167,10 +167,11 @@ pub enum Done {
         place: usize,
         result: Result<MapTally>,
     },
-    /// The records the attempt committed, or why it did not.
+    /// When the attempt's merge ended, on the cluster's clock, and the
+    /// records it committed; or why it did not commit.
     Reduce {
         reducer: usize,
-        result: std::result::Result<u64, RemoteReduceError>,
+        result: std::result::Result<(Duration, u64), RemoteReduceError>,
     },
 }
 
@@ -505,7 +506,8 @@ struct Threads<'r, 'e, K2, V3> {
     plan: &'e JobPlan,
     output: &'e dyn OutputCollector<K2, V3>,
     executor: &'e dyn TaskExecutor<K2, V3>,
-    timeline: Arc<Timeline>,
+    /// The job's start: the cluster's clock counts from here.
+    origin: Instant,
     /// What each running map attempt's `pause` waits on: the loop rings
     /// it to stop the attempt.
     stops: HashMap<(MapTaskId, u32), Arc<Inbox<()>>>,
@@ -520,7 +522,7 @@ impl<K2, V3> Threads<'_, '_, K2, V3> {
 
 impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
     fn now(&self) -> Duration {
-        self.timeline.elapsed()
+        time::now() - self.origin
     }
 
     fn slots(&self) -> (usize, usize) {
@@ -575,16 +577,15 @@ impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
     fn start_reduce(&mut self, reducer: usize, attempt: u32, sources: Vec<ReduceSource>) {
         let expected_raw = self.plan.expected_raw(reducer);
         let (inbox, executor) = (Arc::clone(&self.inbox), self.executor);
-        let (output, timeline) = (self.output, Arc::clone(&self.timeline));
+        let (output, origin) = (self.output, self.origin);
         // The attempt returns its whole keyblock, committed atomically
         // (§2.3) on this thread, so a slow collector holds no decision.
         self.reduces.queue.post(Some(Box::new(move || {
             let result = (executor.execute_reduce(reducer, attempt, &sources, expected_raw))
                 .and_then(|out| {
-                    timeline.record_attempt(TaskKind::ReduceMergeDone, reducer, attempt);
-                    let records = out.len() as u64;
-                    (output.commit_keyblock(reducer, out).map(|()| records))
-                        .map_err(RemoteReduceError::Fatal)
+                    let (merged, records) = (time::now() - origin, out.len() as u64);
+                    (output.commit_keyblock(reducer, out)).map_err(RemoteReduceError::Fatal)?;
+                    Ok((merged, records))
                 });
             inbox.post(Done::Reduce { reducer, result });
         })));
@@ -597,7 +598,7 @@ impl<K2: MrKey, V3: MrValue> Cluster for Threads<'_, '_, K2, V3> {
     }
 
     fn next(&mut self, until: Option<Duration>) -> Option<Done> {
-        let done = (self.inbox).next(until.map(|d| self.timeline.origin() + d))?;
+        let done = (self.inbox).next(until.map(|d| self.origin + d))?;
         if let Done::Map { task, attempt, .. } = done {
             self.stops.remove(&(task, attempt));
         }
@@ -623,7 +624,6 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
     if splits.is_empty() {
         return Err(MrError::BadConfig("no input splits".into()));
     }
-    let timeline = Arc::new(Timeline::new());
     let inbox = Arc::new(Inbox::default());
     let waker = Arc::clone(&inbox) as Arc<dyn Wake>;
     // Registered while the inbox lives: for this job.
@@ -658,17 +658,12 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
             plan,
             output,
             executor,
-            timeline: Arc::clone(&timeline),
+            origin: time::now(),
             stops: HashMap::new(),
         };
-        coordinate(&mut threads, splits.len(), plan, config, cancel, &timeline)
+        coordinate(&mut threads, splits.len(), plan, config, cancel)
     });
-    let (counters, events) = outcome?;
-    let result = JobResult {
-        counters,
-        events,
-        elapsed: timeline.job_end().unwrap_or_default(),
-    };
+    let result = outcome?;
     // §3.2.1 approach 2, whole-job form: in debug builds, the map-output
     // tally must match the plan's prediction when it makes one and every
     // map ran exactly once, as attempt 0 (skips, retries, re-executions
@@ -678,7 +673,7 @@ pub fn run_job_with_executor<'e, K2: MrKey, V3: MrValue>(
         let mut starts = result
             .events
             .iter()
-            .filter(|e| e.kind == TaskKind::MapStart);
+            .filter(|e| e.kind == crate::TaskKind::MapStart);
         let ran_once = starts.clone().count() == splits.len() && starts.all(|e| e.attempt == 0);
         let expected = plan.expected_raw.as_ref().map(|e| e.iter().sum::<u64>());
         if let Some(expected) = expected.filter(|_| ran_once) {

@@ -27,10 +27,10 @@
 //! * **One coordinator loop per job** ([`runtime`]) — it owns the
 //!   schedule and runs retries, speculation, deadlines and recovery on
 //!   its timers, over slot-limited ([`slots`]) threads or, in
-//!   the `sidr-simcluster` model, a virtual clock; with per-dispatch
-//!   connection accounting (Table 3), task timelines ([`timeline`]),
-//!   the protocol check the loop runs on them ([`protocol`]) and
-//!   counters ([`counters`]).
+//!   the `sidr-simcluster` model, a virtual clock; it records the job's
+//!   events and returns them with its counters ([`counters`]) as one
+//!   [`JobResult`] ([`timeline`]), once they pass the protocol check
+//!   ([`protocol`]), with per-dispatch connection accounting (Table 3).
 //!
 //! The SIDR-specific planner (partition+, dependency derivation,
 //! keyblock prioritization) lives in the `sidr-core` crate and hands
@@ -85,7 +85,7 @@ pub use speculation::SpeculationPolicy;
 pub use split::{InputSplit, MapTaskId, SplitGenerator};
 pub use task::{MrKey, MrValue, RecordSource};
 pub use tier::{PartitionStore, SpillBackend, TierConfig, TierPressure};
-pub use timeline::{reexecuted_maps, spans, JobResult, TaskEvent, TaskKind, Timeline};
+pub use timeline::{reexecuted_maps, JobResult, TaskEvent, TaskKind};
 pub use wire::FixedCodec;
 pub use wire::WireFormat;
 

@@ -31,7 +31,7 @@ use crate::slots::CancelToken;
 use crate::speculation::SpeculationPolicy;
 use crate::split::MapTaskId;
 use crate::sync::chaos::{self, Mutation};
-use crate::timeline::{TaskEvent, TaskKind, Timeline};
+use crate::timeline::{JobResult, TaskEvent, TaskKind};
 use crate::timers::Timers;
 use crate::{JobPlan, Result, TimelineOracle};
 
@@ -116,28 +116,28 @@ struct State {
     in_flight: usize,
     error: Option<MrError>,
     counters: CountersSnapshot,
+    /// The job's events, in the order the loop recorded them.
+    events: Vec<TaskEvent>,
 }
 
 struct Loop<'a> {
     cluster: &'a mut dyn Cluster,
     config: &'a JobConfig,
-    timeline: &'a Timeline,
     sched: Schedule,
     st: State,
 }
 
 /// Runs one job — `plan` over `num_maps` maps — to its end on `cluster`,
-/// stamping events on the cluster's clock into `timeline`; returns the
-/// job's counters and its events, sorted by time, once they pass the
-/// plan's protocol oracle.
+/// stamping its events on the cluster's clock; returns the job's
+/// record, its events sorted by time, once they pass the plan's
+/// protocol oracle.
 pub fn coordinate(
     cluster: &mut dyn Cluster,
     num_maps: usize,
     plan: &JobPlan,
     config: &JobConfig,
     cancel: Option<&CancelToken>,
-    timeline: &Timeline,
-) -> Result<(CountersSnapshot, Vec<TaskEvent>)> {
+) -> Result<JobResult> {
     let sched = Schedule::new(num_maps, plan)?;
     let num_reducers = sched.num_reducers();
     let mut st = State {
@@ -152,7 +152,6 @@ pub fn coordinate(
     let mut job = Loop {
         cluster,
         config,
-        timeline,
         sched,
         st,
     };
@@ -179,17 +178,34 @@ pub fn coordinate(
             job.fire(timer);
         }
     }
-    let counters = job.finish()?;
-    let events = timeline.events();
+    let (counters, mut events) = job.finish()?;
+    // A merge's end is recorded when its report arrives, stamped when
+    // the merge ended: a stable sort puts it in place and keeps ties in
+    // the order they were recorded.
+    events.sort_by_key(|e| e.at);
     TimelineOracle::for_plan(num_maps, plan, config)
         .check_complete(&events)
         .map_err(MrError::Protocol)?;
-    Ok((counters, events))
+    let last_commit = events.iter().rev().find(|e| e.kind == TaskKind::ReduceEnd);
+    Ok(JobResult {
+        counters,
+        elapsed: last_commit.map_or(Duration::ZERO, |e| e.at),
+        events,
+    })
 }
 
 impl Loop<'_> {
-    fn record(&self, kind: TaskKind, task: usize, attempt: u32) {
-        (self.timeline).record_at(kind, task, attempt, self.cluster.now());
+    fn record(&mut self, kind: TaskKind, task: usize, attempt: u32) {
+        self.record_at(kind, task, attempt, self.cluster.now());
+    }
+
+    fn record_at(&mut self, kind: TaskKind, task: usize, attempt: u32, at: Duration) {
+        (self.st.events).push(TaskEvent {
+            kind,
+            task,
+            attempt,
+            at,
+        });
     }
 
     /// Records the job's failure; the first error wins.
@@ -362,12 +378,18 @@ impl Loop<'_> {
         self.stop_losers(task);
     }
 
-    fn reduce_returned(&mut self, r: usize, result: std::result::Result<u64, RemoteReduceError>) {
+    fn reduce_returned(
+        &mut self,
+        r: usize,
+        result: std::result::Result<(Duration, u64), RemoteReduceError>,
+    ) {
         match result {
-            Ok(records) => {
+            Ok((merged, records)) => {
                 self.st.counters.shuffled_records += self.st.reduces[r].rows;
                 self.st.counters.reduce_records_out += records;
-                self.record(TaskKind::ReduceEnd, r, self.st.reduces[r].attempt);
+                let attempt = self.st.reduces[r].attempt;
+                self.record_at(TaskKind::ReduceMergeDone, r, attempt, merged);
+                self.record(TaskKind::ReduceEnd, r, attempt);
                 let took = self.cluster.now() - self.st.reduces[r].started;
                 metrics().reduce_task_seconds.observe_duration(took);
                 self.st.reduces_done += 1;
@@ -397,7 +419,6 @@ impl Loop<'_> {
             // Its pause was cut short by the job's end.
             return self.fail(e);
         }
-        self.st.counters.map_failures += 1;
         self.record(TaskKind::MapFailed, task, attempt);
         let retry = &self.config.retry;
         if failures >= retry.max_task_attempts {
@@ -429,7 +450,6 @@ impl Loop<'_> {
     /// volatile intermediate data its whole `I_ℓ` re-executes.
     fn reduce_failed(&mut self, r: usize, cause: String) {
         let attempt = self.st.reduces[r].attempt;
-        self.st.counters.reduce_failures += 1;
         self.record(TaskKind::ReduceFailed, r, attempt);
         let retry = &self.config.retry;
         if attempt + 1 >= retry.max_task_attempts {
@@ -463,7 +483,6 @@ impl Loop<'_> {
             // waiting for a recommit nobody will produce.
             if !chaos::on(Mutation::SkipRecoveryRewait) && self.sched.recover(m, run.bound[i]) {
                 self.st.recovering.insert(m, now);
-                self.st.counters.maps_reexecuted += 1;
                 metrics().maps_recovered.inc();
                 reopened.push((m, run.bound[i]));
             }
@@ -484,7 +503,6 @@ impl Loop<'_> {
             Timer::Look => self.st.look = None,
             Timer::MapRetry(task, attempt) => {
                 if let Some(next) = self.sched.retry(task, attempt) {
-                    self.st.counters.map_retries += 1;
                     metrics().task_retries_map.inc();
                     self.record(TaskKind::MapRetry, task, next);
                 }
@@ -551,8 +569,9 @@ impl Loop<'_> {
     }
 
     /// Ends the job: stops what still runs (a race's loser, or all after
-    /// a failure), waits for each report and frees every slot held.
-    fn finish(mut self) -> Result<CountersSnapshot> {
+    /// a failure), waits for each report and frees every slot held;
+    /// returns the job's counters and events.
+    fn finish(mut self) -> Result<(CountersSnapshot, Vec<TaskEvent>)> {
         for &(m, attempt) in self.st.running.keys() {
             self.cluster.stop_map(m, attempt);
         }
@@ -581,7 +600,7 @@ impl Loop<'_> {
         }
         match self.st.error {
             Some(err) => Err(err),
-            None => Ok(self.st.counters),
+            None => Ok((self.st.counters, self.st.events)),
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Task timelines: the raw material of the paper's Figures 9–13
-//! (task completion over time), attempt-stamped so retries and
-//! recovery re-executions are distinguishable in the event stream.
+//! A job's record: its events, the raw material of the paper's
+//! Figures 9–13 (task completion over time), attempt-stamped so
+//! retries and recovery re-executions are distinguishable, and the
+//! counters no event carries. The coordinator loop writes both and
+//! returns them as one [`JobResult`].
 
 use crate::counters::CountersSnapshot;
-use crate::sync::time::now;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,110 +60,52 @@ pub struct TaskEvent {
     pub at: Duration,
 }
 
-/// Thread-safe event recorder.
-pub struct Timeline {
-    start: Instant,
-    events: Mutex<Vec<TaskEvent>>,
-}
-
-impl Default for Timeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Timeline {
-    pub fn new() -> Self {
-        Timeline {
-            start: now(),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Time since job start: the clock every event is stamped with.
-    pub(crate) fn elapsed(&self) -> Duration {
-        now() - self.start
-    }
-
-    /// The instant the job started: `elapsed` counts from here.
-    pub(crate) fn origin(&self) -> Instant {
-        self.start
-    }
-
-    /// Records an event now, stamped with the task attempt it belongs
-    /// to.
-    pub fn record_attempt(&self, kind: TaskKind, task: usize, attempt: u32) {
-        self.record_at(kind, task, attempt, self.elapsed());
-    }
-
-    /// Records an event at `at` after job start on the caller's clock —
-    /// the coordinator loop's, which is virtual in the simulator.
-    pub fn record_at(&self, kind: TaskKind, task: usize, attempt: u32, at: Duration) {
-        self.events.lock().push(TaskEvent {
-            kind,
-            task,
-            attempt,
-            at,
-        });
-    }
-
-    /// All events, sorted by time.
-    pub fn events(&self) -> Vec<TaskEvent> {
-        let mut evs = self.events.lock().clone();
-        evs.sort_by_key(|e| e.at);
-        evs
-    }
-
-    /// Time of the last committed reduce output — total query time.
-    pub fn job_end(&self) -> Option<Duration> {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| e.kind == TaskKind::ReduceEnd)
-            .map(|e| e.at)
-            .max()
-    }
-}
-
-/// Outcome of a completed job.
+/// A completed job's record, as its coordinator loop returns it: what
+/// the engine, the fleet, the simulator and every experiment read.
 #[derive(Clone, Debug)]
 pub struct JobResult {
+    /// What no event carries: record tallies, connections, skips.
     pub counters: CountersSnapshot,
+    /// Every event, stamped on the cluster's clock and sorted by time;
+    /// it passed the plan's protocol oracle.
     pub events: Vec<TaskEvent>,
+    /// The last committed reduce output: total query time.
     pub elapsed: Duration,
 }
 
 impl JobResult {
-    /// Time of the first committed reduce output. Scans for the
-    /// minimum — no allocation, no sort (experiments call this in
-    /// loops).
+    /// Time of the first committed reduce output.
     pub fn first_result(&self) -> Option<Duration> {
         self.times(TaskKind::ReduceEnd).min()
     }
 
-    /// Sorted completion times of one event kind.
+    /// Sorted times of one event kind.
     pub fn completions(&self, kind: TaskKind) -> Vec<Duration> {
-        let mut t: Vec<Duration> = self.times(kind).collect();
-        // `events` is time-sorted, so the filtered view almost always
-        // already is too; sort only if recording raced out of order.
-        if !t.is_sorted() {
-            t.sort_unstable();
-        }
-        t
+        self.times(kind).collect()
     }
 
-    /// Fraction of Map tasks complete when the first result committed.
+    /// How many events of one kind the job recorded: `MapFailed`
+    /// counts failed map attempts, `MapLost` recovery's re-executions.
+    pub fn count(&self, kind: TaskKind) -> u64 {
+        self.times(kind).count() as u64
+    }
+
+    /// Fraction of the job's maps complete when the first result
+    /// committed — the paper's "initial results with only 6 % of the
+    /// query completed" (§4.1): the distinct maps committed by then,
+    /// over the job's maps (every committed one, plus the skipped).
     pub fn maps_done_at_first_result(&self) -> Option<f64> {
         let first = self.first_result()?;
-        let (done, total) = self
-            .times(TaskKind::MapEnd)
-            .fold((0usize, 0usize), |(done, total), t| {
-                (done + usize::from(t <= first), total + 1)
-            });
-        if total == 0 {
-            return None;
-        }
-        Some(done as f64 / total as f64)
+        let mut ends: Vec<(usize, Duration)> = (self.events.iter())
+            .filter(|e| e.kind == TaskKind::MapEnd)
+            .map(|e| (e.task, e.at))
+            .collect();
+        // Each map's earliest commit is its first after sorting.
+        ends.sort_unstable();
+        ends.dedup_by_key(|&mut (task, _)| task);
+        let done = ends.iter().filter(|&&(_, at)| at <= first).count();
+        let total = ends.len() + self.counters.maps_skipped as usize;
+        (total > 0).then(|| done as f64 / total as f64)
     }
 
     fn times(&self, kind: TaskKind) -> impl Iterator<Item = Duration> + '_ {
@@ -189,89 +131,6 @@ pub fn reexecuted_maps(events: &[TaskEvent]) -> Vec<usize> {
     maps
 }
 
-/// Converts a job's event stream into named trace spans:
-///
-/// | span           | start            | end               |
-/// |----------------|------------------|-------------------|
-/// | `map`          | `MapStart`       | `MapEnd`          |
-/// | `map.failed`   | `MapStart`       | `MapFailed`       |
-/// | `reduce`       | `ReduceStart`    | `ReduceEnd`       |
-/// | `reduce.copy`  | `ReduceStart`    | `ReduceBarrierMet`|
-/// | `reduce.merge` | `ReduceBarrierMet`| `ReduceMergeDone`|
-///
-/// Every span is stamped with the attempt id of the execution it
-/// belongs to, so a retried map shows as a `map.failed` span
-/// (attempt 0) followed by a `map` span (attempt 1). A retried reduce
-/// emits one `reduce.copy` / `reduce.merge` span per attempt, all
-/// sharing the task's single `ReduceStart`. Unfinished tasks (failed
-/// or cancelled jobs) emit no span; a speculation-race loser emits a
-/// `map.lost` span. Map spans are keyed by (task, attempt) so two
-/// racing attempts of one task never collide. Feed the result to
-/// [`sidr_obs::write_spans_jsonl`].
-pub fn spans(events: &[TaskEvent]) -> Vec<sidr_obs::Span> {
-    use std::collections::HashMap;
-    let us = |d: Duration| d.as_micros() as u64;
-    let mut map_start: HashMap<(usize, u32), u64> = HashMap::new();
-    let mut reduce_start: HashMap<usize, u64> = HashMap::new();
-    let mut barrier: HashMap<usize, (u64, u32)> = HashMap::new();
-    let mut out = Vec::new();
-    for e in events {
-        let t = e.task as u64;
-        match e.kind {
-            TaskKind::MapStart => {
-                map_start.insert((e.task, e.attempt), us(e.at));
-            }
-            TaskKind::MapEnd => {
-                if let Some(s) = map_start.remove(&(e.task, e.attempt)) {
-                    out.push(sidr_obs::Span::new("map", t, s, us(e.at)).with_attempt(e.attempt));
-                }
-            }
-            TaskKind::MapFailed => {
-                if let Some(s) = map_start.remove(&(e.task, e.attempt)) {
-                    out.push(
-                        sidr_obs::Span::new("map.failed", t, s, us(e.at)).with_attempt(e.attempt),
-                    );
-                }
-            }
-            TaskKind::MapSpeculationLost => {
-                if let Some(s) = map_start.remove(&(e.task, e.attempt)) {
-                    out.push(
-                        sidr_obs::Span::new("map.lost", t, s, us(e.at)).with_attempt(e.attempt),
-                    );
-                }
-            }
-            TaskKind::ReduceStart => {
-                reduce_start.insert(e.task, us(e.at));
-            }
-            TaskKind::ReduceBarrierMet => {
-                if let Some(&s) = reduce_start.get(&e.task) {
-                    out.push(
-                        sidr_obs::Span::new("reduce.copy", t, s, us(e.at)).with_attempt(e.attempt),
-                    );
-                }
-                barrier.insert(e.task, (us(e.at), e.attempt));
-            }
-            TaskKind::ReduceMergeDone => {
-                if let Some((s, attempt)) = barrier.remove(&e.task) {
-                    out.push(
-                        sidr_obs::Span::new("reduce.merge", t, s, us(e.at)).with_attempt(attempt),
-                    );
-                }
-            }
-            TaskKind::ReduceEnd => {
-                if let Some(s) = reduce_start.remove(&e.task) {
-                    out.push(sidr_obs::Span::new("reduce", t, s, us(e.at)).with_attempt(e.attempt));
-                }
-            }
-            TaskKind::MapRetry
-            | TaskKind::ReduceFailed
-            | TaskKind::MapSpeculated
-            | TaskKind::MapLost => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,18 +142,6 @@ mod tests {
             attempt,
             at: Duration::from_millis(ms),
         }
-    }
-
-    #[test]
-    fn records_and_sorts_events() {
-        let tl = Timeline::new();
-        tl.record_attempt(TaskKind::MapStart, 0, 0);
-        tl.record_attempt(TaskKind::MapEnd, 0, 0);
-        tl.record_attempt(TaskKind::ReduceEnd, 0, 0);
-        let evs = tl.events();
-        assert_eq!(evs.len(), 3);
-        assert!(evs.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(evs.iter().all(|e| e.attempt == 0));
     }
 
     #[test]
@@ -333,93 +180,13 @@ mod tests {
         assert_eq!(reexecuted_maps(&events), vec![3]);
     }
 
-    #[test]
-    fn racing_map_attempts_span_independently() {
-        let events = vec![
-            ev(TaskKind::MapStart, 0, 0, 0),
-            ev(TaskKind::MapSpeculated, 0, 1, 2),
-            ev(TaskKind::MapStart, 0, 1, 3),
-            // The twin commits while the straggler is still running.
-            ev(TaskKind::MapEnd, 0, 1, 5),
-            ev(TaskKind::MapSpeculationLost, 0, 0, 7),
-        ];
-        let spans = spans(&events);
-        assert_eq!(spans.len(), 2);
-        let winner = spans.iter().find(|s| s.name == "map").unwrap();
-        assert_eq!(winner.attempt, 1);
-        assert_eq!((winner.start_us, winner.end_us), (3_000, 5_000));
-        let loser = spans.iter().find(|s| s.name == "map.lost").unwrap();
-        assert_eq!(loser.attempt, 0);
-        assert_eq!((loser.start_us, loser.end_us), (0, 7_000));
-    }
-
-    #[test]
-    fn spans_pair_starts_with_ends() {
-        let events = vec![
-            ev(TaskKind::MapStart, 0, 0, 0),
-            ev(TaskKind::ReduceStart, 1, 0, 1),
-            ev(TaskKind::MapEnd, 0, 0, 5),
-            ev(TaskKind::ReduceBarrierMet, 1, 0, 6),
-            ev(TaskKind::ReduceMergeDone, 1, 0, 8),
-            ev(TaskKind::ReduceEnd, 1, 0, 9),
-            // An unfinished map: no span.
-            ev(TaskKind::MapStart, 2, 0, 4),
-        ];
-        let spans = spans(&events);
-        let get = |name: &str| {
-            spans
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("span {name} missing"))
-        };
-        assert_eq!(spans.len(), 4);
-        assert_eq!((get("map").start_us, get("map").end_us), (0, 5_000));
-        assert_eq!(get("map").task, 0);
-        assert_eq!(
-            (get("reduce.copy").start_us, get("reduce.copy").end_us),
-            (1_000, 6_000)
-        );
-        assert_eq!(
-            (get("reduce.merge").start_us, get("reduce.merge").end_us),
-            (6_000, 8_000)
-        );
-        assert_eq!(
-            (get("reduce").start_us, get("reduce").end_us),
-            (1_000, 9_000)
-        );
-    }
-
-    #[test]
-    fn failed_attempts_emit_attempt_stamped_spans() {
-        let events = vec![
-            ev(TaskKind::MapStart, 0, 0, 0),
-            ev(TaskKind::MapFailed, 0, 0, 2),
-            ev(TaskKind::MapRetry, 0, 1, 3),
-            ev(TaskKind::MapStart, 0, 1, 4),
-            ev(TaskKind::MapEnd, 0, 1, 6),
-        ];
-        let spans = spans(&events);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "map.failed");
-        assert_eq!(spans[0].attempt, 0);
-        assert_eq!((spans[0].start_us, spans[0].end_us), (0, 2_000));
-        assert_eq!(spans[1].name, "map");
-        assert_eq!(spans[1].attempt, 1);
-        assert_eq!((spans[1].start_us, spans[1].end_us), (4_000, 6_000));
-    }
-
-    fn result(events: &[(TaskKind, u64)]) -> JobResult {
-        let at = Duration::from_millis;
+    fn result(events: Vec<TaskEvent>, maps_skipped: u64) -> JobResult {
         JobResult {
-            counters: CountersSnapshot::default(),
-            events: (events.iter())
-                .map(|&(kind, ms)| TaskEvent {
-                    kind,
-                    task: 0,
-                    attempt: 0,
-                    at: at(ms),
-                })
-                .collect(),
+            counters: CountersSnapshot {
+                maps_skipped,
+                ..CountersSnapshot::default()
+            },
+            events,
             elapsed: Duration::ZERO,
         }
     }
@@ -427,20 +194,44 @@ mod tests {
     #[test]
     fn first_result_and_fraction() {
         let ms = Duration::from_millis;
-        let r = result(&[
-            (TaskKind::MapEnd, 1),
-            (TaskKind::ReduceEnd, 2),
-            (TaskKind::MapEnd, 3),
-        ]);
+        let r = result(
+            vec![
+                ev(TaskKind::MapEnd, 0, 0, 1),
+                ev(TaskKind::ReduceEnd, 0, 0, 2),
+                ev(TaskKind::MapEnd, 1, 0, 3),
+            ],
+            0,
+        );
         assert_eq!(r.first_result(), Some(ms(2)));
         let frac = r.maps_done_at_first_result().unwrap();
         assert!((frac - 0.5).abs() < 1e-9, "frac {frac}");
         assert_eq!(r.completions(TaskKind::MapEnd), vec![ms(1), ms(3)]);
+        assert_eq!(r.count(TaskKind::MapEnd), 2);
+    }
+
+    /// The §4.1 fraction is over the job's maps: map 0's re-execution
+    /// is one map, not two commits, and the skipped map 3 is one of
+    /// the four (counting `MapEnd`s would give 3 of 4).
+    #[test]
+    fn fraction_counts_each_map_once_and_the_skipped_too() {
+        let r = result(
+            vec![
+                ev(TaskKind::MapEnd, 0, 0, 1),
+                ev(TaskKind::MapEnd, 1, 0, 2),
+                ev(TaskKind::MapLost, 0, 0, 2),
+                ev(TaskKind::MapEnd, 0, 1, 3),
+                ev(TaskKind::ReduceEnd, 0, 0, 4),
+                ev(TaskKind::MapEnd, 2, 0, 6),
+            ],
+            1,
+        );
+        assert_eq!(r.maps_done_at_first_result(), Some(0.5));
+        assert_eq!(r.count(TaskKind::MapLost), 1);
     }
 
     #[test]
     fn empty_job_has_no_result() {
-        let r = result(&[]);
+        let r = result(Vec::new(), 0);
         assert_eq!(r.first_result(), None);
         assert_eq!(r.maps_done_at_first_result(), None);
     }

@@ -178,9 +178,10 @@ fn injected_reduce_failure_recovers_by_reexecuting_maps() {
         SLOTS,
     )
     .unwrap();
-    assert_eq!(result.counters.reduce_failures, 1);
+    assert_eq!(result.count(TaskKind::ReduceFailed), 1);
     assert_eq!(
-        result.counters.maps_reexecuted, 1,
+        result.count(TaskKind::MapLost),
+        1,
         "only the dep map re-runs"
     );
     // Output still complete and correct despite the failure.
@@ -209,8 +210,8 @@ fn failure_without_volatile_store_needs_no_reexecution() {
         SLOTS,
     )
     .unwrap();
-    assert_eq!(result.counters.reduce_failures, 1);
-    assert_eq!(result.counters.maps_reexecuted, 0);
+    assert_eq!(result.count(TaskKind::ReduceFailed), 1);
+    assert_eq!(result.count(TaskKind::MapLost), 0);
     assert_eq!(output.len(), n);
 }
 

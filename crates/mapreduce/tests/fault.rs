@@ -75,8 +75,8 @@ fn map_fault_matrix_recovers_with_identical_output() {
         assert_eq!(records, expect, "{kind:?}: output diverged");
         match kind {
             FaultKind::Fail | FaultKind::SourceError { .. } => {
-                assert_eq!(result.counters.map_failures, 1, "{kind:?}");
-                assert_eq!(result.counters.map_retries, 1, "{kind:?}");
+                assert_eq!(result.count(TaskKind::MapFailed), 1, "{kind:?}");
+                assert_eq!(result.count(TaskKind::MapRetry), 1, "{kind:?}");
                 assert!(
                     result.events.iter().any(|e| e.kind == TaskKind::MapFailed),
                     "{kind:?}: no MapFailed event"
@@ -101,7 +101,7 @@ fn map_fault_matrix_recovers_with_identical_output() {
                 );
             }
             FaultKind::Straggle { .. } => {
-                assert_eq!(result.counters.map_failures, 0, "{kind:?}");
+                assert_eq!(result.count(TaskKind::MapFailed), 0, "{kind:?}");
             }
             // Spill-tier kinds need a budgeted PartitionStore to fire;
             // they are exercised in tests/spill.rs and the worker's
@@ -218,7 +218,7 @@ fn failed_reduce_reexecutes_exactly_its_dependency_set() {
         i_ell,
         "re-executed maps must equal the failed reduce's I_ℓ"
     );
-    assert_eq!(result.counters.maps_reexecuted, i_ell.len() as u64);
+    assert_eq!(result.count(TaskKind::MapLost), i_ell.len() as u64);
     // The failed attempt and the successful one are both attempt-
     // stamped on the timeline.
     assert!(result
@@ -281,7 +281,7 @@ fn speculative_twin_rescues_straggler_with_identical_output() {
         .any(|e| e.kind == TaskKind::MapSpeculationLost && e.task == 2 && e.attempt == 0));
     // Speculation is not recovery.
     assert!(reexecuted_maps(&result.events).is_empty());
-    assert_eq!(result.counters.map_failures, 0);
+    assert_eq!(result.count(TaskKind::MapFailed), 0);
     // Only the committed attempt's tally counts, whenever the loser
     // reports.
     assert_eq!(result.counters.map_records_in, 120);
@@ -368,7 +368,7 @@ fn primary_wins_race_and_slow_twin_is_discarded() {
             .any(|e| e.kind == TaskKind::MapSpeculationLost && e.task == 2 && e.attempt == 1));
     }
     assert!(reexecuted_maps(&result.events).is_empty());
-    assert_eq!(result.counters.map_failures, 0);
+    assert_eq!(result.count(TaskKind::MapFailed), 0);
     assert_eq!(result.counters.map_records_in, 120);
 }
 

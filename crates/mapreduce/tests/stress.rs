@@ -4,7 +4,9 @@
 
 mod support;
 
-use sidr_mapreduce::{FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, JobPlan};
+use sidr_mapreduce::{
+    FaultKind, FaultPlan, FaultTarget, InMemoryOutput, JobConfig, JobPlan, TaskKind,
+};
 use support::{bodies, identity_source, number_splits, run, sum, SLOTS};
 
 fn run_one(n: u64, splits: u64, reducers: usize, slots: (usize, usize)) -> u64 {
@@ -81,7 +83,7 @@ fn repeated_runs_with_failures_are_stable() {
             SLOTS,
         )
         .unwrap();
-        assert_eq!(result.counters.reduce_failures, 1, "round {round}");
+        assert_eq!(result.count(TaskKind::ReduceFailed), 1, "round {round}");
         assert_eq!(output.len(), 4000, "round {round}");
         let total: u64 = output.sorted_records().iter().map(|(_, v)| v).sum();
         assert_eq!(total, (0..4000u64).sum(), "round {round}");

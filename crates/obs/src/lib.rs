@@ -2,8 +2,8 @@
 //!
 //! SIDR's whole argument is made with measurements — task timelines,
 //! time-to-first-result, skew and slot occupancy — so the runtime
-//! carries a metrics and tracing layer that is always on and cheap
-//! enough to stay on. Three pieces, all dependency-free:
+//! carries a metrics layer that is always on and cheap enough to stay
+//! on. Two pieces, both dependency-free:
 //!
 //! * **Metrics** ([`metrics`]) — atomic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s registered in a [`MetricsRegistry`].
@@ -16,18 +16,16 @@
 //!   [`MetricsRegistry::render`] and parsed back by [`text::parse`]
 //!   (round-trip property-tested; the parser also powers scrape
 //!   shape-checks in CI).
-//! * **Traces** ([`trace`]) — a minimal [`Span`] model plus a JSONL
-//!   exporter, the wire between the engine's `Timeline` events and
-//!   external trace tooling: one JSON object per line, no framing.
+//!
+//! A job's trace is its engine record, not a layer here: the events of
+//! its `JobResult`, which `sidr-submit submit --trace` writes as JSONL.
 
 pub mod metrics;
 pub mod text;
-pub mod trace;
 
 pub use metrics::{
     global, Counter, Gauge, Histogram, MetricsRegistry, BYTE_BUCKETS, DURATION_BUCKETS,
 };
-pub use trace::{write_spans_jsonl, Span};
 
 /// Renders the process-global registry's full exposition text.
 pub fn render_global() -> String {

@@ -13,8 +13,8 @@
 //! `submit` streams keyblocks as the server commits them, printing
 //! one line per early result, and exits nonzero if the job fails.
 //! `metrics` scrapes the daemon's registry as Prometheus text
-//! exposition; `submit --trace FILE` writes the finished job's task
-//! spans as JSONL for timeline tooling.
+//! exposition; `submit --trace FILE` writes the finished job's events
+//! as JSONL for timeline tooling, each task a start/end pair of lines.
 
 use std::process::ExitCode;
 
@@ -60,7 +60,7 @@ fn usage() -> String {
          \x20                     --straggle the straggled map is raced\n\
          \x20                     deterministically\n\
          \x20 --quiet             suppress per-keyblock lines\n\
-         \x20 --trace FILE        write the job's task spans as JSONL\n\
+         \x20 --trace FILE        write the job's events as JSONL\n\
          \n\
          metrics: print the daemon's metric registry (Prometheus text\n\
          exposition) — slot occupancy, job-state gauges, task and\n\
@@ -194,13 +194,15 @@ fn ensure_input(spec: &JobSpec, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Converts the terminal frame's task timeline into spans and writes
-/// them as one JSON object per line.
+/// Writes the terminal frame's events, the job's record, one JSON
+/// object per line.
 fn write_trace(path: &str, events: &[sidr_mapreduce::TaskEvent]) -> Result<(), String> {
-    let spans = sidr_mapreduce::spans(events);
-    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
-    sidr_obs::write_spans_jsonl(&mut w, &spans).map_err(|e| format!("cannot write {path:?}: {e}"))
+    let mut lines = String::new();
+    for e in events {
+        lines += &serde_json::to_string(e).map_err(|e| e.to_string())?;
+        lines.push('\n');
+    }
+    std::fs::write(path, lines).map_err(|e| format!("cannot write {path:?}: {e}"))
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -341,7 +343,7 @@ fn run(args: &Args) -> Result<(), String> {
             }
             if let Some(path) = &args.trace {
                 write_trace(path, &outcome.events)?;
-                eprintln!("sidr-submit: wrote task spans to {path}");
+                eprintln!("sidr-submit: wrote the job's events to {path}");
             }
             Ok(())
         }

@@ -15,7 +15,7 @@ use sidr_coords::Coord;
 use sidr_core::framework::{run_query, FrameworkMode, RunOptions};
 use sidr_core::spec::JobSpec;
 use sidr_core::SidrPlanner;
-use sidr_mapreduce::{FaultPlan, RetryPolicy, TaskKind};
+use sidr_mapreduce::{FaultPlan, RetryPolicy, TaskEvent, TaskKind};
 use sidr_scifile::gen::{DatasetSpec, ValueModel};
 use sidr_serve::frame::{read_frame, write_frame};
 use sidr_serve::{Client, Response, ServeError, Server, ServerConfig, SubmitOptions, Tcp};
@@ -293,4 +293,65 @@ fn priority_region_steers_first_delivery() {
         }
         handle.shutdown();
     }
+}
+
+/// `sidr-submit submit --trace FILE` writes the job's record: each line
+/// of FILE is one `TaskEvent`, with one `MapEnd` per map and one
+/// `ReduceEnd` per keyblock of the preset.
+#[test]
+fn submit_trace_writes_the_jobs_events() {
+    let (addr, _handle) = spawn_server(ServerConfig::default());
+    let dir = std::env::temp_dir().join("sidr-serve-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tag = format!("{}-trace", std::process::id());
+    let (input, trace) = (
+        dir.join(format!("tiny-{tag}.scinc")),
+        dir.join(format!("{tag}.jsonl")),
+    );
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_sidr-submit"))
+        .args([
+            "submit",
+            "--addr",
+            &addr.to_string(),
+            "--preset",
+            "query1-tiny",
+        ])
+        .args(["--generate", "--quiet"])
+        .arg("--input")
+        .arg(&input)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let events: Vec<TaskEvent> = (text.lines())
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    let tasks = |kind| {
+        let mut tasks: Vec<usize> = (events.iter())
+            .filter(|e| e.kind == kind)
+            .map(|e| e.task)
+            .collect();
+        tasks.sort_unstable();
+        tasks
+    };
+    let job = presets::preset("query1-tiny").expect("preset exists");
+    let maps: Vec<usize> = (0..job.splits.len()).collect();
+    let keyblocks: Vec<usize> = (0..job.reducer_counts[0]).collect();
+    assert_eq!(tasks(TaskKind::MapEnd), maps, "one MapEnd per map");
+    assert_eq!(
+        tasks(TaskKind::ReduceEnd),
+        keyblocks,
+        "one ReduceEnd per keyblock"
+    );
+
+    Client::connect(&addr.to_string()).unwrap().shutdown().ok();
+    std::fs::remove_file(&input).ok();
+    std::fs::remove_file(&trace).ok();
 }

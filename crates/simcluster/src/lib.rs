@@ -21,12 +21,14 @@
 //! absolute seconds.
 //!
 //! Entry points: build a [`SimJob`] via [`workload`], run it with
-//! [`simulate`], read the returned [`SimTrace`].
+//! [`simulate`], read the returned `JobResult` — the engine's own record
+//! of a job — with times in seconds by [`secs`], [`first_result_s`] and
+//! [`makespan_s`].
 
 pub mod model;
 pub mod sim;
 pub mod workload;
 
 pub use model::{CostModel, SimClusterConfig};
-pub use sim::{simulate, SimJob, SimMapTask, SimTrace};
+pub use sim::{first_result_s, makespan_s, secs, simulate, SimJob, SimMapTask};
 pub use workload::{build_sim_job, SimWorkload};

@@ -5,8 +5,7 @@ use std::time::Duration;
 
 use sidr_mapreduce::timers::Timers;
 use sidr_mapreduce::{
-    coordinate, Cluster, Done, JobConfig, JobPlan, MapTally, MapTaskId, ReduceSource, TaskEvent,
-    TaskKind, Timeline,
+    coordinate, Cluster, Done, JobConfig, JobPlan, JobResult, MapTally, MapTaskId, ReduceSource,
 };
 
 use crate::model::{CostModel, SimClusterConfig};
@@ -34,91 +33,23 @@ pub struct SimJob {
     pub plan: JobPlan,
 }
 
-/// Timestamps (seconds) of everything that happened.
-#[derive(Clone, Debug)]
-pub struct SimTrace {
-    /// Per-map completion; `None` when the map never ran (no reduce
-    /// depended on it).
-    pub map_end_s: Vec<Option<f64>>,
-    /// Per-reduce slot occupancy start.
-    pub reduce_start_s: Vec<f64>,
-    /// Per-reduce barrier satisfaction.
-    pub reduce_ready_s: Vec<f64>,
-    /// Per-reduce commit.
-    pub reduce_end_s: Vec<f64>,
-    events: Vec<TaskEvent>,
+/// A time on the simulator's clock in seconds, as every figure reports
+/// one: the clock stamps whole microseconds.
+pub fn secs(at: Duration) -> f64 {
+    at.as_micros() as f64 / 1e6
 }
 
-impl SimTrace {
-    fn new(n_maps: usize, n_reduces: usize, events: Vec<TaskEvent>) -> Self {
-        let mut trace = SimTrace {
-            map_end_s: vec![None; n_maps],
-            reduce_start_s: vec![0.0; n_reduces],
-            reduce_ready_s: vec![0.0; n_reduces],
-            reduce_end_s: vec![0.0; n_reduces],
-            events,
-        };
-        for e in &trace.events {
-            let at_s = e.at.as_micros() as f64 / 1e6;
-            match e.kind {
-                TaskKind::MapEnd => trace.map_end_s[e.task] = Some(at_s),
-                TaskKind::ReduceStart => trace.reduce_start_s[e.task] = at_s,
-                TaskKind::ReduceBarrierMet => trace.reduce_ready_s[e.task] = at_s,
-                TaskKind::ReduceEnd => trace.reduce_end_s[e.task] = at_s,
-                _ => {}
-            }
-        }
-        trace
-    }
+/// A simulated job's first committed result, in seconds.
+pub fn first_result_s(job: &JobResult) -> f64 {
+    secs(
+        job.first_result()
+            .expect("a simulated job commits every keyblock"),
+    )
+}
 
-    /// The run's timeline, as the engine's loop recorded it
-    /// (`MapStart` / `MapEnd` / `ReduceStart` / `ReduceBarrierMet` /
-    /// `ReduceEnd`, in causal order), which the loop already checked
-    /// with its protocol oracle before `simulate` returned.
-    pub fn events(&self) -> Vec<TaskEvent> {
-        self.events.clone()
-    }
-
-    /// Job completion time.
-    pub fn makespan_s(&self) -> f64 {
-        self.reduce_end_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Time of the first committed result.
-    pub fn first_result_s(&self) -> f64 {
-        self.reduce_end_s
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Sorted map completion times (ran maps only).
-    pub fn map_completions(&self) -> Vec<f64> {
-        let mut t: Vec<f64> = self.map_end_s.iter().flatten().copied().collect();
-        t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        t
-    }
-
-    /// Sorted reduce completion times.
-    pub fn reduce_completions(&self) -> Vec<f64> {
-        let mut t = self.reduce_end_s.clone();
-        t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        t
-    }
-
-    /// Fraction of maps complete when the first result committed —
-    /// the paper's "initial results with only 6 % of the query
-    /// completed" (§4.1 headline).
-    pub fn maps_done_at_first_result(&self) -> f64 {
-        let first = self.first_result_s();
-        let done = self
-            .map_end_s
-            .iter()
-            .flatten()
-            .filter(|&&t| t <= first)
-            .count();
-        done as f64 / self.map_end_s.len() as f64
-    }
+/// A simulated job's makespan — its last commit — in seconds.
+pub fn makespan_s(job: &JobResult) -> f64 {
+    secs(job.elapsed)
 }
 
 /// An attempt's end, on the virtual clock.
@@ -228,9 +159,10 @@ impl Cluster for Model<'_> {
                 place: node,
                 result: Ok(MapTally::default()),
             },
+            // No separate merge is modelled: it ends with the reduce.
             End::Reduce { reducer } => Done::Reduce {
                 reducer,
-                result: Ok(0),
+                result: Ok((self.now, 0)),
             },
         })
     }
@@ -244,7 +176,8 @@ impl Cluster for Model<'_> {
 /// barrier is met — is the engine's. What is modelled here is the
 /// cluster around it: simulated time, per-node slots, data locality (as
 /// `claim_map`'s preference) and task durations from the [`CostModel`].
-pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> SimTrace {
+/// Returns the loop's record of the job, as the engine's would be.
+pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> JobResult {
     assert_eq!(
         job.reduce_bytes.len(),
         job.plan.num_reducers(),
@@ -262,17 +195,15 @@ pub fn simulate(job: &SimJob, cluster: &SimClusterConfig, model: &CostModel) -> 
         ),
         ends: Timers::default(),
     };
-    let timeline = Timeline::new();
     let config = JobConfig::default();
-    let num_maps = job.maps.len();
-    let (_, events) = (coordinate(&mut runner, num_maps, &job.plan, &config, None, &timeline))
-        .expect("a fault-free job ends and passes its protocol check");
-    SimTrace::new(num_maps, job.plan.num_reducers(), events)
+    coordinate(&mut runner, job.maps.len(), &job.plan, &config, None)
+        .expect("a fault-free job ends and passes its protocol check")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sidr_mapreduce::TaskKind;
 
     fn model() -> CostModel {
         CostModel {
@@ -319,25 +250,24 @@ mod tests {
     fn global_barrier_blocks_all_reduces() {
         let job = uniform_job(32, 4, true);
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
-        let last_map = trace.map_completions().last().copied().unwrap();
-        for r in 0..4 {
-            assert!(
-                trace.reduce_ready_s[r] >= last_map,
-                "reduce {r} ready {} before last map {last_map}",
-                trace.reduce_ready_s[r]
-            );
-        }
+        let last_map = *trace.completions(TaskKind::MapEnd).last().unwrap();
+        let ready = trace.completions(TaskKind::ReduceBarrierMet);
+        assert_eq!(ready.len(), 4);
+        assert!(
+            ready.iter().all(|&at| at >= last_map),
+            "a reduce ready at {ready:?}, before the last map at {last_map:?}"
+        );
     }
 
     #[test]
     fn dependency_barrier_releases_early() {
         let job = uniform_job(32, 4, false);
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
-        let last_map = trace.map_completions().last().copied().unwrap();
+        let last_map = *trace.completions(TaskKind::MapEnd).last().unwrap();
+        let first = trace.first_result().unwrap();
         assert!(
-            trace.first_result_s() < last_map,
-            "first result {} not before last map {last_map}",
-            trace.first_result_s()
+            first < last_map,
+            "first result {first:?} not before last map {last_map:?}"
         );
     }
 
@@ -346,8 +276,10 @@ mod tests {
         for global in [true, false] {
             let job = uniform_job(50, 7, global);
             let trace = simulate(&job, &SimClusterConfig::default(), &model());
-            assert_eq!(trace.map_completions().len(), 50);
-            assert!(trace.reduce_end_s.iter().all(|&t| t > 0.0));
+            assert_eq!(trace.count(TaskKind::MapEnd), 50);
+            let ends = trace.completions(TaskKind::ReduceEnd);
+            assert_eq!(ends.len(), 7);
+            assert!(ends.iter().all(|&at| at > Duration::ZERO));
         }
     }
 
@@ -359,9 +291,9 @@ mod tests {
             ..Default::default()
         };
         let big = SimClusterConfig::default();
-        let t_small = simulate(&job, &small, &model()).makespan_s();
-        let t_big = simulate(&job, &big, &model()).makespan_s();
-        assert!(t_big <= t_small, "{t_big} > {t_small}");
+        let t_small = simulate(&job, &small, &model()).elapsed;
+        let t_big = simulate(&job, &big, &model()).elapsed;
+        assert!(t_big <= t_small, "{t_big:?} > {t_small:?}");
     }
 
     #[test]
@@ -373,7 +305,8 @@ mod tests {
             oblivious: false,
         });
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
-        assert!(trace.map_end_s.last().unwrap().is_none());
+        assert!(!(trace.events.iter()).any(|e| e.kind == TaskKind::MapStart && e.task == 33));
+        assert_eq!(trace.counters.maps_skipped, 1);
     }
 
     #[test]
@@ -381,12 +314,8 @@ mod tests {
         // 100 reduces over 72 slots: last 28 must start after some end.
         let job = uniform_job(20, 100, true);
         let trace = simulate(&job, &SimClusterConfig::default(), &model());
-        let starts = {
-            let mut s = trace.reduce_start_s.clone();
-            s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            s
-        };
-        assert_eq!(starts.iter().filter(|&&t| t == 0.0).count(), 72);
-        assert!(starts[72] > 0.0);
+        let starts = trace.completions(TaskKind::ReduceStart);
+        assert_eq!(starts.iter().filter(|&&t| t == Duration::ZERO).count(), 72);
+        assert!(starts[72] > Duration::ZERO);
     }
 }

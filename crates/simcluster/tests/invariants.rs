@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use sidr_mapreduce::JobPlan;
-use sidr_simcluster::{simulate, CostModel, SimClusterConfig, SimJob, SimMapTask};
+use sidr_simcluster::{
+    first_result_s, makespan_s, simulate, CostModel, SimClusterConfig, SimJob, SimMapTask,
+};
 
 /// Random job: 4-60 maps, 1-12 reduces, contiguous dep slices.
 fn jobs() -> impl Strategy<Value = SimJob> {
@@ -62,25 +64,28 @@ proptest! {
         // First results strictly ordered, makespan no worse (ties
         // allowed: the final reduce waits for the last map either way).
         prop_assert!(
-            dep_trace.first_result_s() <= global_trace.first_result_s() + 1e-6,
+            first_result_s(&dep_trace) <= first_result_s(&global_trace) + 1e-6,
             "deps {} vs global {}",
-            dep_trace.first_result_s(),
-            global_trace.first_result_s()
+            first_result_s(&dep_trace),
+            first_result_s(&global_trace)
         );
+        let (dep_total, global_total) = (makespan_s(&dep_trace), makespan_s(&global_trace));
         prop_assert!(
-            dep_trace.makespan_s() <= global_trace.makespan_s() * 1.05 + 1e-6,
+            dep_total <= global_total * 1.05 + 1e-6,
             "deps {} vs global {}",
-            dep_trace.makespan_s(),
-            global_trace.makespan_s()
+            dep_total,
+            global_total
         );
     }
 
+    /// The same job replays to the same record: every event, its
+    /// order and its stamp, and the same counters.
     #[test]
     fn traces_are_reproducible(job in jobs()) {
         let a = simulate(&job, &SimClusterConfig::default(), &model());
         let b = simulate(&job, &SimClusterConfig::default(), &model());
-        prop_assert_eq!(a.map_end_s, b.map_end_s);
-        prop_assert_eq!(a.reduce_end_s, b.reduce_end_s);
-        prop_assert_eq!(a.reduce_ready_s, b.reduce_ready_s);
+        prop_assert_eq!(a.counters, b.counters);
+        prop_assert_eq!(a.elapsed, b.elapsed);
+        prop_assert_eq!(a.events, b.events);
     }
 }

@@ -1,9 +1,10 @@
 //! Distributed execution over real TCP: a loopback 3-worker fleet
 //! produces output byte-identical to a single-process run, the serving
 //! path dispatches to it, a panicking task attempt leaves a worker
-//! serving, and a killed worker hangs up the connections it kept. One
-//! run, over the in-memory transport on the wall clock, cuts a worker
-//! off while its job ends.
+//! serving, and a killed worker hangs up the connections it kept. Two
+//! runs go over the in-memory transport on the wall clock: one cuts a
+//! worker off while its job ends, one checks that a served fleet job's
+//! record keeps one clock and one order, as an in-process job's does.
 //!
 //! Fleet faults — kills, rejoins, cut or tampered frames, lost
 //! heartbeats, spill faults, speculation races — are explored by the
@@ -19,7 +20,9 @@ use std::time::{Duration, Instant};
 use sidr_analyze::{admit_spec, presets, AnalyzeOptions};
 use sidr_coords::{Coord, Shape};
 use sidr_core::exec::ExecOptions;
-use sidr_core::framework::{run_spec_on_pool, SpecRunOptions};
+use sidr_core::framework::{
+    run_query, run_spec_on_pool, FrameworkMode, RunOptions, SpecRunOptions,
+};
 use sidr_core::spec::JobSpec;
 use sidr_core::{Operator, SidrPlanner, StructuralQuery};
 use sidr_mapreduce::executor::TaskExecutor;
@@ -590,5 +593,87 @@ fn fleet_job_input_is_opened_by_the_workers_only() {
         other => panic!("expected the workers' refusal, got {other:?}"),
     }
     assert_eq!(handle.stats().jobs_failed, 1);
+    client.shutdown().ok();
+}
+
+/// One clock, one order: a job's events ascend, and each reduce
+/// attempt's `ReduceMergeDone` lies between that attempt's
+/// `ReduceBarrierMet` and its reducer's `ReduceEnd`. Returns how many
+/// barriers each reducer met.
+fn assert_one_clock_one_order(events: &[TaskEvent], reducers: usize) -> Vec<u32> {
+    assert!(events.is_sorted_by_key(|e| e.at), "events out of order");
+    let at = |kind, task, attempt: Option<u32>| {
+        let of = |e: &TaskEvent| e.kind == kind && e.task == task;
+        (events
+            .iter()
+            .position(|e| of(e) && attempt.is_none_or(|a| e.attempt == a)))
+        .unwrap_or_else(|| panic!("no {kind:?} of {task} attempt {attempt:?}"))
+    };
+    let merges = (events.iter().enumerate()).filter(|(_, e)| e.kind == TaskKind::ReduceMergeDone);
+    let mut merged = vec![0; reducers];
+    for (i, e) in merges {
+        let barrier = at(TaskKind::ReduceBarrierMet, e.task, Some(e.attempt));
+        let end = at(TaskKind::ReduceEnd, e.task, None);
+        assert!(
+            barrier < i && i < end,
+            "reducer {} attempt {}",
+            e.task,
+            e.attempt
+        );
+        merged[e.task] += 1;
+    }
+    assert_eq!(merged, vec![1; reducers], "one merge per reducer");
+    let mut barriers = vec![0; reducers];
+    for e in events
+        .iter()
+        .filter(|e| e.kind == TaskKind::ReduceBarrierMet)
+    {
+        barriers[e.task] += 1;
+    }
+    barriers
+}
+
+/// The in-process engine and a served fleet job over `Mem` keep their
+/// record alike. Reducer 1's first attempt fails at its barrier, so it
+/// meets two barriers and merges on its second attempt only.
+#[test]
+fn engine_and_fleet_records_keep_one_clock_and_one_order() {
+    let (spec, input) = tiny_fixture("one-clock");
+    let reducers = spec.num_reducers;
+    let faults = FaultPlan::fail_reducers_first_attempt([1]);
+    let mut expected = vec![1; reducers];
+    expected[1] = 2;
+
+    let job = presets::preset("query1-tiny").expect("preset exists");
+    let mut opts = RunOptions::new(FrameworkMode::Sidr, reducers);
+    opts.fault_plan = faults.clone();
+    let local = run_query(&ScincFile::open(&input).unwrap(), &job.query, &opts).unwrap();
+    assert_eq!(
+        assert_one_clock_one_order(&local.result.events, reducers),
+        expected
+    );
+
+    let net: Arc<dyn Transport> = Arc::new(Mem::default());
+    let _workers: Vec<Worker> = (["w0", "w1"].iter())
+        .map(|addr| Worker::spawn(Arc::clone(&net), addr, WorkerOptions::default()).unwrap())
+        .collect();
+    let config = ServerConfig {
+        workers: vec!["w0".into(), "w1".into()],
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(Arc::clone(&net), "coord", config).unwrap();
+    thread::spawn(move || server.run());
+    let mut client = Client::dial(&*net, "coord").unwrap();
+    let submit = SubmitOptions {
+        fault_plan: faults,
+        ..SubmitOptions::default()
+    };
+    let ticket = client.submit(&spec, &input, submit).unwrap();
+    let outcome = client.stream_job(ticket.job, |_, _, _| {}).unwrap();
+    assert!(outcome.completed);
+    assert_eq!(
+        assert_one_clock_one_order(&outcome.events, reducers),
+        expected
+    );
     client.shutdown().ok();
 }

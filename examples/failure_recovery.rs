@@ -12,6 +12,7 @@
 use sidr_repro::coords::Shape;
 use sidr_repro::core::framework::RunOptions;
 use sidr_repro::core::{run_query, FrameworkMode, Operator, StructuralQuery};
+use sidr_repro::mapreduce::TaskKind;
 use sidr_repro::scifile::gen::DatasetSpec;
 
 fn main() {
@@ -40,8 +41,8 @@ fn main() {
         let outcome = run_query(&file, &query, &opts).expect("query survives the failure");
         println!(
             "{label}:\n  reduce failures: {}, maps re-executed: {} of {}, output records: {}",
-            outcome.result.counters.reduce_failures,
-            outcome.result.counters.maps_reexecuted,
+            outcome.result.count(TaskKind::ReduceFailed),
+            outcome.result.count(TaskKind::MapLost),
             outcome.num_maps,
             outcome.records.len()
         );

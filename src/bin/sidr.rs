@@ -250,7 +250,8 @@ fn cmd_query(positional: &[String], flags: &HashMap<String, String>) -> Result<(
 fn cmd_simulate(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
     use sidr_repro::core::lang::parse;
     use sidr_repro::simcluster::{
-        build_sim_job, simulate, CostModel, SimClusterConfig, SimWorkload,
+        build_sim_job, first_result_s, makespan_s, simulate, CostModel, SimClusterConfig,
+        SimWorkload,
     };
 
     let text = positional
@@ -298,9 +299,9 @@ fn cmd_simulate(positional: &[String], flags: &HashMap<String, String>) -> Resul
     );
     println!(
         "  first result {:.0} s ({:.1} % of maps done), complete {:.0} s",
-        trace.first_result_s(),
-        100.0 * trace.maps_done_at_first_result(),
-        trace.makespan_s()
+        first_result_s(&trace),
+        100.0 * trace.maps_done_at_first_result().unwrap_or_default(),
+        makespan_s(&trace)
     );
     Ok(())
 }

@@ -25,9 +25,10 @@
 //!   back the moment its reduce commits (§3.4 early results as a
 //!   service), with `sidr-submit` as the client CLI,
 //! * [`obs`] — dependency-free metrics (counters/gauges/histograms
-//!   with Prometheus text exposition) and JSONL trace spans; the
-//!   engine and the service are instrumented end to end, scrapeable
-//!   live via `sidr-submit metrics`.
+//!   with Prometheus text exposition); the engine and the service are
+//!   instrumented end to end, scrapeable live via `sidr-submit
+//!   metrics`, and a job's events are its trace (`sidr-submit submit
+//!   --trace`).
 //!
 //! ## Quickstart
 //!

@@ -4,8 +4,12 @@
 
 use sidr_repro::coords::Shape;
 use sidr_repro::core::{FrameworkMode, Operator, StructuralQuery};
+use sidr_repro::mapreduce::{JobResult, TaskKind};
 use sidr_repro::simcluster::workload::{connection_count, hash_key_weights, HashKeyModel};
-use sidr_repro::simcluster::{build_sim_job, simulate, CostModel, SimClusterConfig, SimWorkload};
+use sidr_repro::simcluster::{
+    build_sim_job, first_result_s, makespan_s, secs, simulate, CostModel, SimClusterConfig,
+    SimWorkload,
+};
 
 fn shape(v: &[u64]) -> Shape {
     Shape::new(v.to_vec()).unwrap()
@@ -37,7 +41,7 @@ fn test_model() -> CostModel {
     }
 }
 
-fn run(w: &SimWorkload) -> sidr_repro::simcluster::SimTrace {
+fn run(w: &SimWorkload) -> JobResult {
     simulate(
         &build_sim_job(w).unwrap(),
         &SimClusterConfig::default(),
@@ -58,22 +62,22 @@ fn fig9_sidr_first_result_beats_scihadoop_beats_hadoop() {
         ..base.clone()
     });
     assert!(
-        sidr.first_result_s() < 0.6 * sh.first_result_s(),
+        first_result_s(&sidr) < 0.6 * first_result_s(&sh),
         "SIDR {} vs SH {}",
-        sidr.first_result_s(),
-        sh.first_result_s()
+        first_result_s(&sidr),
+        first_result_s(&sh)
     );
-    assert!(h.first_result_s() > 1.5 * sh.first_result_s());
-    assert!(h.makespan_s() > 1.5 * sidr.makespan_s());
+    assert!(first_result_s(&h) > 1.5 * first_result_s(&sh));
+    assert!(makespan_s(&h) > 1.5 * makespan_s(&sidr));
     // SIDR total within 15 % of SciHadoop at 22 reducers.
-    assert!((sidr.makespan_s() / sh.makespan_s() - 1.0).abs() < 0.15);
+    assert!((makespan_s(&sidr) / makespan_s(&sh) - 1.0).abs() < 0.15);
 }
 
 #[test]
 fn fig9_headline_first_result_with_small_fraction_of_maps() {
     let (_, base) = small_query1();
     let sidr = run(&base);
-    let frac = sidr.maps_done_at_first_result();
+    let frac = sidr.maps_done_at_first_result().unwrap();
     assert!(
         frac < 0.35,
         "first result only after {:.0} % of maps",
@@ -91,8 +95,8 @@ fn fig10_more_reducers_earlier_results() {
             num_reducers: r,
             ..base.clone()
         });
-        firsts.push(t.first_result_s());
-        totals.push(t.makespan_s());
+        firsts.push(first_result_s(&t));
+        totals.push(makespan_s(&t));
     }
     assert!(
         firsts.windows(2).all(|w| w[1] <= w[0] * 1.05),
@@ -120,11 +124,11 @@ fn fig10_global_barrier_gains_nothing_from_reducers() {
     // "Increasing the number of Reduce tasks for either yields no
     // benefit" (§4.1): no speedup; per-task overhead may even cost a
     // little.
-    assert!(sh88.makespan_s() >= 0.97 * sh22.makespan_s());
-    assert!(sh88.makespan_s() <= 1.25 * sh22.makespan_s());
+    assert!(makespan_s(&sh88) >= 0.97 * makespan_s(&sh22));
+    assert!(makespan_s(&sh88) <= 1.25 * makespan_s(&sh22));
     // First results can't precede the last map either way.
-    let last_map = sh88.map_completions().last().copied().unwrap();
-    assert!(sh88.first_result_s() >= last_map);
+    let last_map = secs(*sh88.completions(TaskKind::MapEnd).last().unwrap());
+    assert!(first_result_s(&sh88) >= last_map);
 }
 
 #[test]
@@ -140,7 +144,7 @@ fn fig11_filter_query_leaves_little_room() {
     };
     let sh = filter(FrameworkMode::SciHadoop);
     let ss = filter(FrameworkMode::Sidr);
-    let improvement = (sh.makespan_s() - ss.makespan_s()) / sh.makespan_s();
+    let improvement = (makespan_s(&sh) - makespan_s(&ss)) / makespan_s(&sh);
     assert!(
         improvement < 0.15,
         "filter query improved {:.0} % — paper says little room",
@@ -168,7 +172,7 @@ fn fig12_more_reducers_less_variance() {
                 &SimClusterConfig::default(),
                 &model,
             );
-            makespans.push(t.makespan_s());
+            makespans.push(makespan_s(&t));
         }
         let mean = makespans.iter().sum::<f64>() / makespans.len() as f64;
         (makespans.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / makespans.len() as f64).sqrt()
