@@ -231,10 +231,10 @@ fn wire_path_allocation_invariants() {
             operator,
         )
         .expect("maps");
-        let (_bytes, _calls, peak) = scope.finish();
+        let (_bytes, calls, peak) = scope.finish();
         assert_eq!(out.partitions.len(), 4);
         let output: u64 = out.partitions.iter().map(|(_, p)| p.len() as u64).sum();
-        (peak, output)
+        (peak, output, calls)
     };
     // The bytes of a split's largest read chunk.
     let chunk_bytes = |split: &Slab| {
@@ -243,7 +243,7 @@ fn wire_path_allocation_invariants() {
     };
     let split = Slab::whole(&space);
     let input = split.count() * 8;
-    let (peak, output) = map_peak(&split, Operator::Median);
+    let (peak, output, _) = map_peak(&split, Operator::Median);
     let bound = input + output + 64 * 1024;
     assert!(
         peak <= bound,
@@ -256,12 +256,36 @@ fn wire_path_allocation_invariants() {
     // whole split under Max: 17,500 records onto 500 keys.
     let keys = query.intermediate_space().count();
     let chunk = chunk_bytes(&split);
-    let (peak, output) = map_peak(&split, Operator::Max);
+    let (peak, output, _) = map_peak(&split, Operator::Max);
     let bound = chunk + 8 * keys + output + 64 * 1024;
     assert!(
         peak <= bound,
         "folding map_split peak live bytes {peak} exceed chunk {chunk} + 8 × {keys} keys \
          + output {output} + 64 KiB"
+    );
+    // ... and a read chunk costs a few allocator calls, none per run
+    // of it the file read steps or per row the kernel steps: the 2 and
+    // the 7 read chunks of a {2,50,50} and a {7,50,50} split over the
+    // same 500 image keys (measured: 8 calls a chunk; 32 while the
+    // file read built a `Coord` per run and each chunk its own buffers).
+    let calls: Vec<(usize, u64)> = [2, 7]
+        .into_iter()
+        .map(|rows| {
+            let split = Slab::new(
+                Coord::from([0, 0, 0]),
+                Shape::new(vec![rows, 50, 50]).expect("valid"),
+            )
+            .expect("valid");
+            (read_chunks(&split).len(), map_peak(&split, Operator::Max).2)
+        })
+        .collect();
+    let [(few, few_calls), (many, many_calls)] = calls[..] else {
+        unreachable!("two splits")
+    };
+    assert_eq!((few, many), (2, 7), "read chunks of the two splits");
+    assert!(
+        many_calls <= few_calls + 12 * (many - few) as u64,
+        "map_split allocator calls {few_calls} over {few} chunks, {many_calls} over {many}"
     );
 
     // (g) A split that cuts every unit — its 4 rows of the 7-row
@@ -276,7 +300,7 @@ fn wire_path_allocation_invariants() {
     .expect("valid");
     let image_keys = query.intermediate_space().count();
     let chunk = chunk_bytes(&cut);
-    let (peak, output) = map_peak(&cut, Operator::Median);
+    let (peak, output, _) = map_peak(&cut, Operator::Median);
     assert!(output > cut.count() * 8, "every value ships");
     let bound = chunk + output + 16 * image_keys + 64 * 1024;
     std::fs::remove_file(&path).ok();

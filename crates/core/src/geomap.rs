@@ -13,14 +13,16 @@
 //! values are data.
 //! [`map_split`]:
 //!
-//! 1. reads the split one [`read_chunks`] slab at a time, passing each
-//!    chunk and dropping it before the next is read, and gives each
-//!    record its row-major index in the split's *image*, the slab of
-//!    `K′` keys the split touches ([`Tiling::instances_touched_by`]).
-//!    The index is a sum of per-dimension table entries: no per-record
-//!    `Coord`, division or allocation. Partial instances, stride gaps,
-//!    records outside the query region get none, and a `Filter` query
-//!    keeps only the values its predicate passes;
+//! 1. reads the split one [`read_chunks`] slab at a time, as its
+//!    values' little-endian bytes, into one byte buffer that each chunk
+//!    overwrites ([`ScincFile::read_slab_bytes`]), decoding each value
+//!    as a pass steps over it, and gives each record its row-major
+//!    index in the split's *image*, the slab of `K′` keys the split
+//!    touches ([`Tiling::instances_touched_by`]). The index is a sum of
+//!    per-dimension table entries: no per-record `Coord`, division or
+//!    allocation. Partial instances, stride gaps, records outside the
+//!    query region get none, and a `Filter` query keeps only the values
+//!    its predicate passes;
 //! 2. takes each image key's record count from geometry: the product,
 //!    over dimensions, of how many split positions map to its
 //!    coordinate along that dimension, O(Σ extents + keys) and no pass
@@ -45,7 +47,12 @@
 //!    instead: the pass steps each value into its key's accumulator
 //!    with the operator's `Fold` — the identity and step
 //!    [`Operator::reduce_group`] folds a run with — and each non-empty
-//!    key's one value is copied into its partition. Any other operator
+//!    key's one value is copied into its partition. Where a chunk's
+//!    row maps to consecutive keys (an innermost extraction of 1 that
+//!    no stride or region breaks there), the row steps as one slice
+//!    into consecutive accumulators, lane by lane; its keys are
+//!    distinct, so each still takes its values in reader order, and
+//!    the bits are the per-value loop's. Any other operator
 //!    whose reduce gives its own one value back (Mean, Median,
 //!    Percentile) *finishes* each whole key: the pass gathers the whole
 //!    keys' values into one `f64` scratch in blocks of the finisher's
@@ -68,15 +75,15 @@
 //! job's output as it was: a whole key has one source, so the merge
 //! would have handed the reduce this same reader order, a network
 //! selects the value the reduce would, and the reduce of the one
-//! finished value returns it bit for bit. Transient memory
-//! is one read chunk and 16 bytes per image key — count, reducer, and a
-//! byte cursor or a fold's accumulator — beside the output partitions
-//! themselves; finishing adds the scratch of the whole keys' values,
-//! with no padding however the lanes fall, and the finisher's copy of
-//! one block (the unit size × 16 values, for a network), and a filter,
-//! whose represented and kept counts differ, holds the
-//! split's input from the read to the place pass and 4 bytes more per
-//! key. `tests/alloc.rs` in `sidr-bench` pins the bounds. A per-record
+//! finished value returns it bit for bit. Transient memory is one read
+//! buffer, the bytes of the largest chunk, and 16 bytes per image key —
+//! count, reducer, and a byte cursor or a fold's accumulator — beside
+//! the output partitions themselves; finishing adds the scratch of the
+//! whole keys' values, with no padding however the lanes fall, and the
+//! finisher's copy of one block (the unit size × 16 values, for a
+//! network), and a filter, whose represented and kept counts differ,
+//! holds the split's input from the read to the place pass and 4 bytes
+//! more per key. `tests/alloc.rs` in `sidr-bench` pins the bounds. A per-record
 //! map holds a `(Coord, f64)` row and a heap-allocated key per record
 //! (≈ 56 bytes at rank 3).
 //!
@@ -146,11 +153,11 @@ pub fn map_split<E: Element>(
     // Each image key's kept records: all it represents, unless a
     // filter's selection makes them depend on the values, which takes
     // a counting pass over the held input.
-    let (input, counts): (Input<E>, _) = match predicate_gt {
+    let (input, counts) = match predicate_gt {
         None => (Input::Streamed { file, variable }, represented),
         Some(_) => {
-            let input = Input::held(file, variable, split)?;
-            let counts = image.counted(&input, split, predicate_gt)?;
+            let input = Input::held::<E>(file, variable, split)?;
+            let counts = image.counted::<E>(&input, split, predicate_gt)?;
             (input, counts)
         }
     };
@@ -159,7 +166,7 @@ pub fn map_split<E: Element>(
     // Fold: each value taken into its key's accumulator as it is read,
     // before the partitions are laid out.
     let folded = match reduce {
-        Reduce::Fold(fold) => Some(image.fold_kept(&input, split, fold)?),
+        Reduce::Fold(fold) => Some(image.fold_kept::<E>(&input, split, fold)?),
         _ => None,
     };
 
@@ -241,7 +248,7 @@ pub fn map_split<E: Element>(
         // where a row's values all feed one key, each step waits on the
         // one before. For the same reason the step is a branch, not a
         // select, which would put its operands on that chain.
-        image.for_each_kept(&input, split, predicate_gt, {
+        image.for_each_kept::<E>(&input, split, predicate_gt, {
             let (scratch, regions, counts, route) = (&mut scratch, &mut regions, &counts, &route);
             move |i, v| {
                 let at = cursor[i];
@@ -339,38 +346,47 @@ impl Reduce {
     }
 }
 
-/// The split's records in [`read_chunks`] order.
-enum Input<'a, E> {
-    /// Read, passed and dropped one chunk at a time.
+/// The split's records in [`read_chunks`] order, as their
+/// little-endian bytes: every pass decodes each value as it steps.
+enum Input<'a> {
+    /// Read, passed and overwritten one chunk at a time, in one
+    /// buffer.
     Streamed {
         file: &'a ScincFile,
         variable: &'a str,
     },
     /// Read once and held: a filter passes its records twice.
-    Held(Vec<(Slab, Vec<E>)>),
+    Held(Vec<(Slab, Vec<u8>)>),
 }
 
-impl<E: Element> Input<'_, E> {
+impl Input<'_> {
     /// Every chunk of `split` read and held.
-    fn held(file: &ScincFile, variable: &str, split: &Slab) -> crate::Result<Self> {
+    fn held<E: Element>(file: &ScincFile, variable: &str, split: &Slab) -> crate::Result<Self> {
         let chunks = read_chunks(split)
             .into_iter()
             .map(|chunk| {
-                let data = file.read_slab::<E>(variable, &chunk)?;
+                let mut data = Vec::new();
+                file.read_slab_bytes::<E>(variable, &chunk, &mut data)?;
                 Ok((chunk, data))
             })
             .collect::<crate::Result<Vec<_>>>()?;
         Ok(Input::Held(chunks))
     }
 
-    /// Calls `f(chunk, data)` for each [`read_chunks`] slab of `split`
-    /// and its records, in order.
-    fn for_each_chunk(&self, split: &Slab, mut f: impl FnMut(&Slab, &[E])) -> crate::Result<()> {
+    /// Calls `f(chunk, bytes)` for each [`read_chunks`] slab of `split`
+    /// and its records' bytes, in order. A streamed input reads every
+    /// chunk into one buffer.
+    fn for_each_chunk<E: Element>(
+        &self,
+        split: &Slab,
+        mut f: impl FnMut(&Slab, &[u8]),
+    ) -> crate::Result<()> {
         match self {
             Input::Streamed { file, variable } => {
+                let mut buf = Vec::new();
                 for chunk in read_chunks(split) {
-                    let data = file.read_slab::<E>(variable, &chunk)?;
-                    f(&chunk, &data);
+                    file.read_slab_bytes::<E>(variable, &chunk, &mut buf)?;
+                    f(&chunk, &buf);
                 }
             }
             Input::Held(chunks) => chunks.iter().for_each(|(chunk, data)| f(chunk, data)),
@@ -454,43 +470,39 @@ impl Image {
         self.extents.iter().product::<u64>() as usize
     }
 
-    /// Calls `f(index, value)` for each kept record of `split`, read
-    /// from `input`, in reader order: its image index and its value. A
-    /// record that maps to no image key, or that a filter's
-    /// `value > predicate_gt` drops, is not kept.
-    fn for_each_kept<E: Element>(
+    /// Calls `f(last, consecutive, base, row)` for each row of each
+    /// read chunk of `split`, in reader order, whose outer positions all
+    /// map into the image: `last` is the innermost table over the
+    /// chunk's row, `consecutive` whether it maps the row to
+    /// consecutive image keys, `base` the row's outer share of the
+    /// index and `row` its values' little-endian bytes.
+    fn for_each_row<E: Element>(
         &self,
-        input: &Input<E>,
+        input: &Input,
         split: &Slab,
-        predicate_gt: Option<f64>,
-        mut f: impl FnMut(usize, f64),
+        mut f: impl FnMut(&[u64], bool, u64, &[u8]),
     ) -> crate::Result<()> {
         let rank = self.corner.len();
-        input.for_each_chunk(split, |chunk, data| {
-            let offset: Vec<usize> = (0..rank)
-                .map(|d| (chunk.corner()[d] - split.corner()[d]) as usize)
-                .collect();
+        let (mut offset, mut pos) = (vec![0usize; rank], vec![0usize; rank - 1]);
+        input.for_each_chunk::<E>(split, |chunk, data| {
+            for (d, o) in offset.iter_mut().enumerate() {
+                *o = (chunk.corner()[d] - split.corner()[d]) as usize;
+            }
             let shape = chunk.shape().extents();
             let inner = shape[rank - 1] as usize;
             let last = &self.tables[rank - 1][offset[rank - 1]..offset[rank - 1] + inner];
+            // The first position maps to a key, and each next one to
+            // the key after it. Without the first half, a one-wide
+            // chunk at a stride gap would pass.
+            let consecutive = last[0] < NONE && (last.iter().zip(last[0]..)).all(|(&t, k)| t == k);
             // Odometer over the chunk's outer dimensions, row by row.
-            let mut pos = vec![0usize; rank - 1];
-            for row in data.chunks_exact(inner) {
+            pos.fill(0);
+            for row in data.chunks_exact(inner * E::SIZE) {
                 let base: u64 = (0..rank - 1)
                     .map(|d| self.tables[d][offset[d] + pos[d]])
                     .sum();
                 if base < NONE {
-                    for (v, &t) in row.iter().zip(last) {
-                        let idx = base + t;
-                        if idx >= NONE {
-                            continue;
-                        }
-                        let v = v.to_f64();
-                        if predicate_gt.is_some_and(|threshold| v <= threshold) {
-                            continue;
-                        }
-                        f(idx as usize, v);
-                    }
+                    f(last, consecutive, base, row);
                 }
                 for d in (0..rank - 1).rev() {
                     pos[d] += 1;
@@ -499,6 +511,32 @@ impl Image {
                     }
                     pos[d] = 0;
                 }
+            }
+        })
+    }
+
+    /// Calls `f(index, value)` for each kept record of `split`, read
+    /// from `input`, in reader order: its image index and its value. A
+    /// record that maps to no image key, or that a filter's
+    /// `value > predicate_gt` drops, is not kept.
+    fn for_each_kept<E: Element>(
+        &self,
+        input: &Input,
+        split: &Slab,
+        predicate_gt: Option<f64>,
+        mut f: impl FnMut(usize, f64),
+    ) -> crate::Result<()> {
+        self.for_each_row::<E>(input, split, |last, _, base, row| {
+            for (v, &t) in row.chunks_exact(E::SIZE).zip(last) {
+                let idx = base + t;
+                if idx >= NONE {
+                    continue;
+                }
+                let v = E::read_le(v).to_f64();
+                if predicate_gt.is_some_and(|threshold| v <= threshold) {
+                    continue;
+                }
+                f(idx as usize, v);
             }
         })
     }
@@ -528,12 +566,12 @@ impl Image {
     /// Each image key's kept records, counted one by one.
     fn counted<E: Element>(
         &self,
-        input: &Input<E>,
+        input: &Input,
         split: &Slab,
         predicate_gt: Option<f64>,
     ) -> crate::Result<Vec<u32>> {
         let mut counts = vec![0u32; self.keys()];
-        self.for_each_kept(input, split, predicate_gt, |i, _| counts[i] += 1)?;
+        self.for_each_kept::<E>(input, split, predicate_gt, |i, _| counts[i] += 1)?;
         Ok(counts)
     }
 
@@ -542,23 +580,47 @@ impl Image {
     /// so the step inlines into it.
     fn fold_kept<E: Element>(
         &self,
-        input: &Input<E>,
+        input: &Input,
         split: &Slab,
         fold: Fold,
     ) -> crate::Result<Vec<f64>> {
         let mut acc = vec![fold.identity(); self.keys()];
         match fold {
-            Fold::Min => self.for_each_kept(input, split, None, |i, v| {
-                acc[i] = Fold::Min.step(acc[i], v)
-            }),
-            Fold::Max => self.for_each_kept(input, split, None, |i, v| {
-                acc[i] = Fold::Max.step(acc[i], v)
-            }),
-            Fold::Sum => self.for_each_kept(input, split, None, |i, v| {
-                acc[i] = Fold::Sum.step(acc[i], v)
-            }),
+            Fold::Min => self.fold_rows::<E>(input, split, &mut acc, |a, v| Fold::Min.step(a, v)),
+            Fold::Max => self.fold_rows::<E>(input, split, &mut acc, |a, v| Fold::Max.step(a, v)),
+            Fold::Sum => self.fold_rows::<E>(input, split, &mut acc, |a, v| Fold::Sum.step(a, v)),
         }?;
         Ok(acc)
+    }
+
+    /// Steps each value of `split` into its key's accumulator in `acc`,
+    /// in reader order. A row whose keys are consecutive steps as one
+    /// slice, lane by lane: its keys are distinct, so each key still
+    /// takes its values in reader order. A fold keeps every value, so
+    /// neither loop tests a predicate, and the closure owns `acc`.
+    fn fold_rows<E: Element>(
+        &self,
+        input: &Input,
+        split: &Slab,
+        acc: &mut [f64],
+        step: impl Fn(f64, f64) -> f64,
+    ) -> crate::Result<()> {
+        self.for_each_row::<E>(input, split, move |last, consecutive, base, row| {
+            let values = row.chunks_exact(E::SIZE).map(|v| E::read_le(v).to_f64());
+            if consecutive {
+                let at = (base + last[0]) as usize;
+                for (a, v) in acc[at..at + last.len()].iter_mut().zip(values) {
+                    *a = step(*a, v);
+                }
+            } else {
+                for (v, &t) in values.zip(last) {
+                    let idx = base + t;
+                    if idx < NONE {
+                        acc[idx as usize] = step(acc[idx as usize], v);
+                    }
+                }
+            }
+        })
     }
 
     /// Calls `f(index, key)` for each image key in row-major order,
@@ -640,13 +702,14 @@ mod tests {
 
     /// The split's [`read_chunks`], held, each holding `value(i)` for
     /// its `i`-th record in reader order.
-    fn chunks(split: &Slab, value: impl Fn(usize) -> f64) -> Input<'static, f64> {
+    fn chunks(split: &Slab, value: impl Fn(usize) -> f64) -> Input<'static> {
         let mut i = 0;
         Input::Held(
             read_chunks(split)
                 .into_iter()
                 .map(|chunk| {
-                    let data = (i..i + chunk.count() as usize).map(&value).collect();
+                    let range = i..i + chunk.count() as usize;
+                    let data = range.flat_map(|i| value(i).to_le_bytes()).collect();
                     i += chunk.count() as usize;
                     (chunk, data)
                 })
@@ -661,7 +724,7 @@ mod tests {
         fn geometric_counts_equal_the_counting_pass((split, mapper) in geometry()) {
             if let Some(image) = Image::of(&split, &mapper).unwrap() {
                 let chunks = chunks(&split, |_| 0.0);
-                let counted = image.counted(&chunks, &split, None).unwrap();
+                let counted = image.counted::<f64>(&chunks, &split, None).unwrap();
                 prop_assert_eq!(image.geometric_counts(), counted);
             }
         }
@@ -682,36 +745,77 @@ mod tests {
         assert_eq!(image.geometric_counts(), vec![3, 0, 1, 6, 0, 2]);
         assert_eq!(
             image.geometric_counts(),
-            image.counted(&chunks, &split, None).unwrap()
+            image.counted::<f64>(&chunks, &split, None).unwrap()
         );
+    }
+
+    /// Each row's `consecutive` flag, in reader order.
+    fn consecutive_rows(image: &Image, input: &Input, split: &Slab) -> Vec<bool> {
+        let mut rows = Vec::new();
+        (image.for_each_row::<f64>(input, split, |_, consecutive, _, _| rows.push(consecutive)))
+            .unwrap();
+        rows
+    }
+
+    /// Each fold of `input` is `reduce_group` over each key's run in
+    /// reader order, bit for bit.
+    fn assert_folds_equal_reduce_group(image: &Image, input: &Input, split: &Slab) {
+        let mut runs = vec![Vec::new(); image.keys()];
+        (image.for_each_kept::<f64>(input, split, None, |i, v| runs[i].push(v))).unwrap();
+        for op in [Operator::Min, Operator::Max, Operator::Sum] {
+            let folded = image.fold_kept::<f64>(input, split, op.fold().unwrap());
+            for (run, acc) in runs.iter().zip(&folded.unwrap()) {
+                let want = op.apply(run);
+                assert_eq!(acc.to_bits(), want[0].to_bits(), "{op:?} over {run:?}");
+            }
+        }
     }
 
     /// The streamed fold is `reduce_group` over each key's run in
     /// reader order, bit for bit: both zeros, opposite signs and sums
-    /// whose order shows in their bits, keys spanning read chunks.
+    /// whose order shows in their bits, keys spanning read chunks. An
+    /// innermost extraction of 1 maps each row to consecutive keys, so
+    /// its rows take the row step; one of 10 steps value by value.
     #[test]
     fn streamed_fold_equals_reduce_group_on_the_run() {
         const VALUES: [f64; 8] = [-0.0, 0.0, 1e16, -1e16, 1.0, -1.0, 0.1, -0.0];
-        let query =
-            StructuralQuery::new("v", shape(&[6, 130]), shape(&[3, 10]), Operator::Sum).unwrap();
-        let mapper = StructuralMapper::for_query(&query);
         let split = Slab::whole(&shape(&[6, 130]));
-        let image = Image::of(&split, &mapper).unwrap().unwrap();
-        for seed in 0..4 {
-            let chunks = chunks(&split, |i| VALUES[(i * 7 + seed + i / 13) % VALUES.len()]);
-            let mut runs = vec![Vec::new(); image.keys()];
-            image
-                .for_each_kept(&chunks, &split, None, |i, v| runs[i].push(v))
-                .unwrap();
-            for op in [Operator::Min, Operator::Max, Operator::Sum] {
-                let folded = image
-                    .fold_kept(&chunks, &split, op.fold().unwrap())
-                    .unwrap();
-                for (run, acc) in runs.iter().zip(&folded) {
-                    let want = op.apply(run);
-                    assert_eq!(acc.to_bits(), want[0].to_bits(), "{op:?} over {run:?}");
-                }
+        for extraction in [[3, 10], [3, 1], [2, 1], [1, 1]] {
+            let query =
+                StructuralQuery::new("v", shape(&[6, 130]), shape(&extraction), Operator::Sum);
+            let mapper = StructuralMapper::for_query(&query.unwrap());
+            let image = Image::of(&split, &mapper).unwrap().unwrap();
+            for seed in 0..4 {
+                let chunks = chunks(&split, |i| VALUES[(i * 7 + seed + i / 13) % VALUES.len()]);
+                let rows = consecutive_rows(&image, &chunks, &split);
+                assert!(
+                    rows.iter().all(|&c| c == (extraction[1] == 1)),
+                    "{extraction:?}"
+                );
+                assert_folds_equal_reduce_group(&image, &chunks, &split);
             }
         }
+    }
+
+    /// A one-wide chunk whose only position maps to no key is not a
+    /// row of consecutive keys: it takes the per-value loop, which
+    /// skips it. A hand-built image of 2 × 3 keys over a 4 × 5 split,
+    /// read in chunks 2, 1, 1 and 1 positions wide, where positions 2
+    /// and 4 of the inner dimension are stride gaps.
+    #[test]
+    fn a_one_wide_chunk_at_a_gap_folds_value_by_value() {
+        let image = Image {
+            corner: vec![0, 0],
+            extents: vec![2, 3],
+            tables: vec![vec![0, 0, 3, 3], vec![0, 1, NONE, 2, NONE]],
+        };
+        let split = Slab::new(Coord::from([0, 0]), shape(&[4, 5])).unwrap();
+        let widths: Vec<u64> = read_chunks(&split).iter().map(|c| c.shape()[1]).collect();
+        assert_eq!(widths, [2, 1, 1, 1]);
+        let chunks = chunks(&split, |i| [-0.0, 1e16, 0.0, -1e16, 0.1][i % 5]);
+        let rows = consecutive_rows(&image, &chunks, &split);
+        let by_chunk: Vec<&[bool]> = rows.chunks(4).collect();
+        assert_eq!(by_chunk, [[true; 4], [false; 4], [true; 4], [false; 4]]);
+        assert_folds_equal_reduce_group(&image, &chunks, &split);
     }
 }

@@ -59,7 +59,12 @@ impl<K, V> Default for MapOutputFile<K, V> {
 /// Each cursor reads a SMOF v4 [`Smof3View`] in place and steps run by
 /// run: a source holds at most one run per key (its open checked that
 /// run keys strictly ascend), so a group takes one heap step per
-/// source that has the key, not one per record. Keys stay packed:
+/// source that has the key, not one per record. A run that sorts below
+/// every other source's head is a group of its own: [`fill_batch`]
+/// finds the root source's stretch of them by a gallop over its run
+/// table and takes them with no heap step, so a keyblock whose sources
+/// hold disjoint key ranges merges as their concatenation, restoring
+/// the heap once per stretch. Keys stay packed:
 /// ordering decisions compare key bytes (via the captured
 /// [`FixedCodec`](crate::wire::FixedCodec)), a group's key is copied
 /// as bytes from its first run and the other sources' runs join it on
@@ -69,6 +74,7 @@ impl<K, V> Default for MapOutputFile<K, V> {
 /// with [`push_frame`], in the plan's fetch order.
 ///
 /// [`next_group`]: MergeIter::next_group
+/// [`fill_batch`]: MergeIter::fill_batch
 /// [`push_frame`]: MergeIter::push_frame
 pub struct MergeIter<K, V> {
     sources: Vec<Smof3View<K, V>>,
@@ -160,12 +166,12 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         }
     }
 
-    /// Advances the root source's cursor past the run just consumed
-    /// and restores the heap.
-    fn advance_root(&mut self) {
+    /// Moves the root source's cursor to run `to`, past the runs just
+    /// consumed, and restores the heap.
+    fn advance_root(&mut self, to: usize) {
         let f = self.heap[0];
-        self.cursors[f] += 1;
-        if self.cursors[f] < self.sources[f].runs() {
+        self.cursors[f] = to;
+        if to < self.sources[f].runs() {
             self.sift_down(0);
         } else {
             let last = self.heap.pop().expect("root exists");
@@ -204,7 +210,7 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
             let run = view.run_values(r);
             self.consumed += run.len() as u64;
             values.extend(run);
-            self.advance_root();
+            self.advance_root(r + 1);
         }
         true
     }
@@ -228,16 +234,95 @@ impl<K: MrKey, V: MrValue> MergeIter<K, V> {
         found.then_some((&self.group_key[..], &self.group[..]))
     }
 
+    /// The end of the root source's *solo* runs from its cursor: those
+    /// whose key sorts strictly below every other source's head, so
+    /// each is a whole key group. The search looks at most `limit`
+    /// runs ahead (`limit ≥ 1`). It compares with the runner-up head,
+    /// the smaller of the root's children; a lone source's runs are all
+    /// solo. A run that ties the runner-up is not solo: its group
+    /// spans sources.
+    fn solo_end(&self, limit: usize) -> usize {
+        let f = self.heap[0];
+        let (view, r) = (&self.sources[f], self.cursors[f]);
+        let end = view.runs().min(r.saturating_add(limit));
+        let g = match self.heap.len() {
+            1 => return end,
+            2 => self.heap[1],
+            _ if self.less(self.heap[2], self.heap[1]) => self.heap[2],
+            _ => self.heap[1],
+        };
+        let (head, cmp) = (
+            self.sources[g].run_key_bytes(self.cursors[g]),
+            view.key_codec().cmp,
+        );
+        let below = |run: usize| cmp(view.run_key_bytes(run), head).is_lt();
+        // Interleaved sources stop within the first two runs, disjoint
+        // ones run to the end; between, gallop (r + 2, r + 4, r + 8, …)
+        // to bracket the first run not below, then bisect.
+        if !below(r) {
+            return r;
+        }
+        if r + 1 == end || !below(r + 1) {
+            return r + 1;
+        }
+        if below(end - 1) {
+            return end;
+        }
+        // Run `lo` is below the head; run `hi` is not.
+        let (mut lo, mut hi, mut gap) = (r + 1, end - 1, 1);
+        while lo + gap < hi && below(lo + gap) {
+            lo += gap;
+            gap *= 2;
+        }
+        hi = hi.min(lo + gap);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
     /// Fills `batch` with consecutive key groups until at least
     /// `min_records` records are batched (always completing the group
     /// in progress) or the merge is exhausted. Returns the number of
     /// groups added; 0 means the merge is done. Batching amortizes
     /// per-group heap restoration and cursor bookkeeping over a
     /// cache-sized chunk of records instead of paying it per call.
+    ///
+    /// The root source's solo runs — each below every other source's
+    /// head — are taken as groups with no heap step and no key compare,
+    /// and the heap is restored once after them: a disjoint source is a
+    /// concatenation. Equal keys go through the heap, so they keep push
+    /// order.
     pub fn fill_batch(&mut self, batch: &mut GroupBatch<K, V>, min_records: usize) -> usize {
         batch.clear();
-        while self.gather_group(&mut batch.keys, &mut batch.values) {
-            batch.ends.push((batch.keys.len(), batch.values.len()));
+        while let Some(&f) = self.heap.first() {
+            // Each run holds a value, so `need` runs reach `min_records`.
+            let need = min_records.saturating_sub(batch.values.len()).max(1);
+            let (r, end) = (self.cursors[f], self.solo_end(need));
+            if end > r {
+                let view = &self.sources[f];
+                let mut next = r;
+                loop {
+                    batch.keys.extend_from_slice(view.run_key_bytes(next));
+                    let run = view.run_values(next);
+                    self.consumed += run.len() as u64;
+                    batch.values.extend(run);
+                    batch.ends.push((batch.keys.len(), batch.values.len()));
+                    next += 1;
+                    if next == end || batch.values.len() >= min_records {
+                        break;
+                    }
+                }
+                self.advance_root(next);
+            } else {
+                self.gather_group(&mut batch.keys, &mut batch.values);
+                batch.ends.push((batch.keys.len(), batch.values.len()));
+            }
             if batch.values.len() >= min_records {
                 break;
             }

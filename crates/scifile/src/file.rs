@@ -149,30 +149,43 @@ impl ScincFile {
             j -= 1;
         }
         let run_len: u64 = (j..rank).map(|d| slab.shape()[d]).product();
+        let mut start = vshape.linearize(slab.corner())?;
 
-        if j == 0 {
-            let start = vshape.linearize(slab.corner())?;
-            return f(start, 0, run_len);
-        }
-
-        // Iterate the outer dims 0..j of the slab in row-major order.
-        let outer = Shape::new(slab.shape().extents()[..j].to_vec())?;
-        let mut slab_off = 0u64;
-        for outer_rel in outer.iter_coords() {
-            let mut abs = slab.corner().components().to_vec();
-            for (d, &c) in outer_rel.components().iter().enumerate() {
-                abs[d] += c;
+        // An odometer over the outer dims 0..j of the slab, in
+        // row-major order, stepping the run's file offset: per
+        // dimension, the position along it and its file stride.
+        let extents = vshape.extents();
+        let mut odometer: Vec<(u64, u64)> = (0..j)
+            .map(|d| (0, extents[d + 1..].iter().product()))
+            .collect();
+        let runs: u64 = slab.shape().extents()[..j].iter().product();
+        for run in 0..runs {
+            f(start, run * run_len, run_len)?;
+            for (d, (pos, stride)) in odometer.iter_mut().enumerate().rev() {
+                *pos += 1;
+                start += *stride;
+                if *pos < slab.shape()[d] {
+                    break;
+                }
+                start -= *pos * *stride;
+                *pos = 0;
             }
-            let start = vshape.linearize(&Coord::new(abs))?;
-            f(start, slab_off, run_len)?;
-            slab_off += run_len;
         }
         Ok(())
     }
 
-    /// Reads a hyperslab of `variable` into a `Vec` in row-major slab
-    /// order.
-    pub fn read_slab<E: Element>(&self, variable: &str, slab: &Slab) -> Result<Vec<E>> {
+    /// Reads a hyperslab of `variable` as its elements' little-endian
+    /// bytes, in row-major slab order, into `buf`, which ends exactly
+    /// `slab.count() × E::SIZE` bytes long. The caller's buffer is
+    /// reused: it is grown when the slab needs more, never cleared and
+    /// zero-filled again, so reading slab after slab into one buffer
+    /// allocates only for a slab larger than every one before it.
+    pub fn read_slab_bytes<E: Element>(
+        &self,
+        variable: &str,
+        slab: &Slab,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
         self.check_type::<E>(variable)?;
         let vshape = self.metadata.variable_shape(variable)?;
         if !Slab::whole(&vshape).contains_slab(slab) {
@@ -184,16 +197,26 @@ impl ScincFile {
         }
         let var_off = self.variable_offset(variable)?;
         let esize = E::SIZE as u64;
-        let mut out: Vec<E> = Vec::with_capacity(slab.count() as usize);
-        let mut buf: Vec<u8> = Vec::new();
-        Self::for_each_run(&vshape, slab, |file_el, _slab_el, run| {
-            buf.resize((run * esize) as usize, 0);
-            self.file
-                .read_exact_at(&mut buf, var_off + file_el * esize)?;
-            out.extend(buf.chunks_exact(E::SIZE).map(E::read_le));
+        let len = (slab.count() * esize) as usize;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        } else {
+            buf.truncate(len);
+        }
+        Self::for_each_run(&vshape, slab, |file_el, slab_el, run| {
+            let at = (slab_el * esize) as usize;
+            let run = &mut buf[at..at + (run * esize) as usize];
+            self.file.read_exact_at(run, var_off + file_el * esize)?;
             Ok(())
-        })?;
-        Ok(out)
+        })
+    }
+
+    /// Reads a hyperslab of `variable` into a `Vec` in row-major slab
+    /// order: [`ScincFile::read_slab_bytes`], decoded.
+    pub fn read_slab<E: Element>(&self, variable: &str, slab: &Slab) -> Result<Vec<E>> {
+        let mut buf = Vec::new();
+        self.read_slab_bytes::<E>(variable, slab, &mut buf)?;
+        Ok(buf.chunks_exact(E::SIZE).map(E::read_le).collect())
     }
 
     /// Writes a hyperslab of `variable`; `data` is row-major slab
